@@ -73,7 +73,10 @@ use sp2b_bench::experiments::{self, DEFAULT_SIZES};
 use sp2b_bench::Args;
 use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
 use sp2b_core::report;
-use sp2b_core::runner::{run_benchmark, run_endpoint_workload, MixedWorkloadConfig, RunnerConfig};
+use sp2b_core::runner::{
+    run_benchmark, run_mixed_workload, run_workload_on, MixedWorkloadConfig, RunnerConfig,
+    WorkloadTarget,
+};
 use sp2b_core::{measure, BenchQuery, Endpoint, Engine, EngineKind, StoreLayout};
 use sp2b_datagen::{generate_graph, generate_to_path, Config};
 use sp2b_rdf::Graph;
@@ -612,40 +615,23 @@ fn apply_workload_flags(cfg: &mut MultiuserConfig, wl: &experiments::WorkloadFla
     }
 }
 
-/// Writes the open-loop report to the `--report json:FILE` sink.
-/// `workload_flags` guarantees the sink only exists alongside an open
-/// arrival, and every open-arrival run produces an [`OpenLoopReport`] —
-/// a missing one here is a driver bug, not an operator error.
-fn write_workload_json(
-    wl: &experiments::WorkloadFlags,
-    open: Option<&sp2b_core::OpenLoopReport>,
-    progress: &mut impl FnMut(&str),
-) -> Result<(), String> {
-    let Some(path) = &wl.report_path else {
-        return Ok(());
-    };
-    let open = open.expect("--report requires an open arrival, which yields an open report");
-    std::fs::write(path, report::open_loop_json(open))
-        .map_err(|e| format!("cannot write --report {}: {e}", path.display()))?;
-    progress(&format!("wrote workload report to {}", path.display()));
-    Ok(())
-}
-
 /// The multi-user mixed workload (paper Section VII's "multi-user
 /// scenario"): N client threads issue a mix of Q1–Q12/A1–A5, reporting
-/// per-client p50/p95/p99 latency and aggregate queries/sec. The
-/// default `--arrival closed` is the classic closed loop (each client
-/// issues the next query when the previous answer returns, rotation
-/// offset per client); `--arrival constant:R/s|poisson:R/s|burst:…`
-/// switches to the open-loop workload model — a schedule thread stamps
-/// intended send times, latency is measured from those stamps
-/// (coordinated-omission-safe), and the report splits queue-delay from
-/// service time. `--mix q1:80,q8:20` / `--zipf S` weight the template
-/// mix, `--warmup SECS` excludes the cold start and `--seed N` replays
-/// the exact sample/arrival sequence. Without `--endpoint` the clients
-/// share one in-process store; with `--endpoint http://…` they drive a
-/// live `sp2b serve` instance over real sockets through the same
-/// histogram/report pipeline. All flags are strictly validated:
+/// latency percentiles per template and per client plus aggregate
+/// queries/sec. `--arrival` says where a request's intended send time
+/// comes from: the default `closed` is the classic closed loop (each
+/// client issues the next query when the previous answer returns,
+/// rotation offset per client); `constant:R/s|poisson:R/s|burst:…` is
+/// the open-loop model — a schedule thread stamps intended send times,
+/// latency is measured from those stamps (coordinated-omission-safe),
+/// and the report splits queue-delay from service time. `--mix
+/// q1:80,q8:20` / `--zipf S` weight the template mix, `--warmup SECS`
+/// excludes the cold start, `--seed N` replays the exact
+/// sample/arrival sequence and `--report json:FILE` dumps the report.
+/// Without `--endpoint` the clients share one in-process store
+/// (generated, or reopened with `--store disk:DIR`); with `--endpoint
+/// http://…` they drive a live `sp2b serve` instance over real sockets.
+/// One driver, one report either way. All flags are strictly validated:
 /// malformed or contradictory values are hard errors.
 fn cmd_multiuser(args: &Args) -> Result<(), String> {
     let clients = args.get_positive("clients", 4)?;
@@ -662,8 +648,14 @@ fn cmd_multiuser(args: &Args) -> Result<(), String> {
             eprintln!("{line}");
         }
     };
+    let mut cfg = MultiuserConfig::new(clients, stop);
+    cfg.timeout = timeout(args, 30)?;
+    if let Some(labels) = args.get_list("queries") {
+        cfg.mix = experiments::parse_mix(&labels)?;
+    }
+    apply_workload_flags(&mut cfg, &wl);
 
-    if let Some(url) = args.get("endpoint") {
+    let report = if let Some(url) = args.get("endpoint") {
         // Endpoint mode: the server owns the store, its parallelism and
         // its engine — flags that silently would not apply are errors.
         for flag in [
@@ -683,63 +675,39 @@ fn cmd_multiuser(args: &Args) -> Result<(), String> {
             }
         }
         let endpoint = Endpoint::parse(url)?;
-        let mut cfg = MultiuserConfig::new(clients, stop);
-        cfg.timeout = timeout(args, 30)?;
-        if let Some(labels) = args.get_list("queries") {
-            cfg.mix = experiments::parse_mix(&labels)?;
+        run_workload_on(WorkloadTarget::Endpoint(&endpoint), &cfg, &mut progress)
+    } else {
+        cfg.parallelism = args.get_positive("threads", 1)?;
+        cfg.checksums = args.has("checksums");
+        match args.get_store_dir()? {
+            // Disk mode: the saved segments fix the document and
+            // sharding (`--seed` stays: here it seeds the workload, not
+            // the generator).
+            Some(dir) => {
+                let engine = open_disk_engine_rejecting(
+                    args,
+                    &dir,
+                    &["data", "triples", "shards", "shard-by"],
+                )?;
+                run_workload_on(WorkloadTarget::Engine(&engine), &cfg, &mut progress)
+            }
+            None => {
+                let mut mixed =
+                    MixedWorkloadConfig::new(args.get_u64("triples", 50_000), clients, stop);
+                mixed.engine = engine_kind(args)?;
+                mixed.layout = store_layout(args)?;
+                mixed.multiuser = cfg;
+                run_mixed_workload(&mixed, &mut progress)
+            }
         }
-        apply_workload_flags(&mut cfg, &wl);
-        if cfg.arrival.is_open() {
-            let open = sp2b_core::run_endpoint_workload_open(&endpoint, &cfg, &mut progress);
-            println!(
-                "{}",
-                report::endpoint_open_workload_report(&endpoint.url(), &open)
-            );
-            return write_workload_json(&wl, Some(&open), &mut progress);
-        }
-        let report = run_endpoint_workload(&endpoint, &cfg, &mut progress);
-        println!(
-            "{}",
-            report::endpoint_workload_report(&endpoint.url(), &report)
-        );
-        return Ok(());
-    }
-
-    let parallelism = args.get_positive("threads", 1)?;
-
-    if let Some(dir) = args.get_store_dir()? {
-        // Disk mode: the saved segments fix the document and sharding;
-        // the driver runs the same mixed workload against the reopened
-        // engine without ever touching an N-Triples source.
-        let engine =
-            open_disk_engine_rejecting(args, &dir, &["data", "triples", "shards", "shard-by"])?;
-        let mut mcfg = MultiuserConfig::new(clients, stop);
-        mcfg.parallelism = parallelism;
-        mcfg.timeout = timeout(args, 30)?;
-        mcfg.checksums = args.has("checksums");
-        if let Some(labels) = args.get_list("queries") {
-            mcfg.mix = experiments::parse_mix(&labels)?;
-        }
-        apply_workload_flags(&mut mcfg, &wl);
-        let report = sp2b_core::run_mixed_workload_on(&engine, &mcfg, &mut progress);
-        println!("{}", report::mixed_workload_report(&report));
-        return write_workload_json(&wl, report.open.as_ref(), &mut progress);
-    }
-
-    let triples = args.get_u64("triples", 50_000);
-    let mut cfg = MixedWorkloadConfig::new(triples, clients, stop);
-    cfg.engine = engine_kind(args)?;
-    cfg.layout = store_layout(args)?;
-    cfg.multiuser.parallelism = parallelism;
-    cfg.multiuser.timeout = timeout(args, 30)?;
-    cfg.multiuser.checksums = args.has("checksums");
-    if let Some(labels) = args.get_list("queries") {
-        cfg.multiuser.mix = experiments::parse_mix(&labels)?;
-    }
-    apply_workload_flags(&mut cfg.multiuser, &wl);
-    let report = sp2b_core::run_mixed_workload(&cfg, &mut progress);
+    };
     println!("{}", report::mixed_workload_report(&report));
-    write_workload_json(&wl, report.open.as_ref(), &mut progress)
+    if let Some(path) = &wl.report_path {
+        std::fs::write(path, report::workload_json(&report.workload))
+            .map_err(|e| format!("cannot write --report {}: {e}", path.display()))?;
+        progress(&format!("wrote workload report to {}", path.display()));
+    }
+    Ok(())
 }
 
 /// Runs the A1–A5 aggregate extension queries (Section VII's

@@ -656,14 +656,14 @@ pub struct WorkloadFlags {
     /// `--arrival closed|constant:R/s|poisson:R/s|burst:R,P,D` (default closed).
     pub arrival: Arrival,
     /// `--mix q1:80,q8:20` or `--zipf S`: templates plus weights. `None`
-    /// keeps the legacy uniform rotation over `--queries`/the default mix.
+    /// keeps the uniform rotation over `--queries`/the default mix.
     pub mix: Option<(Vec<WorkItem>, Vec<f64>)>,
     /// `--warmup SECS`: queries before the cutoff are excluded from every
     /// histogram and from count-stability tracking.
     pub warmup: Duration,
     /// `--seed N`: deterministic replay of mix sampling and arrivals.
     pub seed: Option<u64>,
-    /// `--report json:FILE`: dump the open-loop report as JSON.
+    /// `--report json:FILE`: dump the workload report as JSON.
     pub report_path: Option<std::path::PathBuf>,
 }
 
@@ -671,7 +671,7 @@ pub struct WorkloadFlags {
 /// malformed or contradictory combination is a one-line hard error
 /// (the CLI's shared strict-flag contract): `--mix` with `--zipf`,
 /// either with `--queries`, a zero arrival rate, or a `--report` sink
-/// without an open-loop arrival to fill it.
+/// not spelled `json:FILE`.
 pub fn workload_flags(args: &crate::args::Args) -> Result<WorkloadFlags, String> {
     let arrival = match args.get("arrival") {
         None => Arrival::Closed,
@@ -705,15 +705,7 @@ pub fn workload_flags(args: &crate::args::Args) -> Result<WorkloadFlags, String>
     let report_path = match args.get("report") {
         None => None,
         Some(v) => match v.trim().strip_prefix("json:") {
-            Some(path) if !path.is_empty() => {
-                if !arrival.is_open() {
-                    return Err("--report json:FILE dumps the open-loop workload report; \
-                         pass an open arrival process (--arrival constant:R/s, \
-                         poisson:R/s or burst:R,P,D) alongside it"
-                        .into());
-                }
-                Some(std::path::PathBuf::from(path))
-            }
+            Some(path) if !path.is_empty() => Some(std::path::PathBuf::from(path)),
             _ => {
                 return Err(format!(
                     "invalid --report value '{v}'\nusage: --report json:FILE  \
@@ -872,9 +864,11 @@ mod tests {
             let err = flags(&format!("multiuser --arrival {bad}")).unwrap_err();
             assert!(err.contains("invalid --arrival"), "{bad}: {err}");
         }
-        // --report needs an open arrival and the json:FILE spelling.
-        let err = flags("multiuser --report json:out.json").unwrap_err();
-        assert!(err.contains("open-loop"), "{err}");
+        // --report needs the json:FILE spelling — and nothing else: every
+        // run, closed loop included, yields the report it dumps.
+        let f = flags("multiuser --report json:out.json").unwrap();
+        assert_eq!(f.arrival, Arrival::Closed);
+        assert_eq!(f.report_path.unwrap(), std::path::PathBuf::from("out.json"));
         let err = flags("multiuser --arrival poisson:10/s --report out.json").unwrap_err();
         assert!(err.contains("invalid --report value 'out.json'"), "{err}");
         assert!(flags("multiuser --arrival poisson:10/s --report json:").is_err());

@@ -1,5 +1,4 @@
-//! # sp2b-bench — harness utilities shared by the `sp2b` CLI and the
-//! criterion benchmarks.
+//! # sp2b-bench — harness utilities behind the `sp2b` CLI.
 
 pub mod args;
 pub mod experiments;

@@ -580,7 +580,6 @@ impl WorkTransport for HttpTransport {
     fn open(&self, _client: usize, mix: &[WorkItem]) -> SessionSetup {
         SessionSetup {
             labels: mix.iter().map(|item| item.label.clone()).collect(),
-            failed: 0,
             session: Box::new(HttpSession {
                 endpoint: self.endpoint.clone(),
                 connect_timeout: self.connect_timeout,

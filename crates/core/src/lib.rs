@@ -4,12 +4,13 @@
 //! ([`queries`]), the engine configurations standing in for the paper's
 //! systems under test ([`engines`]), the measurement metrics of Section
 //! VI-B ([`metrics`]), the benchmark protocol ([`runner`]), the
-//! multi-client mixed-workload driver of the Section VII multi-user
-//! scenario ([`multiuser`]) — with an HTTP transport ([`endpoint`]) that
-//! drives a live `sp2b serve` SPARQL endpoint over real sockets, and an
-//! open-loop workload model ([`workload`]) with weighted template mixes,
-//! arrival processes and a coordinated-omission-safe latency recorder —
-//! and formatters that print the paper's tables and figure series
+//! Section VII multi-user scenario — its configuration and in-process
+//! transport ([`multiuser`]), an HTTP transport ([`endpoint`]) that
+//! drives a live `sp2b serve` SPARQL endpoint over real sockets, and the
+//! workload model ([`workload`]): weighted template mixes, closed and
+//! open arrival processes, and the one coordinated-omission-safe driver
+//! behind them, [`workload::run_workload`], with its one report — and
+//! formatters that print the paper's tables and figure series
 //! ([`report`]).
 //!
 //! ```no_run
@@ -35,16 +36,15 @@ pub use engines::{Engine, EngineKind, Outcome, ShardInfo, StoreLayout};
 pub use ext_queries::ExtQuery;
 pub use metrics::{measure, Measurement};
 pub use multiuser::{
-    run_multiuser, run_multiuser_with, ExecOutcome, InProcessTransport, LatencyHistogram,
-    MultiuserConfig, MultiuserReport, StopCondition, WorkItem, WorkTransport,
+    ExecOutcome, InProcessTransport, LatencyHistogram, MultiuserConfig, StopCondition, WorkItem,
+    WorkTransport,
 };
 pub use queries::BenchQuery;
 pub use runner::{
-    run_benchmark, run_endpoint_workload, run_endpoint_workload_open, run_mixed_workload,
-    run_mixed_workload_on, BenchmarkReport, MixedWorkloadConfig, MixedWorkloadReport, RunnerConfig,
-    Status,
+    run_benchmark, run_mixed_workload, run_workload_on, BenchmarkReport, MixedWorkloadConfig,
+    MixedWorkloadReport, RunnerConfig, Status, TargetFacts, WorkloadTarget,
 };
 pub use workload::{
-    run_open_loop, run_open_loop_with, Arrival, ArrivalSchedule, MixSampler, OpenLoopReport,
-    SplitMix64, TemplateReport, WeightedMix,
+    run_workload, Arrival, ArrivalSchedule, ClientReport, MixSampler, SplitMix64, TemplateReport,
+    WeightedMix, WorkloadReport,
 };

@@ -28,18 +28,30 @@ pub struct ProcSample {
     pub vm_rss_kib: Option<u64>,
 }
 
-/// Clock ticks per second for `/proc/self/stat` (usually 100 on Linux).
+/// Clock ticks per second for `/proc/self/stat`: the kernel hands every
+/// process its `AT_CLKTCK` in the auxiliary vector, so no child process
+/// (and no `SIGCHLD`) is needed to learn it. Falls back to Linux's
+/// universal 100 Hz.
 fn clock_ticks_per_second() -> u64 {
     static TICKS: OnceLock<u64> = OnceLock::new();
     *TICKS.get_or_init(|| {
-        std::process::Command::new("getconf")
-            .arg("CLK_TCK")
-            .output()
+        std::fs::read("/proc/self/auxv")
             .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .and_then(|s| s.trim().parse().ok())
+            .and_then(|auxv| auxv_clock_ticks(&auxv))
             .unwrap_or(100)
     })
+}
+
+/// Finds `AT_CLKTCK` in a raw auxiliary vector: native-endian
+/// `(key, value)` pairs of machine words.
+fn auxv_clock_ticks(auxv: &[u8]) -> Option<u64> {
+    const AT_CLKTCK: usize = 17;
+    const WORD: usize = std::mem::size_of::<usize>();
+    let word = |bytes: &[u8]| usize::from_ne_bytes(bytes.try_into().expect("WORD-sized chunk"));
+    auxv.chunks_exact(2 * WORD)
+        .find(|pair| word(&pair[..WORD]) == AT_CLKTCK)
+        .map(|pair| word(&pair[WORD..]) as u64)
+        .filter(|&ticks| ticks > 0)
 }
 
 /// Reads the current process sample; `None` off Linux.
@@ -158,6 +170,22 @@ mod tests {
         }
         let s = sample_proc().expect("Linux must expose /proc/self");
         assert!(s.vm_rss_kib.unwrap_or(0) > 0, "process uses memory");
+    }
+
+    #[test]
+    fn clock_ticks_come_from_the_auxiliary_vector() {
+        let pair = |key: usize, value: usize| [key.to_ne_bytes(), value.to_ne_bytes()].concat();
+        let auxv = [pair(6, 4096), pair(17, 250), pair(0, 0)].concat();
+        assert_eq!(auxv_clock_ticks(&auxv), Some(250));
+        assert_eq!(auxv_clock_ticks(&pair(6, 4096)), None, "no AT_CLKTCK entry");
+        assert_eq!(auxv_clock_ticks(&pair(17, 0)), None, "zero is not a rate");
+        if cfg!(target_os = "linux") {
+            let auxv = std::fs::read("/proc/self/auxv").expect("Linux exposes the auxv");
+            assert_eq!(auxv_clock_ticks(&auxv), Some(clock_ticks_per_second()));
+            // The scale `sample_proc` divides by is what `getconf CLK_TCK`
+            // used to report: 100 Hz on every mainstream Linux.
+            assert_eq!(clock_ticks_per_second(), 100);
+        }
     }
 
     #[test]

@@ -1,35 +1,20 @@
-//! The multi-client mixed-workload driver — the paper's Section VII
+//! The multi-client mixed workload — the paper's Section VII
 //! "multi-user scenario": many clients issuing a mix of cheap and
 //! expensive queries against **one shared store**, which real-world
 //! query-log studies (Bonifati et al.) show is what production engines
 //! actually face.
 //!
-//! [`run_multiuser`] spawns `clients` threads, each holding its own
-//! [`QueryEngine`] over a clone of the same [`SharedStore`] handle (the
-//! owned-store engine makes this an `Arc` bump per client). Every client
-//! prepares its query mix once, then cycles through it — each client
-//! starting at a different rotation offset so the store sees genuinely
-//! mixed traffic — recording per-query latency into a log-bucketed
-//! [`LatencyHistogram`] and the observed result cardinalities, until the
-//! configured [`StopCondition`] is met. The driver reports per-client
-//! p50/p95/p99 latency and aggregate throughput
-//! ([`MultiuserReport::throughput`]).
-//!
-//! *How* a client reaches the store is abstracted behind
-//! [`WorkTransport`]: [`run_multiuser`] wires the in-process transport
-//! (direct [`QueryEngine`] calls over the shared store), while
-//! [`run_multiuser_with`] accepts any transport — in particular
-//! [`crate::endpoint::HttpTransport`], which drives a live
-//! `sp2b serve` endpoint over real sockets so the measured path includes
-//! connection handling, HTTP framing and result-set transfer.
-//!
-//! Result counts are tracked per query label and checked for stability
-//! across executions ([`ClientReport::inconsistent`]): a read-only store
-//! must answer every client identically every time, no matter how many
-//! other clients are hammering it — the concurrency acceptance test pins
-//! this against single-client runs.
+//! This module holds what a run is *configured* with
+//! ([`MultiuserConfig`]: clients, mix, stop condition, arrival process)
+//! and *how* a client reaches the store ([`WorkTransport`]): the
+//! in-process transport ([`InProcessTransport`]) gives every client its
+//! own [`QueryEngine`] over a clone of the same [`SharedStore`] handle,
+//! while [`crate::endpoint::HttpTransport`] drives a live `sp2b serve`
+//! endpoint over real sockets so the measured path includes connection
+//! handling, HTTP framing and result-set transfer. The one driver that
+//! runs either, closed or open loop, is
+//! [`crate::workload::run_workload`].
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use sp2b_sparql::{Cancellation, Error as SparqlError, QueryEngine, QueryOptions};
@@ -37,7 +22,7 @@ use sp2b_store::SharedStore;
 
 use crate::ext_queries::ExtQuery;
 use crate::queries::BenchQuery;
-use crate::workload::{template_latency_series, Arrival, MixSampler};
+use crate::workload::Arrival;
 
 // ---------------------------------------------------------------------------
 // Latency histogram
@@ -126,22 +111,22 @@ pub struct MultiuserConfig {
     /// benchmark fast path); the HTTP transport folds checksums from its
     /// TSV bodies unconditionally — they are free there.
     pub checksums: bool,
-    /// The arrival process. [`Arrival::Closed`] (the default) is the
-    /// legacy closed loop driven by [`run_multiuser`]; open-loop
-    /// processes are driven by [`crate::workload::run_open_loop`], where
-    /// a schedule thread stamps intended send times (see
-    /// [`crate::workload`]).
+    /// The arrival process: where each request's *intended* send time
+    /// comes from. [`Arrival::Closed`] (the default) means the client's
+    /// previous completion; the open processes mean a schedule thread's
+    /// stamp (see [`crate::workload`]).
     pub arrival: Arrival,
     /// Warmup period measured from the run start: outcomes that start
     /// (closed loop) or were intended (open loop) inside it execute
     /// normally but are excluded from every histogram and from
     /// count/checksum-stability tracking, tallied separately
-    /// ([`ClientReport::warmup_excluded`]).
+    /// ([`crate::workload::ClientReport::warmup_excluded`]).
     pub warmup: Duration,
     /// Per-template popularity weights paralleling `mix`, from the mix
     /// DSL or `--zipf` ([`crate::workload::WeightedMix`]). Empty (the
-    /// default) means the closed loop keeps its legacy uniform rotation;
-    /// non-empty switches slot choice to seeded weighted sampling.
+    /// default) means the closed loop walks the mix in rotation and the
+    /// open loops sample it uniformly; non-empty switches both to seeded
+    /// weighted sampling.
     pub weights: Vec<f64>,
 }
 
@@ -161,70 +146,6 @@ impl MultiuserConfig {
             warmup: Duration::ZERO,
             weights: Vec::new(),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reports
-// ---------------------------------------------------------------------------
-
-/// What one client experienced.
-#[derive(Debug, Clone)]
-pub struct ClientReport {
-    /// Client index (0-based).
-    pub client: usize,
-    /// Successfully completed queries.
-    pub completed: u64,
-    /// Executions that hit the per-query timeout.
-    pub timeouts: u64,
-    /// Executions that errored (prepare or evaluation).
-    pub errors: u64,
-    /// Latency of completed queries.
-    pub latency: LatencyHistogram,
-    /// Result cardinality per query label, from the first completed
-    /// execution.
-    pub counts: BTreeMap<String, u64>,
-    /// Order-insensitive result checksum per query label, from the first
-    /// completed execution that carried one (see
-    /// [`ExecOutcome::Completed`]).
-    pub checksums: BTreeMap<String, u64>,
-    /// Labels whose result count **or checksum** *changed* between two
-    /// executions by this client — always empty over a read-only store;
-    /// the concurrency test asserts it.
-    pub inconsistent: Vec<String>,
-    /// Executions excluded because they started inside the configured
-    /// warmup period ([`MultiuserConfig::warmup`]); they appear in no
-    /// other tally.
-    pub warmup_excluded: u64,
-}
-
-/// A completed multi-user run.
-#[derive(Debug, Clone)]
-pub struct MultiuserReport {
-    /// Per-client outcomes, in client order.
-    pub clients: Vec<ClientReport>,
-    /// Wall-clock of the whole run (spawn to last join).
-    pub wall: Duration,
-}
-
-impl MultiuserReport {
-    /// Total completed queries across clients.
-    pub fn total_completed(&self) -> u64 {
-        self.clients.iter().map(|c| c.completed).sum()
-    }
-
-    /// Aggregate throughput in queries per second.
-    pub fn throughput(&self) -> f64 {
-        self.total_completed() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// All clients' latencies merged.
-    pub fn aggregate_latency(&self) -> LatencyHistogram {
-        let mut all = LatencyHistogram::new();
-        for c in &self.clients {
-            all.merge(&c.latency);
-        }
-        all
     }
 }
 
@@ -260,17 +181,16 @@ pub enum ExecOutcome {
 /// real sockets. Both feed the same histogram/report pipeline.
 pub trait WorkTransport: Sync {
     /// Per-client setup: prepare statements / open a connection for the
-    /// given mix. Entries unusable at setup are reported via
-    /// [`SessionSetup::failed`] and excluded from the rotation.
+    /// given mix. Entries unusable at setup are left out of
+    /// [`SessionSetup::labels`]; every request drawn for one is recorded
+    /// as an error.
     fn open(&self, client: usize, mix: &[WorkItem]) -> SessionSetup;
 }
 
 /// One client's executable state, produced by [`WorkTransport::open`].
 pub struct SessionSetup {
-    /// Labels of the executable mix entries, in rotation order.
+    /// Labels of the executable mix entries, in mix order.
     pub labels: Vec<String>,
-    /// Mix entries that failed setup (each counts as one error).
-    pub failed: u64,
     /// The executor for `labels` slots.
     pub session: Box<dyn WorkSession>,
 }
@@ -294,20 +214,14 @@ pub struct InProcessTransport {
 }
 
 impl InProcessTransport {
-    /// A transport over `store` with the given intra-query parallelism.
-    pub fn new(store: SharedStore, parallelism: usize) -> Self {
+    /// A transport over `store` with `cfg`'s intra-query parallelism and
+    /// checksum setting ([`MultiuserConfig::checksums`]).
+    pub fn new(store: SharedStore, cfg: &MultiuserConfig) -> Self {
         InProcessTransport {
             store,
-            parallelism: parallelism.max(1),
-            checksums: false,
+            parallelism: cfg.parallelism.max(1),
+            checksums: cfg.checksums,
         }
-    }
-
-    /// Enables per-execution result checksums (see
-    /// [`MultiuserConfig::checksums`]).
-    pub fn checksums(mut self, enabled: bool) -> Self {
-        self.checksums = enabled;
-        self
     }
 }
 
@@ -321,19 +235,14 @@ impl WorkTransport for InProcessTransport {
         // model: plans are reused across every execution of this client.
         let mut labels = Vec::with_capacity(mix.len());
         let mut prepared = Vec::with_capacity(mix.len());
-        let mut failed = 0u64;
         for item in mix {
-            match engine.prepare(&item.text) {
-                Ok(p) => {
-                    labels.push(item.label.clone());
-                    prepared.push(p);
-                }
-                Err(_) => failed += 1,
+            if let Ok(p) = engine.prepare(&item.text) {
+                labels.push(item.label.clone());
+                prepared.push(p);
             }
         }
         SessionSetup {
             labels,
-            failed,
             session: Box::new(InProcessSession {
                 engine,
                 prepared,
@@ -386,184 +295,16 @@ impl WorkSession for InProcessSession {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The driver
-// ---------------------------------------------------------------------------
-
-/// Drives `cfg.clients` concurrent client threads against one shared
-/// store and collects their reports. Blocks until every client finished.
-pub fn run_multiuser(store: SharedStore, cfg: &MultiuserConfig) -> MultiuserReport {
-    run_multiuser_with(
-        &InProcessTransport::new(store, cfg.parallelism).checksums(cfg.checksums),
-        cfg,
-    )
-}
-
-/// Like [`run_multiuser`] over an explicit [`WorkTransport`] — this is
-/// how `sp2b multiuser --endpoint` drives a live HTTP endpoint through
-/// the same measurement pipeline.
-pub fn run_multiuser_with(transport: &dyn WorkTransport, cfg: &MultiuserConfig) -> MultiuserReport {
-    assert!(!cfg.mix.is_empty(), "the query mix must not be empty");
-    assert!(
-        cfg.weights.is_empty() || cfg.weights.len() == cfg.mix.len(),
-        "weights must parallel the mix"
-    );
-    let clients = cfg.clients.max(1);
-    let started = Instant::now();
-    let deadline = match cfg.stop {
-        StopCondition::Duration(d) => Some(started + d),
-        StopCondition::Rounds(_) => None,
-    };
-    let reports = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| s.spawn(move || client_loop(client, transport, cfg, started, deadline)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    MultiuserReport {
-        clients: reports,
-        wall: started.elapsed(),
-    }
-}
-
-fn client_loop(
-    client: usize,
-    transport: &dyn WorkTransport,
-    cfg: &MultiuserConfig,
-    started: Instant,
-    deadline: Option<Instant>,
-) -> ClientReport {
-    let mut report = ClientReport {
-        client,
-        completed: 0,
-        timeouts: 0,
-        errors: 0,
-        latency: LatencyHistogram::new(),
-        counts: BTreeMap::new(),
-        checksums: BTreeMap::new(),
-        inconsistent: Vec::new(),
-        warmup_excluded: 0,
-    };
-    let SessionSetup {
-        labels,
-        failed,
-        mut session,
-    } = transport.open(client, &cfg.mix);
-    report.errors += failed;
-    if labels.is_empty() {
-        return report;
-    }
-    let series: Vec<sp2b_obs::Histogram> =
-        labels.iter().map(|l| template_latency_series(l)).collect();
-    let warmup_until = (cfg.warmup > Duration::ZERO).then(|| started + cfg.warmup);
-    // Each client walks the mix at its own rotation offset, so at any
-    // instant the store serves a genuine mix of query shapes — unless a
-    // weighted mix is configured, in which case slots are drawn by a
-    // per-client seeded sampler instead.
-    let offset = (cfg.seed as usize).wrapping_add(client) % labels.len();
-    let mut sampler = weighted_sampler(cfg, &labels, client);
-    let total: Option<u64> = match cfg.stop {
-        StopCondition::Rounds(r) => Some(r as u64 * labels.len() as u64),
-        StopCondition::Duration(_) => None,
-    };
-    let mut executed = 0u64;
-    loop {
-        if total.is_some_and(|t| executed >= t) {
-            break;
-        }
-        let now = Instant::now();
-        if deadline.is_some_and(|d| now >= d) {
-            break;
-        }
-        let slot = match &mut sampler {
-            Some(sampler) => sampler.sample(),
-            None => (offset + executed as usize) % labels.len(),
-        };
-        // The execution deadline is the earlier of the per-query
-        // timeout and the wall deadline, so a run overshoots its
-        // configured duration by at most one cancellation latency.
-        let mut stop_at = now + cfg.timeout;
-        if let Some(d) = deadline {
-            stop_at = stop_at.min(d);
-        }
-        let t0 = Instant::now();
-        let in_warmup = warmup_until.is_some_and(|w| t0 < w);
-        match session.execute(slot, stop_at) {
-            _ if in_warmup => {
-                // Warmup executions prime caches and plans but pollute
-                // neither histograms nor stability tracking.
-                report.warmup_excluded += 1;
-            }
-            ExecOutcome::Completed { rows, checksum } => {
-                let latency = t0.elapsed();
-                report.latency.record(latency);
-                series[slot].record(latency);
-                report.completed += 1;
-                let label = &labels[slot];
-                // Record each unstable label once, however many times it
-                // keeps shifting — by count, and by checksum when the
-                // transport computes one.
-                let count_unstable = stability(&mut report.counts, label, rows);
-                let checksum_unstable =
-                    checksum.is_some_and(|cs| stability(&mut report.checksums, label, cs));
-                if (count_unstable || checksum_unstable) && !report.inconsistent.contains(label) {
-                    report.inconsistent.push(label.clone());
-                }
-            }
-            ExecOutcome::TimedOut => {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    break; // wall deadline, not a per-query timeout
-                }
-                report.timeouts += 1;
-            }
-            ExecOutcome::Failed => report.errors += 1,
-        }
-        executed += 1;
-    }
-    report
-}
-
-/// A per-client seeded sampler over the *prepared* labels when a
-/// weighted mix is configured; `None` keeps the legacy rotation.
-fn weighted_sampler(cfg: &MultiuserConfig, labels: &[String], client: usize) -> Option<MixSampler> {
-    if cfg.weights.is_empty() {
-        return None;
-    }
-    let slot_weights: Vec<f64> = labels
-        .iter()
-        .map(|label| {
-            cfg.mix
-                .iter()
-                .position(|item| item.label == *label)
-                .map_or(1.0, |i| cfg.weights[i])
-        })
-        .collect();
-    Some(MixSampler::new(
-        &slot_weights,
-        cfg.seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    ))
-}
-
-/// Records `value` for `label` on first sight; afterwards reports
-/// whether it drifted from the recorded one.
-pub(crate) fn stability(seen: &mut BTreeMap<String, u64>, label: &str, value: u64) -> bool {
-    match seen.get(label) {
-        Some(&previous) => previous != value,
-        None => {
-            seen.insert(label.to_owned(), value);
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{run_workload, WorkloadReport};
     use sp2b_datagen::{generate_graph, Config};
     use sp2b_store::{NativeStore, TripleStore};
+
+    fn run(store: &SharedStore, cfg: &MultiuserConfig) -> WorkloadReport {
+        run_workload(&InProcessTransport::new(store.clone(), cfg), cfg)
+    }
 
     #[test]
     fn rounds_mode_is_deterministic_and_consistent() {
@@ -575,7 +316,7 @@ mod tests {
             WorkItem::bench(BenchQuery::Q3a),
             WorkItem::ext(ExtQuery::A1),
         ];
-        let report = run_multiuser(store, &cfg);
+        let report = run(&store, &cfg);
         assert_eq!(report.clients.len(), 3);
         for c in &report.clients {
             assert_eq!(c.completed, 6, "2 rounds × 3 queries");
@@ -589,8 +330,8 @@ mod tests {
         for c in &report.clients[1..] {
             assert_eq!(&c.counts, first);
         }
-        assert_eq!(report.total_completed(), 18);
-        assert!(report.throughput() > 0.0);
+        assert_eq!(report.completed, 18);
+        assert!(report.completed_rate() > 0.0);
     }
 
     #[test]
@@ -605,7 +346,7 @@ mod tests {
             WorkItem::bench(BenchQuery::Q12c), // ASK: boolean-line checksum
             WorkItem::ext(ExtQuery::A1),
         ];
-        let report = run_multiuser(store.clone(), &cfg);
+        let report = run(&store, &cfg);
         for c in &report.clients {
             assert!(c.inconsistent.is_empty(), "{:?}", c.inconsistent);
             assert_eq!(c.checksums.len(), 4, "every label carries a checksum");
@@ -618,7 +359,7 @@ mod tests {
         }
         // The checksum path reports the same counts as the counting path.
         cfg.checksums = false;
-        let counted = run_multiuser(store, &cfg);
+        let counted = run(&store, &cfg);
         assert_eq!(counted.clients[0].counts, report.clients[0].counts);
         assert!(
             counted.clients[0].checksums.is_empty(),
@@ -632,8 +373,8 @@ mod tests {
         let store = NativeStore::from_graph(&graph).into_shared();
         let mut cfg = MultiuserConfig::new(2, StopCondition::Duration(Duration::from_millis(200)));
         cfg.mix = vec![WorkItem::bench(BenchQuery::Q1)];
-        let report = run_multiuser(store, &cfg);
-        assert!(report.total_completed() > 0, "something must complete");
+        let report = run(&store, &cfg);
+        assert!(report.completed > 0, "something must complete");
         // The run must not overshoot the wall by more than a cancellation.
         assert!(report.wall < Duration::from_secs(30), "{:?}", report.wall);
     }

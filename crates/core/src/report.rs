@@ -1,15 +1,17 @@
 //! Formatters that print the paper's tables and figure data series from a
 //! [`BenchmarkReport`], plus the multi-user workload section from a
-//! [`MixedWorkloadReport`] — closed-loop per-client tables, the
-//! open-loop workload table ([`open_loop_table`]) with its per-template
-//! percentile rows and intended-vs-actual rate line, and the
-//! machine-readable JSON dump ([`open_loop_json`]) behind
-//! `--report json:FILE`.
+//! [`MixedWorkloadReport`]: the workload table ([`workload_table`]) with
+//! its rate line, latency decomposition, per-template and per-client
+//! percentile rows, and the machine-readable JSON dump
+//! ([`workload_json`]) behind `--report json:FILE` — the same two
+//! renderers for closed- and open-loop runs, in-process or over HTTP.
+
+use std::time::Duration;
 
 use crate::metrics::{arithmetic_mean, geometric_mean};
-use crate::multiuser::MultiuserReport;
-use crate::runner::{BenchmarkReport, MixedWorkloadReport};
-use crate::workload::OpenLoopReport;
+use crate::multiuser::LatencyHistogram;
+use crate::runner::{BenchmarkReport, MixedWorkloadReport, TargetFacts};
+use crate::workload::WorkloadReport;
 
 /// Human-readable scale label (10000 → "10k", 1000000 → "1M").
 pub fn scale_label(n: u64) -> String {
@@ -198,203 +200,111 @@ pub fn figure_series(report: &BenchmarkReport) -> String {
     out
 }
 
-/// The multi-user workload table: one row per client with completed
-/// query count, per-client throughput, p50/p95/p99/max latency and
-/// timeout/error tallies, then the aggregate row (merged histogram,
-/// whole-run queries/sec).
-pub fn multiuser_table(report: &MultiuserReport) -> String {
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let mut out = format!(
-        "MULTI-USER WORKLOAD — {} client(s), wall {:.2} s\n\n",
-        report.clients.len(),
-        report.wall.as_secs_f64()
-    );
-    out.push_str(&format!(
-        "{:<8} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}\n",
-        "client",
-        "queries",
-        "q/s",
-        "p50[ms]",
-        "p95[ms]",
-        "p99[ms]",
-        "max[ms]",
-        "timeouts",
-        "errors"
-    ));
-    let wall = report.wall.as_secs_f64().max(1e-9);
-    for c in &report.clients {
-        out.push_str(&format!(
-            "{:<8} {:>9} {:>9.1} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>7}\n",
-            c.client,
-            c.completed,
-            c.completed as f64 / wall,
-            ms(c.latency.quantile(0.50)),
-            ms(c.latency.quantile(0.95)),
-            ms(c.latency.quantile(0.99)),
-            ms(c.latency.max()),
-            c.timeouts,
-            c.errors,
-        ));
-    }
-    let all = report.aggregate_latency();
-    out.push_str(&format!(
-        "{:<8} {:>9} {:>9.1} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>7}\n",
-        "all",
-        report.total_completed(),
-        report.throughput(),
-        ms(all.quantile(0.50)),
-        ms(all.quantile(0.95)),
-        ms(all.quantile(0.99)),
-        ms(all.max()),
-        report.clients.iter().map(|c| c.timeouts).sum::<u64>(),
-        report.clients.iter().map(|c| c.errors).sum::<u64>(),
-    ));
-    let warmed: u64 = report.clients.iter().map(|c| c.warmup_excluded).sum();
-    if warmed > 0 {
-        out.push_str(&format!(
-            "warmup: {warmed} queries executed before the cutoff and excluded above\n"
-        ));
-    }
-    // A read-only store must answer every client identically every time:
-    // any label whose count or checksum drifted is a correctness bug,
-    // not noise — surface it loudly.
-    let mut unstable: Vec<&str> = report
-        .clients
-        .iter()
-        .flat_map(|c| c.inconsistent.iter().map(String::as_str))
-        .collect();
-    unstable.sort_unstable();
-    unstable.dedup();
-    if !unstable.is_empty() {
-        out.push_str(&format!(
-            "WARNING: unstable results (count/checksum drift) for: {}\n",
-            unstable.join(", ")
-        ));
-    }
-    out
+/// `p50 p95 p99 max` of `h` in milliseconds, as four right-aligned
+/// table cells.
+fn percentile_cells(h: &LatencyHistogram) -> String {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    format!(
+        "{:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+        ms(h.quantile(0.50)),
+        ms(h.quantile(0.95)),
+        ms(h.quantile(0.99)),
+        ms(h.max()),
+    )
 }
 
-/// The endpoint (server) workload section: the multi-user table for a
-/// run driven over HTTP against a live SPARQL endpoint — the network
-/// counterpart of [`mixed_workload_report`]. Latencies here include
-/// connection handling, request framing and result-set transfer, not
-/// just evaluation.
-pub fn endpoint_workload_report(endpoint_url: &str, report: &MultiuserReport) -> String {
-    let mut out = format!(
-        "SPARQL ENDPOINT WORKLOAD — {endpoint_url} (latency includes the network path)\n\n"
-    );
-    out.push_str(&multiuser_table(report));
-    out
-}
+const PERCENTILE_HEADER: &str = "   p50[ms]    p95[ms]    p99[ms]    max[ms]";
 
-/// The open-loop workload table: the run header (arrival process,
-/// workers, wall), the intended-vs-actual rate line, the
+/// The workload table: the run header (arrival process, clients, wall),
+/// the rate line (intended vs completed for an open arrival), the
 /// latency/queue-delay/service decomposition, one percentile row per
-/// template, and the windowed throughput/p99 time series.
-pub fn open_loop_table(report: &OpenLoopReport) -> String {
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+/// template plus the aggregate `all` row, one row per client, and the
+/// windowed throughput/p99 time series.
+pub fn workload_table(report: &WorkloadReport) -> String {
     let mut out = format!(
-        "OPEN-LOOP WORKLOAD — arrival {}, {} worker(s), seed {}, wall {:.2} s\n",
+        "MULTI-USER WORKLOAD — arrival {}, {} client(s), seed {}, wall {:.2} s\n",
         report.arrival,
-        report.clients,
+        report.clients.len(),
         report.seed,
         report.wall.as_secs_f64()
     );
-    let intended = report.intended_rate();
-    let drift = if intended > 0.0 {
-        (report.completed_rate() - intended) / intended * 100.0
-    } else {
-        0.0
-    };
-    out.push_str(&format!(
-        "rate: intended {:.1} q/s ({} issued over {:.2} s), \
-         completed {:.1} q/s ({} done, {} timeouts, {} errors) — drift {:+.1}%\n",
-        intended,
-        report.issued,
-        report.schedule_span.as_secs_f64(),
+    let done = format!(
+        "completed {:.1} q/s ({} done, {} timeouts, {} errors)",
         report.completed_rate(),
         report.completed,
         report.timeouts,
         report.errors,
-        drift,
-    ));
-    if report.warmup > std::time::Duration::ZERO {
+    );
+    match (report.intended_rate(), report.schedule_span) {
+        (Some(intended), Some(span)) => out.push_str(&format!(
+            "rate: intended {:.1} q/s ({} issued over {:.2} s), {done} — drift {:+.1}%\n",
+            intended,
+            report.issued,
+            span.as_secs_f64(),
+            (report.completed_rate() - intended) / intended * 100.0,
+        )),
+        _ => out.push_str(&format!("rate: {done}\n")),
+    }
+    if report.warmup > Duration::ZERO {
         out.push_str(&format!(
             "warmup: {:.1} s ({} queries excluded)\n",
             report.warmup.as_secs_f64(),
             report.warmup_excluded
         ));
     }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>10} {:>10} {:>10}\n",
-        "phase", "p50[ms]", "p95[ms]", "p99[ms]", "max[ms]"
-    ));
+    out.push_str(&format!("\n{:<12} {PERCENTILE_HEADER}\n", "phase"));
     for (name, h) in [
         ("latency", &report.latency),
         ("queue-delay", &report.queue_delay),
         ("service", &report.service),
     ] {
-        out.push_str(&format!(
-            "{:<12} {:>10.3} {:>10.3} {:>10.3} {:>10.3}\n",
-            name,
-            ms(h.quantile(0.50)),
-            ms(h.quantile(0.95)),
-            ms(h.quantile(0.99)),
-            ms(h.max()),
-        ));
+        out.push_str(&format!("{name:<12} {}\n", percentile_cells(h)));
     }
-    out.push('\n');
     out.push_str(&format!(
-        "{:<8} {:>8} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}\n",
-        "template",
-        "weight%",
-        "queries",
-        "q/s",
-        "p50[ms]",
-        "p95[ms]",
-        "p99[ms]",
-        "max[ms]",
-        "timeouts",
-        "errors"
+        "\n{:<8} {:>8} {:>9} {:>9} {PERCENTILE_HEADER} {:>9} {:>7}\n",
+        "template", "weight%", "queries", "q/s", "timeouts", "errors"
     ));
     let wall = report.wall.as_secs_f64().max(1e-9);
     let total_weight: f64 = report.templates.iter().map(|t| t.weight).sum();
     for t in &report.templates {
         out.push_str(&format!(
-            "{:<8} {:>8.1} {:>9} {:>9.1} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>7}\n",
+            "{:<8} {:>8.1} {:>9} {:>9.1} {} {:>9} {:>7}\n",
             t.label,
             t.weight / total_weight.max(1e-9) * 100.0,
             t.completed,
             t.completed as f64 / wall,
-            ms(t.latency.quantile(0.50)),
-            ms(t.latency.quantile(0.95)),
-            ms(t.latency.quantile(0.99)),
-            ms(t.latency.max()),
+            percentile_cells(&t.latency),
             t.timeouts,
             t.errors,
         ));
     }
     out.push_str(&format!(
-        "{:<8} {:>8} {:>9} {:>9.1} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>7}\n",
+        "{:<8} {:>8} {:>9} {:>9.1} {} {:>9} {:>7}\n",
         "all",
         "",
         report.completed,
         report.completed_rate(),
-        ms(report.latency.quantile(0.50)),
-        ms(report.latency.quantile(0.95)),
-        ms(report.latency.quantile(0.99)),
-        ms(report.latency.max()),
+        percentile_cells(&report.latency),
         report.timeouts,
         report.errors,
     ));
+    out.push_str(&format!(
+        "\n{:<8} {:>9} {:>9} {PERCENTILE_HEADER} {:>9} {:>7}\n",
+        "client", "queries", "q/s", "timeouts", "errors"
+    ));
+    for c in &report.clients {
+        out.push_str(&format!(
+            "{:<8} {:>9} {:>9.1} {} {:>9} {:>7}\n",
+            c.client,
+            c.completed,
+            c.completed as f64 / wall,
+            percentile_cells(&c.latency),
+            c.timeouts,
+            c.errors,
+        ));
+    }
     if report.windows.len() > 1 {
-        let width = report
-            .windows
-            .get(1)
-            .map(|w| w.start.as_secs_f64())
-            .unwrap_or(1.0)
-            .max(1e-9);
+        let width = report.windows[1].start.as_secs_f64().max(1e-9);
         out.push_str(&format!(
             "\nthroughput/p99 by {:.0} s window:\n{:<7} {:>9} {:>9} {:>10} {:>10} {:>10}\n",
             width, "t[s]", "queries", "q/s", "p50[ms]", "p99[ms]", "max[ms]"
@@ -405,12 +315,15 @@ pub fn open_loop_table(report: &OpenLoopReport) -> String {
                 w.start.as_secs_f64(),
                 w.completed,
                 w.completed as f64 / width,
-                ms(w.p50),
-                ms(w.p99),
-                ms(w.max),
+                w.p50.as_secs_f64() * 1e3,
+                w.p99.as_secs_f64() * 1e3,
+                w.max.as_secs_f64() * 1e3,
             ));
         }
     }
+    // A read-only store must answer every client identically every time:
+    // any label whose count or checksum drifted is a correctness bug,
+    // not noise — surface it loudly.
     if !report.inconsistent.is_empty() {
         out.push_str(&format!(
             "WARNING: unstable results (count/checksum drift) for: {}\n",
@@ -420,20 +333,11 @@ pub fn open_loop_table(report: &OpenLoopReport) -> String {
     out
 }
 
-/// The endpoint counterpart of [`open_loop_table`], with the endpoint
-/// URL in the header.
-pub fn endpoint_open_workload_report(endpoint_url: &str, report: &OpenLoopReport) -> String {
-    let mut out = format!(
-        "SPARQL ENDPOINT WORKLOAD — {endpoint_url} (latency includes the network path)\n\n"
-    );
-    out.push_str(&open_loop_table(report));
-    out
-}
-
-/// The machine-readable open-loop report behind `--report json:FILE` —
-/// every histogram rendered through [`sp2b_obs::histogram_json`], the
-/// same shape the server's `/stats` endpoint uses.
-pub fn open_loop_json(report: &OpenLoopReport) -> String {
+/// The machine-readable workload report behind `--report json:FILE`
+/// (schema `sp2b-workload/1`) — every histogram rendered through
+/// [`sp2b_obs::histogram_json`], the same shape the server's `/stats`
+/// endpoint uses. `intended_rate` is `null` for a closed loop.
+pub fn workload_json(report: &WorkloadReport) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(4096);
     let _ = write!(
@@ -443,7 +347,7 @@ pub fn open_loop_json(report: &OpenLoopReport) -> String {
          \"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\
          \"intended_rate\":{},\"completed_rate\":{}",
         report.arrival,
-        report.clients,
+        report.clients.len(),
         report.seed,
         report.wall.as_secs_f64(),
         report.warmup.as_secs_f64(),
@@ -452,7 +356,9 @@ pub fn open_loop_json(report: &OpenLoopReport) -> String {
         report.completed,
         report.timeouts,
         report.errors,
-        report.intended_rate(),
+        report
+            .intended_rate()
+            .map_or("null".to_owned(), |r| r.to_string()),
         report.completed_rate(),
     );
     let _ = write!(
@@ -462,13 +368,10 @@ pub fn open_loop_json(report: &OpenLoopReport) -> String {
         sp2b_obs::histogram_json(&report.queue_delay),
         sp2b_obs::histogram_json(&report.service),
     );
-    out.push_str(",\"templates\":[");
-    for (i, t) in report.templates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
+    let _ = write!(
+        out,
+        ",\"templates\":{},\"per_client\":{},\"windows\":{}}}",
+        json_array(&report.templates, |t| format!(
             "{{\"template\":\"{}\",\"weight\":{},\"completed\":{},\"timeouts\":{},\
              \"errors\":{},\"latency\":{}}}",
             t.label,
@@ -477,15 +380,18 @@ pub fn open_loop_json(report: &OpenLoopReport) -> String {
             t.timeouts,
             t.errors,
             sp2b_obs::histogram_json(&t.latency),
-        );
-    }
-    out.push_str("],\"windows\":[");
-    for (i, w) in report.windows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
+        )),
+        json_array(&report.clients, |c| format!(
+            "{{\"client\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\
+             \"warmup_excluded\":{},\"latency\":{}}}",
+            c.client,
+            c.completed,
+            c.timeouts,
+            c.errors,
+            c.warmup_excluded,
+            sp2b_obs::histogram_json(&c.latency),
+        )),
+        json_array(&report.windows, |w| format!(
             "{{\"start_seconds\":{},\"completed\":{},\"p50_seconds\":{},\
              \"p99_seconds\":{},\"max_seconds\":{}}}",
             w.start.as_secs_f64(),
@@ -493,30 +399,49 @@ pub fn open_loop_json(report: &OpenLoopReport) -> String {
             w.p50.as_secs_f64(),
             w.p99.as_secs_f64(),
             w.max.as_secs_f64(),
-        );
-    }
-    out.push_str("]}");
+        )),
+    );
     out
 }
 
-/// The full mixed-workload report: run header (scale, engine, load
-/// time, sharding facts when sharded) plus the [`multiuser_table`] —
-/// or, for an open-loop run, the [`open_loop_table`].
+/// `[a,b,…]` with each item rendered by `render`.
+fn json_array<T>(items: &[T], render: impl Fn(&T) -> String) -> String {
+    format!(
+        "[{}]",
+        items.iter().map(render).collect::<Vec<_>>().join(",")
+    )
+}
+
+/// The full mixed-workload report: what was driven — scale, engine,
+/// load time and sharding facts for an in-process store, the URL for a
+/// live endpoint (whose latencies include connection handling, request
+/// framing and result-set transfer, not just evaluation) — plus the
+/// [`workload_table`].
 pub fn mixed_workload_report(report: &MixedWorkloadReport) -> String {
-    let mut out = format!(
-        "MIXED WORKLOAD — {} triples on {} (loaded in {})\n",
-        scale_label(report.scale),
-        report.engine.label(),
-        report.load.summary()
-    );
-    if let Some(info) = &report.shards {
-        out.push_str(&format!("{}\n", info.summary()));
-    }
+    let mut out = match &report.target {
+        TargetFacts::Store {
+            scale,
+            engine,
+            load,
+            shards,
+        } => {
+            let mut header = format!(
+                "MIXED WORKLOAD — {} triples on {} (loaded in {})\n",
+                scale_label(*scale),
+                engine.label(),
+                load.summary()
+            );
+            if let Some(info) = shards {
+                header.push_str(&format!("{}\n", info.summary()));
+            }
+            header
+        }
+        TargetFacts::Endpoint(url) => {
+            format!("SPARQL ENDPOINT WORKLOAD — {url} (latency includes the network path)\n")
+        }
+    };
     out.push('\n');
-    match &report.open {
-        Some(open) => out.push_str(&open_loop_table(open)),
-        None => out.push_str(&multiuser_table(&report.multiuser)),
-    }
+    out.push_str(&workload_table(&report.workload));
     out
 }
 
@@ -641,69 +566,85 @@ mod tests {
         assert!(s.contains("FIGURES 5-8"));
     }
 
-    #[test]
-    fn endpoint_report_carries_the_url_and_table() {
-        use crate::multiuser::{ClientReport, LatencyHistogram, MultiuserReport};
-        let mut latency = LatencyHistogram::new();
-        latency.record(Duration::from_millis(3));
-        let report = MultiuserReport {
-            clients: vec![ClientReport {
-                client: 0,
-                completed: 1,
+    fn hist(millis: &[u64]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for &m in millis {
+            h.record(Duration::from_millis(m));
+        }
+        h
+    }
+
+    fn client(i: usize, queries: u64) -> crate::workload::ClientReport {
+        crate::workload::ClientReport {
+            client: i,
+            completed: queries,
+            latency: hist(&(1..=queries).collect::<Vec<_>>()),
+            ..Default::default()
+        }
+    }
+
+    /// A closed-loop run: 2 clients, 30 queries in 2 s.
+    fn closed_report() -> WorkloadReport {
+        use crate::workload::{Arrival, TemplateReport};
+        WorkloadReport {
+            arrival: Arrival::Closed,
+            seed: 0,
+            warmup: Duration::ZERO,
+            wall: Duration::from_secs(2),
+            issued: 30,
+            schedule_span: None,
+            warmup_excluded: 0,
+            completed: 30,
+            timeouts: 0,
+            errors: 0,
+            latency: hist(&[1, 2, 3]),
+            queue_delay: hist(&[0, 0, 0]),
+            service: hist(&[1, 2, 3]),
+            templates: vec![TemplateReport {
+                label: "Q1".into(),
+                weight: 1.0,
+                completed: 30,
                 timeouts: 0,
                 errors: 0,
-                latency,
-                counts: Default::default(),
-                checksums: Default::default(),
-                inconsistent: Vec::new(),
-                warmup_excluded: 0,
+                latency: hist(&[1, 2, 3]),
             }],
-            wall: Duration::from_secs(1),
+            clients: vec![client(0, 10), client(1, 20)],
+            windows: Vec::new(),
+            counts: Default::default(),
+            inconsistent: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn endpoint_report_carries_the_url_and_table() {
+        let report = MixedWorkloadReport {
+            target: TargetFacts::Endpoint("http://127.0.0.1:8088/sparql".into()),
+            workload: closed_report(),
         };
-        let s = endpoint_workload_report("http://127.0.0.1:8088/sparql", &report);
+        let s = mixed_workload_report(&report);
         assert!(s.contains("SPARQL ENDPOINT WORKLOAD"), "{s}");
         assert!(s.contains("http://127.0.0.1:8088/sparql"), "{s}");
         assert!(s.contains("p99[ms]"), "{s}");
     }
 
     #[test]
-    fn multiuser_table_has_per_client_and_aggregate_rows() {
-        use crate::multiuser::{ClientReport, LatencyHistogram, MultiuserReport};
-        let client = |i: usize, queries: u64| {
-            let mut latency = LatencyHistogram::new();
-            for q in 0..queries {
-                latency.record(Duration::from_millis(1 + q));
-            }
-            ClientReport {
-                client: i,
-                completed: queries,
-                timeouts: 0,
-                errors: 0,
-                latency,
-                counts: Default::default(),
-                checksums: Default::default(),
-                inconsistent: Vec::new(),
-                warmup_excluded: 0,
-            }
-        };
+    fn workload_table_has_per_client_and_aggregate_rows() {
         let report = MixedWorkloadReport {
-            scale: 10_000,
-            engine: EngineKind::NativeOpt,
-            load: Measurement {
-                tme: Duration::from_millis(7),
-                ..Default::default()
+            target: TargetFacts::Store {
+                scale: 10_000,
+                engine: EngineKind::NativeOpt,
+                load: Measurement {
+                    tme: Duration::from_millis(7),
+                    ..Default::default()
+                },
+                shards: Some(crate::engines::ShardInfo {
+                    shard_by: sp2b_store::ShardBy::Subject,
+                    backend: "native",
+                    lens: vec![5_100, 4_900],
+                    build_times: vec![Duration::from_millis(3), Duration::from_millis(4)],
+                }),
             },
-            shards: Some(crate::engines::ShardInfo {
-                shard_by: sp2b_store::ShardBy::Subject,
-                backend: "native",
-                lens: vec![5_100, 4_900],
-                build_times: vec![Duration::from_millis(3), Duration::from_millis(4)],
-            }),
-            multiuser: MultiuserReport {
-                clients: vec![client(0, 10), client(1, 20)],
-                wall: Duration::from_secs(2),
-            },
-            open: None,
+            workload: closed_report(),
         };
         let s = mixed_workload_report(&report);
         assert!(s.contains("MIXED WORKLOAD"), "{s}");
@@ -711,34 +652,62 @@ mod tests {
         assert!(s.contains("2 shard(s) by subject"), "{s}");
         assert!(s.contains("5100/4900"), "{s}");
         assert!(s.contains("p99[ms]"), "{s}");
+        assert!(s.contains("arrival closed, 2 client(s)"), "{s}");
+        assert!(
+            s.contains("rate: completed 15.0 q/s (30 done"),
+            "aggregate throughput 30/2s, and no intended rate to compare with:\n{s}"
+        );
         assert!(
             s.lines().filter(|l| l.starts_with("all")).count() == 1,
             "{s}"
         );
-        assert!(s.contains("15.0"), "aggregate throughput 30/2s:\n{s}");
+        // One row per client, after the `client` header.
+        let client_rows: Vec<&str> = s
+            .lines()
+            .skip_while(|l| !l.starts_with("client "))
+            .skip(1)
+            .take(2)
+            .collect();
+        assert!(
+            client_rows[0].starts_with("0 ") && client_rows[0].contains(" 10 "),
+            "{s}"
+        );
+        assert!(
+            client_rows[1].starts_with("1 ") && client_rows[1].contains(" 20 "),
+            "{s}"
+        );
+        assert!(
+            client_rows[1].contains("10.0"),
+            "client 1 throughput 20/2s:\n{s}"
+        );
+
+        // The same run dumps as JSON: closed arrival, no intended rate.
+        let json = workload_json(&report.workload);
+        assert_eq!(
+            json.matches('{').count(),
+            json.matches('}').count(),
+            "{json}"
+        );
+        assert!(json.contains("\"arrival\":\"closed\""), "{json}");
+        assert!(json.contains("\"intended_rate\":null"), "{json}");
+        assert!(
+            json.contains("\"per_client\":[{\"client\":0,\"completed\":10,"),
+            "{json}"
+        );
     }
 
     #[test]
     fn open_loop_report_renders_rate_line_template_rows_and_json() {
-        use crate::multiuser::LatencyHistogram;
-        use crate::workload::{Arrival, OpenLoopReport, TemplateReport};
+        use crate::workload::{Arrival, TemplateReport};
         use sp2b_obs::WindowSnapshot;
 
-        let hist = |millis: &[u64]| {
-            let mut h = LatencyHistogram::new();
-            for &m in millis {
-                h.record(Duration::from_millis(m));
-            }
-            h
-        };
-        let report = OpenLoopReport {
+        let report = WorkloadReport {
             arrival: Arrival::Poisson { rate: 200.0 },
-            clients: 2,
             seed: 42,
             warmup: Duration::from_secs(1),
             wall: Duration::from_secs(10),
             issued: 2_000,
-            schedule_span: Duration::from_secs(10),
+            schedule_span: Some(Duration::from_secs(10)),
             warmup_excluded: 180,
             completed: 1_815,
             timeouts: 3,
@@ -764,6 +733,7 @@ mod tests {
                     latency: hist(&[9]),
                 },
             ],
+            clients: vec![client(0, 900), client(1, 915)],
             windows: vec![
                 WindowSnapshot {
                     start: Duration::ZERO,
@@ -784,9 +754,9 @@ mod tests {
             inconsistent: Vec::new(),
         };
 
-        let s = open_loop_table(&report);
+        let s = workload_table(&report);
         assert!(
-            s.contains("OPEN-LOOP WORKLOAD — arrival poisson:200/s"),
+            s.contains("MULTI-USER WORKLOAD — arrival poisson:200/s, 2 client(s), seed 42"),
             "{s}"
         );
         assert!(s.contains("rate: intended 200.0 q/s"), "{s}");
@@ -801,11 +771,7 @@ mod tests {
         );
         assert!(s.contains("throughput/p99 by 1 s window"), "{s}");
 
-        let url = endpoint_open_workload_report("http://127.0.0.1:8088/sparql", &report);
-        assert!(url.contains("SPARQL ENDPOINT WORKLOAD"), "{url}");
-        assert!(url.contains("OPEN-LOOP WORKLOAD"), "{url}");
-
-        let json = open_loop_json(&report);
+        let json = workload_json(&report);
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert_eq!(
             json.matches('{').count(),
@@ -814,6 +780,7 @@ mod tests {
         );
         assert!(json.contains("\"schema\":\"sp2b-workload/1\""), "{json}");
         assert!(json.contains("\"arrival\":\"poisson:200/s\""), "{json}");
+        assert!(json.contains("\"clients\":2,"), "{json}");
         assert!(json.contains("\"template\":\"Q1\""), "{json}");
         assert!(json.contains("\"intended_rate\":200"), "{json}");
         assert!(json.contains("\"queue_delay\":{\"count\":3"), "{json}");

@@ -16,11 +16,9 @@ use sp2b_rdf::Graph;
 use crate::endpoint::{Endpoint, HttpTransport};
 use crate::engines::{Engine, EngineKind, Outcome, ShardInfo, StoreLayout};
 use crate::metrics::{Measurement, PENALTY_SECONDS};
-use crate::multiuser::{
-    run_multiuser, run_multiuser_with, MultiuserConfig, MultiuserReport, StopCondition,
-};
+use crate::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkTransport};
 use crate::queries::BenchQuery;
-use crate::workload::{run_open_loop, run_open_loop_with, OpenLoopReport};
+use crate::workload::{run_workload, WorkloadReport};
 
 /// Execution status of one query cell, as lettered in Table IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,27 +204,45 @@ impl MixedWorkloadConfig {
     }
 }
 
-/// A completed mixed-workload run: the load measurement plus the
-/// per-client driver report (formatted by
-/// [`crate::report::mixed_workload_report`]).
+/// An already-built system to drive a workload against.
+pub enum WorkloadTarget<'a> {
+    /// In-process: the clients share the engine's store (a loaded
+    /// document, or a segment directory opened with
+    /// [`Engine::open_disk`]).
+    Engine(&'a Engine),
+    /// A live SPARQL endpoint over HTTP: the server owns the store, and
+    /// every measured latency includes the full network path (connect,
+    /// request framing, result-set transfer).
+    Endpoint(&'a Endpoint),
+}
+
+/// What a finished run was driven against — the report header's facts.
+#[derive(Debug, Clone)]
+pub enum TargetFacts {
+    /// An in-process store.
+    Store {
+        /// Document scale in triples.
+        scale: u64,
+        /// Engine configuration driven.
+        engine: EngineKind,
+        /// Loading measurement of the shared store.
+        load: Measurement,
+        /// Sharding facts when the store was sharded (shard count,
+        /// per-shard triple counts and build times).
+        shards: Option<ShardInfo>,
+    },
+    /// A live endpoint, by URL.
+    Endpoint(String),
+}
+
+/// A completed mixed-workload run: what was driven plus the driver's
+/// report (formatted by [`crate::report::mixed_workload_report`]).
 #[derive(Debug, Clone)]
 pub struct MixedWorkloadReport {
-    /// Document scale in triples.
-    pub scale: u64,
-    /// Engine configuration driven.
-    pub engine: EngineKind,
-    /// Loading measurement of the shared store.
-    pub load: Measurement,
-    /// Sharding facts when the store was sharded (shard count, per-shard
-    /// triple counts and build times).
-    pub shards: Option<ShardInfo>,
-    /// The multi-user driver's outcome. In an open-loop run this carries
-    /// only the wall clock (per-client reports don't exist there — any
-    /// worker runs any request); the real outcome is in `open`.
-    pub multiuser: MultiuserReport,
-    /// The open-loop driver's outcome when the configured arrival
-    /// process was open-loop; `None` for closed-loop runs.
-    pub open: Option<OpenLoopReport>,
+    /// The system under test.
+    pub target: TargetFacts,
+    /// The workload driver's outcome.
+    pub workload: WorkloadReport,
 }
 
 /// Runs the mixed workload: generate the document once, load it into the
@@ -251,120 +267,55 @@ pub fn run_mixed_workload(
     if let Some(stats) = engine.stats_summary() {
         progress(&stats);
     }
-    let mut report = run_mixed_workload_on(&engine, &cfg.multiuser, progress);
-    report.scale = cfg.scale;
-    report
+    run_workload_on(WorkloadTarget::Engine(&engine), &cfg.multiuser, progress)
 }
 
-/// Drives the concurrent clients against an engine that is already
-/// loaded — the shared tail of [`run_mixed_workload`], and the whole
-/// protocol for stores that need no generate/load phase (a segment
-/// directory opened with [`Engine::open_disk`]). The reported scale is
-/// the store's triple count.
-pub fn run_mixed_workload_on(
-    engine: &Engine,
+/// Drives the workload against a target that is already built — the
+/// shared tail of [`run_mixed_workload`], and the whole protocol behind
+/// `sp2b multiuser --store disk:DIR` and `--endpoint URL`, where nothing
+/// is generated or loaded. For an engine the reported scale is the
+/// store's triple count.
+pub fn run_workload_on(
+    target: WorkloadTarget<'_>,
     cfg: &MultiuserConfig,
     mut progress: impl FnMut(&str),
 ) -> MixedWorkloadReport {
-    if cfg.arrival.is_open() {
-        progress(&format!(
-            "driving {} worker(s), arrival {}…",
-            cfg.clients, cfg.arrival
-        ));
-        let open = run_open_loop(engine.shared_store(), cfg);
-        progress(&format!(
-            "{} of {} scheduled queries completed in {:.2?} ({:.1} q/s, intended {:.1} q/s)",
-            open.completed,
-            open.issued,
-            open.wall,
-            open.completed_rate(),
-            open.intended_rate()
-        ));
-        return MixedWorkloadReport {
-            scale: engine.store().len() as u64,
-            engine: engine.kind(),
-            load: engine.loading,
-            shards: engine.shards().cloned(),
-            multiuser: MultiuserReport {
-                clients: Vec::new(),
-                wall: open.wall,
+    let (facts, against, transport): (_, _, Box<dyn WorkTransport>) = match target {
+        WorkloadTarget::Engine(engine) => (
+            TargetFacts::Store {
+                scale: engine.store().len() as u64,
+                engine: engine.kind(),
+                load: engine.loading,
+                shards: engine.shards().cloned(),
             },
-            open: Some(open),
-        };
-    }
+            format!("per-query parallelism {}", cfg.parallelism),
+            Box::new(InProcessTransport::new(engine.shared_store(), cfg)),
+        ),
+        WorkloadTarget::Endpoint(endpoint) => (
+            TargetFacts::Endpoint(endpoint.url()),
+            format!("against {}", endpoint.url()),
+            Box::new(HttpTransport::new(endpoint.clone())),
+        ),
+    };
     progress(&format!(
-        "driving {} client(s), per-query parallelism {}…",
-        cfg.clients, cfg.parallelism
+        "driving {} client(s), arrival {}, {against}…",
+        cfg.clients, cfg.arrival
     ));
-    let multiuser = run_multiuser(engine.shared_store(), cfg);
+    let workload = run_workload(transport.as_ref(), cfg);
+    let intended = workload
+        .intended_rate()
+        .map_or(String::new(), |r| format!(", intended {r:.1} q/s"));
     progress(&format!(
-        "{} queries completed in {:.2?} ({:.1} q/s)",
-        multiuser.total_completed(),
-        multiuser.wall,
-        multiuser.throughput()
+        "{} of {} queries completed in {:.2?} ({:.1} q/s{intended})",
+        workload.completed,
+        workload.issued,
+        workload.wall,
+        workload.completed_rate(),
     ));
     MixedWorkloadReport {
-        scale: engine.store().len() as u64,
-        engine: engine.kind(),
-        load: engine.loading,
-        shards: engine.shards().cloned(),
-        multiuser,
-        open: None,
+        target: facts,
+        workload,
     }
-}
-
-/// Drives a live SPARQL endpoint with the multi-user mixed workload over
-/// HTTP — the protocol behind `sp2b multiuser --endpoint`. Unlike
-/// [`run_mixed_workload`] nothing is generated or loaded here: the
-/// server owns the store, and every measured latency includes the full
-/// network path (connect, request framing, result-set transfer).
-pub fn run_endpoint_workload(
-    endpoint: &Endpoint,
-    cfg: &MultiuserConfig,
-    mut progress: impl FnMut(&str),
-) -> MultiuserReport {
-    progress(&format!(
-        "driving {} client(s) against {}…",
-        cfg.clients,
-        endpoint.url()
-    ));
-    let transport = HttpTransport::new(endpoint.clone());
-    let report = run_multiuser_with(&transport, cfg);
-    progress(&format!(
-        "{} queries completed in {:.2?} ({:.1} q/s)",
-        report.total_completed(),
-        report.wall,
-        report.throughput()
-    ));
-    report
-}
-
-/// The open-loop counterpart of [`run_endpoint_workload`]: the schedule
-/// thread stamps intended send times and HTTP workers pull from the
-/// bounded queue, so the measured percentiles include queueing at the
-/// endpoint — `sp2b multiuser --endpoint … --arrival poisson:…`.
-pub fn run_endpoint_workload_open(
-    endpoint: &Endpoint,
-    cfg: &MultiuserConfig,
-    mut progress: impl FnMut(&str),
-) -> OpenLoopReport {
-    progress(&format!(
-        "driving {} worker(s) against {}, arrival {}…",
-        cfg.clients,
-        endpoint.url(),
-        cfg.arrival
-    ));
-    let transport = HttpTransport::new(endpoint.clone());
-    let report = run_open_loop_with(&transport, cfg);
-    progress(&format!(
-        "{} of {} scheduled queries completed in {:.2?} ({:.1} q/s, intended {:.1} q/s)",
-        report.completed,
-        report.issued,
-        report.wall,
-        report.completed_rate(),
-        report.intended_rate()
-    ));
-    report
 }
 
 /// Runs the benchmark. `progress` receives one line per completed cell.
@@ -517,13 +468,17 @@ mod tests {
         ];
         let mut lines = Vec::new();
         let report = run_mixed_workload(&cfg, |l| lines.push(l.to_owned()));
-        assert_eq!(report.multiuser.clients.len(), 2);
+        assert_eq!(report.workload.clients.len(), 2);
         assert_eq!(
-            report.multiuser.total_completed(),
-            4,
+            report.workload.completed, 4,
             "1 round × 2 queries × 2 clients"
         );
-        assert!(report.multiuser.clients.iter().all(|c| c.errors == 0));
+        assert!(report.workload.clients.iter().all(|c| c.errors == 0));
+        assert!(
+            matches!(report.target, TargetFacts::Store { scale: 2_000, .. }),
+            "{:?}",
+            report.target
+        );
         assert!(lines.iter().any(|l| l.contains("driving 2 client(s)")));
     }
 

@@ -1,44 +1,44 @@
-//! The open-loop workload model: weighted template mixes, arrival
-//! processes, and the coordinated-omission-safe driver.
+//! The workload model: weighted template mixes, arrival processes, and
+//! the one driver that runs them.
 //!
-//! The closed-loop driver in [`crate::multiuser`] issues the next query
-//! the moment the previous one returns, so when the store stalls the
-//! driver stalls with it: load drops exactly when the system is
-//! struggling, and the stall never reaches the percentiles. That defect
-//! has a name — *coordinated omission* — and the query-log studies the
-//! multi-user scenario is modeled on (skewed template popularity, bursty
-//! arrivals) are precisely the traffic shapes it hides.
-//!
-//! This module keeps the schedule independent of the system under test:
+//! A closed loop issues the next query the moment the previous one
+//! returns, so when the store stalls the driver stalls with it: load
+//! drops exactly when the system is struggling, and the stall never
+//! reaches the percentiles. That defect has a name — *coordinated
+//! omission* — and the query-log studies the multi-user scenario is
+//! modeled on (skewed template popularity, bursty arrivals) are
+//! precisely the traffic shapes it hides. The open arrivals keep the
+//! schedule independent of the system under test instead.
 //!
 //! - [`WeightedMix`] — template popularity, from the
 //!   `--mix q1:80,q5a:15,q8:5` DSL ([`WeightedMix::parse`]) or a
 //!   Zipfian ranking of the full benchmark mix ([`WeightedMix::zipf`]),
 //!   sampled by a seeded [`MixSampler`] (SplitMix64, deterministic
 //!   replay);
-//! - [`Arrival`] — when requests are *supposed* to go out: constant
-//!   spacing, Poisson (exponential gaps), or an on/off burst train,
-//!   realized as intended-send offsets by [`ArrivalSchedule`];
-//! - [`run_open_loop_with`] — a schedule thread stamps each request with
-//!   its intended send time and pushes into a bounded queue; worker
-//!   clients pull and execute. Latency is recorded **from the intended
-//!   send time** into an [`sp2b_obs::WorkloadRecorder`], with queue
-//!   delay and service time kept as separate histograms — so if workers
-//!   can't keep up, the numbers say so instead of quietly thinning the
-//!   load.
+//! - [`Arrival`] — where a request's *intended* send time comes from:
+//!   the client's previous completion ([`Arrival::Closed`]), or a
+//!   schedule of constant spacing, Poisson (exponential gaps) or on/off
+//!   bursts, realized as intended-send offsets by [`ArrivalSchedule`];
+//! - [`run_workload`] — `clients` workers execute requests over any
+//!   [`WorkTransport`] and record every outcome into one
+//!   [`sp2b_obs::WorkloadRecorder`]. Latency is measured **from the
+//!   intended send time**, with queue delay and service time kept as
+//!   separate histograms — so if open-loop workers can't keep up, the
+//!   numbers say so instead of quietly thinning the load; in a closed
+//!   loop the intended and the actual send coincide, so queue delay is
+//!   zero by construction. Every run yields one [`WorkloadReport`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sp2b_obs::{LatencyHistogram, WindowSnapshot, WorkloadRecorder};
-use sp2b_store::SharedStore;
 
 use crate::ext_queries::ExtQuery;
 use crate::multiuser::{
-    default_mix, stability, ExecOutcome, InProcessTransport, MultiuserConfig, SessionSetup,
-    StopCondition, WorkItem, WorkTransport,
+    default_mix, ExecOutcome, MultiuserConfig, StopCondition, WorkItem, WorkTransport,
 };
 use crate::queries::BenchQuery;
 
@@ -54,7 +54,7 @@ const MULTIUSER_LATENCY_HELP: &str =
 pub const WINDOW_WIDTH: Duration = Duration::from_secs(1);
 
 /// Registers (or retrieves) the global per-template latency series for
-/// `label` — shared by the closed- and open-loop drivers.
+/// `label`.
 pub fn template_latency_series(label: &str) -> sp2b_obs::Histogram {
     sp2b_obs::global().histogram_labeled(
         MULTIUSER_LATENCY_METRIC,
@@ -68,33 +68,9 @@ pub fn template_latency_series(label: &str) -> sp2b_obs::Histogram {
 // Deterministic sampling
 // ---------------------------------------------------------------------------
 
-/// SplitMix64 — the standard 64-bit mixing generator. Tiny state, solid
-/// output, and fully deterministic from the seed, which is all the
-/// workload model needs: same `--seed` ⇒ same template sequence and the
-/// same Poisson gaps, so a run can be replayed exactly.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+// One SplitMix64 for the whole workspace: the generator seeds its
+// xoshiro state from it, the workload model samples from it directly.
+pub use sp2b_datagen::SplitMix64;
 
 // ---------------------------------------------------------------------------
 // The mix DSL
@@ -217,8 +193,9 @@ impl MixSampler {
 /// When requests are *supposed* to be sent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrival {
-    /// The legacy closed loop: each client issues the next query when
-    /// the previous returns. No schedule, no queueing visibility.
+    /// Closed loop: each client issues the next query when the previous
+    /// returns — a request's intended send time *is* its client's
+    /// previous completion. No schedule, no queueing visibility.
     Closed,
     /// Open loop, evenly spaced at `rate` requests/second.
     Constant {
@@ -381,7 +358,7 @@ impl Iterator for ArrivalSchedule {
 }
 
 // ---------------------------------------------------------------------------
-// The bounded request queue
+// The request queue
 // ---------------------------------------------------------------------------
 
 /// One scheduled request: the mix slot to run and its intended send
@@ -392,88 +369,25 @@ struct Request {
     offset: Duration,
 }
 
-/// A minimal bounded MPMC queue (mutex + condvars). `push` blocks when
-/// full — backpressure on the schedule thread is safe because intended
-/// send times are computed from the schedule, not from when the push
-/// happens; the delay shows up where it belongs, in the queue-delay and
-/// latency histograms.
-struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                capacity: capacity.max(1),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Blocks while full; returns `false` if the queue was closed.
-    fn push(&self, item: T) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.items.len() < state.capacity {
-                state.items.push_back(item);
-                self.not_empty.notify_one();
-                return true;
-            }
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks while empty; returns `None` once closed **and** drained.
-    fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
+/// The workers' end of the bounded schedule → worker channel
+/// (`mpsc::sync_channel`, shared behind a mutex). The schedule thread's
+/// `send` blocks when the channel is full — backpressure there is safe
+/// because intended send times are computed from the schedule, not from
+/// when the send happens; the delay shows up where it belongs, in the
+/// queue-delay and latency histograms.
+type RequestQueue = Mutex<Receiver<Request>>;
 
 // ---------------------------------------------------------------------------
-// Reports
+// The report
 // ---------------------------------------------------------------------------
 
-/// One template's outcomes in an open-loop run.
+/// One template's outcomes in a workload run.
 #[derive(Debug, Clone)]
 pub struct TemplateReport {
     /// Template label.
     pub label: String,
-    /// Its mix weight (as configured, not normalized).
+    /// Its mix weight (as configured, not normalized; 1 when the mix is
+    /// unweighted).
     pub weight: f64,
     /// Recorded completions (excludes warmup).
     pub completed: u64,
@@ -485,25 +399,57 @@ pub struct TemplateReport {
     pub latency: LatencyHistogram,
 }
 
-/// A completed open-loop run.
+/// What one client (worker thread) experienced.
+#[derive(Debug, Clone, Default)]
+pub struct ClientReport {
+    /// Client index (0-based).
+    pub client: usize,
+    /// Successfully completed queries.
+    pub completed: u64,
+    /// Executions that hit the per-query timeout.
+    pub timeouts: u64,
+    /// Executions that errored (prepare or evaluation).
+    pub errors: u64,
+    /// Latency of completed queries, from intended send time.
+    pub latency: LatencyHistogram,
+    /// Result cardinality per query label, from the first completed
+    /// execution.
+    pub counts: BTreeMap<String, u64>,
+    /// Order-insensitive result checksum per query label, from the first
+    /// completed execution that carried one (see
+    /// [`ExecOutcome::Completed`]).
+    pub checksums: BTreeMap<String, u64>,
+    /// Labels whose result count **or checksum** *changed* between two
+    /// executions by this client — always empty over a read-only store;
+    /// the concurrency test asserts it.
+    pub inconsistent: Vec<String>,
+    /// Executions excluded because they started (closed loop) or were
+    /// intended (open loop) inside the configured warmup period
+    /// ([`MultiuserConfig::warmup`]); they appear in no other tally.
+    pub warmup_excluded: u64,
+}
+
+/// A finished workload run — closed or open loop, in-process or over
+/// HTTP: the one type every driver entry point returns and every
+/// renderer in [`crate::report`] consumes.
 #[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// The arrival process that generated the schedule.
+pub struct WorkloadReport {
+    /// The arrival process that paced the run.
     pub arrival: Arrival,
-    /// Worker clients that pulled from the queue.
-    pub clients: usize,
     /// The sampler/schedule seed (same seed ⇒ same schedule).
     pub seed: u64,
     /// Configured warmup.
     pub warmup: Duration,
-    /// Wall clock from schedule start to last completion.
+    /// Wall clock from run start to last completion.
     pub wall: Duration,
-    /// Requests the schedule issued.
+    /// Requests issued: by the schedule (open loop), or sent by the
+    /// clients and not cancelled by the wall deadline (closed loop).
     pub issued: u64,
-    /// Intended offset of the last issued request — the schedule's own
-    /// span, which [`OpenLoopReport::intended_rate`] divides by.
-    pub schedule_span: Duration,
-    /// Observations excluded because they were intended during warmup.
+    /// Intended offset of the last scheduled request — the schedule's
+    /// own span, which [`WorkloadReport::intended_rate`] divides by.
+    /// `None` in a closed loop, which has no schedule.
+    pub schedule_span: Option<Duration>,
+    /// Observations excluded because they fell inside warmup.
     pub warmup_excluded: u64,
     /// Recorded completions.
     pub completed: u64,
@@ -513,27 +459,32 @@ pub struct OpenLoopReport {
     pub errors: u64,
     /// Latency from *intended* send time — queueing included.
     pub latency: LatencyHistogram,
-    /// Intended send → actual send.
+    /// Intended send → actual send (all zero in a closed loop).
     pub queue_delay: LatencyHistogram,
     /// Actual send → completion.
     pub service: LatencyHistogram,
     /// Per-template breakdown, in mix order.
     pub templates: Vec<TemplateReport>,
+    /// Per-client breakdown, in client order.
+    pub clients: Vec<ClientReport>,
     /// Throughput/p99 time series ([`WINDOW_WIDTH`] wide windows).
     pub windows: Vec<WindowSnapshot>,
     /// Result cardinality per template, from the first recorded
-    /// completion.
+    /// completion by any client.
     pub counts: BTreeMap<String, u64>,
-    /// Templates whose result count or checksum drifted between
-    /// executions — always empty over a read-only store.
+    /// Templates whose result count or checksum drifted between two
+    /// executions — by one client or across clients. Always empty over
+    /// a read-only store.
     pub inconsistent: Vec<String>,
 }
 
-impl OpenLoopReport {
+impl WorkloadReport {
     /// The rate the schedule asked for, realized: issued requests over
-    /// the schedule's own span.
-    pub fn intended_rate(&self) -> f64 {
-        self.issued as f64 / self.schedule_span.as_secs_f64().max(1e-9)
+    /// the schedule's own span. `None` in a closed loop, where the
+    /// system under test sets the pace.
+    pub fn intended_rate(&self) -> Option<f64> {
+        self.schedule_span
+            .map(|span| self.issued as f64 / span.as_secs_f64().max(1e-9))
     }
 
     /// Recorded completions per wall-clock second.
@@ -542,112 +493,120 @@ impl OpenLoopReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The open-loop driver
-// ---------------------------------------------------------------------------
-
-/// Cross-worker count/checksum stability state (the open-loop analogue
-/// of [`crate::multiuser::ClientReport::counts`], shared because any
-/// worker may run any template).
-#[derive(Default)]
-struct StabilityState {
-    counts: BTreeMap<String, u64>,
-    checksums: BTreeMap<String, u64>,
-    inconsistent: Vec<String>,
+impl ClientReport {
+    /// Count/checksum stability: records `rows`/`checksum` for `label`
+    /// on first sight; afterwards a different value lists the label
+    /// (once) in `inconsistent`.
+    fn observe(&mut self, label: &str, rows: u64, checksum: Option<u64>) {
+        let drifted = |seen: &mut BTreeMap<String, u64>, value: u64| match seen.get(label) {
+            Some(&previous) => previous != value,
+            None => {
+                seen.insert(label.to_owned(), value);
+                false
+            }
+        };
+        let count_drifted = drifted(&mut self.counts, rows);
+        let checksum_drifted = checksum.is_some_and(|cs| drifted(&mut self.checksums, cs));
+        if (count_drifted || checksum_drifted) && !self.inconsistent.iter().any(|l| l == label) {
+            self.inconsistent.push(label.to_owned());
+        }
+    }
 }
 
-/// Runs the open-loop workload in-process over `store` (the analogue of
-/// [`crate::multiuser::run_multiuser`]).
-pub fn run_open_loop(store: SharedStore, cfg: &MultiuserConfig) -> OpenLoopReport {
-    run_open_loop_with(
-        &InProcessTransport::new(store, cfg.parallelism).checksums(cfg.checksums),
-        cfg,
-    )
-}
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
 
-/// Drives an open-loop workload over any [`WorkTransport`]: a schedule
-/// thread realizes `cfg.arrival` (which must be open-loop), stamping
-/// each request with its intended send offset and pushing into a
-/// bounded queue; `cfg.clients` workers pull and execute. With
-/// [`StopCondition::Rounds`]`(r)` the schedule issues exactly
-/// `r × clients × mix.len()` requests (the closed loop's volume);
-/// with [`StopCondition::Duration`] it issues until the schedule offset
-/// passes the duration, then the queue drains.
-pub fn run_open_loop_with(transport: &dyn WorkTransport, cfg: &MultiuserConfig) -> OpenLoopReport {
-    assert!(cfg.arrival.is_open(), "use run_multiuser for closed loop");
+/// Drives the workload over `transport`: `cfg.clients` worker threads,
+/// each with its own session, execute requests until `cfg.stop` is met
+/// and record every outcome into one shared recorder.
+///
+/// `cfg.arrival` decides only where a request — and its *intended* send
+/// time — comes from ([`Feed`]):
+///
+/// - [`Arrival::Closed`]: each worker draws its own next request the
+///   moment the previous one completed, walking the mix from a
+///   per-client rotation offset (or a per-client seeded sampler when the
+///   mix is weighted). [`StopCondition::Rounds`]`(r)` is `r` passes over
+///   the mix per client; [`StopCondition::Duration`] is a wall deadline
+///   that also cancels the queries in flight (not counted as timeouts).
+/// - the open arrivals: a schedule thread realizes the process, stamping
+///   each request with its intended send offset and pushing into a
+///   bounded queue the workers pull from. `Rounds(r)` issues exactly
+///   `r × clients × mix.len()` requests (the closed loop's volume);
+///   `Duration` issues until the schedule offset passes it, then the
+///   queue drains.
+pub fn run_workload(transport: &dyn WorkTransport, cfg: &MultiuserConfig) -> WorkloadReport {
     assert!(!cfg.mix.is_empty(), "the query mix must not be empty");
-    let weights: Vec<f64> = if cfg.weights.is_empty() {
-        vec![1.0; cfg.mix.len()]
-    } else {
-        assert_eq!(
-            cfg.weights.len(),
-            cfg.mix.len(),
-            "weights must parallel the mix"
-        );
-        cfg.weights.clone()
-    };
+    assert!(
+        cfg.weights.is_empty() || cfg.weights.len() == cfg.mix.len(),
+        "weights must parallel the mix"
+    );
     let clients = cfg.clients.max(1);
     let labels: Vec<String> = cfg.mix.iter().map(|i| i.label.clone()).collect();
     let recorder = WorkloadRecorder::new(&labels, cfg.warmup, WINDOW_WIDTH);
     let series: Vec<sp2b_obs::Histogram> =
         labels.iter().map(|l| template_latency_series(l)).collect();
-    let stability_state = Mutex::new(StabilityState::default());
-    let queue = BoundedQueue::new((clients * 2).max(8));
-    let bound = match cfg.stop {
-        StopCondition::Rounds(r) => {
-            ScheduleBound::Count(r as u64 * clients as u64 * cfg.mix.len() as u64)
-        }
-        StopCondition::Duration(d) => ScheduleBound::Until(d),
-    };
+    let (schedule_tx, queue) = sync_channel((clients * 2).max(8));
+    let queue: RequestQueue = Mutex::new(queue);
     let start = Instant::now();
 
-    let (issued, schedule_span) = std::thread::scope(|s| {
+    let (client_reports, scheduled) = std::thread::scope(|s| {
         let workers: Vec<_> = (0..clients)
             .map(|client| {
-                let (recorder, series, stability_state, queue) =
-                    (&recorder, &series, &stability_state, &queue);
+                let (recorder, series, queue) = (&recorder, &series, &queue);
                 s.spawn(move || {
-                    worker_loop(
-                        client,
-                        transport,
-                        cfg,
-                        start,
-                        queue,
-                        recorder,
-                        series,
-                        stability_state,
-                    )
+                    let feed = Feed::new(cfg, client, start, queue);
+                    worker_loop(client, transport, cfg, start, feed, recorder, series)
                 })
             })
             .collect();
-        let scheduled = schedule_loop(cfg, &weights, bound, start, &queue);
-        queue.close();
-        for w in workers {
-            w.join().expect("worker thread panicked");
-        }
-        scheduled
+        // Returning drops the sender: the workers drain what is queued,
+        // then see the channel closed.
+        let scheduled = cfg
+            .arrival
+            .is_open()
+            .then(|| schedule_loop(cfg, clients, start, schedule_tx));
+        let reports: Vec<ClientReport> = workers
+            .into_iter()
+            .map(|w| w.join().expect("worker thread panicked"))
+            .collect();
+        (reports, scheduled)
     });
     let wall = start.elapsed();
 
     let templates: Vec<TemplateReport> = recorder
         .templates()
         .into_iter()
-        .zip(&weights)
-        .map(|(t, &weight)| TemplateReport {
+        .enumerate()
+        .map(|(slot, t)| TemplateReport {
             label: t.label,
-            weight,
+            weight: cfg.weights.get(slot).copied().unwrap_or(1.0),
             completed: t.completed,
             timeouts: t.timeouts,
             errors: t.errors,
             latency: t.latency,
         })
         .collect();
-    let stability_state = stability_state
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    OpenLoopReport {
+    // Any client may run any template, so stability is also checked
+    // *across* clients: replay every client's first-seen values into one
+    // merged view of the run.
+    let mut merged = ClientReport::default();
+    for c in &client_reports {
+        for (label, &rows) in &c.counts {
+            merged.observe(label, rows, c.checksums.get(label).copied());
+        }
+        merged.inconsistent.extend(c.inconsistent.iter().cloned());
+    }
+    merged.inconsistent.sort_unstable();
+    merged.inconsistent.dedup();
+    let tallied = |c: &ClientReport| c.completed + c.timeouts + c.errors + c.warmup_excluded;
+    let (issued, schedule_span) = match scheduled {
+        Some((issued, span)) => (issued, Some(span)),
+        None => (client_reports.iter().map(tallied).sum(), None),
+    };
+    WorkloadReport {
         arrival: cfg.arrival,
-        clients,
         seed: cfg.seed,
         warmup: cfg.warmup,
         wall,
@@ -661,38 +620,139 @@ pub fn run_open_loop_with(transport: &dyn WorkTransport, cfg: &MultiuserConfig) 
         queue_delay: recorder.queue_delay(),
         service: recorder.service(),
         templates,
+        clients: client_reports,
         windows: recorder.windows(),
-        counts: stability_state.counts,
-        inconsistent: stability_state.inconsistent,
+        counts: merged.counts,
+        inconsistent: merged.inconsistent,
     }
 }
 
-#[derive(Clone, Copy)]
-enum ScheduleBound {
-    Count(u64),
-    Until(Duration),
+/// One request a worker is about to execute.
+struct Next {
+    /// Mix slot to run.
+    slot: usize,
+    /// When it was *supposed* to go out — what latency is measured from.
+    intended: Instant,
+    /// When it actually goes out.
+    sent: Instant,
 }
 
-/// The schedule thread body: realizes the arrival process, sleeping
+/// Where a worker's next request — and that request's intended send
+/// time — comes from. This is the whole difference between the closed
+/// and the open loop; everything downstream of [`Feed::next`] is shared.
+enum Feed<'a> {
+    /// Closed loop: the worker's own previous completion. The request
+    /// is drawn now and sent now, so queue delay is zero by
+    /// construction.
+    Closed(Rotation),
+    /// Open loop: the schedule thread's stamp, popped from the queue.
+    Scheduled {
+        queue: &'a RequestQueue,
+        start: Instant,
+    },
+}
+
+/// One closed-loop client's walk over the mix.
+struct Rotation {
+    /// Per-client seeded sampler when the mix is weighted; `None` walks
+    /// the mix in rotation from `offset`, so at any instant the store
+    /// serves a genuine mix of query shapes.
+    sampler: Option<MixSampler>,
+    offset: usize,
+    slots: usize,
+    drawn: u64,
+    /// `Rounds(r)`: `r` passes over the mix.
+    limit: Option<u64>,
+    /// `Duration(d)`: the wall deadline, which also cancels the query in
+    /// flight (an open loop has none: it stops *scheduling* at the
+    /// duration and lets the queue drain).
+    deadline: Option<Instant>,
+}
+
+impl<'a> Feed<'a> {
+    fn new(cfg: &MultiuserConfig, client: usize, start: Instant, queue: &'a RequestQueue) -> Self {
+        if cfg.arrival.is_open() {
+            return Feed::Scheduled { queue, start };
+        }
+        let slots = cfg.mix.len();
+        let (limit, deadline) = match cfg.stop {
+            StopCondition::Rounds(r) => (Some(r as u64 * slots as u64), None),
+            StopCondition::Duration(d) => (None, Some(start + d)),
+        };
+        let client_seed = cfg.seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Feed::Closed(Rotation {
+            sampler: (!cfg.weights.is_empty()).then(|| MixSampler::new(&cfg.weights, client_seed)),
+            offset: (cfg.seed as usize).wrapping_add(client) % slots,
+            slots,
+            drawn: 0,
+            limit,
+            deadline,
+        })
+    }
+
+    /// The next request, or `None` when the run is over for this worker.
+    fn next(&mut self) -> Option<Next> {
+        match self {
+            Feed::Closed(walk) => {
+                let now = Instant::now();
+                if walk.limit.is_some_and(|l| walk.drawn >= l)
+                    || walk.deadline.is_some_and(|d| now >= d)
+                {
+                    return None;
+                }
+                let slot = match &mut walk.sampler {
+                    Some(sampler) => sampler.sample(),
+                    None => (walk.offset + walk.drawn as usize) % walk.slots,
+                };
+                walk.drawn += 1;
+                Some(Next {
+                    slot,
+                    intended: now,
+                    sent: now,
+                })
+            }
+            Feed::Scheduled { queue, start } => {
+                // Blocks while the queue is empty; `Err` once the
+                // schedule is done **and** the queue drained.
+                let request = queue
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .recv()
+                    .ok()?;
+                Some(Next {
+                    slot: request.slot,
+                    intended: *start + request.offset,
+                    sent: Instant::now(),
+                })
+            }
+        }
+    }
+}
+
+/// The schedule thread body: realizes the open arrival process, sleeping
 /// until each intended send time and pushing the stamped request.
 /// Returns `(issued, span of the schedule)`.
 fn schedule_loop(
     cfg: &MultiuserConfig,
-    weights: &[f64],
-    bound: ScheduleBound,
+    clients: usize,
     start: Instant,
-    queue: &BoundedQueue<Request>,
+    queue: SyncSender<Request>,
 ) -> (u64, Duration) {
-    let mut sampler = MixSampler::new(weights, cfg.seed);
+    let mut sampler = if cfg.weights.is_empty() {
+        MixSampler::new(&vec![1.0; cfg.mix.len()], cfg.seed)
+    } else {
+        MixSampler::new(&cfg.weights, cfg.seed)
+    };
     // A separate stream for the arrival gaps, so mix sampling and
     // schedule jitter don't entangle across replays.
     let schedule = ArrivalSchedule::new(cfg.arrival, cfg.seed.wrapping_add(0xD1B5_4A32_D192_ED03));
+    let per_round = clients as u64 * cfg.mix.len() as u64;
     let mut issued = 0u64;
     let mut span = Duration::ZERO;
     for offset in schedule {
-        match bound {
-            ScheduleBound::Count(n) if issued >= n => break,
-            ScheduleBound::Until(d) if offset >= d => break,
+        match cfg.stop {
+            StopCondition::Rounds(r) if issued >= r as u64 * per_round => break,
+            StopCondition::Duration(d) if offset >= d => break,
             _ => {}
         }
         let slot = sampler.sample();
@@ -702,8 +762,8 @@ fn schedule_loop(
         if let Some(wait) = (start + offset).checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
-        if !queue.push(Request { slot, offset }) {
-            break;
+        if queue.send(Request { slot, offset }).is_err() {
+            break; // every worker is gone
         }
         issued += 1;
         span = offset;
@@ -711,74 +771,96 @@ fn schedule_loop(
     (issued, span)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The one execute-and-record loop: pull the next request from `feed`,
+/// run it on this worker's session, and record the outcome against its
+/// intended send time.
 fn worker_loop(
     client: usize,
     transport: &dyn WorkTransport,
     cfg: &MultiuserConfig,
     start: Instant,
-    queue: &BoundedQueue<Request>,
+    mut feed: Feed<'_>,
     recorder: &WorkloadRecorder,
     series: &[sp2b_obs::Histogram],
-    stability_state: &Mutex<StabilityState>,
-) {
-    let SessionSetup {
-        labels,
-        failed: _,
-        mut session,
-    } = transport.open(client, &cfg.mix);
+) -> ClientReport {
+    let mut report = ClientReport {
+        client,
+        ..ClientReport::default()
+    };
+    let setup = transport.open(client, &cfg.mix);
+    let mut session = setup.session;
     // Mix slot → session slot; a template that failed setup maps to
     // `None` and every request drawn for it is recorded as an error.
     let slot_map: Vec<Option<usize>> = cfg
         .mix
         .iter()
-        .map(|item| labels.iter().position(|l| *l == item.label))
+        .map(|item| setup.labels.iter().position(|l| *l == item.label))
         .collect();
-    while let Some(req) = queue.pop() {
-        let dequeued = Instant::now();
-        let intended = start + req.offset;
-        let Some(slot) = slot_map[req.slot] else {
-            recorder.record_error(req.slot, req.offset);
-            continue;
+    let deadline = match &feed {
+        Feed::Closed(walk) => walk.deadline,
+        Feed::Scheduled { .. } => None,
+    };
+    while let Some(Next {
+        slot,
+        intended,
+        sent,
+    }) = feed.next()
+    {
+        let offset = intended.saturating_duration_since(start);
+        // The execution deadline is the earlier of the per-query
+        // timeout and the wall deadline, so a run overshoots its
+        // configured duration by at most one cancellation latency.
+        let stop_at = deadline.map_or(sent + cfg.timeout, |d| d.min(sent + cfg.timeout));
+        let outcome = match slot_map[slot] {
+            Some(session_slot) => session.execute(session_slot, stop_at),
+            None => ExecOutcome::Failed,
         };
-        match session.execute(slot, dequeued + cfg.timeout) {
+        // Every `record_*` answers whether the observation counted or
+        // fell inside warmup — warmup executions prime caches and plans
+        // but pollute neither histograms nor stability tracking.
+        let recorded = match outcome {
             ExecOutcome::Completed { rows, checksum } => {
                 let end = Instant::now();
                 let latency = end.saturating_duration_since(intended);
                 let recorded = recorder.record_completed(
-                    req.slot,
-                    req.offset,
+                    slot,
+                    offset,
                     end.saturating_duration_since(start),
                     latency,
-                    dequeued.saturating_duration_since(intended),
-                    end.saturating_duration_since(dequeued),
+                    sent.saturating_duration_since(intended),
+                    end.saturating_duration_since(sent),
                 );
                 if recorded {
-                    series[req.slot].record(latency);
-                    let label = &cfg.mix[req.slot].label;
-                    let mut st = stability_state.lock().unwrap_or_else(|e| e.into_inner());
-                    let count_unstable = stability(&mut st.counts, label, rows);
-                    let checksum_unstable =
-                        checksum.is_some_and(|cs| stability(&mut st.checksums, label, cs));
-                    if (count_unstable || checksum_unstable) && !st.inconsistent.contains(label) {
-                        st.inconsistent.push(label.clone());
-                    }
+                    series[slot].record(latency);
+                    report.latency.record(latency);
+                    report.completed += 1;
+                    report.observe(&cfg.mix[slot].label, rows, checksum);
                 }
+                recorded
             }
             ExecOutcome::TimedOut => {
-                recorder.record_timeout(req.slot, req.offset);
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    break; // wall deadline, not a per-query timeout
+                }
+                let recorded = recorder.record_timeout(slot, offset);
+                report.timeouts += u64::from(recorded);
+                recorded
             }
             ExecOutcome::Failed => {
-                recorder.record_error(req.slot, req.offset);
+                let recorded = recorder.record_error(slot, offset);
+                report.errors += u64::from(recorded);
+                recorded
             }
-        }
+        };
+        report.warmup_excluded += u64::from(!recorded);
     }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiuser::WorkSession;
+    use crate::multiuser::{SessionSetup, WorkSession};
 
     // -- the mix DSL --------------------------------------------------------
 
@@ -955,7 +1037,7 @@ mod tests {
         assert!((15..=25).contains(&in_first_window), "{in_first_window}");
     }
 
-    // -- the open-loop driver ----------------------------------------------
+    // -- the driver --------------------------------------------------------
 
     /// A transport whose sessions answer instantly with a per-slot row
     /// count — for determinism and accounting tests.
@@ -967,7 +1049,6 @@ mod tests {
         fn open(&self, _client: usize, mix: &[WorkItem]) -> SessionSetup {
             SessionSetup {
                 labels: mix.iter().map(|i| i.label.clone()).collect(),
-                failed: 0,
                 session: Box::new(InstantSession),
             }
         }
@@ -996,7 +1077,6 @@ mod tests {
         fn open(&self, _client: usize, mix: &[WorkItem]) -> SessionSetup {
             SessionSetup {
                 labels: mix.iter().map(|i| i.label.clone()).collect(),
-                failed: 0,
                 session: Box::new(StalledSession { delay: self.delay }),
             }
         }
@@ -1027,7 +1107,7 @@ mod tests {
     #[test]
     fn open_loop_accounting_adds_up_and_replays_deterministically() {
         let cfg = open_cfg(2, StopCondition::Rounds(25));
-        let a = run_open_loop_with(&InstantTransport, &cfg);
+        let a = run_workload(&InstantTransport, &cfg);
         // Rounds ⇒ exactly rounds × clients × mix.len() scheduled.
         assert_eq!(a.issued, 25 * 2 * 2);
         assert_eq!(
@@ -1035,6 +1115,12 @@ mod tests {
             a.completed + a.timeouts + a.errors + a.warmup_excluded
         );
         assert_eq!(a.errors, 0);
+        assert_eq!(a.clients.len(), 2);
+        assert_eq!(
+            a.clients.iter().map(|c| c.completed).sum::<u64>(),
+            a.completed,
+            "per-client rows partition the total"
+        );
         assert_eq!(a.templates.len(), 2);
         assert!(
             a.templates[0].completed > a.templates[1].completed,
@@ -1044,10 +1130,10 @@ mod tests {
         assert!(a.inconsistent.is_empty());
         assert_eq!(a.counts["Q1"], 1);
         assert_eq!(a.counts["Q8"], 2);
-        assert!(a.intended_rate() > 0.0);
+        assert!(a.intended_rate().is_some_and(|r| r > 0.0));
         assert!(!a.windows.is_empty());
 
-        let b = run_open_loop_with(&InstantTransport, &cfg);
+        let b = run_workload(&InstantTransport, &cfg);
         assert_eq!(a.issued, b.issued);
         for (ta, tb) in a.templates.iter().zip(&b.templates) {
             assert_eq!(ta.completed, tb.completed, "same seed, same draws");
@@ -1061,7 +1147,7 @@ mod tests {
         cfg.weights.truncate(1);
         cfg.arrival = Arrival::Constant { rate: 100.0 };
         cfg.warmup = Duration::from_millis(100);
-        let report = run_open_loop_with(&InstantTransport, &cfg);
+        let report = run_workload(&InstantTransport, &cfg);
         assert_eq!(report.issued, 10);
         assert!(report.warmup_excluded > 0, "the first ~10 are warmup");
         assert!(report.completed > 0, "later requests are recorded");
@@ -1083,7 +1169,7 @@ mod tests {
         let transport = StalledTransport {
             delay: Duration::from_millis(100),
         };
-        let report = run_open_loop_with(&transport, &cfg);
+        let report = run_workload(&transport, &cfg);
         assert_eq!(report.issued, 8);
         assert_eq!(report.completed, 8);
         // Intended sends are 10 ms apart but service is 100 ms, so the
@@ -1113,6 +1199,69 @@ mod tests {
         );
     }
 
+    /// The closed loop is one more arrival through the same driver: the
+    /// same accounting identity holds, and because a closed-loop request
+    /// is sent the instant it is drawn, queue delay is zero by
+    /// construction — latency and service coincide.
+    #[test]
+    fn closed_loop_shares_the_accounting_and_has_no_queue_delay() {
+        let mut cfg = open_cfg(3, StopCondition::Rounds(5));
+        cfg.arrival = Arrival::Closed;
+        for weights in [vec![9.0, 1.0], Vec::new()] {
+            cfg.weights = weights;
+            let report = run_workload(&InstantTransport, &cfg);
+            assert_eq!(report.issued, 3 * 5 * 2, "r passes per client");
+            assert_eq!(
+                report.completed + report.timeouts + report.errors + report.warmup_excluded,
+                report.issued
+            );
+            assert_eq!(report.completed, report.issued);
+            assert_eq!(report.queue_delay.count(), report.completed);
+            assert_eq!(report.queue_delay.max(), Duration::ZERO);
+            assert_eq!(report.latency.max(), report.service.max());
+            assert_eq!(
+                report.intended_rate(),
+                None,
+                "no schedule, no intended rate"
+            );
+            assert!(report.clients.iter().all(|c| c.completed == 10));
+            assert!(report.inconsistent.is_empty());
+        }
+        // Unweighted, every client walks the whole mix each pass.
+        let report = run_workload(&InstantTransport, &cfg);
+        assert!(report.templates.iter().all(|t| t.completed == 15));
+    }
+
+    /// Stability is checked across clients too: two clients that each
+    /// see a stable — but different — count for the same template.
+    #[test]
+    fn cross_client_count_drift_is_flagged() {
+        struct PerClientRows;
+        struct Rows(u64);
+        impl WorkTransport for PerClientRows {
+            fn open(&self, client: usize, mix: &[WorkItem]) -> SessionSetup {
+                SessionSetup {
+                    labels: mix.iter().map(|i| i.label.clone()).collect(),
+                    session: Box::new(Rows(client as u64)),
+                }
+            }
+        }
+        impl WorkSession for Rows {
+            fn execute(&mut self, _slot: usize, _stop_at: Instant) -> ExecOutcome {
+                ExecOutcome::Completed {
+                    rows: self.0,
+                    checksum: None,
+                }
+            }
+        }
+        let mut cfg = open_cfg(2, StopCondition::Rounds(2));
+        cfg.arrival = Arrival::Closed;
+        cfg.weights.clear();
+        let report = run_workload(&PerClientRows, &cfg);
+        assert!(report.clients.iter().all(|c| c.inconsistent.is_empty()));
+        assert_eq!(report.inconsistent, ["Q1", "Q8"]);
+    }
+
     #[test]
     fn failed_setup_slots_surface_as_errors() {
         /// Prepares only the first template; the rest fail setup.
@@ -1121,19 +1270,21 @@ mod tests {
             fn open(&self, _client: usize, mix: &[WorkItem]) -> SessionSetup {
                 SessionSetup {
                     labels: vec![mix[0].label.clone()],
-                    failed: (mix.len() - 1) as u64,
                     session: Box::new(InstantSession),
                 }
             }
         }
-        let cfg = open_cfg(1, StopCondition::Rounds(20));
-        let report = run_open_loop_with(&HalfTransport, &cfg);
-        assert_eq!(report.issued, 40);
-        assert!(report.errors > 0, "Q8 draws must error");
-        assert_eq!(report.templates[1].errors, report.errors);
-        assert_eq!(
-            report.issued,
-            report.completed + report.timeouts + report.errors + report.warmup_excluded
-        );
+        let mut cfg = open_cfg(1, StopCondition::Rounds(20));
+        for arrival in [cfg.arrival, Arrival::Closed] {
+            cfg.arrival = arrival;
+            let report = run_workload(&HalfTransport, &cfg);
+            assert_eq!(report.issued, 40);
+            assert!(report.errors > 0, "Q8 draws must error");
+            assert_eq!(report.templates[1].errors, report.errors);
+            assert_eq!(
+                report.issued,
+                report.completed + report.timeouts + report.errors + report.warmup_excluded
+            );
+        }
     }
 }

@@ -33,7 +33,7 @@ pub use generator::{
     generate_graph, generate_to_path, generate_to_writer, Config, Generator, Limit,
 };
 pub use params::{Attribute, DocClass};
-pub use rng::Rng;
+pub use rng::{Rng, SplitMix64};
 pub use sink::{GraphSink, NtriplesSink, NullSink, TripleSink};
 pub use stats::{GeneratorStats, YearRecord};
 pub use updates::{year_batches, UpdateStream, YearBatch};

@@ -736,9 +736,9 @@ impl Worker {
         loop {
             // Idle wait at the request boundary.
             let _ = conn.stream.set_read_timeout(Some(IDLE_TICK));
-            match conn.reader.fill_buf() {
-                Ok([]) => return None, // peer closed cleanly
-                Ok(_) => {}
+            match idle_fill(&mut conn.reader) {
+                Ok(false) => return None, // peer closed cleanly
+                Ok(true) => {}
                 Err(e) if would_block(&e) => {
                     if self.stopping() {
                         return None;
@@ -1109,6 +1109,21 @@ fn describe(e: &SparqlError) -> String {
     }
 }
 
+/// The idle wait at a request boundary: `Ok(true)` once request bytes
+/// are buffered, `Ok(false)` when the peer closed cleanly. A signal
+/// landing on the worker mid-wait (`EINTR`) is not the peer's doing and
+/// must not cost it its keep-alive connection, so `Interrupted` retries
+/// — as `read_until`/`read_exact` inside `read_request` already do.
+fn idle_fill(reader: &mut impl BufRead) -> io::Result<bool> {
+    loop {
+        match reader.fill_buf() {
+            Ok(buffered) => return Ok(!buffered.is_empty()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 fn would_block(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -1237,5 +1252,41 @@ impl Write for StreamBody<'_> {
             BodyState::Chunked(chunked) => chunked.flush(),
             BodyState::Raw(stream) => stream.flush(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fails its first read with `EINTR`, then serves `bytes`.
+    struct InterruptedOnce<'a> {
+        interrupted: bool,
+        bytes: &'a [u8],
+    }
+
+    impl io::Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.interrupted, true) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_idle_read_still_yields_the_request() {
+        let mut reader = BufReader::new(InterruptedOnce {
+            interrupted: false,
+            bytes: b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n",
+        });
+        assert!(
+            idle_fill(&mut reader).expect("EINTR must be retried, not surfaced"),
+            "request bytes are buffered"
+        );
+        let request = read_request(&mut reader).expect("the request parses");
+        assert_eq!((request.method.as_str(), request.path()), ("GET", "/stats"));
+        // The peer closing cleanly afterwards still reads as closed.
+        assert!(!idle_fill(&mut reader).expect("clean EOF"));
     }
 }

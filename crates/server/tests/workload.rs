@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
-use sp2b_core::{run_endpoint_workload_open, Arrival, Endpoint, WeightedMix};
+use sp2b_core::{run_workload_on, Arrival, Endpoint, TargetFacts, WeightedMix, WorkloadTarget};
 use sp2b_datagen::{generate_graph, Config};
 use sp2b_server::{spawn, ServerConfig};
 use sp2b_sparql::{QueryEngine, QueryOptions};
@@ -34,7 +34,13 @@ fn open_loop_endpoint_run_registers_per_template_series() {
     cfg.arrival = Arrival::Constant { rate: 200.0 };
     cfg.seed = 7;
     cfg.timeout = Duration::from_secs(30);
-    let report = run_endpoint_workload_open(&endpoint, &cfg, |_| {});
+    let run = run_workload_on(WorkloadTarget::Endpoint(&endpoint), &cfg, |_| {});
+    assert!(
+        matches!(&run.target, TargetFacts::Endpoint(url) if *url == endpoint.url()),
+        "{:?}",
+        run.target
+    );
+    let report = run.workload;
 
     // The schedule issued exactly Rounds × clients × mix entries, and
     // every request is accounted for exactly once.

@@ -12,8 +12,9 @@
 //!   `OPTIONAL`/`FILTER` translation), optimizer, streaming evaluator and
 //!   the [`QueryEngine`] facade with lazy result rows;
 //! * [`core`] — the 17 benchmark queries, the four engine configurations,
-//!   metrics, the benchmark runner, the multi-user driver (with
-//!   in-process and HTTP transports) and the table/figure formatters;
+//!   metrics, the benchmark runner, the workload model (one closed/open
+//!   loop driver and report over in-process and HTTP transports) and the
+//!   table/figure formatters;
 //! * [`server`] — the SPARQL Protocol endpoint: a std-only HTTP/1.1
 //!   server streaming JSON/CSV/TSV results off one shared store.
 //!

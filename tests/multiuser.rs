@@ -3,9 +3,14 @@
 //! observes — concurrency is a throughput feature, never a semantic one
 //! (the paper's Section VII multi-user scenario).
 
-use sp2bench::core::multiuser::{run_multiuser, MultiuserConfig, StopCondition, WorkItem};
-use sp2bench::core::{report, BenchQuery, Engine, EngineKind, ExtQuery};
+use sp2bench::core::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkItem};
+use sp2bench::core::WorkloadReport;
+use sp2bench::core::{report, run_workload, BenchQuery, Engine, EngineKind, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
+
+fn run(engine: &Engine, cfg: &MultiuserConfig) -> WorkloadReport {
+    run_workload(&InProcessTransport::new(engine.shared_store(), cfg), cfg)
+}
 
 const TRIPLES: u64 = 6_000;
 
@@ -32,7 +37,7 @@ fn every_client_matches_the_single_client_run() {
     // Reference: one client, one pass over the mix.
     let mut reference_cfg = MultiuserConfig::new(1, StopCondition::Rounds(1));
     reference_cfg.mix = mix();
-    let reference = run_multiuser(engine.shared_store(), &reference_cfg);
+    let reference = run(&engine, &reference_cfg);
     let expected = reference.clients[0].counts.clone();
     assert_eq!(expected.len(), mix().len(), "reference covered the mix");
 
@@ -41,7 +46,7 @@ fn every_client_matches_the_single_client_run() {
     let mut cfg = MultiuserConfig::new(4, StopCondition::Rounds(3));
     cfg.mix = mix();
     cfg.parallelism = 2;
-    let report = run_multiuser(engine.shared_store(), &cfg);
+    let report = run(&engine, &cfg);
 
     assert_eq!(report.clients.len(), 4);
     for client in &report.clients {
@@ -60,7 +65,18 @@ fn every_client_matches_the_single_client_run() {
         );
         assert_eq!(client.completed, 3 * mix().len() as u64);
     }
-    assert_eq!(report.total_completed(), 4 * 3 * mix().len() as u64);
+    assert_eq!(report.completed, 4 * 3 * mix().len() as u64);
+    // The closed loop shares the open loops' accounting identity, sends
+    // every request the instant it is drawn (no queue delay), and finds
+    // no drift across clients either.
+    assert_eq!(report.issued, 4 * 3 * mix().len() as u64);
+    assert_eq!(
+        report.completed + report.timeouts + report.errors + report.warmup_excluded,
+        report.issued
+    );
+    assert_eq!(report.queue_delay.max(), std::time::Duration::ZERO);
+    assert!(report.inconsistent.is_empty(), "{:?}", report.inconsistent);
+    assert_eq!(report.counts, expected);
 }
 
 #[test]
@@ -72,13 +88,22 @@ fn report_carries_latency_and_throughput() {
         WorkItem::bench(BenchQuery::Q1),
         WorkItem::bench(BenchQuery::Q3c),
     ];
-    let multiuser = run_multiuser(engine.shared_store(), &cfg);
+    let multiuser = run(&engine, &cfg);
     assert_eq!(
-        multiuser.aggregate_latency().count(),
-        multiuser.total_completed(),
-        "every completed query is in the merged histogram"
+        multiuser.latency.count(),
+        multiuser.completed,
+        "every completed query is in the aggregate histogram"
     );
-    assert!(multiuser.throughput() > 0.0);
+    assert_eq!(
+        multiuser
+            .clients
+            .iter()
+            .map(|c| c.latency.count())
+            .sum::<u64>(),
+        multiuser.completed,
+        "and in exactly one client's"
+    );
+    assert!(multiuser.completed_rate() > 0.0);
     for client in &multiuser.clients {
         let p50 = client.latency.quantile(0.50);
         let p99 = client.latency.quantile(0.99);
@@ -86,10 +111,20 @@ fn report_carries_latency_and_throughput() {
         assert!(p99 >= p50, "quantiles are monotone");
     }
     // The report section renders per-client and aggregate rows.
-    let table = report::multiuser_table(&multiuser);
+    let table = report::workload_table(&multiuser);
     assert!(table.contains("p99[ms]"), "{table}");
-    assert!(
-        table.lines().filter(|l| !l.trim().is_empty()).count() >= 5,
+    let rows = |prefix: &str| table.lines().filter(|l| l.starts_with(prefix)).count();
+    assert_eq!(
+        (rows("client "), rows("0 "), rows("1 "), rows("all ")),
+        (1, 1, 1, 1),
         "header + 2 clients + aggregate:\n{table}"
     );
+    // A closed-loop run dumps the same JSON report an open one does.
+    let json = report::workload_json(&multiuser);
+    assert_eq!(
+        json.matches('{').count(),
+        json.matches('}').count(),
+        "{json}"
+    );
+    assert!(json.contains("\"arrival\":\"closed\""), "{json}");
 }

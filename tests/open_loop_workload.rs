@@ -7,10 +7,14 @@
 
 use std::time::Duration;
 
-use sp2bench::core::multiuser::{MultiuserConfig, StopCondition, WorkItem};
-use sp2bench::core::{report, run_multiuser, run_open_loop, Arrival, BenchQuery, WeightedMix};
+use sp2bench::core::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkItem};
+use sp2bench::core::{report, run_workload, Arrival, BenchQuery, WeightedMix, WorkloadReport};
 use sp2bench::core::{Engine, EngineKind};
 use sp2bench::datagen::{generate_graph, Config};
+
+fn run(engine: &Engine, cfg: &MultiuserConfig) -> WorkloadReport {
+    run_workload(&InProcessTransport::new(engine.shared_store(), cfg), cfg)
+}
 
 const TRIPLES: u64 = 4_000;
 
@@ -29,7 +33,7 @@ fn open_loop_accounts_for_every_scheduled_request() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
     let engine = Engine::load(EngineKind::NativeOpt, &graph);
     let cfg = open_cfg(Arrival::Poisson { rate: 400.0 }, 8);
-    let report = run_open_loop(engine.shared_store(), &cfg);
+    let report = run(&engine, &cfg);
 
     // Rounds(r) schedules exactly r × clients × mix.len() requests.
     assert_eq!(report.issued, 8 * 2 * 3, "schedule honored Rounds");
@@ -64,12 +68,12 @@ fn open_loop_accounts_for_every_scheduled_request() {
     assert!(snap.max() >= report.service.max());
 
     // The rendered table carries the rate line and the template rows.
-    let table = report::open_loop_table(&report);
+    let table = report::workload_table(&report);
     assert!(table.contains("rate: intended"), "{table}");
     assert!(table.contains("\nQ1 "), "{table}");
 
     // The JSON dump is balanced and names every template.
-    let json = report::open_loop_json(&report);
+    let json = report::workload_json(&report);
     assert_eq!(
         json.matches('{').count(),
         json.matches('}').count(),
@@ -97,11 +101,11 @@ fn seeded_open_loop_replays_are_deterministic_in_shape() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
     let engine = Engine::load(EngineKind::NativeOpt, &graph);
     let cfg = open_cfg(Arrival::Constant { rate: 500.0 }, 6);
-    let a = run_open_loop(engine.shared_store(), &cfg);
-    let b = run_open_loop(engine.shared_store(), &cfg);
+    let a = run(&engine, &cfg);
+    let b = run(&engine, &cfg);
     // Same seed ⇒ same sample sequence ⇒ identical per-template issue
     // counts (wall-clock latency differs; the workload must not).
-    let shape = |r: &sp2bench::core::OpenLoopReport| {
+    let shape = |r: &WorkloadReport| {
         r.templates
             .iter()
             .map(|t| (t.label.clone(), t.completed + t.timeouts + t.errors))
@@ -119,11 +123,17 @@ fn closed_loop_warmup_is_excluded_from_histograms() {
     cfg.mix = vec![WorkItem::bench(BenchQuery::Q1)];
     // A warmup longer than the run: everything lands before the cutoff.
     cfg.warmup = Duration::from_secs(60);
-    let report = run_multiuser(engine.shared_store(), &cfg);
+    let report = run(&engine, &cfg);
     let excluded: u64 = report.clients.iter().map(|c| c.warmup_excluded).sum();
     assert!(excluded > 0, "the run executed queries during warmup");
-    assert_eq!(report.total_completed(), 0, "warmup queries left the stats");
-    assert_eq!(report.aggregate_latency().count(), 0);
-    let table = report::multiuser_table(&report);
+    assert_eq!(excluded, report.warmup_excluded);
+    assert_eq!(report.completed, 0, "warmup queries left the stats");
+    assert_eq!(report.latency.count(), 0);
+    assert!(report.clients.iter().all(|c| c.latency.count() == 0));
+    assert!(
+        report.counts.is_empty(),
+        "nor do they feed stability tracking"
+    );
+    let table = report::workload_table(&report);
     assert!(table.contains("warmup:"), "{table}");
 }

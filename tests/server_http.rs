@@ -85,8 +85,8 @@ fn http_counts_match_in_process_for_every_benchmark_query() {
 /// just cardinality — including the ASK boolean-line form.
 #[test]
 fn endpoint_checksums_match_in_process_checksums() {
-    use sp2bench::core::multiuser::{MultiuserConfig, StopCondition, WorkItem};
-    use sp2bench::core::{run_multiuser, run_multiuser_with, HttpTransport};
+    use sp2bench::core::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkItem};
+    use sp2bench::core::{run_workload, HttpTransport};
 
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (handle, qe) = boot(1, TRIPLES);
@@ -100,9 +100,9 @@ fn endpoint_checksums_match_in_process_checksums() {
         WorkItem::bench(BenchQuery::Q12c), // ASK → text/boolean checksum
         WorkItem::ext(ExtQuery::A1),
     ];
-    let inproc = run_multiuser(qe.shared_store(), &cfg);
+    let inproc = run_workload(&InProcessTransport::new(qe.shared_store(), &cfg), &cfg);
     let endpoint = Endpoint::parse(&handle.endpoint_url()).unwrap();
-    let http = run_multiuser_with(&HttpTransport::new(endpoint), &cfg);
+    let http = run_workload(&HttpTransport::new(endpoint), &cfg);
     handle.shutdown();
 
     let a = &inproc.clients[0];
