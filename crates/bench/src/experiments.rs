@@ -213,7 +213,7 @@ struct AblationConfig {
 
 /// Ablation study over the optimizer's techniques and the index layout
 /// (DESIGN.md §7): join reordering, filter pushing, filter substitution,
-/// hexastore vs. single SPO index.
+/// full run table vs. single SPO run.
 pub fn ablation(triples: u64, timeout: Duration) -> String {
     let configs = [
         AblationConfig {

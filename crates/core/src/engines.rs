@@ -4,8 +4,8 @@
 //! |---|---|---|---|
 //! | ARQ        | `mem-naive`   | hash-indexed memory | none |
 //! | Sesame-M   | `mem-opt`     | hash-indexed memory | reorder + push |
-//! | Sesame-DB  | `native-base` | six sorted indexes  | none |
-//! | Virtuoso   | `native-opt`  | six sorted indexes  | reorder + push + substitute |
+//! | Sesame-DB  | `native-base` | four sorted runs    | none |
+//! | Virtuoso   | `native-opt`  | four sorted runs    | reorder + push + substitute |
 //!
 //! As in the paper, in-memory engines pay their document load on every
 //! query evaluation ("in-memory engines always must load the document"),
@@ -32,9 +32,9 @@ pub enum EngineKind {
     MemNaive,
     /// In-memory store, heuristic optimization (Sesame-Memory role).
     MemOpt,
-    /// Native six-index store, naive evaluation order (Sesame-DB role).
+    /// Native four-run store, naive evaluation order (Sesame-DB role).
     NativeBase,
-    /// Native six-index store, full cost-based optimization (Virtuoso role).
+    /// Native four-run store, full cost-based optimization (Virtuoso role).
     NativeOpt,
 }
 
@@ -300,11 +300,11 @@ impl Engine {
         dir: &Path,
         cache_bytes: Option<u64>,
     ) -> Result<Engine, String> {
-        let (opened, loading) = measure(|| sp2b_store::disk_store_from_dir_with(dir, cache_bytes));
+        let (opened, loading) = measure(|| sp2b_store::open_store_with(dir, cache_bytes));
         let store = opened.map_err(|e| e.to_string())?;
         let info = ShardInfo {
             shard_by: store.shard_by(),
-            backend: ShardBackend::Disk.label(),
+            backend: "disk",
             lens: store.shard_lens(),
             build_times: store.shard_build_times().to_vec(),
         };

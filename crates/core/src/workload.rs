@@ -487,9 +487,12 @@ impl WorkloadReport {
             .map(|span| self.issued as f64 / span.as_secs_f64().max(1e-9))
     }
 
-    /// Recorded completions per wall-clock second.
+    /// Recorded completions per second of the recorded part of the run:
+    /// the wall clock minus the warmup, whose completions are excluded
+    /// from `completed` too.
     pub fn completed_rate(&self) -> f64 {
-        self.completed as f64 / self.wall.as_secs_f64().max(1e-9)
+        let recorded = self.wall.saturating_sub(self.warmup);
+        self.completed as f64 / recorded.as_secs_f64().max(1e-9)
     }
 }
 
@@ -1153,6 +1156,24 @@ mod tests {
         assert!(report.completed > 0, "later requests are recorded");
         assert_eq!(report.completed + report.warmup_excluded, report.issued);
         assert_eq!(report.latency.count(), report.completed);
+    }
+
+    /// With a warmup, the completed rate is taken over the recorded part
+    /// of the run, so an open loop that keeps up shows no drift — over
+    /// the whole wall it would read low by the warmup share (here half).
+    #[test]
+    fn warmup_does_not_read_as_open_loop_drift() {
+        let mut cfg = open_cfg(1, StopCondition::Rounds(400));
+        cfg.mix.truncate(1);
+        cfg.weights.truncate(1);
+        cfg.arrival = Arrival::Constant { rate: 400.0 };
+        cfg.warmup = Duration::from_millis(500);
+        let report = run_workload(&InstantTransport, &cfg);
+        assert_eq!(report.issued, 400);
+        assert_eq!(report.completed + report.warmup_excluded, report.issued);
+        let intended = report.intended_rate().expect("open loop has a schedule");
+        let drift = (report.completed_rate() - intended) / intended;
+        assert!(drift.abs() < 0.1, "drift {drift:+.3} at {intended:.1} q/s");
     }
 
     /// The coordinated-omission regression: a transport that stalls

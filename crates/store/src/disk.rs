@@ -6,14 +6,17 @@
 //! open path reads the checksummed segment root, the shared dictionary
 //! and each shard's block index — O(header + dictionary + index), never
 //! O(parse) — and validates each shard file's existence and exact size.
-//! Triple payload stays on disk: a scan binary-searches the block
-//! index's first keys to the blocks its key range covers, then pulls
-//! those blocks one at a time through the [`BlockCache`] every shard of
-//! one store shares. Each block is checksum-verified as it is read and
-//! decoded once while cached, so resident memory is O(cache budget +
-//! blocks currently being iterated) — a document larger than RAM serves
-//! fine, and a skewed workload's hot blocks stay resident while cold
-//! ones never displace them for long.
+//! Triple payload stays on disk: this is the block-cached *source* of
+//! the sorted runs [`crate::run`] plans over. A scan resolves its
+//! pattern with the same [`RunPlan`] a resident [`crate::NativeStore`]
+//! uses, binary-searches the chosen run's block first keys to the
+//! blocks the key range covers, then pulls those blocks one at a time
+//! through the [`BlockCache`] every shard of one store shares. Each
+//! block is checksum-verified as it is read and decoded once while
+//! cached, so resident memory is O(cache budget + blocks currently
+//! being iterated) — a document larger than RAM serves fine, and a
+//! skewed workload's hot blocks stay resident while cold ones never
+//! displace them for long.
 //!
 //! Because the shards sit behind the ordinary [`ShardedStore`] (same
 //! shared dictionary, same routing, same chunk concatenation), the
@@ -31,13 +34,14 @@ use std::time::Instant;
 
 use sp2b_rdf::Graph;
 
-use crate::dictionary::{Dictionary, Id, IdTriple};
+use crate::dictionary::{Dictionary, IdTriple};
+use crate::run::{RunPlan, RUN_ORDERS};
 use crate::segment::{
-    self, read_block_index, read_header, read_stats, run_key, shard_file_name, write_segments_with,
-    BlockIndex, Checksum, SegmentError, SegmentStats, ShardMeta, DEFAULT_BLOCK_TRIPLES, RUN_ORDERS,
+    self, read_block_index, read_header, read_stats, shard_file_name, write_segments_with,
+    BlockIndex, Checksum, SegmentError, SegmentStats, ShardMeta, DEFAULT_BLOCK_TRIPLES,
     TRIPLE_BYTES,
 };
-use crate::shard::{ShardBy, ShardedStore};
+use crate::shard::{route_graph, ShardBy, ShardedStore};
 use crate::stats::StoreStats;
 use crate::traits::{
     debug_assert_chunks_cover, matches, split_ranges, BlockSource, CacheStats, Pattern, ScanChunk,
@@ -45,7 +49,7 @@ use crate::traits::{
 };
 
 /// The default cache budget is this fraction of the document's total
-/// run payload (all shards, all three runs), floored at
+/// run payload (all shards, every run), floored at
 /// [`MIN_CACHE_BYTES`] — enough to keep a skewed workload's hot blocks
 /// resident without approaching a whole-document footprint.
 pub const DEFAULT_CACHE_FRACTION: u64 = 4;
@@ -79,13 +83,7 @@ pub fn save_graph_with(
     shard_by: ShardBy,
     block_triples: u32,
 ) -> Result<SegmentStats, SegmentError> {
-    let n = shards.max(1);
-    let mut dict = Dictionary::new();
-    let mut buckets: Vec<Vec<IdTriple>> = (0..n).map(|_| Vec::new()).collect();
-    for t in graph.iter() {
-        let enc = dict.encode_triple(t);
-        buckets[shard_by.shard_of(&enc, n)].push(enc);
-    }
+    let (dict, buckets) = route_graph(graph, shards, shard_by);
     write_segments_with(dir, &dict, shard_by, buckets, block_triples)
 }
 
@@ -330,10 +328,11 @@ impl BlockCache {
     }
 }
 
-/// One shard of a saved segment store: three sorted block-cut runs on
-/// disk, scanned through the store-wide [`BlockCache`]. Like the
-/// in-memory shard stores it carries an empty dictionary — ids live in
-/// the shared dictionary the enclosing [`ShardedStore`] owns.
+/// One shard of a saved segment store: the block-cut runs of
+/// [`RUN_ORDERS`] on disk, scanned through the store-wide
+/// [`BlockCache`]. Like the in-memory shard stores it carries an empty
+/// dictionary — ids live in the shared dictionary the enclosing
+/// [`ShardedStore`] owns.
 pub struct DiskShardStore {
     dict: Dictionary,
     path: PathBuf,
@@ -348,20 +347,7 @@ pub struct DiskShardStore {
     stats: StoreStats,
     /// Blocks actually read off disk per run (cache misses through this
     /// shard) — the laziness tests' gauge.
-    blocks_read: [AtomicU64; 3],
-}
-
-/// A resolved scan: which run, which candidate blocks, and the key
-/// bounds that trim the range's boundary blocks.
-struct BlockPlan {
-    run: usize,
-    perm: [usize; 3],
-    blocks: std::ops::Range<usize>,
-    lo: [Id; 3],
-    hi: [Id; 3],
-    /// The original pattern, kept only when bound positions remain
-    /// outside the run's usable prefix and need residual filtering.
-    residual: Option<Pattern>,
+    blocks_read: [AtomicU64; RUN_ORDERS.len()],
 }
 
 impl DiskShardStore {
@@ -405,7 +391,7 @@ impl DiskShardStore {
             index: block_index,
             cache,
             stats,
-            blocks_read: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            blocks_read: Default::default(),
         })
     }
 
@@ -466,92 +452,33 @@ impl DiskShardStore {
         })
     }
 
-    /// The run whose key order puts the most bound positions first,
-    /// plus the usable prefix length — [`crate::NativeStore`]'s index
-    /// choice restricted to the three on-disk orderings.
-    fn best_run(pattern: &Pattern) -> (usize, usize) {
-        let bound = [
-            pattern[0].is_some(),
-            pattern[1].is_some(),
-            pattern[2].is_some(),
-        ];
-        let mut best = (0usize, 0usize);
-        for (i, order) in RUN_ORDERS.iter().enumerate() {
-            let mut prefix = 0;
-            for &pos in &order.permutation() {
-                if bound[pos] {
-                    prefix += 1;
-                } else {
-                    break;
-                }
-            }
-            if prefix > best.1 {
-                best = (i, prefix);
-            }
-            if best.1 == 3 {
-                break;
-            }
-        }
-        best
+    /// Resolves a pattern to its run plan and candidate block range by
+    /// binary search on the block index's first keys. Touches no payload.
+    fn block_plan(&self, pattern: &Pattern) -> (RunPlan, std::ops::Range<usize>) {
+        let plan = RunPlan::for_pattern(pattern, RUN_ORDERS.len());
+        let blocks = self.index.candidate_blocks(plan.run, plan.lo, plan.hi);
+        (plan, blocks)
     }
 
-    /// Resolves a pattern to its candidate block range: pick the best
-    /// run, turn the bound prefix into inclusive key bounds, and binary
-    /// search the block index's first keys. Touches no payload.
-    fn block_plan(&self, pattern: &Pattern) -> BlockPlan {
-        let (run, prefix_len) = Self::best_run(pattern);
-        let perm = RUN_ORDERS[run].permutation();
-        let mut lo = [0 as Id; 3];
-        let mut hi = [Id::MAX; 3];
-        for slot in 0..prefix_len {
-            let v = pattern[perm[slot]].expect("prefix position is bound");
-            lo[slot] = v;
-            hi[slot] = v;
-        }
-        let blocks = self.index.candidate_blocks(run, lo, hi);
-        let bound = pattern.iter().filter(|p| p.is_some()).count();
-        BlockPlan {
-            run,
-            perm,
-            blocks,
-            lo,
-            hi,
-            residual: (bound > prefix_len).then_some(*pattern),
-        }
-    }
-
-    fn block_scan(&self, plan: BlockPlan) -> BlockScan<'_> {
+    fn block_scan(&self, plan: RunPlan, blocks: std::ops::Range<usize>) -> BlockScan<'_> {
         BlockScan {
             shard: self,
-            run: plan.run,
-            blocks: plan.blocks,
-            perm: plan.perm,
-            lo: plan.lo,
-            hi: plan.hi,
-            residual: plan.residual,
+            plan,
+            blocks,
             cur: None,
-            done: false,
         }
     }
 }
 
 /// Streams the matching triples of a candidate block range, pulling one
-/// block at a time through the cache: within each block, skip below the
-/// lower key bound (a no-op except in the range's first block), stop
-/// for good past the upper bound (only the range's last block can hold
-/// such keys — any earlier block would have pushed its successor's
-/// first key past the bound), and residually filter positions the
-/// prefix doesn't pin.
+/// block at a time through the cache and narrowing inside it with the
+/// plan's key bounds — a no-op except in the range's boundary blocks,
+/// whose heads may sit below the lower bound and tails past the upper.
 struct BlockScan<'a> {
     shard: &'a DiskShardStore,
-    run: usize,
+    plan: RunPlan,
     blocks: std::ops::Range<usize>,
-    perm: [usize; 3],
-    lo: [Id; 3],
-    hi: [Id; 3],
-    residual: Option<Pattern>,
-    cur: Option<(Arc<Vec<IdTriple>>, usize)>,
-    done: bool,
+    cur: Option<(Arc<Vec<IdTriple>>, std::ops::Range<usize>)>,
 }
 
 impl Iterator for BlockScan<'_> {
@@ -559,31 +486,17 @@ impl Iterator for BlockScan<'_> {
 
     fn next(&mut self) -> Option<IdTriple> {
         loop {
-            if self.done {
-                return None;
-            }
-            if let Some((block, pos)) = &mut self.cur {
-                while *pos < block.len() {
-                    let t = block[*pos];
-                    *pos += 1;
-                    if run_key(&t, self.perm) > self.hi {
-                        self.done = true;
-                        return None;
-                    }
-                    match &self.residual {
-                        Some(p) if !matches(&t, p) => continue,
-                        _ => return Some(t),
+            if let Some((block, range)) = &mut self.cur {
+                for i in range {
+                    match &self.plan.residual {
+                        Some(p) if !matches(&block[i], p) => continue,
+                        _ => return Some(block[i]),
                     }
                 }
-                self.cur = None;
             }
-            let Some(b) = self.blocks.next() else {
-                self.done = true;
-                return None;
-            };
-            let block = self.shard.block(self.run, b);
-            let start = block.partition_point(|t| run_key(t, self.perm) < self.lo);
-            self.cur = Some((block, start));
+            let block = self.shard.block(self.plan.run, self.blocks.next()?);
+            let range = self.plan.range_in(&block);
+            self.cur = Some((block, range));
         }
     }
 }
@@ -598,12 +511,10 @@ impl BlockSource for DiskShardStore {
         // Re-derive the key bounds from the pattern (deterministic, so
         // they equal the ones the chunk list was built from) and walk
         // just the chunk's sub-range.
-        let mut plan = self.block_plan(&pattern);
+        let (plan, all) = self.block_plan(&pattern);
         debug_assert_eq!(plan.run, run, "chunk run disagrees with the pattern's plan");
-        debug_assert!(plan.blocks.start <= blocks.start && blocks.end <= plan.blocks.end);
-        plan.run = run;
-        plan.blocks = blocks;
-        Box::new(self.block_scan(plan))
+        debug_assert!(all.start <= blocks.start && blocks.end <= all.end);
+        Box::new(self.block_scan(plan, blocks))
     }
 }
 
@@ -617,19 +528,20 @@ impl TripleStore for DiskShardStore {
     }
 
     fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        Box::new(self.block_scan(self.block_plan(&pattern)))
+        let (plan, blocks) = self.block_plan(&pattern);
+        Box::new(self.block_scan(plan, blocks))
     }
 
-    /// Partitioned scan over the best run's candidate blocks, exactly
-    /// like [`crate::NativeStore`] over its index range: contiguous
+    /// Partitioned scan over the planned run's candidate blocks, exactly
+    /// like [`crate::NativeStore`] over its run range: contiguous
     /// block sub-ranges concatenating to scan order, so the morsel
     /// exchange fans out over disk shards unchanged. Chunks carry block
     /// numbers, not borrowed triples — a worker materializes each block
     /// through the cache when it gets there.
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let plan = self.block_plan(&pattern);
-        let first = plan.blocks.start;
-        let chunks: Vec<ScanChunk<'_>> = split_ranges(plan.blocks.len(), n)
+        let (plan, blocks) = self.block_plan(&pattern);
+        let first = blocks.start;
+        let chunks: Vec<ScanChunk<'_>> = split_ranges(blocks.len(), n)
             .into_iter()
             .map(|r| {
                 let (start, end) = (first + r.start, first + r.end);
@@ -760,25 +672,31 @@ mod tests {
         let tmp = TempDir::new("lazy");
         save_graph(tmp.path(), &g, 1, ShardBy::Subject).expect("save");
         let shard = open_shard0(tmp.path(), 1 << 20);
-        assert!(
-            (0..3).all(|i| shard.blocks_read(i) == 0),
-            "open reads no payload at all"
+        let reads = |shard: &DiskShardStore| -> Vec<u64> {
+            (0..RUN_ORDERS.len())
+                .map(|i| shard.blocks_read(i))
+                .collect()
+        };
+        assert_eq!(
+            reads(&shard),
+            vec![0; RUN_ORDERS.len()],
+            "open reads no payload"
         );
         let p = 1u32; // any id; the scan route matters, not the hits
         shard.scan([None, Some(p), None]).count();
         assert!(shard.blocks_read(1) > 0, "P-bound scan reads the PSO run");
-        assert!(
-            shard.blocks_read(0) == 0 && shard.blocks_read(2) == 0,
-            "only that one"
-        );
+        let others = reads(&shard)
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 1);
+        assert!(others.map(|(_, n)| n).all(|n| n == 0), "only that one");
         shard.scan([None, None, None]).count();
         assert!(shard.blocks_read(0) > 0, "full scan reads the SPO run");
         // A repeat of the same scans is all cache hits: no new reads.
-        let before: Vec<u64> = (0..3).map(|i| shard.blocks_read(i)).collect();
+        let before = reads(&shard);
         shard.scan([None, Some(p), None]).count();
         shard.scan([None, None, None]).count();
-        let after: Vec<u64> = (0..3).map(|i| shard.blocks_read(i)).collect();
-        assert_eq!(before, after, "warm scans hit the cache");
+        assert_eq!(before, reads(&shard), "warm scans hit the cache");
         assert!(shard.block_cache().stats().hits > 0);
     }
 
@@ -851,7 +769,7 @@ mod tests {
         }
         for shard in &shards {
             assert!(
-                (0..3).all(|i| shard.blocks_read(i) == 0),
+                (0..RUN_ORDERS.len()).all(|i| shard.blocks_read(i) == 0),
                 "estimation or range planning read a block"
             );
         }
@@ -880,6 +798,51 @@ mod tests {
                 let chunked: Vec<IdTriple> = chunks.iter().flat_map(|c| c.iter(pattern)).collect();
                 assert_eq!(chunked, sequential, "pattern {pattern:?} n {n}");
             }
+        }
+    }
+
+    /// The two sources of one run table: a resident and a saved store of
+    /// the same document plan every pattern onto the same run of the
+    /// same buckets, so they must emit the same *sequence* — through a
+    /// cache far smaller than one run, and chunked or not.
+    #[test]
+    fn resident_and_block_sources_scan_the_same_sequence() {
+        let g = graph(400);
+        let budget = 4 * (7 * TRIPLE_BYTES + SLOT_OVERHEAD);
+        for shards in [1usize, 2, 4] {
+            let tmp = TempDir::new("differential");
+            save_graph_with(tmp.path(), &g, shards, ShardBy::Subject, 7).expect("save");
+            let disk = open_store_with(tmp.path(), Some(budget)).expect("open");
+            let resident = ShardedStore::from_graph(
+                &g,
+                shards,
+                ShardBy::Subject,
+                ShardBackend::Native(IndexSelection::all()),
+            );
+            // Triple 30 of the document is (s7, p2, o4): every mask hits.
+            let s = disk.resolve(&Term::iri("http://x/s7"));
+            let p = disk.resolve(&Term::iri("http://x/p2"));
+            let o = disk.resolve(&Term::iri("http://x/o4"));
+            for mask in 0..8 {
+                let pattern = [
+                    s.filter(|_| mask & 1 != 0),
+                    p.filter(|_| mask & 2 != 0),
+                    o.filter(|_| mask & 4 != 0),
+                ];
+                let want: Vec<IdTriple> = resident.scan(pattern).collect();
+                assert!(!want.is_empty(), "{shards} shards, pattern {pattern:?}");
+                let got: Vec<IdTriple> = disk.scan(pattern).collect();
+                assert_eq!(got, want, "{shards} shards, pattern {pattern:?}");
+                for n in [1, 3, 8] {
+                    let chunks = disk.scan_chunks(pattern, n);
+                    let chunked: Vec<IdTriple> =
+                        chunks.iter().flat_map(|c| c.iter(pattern)).collect();
+                    assert_eq!(chunked, want, "{shards} shards, pattern {pattern:?}, n {n}");
+                }
+            }
+            let cache = disk.cache_stats().expect("disk store exposes its cache");
+            assert!(cache.evictions > 0, "the budget is smaller than one run");
+            assert!(cache.peak_resident_bytes <= budget);
         }
     }
 
@@ -1000,14 +963,6 @@ mod tests {
             Ok(_) => panic!("corrupted block must not scan"),
         };
         assert!(msg.contains("checksum"), "panic names the checksum: {msg}");
-    }
-
-    #[test]
-    fn disk_backend_is_never_built_from_buckets() {
-        let caught = std::panic::catch_unwind(|| {
-            ShardedStore::from_graph(&graph(10), 2, ShardBy::Subject, ShardBackend::Disk)
-        });
-        assert!(caught.is_err(), "building disk shards in memory is a bug");
     }
 
     #[test]

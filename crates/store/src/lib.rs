@@ -4,8 +4,8 @@
 //!
 //! * [`MemStore`] — a flat, unindexed triple list answering every pattern
 //!   by linear scan (the "in-memory engine" class: ARQ, Sesame-Memory);
-//! * [`NativeStore`] — dictionary-encoded triples sorted into up to six
-//!   permutation indexes (SPO/SOP/PSO/POS/OSP/OPS) with binary-searched
+//! * [`NativeStore`] — dictionary-encoded triples sorted into the four
+//!   runs of the [`run`] table (SPO/PSO/POS/OSP) with binary-searched
 //!   range scans and exact cardinality estimates (the "native engine"
 //!   class: Sesame-DB, Virtuoso).
 //!
@@ -20,6 +20,11 @@
 //! per-shard block indexes, and scans pull fixed-size blocks of the
 //! sorted runs through a byte-budgeted shared LRU [`BlockCache`] — so a
 //! document larger than RAM serves at O(cache budget) resident memory.
+//!
+//! Resident and saved shards are two *sources* of one sorted-run design:
+//! [`run`] owns the order table, the choice of run for a pattern and
+//! the key-bound search; [`native`] applies it to whole runs in memory,
+//! [`disk`] to block first keys and then inside the cached blocks.
 
 pub mod dictionary;
 pub mod disk;
@@ -27,6 +32,7 @@ pub mod hash;
 pub mod load;
 pub mod mem;
 pub mod native;
+pub mod run;
 pub mod segment;
 pub mod shard;
 pub mod stats;
@@ -37,12 +43,11 @@ pub use disk::{
     open_store, open_store_with, save_graph, save_graph_with, BlockCache, DiskShardStore,
 };
 pub use load::{
-    disk_store_from_dir, disk_store_from_dir_with, mem_store_from_path, mem_store_from_reader,
-    native_store_from_path, native_store_from_reader, save_segments_from_path,
-    save_segments_from_reader, sharded_store_from_path, sharded_store_from_reader, SaveError,
+    save_segments_from_path, save_segments_from_reader, sharded_store_from_reader, SaveError,
 };
 pub use mem::MemStore;
-pub use native::{IndexOrder, IndexSelection, NativeStore};
+pub use native::{IndexSelection, NativeStore};
+pub use run::IndexOrder;
 pub use segment::{SegmentError, SegmentStats};
 pub use shard::{ShardBackend, ShardBy, ShardedStore};
 pub use stats::{CharacteristicSet, PredicateStats, StoreStats};

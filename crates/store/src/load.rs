@@ -1,20 +1,18 @@
-//! Bulk-loading helpers shared by both stores, plus the parallel
-//! sharded loader: one parser/interner thread routing encoded triples
-//! through bounded channels to per-shard builder threads.
+//! Streaming N-Triples loaders: the parallel sharded loader (one
+//! parser/interner thread routing encoded triples through bounded
+//! channels to per-shard builder threads) and the segment saver.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::sync_channel;
+use std::time::Duration;
 
 use sp2b_rdf::ntriples::{Error, Parser};
 
 use crate::dictionary::{Dictionary, IdTriple};
-use crate::mem::MemStore;
-use crate::native::{IndexSelection, NativeStore};
 use crate::segment::{write_segments, SegmentError, SegmentStats};
-use crate::shard::{ShardBackend, ShardBy, ShardedStore};
+use crate::shard::{build_shard, route, ShardBackend, ShardBy, ShardedStore};
 use crate::traits::TripleStore;
 
 /// Why a `sp2b save` failed: the N-Triples source did not parse, or the
@@ -50,45 +48,6 @@ impl From<SegmentError> for SaveError {
     }
 }
 
-/// Streams an N-Triples source into a [`MemStore`].
-pub fn mem_store_from_reader<R: BufRead>(reader: R) -> Result<MemStore, Error> {
-    let mut store = MemStore::new();
-    for triple in Parser::new(reader) {
-        store.insert(&triple?);
-    }
-    Ok(store)
-}
-
-/// Streams an N-Triples source into a [`NativeStore`] (encode while
-/// parsing, then sort the selected indexes — index build time is part of
-/// loading, as in the paper's loading metric).
-pub fn native_store_from_reader<R: BufRead>(
-    reader: R,
-    selection: IndexSelection,
-) -> Result<NativeStore, Error> {
-    let mut dict = Dictionary::new();
-    let mut triples: Vec<IdTriple> = Vec::new();
-    for triple in Parser::new(reader) {
-        triples.push(dict.encode_triple(&triple?));
-    }
-    Ok(NativeStore::from_encoded(dict, triples, selection))
-}
-
-/// Loads an N-Triples file into a [`MemStore`].
-pub fn mem_store_from_path(path: &Path) -> Result<MemStore, Error> {
-    let file = File::open(path)?;
-    mem_store_from_reader(BufReader::with_capacity(1 << 16, file))
-}
-
-/// Loads an N-Triples file into a [`NativeStore`].
-pub fn native_store_from_path(
-    path: &Path,
-    selection: IndexSelection,
-) -> Result<NativeStore, Error> {
-    let file = File::open(path)?;
-    native_store_from_reader(BufReader::with_capacity(1 << 16, file), selection)
-}
-
 /// Triples per routed batch: batches amortize channel overhead while the
 /// bounded channel keeps the parser from running unboundedly ahead of a
 /// slow shard builder.
@@ -103,8 +62,8 @@ const ROUTE_CHANNEL_DEPTH: usize = 4;
 /// and routes each encoded triple by its partition hash through a
 /// bounded channel to one of `shards` builder threads. Mem-backed
 /// shards insert as batches arrive; native-backed shards accumulate and
-/// then sort their permutation indexes — the index build runs
-/// concurrently across shards and overlaps the tail of parsing.
+/// then sort their runs — the index build runs concurrently across
+/// shards and overlaps the tail of parsing.
 ///
 /// A parse error aborts the load: channels close, builders drain and
 /// join, and the error is returned (no partial store escapes).
@@ -122,7 +81,7 @@ pub fn sharded_store_from_reader<R: BufRead>(
         for _ in 0..n {
             let (tx, rx) = sync_channel::<Vec<IdTriple>>(ROUTE_CHANNEL_DEPTH);
             txs.push(tx);
-            handles.push(scope.spawn(move || shard_builder(backend, rx)));
+            handles.push(scope.spawn(move || build_shard(backend, rx.into_iter())));
         }
         let mut bufs: Vec<Vec<IdTriple>> =
             (0..n).map(|_| Vec::with_capacity(ROUTE_BATCH)).collect();
@@ -168,24 +127,17 @@ pub fn sharded_store_from_reader<R: BufRead>(
 /// Streams an N-Triples source into a segment directory (see
 /// [`crate::segment`] for the on-disk format): terms are interned in
 /// document order, triples are routed into `shards` buckets, and each
-/// bucket's three sorted runs — sorted in parallel on scoped threads —
-/// are written as fixed-size checksummed blocks under a per-run
-/// first-key index. The saved directory reopens via
-/// [`disk_store_from_dir`] without reparsing, and serves scans through
-/// a byte-budgeted block cache.
+/// bucket's sorted runs are written as fixed-size checksummed blocks
+/// under a per-run first-key index. The saved directory reopens via
+/// [`crate::disk::open_store`] without reparsing, and serves scans
+/// through a byte-budgeted block cache.
 pub fn save_segments_from_reader<R: BufRead>(
     reader: R,
     dir: &Path,
     shards: usize,
     shard_by: ShardBy,
 ) -> Result<SegmentStats, SaveError> {
-    let n = shards.max(1);
-    let mut dict = Dictionary::new();
-    let mut buckets: Vec<Vec<IdTriple>> = (0..n).map(|_| Vec::new()).collect();
-    for triple in Parser::new(reader) {
-        let enc = dict.encode_triple(&triple?);
-        buckets[shard_by.shard_of(&enc, n)].push(enc);
-    }
+    let (dict, buckets) = route(Parser::new(reader), shards, shard_by)?;
     Ok(write_segments(dir, &dict, shard_by, buckets)?)
 }
 
@@ -206,81 +158,11 @@ pub fn save_segments_from_path(
     )
 }
 
-/// Opens a saved segment directory as a [`ShardedStore`] of
-/// block-windowed disk shards — O(header + dictionary + block index),
-/// no N-Triples parsing (see [`crate::disk::open_store`]).
-pub fn disk_store_from_dir(dir: &Path) -> Result<ShardedStore, SegmentError> {
-    crate::disk::open_store(dir)
-}
-
-/// [`disk_store_from_dir`] with an explicit block-cache byte budget
-/// (`None` = the default fraction of the document size; see
-/// [`crate::disk::open_store_with`]).
-pub fn disk_store_from_dir_with(
-    dir: &Path,
-    cache_bytes: Option<u64>,
-) -> Result<ShardedStore, SegmentError> {
-    crate::disk::open_store_with(dir, cache_bytes)
-}
-
-/// Loads an N-Triples file into a [`ShardedStore`] (see
-/// [`sharded_store_from_reader`]).
-pub fn sharded_store_from_path(
-    path: &Path,
-    shards: usize,
-    shard_by: ShardBy,
-    backend: ShardBackend,
-) -> Result<ShardedStore, Error> {
-    let file = File::open(path)?;
-    sharded_store_from_reader(
-        BufReader::with_capacity(1 << 16, file),
-        shards,
-        shard_by,
-        backend,
-    )
-}
-
-/// One shard builder: drains its channel and builds the shard store.
-/// The reported duration is the shard's *busy* build time — batch
-/// inserts for mem shards, the index sort for native shards — not the
-/// time spent blocked on the channel.
-fn shard_builder(
-    backend: ShardBackend,
-    rx: Receiver<Vec<IdTriple>>,
-) -> (Box<dyn TripleStore>, Duration) {
-    match backend {
-        ShardBackend::Mem => {
-            let mut store = MemStore::new();
-            let mut busy = Duration::ZERO;
-            while let Ok(batch) = rx.recv() {
-                let t0 = Instant::now();
-                for t in batch {
-                    store.insert_encoded(t);
-                }
-                busy += t0.elapsed();
-            }
-            (Box::new(store), busy)
-        }
-        ShardBackend::Native(selection) => {
-            let mut triples: Vec<IdTriple> = Vec::new();
-            while let Ok(batch) = rx.recv() {
-                triples.extend(batch);
-            }
-            let t0 = Instant::now();
-            let store = NativeStore::from_encoded(Dictionary::new(), triples, selection);
-            (Box::new(store), t0.elapsed())
-        }
-        ShardBackend::Disk => unreachable!(
-            "disk shards are opened from saved segments (crate::disk::open_store), \
-             not streamed from a parser"
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::TripleStore;
+    use crate::native::{IndexSelection, NativeStore};
+    use sp2b_rdf::Graph;
 
     const DOC: &str = "\
 <http://x/s1> <http://x/p> <http://x/o1> .
@@ -289,24 +171,8 @@ _:b1 <http://x/p> <http://x/o1> .
 ";
 
     #[test]
-    fn mem_store_loads_ntriples() {
-        let store = mem_store_from_reader(DOC.as_bytes()).unwrap();
-        assert_eq!(store.len(), 3);
-    }
-
-    #[test]
-    fn native_store_loads_ntriples() {
-        let store = native_store_from_reader(DOC.as_bytes(), IndexSelection::all()).unwrap();
-        assert_eq!(store.len(), 3);
-        let p = store.resolve(&sp2b_rdf::Term::iri("http://x/p")).unwrap();
-        assert_eq!(store.scan([None, Some(p), None]).count(), 3);
-    }
-
-    #[test]
     fn parse_errors_propagate() {
         let bad = "<unterminated\n";
-        assert!(mem_store_from_reader(bad.as_bytes()).is_err());
-        assert!(native_store_from_reader(bad.as_bytes(), IndexSelection::all()).is_err());
         assert!(sharded_store_from_reader(
             bad.as_bytes(),
             2,
@@ -329,7 +195,10 @@ _:b1 <http://x/p> <http://x/o1> .
                 i % 53
             ));
         }
-        let flat = native_store_from_reader(doc.as_bytes(), IndexSelection::all()).unwrap();
+        let graph: Graph = Parser::new(doc.as_bytes())
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let flat = NativeStore::from_graph(&graph);
         for shards in [1, 2, 5] {
             let sharded = sharded_store_from_reader(
                 doc.as_bytes(),

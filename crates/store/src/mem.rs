@@ -245,7 +245,6 @@ mod tests {
         assert_eq!(s.estimate([None, Some(p1), None]), 2);
         assert_eq!(s.estimate([None, Some(p2), None]), 1);
         assert_eq!(s.estimate([None, None, None]), 3);
-        assert!(!s.has_exact_estimates());
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The index-backed "native" store.
+//! The index-backed "native" store: the resident source of sorted runs.
 //!
 //! Models the paper's engines with a physical backend (Sesame-DB,
 //! Virtuoso): at load time the document is dictionary-encoded and sorted
-//! into up to **six permutation indexes** (SPO, SOP, PSO, POS, OSP, OPS —
-//! the Hexastore scheme the paper cites as reference 13), so *every* triple
-//! pattern, whatever its bound positions, resolves to one contiguous
-//! binary-searched range. Loading therefore costs sort time — mirroring
-//! the paper's separate loading-time metric — and pattern scans plus
+//! into the **four runs** of [`RUN_ORDERS`] (SPO, PSO, POS, OSP — the
+//! subset of the Hexastore six, the paper's reference 13, that any
+//! pattern ever selects), so *every* triple pattern, whatever its bound
+//! positions, resolves to one contiguous binary-searched range (see
+//! [`crate::run`]). Loading therefore costs sort time — mirroring the
+//! paper's separate loading-time metric — and pattern scans plus
 //! cardinality estimates are exact and cheap, which is what enables the
 //! `native-opt` configuration's cost-based join reordering.
 
@@ -14,174 +15,68 @@ use std::sync::OnceLock;
 
 use sp2b_rdf::{Graph, Triple};
 
-use crate::dictionary::{Dictionary, Id, IdTriple};
+use crate::dictionary::{Dictionary, IdTriple};
+use crate::run::{sort_runs, IndexOrder, RunPlan, RUN_ORDERS};
 use crate::stats::StoreStats;
 use crate::traits::{
     debug_assert_chunks_cover, matches, split_ranges, Pattern, ScanChunk, TripleStore,
 };
 
-/// One of the six orderings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IndexOrder {
-    /// subject, predicate, object.
-    Spo,
-    /// subject, object, predicate.
-    Sop,
-    /// predicate, subject, object.
-    Pso,
-    /// predicate, object, subject.
-    Pos,
-    /// object, subject, predicate.
-    Osp,
-    /// object, predicate, subject.
-    Ops,
-}
-
-impl IndexOrder {
-    /// All six orders.
-    pub const ALL: [IndexOrder; 6] = [
-        IndexOrder::Spo,
-        IndexOrder::Sop,
-        IndexOrder::Pso,
-        IndexOrder::Pos,
-        IndexOrder::Osp,
-        IndexOrder::Ops,
-    ];
-
-    /// The triple positions in key order: `perm[0]` is the major key.
-    pub fn permutation(self) -> [usize; 3] {
-        match self {
-            IndexOrder::Spo => [0, 1, 2],
-            IndexOrder::Sop => [0, 2, 1],
-            IndexOrder::Pso => [1, 0, 2],
-            IndexOrder::Pos => [1, 2, 0],
-            IndexOrder::Osp => [2, 0, 1],
-            IndexOrder::Ops => [2, 1, 0],
-        }
-    }
-
-    fn slot(self) -> usize {
-        match self {
-            IndexOrder::Spo => 0,
-            IndexOrder::Sop => 1,
-            IndexOrder::Pso => 2,
-            IndexOrder::Pos => 3,
-            IndexOrder::Osp => 4,
-            IndexOrder::Ops => 5,
-        }
-    }
-}
-
-/// Which indexes to build. The default is all six (hexastore); the
-/// ablation configuration keeps only SPO, forcing residual filtering for
-/// non-prefix patterns (DESIGN.md §7.3).
+/// Which runs to build: how many leading [`RUN_ORDERS`]. The default is
+/// all of them; the ablation configuration keeps only SPO, forcing
+/// residual filtering for non-prefix patterns (DESIGN.md §7.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexSelection(pub [bool; 6]);
+pub struct IndexSelection(usize);
 
 impl IndexSelection {
-    /// All six permutation indexes.
+    /// Every run of the table.
     pub fn all() -> Self {
-        IndexSelection([true; 6])
+        IndexSelection(RUN_ORDERS.len())
     }
 
-    /// Only the SPO index (a "simple triple store").
+    /// Only the SPO run (a "simple triple store").
     pub fn spo_only() -> Self {
-        let mut sel = [false; 6];
-        sel[IndexOrder::Spo.slot()] = true;
-        IndexSelection(sel)
-    }
-
-    fn has(&self, order: IndexOrder) -> bool {
-        self.0[order.slot()]
+        IndexSelection(1)
     }
 }
 
-impl Default for IndexSelection {
-    fn default() -> Self {
-        IndexSelection::all()
-    }
-}
-
-#[inline]
-pub(crate) fn key(t: &IdTriple, perm: [usize; 3]) -> (Id, Id, Id) {
-    (t[perm[0]], t[perm[1]], t[perm[2]])
-}
-
-/// The contiguous slice of `index` — sorted by `perm` — whose first
-/// `prefix_len` key positions equal the pattern's bound values. The
-/// disk segment store ([`crate::disk`]) runs the same binary search,
-/// but over its block index's first keys instead of whole triples.
-pub(crate) fn prefix_range<'a>(
-    index: &'a [IdTriple],
-    perm: [usize; 3],
-    prefix_len: usize,
-    pattern: &Pattern,
-) -> &'a [IdTriple] {
-    if prefix_len == 0 {
-        return index;
-    }
-    let mut lo_key = (0, 0, 0);
-    let mut hi_key = (Id::MAX, Id::MAX, Id::MAX);
-    let keys = [&mut lo_key.0, &mut lo_key.1, &mut lo_key.2];
-    for (slot, k) in keys.into_iter().enumerate().take(prefix_len) {
-        *k = pattern[perm[slot]].expect("prefix position is bound");
-    }
-    let keys = [&mut hi_key.0, &mut hi_key.1, &mut hi_key.2];
-    for (slot, k) in keys.into_iter().enumerate().take(prefix_len) {
-        *k = pattern[perm[slot]].expect("prefix position is bound");
-    }
-    let lo = index.partition_point(|t| key(t, perm) < lo_key);
-    let hi = index.partition_point(|t| {
-        let k = key(t, perm);
-        (
-            k.0,
-            if prefix_len > 1 { k.1 } else { hi_key.1 },
-            if prefix_len > 2 { k.2 } else { hi_key.2 },
-        ) <= hi_key
-    });
-    &index[lo..hi]
-}
-
-/// Two-pointer merge of a sorted index with a sorted batch.
-fn merge_sorted(index: Vec<IdTriple>, batch: &[IdTriple], perm: [usize; 3]) -> Vec<IdTriple> {
-    let mut merged = Vec::with_capacity(index.len() + batch.len());
+/// Two-pointer merge of a sorted run with a sorted batch.
+fn merge_sorted(run: Vec<IdTriple>, batch: &[IdTriple], order: IndexOrder) -> Vec<IdTriple> {
+    let mut merged = Vec::with_capacity(run.len() + batch.len());
     let mut i = 0;
     let mut j = 0;
-    while i < index.len() && j < batch.len() {
-        if key(&index[i], perm) <= key(&batch[j], perm) {
-            merged.push(index[i]);
+    while i < run.len() && j < batch.len() {
+        if order.key(&run[i]) <= order.key(&batch[j]) {
+            merged.push(run[i]);
             i += 1;
         } else {
             merged.push(batch[j]);
             j += 1;
         }
     }
-    merged.extend_from_slice(&index[i..]);
+    merged.extend_from_slice(&run[i..]);
     merged.extend_from_slice(&batch[j..]);
     merged
 }
 
-/// The native store: dictionary + sorted permutation indexes.
+/// The native store: dictionary + resident sorted runs, the leading
+/// `runs.len()` of [`RUN_ORDERS`] (never empty: SPO is always built).
 pub struct NativeStore {
     dict: Dictionary,
-    indexes: [Option<Vec<IdTriple>>; 6],
-    len: usize,
+    runs: Vec<Vec<IdTriple>>,
     stats: OnceLock<StoreStats>,
 }
 
 impl NativeStore {
-    /// Builds a store with all six indexes from a graph.
+    /// Builds a store with every run from a graph.
     pub fn from_graph(graph: &Graph) -> Self {
         Self::with_indexes(graph, IndexSelection::all())
     }
 
-    /// Builds a store with a chosen index subset.
+    /// Builds a store with a chosen run subset.
     pub fn with_indexes(graph: &Graph, selection: IndexSelection) -> Self {
         let mut dict = Dictionary::new();
-        let mut triples: Vec<IdTriple> = Vec::with_capacity(graph.len());
-        for t in graph.iter() {
-            triples.push(dict.encode_triple(t));
-        }
+        let triples: Vec<IdTriple> = graph.iter().map(|t| dict.encode_triple(t)).collect();
         Self::from_encoded(dict, triples, selection)
     }
 
@@ -191,43 +86,16 @@ impl NativeStore {
         triples: Vec<IdTriple>,
         selection: IndexSelection,
     ) -> Self {
-        assert!(
-            selection.has(IndexOrder::Spo) || selection.0.iter().any(|&b| b),
-            "at least one index must be selected"
-        );
-        let len = triples.len();
-        let mut indexes: [Option<Vec<IdTriple>>; 6] = Default::default();
-        for order in IndexOrder::ALL {
-            if !selection.has(order) {
-                continue;
-            }
-            let perm = order.permutation();
-            let mut v = triples.clone();
-            v.sort_unstable_by_key(|t| key(t, perm));
-            indexes[order.slot()] = Some(v);
-        }
         NativeStore {
             dict,
-            indexes,
-            len,
+            runs: sort_runs(&triples, selection.0),
             stats: OnceLock::new(),
         }
     }
 
-    /// Incrementally loads triples, then (re)builds the indexes. For bulk
-    /// loading prefer [`NativeStore::from_graph`].
-    pub fn load_triples<'a>(
-        triples: impl IntoIterator<Item = &'a Triple>,
-        selection: IndexSelection,
-    ) -> Self {
-        let mut dict = Dictionary::new();
-        let encoded: Vec<IdTriple> = triples.into_iter().map(|t| dict.encode_triple(t)).collect();
-        Self::from_encoded(dict, encoded, selection)
-    }
-
     /// Inserts a batch of triples incrementally: encodes against the
-    /// dictionary and merges each selected index in one linear pass
-    /// (O(existing + batch) per index, versus a full rebuild's sort).
+    /// dictionary and merges each built run in one linear pass
+    /// (O(existing + batch) per run, versus a full rebuild's sort).
     /// This is the storage half of the update-stream extension
     /// (Section VII: "SPARQL update … could be realized by minor
     /// extensions"); `sp2b-datagen`'s `UpdateStream` produces the batches.
@@ -240,57 +108,18 @@ impl NativeStore {
             return;
         }
         self.stats = OnceLock::new(); // summary is stale once data changes
-        self.len += encoded.len();
-        for order in IndexOrder::ALL {
-            let Some(index) = self.indexes[order.slot()].take() else {
-                continue;
-            };
-            let perm = order.permutation();
-            let mut batch = encoded.clone();
-            batch.sort_unstable_by_key(|t| key(t, perm));
-            self.indexes[order.slot()] = Some(merge_sorted(index, &batch, perm));
+        let batches = sort_runs(&encoded, self.runs.len());
+        for ((run, batch), &order) in self.runs.iter_mut().zip(batches).zip(&RUN_ORDERS) {
+            *run = merge_sorted(std::mem::take(run), &batch, order);
         }
     }
 
-    /// The best index for a pattern: the one whose key order puts all
-    /// bound positions first. Returns the order plus the prefix length
-    /// usable for range narrowing.
-    fn best_index(&self, pattern: &Pattern) -> (IndexOrder, usize) {
-        let bound = [
-            pattern[0].is_some(),
-            pattern[1].is_some(),
-            pattern[2].is_some(),
-        ];
-        let mut best = (IndexOrder::Spo, 0usize);
-        for order in IndexOrder::ALL {
-            if self.indexes[order.slot()].is_none() {
-                continue;
-            }
-            let perm = order.permutation();
-            let mut prefix = 0;
-            for &pos in &perm {
-                if bound[pos] {
-                    prefix += 1;
-                } else {
-                    break;
-                }
-            }
-            if prefix > best.1 || self.indexes[best.0.slot()].is_none() {
-                best = (order, prefix);
-            }
-            if prefix == 3 {
-                break;
-            }
-        }
-        best
-    }
-
-    /// The contiguous range of `order`'s index matching the bound prefix.
-    fn range(&self, order: IndexOrder, prefix_len: usize, pattern: &Pattern) -> &[IdTriple] {
-        let index = self.indexes[order.slot()]
-            .as_ref()
-            .expect("best_index only returns built indexes");
-        prefix_range(index, order.permutation(), prefix_len, pattern)
+    /// The plan for `pattern` over the built runs and the contiguous
+    /// slice of the chosen run holding every candidate.
+    fn range(&self, pattern: &Pattern) -> (RunPlan, &[IdTriple]) {
+        let plan = RunPlan::for_pattern(pattern, self.runs.len());
+        let run = &self.runs[plan.run];
+        (plan, &run[plan.range_in(run)])
     }
 }
 
@@ -300,27 +129,23 @@ impl TripleStore for NativeStore {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.runs[0].len()
     }
 
     fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        let (order, prefix_len) = self.best_index(&pattern);
-        let range = self.range(order, prefix_len, &pattern);
-        let bound_count = pattern.iter().filter(|p| p.is_some()).count();
-        if prefix_len == bound_count {
+        let (plan, range) = self.range(&pattern);
+        match plan.residual {
             // The range is exact; no residual filtering needed.
-            Box::new(range.iter().copied())
-        } else {
-            Box::new(range.iter().filter(move |t| matches(t, &pattern)).copied())
+            None => Box::new(range.iter().copied()),
+            Some(p) => Box::new(range.iter().filter(move |t| matches(t, &p)).copied()),
         }
     }
 
-    /// Partitioned scan: the binary-searched index range is split into at
+    /// Partitioned scan: the binary-searched run range is split into at
     /// most `n` contiguous sub-ranges, so their concatenation is exactly
-    /// the range [`NativeStore::scan`] walks, in the same index order.
+    /// the range [`NativeStore::scan`] walks, in the same run order.
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let (order, prefix_len) = self.best_index(&pattern);
-        let range = self.range(order, prefix_len, &pattern);
+        let (_, range) = self.range(&pattern);
         let chunks: Vec<ScanChunk<'_>> = split_ranges(range.len(), n)
             .into_iter()
             .map(|r| ScanChunk::Triples(&range[r]))
@@ -329,34 +154,21 @@ impl TripleStore for NativeStore {
         chunks
     }
 
-    /// Exact estimates via index-range width — the "statistics" that let
+    /// Exact estimates via run-range width — the "statistics" that let
     /// native engines answer Q3c in constant time and drive cost-based
-    /// join ordering. With a partial index set (ablation) estimates fall
-    /// back to the range width, an upper bound.
+    /// join ordering. With a partial run set (ablation) the range width
+    /// is an upper bound.
     fn estimate(&self, pattern: Pattern) -> u64 {
-        let (order, prefix_len) = self.best_index(&pattern);
-        self.range(order, prefix_len, &pattern).len() as u64
+        self.range(&pattern).1.len() as u64
     }
 
-    fn has_exact_estimates(&self) -> bool {
-        // Exact whenever all six indexes exist (every pattern gets a full
-        // prefix); conservative otherwise.
-        self.indexes.iter().all(|i| i.is_some())
-    }
-
-    /// Lazily computed from any present index's triples and cached;
+    /// Lazily computed from the SPO run and cached;
     /// [`NativeStore::insert_batch`] resets the cache.
     fn stats(&self) -> Option<&StoreStats> {
-        Some(self.stats.get_or_init(|| {
-            let triples = self
-                .indexes
-                .iter()
-                .flatten()
-                .next()
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            StoreStats::from_triples(triples)
-        }))
+        Some(
+            self.stats
+                .get_or_init(|| StoreStats::from_triples(&self.runs[0])),
+        )
     }
 }
 
@@ -444,7 +256,6 @@ mod tests {
     fn estimates_are_exact_with_all_indexes() {
         let g = graph();
         let s = NativeStore::from_graph(&g);
-        assert!(s.has_exact_estimates());
         for pattern in [
             [None, None, None],
             [s.resolve(&Term::iri("http://x/s1")), None, None],
@@ -460,7 +271,6 @@ mod tests {
     fn spo_only_still_answers_everything() {
         let g = graph();
         let s = NativeStore::with_indexes(&g, IndexSelection::spo_only());
-        assert!(!s.has_exact_estimates());
         let p0 = s.resolve(&Term::iri("http://x/p0")).unwrap();
         let full = NativeStore::from_graph(&g);
         let p0f = full.resolve(&Term::iri("http://x/p0")).unwrap();
@@ -468,6 +278,9 @@ mod tests {
             s.scan([None, Some(p0), None]).count(),
             full.scan([None, Some(p0f), None]).count()
         );
+        // No run has `p` as a prefix, so the estimate is the whole run's
+        // width: an upper bound, not a count.
+        assert_eq!(s.estimate([None, Some(p0), None]), s.len() as u64);
     }
 
     #[test]
@@ -526,7 +339,6 @@ mod tests {
             assert_eq!(decode(&incremental), decode(&all_at_once));
         }
         // Estimates stay exact after merging.
-        assert!(incremental.has_exact_estimates());
         let p0 = incremental.resolve(&Term::iri("http://x/p0")).unwrap();
         assert_eq!(
             incremental.estimate([None, Some(p0), None]),
@@ -553,7 +365,7 @@ mod tests {
         for pattern in [
             [None, None, None],
             [None, p1, None],
-            [None, p1, o2], // full prefix on a POS-style index
+            [None, p1, o2], // full prefix on the POS run
             [s.resolve(&Term::iri("http://x/s1")), None, o2],
         ] {
             let sequential: Vec<IdTriple> = s.scan(pattern).collect();
@@ -583,21 +395,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.scan([None, None, None]).count(), 0);
         assert_eq!(s.estimate([None, None, None]), 0);
-    }
-
-    #[test]
-    fn best_index_prefers_longest_prefix() {
-        let g = graph();
-        let s = NativeStore::from_graph(&g);
-        // object-only pattern must pick an O-major index.
-        let o = s.resolve(&Term::iri("http://x/o1"));
-        let (order, prefix) = s.best_index(&[None, None, o]);
-        assert!(matches!(order, IndexOrder::Osp | IndexOrder::Ops));
-        assert_eq!(prefix, 1);
-        // subject+object pattern must pick SOP or OSP with prefix 2.
-        let su = s.resolve(&Term::iri("http://x/s1"));
-        let (order, prefix) = s.best_index(&[su, None, o]);
-        assert!(matches!(order, IndexOrder::Sop | IndexOrder::Osp));
-        assert_eq!(prefix, 2);
     }
 }

@@ -14,11 +14,12 @@
 //!                 (length-prefixed, in shard order), so a reopened
 //!                 store plans with full statistics without touching
 //!                 any triple run
-//! shard-NNNN.seg  one file per shard: three sorted id-triple runs
-//!                 (SPO, then PSO, then OSP) of 12 bytes per triple,
-//!                 each run cut into fixed-size blocks, followed by the
-//!                 shard's block index (per run, per block: the block's
-//!                 first sort key and its own FNV-1a-64 checksum)
+//! shard-NNNN.seg  one file per shard: the four sorted id-triple runs
+//!                 of [`RUN_ORDERS`] (SPO, PSO, POS, OSP) of 12 bytes
+//!                 per triple, each run cut into fixed-size blocks,
+//!                 followed by the shard's block index (per run, per
+//!                 block: the block's first sort key and its own
+//!                 FNV-1a-64 checksum)
 //! ```
 //!
 //! All integers are little-endian. Every section carries an FNV-1a-64
@@ -37,8 +38,8 @@ use std::path::Path;
 
 use sp2b_rdf::{Iri, Literal, Term};
 
-use crate::dictionary::{Dictionary, Id, IdTriple};
-use crate::native::IndexOrder;
+use crate::dictionary::{Dictionary, IdTriple};
+use crate::run::{sort_runs, Key, RUN_ORDERS};
 use crate::shard::ShardBy;
 use crate::stats::StoreStats;
 
@@ -48,8 +49,10 @@ pub const MAGIC: [u8; 8] = *b"SP2BSEG1";
 /// Format version written into the root. Version 2 added the per-shard
 /// statistics section (`stats.bin`) and its root fields; version 3 cut
 /// the runs into checksummed fixed-size blocks with a per-run sparse
-/// first-key index, replacing the per-run whole-file checksums.
-pub const VERSION: u32 = 3;
+/// first-key index, replacing the per-run whole-file checksums; version
+/// 4 added the POS run, so a saved shard holds the same run table
+/// ([`RUN_ORDERS`]) a resident one sorts.
+pub const VERSION: u32 = 4;
 
 /// Default triples per block: 1024 triples = 12 KiB of payload, inside
 /// the 4–64 KiB sweet spot where a block is large enough to amortize a
@@ -67,13 +70,6 @@ pub const STATS_FILE: &str = "stats.bin";
 
 /// Bytes per serialized triple (three little-endian `u32` ids).
 pub const TRIPLE_BYTES: u64 = 12;
-
-/// The sorted runs each shard file holds, in file order. Three of the
-/// six [`NativeStore`](crate::NativeStore) orderings suffice on disk:
-/// every single-position pattern gets a full prefix (S via SPO, P via
-/// PSO, O via OSP), and longer prefixes reuse the same runs with
-/// residual filtering.
-pub const RUN_ORDERS: [IndexOrder; 3] = [IndexOrder::Spo, IndexOrder::Pso, IndexOrder::Osp];
 
 /// The shard file name for shard `i`.
 pub fn shard_file_name(i: usize) -> String {
@@ -182,8 +178,8 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    /// Exact byte size of the shard file these facts describe: three
-    /// run payloads plus the trailing block index.
+    /// Exact byte size of the shard file these facts describe: the run
+    /// payloads plus the trailing block index.
     pub fn file_bytes(&self, block_triples: u32) -> u64 {
         self.triples * TRIPLE_BYTES * RUN_ORDERS.len() as u64
             + index_bytes(self.triples, block_triples)
@@ -196,13 +192,13 @@ pub struct RunIndex {
     /// Each block's first triple, as its sort key (ids permuted into
     /// the run's major/mid/minor order) — the binary-search target that
     /// turns a key range into a block range without touching payload.
-    pub first_keys: Vec<[Id; 3]>,
+    pub first_keys: Vec<Key>,
     /// Each block's payload checksum.
     pub checksums: Vec<u64>,
 }
 
 /// One shard's decoded block index: the sparse first-key tables and
-/// per-block checksums of its three runs.
+/// per-block checksums of its runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockIndex {
     /// Triples per run (from the root).
@@ -211,7 +207,7 @@ pub struct BlockIndex {
     /// may be shorter).
     pub block_triples: u32,
     /// Per-run entries, in [`RUN_ORDERS`] order.
-    pub runs: [RunIndex; 3],
+    pub runs: [RunIndex; RUN_ORDERS.len()],
 }
 
 impl BlockIndex {
@@ -239,7 +235,7 @@ impl BlockIndex {
     /// key ≥ `lo` may still start below `lo` and reach into the range —
     /// so callers skip below-`lo` keys inside the first block and stop
     /// past `hi`; no payload is touched here.
-    pub fn candidate_blocks(&self, run: usize, lo: [Id; 3], hi: [Id; 3]) -> std::ops::Range<usize> {
+    pub fn candidate_blocks(&self, run: usize, lo: Key, hi: Key) -> std::ops::Range<usize> {
         let keys = &self.runs[run].first_keys;
         let start = keys.partition_point(|k| *k < lo).saturating_sub(1);
         let end = keys.partition_point(|k| *k <= hi);
@@ -302,13 +298,6 @@ fn shard_by_from_code(code: u32) -> Option<ShardBy> {
     }
 }
 
-/// A triple's sort key under a run permutation, as a lexicographically
-/// comparable array (major, mid, minor).
-#[inline]
-pub fn run_key(t: &IdTriple, perm: [usize; 3]) -> [Id; 3] {
-    [t[perm[0]], t[perm[1]], t[perm[2]]]
-}
-
 /// Writes a complete segment store into `dir` with the default block
 /// size. See [`write_segments_with`].
 pub fn write_segments(
@@ -321,16 +310,13 @@ pub fn write_segments(
 }
 
 /// Writes a complete segment store into `dir`: dictionary, one file of
-/// three sorted block-cut runs per bucket, and — last, via tmp + rename
-/// — the checksummed root. A crash before the rename leaves no valid
-/// root, so a partially written directory never opens.
+/// sorted block-cut runs per bucket, and — last, via tmp + rename — the
+/// checksummed root. A crash before the rename leaves no valid root, so
+/// a partially written directory never opens.
 ///
-/// The three SPO/PSO/OSP sorts of each shard fan out on scoped threads.
-/// Each thread sorts its own clone of the bucket by the run's full
-/// (major, mid, minor) key — a total order under which byte-identical
-/// duplicates are interchangeable — so the output is byte-for-byte the
-/// same as the former serial re-sorts, at the price of holding up to
-/// three copies of one bucket while it is being written.
+/// Each bucket is sorted by [`sort_runs`], the builder a resident
+/// [`NativeStore`](crate::NativeStore) uses — one copy of the bucket per
+/// run is held while its file is being written.
 pub fn write_segments_with(
     dir: &Path,
     dict: &Dictionary,
@@ -368,34 +354,14 @@ pub fn write_segments_with(
     let mut metas = Vec::with_capacity(buckets.len());
     let mut total_bytes = dict_bytes.len() as u64 + stats_bytes.len() as u64;
     for (i, bucket) in buckets.iter().enumerate() {
-        // Satellite: the three run sorts are independent, so they fan
-        // out on scoped threads (each sorting its own clone).
-        let sorted: Vec<Vec<IdTriple>> = std::thread::scope(|s| {
-            let handles: Vec<_> = RUN_ORDERS
-                .iter()
-                .map(|order| {
-                    let perm = order.permutation();
-                    s.spawn(move || {
-                        let mut run = bucket.clone();
-                        run.sort_unstable_by_key(|t| run_key(t, perm));
-                        run
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("run sort thread panicked"))
-                .collect()
-        });
-
+        let sorted = sort_runs(bucket, RUN_ORDERS.len());
         let file = File::create(dir.join(shard_file_name(i)))?;
         let mut w = BufWriter::with_capacity(1 << 16, file);
-        // Payload first (three runs, block-cut), index entries
+        // Payload first (every run, block-cut), index entries
         // accumulated on the side and appended after.
         let mut index =
             Vec::with_capacity(index_bytes(bucket.len() as u64, block_triples) as usize);
-        for (slot, run) in sorted.iter().enumerate() {
-            let perm = RUN_ORDERS[slot].permutation();
+        for (run, order) in sorted.iter().zip(RUN_ORDERS) {
             for block in run.chunks(block_triples as usize) {
                 let mut checksum = Checksum::new();
                 for t in block {
@@ -406,7 +372,7 @@ pub fn write_segments_with(
                     checksum.update(&buf);
                     w.write_all(&buf)?;
                 }
-                for id in run_key(&block[0], perm) {
+                for id in order.key(&block[0]) {
                     index.extend_from_slice(&id.to_le_bytes());
                 }
                 index.extend_from_slice(&checksum.finish().to_le_bytes());
@@ -668,7 +634,7 @@ pub fn read_block_index(
     }
     let blocks = blocks_in_run(meta.triples, block_triples);
     let mut cur = Cursor::new(&bytes, "block index");
-    let mut runs: [RunIndex; 3] = Default::default();
+    let mut runs: [RunIndex; RUN_ORDERS.len()] = Default::default();
     for run in &mut runs {
         run.first_keys.reserve_exact(blocks);
         run.checksums.reserve_exact(blocks);
@@ -1024,14 +990,12 @@ pub(crate) mod tests {
             assert_eq!(index.blocks(), blocks_in_run(meta.triples, 7));
             for (slot, order) in RUN_ORDERS.iter().enumerate() {
                 let run = read_run(&path, slot, &index).expect("run");
-                let perm = order.permutation();
                 assert!(
-                    run.windows(2)
-                        .all(|w| run_key(&w[0], perm) <= run_key(&w[1], perm)),
+                    run.windows(2).all(|w| order.key(&w[0]) <= order.key(&w[1])),
                     "shard {i} run {order:?} is sorted"
                 );
                 let mut expect = expected[i].clone();
-                expect.sort_unstable_by_key(|t| run_key(t, perm));
+                expect.sort_unstable_by_key(|t| order.key(t));
                 assert_eq!(run, expect, "shard {i} run {order:?} holds the bucket");
                 // The index records each block's first key, and each
                 // block reads back as the matching slice of the run.
@@ -1042,7 +1006,7 @@ pub(crate) mod tests {
                     assert_eq!(triples, expect[start..start + triples.len()]);
                     assert_eq!(
                         index.runs[slot].first_keys[block],
-                        run_key(&expect[start], perm),
+                        order.key(&expect[start]),
                         "shard {i} run {order:?} block {block} first key"
                     );
                 }
@@ -1052,17 +1016,14 @@ pub(crate) mod tests {
 
     #[test]
     fn candidate_blocks_bracket_key_ranges() {
-        let index = BlockIndex {
+        let mut index = BlockIndex {
             triples: 9,
             block_triples: 3,
-            runs: [
-                RunIndex {
-                    first_keys: vec![[1, 0, 0], [4, 2, 0], [4, 9, 0]],
-                    checksums: vec![0; 3],
-                },
-                RunIndex::default(),
-                RunIndex::default(),
-            ],
+            runs: Default::default(),
+        };
+        index.runs[0] = RunIndex {
+            first_keys: vec![[1, 0, 0], [4, 2, 0], [4, 9, 0]],
+            checksums: vec![0; 3],
         };
         // A key below everything, inside each block, and above everything.
         assert_eq!(
@@ -1214,26 +1175,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn v2_root_is_rejected_with_a_resave_hint() {
-        let tmp = TempDir::new("v2-skew");
+    fn older_roots_are_rejected_with_a_resave_hint() {
+        let tmp = TempDir::new("version-skew");
         let (dict, buckets) = demo_store();
         write_segments(tmp.path(), &dict, ShardBy::Subject, buckets).expect("write");
         let path = tmp.path().join(ROOT_FILE);
         let mut bytes = fs::read(&path).unwrap();
-        // Stamp the previous format version into an otherwise valid
-        // root (version sits right after the 8-byte magic), re-sign the
-        // trailer, and open: the reader must refuse with the one-line
-        // skew message, not a checksum complaint or a misread.
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let cks = Checksum::of(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&cks.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        let err = read_header(tmp.path()).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "segment version 2, expected 3 — re-run `sp2b save`"
-        );
+        // Stamp an earlier format version (2: no blocks; 3: no POS run)
+        // into an otherwise valid root (version sits right after the
+        // 8-byte magic), re-sign the trailer, and open: the reader must
+        // refuse with the one-line skew message, not a checksum
+        // complaint or a misread.
+        for old in [2u32, 3] {
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let body_len = bytes.len() - 8;
+            let cks = Checksum::of(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&cks.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = read_header(tmp.path()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("segment version {old}, expected 4 — re-run `sp2b save`")
+            );
+        }
     }
 
     #[test]

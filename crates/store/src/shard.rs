@@ -9,7 +9,7 @@
 //! independent shard stores, so
 //!
 //! * **loading and index build fan out** — each shard sorts its own
-//!   permutation indexes on its own thread (see
+//!   runs on its own thread (see
 //!   [`ShardedStore::from_graph`] and the streaming channel loader in
 //!   [`crate::load::sharded_store_from_reader`]);
 //! * **scans parallelize across shards** — [`TripleStore::scan_chunks`]
@@ -41,10 +41,12 @@
 //! `scan_chunks` concatenates to exactly this order — the contract the
 //! exchange merge relies on.
 
+use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use sp2b_rdf::Graph;
+use sp2b_rdf::{Graph, Triple};
 
 use crate::dictionary::{Dictionary, Id, IdTriple};
 use crate::mem::MemStore;
@@ -116,19 +118,15 @@ fn mix64(x: u64) -> u64 {
 }
 
 /// What each shard is built as — the same two design points as the
-/// unsharded stores.
+/// unsharded stores. (Disk shards are never *built* from buckets: they
+/// are written by `sp2b save` and reopened by [`crate::disk::open_store`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardBackend {
     /// Hash-indexed [`MemStore`] shards (posting lists, no sorting).
     Mem,
     /// Index-backed [`NativeStore`] shards: each shard sorts its own
-    /// permutation indexes, which is the part of loading that fans out.
+    /// runs, which is the part of loading that fans out.
     Native(IndexSelection),
-    /// Lazily-read segment-file shards ([`crate::disk::DiskShardStore`]).
-    /// Disk shards are never *built* from buckets — they are written by
-    /// `sp2b save` and reopened by [`crate::disk::open_store`]; this
-    /// variant exists so layouts and reports can name the backend.
-    Disk,
 }
 
 impl ShardBackend {
@@ -137,7 +135,6 @@ impl ShardBackend {
         match self {
             ShardBackend::Mem => "mem",
             ShardBackend::Native(_) => "native",
-            ShardBackend::Disk => "disk",
         }
     }
 }
@@ -170,30 +167,11 @@ impl ShardedStore {
         shard_by: ShardBy,
         backend: ShardBackend,
     ) -> ShardedStore {
-        let n = shards.max(1);
-        let mut dict = Dictionary::new();
-        let mut buckets: Vec<Vec<IdTriple>> = (0..n).map(|_| Vec::new()).collect();
-        for t in graph.iter() {
-            let enc = dict.encode_triple(t);
-            buckets[shard_by.shard_of(&enc, n)].push(enc);
-        }
-        Self::from_buckets(dict, shard_by, buckets, backend)
-    }
-
-    /// Builds shard stores from already-routed buckets, one scoped
-    /// thread per shard (the index-build fan-out), then assembles the
-    /// logical store. Shared by [`ShardedStore::from_graph`] and the
-    /// streaming loader in [`crate::load`].
-    pub(crate) fn from_buckets(
-        dict: Dictionary,
-        shard_by: ShardBy,
-        buckets: Vec<Vec<IdTriple>>,
-        backend: ShardBackend,
-    ) -> ShardedStore {
+        let (dict, buckets) = route_graph(graph, shards, shard_by);
         let built: Vec<(Box<dyn TripleStore>, Duration)> = std::thread::scope(|s| {
             let handles: Vec<_> = buckets
                 .into_iter()
-                .map(|bucket| s.spawn(move || build_shard(backend, bucket)))
+                .map(|bucket| s.spawn(move || build_shard(backend, std::iter::once(bucket))))
                 .collect();
             handles
                 .into_iter()
@@ -209,12 +187,7 @@ impl ShardedStore {
         shard_by: ShardBy,
         built: Vec<(Box<dyn TripleStore>, Duration)>,
     ) -> ShardedStore {
-        let mut shards = Vec::with_capacity(built.len());
-        let mut build_times = Vec::with_capacity(built.len());
-        for (shard, time) in built {
-            shards.push(shard);
-            build_times.push(time);
-        }
+        let (shards, build_times): (Vec<_>, Vec<_>) = built.into_iter().unzip();
         let len = shards.iter().map(|s| s.len()).sum();
         ShardedStore {
             dict,
@@ -262,33 +235,67 @@ impl ShardedStore {
     }
 }
 
-/// Builds one shard store from its bucket, reporting the build time.
+/// Interns `triples` into a fresh dictionary in document order (ids
+/// identical to an unsharded load) and routes each encoded triple by
+/// `shard_by` into one of `shards` buckets. The first source error
+/// aborts the routing.
+pub(crate) fn route<T: Borrow<Triple>, E>(
+    triples: impl IntoIterator<Item = Result<T, E>>,
+    shards: usize,
+    shard_by: ShardBy,
+) -> Result<(Dictionary, Vec<Vec<IdTriple>>), E> {
+    let n = shards.max(1);
+    let mut dict = Dictionary::new();
+    let mut buckets = vec![Vec::new(); n];
+    for t in triples {
+        let enc = dict.encode_triple(t?.borrow());
+        buckets[shard_by.shard_of(&enc, n)].push(enc);
+    }
+    Ok((dict, buckets))
+}
+
+/// [`route`] over an in-memory graph, which cannot fail.
+pub(crate) fn route_graph(
+    graph: &Graph,
+    shards: usize,
+    shard_by: ShardBy,
+) -> (Dictionary, Vec<Vec<IdTriple>>) {
+    let routed = route(graph.iter().map(Ok::<_, Infallible>), shards, shard_by);
+    routed.unwrap_or_else(|e| match e {})
+}
+
+/// Builds one shard store from the batches of its bucket, as they
+/// arrive. The reported duration is the shard's *busy* build time —
+/// batch inserts for mem shards, the run sort for native shards — not
+/// time spent waiting for the next batch.
 pub(crate) fn build_shard(
     backend: ShardBackend,
-    triples: Vec<IdTriple>,
+    mut batches: impl Iterator<Item = Vec<IdTriple>>,
 ) -> (Box<dyn TripleStore>, Duration) {
-    let t0 = Instant::now();
-    let store: Box<dyn TripleStore> = match backend {
+    match backend {
         ShardBackend::Mem => {
             let mut store = MemStore::new();
-            for t in triples {
-                store.insert_encoded(t);
+            let mut busy = Duration::ZERO;
+            for batch in batches {
+                let t0 = Instant::now();
+                for t in batch {
+                    store.insert_encoded(t);
+                }
+                busy += t0.elapsed();
             }
-            Box::new(store)
+            (Box::new(store), busy)
         }
-        // The shard's own dictionary stays empty: ids live in the shared
-        // dictionary the ShardedStore owns.
-        ShardBackend::Native(selection) => Box::new(NativeStore::from_encoded(
-            Dictionary::new(),
-            triples,
-            selection,
-        )),
-        ShardBackend::Disk => unreachable!(
-            "disk shards are opened from saved segments (crate::disk::open_store), \
-             not built from buckets"
-        ),
-    };
-    (store, t0.elapsed())
+        ShardBackend::Native(selection) => {
+            // Grow the first batch in place: a whole bucket arrives as one.
+            let mut triples = batches.next().unwrap_or_default();
+            triples.extend(batches.flatten());
+            let t0 = Instant::now();
+            // The shard's own dictionary stays empty: ids live in the
+            // shared dictionary the ShardedStore owns.
+            let store = NativeStore::from_encoded(Dictionary::new(), triples, selection);
+            (Box::new(store), t0.elapsed())
+        }
+    }
 }
 
 impl TripleStore for ShardedStore {
@@ -346,10 +353,6 @@ impl TripleStore for ShardedStore {
             Some(shard) => self.shards[shard].estimate(pattern),
             None => self.shards.iter().map(|s| s.estimate(pattern)).sum(),
         }
-    }
-
-    fn has_exact_estimates(&self) -> bool {
-        self.shards.iter().all(|s| s.has_exact_estimates())
     }
 
     /// Per-shard summaries merged once, lazily — stats sum across shards
@@ -479,7 +482,6 @@ mod tests {
         for pattern in [[None, None, None], [None, p0, None]] {
             assert_eq!(decoded(&sharded, pattern), decoded(&flat, pattern));
         }
-        assert!(!sharded.has_exact_estimates(), "mem shards are heuristic");
     }
 
     #[test]
@@ -573,7 +575,6 @@ mod tests {
             ShardBy::Subject,
             ShardBackend::Native(IndexSelection::all()),
         );
-        assert!(s.has_exact_estimates());
         let p1 = s.resolve(&Term::iri("http://x/p1"));
         for pattern in [[None, None, None], [None, p1, None]] {
             assert_eq!(s.estimate(pattern), flat.estimate(pattern));

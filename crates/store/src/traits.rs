@@ -60,7 +60,7 @@ pub trait TripleStore: Send + Sync {
     ///
     /// The default returns an empty vector, meaning "this store cannot
     /// partition the scan" — callers must fall back to [`TripleStore::scan`].
-    /// [`crate::NativeStore`] splits the binary-searched index range,
+    /// [`crate::NativeStore`] splits the binary-searched run range,
     /// [`crate::MemStore`] splits the posting list (or the row span of a
     /// full scan).
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
@@ -71,11 +71,6 @@ pub trait TripleStore: Send + Sync {
     /// Estimated number of triples matching `pattern`. Index-backed stores
     /// return exact counts; scan stores return heuristics.
     fn estimate(&self, pattern: Pattern) -> u64;
-
-    /// Whether [`TripleStore::estimate`] is exact.
-    fn has_exact_estimates(&self) -> bool {
-        false
-    }
 
     /// The load-time statistics summary ([`StoreStats`]), if this store
     /// collected one — the cost-based planner's input. The default
@@ -203,7 +198,7 @@ pub enum ScanChunk<'a> {
     Blocks {
         /// The store that owns the blocks.
         source: &'a dyn BlockSource,
-        /// Which sorted run (SPO/PSO/OSP slot) the blocks belong to.
+        /// Which sorted run ([`crate::run::RUN_ORDERS`] slot) the blocks belong to.
         run: usize,
         /// First candidate block (inclusive).
         start: usize,

@@ -1,4 +1,4 @@
-//! Property tests: the native store's six permutation indexes agree with
+//! Property tests: the native store's sorted runs agree with
 //! the scan-based memory store on every access pattern, and its
 //! cardinality estimates are exact.
 

@@ -22,7 +22,7 @@ fn main() {
         stats.end_year
     );
 
-    // 2. Load into the optimized native engine (six-index store).
+    // 2. Load into the optimized native engine (four sorted runs).
     let engine = Engine::load(EngineKind::NativeOpt, &graph);
     println!("loaded in {}", engine.loading.summary());
 

@@ -7,7 +7,7 @@
 //!   paper's fitted distributions (Sections III/IV);
 //! * [`rdf`] — the RDF data model and N-Triples I/O;
 //! * [`store`] — two storage engines: a hash-indexed in-memory store and a
-//!   six-index ("hexastore") native store;
+//!   four-run (SPO/PSO/POS/OSP) native store;
 //! * [`sparql`] — a SPARQL engine: parser, algebra (spec-faithful
 //!   `OPTIONAL`/`FILTER` translation), optimizer, streaming evaluator and
 //!   the [`QueryEngine`] facade with lazy result rows;

@@ -74,10 +74,6 @@ impl TripleStore for NoStats {
         self.0.estimate(pattern)
     }
 
-    fn has_exact_estimates(&self) -> bool {
-        self.0.has_exact_estimates()
-    }
-
     fn stats(&self) -> Option<&StoreStats> {
         None // the whole point: same data, no statistics
     }
