@@ -4,13 +4,17 @@
 use std::io;
 use std::time::{Duration, Instant};
 
-use sp2b_core::multiuser::WorkItem;
-use sp2b_core::{Arrival, BenchQuery, EngineKind, ExtQuery, WeightedMix};
+use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
+use sp2b_core::workload::resolve_template;
+use sp2b_core::{Arrival, BenchQuery, WeightedMix};
 use sp2b_datagen::{
     generate_graph, params, Config, Generator, GeneratorStats, NtriplesSink, NullSink,
 };
 use sp2b_sparql::{OptimizerConfig, QueryEngine};
 use sp2b_store::{IndexSelection, NativeStore, SharedStore, TripleStore};
+
+/// What a `--queries` list may name, for usage errors.
+pub const QUERY_LABELS: &str = "q1,q3a,…  (Q1…Q12c; `multiuser` also takes A1…A5)";
 
 /// The paper's scales (Table VIII/V columns). The harness defaults to the
 /// first four; 5M/25M are reachable via `--sizes`.
@@ -408,19 +412,9 @@ pub fn calibrate(triples: u64, degree: usize, runs: usize) -> Result<String, Str
     }
     let text = "SELECT ?s WHERE { ?s ?p ?o }";
 
-    let time_count = |engine: &QueryEngine| -> Result<Duration, String> {
-        let prepared = engine.prepare(text).map_err(|e| e.to_string())?;
-        let mut best: Option<Duration> = None;
-        for _ in 0..runs {
-            let t0 = Instant::now();
-            let n = engine.count(&prepared).map_err(|e| e.to_string())?;
-            let elapsed = t0.elapsed();
-            if n != rows {
-                return Err(format!("calibration scan counted {n}, expected {rows}"));
-            }
-            best = Some(best.map_or(elapsed, |b| b.min(elapsed)));
-        }
-        Ok(best.expect("runs >= 1"))
+    let time_count = |engine: &QueryEngine| match min_count_time(engine, text, runs)? {
+        (elapsed, n) if n == rows => Ok(elapsed),
+        (_, n) => Err(format!("calibration scan counted {n}, expected {rows}")),
     };
 
     let sequential = QueryEngine::with_options(
@@ -520,13 +514,29 @@ pub fn calibrate(triples: u64, degree: usize, runs: usize) -> Result<String, Str
     Ok(out)
 }
 
+/// The fastest of `runs` counts of `text` on `engine`, and the count.
+fn min_count_time(
+    engine: &QueryEngine,
+    text: &str,
+    runs: usize,
+) -> Result<(Duration, u64), String> {
+    let prepared = engine.prepare(text).map_err(|e| e.to_string())?;
+    let mut best = (Duration::MAX, 0);
+    for _ in 0..runs.max(1) {
+        let t0 = Instant::now();
+        let n = engine.count(&prepared).map_err(|e| e.to_string())?;
+        best = (best.0.min(t0.elapsed()), n);
+    }
+    Ok(best)
+}
+
 /// Measured per-operator cost weights (`plan::CostWeights`): times a
 /// filtered scan, an index-probe chain and a hash self-join against the
 /// plain full scan, and expresses each operator's marginal per-row time
 /// in index-probe units (probe ≡ 1.0). The differences fold the rows the
 /// heavier shapes additionally emit into the operator's weight — a crude
-/// but *measured* replacement for the hand-tuned constants, fed back in
-/// through `QueryOptions::cost_weights`.
+/// but *measured* counterpart of the hand-tuned constants, printed next
+/// to them.
 fn calibrate_weights(
     store: &SharedStore,
     rows: u64,
@@ -535,21 +545,8 @@ fn calibrate_weights(
 ) -> Result<String, String> {
     use sp2b_sparql::CostWeights;
 
-    let time_query = |text: &str| -> Result<Duration, String> {
-        let engine = QueryEngine::with_options(
-            store.clone(),
-            sp2b_sparql::QueryOptions::new().parallelism(1),
-        );
-        let prepared = engine.prepare(text).map_err(|e| e.to_string())?;
-        let mut best: Option<Duration> = None;
-        for _ in 0..runs.max(1) {
-            let t0 = Instant::now();
-            engine.count(&prepared).map_err(|e| e.to_string())?;
-            let elapsed = t0.elapsed();
-            best = Some(best.map_or(elapsed, |b| b.min(elapsed)));
-        }
-        Ok(best.expect("runs >= 1"))
-    };
+    let engine = QueryEngine::new(store.clone()).parallelism(1);
+    let time_query = |text: &str| Ok::<_, String>(min_count_time(&engine, text, runs)?.0);
 
     // Marginal per-driving-row time of each operator over the plain scan.
     let t_filter = time_query("SELECT ?s WHERE { ?s ?p ?o FILTER (?o != ?s) }")?;
@@ -607,120 +604,59 @@ fn calibrate_weights(
         defaults.hash_probe,
     ));
     out.push_str(
-        "feed them into an engine with QueryOptions::new().cost_weights(..) — they scale \
-         the pipeline cost model behind the parallelize threshold\n",
+        "the defaults (plan::CostWeights::default) are what the pipeline cost model behind \
+         the parallelize threshold runs on\n",
     );
     Ok(out)
 }
 
-/// Parses engine labels for the CLI.
-pub fn parse_engines(labels: &[String]) -> Result<Vec<EngineKind>, String> {
-    labels
-        .iter()
-        .map(|l| EngineKind::from_label(l).ok_or_else(|| format!("unknown engine '{l}'")))
-        .collect()
-}
-
-/// Parses query labels for the CLI.
-pub fn parse_queries(labels: &[String]) -> Result<Vec<BenchQuery>, String> {
-    labels
-        .iter()
-        .map(|l| BenchQuery::from_label(l).ok_or_else(|| format!("unknown query '{l}'")))
-        .collect()
-}
-
-/// Parses a multi-user mix: each label may name a benchmark query
-/// (Q1…Q12c) or an aggregation extension query (A1…A5).
-pub fn parse_mix(labels: &[String]) -> Result<Vec<WorkItem>, String> {
-    labels
-        .iter()
-        .map(|l| {
-            if let Some(q) = BenchQuery::from_label(l) {
-                return Ok(WorkItem::bench(q));
-            }
-            ExtQuery::ALL
-                .iter()
-                .find(|q| q.label().eq_ignore_ascii_case(l))
-                .map(|&q| WorkItem::ext(q))
-                .ok_or_else(|| format!("unknown query '{l}'"))
-        })
-        .collect()
-}
-
-/// The workload-model flags shared by every `sp2b multiuser` mode
-/// (in-memory, `--store disk:DIR` and `--endpoint`): the template mix,
-/// the arrival process, the warmup cutoff, the sampler seed and the
-/// machine-readable report sink.
-#[derive(Debug)]
-pub struct WorkloadFlags {
-    /// `--arrival closed|constant:R/s|poisson:R/s|burst:R,P,D` (default closed).
-    pub arrival: Arrival,
-    /// `--mix q1:80,q8:20` or `--zipf S`: templates plus weights. `None`
-    /// keeps the uniform rotation over `--queries`/the default mix.
-    pub mix: Option<(Vec<WorkItem>, Vec<f64>)>,
-    /// `--warmup SECS`: queries before the cutoff are excluded from every
-    /// histogram and from count-stability tracking.
-    pub warmup: Duration,
-    /// `--seed N`: deterministic replay of mix sampling and arrivals.
-    pub seed: Option<u64>,
-    /// `--report json:FILE`: dump the workload report as JSON.
-    pub report_path: Option<std::path::PathBuf>,
-}
-
-/// Parses and cross-validates the workload-model flags. Every
-/// malformed or contradictory combination is a one-line hard error
-/// (the CLI's shared strict-flag contract): `--mix` with `--zipf`,
-/// either with `--queries`, a zero arrival rate, or a `--report` sink
-/// not spelled `json:FILE`.
-pub fn workload_flags(args: &crate::args::Args) -> Result<WorkloadFlags, String> {
-    let arrival = match args.get("arrival") {
-        None => Arrival::Closed,
-        Some(spec) => {
-            Arrival::parse(spec).map_err(|e| format!("invalid --arrival value '{spec}': {e}"))?
-        }
+/// Fills a [`MultiuserConfig`] from the `sp2b multiuser` flags — the
+/// clients and stop condition, the per-query timeout and parallelism,
+/// the template mix (`--queries` rotation, `--mix` DSL or `--zipf`), the
+/// arrival process, the warmup cutoff and the replay seed — and returns
+/// it with the `--report json:FILE` sink. Which flags may combine is the
+/// table's business ([`crate::args::RULES`], checked before this runs);
+/// every malformed value here is a one-line hard error.
+pub fn workload_flags(
+    args: &crate::args::Args,
+) -> Result<(MultiuserConfig, Option<std::path::PathBuf>), String> {
+    let stop = match args.get_positive_opt("rounds")? {
+        Some(rounds) => StopCondition::Rounds(rounds as u32),
+        None => StopCondition::Duration(Duration::from_secs(
+            args.get_positive("duration", 30)? as u64
+        )),
     };
-    if args.has("mix") && args.has("zipf") {
-        return Err("--mix and --zipf both rank the template mix; pass one or the other".into());
+    let mut cfg = MultiuserConfig::new(args.get_positive("clients", 4)?, stop);
+    cfg.timeout = Duration::from_secs(args.get_positive("timeout", 30)? as u64);
+    cfg.parallelism = args.get_positive("threads", 1)?;
+    cfg.checksums = args.has("checksums");
+    if let Some(spec) = args.get("arrival") {
+        cfg.arrival =
+            Arrival::parse(spec).map_err(|e| format!("invalid --arrival value '{spec}': {e}"))?;
     }
-    if (args.has("mix") || args.has("zipf")) && args.has("queries") {
-        return Err(
-            "--queries names an unweighted rotation and cannot combine with --mix/--zipf; \
-             fold the templates into the weighted mix instead"
-                .into(),
-        );
-    }
-    let mix = if let Some(spec) = args.get("mix") {
-        let parsed =
-            WeightedMix::parse(spec).map_err(|e| format!("invalid --mix value '{spec}': {e}"))?;
-        Some((parsed.items, parsed.weights))
+    let weighted = if let Some(spec) = args.get("mix") {
+        Some(WeightedMix::parse(spec).map_err(|e| format!("invalid --mix value '{spec}': {e}"))?)
     } else if let Some(s) = args.get_f64_opt("zipf")? {
-        let parsed =
-            WeightedMix::zipf(s).map_err(|e| format!("invalid --zipf value '{s}': {e}"))?;
-        Some((parsed.items, parsed.weights))
+        Some(WeightedMix::zipf(s).map_err(|e| format!("invalid --zipf value '{s}': {e}"))?)
     } else {
         None
     };
-    let warmup = Duration::from_secs(args.get_positive_opt("warmup")?.unwrap_or(0) as u64);
-    let seed = args.get_u64_opt("seed")?;
-    let report_path = match args.get("report") {
-        None => None,
-        Some(v) => match v.trim().strip_prefix("json:") {
-            Some(path) if !path.is_empty() => Some(std::path::PathBuf::from(path)),
-            _ => {
-                return Err(format!(
-                    "invalid --report value '{v}'\nusage: --report json:FILE  \
-                     (write the workload report as JSON to FILE)"
-                ))
-            }
-        },
-    };
-    Ok(WorkloadFlags {
-        arrival,
-        mix,
-        warmup,
-        seed,
-        report_path,
-    })
+    if let Some(mix) = weighted {
+        cfg.mix = mix.items;
+        cfg.weights = mix.weights;
+    } else if let Some(mix) = args.parsed_list("queries", QUERY_LABELS, resolve_template)? {
+        cfg.mix = mix;
+    }
+    cfg.warmup = Duration::from_secs(args.get_positive_opt("warmup")?.unwrap_or(0) as u64);
+    if let Some(seed) = args.get_u64_opt("seed")? {
+        cfg.seed = seed;
+    }
+    let expected = "json:FILE  (write the workload report as JSON to FILE)";
+    let report_path = args.parsed("report", expected, |v| {
+        let path = v.strip_prefix("json:").filter(|p| !p.is_empty())?;
+        Some(std::path::PathBuf::from(path))
+    })?;
+    Ok((cfg, report_path))
 }
 
 #[cfg(test)]
@@ -784,60 +720,57 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_query_parsing() {
-        assert!(parse_engines(&["mem-opt".into(), "native-opt".into()]).is_ok());
-        assert!(parse_engines(&["bogus".into()]).is_err());
-        assert!(parse_queries(&["q1".into(), "Q12c".into()]).is_ok());
-        assert!(parse_queries(&["q99".into()]).is_err());
+    fn queries_rotation_accepts_bench_and_ext_labels() {
+        let (cfg, _) = flags("multiuser --queries q1,A3,Q12c").unwrap();
+        assert_eq!(cfg.mix.len(), 3);
+        assert_eq!(cfg.mix[1].label, "A3");
+        assert!(cfg.weights.is_empty());
+        let err = flags("multiuser --queries q1,a9").unwrap_err();
+        assert!(err.contains("invalid --queries value 'a9'"), "{err}");
     }
 
-    #[test]
-    fn mix_parsing_accepts_bench_and_ext_labels() {
-        let mix = parse_mix(&["q1".into(), "A3".into(), "Q12c".into()]).unwrap();
-        assert_eq!(mix.len(), 3);
-        assert_eq!(mix[1].label, "A3");
-        assert!(parse_mix(&["a9".into()]).is_err());
-    }
-
-    fn flags(s: &str) -> Result<WorkloadFlags, String> {
-        workload_flags(&crate::args::Args::parse(
-            s.split_whitespace().map(String::from),
-        ))
+    /// The front end's order: the table check, then the flag reader.
+    fn flags(s: &str) -> Result<(MultiuserConfig, Option<std::path::PathBuf>), String> {
+        let args = crate::args::Args::parse(s.split_whitespace().map(String::from));
+        args.check()?;
+        workload_flags(&args)
     }
 
     #[test]
     fn workload_flags_defaults_to_the_closed_loop() {
-        let f = flags("multiuser --clients 4").unwrap();
-        assert_eq!(f.arrival, Arrival::Closed);
-        assert!(f.mix.is_none());
-        assert_eq!(f.warmup, Duration::ZERO);
-        assert_eq!(f.seed, None);
-        assert!(f.report_path.is_none());
+        let (cfg, report_path) = flags("multiuser --clients 4").unwrap();
+        assert_eq!(cfg.arrival, Arrival::Closed);
+        assert!(cfg.weights.is_empty());
+        assert_eq!(cfg.warmup, Duration::ZERO);
+        assert_eq!(cfg.seed, 0, "no --seed keeps the config default");
+        assert!(report_path.is_none());
     }
 
     #[test]
     fn workload_flags_parses_the_full_open_loop_spelling() {
-        let f = flags(
+        let (cfg, report_path) = flags(
             "multiuser --arrival poisson:200/s --mix q1:90,q8:10 \
              --warmup 5 --seed 42 --report json:out.json",
         )
         .unwrap();
-        assert_eq!(f.arrival, Arrival::Poisson { rate: 200.0 });
-        let (items, weights) = f.mix.unwrap();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].label, "Q1");
-        assert_eq!(weights, [90.0, 10.0]);
-        assert_eq!(f.warmup, Duration::from_secs(5));
-        assert_eq!(f.seed, Some(42));
-        assert_eq!(f.report_path.unwrap(), std::path::PathBuf::from("out.json"));
+        assert_eq!(cfg.arrival, Arrival::Poisson { rate: 200.0 });
+        assert_eq!(cfg.mix.len(), 2);
+        assert_eq!(cfg.mix[0].label, "Q1");
+        assert_eq!(cfg.weights, [90.0, 10.0]);
+        assert_eq!(cfg.warmup, Duration::from_secs(5));
+        assert_eq!(cfg.seed, 42);
+        assert_eq!(report_path.unwrap(), std::path::PathBuf::from("out.json"));
     }
 
     #[test]
     fn workload_flags_zipf_ranks_the_default_mix() {
-        let f = flags("multiuser --arrival constant:50/s --zipf 1.0").unwrap();
-        let (items, weights) = f.mix.unwrap();
-        assert_eq!(items.len(), weights.len());
-        assert!(weights.windows(2).all(|w| w[0] >= w[1]), "{weights:?}");
+        let (cfg, _) = flags("multiuser --arrival constant:50/s --zipf 1.0").unwrap();
+        assert_eq!(cfg.mix.len(), cfg.weights.len());
+        assert!(
+            cfg.weights.windows(2).all(|w| w[0] >= w[1]),
+            "{:?}",
+            cfg.weights
+        );
     }
 
     #[test]
@@ -851,7 +784,7 @@ mod tests {
         assert!(flags("multiuser --zipf 1.0 --queries q1").is_err());
         // Malformed mixes: zero weight, unknown template, duplicates.
         for bad in ["q1:0", "q99:5", "q1:5,q1:5", "q1", "q1:three", ""] {
-            let err = flags(&format!("multiuser --mix {bad} --x")).unwrap_err();
+            let err = flags(&format!("multiuser --mix {bad} --quiet")).unwrap_err();
             assert!(err.contains("invalid --mix"), "{bad}: {err}");
         }
         // Zero arrival rate and unknown processes are hard errors.
@@ -866,9 +799,9 @@ mod tests {
         }
         // --report needs the json:FILE spelling — and nothing else: every
         // run, closed loop included, yields the report it dumps.
-        let f = flags("multiuser --report json:out.json").unwrap();
-        assert_eq!(f.arrival, Arrival::Closed);
-        assert_eq!(f.report_path.unwrap(), std::path::PathBuf::from("out.json"));
+        let (cfg, report_path) = flags("multiuser --report json:out.json").unwrap();
+        assert_eq!(cfg.arrival, Arrival::Closed);
+        assert_eq!(report_path.unwrap(), std::path::PathBuf::from("out.json"));
         let err = flags("multiuser --arrival poisson:10/s --report out.json").unwrap_err();
         assert!(err.contains("invalid --report value 'out.json'"), "{err}");
         assert!(flags("multiuser --arrival poisson:10/s --report json:").is_err());

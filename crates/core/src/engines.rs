@@ -280,13 +280,6 @@ impl Engine {
     }
 
     /// Opens a saved segment directory (written by `sp2b save`) as an
-    /// engine with the default block-cache budget. See
-    /// [`Engine::open_disk_with`].
-    pub fn open_disk(kind: EngineKind, dir: &Path) -> Result<Engine, String> {
-        Self::open_disk_with(kind, dir, None)
-    }
-
-    /// Opens a saved segment directory (written by `sp2b save`) as an
     /// engine, timing the open. The open reads only the segment root,
     /// the shared dictionary and the per-shard block indexes — no
     /// N-Triples parsing, no index sort; scans stream fixed-size blocks
@@ -295,7 +288,7 @@ impl Engine {
     /// stays bounded however large the document is. Only the native
     /// configurations apply: segments hold index-ordered runs, which is
     /// the native engines' storage model.
-    pub fn open_disk_with(
+    pub fn open_disk(
         kind: EngineKind,
         dir: &Path,
         cache_bytes: Option<u64>,
@@ -337,17 +330,12 @@ impl Engine {
     /// heuristic).
     pub fn stats_summary(&self) -> Option<String> {
         let stats = self.store.stats()?;
-        let mut line = format!(
+        Some(format!(
             "statistics: {} predicates, {} characteristic sets over {} triples",
             stats.predicates.len(),
             stats.characteristic_sets.len(),
             stats.triples
-        );
-        if let Some(cache) = self.cache_summary() {
-            line.push('\n');
-            line.push_str(&cache);
-        }
-        Some(line)
+        ))
     }
 
     /// One human line of the out-of-core block cache's counters, or
@@ -531,7 +519,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         sp2b_store::save_graph(&dir, &g, 2, ShardBy::Subject).expect("save");
         let flat = Engine::load(EngineKind::NativeOpt, &g);
-        let disk = Engine::open_disk(EngineKind::NativeOpt, &dir).expect("open");
+        let disk = Engine::open_disk(EngineKind::NativeOpt, &dir, None).expect("open");
         let info = disk.shards().expect("disk engines report shards");
         assert_eq!(info.count(), 2);
         assert!(info.summary().contains("2 shard(s) by subject [disk]"));
@@ -546,16 +534,16 @@ mod tests {
         let cache = disk.cache_summary().expect("disk engine has a cache");
         assert!(cache.contains("misses"), "{cache}");
         let summary = disk.stats_summary().expect("stats");
-        assert!(summary.contains("\ncache: "), "{summary}");
+        assert!(summary.starts_with("statistics: "), "{summary}");
         // An explicit budget is honored verbatim.
-        let tiny = Engine::open_disk_with(EngineKind::NativeOpt, &dir, Some(4096)).expect("open");
+        let tiny = Engine::open_disk(EngineKind::NativeOpt, &dir, Some(4096)).expect("open");
         let (_, _) = tiny.run(BenchQuery::Q1, None);
         assert!(
             tiny.cache_summary().unwrap().contains("of 4096 B budget"),
             "{}",
             tiny.cache_summary().unwrap()
         );
-        let err = Engine::open_disk(EngineKind::NativeOpt, Path::new("/nonexistent/segs"))
+        let err = Engine::open_disk(EngineKind::NativeOpt, Path::new("/nonexistent/segs"), None)
             .err()
             .expect("missing directory must fail");
         assert!(err.contains("does not exist"), "{err}");

@@ -41,8 +41,8 @@ pub use multiuser::{
 };
 pub use queries::BenchQuery;
 pub use runner::{
-    run_benchmark, run_mixed_workload, run_workload_on, BenchmarkReport, MixedWorkloadConfig,
-    MixedWorkloadReport, RunnerConfig, Status, TargetFacts, WorkloadTarget,
+    run_benchmark, run_workload_on, BenchmarkReport, MixedWorkloadReport, RunnerConfig, Status,
+    TargetFacts, WorkloadTarget,
 };
 pub use workload::{
     run_workload, Arrival, ArrivalSchedule, ClientReport, MixSampler, SplitMix64, TemplateReport,

@@ -14,9 +14,9 @@ use sp2b_datagen::{generate_graph, Config};
 use sp2b_rdf::Graph;
 
 use crate::endpoint::{Endpoint, HttpTransport};
-use crate::engines::{Engine, EngineKind, Outcome, ShardInfo, StoreLayout};
+use crate::engines::{Engine, EngineKind, Outcome, ShardInfo};
 use crate::metrics::{Measurement, PENALTY_SECONDS};
-use crate::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkTransport};
+use crate::multiuser::{InProcessTransport, MultiuserConfig, WorkTransport};
 use crate::queries::BenchQuery;
 use crate::workload::{run_workload, WorkloadReport};
 
@@ -171,39 +171,6 @@ impl BenchmarkReport {
     }
 }
 
-/// Mixed-workload (multi-user) benchmark mode: one generated document,
-/// one engine configuration, N concurrent client threads sharing the
-/// loaded store — the paper's Section VII multi-user scenario. This is
-/// the protocol behind `sp2b multiuser`.
-#[derive(Debug, Clone)]
-pub struct MixedWorkloadConfig {
-    /// Document scale in triples.
-    pub scale: u64,
-    /// Engine configuration to load the document into.
-    pub engine: EngineKind,
-    /// Store layout: monolithic (default) or hash-sharded.
-    pub layout: StoreLayout,
-    /// Generator seed.
-    pub seed: u64,
-    /// Client count, per-query parallelism, stop condition, timeout, mix.
-    pub multiuser: MultiuserConfig,
-}
-
-impl MixedWorkloadConfig {
-    /// `clients` clients against a `scale`-triple document on the
-    /// optimized native engine, default (unsharded) layout, mix and
-    /// timeout.
-    pub fn new(scale: u64, clients: usize, stop: StopCondition) -> Self {
-        MixedWorkloadConfig {
-            scale,
-            engine: EngineKind::NativeOpt,
-            layout: StoreLayout::default(),
-            seed: sp2b_datagen::Rng::DEFAULT_SEED,
-            multiuser: MultiuserConfig::new(clients, stop),
-        }
-    }
-}
-
 /// An already-built system to drive a workload against.
 pub enum WorkloadTarget<'a> {
     /// In-process: the clients share the engine's store (a loaded
@@ -245,36 +212,12 @@ pub struct MixedWorkloadReport {
     pub workload: WorkloadReport,
 }
 
-/// Runs the mixed workload: generate the document once, load it into the
-/// configured engine, then drive the concurrent clients against the
-/// shared store. `progress` receives one line per phase.
-pub fn run_mixed_workload(
-    cfg: &MixedWorkloadConfig,
-    mut progress: impl FnMut(&str),
-) -> MixedWorkloadReport {
-    progress(&format!("generating {} triples…", cfg.scale));
-    let (graph, _) = generate_graph(Config::triples(cfg.scale).with_seed(cfg.seed));
-    let engine = Engine::load_with(cfg.engine, &graph, &cfg.layout);
-    progress(&format!(
-        "loaded {} triples into {} ({})",
-        cfg.scale,
-        cfg.engine,
-        engine.loading.summary()
-    ));
-    if let Some(info) = engine.shards() {
-        progress(&info.summary());
-    }
-    if let Some(stats) = engine.stats_summary() {
-        progress(&stats);
-    }
-    run_workload_on(WorkloadTarget::Engine(&engine), &cfg.multiuser, progress)
-}
-
-/// Drives the workload against a target that is already built — the
-/// shared tail of [`run_mixed_workload`], and the whole protocol behind
-/// `sp2b multiuser --store disk:DIR` and `--endpoint URL`, where nothing
-/// is generated or loaded. For an engine the reported scale is the
-/// store's triple count.
+/// Drives the multi-user workload (the paper's Section VII scenario: N
+/// concurrent clients sharing one store) against a target that is
+/// already built — the whole protocol behind `sp2b multiuser`, whose
+/// front end opens the engine or names the endpoint. For an engine the
+/// reported scale is the store's triple count. `progress` receives one
+/// line per phase.
 pub fn run_workload_on(
     target: WorkloadTarget<'_>,
     cfg: &MultiuserConfig,
@@ -461,13 +404,18 @@ mod tests {
 
     #[test]
     fn mixed_workload_mode_reports_clients() {
-        let mut cfg = MixedWorkloadConfig::new(2_000, 2, StopCondition::Rounds(1));
-        cfg.multiuser.mix = vec![
-            crate::multiuser::WorkItem::bench(BenchQuery::Q1),
-            crate::multiuser::WorkItem::bench(BenchQuery::Q3c),
+        use crate::multiuser::{StopCondition, WorkItem};
+        let mut cfg = MultiuserConfig::new(2, StopCondition::Rounds(1));
+        cfg.mix = vec![
+            WorkItem::bench(BenchQuery::Q1),
+            WorkItem::bench(BenchQuery::Q3c),
         ];
+        let (graph, _) = generate_graph(Config::triples(2_000));
+        let engine = Engine::load(EngineKind::NativeOpt, &graph);
         let mut lines = Vec::new();
-        let report = run_mixed_workload(&cfg, |l| lines.push(l.to_owned()));
+        let report = run_workload_on(WorkloadTarget::Engine(&engine), &cfg, |l| {
+            lines.push(l.to_owned())
+        });
         assert_eq!(report.workload.clients.len(), 2);
         assert_eq!(
             report.workload.completed, 4,

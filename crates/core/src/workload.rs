@@ -86,9 +86,10 @@ pub struct WeightedMix {
     pub weights: Vec<f64>,
 }
 
-/// Resolves a mix-DSL template label: a benchmark query (Q1…Q12c) or an
-/// aggregation extension query (A1…A5), case-insensitive.
-fn resolve_template(label: &str) -> Option<WorkItem> {
+/// Resolves a template label — of the mix DSL or of `--queries` — to a
+/// benchmark query (Q1…Q12c) or an aggregation extension query (A1…A5),
+/// case-insensitive.
+pub fn resolve_template(label: &str) -> Option<WorkItem> {
     if let Some(q) = BenchQuery::from_label(label) {
         return Some(WorkItem::bench(q));
     }

@@ -42,7 +42,7 @@ use crate::ast::Query;
 use crate::eval::{AggCell, AggRow, Bindings, Cancellation, EvalContext, RowIter, ScanCounters};
 use crate::optimizer::{optimize, OptimizerConfig};
 use crate::parser::{parse, ParseError};
-use crate::plan::{bind, parallelize_calibrated, CostWeights, Plan};
+use crate::plan::{bind, parallelize, Plan};
 
 /// Everything that can go wrong preparing or running a query.
 #[derive(Debug)]
@@ -98,14 +98,11 @@ pub struct QueryOptions {
     row_limit: Option<u64>,
     parallelism: usize,
     parallel_base: u64,
-    cost_weights: CostWeights,
-    cache_bytes: Option<u64>,
 }
 
 impl Default for QueryOptions {
     /// Full optimization, no timeout, no row limit, parallelism = number
-    /// of available cores, the static exchange-threshold base and the
-    /// hand-tuned operator cost weights.
+    /// of available cores and the static exchange-threshold base.
     fn default() -> Self {
         QueryOptions {
             optimizer: OptimizerConfig::full(),
@@ -113,8 +110,6 @@ impl Default for QueryOptions {
             row_limit: None,
             parallelism: default_parallelism(),
             parallel_base: crate::plan::PARALLEL_BASE_THRESHOLD,
-            cost_weights: CostWeights::default(),
-            cache_bytes: None,
         }
     }
 }
@@ -189,7 +184,7 @@ impl QueryOptions {
 
     /// Sets the exchange-threshold **base**: the driving-scan cardinality
     /// at which a reference-cost pipeline is worth fanning out (see
-    /// [`crate::plan::parallel_threshold_with`]). The default is the
+    /// [`crate::plan::parallel_threshold`]). The default is the
     /// static [`crate::plan::PARALLEL_BASE_THRESHOLD`]; `sp2b calibrate`
     /// measures a base from per-morsel fan-out overhead on the actual
     /// host and feeds it in here. `0` is treated as `1`.
@@ -201,36 +196,6 @@ impl QueryOptions {
     /// The configured exchange-threshold base (≥ 1).
     pub fn parallel_base_rows(&self) -> u64 {
         self.parallel_base
-    }
-
-    /// Sets the per-operator cost weights the planner's pipeline cost
-    /// model uses (see [`crate::plan::CostWeights`]). The default is the
-    /// hand-tuned constants; `sp2b calibrate` measures scan-emit, filter
-    /// and hash-probe timings on the actual host and feeds them in here.
-    pub fn cost_weights(mut self, weights: CostWeights) -> Self {
-        self.cost_weights = weights;
-        self
-    }
-
-    /// The configured per-operator cost weights.
-    pub fn cost_weight_values(&self) -> &CostWeights {
-        &self.cost_weights
-    }
-
-    /// Sets the block-cache byte budget for out-of-core segment stores
-    /// (CLI `--cache-bytes`). Query execution never reopens a store, so
-    /// this is consumed by the store-opening front ends — they forward
-    /// it into `sp2b_store::open_store_with` — and carried here so one
-    /// options value describes the whole session policy. The default
-    /// (`None`) lets the open pick a fraction of the document size.
-    pub fn cache_bytes(mut self, bytes: u64) -> Self {
-        self.cache_bytes = Some(bytes);
-        self
-    }
-
-    /// The configured block-cache byte budget, if any.
-    pub fn cache_byte_budget(&self) -> Option<u64> {
-        self.cache_bytes
     }
 }
 
@@ -376,12 +341,11 @@ impl QueryEngine {
             &needed,
         );
         let plan = bind(&algebra, self.store());
-        let plan = parallelize_calibrated(
+        let plan = parallelize(
             plan,
             self.store(),
             self.options.parallelism,
             self.options.parallel_base,
-            &self.options.cost_weights,
         );
         Ok(Prepared {
             plan,
@@ -590,14 +554,15 @@ impl Prepared {
 /// order: the label renders the pattern's slots against the store
 /// dictionary, `est_rows` is the store's cardinality estimate (0 for
 /// unsatisfiable patterns), and `rows`/`time` are read back from the
-/// [`ScanCounters`] the execution ran with. Shared by the CLI's `--trace`
-/// report and the server's slow-query log.
+/// [`ScanCounters`] the execution ran with, per pattern *occurrence*.
+/// The CLI's `--explain` and `--trace` reports and the server's
+/// slow-query log are all renderings of this list.
 pub fn operator_spans(
     prepared: &Prepared,
     store: &dyn TripleStore,
     counters: &ScanCounters,
 ) -> Vec<sp2b_obs::OpSpan> {
-    use crate::plan::{collect_patterns, PlanSlot};
+    use crate::plan::{collect_patterns, const_pattern, PlanSlot};
     let dict = store.dictionary();
     let slot = |s: &PlanSlot| match s {
         PlanSlot::Var(v) => format!("?{v}"),
@@ -606,29 +571,20 @@ pub fn operator_spans(
     };
     collect_patterns(prepared.plan())
         .into_iter()
-        .map(|p| {
-            let mut store_pattern: sp2b_store::Pattern = [None, None, None];
-            for (pos, s) in p.slots.iter().enumerate() {
-                if let PlanSlot::Const(Some(id)) = s {
-                    store_pattern[pos] = Some(*id);
-                }
-            }
-            let est = if p.is_unsatisfiable() {
+        .map(|p| sp2b_obs::OpSpan {
+            label: format!(
+                "{} {} {}",
+                slot(&p.slots[0]),
+                slot(&p.slots[1]),
+                slot(&p.slots[2])
+            ),
+            est_rows: if p.is_unsatisfiable() {
                 0
             } else {
-                store.estimate(store_pattern)
-            };
-            sp2b_obs::OpSpan {
-                label: format!(
-                    "{} {} {}",
-                    slot(&p.slots[0]),
-                    slot(&p.slots[1]),
-                    slot(&p.slots[2])
-                ),
-                est_rows: est,
-                rows: counters.rows_for(&p.slots),
-                time: counters.time_for(&p.slots),
-            }
+                store.estimate(const_pattern(p))
+            },
+            rows: counters.rows_for(p),
+            time: counters.time_for(p),
         })
         .collect()
 }

@@ -138,15 +138,17 @@ impl Cancellation {
 /// Per-pattern tallies for plan instrumentation (the `--explain` and
 /// `--trace` flags and the planner regression tests): each BGP pattern
 /// step records how many rows it emitted and the wall time spent
-/// producing them, keyed by the pattern's slots. Shared across exchange
-/// worker threads via `Arc` (worker time accumulates, so a pattern's
-/// time can exceed the query's wall clock under parallelism); when
-/// absent ([`EvalContext::counters`] is `None`, the default) the
+/// producing them, keyed by the pattern's *occurrence* in the plan
+/// ([`PlanPattern::ordinal`]) — a pattern written twice (Q9's two
+/// `rdf:type foaf:Person` steps) keeps two tallies. Shared across
+/// exchange worker threads via `Arc` (worker time accumulates, so a
+/// pattern's time can exceed the query's wall clock under parallelism);
+/// when absent ([`EvalContext::counters`] is `None`, the default) the
 /// instrumentation costs one branch per pattern-step drop and no clock
 /// reads.
 #[derive(Debug, Default)]
 pub struct ScanCounters {
-    tallies: std::sync::Mutex<FxHashMap<[PlanSlot; 3], PatternTally>>,
+    tallies: std::sync::Mutex<FxHashMap<usize, PatternTally>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -156,37 +158,41 @@ struct PatternTally {
 }
 
 impl ScanCounters {
-    /// Rows emitted by the pattern step with these slots (0 if it never
-    /// ran).
-    pub fn rows_for(&self, slots: &[PlanSlot; 3]) -> u64 {
+    /// Every update leaves the map valid, so a poisoned lock is still
+    /// readable — and `add` runs from a `Drop`, which must not panic.
+    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, PatternTally>> {
         self.tallies
             .lock()
-            .unwrap()
-            .get(slots)
-            .map_or(0, |t| t.rows)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Wall time spent inside the pattern step with these slots (zero if
-    /// it never ran). Under an exchange this sums across workers.
-    pub fn time_for(&self, slots: &[PlanSlot; 3]) -> std::time::Duration {
-        std::time::Duration::from_nanos(
-            self.tallies
-                .lock()
-                .unwrap()
-                .get(slots)
-                .map_or(0, |t| t.nanos),
-        )
+    fn tally(&self, pattern: &PlanPattern) -> PatternTally {
+        self.lock()
+            .get(&pattern.ordinal)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Rows emitted by this pattern occurrence (0 if it never ran).
+    pub fn rows_for(&self, pattern: &PlanPattern) -> u64 {
+        self.tally(pattern).rows
+    }
+
+    /// Wall time spent inside this pattern occurrence (zero if it never
+    /// ran). Under an exchange this sums across workers.
+    pub fn time_for(&self, pattern: &PlanPattern) -> std::time::Duration {
+        std::time::Duration::from_nanos(self.tally(pattern).nanos)
     }
 
     /// Total rows emitted across all pattern steps — the query's
     /// intermediate-result volume, the planner's work metric.
     pub fn total_rows(&self) -> u64 {
-        self.tallies.lock().unwrap().values().map(|t| t.rows).sum()
+        self.lock().values().map(|t| t.rows).sum()
     }
 
-    fn add(&self, slots: [PlanSlot; 3], rows: u64, nanos: u64) {
-        let mut tallies = self.tallies.lock().unwrap();
-        let tally = tallies.entry(slots).or_default();
+    fn add(&self, pattern: &PlanPattern, rows: u64, nanos: u64) {
+        let mut tallies = self.lock();
+        let tally = tallies.entry(pattern.ordinal).or_default();
         tally.rows += rows;
         tally.nanos += nanos;
     }
@@ -837,7 +843,7 @@ impl Drop for PatternBind<'_> {
         // Flush once per step: the per-row path stays a plain increment.
         if self.emitted > 0 || self.nanos > 0 {
             if let Some(counters) = &self.ctx.counters {
-                counters.add(self.pattern.slots, self.emitted, self.nanos);
+                counters.add(self.pattern, self.emitted, self.nanos);
             }
         }
     }

@@ -40,7 +40,7 @@
 //!   always-on [`diag::live_workers`] gauge.
 //!
 //! Hash-join build sides large enough to clear their own
-//! [`crate::plan::parallel_threshold_with`] threshold (under the same
+//! [`crate::plan::parallel_threshold`] threshold (under the same
 //! calibrated base the exchange was planned with) are themselves built from
 //! `scan_chunks` partitions on a scoped worker pool (the build is a
 //! blocking materialization, so scoped threads suffice there), with rows
@@ -60,7 +60,7 @@ use crate::eval::{
     RowIter,
 };
 use crate::expr::BoundExpr;
-use crate::plan::{const_pattern, parallel_threshold_with, Plan, PlanPattern};
+use crate::plan::{const_pattern, parallel_threshold, Plan, PlanPattern};
 
 /// Morsels per worker: enough over-partitioning that an unlucky skewed
 /// morsel cannot serialize the whole query.
@@ -203,7 +203,7 @@ fn parallel_build_rows<'a>(
         return None;
     }
     let scan_pattern = const_pattern(pattern0);
-    if ctx.store.estimate(scan_pattern) < parallel_threshold_with(plan, ctx.store, base) {
+    if ctx.store.estimate(scan_pattern) < parallel_threshold(plan, ctx.store, base) {
         return None;
     }
     let chunks = ctx

@@ -32,16 +32,23 @@ pub enum PlanSlot {
 pub struct PlanPattern {
     /// (s, p, o) slots.
     pub slots: [PlanSlot; 3],
+    /// This occurrence's position in [`collect_patterns`] order, assigned
+    /// by [`bind`]. It is what [`crate::eval::ScanCounters`] keys tallies
+    /// by — two occurrences of the same slots (Q9's two `rdf:type
+    /// foaf:Person` steps) stay apart — and it survives the plan copies
+    /// handed to exchange workers.
+    pub ordinal: usize,
 }
 
 impl PlanPattern {
-    fn bind(p: &ResolvedPattern, store: &dyn TripleStore) -> Self {
+    fn bind(p: &ResolvedPattern, store: &dyn TripleStore, ordinal: usize) -> Self {
         let bind_slot = |s: &Slot| match s {
             Slot::Const(t) => PlanSlot::Const(store.resolve(t)),
             Slot::Var(i) => PlanSlot::Var(*i),
         };
         PlanPattern {
             slots: [bind_slot(&p.s), bind_slot(&p.p), bind_slot(&p.o)],
+            ordinal,
         }
     }
 
@@ -149,7 +156,7 @@ pub enum Plan {
         /// planned — sequential plans simply omit the operator).
         degree: usize,
         /// The threshold base this exchange was planned under (see
-        /// [`parallel_threshold_with`]): carried so eval-time fan-out
+        /// [`parallel_threshold`]): carried so eval-time fan-out
         /// decisions below the exchange — hash-join build sides — use
         /// the same calibrated base as the plan-level decision.
         base: u64,
@@ -158,8 +165,15 @@ pub enum Plan {
     },
 }
 
-/// Binds an algebra tree to a store.
+/// Binds an algebra tree to a store, numbering pattern occurrences in
+/// [`collect_patterns`] order (see [`PlanPattern::ordinal`]).
 pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
+    bind_from(algebra, store, &mut 0)
+}
+
+fn bind_from(algebra: &Algebra, store: &dyn TripleStore, next: &mut usize) -> Plan {
+    // Sub-plans bind left to right, the order `collect_patterns` walks.
+    let mut sub = |a: &Algebra| Box::new(bind_from(a, store, next));
     match algebra {
         Algebra::Bgp {
             patterns,
@@ -167,7 +181,10 @@ pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
         } => Plan::Bgp {
             patterns: patterns
                 .iter()
-                .map(|p| PlanPattern::bind(p, store))
+                .map(|p| {
+                    *next += 1;
+                    PlanPattern::bind(p, store, *next - 1)
+                })
                 .collect(),
             filters: inline_filters
                 .iter()
@@ -175,22 +192,20 @@ pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
                 .collect(),
         },
         Algebra::Join(a, b) => Plan::Join {
-            left: Box::new(bind(a, store)),
-            right: Box::new(bind(b, store)),
+            left: sub(a),
+            right: sub(b),
             key: join_key(a, b),
         },
         Algebra::LeftJoin(a, b, cond) => Plan::LeftJoin {
-            left: Box::new(bind(a, store)),
-            right: Box::new(bind(b, store)),
+            left: sub(a),
+            right: sub(b),
             key: join_key(a, b),
             condition: cond.as_ref().map(|c| BoundExpr::bind(c, store)),
         },
-        Algebra::Union(a, b) => Plan::Union(Box::new(bind(a, store)), Box::new(bind(b, store))),
-        Algebra::Filter(e, inner) => {
-            Plan::Filter(BoundExpr::bind(e, store), Box::new(bind(inner, store)))
-        }
-        Algebra::Distinct(inner) => Plan::Distinct(Box::new(bind(inner, store))),
-        Algebra::Project(vars, inner) => Plan::Project(vars.clone(), Box::new(bind(inner, store))),
+        Algebra::Union(a, b) => Plan::Union(sub(a), sub(b)),
+        Algebra::Filter(e, inner) => Plan::Filter(BoundExpr::bind(e, store), sub(inner)),
+        Algebra::Distinct(inner) => Plan::Distinct(sub(inner)),
+        Algebra::Project(vars, inner) => Plan::Project(vars.clone(), sub(inner)),
         Algebra::OrderBy(keys, inner) => Plan::OrderBy(
             keys.iter()
                 .map(|k| match &k.expr {
@@ -204,7 +219,7 @@ pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
                     },
                 })
                 .collect(),
-            Box::new(bind(inner, store)),
+            sub(inner),
         ),
         Algebra::Slice {
             offset,
@@ -213,11 +228,11 @@ pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
         } => Plan::Slice {
             offset: *offset,
             limit: *limit,
-            input: Box::new(bind(input, store)),
+            input: sub(input),
         },
         Algebra::Group(spec, input) => Plan::GroupAggregate {
             spec: spec.clone(),
-            input: Box::new(bind(input, store)),
+            input: sub(input),
         },
     }
 }
@@ -258,12 +273,10 @@ pub const PARALLEL_MAX_THRESHOLD: u64 = 4096;
 const REFERENCE_PIPELINE_COST: f64 = 8.0;
 
 /// Per-operator cost weights for [`pipeline_cost_per_row`], in "index
-/// probe" units. The defaults are the historical hand-tuned constants;
-/// `sp2b calibrate` *measures* them (scan-emit, filter, hash-probe
-/// micro-timings on generated data) and feeds the result through
-/// [`crate::QueryOptions::cost_weights`], so the parallelize threshold
-/// reflects the machine it runs on rather than the one the constants
-/// were tuned on.
+/// probe" units. [`CostWeights::default`] is the one home of the
+/// hand-tuned constants the model runs on; `sp2b calibrate` *measures*
+/// the same four numbers on the current host and prints them next to
+/// these defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Emitting a driving row (the scan-and-emit floor).
@@ -303,15 +316,7 @@ impl Default for CostWeights {
 /// cost (their threshold is the base — moot, since [`maybe_exchange`]
 /// only wraps runnable segments).
 pub fn pipeline_cost_per_row(plan: &Plan, store: &dyn TripleStore) -> f64 {
-    pipeline_cost_per_row_with(plan, store, &CostWeights::default())
-}
-
-/// Like [`pipeline_cost_per_row`] with calibrated operator weights.
-pub fn pipeline_cost_per_row_with(
-    plan: &Plan,
-    store: &dyn TripleStore,
-    weights: &CostWeights,
-) -> f64 {
+    let weights = CostWeights::default();
     match plan {
         Plan::Bgp { patterns, filters } => {
             let mut cost = weights.emit + weights.filter * filters.len() as f64;
@@ -329,47 +334,27 @@ pub fn pipeline_cost_per_row_with(
                 .filter(|p| !p.is_unsatisfiable())
                 .map_or(64.0, |p| store.estimate(const_pattern(p)).max(2) as f64);
             let fanout = (build / 256.0).clamp(1.0, 64.0);
-            pipeline_cost_per_row_with(left, store, weights) + weights.hash_probe + fanout
+            pipeline_cost_per_row(left, store) + weights.hash_probe + fanout
         }
-        Plan::Filter(_, inner) => {
-            weights.filter + pipeline_cost_per_row_with(inner, store, weights)
-        }
+        Plan::Filter(_, inner) => weights.filter + pipeline_cost_per_row(inner, store),
         _ => REFERENCE_PIPELINE_COST,
     }
 }
 
-/// The per-plan exchange threshold (replacing the old constant
-/// `PARALLEL_THRESHOLD`): the base threshold scaled inversely by the
-/// pipeline's estimated per-row cost and clamped to
+/// The per-plan exchange threshold: `base` scaled inversely by the
+/// pipeline's estimated per-row cost and clamped to base/4 … base×8 —
+/// for the default [`PARALLEL_BASE_THRESHOLD`] of 512 exactly
 /// [[`PARALLEL_MIN_THRESHOLD`], [`PARALLEL_MAX_THRESHOLD`]]. A
-/// scan-and-emit pipeline (Q2-style cheap rows) must clear
-/// [`PARALLEL_MAX_THRESHOLD`] driving rows before fanning out; a
-/// join-heavy pipeline (Q4-style quadratic) fans out near the minimum.
-pub fn parallel_threshold(plan: &Plan, store: &dyn TripleStore) -> u64 {
-    parallel_threshold_with(plan, store, PARALLEL_BASE_THRESHOLD)
-}
-
-/// Like [`parallel_threshold`] with a caller-supplied base — the hook
-/// for **measured** calibration: `sp2b calibrate` times per-morsel
-/// fan-out overhead on generated data and the measured base flows in
-/// through `QueryOptions::parallel_base`. The clamp window scales with
-/// the base at the same ratios as the static one (base/4 … base×8, which
-/// for the default base of 512 is exactly [128, 4096]), so a calibrated
-/// base above 4096 — or below 128 — is honoured rather than clamped back
-/// to the static window.
-pub fn parallel_threshold_with(plan: &Plan, store: &dyn TripleStore, base: u64) -> u64 {
-    parallel_threshold_calibrated(plan, store, base, &CostWeights::default())
-}
-
-/// Like [`parallel_threshold_with`] with calibrated operator weights.
-pub fn parallel_threshold_calibrated(
-    plan: &Plan,
-    store: &dyn TripleStore,
-    base: u64,
-    weights: &CostWeights,
-) -> u64 {
+/// scan-and-emit pipeline (Q2-style cheap rows) must clear the upper
+/// clamp before fanning out; a join-heavy pipeline (Q4-style quadratic)
+/// fans out near the lower one. `base` is a parameter because it is
+/// *measured*: `sp2b calibrate` times per-morsel fan-out overhead and
+/// the result flows in through `QueryOptions::parallel_base`; the clamp
+/// window scales with it, so a calibrated base outside the static window
+/// is honoured rather than clamped back into it.
+pub fn parallel_threshold(plan: &Plan, store: &dyn TripleStore, base: u64) -> u64 {
     let base = base.max(1);
-    let cost = pipeline_cost_per_row_with(plan, store, weights).max(0.25);
+    let cost = pipeline_cost_per_row(plan, store).max(0.25);
     let scaled = base as f64 * (REFERENCE_PIPELINE_COST / cost);
     (scaled.round() as u64).clamp((base / 4).max(1), base.saturating_mul(8))
 }
@@ -380,78 +365,47 @@ pub fn parallel_threshold_calibrated(
 /// segment — BGP, join probe chain, filter — whose driving scan the
 /// store estimates at that segment's [`parallel_threshold`] or more. With
 /// `degree <= 1` the plan is returned unchanged (today's sequential
-/// behavior).
+/// behavior). `base` is the threshold base every segment is judged
+/// under — `QueryOptions::parallel_base` through `prepare`.
 ///
 /// `Slice` is a barrier: LIMIT/OFFSET execute as a lazy skip/take, and
 /// an exchange below them would materialize the *full* input to deliver
 /// a handful of rows. The pass only crosses a `Slice` when a
 /// materializing sort sits directly beneath it (the `ORDER BY … LIMIT`
 /// shape, e.g. Q11), where laziness is already gone.
-pub fn parallelize(plan: Plan, store: &dyn TripleStore, degree: usize) -> Plan {
-    parallelize_with(plan, store, degree, PARALLEL_BASE_THRESHOLD)
-}
-
-/// Like [`parallelize`] with an explicit threshold base (see
-/// [`parallel_threshold_with`]) — what `QueryOptions::parallel_base`
-/// feeds through `prepare`.
-pub fn parallelize_with(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64) -> Plan {
-    parallelize_calibrated(plan, store, degree, base, &CostWeights::default())
-}
-
-/// Like [`parallelize_with`] with calibrated operator weights (see
-/// [`CostWeights`]) — what `QueryOptions::cost_weights` feeds through
-/// `prepare`.
-pub fn parallelize_calibrated(
-    plan: Plan,
-    store: &dyn TripleStore,
-    degree: usize,
-    base: u64,
-    weights: &CostWeights,
-) -> Plan {
+pub fn parallelize(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64) -> Plan {
     if degree <= 1 {
         return plan;
     }
+    let sub = |inner: Box<Plan>| Box::new(parallelize(*inner, store, degree, base));
     match plan {
-        Plan::Project(vars, inner) => Plan::Project(
-            vars,
-            Box::new(parallelize_calibrated(*inner, store, degree, base, weights)),
-        ),
-        Plan::OrderBy(keys, inner) => Plan::OrderBy(
-            keys,
-            Box::new(parallelize_calibrated(*inner, store, degree, base, weights)),
-        ),
-        Plan::Distinct(inner) => Plan::Distinct(Box::new(parallelize_calibrated(
-            *inner, store, degree, base, weights,
-        ))),
+        Plan::Project(vars, inner) => Plan::Project(vars, sub(inner)),
+        Plan::OrderBy(keys, inner) => Plan::OrderBy(keys, sub(inner)),
+        Plan::Distinct(inner) => Plan::Distinct(sub(inner)),
+        // Keep a lazy skip/take lazy: no exchange below it.
         Plan::Slice {
             offset,
             limit,
             input,
-        } => {
-            let input = if materializes_anyway(&input) {
-                Box::new(parallelize_calibrated(*input, store, degree, base, weights))
+        } => Plan::Slice {
+            offset,
+            limit,
+            input: if materializes_anyway(&input) {
+                sub(input)
             } else {
-                input // keep the skip/take lazy: no exchange below
-            };
-            Plan::Slice {
-                offset,
-                limit,
-                input,
-            }
-        }
+                input
+            },
+        },
         Plan::GroupAggregate { spec, input } => Plan::GroupAggregate {
             spec,
-            input: Box::new(parallelize_calibrated(*input, store, degree, base, weights)),
+            input: sub(input),
         },
-        Plan::Union(a, b) => Plan::Union(
-            Box::new(parallelize_calibrated(*a, store, degree, base, weights)),
-            Box::new(parallelize_calibrated(*b, store, degree, base, weights)),
-        ),
+        Plan::Union(a, b) => Plan::Union(sub(a), sub(b)),
         // Pipeline segments the parallel driver can run per-morsel.
         other @ (Plan::Bgp { .. }
         | Plan::Join { .. }
         | Plan::LeftJoin { .. }
-        | Plan::Filter(..)) => maybe_exchange(other, store, degree, base, weights),
+        | Plan::Filter(..)) => maybe_exchange(other, store, degree, base),
         // Already parallel (idempotence) — leave as is.
         other @ Plan::Exchange { .. } => other,
     }
@@ -471,17 +425,10 @@ fn materializes_anyway(plan: &Plan) -> bool {
 
 /// Wraps `plan` in an Exchange when its driving scan clears the
 /// pipeline's cost-scaled cardinality threshold.
-fn maybe_exchange(
-    plan: Plan,
-    store: &dyn TripleStore,
-    degree: usize,
-    base: u64,
-    weights: &CostWeights,
-) -> Plan {
+fn maybe_exchange(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64) -> Plan {
     let worthwhile = driving_scan(&plan).is_some_and(|p| {
         !p.is_unsatisfiable()
-            && store.estimate(const_pattern(p))
-                >= parallel_threshold_calibrated(&plan, store, base, weights)
+            && store.estimate(const_pattern(p)) >= parallel_threshold(&plan, store, base)
     });
     if worthwhile {
         Plan::Exchange {
@@ -573,6 +520,8 @@ mod tests {
     use crate::parser::parse;
     use sp2b_rdf::{Graph, Iri, Subject, Term};
     use sp2b_store::MemStore;
+
+    const BASE: u64 = PARALLEL_BASE_THRESHOLD;
 
     fn store() -> MemStore {
         let mut g = Graph::new();
@@ -670,7 +619,7 @@ mod tests {
     #[test]
     fn parallelize_wraps_large_driving_scan() {
         let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o } ORDER BY ?s").unwrap());
-        let plan = parallelize(bind(&t.algebra, &big_store()), &big_store(), 4);
+        let plan = parallelize(bind(&t.algebra, &big_store()), &big_store(), 4, BASE);
         // Exchange sits below the merge-side operators, above the BGP.
         let Plan::Project(_, inner) = plan else {
             panic!()
@@ -687,7 +636,7 @@ mod tests {
             panic!("{inner:?}")
         };
         assert_eq!(degree, 4);
-        assert_eq!(base, PARALLEL_BASE_THRESHOLD);
+        assert_eq!(base, BASE);
         assert!(matches!(*input, Plan::Bgp { .. }));
     }
 
@@ -697,14 +646,14 @@ mod tests {
         // LIMIT without ORDER BY: the skip/take stays lazy — an exchange
         // below it would materialize the full input for a handful of rows.
         let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o } LIMIT 3").unwrap());
-        let plan = parallelize(bind(&t.algebra, &big), &big, 4);
+        let plan = parallelize(bind(&t.algebra, &big), &big, 4, BASE);
         assert!(!has_exchange(&plan), "{plan:?}");
         // ORDER BY + LIMIT: the sort materializes anyway, so the exchange
         // below it is fair game.
         let t = translate(
             &parse("SELECT ?s WHERE { ?s <http://x/p> ?o } ORDER BY ?s LIMIT 3").unwrap(),
         );
-        let plan = parallelize(bind(&t.algebra, &big), &big, 4);
+        let plan = parallelize(bind(&t.algebra, &big), &big, 4, BASE);
         assert!(has_exchange(&plan), "{plan:?}");
     }
 
@@ -713,11 +662,11 @@ mod tests {
         let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap());
         // Tiny store: below the threshold, no Exchange.
         let small = store();
-        let plan = parallelize(bind(&t.algebra, &small), &small, 4);
+        let plan = parallelize(bind(&t.algebra, &small), &small, 4, BASE);
         assert!(!has_exchange(&plan), "{plan:?}");
         // Large store but degree 1: sequential plan unchanged.
         let big = big_store();
-        let plan = parallelize(bind(&t.algebra, &big), &big, 1);
+        let plan = parallelize(bind(&t.algebra, &big), &big, 1, BASE);
         assert!(!has_exchange(&plan), "{plan:?}");
     }
 
@@ -739,9 +688,9 @@ mod tests {
         );
         // A join against a large build side: per-probe fan-out dominates.
         let join = plan_for("SELECT ?s WHERE { { ?s <http://x/p> ?o } { ?t <http://x/p> ?o } }");
-        let t_scan = parallel_threshold(&scan, &big);
-        let t_chain = parallel_threshold(&chain, &big);
-        let t_join = parallel_threshold(&join, &big);
+        let t_scan = parallel_threshold(&scan, &big, BASE);
+        let t_chain = parallel_threshold(&chain, &big, BASE);
+        let t_join = parallel_threshold(&join, &big, BASE);
         assert!(
             t_scan > t_chain && t_chain > t_join,
             "thresholds must order by per-row cost: scan {t_scan} > chain {t_chain} > join {t_join}"
@@ -762,16 +711,11 @@ mod tests {
         let Plan::Project(_, scan) = bind(&t.algebra, &big) else {
             panic!()
         };
-        // Default base reproduces parallel_threshold exactly.
-        assert_eq!(
-            parallel_threshold_with(&scan, &big, PARALLEL_BASE_THRESHOLD),
-            parallel_threshold(&scan, &big)
-        );
         // A measured base scales the whole window: thresholds are
         // monotone in the base, and a base outside the static window is
         // honoured rather than clamped back into it.
-        let low = parallel_threshold_with(&scan, &big, 8);
-        let high = parallel_threshold_with(&scan, &big, 100_000);
+        let low = parallel_threshold(&scan, &big, 8);
+        let high = parallel_threshold(&scan, &big, 100_000);
         assert!(
             low < PARALLEL_MIN_THRESHOLD,
             "low base escapes the static clamp: {low}"
@@ -780,9 +724,9 @@ mod tests {
             high > PARALLEL_MAX_THRESHOLD,
             "high base escapes the static clamp: {high}"
         );
-        assert!(low < parallel_threshold(&scan, &big));
+        assert!(low < parallel_threshold(&scan, &big, BASE));
         // Base 0 is treated as 1, not a division hazard.
-        assert!(parallel_threshold_with(&scan, &big, 0) >= 1);
+        assert!(parallel_threshold(&scan, &big, 0) >= 1);
     }
 
     #[test]
@@ -790,10 +734,10 @@ mod tests {
         let big = big_store();
         let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap());
         // A tiny base forces the exchange even for a cheap pipeline…
-        let plan = parallelize_with(bind(&t.algebra, &big), &big, 4, 1);
+        let plan = parallelize(bind(&t.algebra, &big), &big, 4, 1);
         assert!(has_exchange(&plan), "{plan:?}");
         // …and a huge base suppresses it on the same store.
-        let plan = parallelize_with(bind(&t.algebra, &big), &big, 4, u64::MAX / 16);
+        let plan = parallelize(bind(&t.algebra, &big), &big, 4, u64::MAX / 16);
         assert!(!has_exchange(&plan), "{plan:?}");
     }
 }

@@ -137,9 +137,8 @@ fn reopened_disk_store_agrees_with_memory_on_all_queries() {
 /// The out-of-core tentpole: a cache budget smaller than any single
 /// sorted run forces every query to stream blocks through eviction —
 /// and the answers must not change. Opens the saved segments with a
-/// 32 KiB budget (each 2-shard run here is ~36 KB) threaded through
-/// `QueryOptions::cache_bytes` the way a store-opening front end would,
-/// runs Q1–Q12/A1–A5 sequentially and morsel-parallel against the
+/// 32 KiB budget (each 2-shard run here is ~36 KB) the way the CLI's
+/// `--cache-bytes` does, runs Q1–Q12/A1–A5 sequentially and morsel-parallel against the
 /// in-memory reference, then reads the cache gauges back: evictions
 /// actually happened and peak resident block bytes never exceeded the
 /// budget (the cache itself debug-asserts the same invariant on every
@@ -161,8 +160,7 @@ fn tiny_cache_budget_streams_blocks_without_changing_results() {
         stats.shard_lens
     );
 
-    let options = QueryOptions::new().cache_bytes(BUDGET);
-    let disk = open_store_with(dir.path(), options.cache_byte_budget())
+    let disk = open_store_with(dir.path(), Some(BUDGET))
         .expect("open with tiny cache")
         .into_shared();
 

@@ -18,7 +18,9 @@ use std::sync::Arc;
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::rdf::Term;
-use sp2bench::sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters};
+use sp2bench::sparql::{
+    operator_spans, OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters,
+};
 use sp2bench::store::{
     open_store, save_graph, Dictionary, Id, IdTriple, IndexSelection, MemStore, NativeStore,
     Pattern, ScanChunk, ShardBackend, ShardBy, ShardedStore, SharedStore, StoreStats, TripleStore,
@@ -235,6 +237,49 @@ fn stats_order_emits_fewer_rows_than_syntactic_order() {
              syntactic order {unplanned} — the planner must win"
         );
     }
+}
+
+/// Tallies are per pattern *occurrence*: each branch of Q9's UNION opens
+/// with the same `?person rdf:type foaf:Person` pattern, and each
+/// occurrence must report its own rows — not share one tally and report
+/// the sum twice — so the per-operator spans `--explain`, `--trace` and
+/// the slow log render add up to `ScanCounters::total_rows()`.
+#[test]
+fn repeated_patterns_keep_their_own_tallies() {
+    let (graph, _) = generate_graph(Config::triples(5_000));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    let counters = Arc::new(ScanCounters::default());
+    let qe = QueryEngine::with_options(store, QueryOptions::new().parallelism(1))
+        .scan_counters(counters.clone());
+    let q9 = BenchQuery::from_label("Q9").expect("known label");
+    let prepared = qe.prepare(q9.text()).expect("query parses");
+    qe.count(&prepared).expect("query evaluates");
+
+    let spans = operator_spans(&prepared, qe.store(), &counters);
+    let person: Vec<_> = spans
+        .iter()
+        .filter(|s| {
+            s.label
+                .ends_with("ns#type> <http://xmlns.com/foaf/0.1/Person>")
+        })
+        .collect();
+    assert_eq!(person.len(), 2, "one rdf:type foaf:Person step per branch");
+    for span in &person {
+        // The pattern's constants are exact, so each occurrence emits
+        // its estimate — once.
+        assert_eq!(span.rows, span.est_rows, "{}", span.label);
+        assert!(span.rows > 0);
+    }
+    let rendered: u64 = spans.iter().map(|s| s.rows).sum();
+    assert_eq!(rendered, counters.total_rows());
+    // The same holds when exchange workers run copies of the plan.
+    let parallel = Arc::new(ScanCounters::default());
+    let qe = qe.parallelism(4).scan_counters(parallel.clone());
+    let prepared = qe.prepare(q9.text()).expect("query parses");
+    qe.count(&prepared).expect("query evaluates");
+    let spans = operator_spans(&prepared, qe.store(), &parallel);
+    let rendered: u64 = spans.iter().map(|s| s.rows).sum();
+    assert_eq!(rendered, parallel.total_rows());
 }
 
 /// The instrumentation itself: counters see exactly the rows a trivial
