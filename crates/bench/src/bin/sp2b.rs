@@ -39,7 +39,7 @@ use sp2b_core::report;
 use sp2b_core::runner::{run_benchmark, run_workload_on, RunnerConfig, WorkloadTarget};
 use sp2b_core::{measure, BenchQuery, Endpoint, Engine, EngineKind, ExtQuery, StoreLayout};
 use sp2b_datagen::{generate_graph, generate_to_path, Config};
-use sp2b_obs::{OpSpan, QueryTrace};
+use sp2b_obs::{OpKind, OpSpan, QueryTrace};
 use sp2b_rdf::Graph;
 use sp2b_server::ServerConfig;
 use sp2b_sparql::results::{self, Format, WriteError};
@@ -614,7 +614,15 @@ fn explain_report(engine: &Engine, spans: &[OpSpan]) -> String {
         let (n, label, est, rows) = (i + 1, &op.label, op.est_rows, op.rows);
         out.push_str(&format!("\n  {n:>2}. {label}  est {est}, rows {rows}"));
     }
-    let sum = |f: fn(&OpSpan) -> u64| spans.iter().map(f).fold(0, u64::saturating_add);
+    // The planner's estimate-vs-actual comparison is over pattern steps;
+    // a join's rows are its output, not scan work.
+    let sum = |f: fn(&OpSpan) -> u64| {
+        spans
+            .iter()
+            .filter(|o| o.kind == OpKind::Scan)
+            .map(f)
+            .fold(0, u64::saturating_add)
+    };
     out.push_str(&format!(
         "\n  total: estimated {}, emitted {} rows",
         sum(|o| o.est_rows),

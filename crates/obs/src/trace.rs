@@ -1,8 +1,8 @@
 //! Per-query execution traces.
 //!
 //! A [`QueryTrace`] records what one query spent its time on: the
-//! coarse phases (parse → plan → execute) and, per scan operator, the
-//! planner's estimated cardinality against the rows actually emitted
+//! coarse phases (parse → plan → execute) and, per scan or join operator,
+//! the planner's estimated cardinality against the rows actually emitted
 //! and the wall time spent producing them. `sp2b query --trace` prints
 //! the full breakdown ([`QueryTrace::render`]); the server's slow-query
 //! log embeds the one-line form ([`QueryTrace::summary`]).
@@ -10,12 +10,25 @@
 use std::fmt::Write;
 use std::time::Duration;
 
-/// One scan operator's span: planner estimate vs observed reality.
+/// What kind of operator an [`OpSpan`] describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// A BGP pattern step: a store scan extending its input rows.
+    Scan,
+    /// A join of two sub-plans.
+    Join,
+}
+
+/// One operator's span: planner estimate vs observed reality.
 #[derive(Debug, Clone)]
 pub struct OpSpan {
-    /// Display label (for BGP scans, the triple pattern).
+    /// Scan or join.
+    pub kind: OpKind,
+    /// Display label (for BGP scans, the triple pattern; for joins, the
+    /// algorithm and its key).
     pub label: String,
-    /// The planner's estimated cardinality.
+    /// The planner's estimated cardinality (for joins, of the build
+    /// side).
     pub est_rows: u64,
     /// Rows the operator actually emitted.
     pub rows: u64,
@@ -124,12 +137,14 @@ mod tests {
         t.phase("plan", Duration::from_micros(480));
         t.phase("execute", Duration::from_millis(12));
         t.operators.push(OpSpan {
+            kind: OpKind::Scan,
             label: "?article <dc:title> ?title".to_owned(),
             est_rows: 100,
             rows: 96,
             time: Duration::from_millis(3),
         });
         t.operators.push(OpSpan {
+            kind: OpKind::Scan,
             label: "?article <dcterms:issued> ?yr".to_owned(),
             est_rows: 100,
             rows: 250,

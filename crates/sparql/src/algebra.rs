@@ -205,6 +205,13 @@ pub struct GroupSpec {
     pub limit: Option<u64>,
 }
 
+/// `(left variable, right variable)` pairs of top-level `?x = ?y`
+/// conjuncts a join may key its hash table on (see
+/// [`crate::optimizer`]): a hint that narrows the candidates, never the
+/// semantics — the conjuncts themselves stay where they were and are
+/// still evaluated per candidate row.
+pub type EqPairs = Vec<(usize, usize)>;
+
 /// The SPARQL algebra, over resolved patterns and expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Algebra {
@@ -217,10 +224,12 @@ pub enum Algebra {
         /// Pushed-down filters: evaluated after `patterns[pos]` binds.
         inline_filters: Vec<(usize, Expr)>,
     },
-    /// Inner join.
-    Join(Box<Algebra>, Box<Algebra>),
-    /// Left outer join with optional condition (the OPTIONAL translation).
-    LeftJoin(Box<Algebra>, Box<Algebra>, Option<Expr>),
+    /// Inner join, with the [`EqPairs`] the optimizer recognised in the
+    /// filter above it (empty out of translation).
+    Join(Box<Algebra>, Box<Algebra>, EqPairs),
+    /// Left outer join with optional condition (the OPTIONAL translation)
+    /// and the [`EqPairs`] the optimizer recognised in that condition.
+    LeftJoin(Box<Algebra>, Box<Algebra>, Option<Expr>, EqPairs),
     /// Union.
     Union(Box<Algebra>, Box<Algebra>),
     /// Filter.
@@ -276,7 +285,7 @@ impl Algebra {
                 }
                 vars
             }
-            Algebra::Join(a, b) => {
+            Algebra::Join(a, b, _) => {
                 let mut vars = a.certain_vars();
                 for v in b.certain_vars() {
                     if !vars.contains(&v) {
@@ -285,7 +294,7 @@ impl Algebra {
                 }
                 vars
             }
-            Algebra::LeftJoin(a, _, _) => a.certain_vars(),
+            Algebra::LeftJoin(a, _, _, _) => a.certain_vars(),
             Algebra::Union(a, b) => {
                 let bv = b.certain_vars();
                 a.certain_vars()
@@ -332,7 +341,7 @@ impl Algebra {
                 }
                 out
             }
-            Algebra::Join(a, b) | Algebra::Union(a, b) | Algebra::LeftJoin(a, b, _) => {
+            Algebra::Join(a, b, _) | Algebra::Union(a, b) | Algebra::LeftJoin(a, b, _, _) => {
                 let mut out = a.all_vars();
                 add(&mut out, b.all_vars());
                 out
@@ -558,7 +567,7 @@ fn translate_group(group: &GroupPattern, vars: &mut VarTable) -> Algebra {
                     Algebra::Filter(c, a) => (*a, Some(c)),
                     other => (other, None),
                 };
-                g = Algebra::LeftJoin(Box::new(g), Box::new(algebra), condition);
+                g = Algebra::LeftJoin(Box::new(g), Box::new(algebra), condition, EqPairs::new());
             }
             GroupElement::Union(branches) => {
                 let mut it = branches.iter();
@@ -589,7 +598,7 @@ fn join(a: Algebra, b: Algebra) -> Algebra {
     } else if b.is_unit() {
         a
     } else {
-        Algebra::Join(Box::new(a), Box::new(b))
+        Algebra::Join(Box::new(a), Box::new(b), EqPairs::new())
     }
 }
 
@@ -662,7 +671,7 @@ mod tests {
         let Algebra::Project(_, inner) = &t.algebra else {
             panic!()
         };
-        let Algebra::LeftJoin(_, _, cond) = inner.as_ref() else {
+        let Algebra::LeftJoin(_, _, cond, _) = inner.as_ref() else {
             panic!("expected LeftJoin, got {inner:?}")
         };
         assert!(
@@ -677,7 +686,7 @@ mod tests {
         let Algebra::Project(_, inner) = &t.algebra else {
             panic!()
         };
-        let Algebra::LeftJoin(_, _, cond) = inner.as_ref() else {
+        let Algebra::LeftJoin(_, _, cond, _) = inner.as_ref() else {
             panic!()
         };
         assert!(cond.is_none());

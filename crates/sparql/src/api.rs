@@ -550,41 +550,86 @@ impl Prepared {
     }
 }
 
-/// One [`sp2b_obs::OpSpan`] per BGP pattern of `prepared`'s plan, in join
-/// order: the label renders the pattern's slots against the store
-/// dictionary, `est_rows` is the store's cardinality estimate (0 for
-/// unsatisfiable patterns), and `rows`/`time` are read back from the
-/// [`ScanCounters`] the execution ran with, per pattern *occurrence*.
-/// The CLI's `--explain` and `--trace` reports and the server's
-/// slow-query log are all renderings of this list.
+/// One [`sp2b_obs::OpSpan`] per operator of `prepared`'s plan, in
+/// [`crate::plan::operators`] order: BGP patterns in join order, each
+/// join after its inputs. A pattern's label renders its slots against the
+/// store dictionary and `est_rows` is the store's cardinality estimate (0
+/// for unsatisfiable patterns); a join's label names the algorithm and
+/// its key — `hash-left-join ?3≍?8 + residual`, `hash-join ?1`,
+/// `nested-loop-left-join` when it has none — and `est_rows` is the
+/// estimate of its build side's driving scan. `rows`/`time` are read back
+/// from the [`ScanCounters`] the execution ran with, per operator
+/// *occurrence*; a join's time is its probe time. The CLI's `--explain`
+/// and `--trace` reports and the server's slow-query log are all
+/// renderings of this list.
 pub fn operator_spans(
     prepared: &Prepared,
     store: &dyn TripleStore,
     counters: &ScanCounters,
 ) -> Vec<sp2b_obs::OpSpan> {
-    use crate::plan::{collect_patterns, const_pattern, PlanSlot};
+    use crate::plan::{const_pattern, driving_scan, operators, Operator, PlanPattern, PlanSlot};
+    use sp2b_obs::{OpKind, OpSpan};
     let dict = store.dictionary();
     let slot = |s: &PlanSlot| match s {
         PlanSlot::Var(v) => format!("?{v}"),
         PlanSlot::Const(Some(id)) => dict.decode(*id).to_string(),
         PlanSlot::Const(None) => "<absent-from-data>".to_owned(),
     };
-    collect_patterns(prepared.plan())
+    let estimate = |p: &PlanPattern| {
+        if p.is_unsatisfiable() {
+            0
+        } else {
+            store.estimate(const_pattern(p))
+        }
+    };
+    let span = |kind, label, est_rows, ordinal| {
+        let (rows, time) = counters.tally(ordinal);
+        OpSpan {
+            kind,
+            label,
+            est_rows,
+            rows,
+            time,
+        }
+    };
+    operators(prepared.plan())
         .into_iter()
-        .map(|p| sp2b_obs::OpSpan {
-            label: format!(
-                "{} {} {}",
-                slot(&p.slots[0]),
-                slot(&p.slots[1]),
-                slot(&p.slots[2])
-            ),
-            est_rows: if p.is_unsatisfiable() {
-                0
-            } else {
-                store.estimate(const_pattern(p))
-            },
-            rows: counters.rows_for(p),
-            time: counters.time_for(p),
+        .map(|op| match op {
+            Operator::Scan(p) => {
+                let label = format!(
+                    "{} {} {}",
+                    slot(&p.slots[0]),
+                    slot(&p.slots[1]),
+                    slot(&p.slots[2])
+                );
+                span(OpKind::Scan, label, estimate(p), p.ordinal)
+            }
+            Operator::Join {
+                outer,
+                build,
+                key,
+                eq,
+                residual,
+                ordinal,
+            } => {
+                let name = if outer { "left-join" } else { "join" };
+                let mut label = if key.is_empty() && eq.is_empty() {
+                    format!("nested-loop-{name}")
+                } else {
+                    format!("hash-{name}")
+                };
+                for v in key {
+                    label.push_str(&format!(" ?{v}"));
+                }
+                for (l, r) in eq {
+                    label.push_str(&format!(" ?{l}≍?{r}"));
+                }
+                if residual {
+                    label.push_str(" + residual");
+                }
+                let est_rows = driving_scan(build).map_or(0, estimate);
+                span(OpKind::Join, label, est_rows, ordinal)
+            }
         })
         .collect()
 }

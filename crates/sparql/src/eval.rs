@@ -17,8 +17,8 @@ use std::time::Instant;
 use sp2b_rdf::{Literal, Term};
 use sp2b_store::{Dictionary, Id, IdTriple, SharedStore, TripleStore};
 
-use crate::algebra::GroupSpec;
-use crate::expr::BoundExpr;
+use crate::algebra::{EqPairs, GroupSpec};
+use crate::expr::{eq_class, BoundExpr, EqClass};
 use crate::plan::{Plan, PlanOrderKey, PlanPattern, PlanSlot};
 
 use sp2b_store::hash::{FxHashMap, FxHashSet};
@@ -91,6 +91,24 @@ struct CancelState {
     deadline: Option<Instant>,
     flag: AtomicBool,
     triggered: AtomicBool,
+    /// Set by the first check that compared the clock to `deadline`.
+    clock_read: AtomicBool,
+}
+
+/// How many [`Cancellation::should_stop`] calls share one clock read.
+/// The check runs per row and a deadline is seconds away, while an
+/// `Instant::now()` per row is measurable — the 34-million-check Q6 took
+/// 3.1 s with a deadline set and 2.25 s without.
+const CLOCK_STRIDE: u32 = 1024;
+
+thread_local! {
+    /// Checks left on this thread before the next clock read. Per thread
+    /// rather than per handle because the evaluator clones its context —
+    /// and the handle in it — for every pattern step of every row, so a
+    /// countdown inside the handle would restart with each clone; and not
+    /// in the shared state, where exchange workers would bounce its cache
+    /// line between cores on every row.
+    static CLOCK_COUNTDOWN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
 impl Cancellation {
@@ -114,16 +132,23 @@ impl Cancellation {
         self.state.flag.store(true, AtomicOrdering::Relaxed);
     }
 
-    /// Checks whether evaluation should stop (records the trigger).
+    /// Checks whether evaluation should stop (records the trigger). The
+    /// flag is read on every call; the clock on a handle's first check —
+    /// an already-expired deadline stops before any work — and from then
+    /// on once per 1024 checks (`CLOCK_STRIDE`) on the calling thread, so a
+    /// passing deadline is noticed at most that many rows late.
     #[inline]
     pub fn should_stop(&self) -> bool {
-        if self.state.triggered.load(AtomicOrdering::Relaxed) {
+        let state = &*self.state;
+        if state.triggered.load(AtomicOrdering::Relaxed) {
             return true;
         }
-        let hit = self.state.flag.load(AtomicOrdering::Relaxed)
-            || self.state.deadline.is_some_and(|d| Instant::now() >= d);
+        let hit = state.flag.load(AtomicOrdering::Relaxed)
+            || state
+                .deadline
+                .is_some_and(|d| state.clock_due() && Instant::now() >= d);
         if hit {
-            self.state.triggered.store(true, AtomicOrdering::Relaxed);
+            state.triggered.store(true, AtomicOrdering::Relaxed);
         }
         hit
     }
@@ -135,66 +160,140 @@ impl Cancellation {
     }
 }
 
-/// Per-pattern tallies for plan instrumentation (the `--explain` and
+impl CancelState {
+    /// Whether this check is one that reads the clock.
+    fn clock_due(&self) -> bool {
+        if !self.clock_read.load(AtomicOrdering::Relaxed) {
+            self.clock_read.store(true, AtomicOrdering::Relaxed);
+            return true;
+        }
+        CLOCK_COUNTDOWN.with(|left| match left.get() {
+            0 => {
+                left.set(CLOCK_STRIDE - 1);
+                true
+            }
+            n => {
+                left.set(n - 1);
+                false
+            }
+        })
+    }
+}
+
+/// Per-operator tallies for plan instrumentation (the `--explain` and
 /// `--trace` flags and the planner regression tests): each BGP pattern
-/// step records how many rows it emitted and the wall time spent
-/// producing them, keyed by the pattern's *occurrence* in the plan
+/// step and each join records how many rows it emitted and the wall time
+/// spent producing them, keyed by the operator's *occurrence* in the plan
 /// ([`PlanPattern::ordinal`]) — a pattern written twice (Q9's two
 /// `rdf:type foaf:Person` steps) keeps two tallies. Shared across
-/// exchange worker threads via `Arc` (worker time accumulates, so a
-/// pattern's time can exceed the query's wall clock under parallelism);
+/// exchange worker threads via `Arc` (worker time accumulates, so an
+/// operator's time can exceed the query's wall clock under parallelism);
 /// when absent ([`EvalContext::counters`] is `None`, the default) the
-/// instrumentation costs one branch per pattern-step drop and no clock
+/// instrumentation costs one branch per operator drop and no clock
 /// reads.
 #[derive(Debug, Default)]
 pub struct ScanCounters {
-    tallies: std::sync::Mutex<FxHashMap<usize, PatternTally>>,
+    tallies: std::sync::Mutex<FxHashMap<usize, OperatorTally>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
-struct PatternTally {
+struct OperatorTally {
     rows: u64,
     nanos: u64,
+    /// A pattern step (counted by [`ScanCounters::total_rows`]) as
+    /// opposed to a join.
+    scan: bool,
 }
 
 impl ScanCounters {
     /// Every update leaves the map valid, so a poisoned lock is still
-    /// readable — and `add` runs from a `Drop`, which must not panic.
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, PatternTally>> {
+    /// readable — and [`LocalTally`] flushes from a `Drop`, which must not
+    /// panic.
+    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, OperatorTally>> {
         self.tallies
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn tally(&self, pattern: &PlanPattern) -> PatternTally {
-        self.lock()
-            .get(&pattern.ordinal)
-            .copied()
-            .unwrap_or_default()
+    /// Rows emitted and wall time spent by the operator numbered
+    /// `ordinal` (zeros if it never ran). Under an exchange the time sums
+    /// across workers.
+    pub(crate) fn tally(&self, ordinal: usize) -> (u64, std::time::Duration) {
+        let t = self.lock().get(&ordinal).copied().unwrap_or_default();
+        (t.rows, std::time::Duration::from_nanos(t.nanos))
     }
 
     /// Rows emitted by this pattern occurrence (0 if it never ran).
     pub fn rows_for(&self, pattern: &PlanPattern) -> u64 {
-        self.tally(pattern).rows
+        self.tally(pattern.ordinal).0
     }
 
     /// Wall time spent inside this pattern occurrence (zero if it never
     /// ran). Under an exchange this sums across workers.
     pub fn time_for(&self, pattern: &PlanPattern) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.tally(pattern).nanos)
+        self.tally(pattern.ordinal).1
     }
 
     /// Total rows emitted across all pattern steps — the query's
-    /// intermediate-result volume, the planner's work metric.
+    /// intermediate-result volume, the planner's work metric. Rows joins
+    /// emit are not part of it.
     pub fn total_rows(&self) -> u64 {
-        self.lock().values().map(|t| t.rows).sum()
+        self.lock()
+            .values()
+            .filter(|t| t.scan)
+            .map(|t| t.rows)
+            .sum()
+    }
+}
+
+/// One running operator's share of a [`ScanCounters`] tally: counts
+/// locally — the per-row path stays a plain increment — and flushes once,
+/// when the operator is dropped. Clock reads only happen when counters
+/// are attached (`--explain` / `--trace`); plain evaluation never touches
+/// the clock.
+struct LocalTally {
+    counters: Option<Arc<ScanCounters>>,
+    ordinal: usize,
+    scan: bool,
+    rows: u64,
+    nanos: u64,
+}
+
+impl LocalTally {
+    fn new(ctx: &EvalContext<'_>, ordinal: usize, scan: bool) -> Self {
+        LocalTally {
+            counters: ctx.counters.clone(),
+            ordinal,
+            scan,
+            rows: 0,
+            nanos: 0,
+        }
     }
 
-    fn add(&self, pattern: &PlanPattern, rows: u64, nanos: u64) {
-        let mut tallies = self.lock();
-        let tally = tallies.entry(pattern.ordinal).or_default();
-        tally.rows += rows;
-        tally.nanos += nanos;
+    /// Runs one step of the operator, booking the rows it reports and —
+    /// with counters attached — the time it took.
+    fn record<T>(&mut self, step: impl FnOnce() -> (T, u64)) -> T {
+        let started = self.counters.is_some().then(Instant::now);
+        let (out, rows) = step();
+        self.rows += rows;
+        if let Some(t0) = started {
+            self.nanos += t0.elapsed().as_nanos() as u64;
+        }
+        out
+    }
+}
+
+impl Drop for LocalTally {
+    fn drop(&mut self) {
+        if self.rows > 0 || self.nanos > 0 {
+            if let Some(counters) = &self.counters {
+                let mut tallies = counters.lock();
+                let tally = tallies.entry(self.ordinal).or_default();
+                tally.rows += self.rows;
+                tally.nanos += self.nanos;
+                tally.scan = self.scan;
+            }
+        }
     }
 }
 
@@ -230,13 +329,35 @@ impl<'a> EvalContext<'a> {
     pub fn eval(self, plan: &'a Plan) -> RowIter<'a> {
         match plan {
             Plan::Bgp { patterns, filters } => self.eval_bgp(patterns, filters),
-            Plan::Join { left, right, key } => self.eval_join(left, right, key),
+            Plan::Join {
+                left,
+                right,
+                key,
+                eq,
+                ordinal,
+            } => {
+                let build = Arc::new(self.build_side(right, key, eq));
+                let probe = self.clone().eval(left);
+                join_rows(self, probe, build, JoinKind::Inner, *ordinal)
+            }
             Plan::LeftJoin {
                 left,
                 right,
                 key,
+                eq,
                 condition,
-            } => self.eval_left_join(left, right, key, condition.as_ref()),
+                ordinal,
+            } => {
+                let build = Arc::new(self.build_side(right, key, eq));
+                let probe = self.clone().eval(left);
+                join_rows(
+                    self,
+                    probe,
+                    build,
+                    JoinKind::Left(condition.as_ref()),
+                    *ordinal,
+                )
+            }
             Plan::Exchange {
                 degree,
                 base,
@@ -437,53 +558,19 @@ impl<'a> EvalContext<'a> {
 
     // -- joins ---------------------------------------------------------
 
-    /// Materializes a side into a key-indexed map (plus a flat list when
-    /// the key is empty). The parallel driver ([`crate::par`]) builds the
-    /// same structure once per join and shares it across workers.
-    pub(crate) fn build_side(
-        &self,
-        plan: &'a Plan,
-        key: &[usize],
-    ) -> (FxHashMap<Vec<Id>, Vec<Bindings>>, Vec<Bindings>) {
-        let mut map: FxHashMap<Vec<Id>, Vec<Bindings>> = FxHashMap::default();
-        let mut flat: Vec<Bindings> = Vec::new();
+    /// Materializes a join's build side (see [`BuildSide`]). The parallel
+    /// driver ([`crate::par`]) builds the same structure once per join
+    /// and shares it across workers.
+    pub(crate) fn build_side(&self, plan: &'a Plan, key: &[usize], eq: &EqPairs) -> BuildSide {
+        let mut build = BuildSide::new(key, eq);
+        let dict = self.store.dictionary();
         for row in self.clone().eval(plan) {
             if self.cancel.should_stop() {
                 break;
             }
-            insert_build_row(&mut map, &mut flat, key, row);
+            build.insert(dict, row);
         }
-        (map, flat)
-    }
-
-    fn eval_join(self, left: &'a Plan, right: &'a Plan, key: &'a [usize]) -> RowIter<'a> {
-        let (map, flat) = self.build_side(right, key);
-        let this = self.clone();
-        let probe = self.eval(left);
-        Box::new(probe.flat_map(move |l| {
-            if this.cancel.should_stop() {
-                return Vec::new().into_iter();
-            }
-            probe_inner(&map, &flat, key, l).into_iter()
-        }))
-    }
-
-    fn eval_left_join(
-        self,
-        left: &'a Plan,
-        right: &'a Plan,
-        key: &'a [usize],
-        condition: Option<&'a BoundExpr>,
-    ) -> RowIter<'a> {
-        let (map, flat) = self.build_side(right, key);
-        let this = self.clone();
-        let probe = self.eval(left);
-        Box::new(probe.flat_map(move |l| {
-            if this.cancel.should_stop() {
-                return Vec::new().into_iter();
-            }
-            probe_left(&this, &map, &flat, key, condition, l).into_iter()
-        }))
+        build
     }
 
     // -- ordering ------------------------------------------------------
@@ -695,101 +782,164 @@ fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowI
     }))
 }
 
-/// Files one build-side row into the hash map (or the flat overflow list
-/// when the key is empty or a key variable is unbound — possible under
-/// partial optional results — so no match is lost). Shared between the
-/// sequential [`EvalContext::build_side`] and the parallel partitioned
-/// build in [`crate::par`], which feeds rows in chunk order so bucket
-/// insertion order equals sequential evaluation order.
-pub(crate) fn insert_build_row(
-    map: &mut FxHashMap<Vec<Id>, Vec<Bindings>>,
-    flat: &mut Vec<Bindings>,
-    key: &[usize],
-    row: Bindings,
-) {
-    if key.is_empty() {
-        flat.push(row);
-        return;
+/// A join's materialized build side: rows bucketed by join key, plus a
+/// flat list of the rows that have none. The key is the build row's
+/// shared `key` variables (joined by id) followed by the equality class
+/// of each `eq` pair's right variable (see [`crate::expr::EqClass`]);
+/// a probe row looks up the same ids and the classes of the pairs' left
+/// variables. With no key at all — or a key variable unbound in the row,
+/// possible under partial optional results — a build row goes to the flat
+/// list, which every probe scans, so no match is lost: a bucket only
+/// narrows the candidates, and [`Bindings::merge_checked`] plus the
+/// join's residual condition decide.
+pub(crate) struct BuildSide {
+    key: Vec<usize>,
+    eq: EqPairs,
+    map: FxHashMap<Vec<EqClass>, Vec<Bindings>>,
+    flat: Vec<Bindings>,
+}
+
+impl BuildSide {
+    pub(crate) fn new(key: &[usize], eq: &EqPairs) -> Self {
+        BuildSide {
+            key: key.to_vec(),
+            eq: eq.clone(),
+            map: FxHashMap::default(),
+            flat: Vec::new(),
+        }
     }
-    let k: Option<Vec<Id>> = key.iter().map(|&v| row.get(v)).collect();
-    match k {
-        Some(k) => map.entry(k).or_default().push(row),
-        None => flat.push(row),
+
+    /// The join key of `row`, taking each `eq` pair's variable for `side`;
+    /// `None` when the join has no key or the row leaves part of it
+    /// unbound.
+    fn key_of(
+        &self,
+        dict: &Dictionary,
+        row: &Bindings,
+        side: fn(&(usize, usize)) -> usize,
+    ) -> Option<Vec<EqClass>> {
+        if self.key.is_empty() && self.eq.is_empty() {
+            return None;
+        }
+        let mut k = Vec::with_capacity(self.key.len() + self.eq.len());
+        for &v in &self.key {
+            k.push(EqClass::Id(row.get(v)?));
+        }
+        for pair in &self.eq {
+            let id = row.get(side(pair))?;
+            k.push(eq_class(id, dict.decode(id)));
+        }
+        Some(k)
     }
+
+    /// Files one build-side row. The sequential build and the parallel
+    /// partitioned build in [`crate::par`] both feed rows in evaluation
+    /// order, so bucket order — and with it probe output order — is the
+    /// same either way.
+    pub(crate) fn insert(&mut self, dict: &Dictionary, row: Bindings) {
+        match self.key_of(dict, &row, |pair| pair.1) {
+            Some(k) => self.map.entry(k).or_default().push(row),
+            None => self.flat.push(row),
+        }
+    }
+
+    /// Candidate rows for a probe row: its bucket, then the flat list.
+    fn lookup<'m>(
+        &'m self,
+        dict: &Dictionary,
+        probe: &Bindings,
+    ) -> impl Iterator<Item = &'m Bindings> {
+        let bucket = self
+            .key_of(dict, probe, |pair| pair.0)
+            .and_then(|k| self.map.get(&k))
+            .map_or(&[][..], Vec::as_slice);
+        bucket.iter().chain(self.flat.iter())
+    }
+}
+
+/// Which probe a join runs per left row. `C` is how the OPTIONAL
+/// condition is held: owned in a compiled exchange pipeline, borrowed
+/// from there (or from the plan) while rows flow.
+#[derive(Clone, Copy)]
+pub(crate) enum JoinKind<C> {
+    /// [`probe_inner`].
+    Inner,
+    /// [`probe_left`] with the OPTIONAL condition, if any.
+    Left(Option<C>),
+}
+
+impl JoinKind<BoundExpr> {
+    pub(crate) fn as_ref(&self) -> JoinKind<&BoundExpr> {
+        match self {
+            JoinKind::Inner => JoinKind::Inner,
+            JoinKind::Left(condition) => JoinKind::Left(condition.as_ref()),
+        }
+    }
+}
+
+/// The probe half of a hash join: streams `input`, probing `build` per
+/// row, and books rows out and probe time against the join's `ordinal`.
+/// The one join loop — the sequential evaluator and every exchange worker
+/// ([`crate::par`]) run their joins through it.
+pub(crate) fn join_rows<'a>(
+    ctx: EvalContext<'a>,
+    input: RowIter<'a>,
+    build: Arc<BuildSide>,
+    kind: JoinKind<&'a BoundExpr>,
+    ordinal: usize,
+) -> RowIter<'a> {
+    let mut tally = LocalTally::new(&ctx, ordinal, false);
+    Box::new(input.flat_map(move |l| {
+        if ctx.cancel.should_stop() {
+            return Vec::new().into_iter();
+        }
+        tally
+            .record(|| {
+                let out = match kind {
+                    JoinKind::Inner => probe_inner(&ctx, &build, l),
+                    JoinKind::Left(condition) => probe_left(&ctx, &build, condition, l),
+                };
+                let rows = out.len() as u64;
+                (out, rows)
+            })
+            .into_iter()
+    }))
 }
 
 /// Inner-join probe of one row: merges `l` with every compatible build
 /// row (the residual check of possibly-shared variables happens inside
-/// [`Bindings::merge_checked`]). Shared between the sequential
-/// [`EvalContext::eval`] and the morsel driver ([`crate::par`]) so join
-/// semantics live in exactly one place.
-pub(crate) fn probe_inner(
-    map: &FxHashMap<Vec<Id>, Vec<Bindings>>,
-    flat: &[Bindings],
-    key: &[usize],
-    l: Bindings,
-) -> Vec<Bindings> {
-    let mut out: Vec<Bindings> = Vec::new();
-    for r in lookup(map, flat, key, &l) {
-        if let Some(m) = l.merge_checked(r) {
-            out.push(m);
-        }
-    }
-    out
+/// [`Bindings::merge_checked`]).
+fn probe_inner(ctx: &EvalContext<'_>, build: &BuildSide, l: Bindings) -> Vec<Bindings> {
+    build
+        .lookup(ctx.store.dictionary(), &l)
+        .filter_map(|r| l.merge_checked(r))
+        .collect()
 }
 
 /// Left-join probe of one row: like [`probe_inner`] with the OPTIONAL
 /// condition applied per merged row, preserving `l` itself when nothing
-/// matched. Shared between sequential and parallel evaluation.
-pub(crate) fn probe_left(
+/// matched.
+fn probe_left(
     ctx: &EvalContext<'_>,
-    map: &FxHashMap<Vec<Id>, Vec<Bindings>>,
-    flat: &[Bindings],
-    key: &[usize],
+    build: &BuildSide,
     condition: Option<&BoundExpr>,
     l: Bindings,
 ) -> Vec<Bindings> {
     let mut out: Vec<Bindings> = Vec::new();
-    let mut matched = false;
-    for r in lookup(map, flat, key, &l) {
+    for r in build.lookup(ctx.store.dictionary(), &l) {
         if ctx.cancel.should_stop() {
             break;
         }
         if let Some(m) = l.merge_checked(r) {
-            let pass = match condition {
-                Some(c) => c.evaluate(&m, ctx.store) == Ok(true),
-                None => true,
-            };
-            if pass {
-                matched = true;
+            if condition.is_none_or(|c| c.evaluate(&m, ctx.store) == Ok(true)) {
                 out.push(m);
             }
         }
     }
-    if !matched {
+    if out.is_empty() {
         out.push(l);
     }
     out
-}
-
-/// Candidate rows for a probe row: the hash bucket plus the flat overflow
-/// list (rows that could not be keyed).
-fn lookup<'m>(
-    map: &'m FxHashMap<Vec<Id>, Vec<Bindings>>,
-    flat: &'m [Bindings],
-    key: &[usize],
-    probe: &Bindings,
-) -> impl Iterator<Item = &'m Bindings> {
-    let bucket: &[Bindings] = if key.is_empty() {
-        &[]
-    } else {
-        let k: Option<Vec<Id>> = key.iter().map(|&v| probe.get(v)).collect();
-        match k.and_then(|k| map.get(&k)) {
-            Some(rows) => rows.as_slice(),
-            None => &[],
-        }
-    };
-    bucket.iter().chain(flat.iter())
 }
 
 /// One pattern step of the index-nested-loop BGP evaluation: scans the
@@ -800,12 +950,7 @@ pub(crate) struct PatternBind<'a> {
     scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
     pattern: &'a PlanPattern,
     base: Bindings,
-    dead: bool,
-    /// Clock reads only happen when counters are attached (`--explain`
-    /// / `--trace`); plain evaluation never touches the clock.
-    timed: bool,
-    emitted: u64,
-    nanos: u64,
+    tally: LocalTally,
 }
 
 impl<'a> PatternBind<'a> {
@@ -824,27 +969,26 @@ impl<'a> PatternBind<'a> {
         } else {
             ctx.store.scan(store_pattern)
         };
-        let timed = ctx.counters.is_some();
+        Self::over(ctx, pattern, base, scan)
+    }
+
+    /// The step over an already-opened `scan` of the pattern's candidate
+    /// triples — how the morsel driver ([`crate::par`]) feeds one chunk
+    /// of the driving scan through the same row extension, cancellation
+    /// checks and tallies as every other step.
+    pub(crate) fn over(
+        ctx: EvalContext<'a>,
+        pattern: &'a PlanPattern,
+        base: Bindings,
+        scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
+    ) -> Self {
+        let tally = LocalTally::new(&ctx, pattern.ordinal, true);
         PatternBind {
             ctx,
             scan,
             pattern,
             base,
-            dead,
-            timed,
-            emitted: 0,
-            nanos: 0,
-        }
-    }
-}
-
-impl Drop for PatternBind<'_> {
-    fn drop(&mut self) {
-        // Flush once per step: the per-row path stays a plain increment.
-        if self.emitted > 0 || self.nanos > 0 {
-            if let Some(counters) = &self.ctx.counters {
-                counters.add(self.pattern, self.emitted, self.nanos);
-            }
+            tally,
         }
     }
 }
@@ -853,26 +997,24 @@ impl Iterator for PatternBind<'_> {
     type Item = Bindings;
 
     fn next(&mut self) -> Option<Bindings> {
-        if self.dead {
-            return None;
-        }
-        let started = self.timed.then(std::time::Instant::now);
-        let result = loop {
-            if self.ctx.cancel.should_stop() {
-                break None;
+        let PatternBind {
+            ctx,
+            scan,
+            pattern,
+            base,
+            tally,
+        } = self;
+        tally.record(|| loop {
+            if ctx.cancel.should_stop() {
+                break (None, 0);
             }
-            let Some(triple) = self.scan.next() else {
-                break None;
+            let Some(triple) = scan.next() else {
+                break (None, 0);
             };
-            if let Some(row) = extend_row(&self.base, self.pattern, &triple) {
-                self.emitted += 1;
-                break Some(row);
+            if let Some(row) = extend_row(base, pattern, &triple) {
+                break (Some(row), 1);
             }
-        };
-        if let Some(t0) = started {
-            self.nanos += t0.elapsed().as_nanos() as u64;
-        }
-        result
+        })
     }
 }
 

@@ -251,6 +251,43 @@ fn term_equal(a: &Term, b: &Term) -> ExprResult {
     }
 }
 
+/// What a hash join buckets a term under when the join key comes from a
+/// `?x = ?y` conjunct: SPARQL `=` is value equality, so two distinct
+/// dictionary ids (`"01"^^xsd:integer` and `"1"^^xsd:integer`, a plain
+/// `"a"` and `"a"^^xsd:string`) can be equal and must share a bucket.
+///
+/// Defined here, over the same [`literal_value`] view [`term_equal`]
+/// compares, so the two cannot drift. The invariant the join relies on:
+/// `term_equal(a, b) == Ok(true)` ⇒ `eq_class(a) == eq_class(b)`. The
+/// converse need not hold — the join keeps the whole condition as its
+/// residual, so a shared bucket only nominates candidates.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum EqClass {
+    /// IRIs, blank nodes and literals with no value mapping are equal
+    /// only to themselves: the dictionary id is the class. Also the class
+    /// of an ordinary (shared-variable) key component, which joins by id.
+    Id(Id),
+    /// `xsd:integer` literals, by value.
+    Int(i64),
+    /// Plain and `xsd:string` literals, by lexical form.
+    Str(Box<str>),
+    /// `xsd:boolean` literals, by value.
+    Bool(bool),
+}
+
+/// The equality class of the interned term `id` (see [`EqClass`]).
+pub(crate) fn eq_class(id: Id, term: &Term) -> EqClass {
+    match term {
+        Term::Literal(l) => match literal_value(l) {
+            LitValue::Int(i) => EqClass::Int(i),
+            LitValue::Str(s) => EqClass::Str(s.into()),
+            LitValue::Bool(b) => EqClass::Bool(b),
+            LitValue::Opaque(_) => EqClass::Id(id),
+        },
+        Term::Iri(_) | Term::Blank(_) => EqClass::Id(id),
+    }
+}
+
 /// Value ordering for `<`-family operators. `None` = incomparable (error).
 fn value_order(a: &Term, b: &Term) -> Option<Ordering> {
     match (a, b) {
@@ -428,6 +465,54 @@ mod tests {
             Box::new(BoundExpr::Const(None, int(2000))),
         );
         assert_eq!(e.evaluate(&b, &store), Ok(true));
+    }
+
+    #[test]
+    fn equal_terms_share_an_equality_class() {
+        let typed = |lex: &str, dt: &str| {
+            Term::Literal(Literal::typed(
+                lex,
+                sp2b_rdf::Iri::new(format!("{}{dt}", xsd::NS)),
+            ))
+        };
+        let zoo = [
+            int(1),
+            typed("01", "integer"),
+            int(2),
+            Term::Literal(Literal::plain("a")),
+            s("a"),
+            s("b"),
+            typed("true", "boolean"),
+            typed("1", "boolean"),
+            typed("false", "boolean"),
+            // Same text, different term kinds.
+            Term::iri("http://x/a"),
+            s("http://x/a"),
+            Term::iri("http://x/b"),
+            // No value mapping: equal only to themselves.
+            typed("2000-01-01", "date"),
+            typed("2000-01-02", "date"),
+            typed("2000-01-01", "gYear"),
+            Term::blank("b0"),
+            Term::blank("b1"),
+        ];
+        let store = store_with(&zoo);
+        let class = |t: &Term| eq_class(store.resolve(t).expect("term interned"), t);
+        let mut equal_pairs = 0;
+        for a in &zoo {
+            for b in &zoo {
+                if term_equal(a, b) == Ok(true) {
+                    equal_pairs += 1;
+                    assert_eq!(class(a), class(b), "{a} = {b} but the classes differ");
+                }
+            }
+        }
+        // Every term equals itself, plus the three value-equal pairs
+        // (both ways): 1/01, "a"/"a"^^xsd:string, true/1.
+        assert_eq!(equal_pairs, zoo.len() + 6);
+        // And kinds stay apart where `=` says false.
+        assert_ne!(class(&zoo[9]), class(&zoo[10]), "IRI vs string");
+        assert_ne!(class(&zoo[0]), class(&zoo[7]), "integer 1 vs boolean 1");
     }
 
     #[test]

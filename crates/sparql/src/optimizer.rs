@@ -9,7 +9,16 @@
 //! 2. **Filter pushing**: conjuncts of a group filter move into the BGP
 //!    and run as soon as their variables are bound, shrinking
 //!    intermediate results; filters over a join/left-join distribute into
-//!    the branch that certainly binds their variables.
+//!    the branch that certainly binds their variables. Pushing also
+//!    recognises the join a top-level `?x = ?y` conjunct encodes (the
+//!    paper's Q5a-vs-Q5b and Q6 points): in an OPTIONAL's condition it
+//!    becomes a hash key of the left join, and between otherwise
+//!    disconnected parts of a BGP it turns the cartesian product into a
+//!    hash join of the parts (`join_components`). SPARQL `=` compares
+//!    values, not terms, so such a key buckets by equality class
+//!    ([`crate::expr`]: `"01"^^xsd:integer` with `"1"^^xsd:integer`, a
+//!    plain literal with its `xsd:string` twin), and the conjunct itself
+//!    is still evaluated on every candidate row.
 //! 3. **Filter substitution** (constant propagation): an equality conjunct
 //!    `?v = <const>` whose variable is otherwise unobserved is folded into
 //!    the patterns, turning Q3-style "attribute test" filters into
@@ -22,7 +31,7 @@
 use sp2b_rdf::Term;
 use sp2b_store::{Id, StoreStats, TripleStore};
 
-use crate::algebra::{Algebra, Expr, ResolvedPattern, Slot};
+use crate::algebra::{Algebra, EqPairs, Expr, ResolvedPattern, Slot};
 use crate::ast::CmpOp;
 
 /// Which optimizations to apply. `Default` is all-off (the naive engine
@@ -31,7 +40,8 @@ use crate::ast::CmpOp;
 pub struct OptimizerConfig {
     /// Greedy selectivity-based reordering of BGP patterns.
     pub reorder_patterns: bool,
-    /// Push filter conjuncts down to their earliest application point.
+    /// Push filter conjuncts down to their earliest application point —
+    /// for a `?x = ?y` conjunct across a join, into the join's hash key.
     pub push_filters: bool,
     /// Fold `?v = const` equalities into pattern constants.
     pub substitute_filters: bool,
@@ -88,20 +98,12 @@ fn rewrite(
             cfg,
             needed,
         ),
-        Algebra::Join(a, b) => {
+        Algebra::Join(a, b, eq) => {
             let a = rewrite(*a, store, cfg, needed);
             let b = rewrite(*b, store, cfg, needed);
-            Algebra::Join(Box::new(a), Box::new(b))
+            Algebra::Join(Box::new(a), Box::new(b), eq)
         }
-        Algebra::LeftJoin(a, b, cond) => {
-            // The condition's variables must stay observable in both sides.
-            if let Some(c) = &cond {
-                extend(needed, c.variables());
-            }
-            let a = rewrite(*a, store, cfg, needed);
-            let b = rewrite(*b, store, cfg, needed);
-            Algebra::LeftJoin(Box::new(a), Box::new(b), cond)
-        }
+        Algebra::LeftJoin(a, b, cond, _) => rewrite_left_join(*a, *b, cond, store, cfg, needed),
         Algebra::Union(a, b) => {
             let a = rewrite(*a, store, cfg, needed);
             let b = rewrite(*b, store, cfg, needed);
@@ -175,7 +177,7 @@ fn rewrite_filter(
             filters.extend(expr.conjuncts());
             finish_bgp(patterns, filters, store, cfg, needed)
         }
-        Algebra::Join(a, b) => {
+        Algebra::Join(a, b, eq) => {
             let (into_a, into_b, stay) = distribute(expr, &a, &b, /*left_only=*/ false);
             let mut left = *a;
             let mut right = *b;
@@ -188,27 +190,21 @@ fn rewrite_filter(
             let joined = Algebra::Join(
                 Box::new(rewrite(left, store, cfg, needed)),
                 Box::new(rewrite(right, store, cfg, needed)),
+                eq,
             );
             match stay {
                 Some(e) => Algebra::Filter(e, Box::new(joined)),
                 None => joined,
             }
         }
-        Algebra::LeftJoin(a, b, cond) => {
+        Algebra::LeftJoin(a, b, cond, _) => {
             // Only the preserved side may absorb filters.
             let (into_a, _, stay) = distribute(expr, &a, &b, /*left_only=*/ true);
             let mut left = *a;
             if let Some(e) = into_a {
                 left = Algebra::Filter(e, Box::new(left));
             }
-            if let Some(c) = &cond {
-                extend(needed, c.variables());
-            }
-            let lj = Algebra::LeftJoin(
-                Box::new(rewrite(left, store, cfg, needed)),
-                Box::new(rewrite(*b, store, cfg, needed)),
-                cond,
-            );
+            let lj = rewrite_left_join(left, *b, cond, store, cfg, needed);
             match stay {
                 Some(e) => Algebra::Filter(e, Box::new(lj)),
                 None => lj,
@@ -220,6 +216,74 @@ fn rewrite_filter(
             }
             Algebra::Filter(expr, Box::new(rewrite(other, store, cfg, needed)))
         }
+    }
+}
+
+/// Rewrites both sides of a left join and, under `push_filters`, hands
+/// the join the equality conjuncts of its condition as hash-key pairs
+/// (Q6: `?author = ?author2`). The condition itself is untouched: it
+/// stays the residual every candidate row is checked against.
+fn rewrite_left_join(
+    a: Algebra,
+    b: Algebra,
+    cond: Option<Expr>,
+    store: &dyn TripleStore,
+    cfg: &OptimizerConfig,
+    needed: &mut Vec<usize>,
+) -> Algebra {
+    // The condition's variables must stay observable in both sides.
+    if let Some(c) = &cond {
+        extend(needed, c.variables());
+    }
+    let a = rewrite(a, store, cfg, needed);
+    let b = rewrite(b, store, cfg, needed);
+    let eq = match &cond {
+        Some(c) if cfg.push_filters => {
+            let (va, vb) = (a.all_vars(), b.all_vars());
+            var_equalities(c)
+                .into_iter()
+                .filter_map(|(x, y)| orient(x, y, &va, &vb))
+                .collect()
+        }
+        _ => EqPairs::new(),
+    };
+    Algebra::LeftJoin(Box::new(a), Box::new(b), cond, eq)
+}
+
+/// The `(x, y)` of every top-level conjunct `?x = ?y` of `e`. Equalities
+/// under `||` or `!` are not conjuncts — a row can pass without them
+/// holding — and are left out.
+fn var_equalities(e: &Expr) -> EqPairs {
+    match e {
+        Expr::And(a, b) => {
+            let mut out = var_equalities(a);
+            out.extend(var_equalities(b));
+            out
+        }
+        Expr::Compare(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
+            (Expr::Var(x), Expr::Var(y)) => vec![(*x, *y)],
+            _ => Vec::new(),
+        },
+        _ => Vec::new(),
+    }
+}
+
+/// `?x = ?y` as a `(left var, right var)` key pair for a join whose sides
+/// can bind `left` / `right`, when each variable belongs to exactly one
+/// side. Then the merged row takes `?x` from the left row and `?y` from
+/// the right row, so the conjunct holds only if both are bound there and
+/// fall in one [`crate::expr`] equality class — which is what the join
+/// buckets on. A variable both sides mention could be bound by either;
+/// such an equality stays a plain residual.
+fn orient(x: usize, y: usize, left: &[usize], right: &[usize]) -> Option<(usize, usize)> {
+    let only_left = |v| left.contains(&v) && !right.contains(&v);
+    let only_right = |v| right.contains(&v) && !left.contains(&v);
+    if only_left(x) && only_right(y) {
+        Some((x, y))
+    } else if only_left(y) && only_right(x) {
+        Some((y, x))
+    } else {
+        None
     }
 }
 
@@ -256,7 +320,10 @@ fn distribute(
 
 /// Applies substitution, reordering and inline-filter placement to a BGP
 /// whose candidate filters are `filters` (conjuncts that may or may not
-/// reference only BGP variables).
+/// reference only BGP variables). Under `push_filters`, a BGP whose
+/// patterns fall into several components linked only by `?x = ?y`
+/// conjuncts becomes a join of those components instead (see
+/// [`join_components`]).
 fn finish_bgp(
     mut patterns: Vec<ResolvedPattern>,
     filters: Vec<Expr>,
@@ -264,9 +331,6 @@ fn finish_bgp(
     cfg: &OptimizerConfig,
     needed: &[usize],
 ) -> Algebra {
-    let mut residual: Vec<Expr> = Vec::new();
-    let mut pushable: Vec<Expr> = Vec::new();
-
     // Which variables does the BGP bind?
     let bgp_vars: Vec<usize> = patterns.iter().flat_map(|p| p.variables()).collect();
 
@@ -300,10 +364,27 @@ fn finish_bgp(
         remaining = kept;
     }
 
-    for c in remaining {
-        let vars = c.variables();
-        let current_vars: Vec<usize> = patterns.iter().flat_map(|p| p.variables()).collect();
-        if cfg.push_filters && vars.iter().all(|v| current_vars.contains(v)) {
+    if cfg.push_filters {
+        if let Some(joined) = join_components(&patterns, &remaining, store, cfg) {
+            return joined;
+        }
+    }
+    order_and_place(patterns, remaining, store, cfg)
+}
+
+/// Reorders one BGP and attaches each filter conjunct it fully binds at
+/// the earliest pattern position; the others stay in a `Filter` above.
+fn order_and_place(
+    mut patterns: Vec<ResolvedPattern>,
+    filters: Vec<Expr>,
+    store: &dyn TripleStore,
+    cfg: &OptimizerConfig,
+) -> Algebra {
+    let mut residual: Vec<Expr> = Vec::new();
+    let mut pushable: Vec<Expr> = Vec::new();
+    let bgp_vars: Vec<usize> = patterns.iter().flat_map(|p| p.variables()).collect();
+    for c in filters {
+        if cfg.push_filters && c.variables().iter().all(|v| bgp_vars.contains(v)) {
             pushable.push(c);
         } else {
             residual.push(c);
@@ -339,6 +420,150 @@ fn finish_bgp(
         Some(e) => Algebra::Filter(e, Box::new(bgp)),
         None => bgp,
     }
+}
+
+/// One side of the join tree [`join_components`] grows: a sub-plan, the
+/// variables it binds, and the estimate of its most selective pattern
+/// (the scan that will drive it) as a size proxy.
+struct Component {
+    algebra: Algebra,
+    vars: Vec<usize>,
+    estimate: u64,
+}
+
+/// The implicit join a FILTER equality encodes (Q5a, Q12a): when the
+/// patterns fall into several connected components — no shared variable
+/// between them — and an `?x = ?y` conjunct links two, evaluating them as
+/// one BGP is a cartesian product the filter then cuts down. Instead each
+/// component becomes its own BGP (with the conjuncts it binds pushed
+/// inside), linked components hash-join on the equality's value classes
+/// with the smaller one as build side, and every cross-component conjunct
+/// — the linking equalities included — stays in a `Filter` above, so the
+/// join only has to nominate a superset. Components no equality reaches
+/// join with an empty key: the same cartesian product as before.
+///
+/// `None` when there is nothing to link (one component, or no equality
+/// between two of them); the caller then plans the single BGP.
+fn join_components(
+    patterns: &[ResolvedPattern],
+    filters: &[Expr],
+    store: &dyn TripleStore,
+    cfg: &OptimizerConfig,
+) -> Option<Algebra> {
+    let parts = connected_components(patterns);
+    if parts.len() < 2 {
+        return None;
+    }
+    let vars_of = |part: &[usize]| -> Vec<usize> {
+        part.iter().flat_map(|&i| patterns[i].variables()).collect()
+    };
+    let part_vars: Vec<Vec<usize>> = parts.iter().map(|p| vars_of(p)).collect();
+    let home = |v: usize| part_vars.iter().position(|vars| vars.contains(&v));
+
+    // A conjunct whose variables all live in one component is that
+    // component's own; everything else is decided above the joins.
+    let mut local: Vec<Vec<Expr>> = vec![Vec::new(); parts.len()];
+    let mut above: Vec<Expr> = Vec::new();
+    let mut links: EqPairs = Vec::new();
+    for c in filters {
+        let vars = c.variables();
+        match vars.first().and_then(|&v| home(v)) {
+            Some(h) if vars.iter().all(|&v| home(v) == Some(h)) => local[h].push(c.clone()),
+            _ => {
+                links.extend(var_equalities(c).into_iter().filter(|&(x, y)| {
+                    home(x).is_some() && home(y).is_some() && home(x) != home(y)
+                }));
+                above.push(c.clone());
+            }
+        }
+    }
+    if links.is_empty() {
+        return None;
+    }
+
+    let mut groups: Vec<Component> = parts
+        .iter()
+        .zip(part_vars)
+        .zip(local)
+        .map(|((part, vars), filters)| {
+            let part: Vec<ResolvedPattern> = part.iter().map(|&i| patterns[i].clone()).collect();
+            let estimate = part
+                .iter()
+                .map(|p| resolve_consts(p, store).map_or(0, |pat| store.estimate(pat)))
+                .min()
+                .unwrap_or(0);
+            Component {
+                algebra: order_and_place(part, filters, store, cfg),
+                vars,
+                estimate,
+            }
+        })
+        .collect();
+
+    // Join linked groups pairwise until no equality crosses a boundary.
+    let group_of = |groups: &[Component], v: usize| {
+        groups
+            .iter()
+            .position(|g| g.vars.contains(&v))
+            .expect("link variables belong to a component")
+    };
+    while let Some((i, j)) = links.iter().find_map(|&(x, y)| {
+        let (i, j) = (group_of(&groups, x), group_of(&groups, y));
+        (i != j).then_some((i.min(j), i.max(j)))
+    }) {
+        let second = groups.remove(j);
+        let first = groups.remove(i);
+        // The hash table is built over the right side: make it the
+        // smaller one.
+        let (left, right) = if first.estimate >= second.estimate {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        let eq: EqPairs = links
+            .iter()
+            .filter_map(|&(x, y)| orient(x, y, &left.vars, &right.vars))
+            .collect();
+        let mut vars = left.vars;
+        vars.extend(right.vars);
+        groups.push(Component {
+            algebra: Algebra::Join(Box::new(left.algebra), Box::new(right.algebra), eq),
+            vars,
+            estimate: left.estimate.max(right.estimate),
+        });
+    }
+    let joined = groups
+        .into_iter()
+        .map(|g| g.algebra)
+        .reduce(|acc, g| Algebra::Join(Box::new(acc), Box::new(g), EqPairs::new()))
+        .expect("at least two components");
+    let above = Expr::fold_and(above).expect("the linking equalities");
+    Some(Algebra::Filter(above, Box::new(joined)))
+}
+
+/// Partitions pattern indices into the connected components of the graph
+/// whose edges are shared variables, each component in pattern order and
+/// components in order of their first pattern.
+fn connected_components(patterns: &[ResolvedPattern]) -> Vec<Vec<usize>> {
+    let mut parts: Vec<Vec<usize>> = Vec::new();
+    let mut unplaced: Vec<usize> = (0..patterns.len()).collect();
+    while !unplaced.is_empty() {
+        // Seed a part with the first unplaced pattern, then absorb
+        // whatever shares a variable with it until nothing more does.
+        let mut part = vec![unplaced.remove(0)];
+        let mut vars: Vec<usize> = patterns[part[0]].variables().collect();
+        while let Some(at) = unplaced
+            .iter()
+            .position(|&i| patterns[i].variables().any(|v| vars.contains(&v)))
+        {
+            let i = unplaced.remove(at);
+            vars.extend(patterns[i].variables());
+            part.push(i);
+        }
+        part.sort_unstable();
+        parts.push(part);
+    }
+    parts
 }
 
 /// Recognizes `?v = const` / `const = ?v`.
@@ -782,6 +1007,77 @@ mod tests {
         let (patterns, inline) = bgp_of(&optimized);
         let still_var = patterns[0].p == Slot::Var(t.vars.lookup("p").unwrap());
         assert!(still_var || !inline.is_empty());
+    }
+
+    fn optimized(query: &str, cfg: &OptimizerConfig) -> (Algebra, crate::algebra::VarTable) {
+        let t = translate(&parse(query).unwrap());
+        (optimize(t.algebra, &store(), cfg, &t.projection), t.vars)
+    }
+
+    #[test]
+    fn left_join_condition_equalities_become_key_pairs() {
+        let pairs = |condition: &str, cfg: &OptimizerConfig| {
+            let (algebra, vars) = optimized(
+                &format!(
+                    "SELECT ?a WHERE {{ ?a <http://x/common> ?x
+                       OPTIONAL {{ ?b <http://x/rare> ?y FILTER ({condition}) }} }}"
+                ),
+                cfg,
+            );
+            let Algebra::Project(_, inner) = algebra else {
+                panic!()
+            };
+            let Algebra::LeftJoin(_, _, cond, eq) = *inner else {
+                panic!("{inner:?}")
+            };
+            assert!(cond.is_some(), "the condition stays as the residual");
+            let var = |n: &str| vars.lookup(n).unwrap();
+            (eq, var("a"), var("x"), var("b"), var("y"))
+        };
+        let full = OptimizerConfig::full();
+        // Either way round, pairs come out (left var, right var).
+        let (eq, a, x, b, y) = pairs("?y = ?x && ?a = ?b && ?x != ?y", &full);
+        assert_eq!(eq, vec![(x, y), (a, b)]);
+        // Not a conjunct: the row may pass through the other disjunct.
+        assert!(pairs("?x = ?y || ?a = ?b", &full).0.is_empty());
+        assert!(pairs("!(?x = ?y)", &full).0.is_empty());
+        // Both variables on one side: nothing to join on.
+        assert!(pairs("?a = ?x", &full).0.is_empty());
+        // The naive configurations keep the nested loop.
+        assert!(pairs("?x = ?y", &OptimizerConfig::default()).0.is_empty());
+    }
+
+    #[test]
+    fn equality_linked_components_become_a_join() {
+        let query = "SELECT ?a ?b WHERE { ?a <http://x/common> ?x . ?b <http://x/rare> ?y .
+                       ?b <http://x/common> ?z FILTER (?x = ?y && ?z != ?y && ?a != ?b) }";
+        let (algebra, vars) = optimized(query, &OptimizerConfig::full());
+        let Algebra::Project(_, inner) = algebra else {
+            panic!()
+        };
+        // Cross-component conjuncts stay above the join, linking equality
+        // included; the one inside a component is pushed into its BGP.
+        let Algebra::Filter(above, joined) = *inner else {
+            panic!("{inner:?}")
+        };
+        assert_eq!(above.conjuncts().len(), 2);
+        let Algebra::Join(left, right, eq) = *joined else {
+            panic!("{joined:?}")
+        };
+        let var = |n: &str| vars.lookup(n).unwrap();
+        // The 2-row `rare` component is the build (right) side.
+        assert_eq!(eq, vec![(var("x"), var("y"))]);
+        assert_eq!(bgp_of(&left).0.len(), 1);
+        let (patterns, inline) = bgp_of(&right);
+        assert_eq!((patterns.len(), inline.len()), (2, 1));
+        // Without pushing — or without a linking equality — one BGP.
+        let (algebra, _) = optimized(query, &OptimizerConfig::default());
+        assert_eq!(bgp_of(&algebra).0.len(), 3);
+        let (algebra, _) = optimized(
+            "SELECT ?a ?b WHERE { ?a <http://x/common> ?x . ?b <http://x/rare> ?y FILTER (?x != ?y) }",
+            &OptimizerConfig::full(),
+        );
+        assert_eq!(bgp_of(&algebra).0.len(), 2);
     }
 
     #[test]

@@ -52,12 +52,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use sp2b_store::hash::FxHashMap;
-use sp2b_store::{Id, Pattern, ScanChunk, SharedStore, TripleStore};
+use sp2b_store::{Pattern, ScanChunk, SharedStore, TripleStore};
 
+use crate::algebra::EqPairs;
 use crate::eval::{
-    extend_row, insert_build_row, probe_inner, probe_left, Bindings, Cancellation, EvalContext,
-    RowIter,
+    join_rows, Bindings, BuildSide, Cancellation, EvalContext, JoinKind, PatternBind, RowIter,
 };
 use crate::expr::BoundExpr;
 use crate::plan::{const_pattern, parallel_threshold, Plan, PlanPattern};
@@ -84,13 +83,6 @@ pub const MAX_MERGE_AHEAD: usize = 4;
 /// the merge-ahead window.
 const MERGE_AHEAD_NAP: std::time::Duration = std::time::Duration::from_micros(100);
 
-/// A hash-join build side materialized once and shared read-only by
-/// every worker.
-struct Build {
-    map: FxHashMap<Vec<Id>, Vec<Bindings>>,
-    flat: Vec<Bindings>,
-}
-
 /// The compiled per-morsel pipeline: an **owned** copy of the exchange
 /// input (detached workers cannot borrow the prepared plan) with every
 /// build side pre-materialized. Shapes the parallel driver cannot run
@@ -103,16 +95,13 @@ enum Pipeline {
         patterns: Vec<PlanPattern>,
         filters: Vec<(usize, BoundExpr)>,
     },
+    /// A join probing a build side materialized once and shared
+    /// read-only by every worker.
     Join {
         probe: Box<Pipeline>,
-        build: Arc<Build>,
-        key: Vec<usize>,
-    },
-    LeftJoin {
-        probe: Box<Pipeline>,
-        build: Arc<Build>,
-        key: Vec<usize>,
-        condition: Option<BoundExpr>,
+        build: Arc<BuildSide>,
+        kind: JoinKind<BoundExpr>,
+        ordinal: usize,
     },
     Filter(BoundExpr, Box<Pipeline>),
 }
@@ -128,26 +117,35 @@ fn compile<'a>(
             patterns: patterns.clone(),
             filters: filters.clone(),
         }),
-        Plan::Join { left, right, key } => {
+        Plan::Join {
+            left,
+            right,
+            key,
+            eq,
+            ordinal,
+        } => {
             let probe = Box::new(compile(ctx, left, degree, base)?);
             Some(Pipeline::Join {
                 probe,
-                build: Arc::new(build_side(ctx, right, key, degree, base)),
-                key: key.clone(),
+                build: Arc::new(build_side(ctx, right, key, eq, degree, base)),
+                kind: JoinKind::Inner,
+                ordinal: *ordinal,
             })
         }
         Plan::LeftJoin {
             left,
             right,
             key,
+            eq,
             condition,
+            ordinal,
         } => {
             let probe = Box::new(compile(ctx, left, degree, base)?);
-            Some(Pipeline::LeftJoin {
+            Some(Pipeline::Join {
                 probe,
-                build: Arc::new(build_side(ctx, right, key, degree, base)),
-                key: key.clone(),
-                condition: condition.clone(),
+                build: Arc::new(build_side(ctx, right, key, eq, degree, base)),
+                kind: JoinKind::Left(condition.clone()),
+                ordinal: *ordinal,
             })
         }
         Plan::Filter(expr, inner) => Some(Pipeline::Filter(
@@ -167,19 +165,19 @@ fn build_side<'a>(
     ctx: &EvalContext<'a>,
     plan: &'a Plan,
     key: &[usize],
+    eq: &EqPairs,
     degree: usize,
     base: u64,
-) -> Build {
-    let mut map: FxHashMap<Vec<Id>, Vec<Bindings>> = FxHashMap::default();
-    let mut flat: Vec<Bindings> = Vec::new();
-    if let Some(rows) = parallel_build_rows(ctx, plan, degree, base) {
-        for row in rows {
-            insert_build_row(&mut map, &mut flat, key, row);
-        }
-    } else {
-        (map, flat) = ctx.build_side(plan, key);
+) -> BuildSide {
+    let Some(rows) = parallel_build_rows(ctx, plan, degree, base) else {
+        return ctx.build_side(plan, key, eq);
+    };
+    let mut build = BuildSide::new(key, eq);
+    let dict = ctx.store.dictionary();
+    for row in rows {
+        build.insert(dict, row);
     }
-    Build { map, flat }
+    build
 }
 
 /// Evaluates a build-side BGP in parallel partitions of its driving scan,
@@ -259,19 +257,14 @@ fn bgp_chunk_rows<'a>(
     if pattern0.is_unsatisfiable() {
         return Box::new(std::iter::empty());
     }
-    let width = ctx.width;
-    let cancel = ctx.cancel.clone();
-    let mut scan = chunk.iter(const_pattern(pattern0));
-    let empty = Bindings::empty(width);
-    let seed: RowIter<'a> = Box::new(std::iter::from_fn(move || loop {
-        if cancel.should_stop() {
-            return None;
-        }
-        let triple = scan.next()?;
-        if let Some(row) = extend_row(&empty, pattern0, &triple) {
-            return Some(row);
-        }
-    }));
+    // The chunk stands in for pattern 0's scan; the step itself — and
+    // its tally against `pattern0.ordinal` — is the sequential one.
+    let seed: RowIter<'a> = Box::new(PatternBind::over(
+        ctx.clone(),
+        pattern0,
+        Bindings::empty(ctx.width),
+        chunk.iter(const_pattern(pattern0)),
+    ));
     ctx.clone().eval_bgp_from(seed, patterns, filters, 1)
 }
 
@@ -286,39 +279,23 @@ fn morsel_rows<'a>(ctx: &EvalContext<'a>, pipe: &'a Pipeline, chunk: ScanChunk<'
             let input = morsel_rows(ctx, inner, chunk);
             Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
         }
-        // Both join arms delegate the per-row probe to the helpers shared
-        // with the sequential evaluator, so join semantics (residual
-        // merge check, OPTIONAL condition, unmatched-left preservation)
-        // live in exactly one place: crate::eval.
-        Pipeline::Join { probe, build, key } => {
-            let input = morsel_rows(ctx, probe, chunk);
-            let build = Arc::clone(build);
-            let key: &'a [usize] = key;
-            let this = ctx.clone();
-            Box::new(input.flat_map(move |l| {
-                if this.cancel.should_stop() {
-                    return Vec::new().into_iter();
-                }
-                probe_inner(&build.map, &build.flat, key, l).into_iter()
-            }))
-        }
-        Pipeline::LeftJoin {
+        // The join loop itself (residual merge check, OPTIONAL condition,
+        // unmatched-left preservation, tallies) lives in exactly one
+        // place: crate::eval.
+        Pipeline::Join {
             probe,
             build,
-            key,
-            condition,
+            kind,
+            ordinal,
         } => {
             let input = morsel_rows(ctx, probe, chunk);
-            let build = Arc::clone(build);
-            let key: &'a [usize] = key;
-            let condition: Option<&'a BoundExpr> = condition.as_ref();
-            let this = ctx.clone();
-            Box::new(input.flat_map(move |l| {
-                if this.cancel.should_stop() {
-                    return Vec::new().into_iter();
-                }
-                probe_left(&this, &build.map, &build.flat, key, condition, l).into_iter()
-            }))
+            join_rows(
+                ctx.clone(),
+                input,
+                Arc::clone(build),
+                kind.as_ref(),
+                *ordinal,
+            )
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use sp2b_store::{Id, TripleStore};
 
-use crate::algebra::{Algebra, GroupSpec, ResolvedPattern, Slot};
+use crate::algebra::{Algebra, EqPairs, GroupSpec, ResolvedPattern, Slot};
 use crate::expr::BoundExpr;
 
 /// A pattern slot bound to the store.
@@ -32,11 +32,11 @@ pub enum PlanSlot {
 pub struct PlanPattern {
     /// (s, p, o) slots.
     pub slots: [PlanSlot; 3],
-    /// This occurrence's position in [`collect_patterns`] order, assigned
-    /// by [`bind`]. It is what [`crate::eval::ScanCounters`] keys tallies
-    /// by — two occurrences of the same slots (Q9's two `rdf:type
-    /// foaf:Person` steps) stay apart — and it survives the plan copies
-    /// handed to exchange workers.
+    /// This occurrence's number in [`operators`] order — one numbering
+    /// over pattern steps and joins — assigned by [`bind`]. It is what
+    /// [`crate::eval::ScanCounters`] keys tallies by — two occurrences of
+    /// the same slots (Q9's two `rdf:type foaf:Person` steps) stay apart
+    /// — and it survives the plan copies handed to exchange workers.
     pub ordinal: usize,
 }
 
@@ -92,14 +92,26 @@ pub enum Plan {
     },
     /// Hash join. Variables shared but only *possibly* bound on a side
     /// are not part of the key; they are enforced by the evaluator's
-    /// full-row merge ([`crate::eval::Bindings::merge_checked`]).
+    /// full-row merge ([`crate::eval::Bindings::merge_checked`]). With
+    /// `key` and `eq` both empty it degenerates to a nested loop over the
+    /// whole build side.
     Join {
         /// Probe side (streamed).
         left: Box<Plan>,
         /// Build side (materialized).
         right: Box<Plan>,
-        /// Hash-key variables (certainly bound on both sides).
+        /// Hash-key variables (certainly bound on both sides), joined by
+        /// dictionary id.
         key: Vec<usize>,
+        /// Further key components from `?l = ?r` filter conjuncts the
+        /// optimizer recognised (see [`crate::algebra::EqPairs`]): the
+        /// probe row's `?l` and the build row's `?r` must fall in one
+        /// SPARQL-`=` equality class. The filter itself sits above the
+        /// join and still decides.
+        eq: EqPairs,
+        /// Position in the operator numbering (see
+        /// [`PlanPattern::ordinal`]) — what join tallies are keyed by.
+        ordinal: usize,
     },
     /// Left outer join with optional condition.
     LeftJoin {
@@ -109,8 +121,13 @@ pub enum Plan {
         right: Box<Plan>,
         /// Hash-key variables.
         key: Vec<usize>,
+        /// Key components from the condition's `?l = ?r` conjuncts, as
+        /// for [`Plan::Join`]; `condition` keeps them as its residual.
+        eq: EqPairs,
         /// The OPTIONAL filter condition, if any.
         condition: Option<BoundExpr>,
+        /// Position in the operator numbering, as for [`Plan::Join`].
+        ordinal: usize,
     },
     /// Concatenation.
     Union(Box<Plan>, Box<Plan>),
@@ -165,14 +182,14 @@ pub enum Plan {
     },
 }
 
-/// Binds an algebra tree to a store, numbering pattern occurrences in
-/// [`collect_patterns`] order (see [`PlanPattern::ordinal`]).
+/// Binds an algebra tree to a store, numbering operators in
+/// [`operators`] order (see [`PlanPattern::ordinal`]).
 pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
     bind_from(algebra, store, &mut 0)
 }
 
 fn bind_from(algebra: &Algebra, store: &dyn TripleStore, next: &mut usize) -> Plan {
-    // Sub-plans bind left to right, the order `collect_patterns` walks.
+    // Sub-plans bind left to right, the order `operators` walks.
     let mut sub = |a: &Algebra| Box::new(bind_from(a, store, next));
     match algebra {
         Algebra::Bgp {
@@ -181,26 +198,27 @@ fn bind_from(algebra: &Algebra, store: &dyn TripleStore, next: &mut usize) -> Pl
         } => Plan::Bgp {
             patterns: patterns
                 .iter()
-                .map(|p| {
-                    *next += 1;
-                    PlanPattern::bind(p, store, *next - 1)
-                })
+                .map(|p| PlanPattern::bind(p, store, next_ordinal(next)))
                 .collect(),
             filters: inline_filters
                 .iter()
                 .map(|(pos, e)| (*pos, BoundExpr::bind(e, store)))
                 .collect(),
         },
-        Algebra::Join(a, b) => Plan::Join {
+        Algebra::Join(a, b, eq) => Plan::Join {
             left: sub(a),
             right: sub(b),
             key: join_key(a, b),
+            eq: eq.clone(),
+            ordinal: next_ordinal(next),
         },
-        Algebra::LeftJoin(a, b, cond) => Plan::LeftJoin {
+        Algebra::LeftJoin(a, b, cond, eq) => Plan::LeftJoin {
             left: sub(a),
             right: sub(b),
             key: join_key(a, b),
+            eq: eq.clone(),
             condition: cond.as_ref().map(|c| BoundExpr::bind(c, store)),
+            ordinal: next_ordinal(next),
         },
         Algebra::Union(a, b) => Plan::Union(sub(a), sub(b)),
         Algebra::Filter(e, inner) => Plan::Filter(BoundExpr::bind(e, store), sub(inner)),
@@ -235,6 +253,11 @@ fn bind_from(algebra: &Algebra, store: &dyn TripleStore, next: &mut usize) -> Pl
             input: sub(input),
         },
     }
+}
+
+fn next_ordinal(next: &mut usize) -> usize {
+    *next += 1;
+    *next - 1
 }
 
 /// Hash-join key: the variables certainly bound on both sides. Shared
@@ -459,16 +482,72 @@ pub fn has_exchange(plan: &Plan) -> bool {
     }
 }
 
-/// Every basic graph pattern in the plan, in join order (probe side
-/// before build side) — the order `--explain`/`--trace` and the server's
-/// slow-query log display operators in.
-pub fn collect_patterns(plan: &Plan) -> Vec<&PlanPattern> {
-    fn walk<'p>(plan: &'p Plan, out: &mut Vec<&'p PlanPattern>) {
+/// One instrumented operator of a plan (see [`operators`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Operator<'p> {
+    /// A BGP pattern step.
+    Scan(&'p PlanPattern),
+    /// A [`Plan::Join`] or [`Plan::LeftJoin`] node.
+    Join {
+        /// Left outer join?
+        outer: bool,
+        /// The materialized side.
+        build: &'p Plan,
+        /// The node's `key`.
+        key: &'p [usize],
+        /// The node's `eq`.
+        eq: &'p [(usize, usize)],
+        /// Whether a left join carries a condition to re-check.
+        residual: bool,
+        /// The node's `ordinal`.
+        ordinal: usize,
+    },
+}
+
+/// Every instrumented operator of the plan in ordinal order: the basic
+/// graph patterns in join order (probe side before build side), each join
+/// after both its inputs — the order `--explain`/`--trace` and the
+/// server's slow-query log display operators in.
+pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
+    fn walk<'p>(plan: &'p Plan, out: &mut Vec<Operator<'p>>) {
         match plan {
-            Plan::Bgp { patterns, .. } => out.extend(patterns.iter()),
-            Plan::Join { left, right, .. } | Plan::LeftJoin { left, right, .. } => {
+            Plan::Bgp { patterns, .. } => out.extend(patterns.iter().map(Operator::Scan)),
+            Plan::Join {
+                left,
+                right,
+                key,
+                eq,
+                ordinal,
+            } => {
                 walk(left, out);
                 walk(right, out);
+                out.push(Operator::Join {
+                    outer: false,
+                    build: right,
+                    key,
+                    eq,
+                    residual: false,
+                    ordinal: *ordinal,
+                });
+            }
+            Plan::LeftJoin {
+                left,
+                right,
+                key,
+                eq,
+                condition,
+                ordinal,
+            } => {
+                walk(left, out);
+                walk(right, out);
+                out.push(Operator::Join {
+                    outer: true,
+                    build: right,
+                    key,
+                    eq,
+                    residual: condition.is_some(),
+                    ordinal: *ordinal,
+                });
             }
             Plan::Union(a, b) => {
                 walk(a, out);

@@ -221,6 +221,41 @@ fn queries_with_limit_modifiers_agree_in_order() {
 }
 
 #[test]
+fn equality_hash_joins_keep_row_order_under_parallelism() {
+    // Q6 (left join keyed on `?author = ?author2`) and Q5a (two BGP
+    // components joined on `?name = ?name2`) have no ORDER BY, yet the
+    // exchange merges in morsel order and both builds file rows in scan
+    // order — so the rows come out in the sequential order exactly.
+    let (graph, _) = generate_graph(Config::triples(TRIPLES));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    for q in [BenchQuery::Q6, BenchQuery::Q5a] {
+        let rows_at = |degree: usize| {
+            // Base 1 forces the exchange (and the partitioned build) even
+            // on a document this small.
+            let engine = QueryEngine::with_options(
+                store.clone(),
+                QueryOptions::new().parallelism(degree).parallel_base(1),
+            );
+            let prepared = engine.prepare(q.text()).unwrap();
+            assert_eq!(
+                sp2bench::sparql::plan::has_exchange(prepared.plan()),
+                degree > 1,
+                "{q}@{degree}"
+            );
+            let QueryResult::Solutions { rows, .. } = engine.execute(&prepared).unwrap() else {
+                panic!("{q} is a SELECT")
+            };
+            rows
+        };
+        let sequential = rows_at(1);
+        assert!(!sequential.is_empty(), "{q}");
+        for degree in [2, 4] {
+            assert_eq!(rows_at(degree), sequential, "{q}@{degree}: ordered rows");
+        }
+    }
+}
+
+#[test]
 fn early_stream_drop_matches_sequential_prefix() {
     // Pulling k rows and hanging up mid-stream must (a) deliver exactly
     // the sequential prefix — the detached-worker merge preserves morsel

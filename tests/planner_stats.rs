@@ -282,6 +282,46 @@ fn repeated_patterns_keep_their_own_tallies() {
     assert_eq!(rendered, parallel.total_rows());
 }
 
+/// An exchange splits the driving scan into morsels, and each morsel's
+/// rows are still the driving pattern's rows: every operator — that
+/// pattern, the steps after it, the build side's patterns, the joins —
+/// must report the same rows at parallelism 4 as sequentially, or
+/// `--explain`, the slow log and `ScanCounters::total_rows` undercount.
+#[test]
+fn operator_rows_do_not_depend_on_parallelism() {
+    let (graph, _) = generate_graph(Config::triples(TRIPLES));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    for label in ["Q4", "Q5a", "Q6"] {
+        let query = BenchQuery::from_label(label).expect("known label");
+        let rows_at = |degree: usize| {
+            let counters = Arc::new(ScanCounters::default());
+            // Base 1 forces the exchange on this small document.
+            let qe = QueryEngine::with_options(
+                store.clone(),
+                QueryOptions::new().parallelism(degree).parallel_base(1),
+            )
+            .scan_counters(counters.clone());
+            let prepared = qe.prepare(query.text()).expect("query parses");
+            assert_eq!(
+                sp2bench::sparql::plan::has_exchange(prepared.plan()),
+                degree > 1,
+                "{label}@{degree}"
+            );
+            qe.count(&prepared).expect("query evaluates");
+            let rows: Vec<(String, u64)> = operator_spans(&prepared, qe.store(), &counters)
+                .into_iter()
+                .map(|s| (s.label, s.rows))
+                .collect();
+            (rows, counters.total_rows())
+        };
+        let (sequential, total) = rows_at(1);
+        assert!(sequential[0].1 > 0, "{label}: the driving pattern ran");
+        let (parallel, parallel_total) = rows_at(4);
+        assert_eq!(parallel, sequential, "{label}");
+        assert_eq!(parallel_total, total, "{label}");
+    }
+}
+
 /// The instrumentation itself: counters see exactly the rows a trivial
 /// single-pattern scan emits, and detach cleanly (a fresh engine without
 /// counters adds nothing).
