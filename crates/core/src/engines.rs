@@ -237,17 +237,29 @@ impl Engine {
     /// ([`QueryEngine`], exchange, server, multi-user driver) is
     /// unchanged: the sharded store is just another `TripleStore` behind
     /// the same `Arc`.
+    ///
+    /// A configuration whose planner reorders patterns also gathers the
+    /// store's statistics here, as part of the timed load. The stores
+    /// collect them on first use; left to that, the first query prepared
+    /// pays for a pass over the whole document — an `ASK` that answers in
+    /// microseconds then reads as slow as the statistics build.
     pub fn load_with(kind: EngineKind, graph: &Graph, layout: &StoreLayout) -> Engine {
+        let with_stats = |store: SharedStore| {
+            if kind.optimizer().reorder_patterns {
+                store.stats();
+            }
+            store
+        };
         if !layout.is_sharded() {
             let (store, loading) = measure(|| -> SharedStore {
-                match kind {
+                with_stats(match kind {
                     EngineKind::MemNaive | EngineKind::MemOpt => {
                         MemStore::from_graph(graph).into_shared()
                     }
                     EngineKind::NativeBase | EngineKind::NativeOpt => {
                         NativeStore::with_indexes(graph, IndexSelection::all()).into_shared()
                     }
-                }
+                })
             });
             return Engine {
                 kind,
@@ -269,7 +281,7 @@ impl Engine {
                 lens: sharded.shard_lens(),
                 build_times: sharded.shard_build_times().to_vec(),
             };
-            (sharded.into_shared(), info)
+            (with_stats(sharded.into_shared()), info)
         });
         Engine {
             kind,

@@ -395,7 +395,7 @@ impl QueryEngine {
         let state = if let Plan::GroupAggregate { spec, input } = &prepared.plan {
             StreamState::PendingGroups { ctx, spec, input }
         } else if prepared.ask {
-            StreamState::Ask(Some(ctx.eval(&prepared.plan)))
+            StreamState::Ask(Some(ctx.eval_witness(&prepared.plan)))
         } else {
             StreamState::Rows {
                 iter: ctx.eval(&prepared.plan),
@@ -449,7 +449,7 @@ impl QueryEngine {
             });
         }
         if prepared.ask {
-            let found = ctx.clone().eval(&prepared.plan).next().is_some();
+            let found = ctx.clone().eval_witness(&prepared.plan).next().is_some();
             if cancel.was_triggered() {
                 return Err(Error::Cancelled);
             }
@@ -495,7 +495,7 @@ impl QueryEngine {
         }
         let ctx = self.context(prepared, cancel);
         let n = if prepared.ask {
-            u64::from(ctx.clone().eval(&prepared.plan).next().is_some())
+            u64::from(ctx.clone().eval_witness(&prepared.plan).next().is_some())
         } else {
             ctx.count_rows(&prepared.plan)
         };

@@ -3,7 +3,9 @@
 //! Solutions stream lazily wherever the algebra allows: BGPs evaluate as
 //! index-nested-loop joins (one store scan per pattern step), hash joins
 //! materialize only their build side, and `ASK` stops at the first
-//! solution ("engines should break as soon a solution has been found").
+//! solution ("engines should break as soon a solution has been found") —
+//! for which it materializes neither side of an inner join
+//! ([`EvalContext::eval_witness`]).
 //! Sorting and duplicate elimination materialize by nature.
 //!
 //! Every row produced passes a [`Cancellation`] check, which is how the
@@ -107,7 +109,8 @@ thread_local! {
     /// and the handle in it — for every pattern step of every row, so a
     /// countdown inside the handle would restart with each clone; and not
     /// in the shared state, where exchange workers would bounce its cache
-    /// line between cores on every row.
+    /// line between cores on every row. A new thread starts at zero, so an
+    /// exchange worker's first check reads the clock as well.
     static CLOCK_COUNTDOWN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
@@ -193,33 +196,36 @@ impl CancelState {
 /// reads.
 #[derive(Debug, Default)]
 pub struct ScanCounters {
-    tallies: std::sync::Mutex<FxHashMap<usize, OperatorTally>>,
+    /// Pattern steps — what [`ScanCounters::total_rows`] sums.
+    scans: TallyMap,
+    /// Joins, whose rows are output rather than scan work.
+    joins: TallyMap,
 }
+
+type TallyMap = std::sync::Mutex<FxHashMap<usize, OperatorTally>>;
 
 #[derive(Debug, Default, Clone, Copy)]
 struct OperatorTally {
     rows: u64,
     nanos: u64,
-    /// A pattern step (counted by [`ScanCounters::total_rows`]) as
-    /// opposed to a join.
-    scan: bool,
+}
+
+/// Every update leaves the map valid, so a poisoned lock is still readable
+/// — and [`LocalTally`] flushes from a `Drop`, which must not panic.
+fn lock(map: &TallyMap) -> std::sync::MutexGuard<'_, FxHashMap<usize, OperatorTally>> {
+    map.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ScanCounters {
-    /// Every update leaves the map valid, so a poisoned lock is still
-    /// readable — and [`LocalTally`] flushes from a `Drop`, which must not
-    /// panic.
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, OperatorTally>> {
-        self.tallies
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Rows emitted and wall time spent by the operator numbered
     /// `ordinal` (zeros if it never ran). Under an exchange the time sums
     /// across workers.
     pub(crate) fn tally(&self, ordinal: usize) -> (u64, std::time::Duration) {
-        let t = self.lock().get(&ordinal).copied().unwrap_or_default();
+        let scan = lock(&self.scans).get(&ordinal).copied();
+        let t = scan
+            .or_else(|| lock(&self.joins).get(&ordinal).copied())
+            .unwrap_or_default();
         (t.rows, std::time::Duration::from_nanos(t.nanos))
     }
 
@@ -238,33 +244,30 @@ impl ScanCounters {
     /// intermediate-result volume, the planner's work metric. Rows joins
     /// emit are not part of it.
     pub fn total_rows(&self) -> u64 {
-        self.lock()
-            .values()
-            .filter(|t| t.scan)
-            .map(|t| t.rows)
-            .sum()
+        lock(&self.scans).values().map(|t| t.rows).sum()
     }
 }
 
 /// One running operator's share of a [`ScanCounters`] tally: counts
 /// locally — the per-row path stays a plain increment — and flushes once,
-/// when the operator is dropped. Clock reads only happen when counters
-/// are attached (`--explain` / `--trace`); plain evaluation never touches
-/// the clock.
+/// when the operator is dropped, into the map `into` picks (pattern steps
+/// and joins are kept apart). Clock reads only happen when counters are
+/// attached (`--explain` / `--trace`); plain evaluation never touches the
+/// clock.
 struct LocalTally {
     counters: Option<Arc<ScanCounters>>,
+    into: fn(&ScanCounters) -> &TallyMap,
     ordinal: usize,
-    scan: bool,
     rows: u64,
     nanos: u64,
 }
 
 impl LocalTally {
-    fn new(ctx: &EvalContext<'_>, ordinal: usize, scan: bool) -> Self {
+    fn new(ctx: &EvalContext<'_>, ordinal: usize, into: fn(&ScanCounters) -> &TallyMap) -> Self {
         LocalTally {
             counters: ctx.counters.clone(),
+            into,
             ordinal,
-            scan,
             rows: 0,
             nanos: 0,
         }
@@ -287,11 +290,10 @@ impl Drop for LocalTally {
     fn drop(&mut self) {
         if self.rows > 0 || self.nanos > 0 {
             if let Some(counters) = &self.counters {
-                let mut tallies = counters.lock();
+                let mut tallies = lock((self.into)(counters));
                 let tally = tallies.entry(self.ordinal).or_default();
                 tally.rows += self.rows;
                 tally.nanos += self.nanos;
-                tally.scan = self.scan;
             }
         }
     }
@@ -453,6 +455,38 @@ impl<'a> EvalContext<'a> {
                 let input = self.eval_unordered(inner);
                 let mut seen: FxHashSet<Bindings> = FxHashSet::default();
                 Box::new(input.filter(move |row| seen.insert(row.clone())))
+            }
+            other => self.eval(other),
+        }
+    }
+
+    /// Like [`EvalContext::eval`] for a consumer that takes one row and
+    /// hangs up — `ASK`, which "should break as soon a solution has been
+    /// found". An exchange is unwrapped for the reason
+    /// [`EvalContext::eval_unordered`] gives, and an inner join runs
+    /// symmetrically ([`symmetric_join_rows`]) instead of materializing
+    /// its build side before the first probe: the work done is then
+    /// proportional to where the first witness sits in the two inputs,
+    /// not to the size of either. Which rows exist is unchanged; their
+    /// order is not the sequential one, which a one-row consumer cannot
+    /// observe.
+    pub fn eval_witness(self, plan: &'a Plan) -> RowIter<'a> {
+        match plan {
+            Plan::Exchange { input, .. } => self.eval_witness(input),
+            Plan::Filter(expr, inner) => {
+                let store = self.store;
+                let input = self.eval_witness(inner);
+                Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
+            }
+            Plan::Join {
+                left,
+                right,
+                key,
+                eq,
+                ordinal,
+            } => {
+                let inputs = [left, right].map(|side| self.clone().eval_witness(side));
+                symmetric_join_rows(self, inputs, key, eq, *ordinal)
             }
             other => self.eval(other),
         }
@@ -783,21 +817,25 @@ fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowI
 }
 
 /// A join's materialized build side: rows bucketed by join key, plus a
-/// flat list of the rows that have none. The key is the build row's
-/// shared `key` variables (joined by id) followed by the equality class
-/// of each `eq` pair's right variable (see [`crate::expr::EqClass`]);
-/// a probe row looks up the same ids and the classes of the pairs' left
-/// variables. With no key at all — or a key variable unbound in the row,
-/// possible under partial optional results — a build row goes to the flat
-/// list, which every probe scans, so no match is lost: a bucket only
-/// narrows the candidates, and [`Bindings::merge_checked`] plus the
-/// join's residual condition decide.
+/// flat list of the rows that have none. The key ([`JoinKey`]) is the
+/// build row's shared `key` variables, joined by id, plus the equality
+/// class of each `eq` pair's right variable (see
+/// [`crate::expr::EqClass`]); a probe row looks up the same ids and the
+/// classes of the pairs' left variables. With no key at all — or a key
+/// variable unbound in the row, possible under partial optional results —
+/// a build row goes to the flat list, which every probe scans, so no
+/// match is lost: a bucket only narrows the candidates, and
+/// [`Bindings::merge_checked`] plus the join's residual condition decide.
 pub(crate) struct BuildSide {
     key: Vec<usize>,
     eq: EqPairs,
-    map: FxHashMap<Vec<EqClass>, Vec<Bindings>>,
+    map: FxHashMap<JoinKey, Vec<Bindings>>,
     flat: Vec<Bindings>,
 }
+
+/// A bucket key: ids of the shared variables, then the classes of the
+/// `eq` pairs — empty, and allocation-free, for a join without any.
+type JoinKey = (Vec<Id>, Vec<EqClass>);
 
 impl BuildSide {
     pub(crate) fn new(key: &[usize], eq: &EqPairs) -> Self {
@@ -817,19 +855,24 @@ impl BuildSide {
         dict: &Dictionary,
         row: &Bindings,
         side: fn(&(usize, usize)) -> usize,
-    ) -> Option<Vec<EqClass>> {
+    ) -> Option<JoinKey> {
         if self.key.is_empty() && self.eq.is_empty() {
             return None;
         }
-        let mut k = Vec::with_capacity(self.key.len() + self.eq.len());
-        for &v in &self.key {
-            k.push(EqClass::Id(row.get(v)?));
-        }
-        for pair in &self.eq {
-            let id = row.get(side(pair))?;
-            k.push(eq_class(id, dict.decode(id)));
-        }
-        Some(k)
+        let ids = self
+            .key
+            .iter()
+            .map(|&v| row.get(v))
+            .collect::<Option<_>>()?;
+        let classes = self
+            .eq
+            .iter()
+            .map(|pair| {
+                let id = row.get(side(pair))?;
+                Some(eq_class(id, dict.decode(id)))
+            })
+            .collect::<Option<_>>()?;
+        Some((ids, classes))
     }
 
     /// Files one build-side row. The sequential build and the parallel
@@ -888,7 +931,7 @@ pub(crate) fn join_rows<'a>(
     kind: JoinKind<&'a BoundExpr>,
     ordinal: usize,
 ) -> RowIter<'a> {
-    let mut tally = LocalTally::new(&ctx, ordinal, false);
+    let mut tally = LocalTally::new(&ctx, ordinal, |c| &c.joins);
     Box::new(input.flat_map(move |l| {
         if ctx.cancel.should_stop() {
             return Vec::new().into_iter();
@@ -906,12 +949,73 @@ pub(crate) fn join_rows<'a>(
     }))
 }
 
+/// An inner hash join that materializes neither input ahead of the
+/// other: rows are pulled from the two inputs in turn, each probes the
+/// table of the opposite input's rows seen so far and is then filed in its
+/// own, so every matching pair is emitted exactly once — when the later of
+/// its two rows arrives. Same tables, same probe ([`probe_inner`]) and
+/// same tally as [`join_rows`]; what differs is that the first output row
+/// costs only the input prefixes up to it, which is what
+/// [`EvalContext::eval_witness`] wants.
+fn symmetric_join_rows<'a>(
+    ctx: EvalContext<'a>,
+    inputs: [RowIter<'a>; 2],
+    key: &[usize],
+    eq: &EqPairs,
+    ordinal: usize,
+) -> RowIter<'a> {
+    // A table is probed through each pair's first variable and filed
+    // through its second, so the table of left rows takes the pairs
+    // flipped.
+    let flipped: EqPairs = eq.iter().map(|&(l, r)| (r, l)).collect();
+    let [left, right] = inputs;
+    let mut sides = [
+        (Some(left), BuildSide::new(key, &flipped)),
+        (Some(right), BuildSide::new(key, eq)),
+    ];
+    let mut turn = 0;
+    let mut tally = LocalTally::new(&ctx, ordinal, |c| &c.joins);
+    let mut out = Vec::new().into_iter();
+    Box::new(std::iter::from_fn(move || loop {
+        if let Some(row) = out.next() {
+            return Some(row);
+        }
+        if ctx.cancel.should_stop() {
+            return None;
+        }
+        let [a, b] = &mut sides;
+        let ((input, seen), (other_input, other_seen)) = if turn == 0 { (a, b) } else { (b, a) };
+        turn ^= 1;
+        let Some(row) = input.as_mut().and_then(Iterator::next) else {
+            *input = None;
+            if other_input.is_none() {
+                return None;
+            }
+            continue;
+        };
+        out = tally
+            .record(|| {
+                let out = probe_inner(&ctx, other_seen, row.clone());
+                let rows = out.len() as u64;
+                (out, rows)
+            })
+            .into_iter();
+        // Nothing will probe this table once the other input has ended.
+        if other_input.is_some() {
+            seen.insert(ctx.store.dictionary(), row);
+        }
+    }))
+}
+
 /// Inner-join probe of one row: merges `l` with every compatible build
 /// row (the residual check of possibly-shared variables happens inside
-/// [`Bindings::merge_checked`]).
+/// [`Bindings::merge_checked`]). Cancellation is checked per candidate,
+/// not per probe row: a keyless join's candidates are the whole build
+/// side, and the deadline is only read every `CLOCK_STRIDE` checks.
 fn probe_inner(ctx: &EvalContext<'_>, build: &BuildSide, l: Bindings) -> Vec<Bindings> {
     build
         .lookup(ctx.store.dictionary(), &l)
+        .take_while(|_| !ctx.cancel.should_stop())
         .filter_map(|r| l.merge_checked(r))
         .collect()
 }
@@ -982,7 +1086,7 @@ impl<'a> PatternBind<'a> {
         base: Bindings,
         scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
     ) -> Self {
-        let tally = LocalTally::new(&ctx, pattern.ordinal, true);
+        let tally = LocalTally::new(&ctx, pattern.ordinal, |c| &c.scans);
         PatternBind {
             ctx,
             scan,
@@ -1229,6 +1333,39 @@ mod tests {
             ],
             "conflicting ?c must be rejected, unbound ?c must merge"
         );
+    }
+
+    #[test]
+    fn witness_evaluation_finds_the_same_rows_in_another_order() {
+        // One-row consumers run inner joins symmetrically; drained, that
+        // must still be every row of the ordinary join, each once.
+        let store = MemStore::from_graph(&graph());
+        for q in [
+            "SELECT * WHERE { { ?p <http://x/knows> ?o } { ?p <http://x/age> ?a } }",
+            "SELECT * WHERE { { ?a <http://x/age> ?x } { ?b <http://x/knows> ?y } }",
+            "SELECT * WHERE { { { ?p <http://x/knows> ?o } { ?p <http://x/age> ?a } } { ?o <http://x/knows> ?q } }",
+        ] {
+            let t = translate(&parse(q).unwrap());
+            let Plan::Project(_, join) = bind(&t.algebra, &store) else {
+                panic!()
+            };
+            assert!(matches!(*join, Plan::Join { .. }), "{q}");
+            let ctx = || EvalContext {
+                store: &store,
+                shared: None,
+                cancel: Cancellation::none(),
+                width: t.vars.len(),
+                counters: None,
+            };
+            let sorted = |rows: RowIter<'_>| {
+                let mut rows: Vec<_> = rows.map(|r| r.as_slice().to_vec()).collect();
+                rows.sort();
+                rows
+            };
+            let expected = sorted(ctx().eval(&join));
+            assert!(!expected.is_empty(), "{q}");
+            assert_eq!(sorted(ctx().eval_witness(&join)), expected, "{q}");
+        }
     }
 
     #[test]

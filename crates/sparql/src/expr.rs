@@ -264,8 +264,7 @@ fn term_equal(a: &Term, b: &Term) -> ExprResult {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum EqClass {
     /// IRIs, blank nodes and literals with no value mapping are equal
-    /// only to themselves: the dictionary id is the class. Also the class
-    /// of an ordinary (shared-variable) key component, which joins by id.
+    /// only to themselves: the dictionary id is the class.
     Id(Id),
     /// `xsd:integer` literals, by value.
     Int(i64),

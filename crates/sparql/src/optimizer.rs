@@ -18,7 +18,15 @@
 //!    values, not terms, so such a key buckets by equality class
 //!    ([`crate::expr`]: `"01"^^xsd:integer` with `"1"^^xsd:integer`, a
 //!    plain literal with its `xsd:string` twin), and the conjunct itself
-//!    is still evaluated on every candidate row.
+//!    is still evaluated on every candidate row. A conjunct qualifies
+//!    when each of its two variables is *mentioned* by exactly one side
+//!    of the join (`orient`). That includes a variable its side only
+//!    possibly binds — inside that side's own OPTIONAL, say: where it is
+//!    unbound the conjunct is an error, the row matches nothing, and the
+//!    hash table rightly offers it no bucket (pinned by
+//!    `tests/equality_join.rs`). A variable both sides mention could be
+//!    bound by either, so its equality stays a plain residual, as does
+//!    any equality under `||` or `!`.
 //! 3. **Filter substitution** (constant propagation): an equality conjunct
 //!    `?v = <const>` whose variable is otherwise unobserved is folded into
 //!    the patterns, turning Q3-style "attribute test" filters into

@@ -195,3 +195,45 @@ fn filter_equality_joins_disconnected_patterns_by_value() {
     );
     assert_eq!(rows.len(), 4);
 }
+
+#[test]
+fn ask_over_an_equality_join_agrees_with_the_nested_loop() {
+    // An ASK runs the hash join symmetrically (neither side materialized
+    // first). The witnesses here match by value only; the "no" answers
+    // make it exhaust both inputs.
+    let store = store();
+    for (pattern, expected) in [
+        (
+            "?p <http://x/age> ?a . ?i <http://x/size> ?s FILTER (?a = ?s)",
+            true,
+        ),
+        (
+            "?p <http://x/name> ?n . ?i <http://x/label> ?l
+             FILTER (?n = ?l && ?i = <http://x/i1>)",
+            true,
+        ),
+        (
+            "?p <http://x/age> ?a . ?i <http://x/label> ?l FILTER (?a = ?l)",
+            false,
+        ),
+        (
+            "?p <http://x/age> ?a . ?i <http://x/size> ?s FILTER (?a = ?s && ?s > 1)",
+            false,
+        ),
+    ] {
+        let query = format!("ASK {{ {pattern} }}");
+        for cfg in [
+            OptimizerConfig::default(),
+            OptimizerConfig::heuristic(),
+            OptimizerConfig::full(),
+        ] {
+            let engine = QueryEngine::new(store.clone()).optimizer(cfg);
+            let answer = engine.run(&query).unwrap();
+            assert_eq!(
+                answer,
+                QueryResult::Boolean(expected),
+                "{query} under {cfg:?}"
+            );
+        }
+    }
+}

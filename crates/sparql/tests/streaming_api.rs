@@ -116,6 +116,36 @@ fn deadline_cancels_a_stream() {
     assert!(stream.next().is_none());
 }
 
+/// The deadline is read once per 1024 cancellation checks, so every check
+/// site has to check per unit of bounded work. A keyless join's unit is
+/// one candidate pair, not one probe row — each probe row here merges
+/// with all 30 000 build rows, and a per-row check would overrun the
+/// deadline by 1024 × 30 000 merges.
+#[test]
+fn a_passing_deadline_stops_a_nested_loop_join_promptly() {
+    let mut g = Graph::new();
+    for i in 0..30_000 {
+        g.add(
+            Subject::iri(format!("http://x/s{i}")),
+            Iri::new("http://x/p"),
+            Term::Literal(Literal::integer(i)),
+        );
+    }
+    let engine = QueryEngine::with_options(
+        NativeStore::from_graph(&g).into_shared(),
+        QueryOptions::new()
+            .parallelism(1)
+            .timeout(Duration::from_millis(50)),
+    );
+    let p = engine
+        .prepare("SELECT ?a ?b WHERE { { ?a <http://x/p> ?x } { ?b <http://x/p> ?y } }")
+        .unwrap();
+    let start = Instant::now();
+    assert!(matches!(engine.count(&p), Err(Error::Cancelled)));
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "noticed after {took:?}");
+}
+
 #[test]
 fn aggregate_streams_lazily_too() {
     let engine = QueryEngine::new(NativeStore::from_graph(&graph()).into_shared());

@@ -322,6 +322,45 @@ fn operator_rows_do_not_depend_on_parallelism() {
     }
 }
 
+/// `tests/timeout_and_ask.rs` holds ASK's early exit to a wall-clock
+/// ratio; this is the same guarantee in machine-independent terms. Q12a
+/// and Q5a plan as the same hash join, and the ASK must neither
+/// materialize a join input nor fan out before its first witness: its join
+/// emits one row and its patterns scan a sliver of what the SELECT's do —
+/// at any parallelism, since a one-row consumer runs no exchange.
+#[test]
+fn ask_scans_a_prefix_of_what_its_select_enumerates() {
+    let (graph, _) = generate_graph(Config::triples(50_000));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    let join_rows_and_scanned = |query: BenchQuery, degree: usize| {
+        let counters = Arc::new(ScanCounters::default());
+        let qe = QueryEngine::with_options(
+            store.clone(),
+            QueryOptions::new().parallelism(degree).parallel_base(1),
+        )
+        .scan_counters(counters.clone());
+        let prepared = qe.prepare(query.text()).expect("query parses");
+        let count = qe.count(&prepared).expect("query evaluates");
+        let spans = operator_spans(&prepared, qe.store(), &counters);
+        let join = spans
+            .iter()
+            .find(|s| s.label.starts_with("hash-join"))
+            .unwrap_or_else(|| panic!("{query} runs as a hash join"));
+        (count, join.rows, counters.total_rows())
+    };
+    let (_, select_joined, select_scanned) = join_rows_and_scanned(BenchQuery::Q5a, 1);
+    assert!(select_joined > 1_000, "Q5a enumerates: {select_joined}");
+    for degree in [1, 4] {
+        let (answer, ask_joined, ask_scanned) = join_rows_and_scanned(BenchQuery::Q12a, degree);
+        assert_eq!(answer, 1, "Q12a answers yes");
+        assert_eq!(ask_joined, 1, "ASK stops at the first witness");
+        assert!(
+            ask_scanned * 20 < select_scanned,
+            "ASK@{degree} scanned {ask_scanned} rows, SELECT {select_scanned}"
+        );
+    }
+}
+
 /// The instrumentation itself: counters see exactly the rows a trivial
 /// single-pattern scan emits, and detach cleanly (a fresh engine without
 /// counters adds nothing).

@@ -2,46 +2,32 @@
 //! ("engines should break as soon a solution has been found") and the
 //! cooperative timeout machinery backing the SUCCESS RATE metric.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome};
 use sp2bench::datagen::{generate_graph, Config};
-use sp2bench::sparql::{operator_spans, ScanCounters};
 
 #[test]
 fn ask_terminates_early_on_large_documents() {
     // Q12a's witness lives in the first 10k triples of any document
     // (incremental generation); ASK must not enumerate all solutions.
-    // Its SELECT counterpart Q5a does — but the two share one hash join
-    // and both pay for its build side in full, so wall time no longer
-    // tells them apart. The operator tallies do: the ASK stops at the
-    // join's first output row, the SELECT drains the probe side.
     let (graph, _) = generate_graph(Config::triples(150_000));
     let engine = Engine::load(EngineKind::NativeOpt, &graph);
-    let join_rows_and_scanned = |query: BenchQuery| {
-        let counters = Arc::new(ScanCounters::default());
-        let qe = engine
-            .query_engine_with(Some(Duration::from_secs(60)), Some(1))
-            .scan_counters(counters.clone());
-        let prepared = qe.prepare(query.text()).expect("query parses");
-        let count = qe.count(&prepared).expect("query evaluates");
-        let spans = operator_spans(&prepared, qe.store(), &counters);
-        let join = spans
-            .iter()
-            .find(|s| s.label.starts_with("hash-join"))
-            .unwrap_or_else(|| panic!("{query} runs as a hash join"));
-        (count, join.rows, counters.total_rows())
-    };
 
-    let (answer, ask_joined, ask_scanned) = join_rows_and_scanned(BenchQuery::Q12a);
-    assert_eq!(answer, 1, "Q12a answers yes");
-    assert_eq!(ask_joined, 1, "ASK stops at the first witness");
-    let (_, select_joined, select_scanned) = join_rows_and_scanned(BenchQuery::Q5a);
-    assert!(select_joined > 1_000, "Q5a enumerates: {select_joined}");
+    let start = Instant::now();
+    let (outcome, _) = engine.run(BenchQuery::Q12a, Some(Duration::from_secs(60)));
+    let ask_time = start.elapsed();
+    assert_eq!(outcome.count(), Some(1), "Q12a answers yes");
+
+    // Its SELECT counterpart Q5a enumerates everything; the ASK variant
+    // must be dramatically faster (the paper criticizes engines where it
+    // is not).
+    let start = Instant::now();
+    let (_, _) = engine.run(BenchQuery::Q5a, Some(Duration::from_secs(60)));
+    let select_time = start.elapsed();
     assert!(
-        ask_scanned * 2 < select_scanned,
-        "ASK scanned {ask_scanned} rows, SELECT {select_scanned}"
+        ask_time * 10 < select_time.max(Duration::from_millis(100)),
+        "ASK {ask_time:?} should be ≪ SELECT {select_time:?}"
     );
 }
 
