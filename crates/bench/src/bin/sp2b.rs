@@ -602,8 +602,9 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 
 /// `--explain`: the prepared plan's BGP join order with, per pattern
 /// occurrence, the store's estimated cardinality next to the rows the
-/// step actually emitted. The first line states which statistics the
-/// planner ordered with.
+/// step actually emitted and how it got its triples (lookups issued, and
+/// the fetch they led to, if any). The first line states which statistics
+/// the planner ordered with.
 fn explain_report(engine: &Engine, spans: &[OpSpan]) -> String {
     let mut out = String::from("join order (estimated cardinality vs actual rows emitted):\n");
     let stats = engine.stats_summary();
@@ -613,6 +614,9 @@ fn explain_report(engine: &Engine, spans: &[OpSpan]) -> String {
     for (i, op) in spans.iter().enumerate() {
         let (n, label, est, rows) = (i + 1, &op.label, op.est_rows, op.rows);
         out.push_str(&format!("\n  {n:>2}. {label}  est {est}, rows {rows}"));
+        if let Some(access) = op.access {
+            out.push_str(&format!(", {access}"));
+        }
     }
     // The planner's estimate-vs-actual comparison is over pattern steps;
     // a join's rows are its output, not scan work.

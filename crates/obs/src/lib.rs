@@ -37,4 +37,4 @@ mod trace;
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use recorder::{TemplateSnapshot, WindowSnapshot, WindowedSeries, WorkloadRecorder};
 pub use registry::{global, histogram_json, Counter, Gauge, Histogram, MetricsRegistry};
-pub use trace::{OpKind, OpSpan, QueryTrace};
+pub use trace::{OpKind, OpSpan, QueryTrace, StepAccess};

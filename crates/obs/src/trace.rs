@@ -19,6 +19,34 @@ pub enum OpKind {
     Join,
 }
 
+/// Where a pattern step's triples came from: index lookups bound by its
+/// input rows until they had cost as much as fetching the whole pattern,
+/// then probes of the one fetched table (the executor's per-step,
+/// run-time choice — see `sp2b_sparql::eval`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StepAccess {
+    /// Store lookups the step issued. Once it has fetched, this is also
+    /// how many it issued *before* fetching.
+    pub lookups: u64,
+    /// Triples of the pattern fetched into the table; `None` when the
+    /// step stayed on lookups.
+    pub fetched: Option<u64>,
+    /// Input rows answered from the fetched table.
+    pub probes: u64,
+}
+
+impl std::fmt::Display for StepAccess {
+    /// `lookup ×5874`, or `lookup ×5874 → fetch 5874 triples, probes
+    /// 166229` for a step that fetched.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "lookup ×{}", self.lookups)?;
+        match self.fetched {
+            Some(triples) => write!(f, " → fetch {triples} triples, probes {}", self.probes),
+            None => Ok(()),
+        }
+    }
+}
+
 /// One operator's span: planner estimate vs observed reality.
 #[derive(Debug, Clone)]
 pub struct OpSpan {
@@ -34,6 +62,10 @@ pub struct OpSpan {
     pub rows: u64,
     /// Wall time spent inside the operator.
     pub time: Duration,
+    /// For a pattern step that looked anything up: how (see
+    /// [`StepAccess`]). `None` for joins and for a driving scan an
+    /// exchange split into morsels.
+    pub access: Option<StepAccess>,
 }
 
 /// A per-query span record: timed phases plus per-operator spans.
@@ -83,7 +115,7 @@ impl QueryTrace {
                 .max()
                 .unwrap_or(0);
             for (i, op) in self.operators.iter().enumerate() {
-                let _ = writeln!(
+                let _ = write!(
                     out,
                     "  {:>2}. {:<width$}  est {}, rows {}, time {}",
                     i + 1,
@@ -92,6 +124,10 @@ impl QueryTrace {
                     op.rows,
                     fmt_duration(op.time),
                 );
+                if let Some(access) = op.access {
+                    let _ = write!(out, ", {access}");
+                }
+                out.push('\n');
             }
         }
         out
@@ -142,6 +178,10 @@ mod tests {
             est_rows: 100,
             rows: 96,
             time: Duration::from_millis(3),
+            access: Some(StepAccess {
+                lookups: 1,
+                ..StepAccess::default()
+            }),
         });
         t.operators.push(OpSpan {
             kind: OpKind::Scan,
@@ -149,6 +189,11 @@ mod tests {
             est_rows: 100,
             rows: 250,
             time: Duration::from_millis(9),
+            access: Some(StepAccess {
+                lookups: 100,
+                fetched: Some(100),
+                probes: 150,
+            }),
         });
         t
     }
@@ -159,8 +204,16 @@ mod tests {
         assert!(text.contains("parse"), "{text}");
         assert!(text.contains("plan"), "{text}");
         assert!(text.contains("execute"), "{text}");
-        assert!(text.contains("est 100, rows 96, time 3.00 ms"), "{text}");
-        assert!(text.contains("est 100, rows 250, time 9.00 ms"), "{text}");
+        assert!(
+            text.contains("est 100, rows 96, time 3.00 ms, lookup ×1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "est 100, rows 250, time 9.00 ms, lookup ×100 → fetch 100 triples, probes 150\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

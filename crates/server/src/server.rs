@@ -342,14 +342,17 @@ impl Conn {
 /// clients than workers from starving: a worker whose connection has
 /// gone idle while others wait puts it back and picks up the next one,
 /// round-robining the pool across all live connections. It also tracks
-/// how many workers are *blocked waiting* for a connection, which is
+/// how many workers are *parked* waiting for a connection, which is
 /// what makes [`ConnQueue::try_push`]'s load-shedding decision exact: a
 /// connection is shed only when nobody could serve it promptly.
 #[derive(Default)]
 struct QueueState {
     conns: VecDeque<Conn>,
     closed: bool,
-    /// Workers currently blocked in [`ConnQueue::pop`].
+    /// Workers currently parked in [`ConnQueue::pop`]. A woken worker
+    /// leaves the count only once it holds the lock again, so until then
+    /// the connection that woke it is still in `conns`: parked workers
+    /// *not yet claimed* number `waiting − conns.len()`.
     waiting: usize,
 }
 
@@ -357,6 +360,8 @@ struct QueueState {
 struct ConnQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
+    /// Signalled each time a worker parks (see [`ConnQueue::wait_parked`]).
+    parked: Condvar,
 }
 
 impl ConnQueue {
@@ -369,14 +374,16 @@ impl ConnQueue {
         }
     }
 
-    /// Bounded enqueue — the accept path: refuses (returning the
-    /// connection for a `503`) when no worker is waiting and `max_depth`
-    /// connections are already queued.
+    /// Bounded enqueue — the accept path: every queued connection claims
+    /// one parked worker, and beyond those `max_depth` more may wait.
+    /// Refuses (returning the connection for a `503`) past that. Counting
+    /// parked workers alone would admit a burst of any size in the window
+    /// before the one parked worker wakes.
     fn try_push(&self, conn: Conn, max_depth: usize) -> Result<(), Conn> {
         let Ok(mut state) = self.state.lock() else {
             return Err(conn);
         };
-        if state.waiting == 0 && state.conns.len() >= max_depth {
+        if state.conns.len() >= state.waiting + max_depth {
             return Err(conn);
         }
         state.conns.push_back(conn);
@@ -396,6 +403,7 @@ impl ConnQueue {
                 return None;
             }
             state.waiting += 1;
+            self.parked.notify_all();
             match self.ready.wait(state) {
                 Ok(mut s) => {
                     s.waiting -= 1;
@@ -406,13 +414,30 @@ impl ConnQueue {
         }
     }
 
+    /// Blocks until `workers` workers are parked in [`ConnQueue::pop`] —
+    /// how [`spawn`] makes sure its fresh pool counts as idle before the
+    /// first connection is judged: a worker thread that has started but
+    /// not yet parked is indistinguishable from a busy one, and a server
+    /// with a short backlog would shed its first clients.
+    fn wait_parked(&self, workers: usize) {
+        let Ok(mut state) = self.state.lock() else {
+            return;
+        };
+        while state.waiting < workers {
+            match self.parked.wait(state) {
+                Ok(s) => state = s,
+                Err(_) => return,
+            }
+        }
+    }
+
     /// Connections currently queued for a worker (the `sp2b_queue_depth`
     /// gauge).
     fn depth(&self) -> usize {
         self.state.lock().map(|s| s.conns.len()).unwrap_or(0)
     }
 
-    /// Workers currently blocked waiting for a connection (the
+    /// Workers currently parked waiting for a connection (the
     /// `sp2b_workers_waiting` gauge).
     fn waiting(&self) -> usize {
         self.state.lock().map(|s| s.waiting).unwrap_or(0)
@@ -465,6 +490,10 @@ pub fn spawn(engine: QueryEngine, cfg: &ServerConfig) -> io::Result<ServerHandle
                 .spawn(move || worker.run())?,
         );
     }
+    // No connection is accepted before the pool is parked (see
+    // `ConnQueue::wait_parked`); until then clients sit in the listener's
+    // backlog.
+    queue.wait_parked(workers.len());
     let accept = {
         let shutdown = Arc::clone(&shutdown);
         let stats = Arc::clone(&stats);

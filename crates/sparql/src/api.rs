@@ -39,10 +39,12 @@ use std::sync::Arc;
 
 use crate::algebra::{translate_query, GroupSpec, TranslateError};
 use crate::ast::Query;
-use crate::eval::{AggCell, AggRow, Bindings, Cancellation, EvalContext, RowIter, ScanCounters};
+use crate::eval::{
+    AggCell, AggRow, Bindings, Cancellation, EvalContext, RowIter, ScanCounters, StepState,
+};
 use crate::optimizer::{optimize, OptimizerConfig};
 use crate::parser::{parse, ParseError};
-use crate::plan::{bind, parallelize, Plan};
+use crate::plan::{bind, operators, parallelize, Plan};
 
 /// Everything that can go wrong preparing or running a query.
 #[derive(Debug)]
@@ -340,7 +342,7 @@ impl QueryEngine {
             &self.options.optimizer,
             &needed,
         );
-        let plan = bind(&algebra, self.store());
+        let plan = bind(&algebra, self.store(), &self.options.optimizer);
         let plan = parallelize(
             plan,
             self.store(),
@@ -348,6 +350,7 @@ impl QueryEngine {
             self.options.parallel_base,
         );
         Ok(Prepared {
+            operators: operators(&plan).len(),
             plan,
             width: translated.vars.len(),
             projection: translated.projection,
@@ -372,6 +375,11 @@ impl QueryEngine {
             cancel: cancel.clone(),
             width: prepared.width,
             counters: self.counters.clone(),
+            // Fresh per execution: every run of a prepared query starts
+            // its pattern steps on lookups.
+            steps: (0..prepared.operators)
+                .map(|_| StepState::default())
+                .collect(),
         }
     }
 
@@ -518,6 +526,8 @@ impl QueryEngine {
 #[derive(Debug)]
 pub struct Prepared {
     plan: Plan,
+    /// Instrumented operators in the plan: ordinals run below this.
+    operators: usize,
     /// Number of pattern variables (the bindings row width).
     width: usize,
     /// Projected variable indices (empty for ASK/aggregate).
@@ -567,8 +577,8 @@ pub fn operator_spans(
     store: &dyn TripleStore,
     counters: &ScanCounters,
 ) -> Vec<sp2b_obs::OpSpan> {
-    use crate::plan::{const_pattern, driving_scan, operators, Operator, PlanPattern, PlanSlot};
-    use sp2b_obs::{OpKind, OpSpan};
+    use crate::plan::{const_pattern, driving_scan, Operator, PlanPattern, PlanSlot};
+    use sp2b_obs::{OpKind, OpSpan, StepAccess};
     let dict = store.dictionary();
     let slot = |s: &PlanSlot| match s {
         PlanSlot::Var(v) => format!("?{v}"),
@@ -583,13 +593,14 @@ pub fn operator_spans(
         }
     };
     let span = |kind, label, est_rows, ordinal| {
-        let (rows, time) = counters.tally(ordinal);
+        let tally = counters.tally(ordinal);
         OpSpan {
             kind,
             label,
             est_rows,
-            rows,
-            time,
+            rows: tally.rows,
+            time: Duration::from_nanos(tally.nanos),
+            access: Some(tally.access).filter(|a| *a != StepAccess::default()),
         }
     };
     operators(prepared.plan())

@@ -1,27 +1,57 @@
 //! The pull-based plan evaluator.
 //!
 //! Solutions stream lazily wherever the algebra allows: BGPs evaluate as
-//! index-nested-loop joins (one store scan per pattern step), hash joins
-//! materialize only their build side, and `ASK` stops at the first
-//! solution ("engines should break as soon a solution has been found") —
-//! for which it materializes neither side of an inner join
+//! a chain of pattern steps ([`PatternBind`]), hash joins materialize only
+//! their build side, and `ASK` stops at the first solution ("engines
+//! should break as soon a solution has been found") — for which it
+//! materializes neither side of an inner join
 //! ([`EvalContext::eval_witness`]).
 //! Sorting and duplicate elimination materialize by nature.
+//!
+//! # Lookup or fetch, decided while running
+//!
+//! A pattern step can get a row's matching triples two ways: look them
+//! up — one store scan with the row's bindings in the pattern, the
+//! index-nested-loop join — or *fetch* the pattern once with only its
+//! constants bound, group the triples by the positions the input binds,
+//! and answer every row from that table: a hash join whose build side is
+//! the pattern. The planner prices a step at the cheaper of the two
+//! (`optimizer::candidate_cost`: `min(rows, base)`), but which one that
+//! is hangs on `rows`, the step's input cardinality, and that estimate is
+//! routinely off by an order of magnitude or two deep in a chain (Q4's
+//! fifth step: estimated 3 457, actual 172 103). So the plan only says
+//! *where the break-even is* ([`crate::plan::FetchRule`]) and the step
+//! decides by ski rental: it rents lookups, counting them, and when it
+//! has issued as many as the pattern has triples it has spent what
+//! buying — one fetch — costs, and buys. Whatever the input turns out to
+//! be, the step pays at most twice the better pure strategy; a consumer
+//! that hangs up early (`ASK`, `LIMIT`) never reaches the count and never
+//! fetches; and a step fed few rows never pays for a table it would not
+//! use. The count and the table are per execution ([`StepState`], reached
+//! through [`EvalContext::steps`] and shared by exchange workers), so a
+//! prepared query starts on lookups every time it runs.
+//!
+//! Only where a step's triples come from changes: the group of a fetched
+//! table holds exactly the triples the bound scan would return, in the
+//! same order (pinned over every bound mask and store family by the unit
+//! tests below), so rows, row order and every tally are those of pure
+//! lookups.
 //!
 //! Every row produced passes a [`Cancellation`] check, which is how the
 //! benchmark runner enforces the paper's 30-minute query timeout without
 //! detaching runaway threads.
 
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use sp2b_obs::StepAccess;
 use sp2b_rdf::{Literal, Term};
-use sp2b_store::{Dictionary, Id, IdTriple, SharedStore, TripleStore};
+use sp2b_store::{Dictionary, Id, IdTriple, Pattern, SharedStore, TripleStore};
 
 use crate::algebra::{EqPairs, GroupSpec};
 use crate::expr::{eq_class, BoundExpr, EqClass};
-use crate::plan::{Plan, PlanOrderKey, PlanPattern, PlanSlot};
+use crate::plan::{const_pattern, FetchRule, Plan, PlanOrderKey, PlanPattern, PlanSlot, FETCH_CAP};
 
 use sp2b_store::hash::{FxHashMap, FxHashSet};
 
@@ -105,11 +135,11 @@ const CLOCK_STRIDE: u32 = 1024;
 
 thread_local! {
     /// Checks left on this thread before the next clock read. Per thread
-    /// rather than per handle because the evaluator clones its context —
-    /// and the handle in it — for every pattern step of every row, so a
-    /// countdown inside the handle would restart with each clone; and not
-    /// in the shared state, where exchange workers would bounce its cache
-    /// line between cores on every row. A new thread starts at zero, so an
+    /// rather than per handle because every operator of a pipeline holds
+    /// its own clone of the context — and of the handle in it — so a
+    /// countdown inside the handle would pace one operator's checks, not
+    /// the thread's; and not in the shared state, where exchange workers
+    /// would bounce its cache line between cores on every row. A new thread starts at zero, so an
     /// exchange worker's first check reads the clock as well.
     static CLOCK_COUNTDOWN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
@@ -186,7 +216,8 @@ impl CancelState {
 /// Per-operator tallies for plan instrumentation (the `--explain` and
 /// `--trace` flags and the planner regression tests): each BGP pattern
 /// step and each join records how many rows it emitted and the wall time
-/// spent producing them, keyed by the operator's *occurrence* in the plan
+/// spent producing them — a pattern step also how it got its triples
+/// ([`StepAccess`]) — keyed by the operator's *occurrence* in the plan
 /// ([`PlanPattern::ordinal`]) — a pattern written twice (Q9's two
 /// `rdf:type foaf:Person` steps) keeps two tallies. Shared across
 /// exchange worker threads via `Arc` (worker time accumulates, so an
@@ -204,10 +235,25 @@ pub struct ScanCounters {
 
 type TallyMap = std::sync::Mutex<FxHashMap<usize, OperatorTally>>;
 
-#[derive(Debug, Default, Clone, Copy)]
-struct OperatorTally {
-    rows: u64,
-    nanos: u64,
+/// What one operator did, summed over its instances and executions.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub(crate) struct OperatorTally {
+    pub(crate) rows: u64,
+    pub(crate) nanos: u64,
+    /// Pattern steps only.
+    pub(crate) access: StepAccess,
+}
+
+impl OperatorTally {
+    fn add(&mut self, other: &OperatorTally) {
+        self.rows += other.rows;
+        self.nanos += other.nanos;
+        self.access.lookups += other.access.lookups;
+        self.access.probes += other.access.probes;
+        if let Some(triples) = other.access.fetched {
+            *self.access.fetched.get_or_insert(0) += triples;
+        }
+    }
 }
 
 /// Every update leaves the map valid, so a poisoned lock is still readable
@@ -218,26 +264,23 @@ fn lock(map: &TallyMap) -> std::sync::MutexGuard<'_, FxHashMap<usize, OperatorTa
 }
 
 impl ScanCounters {
-    /// Rows emitted and wall time spent by the operator numbered
-    /// `ordinal` (zeros if it never ran). Under an exchange the time sums
-    /// across workers.
-    pub(crate) fn tally(&self, ordinal: usize) -> (u64, std::time::Duration) {
+    /// The tally of the operator numbered `ordinal` (zeros if it never
+    /// ran). Under an exchange the time sums across workers.
+    pub(crate) fn tally(&self, ordinal: usize) -> OperatorTally {
         let scan = lock(&self.scans).get(&ordinal).copied();
-        let t = scan
-            .or_else(|| lock(&self.joins).get(&ordinal).copied())
-            .unwrap_or_default();
-        (t.rows, std::time::Duration::from_nanos(t.nanos))
+        scan.or_else(|| lock(&self.joins).get(&ordinal).copied())
+            .unwrap_or_default()
     }
 
     /// Rows emitted by this pattern occurrence (0 if it never ran).
     pub fn rows_for(&self, pattern: &PlanPattern) -> u64 {
-        self.tally(pattern.ordinal).0
+        self.tally(pattern.ordinal).rows
     }
 
     /// Wall time spent inside this pattern occurrence (zero if it never
     /// ran). Under an exchange this sums across workers.
     pub fn time_for(&self, pattern: &PlanPattern) -> std::time::Duration {
-        self.tally(pattern.ordinal).1
+        std::time::Duration::from_nanos(self.tally(pattern.ordinal).nanos)
     }
 
     /// Total rows emitted across all pattern steps — the query's
@@ -258,8 +301,7 @@ struct LocalTally {
     counters: Option<Arc<ScanCounters>>,
     into: fn(&ScanCounters) -> &TallyMap,
     ordinal: usize,
-    rows: u64,
-    nanos: u64,
+    local: OperatorTally,
 }
 
 impl LocalTally {
@@ -268,34 +310,124 @@ impl LocalTally {
             counters: ctx.counters.clone(),
             into,
             ordinal,
-            rows: 0,
-            nanos: 0,
+            local: OperatorTally::default(),
+        }
+    }
+
+    /// Starts timing a piece of the operator's work (a no-op without
+    /// counters); [`LocalTally::stop`] books it.
+    fn start(&self) -> Option<Instant> {
+        self.counters.is_some().then(Instant::now)
+    }
+
+    fn stop(&mut self, started: Option<Instant>, rows: u64) {
+        self.local.rows += rows;
+        if let Some(t0) = started {
+            self.local.nanos += t0.elapsed().as_nanos() as u64;
         }
     }
 
     /// Runs one step of the operator, booking the rows it reports and —
     /// with counters attached — the time it took.
     fn record<T>(&mut self, step: impl FnOnce() -> (T, u64)) -> T {
-        let started = self.counters.is_some().then(Instant::now);
+        let started = self.start();
         let (out, rows) = step();
-        self.rows += rows;
-        if let Some(t0) = started {
-            self.nanos += t0.elapsed().as_nanos() as u64;
-        }
+        self.stop(started, rows);
         out
     }
 }
 
 impl Drop for LocalTally {
     fn drop(&mut self) {
-        if self.rows > 0 || self.nanos > 0 {
+        if self.local != OperatorTally::default() {
             if let Some(counters) = &self.counters {
-                let mut tallies = lock((self.into)(counters));
-                let tally = tallies.entry(self.ordinal).or_default();
-                tally.rows += self.rows;
-                tally.nanos += self.nanos;
+                lock((self.into)(counters))
+                    .entry(self.ordinal)
+                    .or_default()
+                    .add(&self.local);
             }
         }
+    }
+}
+
+/// How many lookups a running pattern step counts privately before adding
+/// them to its shared [`StepState`]: exchange workers then touch the
+/// shared counter once per this many lookups instead of bouncing its
+/// cache line on every row, and a step overshoots its
+/// [`FetchRule::after`] by less than this per concurrent instance.
+pub const LOOKUP_FLUSH: u64 = 64;
+
+/// Per-execution state of one BGP pattern step, shared by every running
+/// instance of it — the sequential pipeline's one, or one per exchange
+/// morsel: the lookups issued so far and, once they have paid for it, the
+/// fetched pattern. Lives in [`EvalContext::steps`] and is dropped with
+/// the execution.
+#[derive(Debug, Default)]
+pub struct StepState {
+    /// Lookups issued, as far as the instances have reported them.
+    lookups: AtomicU64,
+    /// The fetched pattern; `Some(None)` when it turned out to hold more
+    /// than [`FETCH_CAP`] triples (the bind-time figure is an estimate)
+    /// and the step stays on lookups for good. Set once: the instance
+    /// that reaches the break-even builds it while the others wait.
+    fetched: OnceLock<Option<Fetched>>,
+}
+
+/// A pattern's triples as one fetch read them, grouped by the key
+/// positions ([`FetchRule::key`]).
+#[derive(Debug)]
+struct Fetched {
+    /// Scan order, stably sorted by key: each group is contiguous and
+    /// keeps the order the store scanned it in — which is the order a
+    /// lookup with the key bound returns (the free positions sort the
+    /// same way in the run either scan reads; shards concatenate in shard
+    /// order either way).
+    triples: Vec<IdTriple>,
+    /// Key (non-key positions zeroed) → its group's range in `triples`.
+    groups: FxHashMap<IdTriple, (u32, u32)>,
+}
+
+impl Fetched {
+    fn key_of(key: [bool; 3], triple: &IdTriple) -> IdTriple {
+        std::array::from_fn(|i| if key[i] { triple[i] } else { 0 })
+    }
+
+    /// Scans `pattern` with its constants bound; `None` past the cap.
+    /// Both allocations are sized to what they hold: the table stays for
+    /// the rest of the execution.
+    fn build(store: &dyn TripleStore, pattern: &PlanPattern, rule: &FetchRule) -> Option<Fetched> {
+        let cap = FETCH_CAP as usize;
+        let mut triples: Vec<IdTriple> = Vec::with_capacity((rule.after as usize).min(cap));
+        triples.extend(store.scan(const_pattern(pattern)).take(cap + 1));
+        if triples.len() > cap {
+            return None;
+        }
+        triples.shrink_to_fit();
+        let key = |t: &IdTriple| Self::key_of(rule.key, t);
+        triples.sort_by_key(key);
+        let same_key = |a: &IdTriple, b: &IdTriple| key(a) == key(b);
+        let mut groups = FxHashMap::default();
+        groups.reserve(triples.chunk_by(same_key).count());
+        let mut start = 0u32;
+        for group in triples.chunk_by(same_key) {
+            let end = start + group.len() as u32;
+            groups.insert(key(&group[0]), (start, end));
+            start = end;
+        }
+        Some(Fetched { triples, groups })
+    }
+
+    /// The group `bound` — the pattern under one input row — selects;
+    /// `None` if the row leaves a key position unbound.
+    fn group(&self, key: [bool; 3], bound: &Pattern) -> Option<std::ops::Range<usize>> {
+        let mut wanted: IdTriple = [0; 3];
+        for i in 0..3 {
+            if key[i] {
+                wanted[i] = bound[i]?;
+            }
+        }
+        let (start, end) = self.groups.get(&wanted).copied().unwrap_or((0, 0));
+        Some(start as usize..end as usize)
     }
 }
 
@@ -321,6 +453,10 @@ pub struct EvalContext<'a> {
     /// Row-count instrumentation, when the caller wants it (see
     /// [`ScanCounters`]).
     pub counters: Option<std::sync::Arc<ScanCounters>>,
+    /// This execution's pattern-step states, indexed by
+    /// [`PlanPattern::ordinal`] (see [`StepState`]). A step without an
+    /// entry — an empty slice is a valid value — only ever looks up.
+    pub steps: Arc<[StepState]>,
 }
 
 /// A stream of solutions.
@@ -555,8 +691,8 @@ impl<'a> EvalContext<'a> {
         self.eval_bgp_from(seed, patterns, filters, 0)
     }
 
-    /// The index-nested-loop BGP pipeline from pattern `start` onward,
-    /// fed by already-extended `seed` rows. Inline filters positioned
+    /// The BGP pipeline from pattern `start` onward, one [`PatternBind`]
+    /// per pattern, fed by already-extended `seed` rows. Inline filters positioned
     /// before `start` apply to the seed rows (their variables are bound
     /// there); later filters attach after their pattern as usual. The
     /// sequential [`EvalContext::eval_bgp`] seeds with one empty row and
@@ -577,8 +713,7 @@ impl<'a> EvalContext<'a> {
             }
         }
         for (pos, pattern) in patterns.iter().enumerate().skip(start) {
-            let this = self.clone();
-            iter = Box::new(iter.flat_map(move |row| PatternBind::new(this.clone(), pattern, row)));
+            iter = Box::new(PatternBind::new(self.clone(), pattern, iter));
             for (fpos, filter) in filters {
                 if *fpos == pos {
                     let store = self.store;
@@ -1046,53 +1181,159 @@ fn probe_left(
     out
 }
 
-/// One pattern step of the index-nested-loop BGP evaluation: scans the
-/// store with the pattern's constants plus the input row's bindings, and
-/// extends the row for each match.
+/// One pattern step of a BGP: extends every input row by the triples
+/// matching the pattern under that row's bindings. The triples come from
+/// a store lookup per row until the step has issued as many lookups as a
+/// fetch of the whole pattern costs, and from the fetched table after
+/// that (see the module docs); rows, their order, cancellation checks and
+/// tallies do not depend on which.
 pub(crate) struct PatternBind<'a> {
     ctx: EvalContext<'a>,
-    scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
     pattern: &'a PlanPattern,
+    input: RowIter<'a>,
+    /// The input row being extended and what is left of its candidates.
     base: Bindings,
+    triples: Triples<'a>,
+    /// Lookups not yet added to the shared [`StepState`] count.
+    unflushed: u64,
     tally: LocalTally,
 }
 
+/// The candidate triples of one input row.
+enum Triples<'a> {
+    /// A store scan with the row's bindings in the pattern.
+    Lookup(Box<dyn Iterator<Item = IdTriple> + 'a>),
+    /// What is left of a group of the step's fetched table.
+    Group(std::ops::Range<usize>),
+}
+
+/// A step's fetch rule and this execution's state for it, when it has
+/// both.
+fn rented<'p, 's>(
+    pattern: &'p PlanPattern,
+    steps: &'s [StepState],
+) -> Option<(&'p FetchRule, &'s StepState)> {
+    pattern.fetch.as_ref().zip(steps.get(pattern.ordinal))
+}
+
 impl<'a> PatternBind<'a> {
-    pub(crate) fn new(ctx: EvalContext<'a>, pattern: &'a PlanPattern, base: Bindings) -> Self {
-        let mut store_pattern: sp2b_store::Pattern = [None, None, None];
-        let mut dead = false;
-        for (i, slot) in pattern.slots.iter().enumerate() {
-            match slot {
-                PlanSlot::Const(Some(id)) => store_pattern[i] = Some(*id),
-                PlanSlot::Const(None) => dead = true,
-                PlanSlot::Var(v) => store_pattern[i] = base.get(*v),
-            }
-        }
-        let scan: Box<dyn Iterator<Item = IdTriple> + 'a> = if dead {
-            Box::new(std::iter::empty())
-        } else {
-            ctx.store.scan(store_pattern)
-        };
-        Self::over(ctx, pattern, base, scan)
+    pub(crate) fn new(ctx: EvalContext<'a>, pattern: &'a PlanPattern, input: RowIter<'a>) -> Self {
+        let none_yet = Box::new(std::iter::empty());
+        Self::start(ctx, pattern, input, Bindings::empty(0), none_yet)
     }
 
-    /// The step over an already-opened `scan` of the pattern's candidate
-    /// triples — how the morsel driver ([`crate::par`]) feeds one chunk
-    /// of the driving scan through the same row extension, cancellation
-    /// checks and tallies as every other step.
+    /// The step over one row and an already-opened `scan` of its
+    /// candidate triples — how the morsel driver ([`crate::par`]) feeds
+    /// one chunk of the driving scan through the same row extension,
+    /// cancellation checks and tallies as every other step.
     pub(crate) fn over(
         ctx: EvalContext<'a>,
         pattern: &'a PlanPattern,
         base: Bindings,
         scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
     ) -> Self {
+        Self::start(ctx, pattern, Box::new(std::iter::empty()), base, scan)
+    }
+
+    /// The step in the middle of `base` — `scan` left of its candidates —
+    /// with `input` still to come.
+    fn start(
+        ctx: EvalContext<'a>,
+        pattern: &'a PlanPattern,
+        input: RowIter<'a>,
+        base: Bindings,
+        scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
+    ) -> Self {
         let tally = LocalTally::new(&ctx, pattern.ordinal, |c| &c.scans);
         PatternBind {
             ctx,
-            scan,
             pattern,
+            input,
             base,
+            triples: Triples::Lookup(scan),
+            unflushed: 0,
             tally,
+        }
+    }
+
+    /// The step's fetched table, if it has one.
+    fn fetched(&self) -> Option<&Fetched> {
+        let (_, state) = rented(self.pattern, &self.ctx.steps)?;
+        state.fetched.get()?.as_ref()
+    }
+
+    /// Moves on to input row `row`: binds the pattern under it and picks
+    /// where its triples come from.
+    fn open(&mut self, row: Bindings) {
+        let mut bound: Pattern = [None, None, None];
+        let mut dead = false;
+        for (i, slot) in self.pattern.slots.iter().enumerate() {
+            match slot {
+                PlanSlot::Const(Some(id)) => bound[i] = Some(*id),
+                PlanSlot::Const(None) => dead = true,
+                PlanSlot::Var(v) => bound[i] = row.get(*v),
+            }
+        }
+        self.base = row;
+        self.triples = if dead {
+            Triples::Lookup(Box::new(std::iter::empty()))
+        } else if let Some(group) = self.group_of(&bound) {
+            self.tally.local.access.probes += 1;
+            Triples::Group(group)
+        } else {
+            self.tally.local.access.lookups += 1;
+            Triples::Lookup(self.ctx.store.scan(bound))
+        };
+    }
+
+    /// The ski-rental decision for one row: `None` while the step is
+    /// still renting — the row is to be looked up — and the row's group
+    /// of the fetched table once it has bought, fetching it first if this
+    /// is the row that finds the break-even reached.
+    fn group_of(&mut self, bound: &Pattern) -> Option<std::ops::Range<usize>> {
+        let (rule, state) = rented(self.pattern, &self.ctx.steps)?;
+        if state.fetched.get().is_none() {
+            // Relaxed throughout: the count publishes nothing (the table
+            // is published by the OnceLock), and elsewhere it changes only
+            // once per LOOKUP_FLUSH lookups, so this read stays cheap.
+            let issued = state.lookups.load(AtomicOrdering::Relaxed) + self.unflushed;
+            let renting = issued < rule.after;
+            self.unflushed += u64::from(renting);
+            if !renting || self.unflushed == LOOKUP_FLUSH {
+                let unflushed = std::mem::take(&mut self.unflushed);
+                state.lookups.fetch_add(unflushed, AtomicOrdering::Relaxed);
+            }
+            if renting {
+                return None;
+            }
+            // Whoever gets here first builds; the others wait for it
+            // instead of issuing lookups the table is about to make
+            // unnecessary.
+            state.fetched.get_or_init(|| {
+                let fetched = Fetched::build(self.ctx.store, self.pattern, rule);
+                self.tally.local.access.fetched = fetched.as_ref().map(|f| f.triples.len() as u64);
+                fetched
+            });
+        }
+        state.fetched.get()?.as_ref()?.group(rule.key, bound)
+    }
+
+    /// The next extension of the current input row.
+    fn advance(&mut self) -> Option<Bindings> {
+        loop {
+            if self.ctx.cancel.should_stop() {
+                return None;
+            }
+            let triple = match &mut self.triples {
+                Triples::Lookup(scan) => scan.next()?,
+                Triples::Group(group) => {
+                    let i = group.next()?;
+                    self.fetched()?.triples[i]
+                }
+            };
+            if let Some(row) = extend_row(&self.base, self.pattern, &triple) {
+                return Some(row);
+            }
         }
     }
 }
@@ -1101,24 +1342,31 @@ impl Iterator for PatternBind<'_> {
     type Item = Bindings;
 
     fn next(&mut self) -> Option<Bindings> {
-        let PatternBind {
-            ctx,
-            scan,
-            pattern,
-            base,
-            tally,
-        } = self;
-        tally.record(|| loop {
-            if ctx.cancel.should_stop() {
-                break (None, 0);
+        loop {
+            let started = self.tally.start();
+            let row = self.advance();
+            self.tally.stop(started, u64::from(row.is_some()));
+            if row.is_some() || self.ctx.cancel.was_triggered() {
+                return row;
             }
-            let Some(triple) = scan.next() else {
-                break (None, 0);
-            };
-            if let Some(row) = extend_row(base, pattern, &triple) {
-                break (Some(row), 1);
-            }
-        })
+            // Pulling the next input row is the upstream operators' time.
+            let next = self.input.next()?;
+            let started = self.tally.start();
+            self.open(next);
+            self.tally.stop(started, 0);
+        }
+    }
+}
+
+impl Drop for PatternBind<'_> {
+    /// A finished instance reports the lookups it held back, so the
+    /// shared count is exact however many morsels a step ran as.
+    fn drop(&mut self) {
+        if let Some((_, state)) = rented(self.pattern, &self.ctx.steps) {
+            state
+                .lookups
+                .fetch_add(self.unflushed, AtomicOrdering::Relaxed);
+        }
     }
 }
 
@@ -1147,6 +1395,7 @@ pub(crate) fn extend_row(
 mod tests {
     use super::*;
     use crate::algebra::translate;
+    use crate::optimizer::OptimizerConfig;
     use crate::parser::parse;
     use crate::plan::bind;
     use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
@@ -1176,7 +1425,7 @@ mod tests {
 
     fn run_on(store: &dyn TripleStore, query: &str) -> Vec<Vec<Option<String>>> {
         let t = translate(&parse(query).unwrap());
-        let plan = bind(&t.algebra, store);
+        let plan = bind(&t.algebra, store, &OptimizerConfig::default());
         let cancel = Cancellation::none();
         let ctx = EvalContext {
             store,
@@ -1184,6 +1433,7 @@ mod tests {
             cancel: cancel.clone(),
             width: t.vars.len(),
             counters: None,
+            steps: Arc::default(),
         };
         ctx.eval(&plan)
             .map(|row| {
@@ -1346,7 +1596,7 @@ mod tests {
             "SELECT * WHERE { { { ?p <http://x/knows> ?o } { ?p <http://x/age> ?a } } { ?o <http://x/knows> ?q } }",
         ] {
             let t = translate(&parse(q).unwrap());
-            let Plan::Project(_, join) = bind(&t.algebra, &store) else {
+            let Plan::Project(_, join) = bind(&t.algebra, &store, &OptimizerConfig::default()) else {
                 panic!()
             };
             assert!(matches!(*join, Plan::Join { .. }), "{q}");
@@ -1356,6 +1606,7 @@ mod tests {
                 cancel: Cancellation::none(),
                 width: t.vars.len(),
                 counters: None,
+                steps: Arc::default(),
             };
             let sorted = |rows: RowIter<'_>| {
                 let mut rows: Vec<_> = rows.map(|r| r.as_slice().to_vec()).collect();
@@ -1382,7 +1633,7 @@ mod tests {
         }
         let store: SharedStore = NativeStore::from_graph(&g).into_shared();
         let t = translate(&parse("SELECT ?s ?v WHERE { ?s <http://x/p> ?v }").unwrap());
-        let plan = bind(&t.algebra, &*store);
+        let plan = bind(&t.algebra, &*store, &OptimizerConfig::default());
         let Plan::Project(vars, inner) = plan else {
             panic!()
         };
@@ -1401,6 +1652,7 @@ mod tests {
             cancel: Cancellation::none(),
             width: t.vars.len(),
             counters: None,
+            steps: Arc::default(),
         };
         let seq: Vec<Bindings> = ctx().eval(&sequential).collect();
         let par: Vec<Bindings> = ctx().eval(&parallel).collect();
@@ -1420,7 +1672,7 @@ mod tests {
         }
         let store: SharedStore = NativeStore::from_graph(&g).into_shared();
         let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?v }").unwrap());
-        let Plan::Project(_, inner) = bind(&t.algebra, &*store) else {
+        let Plan::Project(_, inner) = bind(&t.algebra, &*store, &OptimizerConfig::default()) else {
             panic!()
         };
         let plan = Plan::Exchange {
@@ -1436,9 +1688,164 @@ mod tests {
             cancel: cancel.clone(),
             width: t.vars.len(),
             counters: None,
+            steps: Arc::default(),
         };
         assert_eq!(ctx.eval(&plan).count(), 0);
         assert!(cancel.was_triggered());
+    }
+
+    /// Runs one pattern step over `inputs`, with `rule` as its fetch rule,
+    /// and says whether it ended up with a fetched table.
+    fn step_rows(
+        store: &dyn TripleStore,
+        slots: [PlanSlot; 3],
+        rule: Option<FetchRule>,
+        inputs: &[Bindings],
+    ) -> (Vec<Bindings>, bool) {
+        let pattern = PlanPattern {
+            slots,
+            ordinal: 0,
+            fetch: rule,
+        };
+        let ctx = EvalContext {
+            store,
+            shared: None,
+            cancel: Cancellation::none(),
+            width: 3,
+            counters: None,
+            steps: Arc::new([StepState::default()]),
+        };
+        let steps = Arc::clone(&ctx.steps);
+        let rows: Vec<Bindings> =
+            PatternBind::new(ctx, &pattern, Box::new(inputs.iter().cloned())).collect();
+        let fetched = matches!(steps[0].fetched.get(), Some(Some(_)));
+        (rows, fetched)
+    }
+
+    #[test]
+    fn fetched_step_emits_the_bound_scans_sequence() {
+        // Nodes double as subjects and objects, so `?x p ?x` can match.
+        let mut g = Graph::new();
+        for s in 0..7u32 {
+            for p in 0..3u32 {
+                for o in 0..7u32 {
+                    if (s * 31 + p * 17 + o * 7) % 3 != 0 {
+                        g.add(
+                            Subject::iri(format!("http://x/n{s}")),
+                            Iri::new(format!("http://x/p{p}")),
+                            Term::iri(format!("http://x/n{o}")),
+                        );
+                    }
+                }
+            }
+        }
+        // The native store serves each bound mask from the run whose
+        // prefix it is — all four get used below; the sharded store
+        // concatenates or routes; the memory store walks posting lists.
+        let stores: [(&str, Box<dyn TripleStore>); 3] = [
+            ("native", Box::new(NativeStore::from_graph(&g))),
+            (
+                "sharded",
+                Box::new(sp2b_store::ShardedStore::from_graph(
+                    &g,
+                    2,
+                    sp2b_store::ShardBy::Subject,
+                    sp2b_store::ShardBackend::Native(sp2b_store::IndexSelection::all()),
+                )),
+            ),
+            ("mem", Box::new(MemStore::from_graph(&g))),
+        ];
+        for (name, store) in &stores {
+            let store: &dyn TripleStore = store.as_ref();
+            let ids = store.dictionary().len() as Id;
+            let id = |iri: &str| store.resolve(&Term::iri(iri)).expect("term is in the data");
+            let consts = [id("http://x/n3"), id("http://x/p1"), id("http://x/n3")];
+            // Per position: a constant, a variable the input binds, or a
+            // free variable. `alias` makes the object the subject's
+            // variable (`?x p ?x`).
+            for shape in 0..27usize {
+                for alias in [false, true] {
+                    let kind = [shape % 3, shape / 3 % 3, shape / 9];
+                    if alias && (kind[0] == 0 || kind[2] != kind[0]) {
+                        continue;
+                    }
+                    let var = |i: usize| if alias && i == 2 { 0 } else { i };
+                    let slots: [PlanSlot; 3] = std::array::from_fn(|i| match kind[i] {
+                        0 => PlanSlot::Const(Some(consts[i])),
+                        _ => PlanSlot::Var(var(i)),
+                    });
+                    let key: [bool; 3] = std::array::from_fn(|i| kind[i] == 1);
+                    if key == [false; 3] {
+                        continue;
+                    }
+                    // Every combination of ids for the bound variables,
+                    // matching or not.
+                    let keyed: Vec<usize> = (0..3).filter(|&i| key[i] && var(i) == i).collect();
+                    let mut inputs = vec![Bindings::empty(3)];
+                    for &v in &keyed {
+                        inputs = inputs
+                            .iter()
+                            .flat_map(|row| {
+                                (0..ids).map(move |value| {
+                                    let mut row = row.clone();
+                                    row.set(v, value);
+                                    row
+                                })
+                            })
+                            .collect();
+                    }
+                    let (looked_up, fetched) = step_rows(store, slots, None, &inputs);
+                    assert!(!fetched);
+                    // Fetching at once, and part-way through the input.
+                    for after in [0, inputs.len() as u64 / 2] {
+                        let rule = FetchRule { after, key };
+                        let (rows, fetched) = step_rows(store, slots, Some(rule), &inputs);
+                        assert!(fetched, "{name} {slots:?}");
+                        assert_eq!(rows, looked_up, "{name} {slots:?} fetch after {after}");
+                    }
+                    // Never reaching the break-even, never fetching.
+                    let rule = FetchRule {
+                        after: inputs.len() as u64,
+                        key,
+                    };
+                    let (rows, fetched) = step_rows(store, slots, Some(rule), &inputs);
+                    assert!(!fetched, "{name} {slots:?}");
+                    assert_eq!(rows, looked_up);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_that_outgrows_the_cap_stays_on_lookups() {
+        // The rule's figure is the store's estimate; the cap holds against
+        // what the scan actually returns.
+        let mut g = Graph::new();
+        for i in 0..=FETCH_CAP {
+            g.add(
+                Subject::iri(format!("http://x/s{}", i % 50)),
+                Iri::new("http://x/p"),
+                Term::Literal(Literal::integer(i as i64)),
+            );
+        }
+        let store = NativeStore::from_graph(&g);
+        let p = store.resolve(&Term::iri("http://x/p")).unwrap();
+        let s7 = store.resolve(&Term::iri("http://x/s7")).unwrap();
+        let slots = [PlanSlot::Var(0), PlanSlot::Const(Some(p)), PlanSlot::Var(1)];
+        let mut row = Bindings::empty(3);
+        row.set(0, s7);
+        let inputs = vec![row; 3];
+        let rule = FetchRule {
+            after: 1,
+            key: [true, false, false],
+        };
+        let (rows, fetched) = step_rows(&store, slots, Some(rule), &inputs);
+        assert!(!fetched);
+        assert_eq!(rows, step_rows(&store, slots, None, &inputs).0);
+        assert_eq!(
+            rows.len(),
+            3 * store.scan([Some(s7), Some(p), None]).count()
+        );
     }
 
     #[test]
@@ -1470,7 +1877,7 @@ mod tests {
     fn cancellation_stops_evaluation() {
         let store = MemStore::from_graph(&graph());
         let t = translate(&parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s2 ?p2 ?o2 }").unwrap());
-        let plan = bind(&t.algebra, &store);
+        let plan = bind(&t.algebra, &store, &OptimizerConfig::default());
         let cancel = Cancellation::none();
         cancel.cancel();
         let ctx = EvalContext {
@@ -1479,6 +1886,7 @@ mod tests {
             cancel: cancel.clone(),
             width: t.vars.len(),
             counters: None,
+            steps: Arc::default(),
         };
         assert_eq!(ctx.eval(&plan).count(), 0);
         assert!(cancel.was_triggered());

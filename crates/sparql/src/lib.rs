@@ -64,7 +64,7 @@ pub use api::{
     operator_spans, Error, Prepared, QueryEngine, QueryOptions, QueryResult, Solution, Solutions,
 };
 pub use ast::Query;
-pub use eval::{Bindings, Cancellation, EvalContext, ScanCounters};
+pub use eval::{Bindings, Cancellation, EvalContext, ScanCounters, StepState};
 pub use optimizer::OptimizerConfig;
 pub use parser::{parse, ParseError};
 pub use plan::CostWeights;

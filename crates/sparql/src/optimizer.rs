@@ -6,6 +6,14 @@
 //!    so far, using [`sp2b_store::TripleStore::estimate`] — exact counts
 //!    on the native store, posting-list heuristics on the memory store.
 //!    Disconnected patterns (cartesian products) are heavily penalized.
+//!    A step is priced at its output plus the cheaper of two ways to get
+//!    its triples, `min(rows, base)`: a lookup per input row, or one
+//!    fetch of the whole pattern probed as a hash table
+//!    (`candidate_cost`). The executor honours both — but picks between
+//!    them itself, while running, because `rows` here is an estimate that
+//!    compounds every fan-out error of the steps before it (see
+//!    [`crate::eval`]); plans bound under this switch carry the
+//!    break-even, [`crate::plan::FetchRule`], and nothing else.
 //! 2. **Filter pushing**: conjuncts of a group filter move into the BGP
 //!    and run as soon as their variables are bound, shrinking
 //!    intermediate results; filters over a join/left-join distribute into
@@ -739,7 +747,9 @@ fn stats_order(
 /// join of `rows` estimated rows. The cost charges the cheaper of a
 /// per-binding index lookup (one probe per current row) and fetching the
 /// whole pattern once (a scan-then-hash-join shape), plus the rows the
-/// step emits.
+/// step emits. [`crate::eval::PatternBind`] realizes that minimum to
+/// within a factor of two without knowing `rows`: it looks up until it
+/// has issued `base` lookups, then fetches.
 fn candidate_cost(
     pattern: &ResolvedPattern,
     resolved: &Option<sp2b_store::Pattern>,
@@ -770,7 +780,9 @@ fn candidate_cost(
     };
     let out = rows * fanout;
     // Fetch + hash-join pays the whole pattern once; per-binding lookup
-    // pays one probe per current row — take whichever is cheaper.
+    // pays one probe per current row — the step ends up paying about
+    // whichever is cheaper (it switches from the second to the first after
+    // `base` lookups).
     let mut cost = out + rows.min(base);
     if !connected {
         cost *= CARTESIAN_PENALTY;

@@ -7,9 +7,11 @@
 //! so fast workers keep pulling morsels from a shared atomic counter
 //! while slow ones finish (the classic morsel-driven load-balancing of
 //! Leis et al.). Each worker runs the *existing* per-morsel iterator
-//! pipeline: the remaining BGP patterns as index-nested-loop steps,
-//! hash-join probes against build sides materialized **once** and shared
-//! read-only via [`Arc`], filters in place.
+//! pipeline: the remaining BGP patterns as pattern steps — counting
+//! lookups against, and probing the fetched tables of, the execution's
+//! one set of [`crate::eval::StepState`]s — hash-join probes against
+//! build sides materialized **once** and shared read-only via [`Arc`],
+//! filters in place.
 //!
 //! Unlike the original scoped-thread design, workers are **detached**
 //! threads holding an owning [`SharedStore`] handle (plus an owned copy
@@ -371,6 +373,7 @@ pub(crate) fn eval_exchange<'a>(
             n_morsels,
             width: ctx.width,
             counters: ctx.counters.clone(),
+            steps: Arc::clone(&ctx.steps),
         };
         handles.push(
             std::thread::Builder::new()
@@ -423,6 +426,9 @@ struct Worker {
     n_morsels: usize,
     width: usize,
     counters: Option<Arc<crate::eval::ScanCounters>>,
+    /// The execution's pattern-step states: lookup counts and fetched
+    /// tables are shared with the other workers.
+    steps: Arc<[crate::eval::StepState]>,
 }
 
 impl Worker {
@@ -438,6 +444,7 @@ impl Worker {
             cancel: self.cancel.clone(),
             width: self.width,
             counters: self.counters.clone(),
+            steps: Arc::clone(&self.steps),
         };
         let chunks = store.scan_chunks(self.scan_pattern, self.chunk_target);
         debug_assert_eq!(

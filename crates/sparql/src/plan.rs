@@ -8,6 +8,12 @@
 //! [`crate::eval::Bindings::merge_checked`] verifies *every* position at
 //! merge time, which subsumes any explicit check list.
 //!
+//! Binding is also where a pattern step learns whether it may *fetch*:
+//! under [`OptimizerConfig::reorder_patterns`] every step that joins its
+//! input through a variable gets a [`FetchRule`] — the number of index
+//! lookups that cost as much as reading the whole pattern once. The
+//! evaluator counts against it at run time ([`crate::eval`]).
+//!
 //! [`parallelize`] is the physical optimization pass behind
 //! [`crate::QueryOptions::parallelism`]: it inserts [`Plan::Exchange`]
 //! above pipelines whose driving scan is estimated large enough to be
@@ -17,6 +23,7 @@ use sp2b_store::{Id, TripleStore};
 
 use crate::algebra::{Algebra, EqPairs, GroupSpec, ResolvedPattern, Slot};
 use crate::expr::BoundExpr;
+use crate::optimizer::OptimizerConfig;
 
 /// A pattern slot bound to the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,18 +45,67 @@ pub struct PlanPattern {
     /// the same slots (Q9's two `rdf:type foaf:Person` steps) stay apart
     /// — and it survives the plan copies handed to exchange workers.
     pub ordinal: usize,
+    /// When the step may stop looking its input rows up one by one and
+    /// fetch the whole pattern instead; `None` keeps it on lookups.
+    pub fetch: Option<FetchRule>,
+}
+
+/// The largest pattern — in triples matching its constants — a step may
+/// fetch. A fetched table lives as long as the execution, outside the disk
+/// store's block cache, so this is what keeps `--cache-bytes` a promise
+/// about memory: at most 768 KiB of triples (plus their hash index) per
+/// fetching step, however large the document. Patterns above it are
+/// looked up row by row, as before.
+pub const FETCH_CAP: u64 = 1 << 16;
+
+/// A pattern step's break-even between its two triple sources (see
+/// [`crate::eval::PatternBind`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchRule {
+    /// The store's estimate of the triples matching the pattern's
+    /// constants alone: what one fetch reads, and so how many lookups the
+    /// step issues before it has spent as much and fetches.
+    pub after: u64,
+    /// The positions the step's input rows bind through a variable — the
+    /// key the fetched triples are grouped by.
+    pub key: [bool; 3],
 }
 
 impl PlanPattern {
-    fn bind(p: &ResolvedPattern, store: &dyn TripleStore, ordinal: usize) -> Self {
+    /// Binds one step of a BGP whose earlier steps bind `bound`.
+    fn bind(
+        p: &ResolvedPattern,
+        store: &dyn TripleStore,
+        ordinal: usize,
+        bound: Option<&[usize]>,
+    ) -> Self {
         let bind_slot = |s: &Slot| match s {
             Slot::Const(t) => PlanSlot::Const(store.resolve(t)),
             Slot::Var(i) => PlanSlot::Var(*i),
         };
-        PlanPattern {
+        let mut step = PlanPattern {
             slots: [bind_slot(&p.s), bind_slot(&p.p), bind_slot(&p.o)],
             ordinal,
+            fetch: None,
+        };
+        step.fetch = bound.and_then(|bound| step.fetch_rule(store, bound));
+        step
+    }
+
+    /// The step's [`FetchRule`] given the variables its input binds:
+    /// `None` when no position joins the input (the driving scan, a
+    /// cartesian step — every lookup already is the whole pattern), when
+    /// the pattern can match nothing, or when it is estimated above
+    /// [`FETCH_CAP`].
+    fn fetch_rule(&self, store: &dyn TripleStore, bound: &[usize]) -> Option<FetchRule> {
+        let key = self
+            .slots
+            .map(|s| matches!(s, PlanSlot::Var(v) if bound.contains(&v)));
+        if key == [false; 3] || self.is_unsatisfiable() {
+            return None;
         }
+        let after = store.estimate(const_pattern(self));
+        (after <= FETCH_CAP).then_some(FetchRule { after, key })
     }
 
     /// True if a constant failed to resolve (pattern can never match).
@@ -82,7 +138,9 @@ pub enum PlanOrderKey {
 /// The physical plan tree.
 #[derive(Debug, Clone)]
 pub enum Plan {
-    /// Index-nested-loop BGP with optionally pushed-down filters.
+    /// Index-nested-loop BGP with optionally pushed-down filters; a step
+    /// carrying a [`FetchRule`] may turn into a hash probe of its fetched
+    /// pattern mid-execution.
     Bgp {
         /// Patterns in execution order.
         patterns: Vec<PlanPattern>,
@@ -183,28 +241,42 @@ pub enum Plan {
 }
 
 /// Binds an algebra tree to a store, numbering operators in
-/// [`operators`] order (see [`PlanPattern::ordinal`]).
-pub fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
-    bind_from(algebra, store, &mut 0)
+/// [`operators`] order (see [`PlanPattern::ordinal`]). Pattern steps get
+/// their [`FetchRule`]s when `cfg` reorders patterns — the planner whose
+/// cost model charges a step the cheaper of per-row lookups and one
+/// fetch; the unordered configurations (`mem-naive`, `native-base`) stay
+/// on lookups throughout and serve as the oracle.
+pub fn bind(algebra: &Algebra, store: &dyn TripleStore, cfg: &OptimizerConfig) -> Plan {
+    bind_from(algebra, store, cfg.reorder_patterns, &mut 0)
 }
 
-fn bind_from(algebra: &Algebra, store: &dyn TripleStore, next: &mut usize) -> Plan {
+fn bind_from(algebra: &Algebra, store: &dyn TripleStore, fetch: bool, next: &mut usize) -> Plan {
     // Sub-plans bind left to right, the order `operators` walks.
-    let mut sub = |a: &Algebra| Box::new(bind_from(a, store, next));
+    let mut sub = |a: &Algebra| Box::new(bind_from(a, store, fetch, next));
     match algebra {
         Algebra::Bgp {
             patterns,
             inline_filters,
-        } => Plan::Bgp {
-            patterns: patterns
-                .iter()
-                .map(|p| PlanPattern::bind(p, store, next_ordinal(next)))
-                .collect(),
-            filters: inline_filters
-                .iter()
-                .map(|(pos, e)| (*pos, BoundExpr::bind(e, store)))
-                .collect(),
-        },
+        } => {
+            // A BGP starts from one empty row, so what a step's input
+            // binds is exactly the variables of the steps before it.
+            let mut bound: Vec<usize> = Vec::new();
+            Plan::Bgp {
+                patterns: patterns
+                    .iter()
+                    .map(|p| {
+                        let ordinal = next_ordinal(next);
+                        let step = PlanPattern::bind(p, store, ordinal, fetch.then_some(&bound));
+                        bound.extend(p.variables());
+                        step
+                    })
+                    .collect(),
+                filters: inline_filters
+                    .iter()
+                    .map(|(pos, e)| (*pos, BoundExpr::bind(e, store)))
+                    .collect(),
+            }
+        }
         Algebra::Join(a, b, eq) => Plan::Join {
             left: sub(a),
             right: sub(b),
@@ -601,6 +673,12 @@ mod tests {
     use sp2b_store::MemStore;
 
     const BASE: u64 = PARALLEL_BASE_THRESHOLD;
+
+    /// Lookup-only plans: what these tests are about does not depend on
+    /// fetch rules.
+    fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
+        super::bind(algebra, store, &OptimizerConfig::default())
+    }
 
     fn store() -> MemStore {
         let mut g = Graph::new();

@@ -25,7 +25,6 @@
 //! handles carry block ranges instead of borrowed slices, so an
 //! eviction can never invalidate a worker's chunk.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +34,7 @@ use std::time::Instant;
 use sp2b_rdf::Graph;
 
 use crate::dictionary::{Dictionary, IdTriple};
+use crate::hash::FxHashMap;
 use crate::run::{RunPlan, RUN_ORDERS};
 use crate::segment::{
     self, read_block_index, read_header, read_stats, shard_file_name, write_segments_with,
@@ -140,7 +140,7 @@ struct Slot {
 /// The LRU bookkeeping behind one mutex: a key → slot map plus an
 /// intrusive recency list over a slot arena (no per-access allocation).
 struct Lru {
-    map: HashMap<u64, usize>,
+    map: FxHashMap<u64, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize,
@@ -151,7 +151,7 @@ struct Lru {
 impl Lru {
     fn new() -> Self {
         Lru {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -19,12 +19,13 @@
 //!                 per triple, each run cut into fixed-size blocks,
 //!                 followed by the shard's block index (per run, per
 //!                 block: the block's first sort key and its own
-//!                 FNV-1a-64 checksum)
+//!                 64-bit [`Checksum`])
 //! ```
 //!
-//! All integers are little-endian. Every section carries an FNV-1a-64
-//! checksum recorded in the root; the root itself ends with a checksum
-//! over its own preceding bytes. Opening costs O(root + dictionary +
+//! All integers are little-endian. Every section carries a 64-bit
+//! [`Checksum`] (FNV-1a folded over 8-byte words) recorded in the root;
+//! the root itself ends with a checksum over its own preceding bytes.
+//! Opening costs O(root + dictionary +
 //! block index): triple payloads are validated by file size at open and
 //! per block, by checksum, when a block is actually read. The block
 //! granularity is what lets [`crate::disk`] serve a document larger
@@ -51,8 +52,9 @@ pub const MAGIC: [u8; 8] = *b"SP2BSEG1";
 /// the runs into checksummed fixed-size blocks with a per-run sparse
 /// first-key index, replacing the per-run whole-file checksums; version
 /// 4 added the POS run, so a saved shard holds the same run table
-/// ([`RUN_ORDERS`]) a resident one sorts.
-pub const VERSION: u32 = 4;
+/// ([`RUN_ORDERS`]) a resident one sorts; version 5 changed every
+/// checksum from byte-serial FNV-1a to the word-folding [`Checksum`].
+pub const VERSION: u32 = 5;
 
 /// Default triples per block: 1024 triples = 12 KiB of payload, inside
 /// the 4–64 KiB sweet spot where a block is large enough to amortize a
@@ -108,33 +110,131 @@ fn invalid(msg: impl Into<String>) -> SegmentError {
     SegmentError::Invalid(msg.into())
 }
 
-/// Streaming FNV-1a-64 — the per-section checksum. Self-contained so
-/// incremental (per-triple) and whole-buffer hashing agree byte for
-/// byte, which the crate's chunking [`crate::hash::FxHasher`] does not
-/// guarantee.
+/// The per-section checksum: streaming FNV-1a over 8-byte little-endian
+/// words instead of bytes, the words dealt round-robin onto
+/// [`Checksum::LANES`] independent accumulators. Byte-serial FNV is one
+/// multiply chain as long as the input — 12 288 dependent multiplies to
+/// verify a 12 KiB block, most of what a block-cache miss cost — where
+/// the lanes keep four multiplies in flight and each covers eight bytes.
+/// Every step (`xor` a word in, multiply by an odd prime) is a bijection
+/// of the lane, and [`Checksum::finish`] folds the lanes, the zero-padded
+/// tail and the length through the same step, so a change confined to
+/// one word — any single flipped byte — always changes the digest.
+///
+/// Self-contained so that incremental hashing agrees with whole-buffer
+/// hashing for *any* split of the input (the segment writer feeds it
+/// twelve bytes per triple, the reader one block at a time), which the
+/// crate's chunking [`crate::hash::FxHasher`] does not guarantee: bytes
+/// short of a word wait in `pending` until the next update completes it.
 #[derive(Debug, Clone)]
-pub struct Checksum(u64);
+pub struct Checksum {
+    lanes: [Lane; Self::LANES],
+    /// The lane the next word goes to.
+    next: usize,
+    /// Bytes of the word not yet complete, and how many there are.
+    pending: [u8; 8],
+    pending_len: usize,
+    /// Bytes folded in so far.
+    len: u64,
+}
+
+/// One accumulator, held sixteen bytes from the next. With the four
+/// side by side, their write-back at the end of [`Checksum::update`] is
+/// one contiguous store, which LLVM takes as the cue to do the four
+/// multiplies as one vector operation — and no x86 level below AVX-512
+/// has a 64-bit vector multiply, so it emulates each with three 32-bit
+/// ones: 1.4 µs a 12 KiB block against 0.45 µs for the four scalar
+/// chains this layout keeps.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    acc: u64,
+    _apart: u64,
+}
 
 impl Checksum {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const LANES: usize = 4;
 
     /// A fresh accumulator.
     pub fn new() -> Self {
-        Checksum(Self::OFFSET)
+        let lane = Lane {
+            acc: Self::OFFSET,
+            _apart: 0,
+        };
+        Checksum {
+            lanes: [lane; Self::LANES],
+            next: 0,
+            pending: [0; 8],
+            pending_len: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(Self::PRIME)
+    }
+
+    #[inline]
+    fn word(&mut self, word: u64) {
+        let lane = &mut self.lanes[self.next].acc;
+        *lane = Self::step(*lane, word);
+        self.next = (self.next + 1) % Self::LANES;
     }
 
     /// Folds in more bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (8 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 8 {
+                return;
+            }
+            self.word(u64::from_le_bytes(self.pending));
+            self.pending_len = 0;
         }
+        let le = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        // Words up to the next lane-0 boundary, then the bulk a full
+        // round of lanes at a time with the accumulators in registers —
+        // the loop a block verification spends its time in.
+        while self.next != 0 && bytes.len() >= 8 {
+            self.word(le(&bytes[..8]));
+            bytes = &bytes[8..];
+        }
+        let (bulk, tail) = bytes.split_at(bytes.len() - bytes.len() % (8 * Self::LANES));
+        let [mut a, mut b, mut c, mut d] = self.lanes.map(|lane| lane.acc);
+        for round in bulk.chunks_exact(8 * Self::LANES) {
+            a = Self::step(a, le(&round[0..8]));
+            b = Self::step(b, le(&round[8..16]));
+            c = Self::step(c, le(&round[16..24]));
+            d = Self::step(d, le(&round[24..32]));
+        }
+        for (lane, acc) in self.lanes.iter_mut().zip([a, b, c, d]) {
+            lane.acc = acc;
+        }
+        let mut words = tail.chunks_exact(8);
+        for w in &mut words {
+            self.word(le(w));
+        }
+        let rest = words.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
 
     /// The digest so far.
     pub fn finish(&self) -> u64 {
-        self.0
+        let mut tail = [0u8; 8];
+        tail[..self.pending_len].copy_from_slice(&self.pending[..self.pending_len]);
+        let mut h = Self::OFFSET;
+        for lane in &self.lanes {
+            h = Self::step(h, lane.acc);
+        }
+        h = Self::step(h, u64::from_le_bytes(tail));
+        Self::step(h, self.len)
     }
 
     /// One-shot digest of a buffer.
@@ -1181,12 +1281,12 @@ pub(crate) mod tests {
         write_segments(tmp.path(), &dict, ShardBy::Subject, buckets).expect("write");
         let path = tmp.path().join(ROOT_FILE);
         let mut bytes = fs::read(&path).unwrap();
-        // Stamp an earlier format version (2: no blocks; 3: no POS run)
-        // into an otherwise valid root (version sits right after the
+        // Stamp an earlier format version (2: no blocks; 3: no POS run;
+        // 4: byte-serial checksums) into an otherwise valid root (version sits right after the
         // 8-byte magic), re-sign the trailer, and open: the reader must
         // refuse with the one-line skew message, not a checksum
         // complaint or a misread.
-        for old in [2u32, 3] {
+        for old in [2u32, 3, 4] {
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let body_len = bytes.len() - 8;
             let cks = Checksum::of(&bytes[..body_len]);
@@ -1195,7 +1295,7 @@ pub(crate) mod tests {
             let err = read_header(tmp.path()).unwrap_err();
             assert_eq!(
                 err.to_string(),
-                format!("segment version {old}, expected 4 — re-run `sp2b save`")
+                format!("segment version {old}, expected 5 — re-run `sp2b save`")
             );
         }
     }
@@ -1225,12 +1325,67 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("truncated"), "{err}");
     }
 
+    /// Seeded bytes for the checksum tests.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
     #[test]
-    fn checksum_is_stable_incrementally() {
-        let mut inc = Checksum::new();
-        inc.update(b"hello ");
-        inc.update(b"world");
-        assert_eq!(inc.finish(), Checksum::of(b"hello world"));
-        assert_ne!(Checksum::of(b"a"), Checksum::of(b"b"));
+    fn checksum_streams_to_the_one_shot_digest_at_every_split() {
+        // Lengths around the word and the lane-round sizes, tails that
+        // are not a multiple of 8 included; two- and three-way splits at
+        // every point, and the writer's 12-byte feed.
+        for len in [0, 1, 7, 8, 9, 12, 31, 32, 33, 63, 64, 65, 100, 131] {
+            let bytes = noise(len);
+            let whole = Checksum::of(&bytes);
+            for at in 0..=len {
+                let mut two = Checksum::new();
+                two.update(&bytes[..at]);
+                two.update(&bytes[at..]);
+                assert_eq!(two.finish(), whole, "len {len} split at {at}");
+                let mid = at + (len - at) / 2;
+                let mut three = Checksum::new();
+                three.update(&bytes[..at]);
+                three.update(&bytes[at..mid]);
+                three.update(&bytes[mid..]);
+                assert_eq!(three.finish(), whole, "len {len} split at {at},{mid}");
+            }
+            let mut per_triple = Checksum::new();
+            for chunk in bytes.chunks(TRIPLE_BYTES as usize) {
+                per_triple.update(chunk);
+            }
+            assert_eq!(per_triple.finish(), whole, "len {len} fed per triple");
+        }
+        // A length extension by zeros is not the same input.
+        assert_ne!(Checksum::of(&[0; 7]), Checksum::of(&[0; 8]));
+        assert_ne!(Checksum::of(b""), Checksum::of(&[0]));
+    }
+
+    #[test]
+    fn checksum_detects_any_single_flipped_byte_of_a_block() {
+        // A full block and a short last block with a ragged tail.
+        for len in [
+            DEFAULT_BLOCK_TRIPLES as usize * TRIPLE_BYTES as usize,
+            12 * 37 + 5,
+        ] {
+            let good = noise(len);
+            let digest = Checksum::of(&good);
+            let mut bad = good.clone();
+            for i in 0..len {
+                for flip in [0x01, 0x80, 0xff] {
+                    bad[i] ^= flip;
+                    assert_ne!(Checksum::of(&bad), digest, "byte {i} ^ {flip:#x}");
+                    bad[i] ^= flip;
+                }
+            }
+        }
     }
 }

@@ -53,6 +53,7 @@
 
 pub use sp2b_core as core;
 pub use sp2b_datagen as datagen;
+pub use sp2b_obs as obs;
 pub use sp2b_rdf as rdf;
 pub use sp2b_server as server;
 pub use sp2b_sparql as sparql;

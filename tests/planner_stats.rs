@@ -11,15 +11,22 @@
 //!   Q5a, Q8, Q9), the stats-planned order must emit *fewer*
 //!   intermediate rows (instrumented per-pattern counters) than the
 //!   syntactic pattern order.
+//! * The per-step lookup-or-fetch choice, in machine-independent counts:
+//!   no step issues more lookups than a fetch of its pattern costs, a
+//!   step that does not get that far never fetches, and what each
+//!   operator emits is what it emitted when every step looked up.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
-use sp2bench::rdf::Term;
+use sp2bench::obs::{OpKind, OpSpan};
+use sp2bench::rdf::{Graph, Iri, Subject, Term};
+use sp2bench::sparql::eval::LOOKUP_FLUSH;
+use sp2bench::sparql::plan::FETCH_CAP;
 use sp2bench::sparql::{
-    operator_spans, OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters,
+    operator_spans, OptimizerConfig, Prepared, QueryEngine, QueryOptions, QueryResult, ScanCounters,
 };
 use sp2bench::store::{
     open_store, save_graph, Dictionary, Id, IdTriple, IndexSelection, MemStore, NativeStore,
@@ -381,4 +388,188 @@ fn scan_counters_record_emitted_rows() {
         .expect("parses");
     plain.count(&prepared).expect("evaluates");
     assert_eq!(counters.total_rows(), n, "detached engines add nothing");
+}
+
+/// The default 50k document on a resident native store (exact estimates),
+/// built once for the lookup-or-fetch tests below.
+fn store_50k() -> SharedStore {
+    static STORE: OnceLock<SharedStore> = OnceLock::new();
+    STORE
+        .get_or_init(|| {
+            let (graph, _) = generate_graph(Config::triples(50_000));
+            NativeStore::from_graph(&graph).into_shared()
+        })
+        .clone()
+}
+
+/// An engine over `store` at `degree` (the exchange forced wherever the
+/// plan can take one) and the counters it reports into.
+fn counting_engine(store: &SharedStore, degree: usize) -> (QueryEngine, Arc<ScanCounters>) {
+    let counters = Arc::new(ScanCounters::default());
+    let options = QueryOptions::new().parallelism(degree).parallel_base(1);
+    let engine = QueryEngine::with_options(store.clone(), options).scan_counters(counters.clone());
+    (engine, counters)
+}
+
+/// Prepares and counts `text` at `degree`; its operator spans.
+fn spans_of(store: &SharedStore, text: &str, degree: usize) -> Vec<OpSpan> {
+    let (engine, counters) = counting_engine(store, degree);
+    let prepared = engine.prepare(text).expect("query parses");
+    engine.count(&prepared).expect("query evaluates");
+    operator_spans(&prepared, engine.store(), &counters)
+}
+
+fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
+    let fetched = |s: &OpSpan| s.access.is_some_and(|a| a.fetched.is_some());
+    (1..=spans.len())
+        .filter(|&n| fetched(&spans[n - 1]))
+        .collect()
+}
+
+/// What each operator of Q4, Q5b and Q8 emitted on `native-opt` at 50k
+/// when every step was a lookup (joins last, as `--explain` lists them).
+const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
+    (
+        "Q4",
+        &[2338, 5874, 4437, 4431, 172103, 172103, 221467, 221467],
+    ),
+    ("Q5b", &[1128, 1380, 1380, 9050, 5874]),
+    (
+        "Q8",
+        &[
+            1, 1, 2338, 5874, 8574, 96710, 194926, 2338, 5874, 8574, 1058,
+        ],
+    ),
+];
+
+/// The ski-rental invariant: a step rents lookups only until they have
+/// cost what a fetch of its pattern costs — the pattern's constants-only
+/// cardinality, exact on this store and shown as `est_rows` — so no step
+/// ever issues more than that, give or take the lookups concurrent
+/// instances had not yet reported. Sequentially the switch is exact.
+/// And only the source of the triples changes: every operator emits what
+/// it emitted before steps could fetch.
+#[test]
+fn no_step_issues_more_lookups_than_a_fetch_costs() {
+    let store = store_50k();
+    for (label, rows_before) in ROWS_BEFORE_FETCHING {
+        let query = BenchQuery::from_label(label).expect("known label");
+        for degree in [1usize, 4] {
+            let spans = spans_of(&store, query.text(), degree);
+            let rows: Vec<u64> = spans.iter().map(|s| s.rows).collect();
+            assert_eq!(rows, rows_before, "{label}@{degree}");
+            let slack = (degree as u64 - 1) * LOOKUP_FLUSH;
+            for (n, span) in spans.iter().enumerate() {
+                let Some(access) = span.access else { continue };
+                assert_eq!(span.kind, OpKind::Scan);
+                assert!(
+                    access.lookups <= span.est_rows.max(1) + slack,
+                    "{label}@{degree} step {}: {access} against {} triples",
+                    n + 1,
+                    span.est_rows
+                );
+                if let Some(triples) = access.fetched {
+                    assert_eq!(triples, span.est_rows, "{label}@{degree}: {access}");
+                    assert!(
+                        access.lookups >= span.est_rows,
+                        "{label}@{degree}: {access}"
+                    );
+                    assert!(access.probes > 0, "{label}@{degree}: {access}");
+                }
+                // An input row is looked up or probed, never both (a BGP's
+                // first step is fed one empty row; inline filters may drop
+                // rows between steps).
+                let fed = if n == 0 { 1 } else { spans[n - 1].rows.max(1) };
+                assert!(
+                    access.lookups + access.probes <= fed,
+                    "{label}@{degree}: {access}"
+                );
+            }
+            if label == "Q4" {
+                // Steps 6–8 are fed 172k–221k rows against patterns of
+                // 2.3k–5.9k triples; step 2 is fed 2 338 against 5 874.
+                let fetched = fetched_steps(&spans);
+                assert!([6, 7, 8].iter().all(|n| fetched.contains(n)), "{fetched:?}");
+                assert!(!fetched.contains(&2), "{fetched:?}");
+            }
+        }
+    }
+}
+
+/// A consumer that hangs up early never issues a pattern's worth of
+/// lookups, so never pays for a fetch it would not use; neither does a
+/// star whose every step is fed fewer rows than its pattern holds.
+#[test]
+fn early_hang_ups_and_small_inputs_never_fetch() {
+    let store = store_50k();
+    for label in ["Q12b", "Q11", "Q2"] {
+        let query = BenchQuery::from_label(label).expect("known label");
+        for degree in [1, 4] {
+            let spans = spans_of(&store, query.text(), degree);
+            assert_eq!(fetched_steps(&spans), [0usize; 0], "{label}@{degree}");
+            assert!(spans.iter().any(|s| s.rows > 0), "{label}@{degree} ran");
+        }
+    }
+}
+
+/// `subjects` subjects with two `big` triples each: the chain below feeds
+/// its third step four rows per subject — twice the pattern.
+fn two_per_subject(subjects: u64) -> SharedStore {
+    let mut g = Graph::new();
+    for i in 0..subjects {
+        for o in 0..2 {
+            g.add(
+                Subject::iri(format!("http://x/s{i}")),
+                Iri::new("http://x/big"),
+                Term::iri(format!("http://x/o{o}")),
+            );
+        }
+    }
+    NativeStore::from_graph(&g).into_shared()
+}
+
+/// The cap on what a step may fetch is on the pattern, not on the input:
+/// however many lookups a step above it issues, it keeps issuing them.
+#[test]
+fn pattern_above_the_cap_never_fetches() {
+    let chain = "SELECT ?a ?b ?c WHERE { ?x <http://x/big> ?a . ?x <http://x/big> ?b . ?x <http://x/big> ?c }";
+    for (subjects, fetches) in [(FETCH_CAP / 2 - 100, true), (FETCH_CAP / 2 + 100, false)] {
+        let spans = spans_of(&two_per_subject(subjects), chain, 1);
+        let pattern = 2 * subjects;
+        assert_eq!(spans[2].est_rows, pattern);
+        assert_eq!(spans[2].rows, 4 * pattern);
+        let access = spans[2].access.expect("the third step ran");
+        if fetches {
+            assert_eq!(access.fetched, Some(pattern), "{access}");
+            assert_eq!(access.lookups, pattern, "{access}");
+        } else {
+            assert_eq!(access.fetched, None, "{access}");
+            assert_eq!(access.lookups, 2 * pattern, "one per input row: {access}");
+        }
+    }
+}
+
+/// The lookup count and the fetched table belong to one execution: run
+/// twice, a prepared query rents its way to the same fetch twice.
+#[test]
+fn prepared_query_starts_on_lookups_every_time() {
+    let store = store_50k();
+    let (engine, counters) = counting_engine(&store, 1);
+    let q5b = BenchQuery::from_label("Q5b").expect("known label");
+    let prepared: Prepared = engine.prepare(q5b.text()).expect("query parses");
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        engine.count(&prepared).expect("query evaluates");
+        runs.push(operator_spans(&prepared, engine.store(), &counters));
+    }
+    let last = |spans: &[OpSpan]| spans[4].access.expect("the last step ran");
+    let (first, both) = (last(&runs[0]), last(&runs[1]));
+    let pattern = runs[0][4].est_rows;
+    assert_eq!(first.fetched, Some(pattern), "{first}");
+    assert_eq!(first.lookups, pattern, "{first}");
+    // The counters accumulate over executions: the second run added the
+    // same lookups, the same fetch and the same probes again.
+    assert_eq!(both.lookups, 2 * first.lookups, "{both}");
+    assert_eq!(both.fetched, Some(2 * pattern), "{both}");
+    assert_eq!(both.probes, 2 * first.probes, "{both}");
 }
