@@ -43,7 +43,9 @@ use sp2b_obs::{OpKind, OpSpan, QueryTrace};
 use sp2b_rdf::Graph;
 use sp2b_server::ServerConfig;
 use sp2b_sparql::results::{self, Format, WriteError};
-use sp2b_sparql::{operator_spans, Error as SparqlError, Prepared, QueryEngine, ScanCounters};
+use sp2b_sparql::{
+    exchange_lines, operator_spans, Error as SparqlError, Prepared, QueryEngine, ScanCounters,
+};
 use sp2b_store::ShardBy;
 
 fn main() -> ExitCode {
@@ -590,11 +592,13 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     say(label.is_some(), summary);
     if explain || trace {
         let spans = operator_spans(&prepared, qe.store(), &counters);
+        let exchanges = exchange_lines(&prepared, &counters);
         if explain {
-            say(true, explain_report(&engine, &spans));
+            say(true, explain_report(&engine, &spans, &exchanges));
         }
         if trace {
-            say(true, trace_report(&engine, spans, prepare_time, m.tme));
+            let report = trace_report(&engine, spans, &exchanges, prepare_time, m.tme);
+            say(true, report);
         }
     }
     Ok(())
@@ -604,8 +608,9 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 /// occurrence, the store's estimated cardinality next to the rows the
 /// step actually emitted and how it got its triples (lookups issued, and
 /// the fetch they led to, if any). The first line states which statistics
-/// the planner ordered with.
-fn explain_report(engine: &Engine, spans: &[OpSpan]) -> String {
+/// the planner ordered with; a line per planned exchange says where the
+/// plan fanned out, or that this execution did not.
+fn explain_report(engine: &Engine, spans: &[OpSpan], exchanges: &[String]) -> String {
     let mut out = String::from("join order (estimated cardinality vs actual rows emitted):\n");
     let stats = engine.stats_summary();
     let stats = stats.as_deref();
@@ -617,6 +622,9 @@ fn explain_report(engine: &Engine, spans: &[OpSpan]) -> String {
         if let Some(access) = op.access {
             out.push_str(&format!(", {access}"));
         }
+    }
+    for line in exchanges {
+        out.push_str(&format!("\n  {line}"));
     }
     // The planner's estimate-vs-actual comparison is over pattern steps;
     // a join's rows are its output, not scan work.
@@ -640,10 +648,12 @@ fn explain_report(engine: &Engine, spans: &[OpSpan]) -> String {
 
 /// `--trace`: the fuller breakdown — phase timings (prepare/execute)
 /// plus, per operator, the planner's estimate against the rows it
-/// actually emitted *and the wall time it consumed*.
+/// actually emitted *and the wall time it consumed* (summed over the
+/// workers of an exchange, which the lines after the operators name).
 fn trace_report(
     engine: &Engine,
     spans: Vec<OpSpan>,
+    exchanges: &[String],
     prepare: Duration,
     execute: Duration,
 ) -> String {
@@ -652,6 +662,9 @@ fn trace_report(
     trace.phase("execute", execute);
     trace.operators = spans;
     let mut out = trace.render();
+    for line in exchanges {
+        out.push_str(&format!("  {line}\n"));
+    }
     out.push_str(&engine.cache_summary().unwrap_or_default());
     out.truncate(out.trim_end().len());
     out

@@ -376,7 +376,7 @@ impl QueryEngine {
             width: prepared.width,
             counters: self.counters.clone(),
             // Fresh per execution: every run of a prepared query starts
-            // its pattern steps on lookups.
+            // its pattern steps on lookups and its joins without a table.
             steps: (0..prepared.operators)
                 .map(|_| StepState::default())
                 .collect(),
@@ -414,7 +414,8 @@ impl QueryEngine {
             dict: self.store.dictionary(),
             cancel,
             columns: &prepared.columns,
-            remaining: self.options.row_limit,
+            // A row limit caps rows; the ASK witness is the answer.
+            remaining: self.options.row_limit.filter(|_| !prepared.ask),
             state,
         }
     }
@@ -425,65 +426,25 @@ impl QueryEngine {
         self.execute_with(prepared, &cancel)
     }
 
-    /// Like [`QueryEngine::execute`] with an external cancellation handle.
+    /// Like [`QueryEngine::execute`] with an external cancellation handle:
+    /// [`QueryEngine::solutions_with`], drained — the row limit cuts the
+    /// stream, so only delivered rows are ever decoded.
     pub fn execute_with(
         &self,
         prepared: &Prepared,
         cancel: &Cancellation,
     ) -> Result<QueryResult, Error> {
-        if cancel.should_stop() {
-            return Err(Error::Cancelled);
-        }
-        let ctx = self.context(prepared, cancel);
-        if let Plan::GroupAggregate { spec, input } = &prepared.plan {
-            let rows = ctx.eval_groups(spec, input);
-            if cancel.was_triggered() {
-                return Err(Error::Cancelled);
-            }
-            let mut rows = ctx.sort_and_slice_groups(spec, rows);
-            // Apply the row limit before decoding: discarded rows must not
-            // pay decode cost (the streaming path never decodes them).
-            if let Some(limit) = self.options.row_limit {
-                rows.truncate(limit as usize);
-            }
-            let dict = self.store.dictionary();
-            let rows: Vec<Vec<Option<Term>>> = rows
-                .iter()
-                .map(|row| row.iter().map(|cell| cell.decode(dict)).collect())
-                .collect();
-            return Ok(QueryResult::Solutions {
+        let rows = self
+            .solutions_with(prepared, cancel)
+            .map(|solution| Ok(solution?.materialize()))
+            .collect::<Result<Vec<_>, Error>>()?;
+        Ok(if prepared.is_ask() {
+            QueryResult::Boolean(!rows.is_empty())
+        } else {
+            QueryResult::Solutions {
                 variables: prepared.columns.clone(),
                 rows,
-            });
-        }
-        if prepared.ask {
-            let found = ctx.clone().eval_witness(&prepared.plan).next().is_some();
-            if cancel.was_triggered() {
-                return Err(Error::Cancelled);
             }
-            return Ok(QueryResult::Boolean(found));
-        }
-        let dict = self.store.dictionary();
-        let limit = self.options.row_limit.map_or(usize::MAX, |l| l as usize);
-        let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-        for row in ctx.clone().eval(&prepared.plan) {
-            if rows.len() >= limit {
-                break;
-            }
-            rows.push(
-                prepared
-                    .projection
-                    .iter()
-                    .map(|&v| row.get(v).map(|id| dict.decode(id).clone()))
-                    .collect(),
-            );
-        }
-        if cancel.was_triggered() {
-            return Err(Error::Cancelled);
-        }
-        Ok(QueryResult::Solutions {
-            variables: prepared.columns.clone(),
-            rows,
         })
     }
 
@@ -640,6 +601,31 @@ pub fn operator_spans(
                 }
                 let est_rows = driving_scan(build).map_or(0, estimate);
                 span(OpKind::Join, label, est_rows, ordinal)
+            }
+        })
+        .collect()
+}
+
+/// One line per [`Plan::Exchange`] of `prepared`'s plan — `exchange ×2
+/// over step 1, 8 morsels` — for `--explain` and `--trace` to print under
+/// the operators of [`operator_spans`], whose numbering `step` uses. What
+/// a plan holds and what an execution did can differ: ASK and a bounded
+/// count unwrap the exchange, and a scan the store cannot split runs
+/// sequentially, so the line reports the fan-out `counters` saw, or says
+/// that there was none.
+pub fn exchange_lines(prepared: &Prepared, counters: &ScanCounters) -> Vec<String> {
+    crate::plan::exchanges(prepared.plan())
+        .into_iter()
+        .map(|(degree, driving)| {
+            let step = driving.ordinal + 1;
+            match crate::eval::lock(&counters.fan_outs).get(&driving.ordinal) {
+                Some((workers, morsels)) => {
+                    format!("exchange ×{workers} over step {step}, {morsels} morsels")
+                }
+                None => format!(
+                    "exchange ×{degree} over step {step}: planned, not run — a one-row or \
+                     bounded consumer, or a scan the store cannot split, evaluates sequentially"
+                ),
             }
         })
         .collect()
@@ -1062,19 +1048,6 @@ mod tests {
     #[test]
     fn parallel_base_controls_the_fanout_decision() {
         use crate::plan::has_exchange;
-        fn exchange_base(plan: &Plan) -> Option<u64> {
-            match plan {
-                Plan::Exchange { base, .. } => Some(*base),
-                Plan::Project(_, inner)
-                | Plan::Distinct(inner)
-                | Plan::OrderBy(_, inner)
-                | Plan::Filter(_, inner) => exchange_base(inner),
-                Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => {
-                    exchange_base(input)
-                }
-                _ => None,
-            }
-        }
         // The 10-row store is far below the default threshold; a
         // measured base of 1 forces the exchange anyway, and the default
         // keeps the plan sequential.
@@ -1086,10 +1059,6 @@ mod tests {
         );
         assert!(has_exchange(eager.prepare(text).unwrap().plan()));
         assert_eq!(eager.options().parallel_base_rows(), 1);
-        // The planned Exchange carries the calibrated base, so eval-time
-        // fan-out decisions beneath it (hash-join build sides) use the
-        // same base as the plan-level decision.
-        assert_eq!(exchange_base(eager.prepare(text).unwrap().plan()), Some(1));
         let default = QueryEngine::with_options(store.clone(), QueryOptions::new().parallelism(4));
         assert!(!has_exchange(default.prepare(text).unwrap().plan()));
         // The forced-parallel plan still answers correctly.

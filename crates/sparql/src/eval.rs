@@ -27,9 +27,7 @@
 //! be, the step pays at most twice the better pure strategy; a consumer
 //! that hangs up early (`ASK`, `LIMIT`) never reaches the count and never
 //! fetches; and a step fed few rows never pays for a table it would not
-//! use. The count and the table are per execution ([`StepState`], reached
-//! through [`EvalContext::steps`] and shared by exchange workers), so a
-//! prepared query starts on lookups every time it runs.
+//! use.
 //!
 //! Only where a step's triples come from changes: the group of a fetched
 //! table holds exactly the triples the bound scan would return, in the
@@ -37,21 +35,40 @@
 //! tests below), so rows, row order and every tally are those of pure
 //! lookups.
 //!
+//! # What one execution builds, it builds once
+//!
+//! A [`Plan`] is immutable and shared; everything an execution
+//! materializes lives beside it in [`EvalContext::steps`], one
+//! [`StepState`] slot per operator ordinal, allocated per execution and
+//! dropped with it — a prepared query starts from nothing every time it
+//! runs. A pattern step's slot holds its lookup count and, once bought,
+//! its fetched table; a join's slot holds its build side
+//! ([`EvalContext::build_side`], the one place a hash table is filled).
+//! Both are `OnceLock`s: whoever gets there first builds, everyone else
+//! reads. That is all an exchange ([`crate::par`]) needs to be *this*
+//! evaluator on a chunk: its workers run [`EvalContext::eval_over`] — the
+//! same `match` over the same borrowed plan, with the driving scan
+//! reading one morsel instead of the store — against the execution's one
+//! set of slots, so every morsel probes the tables the sequential
+//! evaluation would have built, and builds none of its own.
+//!
 //! Every row produced passes a [`Cancellation`] check, which is how the
 //! benchmark runner enforces the paper's 30-minute query timeout without
 //! detaching runaway threads.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use sp2b_obs::StepAccess;
 use sp2b_rdf::{Literal, Term};
-use sp2b_store::{Dictionary, Id, IdTriple, Pattern, SharedStore, TripleStore};
+use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, TripleStore};
 
 use crate::algebra::{EqPairs, GroupSpec};
 use crate::expr::{eq_class, BoundExpr, EqClass};
-use crate::plan::{const_pattern, FetchRule, Plan, PlanOrderKey, PlanPattern, PlanSlot, FETCH_CAP};
+use crate::plan::{
+    const_pattern, driving_scan, FetchRule, Plan, PlanOrderKey, PlanPattern, PlanSlot, FETCH_CAP,
+};
 
 use sp2b_store::hash::{FxHashMap, FxHashSet};
 
@@ -231,9 +248,13 @@ pub struct ScanCounters {
     scans: TallyMap,
     /// Joins, whose rows are output rather than scan work.
     joins: TallyMap,
+    /// Exchanges that fanned out, by the ordinal of their driving step:
+    /// `(workers, morsels)` of the latest execution. An exchange that was
+    /// unwrapped, or fell back to sequential evaluation, has no entry.
+    pub(crate) fan_outs: Mutex<FxHashMap<usize, (usize, usize)>>,
 }
 
-type TallyMap = std::sync::Mutex<FxHashMap<usize, OperatorTally>>;
+type TallyMap = Mutex<FxHashMap<usize, OperatorTally>>;
 
 /// What one operator did, summed over its instances and executions.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
@@ -258,7 +279,7 @@ impl OperatorTally {
 
 /// Every update leaves the map valid, so a poisoned lock is still readable
 /// — and [`LocalTally`] flushes from a `Drop`, which must not panic.
-fn lock(map: &TallyMap) -> std::sync::MutexGuard<'_, FxHashMap<usize, OperatorTally>> {
+pub(crate) fn lock<T>(map: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     map.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -357,11 +378,11 @@ impl Drop for LocalTally {
 /// [`FetchRule::after`] by less than this per concurrent instance.
 pub const LOOKUP_FLUSH: u64 = 64;
 
-/// Per-execution state of one BGP pattern step, shared by every running
-/// instance of it — the sequential pipeline's one, or one per exchange
-/// morsel: the lookups issued so far and, once they have paid for it, the
-/// fetched pattern. Lives in [`EvalContext::steps`] and is dropped with
-/// the execution.
+/// Per-execution state of one operator, shared by every running instance
+/// of it — the sequential pipeline's one, or one per exchange morsel. A
+/// BGP pattern step keeps the lookups issued so far and, once they have
+/// paid for it, the fetched pattern; a join keeps its build side. Lives
+/// in [`EvalContext::steps`] and is dropped with the execution.
 #[derive(Debug, Default)]
 pub struct StepState {
     /// Lookups issued, as far as the instances have reported them.
@@ -371,6 +392,8 @@ pub struct StepState {
     /// and the step stays on lookups for good. Set once: the instance
     /// that reaches the break-even builds it while the others wait.
     fetched: OnceLock<Option<Fetched>>,
+    /// A join's build side ([`EvalContext::build_side`]).
+    build: OnceLock<Arc<BuildSide>>,
 }
 
 /// A pattern's triples as one fetch read them, grouped by the key
@@ -453,9 +476,11 @@ pub struct EvalContext<'a> {
     /// Row-count instrumentation, when the caller wants it (see
     /// [`ScanCounters`]).
     pub counters: Option<std::sync::Arc<ScanCounters>>,
-    /// This execution's pattern-step states, indexed by
-    /// [`PlanPattern::ordinal`] (see [`StepState`]). A step without an
-    /// entry — an empty slice is a valid value — only ever looks up.
+    /// This execution's operator states, indexed by operator ordinal
+    /// ([`PlanPattern::ordinal`]; see [`StepState`]). An operator without
+    /// an entry — an empty slice is a valid value — keeps nothing: a
+    /// pattern step only ever looks up, a join builds its table every
+    /// time it is evaluated.
     pub steps: Arc<[StepState]>,
 }
 
@@ -465,42 +490,46 @@ pub type RowIter<'a> = Box<dyn Iterator<Item = Bindings> + 'a>;
 impl<'a> EvalContext<'a> {
     /// Evaluates a plan to a lazy solution stream.
     pub fn eval(self, plan: &'a Plan) -> RowIter<'a> {
+        self.eval_over(plan, None)
+    }
+
+    /// [`EvalContext::eval`] with the plan's driving scan — the first
+    /// pattern of its leftmost BGP, reached through join probe sides and
+    /// filters ([`driving_scan`]) — reading `drive` instead of the store:
+    /// how an exchange worker ([`crate::par`]) runs the plan on one
+    /// morsel. Only those three arms hand `drive` on; build sides, and
+    /// every other operator, never see it.
+    pub(crate) fn eval_over(self, plan: &'a Plan, drive: Option<ScanChunk<'a>>) -> RowIter<'a> {
+        debug_assert!(
+            drive.is_none() || driving_scan(plan).is_some(),
+            "a chunk needs a driving scan to stand in for"
+        );
         match plan {
-            Plan::Bgp { patterns, filters } => self.eval_bgp(patterns, filters),
+            Plan::Bgp { patterns, filters } => self.eval_bgp(patterns, filters, drive),
             Plan::Join {
                 left,
                 right,
                 key,
                 eq,
                 ordinal,
-            } => {
-                let build = Arc::new(self.build_side(right, key, eq));
-                let probe = self.clone().eval(left);
-                join_rows(self, probe, build, JoinKind::Inner, *ordinal)
             }
-            Plan::LeftJoin {
+            | Plan::LeftJoin {
                 left,
                 right,
                 key,
                 eq,
-                condition,
                 ordinal,
+                ..
             } => {
-                let build = Arc::new(self.build_side(right, key, eq));
-                let probe = self.clone().eval(left);
-                join_rows(
-                    self,
-                    probe,
-                    build,
-                    JoinKind::Left(condition.as_ref()),
-                    *ordinal,
-                )
+                let kind = match plan {
+                    Plan::LeftJoin { condition, .. } => JoinKind::Left(condition.as_ref()),
+                    _ => JoinKind::Inner,
+                };
+                let build = self.build_side(right, key, eq, *ordinal);
+                let probe = self.clone().eval_over(left, drive);
+                join_rows(self, probe, build, kind, *ordinal)
             }
-            Plan::Exchange {
-                degree,
-                base,
-                input,
-            } => crate::par::eval_exchange(self, *degree, *base, input),
+            Plan::Exchange { degree, input } => crate::par::eval_exchange(self, *degree, input),
             Plan::Union(a, b) => {
                 let this = self.clone();
                 let left = self.eval(a);
@@ -521,7 +550,7 @@ impl<'a> EvalContext<'a> {
             }
             Plan::Filter(expr, inner) => {
                 let store = self.store;
-                let input = self.eval(inner);
+                let input = self.eval_over(inner, drive);
                 Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
             }
             Plan::Distinct(inner) => {
@@ -682,38 +711,34 @@ impl<'a> EvalContext<'a> {
 
     // -- BGP ---------------------------------------------------------------
 
+    /// The BGP pipeline: one [`PatternBind`] per pattern, each inline
+    /// filter attached after the pattern that binds its variables, fed one
+    /// empty row. Under `drive` the first step extends that row by the
+    /// chunk's triples rather than by a store scan — same step, same
+    /// tally, a slice of its rows.
     fn eval_bgp(
         self,
         patterns: &'a [PlanPattern],
         filters: &'a [(usize, BoundExpr)],
+        drive: Option<ScanChunk<'a>>,
     ) -> RowIter<'a> {
-        let seed: RowIter<'a> = Box::new(std::iter::once(Bindings::empty(self.width)));
-        self.eval_bgp_from(seed, patterns, filters, 0)
-    }
-
-    /// The BGP pipeline from pattern `start` onward, one [`PatternBind`]
-    /// per pattern, fed by already-extended `seed` rows. Inline filters positioned
-    /// before `start` apply to the seed rows (their variables are bound
-    /// there); later filters attach after their pattern as usual. The
-    /// sequential [`EvalContext::eval_bgp`] seeds with one empty row and
-    /// `start = 0`; the morsel driver ([`crate::par`]) seeds with a
-    /// chunk's pattern-0 rows and `start = 1`.
-    pub(crate) fn eval_bgp_from(
-        self,
-        seed: RowIter<'a>,
-        patterns: &'a [PlanPattern],
-        filters: &'a [(usize, BoundExpr)],
-        start: usize,
-    ) -> RowIter<'a> {
-        let mut iter = seed;
-        for (fpos, filter) in filters {
-            if *fpos < start {
-                let store = self.store;
-                iter = Box::new(iter.filter(move |row| filter.evaluate(row, store) == Ok(true)));
+        let empty = Bindings::empty(self.width);
+        // (A pattern that can match nothing has no constants-only scan to
+        // take a chunk of; the ordinary step yields its no rows.)
+        let driven = drive
+            .zip(patterns.first())
+            .filter(|(_, first)| !first.is_unsatisfiable());
+        let mut iter: RowIter<'a> = match driven {
+            Some((chunk, first)) => {
+                let scan = chunk.iter(const_pattern(first));
+                Box::new(PatternBind::over(self.clone(), first, empty, scan))
             }
-        }
-        for (pos, pattern) in patterns.iter().enumerate().skip(start) {
-            iter = Box::new(PatternBind::new(self.clone(), pattern, iter));
+            None => Box::new(std::iter::once(empty)),
+        };
+        for (pos, pattern) in patterns.iter().enumerate() {
+            if pos > 0 || driven.is_none() {
+                iter = Box::new(PatternBind::new(self.clone(), pattern, iter));
+            }
             for (fpos, filter) in filters {
                 if *fpos == pos {
                     let store = self.store;
@@ -727,19 +752,33 @@ impl<'a> EvalContext<'a> {
 
     // -- joins ---------------------------------------------------------
 
-    /// Materializes a join's build side (see [`BuildSide`]). The parallel
-    /// driver ([`crate::par`]) builds the same structure once per join
-    /// and shares it across workers.
-    pub(crate) fn build_side(&self, plan: &'a Plan, key: &[usize], eq: &EqPairs) -> BuildSide {
-        let mut build = BuildSide::new(key, eq);
-        let dict = self.store.dictionary();
-        for row in self.clone().eval(plan) {
-            if self.cancel.should_stop() {
-                break;
+    /// A join's build side (see [`BuildSide`]): materialized by whoever
+    /// asks first and kept in the join's [`StepState`], so an execution
+    /// builds it once however often the join is evaluated — an exchange
+    /// evaluates it once per morsel, on several threads. The one place a
+    /// build side is filled (the symmetric ASK join keeps its own pair).
+    pub(crate) fn build_side(
+        &self,
+        plan: &'a Plan,
+        key: &[usize],
+        eq: &EqPairs,
+        ordinal: usize,
+    ) -> Arc<BuildSide> {
+        let materialize = || {
+            let mut build = BuildSide::new(key, eq);
+            let dict = self.store.dictionary();
+            for row in self.clone().eval(plan) {
+                if self.cancel.should_stop() {
+                    break;
+                }
+                build.insert(dict, row);
             }
-            build.insert(dict, row);
+            Arc::new(build)
+        };
+        match self.steps.get(ordinal) {
+            Some(state) => Arc::clone(state.build.get_or_init(materialize)),
+            None => materialize(),
         }
-        build
     }
 
     // -- ordering ------------------------------------------------------
@@ -961,6 +1000,7 @@ fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowI
 /// a build row goes to the flat list, which every probe scans, so no
 /// match is lost: a bucket only narrows the candidates, and
 /// [`Bindings::merge_checked`] plus the join's residual condition decide.
+#[derive(Debug)]
 pub(crate) struct BuildSide {
     key: Vec<usize>,
     eq: EqPairs,
@@ -973,7 +1013,7 @@ pub(crate) struct BuildSide {
 type JoinKey = (Vec<Id>, Vec<EqClass>);
 
 impl BuildSide {
-    pub(crate) fn new(key: &[usize], eq: &EqPairs) -> Self {
+    fn new(key: &[usize], eq: &EqPairs) -> Self {
         BuildSide {
             key: key.to_vec(),
             eq: eq.clone(),
@@ -1010,11 +1050,9 @@ impl BuildSide {
         Some((ids, classes))
     }
 
-    /// Files one build-side row. The sequential build and the parallel
-    /// partitioned build in [`crate::par`] both feed rows in evaluation
-    /// order, so bucket order — and with it probe output order — is the
-    /// same either way.
-    pub(crate) fn insert(&mut self, dict: &Dictionary, row: Bindings) {
+    /// Files one build-side row. Rows arrive in evaluation order, which
+    /// is bucket order — and with it probe output order.
+    fn insert(&mut self, dict: &Dictionary, row: Bindings) {
         match self.key_of(dict, &row, |pair| pair.1) {
             Some(k) => self.map.entry(k).or_default().push(row),
             None => self.flat.push(row),
@@ -1035,35 +1073,22 @@ impl BuildSide {
     }
 }
 
-/// Which probe a join runs per left row. `C` is how the OPTIONAL
-/// condition is held: owned in a compiled exchange pipeline, borrowed
-/// from there (or from the plan) while rows flow.
+/// Which probe a join runs per left row.
 #[derive(Clone, Copy)]
-pub(crate) enum JoinKind<C> {
+enum JoinKind<'a> {
     /// [`probe_inner`].
     Inner,
     /// [`probe_left`] with the OPTIONAL condition, if any.
-    Left(Option<C>),
-}
-
-impl JoinKind<BoundExpr> {
-    pub(crate) fn as_ref(&self) -> JoinKind<&BoundExpr> {
-        match self {
-            JoinKind::Inner => JoinKind::Inner,
-            JoinKind::Left(condition) => JoinKind::Left(condition.as_ref()),
-        }
-    }
+    Left(Option<&'a BoundExpr>),
 }
 
 /// The probe half of a hash join: streams `input`, probing `build` per
 /// row, and books rows out and probe time against the join's `ordinal`.
-/// The one join loop — the sequential evaluator and every exchange worker
-/// ([`crate::par`]) run their joins through it.
-pub(crate) fn join_rows<'a>(
+fn join_rows<'a>(
     ctx: EvalContext<'a>,
     input: RowIter<'a>,
     build: Arc<BuildSide>,
-    kind: JoinKind<&'a BoundExpr>,
+    kind: JoinKind<'a>,
     ordinal: usize,
 ) -> RowIter<'a> {
     let mut tally = LocalTally::new(&ctx, ordinal, |c| &c.joins);
@@ -1187,7 +1212,7 @@ fn probe_left(
 /// fetch of the whole pattern costs, and from the fetched table after
 /// that (see the module docs); rows, their order, cancellation checks and
 /// tallies do not depend on which.
-pub(crate) struct PatternBind<'a> {
+struct PatternBind<'a> {
     ctx: EvalContext<'a>,
     pattern: &'a PlanPattern,
     input: RowIter<'a>,
@@ -1217,16 +1242,16 @@ fn rented<'p, 's>(
 }
 
 impl<'a> PatternBind<'a> {
-    pub(crate) fn new(ctx: EvalContext<'a>, pattern: &'a PlanPattern, input: RowIter<'a>) -> Self {
+    fn new(ctx: EvalContext<'a>, pattern: &'a PlanPattern, input: RowIter<'a>) -> Self {
         let none_yet = Box::new(std::iter::empty());
         Self::start(ctx, pattern, input, Bindings::empty(0), none_yet)
     }
 
     /// The step over one row and an already-opened `scan` of its
-    /// candidate triples — how the morsel driver ([`crate::par`]) feeds
-    /// one chunk of the driving scan through the same row extension,
-    /// cancellation checks and tallies as every other step.
-    pub(crate) fn over(
+    /// candidate triples — how [`EvalContext::eval_bgp`] feeds one chunk
+    /// of the driving scan through the same row extension, cancellation
+    /// checks and tallies as every other step.
+    fn over(
         ctx: EvalContext<'a>,
         pattern: &'a PlanPattern,
         base: Bindings,
@@ -1373,11 +1398,7 @@ impl Drop for PatternBind<'_> {
 /// Extends `base` with the variable bindings `pattern` takes from
 /// `triple`; `None` when a variable disagrees across positions — either
 /// with the base row or repeated within the pattern (e.g. `?x ?p ?x`).
-pub(crate) fn extend_row(
-    base: &Bindings,
-    pattern: &PlanPattern,
-    triple: &IdTriple,
-) -> Option<Bindings> {
+fn extend_row(base: &Bindings, pattern: &PlanPattern, triple: &IdTriple) -> Option<Bindings> {
     let mut row = base.clone();
     for (i, slot) in pattern.slots.iter().enumerate() {
         if let PlanSlot::Var(v) = slot {
@@ -1641,8 +1662,7 @@ mod tests {
             vars.clone(),
             Box::new(Plan::Exchange {
                 degree: 4,
-                base: crate::plan::PARALLEL_BASE_THRESHOLD,
-                input: inner.clone(),
+                input: inner.clone().into(),
             }),
         );
         let sequential = Plan::Project(vars, inner);
@@ -1677,8 +1697,7 @@ mod tests {
         };
         let plan = Plan::Exchange {
             degree: 4,
-            base: crate::plan::PARALLEL_BASE_THRESHOLD,
-            input: inner,
+            input: inner.into(),
         };
         let cancel = Cancellation::none();
         cancel.cancel();

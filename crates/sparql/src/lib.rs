@@ -61,7 +61,8 @@ pub mod plan;
 pub mod results;
 
 pub use api::{
-    operator_spans, Error, Prepared, QueryEngine, QueryOptions, QueryResult, Solution, Solutions,
+    exchange_lines, operator_spans, Error, Prepared, QueryEngine, QueryOptions, QueryResult,
+    Solution, Solutions,
 };
 pub use ast::Query;
 pub use eval::{Bindings, Cancellation, EvalContext, ScanCounters, StepState};

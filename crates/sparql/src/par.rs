@@ -1,24 +1,27 @@
-//! Morsel-driven parallel evaluation of [`Plan::Exchange`] with
-//! **detached, streaming** worker threads.
+//! Morsel-driven parallel evaluation of [`Plan::Exchange`]: the same
+//! plan, evaluated once per chunk of its driving scan, on **detached,
+//! streaming** worker threads.
 //!
 //! The driving scan (first pattern of the leftmost BGP under the
 //! exchange) is partitioned into disjoint chunks via
 //! [`sp2b_store::TripleStore::scan_chunks`] — more chunks than workers,
 //! so fast workers keep pulling morsels from a shared atomic counter
 //! while slow ones finish (the classic morsel-driven load-balancing of
-//! Leis et al.). Each worker runs the *existing* per-morsel iterator
-//! pipeline: the remaining BGP patterns as pattern steps — counting
-//! lookups against, and probing the fetched tables of, the execution's
-//! one set of [`crate::eval::StepState`]s — hash-join probes against
-//! build sides materialized **once** and shared read-only via [`Arc`],
-//! filters in place.
+//! Leis et al.). A morsel is not a second executor: a worker calls
+//! [`EvalContext::eval_over`] on the exchange's input — the plan the
+//! sequential evaluator walks, shared through an [`Arc`] — with the
+//! morsel's chunk standing in for the driving scan. Everything the
+//! execution materializes — hash-join build sides, fetched pattern
+//! tables, lookup counts — lives in the execution's one set of
+//! [`crate::eval::StepState`]s, so every morsel on every thread probes
+//! the same tables; [`eval_exchange`] has the joins of the probe spine
+//! build theirs before it spawns anything, on the consumer's thread.
 //!
-//! Unlike the original scoped-thread design, workers are **detached**
-//! threads holding an owning [`SharedStore`] handle (plus an owned copy
-//! of the compiled pipeline), so they can outlive the `eval_exchange`
-//! call. Results therefore *stream*: batches flow through a bounded
-//! channel (backpressure — workers cannot run unboundedly ahead of the
-//! consumer) into [`ExchangeMerge`], a pull-based iterator that reorders
+//! Workers are detached threads holding an owning [`SharedStore`] handle,
+//! so they can outlive the `eval_exchange` call. Results therefore
+//! *stream*: batches flow through a bounded channel (backpressure —
+//! workers cannot run unboundedly ahead of the consumer) into
+//! [`ExchangeMerge`], a pull-based iterator that reorders
 //! batches **by morsel index**, so the output order equals sequential
 //! evaluation exactly while memory stays bounded by the channel for
 //! balanced morsels. Morsel *skew* is bounded too: batches of a later
@@ -39,15 +42,14 @@
 //!   closes the sink flag and disconnects the channel, which wakes
 //!   workers blocked on `send`; the drop then **joins** every worker, so
 //!   no detached thread outlives its stream — observable through the
-//!   always-on [`diag::live_workers`] gauge.
-//!
-//! Hash-join build sides large enough to clear their own
-//! [`crate::plan::parallel_threshold`] threshold (under the same
-//! calibrated base the exchange was planned with) are themselves built from
-//! `scan_chunks` partitions on a scoped worker pool (the build is a
-//! blocking materialization, so scoped threads suffice there), with rows
-//! filed in chunk order to preserve bucket ordering.
+//!   always-on [`diag::live_workers`] gauge;
+//! * a worker that panics closes the sink on its way out, which stops the
+//!   others, and the merger — once it has delivered what came before the
+//!   missing morsel — joins them all and re-raises the panic on the
+//!   consumer's thread: a query fails the same way at any parallelism,
+//!   never by hanging or by ending early with the rows it had.
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -56,12 +58,8 @@ use std::thread::JoinHandle;
 
 use sp2b_store::{Pattern, ScanChunk, SharedStore, TripleStore};
 
-use crate::algebra::EqPairs;
-use crate::eval::{
-    join_rows, Bindings, BuildSide, Cancellation, EvalContext, JoinKind, PatternBind, RowIter,
-};
-use crate::expr::BoundExpr;
-use crate::plan::{const_pattern, parallel_threshold, Plan, PlanPattern};
+use crate::eval::{lock, Bindings, Cancellation, EvalContext, RowIter};
+use crate::plan::{const_pattern, driving_scan, Plan};
 
 /// Morsels per worker: enough over-partitioning that an unlucky skewed
 /// morsel cannot serialize the whole query.
@@ -85,246 +83,21 @@ pub const MAX_MERGE_AHEAD: usize = 4;
 /// the merge-ahead window.
 const MERGE_AHEAD_NAP: std::time::Duration = std::time::Duration::from_micros(100);
 
-/// The compiled per-morsel pipeline: an **owned** copy of the exchange
-/// input (detached workers cannot borrow the prepared plan) with every
-/// build side pre-materialized. Shapes the parallel driver cannot run
-/// (union, nested exchange, …) fail compilation and fall back to
-/// sequential evaluation — [`Plan::Exchange`] is a performance hint,
-/// never a semantic obligation.
-enum Pipeline {
-    /// The driving BGP: pattern 0 is replaced by the morsel's chunk.
-    Driving {
-        patterns: Vec<PlanPattern>,
-        filters: Vec<(usize, BoundExpr)>,
-    },
-    /// A join probing a build side materialized once and shared
-    /// read-only by every worker.
-    Join {
-        probe: Box<Pipeline>,
-        build: Arc<BuildSide>,
-        kind: JoinKind<BoundExpr>,
-        ordinal: usize,
-    },
-    Filter(BoundExpr, Box<Pipeline>),
-}
-
-fn compile<'a>(
-    ctx: &EvalContext<'a>,
-    plan: &'a Plan,
-    degree: usize,
-    base: u64,
-) -> Option<Pipeline> {
-    match plan {
-        Plan::Bgp { patterns, filters } if !patterns.is_empty() => Some(Pipeline::Driving {
-            patterns: patterns.clone(),
-            filters: filters.clone(),
-        }),
-        Plan::Join {
-            left,
-            right,
-            key,
-            eq,
-            ordinal,
-        } => {
-            let probe = Box::new(compile(ctx, left, degree, base)?);
-            Some(Pipeline::Join {
-                probe,
-                build: Arc::new(build_side(ctx, right, key, eq, degree, base)),
-                kind: JoinKind::Inner,
-                ordinal: *ordinal,
-            })
-        }
-        Plan::LeftJoin {
-            left,
-            right,
-            key,
-            eq,
-            condition,
-            ordinal,
-        } => {
-            let probe = Box::new(compile(ctx, left, degree, base)?);
-            Some(Pipeline::Join {
-                probe,
-                build: Arc::new(build_side(ctx, right, key, eq, degree, base)),
-                kind: JoinKind::Left(condition.clone()),
-                ordinal: *ordinal,
-            })
-        }
-        Plan::Filter(expr, inner) => Some(Pipeline::Filter(
-            expr.clone(),
-            Box::new(compile(ctx, inner, degree, base)?),
-        )),
-        _ => None,
-    }
-}
-
-/// Materializes a hash-join build side, partitioning the evaluation of a
-/// large chunkable BGP across `degree` scoped threads (Q6/Q7-style
-/// negation plans carry corpus-sized build sides). Rows are filed in
-/// chunk order, so bucket insertion order — and with it probe output
-/// order — equals sequential evaluation.
-fn build_side<'a>(
-    ctx: &EvalContext<'a>,
-    plan: &'a Plan,
-    key: &[usize],
-    eq: &EqPairs,
-    degree: usize,
-    base: u64,
-) -> BuildSide {
-    let Some(rows) = parallel_build_rows(ctx, plan, degree, base) else {
-        return ctx.build_side(plan, key, eq);
-    };
-    let mut build = BuildSide::new(key, eq);
-    let dict = ctx.store.dictionary();
-    for row in rows {
-        build.insert(dict, row);
-    }
-    build
-}
-
-/// Evaluates a build-side BGP in parallel partitions of its driving scan,
-/// returning rows in sequential scan order. `None` when the shape, size
-/// or degree does not warrant it — the caller falls back to the
-/// sequential build.
-fn parallel_build_rows<'a>(
-    ctx: &EvalContext<'a>,
-    plan: &'a Plan,
-    degree: usize,
-    base: u64,
-) -> Option<Vec<Bindings>> {
-    if degree < 2 {
-        return None;
-    }
-    let Plan::Bgp { patterns, filters } = plan else {
-        return None;
-    };
-    let pattern0 = patterns.first()?;
-    if pattern0.is_unsatisfiable() {
-        return None;
-    }
-    let scan_pattern = const_pattern(pattern0);
-    if ctx.store.estimate(scan_pattern) < parallel_threshold(plan, ctx.store, base) {
-        return None;
-    }
-    let chunks = ctx
-        .store
-        .scan_chunks(scan_pattern, degree * MORSELS_PER_WORKER);
-    if chunks.len() < 2 {
-        return None;
-    }
-    let workers = degree.min(chunks.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<Bindings>)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let ctx = ctx.clone();
-            let next = &next;
-            let chunks = &chunks;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks.len() || ctx.cancel.should_stop() {
-                    return;
-                }
-                let rows: Vec<Bindings> =
-                    bgp_chunk_rows(&ctx, patterns, filters, chunks[i]).collect();
-                if tx.send((i, rows)).is_err() {
-                    return;
-                }
-            });
-        }
-    });
-    drop(tx);
-    // The build materializes by nature, so collecting per-chunk results
-    // and concatenating in chunk order costs no extra copy of the rows.
-    let mut per_chunk: Vec<Vec<Bindings>> = (0..chunks.len()).map(|_| Vec::new()).collect();
-    while let Ok((i, rows)) = rx.try_recv() {
-        per_chunk[i] = rows;
-    }
-    Some(per_chunk.into_iter().flatten().collect())
-}
-
-/// The driving-BGP rows of one chunk: the chunk's triples feed pattern 0,
-/// the rest of the pipeline is identical to sequential evaluation (same
-/// operators, same per-row order), so concatenating chunk outputs in
-/// chunk order reproduces the sequential row order. Shared between the
-/// morsel driver and the parallel build.
-fn bgp_chunk_rows<'a>(
-    ctx: &EvalContext<'a>,
-    patterns: &'a [PlanPattern],
-    filters: &'a [(usize, BoundExpr)],
-    chunk: ScanChunk<'a>,
-) -> RowIter<'a> {
-    let pattern0: &'a PlanPattern = &patterns[0];
-    if pattern0.is_unsatisfiable() {
-        return Box::new(std::iter::empty());
-    }
-    // The chunk stands in for pattern 0's scan; the step itself — and
-    // its tally against `pattern0.ordinal` — is the sequential one.
-    let seed: RowIter<'a> = Box::new(PatternBind::over(
-        ctx.clone(),
-        pattern0,
-        Bindings::empty(ctx.width),
-        chunk.iter(const_pattern(pattern0)),
-    ));
-    ctx.clone().eval_bgp_from(seed, patterns, filters, 1)
-}
-
-/// The rows one morsel produces (see [`bgp_chunk_rows`] for the ordering
-/// argument).
-fn morsel_rows<'a>(ctx: &EvalContext<'a>, pipe: &'a Pipeline, chunk: ScanChunk<'a>) -> RowIter<'a> {
-    match pipe {
-        Pipeline::Driving { patterns, filters } => bgp_chunk_rows(ctx, patterns, filters, chunk),
-        Pipeline::Filter(expr, inner) => {
-            let expr: &'a BoundExpr = expr;
-            let store = ctx.store;
-            let input = morsel_rows(ctx, inner, chunk);
-            Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
-        }
-        // The join loop itself (residual merge check, OPTIONAL condition,
-        // unmatched-left preservation, tallies) lives in exactly one
-        // place: crate::eval.
-        Pipeline::Join {
-            probe,
-            build,
-            kind,
-            ordinal,
-        } => {
-            let input = morsel_rows(ctx, probe, chunk);
-            join_rows(
-                ctx.clone(),
-                input,
-                Arc::clone(build),
-                kind.as_ref(),
-                *ordinal,
-            )
-        }
-    }
-}
-
-/// Evaluates an [`Plan::Exchange`]: fans morsels out to detached worker
+/// Evaluates a [`Plan::Exchange`]: fans morsels out to detached worker
 /// threads and streams the merge in morsel order. Falls back to
 /// sequential evaluation whenever parallelism cannot pay off (degree ≤ 1,
-/// no owning store handle in the context, an uncompilable pipeline shape,
-/// or a scan the store cannot partition into ≥ 2 chunks).
+/// no owning store handle in the context, an input without a driving
+/// scan, or a scan the store cannot partition into ≥ 2 chunks) —
+/// [`Plan::Exchange`] is a performance hint, never a semantic obligation.
 pub(crate) fn eval_exchange<'a>(
     ctx: EvalContext<'a>,
     degree: usize,
-    base: u64,
-    input: &'a Plan,
+    input: &'a Arc<Plan>,
 ) -> RowIter<'a> {
-    if degree <= 1 {
-        return ctx.eval(input);
-    }
     // Detached workers need to *own* the store; a borrow-only context
     // evaluates sequentially instead.
-    let Some(store) = ctx.shared.clone() else {
-        return ctx.eval(input);
-    };
-    // Check partitionability *before* compiling: compile() materializes
-    // every hash-join build side, which the sequential fallback would
-    // otherwise rebuild — paying that cost twice.
-    let Some(pattern0) = crate::plan::driving_scan(input) else {
+    let (Some(store), Some(pattern0), 2..) = (ctx.shared.clone(), driving_scan(input), degree)
+    else {
         return ctx.eval(input);
     };
     if pattern0.is_unsatisfiable() {
@@ -338,19 +111,20 @@ pub(crate) fn eval_exchange<'a>(
         // sequential evaluation avoids the thread machinery.
         return ctx.eval(input);
     }
-    // Build sides materialize here, once, before any thread spawns —
-    // themselves partition-parallel when large (see build_side).
-    let Some(pipe) = compile(&ctx, input, degree, base) else {
-        return ctx.eval(input);
-    };
+    // The input over no triples at all: putting that pipeline together
+    // has every join on the probe spine fill its build side — here, once,
+    // before a thread exists that could build it or wait for it.
+    drop(ctx.clone().eval_over(input, Some(ScanChunk::Triples(&[]))));
     if ctx.cancel.should_stop() {
-        // Pre-triggered (or triggered during the build): yield nothing
+        // Pre-triggered (or triggered during a build): yield nothing
         // and spawn nothing, like the sequential evaluator.
         return Box::new(std::iter::empty());
     }
 
-    let pipe = Arc::new(pipe);
     let workers = degree.min(n_morsels);
+    if let Some(counters) = &ctx.counters {
+        lock(&counters.fan_outs).insert(pattern0.ordinal, (workers, n_morsels));
+    }
     let capacity = workers * BATCHES_IN_FLIGHT_PER_WORKER;
     diag::note_capacity(capacity);
     let (tx, rx) = sync_channel::<Msg>(capacity);
@@ -362,7 +136,7 @@ pub(crate) fn eval_exchange<'a>(
         diag::LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
         let worker = Worker {
             store: store.clone(),
-            pipe: Arc::clone(&pipe),
+            input: Arc::clone(input),
             cancel: ctx.cancel.clone(),
             sink_open: Arc::clone(&sink_open),
             next: Arc::clone(&next),
@@ -407,12 +181,13 @@ struct Msg {
     last: bool,
 }
 
-/// A detached exchange worker: owns its store handle and pipeline copy,
-/// re-derives the (deterministic) chunk list, and claims morsel indices
-/// from the shared counter until they run out or the query stops.
+/// A detached exchange worker: owns a store handle and a share of the
+/// plan, re-derives the (deterministic) chunk list, and claims morsel
+/// indices from the shared counter until they run out or the query stops.
 struct Worker {
     store: SharedStore,
-    pipe: Arc<Pipeline>,
+    /// The exchange's input: what `eval_over` runs on each morsel.
+    input: Arc<Plan>,
     cancel: Cancellation,
     sink_open: Arc<AtomicBool>,
     next: Arc<AtomicUsize>,
@@ -426,19 +201,19 @@ struct Worker {
     n_morsels: usize,
     width: usize,
     counters: Option<Arc<crate::eval::ScanCounters>>,
-    /// The execution's pattern-step states: lookup counts and fetched
-    /// tables are shared with the other workers.
+    /// The execution's operator states: build sides, fetched tables and
+    /// lookup counts are shared with the consumer and the other workers.
     steps: Arc<[crate::eval::StepState]>,
 }
 
 impl Worker {
     fn run(self) {
-        let _live = diag::WorkerGuard;
+        let _live = diag::WorkerGuard(&self.sink_open);
         let store: &dyn TripleStore = &*self.store;
         let ctx = EvalContext {
             store,
-            // Morsel pipelines never contain a nested exchange (compile
-            // rejects them), so workers need no owning handle of their
+            // The input has a driving scan, so no exchange nests in what
+            // a morsel evaluates: workers need no owning handle of their
             // own.
             shared: None,
             cancel: self.cancel.clone(),
@@ -474,9 +249,9 @@ impl Worker {
                 std::thread::sleep(MERGE_AHEAD_NAP);
             }
             #[cfg(debug_assertions)]
-            diag::stall_if_configured(i);
+            diag::inject_faults(i);
             let mut batch: Vec<Bindings> = Vec::new();
-            for row in morsel_rows(&ctx, &self.pipe, chunks[i]) {
+            for row in ctx.clone().eval_over(&self.input, Some(chunks[i])) {
                 if self.stopped() {
                     // No completion marker: the merger learns of the
                     // abort from the channel disconnecting once every
@@ -554,12 +329,22 @@ impl ExchangeMerge {
     /// Stops the exchange: closes the sink flag, disconnects the channel
     /// (waking workers blocked on `send`) and joins every worker thread.
     /// Idempotent; runs on stream exhaustion, cancellation, and drop.
-    fn shutdown(&mut self) {
+    /// Returns what the first worker that panicked, if any, panicked with.
+    fn shutdown(&mut self) -> Option<Box<dyn Any + Send>> {
         self.sink_open.store(false, Ordering::Relaxed);
         self.rx = None;
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        let joined: Vec<_> = self.handles.drain(..).map(JoinHandle::join).collect();
+        joined.into_iter().find_map(Result::err)
+    }
+
+    /// Ends the stream: [`ExchangeMerge::shutdown`], then a worker's
+    /// panic goes on unwinding here, in the consumer — the rows so far
+    /// are not the answer.
+    fn finish(&mut self) -> Option<Bindings> {
+        if let Some(panic) = self.shutdown() {
+            std::panic::resume_unwind(panic);
         }
+        None
     }
 }
 
@@ -571,13 +356,8 @@ impl Iterator for ExchangeMerge {
             if let Some(row) = self.current.next() {
                 return Some(row);
             }
-            if self.cancel.should_stop() {
-                self.shutdown();
-                return None;
-            }
-            if self.next_morsel >= self.n_morsels {
-                self.shutdown();
-                return None;
+            if self.cancel.should_stop() || self.next_morsel >= self.n_morsels {
+                return self.finish();
             }
             if let Some(buf) = self.pending.get_mut(&self.next_morsel) {
                 if let Some(batch) = buf.batches.pop_front() {
@@ -594,10 +374,9 @@ impl Iterator for ExchangeMerge {
                 }
             }
             let Some(rx) = &self.rx else {
-                // Workers exited without completing the expected morsel
-                // (cancellation or a worker-side stop): end the stream.
-                self.shutdown();
-                return None;
+                // Workers exited without completing the expected morsel:
+                // cancellation, or one of them panicked.
+                return self.finish();
             };
             match rx.recv() {
                 Ok(msg) => {
@@ -628,20 +407,22 @@ impl Iterator for ExchangeMerge {
 }
 
 impl Drop for ExchangeMerge {
+    /// A consumer that hangs up is not owed a worker's panic (and may be
+    /// unwinding from it already).
     fn drop(&mut self) {
-        self.shutdown();
+        let _ = self.shutdown();
     }
 }
 
 /// Exchange observability: always-on relaxed-atomic gauges — the
 /// live-worker gauge behind the no-thread-leak test, the in-flight and
 /// parked batch high-water marks behind the flat-memory tests — plus
-/// debug-only fault injection for the skew regression test. The gauges
+/// debug-only fault injection for the skew and worker-failure tests. The gauges
 /// cost one relaxed atomic op per event on paths that already cross a
 /// channel, so they stay on in release builds and feed the process
 /// metrics registry (see [`diag::register_metrics`]).
 pub mod diag {
-    use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 
     pub(super) static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
     static IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
@@ -652,13 +433,20 @@ pub mod diag {
     static STALL_MORSEL: AtomicUsize = AtomicUsize::new(usize::MAX);
     #[cfg(debug_assertions)]
     static STALL_MILLIS: AtomicUsize = AtomicUsize::new(0);
+    #[cfg(debug_assertions)]
+    static FAIL_MORSEL: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-    /// Decrements the live-worker gauge when a worker exits, however it
-    /// exits.
-    pub(super) struct WorkerGuard;
+    /// A worker's exit, however it exits: decrements the live-worker
+    /// gauge and, if the exit is a panic, closes the exchange's sink — the
+    /// morsel it held will never complete, so the other workers must stop
+    /// and the merger must learn of it from the channel disconnecting.
+    pub(super) struct WorkerGuard<'w>(pub(super) &'w AtomicBool);
 
-    impl Drop for WorkerGuard {
+    impl Drop for WorkerGuard<'_> {
         fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.store(false, Ordering::Relaxed);
+            }
             LIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -702,13 +490,25 @@ pub mod diag {
         STALL_MORSEL.store(morsel, Ordering::SeqCst);
     }
 
+    /// Fault injection for the worker-failure test: the worker that
+    /// claims morsel `morsel` panics instead of processing it. Pass
+    /// `usize::MAX` to clear. Debug builds only; serialize tests that use
+    /// it.
     #[cfg(debug_assertions)]
-    pub(super) fn stall_if_configured(morsel: usize) {
+    pub fn fail_morsel(morsel: usize) {
+        FAIL_MORSEL.store(morsel, Ordering::SeqCst);
+    }
+
+    #[cfg(debug_assertions)]
+    pub(super) fn inject_faults(morsel: usize) {
         if STALL_MORSEL.load(Ordering::SeqCst) == morsel {
             let ms = STALL_MILLIS.load(Ordering::SeqCst) as u64;
             if ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
             }
+        }
+        if FAIL_MORSEL.load(Ordering::SeqCst) == morsel {
+            panic!("injected failure of morsel {morsel}");
         }
     }
 

@@ -19,6 +19,8 @@
 //! above pipelines whose driving scan is estimated large enough to be
 //! worth splitting into morsels (see [`crate::par`]).
 
+use std::sync::Arc;
+
 use sp2b_store::{Id, TripleStore};
 
 use crate::algebra::{Algebra, EqPairs, GroupSpec, ResolvedPattern, Slot};
@@ -43,7 +45,8 @@ pub struct PlanPattern {
     /// over pattern steps and joins — assigned by [`bind`]. It is what
     /// [`crate::eval::ScanCounters`] keys tallies by — two occurrences of
     /// the same slots (Q9's two `rdf:type foaf:Person` steps) stay apart
-    /// — and it survives the plan copies handed to exchange workers.
+    /// — and the slot of [`crate::eval::EvalContext::steps`] the step's
+    /// per-execution state lives in.
     pub ordinal: usize,
     /// When the step may stop looking its input rows up one by one and
     /// fetch the whole pattern instead; `None` keeps it on lookups.
@@ -222,21 +225,17 @@ pub enum Plan {
     /// the driving scan of `input` — the first pattern of the leftmost
     /// BGP, reached through join probe sides and filters — is split into
     /// disjoint chunks via [`sp2b_store::TripleStore::scan_chunks`] and
-    /// fanned out to `degree` worker threads, hash-join build sides
-    /// shared read-only. Per-morsel results merge in morsel order, so the
-    /// output order equals sequential evaluation; the merge materializes
-    /// (like `OrderBy`). See [`crate::par`].
+    /// `degree` worker threads evaluate `input` once per chunk, sharing
+    /// the execution's build sides and fetched tables. Per-morsel results
+    /// merge in morsel order, so the output order equals sequential
+    /// evaluation. See [`crate::par`].
     Exchange {
         /// Worker-thread count (always ≥ 2; a degree of 1 is never
         /// planned — sequential plans simply omit the operator).
         degree: usize,
-        /// The threshold base this exchange was planned under (see
-        /// [`parallel_threshold`]): carried so eval-time fan-out
-        /// decisions below the exchange — hash-join build sides — use
-        /// the same calibrated base as the plan-level decision.
-        base: u64,
-        /// The pipeline each worker runs per morsel.
-        input: Box<Plan>,
+        /// The plan each worker evaluates per morsel — shared with the
+        /// workers, which outlive the borrow an evaluation holds.
+        input: Arc<Plan>,
     },
 }
 
@@ -528,30 +527,45 @@ fn maybe_exchange(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64)
     if worthwhile {
         Plan::Exchange {
             degree,
-            base,
-            input: Box::new(plan),
+            input: Arc::new(plan),
         }
     } else {
         plan
     }
 }
 
-/// Whether a plan tree contains an [`Plan::Exchange`] — shared by tests
-/// and the calibration report.
+/// Whether a plan tree contains a [`Plan::Exchange`].
 pub fn has_exchange(plan: &Plan) -> bool {
-    match plan {
-        Plan::Exchange { .. } => true,
-        Plan::Bgp { .. } => false,
-        Plan::Join { left, right, .. } | Plan::LeftJoin { left, right, .. } => {
-            has_exchange(left) || has_exchange(right)
+    !exchanges(plan).is_empty()
+}
+
+/// Every [`Plan::Exchange`] of the plan, in plan order, as its degree and
+/// its driving step.
+pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
+    fn walk<'p>(plan: &'p Plan, out: &mut Vec<(usize, &'p PlanPattern)>) {
+        match plan {
+            // `parallelize` only wraps what has a driving scan, and never
+            // nests exchanges.
+            Plan::Exchange { degree, input } => {
+                out.extend(driving_scan(input).map(|step| (*degree, step)));
+            }
+            Plan::Bgp { .. } => {}
+            Plan::Join { left, right, .. }
+            | Plan::LeftJoin { left, right, .. }
+            | Plan::Union(left, right) => {
+                walk(left, out);
+                walk(right, out);
+            }
+            Plan::Filter(_, inner)
+            | Plan::Distinct(inner)
+            | Plan::Project(_, inner)
+            | Plan::OrderBy(_, inner) => walk(inner, out),
+            Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => walk(input, out),
         }
-        Plan::Union(a, b) => has_exchange(a) || has_exchange(b),
-        Plan::Filter(_, inner)
-        | Plan::Distinct(inner)
-        | Plan::Project(_, inner)
-        | Plan::OrderBy(_, inner) => has_exchange(inner),
-        Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => has_exchange(input),
     }
+    let mut out = Vec::new();
+    walk(plan, &mut out);
+    out
 }
 
 /// One instrumented operator of a plan (see [`operators`]).
@@ -629,9 +643,8 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
             | Plan::Distinct(inner)
             | Plan::Project(_, inner)
             | Plan::OrderBy(_, inner) => walk(inner, out),
-            Plan::Slice { input, .. }
-            | Plan::GroupAggregate { input, .. }
-            | Plan::Exchange { input, .. } => walk(input, out),
+            Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => walk(input, out),
+            Plan::Exchange { input, .. } => walk(input, out),
         }
     }
     let mut out = Vec::new();
@@ -784,16 +797,10 @@ mod tests {
         let Plan::OrderBy(_, inner) = *inner else {
             panic!("{inner:?}")
         };
-        let Plan::Exchange {
-            degree,
-            base,
-            input,
-        } = *inner
-        else {
+        let Plan::Exchange { degree, input } = *inner else {
             panic!("{inner:?}")
         };
         assert_eq!(degree, 4);
-        assert_eq!(base, BASE);
         assert!(matches!(*input, Plan::Bgp { .. }));
     }
 

@@ -5,7 +5,10 @@
 //!   during a full-scan query never exceeds the bounded channel's
 //!   capacity (plus the single batch the merger holds while accounting);
 //! * **no thread leak** — dropping a `Solutions` stream early (after one
-//!   row) or exhausting it joins every detached worker thread.
+//!   row) or exhausting it joins every detached worker thread;
+//! * **a dying worker fails the query** — a worker that panics mid-scan
+//!   surfaces as that panic in the consumer, not as a hang and not as a
+//!   shorter answer.
 //!
 //! The counters are process-wide, so the tests serialize on a mutex.
 
@@ -163,4 +166,70 @@ fn cancellation_mid_stream_stops_and_joins_workers() {
     assert!(stream.next().is_none(), "error terminates the stream");
     drop(stream);
     assert_eq!(diag::live_workers(), 0, "cancellation joins every worker");
+}
+
+/// SP²Bench Q4, the benchmark's longest chain.
+const Q4: &str = "SELECT DISTINCT ?name1 ?name2 WHERE {
+    ?article1 rdf:type bench:Article . ?article2 rdf:type bench:Article .
+    ?article1 dc:creator ?author1 . ?author1 foaf:name ?name1 .
+    ?article2 dc:creator ?author2 . ?author2 foaf:name ?name2 .
+    ?article1 swrc:journal ?journal . ?article2 swrc:journal ?journal
+    FILTER (?name1 < ?name2) }";
+
+/// Clears the morsel-failure fault injection even when the test panics.
+struct FailGuard;
+
+impl Drop for FailGuard {
+    fn drop(&mut self) {
+        diag::fail_morsel(usize::MAX);
+    }
+}
+
+/// A worker that dies takes its morsel's completion marker with it. Left
+/// alone, that either hangs the query — the first morsel never completes,
+/// the other workers nap at the merge-ahead window and the merger waits on
+/// them — or, when too few morsels are left to fill the window, lets the
+/// others finish and the stream end *normally*, short. Either way the
+/// consumer must get the worker's panic instead, promptly, with every
+/// thread joined.
+#[test]
+fn a_failing_morsel_panics_the_consumer_instead_of_hanging_or_truncating() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = FailGuard;
+    let (graph, _) = sp2b_datagen::generate_graph(sp2b_datagen::Config::triples(10_000));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    for degree in [2, 4] {
+        // Base 1 forces the exchange on this small document.
+        let options = QueryOptions::new().parallelism(degree).parallel_base(1);
+        let engine = QueryEngine::with_options(store.clone(), options);
+        let prepared = engine.prepare(Q4).unwrap();
+        assert!(sp2b_sparql::plan::has_exchange(prepared.plan()));
+        let expected = engine.count(&prepared).unwrap();
+        assert!(expected > 0);
+        let morsels = degree * sp2b_sparql::par::MORSELS_PER_WORKER;
+        for failing in [0, morsels - 1] {
+            diag::fail_morsel(failing);
+            let (tx, rx) = channel();
+            let (engine, query) = (engine.clone(), engine.prepare(Q4).unwrap());
+            std::thread::spawn(move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| engine.count(&query)));
+                let _ = tx.send(outcome);
+            });
+            match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(Err(_panic)) => {}
+                Ok(Ok(count)) => panic!(
+                    "degree {degree}, morsel {failing} failed: returned {count:?} \
+                     (the whole answer is {expected} rows)"
+                ),
+                Err(_) => panic!("degree {degree}, morsel {failing} failed: the query hangs"),
+            }
+            assert_eq!(diag::live_workers(), 0, "every worker is joined");
+            diag::fail_morsel(usize::MAX);
+        }
+        assert_eq!(engine.count(&prepared).unwrap(), expected, "and recovers");
+    }
 }

@@ -24,9 +24,10 @@ use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::obs::{OpKind, OpSpan};
 use sp2bench::rdf::{Graph, Iri, Subject, Term};
 use sp2bench::sparql::eval::LOOKUP_FLUSH;
-use sp2bench::sparql::plan::FETCH_CAP;
+use sp2bench::sparql::plan::{operators, Operator, FETCH_CAP};
 use sp2bench::sparql::{
-    operator_spans, OptimizerConfig, Prepared, QueryEngine, QueryOptions, QueryResult, ScanCounters,
+    operator_spans, Cancellation, Error, OptimizerConfig, Prepared, QueryEngine, QueryOptions,
+    QueryResult, ScanCounters,
 };
 use sp2bench::store::{
     open_store, save_graph, Dictionary, Id, IdTriple, IndexSelection, MemStore, NativeStore,
@@ -279,7 +280,7 @@ fn repeated_patterns_keep_their_own_tallies() {
     }
     let rendered: u64 = spans.iter().map(|s| s.rows).sum();
     assert_eq!(rendered, counters.total_rows());
-    // The same holds when exchange workers run copies of the plan.
+    // The same holds when exchange workers evaluate the plan per morsel.
     let parallel = Arc::new(ScanCounters::default());
     let qe = qe.parallelism(4).scan_counters(parallel.clone());
     let prepared = qe.prepare(q9.text()).expect("query parses");
@@ -292,13 +293,14 @@ fn repeated_patterns_keep_their_own_tallies() {
 /// An exchange splits the driving scan into morsels, and each morsel's
 /// rows are still the driving pattern's rows: every operator — that
 /// pattern, the steps after it, the build side's patterns, the joins —
-/// must report the same rows at parallelism 4 as sequentially, or
-/// `--explain`, the slow log and `ScanCounters::total_rows` undercount.
+/// must report the same rows at parallelism 2 and 4 as sequentially, or
+/// `--explain`, the slow log and `ScanCounters::total_rows` undercount
+/// (or, were a build side filled per worker or per morsel, overcount).
 #[test]
 fn operator_rows_do_not_depend_on_parallelism() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
     let store = NativeStore::from_graph(&graph).into_shared();
-    for label in ["Q4", "Q5a", "Q6"] {
+    for label in ["Q2", "Q4", "Q5a", "Q6"] {
         let query = BenchQuery::from_label(label).expect("known label");
         let rows_at = |degree: usize| {
             let counters = Arc::new(ScanCounters::default());
@@ -323,9 +325,97 @@ fn operator_rows_do_not_depend_on_parallelism() {
         };
         let (sequential, total) = rows_at(1);
         assert!(sequential[0].1 > 0, "{label}: the driving pattern ran");
-        let (parallel, parallel_total) = rows_at(4);
-        assert_eq!(parallel, sequential, "{label}");
-        assert_eq!(parallel_total, total, "{label}");
+        for degree in [2, 4] {
+            let (parallel, parallel_total) = rows_at(degree);
+            assert_eq!(parallel, sequential, "{label}@{degree}");
+            assert_eq!(parallel_total, total, "{label}@{degree}");
+        }
+    }
+}
+
+/// The ordinals of a plan's joins and of the pattern steps that feed
+/// their build sides.
+fn joins_and_build_steps(prepared: &Prepared) -> (Vec<usize>, Vec<usize>) {
+    let (mut joins, mut build_steps) = (Vec::new(), Vec::new());
+    for op in operators(prepared.plan()) {
+        if let Operator::Join { build, ordinal, .. } = op {
+            joins.push(ordinal);
+            build_steps.extend(operators(build).into_iter().filter_map(|op| match op {
+                Operator::Scan(step) => Some(step.ordinal),
+                Operator::Join { .. } => None,
+            }));
+        }
+    }
+    (joins, build_steps)
+}
+
+/// A join's build side belongs to one execution: the consumer, or
+/// whichever exchange worker asks first, fills it once and every morsel
+/// probes that table — so the build side's steps scan what they scan
+/// sequentially, at any degree — and the next execution of the same
+/// `Prepared` starts without one and scans it all again.
+#[test]
+fn build_sides_are_built_once_per_execution_and_never_kept() {
+    let (graph, _) = generate_graph(Config::triples(TRIPLES));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    for label in ["Q2", "Q5a"] {
+        let query = BenchQuery::from_label(label).expect("known label");
+        let mut sequential = None;
+        for degree in [1, 2, 4] {
+            let (engine, counters) = counting_engine(&store, degree);
+            let prepared = engine.prepare(query.text()).expect("query parses");
+            let (joins, build_steps) = joins_and_build_steps(&prepared);
+            assert_eq!(joins.len(), 1, "{label} plans one join");
+            assert!(!build_steps.is_empty(), "{label}");
+            let rows_now = || -> Vec<u64> {
+                let spans = operator_spans(&prepared, engine.store(), &counters);
+                let of_interest = build_steps.iter().chain(&joins);
+                of_interest.map(|&ordinal| spans[ordinal].rows).collect()
+            };
+            engine.count(&prepared).expect("query evaluates");
+            let once = rows_now();
+            assert!(
+                once.iter().all(|&rows| rows > 0),
+                "{label}@{degree}: {once:?}"
+            );
+            assert_eq!(
+                *sequential.get_or_insert_with(|| once.clone()),
+                once,
+                "{label}@{degree}: build-side and join rows depend on the degree"
+            );
+            engine.count(&prepared).expect("query evaluates again");
+            let doubled: Vec<u64> = once.iter().map(|rows| 2 * rows).collect();
+            assert_eq!(rows_now(), doubled, "{label}@{degree}: second execution");
+        }
+    }
+}
+
+/// An exchange builds its joins' tables before it spawns a worker; a
+/// cancellation that is already triggered must stop that too, not just
+/// the spawn (`eval.rs::exchange_honours_pre_triggered_cancellation`).
+#[test]
+fn pre_triggered_cancellation_scans_no_build_input() {
+    let (graph, _) = generate_graph(Config::triples(TRIPLES));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    for label in ["Q2", "Q5a"] {
+        let query = BenchQuery::from_label(label).expect("known label");
+        let (engine, counters) = counting_engine(&store, 4);
+        let prepared = engine.prepare(query.text()).expect("query parses");
+        assert!(sp2bench::sparql::plan::has_exchange(prepared.plan()));
+        let cancel = Cancellation::none();
+        cancel.cancel();
+        let mut stream = engine.solutions_with(&prepared, &cancel);
+        assert!(
+            matches!(stream.next(), Some(Err(Error::Cancelled))),
+            "{label}"
+        );
+        drop(stream);
+        assert_eq!(counters.total_rows(), 0, "{label}: nothing was scanned");
+        let spans = operator_spans(&prepared, engine.store(), &counters);
+        assert!(
+            spans.iter().all(|s| s.access.is_none()),
+            "{label}: {spans:?}"
+        );
     }
 }
 
