@@ -75,11 +75,6 @@ pub const COMMANDS: &[Command] = &[
         "thread-scaling speedups",
     ),
     (
-        "calibrate",
-        "[--triples 20k] [--threads 2] [--runs 3]",
-        "measured parallel_threshold base and operator weights",
-    ),
-    (
         "smoke",
         "[engine flags] [--threads N] [--timeout 120]",
         "open (default: generate 5k triples), count every query once",
@@ -694,7 +689,7 @@ mod tests {
     #[test]
     fn every_command_rejects_every_flag_it_does_not_list() {
         let flags = all_flags();
-        assert_eq!(COMMANDS.len(), 18);
+        assert_eq!(COMMANDS.len(), 17);
         assert_eq!(flags.len(), 38, "{flags:?}");
         let mut rejected = 0;
         for &(name, synopsis, _) in COMMANDS {

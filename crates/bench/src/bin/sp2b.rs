@@ -24,8 +24,9 @@
 //!   renderings of `sp2b_sparql::operator_spans`, the list the server's
 //!   `--slow-ms` log prints too.
 //! * `--threads` pins the degree of morsel-driven parallelism (default:
-//!   all cores; 1 is strictly sequential) — except on `serve`, where it
-//!   sizes the HTTP worker pool and `--parallelism` is per query.
+//!   all cores; 1 is strictly sequential, and so is any query shorter
+//!   than the fan-out budget) — except on `serve`, where it sizes the
+//!   HTTP worker pool and `--parallelism` is per query.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -122,11 +123,6 @@ fn experiment(args: &Args) -> Result<String, String> {
                 &queries,
             )
         }
-        "calibrate" => experiments::calibrate(
-            triples(20_000)?,
-            args.get_positive("threads", 2)?,
-            args.get_positive("runs", 3)?,
-        )?,
         other => unreachable!("the table lists '{other}' but nothing runs it"),
     })
 }

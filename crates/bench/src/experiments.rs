@@ -317,8 +317,10 @@ fn run_cell(
 /// decode-free counting path per query on a single native store (loaded
 /// once, full optimization) at each requested thread count, with speedup
 /// relative to the *first* configured count — conventionally 1, making
-/// the column a plain parallel speedup. Timed-out cells print `T` and
-/// earn no speedup.
+/// the column a plain parallel speedup. A `*` marks the cells whose
+/// execution outlived the fan-out budget and handed morsels to workers;
+/// the others ran on one thread whatever the count. Timed-out cells
+/// print `T` and earn no speedup.
 pub fn thread_scaling(
     triples: u64,
     threads: &[usize],
@@ -332,7 +334,9 @@ pub fn thread_scaling(
         "THREAD SCALING — morsel-driven parallel execution \
          ({triples} triples, native store, timeout {timeout:?})\n\
          host reports {cores} available core(s); thread counts beyond that \
-         time-slice and cannot improve wall-clock\n\n"
+         time-slice and cannot improve wall-clock\n\
+         * = fanned out (ran longer than the {:?} budget on one thread first)\n\n",
+        sp2b_sparql::par::FAN_OUT_AFTER
     );
     out.push_str(&format!("{:<6}", "query"));
     for &t in threads {
@@ -348,266 +352,28 @@ pub fn thread_scaling(
                 .timeout(timeout)
                 .parallelism(t);
             let prepared = engine.prepare(q.text()).expect("queries parse");
+            let fan_outs = sp2b_sparql::par::diag::fan_outs();
             let start = Instant::now();
             let counted = engine.count(&prepared);
             let secs = start.elapsed().as_secs_f64();
-            match counted {
-                Ok(_) => {
-                    // The baseline is strictly the first configured
-                    // count; if that one timed out, later cells show no
-                    // speedup rather than silently rebasing.
-                    if pos == 0 {
-                        baseline = Some(secs);
-                    }
-                    match baseline {
-                        Some(base) => {
-                            out.push_str(&format!("{secs:>12.4}{:>8.2}x", base / secs.max(1e-9)))
-                        }
-                        None => out.push_str(&format!("{secs:>12.4}{:>9}", "-")),
-                    }
-                }
-                Err(_) => out.push_str(&format!("{:>12}{:>9}", "T", "-")),
+            let fanned_out = sp2b_sparql::par::diag::fan_outs() > fan_outs;
+            if counted.is_err() {
+                out.push_str(&format!("{:>12}{:>9}", "T", "-"));
+                continue;
             }
+            // The baseline is strictly the first configured count; if
+            // that one timed out, later cells show no speedup rather
+            // than silently rebasing.
+            if pos == 0 {
+                baseline = Some(secs);
+            }
+            let mark = if fanned_out { '*' } else { ' ' };
+            let speedup = baseline.map_or("-".into(), |b| format!("{:.2}x", b / secs.max(1e-9)));
+            out.push_str(&format!("{secs:>11.4}{mark}{speedup:>9}"));
         }
         out.push('\n');
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Threshold calibration (`sp2b calibrate`)
-// ---------------------------------------------------------------------------
-
-/// Measured calibration of the exchange threshold base
-/// (`plan::parallel_threshold`): the static base of 512 rows encodes a
-/// *guessed* ratio between fan-out overhead (thread spawn, channel,
-/// merge) and per-row pipeline work; this experiment measures both on
-/// generated data on the actual host and prints the base those
-/// measurements imply, verified by re-running with the suggestion fed
-/// through `QueryOptions::parallel_base`.
-///
-/// Method: a full-scan, scan-and-emit count (`SELECT ?s WHERE { ?s ?p
-/// ?o }`) runs sequentially (min of `runs`, giving the per-row cost) and
-/// with a forced exchange at `degree` workers (`parallel_base(1)`; min
-/// of `runs`). The wall-clock the exchange *adds* is the fan-out
-/// overhead; dividing by the morsel count gives per-morsel overhead.
-/// The suggested base is the driving-row count at which a
-/// reference-cost pipeline (8 probes/row, the model's anchor — a plain
-/// scan row costs 0.5) does [`CALIBRATE_PAYOFF`]× the fan-out overhead
-/// of work, so fanning out is worth it from there up. On a single-core
-/// host the overhead is pure loss and the suggestion lands high; with
-/// real cores it shrinks toward the clamp floor.
-pub fn calibrate(triples: u64, degree: usize, runs: usize) -> Result<String, String> {
-    const CALIBRATE_PAYOFF: f64 = 2.0;
-    /// Model cost (in probe units) of one scan-and-emit driving row.
-    const SCAN_ROW_COST: f64 = 0.5;
-    const REFERENCE_COST: f64 = 8.0;
-    let degree = degree.max(2);
-    let runs = runs.max(1);
-    let (graph, _) = generate_graph(Config::triples(triples));
-    let store = NativeStore::from_graph(&graph).into_shared();
-    let rows = store.len() as u64;
-    if rows == 0 {
-        return Err("calibration needs a non-empty document".into());
-    }
-    let text = "SELECT ?s WHERE { ?s ?p ?o }";
-
-    let time_count = |engine: &QueryEngine| match min_count_time(engine, text, runs)? {
-        (elapsed, n) if n == rows => Ok(elapsed),
-        (_, n) => Err(format!("calibration scan counted {n}, expected {rows}")),
-    };
-
-    let sequential = QueryEngine::with_options(
-        store.clone(),
-        sp2b_sparql::QueryOptions::new().parallelism(1),
-    );
-    let t_seq = time_count(&sequential)?;
-    // parallel_base(1) forces the exchange however small the scan.
-    let forced = QueryEngine::with_options(
-        store.clone(),
-        sp2b_sparql::QueryOptions::new()
-            .parallelism(degree)
-            .parallel_base(1),
-    );
-    let t_par = time_count(&forced)?;
-    let morsels = store
-        .scan_chunks(
-            [None, None, None],
-            degree * sp2b_sparql::par::MORSELS_PER_WORKER,
-        )
-        .len()
-        .max(1);
-
-    let t_row = t_seq.as_secs_f64() / rows as f64;
-    let overhead = t_par.as_secs_f64() - t_seq.as_secs_f64();
-    let per_morsel = overhead.max(0.0) / morsels as f64;
-    // Per-probe time from the measured scan row, scaled to the reference
-    // pipeline; the base is where reference-pipeline work covers the
-    // payoff multiple of the whole fan-out overhead.
-    let t_ref_row = t_row * (REFERENCE_COST / SCAN_ROW_COST);
-    let suggested = ((CALIBRATE_PAYOFF * overhead.max(0.0)) / t_ref_row.max(1e-12))
-        .round()
-        .clamp(64.0, 1e7) as u64;
-
-    // Verification: the suggested base must still answer correctly.
-    let verified = QueryEngine::with_options(
-        store.clone(),
-        sp2b_sparql::QueryOptions::new()
-            .parallelism(degree)
-            .parallel_base(suggested),
-    );
-    let prepared = verified.prepare(text).map_err(|e| e.to_string())?;
-    let n = verified.count(&prepared).map_err(|e| e.to_string())?;
-    if n != rows {
-        return Err(format!("verification counted {n}, expected {rows}"));
-    }
-    let fans_out = sp2b_sparql::plan::has_exchange(prepared.plan());
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = format!(
-        "THRESHOLD CALIBRATION — {triples} triples, degree {degree}, min of {runs} run(s) \
-         (host reports {cores} core(s))\n\n"
-    );
-    out.push_str(&format!(
-        "{:<34} {:>14}\n",
-        "sequential full scan (count)",
-        format!("{:.4} s", t_seq.as_secs_f64())
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14}\n",
-        format!("forced exchange × {degree} ({morsels} morsels)"),
-        format!("{:.4} s", t_par.as_secs_f64())
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14}\n",
-        "fan-out overhead (total)",
-        format!("{:.2} ms", overhead.max(0.0) * 1e3)
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14}\n",
-        "per-morsel overhead",
-        format!("{:.1} µs", per_morsel * 1e6)
-    ));
-    out.push_str(&format!(
-        "{:<34} {:>14}\n",
-        "per-driving-row cost (scan)",
-        format!("{:.1} ns", t_row * 1e9)
-    ));
-    out.push_str(&format!(
-        "\nsuggested parallel_threshold base: {suggested} rows (static default: {})\n",
-        sp2b_sparql::plan::PARALLEL_BASE_THRESHOLD
-    ));
-    out.push_str(&format!(
-        "verification at the suggested base: count correct; a {rows}-row full scan {}\n",
-        if fans_out {
-            "fans out"
-        } else {
-            "stays sequential"
-        }
-    ));
-    out.push_str(
-        "feed it into an engine with QueryOptions::new().parallel_base(N) \
-         (the clamp window scales with the base: N/4 … N×8)\n",
-    );
-    out.push('\n');
-    out.push_str(&calibrate_weights(&store, rows, runs, t_seq)?);
-    Ok(out)
-}
-
-/// The fastest of `runs` counts of `text` on `engine`, and the count.
-fn min_count_time(
-    engine: &QueryEngine,
-    text: &str,
-    runs: usize,
-) -> Result<(Duration, u64), String> {
-    let prepared = engine.prepare(text).map_err(|e| e.to_string())?;
-    let mut best = (Duration::MAX, 0);
-    for _ in 0..runs.max(1) {
-        let t0 = Instant::now();
-        let n = engine.count(&prepared).map_err(|e| e.to_string())?;
-        best = (best.0.min(t0.elapsed()), n);
-    }
-    Ok(best)
-}
-
-/// Measured per-operator cost weights (`plan::CostWeights`): times a
-/// filtered scan, an index-probe chain and a hash self-join against the
-/// plain full scan, and expresses each operator's marginal per-row time
-/// in index-probe units (probe ≡ 1.0). The differences fold the rows the
-/// heavier shapes additionally emit into the operator's weight — a crude
-/// but *measured* counterpart of the hand-tuned constants, printed next
-/// to them.
-fn calibrate_weights(
-    store: &SharedStore,
-    rows: u64,
-    runs: usize,
-    t_scan: Duration,
-) -> Result<String, String> {
-    use sp2b_sparql::CostWeights;
-
-    let engine = QueryEngine::new(store.clone()).parallelism(1);
-    let time_query = |text: &str| Ok::<_, String>(min_count_time(&engine, text, runs)?.0);
-
-    // Marginal per-driving-row time of each operator over the plain scan.
-    let t_filter = time_query("SELECT ?s WHERE { ?s ?p ?o FILTER (?o != ?s) }")?;
-    let t_probe = time_query("SELECT ?s WHERE { ?s ?p ?o . ?s ?q ?r }")?;
-    let t_hash = time_query("SELECT ?s WHERE { { ?s ?p ?o } { ?s ?q ?r } }")?;
-
-    let per_row = |t: Duration, baseline: Duration| -> f64 {
-        (t.as_secs_f64() - baseline.as_secs_f64()).max(0.0) / rows as f64
-    };
-    let emit_t = t_scan.as_secs_f64() / rows as f64;
-    let filter_t = per_row(t_filter, t_scan);
-    let probe_t = per_row(t_probe, t_scan);
-    // The hash join scans both sides; its marginal cost over *two* scans
-    // is the per-probe bucket work.
-    let hash_t = (t_hash.as_secs_f64() - 2.0 * t_scan.as_secs_f64()).max(0.0) / rows as f64;
-
-    let defaults = CostWeights::default();
-    // Probe is the model's unit. A degenerate measurement (probe time in
-    // the noise floor) keeps the hand-tuned defaults rather than dividing
-    // by nothing.
-    if probe_t <= 1e-12 {
-        return Ok(format!(
-            "OPERATOR WEIGHTS — probe time below the noise floor; keeping defaults \
-             (emit {:.2}, filter {:.2}, probe {:.2}, hash-probe {:.2})\n",
-            defaults.emit, defaults.filter, defaults.probe, defaults.hash_probe
-        ));
-    }
-    let clamp = |w: f64| w.clamp(0.05, 8.0);
-    let weights = CostWeights {
-        emit: clamp(emit_t / probe_t),
-        filter: clamp(filter_t / probe_t),
-        probe: 1.0,
-        hash_probe: clamp(hash_t / probe_t),
-    };
-
-    let mut out = format!("OPERATOR WEIGHTS — min of {runs} run(s), probe ≡ 1.0\n\n");
-    for (label, t) in [
-        ("scan-and-emit row", emit_t),
-        ("filter evaluation", filter_t),
-        ("index probe", probe_t),
-        ("hash-bucket probe", hash_t),
-    ] {
-        out.push_str(&format!("{:<34} {:>10.1} ns/row\n", label, t * 1e9));
-    }
-    out.push_str(&format!(
-        "\nsuggested cost weights: emit {:.2}, filter {:.2}, probe {:.2}, hash-probe {:.2} \
-         (defaults: {:.2}/{:.2}/{:.2}/{:.2})\n",
-        weights.emit,
-        weights.filter,
-        weights.probe,
-        weights.hash_probe,
-        defaults.emit,
-        defaults.filter,
-        defaults.probe,
-        defaults.hash_probe,
-    ));
-    out.push_str(
-        "the defaults (plan::CostWeights::default) are what the pipeline cost model behind \
-         the parallelize threshold runs on\n",
-    );
-    Ok(out)
 }
 
 /// Fills a [`MultiuserConfig`] from the `sp2b multiuser` flags — the

@@ -227,23 +227,88 @@ pub struct StatsSnapshot {
     pub shed: u64,
 }
 
+/// Every counter of a [`StatsSnapshot`], once: its `/stats` key, its
+/// `/metrics` series and help text, and how to read it. The `/stats`
+/// body, the metric registrations and `Display` are loops over this
+/// table.
+type CounterRow = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&StatsSnapshot) -> u64,
+);
+const COUNTERS: [CounterRow; 10] = [
+    (
+        "connections",
+        "sp2b_connections_total",
+        "Connections accepted by the SPARQL endpoint",
+        |s| s.connections,
+    ),
+    (
+        "requests",
+        "sp2b_requests_total",
+        "Requests parsed far enough to be routed",
+        |s| s.requests,
+    ),
+    (
+        "ok",
+        "sp2b_responses_ok_total",
+        "200 responses completed",
+        |s| s.ok,
+    ),
+    (
+        "client_errors",
+        "sp2b_client_errors_total",
+        "4xx responses (excluding timeouts)",
+        |s| s.client_errors,
+    ),
+    (
+        "timeouts",
+        "sp2b_timeouts_total",
+        "408 responses plus queries cancelled mid-stream by the timeout",
+        |s| s.timeouts,
+    ),
+    (
+        "server_errors",
+        "sp2b_server_errors_total",
+        "5xx responses",
+        |s| s.server_errors,
+    ),
+    (
+        "aborted",
+        "sp2b_aborted_total",
+        "Connections lost mid-response (client hung up; query cancelled)",
+        |s| s.aborted,
+    ),
+    (
+        "write_timeouts",
+        "sp2b_write_timeouts_total",
+        "Responses killed by the per-write deadline (client stopped reading)",
+        |s| s.write_timeouts,
+    ),
+    (
+        "rows",
+        "sp2b_rows_total",
+        "Result rows delivered over the wire",
+        |s| s.rows,
+    ),
+    (
+        "shed",
+        "sp2b_shed_total",
+        "Connections shed with 503 because the accept queue was full",
+        |s| s.shed,
+    ),
+];
+
+/// `connections 3, requests 5, ok 5, …` — the counters under their
+/// `/stats` keys.
 impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} connection(s), {} request(s): {} ok ({} rows), {} client error(s), \
-             {} timeout(s), {} server error(s), {} aborted, {} write-timeout(s), {} shed",
-            self.connections,
-            self.requests,
-            self.ok,
-            self.rows,
-            self.client_errors,
-            self.timeouts,
-            self.server_errors,
-            self.aborted,
-            self.write_timeouts,
-            self.shed,
-        )
+        for (i, (key, _, _, read)) in COUNTERS.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{key} {}", read(self))?;
+        }
+        Ok(())
     }
 }
 
@@ -552,54 +617,10 @@ fn register_metrics(
     engine: &QueryEngine,
 ) -> (Histogram, Counter) {
     let reg = sp2b_obs::global();
-    macro_rules! stat_counter {
-        ($name:literal, $help:literal, $field:ident) => {{
-            let s = Arc::clone(stats);
-            reg.counter_fn($name, $help, move || s.$field.load(Ordering::Relaxed));
-        }};
+    for (_, name, help, read) in COUNTERS {
+        let s = Arc::clone(stats);
+        reg.counter_fn(name, help, move || read(&s.snapshot()));
     }
-    stat_counter!(
-        "sp2b_connections_total",
-        "Connections accepted by the SPARQL endpoint",
-        connections
-    );
-    stat_counter!(
-        "sp2b_requests_total",
-        "Requests parsed far enough to be routed",
-        requests
-    );
-    stat_counter!("sp2b_responses_ok_total", "200 responses completed", ok);
-    stat_counter!(
-        "sp2b_client_errors_total",
-        "4xx responses (excluding timeouts)",
-        client_errors
-    );
-    stat_counter!(
-        "sp2b_timeouts_total",
-        "408 responses plus queries cancelled mid-stream by the timeout",
-        timeouts
-    );
-    stat_counter!("sp2b_server_errors_total", "5xx responses", server_errors);
-    stat_counter!(
-        "sp2b_aborted_total",
-        "Connections lost mid-response (client hung up; query cancelled)",
-        aborted
-    );
-    stat_counter!(
-        "sp2b_write_timeouts_total",
-        "Responses killed by the per-write deadline (client stopped reading)",
-        write_timeouts
-    );
-    stat_counter!(
-        "sp2b_rows_total",
-        "Result rows delivered over the wire",
-        rows
-    );
-    stat_counter!(
-        "sp2b_shed_total",
-        "Connections shed with 503 because the accept queue was full",
-        shed
-    );
     let q = Arc::downgrade(queue);
     reg.gauge_fn(
         "sp2b_queue_depth",
@@ -978,7 +999,7 @@ impl Worker {
             Ok(p) => p,
             // Parse errors, unbound variables and unsupported constructs
             // are all the client's query, not our failure: 400.
-            Err(e) => return self.error_string(stream, 400, &e.to_string(), keep),
+            Err(e) => return self.error(stream, 400, &e.to_string(), keep),
         };
         let prepare_time = started.elapsed();
         let ask = prepared.is_ask();
@@ -1011,7 +1032,7 @@ impl Worker {
                 };
                 if body.is_buffering() {
                     // Headers not sent yet: a clean error response.
-                    self.error_string(stream, status, &describe(&e), keep)
+                    self.error(stream, status, &describe(&e), keep)
                 } else {
                     // Mid-stream: the status line is gone; truncate the
                     // chunked body (no terminating chunk) and close, so
@@ -1072,29 +1093,18 @@ impl Worker {
     /// metric series, as one JSON object.
     fn stats_json(&self) -> String {
         let s = self.stats.snapshot();
+        let server: Vec<String> = COUNTERS
+            .iter()
+            .map(|(key, _, _, read)| format!("\"{key}\":{}", read(&s)))
+            .collect();
         format!(
-            "{{\"server\":{{\"connections\":{},\"requests\":{},\"ok\":{},\"client_errors\":{},\
-             \"timeouts\":{},\"server_errors\":{},\"aborted\":{},\"write_timeouts\":{},\
-             \"rows\":{},\"shed\":{}}},\"metrics\":{}}}",
-            s.connections,
-            s.requests,
-            s.ok,
-            s.client_errors,
-            s.timeouts,
-            s.server_errors,
-            s.aborted,
-            s.write_timeouts,
-            s.rows,
-            s.shed,
+            "{{\"server\":{{{}}},\"metrics\":{}}}",
+            server.join(","),
             sp2b_obs::global().render_json(),
         )
     }
 
     fn error(&self, stream: &TcpStream, status: u16, message: &str, keep: bool) -> bool {
-        self.error_string(stream, status, message, keep)
-    }
-
-    fn error_string(&self, stream: &TcpStream, status: u16, message: &str, keep: bool) -> bool {
         match status {
             408 => &self.stats.timeouts,
             400..=499 => &self.stats.client_errors,

@@ -99,19 +99,17 @@ pub struct QueryOptions {
     timeout: Option<Duration>,
     row_limit: Option<u64>,
     parallelism: usize,
-    parallel_base: u64,
 }
 
 impl Default for QueryOptions {
     /// Full optimization, no timeout, no row limit, parallelism = number
-    /// of available cores and the static exchange-threshold base.
+    /// of available cores.
     fn default() -> Self {
         QueryOptions {
             optimizer: OptimizerConfig::full(),
             timeout: None,
             row_limit: None,
             parallelism: default_parallelism(),
-            parallel_base: crate::plan::PARALLEL_BASE_THRESHOLD,
         }
     }
 }
@@ -149,10 +147,11 @@ impl QueryOptions {
     }
 
     /// Sets the degree of intra-query parallelism: the number of worker
-    /// threads morsel-driven execution may use for large driving scans
-    /// (see [`crate::plan::parallelize`]). `1` reproduces strictly
-    /// single-threaded evaluation; `0` is treated as `1`. The default is
-    /// the number of available cores.
+    /// threads a query that outlives [`crate::par::FAN_OUT_AFTER`] hands
+    /// the rest of its driving scan to (see [`crate::par`]); a shorter
+    /// one runs on its consumer's thread whatever the degree. `1` plans
+    /// no exchange at all; `0` is treated as `1`. The default is the
+    /// number of available cores.
     ///
     /// Parallel execution preserves result *multisets* for every query,
     /// and the current merge preserves row order too; deterministic
@@ -182,22 +181,6 @@ impl QueryOptions {
     /// The configured degree of parallelism (≥ 1).
     pub fn parallelism_degree(&self) -> usize {
         self.parallelism
-    }
-
-    /// Sets the exchange-threshold **base**: the driving-scan cardinality
-    /// at which a reference-cost pipeline is worth fanning out (see
-    /// [`crate::plan::parallel_threshold`]). The default is the
-    /// static [`crate::plan::PARALLEL_BASE_THRESHOLD`]; `sp2b calibrate`
-    /// measures a base from per-morsel fan-out overhead on the actual
-    /// host and feeds it in here. `0` is treated as `1`.
-    pub fn parallel_base(mut self, rows: u64) -> Self {
-        self.parallel_base = rows.max(1);
-        self
-    }
-
-    /// The configured exchange-threshold base (≥ 1).
-    pub fn parallel_base_rows(&self) -> u64 {
-        self.parallel_base
     }
 }
 
@@ -279,14 +262,6 @@ impl QueryEngine {
         self
     }
 
-    /// Sets the exchange-threshold base (see
-    /// [`QueryOptions::parallel_base`]). Affects subsequent `prepare`
-    /// calls.
-    pub fn parallel_base(mut self, rows: u64) -> Self {
-        self.options = self.options.parallel_base(rows);
-        self
-    }
-
     /// Attaches per-pattern row-count instrumentation: every execution
     /// through this engine adds the rows each BGP pattern step emits to
     /// `counters` (see [`ScanCounters`]) — the `--explain` flag and the
@@ -324,9 +299,8 @@ impl QueryEngine {
     /// Parses and prepares a query. Preparation resolves constants against
     /// the store, applies the optimizer, binds the physical plan and —
     /// when the configured [`QueryOptions::parallelism`] exceeds 1 —
-    /// inserts morsel-driven [`Plan::Exchange`] operators above driving
-    /// scans large enough to pay for fan-out. The result is reusable
-    /// across executions.
+    /// inserts a morsel-driven [`Plan::Exchange`] above every driving
+    /// scan. The result is reusable across executions.
     pub fn prepare(&self, text: &str) -> Result<Prepared, Error> {
         let query = parse(text)?;
         self.prepare_query(&query)
@@ -343,12 +317,7 @@ impl QueryEngine {
             &needed,
         );
         let plan = bind(&algebra, self.store(), &self.options.optimizer);
-        let plan = parallelize(
-            plan,
-            self.store(),
-            self.options.parallelism,
-            self.options.parallel_base,
-        );
+        let plan = parallelize(plan, self.options.parallelism);
         Ok(Prepared {
             operators: operators(&plan).len(),
             plan,
@@ -606,27 +575,27 @@ pub fn operator_spans(
         .collect()
 }
 
-/// One line per [`Plan::Exchange`] of `prepared`'s plan — `exchange ×2
-/// over step 1, 8 morsels` — for `--explain` and `--trace` to print under
-/// the operators of [`operator_spans`], whose numbering `step` uses. What
-/// a plan holds and what an execution did can differ: ASK and a bounded
-/// count unwrap the exchange, and a scan the store cannot split runs
-/// sequentially, so the line reports the fan-out `counters` saw, or says
-/// that there was none.
+/// One line per [`Plan::Exchange`] of `prepared`'s plan, for `--explain`
+/// and `--trace` to print under the operators of [`operator_spans`],
+/// whose numbering `step` uses, saying where the execution `counters` saw
+/// ran the exchange's morsels: `exchange ×2 over step 1: morsels 0–2 of 8
+/// inline, 3–7 on 2 workers` when it outlived the fan-out budget
+/// ([`crate::par::FAN_OUT_AFTER`]), `…: 8 morsels, all inline` when it did
+/// not (a consumer that hung up early evaluated fewer of them), `…: not
+/// split` for an ASK, which looks for its witness under the exchange, and
+/// for a scan the store returned no chunks of.
 pub fn exchange_lines(prepared: &Prepared, counters: &ScanCounters) -> Vec<String> {
+    let fan_outs = crate::eval::lock(&counters.fan_outs);
     crate::plan::exchanges(prepared.plan())
         .into_iter()
         .map(|(degree, driving)| {
-            let step = driving.ordinal + 1;
-            match crate::eval::lock(&counters.fan_outs).get(&driving.ordinal) {
-                Some((workers, morsels)) => {
-                    format!("exchange ×{workers} over step {step}, {morsels} morsels")
-                }
-                None => format!(
-                    "exchange ×{degree} over step {step}: planned, not run — a one-row or \
-                     bounded consumer, or a scan the store cannot split, evaluates sequentially"
-                ),
-            }
+            let ran = fan_outs
+                .get(&driving.ordinal)
+                .map_or("not split", String::as_str);
+            format!(
+                "exchange ×{degree} over step {}: {ran}",
+                driving.ordinal + 1
+            )
         })
         .collect()
 }
@@ -1043,27 +1012,6 @@ mod tests {
             streamed,
             vec![vec![Some(Term::Literal(Literal::integer(10)))]]
         );
-    }
-
-    #[test]
-    fn parallel_base_controls_the_fanout_decision() {
-        use crate::plan::has_exchange;
-        // The 10-row store is far below the default threshold; a
-        // measured base of 1 forces the exchange anyway, and the default
-        // keeps the plan sequential.
-        let store = store().into_shared();
-        let text = "SELECT ?v WHERE { ?s <http://x/value> ?v }";
-        let eager = QueryEngine::with_options(
-            store.clone(),
-            QueryOptions::new().parallelism(4).parallel_base(1),
-        );
-        assert!(has_exchange(eager.prepare(text).unwrap().plan()));
-        assert_eq!(eager.options().parallel_base_rows(), 1);
-        let default = QueryEngine::with_options(store.clone(), QueryOptions::new().parallelism(4));
-        assert!(!has_exchange(default.prepare(text).unwrap().plan()));
-        // The forced-parallel plan still answers correctly.
-        let p = eager.prepare(text).unwrap();
-        assert_eq!(eager.count(&p).unwrap(), 10);
     }
 
     #[test]

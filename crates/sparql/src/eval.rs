@@ -248,10 +248,11 @@ pub struct ScanCounters {
     scans: TallyMap,
     /// Joins, whose rows are output rather than scan work.
     joins: TallyMap,
-    /// Exchanges that fanned out, by the ordinal of their driving step:
-    /// `(workers, morsels)` of the latest execution. An exchange that was
-    /// unwrapped, or fell back to sequential evaluation, has no entry.
-    pub(crate) fan_outs: Mutex<FxHashMap<usize, (usize, usize)>>,
+    /// Where each exchange's latest execution ran its morsels, by the
+    /// ordinal of its driving step and in the words of
+    /// [`crate::exchange_lines`]. An exchange that split nothing (ASK
+    /// unwraps it; the store returned no chunks) has no entry.
+    pub(crate) fan_outs: Mutex<FxHashMap<usize, String>>,
 }
 
 type TallyMap = Mutex<FxHashMap<usize, OperatorTally>>;
@@ -496,9 +497,9 @@ impl<'a> EvalContext<'a> {
     /// [`EvalContext::eval`] with the plan's driving scan — the first
     /// pattern of its leftmost BGP, reached through join probe sides and
     /// filters ([`driving_scan`]) — reading `drive` instead of the store:
-    /// how an exchange worker ([`crate::par`]) runs the plan on one
-    /// morsel. Only those three arms hand `drive` on; build sides, and
-    /// every other operator, never see it.
+    /// how an exchange ([`crate::par`]) runs the plan on one morsel, on
+    /// the consumer's thread or a worker's. Only those three arms hand
+    /// `drive` on; build sides, and every other operator, never see it.
     pub(crate) fn eval_over(self, plan: &'a Plan, drive: Option<ScanChunk<'a>>) -> RowIter<'a> {
         debug_assert!(
             drive.is_none() || driving_scan(plan).is_some(),
@@ -601,15 +602,7 @@ impl<'a> EvalContext<'a> {
     /// it every term decode the comparisons would perform.
     fn eval_unordered(self, plan: &'a Plan) -> RowIter<'a> {
         match plan {
-            // When the sort is elided, an Exchange placed directly under
-            // it loses its purpose as well: bounded consumers (the count
-            // path's `take(offset+limit)`) stop after a handful of rows,
-            // and spinning up detached workers that race ahead of a
-            // consumer about to hang up is pure overhead — unwrap it too.
-            Plan::OrderBy(_, inner) => match inner.as_ref() {
-                Plan::Exchange { input, .. } => self.eval_unordered(input),
-                other => self.eval_unordered(other),
-            },
+            Plan::OrderBy(_, inner) => self.eval_unordered(inner),
             Plan::Project(vars, inner) => {
                 let width = self.width;
                 project_rows(self.eval_unordered(inner), vars, width)
@@ -627,8 +620,9 @@ impl<'a> EvalContext<'a> {
 
     /// Like [`EvalContext::eval`] for a consumer that takes one row and
     /// hangs up — `ASK`, which "should break as soon a solution has been
-    /// found". An exchange is unwrapped for the reason
-    /// [`EvalContext::eval_unordered`] gives, and an inner join runs
+    /// found". An exchange is unwrapped to get at the joins under it —
+    /// a consumer that hangs up after one row would not outlive its
+    /// fan-out budget anyway — and an inner join runs
     /// symmetrically ([`symmetric_join_rows`]) instead of materializing
     /// its build side before the first probe: the work done is then
     /// proportional to where the first witness sits in the two inputs,
@@ -1643,7 +1637,11 @@ mod tests {
     #[test]
     fn exchange_matches_sequential_order_exactly() {
         // A store big enough for several morsels; the Exchange output
-        // must equal the sequential rows in the same order.
+        // must equal the sequential rows in the same order — also when
+        // workers produce all but the first morsel (a 3000-row scan is
+        // far too short to earn them by itself).
+        #[cfg(debug_assertions)]
+        crate::par::diag::fan_out_at_once(true);
         let mut g = Graph::new();
         for i in 0..3000 {
             g.add(

@@ -17,13 +17,14 @@
 //! ([`QueryEngine::execute`]) or count it ([`QueryEngine::count`], which
 //! never decodes a term — the result-size-harness path).
 //!
-//! Execution is morsel-driven parallel by default
-//! ([`QueryOptions::parallelism`], default = available cores): large
-//! driving scans are split into chunks and fanned out to **detached**
-//! worker threads via the [`plan::Plan::Exchange`] operator (see
-//! [`par`]), which stream their results through a bounded channel —
-//! identical results (and order) to sequential evaluation, flat memory
-//! at the merge. The engine *owns* its store
+//! Execution is morsel-driven by default ([`QueryOptions::parallelism`],
+//! default = available cores): the [`plan::Plan::Exchange`] operator
+//! splits a driving scan into chunks, evaluates them on the consumer's
+//! thread while the query is short, and hands the rest to **detached**
+//! worker threads once it has proved long (see [`par`]); they stream
+//! their results through a bounded channel — identical results (and
+//! order) to sequential evaluation, flat memory at the merge. The engine
+//! *owns* its store
 //! (`Arc<dyn TripleStore>`), so engines are cheap to clone and share
 //! across client threads — the long-lived-server shape.
 //!
@@ -68,4 +69,3 @@ pub use ast::Query;
 pub use eval::{Bindings, Cancellation, EvalContext, ScanCounters, StepState};
 pub use optimizer::OptimizerConfig;
 pub use parser::{parse, ParseError};
-pub use plan::CostWeights;

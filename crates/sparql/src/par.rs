@@ -1,27 +1,37 @@
-//! Morsel-driven parallel evaluation of [`Plan::Exchange`]: the same
-//! plan, evaluated once per chunk of its driving scan, on **detached,
-//! streaming** worker threads.
+//! Morsel-driven evaluation of [`Plan::Exchange`]: the same plan,
+//! evaluated once per chunk of its driving scan — on the consumer's
+//! thread until the query has shown it is long, on **detached,
+//! streaming** worker threads from then on.
 //!
 //! The driving scan (first pattern of the leftmost BGP under the
 //! exchange) is partitioned into disjoint chunks via
 //! [`sp2b_store::TripleStore::scan_chunks`] — more chunks than workers,
 //! so fast workers keep pulling morsels from a shared atomic counter
 //! while slow ones finish (the classic morsel-driven load-balancing of
-//! Leis et al.). A morsel is not a second executor: a worker calls
+//! Leis et al.). A morsel is not a second executor: it is
 //! [`EvalContext::eval_over`] on the exchange's input — the plan the
 //! sequential evaluator walks, shared through an [`Arc`] — with the
 //! morsel's chunk standing in for the driving scan. Everything the
 //! execution materializes — hash-join build sides, fetched pattern
 //! tables, lookup counts — lives in the execution's one set of
 //! [`crate::eval::StepState`]s, so every morsel on every thread probes
-//! the same tables; [`eval_exchange`] has the joins of the probe spine
-//! build theirs before it spawns anything, on the consumer's thread.
+//! the same tables.
+//!
+//! **Fan-out is bought at run time**, by the ski-rental rule a pattern
+//! step uses for lookup-or-fetch ([`crate::eval`]): the exchange *rents*
+//! the consumer's thread, evaluating morsels there in order, and *buys*
+//! worker threads only once it has run for [`FAN_OUT_AFTER`] with at
+//! least two morsels left — no estimate takes part. A query that
+//! finishes, or whose consumer hangs up, inside that budget runs the
+//! sequential pipeline whatever the configured parallelism. Morsel 0
+//! always runs inline, so the joins of the probe spine build their tables
+//! on the consumer's thread before a worker exists to wait for one.
 //!
 //! Workers are detached threads holding an owning [`SharedStore`] handle,
 //! so they can outlive the `eval_exchange` call. Results therefore
 //! *stream*: batches flow through a bounded channel (backpressure —
 //! workers cannot run unboundedly ahead of the consumer) into
-//! [`ExchangeMerge`], a pull-based iterator that reorders
+//! the consumer's [`Exchange`], a pull-based iterator that reorders
 //! batches **by morsel index**, so the output order equals sequential
 //! evaluation exactly while memory stays bounded by the channel for
 //! balanced morsels. Morsel *skew* is bounded too: batches of a later
@@ -32,7 +42,7 @@
 //! not finished). However slow the unluckiest morsel is, the merger
 //! never parks more than `MAX_MERGE_AHEAD` morsels' worth of batches.
 //!
-//! Lifecycle guarantees, enforced by [`ExchangeMerge::shutdown`] (run on
+//! Lifecycle guarantees, enforced by [`Exchange::shutdown`] (run on
 //! exhaustion, on cancellation, and from `Drop`):
 //!
 //! * cancellation/timeout propagate per row — every worker checks the
@@ -55,19 +65,44 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use sp2b_store::{Pattern, ScanChunk, SharedStore, TripleStore};
 
 use crate::eval::{lock, Bindings, Cancellation, EvalContext, RowIter};
-use crate::plan::{const_pattern, driving_scan, Plan};
+use crate::plan::{const_pattern, driving_scan, Plan, PlanPattern};
 
 /// Morsels per worker: enough over-partitioning that an unlucky skewed
 /// morsel cannot serialize the whole query.
 pub const MORSELS_PER_WORKER: usize = 4;
 
 /// Rows per merge-channel message: batches amortize channel overhead
-/// while keeping worker-side buffering bounded.
+/// while keeping worker-side buffering bounded. Also how many rows an
+/// inline morsel emits between two looks at the clock.
 pub const BATCH_ROWS: usize = 4096;
+
+/// How long an exchange runs its morsels on the consumer's thread before
+/// it hands the remaining ones to workers — the one constant of the
+/// fan-out decision.
+///
+/// Ski rental. Fanning out has a price that does not depend on the query:
+/// spawning and joining the workers (25–50 µs for two threads, 50–100 µs
+/// for four — min and mean of 2 000 rounds on the 2-core development
+/// host), their first batches crossing the channel, their cold caches;
+/// end to end, a fan-out that gains nothing costs Q5b and Q7 at 50k
+/// triples 0.2–0.5 ms there. What it buys depends on the work left, which
+/// nothing known before the query runs predicts (the planner's estimate
+/// is off by 50× deep in Q4) — but a query that has already run for a
+/// multiple of the price is likely to go on, and cheap to be wrong about.
+/// One millisecond is 2–5× the measured price and 10–40× the bare
+/// spawn+join: a shorter query never pays it, and one that fans out in
+/// vain has paid less than half of what it had already spent.
+///
+/// The clock is read between morsels and every [`BATCH_ROWS`] rows within
+/// one. It runs from the moment the exchange is evaluated, so the joins'
+/// build sides (filled when morsel 0 opens) count as time spent, and so
+/// does a consumer that is slow to pull.
+pub const FAN_OUT_AFTER: Duration = Duration::from_millis(1);
 
 /// In-flight batches per worker the bounded channel admits.
 const BATCHES_IN_FLIGHT_PER_WORKER: usize = 2;
@@ -81,14 +116,15 @@ pub const MAX_MERGE_AHEAD: usize = 4;
 
 /// How long a worker naps while the morsel it claimed is still outside
 /// the merge-ahead window.
-const MERGE_AHEAD_NAP: std::time::Duration = std::time::Duration::from_micros(100);
+const MERGE_AHEAD_NAP: Duration = Duration::from_micros(100);
 
-/// Evaluates a [`Plan::Exchange`]: fans morsels out to detached worker
-/// threads and streams the merge in morsel order. Falls back to
-/// sequential evaluation whenever parallelism cannot pay off (degree ≤ 1,
-/// no owning store handle in the context, an input without a driving
-/// scan, or a scan the store cannot partition into ≥ 2 chunks) —
-/// [`Plan::Exchange`] is a performance hint, never a semantic obligation.
+/// Evaluates a [`Plan::Exchange`]: morsels in order on the consumer's
+/// thread, then — if the query outlives [`FAN_OUT_AFTER`] — the rest on
+/// detached workers, merged in morsel order. Evaluates the input as it
+/// stands when there is nothing to split (degree ≤ 1, no owning store
+/// handle in the context, an input without a driving scan, or a scan the
+/// store cannot partition) — [`Plan::Exchange`] is a performance hint,
+/// never a semantic obligation.
 pub(crate) fn eval_exchange<'a>(
     ctx: EvalContext<'a>,
     degree: usize,
@@ -96,79 +132,269 @@ pub(crate) fn eval_exchange<'a>(
 ) -> RowIter<'a> {
     // Detached workers need to *own* the store; a borrow-only context
     // evaluates sequentially instead.
-    let (Some(store), Some(pattern0), 2..) = (ctx.shared.clone(), driving_scan(input), degree)
-    else {
+    let (true, Some(driving), 2..) = (ctx.shared.is_some(), driving_scan(input), degree) else {
         return ctx.eval(input);
     };
-    if pattern0.is_unsatisfiable() {
+    if driving.is_unsatisfiable() {
         return Box::new(std::iter::empty());
     }
-    let scan_pattern = const_pattern(pattern0);
-    let chunk_target = degree * MORSELS_PER_WORKER;
-    let n_morsels = ctx.store.scan_chunks(scan_pattern, chunk_target).len();
-    if n_morsels <= 1 {
-        // Unpartitionable (default trait impl) or trivially small:
-        // sequential evaluation avoids the thread machinery.
+    let started = Instant::now();
+    let chunks = ctx
+        .store
+        .scan_chunks(const_pattern(driving), degree * MORSELS_PER_WORKER);
+    if chunks.is_empty() {
+        // Unpartitionable (default trait impl), or nothing to scan.
         return ctx.eval(input);
     }
-    // The input over no triples at all: putting that pipeline together
-    // has every join on the probe spine fill its build side — here, once,
-    // before a thread exists that could build it or wait for it.
-    drop(ctx.clone().eval_over(input, Some(ScanChunk::Triples(&[]))));
-    if ctx.cancel.should_stop() {
-        // Pre-triggered (or triggered during a build): yield nothing
-        // and spawn nothing, like the sequential evaluator.
-        return Box::new(std::iter::empty());
+    let exchange = Exchange {
+        ctx,
+        degree,
+        input,
+        driving,
+        chunks,
+        started,
+        current: Box::new(std::iter::empty()),
+        front: 0,
+        rows: 0,
+        workers: None,
+    };
+    exchange.note(exchange.chunks.len(), 0);
+    Box::new(exchange)
+}
+
+/// A running exchange: a pull-based iterator over its morsels' rows, in
+/// morsel order. Up to the hand-off it evaluates the morsels itself; from
+/// then on it is the streaming, order-restoring merge of what the workers
+/// send — it pulls batches off the bounded channel on demand, and batches
+/// of later morsels that arrive while an earlier one is still open are
+/// parked in `pending` (the price of deterministic order under skew).
+/// Exhaustion, cancellation and early drop all funnel into
+/// [`Exchange::shutdown`], which wakes and joins every worker.
+struct Exchange<'a> {
+    /// Its `shared` store handle is what detached workers hold on to.
+    ctx: EvalContext<'a>,
+    degree: usize,
+    input: &'a Arc<Plan>,
+    /// The step whose scan `chunks` splits.
+    driving: &'a PlanPattern,
+    /// The morsels, in scan order.
+    chunks: Vec<ScanChunk<'a>>,
+    /// When the exchange began renting the consumer's thread.
+    started: Instant,
+    /// The rows being delivered: the pipeline of a morsel evaluated on
+    /// this thread, or a batch a worker sent.
+    current: RowIter<'a>,
+    /// Where the morsels not yet in `current` start: the next one to
+    /// open inline — so where a hand-off starts the workers — and after
+    /// it the one whose batches are being merged.
+    front: usize,
+    /// Rows the inline morsels have delivered.
+    rows: usize,
+    /// Whom morsels `front..` were handed to, once they were.
+    workers: Option<Workers>,
+}
+
+/// The consumer's end of a fan-out.
+struct Workers {
+    rx: Option<Receiver<Msg>>,
+    handles: Vec<JoinHandle<()>>,
+    sink_open: Arc<AtomicBool>,
+    /// Mirror of [`Exchange::front`] the workers read to honour the skew
+    /// bound ([`MAX_MERGE_AHEAD`]).
+    merge_front: Arc<AtomicUsize>,
+    pending: BTreeMap<usize, MorselBuf>,
+}
+
+/// Buffered batches of one morsel at the merger.
+#[derive(Default)]
+struct MorselBuf {
+    batches: VecDeque<Vec<Bindings>>,
+    done: bool,
+}
+
+impl Exchange<'_> {
+    /// Tells the execution's counters, if any, that morsels `..inline` are
+    /// the consumer thread's and the rest went to `workers` threads.
+    fn note(&self, inline: usize, workers: usize) {
+        if let Some(counters) = &self.ctx.counters {
+            let n = self.chunks.len();
+            let ran = if workers == 0 {
+                format!("{n} morsel{}, all inline", if n == 1 { "" } else { "s" })
+            } else {
+                let (last_inline, last) = (inline - 1, n - 1);
+                format!(
+                    "morsels 0–{last_inline} of {n} inline, {inline}–{last} on {workers} workers"
+                )
+            };
+            lock(&counters.fan_outs).insert(self.driving.ordinal, ran);
+        }
     }
 
-    let workers = degree.min(n_morsels);
-    if let Some(counters) = &ctx.counters {
-        lock(&counters.fan_outs).insert(pattern0.ordinal, (workers, n_morsels));
+    /// Hands morsels `front..` to workers if the budget is spent and at
+    /// least two are left — one would only move the work to another
+    /// thread — but never morsel 0, which fills the build sides. Called
+    /// between morsels and every [`BATCH_ROWS`] rows within one: a morsel
+    /// the consumer is in the middle of is finished here while the
+    /// workers start on the ones after it.
+    fn fan_out_if_due(&mut self) {
+        let left = self.chunks.len() - self.front;
+        let settled = self.workers.is_some() || self.front == 0 || left < 2;
+        if settled || self.started.elapsed() < diag::fan_out_after() {
+            return;
+        }
+        let store = self.ctx.shared.as_ref().expect("eval_exchange checked");
+        let workers = self.degree.min(left);
+        self.note(self.front, workers);
+        diag::FAN_OUTS.fetch_add(1, Ordering::Relaxed);
+        let capacity = workers * BATCHES_IN_FLIGHT_PER_WORKER;
+        diag::note_capacity(capacity);
+        let (tx, rx) = sync_channel::<Msg>(capacity);
+        let sink_open = Arc::new(AtomicBool::new(true));
+        let next = Arc::new(AtomicUsize::new(self.front));
+        let merge_front = Arc::new(AtomicUsize::new(self.front));
+        let mut handles = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            diag::LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
+            let worker = Worker {
+                store: Arc::clone(store),
+                input: Arc::clone(self.input),
+                cancel: self.ctx.cancel.clone(),
+                sink_open: Arc::clone(&sink_open),
+                next: Arc::clone(&next),
+                merge_front: Arc::clone(&merge_front),
+                tx: tx.clone(),
+                scan_pattern: const_pattern(self.driving),
+                chunk_target: self.degree * MORSELS_PER_WORKER,
+                n_morsels: self.chunks.len(),
+                width: self.ctx.width,
+                counters: self.ctx.counters.clone(),
+                steps: Arc::clone(&self.ctx.steps),
+            };
+            handles.push(
+                std::thread::Builder::new()
+                    .name("sp2b-exchange".into())
+                    .spawn(move || worker.run())
+                    .expect("spawn exchange worker"),
+            );
+        }
+        // Workers hold the only senders: `recv` ends when they do.
+        self.workers = Some(Workers {
+            rx: Some(rx),
+            handles,
+            sink_open,
+            merge_front,
+            pending: BTreeMap::new(),
+        });
     }
-    let capacity = workers * BATCHES_IN_FLIGHT_PER_WORKER;
-    diag::note_capacity(capacity);
-    let (tx, rx) = sync_channel::<Msg>(capacity);
-    let sink_open = Arc::new(AtomicBool::new(true));
-    let next = Arc::new(AtomicUsize::new(0));
-    let merge_front = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        diag::LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
-        let worker = Worker {
-            store: store.clone(),
-            input: Arc::clone(input),
-            cancel: ctx.cancel.clone(),
-            sink_open: Arc::clone(&sink_open),
-            next: Arc::clone(&next),
-            merge_front: Arc::clone(&merge_front),
-            tx: tx.clone(),
-            scan_pattern,
-            chunk_target,
-            n_morsels,
-            width: ctx.width,
-            counters: ctx.counters.clone(),
-            steps: Arc::clone(&ctx.steps),
-        };
-        handles.push(
-            std::thread::Builder::new()
-                .name("sp2b-exchange".into())
-                .spawn(move || worker.run())
-                .expect("spawn exchange worker"),
-        );
-    }
-    drop(tx); // workers hold the only senders: recv ends when they do
 
-    Box::new(ExchangeMerge {
-        rx: Some(rx),
-        handles,
-        sink_open,
-        cancel: ctx.cancel.clone(),
-        pending: BTreeMap::new(),
-        next_morsel: 0,
-        merge_front,
-        n_morsels,
-        current: Vec::new().into_iter(),
-    })
+    /// Stops the workers, if there are any: closes the sink flag,
+    /// disconnects the channel (waking workers blocked on `send`) and
+    /// joins every worker thread. Idempotent; runs on stream exhaustion,
+    /// cancellation, and drop. Returns what the first worker that
+    /// panicked, if any, panicked with.
+    fn shutdown(&mut self) -> Option<Box<dyn Any + Send>> {
+        let workers = self.workers.as_mut()?;
+        workers.sink_open.store(false, Ordering::Relaxed);
+        workers.rx = None;
+        let joined: Vec<_> = workers.handles.drain(..).map(JoinHandle::join).collect();
+        joined.into_iter().find_map(Result::err)
+    }
+
+    /// Ends the stream: [`Exchange::shutdown`], then a worker's panic
+    /// goes on unwinding here, in the consumer — the rows so far are not
+    /// the answer.
+    fn finish(&mut self) -> Option<Bindings> {
+        if let Some(panic) = self.shutdown() {
+            std::panic::resume_unwind(panic);
+        }
+        None
+    }
+}
+
+impl Iterator for Exchange<'_> {
+    type Item = Bindings;
+
+    fn next(&mut self) -> Option<Bindings> {
+        loop {
+            if let Some(row) = self.current.next() {
+                if self.workers.is_none() {
+                    self.rows += 1;
+                    if self.rows.is_multiple_of(BATCH_ROWS) {
+                        self.fan_out_if_due();
+                    }
+                }
+                return Some(row);
+            }
+            // Dry: dropped, not polled again while the workers are awaited.
+            self.current = Box::new(std::iter::empty());
+            // (A pre-triggered handle stops here, before morsel 0: nothing
+            // evaluated, nothing spawned.)
+            if self.ctx.cancel.should_stop() || self.front >= self.chunks.len() {
+                return self.finish();
+            }
+            self.fan_out_if_due();
+            let Some(workers) = &mut self.workers else {
+                #[cfg(debug_assertions)]
+                diag::inject_faults(self.front);
+                let chunk = self.chunks[self.front];
+                self.current = self.ctx.clone().eval_over(self.input, Some(chunk));
+                self.front += 1;
+                continue;
+            };
+            if let Some(buf) = workers.pending.get_mut(&self.front) {
+                if let Some(batch) = buf.batches.pop_front() {
+                    self.current = Box::new(batch.into_iter());
+                    continue;
+                }
+                if buf.done {
+                    workers.pending.remove(&self.front);
+                    self.front += 1;
+                    // Publish progress: waiting workers may now process
+                    // one morsel further ahead.
+                    workers.merge_front.store(self.front, Ordering::Release);
+                    continue;
+                }
+            }
+            let Some(rx) = &workers.rx else {
+                // Workers exited without completing the expected morsel:
+                // cancellation, or one of them panicked.
+                return self.finish();
+            };
+            match rx.recv() {
+                Ok(msg) => {
+                    diag::note_recv();
+                    let buf = workers.pending.entry(msg.morsel).or_default();
+                    if !msg.rows.is_empty() {
+                        buf.batches.push_back(msg.rows);
+                    }
+                    buf.done |= msg.last;
+                    // Gauge the skew buffer: batches parked for morsels
+                    // *beyond* the one currently being merged.
+                    diag::note_parked(
+                        workers
+                            .pending
+                            .iter()
+                            .filter(|(&m, _)| m > self.front)
+                            .map(|(_, b)| b.batches.len())
+                            .sum(),
+                    );
+                }
+                // All senders gone. On normal completion every completion
+                // marker was queued before the disconnect, so the loop
+                // keeps draining `pending`; after an abort the next pass
+                // ends the stream above.
+                Err(_) => workers.rx = None,
+            }
+        }
+    }
+}
+
+impl Drop for Exchange<'_> {
+    /// A consumer that hangs up is not owed a worker's panic (and may be
+    /// unwinding from it already).
+    fn drop(&mut self) {
+        let _ = self.shutdown();
+    }
 }
 
 /// One merge-channel message: a batch of rows from one morsel. `last`
@@ -183,7 +409,8 @@ struct Msg {
 
 /// A detached exchange worker: owns a store handle and a share of the
 /// plan, re-derives the (deterministic) chunk list, and claims morsel
-/// indices from the shared counter until they run out or the query stops.
+/// indices from the shared counter — which starts at the hand-off — until
+/// they run out or the query stops.
 struct Worker {
     store: SharedStore,
     /// The exchange's input: what `eval_over` runs on each morsel.
@@ -222,14 +449,15 @@ impl Worker {
             steps: Arc::clone(&self.steps),
         };
         let chunks = store.scan_chunks(self.scan_pattern, self.chunk_target);
-        debug_assert_eq!(
+        // Not a debug assertion: morsel indices mean nothing across two
+        // different chunk lists, and a worker that bowed out quietly
+        // would let the merger read a clean end — a prefix returned as
+        // the answer. The panic fails the query on the consumer's thread.
+        assert_eq!(
             chunks.len(),
             self.n_morsels,
             "scan_chunks must be deterministic (see TripleStore::scan_chunks)"
         );
-        if chunks.len() != self.n_morsels {
-            return; // a nondeterministic store must not corrupt the merge
-        }
         loop {
             if self.stopped() {
                 return;
@@ -298,133 +526,20 @@ impl Worker {
     }
 }
 
-/// Buffered batches of one morsel at the merger.
-#[derive(Default)]
-struct MorselBuf {
-    batches: VecDeque<Vec<Bindings>>,
-    done: bool,
-}
-
-/// The streaming, order-restoring merge: pulls batches off the bounded
-/// channel on demand and yields morsels strictly in index order. Batches
-/// of later morsels that arrive while an earlier morsel is still open
-/// are parked in `pending` (the price of deterministic order under
-/// skew). Exhaustion, cancellation and early drop all funnel into
-/// [`ExchangeMerge::shutdown`], which wakes and joins every worker.
-struct ExchangeMerge {
-    rx: Option<Receiver<Msg>>,
-    handles: Vec<JoinHandle<()>>,
-    sink_open: Arc<AtomicBool>,
-    cancel: Cancellation,
-    pending: BTreeMap<usize, MorselBuf>,
-    next_morsel: usize,
-    /// Mirror of `next_morsel` the workers read to honour the skew bound
-    /// ([`MAX_MERGE_AHEAD`]).
-    merge_front: Arc<AtomicUsize>,
-    n_morsels: usize,
-    current: std::vec::IntoIter<Bindings>,
-}
-
-impl ExchangeMerge {
-    /// Stops the exchange: closes the sink flag, disconnects the channel
-    /// (waking workers blocked on `send`) and joins every worker thread.
-    /// Idempotent; runs on stream exhaustion, cancellation, and drop.
-    /// Returns what the first worker that panicked, if any, panicked with.
-    fn shutdown(&mut self) -> Option<Box<dyn Any + Send>> {
-        self.sink_open.store(false, Ordering::Relaxed);
-        self.rx = None;
-        let joined: Vec<_> = self.handles.drain(..).map(JoinHandle::join).collect();
-        joined.into_iter().find_map(Result::err)
-    }
-
-    /// Ends the stream: [`ExchangeMerge::shutdown`], then a worker's
-    /// panic goes on unwinding here, in the consumer — the rows so far
-    /// are not the answer.
-    fn finish(&mut self) -> Option<Bindings> {
-        if let Some(panic) = self.shutdown() {
-            std::panic::resume_unwind(panic);
-        }
-        None
-    }
-}
-
-impl Iterator for ExchangeMerge {
-    type Item = Bindings;
-
-    fn next(&mut self) -> Option<Bindings> {
-        loop {
-            if let Some(row) = self.current.next() {
-                return Some(row);
-            }
-            if self.cancel.should_stop() || self.next_morsel >= self.n_morsels {
-                return self.finish();
-            }
-            if let Some(buf) = self.pending.get_mut(&self.next_morsel) {
-                if let Some(batch) = buf.batches.pop_front() {
-                    self.current = batch.into_iter();
-                    continue;
-                }
-                if buf.done {
-                    self.pending.remove(&self.next_morsel);
-                    self.next_morsel += 1;
-                    // Publish progress: waiting workers may now process
-                    // one morsel further ahead.
-                    self.merge_front.store(self.next_morsel, Ordering::Release);
-                    continue;
-                }
-            }
-            let Some(rx) = &self.rx else {
-                // Workers exited without completing the expected morsel:
-                // cancellation, or one of them panicked.
-                return self.finish();
-            };
-            match rx.recv() {
-                Ok(msg) => {
-                    diag::note_recv();
-                    let buf = self.pending.entry(msg.morsel).or_default();
-                    if !msg.rows.is_empty() {
-                        buf.batches.push_back(msg.rows);
-                    }
-                    buf.done |= msg.last;
-                    // Gauge the skew buffer: batches parked for morsels
-                    // *beyond* the one currently being merged.
-                    diag::note_parked(
-                        self.pending
-                            .iter()
-                            .filter(|(&m, _)| m > self.next_morsel)
-                            .map(|(_, b)| b.batches.len())
-                            .sum(),
-                    );
-                }
-                // All senders gone. On normal completion every completion
-                // marker was queued before the disconnect, so the loop
-                // keeps draining `pending`; after an abort the next pass
-                // ends the stream above.
-                Err(_) => self.rx = None,
-            }
-        }
-    }
-}
-
-impl Drop for ExchangeMerge {
-    /// A consumer that hangs up is not owed a worker's panic (and may be
-    /// unwinding from it already).
-    fn drop(&mut self) {
-        let _ = self.shutdown();
-    }
-}
-
 /// Exchange observability: always-on relaxed-atomic gauges — the
-/// live-worker gauge behind the no-thread-leak test, the in-flight and
-/// parked batch high-water marks behind the flat-memory tests — plus
-/// debug-only fault injection for the skew and worker-failure tests. The gauges
-/// cost one relaxed atomic op per event on paths that already cross a
-/// channel, so they stay on in release builds and feed the process
-/// metrics registry (see [`diag::register_metrics`]).
+/// live-worker gauge behind the no-thread-leak test, the fan-out count,
+/// the in-flight and parked batch high-water marks behind the flat-memory
+/// tests — plus debug-only hooks for the tests: fault injection (skew,
+/// worker failure) and a zero fan-out budget. The gauges cost one relaxed
+/// atomic op per event on paths that already cross a channel or spawn a
+/// thread, so they stay on in release builds and feed the process metrics
+/// registry (see [`diag::register_metrics`]).
 pub mod diag {
     use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     pub(super) static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+    pub(super) static FAN_OUTS: AtomicUsize = AtomicUsize::new(0);
     static IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
     static PEAK_IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
     static BOUND: AtomicI64 = AtomicI64::new(0);
@@ -435,6 +550,8 @@ pub mod diag {
     static STALL_MILLIS: AtomicUsize = AtomicUsize::new(0);
     #[cfg(debug_assertions)]
     static FAIL_MORSEL: AtomicUsize = AtomicUsize::new(usize::MAX);
+    #[cfg(debug_assertions)]
+    static FAN_OUT_AT_ONCE: AtomicBool = AtomicBool::new(false);
 
     /// A worker's exit, however it exits: decrements the live-worker
     /// gauge and, if the exit is a panic, closes the exchange's sink — the
@@ -453,10 +570,37 @@ pub mod diag {
 
     /// Number of exchange workers currently alive (spawned, not yet
     /// joined). Zero once every solution stream has been dropped —
-    /// [`super::ExchangeMerge`] joins its workers on drop (the join is
+    /// [`super::Exchange`] joins its workers on drop (the join is
     /// the happens-before edge that makes the relaxed load exact).
     pub fn live_workers() -> usize {
         LIVE_WORKERS.load(Ordering::Relaxed)
+    }
+
+    /// Exchanges that have handed morsels to workers since the process
+    /// started: the difference across a query says whether it fanned out.
+    pub fn fan_outs() -> usize {
+        FAN_OUTS.load(Ordering::Relaxed)
+    }
+
+    /// The budget exchanges run under: [`super::FAN_OUT_AFTER`], unless a
+    /// test has set it to zero.
+    pub(super) fn fan_out_after() -> Duration {
+        #[cfg(debug_assertions)]
+        if FAN_OUT_AT_ONCE.load(Ordering::SeqCst) {
+            return Duration::ZERO;
+        }
+        super::FAN_OUT_AFTER
+    }
+
+    /// Test hook: with `on`, exchanges fan out at their first look at the
+    /// clock — after morsel 0, or [`super::BATCH_ROWS`] rows into it —
+    /// however short the query, so small documents exercise the workers.
+    /// Debug builds only, and process-wide: a test that depends on the
+    /// default budget lives in a binary that never sets this, or
+    /// serializes with the ones that do.
+    #[cfg(debug_assertions)]
+    pub fn fan_out_at_once(on: bool) {
+        FAN_OUT_AT_ONCE.store(on, Ordering::SeqCst);
     }
 
     /// Merge batches currently in flight (sent, not yet received).
@@ -480,20 +624,19 @@ pub mod diag {
         PEAK_PARKED.load(Ordering::Relaxed)
     }
 
-    /// Fault injection for the skew regression test: workers sleep
-    /// `millis` before processing morsel `morsel`. Pass
-    /// `(usize::MAX, 0)` to clear. Debug builds only; serialize tests
-    /// that use it.
+    /// Fault injection for the skew regression test: whoever evaluates
+    /// morsel `morsel` — a worker, or the consumer's thread inline —
+    /// sleeps `millis` first. Pass `(usize::MAX, 0)` to clear. Debug
+    /// builds only; serialize tests that use it.
     #[cfg(debug_assertions)]
     pub fn stall_morsel(morsel: usize, millis: u64) {
         STALL_MILLIS.store(millis as usize, Ordering::SeqCst);
         STALL_MORSEL.store(morsel, Ordering::SeqCst);
     }
 
-    /// Fault injection for the worker-failure test: the worker that
-    /// claims morsel `morsel` panics instead of processing it. Pass
-    /// `usize::MAX` to clear. Debug builds only; serialize tests that use
-    /// it.
+    /// Fault injection for the worker-failure test: whoever is about to
+    /// evaluate morsel `morsel` panics instead. Pass `usize::MAX` to
+    /// clear. Debug builds only; serialize tests that use it.
     #[cfg(debug_assertions)]
     pub fn fail_morsel(morsel: usize) {
         FAIL_MORSEL.store(morsel, Ordering::SeqCst);

@@ -14,10 +14,11 @@
 //! lookups that cost as much as reading the whole pattern once. The
 //! evaluator counts against it at run time ([`crate::eval`]).
 //!
-//! [`parallelize`] is the physical optimization pass behind
+//! [`parallelize`] is the physical pass behind
 //! [`crate::QueryOptions::parallelism`]: it inserts [`Plan::Exchange`]
-//! above pipelines whose driving scan is estimated large enough to be
-//! worth splitting into morsels (see [`crate::par`]).
+//! above every pipeline whose driving scan can be split into morsels.
+//! Whether an execution actually fans out is the exchange's decision,
+//! made while it runs (see [`crate::par`]).
 
 use std::sync::Arc;
 
@@ -221,17 +222,18 @@ pub enum Plan {
         /// The pattern producing the rows to aggregate.
         input: Box<Plan>,
     },
-    /// Morsel-driven parallel execution (inserted by [`parallelize`]):
-    /// the driving scan of `input` — the first pattern of the leftmost
-    /// BGP, reached through join probe sides and filters — is split into
-    /// disjoint chunks via [`sp2b_store::TripleStore::scan_chunks`] and
-    /// `degree` worker threads evaluate `input` once per chunk, sharing
-    /// the execution's build sides and fetched tables. Per-morsel results
-    /// merge in morsel order, so the output order equals sequential
+    /// Morsel-driven execution (inserted by [`parallelize`]): the driving
+    /// scan of `input` — the first pattern of the leftmost BGP, reached
+    /// through join probe sides and filters — is split into disjoint
+    /// chunks via [`sp2b_store::TripleStore::scan_chunks`] and `input` is
+    /// evaluated once per chunk: on the consumer's thread at first, on
+    /// `degree` worker threads once the execution has proved long, all
+    /// sharing its build sides and fetched tables. Per-morsel results
+    /// come out in morsel order, so the output order equals sequential
     /// evaluation. See [`crate::par`].
     Exchange {
-        /// Worker-thread count (always ≥ 2; a degree of 1 is never
-        /// planned — sequential plans simply omit the operator).
+        /// Worker threads a fan-out starts (always ≥ 2; a degree of 1 is
+        /// never planned — sequential plans simply omit the operator).
         degree: usize,
         /// The plan each worker evaluates per morsel — shared with the
         /// workers, which outlive the borrow an evaluation holds.
@@ -346,132 +348,25 @@ fn join_key(a: &Algebra, b: &Algebra) -> Vec<usize> {
 // Parallelization (the physical pass behind QueryOptions::parallelism)
 // ---------------------------------------------------------------------------
 
-/// Driving-scan cardinality at which an [`Plan::Exchange`] pays off for a
-/// pipeline of [`REFERENCE_PIPELINE_COST`] per driving row. Pipelines
-/// cheaper per row need proportionally larger scans to amortize the
-/// fan-out overhead; more expensive ones fan out earlier — see
-/// [`parallel_threshold`].
-pub const PARALLEL_BASE_THRESHOLD: u64 = 512;
-
-/// Lower clamp of [`parallel_threshold`]: below this many driving rows,
-/// thread-spawn and merge overhead dominates no matter how expensive the
-/// per-row pipeline is.
-pub const PARALLEL_MIN_THRESHOLD: u64 = 128;
-
-/// Upper clamp of [`parallel_threshold`]: above this many driving rows,
-/// even the cheapest scan-and-emit pipeline amortizes the fan-out.
-pub const PARALLEL_MAX_THRESHOLD: u64 = 4096;
-
-/// The per-driving-row pipeline cost that earns exactly the base
-/// threshold: a moderate BGP chain of half a dozen index probes.
-const REFERENCE_PIPELINE_COST: f64 = 8.0;
-
-/// Per-operator cost weights for [`pipeline_cost_per_row`], in "index
-/// probe" units. [`CostWeights::default`] is the one home of the
-/// hand-tuned constants the model runs on; `sp2b calibrate` *measures*
-/// the same four numbers on the current host and prints them next to
-/// these defaults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Emitting a driving row (the scan-and-emit floor).
-    pub emit: f64,
-    /// Evaluating one pushed-down or standalone filter.
-    pub filter: f64,
-    /// One binary-searched index probe (each subsequent BGP pattern).
-    pub probe: f64,
-    /// One hash-table bucket lookup (join probe, before fan-out).
-    pub hash_probe: f64,
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights {
-            emit: 0.5,
-            filter: 0.25,
-            probe: 1.0,
-            hash_probe: 1.0,
-        }
-    }
-}
-
-/// Heuristic cost of running one driving row through the rest of the
-/// pipeline, in "index probe" units (the morsel driver's unit of work):
-///
-/// * emitting the row itself: ½ probe;
-/// * each subsequent BGP pattern: one binary-searched index probe (the
-///   log factor of its candidate-list size contributes mildly);
-/// * each hash-join probe: one bucket lookup plus the expected per-probe
-///   fan-out, approximated from the build side's driving-scan estimate —
-///   this is what makes Q4-style quadratic joins "expensive" and fan out
-///   early;
-/// * filters: ¼ probe each.
-///
-/// Shapes the morsel driver cannot run per-morsel score the reference
-/// cost (their threshold is the base — moot, since [`maybe_exchange`]
-/// only wraps runnable segments).
-pub fn pipeline_cost_per_row(plan: &Plan, store: &dyn TripleStore) -> f64 {
-    let weights = CostWeights::default();
-    match plan {
-        Plan::Bgp { patterns, filters } => {
-            let mut cost = weights.emit + weights.filter * filters.len() as f64;
-            for p in patterns.iter().skip(1) {
-                let est = store.estimate(const_pattern(p)).max(2) as f64;
-                cost += weights.probe + est.log2() / 16.0;
-            }
-            cost
-        }
-        Plan::Join { left, right, .. } | Plan::LeftJoin { left, right, .. } => {
-            // Expected matches per probe: the build side's size relative
-            // to a nominal key-diversity of 256 — crude, but it separates
-            // "probe a small negation table" from "self-join the corpus".
-            let build = driving_scan(right)
-                .filter(|p| !p.is_unsatisfiable())
-                .map_or(64.0, |p| store.estimate(const_pattern(p)).max(2) as f64);
-            let fanout = (build / 256.0).clamp(1.0, 64.0);
-            pipeline_cost_per_row(left, store) + weights.hash_probe + fanout
-        }
-        Plan::Filter(_, inner) => weights.filter + pipeline_cost_per_row(inner, store),
-        _ => REFERENCE_PIPELINE_COST,
-    }
-}
-
-/// The per-plan exchange threshold: `base` scaled inversely by the
-/// pipeline's estimated per-row cost and clamped to base/4 … base×8 —
-/// for the default [`PARALLEL_BASE_THRESHOLD`] of 512 exactly
-/// [[`PARALLEL_MIN_THRESHOLD`], [`PARALLEL_MAX_THRESHOLD`]]. A
-/// scan-and-emit pipeline (Q2-style cheap rows) must clear the upper
-/// clamp before fanning out; a join-heavy pipeline (Q4-style quadratic)
-/// fans out near the lower one. `base` is a parameter because it is
-/// *measured*: `sp2b calibrate` times per-morsel fan-out overhead and
-/// the result flows in through `QueryOptions::parallel_base`; the clamp
-/// window scales with it, so a calibrated base outside the static window
-/// is honoured rather than clamped back into it.
-pub fn parallel_threshold(plan: &Plan, store: &dyn TripleStore, base: u64) -> u64 {
-    let base = base.max(1);
-    let cost = pipeline_cost_per_row(plan, store).max(0.25);
-    let scaled = base as f64 * (REFERENCE_PIPELINE_COST / cost);
-    (scaled.round() as u64).clamp((base / 4).max(1), base.saturating_mul(8))
-}
-
 /// Inserts [`Plan::Exchange`] operators for a target `degree` of
 /// parallelism. The pass descends through merge-side operators (project,
 /// sort, distinct, aggregation, union branches) and wraps each pipeline
-/// segment — BGP, join probe chain, filter — whose driving scan the
-/// store estimates at that segment's [`parallel_threshold`] or more. With
-/// `degree <= 1` the plan is returned unchanged (today's sequential
-/// behavior). `base` is the threshold base every segment is judged
-/// under — `QueryOptions::parallel_base` through `prepare`.
+/// segment — BGP, join probe chain, filter — that has a driving scan.
+/// Nothing is estimated here: an exchange runs on its consumer's thread
+/// until the execution has earned its workers ([`crate::par`]), so one
+/// above a short pipeline costs nothing. With `degree <= 1` the plan is
+/// returned unchanged.
 ///
 /// `Slice` is a barrier: LIMIT/OFFSET execute as a lazy skip/take, and
-/// an exchange below them would materialize the *full* input to deliver
-/// a handful of rows. The pass only crosses a `Slice` when a
+/// an exchange below them that does fan out would run ahead of a
+/// consumer about to hang up. The pass only crosses a `Slice` when a
 /// materializing sort sits directly beneath it (the `ORDER BY … LIMIT`
 /// shape, e.g. Q11), where laziness is already gone.
-pub fn parallelize(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64) -> Plan {
+pub fn parallelize(plan: Plan, degree: usize) -> Plan {
     if degree <= 1 {
         return plan;
     }
-    let sub = |inner: Box<Plan>| Box::new(parallelize(*inner, store, degree, base));
+    let sub = |inner: Box<Plan>| Box::new(parallelize(*inner, degree));
     match plan {
         Plan::Project(vars, inner) => Plan::Project(vars, sub(inner)),
         Plan::OrderBy(keys, inner) => Plan::OrderBy(keys, sub(inner)),
@@ -495,13 +390,16 @@ pub fn parallelize(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64
             input: sub(input),
         },
         Plan::Union(a, b) => Plan::Union(sub(a), sub(b)),
-        // Pipeline segments the parallel driver can run per-morsel.
-        other @ (Plan::Bgp { .. }
-        | Plan::Join { .. }
-        | Plan::LeftJoin { .. }
-        | Plan::Filter(..)) => maybe_exchange(other, store, degree, base),
-        // Already parallel (idempotence) — leave as is.
-        other @ Plan::Exchange { .. } => other,
+        // What an exchange can run per morsel is what has a driving scan:
+        // a BGP with a pattern, a join probe chain or a filter over one.
+        // (An exchange has none: the pass is idempotent.)
+        other => match driving_scan(&other) {
+            Some(_) => Plan::Exchange {
+                degree,
+                input: Arc::new(other),
+            },
+            None => other,
+        },
     }
 }
 
@@ -514,23 +412,6 @@ fn materializes_anyway(plan: &Plan) -> bool {
         Plan::OrderBy(..) => true,
         Plan::Project(_, inner) | Plan::Distinct(inner) => materializes_anyway(inner),
         _ => false,
-    }
-}
-
-/// Wraps `plan` in an Exchange when its driving scan clears the
-/// pipeline's cost-scaled cardinality threshold.
-fn maybe_exchange(plan: Plan, store: &dyn TripleStore, degree: usize, base: u64) -> Plan {
-    let worthwhile = driving_scan(&plan).is_some_and(|p| {
-        !p.is_unsatisfiable()
-            && store.estimate(const_pattern(p)) >= parallel_threshold(&plan, store, base)
-    });
-    if worthwhile {
-        Plan::Exchange {
-            degree,
-            input: Arc::new(plan),
-        }
-    } else {
-        plan
     }
 }
 
@@ -685,8 +566,6 @@ mod tests {
     use sp2b_rdf::{Graph, Iri, Subject, Term};
     use sp2b_store::MemStore;
 
-    const BASE: u64 = PARALLEL_BASE_THRESHOLD;
-
     /// Lookup-only plans: what these tests are about does not depend on
     /// fetch rules.
     fn bind(algebra: &Algebra, store: &dyn TripleStore) -> Plan {
@@ -773,24 +652,17 @@ mod tests {
         assert!(!key.contains(&c), "?c is not certain on the left");
     }
 
-    fn big_store() -> MemStore {
-        let mut g = Graph::new();
-        // Clears even the cheap-pipeline (max) threshold.
-        for i in 0..(PARALLEL_MAX_THRESHOLD * 2) {
-            g.add(
-                Subject::iri(format!("http://x/s{i}")),
-                Iri::new("http://x/p"),
-                Term::iri(format!("http://x/o{i}")),
-            );
-        }
-        MemStore::from_graph(&g)
+    const SCAN: &str = "SELECT ?s WHERE { ?s <http://x/p> ?o }";
+
+    fn parallel_plan(query: &str, degree: usize) -> Plan {
+        let t = translate(&parse(query).unwrap());
+        parallelize(bind(&t.algebra, &store()), degree)
     }
 
     #[test]
-    fn parallelize_wraps_large_driving_scan() {
-        let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o } ORDER BY ?s").unwrap());
-        let plan = parallelize(bind(&t.algebra, &big_store()), &big_store(), 4, BASE);
+    fn parallelize_wraps_the_driving_scan() {
         // Exchange sits below the merge-side operators, above the BGP.
+        let plan = parallel_plan(&format!("{SCAN} ORDER BY ?s"), 4);
         let Plan::Project(_, inner) = plan else {
             panic!()
         };
@@ -806,102 +678,20 @@ mod tests {
 
     #[test]
     fn parallelize_does_not_cross_a_lazy_slice() {
-        let big = big_store();
         // LIMIT without ORDER BY: the skip/take stays lazy — an exchange
-        // below it would materialize the full input for a handful of rows.
-        let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o } LIMIT 3").unwrap());
-        let plan = parallelize(bind(&t.algebra, &big), &big, 4, BASE);
+        // below it could run ahead of a consumer about to hang up.
+        let plan = parallel_plan(&format!("{SCAN} LIMIT 3"), 4);
         assert!(!has_exchange(&plan), "{plan:?}");
         // ORDER BY + LIMIT: the sort materializes anyway, so the exchange
         // below it is fair game.
-        let t = translate(
-            &parse("SELECT ?s WHERE { ?s <http://x/p> ?o } ORDER BY ?s LIMIT 3").unwrap(),
-        );
-        let plan = parallelize(bind(&t.algebra, &big), &big, 4, BASE);
+        let plan = parallel_plan(&format!("{SCAN} ORDER BY ?s LIMIT 3"), 4);
         assert!(has_exchange(&plan), "{plan:?}");
     }
 
     #[test]
-    fn parallelize_skips_small_scans_and_degree_one() {
-        let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap());
-        // Tiny store: below the threshold, no Exchange.
-        let small = store();
-        let plan = parallelize(bind(&t.algebra, &small), &small, 4, BASE);
-        assert!(!has_exchange(&plan), "{plan:?}");
-        // Large store but degree 1: sequential plan unchanged.
-        let big = big_store();
-        let plan = parallelize(bind(&t.algebra, &big), &big, 1, BASE);
-        assert!(!has_exchange(&plan), "{plan:?}");
-    }
-
-    #[test]
-    fn adaptive_threshold_scales_with_pipeline_cost() {
-        let big = big_store();
-        let plan_for = |q: &str| {
-            let t = translate(&parse(q).unwrap());
-            let Plan::Project(_, inner) = bind(&t.algebra, &big) else {
-                panic!()
-            };
-            *inner
-        };
-        // Cheapest possible pipeline: scan and emit.
-        let scan = plan_for("SELECT ?s WHERE { ?s <http://x/p> ?o }");
-        // A BGP chain: several index probes per driving row.
-        let chain = plan_for(
-            "SELECT ?s WHERE { ?s <http://x/p> ?a . ?a <http://x/p> ?b . ?b <http://x/p> ?c . ?c <http://x/p> ?d }",
-        );
-        // A join against a large build side: per-probe fan-out dominates.
-        let join = plan_for("SELECT ?s WHERE { { ?s <http://x/p> ?o } { ?t <http://x/p> ?o } }");
-        let t_scan = parallel_threshold(&scan, &big, BASE);
-        let t_chain = parallel_threshold(&chain, &big, BASE);
-        let t_join = parallel_threshold(&join, &big, BASE);
-        assert!(
-            t_scan > t_chain && t_chain > t_join,
-            "thresholds must order by per-row cost: scan {t_scan} > chain {t_chain} > join {t_join}"
-        );
-        for t in [t_scan, t_chain, t_join] {
-            assert!((PARALLEL_MIN_THRESHOLD..=PARALLEL_MAX_THRESHOLD).contains(&t));
-        }
-        assert_eq!(
-            t_scan, PARALLEL_MAX_THRESHOLD,
-            "scan-and-emit clamps to the max threshold"
-        );
-    }
-
-    #[test]
-    fn threshold_base_overrides_scale_the_clamp_window() {
-        let big = big_store();
-        let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap());
-        let Plan::Project(_, scan) = bind(&t.algebra, &big) else {
-            panic!()
-        };
-        // A measured base scales the whole window: thresholds are
-        // monotone in the base, and a base outside the static window is
-        // honoured rather than clamped back into it.
-        let low = parallel_threshold(&scan, &big, 8);
-        let high = parallel_threshold(&scan, &big, 100_000);
-        assert!(
-            low < PARALLEL_MIN_THRESHOLD,
-            "low base escapes the static clamp: {low}"
-        );
-        assert!(
-            high > PARALLEL_MAX_THRESHOLD,
-            "high base escapes the static clamp: {high}"
-        );
-        assert!(low < parallel_threshold(&scan, &big, BASE));
-        // Base 0 is treated as 1, not a division hazard.
-        assert!(parallel_threshold(&scan, &big, 0) >= 1);
-    }
-
-    #[test]
-    fn parallelize_with_base_flips_the_fanout_decision() {
-        let big = big_store();
-        let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap());
-        // A tiny base forces the exchange even for a cheap pipeline…
-        let plan = parallelize(bind(&t.algebra, &big), &big, 4, 1);
-        assert!(has_exchange(&plan), "{plan:?}");
-        // …and a huge base suppresses it on the same store.
-        let plan = parallelize(bind(&t.algebra, &big), &big, 4, u64::MAX / 16);
+    fn parallelize_skips_degree_one() {
+        assert!(has_exchange(&parallel_plan(SCAN, 2)));
+        let plan = parallel_plan(SCAN, 1);
         assert!(!has_exchange(&plan), "{plan:?}");
     }
 }

@@ -1,16 +1,22 @@
-//! Lifecycle tests for the detached streaming exchange, built on the
-//! debug-only counters in `sp2b_sparql::par::diag`:
+//! Lifecycle tests for the exchange, built on the gauges and debug-only
+//! hooks in `sp2b_sparql::par::diag`:
 //!
+//! * **fan-out is earned** — under the default budget a short query runs
+//!   every morsel on the consumer's thread and never spawns; with the
+//!   budget at zero, or used up inside morsel 0, the rest goes to workers
+//!   and the rows come out in the sequential order all the same;
 //! * **flat memory** — the high-water mark of in-flight merge batches
 //!   during a full-scan query never exceeds the bounded channel's
 //!   capacity (plus the single batch the merger holds while accounting);
-//! * **no thread leak** — dropping a `Solutions` stream early (after one
-//!   row) or exhausting it joins every detached worker thread;
+//! * **no thread leak** — dropping a `Solutions` stream early (before or
+//!   just after the hand-off), cancelling or exhausting it joins every
+//!   detached worker thread;
 //! * **a dying worker fails the query** — a worker that panics mid-scan
 //!   surfaces as that panic in the consumer, not as a hang and not as a
 //!   shorter answer.
 //!
-//! The counters are process-wide, so the tests serialize on a mutex.
+//! The gauges and hooks are process-wide, so the tests serialize on a
+//! mutex.
 
 #![cfg(debug_assertions)]
 
@@ -18,7 +24,7 @@ use std::sync::Mutex;
 
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::diag;
-use sp2b_sparql::{Cancellation, Error, QueryEngine, QueryOptions};
+use sp2b_sparql::{exchange_lines, Cancellation, Error, QueryEngine, QueryOptions, ScanCounters};
 use sp2b_store::{NativeStore, SharedStore, TripleStore};
 
 /// Counter serialization: one exchange under observation at a time.
@@ -44,9 +50,134 @@ fn engine(parallelism: usize) -> QueryEngine {
 
 const FULL_SCAN: &str = "SELECT ?s ?v WHERE { ?s <http://x/p> ?v }";
 
+/// Morsels of `FULL_SCAN` at parallelism 4, 750 rows each.
+const MORSELS: usize = 4 * sp2b_sparql::par::MORSELS_PER_WORKER;
+
+/// The fan-out budget at zero while it lives: exchanges hand off after
+/// morsel 0 however short the query. Restores the default on drop, also
+/// when the test panics.
+struct ZeroBudget;
+
+impl ZeroBudget {
+    fn set() -> ZeroBudget {
+        diag::fan_out_at_once(true);
+        ZeroBudget
+    }
+}
+
+impl Drop for ZeroBudget {
+    fn drop(&mut self) {
+        diag::fan_out_at_once(false);
+    }
+}
+
+/// The `?v` column of every row, in the order the stream delivers them.
+fn values(engine: &QueryEngine, query: &str) -> Vec<i64> {
+    let prepared = engine.prepare(query).unwrap();
+    engine
+        .solutions(&prepared)
+        .map(|solution| {
+            let Some(Term::Literal(lit)) = solution.unwrap().get(1) else {
+                panic!("?v must be an integer literal")
+            };
+            lit.as_integer().unwrap()
+        })
+        .collect()
+}
+
+/// A query that finishes inside the default budget never leaves the
+/// consumer's thread, whatever the parallelism — and `--explain` says so.
+#[test]
+fn a_short_query_runs_every_morsel_inline_and_spawns_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Three rows a morsel: microseconds of work against a millisecond.
+    let short = "SELECT ?s ?v WHERE { ?s <http://x/p> ?v FILTER (?v < 48) }";
+    let mut g = Graph::new();
+    for i in 0..48 {
+        g.add(
+            Subject::iri(format!("http://x/s{i:02}")),
+            Iri::new("http://x/p"),
+            Term::Literal(Literal::integer(i)),
+        );
+    }
+    let counters = std::sync::Arc::new(ScanCounters::default());
+    let options = QueryOptions::new().parallelism(4);
+    let engine = QueryEngine::with_options(NativeStore::from_graph(&g).into_shared(), options)
+        .scan_counters(counters.clone());
+    let prepared = engine.prepare(short).unwrap();
+    assert!(sp2b_sparql::plan::has_exchange(prepared.plan()));
+    let fan_outs = diag::fan_outs();
+    let mut rows = 0;
+    for solution in engine.solutions(&prepared) {
+        solution.unwrap();
+        rows += 1;
+        assert_eq!(diag::live_workers(), 0, "after row {rows}");
+    }
+    assert_eq!(rows, 48);
+    assert_eq!(diag::fan_outs(), fan_outs);
+    assert_eq!(
+        exchange_lines(&prepared, &counters),
+        [format!(
+            "exchange ×4 over step 1: {MORSELS} morsels, all inline"
+        )]
+    );
+}
+
+/// Whenever the hand-off happens — at once, or when morsel 0 alone uses
+/// up the default budget — workers take over *after* the morsels the
+/// consumer evaluated, and the row sequence is the sequential one.
+#[test]
+fn a_hand_off_at_any_point_keeps_the_sequential_row_order() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let sequential = values(&engine(1), FULL_SCAN);
+    assert_eq!(sequential.len() as i64, TRIPLES);
+    let handed_off = |what: &str| {
+        let counters = std::sync::Arc::new(ScanCounters::default());
+        let engine = engine(4).scan_counters(counters.clone());
+        let fan_outs = diag::fan_outs();
+        assert_eq!(values(&engine, FULL_SCAN), sequential, "{what}");
+        assert_eq!(diag::fan_outs(), fan_outs + 1, "{what}");
+        assert_eq!(diag::live_workers(), 0, "{what}");
+        let prepared = engine.prepare(FULL_SCAN).unwrap();
+        assert_eq!(
+            exchange_lines(&prepared, &counters),
+            [format!(
+                "exchange ×4 over step 1: morsels 0–0 of {MORSELS} inline, 1–{} on 4 workers",
+                MORSELS - 1
+            )],
+            "{what}"
+        );
+    };
+    {
+        let _zero = ZeroBudget::set();
+        handed_off("budget zero");
+    }
+    let _guard = StallGuard;
+    diag::stall_morsel(0, 20);
+    handed_off("morsel 0 outlasts the default budget");
+}
+
+#[test]
+fn pre_triggered_cancellation_yields_nothing_and_spawns_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _zero = ZeroBudget::set();
+    let engine = engine(4);
+    let prepared = engine.prepare(FULL_SCAN).unwrap();
+    let cancel = Cancellation::none();
+    cancel.cancel();
+    let fan_outs = diag::fan_outs();
+    let mut stream = engine.solutions_with(&prepared, &cancel);
+    assert!(matches!(stream.next(), Some(Err(Error::Cancelled))));
+    assert!(stream.next().is_none());
+    assert_eq!(engine.count_with(&prepared, &cancel).ok(), None);
+    assert_eq!(diag::fan_outs(), fan_outs);
+    assert_eq!(diag::live_workers(), 0);
+}
+
 #[test]
 fn full_scan_stays_within_the_channel_bound() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _zero = ZeroBudget::set();
     let engine = engine(4);
     let prepared = engine.prepare(FULL_SCAN).unwrap();
     diag::reset_channel_stats();
@@ -70,21 +201,27 @@ fn full_scan_stays_within_the_channel_bound() {
 }
 
 #[test]
-fn dropping_a_stream_after_one_row_joins_every_worker() {
+fn dropping_a_stream_early_joins_every_worker() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _zero = ZeroBudget::set();
     let engine = engine(4);
     let prepared = engine.prepare(FULL_SCAN).unwrap();
-    {
+    let morsel = TRIPLES as usize / MORSELS;
+    // One row: still in morsel 0, on the consumer's thread. One row past
+    // morsel 0: the workers have just been spawned.
+    for (rows, handed_off) in [(1, false), (morsel + 1, true)] {
         let mut stream = engine.solutions(&prepared);
-        let first = stream.next().expect("at least one row").unwrap();
-        assert!(first.get(0).is_some());
-        // Dropped here, TRIPLES - 1 rows early.
+        for _ in 0..rows {
+            stream.next().expect("rows left").unwrap();
+        }
+        assert_eq!(diag::live_workers() > 0, handed_off, "after {rows} rows");
+        drop(stream); // with most of the result unread
+        assert_eq!(
+            diag::live_workers(),
+            0,
+            "dropping Solutions after {rows} rows must terminate and join every worker"
+        );
     }
-    assert_eq!(
-        diag::live_workers(),
-        0,
-        "dropping Solutions must terminate and join every detached worker"
-    );
 }
 
 /// Clears the morsel-stall fault injection even when the test panics.
@@ -96,7 +233,8 @@ impl Drop for StallGuard {
     }
 }
 
-/// Skew regression: an artificially slow *first* morsel must not let the
+/// Skew regression: an artificially slow first morsel *of the workers'*
+/// (morsel 0 is the consumer's) must not let the
 /// merger park the whole rest of the scan. Workers pause claiming more
 /// than `MAX_MERGE_AHEAD` morsels past the merge front, so the parked
 /// out-of-order buffer stays within that window — before the bound, this
@@ -105,7 +243,8 @@ impl Drop for StallGuard {
 fn slow_first_morsel_keeps_parked_batches_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = StallGuard;
-    diag::stall_morsel(0, 150);
+    let _zero = ZeroBudget::set();
+    diag::stall_morsel(1, 150);
     let engine = engine(4);
     let prepared = engine.prepare(FULL_SCAN).unwrap();
     diag::reset_channel_stats();
@@ -138,9 +277,8 @@ fn slow_first_morsel_keeps_parked_batches_bounded() {
     // deriving it keeps the test honest if TRIPLES or the tuning
     // constants change. Without the bound, the stalled first morsel
     // would park nearly every other morsel's batches (≈ n_morsels - 1).
-    let n_morsels = 4 * sp2b_sparql::par::MORSELS_PER_WORKER; // degree × over-partitioning
     let batches_per_morsel = (TRIPLES as usize)
-        .div_ceil(n_morsels)
+        .div_ceil(MORSELS)
         .div_ceil(sp2b_sparql::par::BATCH_ROWS)
         + 1;
     let bound = sp2b_sparql::par::MAX_MERGE_AHEAD * batches_per_morsel;
@@ -156,11 +294,15 @@ fn slow_first_morsel_keeps_parked_batches_bounded() {
 #[test]
 fn cancellation_mid_stream_stops_and_joins_workers() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _zero = ZeroBudget::set();
     let engine = engine(4);
     let prepared = engine.prepare(FULL_SCAN).unwrap();
     let cancel = Cancellation::none();
     let mut stream = engine.solutions_with(&prepared, &cancel);
-    assert!(stream.next().unwrap().is_ok(), "stream starts fine");
+    for _ in 0..=TRIPLES as usize / MORSELS {
+        assert!(stream.next().unwrap().is_ok(), "stream starts fine");
+    }
+    assert!(diag::live_workers() > 0, "past morsel 0 the workers run");
     cancel.cancel();
     assert!(matches!(stream.next(), Some(Err(Error::Cancelled))));
     assert!(stream.next().is_none(), "error terminates the stream");
@@ -200,18 +342,18 @@ fn a_failing_morsel_panics_the_consumer_instead_of_hanging_or_truncating() {
 
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = FailGuard;
+    let _zero = ZeroBudget::set();
     let (graph, _) = sp2b_datagen::generate_graph(sp2b_datagen::Config::triples(10_000));
     let store = NativeStore::from_graph(&graph).into_shared();
     for degree in [2, 4] {
-        // Base 1 forces the exchange on this small document.
-        let options = QueryOptions::new().parallelism(degree).parallel_base(1);
+        let options = QueryOptions::new().parallelism(degree);
         let engine = QueryEngine::with_options(store.clone(), options);
         let prepared = engine.prepare(Q4).unwrap();
-        assert!(sp2b_sparql::plan::has_exchange(prepared.plan()));
         let expected = engine.count(&prepared).unwrap();
         assert!(expected > 0);
         let morsels = degree * sp2b_sparql::par::MORSELS_PER_WORKER;
-        for failing in [0, morsels - 1] {
+        // The workers' first morsel (0 is the consumer's) and their last.
+        for failing in [1, morsels - 1] {
             diag::fail_morsel(failing);
             let (tx, rx) = channel();
             let (engine, query) = (engine.clone(), engine.prepare(Q4).unwrap());

@@ -106,7 +106,7 @@ impl From<io::Error> for SegmentError {
     }
 }
 
-fn invalid(msg: impl Into<String>) -> SegmentError {
+pub(crate) fn invalid(msg: impl Into<String>) -> SegmentError {
     SegmentError::Invalid(msg.into())
 }
 
@@ -645,10 +645,9 @@ pub fn read_stats(dir: &Path, header: &SegmentHeader) -> Result<Vec<StoreStats>,
     let mut out = Vec::with_capacity(header.shards.len());
     for (i, meta) in header.shards.iter().enumerate() {
         let len = cur.u32()? as usize;
-        let blob = cur.take(len)?;
-        let (stats, rest) = StoreStats::decode(blob)
-            .map_err(|e| invalid(format!("statistics of shard {i} are corrupt: {e}")))?;
-        if !rest.is_empty() {
+        let mut blob = Cursor::new(cur.take(len)?, "shard statistics");
+        let stats = StoreStats::decode(&mut blob)?;
+        if !blob.done() {
             return Err(invalid(format!(
                 "statistics of shard {i} hold trailing bytes"
             )));
@@ -905,15 +904,16 @@ pub fn decode_terms(bytes: &[u8]) -> Result<Dictionary, SegmentError> {
     Ok(dict)
 }
 
-/// A bounds-checked little-endian reader over a byte section.
-struct Cursor<'a> {
+/// A bounds-checked little-endian reader over a byte section — the one
+/// every decoder of the format reads through.
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     what: &'static str,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8], what: &'static str) -> Self {
+    pub(crate) fn new(bytes: &'a [u8], what: &'static str) -> Self {
         Cursor {
             bytes,
             pos: 0,
@@ -921,7 +921,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
@@ -940,13 +940,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn u32(&mut self) -> Result<u32, SegmentError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SegmentError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    fn u64(&mut self) -> Result<u64, SegmentError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, SegmentError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))

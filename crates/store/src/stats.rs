@@ -22,6 +22,7 @@
 
 use crate::dictionary::{Id, IdTriple};
 use crate::hash::FxHashMap;
+use crate::segment::{invalid, Cursor, SegmentError};
 use crate::traits::Pattern;
 
 /// Distinct characteristic sets beyond which collection is abandoned:
@@ -355,10 +356,9 @@ impl StoreStats {
         out
     }
 
-    /// Deserializes a summary written by [`StoreStats::encode`],
-    /// consuming from the front of `bytes` and returning the remainder.
-    pub fn decode(bytes: &[u8]) -> Result<(StoreStats, &[u8]), String> {
-        let mut cur = Reader { bytes };
+    /// Deserializes a summary written by [`StoreStats::encode`] from
+    /// where `cur` stands, leaving it behind the summary.
+    pub(crate) fn decode(cur: &mut Cursor<'_>) -> Result<StoreStats, SegmentError> {
         let triples = cur.u64()?;
         let distinct_subjects = cur.u64()?;
         let distinct_objects = cur.u64()?;
@@ -374,9 +374,9 @@ impl StoreStats {
         }
         let n_sets = cur.u32()? as usize;
         if n_sets > MAX_CHARACTERISTIC_SETS {
-            return Err(format!(
-                "stats section corrupt: {n_sets} characteristic sets exceeds the cap"
-            ));
+            return Err(invalid(format!(
+                "statistics are corrupt: {n_sets} characteristic sets exceeds the cap"
+            )));
         }
         let mut characteristic_sets = Vec::with_capacity(n_sets);
         for _ in 0..n_sets {
@@ -394,16 +394,13 @@ impl StoreStats {
                 pred_triples: counts,
             });
         }
-        Ok((
-            StoreStats {
-                triples,
-                distinct_subjects,
-                distinct_objects,
-                predicates,
-                characteristic_sets,
-            },
-            cur.bytes,
-        ))
+        Ok(StoreStats {
+            triples,
+            distinct_subjects,
+            distinct_objects,
+            predicates,
+            characteristic_sets,
+        })
     }
 }
 
@@ -430,34 +427,6 @@ fn is_subset(needle: &[Id], haystack: &[Id]) -> bool {
         return false;
     }
     true
-}
-
-/// Minimal little-endian front reader for [`StoreStats::decode`].
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() < n {
-            return Err("stats section truncated".into());
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -563,24 +532,23 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips() {
-        let s = StoreStats::from_triples(&sample());
-        let bytes = s.encode();
-        let (back, rest) = StoreStats::decode(&bytes).expect("decode");
-        assert!(rest.is_empty());
-        assert_eq!(back, s);
-
-        let empty = StoreStats::from_triples(&[]);
-        let empty_bytes = empty.encode();
-        let (back, rest) = StoreStats::decode(&empty_bytes).expect("decode empty");
-        assert!(rest.is_empty());
-        assert_eq!(back, empty);
+        for s in [
+            StoreStats::from_triples(&sample()),
+            StoreStats::from_triples(&[]),
+        ] {
+            let bytes = s.encode();
+            let mut cur = Cursor::new(&bytes, "stats");
+            assert_eq!(StoreStats::decode(&mut cur).expect("decode"), s);
+            assert!(cur.done());
+        }
     }
 
     #[test]
     fn decode_rejects_truncation() {
         let bytes = StoreStats::from_triples(&sample()).encode();
         for cut in [0, 8, bytes.len() - 1] {
-            assert!(StoreStats::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            let mut cur = Cursor::new(&bytes[..cut], "stats");
+            assert!(StoreStats::decode(&mut cur).is_err(), "cut {cut}");
         }
     }
 

@@ -6,12 +6,15 @@
 //! under a pre-triggered cancellation, with a row limit applied, and
 //! when the streaming iterator is dropped early (the detached-worker
 //! exchange must deliver identical prefixes and then tear down
-//! cleanly).
+//! cleanly). And on every engine configuration and store layout the row
+//! *sequence* is the sequential one, whether the exchange keeps to the
+//! consumer's thread (the default budget, on documents this small) or
+//! hands off after its first morsel (the budget forced to zero).
 
-use sp2bench::core::{BenchQuery, ExtQuery};
+use sp2bench::core::{BenchQuery, Engine, EngineKind, ExtQuery, StoreLayout};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{Cancellation, Error, QueryEngine, QueryOptions, QueryResult};
-use sp2bench::store::{MemStore, NativeStore, SharedStore, TripleStore};
+use sp2bench::store::{save_graph, MemStore, NativeStore, ShardBy, SharedStore, TripleStore};
 
 const TRIPLES: u64 = 8_000;
 const PARALLEL_DEGREES: [usize; 3] = [2, 4, 8];
@@ -220,39 +223,64 @@ fn queries_with_limit_modifiers_agree_in_order() {
     }
 }
 
+/// Row sequences, not multisets: every benchmark and extension query on
+/// all four engine configurations over a monolithic and a sharded store,
+/// and on the native ones over saved segments, returns at parallelism 2
+/// and 4 exactly the rows of parallelism 1 in exactly their order — Q6
+/// (left join keyed on `?author = ?author2`) and Q5a (two BGP components
+/// joined on `?name = ?name2`) included, which have no ORDER BY. Once
+/// under the default fan-out budget, which nothing this small outlives,
+/// and (debug builds) once with the budget at zero, where workers
+/// evaluate every morsel but the first. The only test of this binary that
+/// touches the process-wide budget; the others hold under either.
 #[test]
-fn equality_hash_joins_keep_row_order_under_parallelism() {
-    // Q6 (left join keyed on `?author = ?author2`) and Q5a (two BGP
-    // components joined on `?name = ?name2`) have no ORDER BY, yet the
-    // exchange merges in morsel order and both builds file rows in scan
-    // order — so the rows come out in the sequential order exactly.
-    let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
-    for q in [BenchQuery::Q6, BenchQuery::Q5a] {
-        let rows_at = |degree: usize| {
-            // Base 1 forces the exchange (and the partitioned build) even
-            // on a document this small.
-            let engine = QueryEngine::with_options(
-                store.clone(),
-                QueryOptions::new().parallelism(degree).parallel_base(1),
-            );
-            let prepared = engine.prepare(q.text()).unwrap();
-            assert_eq!(
-                sp2bench::sparql::plan::has_exchange(prepared.plan()),
-                degree > 1,
-                "{q}@{degree}"
-            );
-            let QueryResult::Solutions { rows, .. } = engine.execute(&prepared).unwrap() else {
-                panic!("{q} is a SELECT")
-            };
-            rows
-        };
-        let sequential = rows_at(1);
-        assert!(!sequential.is_empty(), "{q}");
-        for degree in [2, 4] {
-            assert_eq!(rows_at(degree), sequential, "{q}@{degree}: ordered rows");
+fn row_sequences_do_not_depend_on_parallelism_or_the_fan_out_budget() {
+    let (graph, _) = generate_graph(Config::triples(1_500));
+    let dir = std::env::temp_dir().join(format!("sp2b-par-eq-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).expect("create scratch dir");
+    save_graph(&dir, &graph, 2, ShardBy::Subject).expect("save");
+
+    let mut engines: Vec<(String, Engine)> = Vec::new();
+    for kind in EngineKind::ALL {
+        engines.push((kind.to_string(), Engine::load(kind, &graph)));
+        let layout = StoreLayout::sharded(3, ShardBy::Subject);
+        let sharded = Engine::load_with(kind, &graph, &layout);
+        engines.push((format!("{kind} × 3 shards"), sharded));
+        if kind.is_native() {
+            let disk = Engine::open_disk(kind, &dir, Some(64 * 1024)).expect("open");
+            engines.push((format!("{kind} on disk"), disk));
         }
     }
+    let rows_at = |engine: &Engine, text: &str, degree: usize| {
+        let engine = engine.query_engine_with(None, Some(degree));
+        engine.execute(&engine.prepare(text).expect("prepares"))
+    };
+    let agree = |budget: &str| {
+        for (name, engine) in &engines {
+            for (label, text) in all_query_texts() {
+                let sequential = rows_at(engine, text, 1).expect("evaluates");
+                for degree in [2, 4] {
+                    let parallel = rows_at(engine, text, degree).expect("evaluates");
+                    assert!(
+                        parallel == sequential,
+                        "{label} on {name} @{degree}, {budget}: rows or their order changed"
+                    );
+                }
+            }
+        }
+    };
+    agree("default budget");
+    #[cfg(debug_assertions)]
+    {
+        use sp2bench::sparql::par::diag;
+        let fan_outs = diag::fan_outs();
+        diag::fan_out_at_once(true);
+        agree("budget zero");
+        diag::fan_out_at_once(false);
+        assert!(diag::fan_outs() > fan_outs, "the workers were exercised");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
