@@ -217,7 +217,7 @@ fn open_engine(args: &Args, default_triples: u64) -> Result<Engine, String> {
         }
     };
     if !args.has("quiet") {
-        eprintln!("{source} into {kind} ({})", engine.loading.summary());
+        eprintln!("{source} into {kind} ({})", engine.load_summary());
         let facts = [
             engine.shards().map(|info| info.summary()),
             engine.stats_summary(),

@@ -350,6 +350,20 @@ impl Engine {
         ))
     }
 
+    /// What loading took and what the dictionary it filled costs, for
+    /// the load line: `tme=0.3012s usr+sys=0.2900s, terms 124388,
+    /// dictionary 12.0 MiB` (arena, spans and id table — the part of a
+    /// store that is resident whatever the backend).
+    pub fn load_summary(&self) -> String {
+        let dict = self.store.dictionary();
+        format!(
+            "{}, terms {}, dictionary {:.1} MiB",
+            self.loading.summary(),
+            dict.len(),
+            dict.heap_bytes() as f64 / (1 << 20) as f64
+        )
+    }
+
     /// One human line of the out-of-core block cache's counters, or
     /// `None` for fully in-memory stores. Counters are cumulative over
     /// the engine's lifetime, so printing this after a workload shows

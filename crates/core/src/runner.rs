@@ -296,7 +296,7 @@ fn run_engine(
     });
     progress(&format!(
         "loaded {scale} triples into {kind} ({})",
-        engine.loading.summary()
+        engine.load_summary()
     ));
 
     for &query in &cfg.queries {

@@ -1,7 +1,8 @@
 //! # sp2b-rdf — RDF data model substrate
 //!
 //! The foundation layer of the SP²Bench reproduction: RDF terms
-//! ([`Term`], [`Iri`], [`BlankNode`], [`Literal`]), triples ([`Triple`]),
+//! ([`Term`], [`Iri`], [`BlankNode`], [`Literal`], and the borrowed views
+//! [`TermRef`]/[`LiteralRef`] a store decodes ids to), triples ([`Triple`]),
 //! the vocabularies used by the DBLP scenario ([`vocab`]) and a fast
 //! N-Triples serializer/parser ([`ntriples`]).
 //!
@@ -19,5 +20,5 @@ pub mod triple;
 pub mod vocab;
 
 pub use graph::Graph;
-pub use term::{BlankNode, Iri, Literal, Subject, Term};
+pub use term::{BlankNode, Iri, Literal, LiteralRef, Subject, Term, TermRef};
 pub use triple::Triple;

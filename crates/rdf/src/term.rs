@@ -124,28 +124,78 @@ impl Literal {
 
     /// True if the datatype is `xsd:integer` and the lexical form parses.
     pub fn as_integer(&self) -> Option<i64> {
-        match &self.datatype {
-            Some(dt) if dt.as_str() == xsd::INTEGER => self.lexical.parse().ok(),
-            _ => None,
-        }
+        self.as_ref().as_integer()
     }
 
     /// True if this is a plain or `xsd:string` literal.
     pub fn is_stringish(&self) -> bool {
-        match &self.datatype {
-            None => self.language.is_none(),
-            Some(dt) => dt.as_str() == xsd::STRING,
+        self.as_ref().is_stringish()
+    }
+
+    /// The borrowed view of this literal.
+    pub fn as_ref(&self) -> LiteralRef<'_> {
+        LiteralRef {
+            lexical: &self.lexical,
+            datatype: self.datatype.as_ref().map(Iri::as_str),
+            language: self.language.as_deref(),
         }
     }
 }
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// A [`Literal`] whose strings are borrowed — from an owned literal, or
+/// from wherever a store keeps its terms. `Copy`; everything an owned
+/// literal answers (value views, `Display`) is defined here, and
+/// [`Literal`] delegates, so the two cannot disagree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LiteralRef<'a> {
+    /// The lexical form (unescaped).
+    pub lexical: &'a str,
+    /// Datatype IRI, if the literal is typed.
+    pub datatype: Option<&'a str>,
+    /// Language tag, if the literal is language-tagged.
+    pub language: Option<&'a str>,
+}
+
+impl LiteralRef<'_> {
+    /// True if the datatype is `xsd:integer` and the lexical form parses.
+    pub fn as_integer(&self) -> Option<i64> {
+        match self.datatype {
+            Some(xsd::INTEGER) => self.lexical.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// True if this is a plain or `xsd:string` literal.
+    pub fn is_stringish(&self) -> bool {
+        match self.datatype {
+            None => self.language.is_none(),
+            Some(dt) => dt == xsd::STRING,
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_literal(&self) -> Literal {
+        Literal {
+            lexical: self.lexical.to_owned(),
+            datatype: self.datatype.map(Iri::new),
+            language: self.language.map(str::to_owned),
+        }
+    }
+}
+
+impl fmt::Display for LiteralRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "\"{}\"", self.lexical)?;
-        if let Some(lang) = &self.language {
+        if let Some(lang) = self.language {
             write!(f, "@{lang}")?;
-        } else if let Some(dt) = &self.datatype {
-            write!(f, "^^{dt}")?;
+        } else if let Some(dt) = self.datatype {
+            write!(f, "^^<{dt}>")?;
         }
         Ok(())
     }
@@ -194,13 +244,12 @@ impl Term {
         matches!(self, Term::Blank(_))
     }
 
-    /// Rank used for cross-kind ordering (SPARQL `ORDER BY` total order:
-    /// blank nodes < IRIs < literals).
-    fn kind_rank(&self) -> u8 {
+    /// The borrowed view of this term.
+    pub fn as_ref(&self) -> TermRef<'_> {
         match self {
-            Term::Blank(_) => 0,
-            Term::Iri(_) => 1,
-            Term::Literal(_) => 2,
+            Term::Iri(i) => TermRef::Iri(i.as_str()),
+            Term::Blank(b) => TermRef::Blank(b.as_str()),
+            Term::Literal(l) => TermRef::Literal(l.as_ref()),
         }
     }
 }
@@ -218,28 +267,102 @@ impl PartialOrd for Term {
 /// exists so results can be sorted deterministically.
 impl Ord for Term {
     fn cmp(&self, other: &Self) -> Ordering {
+        self.as_ref().cmp(&other.as_ref())
+    }
+}
+
+impl fmt::Display for Term {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// A [`Term`] whose strings are borrowed: what a dictionary hands out
+/// for an id, and what an owned term lends ([`Term::as_ref`]) so one
+/// comparison, one `Display` and one hash serve both. `Copy`, and
+/// building one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TermRef<'a> {
+    /// An IRI, in full resolved form.
+    Iri(&'a str),
+    /// A blank node, by label (without the `_:` prefix).
+    Blank(&'a str),
+    /// A literal.
+    Literal(LiteralRef<'a>),
+}
+
+impl TermRef<'_> {
+    /// An owned copy.
+    pub fn to_term(&self) -> Term {
+        match self {
+            TermRef::Iri(i) => Term::iri(*i),
+            TermRef::Blank(b) => Term::blank(*b),
+            TermRef::Literal(l) => Term::Literal(l.to_literal()),
+        }
+    }
+
+    /// Rank used for cross-kind ordering (SPARQL `ORDER BY` total order:
+    /// blank nodes < IRIs < literals).
+    fn kind_rank(&self) -> u8 {
+        match self {
+            TermRef::Blank(_) => 0,
+            TermRef::Iri(_) => 1,
+            TermRef::Literal(_) => 2,
+        }
+    }
+}
+
+impl PartialOrd for TermRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TermRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
-            (Term::Blank(a), Term::Blank(b)) => a.cmp(b),
-            (Term::Iri(a), Term::Iri(b)) => a.cmp(b),
-            (Term::Literal(a), Term::Literal(b)) => {
+            (TermRef::Blank(a), TermRef::Blank(b)) => a.cmp(b),
+            (TermRef::Iri(a), TermRef::Iri(b)) => a.cmp(b),
+            (TermRef::Literal(a), TermRef::Literal(b)) => {
                 // Numeric literals compare by value so ORDER BY ?yr is
                 // chronological rather than lexicographic.
                 if let (Some(x), Some(y)) = (a.as_integer(), b.as_integer()) {
                     return x.cmp(&y);
                 }
-                (&a.lexical, &a.datatype, &a.language).cmp(&(&b.lexical, &b.datatype, &b.language))
+                (a.lexical, a.datatype, a.language).cmp(&(b.lexical, b.datatype, b.language))
             }
             _ => self.kind_rank().cmp(&other.kind_rank()),
         }
     }
 }
 
-impl fmt::Display for Term {
+impl fmt::Display for TermRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Iri(i) => i.fmt(f),
-            Term::Blank(b) => b.fmt(f),
-            Term::Literal(l) => l.fmt(f),
+            TermRef::Iri(i) => write!(f, "<{i}>"),
+            TermRef::Blank(b) => write!(f, "_:{b}"),
+            TermRef::Literal(l) => l.fmt(f),
+        }
+    }
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(t: &'a Term) -> Self {
+        t.as_ref()
+    }
+}
+
+impl<'a> From<&'a Iri> for TermRef<'a> {
+    fn from(i: &'a Iri) -> Self {
+        TermRef::Iri(i.as_str())
+    }
+}
+
+impl<'a> From<&'a Subject> for TermRef<'a> {
+    fn from(s: &'a Subject) -> Self {
+        match s {
+            Subject::Iri(i) => TermRef::Iri(i.as_str()),
+            Subject::Blank(b) => TermRef::Blank(b.as_str()),
         }
     }
 }

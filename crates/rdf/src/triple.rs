@@ -31,15 +31,6 @@ impl Triple {
             object: object.into(),
         }
     }
-
-    /// The three positions widened to [`Term`]s, in (s, p, o) order.
-    pub fn to_terms(&self) -> [Term; 3] {
-        [
-            self.subject.to_term(),
-            Term::Iri(self.predicate.clone()),
-            self.object.clone(),
-        ]
-    }
 }
 
 impl fmt::Display for Triple {

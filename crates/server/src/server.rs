@@ -677,6 +677,12 @@ fn register_metrics(
     );
     let e = engine.clone();
     reg.gauge_fn(
+        "sp2b_dictionary_bytes",
+        "Heap bytes of the served store's dictionary (arena, spans, id table)",
+        move || e.store().dictionary().heap_bytes() as i64,
+    );
+    let e = engine.clone();
+    reg.gauge_fn(
         "sp2b_store_triples",
         "Triples in the served store",
         move || e.store().len() as i64,

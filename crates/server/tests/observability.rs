@@ -117,11 +117,13 @@ fn metrics_is_valid_exposition_with_the_advertised_series() {
         "sp2b_cache_hits_total",
         "sp2b_cache_misses_total",
         "sp2b_exchange_live_workers",
+        "sp2b_dictionary_bytes",
         "sp2b_store_triples",
         "sp2b_slow_queries_total",
     ] {
         series(text, name);
     }
+    assert!(series(text, "sp2b_dictionary_bytes") > 0.0, "{text}");
     assert!(
         text.contains("sp2b_request_seconds_bucket{le=\"+Inf\"}"),
         "{text}"

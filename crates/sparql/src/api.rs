@@ -32,7 +32,8 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use sp2b_rdf::Term;
+use sp2b_rdf::vocab::xsd;
+use sp2b_rdf::{LiteralRef, Term, TermRef};
 use sp2b_store::{Dictionary, Id, SharedStore, TripleStore};
 
 use std::sync::Arc;
@@ -813,19 +814,29 @@ impl Solution<'_> {
         self.len() == 0
     }
 
-    /// Decodes column `i` (`None` when unbound or out of range).
-    pub fn get(&self, i: usize) -> Option<Term> {
-        match &self.row {
-            SolutionRow::Bindings {
-                bindings,
-                projection,
-            } => projection
-                .get(i)
-                .and_then(|&v| bindings.get(v))
-                .map(|id| self.dict.decode(id).clone()),
-            SolutionRow::Cells(cells) => cells.get(i)?.decode(self.dict),
-            SolutionRow::Empty => None,
+    /// Reads column `i` through a borrowed view (`None` when unbound or
+    /// out of range): a bound variable or group key lends the
+    /// dictionary's own bytes, a COUNT its computed value as an
+    /// `xsd:integer` literal. Nothing is cloned — what the serializers
+    /// read a cell with.
+    pub fn with_term<R>(&self, i: usize, read: impl FnOnce(TermRef<'_>) -> R) -> Option<R> {
+        if let SolutionRow::Cells(cells) = &self.row {
+            if let AggCell::Count(n) = cells.get(i)? {
+                let count = LiteralRef {
+                    lexical: &n.to_string(),
+                    datatype: Some(xsd::INTEGER),
+                    language: None,
+                };
+                return Some(read(TermRef::Literal(count)));
+            }
         }
+        self.id(i).map(|id| read(self.dict.decode(id)))
+    }
+
+    /// Decodes column `i` into an owned term (`None` when unbound or out
+    /// of range).
+    pub fn get(&self, i: usize) -> Option<Term> {
+        self.with_term(i, |term| term.to_term())
     }
 
     /// The dictionary id of column `i` without decoding — `None` when

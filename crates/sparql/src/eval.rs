@@ -798,7 +798,7 @@ impl<'a> EvalContext<'a> {
                                 Ordering::Equal
                             } else {
                                 let dict = self.store.dictionary();
-                                dict.decode(x).cmp(dict.decode(y))
+                                dict.decode(x).cmp(&dict.decode(y))
                             }
                         }
                     };
@@ -931,17 +931,6 @@ pub enum AggCell {
     Count(u64),
 }
 
-impl AggCell {
-    /// Materializes the cell against a dictionary.
-    pub fn decode(&self, dict: &Dictionary) -> Option<Term> {
-        match self {
-            AggCell::Unbound => None,
-            AggCell::Key(id) => Some(dict.decode(*id).clone()),
-            AggCell::Count(n) => Some(Term::Literal(Literal::integer(*n as i64))),
-        }
-    }
-}
-
 /// An aggregated output row: group keys then counts, in output-column
 /// order.
 pub type AggRow = Vec<AggCell>;
@@ -959,15 +948,15 @@ fn compare_agg_cells(dict: &Dictionary, a: &AggCell, b: &AggCell) -> std::cmp::O
             if x == y {
                 Ordering::Equal
             } else {
-                dict.decode(*x).cmp(dict.decode(*y))
+                dict.decode(*x).cmp(&dict.decode(*y))
             }
         }
         (AggCell::Key(x), AggCell::Count(n)) => dict
             .decode(*x)
-            .cmp(&Term::Literal(Literal::integer(*n as i64))),
-        (AggCell::Count(n), AggCell::Key(y)) => {
-            Term::Literal(Literal::integer(*n as i64)).cmp(dict.decode(*y))
-        }
+            .cmp(&Term::Literal(Literal::integer(*n as i64)).as_ref()),
+        (AggCell::Count(n), AggCell::Key(y)) => Term::Literal(Literal::integer(*n as i64))
+            .as_ref()
+            .cmp(&dict.decode(*y)),
     }
 }
 

@@ -12,8 +12,8 @@
 use std::cmp::Ordering;
 
 use sp2b_rdf::vocab::xsd;
-use sp2b_rdf::{Literal, Term};
-use sp2b_store::{Id, TripleStore};
+use sp2b_rdf::{LiteralRef, Term, TermRef};
+use sp2b_store::{Dictionary, Id, TripleStore};
 
 use crate::algebra::Expr;
 use crate::ast::CmpOp;
@@ -31,16 +31,25 @@ pub type ExprResult = Result<bool, TypeError>;
 /// possible) or a plan constant that may not occur in the store at all.
 #[derive(Debug, Clone, Copy)]
 enum Operand<'a> {
-    /// Bound variable value: dictionary id + decoded term.
-    Interned(Id, &'a Term),
+    /// Bound variable value: its dictionary id, decoded when (and if) a
+    /// comparison needs the text.
+    Interned(Id, &'a Dictionary),
     /// Expression constant (with its dictionary id if the term occurs).
     Constant(Option<Id>, &'a Term),
 }
 
 impl<'a> Operand<'a> {
-    fn term(&self) -> &'a Term {
+    fn term(&self) -> TermRef<'a> {
         match self {
-            Operand::Interned(_, t) | Operand::Constant(_, t) => t,
+            Operand::Interned(id, dict) => dict.decode(*id),
+            Operand::Constant(_, t) => t.as_ref(),
+        }
+    }
+
+    fn is_literal(&self) -> bool {
+        match self {
+            Operand::Interned(id, dict) => dict.is_literal(*id),
+            Operand::Constant(_, t) => matches!(t, Term::Literal(_)),
         }
     }
 
@@ -139,7 +148,7 @@ impl BoundExpr {
         match self {
             BoundExpr::Var(i) => {
                 let id = bindings.get(*i)?;
-                Some(Operand::Interned(id, store.dictionary().decode(id)))
+                Some(Operand::Interned(id, store.dictionary()))
             }
             BoundExpr::Const(id, t) => Some(Operand::Constant(*id, t)),
             _ => None,
@@ -176,23 +185,21 @@ enum LitValue<'a> {
     Str(&'a str),
     Bool(bool),
     /// Typed literal we have no value mapping for.
-    Opaque(&'a Literal),
+    Opaque(LiteralRef<'a>),
 }
 
-fn literal_value(l: &Literal) -> LitValue<'_> {
+fn literal_value(l: LiteralRef<'_>) -> LitValue<'_> {
     if let Some(i) = l.as_integer() {
         return LitValue::Int(i);
     }
     if l.is_stringish() {
-        return LitValue::Str(&l.lexical);
+        return LitValue::Str(l.lexical);
     }
-    if let Some(dt) = &l.datatype {
-        if dt.as_str() == format!("{}boolean", xsd::NS) {
-            match l.lexical.as_str() {
-                "true" | "1" => return LitValue::Bool(true),
-                "false" | "0" => return LitValue::Bool(false),
-                _ => {}
-            }
+    if l.datatype.and_then(|dt| dt.strip_prefix(xsd::NS)) == Some("boolean") {
+        match l.lexical {
+            "true" | "1" => return LitValue::Bool(true),
+            "false" | "0" => return LitValue::Bool(false),
+            _ => {}
         }
     }
     LitValue::Opaque(l)
@@ -205,6 +212,16 @@ fn compare(op: CmpOp, a: Operand<'_>, b: Operand<'_>) -> ExprResult {
     if let (Some(x), Some(y)) = (a.id(), b.id()) {
         if x == y {
             return Ok(matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge));
+        }
+        // Two ids are two terms, and only two literals can be equal in
+        // value without being the same term: `=`/`!=` on anything else
+        // is settled here, without reading either term's text.
+        if !(a.is_literal() && b.is_literal()) {
+            match op {
+                CmpOp::Eq => return Ok(false),
+                CmpOp::Ne => return Ok(true),
+                _ => {}
+            }
         }
     }
     let (ta, tb) = (a.term(), b.term());
@@ -225,11 +242,11 @@ fn compare(op: CmpOp, a: Operand<'_>, b: Operand<'_>) -> ExprResult {
 }
 
 /// RDFterm-equal with value semantics for known literal types.
-fn term_equal(a: &Term, b: &Term) -> ExprResult {
+fn term_equal(a: TermRef<'_>, b: TermRef<'_>) -> ExprResult {
     match (a, b) {
-        (Term::Iri(x), Term::Iri(y)) => Ok(x == y),
-        (Term::Blank(x), Term::Blank(y)) => Ok(x == y),
-        (Term::Literal(x), Term::Literal(y)) => match (literal_value(x), literal_value(y)) {
+        (TermRef::Iri(x), TermRef::Iri(y)) => Ok(x == y),
+        (TermRef::Blank(x), TermRef::Blank(y)) => Ok(x == y),
+        (TermRef::Literal(x), TermRef::Literal(y)) => match (literal_value(x), literal_value(y)) {
             (LitValue::Int(i), LitValue::Int(j)) => Ok(i == j),
             (LitValue::Str(s), LitValue::Str(t)) => Ok(s == t),
             (LitValue::Bool(p), LitValue::Bool(q)) => Ok(p == q),
@@ -275,22 +292,22 @@ pub(crate) enum EqClass {
 }
 
 /// The equality class of the interned term `id` (see [`EqClass`]).
-pub(crate) fn eq_class(id: Id, term: &Term) -> EqClass {
+pub(crate) fn eq_class(id: Id, term: TermRef<'_>) -> EqClass {
     match term {
-        Term::Literal(l) => match literal_value(l) {
+        TermRef::Literal(l) => match literal_value(l) {
             LitValue::Int(i) => EqClass::Int(i),
             LitValue::Str(s) => EqClass::Str(s.into()),
             LitValue::Bool(b) => EqClass::Bool(b),
             LitValue::Opaque(_) => EqClass::Id(id),
         },
-        Term::Iri(_) | Term::Blank(_) => EqClass::Id(id),
+        TermRef::Iri(_) | TermRef::Blank(_) => EqClass::Id(id),
     }
 }
 
 /// Value ordering for `<`-family operators. `None` = incomparable (error).
-fn value_order(a: &Term, b: &Term) -> Option<Ordering> {
+fn value_order(a: TermRef<'_>, b: TermRef<'_>) -> Option<Ordering> {
     match (a, b) {
-        (Term::Literal(x), Term::Literal(y)) => match (literal_value(x), literal_value(y)) {
+        (TermRef::Literal(x), TermRef::Literal(y)) => match (literal_value(x), literal_value(y)) {
             (LitValue::Int(i), LitValue::Int(j)) => Some(i.cmp(&j)),
             (LitValue::Str(s), LitValue::Str(t)) => Some(s.cmp(t)),
             (LitValue::Bool(p), LitValue::Bool(q)) => Some(p.cmp(&q)),
@@ -302,9 +319,9 @@ fn value_order(a: &Term, b: &Term) -> Option<Ordering> {
 }
 
 /// SPARQL effective boolean value of a term.
-fn effective_boolean_value(t: &Term) -> ExprResult {
+fn effective_boolean_value(t: TermRef<'_>) -> ExprResult {
     match t {
-        Term::Literal(l) => match literal_value(l) {
+        TermRef::Literal(l) => match literal_value(l) {
             LitValue::Bool(b) => Ok(b),
             LitValue::Int(i) => Ok(i != 0),
             LitValue::Str(s) => Ok(!s.is_empty()),
@@ -317,7 +334,7 @@ fn effective_boolean_value(t: &Term) -> ExprResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::Graph;
+    use sp2b_rdf::{Graph, Literal};
     use sp2b_store::MemStore;
 
     fn store_with(terms: &[Term]) -> MemStore {
@@ -421,6 +438,26 @@ mod tests {
     }
 
     #[test]
+    fn distinct_ids_settle_equality_unless_both_are_literals() {
+        let one = Term::Literal(Literal::typed("01", sp2b_rdf::Iri::new(xsd::INTEGER)));
+        let terms = [Term::iri("http://a"), Term::iri("http://b"), int(1), one];
+        let store = store_with(&terms);
+        let all: Vec<Option<&Term>> = terms.iter().map(Some).collect();
+        let b = bindings_for(&store, &all);
+        let cmp = |op, l, r| {
+            BoundExpr::Compare(op, Box::new(BoundExpr::Var(l)), Box::new(BoundExpr::Var(r)))
+                .evaluate(&b, &store)
+        };
+        // Two IRIs, an IRI and a literal: the ids answer.
+        assert_eq!(cmp(CmpOp::Ne, 0, 1), Ok(true));
+        assert_eq!(cmp(CmpOp::Eq, 0, 1), Ok(false));
+        assert_eq!(cmp(CmpOp::Ne, 0, 2), Ok(true));
+        // Two literals with two ids can still be one value.
+        assert_eq!(cmp(CmpOp::Eq, 2, 3), Ok(true));
+        assert_eq!(cmp(CmpOp::Ne, 2, 3), Ok(false));
+    }
+
+    #[test]
     fn unbound_comparison_is_error_and_kleene_tables() {
         let store = store_with(&[int(1)]);
         let b = bindings_for(&store, &[Some(&int(1)), None]);
@@ -496,11 +533,11 @@ mod tests {
             Term::blank("b1"),
         ];
         let store = store_with(&zoo);
-        let class = |t: &Term| eq_class(store.resolve(t).expect("term interned"), t);
+        let class = |t: &Term| eq_class(store.resolve(t).expect("term interned"), t.as_ref());
         let mut equal_pairs = 0;
         for a in &zoo {
             for b in &zoo {
-                if term_equal(a, b) == Ok(true) {
+                if term_equal(a.as_ref(), b.as_ref()) == Ok(true) {
                     equal_pairs += 1;
                     assert_eq!(class(a), class(b), "{a} = {b} but the classes differ");
                 }

@@ -30,7 +30,7 @@
 
 use std::io::{self, Write};
 
-use sp2b_rdf::Term;
+use sp2b_rdf::TermRef;
 
 use crate::api::{Error, Solution, Solutions};
 
@@ -166,16 +166,19 @@ pub fn write_json(
         out.write_all(b"{")?;
         let mut first = true;
         for (i, var) in variables.iter().enumerate() {
-            let Some(term) = solution.get(i) else {
-                continue; // unbound: omitted from the binding object
-            };
-            if !first {
-                out.write_all(b",")?;
+            // Unbound: omitted from the binding object.
+            let written = solution.with_term(i, |term| {
+                if !first {
+                    out.write_all(b",")?;
+                }
+                write_json_string(out, var)?;
+                out.write_all(b":")?;
+                write_json_term(out, term)
+            });
+            if let Some(written) = written {
+                written?;
+                first = false;
             }
-            first = false;
-            write_json_string(out, var)?;
-            out.write_all(b":")?;
-            write_json_term(out, &term)?;
         }
         out.write_all(b"}")?;
         rows += 1;
@@ -208,9 +211,9 @@ pub fn write_csv(
             if i > 0 {
                 out.write_all(b",")?;
             }
-            if let Some(term) = solution.get(i) {
-                write_csv_field(out, &lexical_form(&term))?;
-            }
+            solution
+                .with_term(i, |term| write_csv_term(out, term))
+                .transpose()?;
         }
         out.write_all(b"\r\n")?;
         Ok(())
@@ -240,9 +243,9 @@ pub fn write_tsv(
             if i > 0 {
                 out.write_all(b"\t")?;
             }
-            if let Some(term) = solution.get(i) {
-                write_tsv_term(out, &term)?;
-            }
+            solution
+                .with_term(i, |term| write_tsv_term(out, term))
+                .transpose()?;
         }
         out.write_all(b"\n")?;
         Ok(())
@@ -268,7 +271,11 @@ pub fn write_table_preview(
         total += 1;
         if shown < limit {
             let line: Vec<String> = (0..solution.len())
-                .map(|i| solution.get(i).map_or("-".into(), |t| t.to_string()))
+                .map(|i| {
+                    solution
+                        .with_term(i, |t| t.to_string())
+                        .unwrap_or_else(|| "-".into())
+                })
                 .collect();
             writeln!(out, "{indent}{}", line.join("\t"))?;
             shown += 1;
@@ -303,11 +310,11 @@ fn next_ask(solutions: &mut Solutions<'_>) -> Result<bool, WriteError> {
 
 /// The CSV lexical form: IRIs bare, blanks `_:label`, literals their
 /// lexical value (datatype/language dropped, per the CSV results spec).
-fn lexical_form(term: &Term) -> String {
+fn write_csv_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
     match term {
-        Term::Iri(iri) => iri.as_str().to_owned(),
-        Term::Blank(b) => format!("_:{}", b.as_str()),
-        Term::Literal(l) => l.lexical.clone(),
+        TermRef::Iri(iri) => write_csv_field(out, iri),
+        TermRef::Blank(label) => write_csv_field(out, &format!("_:{label}")),
+        TermRef::Literal(l) => write_csv_field(out, l.lexical),
     }
 }
 
@@ -323,16 +330,16 @@ fn write_csv_field(out: &mut dyn Write, s: &str) -> io::Result<()> {
 
 /// TSV term encoding: Turtle-ish forms with the tab/newline-sensitive
 /// characters escaped so one row is always one line.
-fn write_tsv_term(out: &mut dyn Write, term: &Term) -> io::Result<()> {
+fn write_tsv_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
     match term {
-        Term::Iri(iri) => write!(out, "<{}>", iri.as_str()),
-        Term::Blank(b) => write!(out, "_:{}", b.as_str()),
-        Term::Literal(l) => {
-            write!(out, "\"{}\"", escape_tsv(&l.lexical))?;
-            if let Some(lang) = &l.language {
+        TermRef::Iri(iri) => write!(out, "<{iri}>"),
+        TermRef::Blank(label) => write!(out, "_:{label}"),
+        TermRef::Literal(l) => {
+            write!(out, "\"{}\"", escape_tsv(l.lexical))?;
+            if let Some(lang) = l.language {
                 write!(out, "@{lang}")
-            } else if let Some(dt) = &l.datatype {
-                write!(out, "^^<{}>", dt.as_str())
+            } else if let Some(dt) = l.datatype {
+                write!(out, "^^<{dt}>")
             } else {
                 Ok(())
             }
@@ -388,25 +395,25 @@ fn write_json_string(out: &mut dyn Write, s: &str) -> io::Result<()> {
 }
 
 /// One SPARQL-JSON term object.
-fn write_json_term(out: &mut dyn Write, term: &Term) -> io::Result<()> {
+fn write_json_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
     match term {
-        Term::Iri(iri) => {
+        TermRef::Iri(iri) => {
             out.write_all(b"{\"type\":\"uri\",\"value\":")?;
-            write_json_string(out, iri.as_str())?;
+            write_json_string(out, iri)?;
         }
-        Term::Blank(b) => {
+        TermRef::Blank(label) => {
             out.write_all(b"{\"type\":\"bnode\",\"value\":")?;
-            write_json_string(out, b.as_str())?;
+            write_json_string(out, label)?;
         }
-        Term::Literal(l) => {
+        TermRef::Literal(l) => {
             out.write_all(b"{\"type\":\"literal\",\"value\":")?;
-            write_json_string(out, &l.lexical)?;
-            if let Some(lang) = &l.language {
+            write_json_string(out, l.lexical)?;
+            if let Some(lang) = l.language {
                 out.write_all(b",\"xml:lang\":")?;
                 write_json_string(out, lang)?;
-            } else if let Some(dt) = &l.datatype {
+            } else if let Some(dt) = l.datatype {
                 out.write_all(b",\"datatype\":")?;
-                write_json_string(out, dt.as_str())?;
+                write_json_string(out, dt)?;
             }
         }
     }
@@ -417,7 +424,7 @@ fn write_json_term(out: &mut dyn Write, term: &Term) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::api::{QueryEngine, QueryOptions};
-    use sp2b_rdf::{Graph, Iri, Literal, Subject};
+    use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
     use sp2b_store::{MemStore, TripleStore};
 
     fn engine() -> QueryEngine {

@@ -1,21 +1,31 @@
 //! Dictionary encoding: RDF terms ↔ dense integer ids.
 //!
 //! Both stores map every distinct term to a `u32` id at load time and
-//! evaluate queries entirely over ids; terms are materialized again only
-//! when rendering results or comparing literal *values* (ORDER BY,
+//! evaluate queries entirely over ids; terms are read again only when
+//! rendering results or comparing literal *values* (ORDER BY,
 //! value-based FILTER). This is the standard RDF storage technique the
 //! paper's "native engines" rely on, and the ablation benchmark
 //! (`DESIGN.md` §7.4) quantifies what it buys.
+//!
+//! A term is stored once, as bytes. Its strings are appended to one text
+//! arena, `spans[id]` records where they sit and what kind of term they
+//! make, and an open-addressing table of `(hash tag, id)` slots finds an
+//! id by hashing the *borrowed* fields of the term asked about and
+//! comparing them with arena slices. A hit allocates nothing; a miss
+//! copies the term's bytes once; [`Dictionary::decode`] lends the arena
+//! back as a [`TermRef`] without building a `Term`.
 
-use sp2b_rdf::{Term, Triple};
+use std::hash::Hasher;
 
-use crate::hash::FxHashMap;
+use sp2b_rdf::{LiteralRef, TermRef, Triple};
+
+use crate::hash::FxHasher;
 
 /// A dictionary-encoded term identifier.
 pub type Id = u32;
 
 /// Debug-build-only process-wide count of [`Dictionary::decode`] calls.
-/// Lets tests assert that counting paths never materialize terms; release
+/// Lets tests assert that counting paths never read terms back; release
 /// builds (the benchmarks) pay nothing.
 #[cfg(debug_assertions)]
 pub static DECODE_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -23,13 +33,140 @@ pub static DECODE_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomi
 /// An encoded triple in (s, p, o) id order.
 pub type IdTriple = [Id; 3];
 
+/// Why a term could not be interned: the dictionary has outgrown the
+/// width of its offsets or ids. Display is one line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DictionaryFull(&'static str);
+
+impl std::fmt::Display for DictionaryFull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+/// An arena position as a span stores it.
+fn offset(at: usize) -> Result<u32, DictionaryFull> {
+    u32::try_from(at)
+        .map_err(|_| DictionaryFull("dictionary text exceeds the 4 GiB its 32-bit offsets address"))
+}
+
+/// Which strings a term is made of. With the kind known, "no datatype"
+/// and "an empty datatype" are different terms although both store an
+/// empty string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Iri,
+    Blank,
+    Plain,
+    Typed,
+    Lang,
+    TypedLang,
+}
+
+/// A term asked about, taken apart into its kind and strings (absent
+/// ones empty): the shape the table hashes and compares with the arena.
+#[derive(Debug, Clone, Copy)]
+struct Fields<'a> {
+    kind: Kind,
+    /// The lexical form of a literal; the IRI or label otherwise.
+    lexical: &'a str,
+    datatype: &'a str,
+    language: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    fn of(term: TermRef<'a>) -> Self {
+        let (kind, lexical, datatype, language) = match term {
+            TermRef::Iri(iri) => (Kind::Iri, iri, "", ""),
+            TermRef::Blank(label) => (Kind::Blank, label, "", ""),
+            TermRef::Literal(l) => match (l.datatype, l.language) {
+                (None, None) => (Kind::Plain, l.lexical, "", ""),
+                (Some(dt), None) => (Kind::Typed, l.lexical, dt, ""),
+                (None, Some(lang)) => (Kind::Lang, l.lexical, "", lang),
+                (Some(dt), Some(lang)) => (Kind::TypedLang, l.lexical, dt, lang),
+            },
+        };
+        Fields {
+            kind,
+            lexical,
+            datatype,
+            language,
+        }
+    }
+
+    /// The upper half of the Fx hash of the strings, then of the kind
+    /// and the field lengths (so `"ab"`+`"c"` and `"a"`+`"bc"` part
+    /// ways). The upper half because Fx's low bits see only the low bits
+    /// of its input; its leading bits are a slot's home position, so a
+    /// table can move its slots without reading a term again.
+    fn tag(&self) -> u32 {
+        let mut h = FxHasher::default();
+        h.write(self.lexical.as_bytes());
+        h.write(self.datatype.as_bytes());
+        h.write(self.language.as_bytes());
+        h.write_u64(
+            self.kind as u64
+                ^ ((self.lexical.len() as u64) << 3)
+                ^ ((self.datatype.len() as u64) << 35),
+        );
+        (h.finish() >> 32) as u32
+    }
+}
+
+/// Where term `id`'s strings sit in the arena: the lexical form at
+/// `start`, the datatype after it, and the language tag from there to
+/// the next term's `start`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    lexical: u32,
+    datatype: u32,
+    kind: Kind,
+}
+
+/// `a == b` for byte strings of one length. Most terms are one string,
+/// so two of a comparison's three pairs are empty, and the query's
+/// empties are `""` constants, whose pointer dangles: a zero-length
+/// `memcmp` from there measured 100 ns on the benchmark host (against
+/// 2 ns for a 50-byte IRI), which made it most of a lookup.
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    a.is_empty() || a == b
+}
+
+/// One slot of the id table.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: Id,
+}
+
+/// The id of a vacant slot — the one value a term never gets.
+const VACANT: Id = Id::MAX;
+
+/// Slots of the smallest table; a power of two, as every table size is.
+const MIN_SLOTS: usize = 16;
+
+/// Slots a table needs so that `terms` fill at most three quarters of
+/// it: linear probing stays short, and a vacant slot always ends a probe.
+fn slots_for(terms: usize) -> usize {
+    (terms.saturating_mul(4) / 3 + 1)
+        .next_power_of_two()
+        .max(MIN_SLOTS)
+}
+
 /// Bidirectional term↔id mapping. Ids are dense and allocation order is
 /// first-seen order, so encoding the same document always yields the same
 /// ids (determinism end to end).
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    terms: Vec<Term>,
-    ids: FxHashMap<Term, Id>,
+    /// Every term's strings, back to back in id order.
+    text: String,
+    spans: Vec<Span>,
+    /// The id table: empty, or a power of two of slots. A term's home
+    /// slot is the leading bits of its tag; collisions probe linearly.
+    slots: Vec<Slot>,
+    /// `tag >> shift` is the home slot.
+    shift: u32,
 }
 
 impl Dictionary {
@@ -38,56 +175,245 @@ impl Dictionary {
         Dictionary::default()
     }
 
+    /// An empty dictionary with room for `terms` terms of `text_bytes`
+    /// bytes in total, so filling it never moves the arena or the table.
+    pub(crate) fn with_capacity(terms: usize, text_bytes: usize) -> Self {
+        let mut dict = Dictionary {
+            text: String::with_capacity(text_bytes),
+            spans: Vec::with_capacity(terms),
+            ..Dictionary::default()
+        };
+        // A table past the id space is refused when a term needs it.
+        let _ = dict.resize_table(slots_for(terms));
+        dict
+    }
+
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.spans.len()
     }
 
     /// True if no term has been interned.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.spans.is_empty()
     }
 
-    /// Interns a term, returning its id (existing or fresh).
-    pub fn encode(&mut self, term: &Term) -> Id {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+    /// Bytes of heap the dictionary holds: the arena, the spans and the
+    /// table, each at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.text.capacity()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+
+    /// Interns a term, returning its id (existing or fresh). Takes a
+    /// `&Term`, `&Subject`, `&Iri` or a [`TermRef`]; none is cloned.
+    /// Panics when the dictionary is full ([`Dictionary::try_encode`]).
+    pub fn encode<'t>(&mut self, term: impl Into<TermRef<'t>>) -> Id {
+        self.try_encode(term)
+            .unwrap_or_else(|full| panic!("{full}"))
+    }
+
+    /// [`Dictionary::encode`] for terms of untrusted volume: a term that
+    /// would push the arena past its offsets, or the ids past `u32`, is
+    /// an error and leaves the dictionary as it was.
+    pub(crate) fn try_encode<'t>(
+        &mut self,
+        term: impl Into<TermRef<'t>>,
+    ) -> Result<Id, DictionaryFull> {
+        let fields = Fields::of(term.into());
+        let tag = fields.tag();
+        match self.find(tag, &fields) {
+            Some(id) => Ok(id),
+            None => self.push(tag, &fields),
         }
-        let id = Id::try_from(self.terms.len()).expect("dictionary overflow (> 4G terms)");
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
     }
 
     /// Encodes a whole triple.
     pub fn encode_triple(&mut self, t: &Triple) -> IdTriple {
-        let [s, p, o] = t.to_terms();
-        [self.encode(&s), self.encode(&p), self.encode(&o)]
+        [
+            self.encode(&t.subject),
+            self.encode(&t.predicate),
+            self.encode(&t.object),
+        ]
     }
 
     /// Looks up a term's id without interning.
-    pub fn lookup(&self, term: &Term) -> Option<Id> {
-        self.ids.get(term).copied()
+    pub fn lookup<'t>(&self, term: impl Into<TermRef<'t>>) -> Option<Id> {
+        let fields = Fields::of(term.into());
+        self.find(fields.tag(), &fields)
     }
 
-    /// Decodes an id back to its term. Panics on a foreign id (ids are
-    /// only ever produced by this dictionary).
-    pub fn decode(&self, id: Id) -> &Term {
+    /// Lends an id's term back, straight out of the arena. Panics on a
+    /// foreign id (ids are only ever produced by this dictionary).
+    #[inline]
+    pub fn decode(&self, id: Id) -> TermRef<'_> {
         #[cfg(debug_assertions)]
         DECODE_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        &self.terms[id as usize]
+        self.term(id)
+    }
+
+    /// True if `id` names a literal — the one kind of term that can
+    /// equal another in *value* without being the same term. Reads the
+    /// id's span and no text, so `=`/`!=` between an IRI or blank node
+    /// and anything else is settled by ids alone.
+    #[inline]
+    pub fn is_literal(&self, id: Id) -> bool {
+        !matches!(self.spans[id as usize].kind, Kind::Iri | Kind::Blank)
     }
 
     /// Iterates over `(id, term)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (Id, &Term)> {
-        self.terms.iter().enumerate().map(|(i, t)| (i as Id, t))
+    pub fn iter(&self) -> impl Iterator<Item = (Id, TermRef<'_>)> {
+        (0..self.spans.len() as Id).map(|id| (id, self.term(id)))
+    }
+
+    /// Where term `id`'s strings end: at the next term, or the arena's end.
+    #[inline]
+    fn end(&self, id: Id) -> usize {
+        match self.spans.get(id as usize + 1) {
+            Some(next) => next.start as usize,
+            None => self.text.len(),
+        }
+    }
+
+    /// Term `id`, cut out of the arena. Only the strings its kind has
+    /// are sliced: a slice checks its bounds and that it starts and ends
+    /// between characters, and FILTERs decode once per operand per row.
+    #[inline]
+    fn term(&self, id: Id) -> TermRef<'_> {
+        let span = self.spans[id as usize];
+        let (start, end) = (span.start as usize, self.end(id));
+        let lexical = start + span.lexical as usize;
+        let datatype = lexical + span.datatype as usize;
+        let literal = |datatype, language| {
+            TermRef::Literal(LiteralRef {
+                lexical: &self.text[start..lexical],
+                datatype,
+                language,
+            })
+        };
+        match span.kind {
+            Kind::Iri => TermRef::Iri(&self.text[start..end]),
+            Kind::Blank => TermRef::Blank(&self.text[start..end]),
+            Kind::Plain => literal(None, None),
+            Kind::Typed => literal(Some(&self.text[lexical..end]), None),
+            Kind::Lang => literal(None, Some(&self.text[lexical..end])),
+            Kind::TypedLang => literal(
+                Some(&self.text[lexical..datatype]),
+                Some(&self.text[datatype..end]),
+            ),
+        }
+    }
+
+    /// True if term `id` is made of exactly these fields: the same kind,
+    /// the same cuts, the same bytes — asked of the term's bytes as they
+    /// lie, without slicing them into strings first.
+    fn holds(&self, id: Id, fields: &Fields<'_>) -> bool {
+        let span = self.spans[id as usize];
+        let (lexical, datatype, language) = (
+            fields.lexical.as_bytes(),
+            fields.datatype.as_bytes(),
+            fields.language.as_bytes(),
+        );
+        let stored = &self.text.as_bytes()[span.start as usize..self.end(id)];
+        if span.kind != fields.kind
+            || span.lexical as usize != lexical.len()
+            || span.datatype as usize != datatype.len()
+            || stored.len() != lexical.len() + datatype.len() + language.len()
+        {
+            return false;
+        }
+        let (stored_lexical, rest) = stored.split_at(lexical.len());
+        let (stored_datatype, stored_language) = rest.split_at(datatype.len());
+        same_bytes(stored_lexical, lexical)
+            && same_bytes(stored_datatype, datatype)
+            && same_bytes(stored_language, language)
+    }
+
+    /// The id of the term with these fields, if it is interned.
+    fn find(&self, tag: u32, fields: &Fields<'_>) -> Option<Id> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = (tag >> self.shift) as usize;
+        loop {
+            let slot = self.slots[at];
+            if slot.id == VACANT {
+                return None;
+            }
+            if slot.tag == tag && self.holds(slot.id, fields) {
+                return Some(slot.id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Appends a term `find` did not, after checking that it fits.
+    fn push(&mut self, tag: u32, fields: &Fields<'_>) -> Result<Id, DictionaryFull> {
+        let id = Id::try_from(self.spans.len())
+            .ok()
+            .filter(|&id| id != VACANT)
+            .ok_or(DictionaryFull(
+                "dictionary holds 2^32 - 1 terms, as many as ids can name",
+            ))?;
+        let bytes = fields.lexical.len() + fields.datatype.len() + fields.language.len();
+        let span = Span {
+            start: offset(self.text.len())?,
+            lexical: offset(fields.lexical.len())?,
+            datatype: offset(fields.datatype.len())?,
+            kind: fields.kind,
+        };
+        // The next term starts where this one ends, so the end must be
+        // an offset too.
+        offset(self.text.len().saturating_add(bytes))?;
+        let slots = slots_for(self.spans.len() + 1);
+        if self.slots.len() < slots {
+            self.resize_table(slots)?;
+        }
+        self.text.push_str(fields.lexical);
+        self.text.push_str(fields.datatype);
+        self.text.push_str(fields.language);
+        self.spans.push(span);
+        self.place(Slot { tag, id });
+        Ok(id)
+    }
+
+    /// Puts a slot into the first vacant position from its home.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = (slot.tag >> self.shift) as usize;
+        while self.slots[at].id != VACANT {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+
+    /// Moves every slot into a table of `slots` slots (a power of two).
+    /// Tags carry the home position, so no term is read or hashed again.
+    fn resize_table(&mut self, slots: usize) -> Result<(), DictionaryFull> {
+        let bits = slots.trailing_zeros();
+        if bits > u32::BITS {
+            return Err(DictionaryFull(
+                "dictionary table exceeds the 2^32 slots its 32-bit tags address",
+            ));
+        }
+        let vacant = Slot { tag: 0, id: VACANT };
+        let old = std::mem::replace(&mut self.slots, vec![vacant; slots]);
+        self.shift = u32::BITS - bits;
+        for slot in old {
+            if slot.id != VACANT {
+                self.place(slot);
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::{Iri, Literal, Subject};
+    use sp2b_rdf::{Iri, Literal, Subject, Term};
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -100,7 +426,7 @@ mod tests {
         ];
         let ids: Vec<Id> = terms.iter().map(|t| d.encode(t)).collect();
         for (t, &id) in terms.iter().zip(&ids) {
-            assert_eq!(d.decode(id), t);
+            assert_eq!(d.decode(id), t.as_ref());
             assert_eq!(d.lookup(t), Some(id));
         }
     }
@@ -149,5 +475,37 @@ mod tests {
     fn lookup_missing_is_none() {
         let d = Dictionary::new();
         assert_eq!(d.lookup(&Term::iri("http://nowhere")), None);
+    }
+
+    #[test]
+    fn a_sized_dictionary_fills_without_moving_and_holds_less() {
+        let terms: Vec<_> = (0..1000)
+            .map(|i| Term::iri(format!("http://a/{i}")))
+            .collect();
+        let text: usize = terms
+            .iter()
+            .map(|t| t.as_iri().unwrap().as_str().len())
+            .sum();
+        let mut grown = Dictionary::new();
+        let mut sized = Dictionary::with_capacity(terms.len(), text);
+        let before = sized.heap_bytes();
+        for t in &terms {
+            assert_eq!(grown.encode(t), sized.encode(t));
+        }
+        assert_eq!(sized.heap_bytes(), before, "no buffer was reallocated");
+        assert!(sized.heap_bytes() <= grown.heap_bytes());
+        assert!(sized.heap_bytes() >= text + terms.len() * 24);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn positions_past_the_offset_width_are_refused_not_wrapped() {
+        assert_eq!(offset(u32::MAX as usize), Ok(u32::MAX));
+        let err = offset(u32::MAX as usize + 1).unwrap_err();
+        assert!(err.to_string().contains("4 GiB"), "{err}");
+        // A table the tags cannot address is refused before it is built.
+        let mut d = Dictionary::new();
+        assert!(d.resize_table(1 << 33).is_err());
+        assert!(d.is_empty() && d.slots.is_empty());
     }
 }

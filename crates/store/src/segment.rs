@@ -34,10 +34,10 @@
 //! pinned for the store's lifetime.
 
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use sp2b_rdf::{Iri, Literal, Term};
+use sp2b_rdf::{LiteralRef, TermRef};
 
 use crate::dictionary::{Dictionary, IdTriple};
 use crate::run::{sort_runs, Key, RUN_ORDERS};
@@ -123,7 +123,7 @@ pub(crate) fn invalid(msg: impl Into<String>) -> SegmentError {
 ///
 /// Self-contained so that incremental hashing agrees with whole-buffer
 /// hashing for *any* split of the input (the segment writer feeds it
-/// twelve bytes per triple, the reader one block at a time), which the
+/// the dictionary a buffer at a time, the reader whole sections), which the
 /// crate's chunking [`crate::hash::FxHasher`] does not guarantee: bytes
 /// short of a word wait in `pending` until the next update completes it.
 #[derive(Debug, Clone)]
@@ -431,10 +431,28 @@ pub fn write_segments_with(
             dir.display()
         )));
     }
-    let dict_bytes = encode_terms(dict);
-    let dict_checksum = Checksum::of(&dict_bytes);
+    // The dictionary section, straight from the dictionary: terms are
+    // serialized into one reused buffer, and each full buffer is
+    // checksummed once and written once.
     let mut dict_file = File::create(dir.join(DICT_FILE))?;
-    dict_file.write_all(&dict_bytes)?;
+    let mut dict_checksum = Checksum::new();
+    let mut dict_bytes = 0u64;
+    let mut buf = Vec::with_capacity(WRITE_BUFFER_BYTES);
+    let mut flush = |buf: &mut Vec<u8>| {
+        dict_checksum.update(buf);
+        dict_bytes += buf.len() as u64;
+        let written = dict_file.write_all(buf);
+        buf.clear();
+        written
+    };
+    for (_, term) in dict.iter() {
+        put_term(&mut buf, term);
+        if buf.len() >= WRITE_BUFFER_BYTES {
+            flush(&mut buf)?;
+        }
+    }
+    flush(&mut buf)?;
+    let dict_checksum = dict_checksum.finish();
     dict_file.sync_all()?;
 
     // The statistics section: one summary per shard, length-prefixed in
@@ -452,36 +470,32 @@ pub fn write_segments_with(
     stats_file.sync_all()?;
 
     let mut metas = Vec::with_capacity(buckets.len());
-    let mut total_bytes = dict_bytes.len() as u64 + stats_bytes.len() as u64;
+    let mut total_bytes = dict_bytes + stats_bytes.len() as u64;
     for (i, bucket) in buckets.iter().enumerate() {
         let sorted = sort_runs(bucket, RUN_ORDERS.len());
-        let file = File::create(dir.join(shard_file_name(i)))?;
-        let mut w = BufWriter::with_capacity(1 << 16, file);
+        let mut file = File::create(dir.join(shard_file_name(i)))?;
         // Payload first (every run, block-cut), index entries
-        // accumulated on the side and appended after.
+        // accumulated on the side and appended after. A block is
+        // encoded into the reused buffer, checksummed and written, each
+        // once.
         let mut index =
             Vec::with_capacity(index_bytes(bucket.len() as u64, block_triples) as usize);
         for (run, order) in sorted.iter().zip(RUN_ORDERS) {
             for block in run.chunks(block_triples as usize) {
-                let mut checksum = Checksum::new();
-                for t in block {
-                    let mut buf = [0u8; TRIPLE_BYTES as usize];
-                    buf[0..4].copy_from_slice(&t[0].to_le_bytes());
-                    buf[4..8].copy_from_slice(&t[1].to_le_bytes());
-                    buf[8..12].copy_from_slice(&t[2].to_le_bytes());
-                    checksum.update(&buf);
-                    w.write_all(&buf)?;
+                buf.clear();
+                for id in block.iter().flatten() {
+                    buf.extend_from_slice(&id.to_le_bytes());
                 }
+                file.write_all(&buf)?;
                 for id in order.key(&block[0]) {
                     index.extend_from_slice(&id.to_le_bytes());
                 }
-                index.extend_from_slice(&checksum.finish().to_le_bytes());
+                index.extend_from_slice(&Checksum::of(&buf).to_le_bytes());
             }
         }
         let index_checksum = Checksum::of(&index);
-        w.write_all(&index)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
+        file.write_all(&index)?;
+        file.sync_all()?;
         let meta = ShardMeta {
             triples: bucket.len() as u64,
             index_checksum,
@@ -499,7 +513,7 @@ pub fn write_segments_with(
     root.extend_from_slice(&block_triples.to_le_bytes());
     root.extend_from_slice(&triples.to_le_bytes());
     root.extend_from_slice(&(dict.len() as u64).to_le_bytes());
-    root.extend_from_slice(&(dict_bytes.len() as u64).to_le_bytes());
+    root.extend_from_slice(&dict_bytes.to_le_bytes());
     root.extend_from_slice(&dict_checksum.to_le_bytes());
     root.extend_from_slice(&(stats_bytes.len() as u64).to_le_bytes());
     root.extend_from_slice(&stats_checksum.to_le_bytes());
@@ -618,29 +632,12 @@ pub fn read_header(dir: &Path) -> Result<SegmentHeader, SegmentError> {
 /// O(stats bytes) — no triple run is touched, which is what keeps
 /// planning against a freshly opened store cold-path-free.
 pub fn read_stats(dir: &Path, header: &SegmentHeader) -> Result<Vec<StoreStats>, SegmentError> {
-    let path = dir.join(STATS_FILE);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(invalid(format!(
-                "missing statistics file '{}'",
-                path.display()
-            )));
-        }
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.len() as u64 != header.stats_bytes {
-        return Err(invalid(format!(
-            "statistics section is truncated: root records {} bytes, file holds {}",
-            header.stats_bytes,
-            bytes.len()
-        )));
-    }
-    if Checksum::of(&bytes) != header.stats_checksum {
-        return Err(invalid(
-            "statistics checksum mismatch (corrupted save; re-run `sp2b save`)",
-        ));
-    }
+    let bytes = read_section(
+        &dir.join(STATS_FILE),
+        "statistics",
+        header.stats_bytes,
+        header.stats_checksum,
+    )?;
     let mut cur = Cursor::new(&bytes, "statistics section");
     let mut out = Vec::with_capacity(header.shards.len());
     for (i, meta) in header.shards.iter().enumerate() {
@@ -666,43 +663,50 @@ pub fn read_stats(dir: &Path, header: &SegmentHeader) -> Result<Vec<StoreStats>,
     Ok(out)
 }
 
+/// Reads the whole of a checksummed section file. The file's size is
+/// compared with the root's record *before* anything is read, so a
+/// wrong-sized file costs a `stat`, not an allocation of its length.
+fn read_section(
+    path: &Path,
+    name: &str,
+    recorded_bytes: u64,
+    recorded_checksum: u64,
+) -> Result<Vec<u8>, SegmentError> {
+    let mut file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Err(invalid(format!("missing {name} file '{}'", path.display())));
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let held = file.metadata()?.len();
+    if held != recorded_bytes {
+        return Err(invalid(format!(
+            "{name} section is truncated: root records {recorded_bytes} bytes, file holds {held}"
+        )));
+    }
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    if Checksum::of(&bytes) != recorded_checksum {
+        return Err(invalid(format!(
+            "{name} checksum mismatch (corrupted save; re-run `sp2b save`)"
+        )));
+    }
+    Ok(bytes)
+}
+
 /// Reads, verifies and re-interns the shared dictionary. Sequential
 /// re-interning reproduces the exact ids the saved store was encoded
 /// with (ids are dense, first-seen ordered), so saved triple runs and
 /// fresh query plans agree without any translation.
 pub fn read_dictionary(dir: &Path, header: &SegmentHeader) -> Result<Dictionary, SegmentError> {
-    let path = dir.join(DICT_FILE);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(invalid(format!(
-                "missing dictionary file '{}'",
-                path.display()
-            )));
-        }
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.len() as u64 != header.dict_bytes {
-        return Err(invalid(format!(
-            "dictionary is truncated: root records {} bytes, file holds {}",
-            header.dict_bytes,
-            bytes.len()
-        )));
-    }
-    if Checksum::of(&bytes) != header.dict_checksum {
-        return Err(invalid(
-            "dictionary checksum mismatch (corrupted save; re-run `sp2b save`)",
-        ));
-    }
-    let dict = decode_terms(&bytes)?;
-    if dict.len() as u64 != header.terms {
-        return Err(invalid(format!(
-            "dictionary is inconsistent: root records {} terms, section decodes {}",
-            header.terms,
-            dict.len()
-        )));
-    }
-    Ok(dict)
+    let bytes = read_section(
+        &dir.join(DICT_FILE),
+        "dictionary",
+        header.dict_bytes,
+        header.dict_checksum,
+    )?;
+    decode_terms(&bytes, header.terms)
 }
 
 /// Reads and verifies the block-index section at the tail of a shard
@@ -815,79 +819,79 @@ const TAG_TYPED: u8 = 3;
 const TAG_LANG: u8 = 4;
 const TAG_TYPED_LANG: u8 = 5;
 
+/// Bytes the writer stages before it checksums and writes them.
+const WRITE_BUFFER_BYTES: usize = 1 << 16;
+
+/// Bytes of the shortest record: a tag and one length prefix.
+const MIN_RECORD_BYTES: usize = 5;
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Serializes every term in id order: a one-byte tag followed by
-/// length-prefixed UTF-8 fields.
+/// Serializes one term: a one-byte tag followed by length-prefixed
+/// UTF-8 fields.
+fn put_term(buf: &mut Vec<u8>, term: TermRef<'_>) {
+    let (tag, lexical) = match term {
+        TermRef::Iri(iri) => (TAG_IRI, iri),
+        TermRef::Blank(label) => (TAG_BLANK, label),
+        TermRef::Literal(l) => match (l.datatype, l.language) {
+            (None, None) => (TAG_PLAIN, l.lexical),
+            (Some(_), None) => (TAG_TYPED, l.lexical),
+            (None, Some(_)) => (TAG_LANG, l.lexical),
+            (Some(_), Some(_)) => (TAG_TYPED_LANG, l.lexical),
+        },
+    };
+    buf.push(tag);
+    put_str(buf, lexical);
+    if let TermRef::Literal(l) = term {
+        for field in [l.datatype, l.language].into_iter().flatten() {
+            put_str(buf, field);
+        }
+    }
+}
+
+/// Serializes every term in id order ([`put_term`]) — one pass over the
+/// dictionary's arena.
 pub fn encode_terms(dict: &Dictionary) -> Vec<u8> {
     let mut buf = Vec::new();
     for (_, term) in dict.iter() {
-        match term {
-            Term::Iri(iri) => {
-                buf.push(TAG_IRI);
-                put_str(&mut buf, iri.as_str());
-            }
-            Term::Blank(b) => {
-                buf.push(TAG_BLANK);
-                put_str(&mut buf, b.as_str());
-            }
-            Term::Literal(l) => match (&l.datatype, &l.language) {
-                (None, None) => {
-                    buf.push(TAG_PLAIN);
-                    put_str(&mut buf, &l.lexical);
-                }
-                (Some(dt), None) => {
-                    buf.push(TAG_TYPED);
-                    put_str(&mut buf, &l.lexical);
-                    put_str(&mut buf, dt.as_str());
-                }
-                (None, Some(lang)) => {
-                    buf.push(TAG_LANG);
-                    put_str(&mut buf, &l.lexical);
-                    put_str(&mut buf, lang);
-                }
-                (Some(dt), Some(lang)) => {
-                    buf.push(TAG_TYPED_LANG);
-                    put_str(&mut buf, &l.lexical);
-                    put_str(&mut buf, dt.as_str());
-                    put_str(&mut buf, lang);
-                }
-            },
-        }
+        put_term(&mut buf, term);
     }
     buf
 }
 
-/// Deserializes a dictionary section, re-interning terms sequentially.
-pub fn decode_terms(bytes: &[u8]) -> Result<Dictionary, SegmentError> {
+/// Deserializes a dictionary section of `terms` terms (the root's
+/// record) in one validating walk: each record's fields are checked to
+/// be whole UTF-8 strings inside the section and interned straight from
+/// the section's bytes, so ids come out in file order. The count is
+/// bounded by the section's size before it sizes anything.
+pub fn decode_terms(bytes: &[u8], terms: u64) -> Result<Dictionary, SegmentError> {
+    let capacity = usize::try_from(terms)
+        .ok()
+        .filter(|n| *n <= bytes.len() / MIN_RECORD_BYTES)
+        .ok_or_else(|| {
+            invalid(format!(
+                "dictionary is inconsistent: root records {terms} terms, more than {} bytes hold",
+                bytes.len()
+            ))
+        })?;
     let mut cur = Cursor::new(bytes, "dictionary");
-    let mut dict = Dictionary::new();
-    let mut next = 0u64;
+    let mut dict = Dictionary::with_capacity(capacity, bytes.len() - capacity * MIN_RECORD_BYTES);
     while !cur.done() {
         let tag = cur.take(1)?[0];
         let term = match tag {
-            TAG_IRI => Term::iri(cur.str()?),
-            TAG_BLANK => Term::blank(cur.str()?),
-            TAG_PLAIN => Term::Literal(Literal::plain(cur.str()?)),
-            TAG_TYPED => {
+            TAG_IRI => TermRef::Iri(cur.str()?),
+            TAG_BLANK => TermRef::Blank(cur.str()?),
+            TAG_PLAIN | TAG_TYPED | TAG_LANG | TAG_TYPED_LANG => {
                 let lexical = cur.str()?;
-                Term::Literal(Literal::typed(lexical, Iri::new(cur.str()?)))
-            }
-            TAG_LANG => {
-                let lexical = cur.str()?;
-                let mut l = Literal::plain(lexical);
-                l.language = Some(cur.str()?);
-                Term::Literal(l)
-            }
-            TAG_TYPED_LANG => {
-                let lexical = cur.str()?;
-                let datatype = Iri::new(cur.str()?);
-                let mut l = Literal::typed(lexical, datatype);
-                l.language = Some(cur.str()?);
-                Term::Literal(l)
+                let mut field = |present: bool| present.then(|| cur.str()).transpose();
+                TermRef::Literal(LiteralRef {
+                    lexical,
+                    datatype: field(matches!(tag, TAG_TYPED | TAG_TYPED_LANG))?,
+                    language: field(matches!(tag, TAG_LANG | TAG_TYPED_LANG))?,
+                })
             }
             other => {
                 return Err(invalid(format!(
@@ -895,11 +899,17 @@ pub fn decode_terms(bytes: &[u8]) -> Result<Dictionary, SegmentError> {
                 )));
             }
         };
-        let id = dict.encode(&term);
+        let next = dict.len() as u64;
+        let id = dict.try_encode(term).map_err(|e| invalid(e.to_string()))?;
         if id as u64 != next {
             return Err(invalid("dictionary holds a duplicate term"));
         }
-        next += 1;
+    }
+    if dict.len() as u64 != terms {
+        return Err(invalid(format!(
+            "dictionary is inconsistent: root records {terms} terms, section decodes {}",
+            dict.len()
+        )));
     }
     Ok(dict)
 }
@@ -952,17 +962,23 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn str(&mut self) -> Result<String, SegmentError> {
+    /// A length-prefixed string, borrowed from the section.
+    fn str(&mut self) -> Result<&'a str, SegmentError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| invalid(format!("{} holds invalid UTF-8", self.what)))
+        let at = self.pos;
+        std::str::from_utf8(self.take(len)?).map_err(|_| {
+            invalid(format!(
+                "{} holds a field that is not UTF-8 text (at offset {at})",
+                self.what
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use sp2b_rdf::{Iri, Literal, Term};
 
     /// A self-cleaning temp directory for segment tests.
     pub(crate) struct TempDir(pub std::path::PathBuf);
@@ -1018,11 +1034,17 @@ pub(crate) mod tests {
             dict.encode(&t);
         }
         let bytes = encode_terms(&dict);
-        let back = decode_terms(&bytes).expect("decode");
+        let back = decode_terms(&bytes, dict.len() as u64).expect("decode");
         assert_eq!(back.len(), dict.len());
-        for (id, term) in dict.iter() {
+        for ((id, term), owned) in dict.iter().zip(corpus()) {
+            assert_eq!(term, owned.as_ref(), "term {id} is what was interned");
             assert_eq!(back.decode(id), term, "term {id} survives the roundtrip");
             assert_eq!(back.lookup(term), Some(id), "id {id} is reproduced");
+        }
+        // The root's count is part of the section's contract.
+        for wrong in [dict.len() as u64 - 1, dict.len() as u64 + 1, u64::MAX] {
+            let err = decode_terms(&bytes, wrong).unwrap_err();
+            assert!(err.to_string().contains("inconsistent"), "{err}");
         }
     }
 
@@ -1033,12 +1055,46 @@ pub(crate) mod tests {
             dict.encode(&t);
         }
         let bytes = encode_terms(&dict);
-        let err = decode_terms(&bytes[..bytes.len() - 3]).unwrap_err();
+        let terms = dict.len() as u64;
+        let err = decode_terms(&bytes[..bytes.len() - 3], terms).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         let mut bad = bytes.clone();
         bad[0] = 250;
-        let err = decode_terms(&bad).unwrap_err();
+        let err = decode_terms(&bad, terms).unwrap_err();
         assert!(err.to_string().contains("unknown term tag"), "{err}");
+    }
+
+    /// One serialized record: a tag and its length-prefixed fields.
+    fn record(tag: u8, fields: &[(u32, &[u8])]) -> Vec<u8> {
+        let mut buf = vec![tag];
+        for (len, bytes) in fields {
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(bytes);
+        }
+        buf
+    }
+
+    #[test]
+    fn decode_rejects_overlong_prefixes_split_characters_and_duplicates() {
+        // A length prefix that runs past the section — by a byte, and by
+        // as much as a `u32` can claim.
+        for claimed in [4, u32::MAX] {
+            let err = decode_terms(&record(TAG_IRI, &[(claimed, b"abc")]), 1).unwrap_err();
+            assert!(err.to_string().contains("truncated dictionary"), "{err}");
+        }
+        // "é" is two bytes: prefixes of 1 + 2 put the lexical/datatype
+        // boundary inside it, though the record as a whole is UTF-8.
+        let whole = record(TAG_TYPED, &[(2, "é".as_bytes()), (1, b"x")]);
+        assert_eq!(decode_terms(&whole, 1).expect("well-formed").len(), 1);
+        let e = "é".as_bytes();
+        let split = record(TAG_TYPED, &[(1, &e[..1]), (2, &[e[1], b'x'])]);
+        assert_eq!(split.len(), whole.len());
+        let err = decode_terms(&split, 1).unwrap_err();
+        assert!(err.to_string().contains("not UTF-8"), "{err}");
+        // The same term twice.
+        let twice = [whole.clone(), whole].concat();
+        let err = decode_terms(&twice, 2).unwrap_err();
+        assert_eq!(err.to_string(), "dictionary holds a duplicate term");
     }
 
     fn demo_store() -> (Dictionary, Vec<Vec<IdTriple>>) {
@@ -1069,6 +1125,7 @@ pub(crate) mod tests {
         assert_eq!(header.triples as usize, total);
         assert_eq!(header.shards.len(), 2);
         let back = read_dictionary(tmp.path(), &header).expect("dict");
+        assert_eq!(back.len(), dict.len());
         for (id, term) in dict.iter() {
             assert_eq!(back.decode(id), term);
         }
@@ -1167,6 +1224,27 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn saved_bytes_match_the_golden_checksums() {
+        // Constants computed by this test at the commit before the
+        // block-at-a-time writer and the arena dictionary: the format
+        // did not move. Seven-triple blocks give each run of the
+        // 40-triple demo store several blocks and a short tail.
+        let tmp = TempDir::new("golden");
+        let (dict, buckets) = demo_store();
+        write_segments_with(tmp.path(), &dict, ShardBy::Subject, buckets, 7).expect("write");
+        let digest = |name: &str| Checksum::of(&fs::read(tmp.path().join(name)).unwrap());
+        for (name, golden) in [
+            (DICT_FILE.to_owned(), 0x3f4f_c727_5324_b223u64),
+            (STATS_FILE.to_owned(), 0xe6a2_8a40_8983_4eed),
+            (shard_file_name(0), 0x0880_5ae3_cb2d_55fb),
+            (shard_file_name(1), 0xd7d8_df93_bdb4_38b7),
+            (ROOT_FILE.to_owned(), 0x4e4b_4b8d_da12_2380),
+        ] {
+            assert_eq!(digest(&name), golden, "{name}: {:#018x}", digest(&name));
+        }
+    }
+
+    #[test]
     fn corrupted_block_payload_is_caught_by_its_block_checksum() {
         let tmp = TempDir::new("block-corrupt");
         let (dict, buckets) = demo_store();
@@ -1239,6 +1317,18 @@ pub(crate) mod tests {
         let header = read_header(tmp.path()).expect("root is untouched");
         let err = read_dictionary(tmp.path(), &header).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+
+        // A file of the wrong size is refused by its size alone.
+        bytes.extend_from_slice(&[0; 64]);
+        fs::write(&path, &bytes).unwrap();
+        let err = read_dictionary(tmp.path(), &header).unwrap_err();
+        assert!(
+            err.to_string().contains("dictionary section is truncated"),
+            "{err}"
+        );
+        fs::remove_file(&path).unwrap();
+        let err = read_dictionary(tmp.path(), &header).unwrap_err();
+        assert!(err.to_string().contains("missing dictionary"), "{err}");
     }
 
     #[test]
