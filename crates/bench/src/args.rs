@@ -96,13 +96,13 @@ pub const COMMANDS: &[Command] = &[
     (
         "query",
         "LABEL [engine flags] [--threads N] [--timeout 300] [--limit 20]
-     [--format table|json|csv|tsv] [--explain] [--trace]",
-        "one benchmark query (Q1…Q12c): rows, then join order / operator trace on request",
+     [--format table|json|csv|tsv] [--explain]",
+        "one benchmark query (Q1…Q12c): rows, then the execution trace on request",
     ),
     (
         "run",
         "'SELECT …' | --query-file FILE  [engine flags] [--threads N] [--timeout 300] [--limit 50]
-     [--format table|json|csv|tsv] [--explain] [--trace]",
+     [--format table|json|csv|tsv] [--explain]",
         "arbitrary SPARQL through the same path as `query`",
     ),
     (
@@ -690,7 +690,7 @@ mod tests {
     fn every_command_rejects_every_flag_it_does_not_list() {
         let flags = all_flags();
         assert_eq!(COMMANDS.len(), 17);
-        assert_eq!(flags.len(), 38, "{flags:?}");
+        assert_eq!(flags.len(), 37, "{flags:?}");
         let mut rejected = 0;
         for &(name, synopsis, _) in COMMANDS {
             for flag in &flags {

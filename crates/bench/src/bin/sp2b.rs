@@ -18,11 +18,11 @@
 //! * `query LABEL` is `run` with a benchmark query's text ([`cmd_query`]
 //!   serves both): the first `--limit` rows print and the rest are only
 //!   counted, or `--format json|csv|tsv` streams the whole result
-//!   through the HTTP endpoint's serializers. `--explain` (join order,
-//!   estimated vs emitted rows, which statistics ordered it) and
-//!   `--trace` (phase timings plus per-operator wall time) are two
-//!   renderings of `sp2b_sparql::operator_spans`, the list the server's
-//!   `--slow-ms` log prints too.
+//!   through the HTTP endpoint's serializers. `--explain` prints the
+//!   execution's trace (`sp2b_sparql::query_trace`: join order, estimated
+//!   vs emitted rows, sampled time and access path per operator, where
+//!   the morsels ran, the phases), the record the server's `--slow-ms`
+//!   log and `sp2b scaling` read too.
 //! * `--threads` pins the degree of morsel-driven parallelism (default:
 //!   all cores; 1 is strictly sequential, and so is any query shorter
 //!   than the fan-out budget) — except on `serve`, where it sizes the
@@ -40,13 +40,10 @@ use sp2b_core::report;
 use sp2b_core::runner::{run_benchmark, run_workload_on, RunnerConfig, WorkloadTarget};
 use sp2b_core::{measure, BenchQuery, Endpoint, Engine, EngineKind, ExtQuery, StoreLayout};
 use sp2b_datagen::{generate_graph, generate_to_path, Config};
-use sp2b_obs::{OpKind, OpSpan, QueryTrace};
 use sp2b_rdf::Graph;
 use sp2b_server::ServerConfig;
 use sp2b_sparql::results::{self, Format, WriteError};
-use sp2b_sparql::{
-    exchange_lines, operator_spans, Error as SparqlError, Prepared, QueryEngine, ScanCounters,
-};
+use sp2b_sparql::{query_trace, Error as SparqlError, Prepared, QueryEngine, ScanCounters};
 use sp2b_store::ShardBy;
 
 fn main() -> ExitCode {
@@ -527,12 +524,12 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         );
     }
     let limit = args.get_scaled("limit", if label.is_some() { 20 } else { 50 })? as usize;
-    let (explain, trace) = (args.has("explain"), args.has("trace"));
+    let explain = args.has("explain");
     let engine = open_engine(args, 50_000)?;
     let counters = Arc::new(ScanCounters::default());
     let mut qe =
         engine.query_engine_with(Some(timeout(args, 300)?), args.get_positive_opt("threads")?);
-    if explain || trace {
+    if explain {
         qe = qe.scan_counters(counters.clone());
     }
     let prep_started = Instant::now();
@@ -586,82 +583,20 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         summary.push_str(&format!("\n… ({unshown} more rows; raise --limit)"));
     }
     say(label.is_some(), summary);
-    if explain || trace {
-        let spans = operator_spans(&prepared, qe.store(), &counters);
-        let exchanges = exchange_lines(&prepared, &counters);
-        if explain {
-            say(true, explain_report(&engine, &spans, &exchanges));
-        }
-        if trace {
-            let report = trace_report(&engine, spans, &exchanges, prepare_time, m.tme);
-            say(true, report);
-        }
+    if explain {
+        let mut trace = query_trace(&prepared, qe.store(), &counters);
+        trace.phase("prepare", prepare_time);
+        trace.phase("execute", m.tme);
+        // The store's facts close the report: which statistics ordered
+        // the plan, and what the block cache saw.
+        let stats = engine.stats_summary();
+        let stats = stats
+            .as_deref()
+            .unwrap_or("statistics: none (fixed-discount heuristic order)");
+        let cache = engine
+            .cache_summary()
+            .map_or(String::new(), |c| format!("\n  {c}"));
+        say(true, format!("{}\n  {stats}{cache}", trace.render()));
     }
     Ok(())
-}
-
-/// `--explain`: the prepared plan's BGP join order with, per pattern
-/// occurrence, the store's estimated cardinality next to the rows the
-/// step actually emitted and how it got its triples (lookups issued, and
-/// the fetch they led to, if any). The first line states which statistics
-/// the planner ordered with; a line per planned exchange says where the
-/// plan fanned out, or that this execution did not.
-fn explain_report(engine: &Engine, spans: &[OpSpan], exchanges: &[String]) -> String {
-    let mut out = String::from("join order (estimated cardinality vs actual rows emitted):\n");
-    let stats = engine.stats_summary();
-    let stats = stats.as_deref();
-    out.push_str("  ");
-    out.push_str(stats.unwrap_or("statistics: none (fixed-discount heuristic order)"));
-    for (i, op) in spans.iter().enumerate() {
-        let (n, label, est, rows) = (i + 1, &op.label, op.est_rows, op.rows);
-        out.push_str(&format!("\n  {n:>2}. {label}  est {est}, rows {rows}"));
-        if let Some(access) = op.access {
-            out.push_str(&format!(", {access}"));
-        }
-    }
-    for line in exchanges {
-        out.push_str(&format!("\n  {line}"));
-    }
-    // The planner's estimate-vs-actual comparison is over pattern steps;
-    // a join's rows are its output, not scan work.
-    let sum = |f: fn(&OpSpan) -> u64| {
-        spans
-            .iter()
-            .filter(|o| o.kind == OpKind::Scan)
-            .map(f)
-            .fold(0, u64::saturating_add)
-    };
-    out.push_str(&format!(
-        "\n  total: estimated {}, emitted {} rows",
-        sum(|o| o.est_rows),
-        sum(|o| o.rows)
-    ));
-    if let Some(cache) = engine.cache_summary() {
-        out.push_str(&format!("\n  {cache}"));
-    }
-    out
-}
-
-/// `--trace`: the fuller breakdown — phase timings (prepare/execute)
-/// plus, per operator, the planner's estimate against the rows it
-/// actually emitted *and the wall time it consumed* (summed over the
-/// workers of an exchange, which the lines after the operators name).
-fn trace_report(
-    engine: &Engine,
-    spans: Vec<OpSpan>,
-    exchanges: &[String],
-    prepare: Duration,
-    execute: Duration,
-) -> String {
-    let mut trace = QueryTrace::new();
-    trace.phase("prepare", prepare);
-    trace.phase("execute", execute);
-    trace.operators = spans;
-    let mut out = trace.render();
-    for line in exchanges {
-        out.push_str(&format!("  {line}\n"));
-    }
-    out.push_str(&engine.cache_summary().unwrap_or_default());
-    out.truncate(out.trim_end().len());
-    out
 }

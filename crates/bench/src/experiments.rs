@@ -2,6 +2,7 @@
 //! the CLI can print them and tests can assert on them.
 
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
@@ -10,7 +11,7 @@ use sp2b_core::{Arrival, BenchQuery, WeightedMix};
 use sp2b_datagen::{
     generate_graph, params, Config, Generator, GeneratorStats, NtriplesSink, NullSink,
 };
-use sp2b_sparql::{OptimizerConfig, QueryEngine};
+use sp2b_sparql::{query_trace, OptimizerConfig, QueryEngine, ScanCounters};
 use sp2b_store::{IndexSelection, NativeStore, SharedStore, TripleStore};
 
 /// What a `--queries` list may name, for usage errors.
@@ -318,9 +319,11 @@ fn run_cell(
 /// once, full optimization) at each requested thread count, with speedup
 /// relative to the *first* configured count — conventionally 1, making
 /// the column a plain parallel speedup. A `*` marks the cells whose
-/// execution outlived the fan-out budget and handed morsels to workers;
-/// the others ran on one thread whatever the count. Timed-out cells
-/// print `T` and earn no speedup.
+/// execution outlived the fan-out budget and handed morsels to workers —
+/// read from the trace of the very execution the cell times, whose
+/// counters sample the clock and do not change when it fans out; the
+/// others ran on one thread whatever the count. Timed-out cells print `T`
+/// and earn no speedup.
 pub fn thread_scaling(
     triples: u64,
     threads: &[usize],
@@ -347,16 +350,17 @@ pub fn thread_scaling(
         out.push_str(&format!("{:<6}", q.label()));
         let mut baseline: Option<f64> = None;
         for (pos, &t) in threads.iter().enumerate() {
+            let counters = Arc::new(ScanCounters::default());
             let engine = QueryEngine::new(store.clone())
                 .optimizer(OptimizerConfig::full())
                 .timeout(timeout)
-                .parallelism(t);
+                .parallelism(t)
+                .scan_counters(counters.clone());
             let prepared = engine.prepare(q.text()).expect("queries parse");
-            let fan_outs = sp2b_sparql::par::diag::fan_outs();
             let start = Instant::now();
             let counted = engine.count(&prepared);
             let secs = start.elapsed().as_secs_f64();
-            let fanned_out = sp2b_sparql::par::diag::fan_outs() > fan_outs;
+            let fanned_out = query_trace(&prepared, engine.store(), &counters).fanned_out();
             if counted.is_err() {
                 out.push_str(&format!("{:>12}{:>9}", "T", "-"));
                 continue;

@@ -16,10 +16,10 @@
 //!   ([`MetricsRegistry::render_prometheus`]) or JSON
 //!   ([`MetricsRegistry::render_json`]). Recording is a relaxed atomic
 //!   op; nothing allocates on the hot path.
-//! - [`QueryTrace`]: a per-query span record — timed phases
-//!   (parse → plan → execute) plus per-operator estimated/actual rows
-//!   and wall time — shared by `sp2b query --trace` and the server's
-//!   slow-query log.
+//! - [`QueryTrace`]: a per-query span record — timed phases plus
+//!   per-operator estimated/actual rows, sampled time, access paths and
+//!   exchange facts — rendered by `sp2b query --explain`, the server's
+//!   slow-query log and `sp2b scaling`.
 //! - [`WorkloadRecorder`]: the coordinated-omission-safe recorder behind
 //!   the open-loop workload driver — latency measured from *intended*
 //!   send time, queue delay and service time as separate histograms, and
@@ -37,4 +37,4 @@ mod trace;
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use recorder::{TemplateSnapshot, WindowSnapshot, WindowedSeries, WorkloadRecorder};
 pub use registry::{global, histogram_json, Counter, Gauge, Histogram, MetricsRegistry};
-pub use trace::{OpKind, OpSpan, QueryTrace, StepAccess};
+pub use trace::{ExchangeRun, OpKind, OpSpan, QueryTrace, StepAccess};

@@ -1,19 +1,20 @@
 //! Per-query execution traces.
 //!
-//! A [`QueryTrace`] records what one query spent its time on: the
-//! coarse phases (parse → plan → execute) and, per scan or join operator,
-//! the planner's estimated cardinality against the rows actually emitted
-//! and the wall time spent producing them. `sp2b query --trace` prints
-//! the full breakdown ([`QueryTrace::render`]); the server's slow-query
-//! log embeds the one-line form ([`QueryTrace::summary`]).
+//! A [`QueryTrace`] is what one execution of a query did: its phases and,
+//! per scan or join operator, the planner's estimate against the rows
+//! emitted, the time spent, how a pattern step got its triples and where
+//! an exchange ran its morsels. `sp2b_sparql::query_trace` builds it;
+//! `--explain` prints [`QueryTrace::render`], the server's slow-query log
+//! [`QueryTrace::summary`].
 
 use std::fmt::Write;
 use std::time::Duration;
 
 /// What kind of operator an [`OpSpan`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OpKind {
     /// A BGP pattern step: a store scan extending its input rows.
+    #[default]
     Scan,
     /// A join of two sub-plans.
     Join,
@@ -47,6 +48,19 @@ impl std::fmt::Display for StepAccess {
     }
 }
 
+/// Where one run of an exchange evaluated its driving step's morsels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExchangeRun {
+    /// The planned degree: how many workers a hand-off may start.
+    pub degree: usize,
+    /// Morsels the driving scan was split into; 0: not split (an ASK).
+    pub morsels: usize,
+    /// Morsels the consumer's thread took before the hand-off (all).
+    pub inline: usize,
+    /// Worker threads the rest went to (0: no hand-off).
+    pub workers: usize,
+}
+
 /// One operator's span: planner estimate vs observed reality.
 #[derive(Debug, Clone)]
 pub struct OpSpan {
@@ -60,36 +74,28 @@ pub struct OpSpan {
     pub est_rows: u64,
     /// Rows the operator actually emitted.
     pub rows: u64,
-    /// Wall time spent inside the operator.
+    /// Time spent inside the operator, sampled, summed over threads.
     pub time: Duration,
     /// For a pattern step that looked anything up: how (see
     /// [`StepAccess`]). `None` for joins and for a driving scan an
     /// exchange split into morsels.
     pub access: Option<StepAccess>,
+    /// For the driving step of a planned exchange: where its morsels ran.
+    pub exchange: Option<ExchangeRun>,
 }
 
 /// A per-query span record: timed phases plus per-operator spans.
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
     phases: Vec<(&'static str, Duration)>,
-    /// Per-operator spans in plan (join-order) position.
+    /// Per-operator spans in plan order: operator `i` is report step `i + 1`.
     pub operators: Vec<OpSpan>,
 }
 
 impl QueryTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        QueryTrace::default()
-    }
-
-    /// Appends a timed phase (`parse`, `plan`, `execute`, …).
+    /// Appends a timed phase (`prepare`, `execute`, …).
     pub fn phase(&mut self, name: &'static str, took: Duration) {
         self.phases.push((name, took));
-    }
-
-    /// The recorded phases, in order.
-    pub fn phases(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
-        self.phases.iter().copied()
     }
 
     /// Sum of all phase times.
@@ -97,55 +103,86 @@ impl QueryTrace {
         self.phases.iter().map(|(_, d)| *d).sum()
     }
 
-    /// The multi-line breakdown `--trace` prints: phase timings, then
-    /// per-operator estimated vs actual rows vs wall time.
+    /// Rows the pattern steps emitted — the query's intermediate-result
+    /// volume; a join's rows are output, not scan work.
+    pub fn scanned_rows(&self) -> u64 {
+        self.scans().map(|o| o.rows).sum()
+    }
+
+    /// Whether an exchange of this execution handed morsels to workers.
+    pub fn fanned_out(&self) -> bool {
+        self.exchanges().any(|(_, run)| run.workers > 0)
+    }
+
+    /// Every planned exchange with the step number of its driving scan.
+    pub fn exchanges(&self) -> impl Iterator<Item = (usize, ExchangeRun)> + '_ {
+        let runs = self.operators.iter().enumerate();
+        runs.filter_map(|(i, op)| Some((i + 1, op.exchange?)))
+    }
+
+    fn scans(&self) -> impl Iterator<Item = &OpSpan> {
+        self.operators.iter().filter(|o| o.kind == OpKind::Scan)
+    }
+
+    /// The report `--explain` prints: a line per operator and per planned
+    /// exchange, the pattern steps' totals, the phases.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "trace (phases):");
-        for (name, took) in &self.phases {
-            let _ = writeln!(out, "  {name:<9} {}", fmt_duration(*took));
-        }
-        let _ = writeln!(out, "  {:<9} {}", "total", fmt_duration(self.total()));
-        if !self.operators.is_empty() {
-            let _ = writeln!(out, "operators (estimated vs actual rows vs time):");
-            let width = self
-                .operators
-                .iter()
-                .map(|o| o.label.len())
-                .max()
-                .unwrap_or(0);
-            for (i, op) in self.operators.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "  {:>2}. {:<width$}  est {}, rows {}, time {}",
-                    i + 1,
-                    op.label,
-                    op.est_rows,
-                    op.rows,
-                    fmt_duration(op.time),
-                );
-                if let Some(access) = op.access {
-                    let _ = write!(out, ", {access}");
-                }
-                out.push('\n');
+        let mut out = String::from("join order (estimated cardinality vs actual rows emitted):");
+        for (i, op) in self.operators.iter().enumerate() {
+            let (n, label, est, rows) = (i + 1, &op.label, op.est_rows, op.rows);
+            let time = fmt_duration(op.time);
+            let _ = write!(
+                out,
+                "\n  {n:>2}. {label}  est {est}, rows {rows}, time {time}"
+            );
+            if let Some(access) = op.access {
+                let _ = write!(out, ", {access}");
             }
+        }
+        for (step, run) in self.exchanges() {
+            let (n, inline) = (run.morsels, run.inline);
+            let ran = match run.workers {
+                _ if n == 0 => "not split".to_owned(),
+                0 => format!("{n} morsels, all inline"),
+                w => format!(
+                    "morsels 0–{} of {n} inline, {inline}–{} on {w} workers",
+                    inline - 1,
+                    n - 1
+                ),
+            };
+            let _ = write!(out, "\n  exchange ×{} over step {step}: {ran}", run.degree);
+        }
+        let est = self
+            .scans()
+            .map(|o| o.est_rows)
+            .fold(0, u64::saturating_add);
+        let rows = self.scanned_rows();
+        let time = fmt_duration(self.operators.iter().map(|o| o.time).sum());
+        let _ = write!(
+            out,
+            "\n  total: estimated {est}, emitted {rows} rows, operators {time}"
+        );
+        if !self.phases.is_empty() {
+            let phases: Vec<String> = self
+                .phases
+                .iter()
+                .map(|(name, took)| format!("{name} {}", fmt_duration(*took)))
+                .collect();
+            let _ = write!(out, "\n  phases: {}", phases.join(", "));
         }
         out
     }
 
     /// The one-line form the slow-query log embeds:
-    /// `parse=… plan=… execute=… ops=N op_rows=R`.
+    /// `prepare=… execute=… ops=N op_rows=R`, `R` being
+    /// [`QueryTrace::scanned_rows`].
     pub fn summary(&self) -> String {
         let mut out = String::new();
         for (name, took) in &self.phases {
             let _ = write!(out, "{name}={} ", fmt_duration(*took));
         }
-        let _ = write!(
-            out,
-            "ops={} op_rows={}",
-            self.operators.len(),
-            self.operators.iter().map(|o| o.rows).sum::<u64>()
-        );
+        let (ops, rows) = (self.operators.len(), self.scanned_rows());
+        let _ = write!(out, "ops={ops} op_rows={rows}");
         out
     }
 }
@@ -167,34 +204,35 @@ fn fmt_duration(d: Duration) -> String {
 mod tests {
     use super::*;
 
+    fn span(kind: OpKind, label: &str, est_rows: u64, rows: u64, millis: u64) -> OpSpan {
+        OpSpan {
+            kind,
+            label: label.to_owned(),
+            est_rows,
+            rows,
+            time: Duration::from_millis(millis),
+            access: None,
+            exchange: None,
+        }
+    }
+
     fn sample() -> QueryTrace {
-        let mut t = QueryTrace::new();
+        let mut t = QueryTrace::default();
         t.phase("parse", Duration::from_micros(120));
         t.phase("plan", Duration::from_micros(480));
         t.phase("execute", Duration::from_millis(12));
-        t.operators.push(OpSpan {
-            kind: OpKind::Scan,
-            label: "?article <dc:title> ?title".to_owned(),
-            est_rows: 100,
-            rows: 96,
-            time: Duration::from_millis(3),
-            access: Some(StepAccess {
-                lookups: 1,
-                ..StepAccess::default()
-            }),
+        let mut title = span(OpKind::Scan, "?article <dc:title> ?title", 100, 96, 3);
+        title.access = Some(StepAccess {
+            lookups: 1,
+            ..StepAccess::default()
         });
-        t.operators.push(OpSpan {
-            kind: OpKind::Scan,
-            label: "?article <dcterms:issued> ?yr".to_owned(),
-            est_rows: 100,
-            rows: 250,
-            time: Duration::from_millis(9),
-            access: Some(StepAccess {
-                lookups: 100,
-                fetched: Some(100),
-                probes: 150,
-            }),
+        let mut issued = span(OpKind::Scan, "?article <dcterms:issued> ?yr", 100, 250, 9);
+        issued.access = Some(StepAccess {
+            lookups: 100,
+            fetched: Some(100),
+            probes: 150,
         });
+        t.operators = vec![title, issued];
         t
     }
 
@@ -216,6 +254,60 @@ mod tests {
         );
     }
 
+    /// The whole report, line for line: a driving step an exchange split
+    /// (no access path of its own), a fetching step, a join, and both
+    /// ways an exchange can run — the shapes CI greps for.
+    #[test]
+    fn render_pins_every_line_shape() {
+        let mut t = QueryTrace::default();
+        t.phase("prepare", Duration::from_micros(250));
+        t.phase("execute", Duration::from_millis(40));
+        let mut driving = span(OpKind::Scan, "?a <p> ?b", 8, 8, 1);
+        driving.exchange = Some(ExchangeRun {
+            degree: 2,
+            morsels: 8,
+            inline: 1,
+            workers: 2,
+        });
+        let mut fetching = span(OpKind::Scan, "?b <q> ?c", 50, 400, 20);
+        fetching.access = Some(StepAccess {
+            lookups: 50,
+            fetched: Some(50),
+            probes: 350,
+        });
+        let mut build = span(OpKind::Scan, "?c <r> ?d", 30, 30, 0);
+        build.exchange = Some(ExchangeRun {
+            degree: 2,
+            morsels: 4,
+            inline: 4,
+            workers: 0,
+        });
+        let join = span(OpKind::Join, "hash-join ?2≍?3", 30, 1000, 15);
+        t.operators = vec![driving, fetching, build, join];
+        assert_eq!(
+            t.render(),
+            "join order (estimated cardinality vs actual rows emitted):\n   \
+             1. ?a <p> ?b  est 8, rows 8, time 1.00 ms\n   \
+             2. ?b <q> ?c  est 50, rows 400, time 20.00 ms, lookup ×50 → fetch 50 triples, probes 350\n   \
+             3. ?c <r> ?d  est 30, rows 30, time 0 µs\n   \
+             4. hash-join ?2≍?3  est 30, rows 1000, time 15.00 ms\n  \
+             exchange ×2 over step 1: morsels 0–0 of 8 inline, 1–7 on 2 workers\n  \
+             exchange ×2 over step 3: 4 morsels, all inline\n  \
+             total: estimated 88, emitted 438 rows, operators 36.00 ms\n  \
+             phases: prepare 250 µs, execute 40.00 ms"
+        );
+        assert!(t.fanned_out());
+        assert_eq!(t.scanned_rows(), 438);
+        t.operators[0].exchange = Some(ExchangeRun {
+            degree: 2,
+            ..ExchangeRun::default()
+        });
+        assert!(!t.fanned_out());
+        assert!(t
+            .render()
+            .contains("\n  exchange ×2 over step 1: not split\n"));
+    }
+
     #[test]
     fn summary_is_one_line_with_phase_times() {
         let line = sample().summary();
@@ -223,6 +315,21 @@ mod tests {
         assert!(line.contains("parse=120 µs"), "{line}");
         assert!(line.contains("execute=12.00 ms"), "{line}");
         assert!(line.contains("ops=2 op_rows=346"), "{line}");
+    }
+
+    /// A join's output is not scan work: `op_rows` counts pattern steps
+    /// only, as the report's `total` line does.
+    #[test]
+    fn summary_counts_pattern_steps_only() {
+        let mut t = sample();
+        t.operators
+            .push(span(OpKind::Join, "hash-left-join ?1", 1, 671, 1));
+        assert!(
+            t.summary().ends_with("ops=3 op_rows=346"),
+            "{}",
+            t.summary()
+        );
+        assert!(t.render().contains("emitted 346 rows"));
     }
 
     #[test]

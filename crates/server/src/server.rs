@@ -35,8 +35,9 @@
 //! routes surface them live — `GET /metrics` (Prometheus text
 //! exposition) and `GET /stats` (JSON). Configure
 //! [`ServerConfig::slow_log`] to additionally log one parseable line per
-//! query whose handling time meets a threshold, with a per-operator
-//! rows/time breakdown read back from the query's [`ScanCounters`].
+//! query whose handling time meets a threshold, with the summary of the
+//! query's trace (`sp2b_sparql::query_trace`) read back from the
+//! [`ScanCounters`] it ran with.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -46,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sp2b_obs::{Counter, Histogram, QueryTrace};
+use sp2b_obs::{Counter, Histogram};
 use sp2b_sparql::results::{write_solutions, WriteError};
 use sp2b_sparql::{Error as SparqlError, QueryEngine, ScanCounters, Solutions};
 
@@ -987,20 +988,16 @@ impl Worker {
         };
         let started = Instant::now();
         // Scan counters are attached per query only when the slow log is
-        // on — they buy the per-operator breakdown at the cost of two
-        // clock reads per scanned row.
+        // on — they buy the per-operator breakdown at the cost of a
+        // sampled clock read (see `sp2b_sparql::eval::TIMING_STRIDE`).
         let counters = self
             .slow_log
             .as_ref()
             .map(|_| Arc::new(ScanCounters::default()));
-        let traced;
-        let engine = match &counters {
-            Some(c) => {
-                traced = self.engine.clone().scan_counters(Arc::clone(c));
-                &traced
-            }
-            None => &self.engine,
-        };
+        let traced = counters
+            .as_ref()
+            .map(|c| self.engine.clone().scan_counters(Arc::clone(c)));
+        let engine = traced.as_ref().unwrap_or(&self.engine);
         let prepared = match engine.prepare(text) {
             Ok(p) => p,
             // Parse errors, unbound variables and unsupported constructs
@@ -1062,16 +1059,13 @@ impl Worker {
         };
         // Joins any exchange workers, so the scan counters are complete.
         drop(solutions);
-        if let Some(log) = &self.slow_log {
+        if let (Some(log), Some(counters)) = (&self.slow_log, &counters) {
             let total = started.elapsed();
             if total >= log.threshold {
                 self.slow.inc();
-                let mut trace = QueryTrace::new();
+                let mut trace = sp2b_sparql::query_trace(&prepared, engine.store(), counters);
                 trace.phase("prepare", prepare_time);
                 trace.phase("execute", total - prepare_time);
-                if let Some(c) = &counters {
-                    trace.operators = sp2b_sparql::operator_spans(&prepared, engine.store(), c);
-                }
                 log.note(&format!(
                     "slow-query: total={:.1} ms {} rows={rows_sent} query={:?}",
                     total.as_secs_f64() * 1e3,

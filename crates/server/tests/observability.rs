@@ -3,7 +3,7 @@
 //! monotone across scrapes, `/stats` is one balanced JSON object that
 //! agrees with [`ServerHandle::stats`], unknown paths still 404, and a
 //! tiny slow-log threshold emits exactly one `slow-query:` line per
-//! query.
+//! query, whose `op_rows` are the rows the query's pattern steps scanned.
 //!
 //! The metrics registry is process-global and [`spawn`] re-registers
 //! the callback series on every call, so every test here serializes on
@@ -12,12 +12,15 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use sp2b_core::BenchQuery;
+use sp2b_datagen::{generate_graph, Config};
+use sp2b_obs::OpKind;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_server::{spawn, ServerConfig, ServerHandle, SlowLog};
-use sp2b_sparql::{QueryEngine, QueryOptions};
+use sp2b_sparql::{query_trace, QueryEngine, QueryOptions, ScanCounters};
 use sp2b_store::{NativeStore, TripleStore};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -281,4 +284,55 @@ fn tiny_slow_threshold_logs_exactly_one_line_per_query() {
     // The slow counter moved with it.
     let scrape = get(&handle, "/metrics");
     assert!(series(body_of(&scrape), "sp2b_slow_queries_total") >= 1.0);
+}
+
+/// `op_rows` counts what the pattern steps scanned — `--explain`'s
+/// `emitted` total and the ledger's `ScanCounters::total_rows` — not the
+/// rows joins emit on top: Q2's left join outputs hundreds of rows that
+/// are the query's result, not scan work.
+#[test]
+fn slow_log_op_rows_are_the_rows_the_pattern_steps_scanned() {
+    let _guard = serialize();
+    let (graph, _) = generate_graph(Config::triples(5_000));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    let engine = QueryEngine::with_options(store, QueryOptions::new().parallelism(1));
+    let q2 = BenchQuery::Q2.text();
+
+    let counters = Arc::new(ScanCounters::default());
+    let watched = engine.clone().scan_counters(counters.clone());
+    let prepared = watched.prepare(q2).unwrap();
+    watched.execute(&prepared).unwrap();
+    let trace = query_trace(&prepared, watched.store(), &counters);
+    let joined: u64 = trace
+        .operators
+        .iter()
+        .filter(|o| o.kind == OpKind::Join)
+        .map(|o| o.rows)
+        .sum();
+    assert!(joined > 0, "Q2 plans a left join that emits rows");
+
+    let (slow_log, buffer) = SlowLog::to_buffer(Duration::ZERO);
+    let cfg = ServerConfig {
+        slow_log: Some(slow_log),
+        ..ServerConfig::default()
+    };
+    let handle = spawn(engine, &cfg).expect("bind ephemeral port");
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let request = format!(
+        "POST /sparql HTTP/1.1\r\nContent-Type: application/sparql-query\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{q2}",
+        q2.len()
+    );
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert_eq!(status_of(&response), 200, "{response}");
+
+    let log = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+    let op_rows = log
+        .split_whitespace()
+        .find_map(|field| field.strip_prefix("op_rows="))
+        .unwrap_or_else(|| panic!("no op_rows in {log}"));
+    assert_eq!(op_rows, counters.total_rows().to_string(), "{log}");
+    assert_eq!(op_rows, trace.scanned_rows().to_string(), "{log}");
 }

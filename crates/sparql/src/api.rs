@@ -32,6 +32,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
+use sp2b_obs::QueryTrace;
 use sp2b_rdf::vocab::xsd;
 use sp2b_rdf::{LiteralRef, Term, TermRef};
 use sp2b_store::{Dictionary, Id, SharedStore, TripleStore};
@@ -263,11 +264,11 @@ impl QueryEngine {
         self
     }
 
-    /// Attaches per-pattern row-count instrumentation: every execution
-    /// through this engine adds the rows each BGP pattern step emits to
-    /// `counters` (see [`ScanCounters`]) — the `--explain` flag and the
-    /// planner regression tests read them back. Instrumentation is off
-    /// (and free) unless attached.
+    /// Attaches per-operator instrumentation: every execution through
+    /// this engine adds what each operator did to `counters` (see
+    /// [`ScanCounters`]), which [`query_trace`] reads back for
+    /// `--explain`, the slow-query log and the planner regression tests.
+    /// Instrumentation is off (and free) unless attached.
     pub fn scan_counters(mut self, counters: Arc<ScanCounters>) -> Self {
         self.counters = Some(counters);
         self
@@ -491,25 +492,24 @@ impl Prepared {
     }
 }
 
-/// One [`sp2b_obs::OpSpan`] per operator of `prepared`'s plan, in
-/// [`crate::plan::operators`] order: BGP patterns in join order, each
-/// join after its inputs. A pattern's label renders its slots against the
-/// store dictionary and `est_rows` is the store's cardinality estimate (0
-/// for unsatisfiable patterns); a join's label names the algorithm and
-/// its key — `hash-left-join ?3≍?8 + residual`, `hash-join ?1`,
-/// `nested-loop-left-join` when it has none — and `est_rows` is the
-/// estimate of its build side's driving scan. `rows`/`time` are read back
-/// from the [`ScanCounters`] the execution ran with, per operator
-/// *occurrence*; a join's time is its probe time. The CLI's `--explain`
-/// and `--trace` reports and the server's slow-query log are all
-/// renderings of this list.
-pub fn operator_spans(
+/// The [`QueryTrace`] of the executions `counters` recorded of
+/// `prepared`: one [`sp2b_obs::OpSpan`] per operator in
+/// [`crate::plan::operators`] order — BGP patterns in join order, each
+/// join after its inputs. A pattern's label renders its slots and
+/// `est_rows` is the store's estimate (0 when unsatisfiable); a join's
+/// label names the algorithm and key (`hash-left-join ?3≍?8 + residual`,
+/// `nested-loop-left-join`) and `est_rows` estimates its build side's
+/// driving scan. Rows, time (a join's is its probe time) and access are
+/// the tallies per operator *occurrence*; each planned exchange's driving
+/// step carries where its morsels ran (`morsels: 0`: not split). Phases
+/// are the caller's to add.
+pub fn query_trace(
     prepared: &Prepared,
     store: &dyn TripleStore,
     counters: &ScanCounters,
-) -> Vec<sp2b_obs::OpSpan> {
-    use crate::plan::{const_pattern, driving_scan, Operator, PlanPattern, PlanSlot};
-    use sp2b_obs::{OpKind, OpSpan, StepAccess};
+) -> QueryTrace {
+    use crate::plan::{const_pattern, driving_scan, exchanges, Operator, PlanPattern, PlanSlot};
+    use sp2b_obs::{ExchangeRun, OpKind, OpSpan, StepAccess};
     let dict = store.dictionary();
     let slot = |s: &PlanSlot| match s {
         PlanSlot::Var(v) => format!("?{v}"),
@@ -532,9 +532,11 @@ pub fn operator_spans(
             rows: tally.rows,
             time: Duration::from_nanos(tally.nanos),
             access: Some(tally.access).filter(|a| *a != StepAccess::default()),
+            exchange: None,
         }
     };
-    operators(prepared.plan())
+    let mut trace = QueryTrace::default();
+    trace.operators = operators(prepared.plan())
         .into_iter()
         .map(|op| match op {
             Operator::Scan(p) => {
@@ -573,32 +575,18 @@ pub fn operator_spans(
                 span(OpKind::Join, label, est_rows, ordinal)
             }
         })
-        .collect()
-}
-
-/// One line per [`Plan::Exchange`] of `prepared`'s plan, for `--explain`
-/// and `--trace` to print under the operators of [`operator_spans`],
-/// whose numbering `step` uses, saying where the execution `counters` saw
-/// ran the exchange's morsels: `exchange ×2 over step 1: morsels 0–2 of 8
-/// inline, 3–7 on 2 workers` when it outlived the fan-out budget
-/// ([`crate::par::FAN_OUT_AFTER`]), `…: 8 morsels, all inline` when it did
-/// not (a consumer that hung up early evaluated fewer of them), `…: not
-/// split` for an ASK, which looks for its witness under the exchange, and
-/// for a scan the store returned no chunks of.
-pub fn exchange_lines(prepared: &Prepared, counters: &ScanCounters) -> Vec<String> {
-    let fan_outs = crate::eval::lock(&counters.fan_outs);
-    crate::plan::exchanges(prepared.plan())
-        .into_iter()
-        .map(|(degree, driving)| {
-            let ran = fan_outs
-                .get(&driving.ordinal)
-                .map_or("not split", String::as_str);
-            format!(
-                "exchange ×{degree} over step {}: {ran}",
-                driving.ordinal + 1
-            )
-        })
-        .collect()
+        .collect();
+    // Ordinals number the operators in this order.
+    let ran = crate::eval::lock(&counters.exchanges);
+    for (degree, driving) in exchanges(prepared.plan()) {
+        let not_split = ExchangeRun {
+            degree,
+            ..ExchangeRun::default()
+        };
+        let run = ran.get(&driving.ordinal).copied().unwrap_or(not_split);
+        trace.operators[driving.ordinal].exchange = Some(run);
+    }
+    trace
 }
 
 /// Result of a materializing execution.

@@ -56,11 +56,13 @@
 //! benchmark runner enforces the paper's 30-minute query timeout without
 //! detaching runaway threads.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use sp2b_obs::StepAccess;
+use sp2b_obs::{ExchangeRun, OpKind, StepAccess};
 use sp2b_rdf::{Literal, Term};
 use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, TripleStore};
 
@@ -230,36 +232,26 @@ impl CancelState {
     }
 }
 
-/// Per-operator tallies for plan instrumentation (the `--explain` and
-/// `--trace` flags and the planner regression tests): each BGP pattern
-/// step and each join records how many rows it emitted and the wall time
-/// spent producing them — a pattern step also how it got its triples
-/// ([`StepAccess`]) — keyed by the operator's *occurrence* in the plan
-/// ([`PlanPattern::ordinal`]) — a pattern written twice (Q9's two
-/// `rdf:type foaf:Person` steps) keeps two tallies. Shared across
-/// exchange worker threads via `Arc` (worker time accumulates, so an
-/// operator's time can exceed the query's wall clock under parallelism);
-/// when absent ([`EvalContext::counters`] is `None`, the default) the
-/// instrumentation costs one branch per operator drop and no clock
-/// reads.
+/// What executions did, per operator — the record [`crate::query_trace`]
+/// renders: rows, sampled time ([`TIMING_STRIDE`]) and, for a step,
+/// [`StepAccess`], keyed by the operator's *occurrence*
+/// ([`PlanPattern::ordinal`]: Q9's two `rdf:type foaf:Person` steps keep
+/// two tallies), and where each exchange ran its morsels. Time sums over
+/// exchange workers. Unattached (the default), it costs one branch per
+/// operator call and no clock read.
 #[derive(Debug, Default)]
 pub struct ScanCounters {
-    /// Pattern steps — what [`ScanCounters::total_rows`] sums.
-    scans: TallyMap,
-    /// Joins, whose rows are output rather than scan work.
-    joins: TallyMap,
-    /// Where each exchange's latest execution ran its morsels, by the
-    /// ordinal of its driving step and in the words of
-    /// [`crate::exchange_lines`]. An exchange that split nothing (ASK
-    /// unwraps it; the store returned no chunks) has no entry.
-    pub(crate) fan_outs: Mutex<FxHashMap<usize, String>>,
+    tallies: Mutex<FxHashMap<usize, OperatorTally>>,
+    /// The latest run of each exchange, by its driving step's ordinal; an
+    /// exchange that split nothing (ASK unwraps it) has no entry.
+    pub(crate) exchanges: Mutex<FxHashMap<usize, ExchangeRun>>,
 }
 
-type TallyMap = Mutex<FxHashMap<usize, OperatorTally>>;
-
 /// What one operator did, summed over its instances and executions.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
+#[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct OperatorTally {
+    /// Pattern steps' rows are scan work; joins' are output.
+    kind: OpKind,
     pub(crate) rows: u64,
     pub(crate) nanos: u64,
     /// Pattern steps only.
@@ -268,6 +260,7 @@ pub(crate) struct OperatorTally {
 
 impl OperatorTally {
     fn add(&mut self, other: &OperatorTally) {
+        self.kind = other.kind;
         self.rows += other.rows;
         self.nanos += other.nanos;
         self.access.lookups += other.access.lookups;
@@ -289,64 +282,122 @@ impl ScanCounters {
     /// The tally of the operator numbered `ordinal` (zeros if it never
     /// ran). Under an exchange the time sums across workers.
     pub(crate) fn tally(&self, ordinal: usize) -> OperatorTally {
-        let scan = lock(&self.scans).get(&ordinal).copied();
-        scan.or_else(|| lock(&self.joins).get(&ordinal).copied())
+        lock(&self.tallies)
+            .get(&ordinal)
+            .copied()
             .unwrap_or_default()
-    }
-
-    /// Rows emitted by this pattern occurrence (0 if it never ran).
-    pub fn rows_for(&self, pattern: &PlanPattern) -> u64 {
-        self.tally(pattern.ordinal).rows
-    }
-
-    /// Wall time spent inside this pattern occurrence (zero if it never
-    /// ran). Under an exchange this sums across workers.
-    pub fn time_for(&self, pattern: &PlanPattern) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.tally(pattern.ordinal).nanos)
     }
 
     /// Total rows emitted across all pattern steps — the query's
     /// intermediate-result volume, the planner's work metric. Rows joins
     /// emit are not part of it.
     pub fn total_rows(&self) -> u64 {
-        lock(&self.scans).values().map(|t| t.rows).sum()
+        let tallies = lock(&self.tallies);
+        let steps = tallies.values().filter(|t| t.kind == OpKind::Scan);
+        steps.map(|t| t.rows).sum()
     }
 }
+
+/// How a running operator samples the clock while counters are attached:
+/// after its first [`EXACT_CALLS`] calls it times each call with
+/// probability 1 / `TIMING_STRIDE` — at Fibonacci-hashed positions from a
+/// random offset, so no periodic call pattern aliases with it — weighted
+/// by `TIMING_STRIDE`: unbiased however few calls an instance makes.
+/// Per-call clock reads made a watched Q4 2.5× slower; sampled, a few %.
+pub const TIMING_STRIDE: u64 = 64;
+
+/// Calls an operator instance times before it samples. Few: an exchange
+/// starts an instance of every step per morsel, and timing 64 calls of
+/// each pushed a watched 1 ms Q2 past the fan-out budget.
+const EXACT_CALLS: u64 = 8;
 
 /// One running operator's share of a [`ScanCounters`] tally: counts
 /// locally — the per-row path stays a plain increment — and flushes once,
-/// when the operator is dropped, into the map `into` picks (pattern steps
-/// and joins are kept apart). Clock reads only happen when counters are
-/// attached (`--explain` / `--trace`); plain evaluation never touches the
-/// clock.
+/// when the operator is dropped. Clock reads only happen when counters are
+/// attached, and then only on the calls [`TIMING_STRIDE`] samples.
 struct LocalTally {
     counters: Option<Arc<ScanCounters>>,
-    into: fn(&ScanCounters) -> &TallyMap,
     ordinal: usize,
     local: OperatorTally,
+    /// Calls started so far (with counters attached).
+    calls: u64,
+    /// Where this instance's sampled calls fall (random).
+    offset: u64,
+    /// Nanoseconds of the current call already booked by
+    /// [`LocalTally::once`], which the call's weight must not multiply.
+    booked: u64,
+}
+
+/// What timing an empty call reads: the clock's own latency (~30 ns on the
+/// 2-core development host), which a sampled call's weight would multiply
+/// — uncorrected, a plain BGP's operators summed to twice its execute time.
+fn clock_floor() -> u64 {
+    static FLOOR: OnceLock<u64> = OnceLock::new();
+    *FLOOR.get_or_init(|| {
+        let empty = || Instant::now().elapsed().as_nanos() as u64;
+        (0..64).map(|_| empty()).min().unwrap_or(0)
+    })
 }
 
 impl LocalTally {
-    fn new(ctx: &EvalContext<'_>, ordinal: usize, into: fn(&ScanCounters) -> &TallyMap) -> Self {
+    fn new(ctx: &EvalContext<'_>, ordinal: usize, kind: OpKind) -> Self {
+        let random = |_| RandomState::new().hash_one(ordinal);
         LocalTally {
             counters: ctx.counters.clone(),
-            into,
             ordinal,
-            local: OperatorTally::default(),
+            local: OperatorTally {
+                kind,
+                ..OperatorTally::default()
+            },
+            calls: 0,
+            offset: ctx.counters.as_ref().map_or(0, random),
+            booked: 0,
         }
     }
 
-    /// Starts timing a piece of the operator's work (a no-op without
-    /// counters); [`LocalTally::stop`] books it.
-    fn start(&self) -> Option<Instant> {
-        self.counters.is_some().then(Instant::now)
+    /// Starts a call; the clock reading to time it by if it is sampled.
+    #[inline]
+    fn start(&mut self) -> Option<Instant> {
+        self.counters.as_ref()?;
+        self.calls += 1;
+        self.booked = 0;
+        let position = self.calls.wrapping_add(self.offset);
+        let sampled = position.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 == 0;
+        (self.calls <= EXACT_CALLS || sampled).then(Instant::now)
     }
 
+    /// Books a call: its rows and, if timed, its time for the calls its
+    /// weight stands for — unless it took over [`TIMING_STRIDE`] times the
+    /// mean so far (a descheduled thread, a page fault): then it stands for
+    /// itself and the rest are booked at the mean.
+    #[inline]
     fn stop(&mut self, started: Option<Instant>, rows: u64) {
         self.local.rows += rows;
-        if let Some(t0) = started {
-            self.local.nanos += t0.elapsed().as_nanos() as u64;
+        let Some(t0) = started else { return };
+        let took = t0.elapsed().as_nanos() as u64;
+        let took = took.saturating_sub(self.booked + clock_floor());
+        if self.calls <= EXACT_CALLS {
+            self.local.nanos += took;
+            return;
         }
+        let mean = self.local.nanos / (self.calls - 1);
+        let typical = Some(took).filter(|&t| t <= TIMING_STRIDE * mean);
+        self.local.nanos += (TIMING_STRIDE - 1) * typical.unwrap_or(mean) + took;
+    }
+
+    /// Runs a one-off piece of the current call — a step's fetch — and
+    /// books its time at face value: sampled with the call, it would be
+    /// counted [`TIMING_STRIDE`] times over.
+    fn once<T>(&mut self, work: impl FnOnce() -> T) -> T {
+        if self.counters.is_none() {
+            return work();
+        }
+        let t0 = Instant::now();
+        let out = work();
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.local.nanos += nanos;
+        self.booked += nanos;
+        out
     }
 
     /// Runs one step of the operator, booking the rows it reports and —
@@ -361,13 +412,11 @@ impl LocalTally {
 
 impl Drop for LocalTally {
     fn drop(&mut self) {
-        if self.local != OperatorTally::default() {
-            if let Some(counters) = &self.counters {
-                lock((self.into)(counters))
-                    .entry(self.ordinal)
-                    .or_default()
-                    .add(&self.local);
-            }
+        if let (Some(counters), 1..) = (&self.counters, self.calls) {
+            lock(&counters.tallies)
+                .entry(self.ordinal)
+                .or_default()
+                .add(&self.local);
         }
     }
 }
@@ -1074,7 +1123,7 @@ fn join_rows<'a>(
     kind: JoinKind<'a>,
     ordinal: usize,
 ) -> RowIter<'a> {
-    let mut tally = LocalTally::new(&ctx, ordinal, |c| &c.joins);
+    let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     Box::new(input.flat_map(move |l| {
         if ctx.cancel.should_stop() {
             return Vec::new().into_iter();
@@ -1117,7 +1166,7 @@ fn symmetric_join_rows<'a>(
         (Some(right), BuildSide::new(key, eq)),
     ];
     let mut turn = 0;
-    let mut tally = LocalTally::new(&ctx, ordinal, |c| &c.joins);
+    let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut out = Vec::new().into_iter();
     Box::new(std::iter::from_fn(move || loop {
         if let Some(row) = out.next() {
@@ -1252,7 +1301,7 @@ impl<'a> PatternBind<'a> {
         base: Bindings,
         scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
     ) -> Self {
-        let tally = LocalTally::new(&ctx, pattern.ordinal, |c| &c.scans);
+        let tally = LocalTally::new(&ctx, pattern.ordinal, OpKind::Scan);
         PatternBind {
             ctx,
             pattern,
@@ -1318,7 +1367,8 @@ impl<'a> PatternBind<'a> {
             // instead of issuing lookups the table is about to make
             // unnecessary.
             state.fetched.get_or_init(|| {
-                let fetched = Fetched::build(self.ctx.store, self.pattern, rule);
+                let (store, pattern) = (self.ctx.store, self.pattern);
+                let fetched = self.tally.once(|| Fetched::build(store, pattern, rule));
                 self.tally.local.access.fetched = fetched.as_ref().map(|f| f.triples.len() as u64);
                 fetched
             });

@@ -62,8 +62,7 @@ pub mod plan;
 pub mod results;
 
 pub use api::{
-    exchange_lines, operator_spans, Error, Prepared, QueryEngine, QueryOptions, QueryResult,
-    Solution, Solutions,
+    query_trace, Error, Prepared, QueryEngine, QueryOptions, QueryResult, Solution, Solutions,
 };
 pub use ast::Query;
 pub use eval::{Bindings, Cancellation, EvalContext, ScanCounters, StepState};

@@ -67,6 +67,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use sp2b_obs::ExchangeRun;
 use sp2b_store::{Pattern, ScanChunk, SharedStore, TripleStore};
 
 use crate::eval::{lock, Bindings, Cancellation, EvalContext, RowIter};
@@ -158,7 +159,7 @@ pub(crate) fn eval_exchange<'a>(
         rows: 0,
         workers: None,
     };
-    exchange.note(exchange.chunks.len(), 0);
+    exchange.record(exchange.chunks.len(), 0);
     Box::new(exchange)
 }
 
@@ -213,20 +214,18 @@ struct MorselBuf {
 }
 
 impl Exchange<'_> {
-    /// Tells the execution's counters, if any, that morsels `..inline` are
-    /// the consumer thread's and the rest went to `workers` threads.
-    fn note(&self, inline: usize, workers: usize) {
+    /// Records in the execution's counters, if any, that morsels
+    /// `..inline` are the consumer thread's and the rest went to
+    /// `workers` threads.
+    fn record(&self, inline: usize, workers: usize) {
         if let Some(counters) = &self.ctx.counters {
-            let n = self.chunks.len();
-            let ran = if workers == 0 {
-                format!("{n} morsel{}, all inline", if n == 1 { "" } else { "s" })
-            } else {
-                let (last_inline, last) = (inline - 1, n - 1);
-                format!(
-                    "morsels 0–{last_inline} of {n} inline, {inline}–{last} on {workers} workers"
-                )
+            let run = ExchangeRun {
+                degree: self.degree,
+                morsels: self.chunks.len(),
+                inline,
+                workers,
             };
-            lock(&counters.fan_outs).insert(self.driving.ordinal, ran);
+            lock(&counters.exchanges).insert(self.driving.ordinal, run);
         }
     }
 
@@ -244,8 +243,7 @@ impl Exchange<'_> {
         }
         let store = self.ctx.shared.as_ref().expect("eval_exchange checked");
         let workers = self.degree.min(left);
-        self.note(self.front, workers);
-        diag::FAN_OUTS.fetch_add(1, Ordering::Relaxed);
+        self.record(self.front, workers);
         let capacity = workers * BATCHES_IN_FLIGHT_PER_WORKER;
         diag::note_capacity(capacity);
         let (tx, rx) = sync_channel::<Msg>(capacity);
@@ -527,10 +525,10 @@ impl Worker {
 }
 
 /// Exchange observability: always-on relaxed-atomic gauges — the
-/// live-worker gauge behind the no-thread-leak test, the fan-out count,
-/// the in-flight and parked batch high-water marks behind the flat-memory
-/// tests — plus debug-only hooks for the tests: fault injection (skew,
-/// worker failure) and a zero fan-out budget. The gauges cost one relaxed
+/// live-worker gauge behind the no-thread-leak test, the in-flight and
+/// parked batch high-water marks behind the flat-memory tests — plus
+/// debug-only hooks for the tests: fault injection (skew, worker
+/// failure) and a zero fan-out budget. The gauges cost one relaxed
 /// atomic op per event on paths that already cross a channel or spawn a
 /// thread, so they stay on in release builds and feed the process metrics
 /// registry (see [`diag::register_metrics`]).
@@ -539,7 +537,6 @@ pub mod diag {
     use std::time::Duration;
 
     pub(super) static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-    pub(super) static FAN_OUTS: AtomicUsize = AtomicUsize::new(0);
     static IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
     static PEAK_IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
     static BOUND: AtomicI64 = AtomicI64::new(0);
@@ -574,12 +571,6 @@ pub mod diag {
     /// the happens-before edge that makes the relaxed load exact).
     pub fn live_workers() -> usize {
         LIVE_WORKERS.load(Ordering::Relaxed)
-    }
-
-    /// Exchanges that have handed morsels to workers since the process
-    /// started: the difference across a query says whether it fanned out.
-    pub fn fan_outs() -> usize {
-        FAN_OUTS.load(Ordering::Relaxed)
     }
 
     /// The budget exchanges run under: [`super::FAN_OUT_AFTER`], unless a

@@ -473,8 +473,8 @@ pub enum Operator<'p> {
 
 /// Every instrumented operator of the plan in ordinal order: the basic
 /// graph patterns in join order (probe side before build side), each join
-/// after both its inputs — the order `--explain`/`--trace` and the
-/// server's slow-query log display operators in.
+/// after both its inputs — the order of [`crate::query_trace`]'s spans,
+/// which `--explain` numbers its steps by.
 pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
     fn walk<'p>(plan: &'p Plan, out: &mut Vec<Operator<'p>>) {
         match plan {

@@ -1,5 +1,6 @@
 //! Lifecycle tests for the exchange, built on the gauges and debug-only
-//! hooks in `sp2b_sparql::par::diag`:
+//! hooks in `sp2b_sparql::par::diag` and on the execution's own trace
+//! (`sp2b_sparql::query_trace`), which records where its morsels ran:
 //!
 //! * **fan-out is earned** — under the default budget a short query runs
 //!   every morsel on the consumer's thread and never spawns; with the
@@ -20,11 +21,12 @@
 
 #![cfg(debug_assertions)]
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use sp2b_obs::{ExchangeRun, QueryTrace};
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::diag;
-use sp2b_sparql::{exchange_lines, Cancellation, Error, QueryEngine, QueryOptions, ScanCounters};
+use sp2b_sparql::{query_trace, Cancellation, Error, QueryEngine, QueryOptions, ScanCounters};
 use sp2b_store::{NativeStore, SharedStore, TripleStore};
 
 /// Counter serialization: one exchange under observation at a time.
@@ -85,6 +87,24 @@ fn values(engine: &QueryEngine, query: &str) -> Vec<i64> {
         .collect()
 }
 
+/// The exchanges `trace` records, by the step they split.
+fn exchanges(trace: &QueryTrace) -> Vec<(usize, ExchangeRun)> {
+    trace.exchanges().collect()
+}
+
+/// The degree-4 exchange over step 1 of `FULL_SCAN` (and the short query
+/// below), having run `inline` morsels on the consumer's thread and handed
+/// the rest to `workers` workers.
+fn full_scan_run(inline: usize, workers: usize) -> Vec<(usize, ExchangeRun)> {
+    let run = ExchangeRun {
+        degree: 4,
+        morsels: MORSELS,
+        inline,
+        workers,
+    };
+    vec![(1, run)]
+}
+
 /// A query that finishes inside the default budget never leaves the
 /// consumer's thread, whatever the parallelism — and `--explain` says so.
 #[test]
@@ -100,13 +120,12 @@ fn a_short_query_runs_every_morsel_inline_and_spawns_nothing() {
             Term::Literal(Literal::integer(i)),
         );
     }
-    let counters = std::sync::Arc::new(ScanCounters::default());
+    let counters = Arc::new(ScanCounters::default());
     let options = QueryOptions::new().parallelism(4);
     let engine = QueryEngine::with_options(NativeStore::from_graph(&g).into_shared(), options)
         .scan_counters(counters.clone());
     let prepared = engine.prepare(short).unwrap();
     assert!(sp2b_sparql::plan::has_exchange(prepared.plan()));
-    let fan_outs = diag::fan_outs();
     let mut rows = 0;
     for solution in engine.solutions(&prepared) {
         solution.unwrap();
@@ -114,13 +133,10 @@ fn a_short_query_runs_every_morsel_inline_and_spawns_nothing() {
         assert_eq!(diag::live_workers(), 0, "after row {rows}");
     }
     assert_eq!(rows, 48);
-    assert_eq!(diag::fan_outs(), fan_outs);
-    assert_eq!(
-        exchange_lines(&prepared, &counters),
-        [format!(
-            "exchange ×4 over step 1: {MORSELS} morsels, all inline"
-        )]
-    );
+    let trace = query_trace(&prepared, engine.store(), &counters);
+    assert_eq!(exchanges(&trace), full_scan_run(MORSELS, 0));
+    let line = format!("\n  exchange ×4 over step 1: {MORSELS} morsels, all inline\n");
+    assert!(trace.render().contains(&line), "{}", trace.render());
 }
 
 /// Whenever the hand-off happens — at once, or when morsel 0 alone uses
@@ -132,21 +148,18 @@ fn a_hand_off_at_any_point_keeps_the_sequential_row_order() {
     let sequential = values(&engine(1), FULL_SCAN);
     assert_eq!(sequential.len() as i64, TRIPLES);
     let handed_off = |what: &str| {
-        let counters = std::sync::Arc::new(ScanCounters::default());
+        let counters = Arc::new(ScanCounters::default());
         let engine = engine(4).scan_counters(counters.clone());
-        let fan_outs = diag::fan_outs();
         assert_eq!(values(&engine, FULL_SCAN), sequential, "{what}");
-        assert_eq!(diag::fan_outs(), fan_outs + 1, "{what}");
         assert_eq!(diag::live_workers(), 0, "{what}");
         let prepared = engine.prepare(FULL_SCAN).unwrap();
-        assert_eq!(
-            exchange_lines(&prepared, &counters),
-            [format!(
-                "exchange ×4 over step 1: morsels 0–0 of {MORSELS} inline, 1–{} on 4 workers",
-                MORSELS - 1
-            )],
-            "{what}"
+        let trace = query_trace(&prepared, engine.store(), &counters);
+        assert_eq!(exchanges(&trace), full_scan_run(1, 4), "{what}");
+        let line = format!(
+            "\n  exchange ×4 over step 1: morsels 0–0 of {MORSELS} inline, 1–{} on 4 workers\n",
+            MORSELS - 1
         );
+        assert!(trace.render().contains(&line), "{what}: {}", trace.render());
     };
     {
         let _zero = ZeroBudget::set();
@@ -161,16 +174,19 @@ fn a_hand_off_at_any_point_keeps_the_sequential_row_order() {
 fn pre_triggered_cancellation_yields_nothing_and_spawns_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let _zero = ZeroBudget::set();
-    let engine = engine(4);
+    let counters = Arc::new(ScanCounters::default());
+    let engine = engine(4).scan_counters(counters.clone());
     let prepared = engine.prepare(FULL_SCAN).unwrap();
     let cancel = Cancellation::none();
     cancel.cancel();
-    let fan_outs = diag::fan_outs();
     let mut stream = engine.solutions_with(&prepared, &cancel);
     assert!(matches!(stream.next(), Some(Err(Error::Cancelled))));
     assert!(stream.next().is_none());
+    drop(stream);
     assert_eq!(engine.count_with(&prepared, &cancel).ok(), None);
-    assert_eq!(diag::fan_outs(), fan_outs);
+    let trace = query_trace(&prepared, engine.store(), &counters);
+    assert_eq!(exchanges(&trace), full_scan_run(MORSELS, 0));
+    assert_eq!(trace.scanned_rows(), 0);
     assert_eq!(diag::live_workers(), 0);
 }
 

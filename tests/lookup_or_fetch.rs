@@ -21,7 +21,7 @@ use sp2bench::sparql::algebra::translate_query;
 use sp2bench::sparql::optimizer::optimize;
 use sp2bench::sparql::plan::{bind, has_exchange};
 use sp2bench::sparql::{
-    operator_spans, parse, Cancellation, EvalContext, OptimizerConfig, QueryEngine, QueryOptions,
+    parse, query_trace, Cancellation, EvalContext, OptimizerConfig, QueryEngine, QueryOptions,
     ScanCounters,
 };
 use sp2bench::store::{save_graph, Id, NativeStore, ShardBy, SharedStore, TripleStore};
@@ -96,7 +96,8 @@ fn rows_and_their_order_are_those_of_pure_lookups_at_any_parallelism() {
                 rows == expected,
                 "{query}@{degree}: rows or their order changed"
             );
-            let fetched = operator_spans(&prepared, engine.store(), &counters)
+            let fetched = query_trace(&prepared, engine.store(), &counters)
+                .operators
                 .iter()
                 .filter(|s| s.access.is_some_and(|a| a.fetched.is_some()))
                 .count();

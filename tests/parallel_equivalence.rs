@@ -11,9 +11,13 @@
 //! consumer's thread (the default budget, on documents this small) or
 //! hands off after its first morsel (the budget forced to zero).
 
+use std::sync::Arc;
+
 use sp2bench::core::{BenchQuery, Engine, EngineKind, ExtQuery, StoreLayout};
 use sp2bench::datagen::{generate_graph, Config};
-use sp2bench::sparql::{Cancellation, Error, QueryEngine, QueryOptions, QueryResult};
+use sp2bench::sparql::{
+    query_trace, Cancellation, Error, QueryEngine, QueryOptions, QueryResult, ScanCounters,
+};
 use sp2bench::store::{save_graph, MemStore, NativeStore, ShardBy, SharedStore, TripleStore};
 
 const TRIPLES: u64 = 8_000;
@@ -252,33 +256,42 @@ fn row_sequences_do_not_depend_on_parallelism_or_the_fan_out_budget() {
             engines.push((format!("{kind} on disk"), disk));
         }
     }
+    // Watched: the trace of each execution says whether it fanned out.
     let rows_at = |engine: &Engine, text: &str, degree: usize| {
-        let engine = engine.query_engine_with(None, Some(degree));
-        engine.execute(&engine.prepare(text).expect("prepares"))
+        let counters = Arc::new(ScanCounters::default());
+        let engine = engine
+            .query_engine_with(None, Some(degree))
+            .scan_counters(counters.clone());
+        let prepared = engine.prepare(text).expect("prepares");
+        let rows = engine.execute(&prepared).expect("evaluates");
+        (rows, query_trace(&prepared, engine.store(), &counters))
     };
+    // How many of the parallel executions handed morsels to workers.
     let agree = |budget: &str| {
+        let mut fanned_out = 0;
         for (name, engine) in &engines {
             for (label, text) in all_query_texts() {
-                let sequential = rows_at(engine, text, 1).expect("evaluates");
+                let (sequential, _) = rows_at(engine, text, 1);
                 for degree in [2, 4] {
-                    let parallel = rows_at(engine, text, degree).expect("evaluates");
+                    let (parallel, trace) = rows_at(engine, text, degree);
                     assert!(
                         parallel == sequential,
                         "{label} on {name} @{degree}, {budget}: rows or their order changed"
                     );
+                    fanned_out += usize::from(trace.fanned_out());
                 }
             }
         }
+        fanned_out
     };
     agree("default budget");
     #[cfg(debug_assertions)]
     {
         use sp2bench::sparql::par::diag;
-        let fan_outs = diag::fan_outs();
         diag::fan_out_at_once(true);
-        agree("budget zero");
+        let fanned_out = agree("budget zero");
         diag::fan_out_at_once(false);
-        assert!(diag::fan_outs() > fan_outs, "the workers were exercised");
+        assert!(fanned_out > 0, "the workers were exercised");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

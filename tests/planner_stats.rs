@@ -21,12 +21,12 @@ use std::sync::{Arc, OnceLock};
 
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
-use sp2bench::obs::{OpKind, OpSpan};
+use sp2bench::obs::{ExchangeRun, OpKind, OpSpan};
 use sp2bench::rdf::{Graph, Iri, Subject, Term};
 use sp2bench::sparql::eval::LOOKUP_FLUSH;
 use sp2bench::sparql::plan::{operators, Operator, FETCH_CAP};
 use sp2bench::sparql::{
-    operator_spans, Cancellation, Error, OptimizerConfig, Prepared, QueryEngine, QueryOptions,
+    query_trace, Cancellation, Error, OptimizerConfig, Prepared, QueryEngine, QueryOptions,
     QueryResult, ScanCounters,
 };
 use sp2bench::store::{
@@ -250,8 +250,8 @@ fn stats_order_emits_fewer_rows_than_syntactic_order() {
 /// Tallies are per pattern *occurrence*: each branch of Q9's UNION opens
 /// with the same `?person rdf:type foaf:Person` pattern, and each
 /// occurrence must report its own rows — not share one tally and report
-/// the sum twice — so the per-operator spans `--explain`, `--trace` and
-/// the slow log render add up to `ScanCounters::total_rows()`.
+/// the sum twice — so the per-operator spans `--explain` and the slow log
+/// render add up to `ScanCounters::total_rows()`.
 #[test]
 fn repeated_patterns_keep_their_own_tallies() {
     let (graph, _) = generate_graph(Config::triples(5_000));
@@ -263,8 +263,9 @@ fn repeated_patterns_keep_their_own_tallies() {
     let prepared = qe.prepare(q9.text()).expect("query parses");
     qe.count(&prepared).expect("query evaluates");
 
-    let spans = operator_spans(&prepared, qe.store(), &counters);
-    let person: Vec<_> = spans
+    let trace = query_trace(&prepared, qe.store(), &counters);
+    let person: Vec<_> = trace
+        .operators
         .iter()
         .filter(|s| {
             s.label
@@ -278,16 +279,14 @@ fn repeated_patterns_keep_their_own_tallies() {
         assert_eq!(span.rows, span.est_rows, "{}", span.label);
         assert!(span.rows > 0);
     }
-    let rendered: u64 = spans.iter().map(|s| s.rows).sum();
-    assert_eq!(rendered, counters.total_rows());
+    assert_eq!(trace.scanned_rows(), counters.total_rows());
     // The same holds when exchange workers evaluate the plan per morsel.
     let parallel = Arc::new(ScanCounters::default());
     let qe = qe.parallelism(4).scan_counters(parallel.clone());
     let prepared = qe.prepare(q9.text()).expect("query parses");
     qe.count(&prepared).expect("query evaluates");
-    let spans = operator_spans(&prepared, qe.store(), &parallel);
-    let rendered: u64 = spans.iter().map(|s| s.rows).sum();
-    assert_eq!(rendered, parallel.total_rows());
+    let trace = query_trace(&prepared, qe.store(), &parallel);
+    assert_eq!(trace.scanned_rows(), parallel.total_rows());
 }
 
 /// An exchange splits the driving scan into morsels, and each morsel's
@@ -315,7 +314,8 @@ fn operator_rows_do_not_depend_on_parallelism() {
                 "{label}@{degree}"
             );
             qe.count(&prepared).expect("query evaluates");
-            let rows: Vec<(String, u64)> = operator_spans(&prepared, qe.store(), &counters)
+            let rows: Vec<(String, u64)> = query_trace(&prepared, qe.store(), &counters)
+                .operators
                 .into_iter()
                 .map(|s| (s.label, s.rows))
                 .collect();
@@ -366,7 +366,7 @@ fn build_sides_are_built_once_per_execution_and_never_kept() {
             assert_eq!(joins.len(), 1, "{label} plans one join");
             assert!(!build_steps.is_empty(), "{label}");
             let rows_now = || -> Vec<u64> {
-                let spans = operator_spans(&prepared, engine.store(), &counters);
+                let spans = query_trace(&prepared, engine.store(), &counters).operators;
                 let of_interest = build_steps.iter().chain(&joins);
                 of_interest.map(|&ordinal| spans[ordinal].rows).collect()
             };
@@ -409,11 +409,14 @@ fn pre_triggered_cancellation_scans_no_build_input() {
         );
         drop(stream);
         assert_eq!(counters.total_rows(), 0, "{label}: nothing was scanned");
-        let spans = operator_spans(&prepared, engine.store(), &counters);
+        let trace = query_trace(&prepared, engine.store(), &counters);
         assert!(
-            spans.iter().all(|s| s.access.is_none()),
-            "{label}: {spans:?}"
+            trace.operators.iter().all(|s| s.access.is_none()),
+            "{label}: {trace:?}"
         );
+        // The exchange opened its morsels and ran none of them: nothing
+        // was handed to a worker.
+        assert!(!trace.fanned_out(), "{label}: {trace:?}");
     }
 }
 
@@ -422,7 +425,8 @@ fn pre_triggered_cancellation_scans_no_build_input() {
 /// and Q5a plan as the same hash join, and the ASK must neither
 /// materialize a join input nor fan out before its first witness: its join
 /// emits one row and its patterns scan a sliver of what the SELECT's do —
-/// at any parallelism, since a one-row consumer runs no exchange.
+/// at any parallelism, since a one-row consumer runs no exchange, which
+/// its trace says: the exchange over step 1 was not split.
 #[test]
 fn ask_scans_a_prefix_of_what_its_select_enumerates() {
     let (graph, _) = generate_graph(Config::triples(50_000));
@@ -434,11 +438,19 @@ fn ask_scans_a_prefix_of_what_its_select_enumerates() {
             .scan_counters(counters.clone());
         let prepared = qe.prepare(query.text()).expect("query parses");
         let count = qe.count(&prepared).expect("query evaluates");
-        let spans = operator_spans(&prepared, qe.store(), &counters);
-        let join = spans
+        let trace = query_trace(&prepared, qe.store(), &counters);
+        let join = trace
+            .operators
             .iter()
             .find(|s| s.label.starts_with("hash-join"))
             .unwrap_or_else(|| panic!("{query} runs as a hash join"));
+        let exchanges: Vec<(usize, ExchangeRun)> = trace.exchanges().collect();
+        if degree > 1 {
+            let split = exchanges[0].1.morsels > 0;
+            assert_eq!(split, !query.is_ask(), "{query}@{degree}: {exchanges:?}");
+        } else {
+            assert_eq!(exchanges, [], "{query}@{degree}");
+        }
         (count, join.rows, counters.total_rows())
     };
     let (_, select_joined, select_scanned) = join_rows_and_scanned(BenchQuery::Q5a, 1);
@@ -512,7 +524,7 @@ fn spans_of(store: &SharedStore, text: &str, degree: usize) -> Vec<OpSpan> {
     let (engine, counters) = counting_engine(store, degree);
     let prepared = engine.prepare(text).expect("query parses");
     engine.count(&prepared).expect("query evaluates");
-    operator_spans(&prepared, engine.store(), &counters)
+    query_trace(&prepared, engine.store(), &counters).operators
 }
 
 fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
@@ -659,7 +671,7 @@ fn prepared_query_starts_on_lookups_every_time() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         engine.count(&prepared).expect("query evaluates");
-        runs.push(operator_spans(&prepared, engine.store(), &counters));
+        runs.push(query_trace(&prepared, engine.store(), &counters).operators);
     }
     let last = |spans: &[OpSpan]| spans[4].access.expect("the last step ran");
     let (first, both) = (last(&runs[0]), last(&runs[1]));
