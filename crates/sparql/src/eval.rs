@@ -580,24 +580,12 @@ impl<'a> EvalContext<'a> {
                 join_rows(self, probe, build, kind, *ordinal)
             }
             Plan::Exchange { degree, input } => crate::par::eval_exchange(self, *degree, input),
-            Plan::Union(a, b) => {
-                let this = self.clone();
-                let left = self.eval(a);
-                // Defer building the right side until the left is drained.
-                let mut right: Option<RowIter<'a>> = None;
-                let mut left = Some(left);
-                Box::new(std::iter::from_fn(move || loop {
-                    if let Some(l) = left.as_mut() {
-                        match l.next() {
-                            Some(row) => return Some(row),
-                            None => left = None,
-                        }
-                    } else {
-                        let r = right.get_or_insert_with(|| this.clone().eval(b));
-                        return r.next();
-                    }
-                }))
-            }
+            // The right side is not opened until the left is drained.
+            Plan::Union(a, b) => Box::new(
+                self.clone()
+                    .eval(a)
+                    .chain(std::iter::once_with(move || self.eval(b)).flatten()),
+            ),
             Plan::Filter(expr, inner) => {
                 let store = self.store;
                 let input = self.eval_over(inner, drive);
@@ -696,6 +684,12 @@ impl<'a> EvalContext<'a> {
                 let inputs = [left, right].map(|side| self.clone().eval_witness(side));
                 symmetric_join_rows(self, inputs, key, eq, *ordinal)
             }
+            // Q12b: each branch's exchange stays unwrapped too.
+            Plan::Union(a, b) => Box::new(
+                self.clone()
+                    .eval_witness(a)
+                    .chain(std::iter::once_with(move || self.eval_witness(b)).flatten()),
+            ),
             other => self.eval(other),
         }
     }

@@ -38,11 +38,32 @@
 //! 3. **Filter substitution** (constant propagation): an equality conjunct
 //!    `?v = <const>` whose variable is otherwise unobserved is folded into
 //!    the patterns, turning Q3-style "attribute test" filters into
-//!    indexable constants.
+//!    indexable constants. A variable observed above the group — projected,
+//!    ordered on, named by a conjunct that stays above a join, or shared
+//!    with the other side of a join or left join — is never substituted.
 //!
-//! Every rewrite is result-preserving; the property tests in
+//! One algebra rewrite rides on the reordering switch: **a join
+//! distributes over UNION** (`rewrite_join`). `Join(A, Union(B1,
+//! B2))` with no key pairs, A a *flat group* — a BGP, possibly under
+//! filters, whose filter variables its own patterns all bind — becomes
+//! `Union(Join(A, B1), Join(A, B2))` (recursively for longer unions, and
+//! the same with the union on the left), and each `Join(A, Bi)` whose
+//! `Bi` is flat too becomes one BGP carrying both groups' conjuncts,
+//! which the greedy ordering above then plans like any other. Bag
+//! semantics make the distribution always valid; flatness makes the
+//! merge valid, since no conjunct then sees a variable its own group did
+//! not bind. A branch that is not flat (an OPTIONAL, a nested group, a
+//! filter on an outer variable) stays a join with A. The paper's Q8 is
+//! the case: its one-row `?erdoes` group used to probe a hash table of
+//! every co-author pair the branches enumerate (325k pattern rows at 50k
+//! triples); now each branch opens at `?erdoes foaf:name "Paul Erdoes"`
+//! and chains by lookups (8.7k). A is evaluated once per branch; there is
+//! no estimate-based guard, because the merged BGP starts from whichever
+//! side is selective.
+//!
+//! Every rewrite is result-preserving; the seeded tests in
 //! `tests/optimizer_equivalence.rs` check optimized vs. naive evaluation
-//! on randomized data.
+//! on random graphs.
 
 use sp2b_rdf::Term;
 use sp2b_store::{Id, StoreStats, TripleStore};
@@ -114,11 +135,7 @@ fn rewrite(
             cfg,
             needed,
         ),
-        Algebra::Join(a, b, eq) => {
-            let a = rewrite(*a, store, cfg, needed);
-            let b = rewrite(*b, store, cfg, needed);
-            Algebra::Join(Box::new(a), Box::new(b), eq)
-        }
+        Algebra::Join(a, b, eq) => rewrite_join(*a, *b, eq, store, cfg, needed),
         Algebra::LeftJoin(a, b, cond, _) => rewrite_left_join(*a, *b, cond, store, cfg, needed),
         Algebra::Union(a, b) => {
             let a = rewrite(*a, store, cfg, needed);
@@ -195,6 +212,8 @@ fn rewrite_filter(
         }
         Algebra::Join(a, b, eq) => {
             let (into_a, into_b, stay) = distribute(expr, &a, &b, /*left_only=*/ false);
+            // What stays above still observes its variables there.
+            extend(needed, stay.iter().flat_map(Expr::variables));
             let mut left = *a;
             let mut right = *b;
             if let Some(e) = into_a {
@@ -203,11 +222,7 @@ fn rewrite_filter(
             if let Some(e) = into_b {
                 right = Algebra::Filter(e, Box::new(right));
             }
-            let joined = Algebra::Join(
-                Box::new(rewrite(left, store, cfg, needed)),
-                Box::new(rewrite(right, store, cfg, needed)),
-                eq,
-            );
+            let joined = rewrite_join(left, right, eq, store, cfg, needed);
             match stay {
                 Some(e) => Algebra::Filter(e, Box::new(joined)),
                 None => joined,
@@ -216,6 +231,8 @@ fn rewrite_filter(
         Algebra::LeftJoin(a, b, cond, _) => {
             // Only the preserved side may absorb filters.
             let (into_a, _, stay) = distribute(expr, &a, &b, /*left_only=*/ true);
+            // What stays above still observes its variables there.
+            extend(needed, stay.iter().flat_map(Expr::variables));
             let mut left = *a;
             if let Some(e) = into_a {
                 left = Algebra::Filter(e, Box::new(left));
@@ -235,6 +252,114 @@ fn rewrite_filter(
     }
 }
 
+/// Rewrites an inner join. Under `reorder_patterns` a join of a flat
+/// group ([`is_flat`]) with a UNION distributes over the union's
+/// branches first — `Join(A, Union(B1, B2))` becomes `Union(Join(A, B1),
+/// Join(A, B2))`, the mirror image likewise — and is rewritten as that
+/// union (a nested union distributes again on the way down); the module
+/// doc says why this is valid and what it buys Q8. Every other join
+/// keeps its shape.
+fn rewrite_join(
+    a: Algebra,
+    b: Algebra,
+    eq: EqPairs,
+    store: &dyn TripleStore,
+    cfg: &OptimizerConfig,
+    needed: &mut Vec<usize>,
+) -> Algebra {
+    let distribute = cfg.reorder_patterns && eq.is_empty();
+    let (a, b) = match (a, b) {
+        (group, Algebra::Union(x, y)) if distribute && is_flat(&group) => {
+            let union = Algebra::Union(join_branch(group.clone(), *x), join_branch(group, *y));
+            return rewrite(union, store, cfg, needed);
+        }
+        (Algebra::Union(x, y), group) if distribute && is_flat(&group) => {
+            let union = Algebra::Union(join_branch(*x, group.clone()), join_branch(*y, group));
+            return rewrite(union, store, cfg, needed);
+        }
+        sides => sides,
+    };
+    keep_shared(needed, &a, &b);
+    let a = rewrite(a, store, cfg, needed);
+    let b = rewrite(b, store, cfg, needed);
+    Algebra::Join(Box::new(a), Box::new(b), eq)
+}
+
+/// Marks the variables both sides of a join mention as observable: the
+/// join compares them, so substituting one away inside a side would
+/// leave the other side unconstrained.
+fn keep_shared(needed: &mut Vec<usize>, a: &Algebra, b: &Algebra) {
+    let vb = b.all_vars();
+    extend(needed, a.all_vars().into_iter().filter(|v| vb.contains(v)));
+}
+
+/// One branch of a distributed join: one BGP when both sides are flat
+/// ([`merge_flat`]), otherwise still a join.
+fn join_branch(left: Algebra, right: Algebra) -> Box<Algebra> {
+    Box::new(if is_flat(&left) && is_flat(&right) {
+        merge_flat(left, right)
+    } else {
+        Algebra::Join(Box::new(left), Box::new(right), EqPairs::new())
+    })
+}
+
+/// A *flat group*: a BGP, possibly under filters, whose every filter
+/// variable its own patterns bind. Such a group's conjuncts see the same
+/// values inside a larger BGP as in their own — never a variable the
+/// group did not bind — so two flat groups join as one BGP.
+fn is_flat(a: &Algebra) -> bool {
+    let mut filters: Vec<&Expr> = Vec::new();
+    let mut inner = a;
+    while let Algebra::Filter(e, below) = inner {
+        filters.push(e);
+        inner = below;
+    }
+    let Algebra::Bgp {
+        patterns,
+        inline_filters,
+    } = inner
+    else {
+        return false;
+    };
+    let bound: Vec<usize> = patterns.iter().flat_map(|p| p.variables()).collect();
+    filters
+        .into_iter()
+        .chain(inline_filters.iter().map(|(_, e)| e))
+        .all(|e| e.variables().iter().all(|v| bound.contains(v)))
+}
+
+/// The join of two flat groups as one BGP — `a`'s patterns, then `b`'s —
+/// under the conjunction of both groups' filters.
+fn merge_flat(a: Algebra, b: Algebra) -> Algebra {
+    fn take(group: Algebra, patterns: &mut Vec<ResolvedPattern>, filters: &mut Vec<Expr>) {
+        match group {
+            Algebra::Filter(e, inner) => {
+                filters.extend(e.conjuncts());
+                take(*inner, patterns, filters);
+            }
+            Algebra::Bgp {
+                patterns: own,
+                inline_filters,
+            } => {
+                patterns.extend(own);
+                filters.extend(inline_filters.into_iter().map(|(_, e)| e));
+            }
+            other => unreachable!("not a flat group: {other:?}"),
+        }
+    }
+    let (mut patterns, mut filters) = (Vec::new(), Vec::new());
+    take(a, &mut patterns, &mut filters);
+    take(b, &mut patterns, &mut filters);
+    let bgp = Algebra::Bgp {
+        patterns,
+        inline_filters: Vec::new(),
+    };
+    match Expr::fold_and(filters) {
+        Some(e) => Algebra::Filter(e, Box::new(bgp)),
+        None => bgp,
+    }
+}
+
 /// Rewrites both sides of a left join and, under `push_filters`, hands
 /// the join the equality conjuncts of its condition as hash-key pairs
 /// (Q6: `?author = ?author2`). The condition itself is untouched: it
@@ -251,6 +376,7 @@ fn rewrite_left_join(
     if let Some(c) = &cond {
         extend(needed, c.variables());
     }
+    keep_shared(needed, &a, &b);
     let a = rewrite(a, store, cfg, needed);
     let b = rewrite(b, store, cfg, needed);
     let eq = match &cond {
@@ -1098,6 +1224,42 @@ mod tests {
             &OptimizerConfig::full(),
         );
         assert_eq!(bgp_of(&algebra).0.len(), 2);
+    }
+
+    #[test]
+    fn join_distributes_over_a_union_of_flat_groups() {
+        let query = "SELECT ?s WHERE { ?s <http://x/rare> ?r FILTER (?r != <http://x/o>)
+            { ?s <http://x/common> ?o FILTER (?o != ?s) } UNION { ?s <http://x/rare> ?v }
+            UNION { ?t <http://x/common> ?o FILTER (?o != ?s) } }";
+        let (algebra, _) = optimized(query, &OptimizerConfig::full());
+        let Algebra::Project(_, inner) = algebra else {
+            panic!()
+        };
+        let Algebra::Union(flat, not_flat) = *inner else {
+            panic!("{inner:?}")
+        };
+        // The third branch's filter names ?s, which only the outer group
+        // binds: that branch stays a join.
+        assert!(matches!(*not_flat, Algebra::Join(..)), "{not_flat:?}");
+        let Algebra::Union(first, second) = *flat else {
+            panic!("{flat:?}")
+        };
+        for branch in [&first, &second] {
+            let (patterns, _) = bgp_of(branch);
+            assert_eq!(patterns.len(), 2, "{branch:?}");
+            assert_eq!(patterns[0].p, Slot::Const(Term::iri("http://x/rare")));
+        }
+        // Each merged BGP runs the group's filter and its branch's inline.
+        assert_eq!((bgp_of(&first).1.len(), bgp_of(&second).1.len()), (2, 1));
+        // Without reordering the join keeps its shape.
+        let (algebra, _) = optimized(query, &OptimizerConfig::default());
+        let Algebra::Project(_, inner) = algebra else {
+            panic!()
+        };
+        let Algebra::Filter(_, joined) = *inner else {
+            panic!("{inner:?}")
+        };
+        assert!(matches!(*joined, Algebra::Join(..)), "{joined:?}");
     }
 
     #[test]

@@ -1,35 +1,41 @@
-//! Property tests: every optimizer rewrite must preserve query semantics.
+//! Seeded equivalence tests: every optimizer rewrite must preserve query
+//! semantics.
 //!
-//! Randomized RDF graphs + a pool of query shapes covering the rewrite
+//! Random small graphs + a pool of query shapes covering the rewrite
 //! rules (BGP reordering, filter pushing into BGPs/joins, IRI-equality
-//! substitution, left-join handling); naive and fully-optimized plans
-//! must return identical result multisets on both stores.
+//! substitution, left-join handling, a join distributed over a UNION);
+//! naive, heuristic and fully-optimized plans must return identical
+//! result multisets on both stores. Each graph comes from a seed printed
+//! in every assertion message; `SP2B_SEED=<n> cargo test --test
+//! optimizer_equivalence` replays that one graph.
 
-use proptest::prelude::*;
-
+use sp2bench::datagen::rng::SplitMix64;
 use sp2bench::rdf::{Graph, Iri, Literal, Subject, Term};
-use sp2bench::sparql::{OptimizerConfig, QueryEngine};
+use sp2bench::sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult};
 use sp2bench::store::{MemStore, NativeStore, SharedStore, TripleStore};
 
-/// Random small graph: subjects s0..s5, predicates p0..p3, objects mix of
-/// IRIs and integers.
-fn graph_strategy() -> impl Strategy<Value = Graph> {
-    prop::collection::vec((0u8..6, 0u8..4, 0u8..8), 1..60).prop_map(|triples| {
-        let mut g = Graph::new();
-        for (s, p, o) in triples {
-            let object: Term = if o < 4 {
-                Term::iri(format!("http://t/o{o}"))
-            } else {
-                Term::Literal(Literal::integer(o as i64))
-            };
-            g.add(
-                Subject::iri(format!("http://t/s{s}")),
-                Iri::new(format!("http://t/p{p}")),
-                object,
-            );
-        }
-        g
-    })
+/// Graphs per property.
+const CASES: u64 = 64;
+
+/// Up to 60 triples over subjects s0..s5 and predicates p0..p3; objects
+/// mix IRIs, integers and the subjects themselves, so chains join.
+fn random_graph(seed: u64) -> Graph {
+    let mut rng = SplitMix64::new(seed);
+    let mut g = Graph::new();
+    for _ in 0..1 + rng.next_u64() % 60 {
+        let (s, p, o) = (rng.next_u64() % 6, rng.next_u64() % 4, rng.next_u64() % 11);
+        let object: Term = match o {
+            0..=3 => Term::iri(format!("http://t/o{o}")),
+            4..=7 => Term::Literal(Literal::integer(o as i64)),
+            _ => Term::iri(format!("http://t/s{}", o - 8)),
+        };
+        g.add(
+            Subject::iri(format!("http://t/s{s}")),
+            Iri::new(format!("http://t/p{p}")),
+            object,
+        );
+    }
+    g
 }
 
 /// Query shapes exercising each rewrite rule.
@@ -54,14 +60,52 @@ const QUERY_POOL: &[&str] = &[
     "SELECT DISTINCT ?a WHERE { ?a ?p ?b . ?b ?q ?c } ORDER BY ?a LIMIT 7 OFFSET 2",
     // Numeric comparison filter.
     "SELECT ?a ?v WHERE { ?a <http://t/p1> ?v FILTER (?v >= 5) }",
+    // Q8's shape: a selective group joined with a two-branch union whose
+    // branches filter on their own and the group's variables.
+    "SELECT DISTINCT ?c WHERE { ?e <http://t/p0> <http://t/o1> . ?e <http://t/p1> ?x .
+       { ?a <http://t/p2> ?e . ?a <http://t/p3> ?c FILTER (?c != ?e && ?a != ?e) }
+       UNION { ?a <http://t/p1> ?e . ?a <http://t/p0> ?c FILTER (?c != <http://t/o2>) } }",
+    // The union on the join's left.
+    "SELECT ?a ?x WHERE { { ?a <http://t/p0> ?e } UNION { ?a <http://t/p1> ?e FILTER (?e != <http://t/o0>) }
+       ?e <http://t/p2> ?x }",
+    // A three-branch union.
+    "SELECT ?a ?b WHERE { ?a <http://t/p0> ?x . { ?x <http://t/p1> ?b } UNION { ?x <http://t/p2> ?b }
+       UNION { ?b <http://t/p3> ?x } }",
+    // A branch FILTER naming a variable only the outer group binds: in
+    // its own group it is unbound, so that branch contributes nothing —
+    // it must not merge with the group that binds it.
+    "SELECT ?a ?b WHERE { ?a <http://t/p0> ?x . { ?a <http://t/p1> ?b FILTER (?b != ?x) }
+       UNION { ?a <http://t/p2> ?b } }",
+    // A branch holding an OPTIONAL stays a join.
+    "SELECT ?a ?b ?c WHERE { ?a <http://t/p0> ?x . { ?a <http://t/p1> ?b OPTIONAL { ?b <http://t/p2> ?c } }
+       UNION { ?a <http://t/p3> ?b } }",
+    // A join of two plain groups.
+    "SELECT ?a ?b WHERE { { ?a <http://t/p0> ?x FILTER (?x != <http://t/o1>) } { ?a <http://t/p1> ?b } }",
+    // Substitution must NOT fire on a variable a join, a left join or a
+    // filter above shares with the group: dropping its binding there
+    // would unconstrain the other side.
+    "SELECT ?x WHERE { { ?v <http://t/p0> ?x FILTER (?v = <http://t/s1>) } { ?v <http://t/p1> ?y } }",
+    "SELECT ?x ?y WHERE { ?v <http://t/p0> ?x OPTIONAL { ?v <http://t/p1> ?y } FILTER (?v = <http://t/s1>) }",
+    "SELECT ?x WHERE { ?v <http://t/p0> ?x OPTIONAL { ?x <http://t/p1> ?y }
+       FILTER (?v = <http://t/s1> && ?v != ?y) }",
 ];
 
-fn run_sorted(store: &SharedStore, query: &str, cfg: &OptimizerConfig) -> Vec<String> {
-    let engine = QueryEngine::new(store.clone()).optimizer(*cfg);
+/// The seeds to run: every case, or the one `SP2B_SEED` names.
+fn seeds() -> Vec<u64> {
+    match std::env::var("SP2B_SEED") {
+        Ok(seed) => vec![seed.parse().expect("SP2B_SEED is a number")],
+        Err(_) => (0..CASES).collect(),
+    }
+}
+
+/// `query`'s result as a sorted multiset of stringified rows.
+fn run_sorted(seed: u64, store: &SharedStore, query: &str, cfg: OptimizerConfig) -> Vec<String> {
+    let options = QueryOptions::new().optimizer(cfg).parallelism(1);
+    let engine = QueryEngine::with_options(store.clone(), options);
     let prepared = engine.prepare(query).expect("pool query parses");
-    let result = engine.execute(&prepared).expect("evaluation succeeds");
-    let sp2bench::sparql::QueryResult::Solutions { rows, .. } = result else {
-        panic!("SELECT query")
+    let result = engine.execute(&prepared);
+    let Ok(QueryResult::Solutions { rows, .. }) = result else {
+        panic!("seed {seed}: {query} evaluates to {result:?}")
     };
     let mut rendered: Vec<String> = rows
         .iter()
@@ -76,41 +120,50 @@ fn run_sorted(store: &SharedStore, query: &str, cfg: &OptimizerConfig) -> Vec<St
     rendered
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn optimized_equals_naive_on_mem_store(g in graph_strategy(), qi in 0..QUERY_POOL.len()) {
-        let store = MemStore::from_graph(&g).into_shared();
-        let naive = run_sorted(&store, QUERY_POOL[qi], &OptimizerConfig::default());
-        let full = run_sorted(&store, QUERY_POOL[qi], &OptimizerConfig::full());
-        prop_assert_eq!(naive, full);
+/// Naive, heuristic and full optimization agree on every pool query over
+/// the graph of every seed, on the store `build` makes.
+fn assert_configs_agree(build: impl Fn(&Graph) -> SharedStore) {
+    for seed in seeds() {
+        let store = build(&random_graph(seed));
+        for query in QUERY_POOL {
+            let naive = run_sorted(seed, &store, query, OptimizerConfig::default());
+            for (name, cfg) in [
+                ("full", OptimizerConfig::full()),
+                ("heuristic", OptimizerConfig::heuristic()),
+            ] {
+                assert_eq!(
+                    run_sorted(seed, &store, query, cfg),
+                    naive,
+                    "seed {seed}: {name} vs naive on {query}"
+                );
+            }
+        }
     }
+}
 
-    #[test]
-    fn optimized_equals_naive_on_native_store(g in graph_strategy(), qi in 0..QUERY_POOL.len()) {
-        let store = NativeStore::from_graph(&g).into_shared();
-        let naive = run_sorted(&store, QUERY_POOL[qi], &OptimizerConfig::default());
-        let full = run_sorted(&store, QUERY_POOL[qi], &OptimizerConfig::full());
-        prop_assert_eq!(naive, full);
-    }
+#[test]
+fn optimized_equals_naive_on_mem_store() {
+    assert_configs_agree(|g| MemStore::from_graph(g).into_shared());
+}
 
-    #[test]
-    fn stores_agree_under_full_optimization(g in graph_strategy(), qi in 0..QUERY_POOL.len()) {
+#[test]
+fn optimized_equals_naive_on_native_store() {
+    assert_configs_agree(|g| NativeStore::from_graph(g).into_shared());
+}
+
+#[test]
+fn stores_agree_under_full_optimization() {
+    for seed in seeds() {
+        let g = random_graph(seed);
         let mem = MemStore::from_graph(&g).into_shared();
         let native = NativeStore::from_graph(&g).into_shared();
-        let cfg = OptimizerConfig::full();
-        prop_assert_eq!(
-            run_sorted(&mem, QUERY_POOL[qi], &cfg),
-            run_sorted(&native, QUERY_POOL[qi], &cfg)
-        );
-    }
-
-    #[test]
-    fn heuristic_config_equivalent_too(g in graph_strategy(), qi in 0..QUERY_POOL.len()) {
-        let store = MemStore::from_graph(&g).into_shared();
-        let naive = run_sorted(&store, QUERY_POOL[qi], &OptimizerConfig::default());
-        let heur = run_sorted(&store, QUERY_POOL[qi], &OptimizerConfig::heuristic());
-        prop_assert_eq!(naive, heur);
+        for query in QUERY_POOL {
+            let cfg = OptimizerConfig::full();
+            assert_eq!(
+                run_sorted(seed, &mem, query, cfg),
+                run_sorted(seed, &native, query, cfg),
+                "seed {seed}: mem vs native on {query}"
+            );
+        }
     }
 }

@@ -24,7 +24,7 @@ use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::obs::{ExchangeRun, OpKind, OpSpan};
 use sp2bench::rdf::{Graph, Iri, Subject, Term};
 use sp2bench::sparql::eval::LOOKUP_FLUSH;
-use sp2bench::sparql::plan::{operators, Operator, FETCH_CAP};
+use sp2bench::sparql::plan::{operators, Operator, Plan, FETCH_CAP};
 use sp2bench::sparql::{
     query_trace, Cancellation, Error, OptimizerConfig, Prepared, QueryEngine, QueryOptions,
     QueryResult, ScanCounters,
@@ -421,17 +421,19 @@ fn pre_triggered_cancellation_scans_no_build_input() {
 }
 
 /// `tests/timeout_and_ask.rs` holds ASK's early exit to a wall-clock
-/// ratio; this is the same guarantee in machine-independent terms. Q12a
-/// and Q5a plan as the same hash join, and the ASK must neither
-/// materialize a join input nor fan out before its first witness: its join
-/// emits one row and its patterns scan a sliver of what the SELECT's do —
-/// at any parallelism, since a one-row consumer runs no exchange, which
-/// its trace says: the exchange over step 1 was not split.
+/// ratio; this is the same guarantee in machine-independent terms, on
+/// two shapes. Q12a and Q5a plan as the same hash join, and the ASK must
+/// neither materialize a join input nor fan out before its first
+/// witness: its join emits one row and its patterns scan a sliver of what
+/// the SELECT's do. Q12b and Q8 plan as the same union of two chains,
+/// and the ASK must not open a branch's exchange either. At any
+/// parallelism a one-row consumer runs no exchange, which its trace
+/// says: every exchange was not split.
 #[test]
 fn ask_scans_a_prefix_of_what_its_select_enumerates() {
     let (graph, _) = generate_graph(Config::triples(50_000));
     let store = NativeStore::from_graph(&graph).into_shared();
-    let join_rows_and_scanned = |query: BenchQuery, degree: usize| {
+    let run = |query: BenchQuery, degree: usize| {
         let counters = Arc::new(ScanCounters::default());
         fan_out_at_once();
         let qe = QueryEngine::with_options(store.clone(), QueryOptions::new().parallelism(degree))
@@ -439,29 +441,48 @@ fn ask_scans_a_prefix_of_what_its_select_enumerates() {
         let prepared = qe.prepare(query.text()).expect("query parses");
         let count = qe.count(&prepared).expect("query evaluates");
         let trace = query_trace(&prepared, qe.store(), &counters);
+        let exchanges: Vec<(usize, ExchangeRun)> = trace.exchanges().collect();
+        if degree > 1 {
+            assert!(!exchanges.is_empty(), "{query}@{degree}");
+            if query.is_ask() {
+                let unsplit = exchanges.iter().all(|(_, run)| run.morsels == 0);
+                assert!(unsplit, "{query}@{degree}: {exchanges:?}");
+            } else {
+                assert!(
+                    exchanges[0].1.morsels > 0,
+                    "{query}@{degree}: {exchanges:?}"
+                );
+            }
+        } else {
+            assert_eq!(exchanges, [], "{query}@{degree}");
+        }
         let join = trace
             .operators
             .iter()
             .find(|s| s.label.starts_with("hash-join"))
-            .unwrap_or_else(|| panic!("{query} runs as a hash join"));
-        let exchanges: Vec<(usize, ExchangeRun)> = trace.exchanges().collect();
-        if degree > 1 {
-            let split = exchanges[0].1.morsels > 0;
-            assert_eq!(split, !query.is_ask(), "{query}@{degree}: {exchanges:?}");
-        } else {
-            assert_eq!(exchanges, [], "{query}@{degree}");
-        }
-        (count, join.rows, counters.total_rows())
+            .map(|s| s.rows);
+        (count, join, counters.total_rows())
     };
-    let (_, select_joined, select_scanned) = join_rows_and_scanned(BenchQuery::Q5a, 1);
-    assert!(select_joined > 1_000, "Q5a enumerates: {select_joined}");
+    let (_, select_joined, select_scanned) = run(BenchQuery::Q5a, 1);
+    assert!(
+        select_joined.is_some_and(|rows| rows > 1_000),
+        "Q5a enumerates: {select_joined:?}"
+    );
+    let (q8, no_join, q8_scanned) = run(BenchQuery::Q8, 1);
+    assert_eq!((q8, no_join), (491, None), "Q8 is a union of two chains");
     for degree in [1, 4] {
-        let (answer, ask_joined, ask_scanned) = join_rows_and_scanned(BenchQuery::Q12a, degree);
+        let (answer, ask_joined, ask_scanned) = run(BenchQuery::Q12a, degree);
         assert_eq!(answer, 1, "Q12a answers yes");
-        assert_eq!(ask_joined, 1, "ASK stops at the first witness");
+        assert_eq!(ask_joined, Some(1), "ASK stops at the first witness");
         assert!(
             ask_scanned * 20 < select_scanned,
-            "ASK@{degree} scanned {ask_scanned} rows, SELECT {select_scanned}"
+            "Q12a@{degree} scanned {ask_scanned} rows, Q5a {select_scanned}"
+        );
+        let (answer, _, ask_scanned) = run(BenchQuery::Q12b, degree);
+        assert_eq!(answer, 1, "Q12b answers yes");
+        assert!(
+            ask_scanned * 20 < q8_scanned,
+            "Q12b@{degree} scanned {ask_scanned} rows, Q8 {q8_scanned}"
         );
     }
 }
@@ -536,6 +557,7 @@ fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
 
 /// What each operator of Q4, Q5b and Q8 emitted on `native-opt` at 50k
 /// when every step was a lookup (joins last, as `--explain` lists them).
+/// Q8's two union branches each open at the one-row `?erdoes` pattern.
 const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
     (
         "Q4",
@@ -544,11 +566,65 @@ const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
     ("Q5b", &[1128, 1380, 1380, 9050, 5874]),
     (
         "Q8",
-        &[
-            1, 1, 2338, 5874, 8574, 96710, 194926, 2338, 5874, 8574, 1058,
-        ],
+        &[1, 1, 260, 569, 2652, 3352, 749, 1, 1, 260, 569, 309],
     ),
 ];
+
+/// The first pattern step of every BGP in `plan`.
+fn bgp_heads(plan: &Plan) -> Vec<usize> {
+    match plan {
+        Plan::Bgp { patterns, .. } => patterns.first().map(|p| p.ordinal).into_iter().collect(),
+        Plan::Union(a, b) => [a, b].into_iter().flat_map(|p| bgp_heads(p)).collect(),
+        Plan::Filter(_, inner) | Plan::Distinct(inner) | Plan::Project(_, inner) => {
+            bgp_heads(inner)
+        }
+        Plan::Exchange { input, .. } => bgp_heads(input),
+        _ => Vec::new(),
+    }
+}
+
+/// A join over a UNION distributes when its other side is a flat group:
+/// Q8's one-row `?erdoes` group joins each branch as one BGP, so each
+/// branch opens at the `"Paul Erdoes"` pattern instead of enumerating
+/// every co-author pair for a hash table (325 210 pattern rows when it
+/// did). The naive configuration keeps the join — it is the oracle.
+#[test]
+fn q8_branches_start_from_erdoes() {
+    let store = store_50k();
+    for degree in [1, 4] {
+        let (engine, counters) = counting_engine(&store, degree);
+        let prepared = engine.prepare(BenchQuery::Q8.text()).expect("parses");
+        let joins = operators(prepared.plan())
+            .into_iter()
+            .filter(|op| matches!(op, Operator::Join { .. }))
+            .count();
+        assert_eq!(joins, 0, "Q8@{degree} plans no join");
+        assert_eq!(engine.count(&prepared).expect("evaluates"), 491);
+        let trace = query_trace(&prepared, engine.store(), &counters);
+        // No join: each BGP is a branch of the union.
+        let heads = bgp_heads(prepared.plan());
+        assert_eq!(heads.len(), 2, "Q8@{degree}: {heads:?}");
+        for ordinal in heads {
+            let label = &trace.operators[ordinal].label;
+            assert!(label.contains("\"Paul Erdoes\""), "Q8@{degree}: {label}");
+        }
+        let rows = counters.total_rows();
+        assert!(rows < 10_000, "Q8@{degree} scanned {rows} rows");
+    }
+    let naive = QueryEngine::with_options(
+        store,
+        QueryOptions::new()
+            .optimizer(OptimizerConfig::default())
+            .parallelism(1),
+    );
+    let prepared = naive.prepare(BenchQuery::Q8.text()).expect("parses");
+    assert!(
+        operators(prepared.plan())
+            .iter()
+            .any(|op| matches!(op, Operator::Join { outer: false, .. })),
+        "native-base keeps Q8's hash join"
+    );
+}
 
 /// The ski-rental invariant: a step rents lookups only until they have
 /// cost what a fetch of its pattern costs — the pattern's constants-only
@@ -609,11 +685,13 @@ fn no_step_issues_more_lookups_than_a_fetch_costs() {
 
 /// A consumer that hangs up early never issues a pattern's worth of
 /// lookups, so never pays for a fetch it would not use; neither does a
-/// star whose every step is fed fewer rows than its pattern holds.
+/// star (Q2) or a chain (Q8's branches, fed at most 3.4k rows against
+/// 5.9k-triple patterns) whose every step is fed fewer rows than its
+/// pattern holds.
 #[test]
 fn early_hang_ups_and_small_inputs_never_fetch() {
     let store = store_50k();
-    for label in ["Q12b", "Q11", "Q2"] {
+    for label in ["Q12b", "Q11", "Q2", "Q8"] {
         let query = BenchQuery::from_label(label).expect("known label");
         for degree in [1, 4] {
             let spans = spans_of(&store, query.text(), degree);
