@@ -69,8 +69,10 @@ pub struct OpSpan {
     /// Display label (for BGP scans, the triple pattern; for joins, the
     /// algorithm and its key).
     pub label: String,
-    /// The planner's estimated cardinality (for joins, of the build
-    /// side).
+    /// The rows the planner expects the operator to emit: for a pattern
+    /// step, its BGP's rows after it; for a join planned by splitting a
+    /// BGP, the join's output; for any other join, its build side's
+    /// driving scan.
     pub est_rows: u64,
     /// Rows the operator actually emitted.
     pub rows: u64,
@@ -255,8 +257,10 @@ mod tests {
     }
 
     /// The whole report, line for line: a driving step an exchange split
-    /// (no access path of its own), a fetching step, a join, and both
-    /// ways an exchange can run — the shapes CI greps for.
+    /// (no access path of its own), a fetching step, the build side of a
+    /// split BGP, the hash join of the two halves with its estimated
+    /// output, and both ways an exchange can run — the shapes CI greps
+    /// for.
     #[test]
     fn render_pins_every_line_shape() {
         let mut t = QueryTrace::default();
@@ -282,7 +286,7 @@ mod tests {
             inline: 4,
             workers: 0,
         });
-        let join = span(OpKind::Join, "hash-join ?2≍?3", 30, 1000, 15);
+        let join = span(OpKind::Join, "hash-join ?2", 1200, 1000, 15);
         t.operators = vec![driving, fetching, build, join];
         assert_eq!(
             t.render(),
@@ -290,7 +294,7 @@ mod tests {
              1. ?a <p> ?b  est 8, rows 8, time 1.00 ms\n   \
              2. ?b <q> ?c  est 50, rows 400, time 20.00 ms, lookup ×50 → fetch 50 triples, probes 350\n   \
              3. ?c <r> ?d  est 30, rows 30, time 0 µs\n   \
-             4. hash-join ?2≍?3  est 30, rows 1000, time 15.00 ms\n  \
+             4. hash-join ?2  est 1200, rows 1000, time 15.00 ms\n  \
              exchange ×2 over step 1: morsels 0–0 of 8 inline, 1–7 on 2 workers\n  \
              exchange ×2 over step 3: 4 morsels, all inline\n  \
              total: estimated 88, emitted 438 rows, operators 36.00 ms\n  \

@@ -87,6 +87,10 @@ pub struct ResolvedPattern {
     pub p: Slot,
     /// Object slot.
     pub o: Slot,
+    /// The rows the optimizer estimates its BGP to hold once this step
+    /// has run, when it ordered the BGP on statistics; `None` out of
+    /// translation.
+    pub est_rows: Option<u64>,
 }
 
 impl ResolvedPattern {
@@ -225,8 +229,10 @@ pub enum Algebra {
         inline_filters: Vec<(usize, Expr)>,
     },
     /// Inner join, with the [`EqPairs`] the optimizer recognised in the
-    /// filter above it (empty out of translation).
-    Join(Box<Algebra>, Box<Algebra>, EqPairs),
+    /// filter above it (empty out of translation) and, for a BGP the
+    /// optimizer split at a cut variable, the rows it estimates the join
+    /// to emit.
+    Join(Box<Algebra>, Box<Algebra>, EqPairs, Option<u64>),
     /// Left outer join with optional condition (the OPTIONAL translation)
     /// and the [`EqPairs`] the optimizer recognised in that condition.
     LeftJoin(Box<Algebra>, Box<Algebra>, Option<Expr>, EqPairs),
@@ -285,7 +291,7 @@ impl Algebra {
                 }
                 vars
             }
-            Algebra::Join(a, b, _) => {
+            Algebra::Join(a, b, ..) => {
                 let mut vars = a.certain_vars();
                 for v in b.certain_vars() {
                     if !vars.contains(&v) {
@@ -341,7 +347,7 @@ impl Algebra {
                 }
                 out
             }
-            Algebra::Join(a, b, _) | Algebra::Union(a, b) | Algebra::LeftJoin(a, b, _, _) => {
+            Algebra::Join(a, b, ..) | Algebra::Union(a, b) | Algebra::LeftJoin(a, b, ..) => {
                 let mut out = a.all_vars();
                 add(&mut out, b.all_vars());
                 out
@@ -598,7 +604,7 @@ fn join(a: Algebra, b: Algebra) -> Algebra {
     } else if b.is_unit() {
         a
     } else {
-        Algebra::Join(Box::new(a), Box::new(b), EqPairs::new())
+        Algebra::Join(Box::new(a), Box::new(b), EqPairs::new(), None)
     }
 }
 
@@ -614,6 +620,7 @@ fn resolve_pattern(p: &TriplePattern, vars: &mut VarTable) -> ResolvedPattern {
         s: resolve_slot(&p.subject, vars),
         p: resolve_slot(&p.predicate, vars),
         o: resolve_slot(&p.object, vars),
+        est_rows: None,
     }
 }
 

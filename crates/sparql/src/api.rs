@@ -496,10 +496,12 @@ impl Prepared {
 /// `prepared`: one [`sp2b_obs::OpSpan`] per operator in
 /// [`crate::plan::operators`] order — BGP patterns in join order, each
 /// join after its inputs. A pattern's label renders its slots and
-/// `est_rows` is the store's estimate (0 when unsatisfiable); a join's
-/// label names the algorithm and key (`hash-left-join ?3≍?8 + residual`,
-/// `nested-loop-left-join`) and `est_rows` estimates its build side's
-/// driving scan. Rows, time (a join's is its probe time) and access are
+/// `est_rows` is the planner's [`crate::plan::PlanPattern::est_rows`];
+/// a join's label names the algorithm and key (`hash-left-join ?3≍?8 +
+/// residual`, `nested-loop-left-join`) and `est_rows` is the rows the
+/// optimizer estimated it to emit — for a join it did not plan by
+/// splitting a BGP, the estimate of its build side's driving scan.
+/// Rows, time (a join's is its probe time) and access are
 /// the tallies per operator *occurrence*; each planned exchange's driving
 /// step carries where its morsels ran (`morsels: 0`: not split). Phases
 /// are the caller's to add.
@@ -508,20 +510,13 @@ pub fn query_trace(
     store: &dyn TripleStore,
     counters: &ScanCounters,
 ) -> QueryTrace {
-    use crate::plan::{const_pattern, driving_scan, exchanges, Operator, PlanPattern, PlanSlot};
+    use crate::plan::{driving_scan, exchanges, Operator, PlanSlot};
     use sp2b_obs::{ExchangeRun, OpKind, OpSpan, StepAccess};
     let dict = store.dictionary();
     let slot = |s: &PlanSlot| match s {
         PlanSlot::Var(v) => format!("?{v}"),
         PlanSlot::Const(Some(id)) => dict.decode(*id).to_string(),
         PlanSlot::Const(None) => "<absent-from-data>".to_owned(),
-    };
-    let estimate = |p: &PlanPattern| {
-        if p.is_unsatisfiable() {
-            0
-        } else {
-            store.estimate(const_pattern(p))
-        }
     };
     let span = |kind, label, est_rows, ordinal| {
         let tally = counters.tally(ordinal);
@@ -546,7 +541,7 @@ pub fn query_trace(
                     slot(&p.slots[1]),
                     slot(&p.slots[2])
                 );
-                span(OpKind::Scan, label, estimate(p), p.ordinal)
+                span(OpKind::Scan, label, p.est_rows, p.ordinal)
             }
             Operator::Join {
                 outer,
@@ -554,6 +549,7 @@ pub fn query_trace(
                 key,
                 eq,
                 residual,
+                est_rows,
                 ordinal,
             } => {
                 let name = if outer { "left-join" } else { "join" };
@@ -571,7 +567,8 @@ pub fn query_trace(
                 if residual {
                     label.push_str(" + residual");
                 }
-                let est_rows = driving_scan(build).map_or(0, estimate);
+                let est_rows =
+                    est_rows.unwrap_or_else(|| driving_scan(build).map_or(0, |p| p.est_rows));
                 span(OpKind::Join, label, est_rows, ordinal)
             }
         })

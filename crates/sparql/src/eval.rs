@@ -18,9 +18,10 @@
 //! the pattern. The planner prices a step at the cheaper of the two
 //! (`optimizer::candidate_cost`: `min(rows, base)`), but which one that
 //! is hangs on `rows`, the step's input cardinality, and that estimate is
-//! routinely off by an order of magnitude or two deep in a chain (Q4's
-//! fifth step: estimated 3 457, actual 172 103). So the plan only says
-//! *where the break-even is* ([`crate::plan::FetchRule`]) and the step
+//! routinely off by a large factor deep in a chain (planned as one chain,
+//! Q4's fifth step was estimated at 78 815 rows and emitted 172 103). So
+//! the plan only says *where the break-even is*
+//! ([`crate::plan::FetchRule`]) and the step
 //! decides by ski rental: it rents lookups, counting them, and when it
 //! has issued as many as the pattern has triples it has spent what
 //! buying — one fetch — costs, and buys. Whatever the input turns out to
@@ -562,6 +563,7 @@ impl<'a> EvalContext<'a> {
                 key,
                 eq,
                 ordinal,
+                ..
             }
             | Plan::LeftJoin {
                 left,
@@ -592,9 +594,8 @@ impl<'a> EvalContext<'a> {
                 Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
             }
             Plan::Distinct(inner) => {
-                let input = self.eval(inner);
-                let mut seen: FxHashSet<Bindings> = FxHashSet::default();
-                Box::new(input.filter(move |row| seen.insert(row.clone())))
+                let mut seen = Seen::of(inner, self.width);
+                Box::new(self.eval(inner).filter(move |row| seen.insert(row)))
             }
             Plan::Project(vars, inner) => {
                 let width = self.width;
@@ -647,9 +648,11 @@ impl<'a> EvalContext<'a> {
             // The distinct *set* is order-independent, so deduplication
             // composes with the elided sort.
             Plan::Distinct(inner) => {
-                let input = self.eval_unordered(inner);
-                let mut seen: FxHashSet<Bindings> = FxHashSet::default();
-                Box::new(input.filter(move |row| seen.insert(row.clone())))
+                let mut seen = Seen::of(inner, self.width);
+                Box::new(
+                    self.eval_unordered(inner)
+                        .filter(move |row| seen.insert(row)),
+                )
             }
             other => self.eval(other),
         }
@@ -680,6 +683,7 @@ impl<'a> EvalContext<'a> {
                 key,
                 eq,
                 ordinal,
+                ..
             } => {
                 let inputs = [left, right].map(|side| self.clone().eval_witness(side));
                 symmetric_join_rows(self, inputs, key, eq, *ordinal)
@@ -723,13 +727,13 @@ impl<'a> EvalContext<'a> {
                 n.saturating_sub(*offset)
             }
             Plan::Distinct(inner) => {
-                let mut seen: FxHashSet<Bindings> = FxHashSet::default();
+                let mut seen = Seen::of(inner, self.width);
                 let mut n = 0;
                 for row in self.clone().eval_unordered(inner) {
                     if self.cancel.should_stop() {
                         break;
                     }
-                    if seen.insert(row) {
+                    if seen.insert(&row) {
                         n += 1;
                     }
                 }
@@ -1003,6 +1007,47 @@ fn compare_agg_cells(dict: &Dictionary, a: &AggCell, b: &AggCell) -> std::cmp::O
     }
 }
 
+/// The rows a `DISTINCT` has let through, keyed on the variables the
+/// projection below it keeps (every slot, should nothing project there —
+/// the projection leaves the others unbound anyway). Up to four ids pack
+/// into one `u128`, [`UNBOUND`] standing in for an unbound slot, so
+/// checking a row allocates and clones nothing; a wider key is a boxed
+/// slice of the same lanes.
+enum Seen {
+    Packed(Vec<usize>, FxHashSet<u128>),
+    Wide(Vec<usize>, FxHashSet<Box<[Id]>>),
+}
+
+/// A key lane's value for an unbound variable: the one id
+/// [`Dictionary`] never issues.
+const UNBOUND: Id = Id::MAX;
+
+impl Seen {
+    fn of(inner: &Plan, width: usize) -> Self {
+        let vars = match inner {
+            Plan::Project(vars, _) => vars.clone(),
+            _ => (0..width).collect(),
+        };
+        if vars.len() <= 4 {
+            Seen::Packed(vars, FxHashSet::default())
+        } else {
+            Seen::Wide(vars, FxHashSet::default())
+        }
+    }
+
+    /// Whether `row`'s key is new (and from now on seen).
+    fn insert(&mut self, row: &Bindings) -> bool {
+        let lane = |v: usize| row.get(v).unwrap_or(UNBOUND);
+        match self {
+            Seen::Packed(vars, seen) => seen.insert(
+                vars.iter()
+                    .fold(0, |key, &v| key << 32 | u128::from(lane(v))),
+            ),
+            Seen::Wide(vars, seen) => seen.insert(vars.iter().map(|&v| lane(v)).collect()),
+        }
+    }
+}
+
 /// Keeps only `vars` bound in each row (the Project operator's mapping).
 fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowIter<'a> {
     Box::new(input.map(move |row| {
@@ -1070,7 +1115,12 @@ impl BuildSide {
             .iter()
             .map(|pair| {
                 let id = row.get(side(pair))?;
-                Some(eq_class(id, dict.decode(id)))
+                // An IRI or a blank node is its own class: no decode.
+                Some(if dict.is_literal(id) {
+                    eq_class(id, dict.decode(id))
+                } else {
+                    EqClass::Id(id)
+                })
             })
             .collect::<Option<_>>()?;
         Some((ids, classes))
@@ -1756,6 +1806,7 @@ mod tests {
             slots,
             ordinal: 0,
             fetch: rule,
+            est_rows: 0,
         };
         let ctx = EvalContext {
             store,

@@ -13,7 +13,31 @@
 //!    them itself, while running, because `rows` here is an estimate that
 //!    compounds every fan-out error of the steps before it (see
 //!    [`crate::eval`]); plans bound under this switch carry the
-//!    break-even, [`crate::plan::FetchRule`], and nothing else.
+//!    break-even, [`crate::plan::FetchRule`], and the rows each step is
+//!    estimated to leave, which `--explain` prints beside the actual
+//!    ones.
+//!
+//!    A chain is left-deep: it re-derives whatever follows a many-to-many
+//!    step once per row. So with statistics the chain is also priced
+//!    against **splitting it at a cut** (`Costing::shape`). Close the
+//!    chain after a prefix P whose variables meet those of the remaining
+//!    suffix S — S connected on its own — in the *cut*, the variables
+//!    the two share; plan S standalone; hash-join the two on the cut.
+//!    Continuing costs the chain's remaining steps. The split costs S's
+//!    standalone chain, plus |P| + |S| for building and probing, plus
+//!    the join's output |P|·|S| / distinct(cut), where distinct(cut) is
+//!    the number of values the cut can take (per variable, the larger of
+//!    the two sides' distinct counts at the positions it fills). The
+//!    cheapest prefix wins, if it beats the chain; the result is
+//!    `Join(Bgp(P), Bgp(S))` with the smaller side as the build side,
+//!    each half keeping the conjuncts it binds inline and the others in
+//!    a `Filter` above: the connected counterpart of `join_components`.
+//!    The paper's Q4 is the case — two `article–creator–name–type` stars
+//!    meeting at `?journal`, which has 93 values at 50k triples: each
+//!    star runs once and the join pairs them (34k pattern rows instead of
+//!    804k). A star never splits: its suffix standalone starts from a
+//!    full scan, which costs more than extending the rows the prefix
+//!    already holds.
 //! 2. **Filter pushing**: conjuncts of a group filter move into the BGP
 //!    and run as soon as their variables are bound, shrinking
 //!    intermediate results; filters over a join/left-join distribute into
@@ -135,7 +159,7 @@ fn rewrite(
             cfg,
             needed,
         ),
-        Algebra::Join(a, b, eq) => rewrite_join(*a, *b, eq, store, cfg, needed),
+        Algebra::Join(a, b, eq, _) => rewrite_join(*a, *b, eq, store, cfg, needed),
         Algebra::LeftJoin(a, b, cond, _) => rewrite_left_join(*a, *b, cond, store, cfg, needed),
         Algebra::Union(a, b) => {
             let a = rewrite(*a, store, cfg, needed);
@@ -210,7 +234,7 @@ fn rewrite_filter(
             filters.extend(expr.conjuncts());
             finish_bgp(patterns, filters, store, cfg, needed)
         }
-        Algebra::Join(a, b, eq) => {
+        Algebra::Join(a, b, eq, _) => {
             let (into_a, into_b, stay) = distribute(expr, &a, &b, /*left_only=*/ false);
             // What stays above still observes its variables there.
             extend(needed, stay.iter().flat_map(Expr::variables));
@@ -282,7 +306,7 @@ fn rewrite_join(
     keep_shared(needed, &a, &b);
     let a = rewrite(a, store, cfg, needed);
     let b = rewrite(b, store, cfg, needed);
-    Algebra::Join(Box::new(a), Box::new(b), eq)
+    Algebra::Join(Box::new(a), Box::new(b), eq, None)
 }
 
 /// Marks the variables both sides of a join mention as observable: the
@@ -299,7 +323,7 @@ fn join_branch(left: Algebra, right: Algebra) -> Box<Algebra> {
     Box::new(if is_flat(&left) && is_flat(&right) {
         merge_flat(left, right)
     } else {
-        Algebra::Join(Box::new(left), Box::new(right), EqPairs::new())
+        Algebra::Join(Box::new(left), Box::new(right), EqPairs::new(), None)
     })
 }
 
@@ -354,10 +378,7 @@ fn merge_flat(a: Algebra, b: Algebra) -> Algebra {
         patterns,
         inline_filters: Vec::new(),
     };
-    match Expr::fold_and(filters) {
-        Some(e) => Algebra::Filter(e, Box::new(bgp)),
-        None => bgp,
-    }
+    with_filter(filters, bgp)
 }
 
 /// Rewrites both sides of a left join and, under `push_filters`, hands
@@ -514,10 +535,12 @@ fn finish_bgp(
     order_and_place(patterns, remaining, store, cfg)
 }
 
-/// Reorders one BGP and attaches each filter conjunct it fully binds at
-/// the earliest pattern position; the others stay in a `Filter` above.
+/// Plans one BGP — reordered, and under statistics possibly split at a
+/// cut ([`Costing::shape`]) — and attaches each filter conjunct it fully
+/// binds where it binds it ([`assemble`]); the others stay in a `Filter`
+/// above.
 fn order_and_place(
-    mut patterns: Vec<ResolvedPattern>,
+    patterns: Vec<ResolvedPattern>,
     filters: Vec<Expr>,
     store: &dyn TripleStore,
     cfg: &OptimizerConfig,
@@ -532,35 +555,118 @@ fn order_and_place(
             residual.push(c);
         }
     }
+    let shape = if cfg.reorder_patterns {
+        plan_shape(&patterns, store)
+    } else {
+        Shape::unestimated(0..patterns.len())
+    };
+    with_filter(residual, assemble(shape, &patterns, pushable))
+}
 
-    if cfg.reorder_patterns {
-        patterns = reorder(patterns, store);
+/// `inner` under the conjunction of `conjuncts`, if there are any.
+fn with_filter(conjuncts: Vec<Expr>, inner: Algebra) -> Algebra {
+    match Expr::fold_and(conjuncts) {
+        Some(e) => Algebra::Filter(e, Box::new(inner)),
+        None => inner,
+    }
+}
+
+/// How one BGP is evaluated.
+enum Shape {
+    /// One chain of pattern steps: each pattern's index, with the rows
+    /// estimated after it when the order came from statistics.
+    Chain(Vec<(usize, Option<u64>)>),
+    /// Two sub-plans hash-joined on the variables they share: the probe
+    /// side streams, the build side — the one estimated smaller — is
+    /// materialized.
+    Split {
+        probe: Box<Shape>,
+        build: Box<Shape>,
+        est_rows: u64,
+    },
+}
+
+impl Shape {
+    /// A chain in `order` that carries no estimates.
+    fn unestimated(order: impl IntoIterator<Item = usize>) -> Shape {
+        Shape::Chain(order.into_iter().map(|i| (i, None)).collect())
     }
 
-    // Attach pushable filters at the earliest position where all their
-    // variables are bound.
-    let mut inline: Vec<(usize, Expr)> = Vec::new();
-    for c in pushable {
-        let vars = c.variables();
-        let mut bound: Vec<usize> = Vec::new();
-        let mut pos = patterns.len().saturating_sub(1);
-        for (i, p) in patterns.iter().enumerate() {
-            bound.extend(p.variables());
-            if vars.iter().all(|v| bound.contains(v)) {
-                pos = i;
-                break;
+    /// The variables the shape's patterns bind.
+    fn vars(&self, patterns: &[ResolvedPattern]) -> Vec<usize> {
+        match self {
+            Shape::Chain(steps) => steps
+                .iter()
+                .flat_map(|&(i, _)| patterns[i].variables())
+                .collect(),
+            Shape::Split { probe, build, .. } => {
+                let mut vars = probe.vars(patterns);
+                vars.extend(build.vars(patterns));
+                vars
             }
         }
-        inline.push((pos, c));
     }
+}
 
-    let bgp = Algebra::Bgp {
-        patterns,
-        inline_filters: inline,
-    };
-    match Expr::fold_and(residual) {
-        Some(e) => Algebra::Filter(e, Box::new(bgp)),
-        None => bgp,
+/// The algebra of a planned BGP, given the conjuncts its patterns bind.
+/// A chain is one BGP whose steps carry their estimates, each conjunct
+/// running after the first step that binds all its variables. A split is
+/// the join of its halves: a conjunct one half binds goes into that
+/// half, any other into a `Filter` above the join.
+fn assemble(shape: Shape, patterns: &[ResolvedPattern], filters: Vec<Expr>) -> Algebra {
+    match shape {
+        Shape::Chain(steps) => {
+            let patterns: Vec<ResolvedPattern> = steps
+                .into_iter()
+                .map(|(i, est_rows)| ResolvedPattern {
+                    est_rows,
+                    ..patterns[i].clone()
+                })
+                .collect();
+            let mut inline: Vec<(usize, Expr)> = Vec::new();
+            for c in filters {
+                let vars = c.variables();
+                let mut bound: Vec<usize> = Vec::new();
+                let mut pos = patterns.len().saturating_sub(1);
+                for (i, p) in patterns.iter().enumerate() {
+                    bound.extend(p.variables());
+                    if vars.iter().all(|v| bound.contains(v)) {
+                        pos = i;
+                        break;
+                    }
+                }
+                inline.push((pos, c));
+            }
+            Algebra::Bgp {
+                patterns,
+                inline_filters: inline,
+            }
+        }
+        Shape::Split {
+            probe,
+            build,
+            est_rows,
+        } => {
+            let (probe_vars, build_vars) = (probe.vars(patterns), build.vars(patterns));
+            let (mut into_probe, mut into_build, mut above) = (Vec::new(), Vec::new(), Vec::new());
+            for c in filters {
+                let vars = c.variables();
+                if vars.iter().all(|v| probe_vars.contains(v)) {
+                    into_probe.push(c);
+                } else if vars.iter().all(|v| build_vars.contains(v)) {
+                    into_build.push(c);
+                } else {
+                    above.push(c);
+                }
+            }
+            let join = Algebra::Join(
+                Box::new(assemble(*probe, patterns, into_probe)),
+                Box::new(assemble(*build, patterns, into_build)),
+                EqPairs::new(),
+                Some(est_rows),
+            );
+            with_filter(above, join)
+        }
     }
 }
 
@@ -669,7 +775,7 @@ fn join_components(
         let mut vars = left.vars;
         vars.extend(right.vars);
         groups.push(Component {
-            algebra: Algebra::Join(Box::new(left.algebra), Box::new(right.algebra), eq),
+            algebra: Algebra::Join(Box::new(left.algebra), Box::new(right.algebra), eq, None),
             vars,
             estimate: left.estimate.max(right.estimate),
         });
@@ -677,7 +783,7 @@ fn join_components(
     let joined = groups
         .into_iter()
         .map(|g| g.algebra)
-        .reduce(|acc, g| Algebra::Join(Box::new(acc), Box::new(g), EqPairs::new()))
+        .reduce(|acc, g| Algebra::Join(Box::new(acc), Box::new(g), EqPairs::new(), None))
         .expect("at least two components");
     let above = Expr::fold_and(above).expect("the linking equalities");
     Some(Algebra::Filter(above, Box::new(joined)))
@@ -731,21 +837,16 @@ fn as_var_eq_const(e: &Expr) -> Option<(usize, Term)> {
 /// nothing connected remains.
 const CARTESIAN_PENALTY: f64 = 1e9;
 
-/// Greedy cost-based ordering: repeatedly pick the pattern whose addition
-/// is cheapest given the variables bound so far.
+/// Cost-based planning of one BGP's patterns.
 ///
-/// With [`TripleStore::stats`] available, "cheapest" means lowest
-/// estimated *output cardinality* of the partial join after adding the
-/// candidate — per-binding fan-outs come from characteristic sets for
-/// star steps (a bound subject variable extended by another constant
-/// predicate) and from distinct-count ratios everywhere else, plus the
-/// fetch-vs-per-binding-lookup choice from the same numbers. Without
-/// stats (a store type that collects none), the orderer falls back to
-/// the historical fixed-discount heuristic.
-fn reorder(patterns: Vec<ResolvedPattern>, store: &dyn TripleStore) -> Vec<ResolvedPattern> {
-    let n = patterns.len();
-    if n <= 1 {
-        return patterns;
+/// With [`TripleStore::stats`] available, the patterns go through
+/// [`Costing::shape`]: a greedy chain on estimated cardinalities, or two
+/// sub-plans hash-joined at a cut where that is cheaper. Without stats
+/// (a store type that collects none), the orderer falls back to the
+/// historical fixed-discount heuristic and always chains.
+fn plan_shape(patterns: &[ResolvedPattern], store: &dyn TripleStore) -> Shape {
+    if patterns.len() <= 1 {
+        return Shape::unestimated(0..patterns.len());
     }
     // Constant slots resolve once; `None` marks a pattern holding a term
     // absent from the data — zero matches, so it orders first and cuts
@@ -757,11 +858,16 @@ fn reorder(patterns: Vec<ResolvedPattern>, store: &dyn TripleStore) -> Vec<Resol
         .iter()
         .map(|r| r.map_or(0.0, |pat| store.estimate(pat) as f64))
         .collect();
-    let order = match store.stats() {
-        Some(stats) if stats.triples > 0 => stats_order(&patterns, &resolved, &base, stats),
-        _ => heuristic_order(&patterns, &base),
-    };
-    order.into_iter().map(|i| patterns[i].clone()).collect()
+    match store.stats() {
+        Some(stats) if stats.triples > 0 => Costing {
+            patterns,
+            resolved,
+            base,
+            stats,
+        }
+        .shape(),
+        _ => Shape::unestimated(heuristic_order(patterns, &base)),
+    }
 }
 
 /// The pattern's constant slots as store ids; `None` when a constant
@@ -809,64 +915,206 @@ fn heuristic_order(patterns: &[ResolvedPattern], base: &[f64]) -> Vec<usize> {
     order
 }
 
-/// The statistics-driven greedy: tracks the partial join's estimated
-/// cardinality and, per candidate, the per-binding fan-out of adding it.
-fn stats_order(
-    patterns: &[ResolvedPattern],
-    resolved: &[Option<sp2b_store::Pattern>],
-    base: &[f64],
-    stats: &StoreStats,
-) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    let mut order = Vec::with_capacity(patterns.len());
-    let mut bound = VarSet::default();
-    // Per subject *variable*: the sorted constant-predicate ids of the
-    // star placed on it so far — the characteristic-set context.
-    let mut stars: Vec<(usize, Vec<Id>)> = Vec::new();
-    let mut rows = 1.0f64;
+/// What the statistics-driven planner knows of one BGP: its patterns,
+/// their constants as ids and their base estimates.
+struct Costing<'a> {
+    patterns: &'a [ResolvedPattern],
+    resolved: Vec<Option<sp2b_store::Pattern>>,
+    base: Vec<f64>,
+    stats: &'a StoreStats,
+}
 
-    while !remaining.is_empty() {
-        let mut best_pos = 0;
-        let mut best_score = f64::INFINITY;
-        let mut best_rows = 0.0;
-        for (pos, &idx) in remaining.iter().enumerate() {
-            let (out, cost) = candidate_cost(
-                &patterns[idx],
-                &resolved[idx],
-                base[idx],
-                stats,
-                &bound,
-                &stars,
-                rows,
-            );
-            if cost < best_score {
-                best_score = cost;
-                best_pos = pos;
-                best_rows = out;
-            }
-        }
-        let idx = remaining.remove(best_pos);
-        rows = best_rows.max(0.0);
-        // Extend the star context: a constant predicate on a variable
-        // subject contributes to that variable's characteristic set.
-        if let (Slot::Var(sv), Some(pat)) = (&patterns[idx].s, &resolved[idx]) {
-            if let Some(pid) = pat[1] {
-                match stars.iter_mut().find(|(v, _)| v == sv) {
-                    Some((_, preds)) => {
-                        if let Err(at) = preds.binary_search(&pid) {
-                            preds.insert(at, pid);
-                        }
-                    }
-                    None => stars.push((*sv, vec![pid])),
+/// One step of a [`Costing::chain`]: the pattern, the partial join's
+/// estimated rows after it, and what adding it was priced at.
+struct Step {
+    pattern: usize,
+    rows: f64,
+    cost: f64,
+}
+
+impl Costing<'_> {
+    /// The statistics-driven greedy over the patterns `subset` names:
+    /// tracks the partial join's estimated cardinality and, per
+    /// candidate, the per-binding fan-out of adding it — from
+    /// characteristic sets for star steps (a bound subject variable
+    /// extended by another constant predicate), from distinct-count
+    /// ratios everywhere else — and picks the cheapest
+    /// [`candidate_cost`] next.
+    fn chain(&self, subset: &[usize]) -> Vec<Step> {
+        let mut remaining: Vec<usize> = subset.to_vec();
+        let mut steps = Vec::with_capacity(subset.len());
+        let mut bound = VarSet::default();
+        // Per subject *variable*: the sorted constant-predicate ids of the
+        // star placed on it so far — the characteristic-set context.
+        let mut stars: Vec<(usize, Vec<Id>)> = Vec::new();
+        let mut rows = 1.0f64;
+
+        while !remaining.is_empty() {
+            let mut best_pos = 0;
+            let mut best_score = f64::INFINITY;
+            let mut best_rows = 0.0;
+            for (pos, &idx) in remaining.iter().enumerate() {
+                let (out, cost) = candidate_cost(
+                    &self.patterns[idx],
+                    &self.resolved[idx],
+                    self.base[idx],
+                    self.stats,
+                    &bound,
+                    &stars,
+                    rows,
+                );
+                if cost < best_score {
+                    best_score = cost;
+                    best_pos = pos;
+                    best_rows = out;
                 }
             }
+            let idx = remaining.remove(best_pos);
+            rows = best_rows.max(0.0);
+            // Extend the star context: a constant predicate on a variable
+            // subject contributes to that variable's characteristic set.
+            if let (Slot::Var(sv), Some(pat)) = (&self.patterns[idx].s, &self.resolved[idx]) {
+                if let Some(pid) = pat[1] {
+                    match stars.iter_mut().find(|(v, _)| v == sv) {
+                        Some((_, preds)) => {
+                            if let Err(at) = preds.binary_search(&pid) {
+                                preds.insert(at, pid);
+                            }
+                        }
+                        None => stars.push((*sv, vec![pid])),
+                    }
+                }
+            }
+            for v in self.patterns[idx].variables() {
+                bound.insert(v);
+            }
+            steps.push(Step {
+                pattern: idx,
+                rows,
+                cost: best_score,
+            });
         }
-        for v in patterns[idx].variables() {
-            bound.insert(v);
-        }
-        order.push(idx);
+        steps
     }
-    order
+
+    /// The cheapest plan for the BGP: its greedy chain, or that chain
+    /// closed after some prefix and hash-joined with the rest planned
+    /// standalone (the module doc prices the two). Each half stays the
+    /// chain it was priced as.
+    fn shape(&self) -> Shape {
+        let all: Vec<usize> = (0..self.patterns.len()).collect();
+        let chain = self.chain(&all);
+        let order: Vec<usize> = chain.iter().map(|s| s.pattern).collect();
+        let vars_of = |part: &[usize]| -> Vec<usize> {
+            part.iter()
+                .flat_map(|&i| self.patterns[i].variables())
+                .collect()
+        };
+        let mut cheapest: f64 = chain.iter().map(|s| s.cost).sum();
+        // The cheapest split so far: prefix length, suffix chain, join rows.
+        let mut split: Option<(usize, Vec<Step>, f64)> = None;
+        let mut prefix_cost = 0.0;
+        for k in 1..chain.len().saturating_sub(1) {
+            prefix_cost += chain[k - 1].cost;
+            let (prefix, suffix) = order.split_at(k);
+            let prefix_rows = chain[k - 1].rows;
+            // A split costs at least the prefix, its rows and the scan
+            // that opens the suffix's own chain; one that cannot beat the
+            // cheapest plan so far is not priced.
+            let scan = suffix
+                .iter()
+                .map(|&i| self.base[i])
+                .fold(f64::INFINITY, f64::min);
+            if prefix_cost + prefix_rows + scan >= cheapest {
+                continue;
+            }
+            let prefix_vars = vars_of(prefix);
+            let mut cut = vars_of(suffix);
+            cut.retain(|v| prefix_vars.contains(v));
+            cut.sort_unstable();
+            cut.dedup();
+            let suffix_patterns: Vec<ResolvedPattern> =
+                suffix.iter().map(|&i| self.patterns[i].clone()).collect();
+            if cut.is_empty() || connected_components(&suffix_patterns).len() > 1 {
+                continue;
+            }
+            let standalone = self.chain(suffix);
+            let suffix_rows = standalone.last().map_or(0.0, |s| s.rows);
+            let joined = prefix_rows * suffix_rows / self.cut_values(&cut, prefix, suffix);
+            let price = prefix_cost
+                + standalone.iter().map(|s| s.cost).sum::<f64>()
+                + prefix_rows
+                + suffix_rows
+                + joined;
+            if price < cheapest {
+                cheapest = price;
+                split = Some((k, standalone, joined));
+            }
+        }
+        let estimated = |steps: &[Step]| {
+            Shape::Chain(
+                steps
+                    .iter()
+                    .map(|s| (s.pattern, Some(s.rows.round() as u64)))
+                    .collect(),
+            )
+        };
+        let Some((k, suffix, joined)) = split else {
+            return estimated(&chain);
+        };
+        let (prefix_rows, suffix_rows) = (chain[k - 1].rows, suffix[suffix.len() - 1].rows);
+        let (prefix, suffix) = (estimated(&chain[..k]), estimated(&suffix));
+        let (probe, build) = if suffix_rows <= prefix_rows {
+            (prefix, suffix)
+        } else {
+            (suffix, prefix)
+        };
+        Shape::Split {
+            probe: Box::new(probe),
+            build: Box::new(build),
+            est_rows: joined.round() as u64,
+        }
+    }
+
+    /// How many value combinations the cut variables can take in a join
+    /// of `left` and `right`: per variable the larger of the two sides'
+    /// counts ([`Costing::values`]), the textbook denominator of an
+    /// equi-join's size, multiplied over the cut.
+    fn cut_values(&self, cut: &[usize], left: &[usize], right: &[usize]) -> f64 {
+        let side = |part: &[usize], v: usize| {
+            part.iter()
+                .filter(|&&i| self.patterns[i].variables().any(|x| x == v))
+                .map(|&i| self.values(i, v))
+                .fold(f64::INFINITY, f64::min)
+        };
+        cut.iter()
+            .map(|&v| side(left, v).max(side(right, v)))
+            .product::<f64>()
+            .max(1.0)
+    }
+
+    /// The distinct values pattern `i` can give variable `v`: at most its
+    /// matches, and at most the distinct count of each position `v`
+    /// fills.
+    fn values(&self, i: usize, v: usize) -> f64 {
+        let (pattern, stats) = (&self.patterns[i], self.stats);
+        let pred = self.resolved[i]
+            .and_then(|pat| pat[1])
+            .and_then(|p| stats.predicate(p));
+        let mut values = self.base[i];
+        if pattern.s.as_var() == Some(v) {
+            let distinct = pred.map_or(stats.distinct_subjects, |ps| ps.distinct_subjects);
+            values = values.min(distinct as f64);
+        }
+        if pattern.p.as_var() == Some(v) {
+            values = values.min(stats.predicates.len() as f64);
+        }
+        if pattern.o.as_var() == Some(v) {
+            let distinct = pred.map_or(stats.distinct_objects, |ps| ps.distinct_objects);
+            values = values.min(distinct as f64);
+        }
+        values
+    }
 }
 
 /// Estimated `(output_rows, cost)` of adding one candidate to a partial
@@ -1207,7 +1455,7 @@ mod tests {
             panic!("{inner:?}")
         };
         assert_eq!(above.conjuncts().len(), 2);
-        let Algebra::Join(left, right, eq) = *joined else {
+        let Algebra::Join(left, right, eq, _) = *joined else {
             panic!("{joined:?}")
         };
         let var = |n: &str| vars.lookup(n).unwrap();
@@ -1260,6 +1508,93 @@ mod tests {
             panic!("{inner:?}")
         };
         assert!(matches!(*joined, Algebra::Join(..)), "{joined:?}");
+    }
+
+    /// 40 subjects, each with one `p1` name of its own and one `p2`
+    /// attribute, spread over two `p0` groups: two stars that meet at the
+    /// group pair every subject with half the others.
+    fn grouped_store() -> NativeStore {
+        let mut g = Graph::new();
+        for i in 0..40 {
+            let s = Subject::iri(format!("http://x/s{i}"));
+            for (p, o) in [
+                ("p0", format!("g{}", i % 2)),
+                ("p1", format!("n{i}")),
+                ("p2", format!("a{i}")),
+            ] {
+                g.add(
+                    s.clone(),
+                    Iri::new(format!("http://x/{p}")),
+                    Term::iri(format!("http://x/{o}")),
+                );
+            }
+        }
+        NativeStore::from_graph(&g)
+    }
+
+    #[test]
+    fn bgp_splits_at_a_cut_and_a_star_does_not() {
+        let query = "SELECT ?n ?m WHERE { ?a <http://x/p0> ?g . ?a <http://x/p1> ?n .
+            ?b <http://x/p0> ?g . ?b <http://x/p1> ?m FILTER (?n != ?m && ?m != <http://x/n0>) }";
+        let t = translate(&parse(query).unwrap());
+        let algebra = optimize(
+            t.algebra,
+            &grouped_store(),
+            &OptimizerConfig::full(),
+            &t.projection,
+        );
+        let Algebra::Project(_, inner) = algebra else {
+            panic!()
+        };
+        // The conjunct across the halves stays above their join…
+        let Algebra::Filter(above, joined) = *inner else {
+            panic!("{inner:?}")
+        };
+        assert_eq!(above.conjuncts().len(), 1);
+        // …a chain would pair 40 rows with 20 each: 800 rows, estimated.
+        let Algebra::Join(probe, build, eq, Some(800)) = *joined else {
+            panic!("{joined:?}")
+        };
+        assert!(
+            eq.is_empty(),
+            "the cut is the shared variable: no filter key"
+        );
+        let (probe, probe_inline) = bgp_of(&probe);
+        let (build, build_inline) = bgp_of(&build);
+        assert_eq!((probe.len(), build.len()), (2, 2));
+        // The conjunct one half binds runs in that half.
+        assert_eq!(probe_inline.len() + build_inline.len(), 1);
+        let g = t.vars.lookup("g").unwrap();
+        assert!(probe.iter().chain(build).all(|p| p.s.as_var().is_some()));
+        assert!([probe, build]
+            .iter()
+            .all(|half| half.iter().any(|p| p.o == Slot::Var(g))));
+        assert_eq!(
+            probe[1].est_rows,
+            Some(40),
+            "each step carries its estimate"
+        );
+
+        // One subject's star: its suffix alone would start from a full scan.
+        let star =
+            "SELECT ?n WHERE { ?a <http://x/p0> ?g . ?a <http://x/p1> ?n . ?a <http://x/p2> ?x }";
+        let t = translate(&parse(star).unwrap());
+        let algebra = optimize(
+            t.algebra,
+            &grouped_store(),
+            &OptimizerConfig::full(),
+            &t.projection,
+        );
+        assert_eq!(bgp_of(&algebra).0.len(), 3);
+        // Without reordering the two-star BGP stays one chain.
+        let t = translate(&parse(query).unwrap());
+        let algebra = optimize(
+            t.algebra,
+            &grouped_store(),
+            &OptimizerConfig::default(),
+            &t.projection,
+        );
+        assert_eq!(bgp_of(&algebra).0.len(), 4);
     }
 
     #[test]

@@ -52,6 +52,12 @@ pub struct PlanPattern {
     /// When the step may stop looking its input rows up one by one and
     /// fetch the whole pattern instead; `None` keeps it on lookups.
     pub fetch: Option<FetchRule>,
+    /// The rows the planner expects after this step: the estimate its
+    /// ordering propagated through the steps before
+    /// ([`ResolvedPattern::est_rows`]), or, for a BGP ordered without
+    /// statistics, the store's estimate of the pattern's constants
+    /// alone.
+    pub est_rows: u64,
 }
 
 /// The largest pattern — in triples matching its constants — a step may
@@ -91,8 +97,14 @@ impl PlanPattern {
             slots: [bind_slot(&p.s), bind_slot(&p.p), bind_slot(&p.o)],
             ordinal,
             fetch: None,
+            est_rows: 0,
         };
         step.fetch = bound.and_then(|bound| step.fetch_rule(store, bound));
+        step.est_rows = match p.est_rows {
+            _ if step.is_unsatisfiable() => 0,
+            Some(rows) => rows,
+            None => store.estimate(const_pattern(&step)),
+        };
         step
     }
 
@@ -171,6 +183,9 @@ pub enum Plan {
         /// SPARQL-`=` equality class. The filter itself sits above the
         /// join and still decides.
         eq: EqPairs,
+        /// The rows the optimizer estimates the join to emit, when it
+        /// planned the join by splitting a BGP at a cut.
+        est_rows: Option<u64>,
         /// Position in the operator numbering (see
         /// [`PlanPattern::ordinal`]) — what join tallies are keyed by.
         ordinal: usize,
@@ -278,11 +293,12 @@ fn bind_from(algebra: &Algebra, store: &dyn TripleStore, fetch: bool, next: &mut
                     .collect(),
             }
         }
-        Algebra::Join(a, b, eq) => Plan::Join {
+        Algebra::Join(a, b, eq, est_rows) => Plan::Join {
             left: sub(a),
             right: sub(b),
             key: join_key(a, b),
             eq: eq.clone(),
+            est_rows: *est_rows,
             ordinal: next_ordinal(next),
         },
         Algebra::LeftJoin(a, b, cond, eq) => Plan::LeftJoin {
@@ -466,6 +482,8 @@ pub enum Operator<'p> {
         eq: &'p [(usize, usize)],
         /// Whether a left join carries a condition to re-check.
         residual: bool,
+        /// The node's `est_rows` (`None` for a left join).
+        est_rows: Option<u64>,
         /// The node's `ordinal`.
         ordinal: usize,
     },
@@ -484,6 +502,7 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
                 right,
                 key,
                 eq,
+                est_rows,
                 ordinal,
             } => {
                 walk(left, out);
@@ -494,6 +513,7 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
                     key,
                     eq,
                     residual: false,
+                    est_rows: *est_rows,
                     ordinal: *ordinal,
                 });
             }
@@ -513,6 +533,7 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
                     key,
                     eq,
                     residual: condition.is_some(),
+                    est_rows: None,
                     ordinal: *ordinal,
                 });
             }

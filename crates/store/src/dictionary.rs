@@ -96,9 +96,8 @@ impl<'a> Fields<'a> {
 
     /// The upper half of the Fx hash of the strings, then of the kind
     /// and the field lengths (so `"ab"`+`"c"` and `"a"`+`"bc"` part
-    /// ways). The upper half because Fx's low bits see only the low bits
-    /// of its input; its leading bits are a slot's home position, so a
-    /// table can move its slots without reading a term again.
+    /// ways). Its leading bits are a slot's home position, so a table
+    /// can move its slots without reading a term again.
     fn tag(&self) -> u32 {
         let mut h = FxHasher::default();
         h.write(self.lexical.as_bytes());

@@ -25,9 +25,15 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The state folded through a full 64×64→128-bit multiply. Std's
+    /// tables pick a bucket from a hash's low bits, and the low bits of
+    /// the multiply-xor state depend only on the low bits of its input:
+    /// unfolded, keys that differ only in their upper half (two ids
+    /// packed into a `u64`) would all land in one bucket chain.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let folded = u128::from(self.hash) * u128::from(SEED);
+        folded as u64 ^ (folded >> 64) as u64
     }
 
     #[inline]
@@ -57,6 +63,12 @@ impl Hasher for FxHasher {
     #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.add(i as u64);
+        self.add((i >> 64) as u64);
     }
 
     #[inline]
@@ -93,6 +105,21 @@ mod tests {
         }
         assert_ne!(h("http://a/1"), h("http://a/2"));
         assert_ne!(h("abc"), h("acb"));
+    }
+
+    /// What `finish` folds for: keys that differ only in their upper 32
+    /// bits must not share their low 16 hash bits (unfolded, all 1 024
+    /// below would).
+    #[test]
+    fn upper_bits_reach_the_low_hash_bits() {
+        let low_bits: HashSet<u64> = (0..1024u64)
+            .map(|i| {
+                let mut hasher = FxHasher::default();
+                hasher.write_u64(i << 32 | 7);
+                hasher.finish() & 0xffff
+            })
+            .collect();
+        assert!(low_bits.len() > 1000, "{} distinct", low_bits.len());
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //! row, or one fetched table once the lookups have paid for it — is
 //! decided while the query runs, and must never show in its result.
 //!
-//! At 50k triples the chains of Q4 and Q5b pass their break-even many
-//! times over; Q2 and Q9 are the stars and short chains that must not
-//! change either, and so is Q8, whose union branches each start from
-//! the one `?erdoes` row and feed no step more than 3.4k rows against
-//! its 5.9k-triple pattern. Two oracles: the *same* plan bound without
-//! fetch rules (every row in the same place, at parallelism 1, 2 and 4), and
-//! the engine kinds that never fetch (`mem-naive`, `native-base`: same
-//! multiset), alongside the one that fetches through a disk store's
-//! 128 KiB block cache. Those two kinds start Q4 with a 12-million-row
-//! product at 50k — minutes in a debug build — so they check Q4 at 6k,
-//! where its steps pass their break-even just the same.
+//! At 50k triples Q5b's chain passes its break-even many times over, and
+//! so do the `type` and `journal` steps of each of Q4's two stars, which
+//! are fed 5.9k and 4.4k rows against 3.5k-triple patterns before the
+//! stars hash-join on `?journal`; Q2 and Q9 are the stars and short
+//! chains that must not change either, and so is Q8, whose union
+//! branches each start from the one `?erdoes` row and feed no step more
+//! than 3.4k rows against its 5.9k-triple pattern. Two oracles: the
+//! *same* plan bound without fetch rules (every row in the same place,
+//! at parallelism 1, 2 and 4), and the engine kinds that never fetch
+//! (`mem-naive`, `native-base`: same multiset), alongside the one that
+//! fetches through a disk store's 128 KiB block cache. Those two kinds
+//! start Q4's one chain with a 12-million-row product at 50k — minutes
+//! in a debug build — so they check Q4 at 6k, where its steps pass their
+//! break-even just the same.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -103,10 +106,10 @@ fn rows_and_their_order_are_those_of_pure_lookups_at_any_parallelism() {
                 .iter()
                 .filter(|s| s.access.is_some_and(|a| a.fetched.is_some()))
                 .count();
-            let chain = matches!(query, BenchQuery::Q4 | BenchQuery::Q5b);
+            let passes_break_even = matches!(query, BenchQuery::Q4 | BenchQuery::Q5b);
             assert_eq!(
                 fetched > 0,
-                chain,
+                passes_break_even,
                 "{query}@{degree}: {fetched} steps fetched"
             );
         }

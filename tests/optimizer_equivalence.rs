@@ -3,7 +3,8 @@
 //!
 //! Random small graphs + a pool of query shapes covering the rewrite
 //! rules (BGP reordering, filter pushing into BGPs/joins, IRI-equality
-//! substitution, left-join handling, a join distributed over a UNION);
+//! substitution, left-join handling, a join distributed over a UNION, a
+//! BGP split at a cut variable, DISTINCT on packed ids);
 //! naive, heuristic and fully-optimized plans must return identical
 //! result multisets on both stores. Each graph comes from a seed printed
 //! in every assertion message; `SP2B_SEED=<n> cargo test --test
@@ -88,6 +89,22 @@ const QUERY_POOL: &[&str] = &[
     "SELECT ?x ?y WHERE { ?v <http://t/p0> ?x OPTIONAL { ?v <http://t/p1> ?y } FILTER (?v = <http://t/s1>) }",
     "SELECT ?x WHERE { ?v <http://t/p0> ?x OPTIONAL { ?x <http://t/p1> ?y }
        FILTER (?v = <http://t/s1> && ?v != ?y) }",
+    // Q4's shape: two stars meeting at a variable, a BGP that may split
+    // at the cut into two hash-joined halves.
+    "SELECT ?n ?m WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?a <http://t/p2> ?x .
+       ?b <http://t/p0> ?j . ?b <http://t/p1> ?m . ?b <http://t/p2> ?y }",
+    // Three stars on a path.
+    "SELECT ?a ?c ?u WHERE { ?a <http://t/p0> ?u . ?a <http://t/p1> ?j . ?b <http://t/p1> ?j .
+       ?b <http://t/p2> ?k . ?c <http://t/p2> ?k . ?c <http://t/p3> ?w }",
+    // A split BGP's conjuncts: one per half, and two across the halves
+    // that must stay above the join.
+    "SELECT DISTINCT ?n ?m WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?b <http://t/p0> ?j .
+       ?b <http://t/p1> ?m FILTER (?n < ?m && ?a != ?b && ?n != <http://t/o1> && ?m != 5) }",
+    // DISTINCT keyed on packed ids: a variable only an OPTIONAL binds
+    // (unbound is no id), and five projected variables (the wide key).
+    "SELECT DISTINCT ?a ?c WHERE { ?a <http://t/p0> ?b OPTIONAL { ?b <http://t/p1> ?c } }",
+    "SELECT DISTINCT ?a ?b ?c ?d ?e WHERE { ?a <http://t/p0> ?b . ?b ?p ?c . ?a ?q ?e
+       OPTIONAL { ?c <http://t/p2> ?d } }",
 ];
 
 /// The seeds to run: every case, or the one `SP2B_SEED` names.

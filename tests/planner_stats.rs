@@ -24,7 +24,9 @@ use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::obs::{ExchangeRun, OpKind, OpSpan};
 use sp2bench::rdf::{Graph, Iri, Subject, Term};
 use sp2bench::sparql::eval::LOOKUP_FLUSH;
-use sp2bench::sparql::plan::{operators, Operator, Plan, FETCH_CAP};
+use sp2bench::sparql::plan::{
+    operators, FetchRule, Operator, Plan, PlanPattern, PlanSlot, FETCH_CAP,
+};
 use sp2bench::sparql::{
     query_trace, Cancellation, Error, OptimizerConfig, Prepared, QueryEngine, QueryOptions,
     QueryResult, ScanCounters,
@@ -540,12 +542,24 @@ fn counting_engine(store: &SharedStore, degree: usize) -> (QueryEngine, Arc<Scan
     (engine, counters)
 }
 
-/// Prepares and counts `text` at `degree`; its operator spans.
-fn spans_of(store: &SharedStore, text: &str, degree: usize) -> Vec<OpSpan> {
+/// Prepares and counts `text` at `degree`; its operator spans, and per
+/// operator the triples a fetch of its pattern reads — the break-even of
+/// its [`FetchRule`] (`None`: a join, or a step that may not fetch).
+fn spans_of(store: &SharedStore, text: &str, degree: usize) -> (Vec<OpSpan>, Vec<Option<u64>>) {
     let (engine, counters) = counting_engine(store, degree);
     let prepared = engine.prepare(text).expect("query parses");
     engine.count(&prepared).expect("query evaluates");
-    query_trace(&prepared, engine.store(), &counters).operators
+    let spans = query_trace(&prepared, engine.store(), &counters).operators;
+    (spans, fetch_costs(&prepared))
+}
+
+/// Per operator of `prepared`, what a fetch of its pattern reads.
+fn fetch_costs(prepared: &Prepared) -> Vec<Option<u64>> {
+    let rule = |op| match op {
+        Operator::Scan(step) => step.fetch.map(|rule: FetchRule| rule.after),
+        Operator::Join { .. } => None,
+    };
+    operators(prepared.plan()).into_iter().map(rule).collect()
 }
 
 fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
@@ -557,11 +571,13 @@ fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
 
 /// What each operator of Q4, Q5b and Q8 emitted on `native-opt` at 50k
 /// when every step was a lookup (joins last, as `--explain` lists them).
-/// Q8's two union branches each open at the one-row `?erdoes` pattern.
+/// Q4's two stars each run once, 4 431 rows apiece, and the join pairs
+/// them by journal; Q8's two union branches each open at the one-row
+/// `?erdoes` pattern.
 const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
     (
         "Q4",
-        &[2338, 5874, 4437, 4431, 172103, 172103, 221467, 221467],
+        &[2338, 5874, 4437, 4431, 2338, 5874, 4437, 4431, 221467],
     ),
     ("Q5b", &[1128, 1380, 1380, 9050, 5874]),
     (
@@ -570,17 +586,31 @@ const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
     ),
 ];
 
-/// The first pattern step of every BGP in `plan`.
-fn bgp_heads(plan: &Plan) -> Vec<usize> {
+/// The pattern steps of every BGP in `plan`, in operator order.
+fn bgps(plan: &Plan) -> Vec<&[PlanPattern]> {
     match plan {
-        Plan::Bgp { patterns, .. } => patterns.first().map(|p| p.ordinal).into_iter().collect(),
-        Plan::Union(a, b) => [a, b].into_iter().flat_map(|p| bgp_heads(p)).collect(),
-        Plan::Filter(_, inner) | Plan::Distinct(inner) | Plan::Project(_, inner) => {
-            bgp_heads(inner)
-        }
-        Plan::Exchange { input, .. } => bgp_heads(input),
-        _ => Vec::new(),
+        Plan::Bgp { patterns, .. } => vec![patterns.as_slice()],
+        Plan::Join { left, right, .. }
+        | Plan::LeftJoin { left, right, .. }
+        | Plan::Union(left, right) => [left, right].into_iter().flat_map(|p| bgps(p)).collect(),
+        Plan::Filter(_, inner)
+        | Plan::Distinct(inner)
+        | Plan::Project(_, inner)
+        | Plan::OrderBy(_, inner) => bgps(inner),
+        Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => bgps(input),
+        Plan::Exchange { input, .. } => bgps(input),
     }
+}
+
+/// The key of every inner join in `plan`.
+fn inner_join_keys(plan: &Plan) -> Vec<&[usize]> {
+    let key = |op| match op {
+        Operator::Join {
+            outer: false, key, ..
+        } => Some(key),
+        _ => None,
+    };
+    operators(plan).into_iter().filter_map(key).collect()
 }
 
 /// A join over a UNION distributes when its other side is a flat group:
@@ -594,18 +624,17 @@ fn q8_branches_start_from_erdoes() {
     for degree in [1, 4] {
         let (engine, counters) = counting_engine(&store, degree);
         let prepared = engine.prepare(BenchQuery::Q8.text()).expect("parses");
-        let joins = operators(prepared.plan())
-            .into_iter()
-            .filter(|op| matches!(op, Operator::Join { .. }))
-            .count();
-        assert_eq!(joins, 0, "Q8@{degree} plans no join");
+        assert!(
+            inner_join_keys(prepared.plan()).is_empty(),
+            "Q8@{degree} plans no join"
+        );
         assert_eq!(engine.count(&prepared).expect("evaluates"), 491);
         let trace = query_trace(&prepared, engine.store(), &counters);
         // No join: each BGP is a branch of the union.
-        let heads = bgp_heads(prepared.plan());
-        assert_eq!(heads.len(), 2, "Q8@{degree}: {heads:?}");
-        for ordinal in heads {
-            let label = &trace.operators[ordinal].label;
+        let branches = bgps(prepared.plan());
+        assert_eq!(branches.len(), 2, "Q8@{degree}");
+        for steps in branches {
+            let label = &trace.operators[steps[0].ordinal].label;
             assert!(label.contains("\"Paul Erdoes\""), "Q8@{degree}: {label}");
         }
         let rows = counters.total_rows();
@@ -618,19 +647,65 @@ fn q8_branches_start_from_erdoes() {
             .parallelism(1),
     );
     let prepared = naive.prepare(BenchQuery::Q8.text()).expect("parses");
-    assert!(
-        operators(prepared.plan())
-            .iter()
-            .any(|op| matches!(op, Operator::Join { outer: false, .. })),
+    assert_eq!(
+        inner_join_keys(prepared.plan()).len(),
+        1,
         "native-base keeps Q8's hash join"
+    );
+}
+
+/// Q4 is two `article–creator–name–type` stars meeting at `?journal`:
+/// planned as one chain, the second star is re-derived for each of the
+/// first's 172k `(article, journal)` extensions — 804 220 pattern rows at
+/// 50k. Split at the cut, each star runs once and a hash join on the
+/// journal pairs them. The naive configuration keeps the chain — it is
+/// the oracle — and a star (Q2) never splits: its suffix on its own
+/// would start from a full scan.
+#[test]
+fn q4_splits_at_journal() {
+    let store = store_50k();
+    let journal = Term::iri("http://swrc.ontoware.org/ontology#journal");
+    let journal = PlanSlot::Const(store.resolve(&journal));
+    for degree in [1, 4] {
+        let (engine, counters) = counting_engine(&store, degree);
+        let prepared = engine.prepare(BenchQuery::Q4.text()).expect("parses");
+        let keys = inner_join_keys(prepared.plan());
+        let [&[cut]] = keys.as_slice() else {
+            panic!("Q4@{degree}: one join on one variable, not {keys:?}")
+        };
+        let halves = bgps(prepared.plan());
+        assert_eq!(halves.len(), 2, "Q4@{degree}");
+        for steps in halves {
+            assert_eq!(steps.len(), 4, "Q4@{degree}: {steps:?}");
+            let meets = |p: &PlanPattern| p.slots[1..] == [journal, PlanSlot::Var(cut)];
+            assert!(steps.iter().any(meets), "Q4@{degree} joins on ?journal");
+        }
+        assert_eq!(engine.count(&prepared).expect("evaluates"), 71_317);
+        let rows = counters.total_rows();
+        assert!(rows <= 40_000, "Q4@{degree} scanned {rows} rows");
+    }
+    let naive = QueryEngine::with_options(
+        store.clone(),
+        QueryOptions::new()
+            .optimizer(OptimizerConfig::default())
+            .parallelism(1),
+    );
+    let prepared = naive.prepare(BenchQuery::Q4.text()).expect("parses");
+    let chain: Vec<usize> = bgps(prepared.plan()).iter().map(|b| b.len()).collect();
+    assert_eq!(chain, [8], "native-base keeps Q4's chain");
+    let (engine, _) = counting_engine(&store, 1);
+    let prepared = engine.prepare(BenchQuery::Q2.text()).expect("parses");
+    assert!(
+        inner_join_keys(prepared.plan()).is_empty(),
+        "Q2 stays a star"
     );
 }
 
 /// The ski-rental invariant: a step rents lookups only until they have
 /// cost what a fetch of its pattern costs — the pattern's constants-only
-/// cardinality, exact on this store and shown as `est_rows` — so no step
-/// ever issues more than that, give or take the lookups concurrent
-/// instances had not yet reported. Sequentially the switch is exact.
+/// cardinality, exact on this store and its [`FetchRule`]'s break-even —
+/// so no step ever issues more than that, give or take the lookups
+/// concurrent instances had not yet reported. Sequentially the switch is exact.
 /// And only the source of the triples changes: every operator emits what
 /// it emitted before steps could fetch.
 #[test]
@@ -639,45 +714,48 @@ fn no_step_issues_more_lookups_than_a_fetch_costs() {
     for (label, rows_before) in ROWS_BEFORE_FETCHING {
         let query = BenchQuery::from_label(label).expect("known label");
         for degree in [1usize, 4] {
-            let spans = spans_of(&store, query.text(), degree);
+            let (spans, fetch_costs) = spans_of(&store, query.text(), degree);
             let rows: Vec<u64> = spans.iter().map(|s| s.rows).collect();
             assert_eq!(rows, rows_before, "{label}@{degree}");
             // Beside the instance that reaches the break-even: the other
             // workers, and the consumer if it is still inside the morsel
             // it handed off from.
             let slack = if degree > 1 { degree as u64 } else { 0 } * LOOKUP_FLUSH;
-            for (n, span) in spans.iter().enumerate() {
+            for (n, (span, fetch_cost)) in spans.iter().zip(&fetch_costs).enumerate() {
                 let Some(access) = span.access else { continue };
                 assert_eq!(span.kind, OpKind::Scan);
+                // A step that may not fetch is a BGP's first, fed one
+                // empty row.
+                let Some(pattern) = *fetch_cost else {
+                    assert_eq!(
+                        (access.lookups, access.fetched),
+                        (1, None),
+                        "{label}@{degree}"
+                    );
+                    continue;
+                };
                 assert!(
-                    access.lookups <= span.est_rows.max(1) + slack,
-                    "{label}@{degree} step {}: {access} against {} triples",
+                    access.lookups <= pattern + slack,
+                    "{label}@{degree} step {}: {access} against {pattern} triples",
                     n + 1,
-                    span.est_rows
                 );
                 if let Some(triples) = access.fetched {
-                    assert_eq!(triples, span.est_rows, "{label}@{degree}: {access}");
-                    assert!(
-                        access.lookups >= span.est_rows,
-                        "{label}@{degree}: {access}"
-                    );
+                    assert_eq!(triples, pattern, "{label}@{degree}: {access}");
+                    assert!(access.lookups >= pattern, "{label}@{degree}: {access}");
                     assert!(access.probes > 0, "{label}@{degree}: {access}");
                 }
-                // An input row is looked up or probed, never both (a BGP's
-                // first step is fed one empty row; inline filters may drop
-                // rows between steps).
-                let fed = if n == 0 { 1 } else { spans[n - 1].rows.max(1) };
+                // An input row is looked up or probed, never both (inline
+                // filters may drop rows between steps).
                 assert!(
-                    access.lookups + access.probes <= fed,
+                    access.lookups + access.probes <= spans[n - 1].rows,
                     "{label}@{degree}: {access}"
                 );
             }
             if label == "Q4" {
-                // Steps 6–8 are fed 172k–221k rows against patterns of
-                // 2.3k–5.9k triples; step 2 is fed 2 338 against 5 874.
-                let fetched = fetched_steps(&spans);
-                assert!([6, 7, 8].iter().all(|n| fetched.contains(n)), "{fetched:?}");
-                assert!(!fetched.contains(&2), "{fetched:?}");
+                // In each star the type and journal steps are fed 5 874
+                // and 4 437 rows against 3.5k-triple patterns; the creator
+                // step is fed 2 338 against 5 874.
+                assert_eq!(fetched_steps(&spans), [3, 4, 7, 8], "{label}@{degree}");
             }
         }
     }
@@ -694,7 +772,7 @@ fn early_hang_ups_and_small_inputs_never_fetch() {
     for label in ["Q12b", "Q11", "Q2", "Q8"] {
         let query = BenchQuery::from_label(label).expect("known label");
         for degree in [1, 4] {
-            let spans = spans_of(&store, query.text(), degree);
+            let (spans, _) = spans_of(&store, query.text(), degree);
             assert_eq!(fetched_steps(&spans), [0usize; 0], "{label}@{degree}");
             assert!(spans.iter().any(|s| s.rows > 0), "{label}@{degree} ran");
         }
@@ -723,11 +801,11 @@ fn two_per_subject(subjects: u64) -> SharedStore {
 fn pattern_above_the_cap_never_fetches() {
     let chain = "SELECT ?a ?b ?c WHERE { ?x <http://x/big> ?a . ?x <http://x/big> ?b . ?x <http://x/big> ?c }";
     for (subjects, fetches) in [(FETCH_CAP / 2 - 100, true), (FETCH_CAP / 2 + 100, false)] {
-        let spans = spans_of(&two_per_subject(subjects), chain, 1);
+        let (spans, fetch_costs) = spans_of(&two_per_subject(subjects), chain, 1);
         let pattern = 2 * subjects;
-        assert_eq!(spans[2].est_rows, pattern);
         assert_eq!(spans[2].rows, 4 * pattern);
         let access = spans[2].access.expect("the third step ran");
+        assert_eq!(fetch_costs[2], fetches.then_some(pattern));
         if fetches {
             assert_eq!(access.fetched, Some(pattern), "{access}");
             assert_eq!(access.lookups, pattern, "{access}");
@@ -753,7 +831,7 @@ fn prepared_query_starts_on_lookups_every_time() {
     }
     let last = |spans: &[OpSpan]| spans[4].access.expect("the last step ran");
     let (first, both) = (last(&runs[0]), last(&runs[1]));
-    let pattern = runs[0][4].est_rows;
+    let pattern = fetch_costs(&prepared)[4].expect("the last step may fetch");
     assert_eq!(first.fetched, Some(pattern), "{first}");
     assert_eq!(first.lookups, pattern, "{first}");
     // The counters accumulate over executions: the second run added the
