@@ -286,7 +286,7 @@ mod tests {
             inline: 4,
             workers: 0,
         });
-        let join = span(OpKind::Join, "hash-join ?2", 1200, 1000, 15);
+        let join = span(OpKind::Join, "hash-join ?2 + residual", 1200, 1000, 15);
         t.operators = vec![driving, fetching, build, join];
         assert_eq!(
             t.render(),
@@ -294,7 +294,7 @@ mod tests {
              1. ?a <p> ?b  est 8, rows 8, time 1.00 ms\n   \
              2. ?b <q> ?c  est 50, rows 400, time 20.00 ms, lookup ×50 → fetch 50 triples, probes 350\n   \
              3. ?c <r> ?d  est 30, rows 30, time 0 µs\n   \
-             4. hash-join ?2  est 1200, rows 1000, time 15.00 ms\n  \
+             4. hash-join ?2 + residual  est 1200, rows 1000, time 15.00 ms\n  \
              exchange ×2 over step 1: morsels 0–0 of 8 inline, 1–7 on 2 workers\n  \
              exchange ×2 over step 3: 4 morsels, all inline\n  \
              total: estimated 88, emitted 438 rows, operators 36.00 ms\n  \
@@ -326,8 +326,13 @@ mod tests {
     #[test]
     fn summary_counts_pattern_steps_only() {
         let mut t = sample();
-        t.operators
-            .push(span(OpKind::Join, "hash-left-join ?1", 1, 671, 1));
+        t.operators.push(span(
+            OpKind::Join,
+            "hash-anti-join ?1 + residual",
+            1,
+            671,
+            1,
+        ));
         assert!(
             t.summary().ends_with("ops=3 op_rows=346"),
             "{}",

@@ -497,10 +497,10 @@ impl Prepared {
 /// [`crate::plan::operators`] order — BGP patterns in join order, each
 /// join after its inputs. A pattern's label renders its slots and
 /// `est_rows` is the planner's [`crate::plan::PlanPattern::est_rows`];
-/// a join's label names the algorithm and key (`hash-left-join ?3≍?8 +
-/// residual`, `nested-loop-left-join`) and `est_rows` is the rows the
-/// optimizer estimated it to emit — for a join it did not plan by
-/// splitting a BGP, the estimate of its build side's driving scan.
+/// a join's label names the algorithm, kind and key (`hash-anti-join
+/// ?3≍?8 + residual`, `nested-loop-left-join`; `+ residual` when it
+/// checks a condition) and `est_rows` is the plan's
+/// [`crate::plan::Plan::Join`] estimate.
 /// Rows, time (a join's is its probe time) and access are
 /// the tallies per operator *occurrence*; each planned exchange's driving
 /// step carries where its morsels ran (`morsels: 0`: not split). Phases
@@ -510,7 +510,7 @@ pub fn query_trace(
     store: &dyn TripleStore,
     counters: &ScanCounters,
 ) -> QueryTrace {
-    use crate::plan::{driving_scan, exchanges, Operator, PlanSlot};
+    use crate::plan::{exchanges, JoinKind, Operator, PlanSlot};
     use sp2b_obs::{ExchangeRun, OpKind, OpSpan, StepAccess};
     let dict = store.dictionary();
     let slot = |s: &PlanSlot| match s {
@@ -544,15 +544,19 @@ pub fn query_trace(
                 span(OpKind::Scan, label, p.est_rows, p.ordinal)
             }
             Operator::Join {
-                outer,
-                build,
+                kind,
                 key,
                 eq,
                 residual,
                 est_rows,
                 ordinal,
+                ..
             } => {
-                let name = if outer { "left-join" } else { "join" };
+                let name = match kind {
+                    JoinKind::Inner => "join",
+                    JoinKind::Optional => "left-join",
+                    JoinKind::Anti => "anti-join",
+                };
                 let mut label = if key.is_empty() && eq.is_empty() {
                     format!("nested-loop-{name}")
                 } else {
@@ -567,8 +571,6 @@ pub fn query_trace(
                 if residual {
                     label.push_str(" + residual");
                 }
-                let est_rows =
-                    est_rows.unwrap_or_else(|| driving_scan(build).map_or(0, |p| p.est_rows));
                 span(OpKind::Join, label, est_rows, ordinal)
             }
         })

@@ -70,7 +70,8 @@ use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, Trip
 use crate::algebra::{EqPairs, GroupSpec};
 use crate::expr::{eq_class, BoundExpr, EqClass};
 use crate::plan::{
-    const_pattern, driving_scan, FetchRule, Plan, PlanOrderKey, PlanPattern, PlanSlot, FETCH_CAP,
+    const_pattern, driving_scan, FetchRule, JoinKind, Plan, PlanOrderKey, PlanPattern, PlanSlot,
+    FETCH_CAP,
 };
 
 use sp2b_store::hash::{FxHashMap, FxHashSet};
@@ -112,19 +113,20 @@ impl Bindings {
         &self.0
     }
 
-    /// SPARQL merge: `None` on a conflict, otherwise the union of both
-    /// rows' bindings.
-    pub fn merge_checked(&self, other: &Bindings) -> Option<Bindings> {
+    /// SPARQL merge into `out`, a row of the same width, without
+    /// allocating: `false` on a conflict (`out` then holds no meaningful
+    /// row), otherwise `true` with `out` the union of both rows' bindings.
+    pub fn merge_into(&self, other: &Bindings, out: &mut Bindings) -> bool {
         debug_assert_eq!(self.width(), other.width());
-        let mut out = self.clone();
-        for (slot, &theirs) in out.0.iter_mut().zip(other.0.iter()) {
-            match (&slot, theirs) {
-                (Some(a), Some(b)) if *a != b => return None,
-                (None, Some(b)) => *slot = Some(b),
-                _ => {}
-            }
+        debug_assert_eq!(self.width(), out.width());
+        for ((slot, &mine), &theirs) in out.0.iter_mut().zip(&self.0).zip(&other.0) {
+            *slot = match (mine, theirs) {
+                (Some(a), Some(b)) if a != b => return false,
+                (Some(a), _) => Some(a),
+                (None, b) => b,
+            };
         }
-        Some(out)
+        true
     }
 }
 
@@ -562,24 +564,14 @@ impl<'a> EvalContext<'a> {
                 right,
                 key,
                 eq,
-                ordinal,
-                ..
-            }
-            | Plan::LeftJoin {
-                left,
-                right,
-                key,
-                eq,
+                kind,
+                condition,
                 ordinal,
                 ..
             } => {
-                let kind = match plan {
-                    Plan::LeftJoin { condition, .. } => JoinKind::Left(condition.as_ref()),
-                    _ => JoinKind::Inner,
-                };
                 let build = self.build_side(right, key, eq, *ordinal);
                 let probe = self.clone().eval_over(left, drive);
-                join_rows(self, probe, build, kind, *ordinal)
+                join_rows(self, probe, build, *kind, condition.as_ref(), *ordinal)
             }
             Plan::Exchange { degree, input } => crate::par::eval_exchange(self, *degree, input),
             // The right side is not opened until the left is drained.
@@ -663,7 +655,8 @@ impl<'a> EvalContext<'a> {
     /// found". An exchange is unwrapped to get at the joins under it —
     /// a consumer that hangs up after one row would not outlive its
     /// fan-out budget anyway — and an inner join runs
-    /// symmetrically ([`symmetric_join_rows`]) instead of materializing
+    /// symmetrically ([`symmetric_join_rows`], its condition checked the
+    /// same way) instead of materializing
     /// its build side before the first probe: the work done is then
     /// proportional to where the first witness sits in the two inputs,
     /// not to the size of either. Which rows exist is unchanged; their
@@ -682,11 +675,13 @@ impl<'a> EvalContext<'a> {
                 right,
                 key,
                 eq,
+                kind: JoinKind::Inner,
+                condition,
                 ordinal,
                 ..
             } => {
                 let inputs = [left, right].map(|side| self.clone().eval_witness(side));
-                symmetric_join_rows(self, inputs, key, eq, *ordinal)
+                symmetric_join_rows(self, inputs, key, eq, condition.as_ref(), *ordinal)
             }
             // Q12b: each branch's exchange stays unwrapped too.
             Plan::Union(a, b) => Box::new(
@@ -1070,7 +1065,7 @@ fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowI
 /// variable unbound in the row, possible under partial optional results —
 /// a build row goes to the flat list, which every probe scans, so no
 /// match is lost: a bucket only narrows the candidates, and
-/// [`Bindings::merge_checked`] plus the join's residual condition decide.
+/// [`Bindings::merge_into`] plus the join's condition decide.
 #[derive(Debug)]
 pub(crate) struct BuildSide {
     key: Vec<usize>,
@@ -1149,35 +1144,26 @@ impl BuildSide {
     }
 }
 
-/// Which probe a join runs per left row.
-#[derive(Clone, Copy)]
-enum JoinKind<'a> {
-    /// [`probe_inner`].
-    Inner,
-    /// [`probe_left`] with the OPTIONAL condition, if any.
-    Left(Option<&'a BoundExpr>),
-}
-
 /// The probe half of a hash join: streams `input`, probing `build` per
-/// row, and books rows out and probe time against the join's `ordinal`.
+/// row ([`probe`]), and books rows out and probe time against the join's
+/// `ordinal`.
 fn join_rows<'a>(
     ctx: EvalContext<'a>,
     input: RowIter<'a>,
     build: Arc<BuildSide>,
-    kind: JoinKind<'a>,
+    kind: JoinKind,
+    condition: Option<&'a BoundExpr>,
     ordinal: usize,
 ) -> RowIter<'a> {
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
+    let mut scratch = Bindings::empty(ctx.width);
     Box::new(input.flat_map(move |l| {
         if ctx.cancel.should_stop() {
             return Vec::new().into_iter();
         }
         tally
             .record(|| {
-                let out = match kind {
-                    JoinKind::Inner => probe_inner(&ctx, &build, l),
-                    JoinKind::Left(condition) => probe_left(&ctx, &build, condition, l),
-                };
+                let out = probe(&ctx, &build, kind, condition, l, &mut scratch);
                 let rows = out.len() as u64;
                 (out, rows)
             })
@@ -1189,7 +1175,7 @@ fn join_rows<'a>(
 /// other: rows are pulled from the two inputs in turn, each probes the
 /// table of the opposite input's rows seen so far and is then filed in its
 /// own, so every matching pair is emitted exactly once — when the later of
-/// its two rows arrives. Same tables, same probe ([`probe_inner`]) and
+/// its two rows arrives. Same tables, same probe ([`probe`]) and
 /// same tally as [`join_rows`]; what differs is that the first output row
 /// costs only the input prefixes up to it, which is what
 /// [`EvalContext::eval_witness`] wants.
@@ -1198,6 +1184,7 @@ fn symmetric_join_rows<'a>(
     inputs: [RowIter<'a>; 2],
     key: &[usize],
     eq: &EqPairs,
+    condition: Option<&'a BoundExpr>,
     ordinal: usize,
 ) -> RowIter<'a> {
     // A table is probed through each pair's first variable and filed
@@ -1211,6 +1198,7 @@ fn symmetric_join_rows<'a>(
     ];
     let mut turn = 0;
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
+    let mut scratch = Bindings::empty(ctx.width);
     let mut out = Vec::new().into_iter();
     Box::new(std::iter::from_fn(move || loop {
         if let Some(row) = out.next() {
@@ -1229,9 +1217,17 @@ fn symmetric_join_rows<'a>(
             }
             continue;
         };
+        // A merge is the same row whichever side it starts from.
         out = tally
             .record(|| {
-                let out = probe_inner(&ctx, other_seen, row.clone());
+                let out = probe(
+                    &ctx,
+                    other_seen,
+                    JoinKind::Inner,
+                    condition,
+                    row.clone(),
+                    &mut scratch,
+                );
                 let rows = out.len() as u64;
                 (out, rows)
             })
@@ -1243,40 +1239,40 @@ fn symmetric_join_rows<'a>(
     }))
 }
 
-/// Inner-join probe of one row: merges `l` with every compatible build
-/// row (the residual check of possibly-shared variables happens inside
-/// [`Bindings::merge_checked`]). Cancellation is checked per candidate,
-/// not per probe row: a keyless join's candidates are the whole build
-/// side, and the deadline is only read every `CLOCK_STRIDE` checks.
-fn probe_inner(ctx: &EvalContext<'_>, build: &BuildSide, l: Bindings) -> Vec<Bindings> {
-    build
-        .lookup(ctx.store.dictionary(), &l)
-        .take_while(|_| !ctx.cancel.should_stop())
-        .filter_map(|r| l.merge_checked(r))
-        .collect()
-}
-
-/// Left-join probe of one row: like [`probe_inner`] with the OPTIONAL
-/// condition applied per merged row, preserving `l` itself when nothing
-/// matched.
-fn probe_left(
+/// Probes `build` with one row `l`: each candidate is merged into
+/// `scratch` ([`Bindings::merge_into`], which checks every shared
+/// position, possibly-bound ones included) and `condition` is evaluated
+/// there, so only a match — a merge that passes — is ever cloned into a
+/// row of its own. An inner join emits its matches; an OPTIONAL its
+/// matches or, with none, `l`; an anti-join `l` when there is no match
+/// and nothing otherwise, stopping at the first. Cancellation is checked
+/// per candidate, not per probe row: a keyless join's candidates are the
+/// whole build side, and the deadline is only read every `CLOCK_STRIDE`
+/// checks.
+fn probe(
     ctx: &EvalContext<'_>,
     build: &BuildSide,
+    kind: JoinKind,
     condition: Option<&BoundExpr>,
     l: Bindings,
+    scratch: &mut Bindings,
 ) -> Vec<Bindings> {
     let mut out: Vec<Bindings> = Vec::new();
     for r in build.lookup(ctx.store.dictionary(), &l) {
         if ctx.cancel.should_stop() {
             break;
         }
-        if let Some(m) = l.merge_checked(r) {
-            if condition.is_none_or(|c| c.evaluate(&m, ctx.store) == Ok(true)) {
-                out.push(m);
-            }
+        if !l.merge_into(r, scratch)
+            || condition.is_some_and(|c| c.evaluate(scratch, ctx.store) != Ok(true))
+        {
+            continue;
         }
+        if kind == JoinKind::Anti {
+            return out;
+        }
+        out.push(scratch.clone());
     }
-    if out.is_empty() {
+    if out.is_empty() && kind != JoinKind::Inner {
         out.push(l);
     }
     out

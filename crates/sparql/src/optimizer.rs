@@ -59,6 +59,30 @@
 //!    `tests/equality_join.rs`). A variable both sides mention could be
 //!    bound by either, so its equality stays a plain residual, as does
 //!    any equality under `||` or `!`.
+//!
+//!    What stays above a join moves *into* it when the plan is bound
+//!    ([`crate::plan::bind`]), so that a candidate is checked on one
+//!    scratch row before any row is built for it:
+//!    - **Condition into probe.** A filter directly over an inner join
+//!      — the conjuncts that span both sides, like Q4's `?name1 <
+//!      ?name2` — becomes the join's condition: the same rows pass, and
+//!      only they are materialized.
+//!    - **Negation as an anti-join.** SPARQL 1.0's closed-world
+//!      negation, `OPTIONAL { B } FILTER (!bound(?v))` (Q6, Q7), becomes
+//!      an anti-join when `!bound(?v)` is a top-level conjunct, `B`
+//!      certainly binds `?v` and the preserved side never mentions it.
+//!      It is exact: every merged row binds `?v` and is dropped, and
+//!      every preserved row leaves it unbound and is kept — so a probe
+//!      row survives iff it has no match, and the probe stops at the
+//!      first. A negation under `||` or `!`, or of a variable `B` only
+//!      possibly binds, or one the other side may bind, stays a filter
+//!      over the left join.
+//!    - To give Q7's inner OPTIONAL its negation, a conjunct of an
+//!      OPTIONAL's condition that names no variable of the preserved
+//!      side moves into a `Filter` over the optional side
+//!      (`rewrite_left_join`): a preserved row binds none of its
+//!      variables, so it holds of a merged row exactly when it holds of
+//!      the optional row.
 //! 3. **Filter substitution** (constant propagation): an equality conjunct
 //!    `?v = <const>` whose variable is otherwise unobserved is folded into
 //!    the patterns, turning Q3-style "attribute test" filters into
@@ -383,16 +407,31 @@ fn merge_flat(a: Algebra, b: Algebra) -> Algebra {
 
 /// Rewrites both sides of a left join and, under `push_filters`, hands
 /// the join the equality conjuncts of its condition as hash-key pairs
-/// (Q6: `?author = ?author2`). The condition itself is untouched: it
-/// stays the residual every candidate row is checked against.
+/// (Q6: `?author = ?author2`), which stay in the condition every
+/// candidate row is checked against. A conjunct of the condition that
+/// names no variable of the preserved side moves into a `Filter` over
+/// the optional side first: a left row binds none of its variables, so
+/// it holds of a merged row exactly when it holds of the build row (Q7:
+/// `!bound(?doc4)`, which then negates the inner OPTIONAL).
 fn rewrite_left_join(
     a: Algebra,
-    b: Algebra,
-    cond: Option<Expr>,
+    mut b: Algebra,
+    mut cond: Option<Expr>,
     store: &dyn TripleStore,
     cfg: &OptimizerConfig,
     needed: &mut Vec<usize>,
 ) -> Algebra {
+    if cfg.push_filters {
+        if let Some(c) = cond.take() {
+            let va = a.all_vars();
+            let (into_b, stay): (Vec<Expr>, Vec<Expr>) = c
+                .conjuncts()
+                .into_iter()
+                .partition(|c| c.variables().iter().all(|v| !va.contains(v)));
+            b = with_filter(into_b, b);
+            cond = Expr::fold_and(stay);
+        }
+    }
     // The condition's variables must stay observable in both sides.
     if let Some(c) = &cond {
         extend(needed, c.variables());

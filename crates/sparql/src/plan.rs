@@ -5,8 +5,14 @@
 //! nothing, which is how Q3c/Q12c become constant-time on any store) and
 //! precomputes hash-join keys (shared *certain* variables). Residual
 //! possibly-shared variables need no plan field: the evaluator's
-//! [`crate::eval::Bindings::merge_checked`] verifies *every* position at
+//! [`crate::eval::Bindings::merge_into`] verifies *every* position at
 //! merge time, which subsumes any explicit check list.
+//!
+//! Under [`OptimizerConfig::push_filters`] binding also moves conditions
+//! into joins: a filter directly over an inner join becomes the join's
+//! condition, and closed-world negation over an OPTIONAL becomes an
+//! anti-join (see [`bind`]). The probe then checks each candidate on one
+//! scratch row before it builds any.
 //!
 //! Binding is also where a pattern step learns whether it may *fetch*:
 //! under [`OptimizerConfig::reorder_patterns`] every step that joins its
@@ -24,7 +30,7 @@ use std::sync::Arc;
 
 use sp2b_store::{Id, TripleStore};
 
-use crate::algebra::{Algebra, EqPairs, GroupSpec, ResolvedPattern, Slot};
+use crate::algebra::{Algebra, EqPairs, Expr, GroupSpec, ResolvedPattern, Slot};
 use crate::expr::BoundExpr;
 use crate::optimizer::OptimizerConfig;
 
@@ -166,9 +172,12 @@ pub enum Plan {
     },
     /// Hash join. Variables shared but only *possibly* bound on a side
     /// are not part of the key; they are enforced by the evaluator's
-    /// full-row merge ([`crate::eval::Bindings::merge_checked`]). With
-    /// `key` and `eq` both empty it degenerates to a nested loop over the
-    /// whole build side.
+    /// full-row merge ([`crate::eval::Bindings::merge_into`]). With `key`
+    /// and `eq` both empty it degenerates to a nested loop over the whole
+    /// build side. Each candidate is merged into one scratch row and
+    /// `condition` is evaluated there, so a candidate that fails it costs
+    /// no row; `kind` says what the candidates that pass — the probe
+    /// row's *matches* — become.
     Join {
         /// Probe side (streamed).
         left: Box<Plan>,
@@ -177,33 +186,25 @@ pub enum Plan {
         /// Hash-key variables (certainly bound on both sides), joined by
         /// dictionary id.
         key: Vec<usize>,
-        /// Further key components from `?l = ?r` filter conjuncts the
-        /// optimizer recognised (see [`crate::algebra::EqPairs`]): the
-        /// probe row's `?l` and the build row's `?r` must fall in one
-        /// SPARQL-`=` equality class. The filter itself sits above the
-        /// join and still decides.
+        /// Further key components from `?l = ?r` conjuncts the optimizer
+        /// recognised (see [`crate::algebra::EqPairs`]): the probe row's
+        /// `?l` and the build row's `?r` must fall in one SPARQL-`=`
+        /// equality class. The conjunct itself still decides, in
+        /// `condition` or in a filter above.
         eq: EqPairs,
-        /// The rows the optimizer estimates the join to emit, when it
-        /// planned the join by splitting a BGP at a cut.
-        est_rows: Option<u64>,
+        /// Inner, OPTIONAL or anti-join.
+        kind: JoinKind,
+        /// What a merged row must satisfy to be a match: an OPTIONAL's
+        /// condition, or the filter over an inner join (see [`bind`]).
+        condition: Option<BoundExpr>,
+        /// The rows the planner expects the join to emit: the optimizer's
+        /// estimate for a join it planned by splitting a BGP; for an
+        /// OPTIONAL or anti-join, the probe side's estimate (it emits at
+        /// least, or at most, one row per probe row); otherwise the
+        /// build side's driving scan.
+        est_rows: u64,
         /// Position in the operator numbering (see
         /// [`PlanPattern::ordinal`]) — what join tallies are keyed by.
-        ordinal: usize,
-    },
-    /// Left outer join with optional condition.
-    LeftJoin {
-        /// Preserved side (streamed).
-        left: Box<Plan>,
-        /// Optional side (materialized).
-        right: Box<Plan>,
-        /// Hash-key variables.
-        key: Vec<usize>,
-        /// Key components from the condition's `?l = ?r` conjuncts, as
-        /// for [`Plan::Join`]; `condition` keeps them as its residual.
-        eq: EqPairs,
-        /// The OPTIONAL filter condition, if any.
-        condition: Option<BoundExpr>,
-        /// Position in the operator numbering, as for [`Plan::Join`].
         ordinal: usize,
     },
     /// Concatenation.
@@ -256,103 +257,220 @@ pub enum Plan {
     },
 }
 
+/// What a [`Plan::Join`] emits per probe row, given its matches: the
+/// merges with build rows that pass the join's condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKind {
+    /// Every match.
+    Inner,
+    /// Every match, or the probe row itself when it has none (OPTIONAL).
+    Optional,
+    /// The probe row itself when it has no match, otherwise nothing: the
+    /// probe stops at the first match.
+    Anti,
+}
+
 /// Binds an algebra tree to a store, numbering operators in
 /// [`operators`] order (see [`PlanPattern::ordinal`]). Pattern steps get
 /// their [`FetchRule`]s when `cfg` reorders patterns — the planner whose
 /// cost model charges a step the cheaper of per-row lookups and one
 /// fetch; the unordered configurations (`mem-naive`, `native-base`) stay
 /// on lookups throughout and serve as the oracle.
+///
+/// When `cfg` pushes filters, a filter moves into the join below it:
+/// - `Filter(e, Join(a, b))` binds as an inner join with condition `e` —
+///   what is left there spans both sides (Q4's `?name1 < ?name2`);
+/// - `Filter(e, LeftJoin(a, b, c))` binds as an anti-join with condition
+///   `c` under a filter of `e`'s other conjuncts, when `e` negates a
+///   variable only `b` binds (`negation_rest`: Q6, Q7);
+/// - any other filter over an OPTIONAL stays above it, which is also
+///   what the naive configurations keep for the oracle.
 pub fn bind(algebra: &Algebra, store: &dyn TripleStore, cfg: &OptimizerConfig) -> Plan {
-    bind_from(algebra, store, cfg.reorder_patterns, &mut 0)
+    Binder {
+        store,
+        cfg,
+        next: 0,
+    }
+    .plan(algebra)
 }
 
-fn bind_from(algebra: &Algebra, store: &dyn TripleStore, fetch: bool, next: &mut usize) -> Plan {
-    // Sub-plans bind left to right, the order `operators` walks.
-    let mut sub = |a: &Algebra| Box::new(bind_from(a, store, fetch, next));
-    match algebra {
-        Algebra::Bgp {
-            patterns,
-            inline_filters,
-        } => {
-            // A BGP starts from one empty row, so what a step's input
-            // binds is exactly the variables of the steps before it.
-            let mut bound: Vec<usize> = Vec::new();
-            Plan::Bgp {
-                patterns: patterns
-                    .iter()
-                    .map(|p| {
-                        let ordinal = next_ordinal(next);
-                        let step = PlanPattern::bind(p, store, ordinal, fetch.then_some(&bound));
-                        bound.extend(p.variables());
-                        step
+/// The state of one [`bind`]: the next operator ordinal.
+struct Binder<'s> {
+    store: &'s dyn TripleStore,
+    cfg: &'s OptimizerConfig,
+    next: usize,
+}
+
+impl Binder<'_> {
+    /// Sub-plans bind left to right, the order `operators` walks.
+    fn sub(&mut self, algebra: &Algebra) -> Box<Plan> {
+        Box::new(self.plan(algebra))
+    }
+
+    fn plan(&mut self, algebra: &Algebra) -> Plan {
+        let store = self.store;
+        let filter =
+            |e: &Expr, inner: Plan| Plan::Filter(BoundExpr::bind(e, store), Box::new(inner));
+        match algebra {
+            Algebra::Bgp {
+                patterns,
+                inline_filters,
+            } => {
+                // A BGP starts from one empty row, so what a step's input
+                // binds is exactly the variables of the steps before it.
+                let fetch = self.cfg.reorder_patterns;
+                let mut bound: Vec<usize> = Vec::new();
+                Plan::Bgp {
+                    patterns: patterns
+                        .iter()
+                        .map(|p| {
+                            let ordinal = self.ordinal();
+                            let step =
+                                PlanPattern::bind(p, store, ordinal, fetch.then_some(&bound));
+                            bound.extend(p.variables());
+                            step
+                        })
+                        .collect(),
+                    filters: inline_filters
+                        .iter()
+                        .map(|(pos, e)| (*pos, BoundExpr::bind(e, store)))
+                        .collect(),
+                }
+            }
+            Algebra::Join(a, b, eq, est_rows) => {
+                self.join(a, b, eq, JoinKind::Inner, None, *est_rows)
+            }
+            Algebra::LeftJoin(a, b, cond, eq) => {
+                self.join(a, b, eq, JoinKind::Optional, cond.as_ref(), None)
+            }
+            // The filter decides on the merged row: it is the join's
+            // condition.
+            Algebra::Filter(e, inner) if self.cfg.push_filters => match inner.as_ref() {
+                Algebra::Join(a, b, eq, est_rows) => {
+                    self.join(a, b, eq, JoinKind::Inner, Some(e), *est_rows)
+                }
+                Algebra::LeftJoin(a, b, cond, eq) => match negation_rest(e, a, b) {
+                    Some(rest) => {
+                        let anti = self.join(a, b, eq, JoinKind::Anti, cond.as_ref(), None);
+                        match Expr::fold_and(rest) {
+                            Some(rest) => filter(&rest, anti),
+                            None => anti,
+                        }
+                    }
+                    None => filter(e, self.plan(inner)),
+                },
+                _ => filter(e, self.plan(inner)),
+            },
+            Algebra::Filter(e, inner) => filter(e, self.plan(inner)),
+            Algebra::Union(a, b) => Plan::Union(self.sub(a), self.sub(b)),
+            Algebra::Distinct(inner) => Plan::Distinct(self.sub(inner)),
+            Algebra::Project(vars, inner) => Plan::Project(vars.clone(), self.sub(inner)),
+            Algebra::OrderBy(keys, inner) => Plan::OrderBy(
+                keys.iter()
+                    .map(|k| match &k.expr {
+                        Expr::Var(i) => PlanOrderKey::Var {
+                            var: *i,
+                            descending: k.descending,
+                        },
+                        other => PlanOrderKey::Expr {
+                            expr: BoundExpr::bind(other, store),
+                            descending: k.descending,
+                        },
                     })
                     .collect(),
-                filters: inline_filters
-                    .iter()
-                    .map(|(pos, e)| (*pos, BoundExpr::bind(e, store)))
-                    .collect(),
-            }
+                self.sub(inner),
+            ),
+            Algebra::Slice {
+                offset,
+                limit,
+                input,
+            } => Plan::Slice {
+                offset: *offset,
+                limit: *limit,
+                input: self.sub(input),
+            },
+            Algebra::Group(spec, input) => Plan::GroupAggregate {
+                spec: spec.clone(),
+                input: self.sub(input),
+            },
         }
-        Algebra::Join(a, b, eq, est_rows) => Plan::Join {
-            left: sub(a),
-            right: sub(b),
+    }
+
+    /// Binds a join of `a` (probe side) and `b` (build side); `est_rows`
+    /// is the optimizer's estimate, when it has one.
+    fn join(
+        &mut self,
+        a: &Algebra,
+        b: &Algebra,
+        eq: &EqPairs,
+        kind: JoinKind,
+        condition: Option<&Expr>,
+        est_rows: Option<u64>,
+    ) -> Plan {
+        let left = self.plan(a);
+        let right = self.plan(b);
+        let est_rows = match (kind, est_rows) {
+            (JoinKind::Inner, Some(rows)) => rows,
+            (JoinKind::Inner, None) => driving_scan(&right).map_or(0, |p| p.est_rows),
+            (JoinKind::Optional | JoinKind::Anti, _) => output_estimate(&left),
+        };
+        Plan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
             key: join_key(a, b),
             eq: eq.clone(),
-            est_rows: *est_rows,
-            ordinal: next_ordinal(next),
-        },
-        Algebra::LeftJoin(a, b, cond, eq) => Plan::LeftJoin {
-            left: sub(a),
-            right: sub(b),
-            key: join_key(a, b),
-            eq: eq.clone(),
-            condition: cond.as_ref().map(|c| BoundExpr::bind(c, store)),
-            ordinal: next_ordinal(next),
-        },
-        Algebra::Union(a, b) => Plan::Union(sub(a), sub(b)),
-        Algebra::Filter(e, inner) => Plan::Filter(BoundExpr::bind(e, store), sub(inner)),
-        Algebra::Distinct(inner) => Plan::Distinct(sub(inner)),
-        Algebra::Project(vars, inner) => Plan::Project(vars.clone(), sub(inner)),
-        Algebra::OrderBy(keys, inner) => Plan::OrderBy(
-            keys.iter()
-                .map(|k| match &k.expr {
-                    crate::algebra::Expr::Var(i) => PlanOrderKey::Var {
-                        var: *i,
-                        descending: k.descending,
-                    },
-                    other => PlanOrderKey::Expr {
-                        expr: BoundExpr::bind(other, store),
-                        descending: k.descending,
-                    },
-                })
-                .collect(),
-            sub(inner),
-        ),
-        Algebra::Slice {
-            offset,
-            limit,
-            input,
-        } => Plan::Slice {
-            offset: *offset,
-            limit: *limit,
-            input: sub(input),
-        },
-        Algebra::Group(spec, input) => Plan::GroupAggregate {
-            spec: spec.clone(),
-            input: sub(input),
-        },
+            kind,
+            condition: condition.map(|c| BoundExpr::bind(c, self.store)),
+            est_rows,
+            ordinal: self.ordinal(),
+        }
+    }
+
+    fn ordinal(&mut self) -> usize {
+        self.next += 1;
+        self.next - 1
     }
 }
 
-fn next_ordinal(next: &mut usize) -> usize {
-    *next += 1;
-    *next - 1
+/// Closed-world negation: when a top-level conjunct of `e` is
+/// `!bound(?v)` with `?v` certainly bound by `b` and never mentioned by
+/// `a`, `Filter(e, LeftJoin(a, b, c))` is `Filter(rest, anti-join of a
+/// and b on c)` — and this returns `rest`, the other conjuncts. Exact: a
+/// merged row binds `?v` (every row of `b` does) and fails the conjunct;
+/// a preserved row of `a` leaves `?v` unbound and passes it. `None` when
+/// no conjunct qualifies; one under `||` or `!` is not a conjunct.
+fn negation_rest(e: &Expr, a: &Algebra, b: &Algebra) -> Option<Vec<Expr>> {
+    let (certain, mentioned) = (b.certain_vars(), a.all_vars());
+    let negates = |c: &Expr| match c {
+        Expr::Not(inner) => matches!(**inner, Expr::Bound(v)
+            if certain.contains(&v) && !mentioned.contains(&v)),
+        _ => false,
+    };
+    let (negations, rest): (Vec<Expr>, Vec<Expr>) =
+        e.clone().conjuncts().into_iter().partition(negates);
+    (!negations.is_empty()).then_some(rest)
+}
+
+/// The rows `plan` is estimated to emit, as far as its operators carry
+/// estimates: a BGP's last step, a join's own.
+fn output_estimate(plan: &Plan) -> u64 {
+    match plan {
+        Plan::Bgp { patterns, .. } => patterns.last().map_or(1, |p| p.est_rows),
+        Plan::Join { est_rows, .. } => *est_rows,
+        Plan::Union(a, b) => output_estimate(a).saturating_add(output_estimate(b)),
+        Plan::Filter(_, inner)
+        | Plan::Distinct(inner)
+        | Plan::Project(_, inner)
+        | Plan::OrderBy(_, inner) => output_estimate(inner),
+        Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => output_estimate(input),
+        Plan::Exchange { input, .. } => output_estimate(input),
+    }
 }
 
 /// Hash-join key: the variables certainly bound on both sides. Shared
 /// variables that are only *possibly* bound on a side (e.g. bound inside
 /// an OPTIONAL) must not key the hash table — they are enforced at merge
-/// time by [`crate::eval::Bindings::merge_checked`], which compares every
+/// time by [`crate::eval::Bindings::merge_into`], which compares every
 /// position of both rows.
 fn join_key(a: &Algebra, b: &Algebra) -> Vec<usize> {
     let ca = a.certain_vars();
@@ -447,9 +565,7 @@ pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
                 out.extend(driving_scan(input).map(|step| (*degree, step)));
             }
             Plan::Bgp { .. } => {}
-            Plan::Join { left, right, .. }
-            | Plan::LeftJoin { left, right, .. }
-            | Plan::Union(left, right) => {
+            Plan::Join { left, right, .. } | Plan::Union(left, right) => {
                 walk(left, out);
                 walk(right, out);
             }
@@ -470,20 +586,20 @@ pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
 pub enum Operator<'p> {
     /// A BGP pattern step.
     Scan(&'p PlanPattern),
-    /// A [`Plan::Join`] or [`Plan::LeftJoin`] node.
+    /// A [`Plan::Join`] node.
     Join {
-        /// Left outer join?
-        outer: bool,
+        /// The node's `kind`.
+        kind: JoinKind,
         /// The materialized side.
         build: &'p Plan,
         /// The node's `key`.
         key: &'p [usize],
         /// The node's `eq`.
         eq: &'p [(usize, usize)],
-        /// Whether a left join carries a condition to re-check.
+        /// Whether the node carries a condition to check.
         residual: bool,
-        /// The node's `est_rows` (`None` for a left join).
-        est_rows: Option<u64>,
+        /// The node's `est_rows`.
+        est_rows: u64,
         /// The node's `ordinal`.
         ordinal: usize,
     },
@@ -502,38 +618,20 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
                 right,
                 key,
                 eq,
+                kind,
+                condition,
                 est_rows,
                 ordinal,
             } => {
                 walk(left, out);
                 walk(right, out);
                 out.push(Operator::Join {
-                    outer: false,
-                    build: right,
-                    key,
-                    eq,
-                    residual: false,
-                    est_rows: *est_rows,
-                    ordinal: *ordinal,
-                });
-            }
-            Plan::LeftJoin {
-                left,
-                right,
-                key,
-                eq,
-                condition,
-                ordinal,
-            } => {
-                walk(left, out);
-                walk(right, out);
-                out.push(Operator::Join {
-                    outer: true,
+                    kind: *kind,
                     build: right,
                     key,
                     eq,
                     residual: condition.is_some(),
-                    est_rows: None,
+                    est_rows: *est_rows,
                     ordinal: *ordinal,
                 });
             }
@@ -560,7 +658,7 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
 pub(crate) fn driving_scan(plan: &Plan) -> Option<&PlanPattern> {
     match plan {
         Plan::Bgp { patterns, .. } => patterns.first(),
-        Plan::Join { left, .. } | Plan::LeftJoin { left, .. } => driving_scan(left),
+        Plan::Join { left, .. } => driving_scan(left),
         Plan::Filter(_, inner) => driving_scan(inner),
         _ => None,
     }
@@ -671,6 +769,98 @@ mod tests {
         let c = t.vars.lookup("c").unwrap();
         assert_eq!(key, vec![a], "only the certainly-shared var keys the join");
         assert!(!key.contains(&c), "?c is not certain on the left");
+    }
+
+    /// The kind of every join of `query`'s plan under `cfg`, in operator
+    /// order, and whether a filter is left anywhere in the plan.
+    fn join_kinds(query: &str, cfg: &OptimizerConfig) -> (Vec<JoinKind>, bool) {
+        fn has_filter(plan: &Plan) -> bool {
+            match plan {
+                Plan::Filter(..) => true,
+                Plan::Join { left, right, .. } => has_filter(left) || has_filter(right),
+                Plan::Project(_, inner) => has_filter(inner),
+                _ => false,
+            }
+        }
+        let store = store();
+        let t = translate(&parse(query).unwrap());
+        let algebra = crate::optimizer::optimize(t.algebra, &store, cfg, &t.projection);
+        let plan = super::bind(&algebra, &store, cfg);
+        let kinds = operators(&plan)
+            .into_iter()
+            .filter_map(|op| match op {
+                Operator::Join { kind, .. } => Some(kind),
+                Operator::Scan(_) => None,
+            })
+            .collect();
+        (kinds, has_filter(&plan))
+    }
+
+    #[test]
+    fn negation_binds_as_an_anti_join_only_when_exact() {
+        use JoinKind::{Anti, Inner, Optional};
+        let full = OptimizerConfig::full();
+        let q = |body: &str| format!("SELECT * WHERE {{ ?a <http://x/p> ?b {body} }}");
+        let cases: [(&str, &[JoinKind], bool); 6] = [
+            // The negated variable only the OPTIONAL binds, and certainly.
+            (
+                "OPTIONAL { ?a <http://x/q> ?c } FILTER (!bound(?c))",
+                &[Anti],
+                false,
+            ),
+            // Only possibly bound inside it.
+            (
+                "OPTIONAL { ?a <http://x/q> ?c OPTIONAL { ?c <http://x/r> ?d } } FILTER (!bound(?d))",
+                &[Optional, Optional],
+                true,
+            ),
+            // Also mentioned on the left.
+            (
+                "OPTIONAL { ?a <http://x/r> ?c } OPTIONAL { ?a <http://x/q> ?c } FILTER (!bound(?c))",
+                &[Optional, Optional],
+                true,
+            ),
+            // Under `||`.
+            (
+                "OPTIONAL { ?a <http://x/q> ?c } FILTER (!bound(?c) || ?c = <http://x/o>)",
+                &[Optional],
+                true,
+            ),
+            // Beside a conjunct the left only possibly binds: it stays
+            // above.
+            (
+                "OPTIONAL { ?b <http://x/r> ?x } OPTIONAL { ?a <http://x/q> ?c }
+                 FILTER (!bound(?c) && ?x != <http://x/o>)",
+                &[Optional, Anti],
+                true,
+            ),
+            // Q7's shape: the inner negation moves onto the inner OPTIONAL.
+            (
+                "OPTIONAL { ?c <http://x/q> ?a OPTIONAL { ?d <http://x/r> ?c } FILTER (!bound(?d)) }
+                 FILTER (!bound(?c))",
+                &[Anti, Anti],
+                false,
+            ),
+        ];
+        for (body, kinds, filtered) in cases {
+            let query = q(body);
+            assert_eq!(
+                join_kinds(&query, &full),
+                (kinds.to_vec(), filtered),
+                "{body}"
+            );
+            // The naive configuration plans no anti-join.
+            let (naive, _) = join_kinds(&query, &OptimizerConfig::default());
+            assert!(naive.iter().all(|&k| k == Optional), "{body}: {naive:?}");
+        }
+        // A filter across an inner join is its condition.
+        let cross =
+            "SELECT * WHERE { { ?a <http://x/p> ?n } { ?b <http://x/q> ?m } FILTER (?n < ?m) }";
+        assert_eq!(join_kinds(cross, &full), (vec![Inner], false));
+        assert_eq!(
+            join_kinds(cross, &OptimizerConfig::default()),
+            (vec![Inner], true)
+        );
     }
 
     const SCAN: &str = "SELECT ?s WHERE { ?s <http://x/p> ?o }";

@@ -65,7 +65,7 @@ fn join_pairs(plan: &Plan) -> &[(usize, usize)] {
         Plan::Project(_, inner) | Plan::Distinct(inner) | Plan::Filter(_, inner) => {
             join_pairs(inner)
         }
-        Plan::Join { eq, .. } | Plan::LeftJoin { eq, .. } => eq,
+        Plan::Join { eq, .. } => eq,
         other => panic!("no join in {other:?}"),
     }
 }

@@ -4,7 +4,8 @@
 //! Random small graphs + a pool of query shapes covering the rewrite
 //! rules (BGP reordering, filter pushing into BGPs/joins, IRI-equality
 //! substitution, left-join handling, a join distributed over a UNION, a
-//! BGP split at a cut variable, DISTINCT on packed ids);
+//! BGP split at a cut variable, DISTINCT on packed ids, negation as an
+//! anti-join, filters checked inside a join's probe);
 //! naive, heuristic and fully-optimized plans must return identical
 //! result multisets on both stores. Each graph comes from a seed printed
 //! in every assertion message; `SP2B_SEED=<n> cargo test --test
@@ -100,6 +101,42 @@ const QUERY_POOL: &[&str] = &[
     // that must stay above the join.
     "SELECT DISTINCT ?n ?m WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?b <http://t/p0> ?j .
        ?b <http://t/p1> ?m FILTER (?n < ?m && ?a != ?b && ?n != <http://t/o1> && ?m != 5) }",
+    // Closed-world negation as an anti-join, and the shapes it must leave
+    // alone: a variable the OPTIONAL only possibly binds (its own nested
+    // OPTIONAL) and one the left side may bind stay optional joins.
+    "SELECT ?a WHERE { ?a <http://t/p0> ?b OPTIONAL { ?a <http://t/p1> ?c OPTIONAL { ?c <http://t/p2> ?d } }
+       FILTER (!bound(?d)) }",
+    "SELECT ?a ?c WHERE { ?a <http://t/p0> ?b OPTIONAL { ?a <http://t/p2> ?c } OPTIONAL { ?a <http://t/p1> ?c }
+       FILTER (!bound(?c)) }",
+    // A negation beside another conjunct: pushed into the left side, or
+    // (the left only possibly binding ?x) kept in a filter over the
+    // anti-join.
+    "SELECT ?a ?b WHERE { ?a <http://t/p0> ?b OPTIONAL { ?a <http://t/p1> ?c }
+       FILTER (!bound(?c) && ?b != <http://t/o1>) }",
+    "SELECT ?a ?x WHERE { ?a <http://t/p0> ?b OPTIONAL { ?b <http://t/p3> ?x } OPTIONAL { ?a <http://t/p1> ?c }
+       FILTER (!bound(?c) && ?x != <http://t/o1>) }",
+    // A negation under `||` is not a conjunct.
+    "SELECT ?a ?c WHERE { ?a <http://t/p0> ?b OPTIONAL { ?a <http://t/p1> ?c }
+       FILTER (!bound(?c) || ?c = <http://t/o2>) }",
+    // Q7's double negation: the inner `!bound(?d)` is the outer
+    // OPTIONAL's condition as written; once beside a conjunct on an outer
+    // variable, which must stay in the condition.
+    "SELECT ?a WHERE { ?a <http://t/p0> ?b OPTIONAL { ?c <http://t/p1> ?a
+       OPTIONAL { ?d <http://t/p2> ?c } FILTER (!bound(?d)) } FILTER (!bound(?c)) }",
+    "SELECT ?a ?c WHERE { ?a <http://t/p0> ?b OPTIONAL { ?c <http://t/p1> ?a
+       OPTIONAL { ?d <http://t/p2> ?c } FILTER (!bound(?d) && ?c != ?b) } }",
+    // A condition conjunct on the optional side's variables alone moves
+    // into that side, where substitution may fold it — unless a negation
+    // above still observes the variable.
+    "SELECT ?a ?b WHERE { ?a <http://t/p0> ?b OPTIONAL { ?a <http://t/p1> ?c FILTER (?c = <http://t/o1>) } }",
+    "SELECT ?a ?b WHERE { ?a <http://t/p0> ?b OPTIONAL { ?a <http://t/p1> ?c FILTER (?c = <http://t/o1>) }
+       FILTER (!bound(?c)) }",
+    // A filter across a join runs in its probe: one that errors on a
+    // variable the left side only possibly binds (and on IRIs), and a
+    // keyless one.
+    "SELECT ?a ?m WHERE { { ?a <http://t/p0> ?n OPTIONAL { ?a <http://t/p2> ?u } } { ?a <http://t/p1> ?m }
+       FILTER (?u < ?m) }",
+    "SELECT ?n ?m WHERE { { ?a <http://t/p0> ?n } { ?b <http://t/p1> ?m } FILTER (?n < ?m) }",
     // DISTINCT keyed on packed ids: a variable only an OPTIONAL binds
     // (unbound is no id), and five projected variables (the wide key).
     "SELECT DISTINCT ?a ?c WHERE { ?a <http://t/p0> ?b OPTIONAL { ?b <http://t/p1> ?c } }",

@@ -25,7 +25,7 @@ use sp2bench::obs::{ExchangeRun, OpKind, OpSpan};
 use sp2bench::rdf::{Graph, Iri, Subject, Term};
 use sp2bench::sparql::eval::LOOKUP_FLUSH;
 use sp2bench::sparql::plan::{
-    operators, FetchRule, Operator, Plan, PlanPattern, PlanSlot, FETCH_CAP,
+    operators, FetchRule, JoinKind, Operator, Plan, PlanPattern, PlanSlot, FETCH_CAP,
 };
 use sp2bench::sparql::{
     query_trace, Cancellation, Error, OptimizerConfig, Prepared, QueryEngine, QueryOptions,
@@ -572,12 +572,13 @@ fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
 /// What each operator of Q4, Q5b and Q8 emitted on `native-opt` at 50k
 /// when every step was a lookup (joins last, as `--explain` lists them).
 /// Q4's two stars each run once, 4 431 rows apiece, and the join pairs
-/// them by journal; Q8's two union branches each open at the one-row
-/// `?erdoes` pattern.
+/// them by journal: 221 467 pairs, of which the 106 738 it emits pass
+/// `?name1 < ?name2`, checked inside the probe. Q8's two union branches
+/// each open at the one-row `?erdoes` pattern.
 const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
     (
         "Q4",
-        &[2338, 5874, 4437, 4431, 2338, 5874, 4437, 4431, 221467],
+        &[2338, 5874, 4437, 4431, 2338, 5874, 4437, 4431, 106738],
     ),
     ("Q5b", &[1128, 1380, 1380, 9050, 5874]),
     (
@@ -590,9 +591,9 @@ const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
 fn bgps(plan: &Plan) -> Vec<&[PlanPattern]> {
     match plan {
         Plan::Bgp { patterns, .. } => vec![patterns.as_slice()],
-        Plan::Join { left, right, .. }
-        | Plan::LeftJoin { left, right, .. }
-        | Plan::Union(left, right) => [left, right].into_iter().flat_map(|p| bgps(p)).collect(),
+        Plan::Join { left, right, .. } | Plan::Union(left, right) => {
+            [left, right].into_iter().flat_map(|p| bgps(p)).collect()
+        }
         Plan::Filter(_, inner)
         | Plan::Distinct(inner)
         | Plan::Project(_, inner)
@@ -606,7 +607,9 @@ fn bgps(plan: &Plan) -> Vec<&[PlanPattern]> {
 fn inner_join_keys(plan: &Plan) -> Vec<&[usize]> {
     let key = |op| match op {
         Operator::Join {
-            outer: false, key, ..
+            kind: JoinKind::Inner,
+            key,
+            ..
         } => Some(key),
         _ => None,
     };
@@ -699,6 +702,80 @@ fn q4_splits_at_journal() {
         inner_join_keys(prepared.plan()).is_empty(),
         "Q2 stays a star"
     );
+}
+
+/// The kind of every join of `plan`, in operator order.
+fn join_kinds(plan: &Plan) -> Vec<JoinKind> {
+    let kind = |op| match op {
+        Operator::Join { kind, .. } => Some(kind),
+        Operator::Scan(_) => None,
+    };
+    operators(plan).into_iter().filter_map(kind).collect()
+}
+
+/// `plan` below its projection and duplicate elimination.
+fn body(plan: &Plan) -> &Plan {
+    match plan {
+        Plan::Project(_, inner) | Plan::Distinct(inner) => body(inner),
+        other => other,
+    }
+}
+
+/// Closed-world negation, `OPTIONAL { … } FILTER (!bound(?v))`, plans as
+/// an anti-join that keeps a probe row only when nothing matches it: Q6
+/// has one, and Q7 two — its inner `!bound(?doc4)`, the outer OPTIONAL's
+/// condition as written, moves down onto the inner OPTIONAL. Q6's join
+/// emits exactly Q6's answers, where the left join it replaces emitted
+/// 45 575 rows for the filter to drop. The naive configuration keeps the
+/// filter over the OPTIONAL — it is the oracle.
+#[test]
+fn negation_is_an_anti_join() {
+    let store = store_50k();
+    for degree in [1, 4] {
+        let (engine, counters) = counting_engine(&store, degree);
+        let q6 = engine.prepare(BenchQuery::Q6.text()).expect("parses");
+        assert_eq!(join_kinds(q6.plan()), [JoinKind::Anti], "Q6@{degree}");
+        let answers = engine.count(&q6).expect("evaluates");
+        assert_eq!(answers, 3_606, "Q6@{degree}");
+        let trace = query_trace(&q6, engine.store(), &counters);
+        let join = trace.operators.last().expect("Q6 has operators");
+        assert_eq!(join.kind, OpKind::Join, "Q6@{degree}: {}", join.label);
+        assert_eq!(join.rows, answers, "Q6@{degree}: {}", join.label);
+        let q7 = engine.prepare(BenchQuery::Q7.text()).expect("parses");
+        let anti = join_kinds(q7.plan())
+            .into_iter()
+            .filter(|&k| k == JoinKind::Anti)
+            .count();
+        assert_eq!(anti, 2, "Q7@{degree}");
+        assert_eq!(engine.count(&q7).expect("evaluates"), 2, "Q7@{degree}");
+    }
+    let naive = QueryEngine::with_options(
+        store,
+        QueryOptions::new()
+            .optimizer(OptimizerConfig::default())
+            .parallelism(1),
+    );
+    for query in [BenchQuery::Q6, BenchQuery::Q7] {
+        let prepared = naive.prepare(query.text()).expect("parses");
+        let label = query.label();
+        assert!(
+            !join_kinds(prepared.plan()).contains(&JoinKind::Anti),
+            "{label}"
+        );
+        let Plan::Filter(_, join) = body(prepared.plan()) else {
+            panic!("native-base keeps {label}'s filter on top")
+        };
+        assert!(
+            matches!(
+                **join,
+                Plan::Join {
+                    kind: JoinKind::Optional,
+                    ..
+                }
+            ),
+            "native-base keeps {label}'s filter over its OPTIONAL"
+        );
+    }
 }
 
 /// The ski-rental invariant: a step rents lookups only until they have
