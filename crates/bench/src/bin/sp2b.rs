@@ -217,7 +217,7 @@ fn open_engine(args: &Args, default_triples: u64) -> Result<Engine, String> {
         eprintln!("{source} into {kind} ({})", engine.load_summary());
         let facts = [
             engine.shards().map(|info| info.summary()),
-            engine.stats_summary(),
+            Some(engine.stats_summary()),
             engine.cache_summary(),
         ];
         for line in facts.into_iter().flatten() {
@@ -590,9 +590,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         // The store's facts close the report: which statistics ordered
         // the plan, and what the block cache saw.
         let stats = engine.stats_summary();
-        let stats = stats
-            .as_deref()
-            .unwrap_or("statistics: none (fixed-discount heuristic order)");
         let cache = engine
             .cache_summary()
             .map_or(String::new(), |c| format!("\n  {c}"));

@@ -268,7 +268,6 @@ impl Generator {
 
     fn generate_year<S: TripleSink>(&mut self, sink: &mut S, year: i32) -> GenResult {
         self.stats.end_year = year;
-        self.stats.year_offsets.push((year, self.stats.triples));
         self.year_journals.clear();
         self.year_procs.clear();
         self.year_books.clear();

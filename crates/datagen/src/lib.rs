@@ -27,7 +27,6 @@ pub mod params;
 pub mod rng;
 pub mod sink;
 pub mod stats;
-pub mod updates;
 
 pub use generator::{
     generate_graph, generate_to_path, generate_to_writer, Config, Generator, Limit,
@@ -36,4 +35,3 @@ pub use params::{Attribute, DocClass};
 pub use rng::{Rng, SplitMix64};
 pub use sink::{GraphSink, NtriplesSink, NullSink, TripleSink};
 pub use stats::{GeneratorStats, YearRecord};
-pub use updates::{year_batches, UpdateStream, YearBatch};

@@ -134,20 +134,6 @@ impl Rng {
             items.swap(i, j);
         }
     }
-
-    /// Weighted index sampling over non-negative weights summing to > 0.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        debug_assert!(total > 0.0, "weights must have positive mass");
-        let mut x = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            x -= w;
-            if x < 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
-    }
 }
 
 impl Default for Rng {
@@ -257,18 +243,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn weighted_index_prefers_heavy_weights() {
-        let mut r = Rng::new(5);
-        let weights = [1.0, 0.0, 9.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..10_000 {
-            counts[r.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        assert!(counts[2] > counts[0] * 5);
     }
 
     #[test]

@@ -51,12 +51,6 @@ pub struct GeneratorStats {
     pub citations_targeted: u64,
     /// Histogram: outgoing-citation count per citing document (Figure 2a).
     pub citation_histogram: BTreeMap<u32, u64>,
-    /// `(year, triple offset)` at which each simulated year's output
-    /// begins. Always collected (it is tiny) — this is what turns one
-    /// generation run into an *update stream*: the triples of year `y`
-    /// are the slice between consecutive offsets (Section VII sketches
-    /// updates as "minor extensions to our data generator").
-    pub year_offsets: Vec<(i32, u64)>,
     /// Per-year records (empty unless detailed stats were requested).
     pub years: Vec<YearRecord>,
 }

@@ -691,18 +691,14 @@ fn register_metrics(
     let e = engine.clone();
     reg.gauge_fn(
         "sp2b_store_predicates",
-        "Distinct predicates in the served store's statistics (0 when none)",
-        move || e.store().stats().map_or(0, |s| s.predicates.len() as i64),
+        "Distinct predicates in the served store's statistics",
+        move || e.store().stats().predicates.len() as i64,
     );
     let e = engine.clone();
     reg.gauge_fn(
         "sp2b_store_characteristic_sets",
-        "Characteristic sets in the served store's statistics (0 when none)",
-        move || {
-            e.store()
-                .stats()
-                .map_or(0, |s| s.characteristic_sets.len() as i64)
-        },
+        "Characteristic sets in the served store's statistics",
+        move || e.store().stats().characteristic_sets.len() as i64,
     );
     sp2b_sparql::par::diag::register_metrics();
     let latency = reg.histogram(

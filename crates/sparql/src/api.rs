@@ -92,25 +92,21 @@ impl From<TranslateError> for Error {
 }
 
 /// Execution policy of a [`QueryEngine`]: optimizer configuration, the
-/// per-execution timeout, the row-limit applied to delivered results
-/// (`execute` and `solutions`; `count` always reports the true
-/// cardinality), and the degree of intra-query parallelism.
+/// per-execution timeout and the degree of intra-query parallelism.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
     optimizer: OptimizerConfig,
     timeout: Option<Duration>,
-    row_limit: Option<u64>,
     parallelism: usize,
 }
 
 impl Default for QueryOptions {
-    /// Full optimization, no timeout, no row limit, parallelism = number
-    /// of available cores.
+    /// Full optimization, no timeout, parallelism = number of available
+    /// cores.
     fn default() -> Self {
         QueryOptions {
             optimizer: OptimizerConfig::full(),
             timeout: None,
-            row_limit: None,
             parallelism: default_parallelism(),
         }
     }
@@ -123,8 +119,8 @@ pub fn default_parallelism() -> usize {
 }
 
 impl QueryOptions {
-    /// The default policy (full optimization, no timeout, no row limit,
-    /// parallelism = available cores).
+    /// The default policy (full optimization, no timeout, parallelism =
+    /// available cores).
     pub fn new() -> Self {
         QueryOptions::default()
     }
@@ -138,13 +134,6 @@ impl QueryOptions {
     /// Sets the per-execution timeout.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
-        self
-    }
-
-    /// Caps the number of rows `execute`/`solutions` deliver. Counting is
-    /// unaffected — `count` reports the true cardinality.
-    pub fn row_limit(mut self, rows: u64) -> Self {
-        self.row_limit = Some(rows);
         self
     }
 
@@ -163,26 +152,6 @@ impl QueryOptions {
     pub fn parallelism(mut self, degree: usize) -> Self {
         self.parallelism = degree.max(1);
         self
-    }
-
-    /// The configured optimizer.
-    pub fn optimizer_config(&self) -> &OptimizerConfig {
-        &self.optimizer
-    }
-
-    /// The configured timeout, if any.
-    pub fn timeout_duration(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// The configured row limit, if any.
-    pub fn row_limit_rows(&self) -> Option<u64> {
-        self.row_limit
-    }
-
-    /// The configured degree of parallelism (≥ 1).
-    pub fn parallelism_degree(&self) -> usize {
-        self.parallelism
     }
 }
 
@@ -218,7 +187,7 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// An engine owning `store`, with default options (full optimization,
-    /// no timeout, no row limit). Build the handle with
+    /// no timeout). Build the handle with
     /// [`TripleStore::into_shared`] or `Arc::new`.
     pub fn new(store: SharedStore) -> Self {
         QueryEngine {
@@ -246,12 +215,6 @@ impl QueryEngine {
     /// Sets the per-execution timeout.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.options.timeout = Some(timeout);
-        self
-    }
-
-    /// Caps delivered rows (see [`QueryOptions::row_limit`]).
-    pub fn row_limit(mut self, rows: u64) -> Self {
-        self.options.row_limit = Some(rows);
         self
     }
 
@@ -385,21 +348,18 @@ impl QueryEngine {
             dict: self.store.dictionary(),
             cancel,
             columns: &prepared.columns,
-            // A row limit caps rows; the ASK witness is the answer.
-            remaining: self.options.row_limit.filter(|_| !prepared.ask),
             state,
         }
     }
 
-    /// Executes, materializing every term. Respects the row limit.
+    /// Executes, materializing every term.
     pub fn execute(&self, prepared: &Prepared) -> Result<QueryResult, Error> {
         let cancel = self.cancellation();
         self.execute_with(prepared, &cancel)
     }
 
     /// Like [`QueryEngine::execute`] with an external cancellation handle:
-    /// [`QueryEngine::solutions_with`], drained — the row limit cuts the
-    /// stream, so only delivered rows are ever decoded.
+    /// [`QueryEngine::solutions_with`], drained.
     pub fn execute_with(
         &self,
         prepared: &Prepared,
@@ -617,7 +577,7 @@ impl QueryResult {
 
     /// Number of result rows: SELECT row count; ASK → 1 if `true`, else 0.
     /// Always equals what [`QueryEngine::count`] reports for the same
-    /// query (absent a row limit).
+    /// query.
     pub fn row_count(&self) -> usize {
         match self {
             QueryResult::Solutions { rows, .. } => rows.len(),
@@ -647,7 +607,6 @@ pub struct Solutions<'a> {
     dict: &'a Dictionary,
     cancel: Cancellation,
     columns: &'a [String],
-    remaining: Option<u64>,
     state: StreamState<'a>,
 }
 
@@ -667,7 +626,7 @@ enum StreamState<'a> {
     Groups(std::vec::IntoIter<AggRow>),
     /// ASK: pending probe — yields one empty solution when `true`.
     Ask(Option<RowIter<'a>>),
-    /// Exhausted (end of stream, row limit hit, or error delivered).
+    /// Exhausted (end of stream or error delivered).
     Done,
 }
 
@@ -689,10 +648,6 @@ impl<'a> Iterator for Solutions<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         if matches!(self.state, StreamState::Done) {
-            return None;
-        }
-        if self.remaining == Some(0) {
-            self.state = StreamState::Done;
             return None;
         }
         // Cooperative stop between rows (evaluation also checks inside
@@ -753,12 +708,7 @@ impl<'a> Iterator for Solutions<'a> {
             return Some(Err(Error::Cancelled));
         }
         match item {
-            Some(solution) => {
-                if let Some(r) = &mut self.remaining {
-                    *r -= 1;
-                }
-                Some(Ok(solution))
-            }
+            Some(solution) => Some(Ok(solution)),
             None => {
                 self.state = StreamState::Done;
                 None
@@ -923,21 +873,6 @@ mod tests {
         assert_eq!(row.get(0), Some(Term::iri("http://x/s3")));
         assert!(row.id(0).is_some(), "ids are readable without decoding");
         assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn row_limit_caps_delivery_not_count() {
-        let engine = QueryEngine::new(store().into_shared()).row_limit(4);
-        let p = engine
-            .prepare("SELECT ?v WHERE { ?s <http://x/value> ?v }")
-            .unwrap();
-        assert_eq!(engine.execute(&p).unwrap().len(), 4);
-        assert_eq!(engine.solutions(&p).count(), 4);
-        assert_eq!(
-            engine.count(&p).unwrap(),
-            10,
-            "count reports true cardinality"
-        );
     }
 
     #[test]

@@ -766,8 +766,7 @@ impl<'a> EvalContext<'a> {
             .filter(|(_, first)| !first.is_unsatisfiable());
         let mut iter: RowIter<'a> = match driven {
             Some((chunk, first)) => {
-                let scan = chunk.iter(const_pattern(first));
-                Box::new(PatternBind::over(self.clone(), first, empty, scan))
+                Box::new(PatternBind::over(self.clone(), first, empty, chunk.iter()))
             }
             None => Box::new(std::iter::once(empty)),
         };

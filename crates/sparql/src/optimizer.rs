@@ -3,9 +3,13 @@
 //! 1. **Triple-pattern reordering by selectivity estimation** (the paper's
 //!    reference 5, akin to relational join reordering): within each BGP, a greedy
 //!    ordering picks the cheapest next pattern given the variables bound
-//!    so far, using [`sp2b_store::TripleStore::estimate`] — exact counts
-//!    on the native store, posting-list heuristics on the memory store.
-//!    Disconnected patterns (cartesian products) are heavily penalized.
+//!    so far. A pattern's own size is [`sp2b_store::TripleStore::estimate`]
+//!    (exact counts on the native store, posting-list heuristics on the
+//!    memory store); what it adds to the rows bound so far comes from the
+//!    store's [`sp2b_store::StoreStats`] — characteristic sets for star
+//!    steps, distinct counts elsewhere (every store carries them; an
+//!    empty store keeps the written order). Disconnected patterns
+//!    (cartesian products) are heavily penalized.
 //!    A step is priced at its output plus the cheaper of two ways to get
 //!    its triples, `min(rows, base)`: a lookup per input row, or one
 //!    fetch of the whole pattern probed as a hash table
@@ -18,7 +22,7 @@
 //!    ones.
 //!
 //!    A chain is left-deep: it re-derives whatever follows a many-to-many
-//!    step once per row. So with statistics the chain is also priced
+//!    step once per row. So the chain is also priced
 //!    against **splitting it at a cut** (`Costing::shape`). Close the
 //!    chain after a prefix P whose variables meet those of the remaining
 //!    suffix S — S connected on its own — in the *cut*, the variables
@@ -876,15 +880,12 @@ fn as_var_eq_const(e: &Expr) -> Option<(usize, Term)> {
 /// nothing connected remains.
 const CARTESIAN_PENALTY: f64 = 1e9;
 
-/// Cost-based planning of one BGP's patterns.
-///
-/// With [`TripleStore::stats`] available, the patterns go through
+/// Cost-based planning of one BGP's patterns through
 /// [`Costing::shape`]: a greedy chain on estimated cardinalities, or two
-/// sub-plans hash-joined at a cut where that is cheaper. Without stats
-/// (a store type that collects none), the orderer falls back to the
-/// historical fixed-discount heuristic and always chains.
+/// sub-plans hash-joined at a cut where that is cheaper. An empty store
+/// has nothing to estimate and keeps the written order.
 fn plan_shape(patterns: &[ResolvedPattern], store: &dyn TripleStore) -> Shape {
-    if patterns.len() <= 1 {
+    if patterns.len() <= 1 || store.is_empty() {
         return Shape::unestimated(0..patterns.len());
     }
     // Constant slots resolve once; `None` marks a pattern holding a term
@@ -897,16 +898,13 @@ fn plan_shape(patterns: &[ResolvedPattern], store: &dyn TripleStore) -> Shape {
         .iter()
         .map(|r| r.map_or(0.0, |pat| store.estimate(pat) as f64))
         .collect();
-    match store.stats() {
-        Some(stats) if stats.triples > 0 => Costing {
-            patterns,
-            resolved,
-            base,
-            stats,
-        }
-        .shape(),
-        _ => Shape::unestimated(heuristic_order(patterns, &base)),
+    Costing {
+        patterns,
+        resolved,
+        base,
+        stats: store.stats(),
     }
+    .shape()
 }
 
 /// The pattern's constant slots as store ids; `None` when a constant
@@ -919,39 +917,6 @@ fn resolve_consts(p: &ResolvedPattern, store: &dyn TripleStore) -> Option<sp2b_s
         }
     }
     Some(pattern)
-}
-
-/// The historical fixed-discount greedy: each already-bound variable
-/// earns a blind 8× discount on the pattern's base estimate.
-fn heuristic_order(patterns: &[ResolvedPattern], base: &[f64]) -> Vec<usize> {
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    let mut order = Vec::with_capacity(patterns.len());
-    let mut bound = VarSet::default();
-    while !remaining.is_empty() {
-        let mut best_pos = 0;
-        let mut best_score = f64::INFINITY;
-        for (pos, &idx) in remaining.iter().enumerate() {
-            let bound_vars = patterns[idx]
-                .variables()
-                .filter(|&v| bound.contains(v))
-                .count();
-            let connected = bound.is_empty() || bound_vars > 0;
-            let mut score = base[idx] / 8f64.powi(bound_vars as i32);
-            if !connected {
-                score *= CARTESIAN_PENALTY;
-            }
-            if score < best_score {
-                best_score = score;
-                best_pos = pos;
-            }
-        }
-        let idx = remaining.remove(best_pos);
-        for v in patterns[idx].variables() {
-            bound.insert(v);
-        }
-        order.push(idx);
-    }
-    order
 }
 
 /// What the statistics-driven planner knows of one BGP: its patterns,

@@ -123,9 +123,9 @@ const MERGE_AHEAD_NAP: Duration = Duration::from_micros(100);
 /// thread, then — if the query outlives [`FAN_OUT_AFTER`] — the rest on
 /// detached workers, merged in morsel order. Evaluates the input as it
 /// stands when there is nothing to split (degree ≤ 1, no owning store
-/// handle in the context, an input without a driving scan, or a scan the
-/// store cannot partition) — [`Plan::Exchange`] is a performance hint,
-/// never a semantic obligation.
+/// handle in the context, or an input without a driving scan) —
+/// [`Plan::Exchange`] is a performance hint, never a semantic
+/// obligation.
 pub(crate) fn eval_exchange<'a>(
     ctx: EvalContext<'a>,
     degree: usize,
@@ -144,8 +144,8 @@ pub(crate) fn eval_exchange<'a>(
         .store
         .scan_chunks(const_pattern(driving), degree * MORSELS_PER_WORKER);
     if chunks.is_empty() {
-        // Unpartitionable (default trait impl), or nothing to scan.
-        return ctx.eval(input);
+        // The driving scan matches nothing, so neither does the input.
+        return Box::new(std::iter::empty());
     }
     let exchange = Exchange {
         ctx,

@@ -12,7 +12,7 @@ use std::time::Duration;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::{diag, FAN_OUT_AFTER};
 use sp2b_sparql::{QueryEngine, QueryOptions};
-use sp2b_store::{Dictionary, IdTriple, NativeStore, Pattern, ScanChunk, TripleStore};
+use sp2b_store::{Dictionary, IdTriple, NativeStore, Pattern, ScanChunk, StoreStats, TripleStore};
 
 /// A native store whose every other `scan_chunks` answer has half the
 /// chunks asked for. Each call also takes as long as the fan-out budget,
@@ -40,6 +40,9 @@ impl TripleStore for Fickle {
     }
     fn estimate(&self, pattern: Pattern) -> u64 {
         self.inner.estimate(pattern)
+    }
+    fn stats(&self) -> &StoreStats {
+        self.inner.stats()
     }
 }
 

@@ -79,18 +79,6 @@ fn ask_streams_zero_or_one_empty_solution() {
 }
 
 #[test]
-fn row_limit_policy_applies_to_streams() {
-    let store = MemStore::from_graph(&graph()).into_shared();
-    let engine = QueryEngine::with_options(store, QueryOptions::new().row_limit(3));
-    let p = engine
-        .prepare("SELECT ?d WHERE { ?d <http://x/type> ?c }")
-        .unwrap();
-    assert_eq!(engine.solutions(&p).count(), 3);
-    assert_eq!(engine.execute(&p).unwrap().row_count(), 3);
-    assert_eq!(engine.count(&p).unwrap(), 20);
-}
-
-#[test]
 fn cancellation_mid_stream_surfaces_once() {
     let engine = QueryEngine::new(MemStore::from_graph(&graph()).into_shared());
     let p = engine

@@ -21,9 +21,10 @@
 //! Because the shards sit behind the ordinary [`ShardedStore`] (same
 //! shared dictionary, same routing, same chunk concatenation), the
 //! morsel exchange, bound-key routing and every equivalence guarantee
-//! of the in-memory stores apply unchanged; [`ScanChunk::Blocks`]
-//! handles carry block ranges instead of borrowed slices, so an
-//! eviction can never invalidate a worker's chunk.
+//! of the in-memory stores apply unchanged; a shard's candidate range is
+//! a [`ScanChunk::Blocks`] handle — its run plan and block bounds, not
+//! borrowed slices — so an eviction can never invalidate a worker's
+//! chunk.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -43,10 +44,7 @@ use crate::segment::{
 };
 use crate::shard::{route_graph, ShardBy, ShardedStore};
 use crate::stats::StoreStats;
-use crate::traits::{
-    debug_assert_chunks_cover, matches, split_ranges, BlockSource, CacheStats, Pattern, ScanChunk,
-    TripleStore,
-};
+use crate::traits::{matches, CacheStats, Pattern, ScanChunk, TripleStore};
 
 /// The default cache budget is this fraction of the document's total
 /// run payload (all shards, every run), floored at
@@ -452,15 +450,32 @@ impl DiskShardStore {
         })
     }
 
-    /// Resolves a pattern to its run plan and candidate block range by
-    /// binary search on the block index's first keys. Touches no payload.
-    fn block_plan(&self, pattern: &Pattern) -> (RunPlan, std::ops::Range<usize>) {
-        let plan = RunPlan::for_pattern(pattern, RUN_ORDERS.len());
+    /// The candidate range of `pattern`: the run [`RunPlan::for_pattern`]
+    /// picks and the blocks of it whose first keys bracket the plan's
+    /// key bounds, found by binary search on the block index. Touches no
+    /// payload.
+    pub(crate) fn range(&self, pattern: Pattern) -> ScanChunk<'_> {
+        let plan = RunPlan::for_pattern(&pattern, RUN_ORDERS.len());
         let blocks = self.index.candidate_blocks(plan.run, plan.lo, plan.hi);
-        (plan, blocks)
+        ScanChunk::Blocks {
+            shard: self,
+            plan,
+            start: blocks.start,
+            end: blocks.end,
+        }
     }
 
-    fn block_scan(&self, plan: RunPlan, blocks: std::ops::Range<usize>) -> BlockScan<'_> {
+    /// Triples stored in `blocks` (of any run: every run cuts the same
+    /// block sizes).
+    pub(crate) fn candidates(&self, blocks: std::ops::Range<usize>) -> usize {
+        blocks.map(|b| self.index.block_len(b)).sum()
+    }
+
+    pub(crate) fn block_scan(
+        &self,
+        plan: RunPlan,
+        blocks: std::ops::Range<usize>,
+    ) -> BlockScan<'_> {
         BlockScan {
             shard: self,
             plan,
@@ -474,7 +489,7 @@ impl DiskShardStore {
 /// block at a time through the cache and narrowing inside it with the
 /// plan's key bounds — a no-op except in the range's boundary blocks,
 /// whose heads may sit below the lower bound and tails past the upper.
-struct BlockScan<'a> {
+pub(crate) struct BlockScan<'a> {
     shard: &'a DiskShardStore,
     plan: RunPlan,
     blocks: std::ops::Range<usize>,
@@ -501,23 +516,6 @@ impl Iterator for BlockScan<'_> {
     }
 }
 
-impl BlockSource for DiskShardStore {
-    fn iter_blocks<'a>(
-        &'a self,
-        run: usize,
-        blocks: std::ops::Range<usize>,
-        pattern: Pattern,
-    ) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        // Re-derive the key bounds from the pattern (deterministic, so
-        // they equal the ones the chunk list was built from) and walk
-        // just the chunk's sub-range.
-        let (plan, all) = self.block_plan(&pattern);
-        debug_assert_eq!(plan.run, run, "chunk run disagrees with the pattern's plan");
-        debug_assert!(all.start <= blocks.start && blocks.end <= all.end);
-        Box::new(self.block_scan(plan, blocks))
-    }
-}
-
 impl TripleStore for DiskShardStore {
     fn dictionary(&self) -> &Dictionary {
         &self.dict
@@ -528,34 +526,13 @@ impl TripleStore for DiskShardStore {
     }
 
     fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        let (plan, blocks) = self.block_plan(&pattern);
-        Box::new(self.block_scan(plan, blocks))
+        self.range(pattern).iter()
     }
 
-    /// Partitioned scan over the planned run's candidate blocks, exactly
-    /// like [`crate::NativeStore`] over its run range: contiguous
-    /// block sub-ranges concatenating to scan order, so the morsel
-    /// exchange fans out over disk shards unchanged. Chunks carry block
-    /// numbers, not borrowed triples — a worker materializes each block
-    /// through the cache when it gets there.
+    /// Chunks carry block numbers, not borrowed triples — a worker
+    /// materializes each block through the cache when it gets there.
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let (plan, blocks) = self.block_plan(&pattern);
-        let first = blocks.start;
-        let chunks: Vec<ScanChunk<'_>> = split_ranges(blocks.len(), n)
-            .into_iter()
-            .map(|r| {
-                let (start, end) = (first + r.start, first + r.end);
-                ScanChunk::Blocks {
-                    source: self,
-                    run: plan.run,
-                    start,
-                    end,
-                    len: (start..end).map(|b| self.index.block_len(b)).sum(),
-                }
-            })
-            .collect();
-        debug_assert_chunks_cover(self, pattern, &chunks);
-        chunks
+        self.range(pattern).split(n)
     }
 
     /// Answered entirely from the persisted statistics summary — the
@@ -565,8 +542,8 @@ impl TripleStore for DiskShardStore {
         self.stats.estimate_pattern(pattern)
     }
 
-    fn stats(&self) -> Option<&StoreStats> {
-        Some(&self.stats)
+    fn stats(&self) -> &StoreStats {
+        &self.stats
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -760,11 +737,11 @@ mod tests {
             [s1, p1, o1],
         ] {
             opened.estimate(pattern);
-            opened.stats().expect("disk store carries stats");
+            opened.stats();
             for shard in &shards {
                 shard.estimate(pattern);
                 // Block-range resolution itself is also I/O-free.
-                shard.block_plan(&pattern);
+                shard.range(pattern);
             }
         }
         for shard in &shards {
@@ -795,7 +772,7 @@ mod tests {
             let sequential: Vec<IdTriple> = opened.scan(pattern).collect();
             for n in [1, 3, 8] {
                 let chunks = opened.scan_chunks(pattern, n);
-                let chunked: Vec<IdTriple> = chunks.iter().flat_map(|c| c.iter(pattern)).collect();
+                let chunked: Vec<IdTriple> = chunks.into_iter().flat_map(ScanChunk::iter).collect();
                 assert_eq!(chunked, sequential, "pattern {pattern:?} n {n}");
             }
         }
@@ -836,7 +813,7 @@ mod tests {
                 for n in [1, 3, 8] {
                     let chunks = disk.scan_chunks(pattern, n);
                     let chunked: Vec<IdTriple> =
-                        chunks.iter().flat_map(|c| c.iter(pattern)).collect();
+                        chunks.into_iter().flat_map(ScanChunk::iter).collect();
                     assert_eq!(chunked, want, "{shards} shards, pattern {pattern:?}, n {n}");
                 }
             }

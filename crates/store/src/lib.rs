@@ -2,8 +2,9 @@
 //!
 //! Two storage engines occupying the design points the paper benchmarks:
 //!
-//! * [`MemStore`] — a flat, unindexed triple list answering every pattern
-//!   by linear scan (the "in-memory engine" class: ARQ, Sesame-Memory);
+//! * [`MemStore`] — a triple list with a hash posting list per term and
+//!   position, answering a pattern from its shortest applicable list
+//!   (the "in-memory engine" class: ARQ, Sesame-Memory);
 //! * [`NativeStore`] — dictionary-encoded triples sorted into the four
 //!   runs of the [`run`] table (SPO/PSO/POS/OSP) with binary-searched
 //!   range scans and exact cardinality estimates (the "native engine"
@@ -25,6 +26,26 @@
 //! [`run`] owns the order table, the choice of run for a pattern and
 //! the key-bound search; [`native`] applies it to whole runs in memory,
 //! [`disk`] to block first keys and then inside the cached blocks.
+//!
+//! ## One store contract
+//!
+//! Every store answers every [`TripleStore`] method. Each single store —
+//! [`MemStore`], [`NativeStore`], [`DiskShardStore`] — has one inherent
+//! `range(pattern)`, its whole candidate range as one [`ScanChunk`]: a
+//! posting list or a triple table, a sorted-run span, or a run's block
+//! bounds, each with what iterating it needs (the residual pattern to
+//! test, or none when the range is exact; a disk shard's run plan).
+//! `scan` iterates that chunk and `scan_chunks` splits it with
+//! `ScanChunk::split`, whose pieces concatenate to the chunk — so the
+//! chunks of a scan concatenate to the scan by construction.
+//! [`ShardedStore`] routes a pattern to
+//! one shard or apportions the chunk budget over all of them, in shard
+//! order. `tests/proptest_indexes.rs` checks the concatenation on every
+//! store, pattern mask and a range of budgets.
+//!
+//! [`TripleStore::stats`] is required too: resident stores collect their
+//! [`StoreStats`] on first request, saved ones read them at open, and a
+//! sharded store merges its shards'.
 
 pub mod dictionary;
 pub mod disk;
@@ -51,7 +72,4 @@ pub use run::IndexOrder;
 pub use segment::{SegmentError, SegmentStats};
 pub use shard::{ShardBackend, ShardBy, ShardedStore};
 pub use stats::{CharacteristicSet, PredicateStats, StoreStats};
-pub use traits::{
-    debug_assert_chunks_cover, split_ranges, BlockSource, CacheStats, Pattern, ScanChunk,
-    SharedStore, TripleStore,
-};
+pub use traits::{CacheStats, Pattern, ScanChunk, SharedStore, TripleStore};

@@ -17,9 +17,7 @@ use std::sync::OnceLock;
 use crate::dictionary::{Dictionary, Id, IdTriple};
 use crate::hash::FxHashMap;
 use crate::stats::StoreStats;
-use crate::traits::{
-    debug_assert_chunks_cover, matches, split_ranges, Pattern, ScanChunk, TripleStore,
-};
+use crate::traits::{Pattern, ScanChunk, TripleStore};
 
 /// Posting-list walks for multi-bound estimates are capped at this many
 /// candidates; longer lists fall back to the list-length upper bound so
@@ -91,23 +89,27 @@ impl MemStore {
         }
     }
 
-    /// The encoded triples (tests, diagnostics).
-    pub fn id_triples(&self) -> &[IdTriple] {
-        &self.triples
-    }
-
-    /// The shortest posting list applicable to `pattern`, if any position
-    /// is bound. `None` means a full scan is required.
-    fn best_list(&self, pattern: &Pattern) -> Option<&[u32]> {
-        let candidates = [
+    /// The candidate range of `pattern`: the shortest posting list of a
+    /// bound position, tested against the pattern when it binds more
+    /// than that one position, or the whole triple table when it binds
+    /// none.
+    pub(crate) fn range(&self, pattern: Pattern) -> ScanChunk<'_> {
+        let lists = [
             pattern[0].map(|id| self.by_subject.get(id)),
             pattern[1].map(|id| self.by_predicate.get(id)),
             pattern[2].map(|id| self.by_object.get(id)),
         ];
-        candidates
-            .into_iter()
-            .flatten()
-            .min_by_key(|list| list.len())
+        match lists.into_iter().flatten().min_by_key(|list| list.len()) {
+            Some(rows) => ScanChunk::Rows {
+                rows,
+                table: &self.triples,
+                residual: (pattern.iter().flatten().count() > 1).then_some(pattern),
+            },
+            None => ScanChunk::Triples {
+                triples: &self.triples,
+                residual: None,
+            },
+        }
     }
 }
 
@@ -121,69 +123,37 @@ impl TripleStore for MemStore {
     }
 
     fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        match self.best_list(&pattern) {
-            Some(list) => Box::new(
-                list.iter()
-                    .map(move |&row| self.triples[row as usize])
-                    .filter(move |t| matches(t, &pattern)),
-            ),
-            None => Box::new(
-                self.triples
-                    .iter()
-                    .filter(move |t| matches(t, &pattern))
-                    .copied(),
-            ),
-        }
+        self.range(pattern).iter()
     }
 
-    /// Partitioned scan: the shortest applicable posting list (or the flat
-    /// triple span when nothing is bound) is split into at most `n`
-    /// contiguous sub-spans, concatenating to [`MemStore::scan`]'s order.
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let chunks: Vec<ScanChunk<'_>> = match self.best_list(&pattern) {
-            Some(list) => split_ranges(list.len(), n)
-                .into_iter()
-                .map(|r| ScanChunk::Rows {
-                    rows: &list[r],
-                    table: &self.triples,
-                })
-                .collect(),
-            None => split_ranges(self.triples.len(), n)
-                .into_iter()
-                .map(|r| ScanChunk::Triples(&self.triples[r]))
-                .collect(),
-        };
-        debug_assert_chunks_cover(self, pattern, &chunks);
-        chunks
+        self.range(pattern).split(n)
     }
 
-    /// Heuristic estimate: the minimum over the posting lists of *all*
-    /// bound positions. When two or more positions are bound and the
-    /// shortest list is small (≤ [`EXACT_ESTIMATE_CAP`] candidates), the
+    /// Heuristic estimate: the length of the shortest posting list of a
+    /// bound position. When the pattern binds more than that position
+    /// and the list is small (≤ [`EXACT_ESTIMATE_CAP`] candidates), the
     /// list is walked with residual filtering for an exact count —
     /// tightening doubly-bound patterns whose positions are individually
     /// frequent but jointly rare. Longer lists keep the length upper
     /// bound (in-memory engines hold no multi-column statistics).
     fn estimate(&self, pattern: Pattern) -> u64 {
-        let bound = pattern.iter().filter(|p| p.is_some()).count();
-        match self.best_list(&pattern) {
-            Some(list) if bound >= 2 && list.len() <= EXACT_ESTIMATE_CAP => {
-                list.iter()
-                    .filter(|&&row| matches(&self.triples[row as usize], &pattern))
-                    .count() as u64
-            }
-            Some(list) => list.len() as u64,
-            None => self.triples.len() as u64,
+        let range = self.range(pattern);
+        match range {
+            ScanChunk::Rows {
+                rows,
+                residual: Some(_),
+                ..
+            } if rows.len() <= EXACT_ESTIMATE_CAP => range.iter().count() as u64,
+            _ => range.len() as u64,
         }
     }
 
     /// Lazily computed (and cached) on first request; inserts reset the
     /// cache, so incremental shard builds pay nothing until asked.
-    fn stats(&self) -> Option<&StoreStats> {
-        Some(
-            self.stats
-                .get_or_init(|| StoreStats::from_triples(&self.triples)),
-        )
+    fn stats(&self) -> &StoreStats {
+        self.stats
+            .get_or_init(|| StoreStats::from_triples(&self.triples))
     }
 }
 
@@ -277,7 +247,7 @@ mod tests {
                 let chunked: Vec<IdTriple> = s
                     .scan_chunks(pattern, n)
                     .into_iter()
-                    .flat_map(|c| c.iter(pattern))
+                    .flat_map(ScanChunk::iter)
                     .collect();
                 assert_eq!(chunked, sequential, "pattern {pattern:?} n {n}");
             }

@@ -13,14 +13,12 @@
 
 use std::sync::OnceLock;
 
-use sp2b_rdf::{Graph, Triple};
+use sp2b_rdf::Graph;
 
 use crate::dictionary::{Dictionary, IdTriple};
-use crate::run::{sort_runs, IndexOrder, RunPlan, RUN_ORDERS};
+use crate::run::{sort_runs, RunPlan, RUN_ORDERS};
 use crate::stats::StoreStats;
-use crate::traits::{
-    debug_assert_chunks_cover, matches, split_ranges, Pattern, ScanChunk, TripleStore,
-};
+use crate::traits::{Pattern, ScanChunk, TripleStore};
 
 /// Which runs to build: how many leading [`RUN_ORDERS`]. The default is
 /// all of them; the ablation configuration keeps only SPO, forcing
@@ -38,25 +36,6 @@ impl IndexSelection {
     pub fn spo_only() -> Self {
         IndexSelection(1)
     }
-}
-
-/// Two-pointer merge of a sorted run with a sorted batch.
-fn merge_sorted(run: Vec<IdTriple>, batch: &[IdTriple], order: IndexOrder) -> Vec<IdTriple> {
-    let mut merged = Vec::with_capacity(run.len() + batch.len());
-    let mut i = 0;
-    let mut j = 0;
-    while i < run.len() && j < batch.len() {
-        if order.key(&run[i]) <= order.key(&batch[j]) {
-            merged.push(run[i]);
-            i += 1;
-        } else {
-            merged.push(batch[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&run[i..]);
-    merged.extend_from_slice(&batch[j..]);
-    merged
 }
 
 /// The native store: dictionary + resident sorted runs, the leading
@@ -93,33 +72,16 @@ impl NativeStore {
         }
     }
 
-    /// Inserts a batch of triples incrementally: encodes against the
-    /// dictionary and merges each built run in one linear pass
-    /// (O(existing + batch) per run, versus a full rebuild's sort).
-    /// This is the storage half of the update-stream extension
-    /// (Section VII: "SPARQL update … could be realized by minor
-    /// extensions"); `sp2b-datagen`'s `UpdateStream` produces the batches.
-    pub fn insert_batch<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) {
-        let encoded: Vec<IdTriple> = triples
-            .into_iter()
-            .map(|t| self.dict.encode_triple(t))
-            .collect();
-        if encoded.is_empty() {
-            return;
-        }
-        self.stats = OnceLock::new(); // summary is stale once data changes
-        let batches = sort_runs(&encoded, self.runs.len());
-        for ((run, batch), &order) in self.runs.iter_mut().zip(batches).zip(&RUN_ORDERS) {
-            *run = merge_sorted(std::mem::take(run), &batch, order);
-        }
-    }
-
-    /// The plan for `pattern` over the built runs and the contiguous
-    /// slice of the chosen run holding every candidate.
-    fn range(&self, pattern: &Pattern) -> (RunPlan, &[IdTriple]) {
-        let plan = RunPlan::for_pattern(pattern, self.runs.len());
+    /// The candidate range of `pattern`: the binary-searched key range
+    /// of the run [`RunPlan::for_pattern`] picks, tested against the
+    /// pattern only where it binds positions outside the run's prefix.
+    pub(crate) fn range(&self, pattern: Pattern) -> ScanChunk<'_> {
+        let plan = RunPlan::for_pattern(&pattern, self.runs.len());
         let run = &self.runs[plan.run];
-        (plan, &run[plan.range_in(run)])
+        ScanChunk::Triples {
+            triples: &run[plan.range_in(run)],
+            residual: plan.residual,
+        }
     }
 }
 
@@ -133,25 +95,11 @@ impl TripleStore for NativeStore {
     }
 
     fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        let (plan, range) = self.range(&pattern);
-        match plan.residual {
-            // The range is exact; no residual filtering needed.
-            None => Box::new(range.iter().copied()),
-            Some(p) => Box::new(range.iter().filter(move |t| matches(t, &p)).copied()),
-        }
+        self.range(pattern).iter()
     }
 
-    /// Partitioned scan: the binary-searched run range is split into at
-    /// most `n` contiguous sub-ranges, so their concatenation is exactly
-    /// the range [`NativeStore::scan`] walks, in the same run order.
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let (_, range) = self.range(&pattern);
-        let chunks: Vec<ScanChunk<'_>> = split_ranges(range.len(), n)
-            .into_iter()
-            .map(|r| ScanChunk::Triples(&range[r]))
-            .collect();
-        debug_assert_chunks_cover(self, pattern, &chunks);
-        chunks
+        self.range(pattern).split(n)
     }
 
     /// Exact estimates via run-range width — the "statistics" that let
@@ -159,16 +107,13 @@ impl TripleStore for NativeStore {
     /// join ordering. With a partial run set (ablation) the range width
     /// is an upper bound.
     fn estimate(&self, pattern: Pattern) -> u64 {
-        self.range(&pattern).1.len() as u64
+        self.range(pattern).len() as u64
     }
 
-    /// Lazily computed from the SPO run and cached;
-    /// [`NativeStore::insert_batch`] resets the cache.
-    fn stats(&self) -> Option<&StoreStats> {
-        Some(
-            self.stats
-                .get_or_init(|| StoreStats::from_triples(&self.runs[0])),
-        )
+    /// Lazily computed from the SPO run and cached.
+    fn stats(&self) -> &StoreStats {
+        self.stats
+            .get_or_init(|| StoreStats::from_triples(&self.runs[0]))
     }
 }
 
@@ -296,67 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_bulk_build() {
-        let g = graph();
-        let all_at_once = NativeStore::from_graph(&g);
-
-        // Build incrementally in three uneven batches.
-        let triples = g.as_slice();
-        let mut incremental = NativeStore::from_graph(&Graph::new());
-        incremental.insert_batch(&triples[..5]);
-        incremental.insert_batch(&triples[5..6]);
-        incremental.insert_batch(&triples[6..]);
-
-        assert_eq!(incremental.len(), all_at_once.len());
-        // Same triples under every access pattern (ids may differ; compare
-        // decoded).
-        for pattern_terms in [
-            [None, None, None],
-            [None, Some("http://x/p1"), None],
-            [Some("http://x/s1"), None, None],
-            [None, None, Some("http://x/o2")],
-        ] {
-            let decode = |s: &NativeStore| -> Vec<String> {
-                let pat: Pattern = [
-                    pattern_terms[0].and_then(|t: &str| s.resolve(&Term::iri(t))),
-                    pattern_terms[1].and_then(|t: &str| s.resolve(&Term::iri(t))),
-                    pattern_terms[2].and_then(|t: &str| s.resolve(&Term::iri(t))),
-                ];
-                let mut v: Vec<String> = s
-                    .scan(pat)
-                    .map(|t| {
-                        format!(
-                            "{} {} {}",
-                            s.dictionary().decode(t[0]),
-                            s.dictionary().decode(t[1]),
-                            s.dictionary().decode(t[2])
-                        )
-                    })
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(decode(&incremental), decode(&all_at_once));
-        }
-        // Estimates stay exact after merging.
-        let p0 = incremental.resolve(&Term::iri("http://x/p0")).unwrap();
-        assert_eq!(
-            incremental.estimate([None, Some(p0), None]),
-            incremental.scan([None, Some(p0), None]).count() as u64
-        );
-    }
-
-    #[test]
-    fn insert_batch_into_empty_and_empty_batch() {
-        let mut s = NativeStore::from_graph(&Graph::new());
-        s.insert_batch([]);
-        assert!(s.is_empty());
-        let g = graph();
-        s.insert_batch(g.as_slice());
-        assert_eq!(s.len(), g.len());
-    }
-
-    #[test]
     fn scan_chunks_concatenate_to_scan_order() {
         let g = graph();
         let s = NativeStore::from_graph(&g);
@@ -372,8 +256,7 @@ mod tests {
             for n in [1, 2, 3, 7, 64] {
                 let chunks = s.scan_chunks(pattern, n);
                 assert!(chunks.len() <= n.max(1), "at most n chunks");
-                let chunked: Vec<IdTriple> =
-                    chunks.into_iter().flat_map(|c| c.iter(pattern)).collect();
+                let chunked: Vec<IdTriple> = chunks.into_iter().flat_map(ScanChunk::iter).collect();
                 assert_eq!(chunked, sequential, "pattern {pattern:?} n {n}");
             }
         }

@@ -52,7 +52,7 @@ use crate::dictionary::{Dictionary, Id, IdTriple};
 use crate::mem::MemStore;
 use crate::native::{IndexSelection, NativeStore};
 use crate::stats::StoreStats;
-use crate::traits::{debug_assert_chunks_cover, CacheStats, Pattern, ScanChunk, TripleStore};
+use crate::traits::{CacheStats, Pattern, ScanChunk, TripleStore};
 
 /// The partition key of a [`ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,9 +151,8 @@ pub struct ShardedStore {
     /// inserts), for the per-shard loading report.
     build_times: Vec<Duration>,
     len: usize,
-    /// Lazily merged per-shard statistics — `None` inside once computed
-    /// means some shard holds no summary.
-    stats: OnceLock<Option<StoreStats>>,
+    /// Lazily merged per-shard statistics.
+    stats: OnceLock<StoreStats>,
 }
 
 impl ShardedStore {
@@ -323,24 +322,21 @@ impl TripleStore for ShardedStore {
     /// push the chunk count slightly past `n` (at most one extra chunk
     /// per shard).
     fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let out = if let Some(shard) = self.route(&pattern) {
-            self.shards[shard].scan_chunks(pattern, n)
+        if let Some(shard) = self.route(&pattern) {
+            return self.shards[shard].scan_chunks(pattern, n);
+        }
+        let n = n.max(1);
+        let ests: Vec<u64> = self.shards.iter().map(|s| s.estimate(pattern)).collect();
+        let total: u128 = ests.iter().map(|&e| e as u128).sum();
+        let shares: Vec<usize> = if total == 0 {
+            vec![1; self.shards.len()]
         } else {
-            let n = n.max(1);
-            let ests: Vec<u64> = self.shards.iter().map(|s| s.estimate(pattern)).collect();
-            let total: u128 = ests.iter().map(|&e| e as u128).sum();
-            let shares: Vec<usize> = if total == 0 {
-                vec![1; self.shards.len()]
-            } else {
-                apportion(n, &ests, total)
-            };
-            let mut out = Vec::new();
-            for (shard, share) in self.shards.iter().zip(shares) {
-                out.extend(shard.scan_chunks(pattern, share.max(1)));
-            }
-            out
+            apportion(n, &ests, total)
         };
-        debug_assert_chunks_cover(self, pattern, &out);
+        let mut out = Vec::new();
+        for (shard, share) in self.shards.iter().zip(shares) {
+            out.extend(shard.scan_chunks(pattern, share.max(1)));
+        }
         out
     }
 
@@ -358,16 +354,14 @@ impl TripleStore for ShardedStore {
     /// Per-shard summaries merged once, lazily — stats sum across shards
     /// exactly like estimates do (see [`StoreStats::merge`] for which
     /// merged counts stay exact under which partition key).
-    fn stats(&self) -> Option<&StoreStats> {
-        self.stats
-            .get_or_init(|| {
-                let mut merged = StoreStats::default();
-                for shard in &self.shards {
-                    merged.merge(shard.stats()?);
-                }
-                Some(merged)
-            })
-            .as_ref()
+    fn stats(&self) -> &StoreStats {
+        self.stats.get_or_init(|| {
+            let mut merged = StoreStats::default();
+            for shard in &self.shards {
+                merged.merge(shard.stats());
+            }
+            merged
+        })
     }
 
     /// Disk shards share one store-wide block cache, so the first
@@ -499,7 +493,7 @@ mod tests {
             let sequential: Vec<IdTriple> = s.scan(pattern).collect();
             for n in [1, 2, 5, 16, 64] {
                 let chunks = s.scan_chunks(pattern, n);
-                let chunked: Vec<IdTriple> = chunks.iter().flat_map(|c| c.iter(pattern)).collect();
+                let chunked: Vec<IdTriple> = chunks.iter().flat_map(|c| c.iter()).collect();
                 assert_eq!(chunked, sequential, "pattern {pattern:?} n {n}");
                 assert!(
                     chunks.len() <= n + s.shard_count(),

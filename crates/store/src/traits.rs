@@ -5,27 +5,36 @@ use std::sync::Arc;
 use sp2b_rdf::Term;
 
 use crate::dictionary::{Dictionary, Id, IdTriple};
+use crate::disk::DiskShardStore;
+use crate::run::RunPlan;
 use crate::stats::StoreStats;
 
 /// A shared, owning store handle: what a long-lived query engine holds.
 ///
-/// [`TripleStore`] implementations are immutable once loaded (the update
-/// stream mutates through `&mut` before sharing), so one `Arc` can back
-/// any number of concurrent query engines, detached exchange worker
-/// threads, and benchmark client threads at once.
+/// [`TripleStore`] implementations are immutable once loaded, so one
+/// `Arc` can back any number of concurrent query engines, detached
+/// exchange worker threads, and benchmark client threads at once.
 pub type SharedStore = Arc<dyn TripleStore>;
 
 /// A triple-scan pattern: `None` means "any" (a variable position),
 /// `Some(id)` a bound term, in (s, p, o) order.
 pub type Pattern = [Option<Id>; 3];
 
-/// Common interface of the two storage engines.
+/// Common interface of the stores.
 ///
-/// The engine asks for matching triples ([`TripleStore::scan`]) and for
-/// cardinality estimates ([`TripleStore::estimate`], driving the
-/// selectivity-based join reordering of Section V). Implementations must
-/// be `Send + Sync` so the benchmark runner can enforce timeouts from a
-/// watchdog thread.
+/// The engine asks for matching triples ([`TripleStore::scan`]), for the
+/// same scan split into morsels ([`TripleStore::scan_chunks`]), for
+/// cardinality estimates ([`TripleStore::estimate`]) and for the
+/// load-time statistics summary ([`TripleStore::stats`]) that drive the
+/// cost-based join ordering of Section V. Every store answers all four.
+/// Implementations must be `Send + Sync` so the benchmark runner can
+/// enforce timeouts from a watchdog thread.
+///
+/// A single store (`MemStore`, `NativeStore`, `DiskShardStore`) answers
+/// a pattern with one candidate range, a [`ScanChunk`] from its inherent
+/// `range`; `scan` iterates that chunk and `scan_chunks` splits it with
+/// `ScanChunk::split`. The chunks of one range concatenate to the
+/// range by construction, which is the coverage contract below.
 pub trait TripleStore: Send + Sync {
     /// The term dictionary backing this store.
     fn dictionary(&self) -> &Dictionary;
@@ -45,11 +54,10 @@ pub trait TripleStore: Send + Sync {
     /// concatenation, in chunk order, yields exactly the triples of
     /// [`TripleStore::scan`] in scan order — that coverage contract is
     /// the hard one; `n` is a budget. Single stores return at most `n`
-    /// chunks; a composite store may return slightly more when disjoint
-    /// physical partitions each need at least one chunk (the sharded
-    /// store returns at most one extra chunk per shard). The chunk
-    /// handles are `Send`, so a morsel-driven driver can fan them out to
-    /// worker threads.
+    /// chunks, and none when nothing can match; the sharded store may
+    /// return one extra chunk per shard, since every shard it visits
+    /// needs at least one. The chunk handles are `Send`, so a
+    /// morsel-driven driver can fan them out to worker threads.
     ///
     /// Implementations must be **deterministic**: the same `pattern` and
     /// `n` on an unchanged store must return the same chunk list. Detached
@@ -57,28 +65,16 @@ pub trait TripleStore: Send + Sync {
     /// list from its own [`SharedStore`] handle and claims chunk *indices*
     /// from a shared counter, so divergent lists would split the scan
     /// inconsistently.
-    ///
-    /// The default returns an empty vector, meaning "this store cannot
-    /// partition the scan" — callers must fall back to [`TripleStore::scan`].
-    /// [`crate::NativeStore`] splits the binary-searched run range,
-    /// [`crate::MemStore`] splits the posting list (or the row span of a
-    /// full scan).
-    fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        let _ = (pattern, n);
-        Vec::new()
-    }
+    fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>>;
 
     /// Estimated number of triples matching `pattern`. Index-backed stores
     /// return exact counts; scan stores return heuristics.
     fn estimate(&self, pattern: Pattern) -> u64;
 
-    /// The load-time statistics summary ([`StoreStats`]), if this store
-    /// collected one — the cost-based planner's input. The default
-    /// (`None`) keeps bare stores working; the planner then falls back
-    /// to per-pattern [`TripleStore::estimate`] heuristics.
-    fn stats(&self) -> Option<&StoreStats> {
-        None
-    }
+    /// The load-time statistics summary ([`StoreStats`]): the cost-based
+    /// planner's input. Resident stores collect it on first request,
+    /// a saved store reads it from its segments at open.
+    fn stats(&self) -> &StoreStats;
 
     /// True if at least one triple matches.
     fn contains(&self, pattern: Pattern) -> bool {
@@ -152,93 +148,57 @@ impl CacheStats {
     }
 }
 
-/// A store that can iterate ranges of fixed-size decoded blocks — what
-/// a [`ScanChunk::Blocks`] handle dereferences through. Implemented by
-/// the out-of-core `DiskShardStore`, whose blocks live behind a shared
-/// LRU cache rather than borrowed slices, so a chunk cannot hand out a
-/// `&[IdTriple]` that an eviction would invalidate; instead the chunk
-/// carries a block range and pulls each block through the cache as it
-/// is reached.
-pub trait BlockSource: Send + Sync {
-    /// Iterates the triples of blocks `blocks` of sorted run `run` that
-    /// match `pattern`, in run order. `run` and the block range must
-    /// come from this source's own `scan_chunks` answer for the same
-    /// `pattern` — the source re-derives the key bounds from `pattern`
-    /// and applies the same lower-bound skip / upper-bound stop /
-    /// residual filtering as its full scan, so concatenating the chunks
-    /// of one answer reproduces the scan exactly.
-    fn iter_blocks<'a>(
-        &'a self,
-        run: usize,
-        blocks: std::ops::Range<usize>,
-        pattern: Pattern,
-    ) -> Box<dyn Iterator<Item = IdTriple> + 'a>;
-}
-
-/// One disjoint portion of a partitioned scan (see
+/// A candidate range of one single store, or a piece of one (see
 /// [`TripleStore::scan_chunks`]): a cheap `Copy` handle over borrowed
-/// store data that each worker thread turns into triples with
-/// [`ScanChunk::iter`]. All variants still apply residual pattern
-/// filtering, so chunks are safe for partial-prefix index ranges and
-/// posting lists alike.
+/// store data that [`ScanChunk::iter`] turns into the matching triples,
+/// on whichever thread holds it. Each variant carries what its iteration
+/// needs — resident spans the pattern still to test, disk blocks their
+/// shard and run plan — so a chunk never goes back to the pattern it
+/// came from.
 #[derive(Clone, Copy)]
 pub enum ScanChunk<'a> {
-    /// A contiguous run of candidate triples (an index-range or
-    /// triple-table span).
-    Triples(&'a [IdTriple]),
+    /// A contiguous span of candidate triples: part of a sorted run or
+    /// of a triple table.
+    Triples {
+        /// The candidates, in store order.
+        triples: &'a [IdTriple],
+        /// The pattern candidates must still match; `None` when every
+        /// candidate is a match.
+        residual: Option<Pattern>,
+    },
     /// Candidate row numbers (a posting-list span) into a triple table.
     Rows {
         /// Indices into `table`.
         rows: &'a [u32],
         /// The full triple table the rows point into.
         table: &'a [IdTriple],
+        /// As for [`ScanChunk::Triples`].
+        residual: Option<Pattern>,
     },
-    /// A range of on-disk blocks of one sorted run, materialized
-    /// through the source's block cache only when iterated.
+    /// Blocks `start..end` of the run `plan` chose in one saved shard,
+    /// pulled through the shard's block cache only when iterated — an
+    /// eviction can never invalidate the handle.
     Blocks {
-        /// The store that owns the blocks.
-        source: &'a dyn BlockSource,
-        /// Which sorted run ([`crate::run::RUN_ORDERS`] slot) the blocks belong to.
-        run: usize,
+        /// The shard that owns the blocks.
+        shard: &'a DiskShardStore,
+        /// The pattern's run and key bounds: what narrows each block.
+        plan: RunPlan,
         /// First candidate block (inclusive).
         start: usize,
         /// Last candidate block (exclusive).
         end: usize,
-        /// Total triples in the candidate blocks (before filtering).
-        len: usize,
     },
-}
-
-impl std::fmt::Debug for ScanChunk<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanChunk::Triples(t) => f.debug_tuple("Triples").field(&t.len()).finish(),
-            ScanChunk::Rows { rows, .. } => {
-                f.debug_struct("Rows").field("rows", &rows.len()).finish()
-            }
-            ScanChunk::Blocks {
-                run,
-                start,
-                end,
-                len,
-                ..
-            } => f
-                .debug_struct("Blocks")
-                .field("run", run)
-                .field("blocks", &(start..end))
-                .field("len", len)
-                .finish(),
-        }
-    }
 }
 
 impl<'a> ScanChunk<'a> {
     /// Number of candidate triples (before residual filtering).
     pub fn len(&self) -> usize {
         match self {
-            ScanChunk::Triples(t) => t.len(),
+            ScanChunk::Triples { triples, .. } => triples.len(),
             ScanChunk::Rows { rows, .. } => rows.len(),
-            ScanChunk::Blocks { len, .. } => *len,
+            ScanChunk::Blocks {
+                shard, start, end, ..
+            } => shard.candidates(*start..*end),
         }
     }
 
@@ -247,35 +207,81 @@ impl<'a> ScanChunk<'a> {
         self.len() == 0
     }
 
-    /// Iterates the chunk's triples matching `pattern`, in chunk order.
-    pub fn iter(self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
+    /// Iterates the chunk's matching triples, in chunk order.
+    pub fn iter(self) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
         match self {
-            ScanChunk::Triples(triples) => Box::new(
-                triples
-                    .iter()
-                    .filter(move |t| matches(t, &pattern))
-                    .copied(),
-            ),
-            ScanChunk::Rows { rows, table } => Box::new(
+            ScanChunk::Triples {
+                triples,
+                residual: None,
+            } => Box::new(triples.iter().copied()),
+            ScanChunk::Triples {
+                triples,
+                residual: Some(p),
+            } => Box::new(triples.iter().filter(move |t| matches(t, &p)).copied()),
+            ScanChunk::Rows {
+                rows,
+                table,
+                residual: None,
+            } => Box::new(rows.iter().map(move |&r| table[r as usize])),
+            ScanChunk::Rows {
+                rows,
+                table,
+                residual: Some(p),
+            } => Box::new(
                 rows.iter()
                     .map(move |&r| table[r as usize])
-                    .filter(move |t| matches(t, &pattern)),
+                    .filter(move |t| matches(t, &p)),
             ),
             ScanChunk::Blocks {
-                source,
-                run,
+                shard,
+                plan,
                 start,
                 end,
-                ..
-            } => source.iter_blocks(run, start..end, pattern),
+            } => Box::new(shard.block_scan(plan, start..end)),
         }
+    }
+
+    /// Splits the chunk into at most `n` contiguous near-even pieces
+    /// that concatenate, in order, to the chunk itself — none when it is
+    /// empty. What every single store's `scan_chunks` is.
+    pub(crate) fn split(self, n: usize) -> Vec<ScanChunk<'a>> {
+        let len = match self {
+            ScanChunk::Triples { triples, .. } => triples.len(),
+            ScanChunk::Rows { rows, .. } => rows.len(),
+            ScanChunk::Blocks { start, end, .. } => end - start,
+        };
+        split_ranges(len, n)
+            .into_iter()
+            .map(|r| match self {
+                ScanChunk::Triples { triples, residual } => ScanChunk::Triples {
+                    triples: &triples[r],
+                    residual,
+                },
+                ScanChunk::Rows {
+                    rows,
+                    table,
+                    residual,
+                } => ScanChunk::Rows {
+                    rows: &rows[r],
+                    table,
+                    residual,
+                },
+                ScanChunk::Blocks {
+                    shard, plan, start, ..
+                } => ScanChunk::Blocks {
+                    shard,
+                    plan,
+                    start: start + r.start,
+                    end: start + r.end,
+                },
+            })
+            .collect()
     }
 }
 
 /// Splits `0..len` into at most `n` contiguous near-even ranges (empty for
-/// `len == 0`; fewer than `n` ranges when `len < n`). Shared by the store
-/// implementations of [`TripleStore::scan_chunks`].
-pub fn split_ranges(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
+/// `len == 0`; fewer than `n` ranges when `len < n`).
+fn split_ranges(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
     let n = n.max(1).min(len);
     let mut out = Vec::with_capacity(n);
     let mut start = 0;
@@ -298,34 +304,6 @@ pub fn matches(triple: &IdTriple, pattern: &Pattern) -> bool {
         .all(|(p, v)| p.is_none_or(|id| id == *v))
 }
 
-/// Debug-build check of the [`TripleStore::scan_chunks`] contract: the
-/// chunks' concatenation, in chunk order, must equal the store's
-/// [`TripleStore::scan`] of the same pattern — full coverage, no
-/// overlap, same order. Every store implementation calls this on the
-/// chunk list it is about to return, turning the trait doc into a
-/// checked invariant; release builds (the benchmarks) pay nothing.
-#[inline]
-pub fn debug_assert_chunks_cover(
-    store: &dyn TripleStore,
-    pattern: Pattern,
-    chunks: &[ScanChunk<'_>],
-) {
-    #[cfg(debug_assertions)]
-    {
-        let sequential: Vec<IdTriple> = store.scan(pattern).collect();
-        let chunked: Vec<IdTriple> = chunks.iter().flat_map(|c| c.iter(pattern)).collect();
-        assert_eq!(
-            chunked, sequential,
-            "scan_chunks broke the coverage contract for pattern {pattern:?}: \
-             concatenated chunks must equal the scan"
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = (store, pattern, chunks);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,58 +321,27 @@ mod tests {
     #[test]
     fn scan_chunk_iter_filters_residually() {
         let table: Vec<IdTriple> = vec![[1, 2, 3], [1, 9, 3], [4, 2, 3]];
-        let chunk = ScanChunk::Triples(&table);
+        let chunk = ScanChunk::Triples {
+            triples: &table,
+            residual: Some([None, Some(2), None]),
+        };
         assert_eq!(chunk.len(), 3);
-        let hits: Vec<IdTriple> = chunk.iter([None, Some(2), None]).collect();
+        let hits: Vec<IdTriple> = chunk.iter().collect();
         assert_eq!(hits, vec![[1, 2, 3], [4, 2, 3]]);
+        let exact = ScanChunk::Triples {
+            triples: &table,
+            residual: None,
+        };
+        assert_eq!(exact.iter().count(), 3, "an exact range is not tested");
 
         let rows: Vec<u32> = vec![2, 0];
         let chunk = ScanChunk::Rows {
             rows: &rows,
             table: &table,
+            residual: Some([None, None, Some(3)]),
         };
-        let hits: Vec<IdTriple> = chunk.iter([None, None, Some(3)]).collect();
+        let hits: Vec<IdTriple> = chunk.iter().collect();
         assert_eq!(hits, vec![[4, 2, 3], [1, 2, 3]], "chunk order is row order");
-    }
-
-    #[test]
-    fn chunk_coverage_assertion_catches_gaps() {
-        struct Fixed(Vec<IdTriple>);
-        impl TripleStore for Fixed {
-            fn dictionary(&self) -> &Dictionary {
-                unimplemented!("not needed for chunk coverage")
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-                Box::new(self.0.iter().filter(move |t| matches(t, &pattern)).copied())
-            }
-            fn estimate(&self, _: Pattern) -> u64 {
-                self.0.len() as u64
-            }
-        }
-        let store = Fixed(vec![[1, 2, 3], [4, 5, 6], [7, 8, 9]]);
-        let pattern: Pattern = [None, None, None];
-        // A correct split passes…
-        let good = [
-            ScanChunk::Triples(&store.0[..1]),
-            ScanChunk::Triples(&store.0[1..]),
-        ];
-        debug_assert_chunks_cover(&store, pattern, &good);
-        // …a gap (dropped triple) and an overlap (repeated triple) panic
-        // in debug builds.
-        let gap = [ScanChunk::Triples(&store.0[..1])];
-        let overlap = [
-            ScanChunk::Triples(&store.0[..2]),
-            ScanChunk::Triples(&store.0[1..]),
-        ];
-        for bad in [&gap[..], &overlap[..]] {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                debug_assert_chunks_cover(&store, pattern, bad);
-            }));
-            assert_eq!(caught.is_err(), cfg!(debug_assertions));
-        }
     }
 
     #[test]

@@ -170,39 +170,6 @@ fn pre_triggered_cancellation_cancels_parallel_execution() {
 }
 
 #[test]
-fn row_limit_respected_under_parallelism() {
-    let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
-    for q in [BenchQuery::Q2, BenchQuery::Q3a, BenchQuery::Q5b] {
-        let full = engine(&store, 1);
-        let prepared = full.prepare(q.text()).unwrap();
-        let total = full.count(&prepared).unwrap();
-        let limit = 5u64.min(total);
-        for degree in [1, 4] {
-            let limited =
-                QueryEngine::with_options(store.clone(), QueryOptions::new().parallelism(degree))
-                    .row_limit(5);
-            let prepared = limited.prepare(q.text()).unwrap();
-            assert_eq!(
-                limited.execute(&prepared).unwrap().row_count() as u64,
-                limit,
-                "{q}@{degree}: execute row limit"
-            );
-            assert_eq!(
-                limited.solutions(&prepared).count() as u64,
-                limit,
-                "{q}@{degree}: streamed row limit"
-            );
-            assert_eq!(
-                limited.count(&prepared).unwrap(),
-                total,
-                "{q}@{degree}: count reports true cardinality"
-            );
-        }
-    }
-}
-
-#[test]
 fn queries_with_limit_modifiers_agree_in_order() {
     // LIMIT/OFFSET queries with ORDER BY have fully deterministic output:
     // parallel and sequential rows must match *in order*, not just as

@@ -2,11 +2,11 @@
 //! never a semantic one — and it must actually pay.
 //!
 //! * Equivalence: for every benchmark query (Q1–Q12 and the A1–A5
-//!   aggregation extension), the stats-planned join order must produce
-//!   the same result multiset and count as the heuristic-planned order
-//!   (the fixed-discount fallback, forced here by hiding the store's
-//!   statistics behind a forwarding wrapper) — on the in-memory, native,
-//!   sharded and reopened-disk stores.
+//!   aggregation extension), the fully optimized plan — stats-planned
+//!   join order, pushed filters, substitution — must produce the same
+//!   result multiset and count as the written-order oracle
+//!   (`OptimizerConfig::default()`, every rewrite off) on the same store:
+//!   in-memory, native, sharded and reopened-disk.
 //! * Regression: on the join-heavy queries the paper calls out (Q4,
 //!   Q5a, Q8, Q9), the stats-planned order must emit *fewer*
 //!   intermediate rows (instrumented per-pattern counters) than the
@@ -32,8 +32,8 @@ use sp2bench::sparql::{
     QueryResult, ScanCounters,
 };
 use sp2bench::store::{
-    open_store, save_graph, Dictionary, Id, IdTriple, IndexSelection, MemStore, NativeStore,
-    Pattern, ScanChunk, ShardBackend, ShardBy, ShardedStore, SharedStore, StoreStats, TripleStore,
+    open_store, save_graph, IndexSelection, MemStore, NativeStore, ShardBackend, ShardBy,
+    ShardedStore, SharedStore, TripleStore,
 };
 
 const TRIPLES: u64 = 6_000;
@@ -57,45 +57,6 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A forwarding store that hides its inner store's statistics — the
-/// lever that forces the optimizer onto its fixed-discount heuristic
-/// path on the *same* data.
-struct NoStats(SharedStore);
-
-impl TripleStore for NoStats {
-    fn dictionary(&self) -> &Dictionary {
-        self.0.dictionary()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
-        self.0.scan(pattern)
-    }
-
-    fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
-        self.0.scan_chunks(pattern, n)
-    }
-
-    fn estimate(&self, pattern: Pattern) -> u64 {
-        self.0.estimate(pattern)
-    }
-
-    fn stats(&self) -> Option<&StoreStats> {
-        None // the whole point: same data, no statistics
-    }
-
-    fn contains(&self, pattern: Pattern) -> bool {
-        self.0.contains(pattern)
-    }
-
-    fn resolve(&self, term: &Term) -> Option<Id> {
-        self.0.resolve(term)
     }
 }
 
@@ -128,8 +89,9 @@ fn multiset(result: &QueryResult) -> Vec<String> {
     }
 }
 
-fn run_all(store: &SharedStore) -> Vec<(String, Vec<String>, u64)> {
-    let qe = QueryEngine::with_options(store.clone(), QueryOptions::new().parallelism(1));
+fn run_all(store: &SharedStore, cfg: OptimizerConfig) -> Vec<(String, Vec<String>, u64)> {
+    let options = QueryOptions::new().optimizer(cfg).parallelism(1);
+    let qe = QueryEngine::with_options(store.clone(), options);
     all_query_texts()
         .into_iter()
         .map(|(label, text)| {
@@ -145,27 +107,23 @@ fn run_all(store: &SharedStore) -> Vec<(String, Vec<String>, u64)> {
         .collect()
 }
 
-/// Stats-planned vs heuristic-planned on one store: identical multisets
-/// and counts for every query.
+/// Fully optimized vs the written-order oracle on one store: identical
+/// multisets and counts for every query.
 fn assert_planner_equivalence(tag: &str, store: SharedStore) {
     assert!(
-        store.stats().is_some(),
-        "{tag}: the store under test must carry statistics"
+        store.stats().triples > 0,
+        "{tag}: the planner must have statistics to order by"
     );
-    let stats_planned = run_all(&store);
-    let hidden = NoStats(store).into_shared();
-    assert!(hidden.stats().is_none());
-    let heuristic_planned = run_all(&hidden);
-    for ((label, rows_s, count_s), (_, rows_h, count_h)) in
-        stats_planned.into_iter().zip(heuristic_planned)
-    {
+    let planned = run_all(&store, OptimizerConfig::full());
+    let written = run_all(&store, OptimizerConfig::default());
+    for ((label, rows_p, count_p), (_, rows_w, count_w)) in planned.into_iter().zip(written) {
         assert_eq!(
-            count_s, count_h,
-            "{tag}/{label}: stats-planned count diverged from heuristic-planned"
+            count_p, count_w,
+            "{tag}/{label}: optimized count diverged from the written-order oracle"
         );
         assert_eq!(
-            rows_s, rows_h,
-            "{tag}/{label}: stats-planned multiset diverged from heuristic-planned"
+            rows_p, rows_w,
+            "{tag}/{label}: optimized multiset diverged from the written-order oracle"
         );
     }
 }
