@@ -239,20 +239,23 @@ impl Engine {
     /// the same `Arc`.
     ///
     /// A configuration whose planner reorders patterns also gathers the
-    /// store's statistics here, as part of the timed load. The stores
-    /// collect them on first use; left to that, the first query prepared
-    /// pays for a pass over the whole document — an `ASK` that answers in
-    /// microseconds then reads as slow as the statistics build.
+    /// store's statistics here, as part of the timed load, and every
+    /// configuration ranks the dictionary's literal values
+    /// ([`sp2b_store::Dictionary::value_key`]). The stores build both on
+    /// first use; left to that, the first query pays for a pass over the
+    /// whole document — an `ASK` that answers in microseconds (Q12a, whose
+    /// `?name = ?name2` reads value keys) then reads as slow as the build.
     pub fn load_with(kind: EngineKind, graph: &Graph, layout: &StoreLayout) -> Engine {
-        let with_stats = |store: SharedStore| {
+        let warmed = |store: SharedStore| {
             if kind.optimizer().reorder_patterns {
                 store.stats();
             }
+            store.dictionary().rank_values();
             store
         };
         if !layout.is_sharded() {
             let (store, loading) = measure(|| -> SharedStore {
-                with_stats(match kind {
+                warmed(match kind {
                     EngineKind::MemNaive | EngineKind::MemOpt => {
                         MemStore::from_graph(graph).into_shared()
                     }
@@ -281,7 +284,7 @@ impl Engine {
                 lens: sharded.shard_lens(),
                 build_times: sharded.shard_build_times().to_vec(),
             };
-            (with_stats(sharded.into_shared()), info)
+            (warmed(sharded.into_shared()), info)
         });
         Engine {
             kind,
@@ -299,13 +302,19 @@ impl Engine {
     /// (`None` = a fraction of the document size), so resident memory
     /// stays bounded however large the document is. Only the native
     /// configurations apply: segments hold index-ordered runs, which is
-    /// the native engines' storage model.
+    /// the native engines' storage model. The resident dictionary's
+    /// value ranks are built as part of the open, as [`Engine::load`]
+    /// builds them.
     pub fn open_disk(
         kind: EngineKind,
         dir: &Path,
         cache_bytes: Option<u64>,
     ) -> Result<Engine, String> {
-        let (opened, loading) = measure(|| sp2b_store::open_store_with(dir, cache_bytes));
+        let (opened, loading) = measure(|| {
+            let store = sp2b_store::open_store_with(dir, cache_bytes)?;
+            store.dictionary().rank_values();
+            Ok::<_, sp2b_store::SegmentError>(store)
+        });
         let store = opened.map_err(|e| e.to_string())?;
         let info = ShardInfo {
             shard_by: store.shard_by(),

@@ -20,5 +20,5 @@ pub mod triple;
 pub mod vocab;
 
 pub use graph::Graph;
-pub use term::{BlankNode, Iri, Literal, LiteralRef, Subject, Term, TermRef};
+pub use term::{BlankNode, Iri, LitValue, Literal, LiteralRef, Subject, Term, TermRef};
 pub use triple::Triple;

@@ -162,7 +162,7 @@ pub struct LiteralRef<'a> {
     pub language: Option<&'a str>,
 }
 
-impl LiteralRef<'_> {
+impl<'a> LiteralRef<'a> {
     /// True if the datatype is `xsd:integer` and the lexical form parses.
     pub fn as_integer(&self) -> Option<i64> {
         match self.datatype {
@@ -177,6 +177,26 @@ impl LiteralRef<'_> {
             None => self.language.is_none(),
             Some(dt) => dt == xsd::STRING,
         }
+    }
+
+    /// The literal's value, for the datatypes SPARQL value comparisons
+    /// know: what `=`, `<` and a store's value ranks all classify a
+    /// literal by, so they cannot disagree.
+    pub fn value(&self) -> LitValue<'a> {
+        if let Some(i) = self.as_integer() {
+            return LitValue::Int(i);
+        }
+        if self.is_stringish() {
+            return LitValue::Str(self.lexical);
+        }
+        if self.datatype == Some(xsd::BOOLEAN) {
+            match self.lexical {
+                "true" | "1" => return LitValue::Bool(true),
+                "false" | "0" => return LitValue::Bool(false),
+                _ => {}
+            }
+        }
+        LitValue::Opaque
     }
 
     /// An owned copy.
@@ -199,6 +219,20 @@ impl fmt::Display for LiteralRef<'_> {
         }
         Ok(())
     }
+}
+
+/// A literal's value ([`LiteralRef::value`]): an integer, a string or a
+/// boolean, or none SPARQL comparisons know.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LitValue<'a> {
+    /// A well-formed `xsd:integer`, by value.
+    Int(i64),
+    /// A plain or `xsd:string` literal, by lexical form.
+    Str(&'a str),
+    /// A well-formed `xsd:boolean`, by value.
+    Bool(bool),
+    /// Any other literal: equal only to itself.
+    Opaque,
 }
 
 /// Any RDF term: the object position of a triple.
@@ -262,9 +296,10 @@ impl PartialOrd for Term {
 
 /// Total order over terms, following the SPARQL `ORDER BY` convention:
 /// blank nodes sort before IRIs, which sort before literals; within a kind
-/// the comparison is lexical. Numeric-aware literal comparison (needed for
-/// `FILTER (?yr2 < ?yr)`) lives in the SPARQL expression layer; this `Ord`
-/// exists so results can be sorted deterministically.
+/// the comparison is lexical, except that integer literals sort by value
+/// before every other literal (see [`TermRef`]'s `Ord`). The `FILTER`
+/// comparisons (`?yr2 < ?yr`) live in the SPARQL expression layer; this
+/// `Ord` exists so results can be sorted deterministically.
 impl Ord for Term {
     fn cmp(&self, other: &Self) -> Ordering {
         self.as_ref().cmp(&other.as_ref())
@@ -323,14 +358,20 @@ impl Ord for TermRef<'_> {
         match (self, other) {
             (TermRef::Blank(a), TermRef::Blank(b)) => a.cmp(b),
             (TermRef::Iri(a), TermRef::Iri(b)) => a.cmp(b),
-            (TermRef::Literal(a), TermRef::Literal(b)) => {
-                // Numeric literals compare by value so ORDER BY ?yr is
-                // chronological rather than lexicographic.
-                if let (Some(x), Some(y)) = (a.as_integer(), b.as_integer()) {
-                    return x.cmp(&y);
+            // Integers compare by value so ORDER BY ?yr is chronological
+            // rather than lexicographic, and sort before every other
+            // literal: ordering an integer against a string by lexical
+            // form would make `"2"^^xsd:integer < "10"^^xsd:integer <
+            // "15x" < "2"^^xsd:integer` a cycle. The lexical form breaks
+            // ties between equal values (`"01"`, `"1"`).
+            (TermRef::Literal(a), TermRef::Literal(b)) => match (a.as_integer(), b.as_integer()) {
+                (Some(x), Some(y)) => x.cmp(&y).then_with(|| a.lexical.cmp(b.lexical)),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => {
+                    (a.lexical, a.datatype, a.language).cmp(&(b.lexical, b.datatype, b.language))
                 }
-                (a.lexical, a.datatype, a.language).cmp(&(b.lexical, b.datatype, b.language))
-            }
+            },
             _ => self.kind_rank().cmp(&other.kind_rank()),
         }
     }
@@ -497,6 +538,34 @@ mod tests {
             two < ten,
             "2 must sort before 10 despite lexicographic order"
         );
+    }
+
+    #[test]
+    fn integers_sort_before_other_literals() {
+        let int = |i| Term::Literal(Literal::integer(i));
+        let one = Term::Literal(Literal::typed("01", Iri::new(xsd::INTEGER)));
+        let plain = Term::Literal(Literal::plain("15x"));
+        // By value 2 < 10, by text "10" < "15x" < "2": integers go first.
+        assert!(int(2) < int(10) && int(10) < plain && int(2) < plain);
+        // Equal values, distinct terms: never `Equal`.
+        assert_eq!(one.cmp(&int(1)), Ordering::Less);
+        assert!(int(0) < one && one < int(2));
+    }
+
+    #[test]
+    fn literal_values() {
+        let boolean = |lex: &str| Literal::typed(lex, Iri::new(xsd::BOOLEAN));
+        assert_eq!(Literal::integer(-3).as_ref().value(), LitValue::Int(-3));
+        assert_eq!(Literal::plain("a").as_ref().value(), LitValue::Str("a"));
+        assert_eq!(Literal::string("a").as_ref().value(), LitValue::Str("a"));
+        assert_eq!(boolean("1").as_ref().value(), LitValue::Bool(true));
+        assert_eq!(boolean("false").as_ref().value(), LitValue::Bool(false));
+        assert_eq!(boolean("yes").as_ref().value(), LitValue::Opaque);
+        let ill_typed = Literal::typed("15x", Iri::new(xsd::INTEGER));
+        assert_eq!(ill_typed.as_ref().value(), LitValue::Opaque);
+        let mut tagged = Literal::plain("a");
+        tagged.language = Some("en".into());
+        assert_eq!(tagged.as_ref().value(), LitValue::Opaque);
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub mod xsd {
     pub const STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
     /// `xsd:integer`.
     pub const INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
+    /// `xsd:boolean`.
+    pub const BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 }
 
 /// `foaf:` — Friend of a Friend, used for persons and documents.

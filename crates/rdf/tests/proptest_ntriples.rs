@@ -1,99 +1,216 @@
-//! Property tests: N-Triples serialization and parsing are inverse.
+//! Seeded property tests: N-Triples serialization and parsing are
+//! inverse, and the `ORDER BY` order over terms is a total order.
+//!
+//! Each case comes from a seed printed in every assertion message;
+//! `SP2B_SEED=<n> cargo test -p sp2b-rdf --test proptest_ntriples`
+//! replays that one case.
 
-use proptest::prelude::*;
+use std::cmp::Ordering;
 
-use sp2b_rdf::ntriples::{parse_line, triple_to_string};
+use sp2b_datagen::rng::SplitMix64;
+use sp2b_rdf::ntriples::{parse_line, triple_to_string, write_document, Parser};
+use sp2b_rdf::vocab::xsd;
 use sp2b_rdf::{Iri, Literal, Subject, Term, Triple};
 
-fn iri_strategy() -> impl Strategy<Value = Iri> {
-    // IRIs without whitespace, '<', '>', '"' (the lexical constraints the
-    // serializer assumes).
-    "[a-z]{1,8}"
-        .prop_flat_map(|scheme| {
-            ("[a-zA-Z0-9._/~#-]{1,30}").prop_map(move |path| {
-                Iri::new(format!("{scheme}://{path}"))
-            })
-        })
+/// Cases per property.
+const CASES: u64 = 512;
+
+/// The seeds to run: every case, or the one `SP2B_SEED` names.
+fn seeds() -> Vec<u64> {
+    match std::env::var("SP2B_SEED") {
+        Ok(seed) => vec![seed.parse().expect("SP2B_SEED is a number")],
+        Err(_) => (0..CASES).collect(),
+    }
 }
 
-fn blank_strategy() -> impl Strategy<Value = String> {
-    "[A-Za-z0-9_]{1,16}".prop_map(|s| s)
+/// Draws from one seed.
+struct Gen(SplitMix64);
+
+impl Gen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0.next_u64() % n
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len() as u64) as usize]
+    }
+
+    /// `min..=max` characters of `alphabet`.
+    fn text(&mut self, alphabet: &[char], min: u64, max: u64) -> String {
+        let len = min + self.below(max - min + 1);
+        (0..len).map(|_| self.pick(alphabet)).collect()
+    }
+
+    /// An IRI without whitespace, `<`, `>` or `"` (what the serializer
+    /// assumes of IRIs).
+    fn iri(&mut self) -> Iri {
+        let scheme = self.text(LOWER, 1, 8);
+        let path = self.text(IRI_PATH, 1, 30);
+        Iri::new(format!("{scheme}://{path}"))
+    }
+
+    fn blank(&mut self) -> String {
+        self.text(LABEL, 1, 16)
+    }
+
+    /// Any lexical form: escapes and multi-byte characters included.
+    fn lexical(&mut self) -> String {
+        self.text(LEXICAL, 0, 40)
+    }
+
+    fn literal(&mut self) -> Literal {
+        match self.below(10) {
+            0 => Literal::plain(self.lexical()),
+            1 => Literal::string(self.lexical()),
+            2 => Literal::integer(self.0.next_u64() as i64),
+            // Small integers, written with and without leading zeros.
+            3 => {
+                let lexical = format!(
+                    "{}{}",
+                    self.pick(&["", "0", "00", "-", "+"]),
+                    self.below(12)
+                );
+                Literal::typed(lexical, Iri::new(xsd::INTEGER))
+            }
+            // Digit-only plain literals next to those integers.
+            4 => Literal::plain(self.below(12).to_string()),
+            5 => Literal::string(self.below(12).to_string()),
+            6 => {
+                let mut lit = Literal::plain(self.lexical());
+                let tag = self.text(LOWER, 1, 4);
+                lit.language = Some(match self.below(2) {
+                    0 => tag,
+                    _ => format!("{tag}-{}", self.text(LABEL_LOWER, 1, 4)),
+                });
+                lit
+            }
+            7 => Literal::typed(
+                self.pick(&["true", "false", "1", "0", "yes"]),
+                Iri::new(xsd::BOOLEAN),
+            ),
+            _ => Literal::typed(self.lexical(), self.iri()),
+        }
+    }
+
+    fn term(&mut self) -> Term {
+        match self.below(4) {
+            0 => Term::Iri(self.iri()),
+            1 => Term::blank(self.blank()),
+            _ => Term::Literal(self.literal()),
+        }
+    }
+
+    /// A term of the crowded corner of the `ORDER BY` order: integers
+    /// whose value order and lexical order disagree (`"2"` < `"10"`),
+    /// next to digit-led plain and `xsd:string` literals that sort
+    /// between them by text, and now and then any other term.
+    fn ordered_term(&mut self) -> Term {
+        let digits = format!("{}{}", self.pick(&["", "", "0", "-"]), self.below(13));
+        match self.below(6) {
+            0 | 1 => Term::Literal(Literal::typed(digits, Iri::new(xsd::INTEGER))),
+            2 => Term::Literal(Literal::plain(format!("{digits}{}", self.pick(&["", "x"])))),
+            3 => Term::Literal(Literal::string(digits)),
+            _ => self.term(),
+        }
+    }
+
+    fn subject(&mut self) -> Subject {
+        match self.below(2) {
+            0 => Subject::Iri(self.iri()),
+            _ => Subject::blank(self.blank()),
+        }
+    }
+
+    fn triple(&mut self) -> Triple {
+        Triple {
+            subject: self.subject(),
+            predicate: self.iri(),
+            object: self.term(),
+        }
+    }
 }
 
-fn literal_strategy() -> impl Strategy<Value = Literal> {
-    let lexical = ".{0,40}"; // arbitrary unicode, escapes exercised
-    prop_oneof![
-        lexical.prop_map(Literal::plain),
-        lexical.prop_map(Literal::string),
-        any::<i64>().prop_map(Literal::integer),
-        (lexical, "[a-z]{1,4}(-[a-z0-9]{1,4})?").prop_map(|(l, lang)| {
-            let mut lit = Literal::plain(l);
-            lit.language = Some(lang);
-            lit
-        }),
-        (lexical, iri_strategy()).prop_map(|(l, dt)| Literal::typed(l, dt)),
-    ]
+const LOWER: &[char] = &[
+    'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 'q', 'r', 's',
+    't', 'u', 'v', 'w', 'x', 'y', 'z',
+];
+const LABEL_LOWER: &[char] = &['a', 'k', 'z', '0', '5', '9'];
+const LABEL: &[char] = &['a', 'Z', 'q', 'J', '0', '7', '_'];
+const IRI_PATH: &[char] = &['a', 'Z', 'q', '0', '9', '.', '_', '/', '~', '#', '-'];
+const LEXICAL: &[char] = &[
+    'a', 'b', 'Z', '0', '1', '9', ' ', '"', '\\', '\n', '\r', '\t', '<', '>', '^', '@', '#', '.',
+    'é', '漢', '🎉',
+];
+
+/// Runs `property` on a fresh generator per seed.
+fn check(mut property: impl FnMut(u64, &mut Gen)) {
+    for seed in seeds() {
+        property(seed, &mut Gen(SplitMix64::new(seed)));
+    }
 }
 
-fn term_strategy() -> impl Strategy<Value = Term> {
-    prop_oneof![
-        iri_strategy().prop_map(Term::Iri),
-        blank_strategy().prop_map(Term::blank),
-        literal_strategy().prop_map(Term::Literal),
-    ]
-}
-
-fn subject_strategy() -> impl Strategy<Value = Subject> {
-    prop_oneof![
-        iri_strategy().prop_map(Subject::Iri),
-        blank_strategy().prop_map(Subject::blank),
-    ]
-}
-
-fn triple_strategy() -> impl Strategy<Value = Triple> {
-    (subject_strategy(), iri_strategy(), term_strategy())
-        .prop_map(|(s, p, o)| Triple { subject: s, predicate: p, object: o })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn serialize_parse_roundtrip(t in triple_strategy()) {
+#[test]
+fn serialize_parse_roundtrip() {
+    check(|seed, g| {
+        let t = g.triple();
         let line = triple_to_string(&t);
         let parsed = parse_line(line.trim_end(), 1)
-            .expect("serialized triple must parse")
+            .unwrap_or_else(|e| panic!("seed {seed}: {line:?} does not parse: {e}"))
             .expect("line is not blank");
-        prop_assert_eq!(parsed, t);
-    }
+        assert_eq!(parsed, t, "seed {seed}");
+    });
+}
 
-    #[test]
-    fn serialized_form_is_single_line(t in triple_strategy()) {
-        let line = triple_to_string(&t);
+#[test]
+fn serialized_form_is_single_line() {
+    check(|seed, g| {
+        let line = triple_to_string(&g.triple());
         // Embedded newlines must be escaped: exactly one trailing '\n'.
-        prop_assert_eq!(line.matches('\n').count(), 1);
-        prop_assert!(line.ends_with(" .\n"));
-    }
+        assert_eq!(line.matches('\n').count(), 1, "seed {seed}: {line:?}");
+        assert!(line.ends_with(" .\n"), "seed {seed}: {line:?}");
+    });
+}
 
-    #[test]
-    fn document_roundtrip(triples in prop::collection::vec(triple_strategy(), 0..40)) {
+#[test]
+fn document_roundtrip() {
+    check(|seed, g| {
+        let triples: Vec<Triple> = (0..g.below(40)).map(|_| g.triple()).collect();
         let mut doc = Vec::new();
-        sp2b_rdf::ntriples::write_document(&mut doc, triples.iter()).expect("vec write");
-        let parsed: Vec<Triple> = sp2b_rdf::ntriples::Parser::new(&doc[..])
+        write_document(&mut doc, triples.iter()).expect("vec write");
+        let parsed: Vec<Triple> = Parser::new(&doc[..])
             .collect::<Result<_, _>>()
-            .expect("document parses");
-        prop_assert_eq!(parsed, triples);
-    }
+            .unwrap_or_else(|e| panic!("seed {seed}: document does not parse: {e}"));
+        assert_eq!(parsed, triples, "seed {seed}");
+    });
+}
 
-    #[test]
-    fn term_ordering_is_total(a in term_strategy(), b in term_strategy(), c in term_strategy()) {
-        // Antisymmetry + transitivity spot checks for the ORDER BY order.
-        use std::cmp::Ordering;
-        if a.cmp(&b) == Ordering::Less {
-            prop_assert_ne!(b.cmp(&a), Ordering::Less);
+/// Reflexive, antisymmetric and transitive: what `sort_by` needs of the
+/// order `ORDER BY` sorts with.
+#[test]
+fn term_ordering_is_total() {
+    check(|seed, g| {
+        let [a, b, c] = [g.ordered_term(), g.ordered_term(), g.ordered_term()];
+        assert_eq!(a.cmp(&a), Ordering::Equal, "seed {seed}: {a}");
+        for (x, y) in [(&a, &b), (&b, &c), (&a, &c)] {
+            assert_eq!(x.cmp(y), y.cmp(x).reverse(), "seed {seed}: {x} vs {y}");
+            assert_eq!(
+                x.cmp(y) == Ordering::Equal,
+                x == y,
+                "seed {seed}: {x} vs {y}"
+            );
         }
-        if a.cmp(&b) != Ordering::Greater && b.cmp(&c) != Ordering::Greater {
-            prop_assert_ne!(a.cmp(&c), Ordering::Greater);
+        // Every arrangement of the three: x ≤ y ≤ z ⇒ x ≤ z.
+        for [x, y, z] in [
+            [&a, &b, &c],
+            [&a, &c, &b],
+            [&b, &a, &c],
+            [&b, &c, &a],
+            [&c, &a, &b],
+            [&c, &b, &a],
+        ] {
+            if x <= y && y <= z {
+                assert!(x <= z, "seed {seed}: {x} ≤ {y} ≤ {z} but not {x} ≤ {z}");
+            }
         }
-    }
+    });
 }

@@ -459,7 +459,8 @@ impl Prepared {
 /// `est_rows` is the planner's [`crate::plan::PlanPattern::est_rows`];
 /// a join's label names the algorithm, kind and key (`hash-anti-join
 /// ?3≍?8 + residual`, `nested-loop-left-join`; `+ residual` when it
-/// checks a condition) and `est_rows` is the plan's
+/// checks a condition; `, build distinct ?5 ?6` when its build side is
+/// deduplicated on those variables) and `est_rows` is the plan's
 /// [`crate::plan::Plan::Join`] estimate.
 /// Rows, time (a join's is its probe time) and access are
 /// the tallies per operator *occurrence*; each planned exchange's driving
@@ -505,12 +506,12 @@ pub fn query_trace(
             }
             Operator::Join {
                 kind,
+                build,
                 key,
                 eq,
                 residual,
                 est_rows,
                 ordinal,
-                ..
             } => {
                 let name = match kind {
                     JoinKind::Inner => "join",
@@ -530,6 +531,14 @@ pub fn query_trace(
                 }
                 if residual {
                     label.push_str(" + residual");
+                }
+                if let Plan::Distinct(inner) = build {
+                    if let Plan::Project(vars, _) = inner.as_ref() {
+                        label.push_str(", build distinct");
+                        for v in vars {
+                            label.push_str(&format!(" ?{v}"));
+                        }
+                    }
                 }
                 span(OpKind::Join, label, est_rows, ordinal)
             }

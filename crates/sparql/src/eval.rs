@@ -1107,15 +1107,7 @@ impl BuildSide {
         let classes = self
             .eq
             .iter()
-            .map(|pair| {
-                let id = row.get(side(pair))?;
-                // An IRI or a blank node is its own class: no decode.
-                Some(if dict.is_literal(id) {
-                    eq_class(id, dict.decode(id))
-                } else {
-                    EqClass::Id(id)
-                })
-            })
+            .map(|pair| Some(eq_class(dict, row.get(side(pair))?)))
             .collect::<Option<_>>()?;
         Some((ids, classes))
     }

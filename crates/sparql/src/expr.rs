@@ -8,12 +8,21 @@
 //! `true || error = true`. Getting this right matters for the benchmark's
 //! negation queries: `!bound(?v)` must be `true` (not an error) when `?v`
 //! is unbound.
+//!
+//! A comparison of two terms the store holds — bound variables, and
+//! constants that occur in the data — reads no text when either has a
+//! value key ([`sp2b_store::Dictionary::value_key`]): two keys of one
+//! class decide all six operators by rank, and two value spaces are
+//! unequal and unordered. Of two keyless terms (IRIs, blank nodes,
+//! literals without a value mapping) none can be ordered, and only two
+//! such literals need their datatypes read to settle `=`. Text is read
+//! there and for constants absent from the store, through the same
+//! [`LitValue`] view the keys were ranked by.
 
 use std::cmp::Ordering;
 
-use sp2b_rdf::vocab::xsd;
-use sp2b_rdf::{LiteralRef, Term, TermRef};
-use sp2b_store::{Dictionary, Id, TripleStore};
+use sp2b_rdf::{LitValue, Term, TermRef};
+use sp2b_store::{Dictionary, Id, TripleStore, ValueKey};
 
 use crate::algebra::Expr;
 use crate::ast::CmpOp;
@@ -129,7 +138,7 @@ impl BoundExpr {
             BoundExpr::Compare(op, a, b) => {
                 let left = a.operand(bindings, store).ok_or(TypeError)?;
                 let right = b.operand(bindings, store).ok_or(TypeError)?;
-                compare(*op, left, right)
+                compare(*op, left, right, store.dictionary())
             }
             // A bare variable/constant in boolean position: its EBV.
             BoundExpr::Var(_) | BoundExpr::Const(..) => {
@@ -178,66 +187,58 @@ impl BoundExpr {
     }
 }
 
-/// Numeric / string / boolean view of a literal for value comparisons.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LitValue<'a> {
-    Int(i64),
-    Str(&'a str),
-    Bool(bool),
-    /// Typed literal we have no value mapping for.
-    Opaque(LiteralRef<'a>),
-}
-
-fn literal_value(l: LiteralRef<'_>) -> LitValue<'_> {
-    if let Some(i) = l.as_integer() {
-        return LitValue::Int(i);
-    }
-    if l.is_stringish() {
-        return LitValue::Str(l.lexical);
-    }
-    if l.datatype.and_then(|dt| dt.strip_prefix(xsd::NS)) == Some("boolean") {
-        match l.lexical {
-            "true" | "1" => return LitValue::Bool(true),
-            "false" | "0" => return LitValue::Bool(false),
-            _ => {}
-        }
-    }
-    LitValue::Opaque(l)
-}
-
-/// SPARQL `=` / `!=` / ordering over two operands.
-fn compare(op: CmpOp, a: Operand<'_>, b: Operand<'_>) -> ExprResult {
-    // Fast path: identical interned ids are RDFterm-equal — sufficient for
-    // `=`/`!=` truth, and consistent for orderings (equal terms).
+/// SPARQL `=` / `!=` / ordering over two operands of `dict`'s store.
+fn compare(op: CmpOp, a: Operand<'_>, b: Operand<'_>, dict: &Dictionary) -> ExprResult {
     if let (Some(x), Some(y)) = (a.id(), b.id()) {
-        if x == y {
-            return Ok(matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge));
-        }
-        // Two ids are two terms, and only two literals can be equal in
-        // value without being the same term: `=`/`!=` on anything else
-        // is settled here, without reading either term's text.
-        if !(a.is_literal() && b.is_literal()) {
-            match op {
-                CmpOp::Eq => return Ok(false),
-                CmpOp::Ne => return Ok(true),
-                _ => {}
+        match (dict.value_key(x), dict.value_key(y)) {
+            (Some(p), Some(q)) if p.class == q.class => return Ok(holds(op, p.rank.cmp(&q.rank))),
+            // Two value spaces, or a value and a term without one.
+            (Some(_), _) | (_, Some(_)) => return unrelated(op),
+            // One keyless term: RDFterm-equal to itself, never ordered.
+            (None, None) if x == y => {
+                return match op {
+                    CmpOp::Eq => Ok(true),
+                    CmpOp::Ne => Ok(false),
+                    _ => Err(TypeError),
+                }
             }
+            // Only two literals can be unequal *and* incomparable.
+            (None, None) if !(a.is_literal() && b.is_literal()) => return unrelated(op),
+            (None, None) => {}
         }
     }
-    let (ta, tb) = (a.term(), b.term());
+    compare_terms(op, a.term(), b.term())
+}
+
+/// `op` on two terms read as text: the comparison [`compare`] answers
+/// from value keys where it can, and agrees with everywhere.
+fn compare_terms(op: CmpOp, a: TermRef<'_>, b: TermRef<'_>) -> ExprResult {
     match op {
-        CmpOp::Eq => term_equal(ta, tb),
-        CmpOp::Ne => term_equal(ta, tb).map(|b| !b),
-        _ => {
-            let ord = value_order(ta, tb).ok_or(TypeError)?;
-            Ok(match op {
-                CmpOp::Lt => ord == Ordering::Less,
-                CmpOp::Le => ord != Ordering::Greater,
-                CmpOp::Gt => ord == Ordering::Greater,
-                CmpOp::Ge => ord != Ordering::Less,
-                CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
-            })
-        }
+        CmpOp::Eq => term_equal(a, b),
+        CmpOp::Ne => term_equal(a, b).map(|b| !b),
+        _ => value_order(a, b).map(|ord| holds(op, ord)).ok_or(TypeError),
+    }
+}
+
+/// Whether `op` holds between two comparable values ordered `ord`.
+fn holds(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::Ne => ord != Ordering::Equal,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::Le => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::Ge => ord != Ordering::Less,
+    }
+}
+
+/// `op` between two terms that are unequal and have no order: values of
+/// two classes, or a term that has a value and one that has none.
+fn unrelated(op: CmpOp) -> ExprResult {
+    match op {
+        CmpOp::Eq => Ok(false),
+        CmpOp::Ne => Ok(true),
+        _ => Err(TypeError),
     }
 }
 
@@ -246,14 +247,14 @@ fn term_equal(a: TermRef<'_>, b: TermRef<'_>) -> ExprResult {
     match (a, b) {
         (TermRef::Iri(x), TermRef::Iri(y)) => Ok(x == y),
         (TermRef::Blank(x), TermRef::Blank(y)) => Ok(x == y),
-        (TermRef::Literal(x), TermRef::Literal(y)) => match (literal_value(x), literal_value(y)) {
+        (TermRef::Literal(x), TermRef::Literal(y)) => match (x.value(), y.value()) {
             (LitValue::Int(i), LitValue::Int(j)) => Ok(i == j),
             (LitValue::Str(s), LitValue::Str(t)) => Ok(s == t),
             (LitValue::Bool(p), LitValue::Bool(q)) => Ok(p == q),
-            (LitValue::Opaque(p), LitValue::Opaque(q)) => {
-                if p == q {
+            (LitValue::Opaque, LitValue::Opaque) => {
+                if x == y {
                     Ok(true)
-                } else if p.datatype == q.datatype {
+                } else if x.datatype == y.datatype {
                     Ok(false)
                 } else {
                     // Incomparable typed literals: per spec, an error.
@@ -273,41 +274,33 @@ fn term_equal(a: TermRef<'_>, b: TermRef<'_>) -> ExprResult {
 /// dictionary ids (`"01"^^xsd:integer` and `"1"^^xsd:integer`, a plain
 /// `"a"` and `"a"^^xsd:string`) can be equal and must share a bucket.
 ///
-/// Defined here, over the same [`literal_value`] view [`term_equal`]
-/// compares, so the two cannot drift. The invariant the join relies on:
-/// `term_equal(a, b) == Ok(true)` ⇒ `eq_class(a) == eq_class(b)`. The
-/// converse need not hold — the join keeps the whole condition as its
-/// residual, so a shared bucket only nominates candidates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The class is the term's value key where it has one, and the term
+/// itself otherwise — the split [`compare`] decides `=` by. The
+/// invariant the join relies on: `term_equal(a, b) == Ok(true)` ⇒
+/// `eq_class(a) == eq_class(b)`. The converse need not hold — the join
+/// keeps the whole condition as its residual, so a shared bucket only
+/// nominates candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum EqClass {
     /// IRIs, blank nodes and literals with no value mapping are equal
     /// only to themselves: the dictionary id is the class.
-    Id(Id),
-    /// `xsd:integer` literals, by value.
-    Int(i64),
-    /// Plain and `xsd:string` literals, by lexical form.
-    Str(Box<str>),
-    /// `xsd:boolean` literals, by value.
-    Bool(bool),
+    Term(Id),
+    /// A literal with a value mapping: its value key.
+    Value(ValueKey),
 }
 
 /// The equality class of the interned term `id` (see [`EqClass`]).
-pub(crate) fn eq_class(id: Id, term: TermRef<'_>) -> EqClass {
-    match term {
-        TermRef::Literal(l) => match literal_value(l) {
-            LitValue::Int(i) => EqClass::Int(i),
-            LitValue::Str(s) => EqClass::Str(s.into()),
-            LitValue::Bool(b) => EqClass::Bool(b),
-            LitValue::Opaque(_) => EqClass::Id(id),
-        },
-        TermRef::Iri(_) | TermRef::Blank(_) => EqClass::Id(id),
+pub(crate) fn eq_class(dict: &Dictionary, id: Id) -> EqClass {
+    match dict.value_key(id) {
+        Some(key) => EqClass::Value(key),
+        None => EqClass::Term(id),
     }
 }
 
 /// Value ordering for `<`-family operators. `None` = incomparable (error).
 fn value_order(a: TermRef<'_>, b: TermRef<'_>) -> Option<Ordering> {
     match (a, b) {
-        (TermRef::Literal(x), TermRef::Literal(y)) => match (literal_value(x), literal_value(y)) {
+        (TermRef::Literal(x), TermRef::Literal(y)) => match (x.value(), y.value()) {
             (LitValue::Int(i), LitValue::Int(j)) => Some(i.cmp(&j)),
             (LitValue::Str(s), LitValue::Str(t)) => Some(s.cmp(t)),
             (LitValue::Bool(p), LitValue::Bool(q)) => Some(p.cmp(&q)),
@@ -321,11 +314,11 @@ fn value_order(a: TermRef<'_>, b: TermRef<'_>) -> Option<Ordering> {
 /// SPARQL effective boolean value of a term.
 fn effective_boolean_value(t: TermRef<'_>) -> ExprResult {
     match t {
-        TermRef::Literal(l) => match literal_value(l) {
+        TermRef::Literal(l) => match l.value() {
             LitValue::Bool(b) => Ok(b),
             LitValue::Int(i) => Ok(i != 0),
             LitValue::Str(s) => Ok(!s.is_empty()),
-            LitValue::Opaque(_) => Err(TypeError),
+            LitValue::Opaque => Err(TypeError),
         },
         _ => Err(TypeError),
     }
@@ -334,7 +327,8 @@ fn effective_boolean_value(t: TermRef<'_>) -> ExprResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::{Graph, Literal};
+    use sp2b_rdf::vocab::xsd;
+    use sp2b_rdf::{Graph, Iri, Literal};
     use sp2b_store::MemStore;
 
     fn store_with(terms: &[Term]) -> MemStore {
@@ -533,7 +527,7 @@ mod tests {
             Term::blank("b1"),
         ];
         let store = store_with(&zoo);
-        let class = |t: &Term| eq_class(store.resolve(t).expect("term interned"), t.as_ref());
+        let class = |t: &Term| eq_class(store.dictionary(), store.resolve(t).expect("interned"));
         let mut equal_pairs = 0;
         for a in &zoo {
             for b in &zoo {
@@ -549,6 +543,80 @@ mod tests {
         // And kinds stay apart where `=` says false.
         assert_ne!(class(&zoo[9]), class(&zoo[10]), "IRI vs string");
         assert_ne!(class(&zoo[0]), class(&zoo[7]), "integer 1 vs boolean 1");
+    }
+
+    /// Every operator over every pair of a seeded mix of terms gives the
+    /// same result from value keys as from the terms' text — whether an
+    /// operand is a bound variable, a constant the store holds, or a
+    /// constant it does not.
+    #[test]
+    fn value_keys_decide_as_the_text_does() {
+        let typed = |lex: &str, dt: &str| Term::Literal(Literal::typed(lex, Iri::new(dt)));
+        let mut rng = sp2b_datagen::rng::SplitMix64::new(29);
+        let mut draw = |n: u64| rng.next_u64() % n;
+        let zoo: Vec<Term> = (0..48)
+            .map(|_| {
+                let n = draw(7) as i64 - 3;
+                let digits = n.abs().to_string();
+                match draw(11) {
+                    0 => int(n),
+                    // "01"-style and "+1"-style forms of the same values.
+                    1 => typed(&format!("0{digits}"), xsd::INTEGER),
+                    2 => typed(&format!("+{digits}"), xsd::INTEGER),
+                    // Plain and xsd:string twins of the integers' text.
+                    3 => Term::Literal(Literal::plain(digits)),
+                    4 => s(&digits),
+                    5 => {
+                        let mut tagged = Literal::plain(digits);
+                        tagged.language = Some(["en", "de"][draw(2) as usize].into());
+                        Term::Literal(tagged)
+                    }
+                    6 => typed(["true", "false", "1", "0"][draw(4) as usize], xsd::BOOLEAN),
+                    7 => typed(
+                        &format!("200{digits}-01-01"),
+                        "http://www.w3.org/2001/XMLSchema#date",
+                    ),
+                    8 => Term::iri(format!("http://x/{digits}")),
+                    9 => Term::blank(format!("b{digits}")),
+                    _ => typed(&format!("{digits}x"), xsd::INTEGER),
+                }
+            })
+            .collect();
+        // The store holds the first two thirds; the rest are constants
+        // only (unless drawn twice).
+        let (held, _) = zoo.split_at(32);
+        let store = store_with(held);
+        let b = bindings_for(&store, &held.iter().map(Some).collect::<Vec<_>>());
+        let forms = |i: usize| {
+            let t = &zoo[i];
+            let constant = BoundExpr::Const(store.resolve(t), t.clone());
+            if i < held.len() {
+                vec![BoundExpr::Var(i), constant]
+            } else {
+                vec![constant]
+            }
+        };
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for (i, x) in zoo.iter().enumerate() {
+            for (j, y) in zoo.iter().enumerate() {
+                for op in ops {
+                    let text = compare_terms(op, x.as_ref(), y.as_ref());
+                    for l in forms(i) {
+                        for r in forms(j) {
+                            let e = BoundExpr::Compare(op, Box::new(l.clone()), Box::new(r));
+                            assert_eq!(e.evaluate(&b, &store), text, "{x} {op:?} {y}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod shard;
 pub mod stats;
 pub mod traits;
 
-pub use dictionary::{Dictionary, Id, IdTriple};
+pub use dictionary::{Dictionary, Id, IdTriple, ValueClass, ValueKey};
 pub use disk::{
     open_store, open_store_with, save_graph, save_graph_with, BlockCache, DiskShardStore,
 };

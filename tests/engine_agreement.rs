@@ -4,8 +4,12 @@
 
 use std::time::Duration;
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind};
+use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome, StoreLayout};
 use sp2bench::datagen::{generate_graph, Config};
+use sp2bench::rdf::ntriples::parse_document;
+use sp2bench::rdf::{Graph, Term};
+use sp2bench::sparql::QueryResult;
+use sp2bench::store::ShardBy;
 
 const TRIPLES: u64 = 6_000;
 const TIMEOUT: Duration = Duration::from_secs(300);
@@ -127,5 +131,49 @@ fn ordered_results_keep_order_across_engines() {
     }
     for s in &sequences[1..] {
         assert_eq!(s, &sequences[0]);
+    }
+}
+
+/// `ORDER BY` over integers mixed with plain literals whose text starts
+/// with digits — once a cycle in the term order (`"2"^^xsd:integer <
+/// "10"^^xsd:integer < "15x" < "2"^^xsd:integer`), which made the sort
+/// panic. Every engine layout returns all 80 rows, each sorted after
+/// the one before it.
+#[test]
+fn order_by_mixed_literals_sorts_on_every_engine() {
+    let mut graph = Graph::new();
+    for triple in parse_document(include_str!("data/mixed_literals.nt")).expect("fixture parses") {
+        graph.insert(triple);
+    }
+    let query = include_str!("data/mixed_literals.rq");
+    let engines = [
+        Engine::load(EngineKind::MemNaive, &graph),
+        Engine::load(EngineKind::NativeOpt, &graph),
+        Engine::load_with(
+            EngineKind::NativeOpt,
+            &graph,
+            &StoreLayout::sharded(3, ShardBy::Subject),
+        ),
+    ];
+    for engine in &engines {
+        let (outcome, _) = engine.run_text(query, Some(TIMEOUT), true);
+        let Outcome::Success {
+            result: Some(QueryResult::Solutions { rows, .. }),
+            ..
+        } = outcome
+        else {
+            panic!("{}: {outcome:?}", engine.kind())
+        };
+        let terms: Vec<&Term> = rows.iter().map(|r| r[0].as_ref().expect("bound")).collect();
+        assert_eq!(terms.len(), 80, "{}", engine.kind());
+        for pair in terms.windows(2) {
+            assert!(
+                pair[0] < pair[1],
+                "{}: {} before {}",
+                engine.kind(),
+                pair[0],
+                pair[1]
+            );
+        }
     }
 }

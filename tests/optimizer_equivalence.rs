@@ -4,16 +4,22 @@
 //! Random small graphs + a pool of query shapes covering the rewrite
 //! rules (BGP reordering, filter pushing into BGPs/joins, IRI-equality
 //! substitution, left-join handling, a join distributed over a UNION, a
-//! BGP split at a cut variable, DISTINCT on packed ids, negation as an
-//! anti-join, filters checked inside a join's probe);
+//! BGP split at a cut variable, a split's build side deduplicated under
+//! DISTINCT, DISTINCT on packed ids, negation as an anti-join, filters
+//! checked inside a join's probe);
 //! naive, heuristic and fully-optimized plans must return identical
 //! result multisets on both stores. Each graph comes from a seed printed
 //! in every assertion message; `SP2B_SEED=<n> cargo test --test
 //! optimizer_equivalence` replays that one graph.
 
+use sp2bench::core::BenchQuery;
 use sp2bench::datagen::rng::SplitMix64;
+use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::rdf::{Graph, Iri, Literal, Subject, Term};
-use sp2bench::sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult};
+use sp2bench::sparql::algebra::{translate, Algebra};
+use sp2bench::sparql::optimizer::optimize;
+use sp2bench::sparql::plan::{bind, operators, Operator, Plan};
+use sp2bench::sparql::{parse, OptimizerConfig, QueryEngine, QueryOptions, QueryResult};
 use sp2bench::store::{MemStore, NativeStore, SharedStore, TripleStore};
 
 /// Graphs per property.
@@ -142,7 +148,23 @@ const QUERY_POOL: &[&str] = &[
     "SELECT DISTINCT ?a ?c WHERE { ?a <http://t/p0> ?b OPTIONAL { ?b <http://t/p1> ?c } }",
     "SELECT DISTINCT ?a ?b ?c ?d ?e WHERE { ?a <http://t/p0> ?b . ?b ?p ?c . ?a ?q ?e
        OPTIONAL { ?c <http://t/p2> ?d } }",
+    // A split under DISTINCT keeps one build row per value of what is
+    // observed of it (see `SPLITS`): Q4's shape, one variable projected
+    // from each half; a filter above the split on a build variable
+    // nothing projects; an OPTIONAL above it on one; and COUNT over the
+    // split, where every row counts.
+    "SELECT DISTINCT ?n ?m WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?a <http://t/p2> ?x .
+       ?b <http://t/p0> ?j . ?b <http://t/p1> ?m . ?b <http://t/p2> ?y }",
+    "SELECT DISTINCT ?n ?m WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?a <http://t/p2> ?x .
+       ?b <http://t/p0> ?j . ?b <http://t/p1> ?m . ?b <http://t/p2> ?y FILTER (?x != ?y) }",
+    "SELECT DISTINCT ?n ?z WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?a <http://t/p2> ?x .
+       ?b <http://t/p0> ?j . ?b <http://t/p1> ?m . ?b <http://t/p2> ?y OPTIONAL { ?y <http://t/p3> ?z } }",
+    "SELECT (COUNT(*) AS ?c) WHERE { ?a <http://t/p0> ?j . ?a <http://t/p1> ?n . ?a <http://t/p2> ?x .
+       ?b <http://t/p0> ?j . ?b <http://t/p1> ?m . ?b <http://t/p2> ?y }",
 ];
+
+/// Where the split shapes sit in [`QUERY_POOL`].
+const SPLITS: std::ops::Range<usize> = QUERY_POOL.len() - 4..QUERY_POOL.len();
 
 /// The seeds to run: every case, or the one `SP2B_SEED` names.
 fn seeds() -> Vec<u64> {
@@ -220,4 +242,78 @@ fn stores_agree_under_full_optimization() {
             );
         }
     }
+}
+
+/// The variables each join of `plan` deduplicates its build side on.
+fn distinct_build_sides(plan: &Plan) -> Vec<Vec<usize>> {
+    let vars = |op| match op {
+        Operator::Join {
+            build: Plan::Distinct(inner),
+            ..
+        } => match inner.as_ref() {
+            Plan::Project(vars, _) => Some(vars.clone()),
+            _ => None,
+        },
+        _ => None,
+    };
+    operators(plan).into_iter().filter_map(vars).collect()
+}
+
+/// `query`'s plan under full optimization.
+fn full_plan(store: &SharedStore, query: &str) -> Plan {
+    let options = QueryOptions::new().parallelism(1);
+    let engine = QueryEngine::with_options(store.clone(), options);
+    engine.prepare(query).expect("query parses").plan().clone()
+}
+
+/// The random graphs do split the pool's split shapes, and deduplicate
+/// exactly the build sides under a DISTINCT — so the equivalence above
+/// has compared deduplicated plans with the naive ones.
+#[test]
+fn random_graphs_exercise_build_side_dedupe() {
+    let mut deduped = [0; 4];
+    for seed in seeds() {
+        let store = NativeStore::from_graph(&random_graph(seed)).into_shared();
+        for (n, query) in QUERY_POOL[SPLITS].iter().enumerate() {
+            deduped[n] += distinct_build_sides(&full_plan(&store, query)).len();
+        }
+    }
+    if std::env::var("SP2B_SEED").is_err() {
+        assert!(deduped[..3].iter().all(|&n| n > 0), "{deduped:?}");
+    }
+    assert_eq!(deduped[3], 0, "COUNT observes every row");
+}
+
+/// On Q4 over a generated document: the build side keeps ?journal and
+/// the one build variable observed above it, ?name2, projected or not
+/// (the filter reads it); a split under a slice — DISTINCT over LIMIT,
+/// which no query text can write, built here on the algebra — or under
+/// COUNT keeps every row.
+#[test]
+fn q4_dedupes_its_build_side_only_under_distinct() {
+    let (graph, _) = generate_graph(Config::triples(10_000));
+    let store = NativeStore::from_graph(&graph).into_shared();
+    let q4 = BenchQuery::Q4.text();
+    let keep = [distinct_build_sides(&full_plan(&store, q4))];
+    assert_eq!(keep[0].len(), 1, "{keep:?}");
+    let projects_name1 = q4.replace("?name1 ?name2", "?name1");
+    assert_eq!(
+        distinct_build_sides(&full_plan(&store, &projects_name1)),
+        keep[0]
+    );
+    let counts = q4.replace("DISTINCT ?name1 ?name2", "(COUNT(*) AS ?n)");
+    assert!(distinct_build_sides(&full_plan(&store, &counts)).is_empty());
+
+    let full = OptimizerConfig::full();
+    let t = translate(&parse(q4).expect("Q4 parses"));
+    let Algebra::Distinct(inner) = t.algebra else {
+        panic!("Q4 is a DISTINCT query")
+    };
+    let over_slice = Algebra::Distinct(Box::new(Algebra::Slice {
+        offset: 0,
+        limit: Some(10),
+        input: inner,
+    }));
+    let optimized = optimize(over_slice, &*store, &full, &t.projection);
+    assert!(distinct_build_sides(&bind(&optimized, &*store, &full)).is_empty());
 }

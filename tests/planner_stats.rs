@@ -530,13 +530,15 @@ fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
 /// What each operator of Q4, Q5b and Q8 emitted on `native-opt` at 50k
 /// when every step was a lookup (joins last, as `--explain` lists them).
 /// Q4's two stars each run once, 4 431 rows apiece, and the join pairs
-/// them by journal: 221 467 pairs, of which the 106 738 it emits pass
-/// `?name1 < ?name2`, checked inside the probe. Q8's two union branches
-/// each open at the one-row `?erdoes` pattern.
+/// them by journal: its build side keeps one row per distinct `(?name2,
+/// ?journal)`, and of the pairs the 88 602 it emits pass `?name1 <
+/// ?name2`, checked inside the probe (106 738 when the build side kept
+/// every row). Q8's two union branches each open at the one-row
+/// `?erdoes` pattern.
 const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
     (
         "Q4",
-        &[2338, 5874, 4437, 4431, 2338, 5874, 4437, 4431, 106738],
+        &[2338, 5874, 4437, 4431, 2338, 5874, 4437, 4431, 88602],
     ),
     ("Q5b", &[1128, 1380, 1380, 9050, 5874]),
     (
@@ -559,6 +561,22 @@ fn bgps(plan: &Plan) -> Vec<&[PlanPattern]> {
         Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => bgps(input),
         Plan::Exchange { input, .. } => bgps(input),
     }
+}
+
+/// The variables each join of `plan` deduplicates its build side on:
+/// the joins whose build side is `Distinct(Project(vars, …))`.
+fn distinct_build_sides(plan: &Plan) -> Vec<&[usize]> {
+    let vars = |op| match op {
+        Operator::Join {
+            build: Plan::Distinct(inner),
+            ..
+        } => match inner.as_ref() {
+            Plan::Project(vars, _) => Some(vars.as_slice()),
+            _ => None,
+        },
+        _ => None,
+    };
+    operators(plan).into_iter().filter_map(vars).collect()
 }
 
 /// The key of every inner join in `plan`.
@@ -641,6 +659,10 @@ fn q4_splits_at_journal() {
             let meets = |p: &PlanPattern| p.slots[1..] == [journal, PlanSlot::Var(cut)];
             assert!(steps.iter().any(meets), "Q4@{degree} joins on ?journal");
         }
+        // Under its DISTINCT the build side keeps what is observed of
+        // it: ?name2 (projected, and in the filter) and ?journal (the cut).
+        let deduped = distinct_build_sides(prepared.plan());
+        assert_eq!(deduped, [&[5, 6]], "Q4@{degree}");
         assert_eq!(engine.count(&prepared).expect("evaluates"), 71_317);
         let rows = counters.total_rows();
         assert!(rows <= 40_000, "Q4@{degree} scanned {rows} rows");
@@ -654,6 +676,7 @@ fn q4_splits_at_journal() {
     let prepared = naive.prepare(BenchQuery::Q4.text()).expect("parses");
     let chain: Vec<usize> = bgps(prepared.plan()).iter().map(|b| b.len()).collect();
     assert_eq!(chain, [8], "native-base keeps Q4's chain");
+    assert!(distinct_build_sides(prepared.plan()).is_empty());
     let (engine, _) = counting_engine(&store, 1);
     let prepared = engine.prepare(BenchQuery::Q2.text()).expect("parses");
     assert!(
