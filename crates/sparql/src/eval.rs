@@ -53,6 +53,22 @@
 //! set of slots, so every morsel probes the tables the sequential
 //! evaluation would have built, and builds none of its own.
 //!
+//! # Rows are values, not allocations
+//!
+//! A solution row ([`Bindings`]) is one 4-byte lane per query variable:
+//! the bound term's dictionary id, or [`UNBOUND`] — `Id::MAX`, which the
+//! dictionary never issues. Up to [`INLINE_LANES`] (16, one cache line)
+//! are held inline, which covers every SP²Bench query; a wider row spills
+//! its lanes to a boxed slice. So on the paths every row takes — a step
+//! extending its input row, a join emitting a match, a projection, a
+//! build side or an `ORDER BY` buffer filing a row, an exchange batch —
+//! a row is copied, never allocated. The keys built from rows are values
+//! too: a join key of up to four components is an inline array, a
+//! `DISTINCT` key of up to four lanes one packed integer ([`Seen`]), and
+//! a join's probe reuses one match buffer. What still allocates is per
+//! operator or per table, and the boxed scan iterator of each store
+//! lookup.
+//!
 //! Every row produced passes a [`Cancellation`] check, which is how the
 //! benchmark runner enforces the paper's 30-minute query timeout without
 //! detaching runaway threads.
@@ -68,65 +84,138 @@ use sp2b_rdf::{Literal, Term};
 use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, TripleStore};
 
 use crate::algebra::{EqPairs, GroupSpec};
-use crate::expr::{eq_class, BoundExpr, EqClass};
+use crate::expr::{eq_class, BoundExpr};
 use crate::plan::{
-    const_pattern, driving_scan, FetchRule, JoinKind, Plan, PlanOrderKey, PlanPattern, PlanSlot,
-    FETCH_CAP,
+    const_pattern, driving_scan, output_estimate, FetchRule, JoinKind, Plan, PlanOrderKey,
+    PlanPattern, PlanSlot, FETCH_CAP,
 };
 
 use sp2b_store::hash::{FxHashMap, FxHashSet};
 
-/// One solution row: a value slot per query variable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Bindings(Vec<Option<Id>>);
+/// How many variables a row holds inline: sixteen 4-byte lanes, one
+/// 64-byte cache line. Every SP²Bench query fits (the widest, Q7, has 14
+/// variables); a wider row spills its lanes to the heap.
+pub const INLINE_LANES: usize = 16;
+
+/// A lane's value for an unbound variable: the one id [`Dictionary`]
+/// never issues.
+pub const UNBOUND: Id = Id::MAX;
+
+/// One solution row: a lane per query variable, holding the bound term's
+/// dictionary id or [`UNBOUND`].
+///
+/// Rows of up to [`INLINE_LANES`] variables live inline, so making,
+/// cloning and dropping one — a step extending its input row, a join
+/// emitting a match, a projection, a row parked in a build side, an
+/// `ORDER BY` buffer or an exchange batch — copies 72 bytes and never
+/// touches the allocator. A wider row spills its lanes to one boxed
+/// slice, and then each clone allocates.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Bindings(Lanes);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Lanes {
+    /// `width` lanes in use; the rest stay [`UNBOUND`].
+    Inline {
+        width: u8,
+        lanes: [Id; INLINE_LANES],
+    },
+    Spilled(Box<[Id]>),
+}
 
 impl Bindings {
     /// All-unbound row of the given width.
     pub fn empty(width: usize) -> Self {
-        Bindings(vec![None; width])
+        Bindings(if width <= INLINE_LANES {
+            Lanes::Inline {
+                width: width as u8,
+                lanes: [UNBOUND; INLINE_LANES],
+            }
+        } else {
+            Lanes::Spilled(vec![UNBOUND; width].into())
+        })
     }
 
     /// Wraps explicit values.
     pub fn new(values: Vec<Option<Id>>) -> Self {
-        Bindings(values)
+        let mut row = Bindings::empty(values.len());
+        for (slot, value) in row.lanes_mut().iter_mut().zip(values) {
+            *slot = value.unwrap_or(UNBOUND);
+        }
+        row
     }
 
-    /// Value of variable `i`.
+    /// The lanes in use.
+    #[inline]
+    fn lanes(&self) -> &[Id] {
+        match &self.0 {
+            Lanes::Inline { width, lanes } => &lanes[..usize::from(*width)],
+            Lanes::Spilled(lanes) => lanes,
+        }
+    }
+
+    #[inline]
+    fn lanes_mut(&mut self) -> &mut [Id] {
+        match &mut self.0 {
+            Lanes::Inline { width, lanes } => &mut lanes[..usize::from(*width)],
+            Lanes::Spilled(lanes) => lanes,
+        }
+    }
+
+    /// Value of variable `i` (`None` when unbound or past the width).
     #[inline]
     pub fn get(&self, i: usize) -> Option<Id> {
-        self.0.get(i).copied().flatten()
+        self.lanes().get(i).copied().filter(|&id| id != UNBOUND)
     }
 
     /// Binds variable `i`.
     #[inline]
     pub fn set(&mut self, i: usize, v: Id) {
-        self.0[i] = Some(v);
+        debug_assert_ne!(v, UNBOUND, "no term has the unbound lane's id");
+        self.lanes_mut()[i] = v;
     }
 
-    /// Number of slots.
+    /// Number of variables.
     pub fn width(&self) -> usize {
-        self.0.len()
+        self.lanes().len()
     }
 
-    /// Raw slots.
-    pub fn as_slice(&self) -> &[Option<Id>] {
-        &self.0
+    /// Every variable's value, in variable order.
+    pub fn values(&self) -> impl Iterator<Item = Option<Id>> + '_ {
+        (0..self.width()).map(|i| self.get(i))
     }
 
     /// SPARQL merge into `out`, a row of the same width, without
     /// allocating: `false` on a conflict (`out` then holds no meaningful
     /// row), otherwise `true` with `out` the union of both rows' bindings.
+    /// [`UNBOUND`] is the largest id, so a lane's merge is the smaller of
+    /// the two — a branch-free pass over whole inline rows.
+    #[inline]
     pub fn merge_into(&self, other: &Bindings, out: &mut Bindings) -> bool {
         debug_assert_eq!(self.width(), other.width());
         debug_assert_eq!(self.width(), out.width());
-        for ((slot, &mine), &theirs) in out.0.iter_mut().zip(&self.0).zip(&other.0) {
-            *slot = match (mine, theirs) {
-                (Some(a), Some(b)) if a != b => return false,
-                (Some(a), _) => Some(a),
-                (None, b) => b,
-            };
+        fn merge(mine: &[Id], theirs: &[Id], out: &mut [Id]) -> bool {
+            let mut conflict = false;
+            for ((slot, &a), &b) in out.iter_mut().zip(mine).zip(theirs) {
+                conflict |= a != b && a != UNBOUND && b != UNBOUND;
+                *slot = a.min(b);
+            }
+            !conflict
         }
-        true
+        match (&self.0, &other.0, &mut out.0) {
+            (
+                Lanes::Inline { lanes: a, .. },
+                Lanes::Inline { lanes: b, .. },
+                Lanes::Inline { lanes: o, .. },
+            ) => merge(a, b, o),
+            _ => merge(self.lanes(), other.lanes(), out.lanes_mut()),
+        }
+    }
+}
+
+impl std::fmt::Debug for Bindings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.values()).finish()
     }
 }
 
@@ -585,10 +674,7 @@ impl<'a> EvalContext<'a> {
                 let input = self.eval_over(inner, drive);
                 Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
             }
-            Plan::Distinct(inner) => {
-                let mut seen = Seen::of(inner, self.width);
-                Box::new(self.eval(inner).filter(move |row| seen.insert(row)))
-            }
+            Plan::Distinct(inner) => self.eval_distinct(inner, Self::eval),
             Plan::Project(vars, inner) => {
                 let width = self.width;
                 let input = self.eval(inner);
@@ -639,13 +725,7 @@ impl<'a> EvalContext<'a> {
             }
             // The distinct *set* is order-independent, so deduplication
             // composes with the elided sort.
-            Plan::Distinct(inner) => {
-                let mut seen = Seen::of(inner, self.width);
-                Box::new(
-                    self.eval_unordered(inner)
-                        .filter(move |row| seen.insert(row)),
-                )
-            }
+            Plan::Distinct(inner) => self.eval_distinct(inner, Self::eval_unordered),
             other => self.eval(other),
         }
     }
@@ -693,6 +773,24 @@ impl<'a> EvalContext<'a> {
         }
     }
 
+    /// `Distinct(inner)`, evaluating what is below it with `eval`: under
+    /// `Distinct(Project(vars, x))` the rows of `x` are deduplicated on
+    /// `vars` ([`Seen::of`]) and only the survivors are projected.
+    fn eval_distinct(
+        self,
+        inner: &'a Plan,
+        eval: fn(Self, &'a Plan) -> RowIter<'a>,
+    ) -> RowIter<'a> {
+        let (mut seen, below) = Seen::of(inner, self.width);
+        let width = self.width;
+        let survivors: RowIter<'a> =
+            Box::new(eval(self, below).filter(move |row| seen.insert(row)));
+        match inner {
+            Plan::Project(vars, _) => project_rows(survivors, vars, width),
+            _ => survivors,
+        }
+    }
+
     /// Counts a plan's solutions without materializing or decoding terms:
     /// `ORDER BY` is skipped (sorting preserves cardinality), `OFFSET` /
     /// `LIMIT` become arithmetic, and `DISTINCT` deduplicates over raw id
@@ -721,10 +819,11 @@ impl<'a> EvalContext<'a> {
                 };
                 n.saturating_sub(*offset)
             }
+            // Survivors are counted, never projected.
             Plan::Distinct(inner) => {
-                let mut seen = Seen::of(inner, self.width);
+                let (mut seen, below) = Seen::of(inner, self.width);
                 let mut n = 0;
-                for row in self.clone().eval_unordered(inner) {
+                for row in self.clone().eval_unordered(below) {
                     if self.cancel.should_stop() {
                         break;
                     }
@@ -1001,35 +1100,52 @@ fn compare_agg_cells(dict: &Dictionary, a: &AggCell, b: &AggCell) -> std::cmp::O
     }
 }
 
-/// The rows a `DISTINCT` has let through, keyed on the variables the
-/// projection below it keeps (every slot, should nothing project there —
-/// the projection leaves the others unbound anyway). Up to four ids pack
-/// into one `u128`, [`UNBOUND`] standing in for an unbound slot, so
-/// checking a row allocates and clones nothing; a wider key is a boxed
-/// slice of the same lanes.
+/// The rows a `DISTINCT` has let through, keyed on the variables a
+/// projection right below it keeps — evaluated without that projection,
+/// which only the survivors then go through ([`EvalContext::eval_distinct`])
+/// — or on every variable when nothing projects there. The key is the
+/// variables' lanes ([`UNBOUND`] for an unbound one): up to four packed
+/// into one `u128`, so checking a row allocates and clones nothing; a
+/// wider key is a boxed slice of the lanes. The set is sized up front for the rows the planner expects
+/// below it ([`output_estimate`]), up to [`SEEN_RESERVE_CAP`], so a
+/// `DISTINCT` over tens of thousands of rows does not rehash its way up
+/// from empty.
 enum Seen {
     Packed(Vec<usize>, FxHashSet<u128>),
     Wide(Vec<usize>, FxHashSet<Box<[Id]>>),
 }
 
-/// A key lane's value for an unbound variable: the one id
-/// [`Dictionary`] never issues.
-const UNBOUND: Id = Id::MAX;
+/// The most keys a `DISTINCT` set reserves room for before its first row:
+/// an estimate can be off by orders of magnitude, and room beyond this is
+/// bought by growing, when rows actually come. The table rounds 2^17 keys
+/// at its 7/8 load up to 2^18 buckets of 16 bytes (a `u128` key, or a
+/// boxed slice's pointer and length) plus a control byte each — about
+/// 4.25 MiB per set, and a query holds one per `DISTINCT` it runs (Q4
+/// two: its build side's and its own).
+pub const SEEN_RESERVE_CAP: usize = 1 << 17;
 
 impl Seen {
-    fn of(inner: &Plan, width: usize) -> Self {
-        let vars = match inner {
-            Plan::Project(vars, _) => vars.clone(),
-            _ => (0..width).collect(),
+    /// The set for `Distinct(inner)`, and the plan whose rows it checks:
+    /// `inner`'s input when `inner` is a projection, `inner` otherwise.
+    fn of(inner: &Plan, width: usize) -> (Self, &Plan) {
+        let (vars, below) = match inner {
+            Plan::Project(vars, below) => (vars.clone(), &**below),
+            _ => ((0..width).collect(), inner),
         };
-        if vars.len() <= 4 {
-            Seen::Packed(vars, FxHashSet::default())
-        } else {
-            Seen::Wide(vars, FxHashSet::default())
+        let room = usize::try_from(output_estimate(inner))
+            .map_or(SEEN_RESERVE_CAP, |n| n.min(SEEN_RESERVE_CAP));
+        fn reserved<K>(room: usize) -> FxHashSet<K> {
+            FxHashSet::with_capacity_and_hasher(room, Default::default())
         }
+        let seen = match vars.len() {
+            0..=4 => Seen::Packed(vars, reserved(room)),
+            _ => Seen::Wide(vars, reserved(room)),
+        };
+        (seen, below)
     }
 
     /// Whether `row`'s key is new (and from now on seen).
+    #[inline]
     fn insert(&mut self, row: &Bindings) -> bool {
         let lane = |v: usize| row.get(v).unwrap_or(UNBOUND);
         match self {
@@ -1059,23 +1175,44 @@ fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowI
 /// flat list of the rows that have none. The key ([`JoinKey`]) is the
 /// build row's shared `key` variables, joined by id, plus the equality
 /// class of each `eq` pair's right variable (see
-/// [`crate::expr::EqClass`]); a probe row looks up the same ids and the
+/// [`crate::expr::eq_class`]); a probe row looks up the same ids and the
 /// classes of the pairs' left variables. With no key at all — or a key
 /// variable unbound in the row, possible under partial optional results —
 /// a build row goes to the flat list, which every probe scans, so no
 /// match is lost: a bucket only narrows the candidates, and
 /// [`Bindings::merge_into`] plus the join's condition decide.
+///
+/// The buckets share one row vector, each a chain through `next` in
+/// arrival order, so filing a row allocates nothing of its own.
 #[derive(Debug)]
 pub(crate) struct BuildSide {
     key: Vec<usize>,
     eq: EqPairs,
-    map: FxHashMap<JoinKey, Vec<Bindings>>,
+    /// Key → first and last row of its bucket, as indices into `rows`.
+    map: FxHashMap<JoinKey, (u32, u32)>,
+    rows: Vec<Bindings>,
+    /// Per row of `rows`, the next row of its bucket ([`CHAIN_END`] for
+    /// the last).
+    next: Vec<u32>,
     flat: Vec<Bindings>,
 }
 
+/// The `next` of a bucket's last row.
+const CHAIN_END: u32 = u32::MAX;
+
+/// How many components a [`JoinKey`] holds inline.
+const KEY_LANES: usize = 4;
+
 /// A bucket key: ids of the shared variables, then the classes of the
-/// `eq` pairs — empty, and allocation-free, for a join without any.
-type JoinKey = (Vec<Id>, Vec<EqClass>);
+/// `eq` pairs ([`crate::expr::eq_class`]), one `u64` each. Up to
+/// [`KEY_LANES`] components — Q4's one id, Q5a's and Q6's one class — are
+/// an inline value, the unused lanes zero; every key of one join has the
+/// same length, so the padding is never ambiguous. A wider key is boxed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum JoinKey {
+    Inline([u64; KEY_LANES]),
+    Wide(Box<[u64]>),
+}
 
 impl BuildSide {
     fn new(key: &[usize], eq: &EqPairs) -> Self {
@@ -1083,6 +1220,8 @@ impl BuildSide {
             key: key.to_vec(),
             eq: eq.clone(),
             map: FxHashMap::default(),
+            rows: Vec::new(),
+            next: Vec::new(),
             flat: Vec::new(),
         }
     }
@@ -1090,57 +1229,86 @@ impl BuildSide {
     /// The join key of `row`, taking each `eq` pair's variable for `side`;
     /// `None` when the join has no key or the row leaves part of it
     /// unbound.
+    #[inline]
     fn key_of(
         &self,
         dict: &Dictionary,
         row: &Bindings,
         side: fn(&(usize, usize)) -> usize,
     ) -> Option<JoinKey> {
-        if self.key.is_empty() && self.eq.is_empty() {
+        let len = self.key.len() + self.eq.len();
+        if len == 0 {
             return None;
         }
-        let ids = self
-            .key
-            .iter()
-            .map(|&v| row.get(v))
-            .collect::<Option<_>>()?;
+        let ids = self.key.iter().map(|&v| row.get(v).map(u64::from));
         let classes = self
             .eq
             .iter()
-            .map(|pair| Some(eq_class(dict, row.get(side(pair))?)))
-            .collect::<Option<_>>()?;
-        Some((ids, classes))
+            .map(|pair| Some(eq_class(dict, row.get(side(pair))?)));
+        let mut components = ids.chain(classes);
+        if len > KEY_LANES {
+            return components.collect::<Option<_>>().map(JoinKey::Wide);
+        }
+        let mut lanes = [0; KEY_LANES];
+        for (lane, component) in lanes.iter_mut().zip(&mut components) {
+            *lane = component?;
+        }
+        Some(JoinKey::Inline(lanes))
     }
 
     /// Files one build-side row. Rows arrive in evaluation order, which
     /// is bucket order — and with it probe output order.
     fn insert(&mut self, dict: &Dictionary, row: Bindings) {
-        match self.key_of(dict, &row, |pair| pair.1) {
-            Some(k) => self.map.entry(k).or_default().push(row),
-            None => self.flat.push(row),
+        let Some(key) = self.key_of(dict, &row, |pair| pair.1) else {
+            self.flat.push(row);
+            return;
+        };
+        let at = u32::try_from(self.rows.len()).expect("a build side holds under 2^32 rows");
+        self.rows.push(row);
+        self.next.push(CHAIN_END);
+        match self.map.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut bucket) => {
+                let (_, last) = bucket.get_mut();
+                self.next[*last as usize] = at;
+                *last = at;
+            }
+            std::collections::hash_map::Entry::Vacant(bucket) => {
+                bucket.insert((at, at));
+            }
         }
     }
 
     /// Candidate rows for a probe row: its bucket, then the flat list.
+    #[inline]
     fn lookup<'m>(
         &'m self,
         dict: &Dictionary,
         probe: &Bindings,
     ) -> impl Iterator<Item = &'m Bindings> {
-        let bucket = self
+        let mut at = self
             .key_of(dict, probe, |pair| pair.0)
             .and_then(|k| self.map.get(&k))
-            .map_or(&[][..], Vec::as_slice);
-        bucket.iter().chain(self.flat.iter())
+            .map_or(CHAIN_END, |&(first, _)| first);
+        let bucket = std::iter::from_fn(move || {
+            let row = self.rows.get(at as usize)?;
+            at = self.next[at as usize];
+            Some(row)
+        });
+        bucket.chain(self.flat.iter())
     }
 }
+
+/// Rows a probe found and not yet delivered. One buffer serves every
+/// probe row of a join instance, so probing allocates only while the
+/// buffer grows to the largest match count.
+type Matches = std::collections::VecDeque<Bindings>;
 
 /// The probe half of a hash join: streams `input`, probing `build` per
 /// row ([`probe`]), and books rows out and probe time against the join's
 /// `ordinal`.
 fn join_rows<'a>(
     ctx: EvalContext<'a>,
-    input: RowIter<'a>,
+    mut input: RowIter<'a>,
     build: Arc<BuildSide>,
     kind: JoinKind,
     condition: Option<&'a BoundExpr>,
@@ -1148,17 +1316,19 @@ fn join_rows<'a>(
 ) -> RowIter<'a> {
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut scratch = Bindings::empty(ctx.width);
-    Box::new(input.flat_map(move |l| {
-        if ctx.cancel.should_stop() {
-            return Vec::new().into_iter();
+    let mut out = Matches::new();
+    Box::new(std::iter::from_fn(move || loop {
+        if let Some(row) = out.pop_front() {
+            return Some(row);
         }
-        tally
-            .record(|| {
-                let out = probe(&ctx, &build, kind, condition, l, &mut scratch);
-                let rows = out.len() as u64;
-                (out, rows)
-            })
-            .into_iter()
+        if ctx.cancel.should_stop() {
+            return None;
+        }
+        let l = input.next()?;
+        tally.record(|| {
+            let rows = probe(&ctx, &build, kind, condition, l, &mut scratch, &mut out);
+            ((), rows)
+        });
     }))
 }
 
@@ -1190,9 +1360,9 @@ fn symmetric_join_rows<'a>(
     let mut turn = 0;
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut scratch = Bindings::empty(ctx.width);
-    let mut out = Vec::new().into_iter();
+    let mut out = Matches::new();
     Box::new(std::iter::from_fn(move || loop {
-        if let Some(row) = out.next() {
+        if let Some(row) = out.pop_front() {
             return Some(row);
         }
         if ctx.cancel.should_stop() {
@@ -1209,20 +1379,19 @@ fn symmetric_join_rows<'a>(
             continue;
         };
         // A merge is the same row whichever side it starts from.
-        out = tally
-            .record(|| {
-                let out = probe(
-                    &ctx,
-                    other_seen,
-                    JoinKind::Inner,
-                    condition,
-                    row.clone(),
-                    &mut scratch,
-                );
-                let rows = out.len() as u64;
-                (out, rows)
-            })
-            .into_iter();
+        tally.record(|| {
+            let l = row.clone();
+            let rows = probe(
+                &ctx,
+                other_seen,
+                JoinKind::Inner,
+                condition,
+                l,
+                &mut scratch,
+                &mut out,
+            );
+            ((), rows)
+        });
         // Nothing will probe this table once the other input has ended.
         if other_input.is_some() {
             seen.insert(ctx.store.dictionary(), row);
@@ -1230,10 +1399,11 @@ fn symmetric_join_rows<'a>(
     }))
 }
 
-/// Probes `build` with one row `l`: each candidate is merged into
+/// Probes `build` with one row `l`, appending what it emits to `out` and
+/// returning how many rows that is: each candidate is merged into
 /// `scratch` ([`Bindings::merge_into`], which checks every shared
 /// position, possibly-bound ones included) and `condition` is evaluated
-/// there, so only a match — a merge that passes — is ever cloned into a
+/// there, so only a match — a merge that passes — is ever copied into a
 /// row of its own. An inner join emits its matches; an OPTIONAL its
 /// matches or, with none, `l`; an anti-join `l` when there is no match
 /// and nothing otherwise, stopping at the first. Cancellation is checked
@@ -1247,8 +1417,9 @@ fn probe(
     condition: Option<&BoundExpr>,
     l: Bindings,
     scratch: &mut Bindings,
-) -> Vec<Bindings> {
-    let mut out: Vec<Bindings> = Vec::new();
+    out: &mut Matches,
+) -> u64 {
+    let before = out.len();
     for r in build.lookup(ctx.store.dictionary(), &l) {
         if ctx.cancel.should_stop() {
             break;
@@ -1259,14 +1430,14 @@ fn probe(
             continue;
         }
         if kind == JoinKind::Anti {
-            return out;
+            return 0;
         }
-        out.push(scratch.clone());
+        out.push_back(scratch.clone());
     }
-    if out.is_empty() && kind != JoinKind::Inner {
-        out.push(l);
+    if out.len() == before && kind != JoinKind::Inner {
+        out.push_back(l);
     }
-    out
+    (out.len() - before) as u64
 }
 
 /// One pattern step of a BGP: extends every input row by the triples
@@ -1534,6 +1705,39 @@ mod tests {
     }
 
     #[test]
+    fn rows_hold_sixteen_lanes_inline_and_spill_past_them() {
+        assert_eq!(
+            std::mem::size_of::<Bindings>(),
+            72,
+            "one cache line of lanes"
+        );
+        assert_eq!(std::mem::size_of::<Option<Bindings>>(), 72);
+        for width in [0, 3, INLINE_LANES, INLINE_LANES + 1, 40] {
+            let lanes = |bound: fn(Id) -> bool| -> Vec<Option<Id>> {
+                (0..width as Id).map(|i| bound(i).then_some(i)).collect()
+            };
+            let values = lanes(|i| i % 3 != 0);
+            let row = Bindings::new(values.clone());
+            assert_eq!(row.width(), width);
+            assert_eq!(row.values().collect::<Vec<_>>(), values);
+            assert_eq!(row.get(width), None, "past the width");
+            // Merging in the lanes the row leaves unbound binds them all.
+            let other = Bindings::new(lanes(|i| i % 3 == 0));
+            let mut out = Bindings::empty(width);
+            assert!(row.merge_into(&other, &mut out));
+            assert_eq!(out.values().collect::<Vec<_>>(), lanes(|_| true));
+            if width > 1 {
+                let mut conflicting = other.clone();
+                conflicting.set(1, 99);
+                assert!(
+                    !row.merge_into(&conflicting, &mut out),
+                    "lane 1 is 1 in `row`"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn single_pattern() {
         let rows = run("SELECT ?o WHERE { <http://x/alice> <http://x/knows> ?o }");
         assert_eq!(rows.len(), 1);
@@ -1694,7 +1898,7 @@ mod tests {
                 steps: Arc::default(),
             };
             let sorted = |rows: RowIter<'_>| {
-                let mut rows: Vec<_> = rows.map(|r| r.as_slice().to_vec()).collect();
+                let mut rows: Vec<Vec<_>> = rows.map(|r| r.values().collect()).collect();
                 rows.sort();
                 rows
             };

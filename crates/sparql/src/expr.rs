@@ -22,7 +22,7 @@
 use std::cmp::Ordering;
 
 use sp2b_rdf::{LitValue, Term, TermRef};
-use sp2b_store::{Dictionary, Id, TripleStore, ValueKey};
+use sp2b_store::{Dictionary, Id, TripleStore, ValueClass, ValueKey};
 
 use crate::algebra::Expr;
 use crate::ast::CmpOp;
@@ -275,26 +275,24 @@ fn term_equal(a: TermRef<'_>, b: TermRef<'_>) -> ExprResult {
 /// `"a"` and `"a"^^xsd:string`) can be equal and must share a bucket.
 ///
 /// The class is the term's value key where it has one, and the term
-/// itself otherwise — the split [`compare`] decides `=` by. The
-/// invariant the join relies on: `term_equal(a, b) == Ok(true)` ⇒
-/// `eq_class(a) == eq_class(b)`. The converse need not hold — the join
-/// keeps the whole condition as its residual, so a shared bucket only
-/// nominates candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum EqClass {
-    /// IRIs, blank nodes and literals with no value mapping are equal
-    /// only to themselves: the dictionary id is the class.
-    Term(Id),
-    /// A literal with a value mapping: its value key.
-    Value(ValueKey),
-}
-
-/// The equality class of the interned term `id` (see [`EqClass`]).
-pub(crate) fn eq_class(dict: &Dictionary, id: Id) -> EqClass {
-    match dict.value_key(id) {
-        Some(key) => EqClass::Value(key),
-        None => EqClass::Term(id),
-    }
+/// itself otherwise — the split [`compare`] decides `=` by — as one
+/// integer, what a join key holds: IRIs, blank nodes and literals with no
+/// value mapping are equal only to themselves, and their class is their
+/// id, below 2^32; a value key is its rank above that, tagged with its
+/// value space. The invariant the join relies on: `term_equal(a, b) ==
+/// Ok(true)` ⇒ `eq_class(a) == eq_class(b)`. The converse need not hold —
+/// the join keeps the whole condition as its residual, so a shared bucket
+/// only nominates candidates.
+pub(crate) fn eq_class(dict: &Dictionary, id: Id) -> u64 {
+    let Some(ValueKey { class, rank }) = dict.value_key(id) else {
+        return u64::from(id);
+    };
+    let space: u64 = match class {
+        ValueClass::Int => 1,
+        ValueClass::Str => 2,
+        ValueClass::Bool => 3,
+    };
+    space << 32 | u64::from(rank)
 }
 
 /// Value ordering for `<`-family operators. `None` = incomparable (error).

@@ -453,7 +453,7 @@ fn negation_rest(e: &Expr, a: &Algebra, b: &Algebra) -> Option<Vec<Expr>> {
 
 /// The rows `plan` is estimated to emit, as far as its operators carry
 /// estimates: a BGP's last step, a join's own.
-fn output_estimate(plan: &Plan) -> u64 {
+pub(crate) fn output_estimate(plan: &Plan) -> u64 {
     match plan {
         Plan::Bgp { patterns, .. } => patterns.last().map_or(1, |p| p.est_rows),
         Plan::Join { est_rows, .. } => *est_rows,

@@ -23,6 +23,10 @@ use sp2bench::store::{save_graph, MemStore, NativeStore, ShardBy, SharedStore, T
 const TRIPLES: u64 = 8_000;
 const PARALLEL_DEGREES: [usize; 3] = [2, 4, 8];
 
+/// Held by each test that sets the process-wide fan-out budget, so one
+/// cannot reset it under the other.
+static BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn all_query_texts() -> Vec<(&'static str, &'static str)> {
     let mut queries: Vec<(&'static str, &'static str)> = BenchQuery::ALL
         .iter()
@@ -202,10 +206,14 @@ fn queries_with_limit_modifiers_agree_in_order() {
 /// joined on `?name = ?name2`) included, which have no ORDER BY. Once
 /// under the default fan-out budget, which nothing this small outlives,
 /// and (debug builds) once with the budget at zero, where workers
-/// evaluate every morsel but the first. The only test of this binary that
-/// touches the process-wide budget; the others hold under either.
+/// evaluate every morsel but the first. One of the two tests of this
+/// binary that touch the process-wide budget, which [`BUDGET`] keeps
+/// apart; the others hold under either.
 #[test]
 fn row_sequences_do_not_depend_on_parallelism_or_the_fan_out_budget() {
+    let _budget = BUDGET
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (graph, _) = generate_graph(Config::triples(1_500));
     let dir = std::env::temp_dir().join(format!("sp2b-par-eq-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -302,4 +310,156 @@ fn render(solution: &sp2bench::sparql::Solution<'_>) -> String {
         .map(|i| solution.get(i).map_or("-".into(), |t| t.to_string()))
         .collect::<Vec<_>>()
         .join("\t")
+}
+
+/// Rows past the inline lanes, join keys past the inline components,
+/// `?x = ?y` join keys and `DISTINCT` keys of every packed width (with
+/// OPTIONAL-unbound lanes): each shape is one `(SELECT clause, group)`.
+const WIDE_SHAPES: &[(&str, &str)] = &[
+    // Five shared certain variables and the subject: a six-id join key,
+    // as an inner and as an optional join.
+    (
+        "SELECT ?a ?t ?y ?j ?v ?n ?p",
+        "{ { ?a dc:title ?t . ?a dcterms:issued ?y . ?a swrc:journal ?j . ?a swrc:volume ?v . ?a swrc:number ?n }
+           { ?a dc:title ?t . ?a dcterms:issued ?y . ?a swrc:journal ?j . ?a swrc:volume ?v . ?a swrc:number ?n .
+             ?a swrc:pages ?p } }",
+    ),
+    (
+        "SELECT ?a ?t ?y ?j ?v ?n ?p",
+        "{ { ?a dc:title ?t . ?a dcterms:issued ?y . ?a swrc:journal ?j . ?a swrc:volume ?v . ?a swrc:number ?n }
+           OPTIONAL { ?a dc:title ?t . ?a dcterms:issued ?y . ?a swrc:journal ?j . ?a swrc:volume ?v .
+             ?a swrc:number ?n . ?a swrc:pages ?p } }",
+    ),
+    // Q5a's shape: two components joined on `?name = ?name2`; and an
+    // integer-valued equality beside a shared id.
+    (
+        "SELECT DISTINCT ?person ?name",
+        "{ ?article rdf:type bench:Article . ?article dc:creator ?person . ?person foaf:name ?name .
+           ?inproc rdf:type bench:Inproceedings . ?inproc dc:creator ?person2 . ?person2 foaf:name ?name2
+           FILTER (?name = ?name2) }",
+    ),
+    (
+        "SELECT ?a ?t",
+        "{ { ?a swrc:journal ?j . ?a dcterms:issued ?y } { ?j dcterms:issued ?y2 . ?j dc:title ?t }
+           FILTER (?y = ?y2) }",
+    ),
+    // DISTINCT over 1, 2, 3, 4 and 6 variables, some only an OPTIONAL
+    // binds.
+    (
+        "SELECT DISTINCT ?month",
+        "{ ?a rdf:type bench:Article OPTIONAL { ?a swrc:month ?month } }",
+    ),
+    (
+        "SELECT DISTINCT ?j ?note",
+        "{ ?a swrc:journal ?j OPTIONAL { ?a bench:note ?note } }",
+    ),
+    (
+        "SELECT DISTINCT ?j ?y ?cdrom",
+        "{ ?a swrc:journal ?j . ?a dcterms:issued ?y OPTIONAL { ?a bench:cdrom ?cdrom } }",
+    ),
+    (
+        "SELECT DISTINCT ?j ?y ?note ?cdrom",
+        "{ ?a swrc:journal ?j . ?a dcterms:issued ?y OPTIONAL { ?a bench:note ?note }
+           OPTIONAL { ?a bench:cdrom ?cdrom } }",
+    ),
+    (
+        "SELECT DISTINCT ?j ?y ?note ?cdrom ?abstract ?month",
+        "{ ?a swrc:journal ?j . ?a dcterms:issued ?y OPTIONAL { ?a bench:note ?note }
+           OPTIONAL { ?a bench:cdrom ?cdrom } OPTIONAL { ?a bench:abstract ?abstract }
+           OPTIONAL { ?a swrc:month ?month } }",
+    ),
+];
+
+/// Wide rows (`tests/data/wide.rq`: 22 variables, which spill), wide and
+/// `?x = ?y` join keys, and DISTINCT keys of 1 to 6 lanes, on
+/// `native-opt` resident, over 3 shards and on disk, at parallelism 1, 2
+/// and 4. Each shape ordered by every projected variable gives
+/// `mem-naive`'s row sequence exactly; as written — no order to fall back
+/// on — each gives the same store's sequence at parallelism 1 (a sharded
+/// store scans shard by shard, so its order is its own), and `mem-naive`'s
+/// rows as a multiset. Under the default fan-out budget and (debug
+/// builds) with the budget at zero, so wide rows cross the exchange too.
+#[test]
+fn wide_rows_and_keys_agree_with_the_naive_engine_row_for_row() {
+    let _budget = BUDGET
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (graph, _) = generate_graph(Config::triples(5_000));
+    let dir = std::env::temp_dir().join(format!("sp2b-wide-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).expect("create scratch dir");
+    save_graph(&dir, &graph, 2, ShardBy::Subject).expect("save");
+    let naive = Engine::load(EngineKind::MemNaive, &graph);
+    let engines = [
+        ("native-opt", Engine::load(EngineKind::NativeOpt, &graph)),
+        (
+            "native-opt × 3 shards",
+            Engine::load_with(
+                EngineKind::NativeOpt,
+                &graph,
+                &StoreLayout::sharded(3, ShardBy::Subject),
+            ),
+        ),
+        (
+            "native-opt on disk",
+            Engine::open_disk(EngineKind::NativeOpt, &dir, Some(64 * 1024)).expect("open"),
+        ),
+    ];
+    let rows = |engine: &Engine, text: &str, degree: usize| {
+        let engine = engine.query_engine_with(None, Some(degree));
+        let prepared = engine
+            .prepare(text)
+            .unwrap_or_else(|e| panic!("{e}: {text}"));
+        match engine.execute(&prepared).expect("evaluates") {
+            QueryResult::Solutions { rows, .. } => rows,
+            QueryResult::Boolean(_) => panic!("a SELECT"),
+        }
+    };
+    let sorted = |mut rows: Vec<Vec<Option<sp2bench::rdf::Term>>>| {
+        rows.sort_by_key(|row| format!("{row:?}"));
+        rows
+    };
+    let wide = include_str!("data/wide.rq");
+    let mut texts = vec![(wide.to_owned(), true)];
+    for (select, group) in WIDE_SHAPES {
+        let vars: Vec<&str> = select
+            .split_whitespace()
+            .filter(|w| w.starts_with('?'))
+            .collect();
+        texts.push((format!("{select} WHERE {group}"), false));
+        texts.push((
+            format!("{select} WHERE {group} ORDER BY {}", vars.join(" ")),
+            true,
+        ));
+    }
+    let agree = |budget: &str| {
+        for (text, ordered) in &texts {
+            let reference = rows(&naive, text, 1);
+            assert!(!reference.is_empty(), "{text}");
+            for (name, engine) in &engines {
+                let written = rows(engine, text, 1);
+                for degree in [1, 2, 4] {
+                    let got = rows(engine, text, degree);
+                    if *ordered {
+                        assert!(got == reference, "{name} @{degree}, {budget}: {text}");
+                    } else {
+                        assert!(got == written, "{name} @{degree} vs @1, {budget}: {text}");
+                        assert!(
+                            sorted(got) == sorted(reference.clone()),
+                            "{name} @{degree} vs mem-naive as multisets, {budget}: {text}"
+                        );
+                    }
+                }
+            }
+        }
+    };
+    agree("default budget");
+    #[cfg(debug_assertions)]
+    {
+        use sp2bench::sparql::par::diag;
+        diag::fan_out_at_once(true);
+        agree("budget zero");
+        diag::fan_out_at_once(false);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
