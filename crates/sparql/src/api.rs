@@ -39,10 +39,10 @@ use sp2b_store::{Dictionary, Id, SharedStore, TripleStore};
 
 use std::sync::Arc;
 
-use crate::algebra::{translate_query, GroupSpec, TranslateError};
+use crate::algebra::{translate_query, TranslateError};
 use crate::ast::Query;
 use crate::eval::{
-    AggCell, AggRow, Bindings, Cancellation, EvalContext, RowIter, ScanCounters, StepState,
+    AggCell, AggRow, Bindings, Cancellation, EvalContext, Observe, RowIter, ScanCounters, StepState,
 };
 use crate::optimizer::{optimize, OptimizerConfig};
 use crate::parser::{parse, ParseError};
@@ -59,6 +59,9 @@ pub enum Error {
     Cancelled,
     /// A construct the engine does not support.
     Unsupported(String),
+    /// The store failed under the query: a segment block that no longer
+    /// reads back as saved (see `sp2b_store::TripleStore::fault`).
+    Store(String),
 }
 
 impl fmt::Display for Error {
@@ -70,6 +73,7 @@ impl fmt::Display for Error {
             }
             Error::Cancelled => f.write_str("query evaluation cancelled (timeout)"),
             Error::Unsupported(what) => write!(f, "unsupported: {what}"),
+            Error::Store(msg) => f.write_str(msg),
         }
     }
 }
@@ -263,9 +267,10 @@ impl QueryEngine {
 
     /// Parses and prepares a query. Preparation resolves constants against
     /// the store, applies the optimizer, binds the physical plan and —
-    /// when the configured [`QueryOptions::parallelism`] exceeds 1 —
-    /// inserts a morsel-driven [`Plan::Exchange`] above every driving
-    /// scan. The result is reusable across executions.
+    /// when the configured [`QueryOptions::parallelism`] exceeds 1 and
+    /// the query is no ASK — inserts a morsel-driven [`Plan::Exchange`]
+    /// above every driving scan. The result is reusable across
+    /// executions.
     pub fn prepare(&self, text: &str) -> Result<Prepared, Error> {
         let query = parse(text)?;
         self.prepare_query(&query)
@@ -282,7 +287,13 @@ impl QueryEngine {
             &needed,
         );
         let plan = bind(&algebra, self.store(), &self.options.optimizer);
-        let plan = parallelize(plan, self.options.parallelism);
+        // An ASK hangs up at its first row, long before an exchange would
+        // have earned its workers: it plans none.
+        let plan = if translated.ask {
+            plan
+        } else {
+            parallelize(plan, self.options.parallelism)
+        };
         Ok(Prepared {
             operators: operators(&plan).len(),
             plan,
@@ -319,7 +330,11 @@ impl QueryEngine {
 
     /// Streams solutions lazily; terms decode only when a [`Solution`]
     /// column is read. Cancellation (from the configured timeout) surfaces
-    /// as an `Err(Error::Cancelled)` item.
+    /// as an `Err(Error::Cancelled)` item, a store fault as an
+    /// `Err(Error::Store)` item in place of the next row.
+    ///
+    /// An ASK streams the `Witness` walk ([`Observe`]) up to its first
+    /// row, as one zero-column solution: the answer is whether it comes.
     pub fn solutions<'p>(&'p self, prepared: &'p Prepared) -> Solutions<'p> {
         let cancel = self.cancellation();
         self.solutions_with(prepared, &cancel)
@@ -334,18 +349,19 @@ impl QueryEngine {
     ) -> Solutions<'p> {
         let cancel = cancel.clone();
         let ctx = self.context(prepared, &cancel);
-        let state = if let Plan::GroupAggregate { spec, input } = &prepared.plan {
-            StreamState::PendingGroups { ctx, spec, input }
-        } else if prepared.ask {
-            StreamState::Ask(Some(ctx.eval_witness(&prepared.plan)))
-        } else {
-            StreamState::Rows {
-                iter: ctx.eval(&prepared.plan),
-                projection: &prepared.projection,
+        let state = match &prepared.plan {
+            // Grouping waits for the first pull.
+            Plan::GroupAggregate { spec, input } => {
+                let groups = move || ctx.sort_and_slice_groups(spec, ctx.eval_groups(spec, input));
+                StreamState::Groups(Box::new(std::iter::once_with(groups).flatten()))
             }
+            plan => StreamState::Rows {
+                iter: ctx.rows(plan, prepared.observe(Observe::Rows)),
+                projection: &prepared.projection,
+            },
         };
         Solutions {
-            dict: self.store.dictionary(),
+            store: &*self.store,
             cancel,
             columns: &prepared.columns,
             state,
@@ -381,8 +397,8 @@ impl QueryEngine {
 
     /// Executes, returning only the solution count (ASK → 0/1; aggregate
     /// queries → number of groups). This path never decodes a term: ORDER
-    /// BY is skipped (sorting preserves cardinality), OFFSET/LIMIT become
-    /// arithmetic, and grouping runs over raw dictionary ids.
+    /// BY and projections are skipped, OFFSET/LIMIT skip and take without
+    /// building a row, and grouping runs over raw dictionary ids.
     pub fn count(&self, prepared: &Prepared) -> Result<u64, Error> {
         let cancel = self.cancellation();
         self.count_with(prepared, &cancel)
@@ -393,16 +409,11 @@ impl QueryEngine {
         if cancel.should_stop() {
             return Err(Error::Cancelled);
         }
-        let ctx = self.context(prepared, cancel);
-        let n = if prepared.ask {
-            u64::from(ctx.clone().eval_witness(&prepared.plan).next().is_some())
-        } else {
-            ctx.count_rows(&prepared.plan)
-        };
-        if cancel.was_triggered() {
-            return Err(Error::Cancelled);
-        }
-        Ok(n)
+        let observe = prepared.observe(Observe::Count);
+        let n = self
+            .context(prepared, cancel)
+            .count(&prepared.plan, observe);
+        interrupted(self.store(), cancel).map(|()| n)
     }
 
     /// One-shot convenience: parse, prepare and execute.
@@ -450,11 +461,33 @@ impl Prepared {
     pub fn is_aggregate(&self) -> bool {
         matches!(self.plan, Plan::GroupAggregate { .. })
     }
+
+    /// How a consumer that would read `otherwise` reads this query's
+    /// rows: an ASK only ever reads whether there is one.
+    fn observe(&self, otherwise: Observe) -> Observe {
+        if self.ask {
+            Observe::Witness
+        } else {
+            otherwise
+        }
+    }
+}
+
+/// What cut an execution short, if anything: its cancellation, or a fault
+/// the store found while it ran — rows it could not read, which no
+/// answer may leave out.
+fn interrupted(store: &dyn TripleStore, cancel: &Cancellation) -> Result<(), Error> {
+    if cancel.was_triggered() {
+        return Err(Error::Cancelled);
+    }
+    store
+        .fault()
+        .map_or(Ok(()), |msg| Err(Error::Store(msg.to_owned())))
 }
 
 /// The [`QueryTrace`] of the executions `counters` recorded of
 /// `prepared`: one [`sp2b_obs::OpSpan`] per operator in
-/// [`crate::plan::operators`] order — BGP patterns in join order, each
+/// [`crate::plan::operators`] order — pattern steps in join order, each
 /// join after its inputs. A pattern's label renders its slots and
 /// `est_rows` is the planner's [`crate::plan::PlanPattern::est_rows`];
 /// a join's label names the algorithm, kind and key (`hash-anti-join
@@ -610,31 +643,23 @@ impl QueryResult {
 
 /// A streaming result set: pulls rows out of the evaluator one at a time.
 /// Memory stays bounded by the plan (no result-set materialization), and
-/// a triggered cancellation surfaces as a single `Err(Error::Cancelled)`
+/// a triggered cancellation or a store fault surfaces as a single `Err`
 /// item followed by end-of-stream.
 pub struct Solutions<'a> {
-    dict: &'a Dictionary,
+    store: &'a dyn TripleStore,
     cancel: Cancellation,
     columns: &'a [String],
     state: StreamState<'a>,
 }
 
 enum StreamState<'a> {
-    /// SELECT: lazy bindings stream + projection map.
+    /// A walk's rows and the projection map (empty for an ASK).
     Rows {
         iter: RowIter<'a>,
         projection: &'a [usize],
     },
-    /// Aggregate: grouping deferred until the first pull.
-    PendingGroups {
-        ctx: EvalContext<'a>,
-        spec: &'a GroupSpec,
-        input: &'a Plan,
-    },
-    /// Aggregate: ordered output rows.
-    Groups(std::vec::IntoIter<AggRow>),
-    /// ASK: pending probe — yields one empty solution when `true`.
-    Ask(Option<RowIter<'a>>),
+    /// Aggregate: ordered output rows, grouped on the first pull.
+    Groups(Box<dyn Iterator<Item = AggRow> + 'a>),
     /// Exhausted (end of stream or error delivered).
     Done,
 }
@@ -656,68 +681,34 @@ impl<'a> Iterator for Solutions<'a> {
     type Item = Result<Solution<'a>, Error>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if matches!(self.state, StreamState::Done) {
-            return None;
-        }
         // Cooperative stop between rows (evaluation also checks inside
         // operators; this catches pre-triggered handles and deadlines that
         // pass while the consumer holds the stream).
-        if self.cancel.should_stop() {
+        if !matches!(self.state, StreamState::Done) && self.cancel.should_stop() {
             self.state = StreamState::Done;
             return Some(Err(Error::Cancelled));
         }
-        // ASK: a single probe decides everything.
-        if matches!(self.state, StreamState::Ask(_)) {
-            let StreamState::Ask(iter) = std::mem::replace(&mut self.state, StreamState::Done)
-            else {
-                unreachable!()
-            };
-            let found = iter.into_iter().flatten().next().is_some();
-            if self.cancel.was_triggered() {
-                return Some(Err(Error::Cancelled));
-            }
-            return found.then_some(Ok(Solution {
-                dict: self.dict,
-                row: SolutionRow::Empty,
-            }));
-        }
-        // Aggregates group on the first pull (cancellation-checked per
-        // input row inside the operator).
-        if matches!(self.state, StreamState::PendingGroups { .. }) {
-            let StreamState::PendingGroups { ctx, spec, input } =
-                std::mem::replace(&mut self.state, StreamState::Done)
-            else {
-                unreachable!()
-            };
-            let rows = ctx.eval_groups(spec, input);
-            if self.cancel.was_triggered() {
-                return Some(Err(Error::Cancelled));
-            }
-            let rows = ctx.sort_and_slice_groups(spec, rows);
-            self.state = StreamState::Groups(rows.into_iter());
-        }
-        let item = match &mut self.state {
-            StreamState::Rows { iter, projection } => iter.next().map(|bindings| Solution {
-                dict: self.dict,
-                row: SolutionRow::Bindings {
+        let row = match &mut self.state {
+            StreamState::Rows { iter, projection } => {
+                iter.next().map(|bindings| SolutionRow::Bindings {
                     bindings,
                     projection,
-                },
-            }),
-            StreamState::Groups(rows) => rows.next().map(|cells| Solution {
-                dict: self.dict,
-                row: SolutionRow::Cells(cells),
-            }),
-            StreamState::Done | StreamState::Ask(_) | StreamState::PendingGroups { .. } => {
-                unreachable!()
+                })
             }
+            StreamState::Groups(rows) => rows.next().map(SolutionRow::Cells),
+            StreamState::Done => return None,
         };
-        if self.cancel.was_triggered() {
+        // No row after a fault: what an operator computed over the rows
+        // it could read (a sort, a group) is not the answer.
+        if let Err(e) = interrupted(self.store, &self.cancel) {
             self.state = StreamState::Done;
-            return Some(Err(Error::Cancelled));
+            return Some(Err(e));
         }
-        match item {
-            Some(solution) => Some(Ok(solution)),
+        match row {
+            Some(row) => Some(Ok(Solution {
+                dict: self.store.dictionary(),
+                row,
+            })),
             None => {
                 self.state = StreamState::Done;
                 None
@@ -741,8 +732,6 @@ enum SolutionRow<'a> {
     },
     /// An aggregated row (group keys as ids, counts as computed values).
     Cells(AggRow),
-    /// The ASK witness (no columns).
-    Empty,
 }
 
 impl Solution<'_> {
@@ -751,7 +740,6 @@ impl Solution<'_> {
         match &self.row {
             SolutionRow::Bindings { projection, .. } => projection.len(),
             SolutionRow::Cells(cells) => cells.len(),
-            SolutionRow::Empty => 0,
         }
     }
 
@@ -798,7 +786,6 @@ impl Solution<'_> {
                 Some(AggCell::Key(id)) => Some(*id),
                 _ => None,
             },
-            SolutionRow::Empty => None,
         }
     }
 

@@ -1,12 +1,34 @@
-//! The pull-based plan evaluator.
+//! The pull-based plan evaluator: one walk over one plan shape.
 //!
-//! Solutions stream lazily wherever the algebra allows: BGPs evaluate as
-//! a chain of pattern steps ([`PatternBind`]), hash joins materialize only
-//! their build side, and `ASK` stops at the first solution ("engines
-//! should break as soon a solution has been found") — for which it
-//! materializes neither side of an inner join
-//! ([`EvalContext::eval_witness`]).
-//! Sorting and duplicate elimination materialize by nature.
+//! [`EvalContext::eval_over`] is the only walk, with one arm per operator.
+//! Solutions stream lazily wherever the algebra allows: a group's pattern
+//! steps ([`PatternBind`]) extend rows one at a time, hash joins
+//! materialize only their build side, and sorting and duplicate
+//! elimination materialize by nature.
+//!
+//! # What the consumer observes
+//!
+//! The walk is told what its consumer reads of the rows ([`Observe`]),
+//! and takes exactly the liberties that leaves it:
+//! - `Rows` (result delivery) takes none.
+//! - `Count` ([`crate::QueryEngine::count`]) passes through the solution
+//!   modifiers only. `ORDER BY` is skipped — sorting cannot change how
+//!   many rows there are, and its comparisons decode terms — and so is a
+//!   projection, whose cleared lanes nobody reads. `Distinct(Project(vars,
+//!   x))` counts the survivors of `x` keyed on `vars`, unprojected, and a
+//!   slice is skip/take over its input.
+//! - `Witness` (`ASK`: "engines should break as soon a solution has been
+//!   found") passes through filters, unions and inner joins. An inner join
+//!   runs symmetrically ([`symmetric_join_rows`]) instead of filling its
+//!   build side before the first probe, so the work done is proportional
+//!   to where the first witness sits in the two inputs, not to the size of
+//!   either. The rows are the same; their order is not, which a one-row
+//!   consumer cannot see.
+//!
+//! Every other operator reads its inputs as `Rows`. A join's build side
+//! always does: every lane of every build row may be merged into an
+//! output row, so there is nothing for it to skip, and it is filled once
+//! per execution for whichever instance of the join asks first.
 //!
 //! # Lookup or fetch, decided while running
 //!
@@ -335,7 +357,8 @@ impl CancelState {
 pub struct ScanCounters {
     tallies: Mutex<FxHashMap<usize, OperatorTally>>,
     /// The latest run of each exchange, by its driving step's ordinal; an
-    /// exchange that split nothing (ASK unwraps it) has no entry.
+    /// exchange that split nothing (its consumer hung up first) has no
+    /// entry.
     pub(crate) exchanges: Mutex<FxHashMap<usize, ExchangeRun>>,
 }
 
@@ -629,25 +652,90 @@ pub struct EvalContext<'a> {
 /// A stream of solutions.
 pub type RowIter<'a> = Box<dyn Iterator<Item = Bindings> + 'a>;
 
+/// What the consumer of a walk reads of its rows — the liberties the
+/// walk may take (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Observe {
+    /// Every row, in order, as delivered.
+    Rows,
+    /// How many rows there are: the solution modifiers skip `ORDER BY`
+    /// and projections.
+    Count,
+    /// Whether there is a row: the consumer takes one and hangs up, so an
+    /// inner join runs symmetrically and the rows come in any order.
+    Witness,
+}
+
 impl<'a> EvalContext<'a> {
-    /// Evaluates a plan to a lazy solution stream.
+    /// Evaluates a plan to a lazy solution stream, every row in order.
     pub fn eval(self, plan: &'a Plan) -> RowIter<'a> {
-        self.eval_over(plan, None)
+        self.eval_over(plan, None, Observe::Rows)
     }
 
-    /// [`EvalContext::eval`] with the plan's driving scan — the first
-    /// pattern of its leftmost BGP, reached through join probe sides and
-    /// filters ([`driving_scan`]) — reading `drive` instead of the store:
-    /// how an exchange ([`crate::par`]) runs the plan on one morsel, on
-    /// the consumer's thread or a worker's. Only those three arms hand
-    /// `drive` on; build sides, and every other operator, never see it.
-    pub(crate) fn eval_over(self, plan: &'a Plan, drive: Option<ScanChunk<'a>>) -> RowIter<'a> {
+    /// The rows a consumer reading `plan` by `observe` gets: a `Witness`
+    /// consumer takes the first, if any.
+    pub fn rows(self, plan: &'a Plan, observe: Observe) -> RowIter<'a> {
+        let rows = self.eval_over(plan, None, observe);
+        match observe {
+            Observe::Witness => Box::new(rows.take(1)),
+            Observe::Rows | Observe::Count => rows,
+        }
+    }
+
+    /// How many solutions a consumer reading `plan` by `observe` gets,
+    /// decoding no term: the groups an aggregate's OFFSET/LIMIT leave,
+    /// otherwise the walk's rows. This is the engine behind
+    /// [`crate::QueryEngine::count`] and the Table V result-size harness.
+    pub fn count(self, plan: &'a Plan, observe: Observe) -> u64 {
+        match plan {
+            Plan::GroupAggregate { spec, input } => {
+                let groups = self.eval_groups(spec, input).len() as u64;
+                let left = groups.saturating_sub(spec.offset);
+                spec.limit.map_or(left, |limit| left.min(limit))
+            }
+            _ => self.rows(plan, observe).count() as u64,
+        }
+    }
+
+    /// The one walk: `plan`'s rows as `observe` reads them, with the
+    /// plan's driving scan ([`driving_scan`]) reading `drive` instead of
+    /// the store when there is one — how an exchange ([`crate::par`])
+    /// runs the plan on one morsel, on the consumer's thread or a
+    /// worker's. Only the step over [`Plan::Unit`] reads `drive`; steps,
+    /// filters and join probe sides hand it down, and build sides, like
+    /// every other operator, never see it.
+    pub(crate) fn eval_over(
+        self,
+        plan: &'a Plan,
+        drive: Option<ScanChunk<'a>>,
+        observe: Observe,
+    ) -> RowIter<'a> {
         debug_assert!(
-            drive.is_none() || driving_scan(plan).is_some(),
+            drive.is_none() || driving_scan(plan).is_some_and(|p| !p.is_unsatisfiable()),
             "a chunk needs a driving scan to stand in for"
         );
+        // How an operator reads its input: a witness passes through
+        // filters, unions and inner joins, a count through the solution
+        // modifiers, and everything else reads rows.
+        let (filtered, modified) = match observe {
+            Observe::Rows => (Observe::Rows, Observe::Rows),
+            Observe::Count => (Observe::Rows, Observe::Count),
+            Observe::Witness => (Observe::Witness, Observe::Rows),
+        };
         match plan {
-            Plan::Bgp { patterns, filters } => self.eval_bgp(patterns, filters, drive),
+            Plan::Unit => Box::new(std::iter::once(Bindings::empty(self.width))),
+            Plan::Step { input, pattern } => match drive {
+                // The chunk is the driving step's scan of the one empty
+                // row: same row extension, cancellation checks and tallies.
+                Some(chunk) if matches!(**input, Plan::Unit) => {
+                    let (none, empty) = (Box::new(std::iter::empty()), Bindings::empty(self.width));
+                    Box::new(PatternBind::start(self, pattern, none, empty, chunk.iter()))
+                }
+                _ => {
+                    let input = self.clone().eval_over(input, drive, Observe::Rows);
+                    Box::new(PatternBind::new(self, pattern, input))
+                }
+            },
             Plan::Join {
                 left,
                 right,
@@ -658,23 +746,48 @@ impl<'a> EvalContext<'a> {
                 ordinal,
                 ..
             } => {
-                let build = self.build_side(right, key, eq, *ordinal);
-                let probe = self.clone().eval_over(left, drive);
-                join_rows(self, probe, build, *kind, condition.as_ref(), *ordinal)
+                let (condition, ordinal) = (condition.as_ref(), *ordinal);
+                if *kind == JoinKind::Inner && observe == Observe::Witness {
+                    let left = self.clone().eval_over(left, drive, observe);
+                    let right = self.clone().eval_over(right, None, observe);
+                    return symmetric_join_rows(self, [left, right], key, eq, condition, ordinal);
+                }
+                let build = self.build_side(right, key, eq, ordinal);
+                let probe = self.clone().eval_over(left, drive, Observe::Rows);
+                join_rows(self, probe, build, *kind, condition, ordinal)
             }
             Plan::Exchange { degree, input } => crate::par::eval_exchange(self, *degree, input),
             // The right side is not opened until the left is drained.
-            Plan::Union(a, b) => Box::new(
-                self.clone()
-                    .eval(a)
-                    .chain(std::iter::once_with(move || self.eval(b)).flatten()),
-            ),
+            Plan::Union(a, b) => {
+                Box::new(self.clone().eval_over(a, None, filtered).chain(
+                    std::iter::once_with(move || self.eval_over(b, None, filtered)).flatten(),
+                ))
+            }
             Plan::Filter(expr, inner) => {
                 let store = self.store;
-                let input = self.eval_over(inner, drive);
+                let input = self.eval_over(inner, drive, filtered);
                 Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
             }
-            Plan::Distinct(inner) => self.eval_distinct(inner, Self::eval),
+            // Under `Distinct(Project(vars, x))` the rows of `x` are
+            // deduplicated on `vars` ([`Seen::of`]) and only the survivors
+            // are projected — or, counted, not even they.
+            Plan::Distinct(inner) => {
+                let (mut seen, below) = Seen::of(inner, self.width);
+                let width = self.width;
+                let survivors: RowIter<'a> = Box::new(
+                    self.eval_over(below, None, modified)
+                        .filter(move |row| seen.insert(row)),
+                );
+                match inner.as_ref() {
+                    Plan::Project(vars, _) if observe != Observe::Count => {
+                        project_rows(survivors, vars, width)
+                    }
+                    _ => survivors,
+                }
+            }
+            Plan::Project(_, inner) | Plan::OrderBy(_, inner) if observe == Observe::Count => {
+                self.eval_over(inner, None, modified)
+            }
             Plan::Project(vars, inner) => {
                 let width = self.width;
                 let input = self.eval(inner);
@@ -697,191 +810,19 @@ impl<'a> EvalContext<'a> {
                 limit,
                 input,
             } => {
-                let it = self.eval(input).skip(*offset as usize);
+                let it = self.eval_over(input, None, modified).skip(*offset as usize);
                 match limit {
                     Some(n) => Box::new(it.take(*n as usize)),
                     None => Box::new(it),
                 }
             }
-            // Aggregation is not a bindings stream: the api layer evaluates
-            // it via [`EvalContext::eval_groups`]. `bind` only ever places
-            // it at the plan root, so a bindings consumer cannot reach it.
+            // Aggregation is not a bindings stream: its consumers read it
+            // via [`EvalContext::eval_groups`]. `bind` only ever places it
+            // at the plan root, so no operator reaches it.
             Plan::GroupAggregate { .. } => {
                 unreachable!("GroupAggregate is evaluated via eval_groups")
             }
         }
-    }
-
-    /// Like [`EvalContext::eval`], but elides `ORDER BY` nodes: sorting
-    /// cannot change which rows exist, so order-insensitive consumers
-    /// (counting, DISTINCT-counting) skip the materializing sort — and with
-    /// it every term decode the comparisons would perform.
-    fn eval_unordered(self, plan: &'a Plan) -> RowIter<'a> {
-        match plan {
-            Plan::OrderBy(_, inner) => self.eval_unordered(inner),
-            Plan::Project(vars, inner) => {
-                let width = self.width;
-                project_rows(self.eval_unordered(inner), vars, width)
-            }
-            // The distinct *set* is order-independent, so deduplication
-            // composes with the elided sort.
-            Plan::Distinct(inner) => self.eval_distinct(inner, Self::eval_unordered),
-            other => self.eval(other),
-        }
-    }
-
-    /// Like [`EvalContext::eval`] for a consumer that takes one row and
-    /// hangs up — `ASK`, which "should break as soon a solution has been
-    /// found". An exchange is unwrapped to get at the joins under it —
-    /// a consumer that hangs up after one row would not outlive its
-    /// fan-out budget anyway — and an inner join runs
-    /// symmetrically ([`symmetric_join_rows`], its condition checked the
-    /// same way) instead of materializing
-    /// its build side before the first probe: the work done is then
-    /// proportional to where the first witness sits in the two inputs,
-    /// not to the size of either. Which rows exist is unchanged; their
-    /// order is not the sequential one, which a one-row consumer cannot
-    /// observe.
-    pub fn eval_witness(self, plan: &'a Plan) -> RowIter<'a> {
-        match plan {
-            Plan::Exchange { input, .. } => self.eval_witness(input),
-            Plan::Filter(expr, inner) => {
-                let store = self.store;
-                let input = self.eval_witness(inner);
-                Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
-            }
-            Plan::Join {
-                left,
-                right,
-                key,
-                eq,
-                kind: JoinKind::Inner,
-                condition,
-                ordinal,
-                ..
-            } => {
-                let inputs = [left, right].map(|side| self.clone().eval_witness(side));
-                symmetric_join_rows(self, inputs, key, eq, condition.as_ref(), *ordinal)
-            }
-            // Q12b: each branch's exchange stays unwrapped too.
-            Plan::Union(a, b) => Box::new(
-                self.clone()
-                    .eval_witness(a)
-                    .chain(std::iter::once_with(move || self.eval_witness(b)).flatten()),
-            ),
-            other => self.eval(other),
-        }
-    }
-
-    /// `Distinct(inner)`, evaluating what is below it with `eval`: under
-    /// `Distinct(Project(vars, x))` the rows of `x` are deduplicated on
-    /// `vars` ([`Seen::of`]) and only the survivors are projected.
-    fn eval_distinct(
-        self,
-        inner: &'a Plan,
-        eval: fn(Self, &'a Plan) -> RowIter<'a>,
-    ) -> RowIter<'a> {
-        let (mut seen, below) = Seen::of(inner, self.width);
-        let width = self.width;
-        let survivors: RowIter<'a> =
-            Box::new(eval(self, below).filter(move |row| seen.insert(row)));
-        match inner {
-            Plan::Project(vars, _) => project_rows(survivors, vars, width),
-            _ => survivors,
-        }
-    }
-
-    /// Counts a plan's solutions without materializing or decoding terms:
-    /// `ORDER BY` is skipped (sorting preserves cardinality), `OFFSET` /
-    /// `LIMIT` become arithmetic, and `DISTINCT` deduplicates over raw id
-    /// rows. This is the engine behind [`crate::QueryEngine::count`] and
-    /// the Table V result-size harness.
-    pub fn count_rows(&self, plan: &'a Plan) -> u64 {
-        match plan {
-            Plan::OrderBy(_, inner) | Plan::Project(_, inner) => self.count_rows(inner),
-            Plan::Slice {
-                offset,
-                limit,
-                input,
-            } => {
-                let n = match limit {
-                    // Bounded: pull at most offset+limit rows, exactly like
-                    // the lazy skip/take execution path would — a LIMIT
-                    // query's count must not enumerate the full input.
-                    Some(l) => {
-                        let cap = offset.saturating_add(*l);
-                        self.clone()
-                            .eval_unordered(input)
-                            .take(cap as usize)
-                            .count() as u64
-                    }
-                    None => self.count_rows(input),
-                };
-                n.saturating_sub(*offset)
-            }
-            // Survivors are counted, never projected.
-            Plan::Distinct(inner) => {
-                let (mut seen, below) = Seen::of(inner, self.width);
-                let mut n = 0;
-                for row in self.clone().eval_unordered(below) {
-                    if self.cancel.should_stop() {
-                        break;
-                    }
-                    if seen.insert(&row) {
-                        n += 1;
-                    }
-                }
-                n
-            }
-            Plan::GroupAggregate { spec, input } => {
-                let n = (self.eval_groups(spec, input).len() as u64).saturating_sub(spec.offset);
-                match spec.limit {
-                    Some(l) => n.min(l),
-                    None => n,
-                }
-            }
-            _ => self.clone().eval(plan).count() as u64,
-        }
-    }
-
-    // -- BGP ---------------------------------------------------------------
-
-    /// The BGP pipeline: one [`PatternBind`] per pattern, each inline
-    /// filter attached after the pattern that binds its variables, fed one
-    /// empty row. Under `drive` the first step extends that row by the
-    /// chunk's triples rather than by a store scan — same step, same
-    /// tally, a slice of its rows.
-    fn eval_bgp(
-        self,
-        patterns: &'a [PlanPattern],
-        filters: &'a [(usize, BoundExpr)],
-        drive: Option<ScanChunk<'a>>,
-    ) -> RowIter<'a> {
-        let empty = Bindings::empty(self.width);
-        // (A pattern that can match nothing has no constants-only scan to
-        // take a chunk of; the ordinary step yields its no rows.)
-        let driven = drive
-            .zip(patterns.first())
-            .filter(|(_, first)| !first.is_unsatisfiable());
-        let mut iter: RowIter<'a> = match driven {
-            Some((chunk, first)) => {
-                Box::new(PatternBind::over(self.clone(), first, empty, chunk.iter()))
-            }
-            None => Box::new(std::iter::once(empty)),
-        };
-        for (pos, pattern) in patterns.iter().enumerate() {
-            if pos > 0 || driven.is_none() {
-                iter = Box::new(PatternBind::new(self.clone(), pattern, iter));
-            }
-            for (fpos, filter) in filters {
-                if *fpos == pos {
-                    let store = self.store;
-                    iter =
-                        Box::new(iter.filter(move |row| filter.evaluate(row, store) == Ok(true)));
-                }
-            }
-        }
-        iter
     }
 
     // -- joins ---------------------------------------------------------
@@ -973,7 +914,7 @@ impl<'a> EvalContext<'a> {
         }
 
         let mut groups: FxHashMap<Vec<Option<Id>>, GroupState> = FxHashMap::default();
-        for row in self.clone().eval_unordered(input) {
+        for row in self.clone().eval(input) {
             if self.cancel.should_stop() {
                 break;
             }
@@ -1034,8 +975,12 @@ impl<'a> EvalContext<'a> {
 
     /// Deterministic aggregate output: explicit ORDER BY keys first (term
     /// values compared through the dictionary, counts numerically), the
-    /// full row as a tiebreaker; then OFFSET/LIMIT.
+    /// full row as a tiebreaker; then OFFSET/LIMIT. A cancelled
+    /// execution's groups are dropped unsorted: the sort decodes terms.
     pub fn sort_and_slice_groups(&self, spec: &GroupSpec, mut rows: Vec<AggRow>) -> Vec<AggRow> {
+        if self.cancel.was_triggered() {
+            return Vec::new();
+        }
         let dict = self.store.dictionary();
         rows.sort_by(|a, b| {
             for &(col, desc) in &spec.order_by {
@@ -1102,8 +1047,9 @@ fn compare_agg_cells(dict: &Dictionary, a: &AggCell, b: &AggCell) -> std::cmp::O
 
 /// The rows a `DISTINCT` has let through, keyed on the variables a
 /// projection right below it keeps — evaluated without that projection,
-/// which only the survivors then go through ([`EvalContext::eval_distinct`])
-/// — or on every variable when nothing projects there. The key is the
+/// which only the survivors then go through (the `Distinct` arm of
+/// [`EvalContext::eval_over`]) — or on every variable when nothing
+/// projects there. The key is the
 /// variables' lanes ([`UNBOUND`] for an unbound one): up to four packed
 /// into one `u128`, so checking a row allocates and clones nothing; a
 /// wider key is a boxed slice of the lanes. The set is sized up front for the rows the planner expects
@@ -1338,8 +1284,8 @@ fn join_rows<'a>(
 /// own, so every matching pair is emitted exactly once — when the later of
 /// its two rows arrives. Same tables, same probe ([`probe`]) and
 /// same tally as [`join_rows`]; what differs is that the first output row
-/// costs only the input prefixes up to it, which is what
-/// [`EvalContext::eval_witness`] wants.
+/// costs only the input prefixes up to it, which is what a
+/// [`Observe::Witness`] walk wants.
 fn symmetric_join_rows<'a>(
     ctx: EvalContext<'a>,
     inputs: [RowIter<'a>; 2],
@@ -1440,7 +1386,7 @@ fn probe(
     (out.len() - before) as u64
 }
 
-/// One pattern step of a BGP: extends every input row by the triples
+/// One pattern step ([`Plan::Step`]): extends every input row by the triples
 /// matching the pattern under that row's bindings. The triples come from
 /// a store lookup per row until the step has issued as many lookups as a
 /// fetch of the whole pattern costs, and from the fetched table after
@@ -1479,19 +1425,6 @@ impl<'a> PatternBind<'a> {
     fn new(ctx: EvalContext<'a>, pattern: &'a PlanPattern, input: RowIter<'a>) -> Self {
         let none_yet = Box::new(std::iter::empty());
         Self::start(ctx, pattern, input, Bindings::empty(0), none_yet)
-    }
-
-    /// The step over one row and an already-opened `scan` of its
-    /// candidate triples — how [`EvalContext::eval_bgp`] feeds one chunk
-    /// of the driving scan through the same row extension, cancellation
-    /// checks and tallies as every other step.
-    fn over(
-        ctx: EvalContext<'a>,
-        pattern: &'a PlanPattern,
-        base: Bindings,
-        scan: Box<dyn Iterator<Item = IdTriple> + 'a>,
-    ) -> Self {
-        Self::start(ctx, pattern, Box::new(std::iter::empty()), base, scan)
     }
 
     /// The step in the middle of `base` — `scan` left of its candidates —
@@ -1904,7 +1837,8 @@ mod tests {
             };
             let expected = sorted(ctx().eval(&join));
             assert!(!expected.is_empty(), "{q}");
-            assert_eq!(sorted(ctx().eval_witness(&join)), expected, "{q}");
+            let witness = ctx().eval_over(&join, None, Observe::Witness);
+            assert_eq!(sorted(witness), expected, "{q}");
         }
     }
 

@@ -3,12 +3,13 @@
 //! thread until the query has shown it is long, on **detached,
 //! streaming** worker threads from then on.
 //!
-//! The driving scan (first pattern of the leftmost BGP under the
-//! exchange) is partitioned into disjoint chunks via
-//! [`sp2b_store::TripleStore::scan_chunks`] — more chunks than workers,
-//! so fast workers keep pulling morsels from a shared atomic counter
-//! while slow ones finish (the classic morsel-driven load-balancing of
-//! Leis et al.). A morsel is not a second executor: it is
+//! The driving scan (the step over [`Plan::Unit`] at the bottom of the
+//! leftmost chain under the exchange) is partitioned into disjoint
+//! chunks via [`sp2b_store::TripleStore::scan_chunks`] — more chunks
+//! than workers, so fast workers keep pulling morsels from a shared
+//! atomic counter while slow ones finish (the classic morsel-driven
+//! load-balancing of Leis et al.). A morsel is not a second executor:
+//! it is
 //! [`EvalContext::eval_over`] on the exchange's input — the plan the
 //! sequential evaluator walks, shared through an [`Arc`] — with the
 //! morsel's chunk standing in for the driving scan. Everything the
@@ -70,7 +71,7 @@ use std::time::{Duration, Instant};
 use sp2b_obs::ExchangeRun;
 use sp2b_store::{Pattern, ScanChunk, SharedStore, TripleStore};
 
-use crate::eval::{lock, Bindings, Cancellation, EvalContext, RowIter};
+use crate::eval::{lock, Bindings, Cancellation, EvalContext, Observe, RowIter};
 use crate::plan::{const_pattern, driving_scan, Plan, PlanPattern};
 
 /// Morsels per worker: enough over-partitioning that an unlucky skewed
@@ -334,8 +335,8 @@ impl Iterator for Exchange<'_> {
             let Some(workers) = &mut self.workers else {
                 #[cfg(debug_assertions)]
                 diag::inject_faults(self.front);
-                let chunk = self.chunks[self.front];
-                self.current = self.ctx.clone().eval_over(self.input, Some(chunk));
+                let (ctx, chunk) = (self.ctx.clone(), Some(self.chunks[self.front]));
+                self.current = ctx.eval_over(self.input, chunk, Observe::Rows);
                 self.front += 1;
                 continue;
             };
@@ -477,7 +478,8 @@ impl Worker {
             #[cfg(debug_assertions)]
             diag::inject_faults(i);
             let mut batch: Vec<Bindings> = Vec::new();
-            for row in ctx.clone().eval_over(&self.input, Some(chunks[i])) {
+            let chunk = Some(chunks[i]);
+            for row in ctx.clone().eval_over(&self.input, chunk, Observe::Rows) {
                 if self.stopped() {
                     // No completion marker: the merger learns of the
                     // abort from the channel disconnecting once every

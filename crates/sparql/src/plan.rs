@@ -1,5 +1,13 @@
 //! Physical plans: the algebra bound to a concrete store.
 //!
+//! A basic graph pattern is no operator of its own: it binds as a chain
+//! of [`Plan::Step`]s over [`Plan::Unit`], the one empty row —
+//! `Step(… Step(Unit, p0) …, pn)` in the optimizer's order — and each of
+//! its filters becomes an ordinary [`Plan::Filter`] right after the step
+//! that binds the last of its variables, or directly over `Unit` when
+//! the group has no pattern. Steps, joins and filters are links of one
+//! chain, which the evaluator walks with one `match` ([`crate::eval`]).
+//!
 //! Binding resolves every constant term to its dictionary id (or `None`
 //! when the term does not occur in the data — such a pattern matches
 //! nothing, which is how Q3c/Q12c become constant-time on any store) and
@@ -160,15 +168,19 @@ pub enum PlanOrderKey {
 /// The physical plan tree.
 #[derive(Debug, Clone)]
 pub enum Plan {
-    /// Index-nested-loop BGP with optionally pushed-down filters; a step
+    /// The one empty row: what a group's first step extends, and what the
+    /// filters of a group without patterns test.
+    Unit,
+    /// One pattern step, an index nested loop: each row of `input`
+    /// extended by the triples matching `pattern` under it. A step
     /// carrying a [`FetchRule`] may turn into a hash probe of its fetched
-    /// pattern mid-execution.
-    Bgp {
-        /// Patterns in execution order.
-        patterns: Vec<PlanPattern>,
-        /// `(position, filter)`: run `filter` once `patterns[position]`
-        /// has bound its variables.
-        filters: Vec<(usize, BoundExpr)>,
+    /// pattern mid-execution. The step over [`Plan::Unit`] is a group's
+    /// driving scan.
+    Step {
+        /// The rows to extend: the group's earlier steps and filters.
+        input: Box<Plan>,
+        /// The pattern.
+        pattern: PlanPattern,
     },
     /// Hash join. Variables shared but only *possibly* bound on a side
     /// are not part of the key; they are enforced by the evaluator's
@@ -239,9 +251,10 @@ pub enum Plan {
         input: Box<Plan>,
     },
     /// Morsel-driven execution (inserted by [`parallelize`]): the driving
-    /// scan of `input` — the first pattern of the leftmost BGP, reached
-    /// through join probe sides and filters — is split into disjoint
-    /// chunks via [`sp2b_store::TripleStore::scan_chunks`] and `input` is
+    /// scan of `input` — the step over [`Plan::Unit`] at the bottom of
+    /// the leftmost chain, reached through steps, join probe sides and
+    /// filters — is split into disjoint chunks via
+    /// [`sp2b_store::TripleStore::scan_chunks`] and `input` is
     /// evaluated once per chunk: on the consumer's thread at first, on
     /// `degree` worker threads once the execution has proved long, all
     /// sharing its build sides and fetched tables. Per-morsel results
@@ -316,26 +329,31 @@ impl Binder<'_> {
                 patterns,
                 inline_filters,
             } => {
-                // A BGP starts from one empty row, so what a step's input
+                // A group starts from one empty row, so what a step's input
                 // binds is exactly the variables of the steps before it.
                 let fetch = self.cfg.reorder_patterns;
                 let mut bound: Vec<usize> = Vec::new();
-                Plan::Bgp {
-                    patterns: patterns
-                        .iter()
-                        .map(|p| {
-                            let ordinal = self.ordinal();
-                            let step =
-                                PlanPattern::bind(p, store, ordinal, fetch.then_some(&bound));
-                            bound.extend(p.variables());
-                            step
-                        })
-                        .collect(),
-                    filters: inline_filters
-                        .iter()
-                        .map(|(pos, e)| (*pos, BoundExpr::bind(e, store)))
-                        .collect(),
+                let mut plan = Plan::Unit;
+                for (pos, p) in patterns.iter().enumerate() {
+                    let ordinal = self.ordinal();
+                    let pattern = PlanPattern::bind(p, store, ordinal, fetch.then_some(&bound));
+                    bound.extend(p.variables());
+                    plan = Plan::Step {
+                        input: Box::new(plan),
+                        pattern,
+                    };
+                    for (_, e) in inline_filters.iter().filter(|(at, _)| *at == pos) {
+                        plan = filter(e, plan);
+                    }
                 }
+                // A group without patterns tests its filters on the one
+                // empty row.
+                if patterns.is_empty() {
+                    for (_, e) in inline_filters {
+                        plan = filter(e, plan);
+                    }
+                }
+                plan
             }
             Algebra::Join(a, b, eq, est_rows) => {
                 self.join(a, b, eq, JoinKind::Inner, None, *est_rows)
@@ -452,10 +470,11 @@ fn negation_rest(e: &Expr, a: &Algebra, b: &Algebra) -> Option<Vec<Expr>> {
 }
 
 /// The rows `plan` is estimated to emit, as far as its operators carry
-/// estimates: a BGP's last step, a join's own.
+/// estimates: a chain's last step, a join's own.
 pub(crate) fn output_estimate(plan: &Plan) -> u64 {
     match plan {
-        Plan::Bgp { patterns, .. } => patterns.last().map_or(1, |p| p.est_rows),
+        Plan::Unit => 1,
+        Plan::Step { pattern, .. } => pattern.est_rows,
         Plan::Join { est_rows, .. } => *est_rows,
         Plan::Union(a, b) => output_estimate(a).saturating_add(output_estimate(b)),
         Plan::Filter(_, inner)
@@ -485,7 +504,7 @@ fn join_key(a: &Algebra, b: &Algebra) -> Vec<usize> {
 /// Inserts [`Plan::Exchange`] operators for a target `degree` of
 /// parallelism. The pass descends through merge-side operators (project,
 /// sort, distinct, aggregation, union branches) and wraps each pipeline
-/// segment — BGP, join probe chain, filter — that has a driving scan.
+/// segment — a chain of steps, joins and filters — with a driving scan.
 /// Nothing is estimated here: an exchange runs on its consumer's thread
 /// until the execution has earned its workers ([`crate::par`]), so one
 /// above a short pipeline costs nothing. With `degree <= 1` the plan is
@@ -525,7 +544,7 @@ pub fn parallelize(plan: Plan, degree: usize) -> Plan {
         },
         Plan::Union(a, b) => Plan::Union(sub(a), sub(b)),
         // What an exchange can run per morsel is what has a driving scan:
-        // a BGP with a pattern, a join probe chain or a filter over one.
+        // a chain that bottoms out in a step over `Unit`.
         // (An exchange has none: the pass is idempotent.)
         other => match driving_scan(&other) {
             Some(_) => Plan::Exchange {
@@ -564,7 +583,7 @@ pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
             Plan::Exchange { degree, input } => {
                 out.extend(driving_scan(input).map(|step| (*degree, step)));
             }
-            Plan::Bgp { .. } => {}
+            Plan::Unit | Plan::Step { .. } => {}
             Plan::Join { left, right, .. } | Plan::Union(left, right) => {
                 walk(left, out);
                 walk(right, out);
@@ -584,7 +603,7 @@ pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
 /// One instrumented operator of a plan (see [`operators`]).
 #[derive(Debug, Clone, Copy)]
 pub enum Operator<'p> {
-    /// A BGP pattern step.
+    /// A pattern step.
     Scan(&'p PlanPattern),
     /// A [`Plan::Join`] node.
     Join {
@@ -605,14 +624,18 @@ pub enum Operator<'p> {
     },
 }
 
-/// Every instrumented operator of the plan in ordinal order: the basic
-/// graph patterns in join order (probe side before build side), each join
+/// Every instrumented operator of the plan in ordinal order: the pattern
+/// steps in join order (probe side before build side), each join
 /// after both its inputs — the order of [`crate::query_trace`]'s spans,
 /// which `--explain` numbers its steps by.
 pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
     fn walk<'p>(plan: &'p Plan, out: &mut Vec<Operator<'p>>) {
         match plan {
-            Plan::Bgp { patterns, .. } => out.extend(patterns.iter().map(Operator::Scan)),
+            Plan::Unit => {}
+            Plan::Step { input, pattern } => {
+                walk(input, out);
+                out.push(Operator::Scan(pattern));
+            }
             Plan::Join {
                 left,
                 right,
@@ -652,14 +675,16 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
     out
 }
 
-/// The driving scan of a pipeline: the first pattern of the leftmost BGP,
-/// reached through join probe (streamed) sides and filters. `None` when
-/// the pipeline has no partitionable driving scan (e.g. a union).
+/// The driving scan of a pipeline: the step over [`Plan::Unit`] at the
+/// bottom of the leftmost chain, reached through earlier steps, join
+/// probe (streamed) sides and filters. `None` when the pipeline has no
+/// partitionable driving scan (e.g. a union, or a group without
+/// patterns).
 pub(crate) fn driving_scan(plan: &Plan) -> Option<&PlanPattern> {
     match plan {
-        Plan::Bgp { patterns, .. } => patterns.first(),
+        Plan::Step { input, pattern } if matches!(**input, Plan::Unit) => Some(pattern),
+        Plan::Step { input, .. } | Plan::Filter(_, input) => driving_scan(input),
         Plan::Join { left, .. } => driving_scan(left),
-        Plan::Filter(_, inner) => driving_scan(inner),
         _ => None,
     }
 }
@@ -708,11 +733,11 @@ mod tests {
         let Plan::Project(_, inner) = plan else {
             panic!()
         };
-        let Plan::Bgp { patterns, .. } = *inner else {
+        let Plan::Step { pattern, .. } = *inner else {
             panic!()
         };
-        assert!(!patterns[0].is_unsatisfiable());
-        assert!(matches!(patterns[0].slots[1], PlanSlot::Const(Some(_))));
+        assert!(!pattern.is_unsatisfiable());
+        assert!(matches!(pattern.slots[1], PlanSlot::Const(Some(_))));
     }
 
     #[test]
@@ -722,10 +747,10 @@ mod tests {
         let Plan::Project(_, inner) = plan else {
             panic!()
         };
-        let Plan::Bgp { patterns, .. } = *inner else {
+        let Plan::Step { pattern, .. } = *inner else {
             panic!()
         };
-        assert!(patterns[0].is_unsatisfiable());
+        assert!(pattern.is_unsatisfiable());
     }
 
     #[test]
@@ -884,7 +909,7 @@ mod tests {
             panic!("{inner:?}")
         };
         assert_eq!(degree, 4);
-        assert!(matches!(*input, Plan::Bgp { .. }));
+        assert!(matches!(*input, Plan::Step { .. }));
     }
 
     #[test]

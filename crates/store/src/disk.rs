@@ -29,7 +29,7 @@
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use sp2b_rdf::Graph;
@@ -265,37 +265,42 @@ impl BlockCache {
     }
 
     /// The block `(shard, run, block)`, from cache or — on a miss — via
-    /// `read` (called without the cache lock held).
+    /// `read` (called without the cache lock held). A read that fails
+    /// (`None`) caches nothing.
     pub fn get_or_read(
         &self,
         shard: usize,
         run: usize,
         block: usize,
-        read: impl FnOnce() -> Vec<IdTriple>,
-    ) -> Arc<Vec<IdTriple>> {
+        read: impl FnOnce() -> Option<Vec<IdTriple>>,
+    ) -> Option<Arc<Vec<IdTriple>>> {
         let key = Self::pack(shard, run, block);
         {
             let mut lru = self.lru.lock().expect("block cache lock");
             if let Some(&i) = lru.map.get(&key) {
                 lru.touch(i);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(lru.slots[i].block.as_ref().expect("mapped slot is filled"));
+                return Some(Arc::clone(
+                    lru.slots[i].block.as_ref().expect("mapped slot is filled"),
+                ));
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let block_arc = Arc::new(read());
+        let block_arc = Arc::new(read()?);
         let bytes = block_arc.len() as u64 * TRIPLE_BYTES + SLOT_OVERHEAD;
         if bytes > self.budget_bytes {
             // Larger than the whole budget: serve uncached. The
             // caller's Arc is working memory, not residency.
-            return block_arc;
+            return Some(block_arc);
         }
         let mut lru = self.lru.lock().expect("block cache lock");
         if let Some(&i) = lru.map.get(&key) {
             // Another thread read the same block meanwhile; keep the
             // incumbent so concurrent holders share one copy.
             lru.touch(i);
-            return Arc::clone(lru.slots[i].block.as_ref().expect("mapped slot is filled"));
+            return Some(Arc::clone(
+                lru.slots[i].block.as_ref().expect("mapped slot is filled"),
+            ));
         }
         lru.insert(key, Arc::clone(&block_arc), bytes);
         while lru.resident_bytes > self.budget_bytes {
@@ -308,7 +313,7 @@ impl BlockCache {
         );
         self.peak_resident_bytes
             .fetch_max(lru.resident_bytes, Ordering::Relaxed);
-        block_arc
+        Some(block_arc)
     }
 
     /// A snapshot of the counters.
@@ -346,6 +351,9 @@ pub struct DiskShardStore {
     /// Blocks actually read off disk per run (cache misses through this
     /// shard) — the laziness tests' gauge.
     blocks_read: [AtomicU64; RUN_ORDERS.len()],
+    /// The first block that failed to read or verify after open
+    /// ([`TripleStore::fault`]).
+    fault: OnceLock<String>,
 }
 
 impl DiskShardStore {
@@ -390,6 +398,7 @@ impl DiskShardStore {
             cache,
             stats,
             blocks_read: Default::default(),
+            fault: OnceLock::new(),
         })
     }
 
@@ -425,28 +434,35 @@ impl DiskShardStore {
     }
 
     /// Block `block` of run `run`, from the shared cache or freshly
-    /// read, verified and decoded. Post-open corruption (the file
-    /// changed under us after its size and index were validated) panics
-    /// with the checksum message — scans have no error channel, and
-    /// serving wrong triples silently would be worse.
-    fn block(&self, run: usize, block: usize) -> Arc<Vec<IdTriple>> {
-        self.cache.get_or_read(self.shard, run, block, || {
+    /// read, verified and decoded. Corruption found after open (the file
+    /// changed under us after its size and index were validated) is
+    /// recorded as the shard's [`TripleStore::fault`] and yields `None`,
+    /// as does every read after it: serving wrong triples silently would
+    /// be worse than failing the query.
+    fn block(&self, run: usize, block: usize) -> Option<Arc<Vec<IdTriple>>> {
+        if self.fault.get().is_some() {
+            return None;
+        }
+        let read = || {
             self.blocks_read[run].fetch_add(1, Ordering::Relaxed);
-            let bytes = self.read_block_bytes(run, block).unwrap_or_else(|e| {
-                panic!(
+            let bytes = self.read_block_bytes(run, block).map_err(|e| {
+                format!(
                     "reading block {block} of run {:?} in '{}': {e}",
                     RUN_ORDERS[run],
                     self.path.display()
                 )
-            });
+            })?;
             if Checksum::of(&bytes) != self.index.runs[run].checksums[block] {
-                panic!(
-                    "block checksum mismatch in '{}' (run {:?}, block {block}): corrupted after open",
+                return Err(format!(
+                    "block checksum mismatch in '{}' (run {:?}, block {block}): corrupted after open; re-save the segments",
                     self.path.display(),
                     RUN_ORDERS[run]
-                );
+                ));
             }
-            segment::decode_triples(&bytes)
+            Ok(segment::decode_triples(&bytes))
+        };
+        self.cache.get_or_read(self.shard, run, block, || {
+            read().map_err(|msg| self.fault.get_or_init(|| msg)).ok()
         })
     }
 
@@ -509,7 +525,7 @@ impl Iterator for BlockScan<'_> {
                     }
                 }
             }
-            let block = self.shard.block(self.plan.run, self.blocks.next()?);
+            let block = self.shard.block(self.plan.run, self.blocks.next()?)?;
             let range = self.plan.range_in(&block);
             self.cur = Some((block, range));
         }
@@ -548,6 +564,10 @@ impl TripleStore for DiskShardStore {
 
     fn cache_stats(&self) -> Option<CacheStats> {
         Some(self.cache.stats())
+    }
+
+    fn fault(&self) -> Option<&str> {
+        self.fault.get().map(String::as_str)
     }
 }
 
@@ -917,11 +937,12 @@ mod tests {
     }
 
     #[test]
-    fn post_open_block_corruption_panics_with_the_checksum_message() {
+    fn post_open_block_corruption_faults_with_the_checksum_message() {
         let g = graph(150);
         let tmp = TempDir::new("block-corrupt");
         save_graph(tmp.path(), &g, 1, ShardBy::Subject).expect("save");
         let opened = open_store(tmp.path()).expect("open validates sizes and index only");
+        assert_eq!(opened.fault(), None);
         // Corrupt a triple body *after* open: same size, wrong bytes.
         // Offset 6 sits inside the first (SPO) block, the one a full
         // scan reads.
@@ -929,17 +950,24 @@ mod tests {
         let mut bytes = std::fs::read(&shard0).unwrap();
         bytes[6] ^= 0xff;
         std::fs::write(&shard0, &bytes).unwrap();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            opened.scan([None, None, None]).count()
-        }));
-        let msg = match caught {
-            Err(p) => p
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "non-string panic".into()),
-            Ok(_) => panic!("corrupted block must not scan"),
-        };
-        assert!(msg.contains("checksum"), "panic names the checksum: {msg}");
+        // The scan ends at the bad block instead of serving it, and the
+        // store names what it found.
+        assert_eq!(opened.scan([None, None, None]).count(), 0);
+        let msg = opened
+            .fault()
+            .expect("the corrupted block faults the store")
+            .to_owned();
+        assert!(msg.contains("checksum"), "fault names the checksum: {msg}");
+        // Sticky: repairing the bytes under the open store does not bring
+        // it back, and no block of the shard is served any more.
+        bytes[6] ^= 0xff;
+        std::fs::write(&shard0, &bytes).unwrap();
+        assert_eq!(opened.scan([None, None, None]).count(), 0);
+        assert_eq!(
+            opened.scan_chunks([None, None, None], 1)[0].iter().count(),
+            0
+        );
+        assert_eq!(opened.fault(), Some(msg.as_str()));
     }
 
     #[test]

@@ -371,6 +371,10 @@ impl TripleStore for ShardedStore {
         self.shards.iter().find_map(|s| s.cache_stats())
     }
 
+    fn fault(&self) -> Option<&str> {
+        self.shards.iter().find_map(|s| s.fault())
+    }
+
     fn contains(&self, pattern: Pattern) -> bool {
         match self.route(&pattern) {
             Some(shard) => self.shards[shard].contains(pattern),

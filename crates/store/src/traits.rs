@@ -97,6 +97,18 @@ pub trait TripleStore: Send + Sync {
         None
     }
 
+    /// The first read failure this store met after it opened — a segment
+    /// block that no longer reads back as it was saved — if any. Scans
+    /// have no error channel: a failing one ends, and the query reads
+    /// this afterwards to fail rather than answer short. Sticky: once
+    /// set, the store serves no further block of its own, and every query
+    /// fails with this message until the segments are re-saved. Stores
+    /// that read nothing after open never fault. A composite store
+    /// forwards its parts' first fault.
+    fn fault(&self) -> Option<&str> {
+        None
+    }
+
     /// Moves this store behind a [`SharedStore`] handle — the form the
     /// owned `QueryEngine` and the multi-client benchmark driver consume.
     fn into_shared(self) -> SharedStore
