@@ -53,7 +53,9 @@ impl std::fmt::Display for StepAccess {
 pub struct ExchangeRun {
     /// The planned degree: how many workers a hand-off may start.
     pub degree: usize,
-    /// Morsels the driving scan was split into; 0: not split (an ASK).
+    /// Morsels the driving scan was split into; 0: not split (the
+    /// execution never opened the exchange, e.g. a union branch its
+    /// consumer hung up before).
     pub morsels: usize,
     /// Morsels the consumer's thread took before the hand-off (all).
     pub inline: usize,

@@ -717,7 +717,7 @@ impl<'a> EvalContext<'a> {
         // How an operator reads its input: a witness passes through
         // filters, unions and inner joins, a count through the solution
         // modifiers, and everything else reads rows.
-        let (filtered, modified) = match observe {
+        let (past_filters, past_modifiers) = match observe {
             Observe::Rows => (Observe::Rows, Observe::Rows),
             Observe::Count => (Observe::Rows, Observe::Count),
             Observe::Witness => (Observe::Witness, Observe::Rows),
@@ -758,14 +758,12 @@ impl<'a> EvalContext<'a> {
             }
             Plan::Exchange { degree, input } => crate::par::eval_exchange(self, *degree, input),
             // The right side is not opened until the left is drained.
-            Plan::Union(a, b) => {
-                Box::new(self.clone().eval_over(a, None, filtered).chain(
-                    std::iter::once_with(move || self.eval_over(b, None, filtered)).flatten(),
-                ))
-            }
+            Plan::Union(a, b) => Box::new(self.clone().eval_over(a, None, past_filters).chain(
+                std::iter::once_with(move || self.eval_over(b, None, past_filters)).flatten(),
+            )),
             Plan::Filter(expr, inner) => {
                 let store = self.store;
-                let input = self.eval_over(inner, drive, filtered);
+                let input = self.eval_over(inner, drive, past_filters);
                 Box::new(input.filter(move |row| expr.evaluate(row, store) == Ok(true)))
             }
             // Under `Distinct(Project(vars, x))` the rows of `x` are
@@ -775,7 +773,7 @@ impl<'a> EvalContext<'a> {
                 let (mut seen, below) = Seen::of(inner, self.width);
                 let width = self.width;
                 let survivors: RowIter<'a> = Box::new(
-                    self.eval_over(below, None, modified)
+                    self.eval_over(below, None, past_modifiers)
                         .filter(move |row| seen.insert(row)),
                 );
                 match inner.as_ref() {
@@ -786,7 +784,7 @@ impl<'a> EvalContext<'a> {
                 }
             }
             Plan::Project(_, inner) | Plan::OrderBy(_, inner) if observe == Observe::Count => {
-                self.eval_over(inner, None, modified)
+                self.eval_over(inner, None, past_modifiers)
             }
             Plan::Project(vars, inner) => {
                 let width = self.width;
@@ -810,7 +808,9 @@ impl<'a> EvalContext<'a> {
                 limit,
                 input,
             } => {
-                let it = self.eval_over(input, None, modified).skip(*offset as usize);
+                let it = self
+                    .eval_over(input, None, past_modifiers)
+                    .skip(*offset as usize);
                 match limit {
                     Some(n) => Box::new(it.take(*n as usize)),
                     None => Box::new(it),
