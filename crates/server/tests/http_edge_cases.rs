@@ -353,6 +353,17 @@ fn query_errors_are_400_with_a_message() {
     );
     assert_eq!(status_of(&resp), 400, "{resp}");
     assert!(!body_of(&resp).trim().is_empty(), "error body: {resp}");
+    // `SELECT (COUNT(?o) AS ?s) WHERE { ?s <http://x/p> ?o }`: an alias
+    // naming a pattern variable.
+    let resp = roundtrip(
+        &handle,
+        "GET /sparql?query=SELECT%20%28COUNT%28%3Fo%29%20AS%20%3Fs%29%20WHERE%20%7B%20%3Fs%20%3Chttp%3A%2F%2Fx%2Fp%3E%20%3Fo%20%7D HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status_of(&resp), 400, "{resp}");
+    assert!(
+        body_of(&resp).contains("AS ?s names a variable already in scope"),
+        "{resp}"
+    );
 }
 
 #[test]

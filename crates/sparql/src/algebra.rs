@@ -8,8 +8,8 @@
 //! the outer group (`?author = ?author2 && ?yr2 < ?yr`).
 //!
 //! Variables are resolved to dense indices ([`VarTable`]) here; the
-//! evaluator represents a solution as one `Vec<Option<Id>>` slot per
-//! variable.
+//! evaluator represents a solution as one lane per variable. An `AS
+//! ?alias` is a variable too: its lane holds a group's count.
 
 use sp2b_rdf::Term;
 
@@ -178,35 +178,15 @@ pub struct ResolvedOrderKey {
     pub descending: bool,
 }
 
-/// One COUNT column of the aggregation extension.
+/// One COUNT of an [`Algebra::Group`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountSpec {
     /// Counted variable; `None` for `COUNT(*)`.
     pub target: Option<usize>,
     /// `COUNT(DISTINCT …)`.
     pub distinct: bool,
-}
-
-/// Grouping/counting specification of [`Algebra::Group`]. Store-
-/// independent, so [`crate::plan::Plan::GroupAggregate`] reuses it as-is.
-///
-/// Output ordering and OFFSET/LIMIT live here rather than as outer
-/// operators because they apply to *output columns* (group keys and
-/// count aliases), which have no variable indices in the pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupSpec {
-    /// Group-key variable indices (empty = one implicit group).
-    pub group_vars: Vec<usize>,
-    /// COUNT columns, in projection order.
-    pub counts: Vec<CountSpec>,
-    /// Output column names: group-by names then aliases.
-    pub columns: Vec<String>,
-    /// Output-column order keys `(column, descending)`.
-    pub order_by: Vec<(usize, bool)>,
-    /// Aggregated rows to skip.
-    pub offset: u64,
-    /// Max aggregated rows.
-    pub limit: Option<u64>,
+    /// The variable `AS ?alias` names: the lane a group's count lands in.
+    pub lane: usize,
 }
 
 /// `(left variable, right variable)` pairs of top-level `?x = ?y`
@@ -255,10 +235,16 @@ pub enum Algebra {
         /// Input.
         input: Box<Algebra>,
     },
-    /// GROUP BY + COUNT over the input (aggregation extension). Always the
-    /// root of an aggregate query's algebra; the optimizer rewrites its
-    /// input with the group/count variables as the observable set.
-    Group(GroupSpec, Box<Algebra>),
+    /// GROUP BY + COUNT (aggregation extension): one row per group of the
+    /// input, binding the group's keys and each count's lane.
+    Group {
+        /// Group-key variables (none: one implicit group).
+        keys: Vec<usize>,
+        /// The counts, in projection order.
+        counts: Vec<CountSpec>,
+        /// The rows to group.
+        input: Box<Algebra>,
+    },
 }
 
 impl Algebra {
@@ -319,13 +305,15 @@ impl Algebra {
                     .filter(|v| inner_vars.contains(v))
                     .collect()
             }
-            Algebra::Group(spec, inner) => {
-                let inner_vars = inner.certain_vars();
-                spec.group_vars
-                    .iter()
-                    .copied()
-                    .filter(|v| inner_vars.contains(v))
-                    .collect()
+            // Every group has its counts.
+            Algebra::Group {
+                keys,
+                counts,
+                input,
+            } => {
+                let inner_vars = input.certain_vars();
+                let keys = keys.iter().copied().filter(|v| inner_vars.contains(v));
+                keys.chain(counts.iter().map(|c| c.lane)).collect()
             }
         }
     }
@@ -357,7 +345,10 @@ impl Algebra {
             | Algebra::OrderBy(_, inner)
             | Algebra::Slice { input: inner, .. } => inner.all_vars(),
             Algebra::Project(vars, _) => vars.clone(),
-            Algebra::Group(spec, _) => spec.group_vars.clone(),
+            Algebra::Group { keys, counts, .. } => {
+                let lanes = counts.iter().map(|c| c.lane);
+                keys.iter().copied().chain(lanes).collect()
+            }
         }
     }
 }
@@ -369,12 +360,13 @@ pub struct Translated {
     pub algebra: Algebra,
     /// The variable table.
     pub vars: VarTable,
-    /// Projected variable indices (empty for ASK and aggregate queries,
-    /// whose output columns are not pattern variables).
+    /// The variables of the output columns (empty for ASK). For aggregate
+    /// queries these are the group keys followed by the COUNT aliases.
     pub projection: Vec<usize>,
-    /// Output column names (empty for ASK). For aggregate queries these
-    /// are the group-by names followed by the COUNT aliases.
+    /// Output column names, one per projected variable.
     pub columns: Vec<String>,
+    /// The output columns that hold counts, not terms.
+    pub counts: Vec<usize>,
     /// True for ASK.
     pub ask: bool,
 }
@@ -385,6 +377,10 @@ pub struct Translated {
 pub enum TranslateError {
     /// A GROUP BY or COUNT variable does not occur in the WHERE pattern.
     UnboundVariable(String),
+    /// An `AS ?alias` names a variable already in scope: one of the
+    /// pattern (GROUP BY variables included) or another alias (SPARQL 1.1
+    /// §18.2.4.1).
+    AliasInUse(String),
     /// A construct the algebra cannot express.
     Unsupported(String),
 }
@@ -394,6 +390,9 @@ impl std::fmt::Display for TranslateError {
         match self {
             TranslateError::UnboundVariable(v) => {
                 write!(f, "variable ?{v} is not bound in the query pattern")
+            }
+            TranslateError::AliasInUse(v) => {
+                write!(f, "AS ?{v} names a variable already in scope")
             }
             TranslateError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
@@ -409,40 +408,36 @@ pub fn translate(query: &Query) -> Translated {
     translate_query(query).expect("non-aggregate queries always translate")
 }
 
-/// Translates a parsed query, surfacing aggregation errors.
+/// Translates a parsed query, surfacing aggregation errors. The solution
+/// modifiers nest in spec order, `Slice(Distinct(Project(OrderBy(…))))`,
+/// over the pattern or, for an aggregate query, over its
+/// [`Algebra::Group`].
 pub fn translate_query(query: &Query) -> Result<Translated, TranslateError> {
-    if query.is_aggregate() {
-        return translate_aggregate(query);
-    }
     let mut vars = VarTable::default();
     let pattern = translate_group(&query.pattern, &mut vars);
-
-    let ask = query.is_ask();
-    if ask {
-        return Ok(Translated {
-            algebra: pattern,
-            vars,
-            projection: Vec::new(),
-            columns: Vec::new(),
-            ask,
-        });
-    }
-
     let QueryForm::Select {
         distinct,
         variables,
     } = &query.form
     else {
-        unreachable!("non-ASK is SELECT")
-    };
-    let projection: Vec<usize> = if variables.is_empty() {
-        pattern.all_vars() // SELECT *
-    } else {
-        variables.iter().map(|v| vars.intern(v)).collect()
+        return Ok(Translated {
+            algebra: pattern,
+            vars,
+            projection: Vec::new(),
+            columns: Vec::new(),
+            counts: Vec::new(),
+            ask: true,
+        });
     };
 
-    let mut algebra = pattern;
-    if !query.order_by.is_empty() {
+    let (mut algebra, projection, keys) = if query.is_aggregate() {
+        group(query, pattern, &mut vars)?
+    } else {
+        let projection: Vec<usize> = if variables.is_empty() {
+            pattern.all_vars() // SELECT *
+        } else {
+            variables.iter().map(|v| vars.intern(v)).collect()
+        };
         let keys = query
             .order_by
             .iter()
@@ -451,6 +446,9 @@ pub fn translate_query(query: &Query) -> Result<Translated, TranslateError> {
                 descending: k.descending,
             })
             .collect();
+        (pattern, projection, keys)
+    };
+    if !keys.is_empty() {
         algebra = Algebra::OrderBy(keys, Box::new(algebra));
     }
     algebra = Algebra::Project(projection.clone(), Box::new(algebra));
@@ -468,59 +466,67 @@ pub fn translate_query(query: &Query) -> Result<Translated, TranslateError> {
         .iter()
         .map(|&i| vars.name(i).to_owned())
         .collect();
+    // The aliases are the last columns.
+    let counts = (projection.len() - query.aggregates.len()..projection.len()).collect();
     Ok(Translated {
         algebra,
         vars,
         projection,
         columns,
-        ask,
+        counts,
+        ask: false,
     })
 }
 
-/// Aggregation extension: the pattern algebra wrapped in
-/// [`Algebra::Group`]. Group/count variables must occur in the pattern —
-/// an absent one is a preparation error, not a panic.
-fn translate_aggregate(query: &Query) -> Result<Translated, TranslateError> {
-    let mut vars = VarTable::default();
-    let pattern = translate_group(&query.pattern, &mut vars);
-
-    let group_vars: Vec<usize> = query
-        .group_by
-        .iter()
-        .map(|v| {
-            vars.lookup(v)
-                .ok_or_else(|| TranslateError::UnboundVariable(v.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let counts: Vec<CountSpec> = query
+/// The aggregation extension: `pattern` grouped on the GROUP BY
+/// variables, each `AS ?alias` interned as the variable its count lands
+/// in. Returns the group, the output columns' variables (the group keys,
+/// then the aliases) and the ORDER BY keys.
+/// Every ORDER BY key must name a column; every column follows,
+/// ascending, so that ties come out in one order. Group and count
+/// variables must occur in the pattern, and an alias must not: either is
+/// a preparation error, not a panic.
+fn group(
+    query: &Query,
+    pattern: Algebra,
+    vars: &mut VarTable,
+) -> Result<(Algebra, Vec<usize>, Vec<ResolvedOrderKey>), TranslateError> {
+    let bound = |v: &String| {
+        vars.lookup(v)
+            .ok_or_else(|| TranslateError::UnboundVariable(v.clone()))
+    };
+    let keys: Vec<usize> = query.group_by.iter().map(bound).collect::<Result<_, _>>()?;
+    let targets: Vec<Option<usize>> = query
         .aggregates
         .iter()
-        .map(|a| {
-            let target = match &a.target {
-                Some(v) => Some(
-                    vars.lookup(v)
-                        .ok_or_else(|| TranslateError::UnboundVariable(v.clone()))?,
-                ),
-                None => None,
-            };
-            Ok(CountSpec {
-                target,
-                distinct: a.distinct,
-            })
-        })
+        .map(|a| a.target.as_ref().map(bound).transpose())
         .collect::<Result<_, _>>()?;
+    let mut counts = Vec::new();
+    for (a, target) in query.aggregates.iter().zip(targets) {
+        if vars.lookup(&a.alias).is_some() {
+            return Err(TranslateError::AliasInUse(a.alias.clone()));
+        }
+        counts.push(CountSpec {
+            target,
+            distinct: a.distinct,
+            lane: vars.intern(&a.alias),
+        });
+    }
 
-    let mut columns: Vec<String> = query.group_by.clone();
-    columns.extend(query.aggregates.iter().map(|a| a.alias.clone()));
-    // Output-column ORDER BY: keys must name a group var or an alias.
-    let order_by: Vec<(usize, bool)> = query
+    let mut projection = keys.clone();
+    projection.extend(counts.iter().map(|c| c.lane));
+    let column = |v: usize, descending| ResolvedOrderKey {
+        expr: Expr::Var(v),
+        descending,
+    };
+    let mut order: Vec<ResolvedOrderKey> = query
         .order_by
         .iter()
         .map(|k| match &k.expression {
-            Expression::Var(v) => columns
-                .iter()
-                .position(|c| c == v)
-                .map(|col| (col, k.descending))
+            Expression::Var(v) => vars
+                .lookup(v)
+                .filter(|i| projection.contains(i))
+                .map(|i| column(i, k.descending))
                 .ok_or_else(|| {
                     TranslateError::Unsupported(format!(
                         "ORDER BY ?{v} must name a GROUP BY variable or aggregate alias"
@@ -531,22 +537,13 @@ fn translate_aggregate(query: &Query) -> Result<Translated, TranslateError> {
             ))),
         })
         .collect::<Result<_, _>>()?;
-
-    let spec = GroupSpec {
-        group_vars,
+    order.extend(projection.iter().map(|&v| column(v, false)));
+    let group = Algebra::Group {
+        keys,
         counts,
-        columns: columns.clone(),
-        order_by,
-        offset: query.offset.unwrap_or(0),
-        limit: query.limit,
+        input: Box::new(pattern),
     };
-    Ok(Translated {
-        algebra: Algebra::Group(spec, Box::new(pattern)),
-        vars,
-        projection: Vec::new(),
-        columns,
-        ask: false,
-    })
+    Ok((group, projection, order))
 }
 
 /// Spec §12.2.1: group translation. Filters scope over the whole group and
@@ -756,6 +753,36 @@ mod tests {
             panic!()
         };
         assert!(matches!(inner.as_ref(), Algebra::OrderBy(..)));
+    }
+
+    #[test]
+    fn aggregate_modifiers_are_the_select_ones() {
+        let t = translated(
+            "SELECT ?c (COUNT(*) AS ?n) WHERE { ?d <http://p> ?c } GROUP BY ?c ORDER BY DESC(?n) LIMIT 3",
+        );
+        let (c, n) = (t.vars.lookup("c").unwrap(), t.vars.lookup("n").unwrap());
+        assert_eq!((&t.projection[..], &t.counts[..]), (&[c, n][..], &[1][..]));
+        // Slice(Project(OrderBy(Group(Bgp)))), ties settled by every
+        // column ascending.
+        let Algebra::Slice { input, .. } = &t.algebra else {
+            panic!()
+        };
+        let Algebra::Project(_, inner) = input.as_ref() else {
+            panic!()
+        };
+        let Algebra::OrderBy(keys, inner) = inner.as_ref() else {
+            panic!()
+        };
+        let keys: Vec<_> = keys
+            .iter()
+            .map(|k| (k.expr.clone(), k.descending))
+            .collect();
+        let by = |v, descending| (Expr::Var(v), descending);
+        assert_eq!(keys, [by(n, true), by(c, false), by(n, false)]);
+        let Algebra::Group { keys, counts, .. } = inner.as_ref() else {
+            panic!()
+        };
+        assert_eq!((&keys[..], counts[0].lane), (&[c][..], n));
     }
 
     #[test]

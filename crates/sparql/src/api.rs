@@ -15,9 +15,11 @@
 //!   (the Table V result-size harness path).
 //!
 //! Aggregation (`GROUP BY` + `COUNT`) is a first-class plan operator
-//! ([`crate::plan::Plan::GroupAggregate`]), not an api-layer post-pass, so
-//! it participates in optimization and cancellation like every other
-//! operator and all three consumers above agree by construction.
+//! ([`crate::plan::Plan::Group`]), not an api-layer post-pass: a group is
+//! an ordinary row, so it is sorted, sliced, streamed and counted like
+//! every other, and all three consumers above agree by construction. Only
+//! reading a count column differs: its lane holds a number, rendered as
+//! an `xsd:integer` ([`Solution::with_term`]).
 //!
 //! Owning the store (rather than borrowing it, as the engine did before
 //! this redesign) is what enables the two concurrent workloads the
@@ -41,9 +43,7 @@ use std::sync::Arc;
 
 use crate::algebra::{translate_query, TranslateError};
 use crate::ast::Query;
-use crate::eval::{
-    AggCell, AggRow, Bindings, Cancellation, EvalContext, Observe, RowIter, ScanCounters, StepState,
-};
+use crate::eval::{Bindings, Cancellation, EvalContext, Observe, RowIter, ScanCounters, StepState};
 use crate::optimizer::{optimize, OptimizerConfig};
 use crate::parser::{parse, ParseError};
 use crate::plan::{bind, operators, parallelize, Plan};
@@ -55,6 +55,8 @@ pub enum Error {
     Parse(ParseError),
     /// A GROUP BY or COUNT variable is not bound in the query pattern.
     UnboundVariable(String),
+    /// An `AS ?alias` names a variable already in scope.
+    AliasInUse(String),
     /// Evaluation hit the timeout / was cancelled.
     Cancelled,
     /// A construct the engine does not support.
@@ -71,6 +73,7 @@ impl fmt::Display for Error {
             Error::UnboundVariable(v) => {
                 write!(f, "variable ?{v} is not bound in the query pattern")
             }
+            Error::AliasInUse(v) => write!(f, "AS ?{v} names a variable already in scope"),
             Error::Cancelled => f.write_str("query evaluation cancelled (timeout)"),
             Error::Unsupported(what) => write!(f, "unsupported: {what}"),
             Error::Store(msg) => f.write_str(msg),
@@ -90,6 +93,7 @@ impl From<TranslateError> for Error {
     fn from(e: TranslateError) -> Self {
         match e {
             TranslateError::UnboundVariable(v) => Error::UnboundVariable(v),
+            TranslateError::AliasInUse(v) => Error::AliasInUse(v),
             TranslateError::Unsupported(s) => Error::Unsupported(s),
         }
     }
@@ -300,6 +304,7 @@ impl QueryEngine {
             width: translated.vars.len(),
             projection: translated.projection,
             columns: translated.columns,
+            counts: translated.counts,
             ask: translated.ask,
         })
     }
@@ -347,24 +352,14 @@ impl QueryEngine {
         prepared: &'p Prepared,
         cancel: &Cancellation,
     ) -> Solutions<'p> {
-        let cancel = cancel.clone();
-        let ctx = self.context(prepared, &cancel);
-        let state = match &prepared.plan {
-            // Grouping waits for the first pull.
-            Plan::GroupAggregate { spec, input } => {
-                let groups = move || ctx.sort_and_slice_groups(spec, ctx.eval_groups(spec, input));
-                StreamState::Groups(Box::new(std::iter::once_with(groups).flatten()))
-            }
-            plan => StreamState::Rows {
-                iter: ctx.rows(plan, prepared.observe(Observe::Rows)),
-                projection: &prepared.projection,
-            },
-        };
+        let rows = self
+            .context(prepared, cancel)
+            .rows(&prepared.plan, prepared.observe(Observe::Rows));
         Solutions {
             store: &*self.store,
-            cancel,
-            columns: &prepared.columns,
-            state,
+            cancel: cancel.clone(),
+            prepared,
+            rows: Some(rows),
         }
     }
 
@@ -433,10 +428,12 @@ pub struct Prepared {
     operators: usize,
     /// Number of pattern variables (the bindings row width).
     width: usize,
-    /// Projected variable indices (empty for ASK/aggregate).
+    /// The output columns' variables (empty for ASK).
     projection: Vec<usize>,
     /// Output column names.
     columns: Vec<String>,
+    /// The output columns that hold counts.
+    counts: Vec<usize>,
     ask: bool,
 }
 
@@ -457,9 +454,9 @@ impl Prepared {
         self.ask
     }
 
-    /// True when the plan root is the GroupAggregate operator.
+    /// True for an aggregate query: one with count columns.
     pub fn is_aggregate(&self) -> bool {
-        matches!(self.plan, Plan::GroupAggregate { .. })
+        !self.counts.is_empty()
     }
 
     /// How a consumer that would read `otherwise` reads this query's
@@ -648,26 +645,16 @@ impl QueryResult {
 pub struct Solutions<'a> {
     store: &'a dyn TripleStore,
     cancel: Cancellation,
-    columns: &'a [String],
-    state: StreamState<'a>,
-}
-
-enum StreamState<'a> {
-    /// A walk's rows and the projection map (empty for an ASK).
-    Rows {
-        iter: RowIter<'a>,
-        projection: &'a [usize],
-    },
-    /// Aggregate: ordered output rows, grouped on the first pull.
-    Groups(Box<dyn Iterator<Item = AggRow> + 'a>),
-    /// Exhausted (end of stream or error delivered).
-    Done,
+    prepared: &'a Prepared,
+    /// The walk's rows; `None` once exhausted (end of stream or error
+    /// delivered).
+    rows: Option<RowIter<'a>>,
 }
 
 impl<'a> Solutions<'a> {
     /// Output column names.
     pub fn variables(&self) -> &'a [String] {
-        self.columns
+        &self.prepared.columns
     }
 
     /// The cancellation handle driving this stream (e.g. to hand to a
@@ -681,39 +668,31 @@ impl<'a> Iterator for Solutions<'a> {
     type Item = Result<Solution<'a>, Error>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        let rows = self.rows.as_mut()?;
         // Cooperative stop between rows (evaluation also checks inside
         // operators; this catches pre-triggered handles and deadlines that
         // pass while the consumer holds the stream).
-        if !matches!(self.state, StreamState::Done) && self.cancel.should_stop() {
-            self.state = StreamState::Done;
+        if self.cancel.should_stop() {
+            self.rows = None;
             return Some(Err(Error::Cancelled));
         }
-        let row = match &mut self.state {
-            StreamState::Rows { iter, projection } => {
-                iter.next().map(|bindings| SolutionRow::Bindings {
-                    bindings,
-                    projection,
-                })
-            }
-            StreamState::Groups(rows) => rows.next().map(SolutionRow::Cells),
-            StreamState::Done => return None,
-        };
+        let row = rows.next();
         // No row after a fault: what an operator computed over the rows
         // it could read (a sort, a group) is not the answer.
         if let Err(e) = interrupted(self.store, &self.cancel) {
-            self.state = StreamState::Done;
+            self.rows = None;
             return Some(Err(e));
         }
-        match row {
-            Some(row) => Some(Ok(Solution {
-                dict: self.store.dictionary(),
-                row,
-            })),
-            None => {
-                self.state = StreamState::Done;
-                None
-            }
-        }
+        let Some(bindings) = row else {
+            self.rows = None;
+            return None;
+        };
+        Some(Ok(Solution {
+            dict: self.store.dictionary(),
+            bindings,
+            projection: &self.prepared.projection,
+            counts: &self.prepared.counts,
+        }))
     }
 }
 
@@ -721,26 +700,18 @@ impl<'a> Iterator for Solutions<'a> {
 /// column. Consumers that never read a column never pay for its term.
 pub struct Solution<'a> {
     dict: &'a Dictionary,
-    row: SolutionRow<'a>,
-}
-
-enum SolutionRow<'a> {
-    /// A projected pattern row (terms still dictionary ids).
-    Bindings {
-        bindings: Bindings,
-        projection: &'a [usize],
-    },
-    /// An aggregated row (group keys as ids, counts as computed values).
-    Cells(AggRow),
+    /// The row, its terms still dictionary ids.
+    bindings: Bindings,
+    /// The variable of each output column.
+    projection: &'a [usize],
+    /// The output columns whose lane holds a count, not an id.
+    counts: &'a [usize],
 }
 
 impl Solution<'_> {
     /// Number of output columns.
     pub fn len(&self) -> usize {
-        match &self.row {
-            SolutionRow::Bindings { projection, .. } => projection.len(),
-            SolutionRow::Cells(cells) => cells.len(),
-        }
+        self.projection.len()
     }
 
     /// True for a zero-column row (the ASK witness).
@@ -750,19 +721,16 @@ impl Solution<'_> {
 
     /// Reads column `i` through a borrowed view (`None` when unbound or
     /// out of range): a bound variable or group key lends the
-    /// dictionary's own bytes, a COUNT its computed value as an
-    /// `xsd:integer` literal. Nothing is cloned — what the serializers
-    /// read a cell with.
+    /// dictionary's own bytes, a COUNT its value as an `xsd:integer`
+    /// literal. Nothing is cloned — what the serializers read a cell with.
     pub fn with_term<R>(&self, i: usize, read: impl FnOnce(TermRef<'_>) -> R) -> Option<R> {
-        if let SolutionRow::Cells(cells) = &self.row {
-            if let AggCell::Count(n) = cells.get(i)? {
-                let count = LiteralRef {
-                    lexical: &n.to_string(),
-                    datatype: Some(xsd::INTEGER),
-                    language: None,
-                };
-                return Some(read(TermRef::Literal(count)));
-            }
+        if self.counts.contains(&i) {
+            let count = LiteralRef {
+                lexical: &self.lane(i)?.to_string(),
+                datatype: Some(xsd::INTEGER),
+                language: None,
+            };
+            return Some(read(TermRef::Literal(count)));
         }
         self.id(i).map(|id| read(self.dict.decode(id)))
     }
@@ -774,19 +742,15 @@ impl Solution<'_> {
     }
 
     /// The dictionary id of column `i` without decoding — `None` when
-    /// unbound, out of range, or a computed value (COUNT columns have no
+    /// unbound, out of range, or a count (COUNT columns have no
     /// dictionary id).
     pub fn id(&self, i: usize) -> Option<Id> {
-        match &self.row {
-            SolutionRow::Bindings {
-                bindings,
-                projection,
-            } => projection.get(i).and_then(|&v| bindings.get(v)),
-            SolutionRow::Cells(cells) => match cells.get(i) {
-                Some(AggCell::Key(id)) => Some(*id),
-                _ => None,
-            },
-        }
+        self.lane(i).filter(|_| !self.counts.contains(&i))
+    }
+
+    /// What column `i`'s lane holds, if bound.
+    fn lane(&self, i: usize) -> Option<Id> {
+        self.projection.get(i).and_then(|&v| self.bindings.get(v))
     }
 
     /// Decodes the whole row.
@@ -927,7 +891,7 @@ mod tests {
         let p = engine
             .prepare("SELECT (COUNT(*) AS ?n) WHERE { ?s <http://x/value> ?v }")
             .unwrap();
-        assert!(p.is_aggregate(), "plan root must be GroupAggregate");
+        assert!(p.is_aggregate(), "a count column makes an aggregate");
         let QueryResult::Solutions { rows, .. } = engine.execute(&p).unwrap() else {
             panic!()
         };

@@ -3,8 +3,12 @@
 //! [`EvalContext::eval_over`] is the only walk, with one arm per operator.
 //! Solutions stream lazily wherever the algebra allows: a group's pattern
 //! steps ([`PatternBind`]) extend rows one at a time, hash joins
-//! materialize only their build side, and sorting and duplicate
-//! elimination materialize by nature.
+//! materialize only their build side, and sorting, grouping and duplicate
+//! elimination materialize by nature. A sort and a grouping do so on
+//! their first pull. A group ([`Plan::Group`]) is an ordinary row: its
+//! key ids in their lanes, each count, as a number, in the lane of its
+//! alias — so the groups are sorted, projected, sliced and counted by
+//! the same arms as any other rows.
 //!
 //! # What the consumer observes
 //!
@@ -102,10 +106,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use sp2b_obs::{ExchangeRun, OpKind, StepAccess};
-use sp2b_rdf::{Literal, Term};
 use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, TripleStore};
 
-use crate::algebra::{EqPairs, GroupSpec};
+use crate::algebra::{CountSpec, EqPairs};
 use crate::expr::{eq_class, BoundExpr};
 use crate::plan::{
     const_pattern, driving_scan, output_estimate, FetchRule, JoinKind, Plan, PlanOrderKey,
@@ -683,18 +686,10 @@ impl<'a> EvalContext<'a> {
     }
 
     /// How many solutions a consumer reading `plan` by `observe` gets,
-    /// decoding no term: the groups an aggregate's OFFSET/LIMIT leave,
-    /// otherwise the walk's rows. This is the engine behind
+    /// decoding no term. This is the engine behind
     /// [`crate::QueryEngine::count`] and the Table V result-size harness.
     pub fn count(self, plan: &'a Plan, observe: Observe) -> u64 {
-        match plan {
-            Plan::GroupAggregate { spec, input } => {
-                let groups = self.eval_groups(spec, input).len() as u64;
-                let left = groups.saturating_sub(spec.offset);
-                spec.limit.map_or(left, |limit| left.min(limit))
-            }
-            _ => self.rows(plan, observe).count() as u64,
-        }
+        self.rows(plan, observe).count() as u64
     }
 
     /// The one walk: `plan`'s rows as `observe` reads them, with the
@@ -792,16 +787,23 @@ impl<'a> EvalContext<'a> {
                 project_rows(input, vars, width)
             }
             Plan::OrderBy(keys, inner) => {
-                let this = self.clone();
-                let mut rows: Vec<Bindings> = Vec::new();
-                for row in self.eval(inner) {
-                    if this.cancel.should_stop() {
-                        break;
+                let sorted = move || {
+                    let mut rows = Vec::new();
+                    for row in self.clone().eval(inner) {
+                        if self.cancel.should_stop() {
+                            break;
+                        }
+                        rows.push(row);
                     }
-                    rows.push(row);
-                }
-                rows.sort_by(|a, b| this.compare_rows(keys, a, b));
-                Box::new(rows.into_iter())
+                    // A cancelled execution's rows go unsorted: the sort
+                    // decodes terms.
+                    if self.cancel.was_triggered() {
+                        rows.clear();
+                    }
+                    rows.sort_by(|a, b| self.compare_rows(keys, a, b));
+                    rows
+                };
+                Box::new(std::iter::once_with(sorted).flatten())
             }
             Plan::Slice {
                 offset,
@@ -816,13 +818,65 @@ impl<'a> EvalContext<'a> {
                     None => Box::new(it),
                 }
             }
-            // Aggregation is not a bindings stream: its consumers read it
-            // via [`EvalContext::eval_groups`]. `bind` only ever places it
-            // at the plan root, so no operator reaches it.
-            Plan::GroupAggregate { .. } => {
-                unreachable!("GroupAggregate is evaluated via eval_groups")
+            Plan::Group {
+                keys,
+                counts,
+                input,
+            } => Box::new(std::iter::once_with(move || self.groups(keys, counts, input)).flatten()),
+        }
+    }
+
+    /// The rows of a [`Plan::Group`]: `input`'s rows grouped on the `keys`
+    /// lanes, checking cancellation per row, and one row per group binding
+    /// those and each count's lane, in no particular order. With no keys,
+    /// an empty input still makes one group, of zero counts (SPARQL 1.1).
+    fn groups(self, keys: &[usize], counts: &[CountSpec], input: &'a Plan) -> Vec<Bindings> {
+        #[derive(Clone, Default)]
+        struct Tally {
+            rows: u64,
+            distinct: FxHashSet<Id>,
+        }
+        let mut groups: FxHashMap<Vec<Id>, Vec<Tally>> = FxHashMap::default();
+        for row in self.clone().eval(input) {
+            if self.cancel.should_stop() {
+                break;
+            }
+            let key = keys.iter().map(|&v| row.get(v).unwrap_or(UNBOUND));
+            let tallies = groups
+                .entry(key.collect())
+                .or_insert_with(|| vec![Tally::default(); counts.len()]);
+            for (tally, count) in tallies.iter_mut().zip(counts) {
+                // COUNT(?v) counts the rows binding ?v, COUNT(*) every row.
+                let Some(value) = count.target.map_or(Some(UNBOUND), |v| row.get(v)) else {
+                    continue;
+                };
+                if count.distinct {
+                    tally.distinct.insert(value);
+                } else {
+                    tally.rows += 1;
+                }
             }
         }
+        if groups.is_empty() && keys.is_empty() {
+            groups.insert(Vec::new(), vec![Tally::default(); counts.len()]);
+        }
+        let row = |(key, tallies): (Vec<Id>, Vec<Tally>)| {
+            let mut row = Bindings::empty(self.width);
+            for (&v, id) in keys.iter().zip(key).filter(|&(_, id)| id != UNBOUND) {
+                row.set(v, id);
+            }
+            for (tally, count) in tallies.iter().zip(counts) {
+                let n = if count.distinct {
+                    tally.distinct.len() as u64
+                } else {
+                    tally.rows
+                };
+                let n = Id::try_from(n).ok().filter(|&n| n != UNBOUND);
+                row.set(count.lane, n.expect("a count stays below 2^32 - 1"));
+            }
+            row
+        };
+        groups.into_iter().map(row).collect()
     }
 
     // -- joins ---------------------------------------------------------
@@ -885,6 +939,9 @@ impl<'a> EvalContext<'a> {
                     };
                     (ord, *descending)
                 }
+                PlanOrderKey::Count { lane, descending } => {
+                    (a.get(*lane).cmp(&b.get(*lane)), *descending)
+                }
                 PlanOrderKey::Expr { expr, descending } => {
                     let va = expr.evaluate(a, self.store).unwrap_or(false);
                     let vb = expr.evaluate(b, self.store).unwrap_or(false);
@@ -897,151 +954,6 @@ impl<'a> EvalContext<'a> {
             }
         }
         std::cmp::Ordering::Equal
-    }
-
-    // -- aggregation ---------------------------------------------------
-
-    /// Evaluates a [`Plan::GroupAggregate`]: streams the input, groups by
-    /// the key variables and computes every COUNT column, checking
-    /// cancellation per input row like every other operator. The output is
-    /// unordered and unsliced — counting consumers need only `len()` plus
-    /// slice arithmetic (no sort, no term decoding), while result delivery
-    /// finishes with [`EvalContext::sort_and_slice_groups`].
-    pub fn eval_groups(&self, spec: &GroupSpec, input: &'a Plan) -> Vec<AggRow> {
-        struct GroupState {
-            plain: Vec<u64>,
-            distinct: Vec<FxHashSet<Option<Id>>>,
-        }
-
-        let mut groups: FxHashMap<Vec<Option<Id>>, GroupState> = FxHashMap::default();
-        for row in self.clone().eval(input) {
-            if self.cancel.should_stop() {
-                break;
-            }
-            let key: Vec<Option<Id>> = spec.group_vars.iter().map(|&v| row.get(v)).collect();
-            let state = groups.entry(key).or_insert_with(|| GroupState {
-                plain: vec![0; spec.counts.len()],
-                distinct: vec![FxHashSet::default(); spec.counts.len()],
-            });
-            for (i, count) in spec.counts.iter().enumerate() {
-                let value = match count.target {
-                    // COUNT(?v) counts rows where ?v is bound.
-                    Some(v) => row.get(v).map(Some),
-                    // COUNT(*) counts every row.
-                    None => Some(None),
-                };
-                if let Some(value) = value {
-                    if count.distinct {
-                        state.distinct[i].insert(value);
-                    } else {
-                        state.plain[i] += 1;
-                    }
-                }
-            }
-        }
-        // SPARQL 1.1: with no GROUP BY, an empty input still yields one
-        // group of zero counts.
-        if groups.is_empty() && spec.group_vars.is_empty() {
-            groups.insert(
-                Vec::new(),
-                GroupState {
-                    plain: vec![0; spec.counts.len()],
-                    distinct: vec![FxHashSet::default(); spec.counts.len()],
-                },
-            );
-        }
-        groups
-            .into_iter()
-            .map(|(key, state)| {
-                let mut row: AggRow = key
-                    .iter()
-                    .map(|id| match id {
-                        Some(id) => AggCell::Key(*id),
-                        None => AggCell::Unbound,
-                    })
-                    .collect();
-                for (i, count) in spec.counts.iter().enumerate() {
-                    let n = if count.distinct {
-                        state.distinct[i].len() as u64
-                    } else {
-                        state.plain[i]
-                    };
-                    row.push(AggCell::Count(n));
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// Deterministic aggregate output: explicit ORDER BY keys first (term
-    /// values compared through the dictionary, counts numerically), the
-    /// full row as a tiebreaker; then OFFSET/LIMIT. A cancelled
-    /// execution's groups are dropped unsorted: the sort decodes terms.
-    pub fn sort_and_slice_groups(&self, spec: &GroupSpec, mut rows: Vec<AggRow>) -> Vec<AggRow> {
-        if self.cancel.was_triggered() {
-            return Vec::new();
-        }
-        let dict = self.store.dictionary();
-        rows.sort_by(|a, b| {
-            for &(col, desc) in &spec.order_by {
-                let ord = compare_agg_cells(dict, &a[col], &b[col]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            for (x, y) in a.iter().zip(b.iter()) {
-                let ord = compare_agg_cells(dict, x, y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows.into_iter()
-            .skip(spec.offset as usize)
-            .take(spec.limit.map_or(usize::MAX, |l| l as usize))
-            .collect()
-    }
-}
-
-/// One cell of an aggregated output row (see [`Plan::GroupAggregate`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AggCell {
-    /// Unbound group key.
-    Unbound,
-    /// Bound group-key term, by dictionary id.
-    Key(Id),
-    /// A computed COUNT — a value the dictionary has no id for.
-    Count(u64),
-}
-
-/// An aggregated output row: group keys then counts, in output-column
-/// order.
-pub type AggRow = Vec<AggCell>;
-
-/// Orders two aggregate cells: unbound first, then decoded term order
-/// (counts compare as integer literals, i.e. numerically).
-fn compare_agg_cells(dict: &Dictionary, a: &AggCell, b: &AggCell) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (AggCell::Unbound, AggCell::Unbound) => Ordering::Equal,
-        (AggCell::Unbound, _) => Ordering::Less,
-        (_, AggCell::Unbound) => Ordering::Greater,
-        (AggCell::Count(x), AggCell::Count(y)) => x.cmp(y),
-        (AggCell::Key(x), AggCell::Key(y)) => {
-            if x == y {
-                Ordering::Equal
-            } else {
-                dict.decode(*x).cmp(&dict.decode(*y))
-            }
-        }
-        (AggCell::Key(x), AggCell::Count(n)) => dict
-            .decode(*x)
-            .cmp(&Term::Literal(Literal::integer(*n as i64)).as_ref()),
-        (AggCell::Count(n), AggCell::Key(y)) => Term::Literal(Literal::integer(*n as i64))
-            .as_ref()
-            .cmp(&dict.decode(*y)),
     }
 }
 

@@ -246,13 +246,21 @@ fn rewrite(
             limit,
             input: Box::new(rewrite(*input, store, cfg, needed, false)),
         },
-        Algebra::Group(spec, input) => {
+        Algebra::Group {
+            keys,
+            counts,
+            input,
+        } => {
             // The group keys and count targets are the only variables
             // observable above the aggregation.
-            extend(needed, spec.group_vars.iter().copied());
-            extend(needed, spec.counts.iter().filter_map(|c| c.target));
-            let input = rewrite(*input, store, cfg, needed, false);
-            Algebra::Group(spec, Box::new(input))
+            extend(needed, keys.iter().copied());
+            extend(needed, counts.iter().filter_map(|c| c.target));
+            let input = Box::new(rewrite(*input, store, cfg, needed, false));
+            Algebra::Group {
+                keys,
+                counts,
+                input,
+            }
         }
     }
 }

@@ -7,6 +7,9 @@
 //! that binds the last of its variables, or directly over `Unit` when
 //! the group has no pattern. Steps, joins and filters are links of one
 //! chain, which the evaluator walks with one `match` ([`crate::eval`]).
+//! Aggregation is a link like the others: [`Plan::Group`] emits one
+//! ordinary row per group, each count in the lane of its alias, and the
+//! sort, projection and slice above it are the ones every SELECT has.
 //!
 //! Binding resolves every constant term to its dictionary id (or `None`
 //! when the term does not occur in the data — such a pattern matches
@@ -38,7 +41,7 @@ use std::sync::Arc;
 
 use sp2b_store::{Id, TripleStore};
 
-use crate::algebra::{Algebra, EqPairs, Expr, GroupSpec, ResolvedPattern, Slot};
+use crate::algebra::{Algebra, CountSpec, EqPairs, Expr, ResolvedPattern, Slot};
 use crate::expr::BoundExpr;
 use crate::optimizer::OptimizerConfig;
 
@@ -156,6 +159,14 @@ pub enum PlanOrderKey {
         /// Descending?
         descending: bool,
     },
+    /// Order by a count ([`Plan::Group`]): its lane holds a number, not an
+    /// id, and compares numerically.
+    Count {
+        /// The count's lane.
+        lane: usize,
+        /// Descending?
+        descending: bool,
+    },
     /// Order by an expression's effective boolean value (rare).
     Expr {
         /// The expression.
@@ -238,16 +249,17 @@ pub enum Plan {
         /// Input plan.
         input: Box<Plan>,
     },
-    /// GROUP BY + COUNT over the input stream (the aggregation
-    /// extension). Always the plan root: its output rows carry computed
-    /// counts the dictionary has no ids for, so they leave the
-    /// [`crate::eval::Bindings`] representation (see
-    /// [`crate::eval::AggRow`]). Output ordering and OFFSET/LIMIT are part
-    /// of the spec because they apply to aggregated rows.
-    GroupAggregate {
-        /// Grouping, counting and output-modifier specification.
-        spec: GroupSpec,
-        /// The pattern producing the rows to aggregate.
+    /// GROUP BY + COUNT (the aggregation extension), materializing: one
+    /// ordinary row per group of `input`'s rows, with the group's key ids
+    /// in the `keys` lanes and each count, as a number, in its
+    /// [`CountSpec::lane`]. Sorting, slicing and counting the groups is
+    /// what the operators above do to any rows.
+    Group {
+        /// Group-key variables (none: one implicit group).
+        keys: Vec<usize>,
+        /// The counts.
+        counts: Vec<CountSpec>,
+        /// The rows to group.
         input: Box<Plan>,
     },
     /// Morsel-driven execution (inserted by [`parallelize`]): the driving
@@ -303,15 +315,18 @@ pub fn bind(algebra: &Algebra, store: &dyn TripleStore, cfg: &OptimizerConfig) -
         store,
         cfg,
         next: 0,
+        counts: Vec::new(),
     }
     .plan(algebra)
 }
 
-/// The state of one [`bind`]: the next operator ordinal.
+/// The state of one [`bind`]: the next operator ordinal, and the count
+/// lanes of the groups bound so far.
 struct Binder<'s> {
     store: &'s dyn TripleStore,
     cfg: &'s OptimizerConfig,
     next: usize,
+    counts: Vec<usize>,
 }
 
 impl Binder<'_> {
@@ -383,21 +398,26 @@ impl Binder<'_> {
             Algebra::Union(a, b) => Plan::Union(self.sub(a), self.sub(b)),
             Algebra::Distinct(inner) => Plan::Distinct(self.sub(inner)),
             Algebra::Project(vars, inner) => Plan::Project(vars.clone(), self.sub(inner)),
-            Algebra::OrderBy(keys, inner) => Plan::OrderBy(
-                keys.iter()
-                    .map(|k| match &k.expr {
-                        Expr::Var(i) => PlanOrderKey::Var {
-                            var: *i,
-                            descending: k.descending,
-                        },
-                        other => PlanOrderKey::Expr {
-                            expr: BoundExpr::bind(other, store),
-                            descending: k.descending,
-                        },
-                    })
-                    .collect(),
-                self.sub(inner),
-            ),
+            Algebra::OrderBy(keys, inner) => {
+                // The input first: it binds the groups whose counts a key
+                // may name.
+                let input = self.sub(inner);
+                let keys = keys.iter().map(|k| match (&k.expr, k.descending) {
+                    (Expr::Var(i), descending) if self.counts.contains(i) => PlanOrderKey::Count {
+                        lane: *i,
+                        descending,
+                    },
+                    (Expr::Var(i), descending) => PlanOrderKey::Var {
+                        var: *i,
+                        descending,
+                    },
+                    (other, descending) => PlanOrderKey::Expr {
+                        expr: BoundExpr::bind(other, store),
+                        descending,
+                    },
+                });
+                Plan::OrderBy(keys.collect(), input)
+            }
             Algebra::Slice {
                 offset,
                 limit,
@@ -407,10 +427,18 @@ impl Binder<'_> {
                 limit: *limit,
                 input: self.sub(input),
             },
-            Algebra::Group(spec, input) => Plan::GroupAggregate {
-                spec: spec.clone(),
-                input: self.sub(input),
-            },
+            Algebra::Group {
+                keys,
+                counts,
+                input,
+            } => {
+                self.counts.extend(counts.iter().map(|c| c.lane));
+                Plan::Group {
+                    keys: keys.clone(),
+                    counts: counts.clone(),
+                    input: self.sub(input),
+                }
+            }
         }
     }
 
@@ -481,7 +509,7 @@ pub(crate) fn output_estimate(plan: &Plan) -> u64 {
         | Plan::Distinct(inner)
         | Plan::Project(_, inner)
         | Plan::OrderBy(_, inner) => output_estimate(inner),
-        Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => output_estimate(input),
+        Plan::Slice { input, .. } | Plan::Group { input, .. } => output_estimate(input),
         Plan::Exchange { input, .. } => output_estimate(input),
     }
 }
@@ -503,7 +531,7 @@ fn join_key(a: &Algebra, b: &Algebra) -> Vec<usize> {
 
 /// Inserts [`Plan::Exchange`] operators for a target `degree` of
 /// parallelism. The pass descends through merge-side operators (project,
-/// sort, distinct, aggregation, union branches) and wraps each pipeline
+/// sort, distinct, grouping, union branches) and wraps each pipeline
 /// segment — a chain of steps, joins and filters — with a driving scan.
 /// Nothing is estimated here: an exchange runs on its consumer's thread
 /// until the execution has earned its workers ([`crate::par`]), so one
@@ -538,8 +566,13 @@ pub fn parallelize(plan: Plan, degree: usize) -> Plan {
                 input
             },
         },
-        Plan::GroupAggregate { spec, input } => Plan::GroupAggregate {
-            spec,
+        Plan::Group {
+            keys,
+            counts,
+            input,
+        } => Plan::Group {
+            keys,
+            counts,
             input: sub(input),
         },
         Plan::Union(a, b) => Plan::Union(sub(a), sub(b)),
@@ -592,7 +625,7 @@ pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
             | Plan::Distinct(inner)
             | Plan::Project(_, inner)
             | Plan::OrderBy(_, inner) => walk(inner, out),
-            Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => walk(input, out),
+            Plan::Slice { input, .. } | Plan::Group { input, .. } => walk(input, out),
         }
     }
     let mut out = Vec::new();
@@ -666,7 +699,7 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
             | Plan::Distinct(inner)
             | Plan::Project(_, inner)
             | Plan::OrderBy(_, inner) => walk(inner, out),
-            Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => walk(input, out),
+            Plan::Slice { input, .. } | Plan::Group { input, .. } => walk(input, out),
             Plan::Exchange { input, .. } => walk(input, out),
         }
     }

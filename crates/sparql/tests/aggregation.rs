@@ -4,7 +4,7 @@
 //! challenging aggregate queries."
 
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
-use sp2b_sparql::{QueryEngine, QueryResult};
+use sp2b_sparql::{Error, QueryEngine, QueryResult};
 use sp2b_store::{MemStore, TripleStore};
 
 fn store() -> MemStore {
@@ -158,4 +158,96 @@ fn deterministic_output_order_without_order_by() {
     let (_, a) = rows(q);
     let (_, b) = rows(q);
     assert_eq!(a, b);
+}
+
+#[test]
+fn tied_counts_come_out_in_column_order() {
+    // d0 has three triples, d1 two, and alice and d2–d5 one each: the
+    // ties under DESC(?n) come out ascending on ?d, then ?n.
+    let (_, rows) =
+        rows("SELECT ?d (COUNT(?x) AS ?n) WHERE { ?d ?p ?x } GROUP BY ?d ORDER BY DESC(?n)");
+    let order: Vec<(String, i64)> = rows
+        .iter()
+        .map(|r| (r[0].as_ref().unwrap().to_string(), int(&r[1])))
+        .collect();
+    let expected = [
+        ("d0", 3),
+        ("d1", 2),
+        ("alice", 1),
+        ("d2", 1),
+        ("d3", 1),
+        ("d4", 1),
+        ("d5", 1),
+    ]
+    .map(|(d, n)| (format!("<http://x/{d}>"), n));
+    assert_eq!(order, expected);
+}
+
+#[test]
+fn counts_order_as_numbers() {
+    // Ten and nine: as text "10" would sort before "9".
+    let mut g = Graph::new();
+    for (s, n) in [("ten", 10), ("nine", 9)] {
+        for i in 0..n {
+            g.add(
+                Subject::iri(format!("http://x/{s}")),
+                Iri::new("http://x/p"),
+                Term::Literal(Literal::integer(i)),
+            );
+        }
+    }
+    let engine = QueryEngine::new(MemStore::from_graph(&g).into_shared());
+    for (order, expected) in [("?n", [9, 10]), ("DESC(?n)", [10, 9])] {
+        let q = format!(
+            "SELECT ?s (COUNT(*) AS ?n) WHERE {{ ?s <http://x/p> ?v }} GROUP BY ?s ORDER BY {order}"
+        );
+        let QueryResult::Solutions { rows, .. } = engine.run(&q).unwrap() else {
+            panic!("{q}")
+        };
+        let counts: Vec<i64> = rows.iter().map(|r| int(&r[1])).collect();
+        assert_eq!(counts, expected, "{q}");
+    }
+}
+
+#[test]
+fn an_alias_must_name_a_new_variable() {
+    // SPARQL 1.1 §18.2.4.1: not a pattern variable, a GROUP BY variable
+    // or another alias.
+    let engine = QueryEngine::new(store().into_shared());
+    for (query, alias) in [
+        (
+            "SELECT ?c (COUNT(*) AS ?c) WHERE { ?d <http://x/type> ?c } GROUP BY ?c",
+            "c",
+        ),
+        (
+            "SELECT (COUNT(?d) AS ?n) (COUNT(?d) AS ?n) WHERE { ?d <http://x/type> ?c }",
+            "n",
+        ),
+        (
+            "SELECT (COUNT(?d) AS ?c) WHERE { ?d <http://x/type> ?c }",
+            "c",
+        ),
+        (
+            "SELECT (COUNT(?d) AS ?f) WHERE { ?d <http://x/type> ?c FILTER (?f != ?c) }",
+            "f",
+        ),
+    ] {
+        let err = engine.prepare(query).unwrap_err();
+        assert!(
+            matches!(err, Error::AliasInUse(ref v) if v == alias),
+            "{query}: {err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("AS ?{alias} names a variable already in scope")
+        );
+    }
+    // An alias is no pattern variable: a COUNT cannot count it.
+    let err = engine
+        .prepare("SELECT (COUNT(*) AS ?n) (COUNT(?n) AS ?m) WHERE { ?d <http://x/type> ?c }")
+        .unwrap_err();
+    assert!(
+        matches!(err, Error::UnboundVariable(ref v) if v == "n"),
+        "{err}"
+    );
 }

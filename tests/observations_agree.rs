@@ -3,12 +3,14 @@
 //! liberties (skip the sort and the projection; stop at one row), and
 //! must agree beyond the benchmark's 22 queries — on the solution
 //! modifiers stacked the way endpoint logs stack them, and on ASK over
-//! every operator a witness walk passes through. Each shape runs on a
-//! resident native store, over 3 shards and from saved segments, at
-//! parallelism 1, 2 and 4.
+//! every operator a witness walk passes through — and on aggregates, whose
+//! groups are ordinary rows to the sort, slice and count above them. Each
+//! shape runs on a resident native store, over 3 shards and from saved
+//! segments, at parallelism 1, 2 and 4.
 
 use std::path::PathBuf;
 
+use sp2bench::core::ExtQuery;
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{QueryEngine, QueryOptions};
 use sp2bench::store::{
@@ -59,6 +61,10 @@ const ASKED: [&str; 10] = [
      ?person1 foaf:name ?name1 . ?person2 foaf:name ?name2
      FILTER (?name1 = ?name2 && ?name1 = \"nobody\")",
 ];
+
+/// An aggregate whose rows spill past the 16 inline lanes: 22 pattern
+/// variables and three aliases.
+const WIDE_GROUP: &str = include_str!("data/wide_group.rq");
 
 /// A scratch directory under the system temp dir, removed on drop.
 struct TempDir(PathBuf);
@@ -154,4 +160,27 @@ fn every_ask_answers_whether_its_select_twin_has_a_row() {
         [5 * 9, 5 * 9],
         "each shape answered once yes, once no"
     );
+}
+
+#[test]
+fn aggregates_agree_on_every_store_and_degree() {
+    let (_dir, stores) = stores("grouped");
+    let queries: Vec<&str> = ExtQuery::ALL.iter().map(|q| q.text()).collect();
+    let mut first: Vec<Option<sp2bench::QueryResult>> = vec![None; queries.len() + 1];
+    for (name, engine) in engines(&stores) {
+        for (text, first) in queries.iter().chain([&WIDE_GROUP]).zip(&mut first) {
+            let [counted, streamed, executed] = observed(&engine, text);
+            assert!(counted > 0, "{name}: {text}");
+            assert_eq!(counted, streamed, "{name}: {text}");
+            assert_eq!(counted, executed, "{name}: {text}");
+            // Ties included, the groups come out in one order.
+            let prepared = engine.prepare(text).expect("parses");
+            let result = engine.execute(&prepared).expect("executes");
+            assert_eq!(
+                first.get_or_insert_with(|| result.clone()),
+                &result,
+                "{name}: {text}"
+            );
+        }
+    }
 }

@@ -569,7 +569,7 @@ fn bgps(plan: &Plan) -> Vec<Vec<&PlanPattern>> {
         | Plan::Distinct(inner)
         | Plan::Project(_, inner)
         | Plan::OrderBy(_, inner) => bgps(inner),
-        Plan::Slice { input, .. } | Plan::GroupAggregate { input, .. } => bgps(input),
+        Plan::Slice { input, .. } | Plan::Group { input, .. } => bgps(input),
         Plan::Exchange { input, .. } => bgps(input),
     }
 }
