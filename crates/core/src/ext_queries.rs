@@ -86,10 +86,11 @@ ORDER BY DESC(?authors)
 LIMIT 20"#;
 
 /// A4: incoming citations per document — the power-law in-degrees of
-/// Section III-D, most-cited first.
+/// Section III-D, most-cited first. A reference bag's members are its
+/// citations; its `rdf:type rdf:Bag` is not.
 pub const A4: &str = r#"
 SELECT ?cited (COUNT(?bag) AS ?incoming)
-WHERE { ?bag ?member ?cited . ?doc dcterms:references ?bag }
+WHERE { ?bag ?member ?cited . ?doc dcterms:references ?bag FILTER (?member != rdf:type) }
 GROUP BY ?cited
 ORDER BY DESC(?incoming)
 LIMIT 20"#;
@@ -188,6 +189,16 @@ mod tests {
             let fifth = int(&rows[4][1]);
             assert!(top >= fifth, "descending in-degrees");
         }
+    }
+
+    #[test]
+    fn a4_counts_documents_not_the_bag_class() {
+        // `?bag ?member ?cited` also matches a bag's own `rdf:type
+        // rdf:Bag`, which is no citation.
+        let (_, rows) = run(ExtQuery::A4);
+        assert!(!rows.is_empty());
+        let bag = sp2b_rdf::Term::iri(sp2b_rdf::vocab::rdf::BAG);
+        assert!(rows.iter().all(|r| r[0] != Some(bag.clone())), "{rows:?}");
     }
 
     #[test]
