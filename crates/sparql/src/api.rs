@@ -690,8 +690,7 @@ impl<'a> Iterator for Solutions<'a> {
         Some(Ok(Solution {
             dict: self.store.dictionary(),
             bindings,
-            projection: &self.prepared.projection,
-            counts: &self.prepared.counts,
+            prepared: self.prepared,
         }))
     }
 }
@@ -702,16 +701,15 @@ pub struct Solution<'a> {
     dict: &'a Dictionary,
     /// The row, its terms still dictionary ids.
     bindings: Bindings,
-    /// The variable of each output column.
-    projection: &'a [usize],
-    /// The output columns whose lane holds a count, not an id.
-    counts: &'a [usize],
+    /// Which variable each output column reads, and which columns are
+    /// counts.
+    prepared: &'a Prepared,
 }
 
 impl Solution<'_> {
     /// Number of output columns.
     pub fn len(&self) -> usize {
-        self.projection.len()
+        self.prepared.projection.len()
     }
 
     /// True for a zero-column row (the ASK witness).
@@ -724,7 +722,7 @@ impl Solution<'_> {
     /// dictionary's own bytes, a COUNT its value as an `xsd:integer`
     /// literal. Nothing is cloned — what the serializers read a cell with.
     pub fn with_term<R>(&self, i: usize, read: impl FnOnce(TermRef<'_>) -> R) -> Option<R> {
-        if self.counts.contains(&i) {
+        if self.prepared.counts.contains(&i) {
             let count = LiteralRef {
                 lexical: &self.lane(i)?.to_string(),
                 datatype: Some(xsd::INTEGER),
@@ -745,12 +743,13 @@ impl Solution<'_> {
     /// unbound, out of range, or a count (COUNT columns have no
     /// dictionary id).
     pub fn id(&self, i: usize) -> Option<Id> {
-        self.lane(i).filter(|_| !self.counts.contains(&i))
+        self.lane(i).filter(|_| !self.prepared.counts.contains(&i))
     }
 
     /// What column `i`'s lane holds, if bound.
     fn lane(&self, i: usize) -> Option<Id> {
-        self.projection.get(i).and_then(|&v| self.bindings.get(v))
+        let var = self.prepared.projection.get(i)?;
+        self.bindings.get(*var)
     }
 
     /// Decodes the whole row.
