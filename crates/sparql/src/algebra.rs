@@ -403,7 +403,8 @@ impl std::error::Error for TranslateError {}
 
 /// Translates a parsed query. Infallible convenience for non-aggregate
 /// queries (the benchmark set); aggregate queries go through
-/// [`translate_query`], which can reject unbound group/count variables.
+/// [`translate_query`], which can reject unbound group/count variables
+/// and aliases that collide.
 pub fn translate(query: &Query) -> Translated {
     translate_query(query).expect("non-aggregate queries always translate")
 }
