@@ -176,6 +176,9 @@ pub struct ResolvedOrderKey {
     pub expr: Expr,
     /// Descending?
     pub descending: bool,
+    /// The key is a count's lane ([`CountSpec::lane`]): it holds a
+    /// number, not a term, and compares numerically.
+    pub count: bool,
 }
 
 /// One COUNT of an [`Algebra::Group`].
@@ -445,6 +448,7 @@ pub fn translate_query(query: &Query) -> Result<Translated, TranslateError> {
             .map(|k| ResolvedOrderKey {
                 expr: compile_expr(&k.expression, &mut vars),
                 descending: k.descending,
+                count: false,
             })
             .collect();
         (pattern, projection, keys)
@@ -519,6 +523,7 @@ fn group(
     let column = |v: usize, descending| ResolvedOrderKey {
         expr: Expr::Var(v),
         descending,
+        count: !keys.contains(&v),
     };
     let mut order: Vec<ResolvedOrderKey> = query
         .order_by
@@ -764,7 +769,7 @@ mod tests {
         let (c, n) = (t.vars.lookup("c").unwrap(), t.vars.lookup("n").unwrap());
         assert_eq!((&t.projection[..], &t.counts[..]), (&[c, n][..], &[1][..]));
         // Slice(Project(OrderBy(Group(Bgp)))), ties settled by every
-        // column ascending.
+        // column ascending; a key over the alias is marked a count.
         let Algebra::Slice { input, .. } = &t.algebra else {
             panic!()
         };
@@ -776,9 +781,9 @@ mod tests {
         };
         let keys: Vec<_> = keys
             .iter()
-            .map(|k| (k.expr.clone(), k.descending))
+            .map(|k| (k.expr.clone(), k.descending, k.count))
             .collect();
-        let by = |v, descending| (Expr::Var(v), descending);
+        let by = |v, descending| (Expr::Var(v), descending, v == n);
         assert_eq!(keys, [by(n, true), by(c, false), by(n, false)]);
         let Algebra::Group { keys, counts, .. } = inner.as_ref() else {
             panic!()

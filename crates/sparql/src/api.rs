@@ -722,15 +722,16 @@ impl Solution<'_> {
     /// dictionary's own bytes, a COUNT its value as an `xsd:integer`
     /// literal. Nothing is cloned — what the serializers read a cell with.
     pub fn with_term<R>(&self, i: usize, read: impl FnOnce(TermRef<'_>) -> R) -> Option<R> {
-        if self.prepared.counts.contains(&i) {
-            let count = LiteralRef {
-                lexical: &self.lane(i)?.to_string(),
-                datatype: Some(xsd::INTEGER),
-                language: None,
-            };
-            return Some(read(TermRef::Literal(count)));
+        let lane = self.lane(i)?;
+        if !self.prepared.counts.contains(&i) {
+            return Some(read(self.dict.decode(lane)));
         }
-        self.id(i).map(|id| read(self.dict.decode(id)))
+        let count = LiteralRef {
+            lexical: &lane.to_string(),
+            datatype: Some(xsd::INTEGER),
+            language: None,
+        };
+        Some(read(TermRef::Literal(count)))
     }
 
     /// Decodes column `i` into an owned term (`None` when unbound or out

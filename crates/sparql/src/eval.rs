@@ -4,11 +4,10 @@
 //! Solutions stream lazily wherever the algebra allows: a group's pattern
 //! steps ([`PatternBind`]) extend rows one at a time, hash joins
 //! materialize only their build side, and sorting, grouping and duplicate
-//! elimination materialize by nature. A sort and a grouping do so on
-//! their first pull. A group ([`Plan::Group`]) is an ordinary row: its
-//! key ids in their lanes, each count, as a number, in the lane of its
-//! alias — so the groups are sorted, projected, sliced and counted by
-//! the same arms as any other rows.
+//! elimination materialize by nature. A group ([`Plan::Group`]) is an
+//! ordinary row: its key ids in their lanes, each count, as a number, in
+//! the lane of its alias — so the groups are sorted, projected, sliced
+//! and counted by the same arms as any other rows.
 //!
 //! # What the consumer observes
 //!
@@ -787,23 +786,21 @@ impl<'a> EvalContext<'a> {
                 project_rows(input, vars, width)
             }
             Plan::OrderBy(keys, inner) => {
-                let sorted = move || {
-                    let mut rows = Vec::new();
-                    for row in self.clone().eval(inner) {
-                        if self.cancel.should_stop() {
-                            break;
-                        }
-                        rows.push(row);
+                let this = self.clone();
+                let mut rows: Vec<Bindings> = Vec::new();
+                for row in self.eval(inner) {
+                    if this.cancel.should_stop() {
+                        break;
                     }
-                    // A cancelled execution's rows go unsorted: the sort
-                    // decodes terms.
-                    if self.cancel.was_triggered() {
-                        rows.clear();
-                    }
-                    rows.sort_by(|a, b| self.compare_rows(keys, a, b));
-                    rows
-                };
-                Box::new(std::iter::once_with(sorted).flatten())
+                    rows.push(row);
+                }
+                // A cancelled execution's rows go unsorted: the sort
+                // decodes terms.
+                if this.cancel.was_triggered() {
+                    rows.clear();
+                }
+                rows.sort_by(|a, b| this.compare_rows(keys, a, b));
+                Box::new(rows.into_iter())
             }
             Plan::Slice {
                 offset,
@@ -822,7 +819,7 @@ impl<'a> EvalContext<'a> {
                 keys,
                 counts,
                 input,
-            } => Box::new(std::iter::once_with(move || self.groups(keys, counts, input)).flatten()),
+            } => Box::new(self.groups(keys, counts, input).into_iter()),
         }
     }
 

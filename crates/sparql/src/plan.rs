@@ -315,18 +315,15 @@ pub fn bind(algebra: &Algebra, store: &dyn TripleStore, cfg: &OptimizerConfig) -
         store,
         cfg,
         next: 0,
-        counts: Vec::new(),
     }
     .plan(algebra)
 }
 
-/// The state of one [`bind`]: the next operator ordinal, and the count
-/// lanes of the groups bound so far.
+/// The state of one [`bind`]: the next operator ordinal.
 struct Binder<'s> {
     store: &'s dyn TripleStore,
     cfg: &'s OptimizerConfig,
     next: usize,
-    counts: Vec<usize>,
 }
 
 impl Binder<'_> {
@@ -398,26 +395,25 @@ impl Binder<'_> {
             Algebra::Union(a, b) => Plan::Union(self.sub(a), self.sub(b)),
             Algebra::Distinct(inner) => Plan::Distinct(self.sub(inner)),
             Algebra::Project(vars, inner) => Plan::Project(vars.clone(), self.sub(inner)),
-            Algebra::OrderBy(keys, inner) => {
-                // The input first: it binds the groups whose counts a key
-                // may name.
-                let input = self.sub(inner);
-                let keys = keys.iter().map(|k| match (&k.expr, k.descending) {
-                    (Expr::Var(i), descending) if self.counts.contains(i) => PlanOrderKey::Count {
-                        lane: *i,
-                        descending,
-                    },
-                    (Expr::Var(i), descending) => PlanOrderKey::Var {
-                        var: *i,
-                        descending,
-                    },
-                    (other, descending) => PlanOrderKey::Expr {
-                        expr: BoundExpr::bind(other, store),
-                        descending,
-                    },
-                });
-                Plan::OrderBy(keys.collect(), input)
-            }
+            Algebra::OrderBy(keys, inner) => Plan::OrderBy(
+                keys.iter()
+                    .map(|k| match &k.expr {
+                        Expr::Var(i) if k.count => PlanOrderKey::Count {
+                            lane: *i,
+                            descending: k.descending,
+                        },
+                        Expr::Var(i) => PlanOrderKey::Var {
+                            var: *i,
+                            descending: k.descending,
+                        },
+                        other => PlanOrderKey::Expr {
+                            expr: BoundExpr::bind(other, store),
+                            descending: k.descending,
+                        },
+                    })
+                    .collect(),
+                self.sub(inner),
+            ),
             Algebra::Slice {
                 offset,
                 limit,
@@ -431,14 +427,11 @@ impl Binder<'_> {
                 keys,
                 counts,
                 input,
-            } => {
-                self.counts.extend(counts.iter().map(|c| c.lane));
-                Plan::Group {
-                    keys: keys.clone(),
-                    counts: counts.clone(),
-                    input: self.sub(input),
-                }
-            }
+            } => Plan::Group {
+                keys: keys.clone(),
+                counts: counts.clone(),
+                input: self.sub(input),
+            },
         }
     }
 
