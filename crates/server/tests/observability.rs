@@ -120,6 +120,8 @@ fn metrics_is_valid_exposition_with_the_advertised_series() {
         "sp2b_cache_hits_total",
         "sp2b_cache_misses_total",
         "sp2b_exchange_live_workers",
+        "sp2b_exchange_in_flight_batches",
+        "sp2b_exchange_peak_in_flight_batches",
         "sp2b_dictionary_bytes",
         "sp2b_store_triples",
         "sp2b_slow_queries_total",

@@ -6,8 +6,8 @@
 //! The driving scan (the step over [`Plan::Unit`] at the bottom of the
 //! leftmost chain under the exchange) is partitioned into disjoint
 //! chunks via [`sp2b_store::TripleStore::scan_chunks`] — more chunks
-//! than workers, so fast workers keep pulling morsels from a shared
-//! atomic counter while slow ones finish (the classic morsel-driven
+//! than workers, so fast workers keep taking morsels off a shared job
+//! queue while slow ones finish (the classic morsel-driven
 //! load-balancing of Leis et al.). A morsel is not a second executor:
 //! it is
 //! [`EvalContext::eval_over`] on the exchange's input — the plan the
@@ -30,18 +30,16 @@
 //!
 //! Workers are detached threads holding an owning [`SharedStore`] handle,
 //! so they can outlive the `eval_exchange` call. Results therefore
-//! *stream*: batches flow through a bounded channel (backpressure —
-//! workers cannot run unboundedly ahead of the consumer) into
-//! the consumer's [`Exchange`], a pull-based iterator that reorders
-//! batches **by morsel index**, so the output order equals sequential
-//! evaluation exactly while memory stays bounded by the channel for
-//! balanced morsels. Morsel *skew* is bounded too: batches of a later
-//! morsel that arrive while an earlier one is still open are buffered at
-//! the merger to preserve order, and to keep that buffer finite workers
-//! **pause before processing a morsel more than [`MAX_MERGE_AHEAD`]
-//! morsels ahead of the merge front** (the first morsel the merger has
-//! not finished). However slow the unluckiest morsel is, the merger
-//! never parks more than `MAX_MERGE_AHEAD` morsels' worth of batches.
+//! *stream*, and the consumer's [`Exchange`] — a pull-based iterator —
+//! keeps them in morsel order by **handing the morsels out**: each job it
+//! queues carries that morsel's own bounded channel, and it reads only the
+//! channel of the first morsel it has not finished. No more than
+//! [`MAX_MERGE_AHEAD`] morsels are out at once — finishing one hands out
+//! the next — so the output order equals sequential evaluation exactly
+//! and memory is bounded by construction: at most `MAX_MERGE_AHEAD ×`
+//! [`BATCHES_PER_MORSEL`] batches wait for the consumer, however large or
+//! skewed the morsels are. A worker ahead of the front blocks on its own
+//! full channel; one without a job blocks on the queue.
 //!
 //! Lifecycle guarantees, enforced by [`Exchange::shutdown`] (run on
 //! exhaustion, on cancellation, and from `Drop`):
@@ -50,21 +48,22 @@
 //!   shared [`Cancellation`], and a pre-triggered handle yields no rows
 //!   and spawns no threads, exactly like the sequential evaluator;
 //! * dropping the iterator early (a `LIMIT`-style consumer hanging up)
-//!   closes the sink flag and disconnects the channel, which wakes
-//!   workers blocked on `send`; the drop then **joins** every worker, so
-//!   no detached thread outlives its stream — observable through the
-//!   always-on [`diag::live_workers`] gauge;
+//!   closes the sink flag, the job queue and every morsel channel, which
+//!   wakes the workers blocked on them; the drop then **joins** every
+//!   worker, so no detached thread outlives its stream — observable
+//!   through the always-on [`diag::live_workers`] gauge;
 //! * a worker that panics closes the sink on its way out, which stops the
-//!   others, and the merger — once it has delivered what came before the
-//!   missing morsel — joins them all and re-raises the panic on the
-//!   consumer's thread: a query fails the same way at any parallelism,
-//!   never by hanging or by ending early with the rows it had.
+//!   others, and the consumer — once it has delivered what came before
+//!   the morsel whose channel disconnected — joins them all and re-raises
+//!   the panic on its own thread: a query fails the same way at any
+//!   parallelism, never by hanging or by ending early with the rows it
+//!   had.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -106,23 +105,19 @@ pub const BATCH_ROWS: usize = 4096;
 /// does a consumer that is slow to pull.
 pub const FAN_OUT_AFTER: Duration = Duration::from_millis(1);
 
-/// In-flight batches per worker the bounded channel admits.
-const BATCHES_IN_FLIGHT_PER_WORKER: usize = 2;
+/// Batches a morsel's channel holds: how far a worker may run ahead of
+/// the consumer within one morsel before it blocks.
+pub const BATCHES_PER_MORSEL: usize = 2;
 
-/// Skew bound: how many morsels past the merge front (the first morsel
-/// the merger has not completed) workers may process. Out-of-order
-/// batches parked at the merger therefore never exceed this many
-/// morsels' output, no matter how skewed morsel runtimes are — one
-/// pathological morsel stalls *claiming*, not memory.
+/// Skew bound: how many morsels are handed out at once — the first one
+/// the consumer has not finished, and the ones after it. However slow
+/// one morsel is, the rest wait in at most this many channels: a
+/// pathological morsel stalls the hand-out, not memory.
 pub const MAX_MERGE_AHEAD: usize = 4;
-
-/// How long a worker naps while the morsel it claimed is still outside
-/// the merge-ahead window.
-const MERGE_AHEAD_NAP: Duration = Duration::from_micros(100);
 
 /// Evaluates a [`Plan::Exchange`]: morsels in order on the consumer's
 /// thread, then — if the query outlives [`FAN_OUT_AFTER`] — the rest on
-/// detached workers, merged in morsel order. Evaluates the input as it
+/// detached workers, read back in morsel order. Evaluates the input as it
 /// stands when there is nothing to split (degree ≤ 1, no owning store
 /// handle in the context, or an input without a driving scan) —
 /// [`Plan::Exchange`] is a performance hint, never a semantic
@@ -166,12 +161,10 @@ pub(crate) fn eval_exchange<'a>(
 
 /// A running exchange: a pull-based iterator over its morsels' rows, in
 /// morsel order. Up to the hand-off it evaluates the morsels itself; from
-/// then on it is the streaming, order-restoring merge of what the workers
-/// send — it pulls batches off the bounded channel on demand, and batches
-/// of later morsels that arrive while an earlier one is still open are
-/// parked in `pending` (the price of deterministic order under skew).
-/// Exhaustion, cancellation and early drop all funnel into
-/// [`Exchange::shutdown`], which wakes and joins every worker.
+/// then on it hands them out to the workers and reads what they send,
+/// one morsel's channel at a time, on demand. Exhaustion, cancellation
+/// and early drop all funnel into [`Exchange::shutdown`], which wakes and
+/// joins every worker.
 struct Exchange<'a> {
     /// Its `shared` store handle is what detached workers hold on to.
     ctx: EvalContext<'a>,
@@ -186,9 +179,9 @@ struct Exchange<'a> {
     /// The rows being delivered: the pipeline of a morsel evaluated on
     /// this thread, or a batch a worker sent.
     current: RowIter<'a>,
-    /// Where the morsels not yet in `current` start: the next one to
-    /// open inline — so where a hand-off starts the workers — and after
-    /// it the one whose batches are being merged.
+    /// The first morsel not yet delivered in full: the next one to open
+    /// inline — so where a hand-off starts the workers — and after it the
+    /// one whose channel is being read.
     front: usize,
     /// Rows the inline morsels have delivered.
     rows: usize,
@@ -198,20 +191,33 @@ struct Exchange<'a> {
 
 /// The consumer's end of a fan-out.
 struct Workers {
-    rx: Option<Receiver<Msg>>,
+    /// Where morsels are handed out; `None` once the last one has been,
+    /// which lets idle workers exit.
+    jobs: Option<Sender<Job>>,
+    /// The channels of the morsels handed out and not yet finished, in
+    /// morsel order: the first is [`Exchange::front`]'s.
+    out: VecDeque<Receiver<Msg>>,
     handles: Vec<JoinHandle<()>>,
     sink_open: Arc<AtomicBool>,
-    /// Mirror of [`Exchange::front`] the workers read to honour the skew
-    /// bound ([`MAX_MERGE_AHEAD`]).
-    merge_front: Arc<AtomicUsize>,
-    pending: BTreeMap<usize, MorselBuf>,
 }
 
-/// Buffered batches of one morsel at the merger.
-#[derive(Default)]
-struct MorselBuf {
-    batches: VecDeque<Vec<Bindings>>,
-    done: bool,
+impl Workers {
+    /// Hands out the morsel after the ones out, which start at `front`,
+    /// if there is one; closes the job queue once the last one is out.
+    fn hand_out(&mut self, front: usize, morsels: usize) {
+        let morsel = front + self.out.len();
+        let Some(jobs) = self.jobs.as_ref().filter(|_| morsel < morsels) else {
+            return;
+        };
+        let (tx, rx) = sync_channel(BATCHES_PER_MORSEL);
+        // Fails only when every worker has exited, dropping the job and
+        // so disconnecting `rx`: the consumer learns of it there.
+        let _ = jobs.send(Job { morsel, tx });
+        self.out.push_back(rx);
+        if morsel + 1 == morsels {
+            self.jobs = None;
+        }
+    }
 }
 
 impl Exchange<'_> {
@@ -235,7 +241,8 @@ impl Exchange<'_> {
     /// thread — but never morsel 0, which fills the build sides. Called
     /// between morsels and every [`BATCH_ROWS`] rows within one: a morsel
     /// the consumer is in the middle of is finished here while the
-    /// workers start on the ones after it.
+    /// workers start on the ones after it. Spawns no more workers than
+    /// morsels can be out at once.
     fn fan_out_if_due(&mut self) {
         let left = self.chunks.len() - self.front;
         let settled = self.workers.is_some() || self.front == 0 || left < 2;
@@ -243,14 +250,13 @@ impl Exchange<'_> {
             return;
         }
         let store = self.ctx.shared.as_ref().expect("eval_exchange checked");
-        let workers = self.degree.min(left);
+        let window = left.min(MAX_MERGE_AHEAD);
+        let workers = self.degree.min(window);
         self.record(self.front, workers);
-        let capacity = workers * BATCHES_IN_FLIGHT_PER_WORKER;
-        diag::note_capacity(capacity);
-        let (tx, rx) = sync_channel::<Msg>(capacity);
+        diag::note_capacity(window * BATCHES_PER_MORSEL);
+        let (jobs, queue) = channel::<Job>();
+        let queue = Arc::new(Mutex::new(queue));
         let sink_open = Arc::new(AtomicBool::new(true));
-        let next = Arc::new(AtomicUsize::new(self.front));
-        let merge_front = Arc::new(AtomicUsize::new(self.front));
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             diag::LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
@@ -259,9 +265,7 @@ impl Exchange<'_> {
                 input: Arc::clone(self.input),
                 cancel: self.ctx.cancel.clone(),
                 sink_open: Arc::clone(&sink_open),
-                next: Arc::clone(&next),
-                merge_front: Arc::clone(&merge_front),
-                tx: tx.clone(),
+                jobs: Arc::clone(&queue),
                 scan_pattern: const_pattern(self.driving),
                 chunk_target: self.degree * MORSELS_PER_WORKER,
                 n_morsels: self.chunks.len(),
@@ -276,25 +280,28 @@ impl Exchange<'_> {
                     .expect("spawn exchange worker"),
             );
         }
-        // Workers hold the only senders: `recv` ends when they do.
-        self.workers = Some(Workers {
-            rx: Some(rx),
+        let mut handed = Workers {
+            jobs: Some(jobs),
+            out: VecDeque::with_capacity(window),
             handles,
             sink_open,
-            merge_front,
-            pending: BTreeMap::new(),
-        });
+        };
+        for _ in 0..window {
+            handed.hand_out(self.front, self.chunks.len());
+        }
+        self.workers = Some(handed);
     }
 
-    /// Stops the workers, if there are any: closes the sink flag,
-    /// disconnects the channel (waking workers blocked on `send`) and
-    /// joins every worker thread. Idempotent; runs on stream exhaustion,
-    /// cancellation, and drop. Returns what the first worker that
-    /// panicked, if any, panicked with.
+    /// Stops the workers, if there are any: closes the sink flag, the job
+    /// queue and every morsel channel (waking workers blocked on a job or
+    /// on `send`) and joins every worker thread. Idempotent; runs on
+    /// stream exhaustion, cancellation, and drop. Returns what the first
+    /// worker that panicked, if any, panicked with.
     fn shutdown(&mut self) -> Option<Box<dyn Any + Send>> {
         let workers = self.workers.as_mut()?;
         workers.sink_open.store(false, Ordering::Relaxed);
-        workers.rx = None;
+        workers.jobs = None;
+        workers.out.clear();
         let joined: Vec<_> = workers.handles.drain(..).map(JoinHandle::join).collect();
         joined.into_iter().find_map(Result::err)
     }
@@ -340,50 +347,18 @@ impl Iterator for Exchange<'_> {
                 self.front += 1;
                 continue;
             };
-            if let Some(buf) = workers.pending.get_mut(&self.front) {
-                if let Some(batch) = buf.batches.pop_front() {
-                    self.current = Box::new(batch.into_iter());
-                    continue;
-                }
-                if buf.done {
-                    workers.pending.remove(&self.front);
-                    self.front += 1;
-                    // Publish progress: waiting workers may now process
-                    // one morsel further ahead.
-                    workers.merge_front.store(self.front, Ordering::Release);
-                    continue;
-                }
-            }
-            let Some(rx) = &workers.rx else {
-                // Workers exited without completing the expected morsel:
-                // cancellation, or one of them panicked.
+            let Some(Ok(msg)) = workers.out.front().map(Receiver::recv) else {
+                // The front morsel's channel disconnected before its last
+                // batch: cancellation, or a worker panicked.
                 return self.finish();
             };
-            match rx.recv() {
-                Ok(msg) => {
-                    diag::note_recv();
-                    let buf = workers.pending.entry(msg.morsel).or_default();
-                    if !msg.rows.is_empty() {
-                        buf.batches.push_back(msg.rows);
-                    }
-                    buf.done |= msg.last;
-                    // Gauge the skew buffer: batches parked for morsels
-                    // *beyond* the one currently being merged.
-                    diag::note_parked(
-                        workers
-                            .pending
-                            .iter()
-                            .filter(|(&m, _)| m > self.front)
-                            .map(|(_, b)| b.batches.len())
-                            .sum(),
-                    );
-                }
-                // All senders gone. On normal completion every completion
-                // marker was queued before the disconnect, so the loop
-                // keeps draining `pending`; after an abort the next pass
-                // ends the stream above.
-                Err(_) => workers.rx = None,
+            diag::note_recv();
+            if msg.last {
+                workers.out.pop_front();
+                self.front += 1;
+                workers.hand_out(self.front, self.chunks.len());
             }
+            self.current = Box::new(msg.rows.into_iter());
         }
     }
 }
@@ -396,32 +371,32 @@ impl Drop for Exchange<'_> {
     }
 }
 
-/// One merge-channel message: a batch of rows from one morsel. `last`
-/// marks the morsel complete — every claimed morsel sends exactly one
-/// final message (possibly with an empty batch), which is what lets the
-/// merger advance past it.
-struct Msg {
+/// A morsel handed out: its index, and the sending end of its channel.
+struct Job {
     morsel: usize,
+    tx: SyncSender<Msg>,
+}
+
+/// One message on a morsel's channel: a batch of its rows. `last` marks
+/// the morsel complete — every morsel a worker finishes sends exactly one
+/// final message (possibly with an empty batch), which is what lets the
+/// consumer move on to the next channel.
+struct Msg {
     rows: Vec<Bindings>,
     last: bool,
 }
 
 /// A detached exchange worker: owns a store handle and a share of the
-/// plan, re-derives the (deterministic) chunk list, and claims morsel
-/// indices from the shared counter — which starts at the hand-off — until
-/// they run out or the query stops.
+/// plan, re-derives the (deterministic) chunk list, and takes the morsels
+/// the consumer hands out until the job queue closes or the query stops.
 struct Worker {
     store: SharedStore,
     /// The exchange's input: what `eval_over` runs on each morsel.
     input: Arc<Plan>,
     cancel: Cancellation,
     sink_open: Arc<AtomicBool>,
-    next: Arc<AtomicUsize>,
-    /// The merger's progress: the first morsel index it has not finished.
-    /// Workers pause before processing a morsel ≥ `front + MAX_MERGE_AHEAD`
-    /// (the skew bound on parked batches).
-    merge_front: Arc<AtomicUsize>,
-    tx: SyncSender<Msg>,
+    /// The job queue, shared by the workers.
+    jobs: Arc<Mutex<Receiver<Job>>>,
     scan_pattern: Pattern,
     chunk_target: usize,
     n_morsels: usize,
@@ -450,58 +425,40 @@ impl Worker {
         let chunks = store.scan_chunks(self.scan_pattern, self.chunk_target);
         // Not a debug assertion: morsel indices mean nothing across two
         // different chunk lists, and a worker that bowed out quietly
-        // would let the merger read a clean end — a prefix returned as
-        // the answer. The panic fails the query on the consumer's thread.
+        // would let the consumer read its disconnect as a stop — a prefix
+        // returned as the answer. The panic fails the query on the
+        // consumer's thread.
         assert_eq!(
             chunks.len(),
             self.n_morsels,
             "scan_chunks must be deterministic (see TripleStore::scan_chunks)"
         );
         loop {
+            // Waits for a morsel to be handed out: the lock is released
+            // once one is, and the worker exits when the queue closes.
+            let Ok(Job { morsel, tx }) = lock(&self.jobs).recv() else {
+                return;
+            };
             if self.stopped() {
                 return;
             }
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= chunks.len() {
-                return;
-            }
-            // Skew bound: claimed, but outside the merge-ahead window —
-            // nap until the merger catches up (or the query stops). The
-            // morsel at the front is always inside the window, so the
-            // merger keeps making progress and every waiter wakes.
-            while i >= self.merge_front.load(Ordering::Acquire) + MAX_MERGE_AHEAD {
-                if self.stopped() {
-                    return;
-                }
-                std::thread::sleep(MERGE_AHEAD_NAP);
-            }
             #[cfg(debug_assertions)]
-            diag::inject_faults(i);
+            diag::inject_faults(morsel);
             let mut batch: Vec<Bindings> = Vec::new();
-            let chunk = Some(chunks[i]);
+            let chunk = Some(chunks[morsel]);
             for row in ctx.clone().eval_over(&self.input, chunk, Observe::Rows) {
                 if self.stopped() {
-                    // No completion marker: the merger learns of the
-                    // abort from the channel disconnecting once every
-                    // worker has exited.
+                    // No completion marker: dropping `tx` disconnects the
+                    // morsel's channel, which is how the consumer learns
+                    // of the abort.
                     return;
                 }
                 batch.push(row);
-                if batch.len() >= BATCH_ROWS
-                    && !self.send(Msg {
-                        morsel: i,
-                        rows: std::mem::take(&mut batch),
-                        last: false,
-                    })
-                {
-                    return; // merger hung up — stop producing
+                if batch.len() >= BATCH_ROWS && !send(&tx, std::mem::take(&mut batch), false) {
+                    return; // the consumer hung up — stop producing
                 }
             }
-            if !self.send(Msg {
-                morsel: i,
-                rows: batch,
-                last: true,
-            }) {
+            if !send(&tx, batch, true) {
                 return;
             }
         }
@@ -512,23 +469,19 @@ impl Worker {
     fn stopped(&self) -> bool {
         !self.sink_open.load(Ordering::Relaxed) || self.cancel.should_stop()
     }
+}
 
-    /// Sends one message, blocking on channel backpressure; `false` when
-    /// the merger is gone.
-    fn send(&self, msg: Msg) -> bool {
-        match self.tx.send(msg) {
-            Ok(()) => {
-                diag::note_send();
-                true
-            }
-            Err(_) => false,
-        }
-    }
+/// Sends one batch on a morsel's channel, blocking while it is full;
+/// `false` when the consumer is gone.
+fn send(tx: &SyncSender<Msg>, rows: Vec<Bindings>, last: bool) -> bool {
+    tx.send(Msg { rows, last })
+        .inspect(|()| diag::note_send())
+        .is_ok()
 }
 
 /// Exchange observability: always-on relaxed-atomic gauges — the
-/// live-worker gauge behind the no-thread-leak test, the in-flight and
-/// parked batch high-water marks behind the flat-memory tests — plus
+/// live-worker gauge behind the no-thread-leak test, the in-flight batch
+/// high-water mark behind the flat-memory tests — plus
 /// debug-only hooks for the tests: fault injection (skew, worker
 /// failure) and a zero fan-out budget. The gauges cost one relaxed
 /// atomic op per event on paths that already cross a channel or spawn a
@@ -542,7 +495,6 @@ pub mod diag {
     static IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
     static PEAK_IN_FLIGHT: AtomicI64 = AtomicI64::new(0);
     static BOUND: AtomicI64 = AtomicI64::new(0);
-    static PEAK_PARKED: AtomicUsize = AtomicUsize::new(0);
     #[cfg(debug_assertions)]
     static STALL_MORSEL: AtomicUsize = AtomicUsize::new(usize::MAX);
     #[cfg(debug_assertions)]
@@ -555,7 +507,8 @@ pub mod diag {
     /// A worker's exit, however it exits: decrements the live-worker
     /// gauge and, if the exit is a panic, closes the exchange's sink — the
     /// morsel it held will never complete, so the other workers must stop
-    /// and the merger must learn of it from the channel disconnecting.
+    /// and the consumer must learn of it from that morsel's channel
+    /// disconnecting.
     pub(super) struct WorkerGuard<'w>(pub(super) &'w AtomicBool);
 
     impl Drop for WorkerGuard<'_> {
@@ -596,7 +549,8 @@ pub mod diag {
         FAN_OUT_AT_ONCE.store(on, Ordering::SeqCst);
     }
 
-    /// Merge batches currently in flight (sent, not yet received).
+    /// Batches currently in flight on the morsel channels (sent, not yet
+    /// received).
     pub fn in_flight_batches() -> i64 {
         IN_FLIGHT.load(Ordering::Relaxed)
     }
@@ -607,14 +561,6 @@ pub mod diag {
         IN_FLIGHT.store(0, Ordering::Relaxed);
         PEAK_IN_FLIGHT.store(0, Ordering::Relaxed);
         BOUND.store(0, Ordering::Relaxed);
-        PEAK_PARKED.store(0, Ordering::Relaxed);
-    }
-
-    /// High-water mark of out-of-order batches parked at the merger since
-    /// the last reset. The skew bound guarantees this stays within
-    /// [`super::MAX_MERGE_AHEAD`] morsels' worth of batches.
-    pub fn peak_parked_batches() -> usize {
-        PEAK_PARKED.load(Ordering::Relaxed)
     }
 
     /// Fault injection for the skew regression test: whoever evaluates
@@ -648,14 +594,11 @@ pub mod diag {
         }
     }
 
-    pub(super) fn note_parked(parked: usize) {
-        PEAK_PARKED.fetch_max(parked, Ordering::Relaxed);
-    }
-
-    /// `(peak, bound)` — the high-water mark of in-flight merge batches
-    /// since the last reset, and the limit it must never exceed: the
-    /// bounded channel's capacity plus the one batch the merger holds
-    /// between receiving and accounting.
+    /// `(peak, bound)` — the high-water mark of in-flight batches since
+    /// the last reset, and the limit it must never exceed: what the
+    /// channels of the morsels out at once hold (at most
+    /// [`super::MAX_MERGE_AHEAD`] × [`super::BATCHES_PER_MORSEL`]) plus
+    /// the one batch the consumer holds between receiving and accounting.
     pub fn channel_stats() -> (i64, i64) {
         (
             PEAK_IN_FLIGHT.load(Ordering::Relaxed),
@@ -687,18 +630,13 @@ pub mod diag {
         );
         reg.gauge_fn(
             "sp2b_exchange_in_flight_batches",
-            "Merge batches sent to the exchange channel but not yet received",
+            "Batches sent on the exchange's morsel channels but not yet received",
             in_flight_batches,
         );
         reg.gauge_fn(
             "sp2b_exchange_peak_in_flight_batches",
-            "High-water mark of in-flight merge batches since the last reset",
+            "High-water mark of batches in flight on the exchange's morsel channels since the last reset",
             || channel_stats().0,
-        );
-        reg.gauge_fn(
-            "sp2b_exchange_peak_parked_batches",
-            "High-water mark of out-of-order batches parked at the merger",
-            || peak_parked_batches() as i64,
         );
     }
 }

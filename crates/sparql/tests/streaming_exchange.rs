@@ -6,9 +6,11 @@
 //!   every morsel on the consumer's thread and never spawns; with the
 //!   budget at zero, or used up inside morsel 0, the rest goes to workers
 //!   and the rows come out in the sequential order all the same;
-//! * **flat memory** — the high-water mark of in-flight merge batches
-//!   during a full-scan query never exceeds the bounded channel's
-//!   capacity (plus the single batch the merger holds while accounting);
+//! * **flat memory** — the high-water mark of batches in flight on the
+//!   morsel channels never exceeds what the channels of the morsels out
+//!   at once can hold (plus the single batch the consumer holds while
+//!   accounting), whether the scan is balanced, one morsel is slow, or
+//!   every morsel outgrows its channel;
 //! * **no thread leak** — dropping a `Solutions` stream early (before or
 //!   just after the hand-off), cancelling or exhausting it joins every
 //!   detached worker thread;
@@ -209,6 +211,7 @@ fn full_scan_stays_within_the_channel_bound() {
         "the exchange must actually run (plan: {:?})",
         prepared.plan()
     );
+    assert_eq!(bound, channel_bound());
     assert!(
         peak <= bound,
         "peak in-flight batches {peak} exceeded the channel bound {bound}"
@@ -249,12 +252,18 @@ impl Drop for StallGuard {
     }
 }
 
+/// The most batches that may wait for the consumer: every morsel out at
+/// once with a full channel, plus the one batch being accounted.
+fn channel_bound() -> i64 {
+    (sp2b_sparql::par::MAX_MERGE_AHEAD * sp2b_sparql::par::BATCHES_PER_MORSEL + 1) as i64
+}
+
 /// Skew regression: an artificially slow first morsel *of the workers'*
-/// (morsel 0 is the consumer's) must not let the
-/// merger park the whole rest of the scan. Workers pause claiming more
-/// than `MAX_MERGE_AHEAD` morsels past the merge front, so the parked
-/// out-of-order buffer stays within that window — before the bound, this
-/// scenario parked every remaining morsel's batches at once.
+/// (morsel 0 is the consumer's) must not let the rest of the scan pile
+/// up behind it. Only `MAX_MERGE_AHEAD` morsels are handed out at once,
+/// each with a channel of `BATCHES_PER_MORSEL` batches, so what waits for
+/// the consumer stays within that — before the bound, this scenario
+/// buffered every remaining morsel's batches at once.
 #[test]
 fn slow_first_morsel_keeps_parked_batches_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -281,30 +290,92 @@ fn slow_first_morsel_keeps_parked_batches_bounded() {
         rows += 1;
     }
     assert_eq!(rows, TRIPLES);
-    let parked = diag::peak_parked_batches();
+    // Every morsel here is one batch. While morsel 1 stalls, the other
+    // workers finish the morsels handed out after it, and their batches
+    // wait — but only in the channels of the morsels out at once.
+    // Without the bound, the stalled morsel would hold up nearly every
+    // other morsel's batches (≈ n_morsels - 1).
+    let (peak, bound) = diag::channel_stats();
     assert!(
-        parked > 0,
-        "the stalled first morsel must actually force parking"
+        peak > 1,
+        "the stalled first morsel must actually hold up later batches (peak {peak})"
     );
-    // The skew bound is expressed in *morsels*; convert it to batches:
-    // each morsel emits ceil(rows_per_morsel / BATCH_ROWS) messages
-    // (+1 slack for uneven chunk splits). With this document every
-    // morsel fits one batch, so the bound equals MAX_MERGE_AHEAD — but
-    // deriving it keeps the test honest if TRIPLES or the tuning
-    // constants change. Without the bound, the stalled first morsel
-    // would park nearly every other morsel's batches (≈ n_morsels - 1).
-    let batches_per_morsel = (TRIPLES as usize)
-        .div_ceil(MORSELS)
-        .div_ceil(sp2b_sparql::par::BATCH_ROWS)
-        + 1;
-    let bound = sp2b_sparql::par::MAX_MERGE_AHEAD * batches_per_morsel;
+    assert_eq!(bound, channel_bound());
     assert!(
-        parked <= bound,
-        "parked batches {parked} exceeded the skew bound {bound} \
-         ({} morsels × {batches_per_morsel} batch(es))",
-        sp2b_sparql::par::MAX_MERGE_AHEAD
+        peak <= bound,
+        "peak in-flight batches {peak} exceeded the skew bound {bound}"
     );
     assert_eq!(diag::live_workers(), 0, "exhaustion joins every worker");
+}
+
+/// Morsels that outgrow their channel: each emits more than
+/// `BATCHES_PER_MORSEL` batches, so a worker ahead of the front blocks on
+/// its own full channel until the consumer reaches its morsel. Every
+/// subject of the 12 000-row scan joins twelve `q` values: 750 × 12 =
+/// 9 000 rows a morsel, against a channel of 2 × 4 096.
+#[test]
+fn morsels_larger_than_their_channel_block_their_worker_and_keep_order() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = StallGuard;
+    let _zero = ZeroBudget::set();
+    let mut g = Graph::new();
+    for i in 0..TRIPLES {
+        let s = format!("http://x/s{i:05}");
+        g.add(
+            Subject::iri(s.clone()),
+            Iri::new("http://x/p"),
+            Term::Literal(Literal::integer(i)),
+        );
+        for k in 0..12 {
+            g.add(
+                Subject::iri(s.clone()),
+                Iri::new("http://x/q"),
+                Term::Literal(Literal::integer(k)),
+            );
+        }
+    }
+    let store = NativeStore::from_graph(&g).into_shared();
+    let engine = |parallelism| {
+        let options = QueryOptions::new().parallelism(parallelism);
+        QueryEngine::with_options(store.clone(), options)
+    };
+    let joined = "SELECT ?s ?v ?k WHERE { ?s <http://x/p> ?v . ?s <http://x/q> ?k }";
+    let rows = |engine: &QueryEngine| -> Vec<Vec<Option<Term>>> {
+        let prepared = engine.prepare(joined).unwrap();
+        engine
+            .solutions(&prepared)
+            .map(|solution| {
+                let solution = solution.unwrap();
+                (0..3).map(|i| solution.get(i)).collect()
+            })
+            .collect()
+    };
+    let sequential = rows(&engine(1));
+    assert_eq!(sequential.len() as i64, TRIPLES * 12);
+    let per_morsel = sequential.len() / MORSELS;
+    assert!(
+        per_morsel > sp2b_sparql::par::BATCHES_PER_MORSEL * sp2b_sparql::par::BATCH_ROWS,
+        "{per_morsel} rows a morsel fit its channel"
+    );
+    diag::stall_morsel(1, 150);
+    let counters = Arc::new(ScanCounters::default());
+    let engine = engine(4).scan_counters(counters.clone());
+    diag::reset_channel_stats();
+    assert!(rows(&engine) == sequential, "rows out of sequential order");
+    let (peak, bound) = diag::channel_stats();
+    assert!(
+        peak > sp2b_sparql::par::BATCHES_PER_MORSEL as i64,
+        "morsels after the stalled one must fill their channels (peak {peak})"
+    );
+    assert_eq!(bound, channel_bound());
+    assert!(
+        peak <= bound,
+        "peak in-flight batches {peak} exceeded the bound {bound}"
+    );
+    assert_eq!(diag::live_workers(), 0, "exhaustion joins every worker");
+    let prepared = engine.prepare(joined).unwrap();
+    let trace = query_trace(&prepared, engine.store(), &counters);
+    assert_eq!(exchanges(&trace), full_scan_run(1, 4), "{}", trace.render());
 }
 
 #[test]
