@@ -179,9 +179,9 @@ struct Exchange<'a> {
     /// The rows being delivered: the pipeline of a morsel evaluated on
     /// this thread, or a batch a worker sent.
     current: RowIter<'a>,
-    /// The first morsel not yet delivered in full: the next one to open
-    /// inline — so where a hand-off starts the workers — and after it the
-    /// one whose channel is being read.
+    /// Where the morsels not yet in `current` start: the next one to
+    /// open inline — so where a hand-off starts the workers — and after
+    /// it the one whose channel is being read.
     front: usize,
     /// Rows the inline morsels have delivered.
     rows: usize,
