@@ -262,8 +262,7 @@ fn channel_bound() -> i64 {
 /// (morsel 0 is the consumer's) must not let the rest of the scan pile
 /// up behind it. Only `MAX_MERGE_AHEAD` morsels are handed out at once,
 /// each with a channel of `BATCHES_PER_MORSEL` batches, so what waits for
-/// the consumer stays within that — before the bound, this scenario
-/// buffered every remaining morsel's batches at once.
+/// the consumer stays within that.
 #[test]
 fn slow_first_morsel_keeps_parked_batches_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
