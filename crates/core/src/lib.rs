@@ -36,8 +36,7 @@ pub use engines::{Engine, EngineKind, Outcome, ShardInfo, StoreLayout};
 pub use ext_queries::ExtQuery;
 pub use metrics::{measure, Measurement};
 pub use multiuser::{
-    ExecOutcome, InProcessTransport, LatencyHistogram, MultiuserConfig, StopCondition, WorkItem,
-    WorkTransport,
+    ExecOutcome, InProcessTransport, MultiuserConfig, StopCondition, WorkItem, WorkTransport,
 };
 pub use queries::BenchQuery;
 pub use runner::{

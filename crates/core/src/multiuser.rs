@@ -25,15 +25,6 @@ use crate::queries::BenchQuery;
 use crate::workload::Arrival;
 
 // ---------------------------------------------------------------------------
-// Latency histogram
-// ---------------------------------------------------------------------------
-
-// The log-bucketed histogram was born here; it now lives in `sp2b-obs`
-// (where the server's shared-writer sibling reuses its bucket math) and
-// is re-exported so `core::multiuser::LatencyHistogram` keeps resolving.
-pub use sp2b_obs::LatencyHistogram;
-
-// ---------------------------------------------------------------------------
 // Workload configuration
 // ---------------------------------------------------------------------------
 

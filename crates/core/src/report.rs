@@ -8,8 +8,9 @@
 
 use std::time::Duration;
 
+use sp2b_obs::LatencyHistogram;
+
 use crate::metrics::{arithmetic_mean, geometric_mean};
-use crate::multiuser::LatencyHistogram;
 use crate::runner::{BenchmarkReport, MixedWorkloadReport, TargetFacts};
 use crate::workload::WorkloadReport;
 

@@ -42,27 +42,8 @@ use crate::multiuser::{
 };
 use crate::queries::BenchQuery;
 
-/// Registry metric name for the driver's per-template latency series
-/// (label `template`): the client-side mirror of the server's
-/// `sp2b_request_seconds`.
-pub const MULTIUSER_LATENCY_METRIC: &str = "sp2b_multiuser_latency_seconds";
-const MULTIUSER_LATENCY_HELP: &str =
-    "Client-observed multiuser query latency in seconds, per template \
-     (closed loop: from actual send; open loop: from intended send).";
-
 /// Width of the throughput/p99 time-series windows in workload reports.
 pub const WINDOW_WIDTH: Duration = Duration::from_secs(1);
-
-/// Registers (or retrieves) the global per-template latency series for
-/// `label`.
-pub fn template_latency_series(label: &str) -> sp2b_obs::Histogram {
-    sp2b_obs::global().histogram_labeled(
-        MULTIUSER_LATENCY_METRIC,
-        MULTIUSER_LATENCY_HELP,
-        "template",
-        label,
-    )
-}
 
 // ---------------------------------------------------------------------------
 // Deterministic sampling
@@ -549,8 +530,6 @@ pub fn run_workload(transport: &dyn WorkTransport, cfg: &MultiuserConfig) -> Wor
     let clients = cfg.clients.max(1);
     let labels: Vec<String> = cfg.mix.iter().map(|i| i.label.clone()).collect();
     let recorder = WorkloadRecorder::new(&labels, cfg.warmup, WINDOW_WIDTH);
-    let series: Vec<sp2b_obs::Histogram> =
-        labels.iter().map(|l| template_latency_series(l)).collect();
     let (schedule_tx, queue) = sync_channel((clients * 2).max(8));
     let queue: RequestQueue = Mutex::new(queue);
     let start = Instant::now();
@@ -558,10 +537,10 @@ pub fn run_workload(transport: &dyn WorkTransport, cfg: &MultiuserConfig) -> Wor
     let (client_reports, scheduled) = std::thread::scope(|s| {
         let workers: Vec<_> = (0..clients)
             .map(|client| {
-                let (recorder, series, queue) = (&recorder, &series, &queue);
+                let (recorder, queue) = (&recorder, &queue);
                 s.spawn(move || {
                     let feed = Feed::new(cfg, client, start, queue);
-                    worker_loop(client, transport, cfg, start, feed, recorder, series)
+                    worker_loop(client, transport, cfg, start, feed, recorder)
                 })
             })
             .collect();
@@ -785,7 +764,6 @@ fn worker_loop(
     start: Instant,
     mut feed: Feed<'_>,
     recorder: &WorkloadRecorder,
-    series: &[sp2b_obs::Histogram],
 ) -> ClientReport {
     let mut report = ClientReport {
         client,
@@ -835,7 +813,6 @@ fn worker_loop(
                     end.saturating_duration_since(sent),
                 );
                 if recorded {
-                    series[slot].record(latency);
                     report.latency.record(latency);
                     report.completed += 1;
                     report.observe(&cfg.mix[slot].label, rows, checksum);

@@ -4,18 +4,17 @@
 //! signals historically lived in scattered islands: debug-only exchange
 //! gauges, per-scan row counters, block-cache statistics, server
 //! counters, and the multi-user driver's latency histogram. This crate
-//! unifies them behind three small pieces:
+//! unifies them behind four small pieces:
 //!
 //! - [`LatencyHistogram`]: the log-bucketed single-writer histogram the
-//!   multi-user driver records into (moved here from `core::multiuser`,
-//!   which re-exports it), plus [`AtomicHistogram`], its lock-free
-//!   shared-writer sibling with identical bucket math.
+//!   multi-user driver records into, plus [`AtomicHistogram`], its
+//!   lock-free shared-writer sibling with identical bucket math.
 //! - [`MetricsRegistry`]: a process-global, `std`-only registry of
-//!   atomic counters, gauges, histograms and callback-backed series,
-//!   rendered on demand as Prometheus text exposition
-//!   ([`MetricsRegistry::render_prometheus`]) or JSON
-//!   ([`MetricsRegistry::render_json`]). Recording is a relaxed atomic
-//!   op; nothing allocates on the hot path.
+//!   unlabeled series — callbacks over state their owner already keeps,
+//!   and [`Histogram`]s — rendered on demand as Prometheus text
+//!   exposition ([`MetricsRegistry::render_prometheus`]) or JSON
+//!   ([`MetricsRegistry::render_json`]). Recording into a histogram is a
+//!   relaxed atomic op; nothing allocates on the hot path.
 //! - [`QueryTrace`]: a per-query span record — timed phases plus
 //!   per-operator estimated/actual rows, sampled time, access paths and
 //!   exchange facts — rendered by `sp2b query --explain`, the server's
@@ -36,5 +35,5 @@ mod trace;
 
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use recorder::{TemplateSnapshot, WindowSnapshot, WindowedSeries, WorkloadRecorder};
-pub use registry::{global, histogram_json, Counter, Gauge, Histogram, MetricsRegistry};
+pub use registry::{global, histogram_json, Histogram, MetricsRegistry};
 pub use trace::{ExchangeRun, OpKind, OpSpan, QueryTrace, StepAccess};

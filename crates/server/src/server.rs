@@ -29,15 +29,17 @@
 //! query and (via `Solutions` drop) joins any exchange workers it had
 //! fanned out.
 //!
-//! Observability: [`spawn`] registers the server's counters, queue
-//! gauges and the engine's store/cache/exchange sources with the
-//! process-global metrics registry ([`sp2b_obs::global`]), and two extra
-//! routes surface them live — `GET /metrics` (Prometheus text
-//! exposition) and `GET /stats` (JSON). Configure
+//! Observability: [`spawn`] registers the server's sources with the
+//! process-global metrics registry ([`sp2b_obs::global`]) — callbacks
+//! over its counters, its queue and the engine's store/cache/exchange
+//! state, plus the one histogram the workers record into, request
+//! latency — and two extra routes surface them live: `GET /metrics`
+//! (Prometheus text exposition) and `GET /stats` (JSON). Configure
 //! [`ServerConfig::slow_log`] to additionally log one parseable line per
 //! query whose handling time meets a threshold, with the summary of the
 //! query's trace (`sp2b_sparql::query_trace`) read back from the
-//! [`ScanCounters`] it ran with.
+//! [`ScanCounters`] it ran with; each such line counts in
+//! [`StatsSnapshot::slow_queries`].
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -47,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sp2b_obs::{Counter, Histogram};
+use sp2b_obs::Histogram;
 use sp2b_sparql::results::{write_solutions, WriteError};
 use sp2b_sparql::{Error as SparqlError, QueryEngine, ScanCounters, Solutions};
 
@@ -195,6 +197,7 @@ struct Stats {
     write_timeouts: AtomicU64,
     rows: AtomicU64,
     shed: AtomicU64,
+    slow_queries: AtomicU64,
 }
 
 /// A point-in-time copy of the server counters.
@@ -226,6 +229,9 @@ pub struct StatsSnapshot {
     /// (see [`ServerConfig::max_queue`]). Shed connections are not
     /// counted in `connections`/`requests`.
     pub shed: u64,
+    /// Queries at or above the slow-log threshold (see
+    /// [`ServerConfig::slow_log`]): one per `slow-query:` line.
+    pub slow_queries: u64,
 }
 
 /// Every counter of a [`StatsSnapshot`], once: its `/stats` key, its
@@ -238,7 +244,7 @@ type CounterRow = (
     &'static str,
     fn(&StatsSnapshot) -> u64,
 );
-const COUNTERS: [CounterRow; 10] = [
+const COUNTERS: [CounterRow; 11] = [
     (
         "connections",
         "sp2b_connections_total",
@@ -299,6 +305,12 @@ const COUNTERS: [CounterRow; 10] = [
         "Connections shed with 503 because the accept queue was full",
         |s| s.shed,
     ),
+    (
+        "slow_queries",
+        "sp2b_slow_queries_total",
+        "Queries at or above the configured slow-log threshold",
+        |s| s.slow_queries,
+    ),
 ];
 
 /// `connections 3, requests 5, ok 5, …` — the counters under their
@@ -326,6 +338,7 @@ impl Stats {
             write_timeouts: self.write_timeouts.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
+            slow_queries: self.slow_queries.load(Ordering::Relaxed),
         }
     }
 }
@@ -538,7 +551,7 @@ pub fn spawn(engine: QueryEngine, cfg: &ServerConfig) -> io::Result<ServerHandle
         None => engine,
     };
     let queue = Arc::new(ConnQueue::default());
-    let (latency, slow) = register_metrics(&stats, &queue, &engine);
+    let latency = register_metrics(&stats, &queue, &engine);
     let mut workers = Vec::with_capacity(cfg.workers.max(1));
     for i in 0..cfg.workers.max(1) {
         let worker = Worker {
@@ -547,7 +560,6 @@ pub fn spawn(engine: QueryEngine, cfg: &ServerConfig) -> io::Result<ServerHandle
             stats: Arc::clone(&stats),
             queue: Arc::clone(&queue),
             latency: latency.clone(),
-            slow: slow.clone(),
             slow_log: cfg.slow_log.clone(),
         };
         workers.push(
@@ -602,21 +614,17 @@ pub fn spawn(engine: QueryEngine, cfg: &ServerConfig) -> io::Result<ServerHandle
 }
 
 /// Registers the server's metric sources with the process-global
-/// registry and returns the two series the workers record into directly
-/// (the request-latency histogram and the slow-query counter).
+/// registry and returns the one series the workers record into directly,
+/// the request-latency histogram.
 ///
-/// The counters are *callbacks* reading the same [`Stats`] the request
-/// paths already increment — `/metrics` scrapes and
-/// [`ServerHandle::stats`] can never disagree — and re-registering on
-/// every spawn hands the series to the newest server. Queue gauges hold
-/// only a [`Weak`] so a dead server reads as zero instead of keeping its
-/// queue alive; cache and store sources read through an engine clone
-/// (an `Arc` bump over the shared store).
-fn register_metrics(
-    stats: &Arc<Stats>,
-    queue: &Arc<ConnQueue>,
-    engine: &QueryEngine,
-) -> (Histogram, Counter) {
+/// Everything else is a *callback*: the counters read the same
+/// [`Stats`] the request paths already increment — `/metrics` scrapes,
+/// `/stats` and [`ServerHandle::stats`] can never disagree — and
+/// re-registering on every spawn hands the series to the newest server.
+/// Queue gauges hold only a [`Weak`] so a dead server reads as zero
+/// instead of keeping its queue alive; cache and store sources read
+/// through an engine clone (an `Arc` bump over the shared store).
+fn register_metrics(stats: &Arc<Stats>, queue: &Arc<ConnQueue>, engine: &QueryEngine) -> Histogram {
     let reg = sp2b_obs::global();
     for (_, name, help, read) in COUNTERS {
         let s = Arc::clone(stats);
@@ -701,15 +709,10 @@ fn register_metrics(
         move || e.store().stats().characteristic_sets.len() as i64,
     );
     sp2b_sparql::par::diag::register_metrics();
-    let latency = reg.histogram(
+    reg.histogram(
         "sp2b_request_seconds",
         "End-to-end request handling time (routing through response)",
-    );
-    let slow = reg.counter(
-        "sp2b_slow_queries_total",
-        "Queries at or above the configured slow-log threshold",
-    );
-    (latency, slow)
+    )
 }
 
 /// How long a shed connection may linger while its request bytes drain
@@ -759,8 +762,6 @@ struct Worker {
     queue: Arc<ConnQueue>,
     /// The `sp2b_request_seconds` series — every routed request records.
     latency: Histogram,
-    /// The `sp2b_slow_queries_total` series.
-    slow: Counter,
     slow_log: Option<SlowLog>,
 }
 
@@ -1058,7 +1059,7 @@ impl Worker {
         if let (Some(log), Some(counters)) = (&self.slow_log, &counters) {
             let total = started.elapsed();
             if total >= log.threshold {
-                self.slow.inc();
+                self.stats.slow_queries.fetch_add(1, Ordering::Relaxed);
                 let mut trace = sp2b_sparql::query_trace(&prepared, engine.store(), counters);
                 trace.phase("prepare", prepare_time);
                 trace.phase("execute", total - prepare_time);

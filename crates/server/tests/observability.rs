@@ -143,7 +143,8 @@ fn metrics_is_valid_exposition_with_the_advertised_series() {
             seen_help.insert(rest.split_whitespace().next().unwrap().to_owned());
         } else if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
-            seen_type.insert(parts.next().unwrap().to_owned());
+            let name = parts.next().unwrap();
+            assert!(seen_type.insert(name.to_owned()), "second preamble: {line}");
             let kind = parts.next().unwrap();
             assert!(["counter", "gauge", "histogram"].contains(&kind), "{line}");
         } else if !line.is_empty() {
@@ -283,9 +284,11 @@ fn tiny_slow_threshold_logs_exactly_one_line_per_query() {
     ] {
         assert!(line.contains(field), "missing {field}: {line}");
     }
-    // The slow counter moved with it.
+    // The slow counter moved with it, in every surface.
     let scrape = get(&handle, "/metrics");
-    assert!(series(body_of(&scrape), "sp2b_slow_queries_total") >= 1.0);
+    assert_eq!(series(body_of(&scrape), "sp2b_slow_queries_total"), 1.0);
+    assert!(body_of(&get(&handle, "/stats")).contains("\"slow_queries\":1}"));
+    assert_eq!(handle.shutdown().slow_queries, 1);
 }
 
 /// `op_rows` counts what the pattern steps scanned — `--explain`'s

@@ -66,7 +66,9 @@
 //!    paper's Q5a-vs-Q5b and Q6 points): in an OPTIONAL's condition it
 //!    becomes a hash key of the left join, and between otherwise
 //!    disconnected parts of a BGP it turns the cartesian product into a
-//!    hash join of the parts (`join_components`). SPARQL `=` compares
+//!    hash join of the parts (`join_components`). Parts no equality links
+//!    are joined too, on an empty key: each runs once with its own
+//!    conjuncts inside instead of once per row of the parts before it. SPARQL `=` compares
 //!    values, not terms, so such a key buckets by equality class
 //!    ([`crate::expr`]: `"01"^^xsd:integer` with `"1"^^xsd:integer`, a
 //!    plain literal with its `xsd:string` twin), and the conjunct itself
@@ -811,17 +813,19 @@ struct Component {
 
 /// The implicit join a FILTER equality encodes (Q5a, Q12a): when the
 /// patterns fall into several connected components — no shared variable
-/// between them — and an `?x = ?y` conjunct links two, evaluating them as
-/// one BGP is a cartesian product the filter then cuts down. Instead each
-/// component becomes its own BGP (with the conjuncts it binds pushed
-/// inside), linked components hash-join on the equality's value classes
-/// with the smaller one as build side, and every cross-component conjunct
-/// — the linking equalities included — stays in a `Filter` above, so the
-/// join only has to nominate a superset. Components no equality reaches
-/// join with an empty key: the same cartesian product as before.
+/// between them — evaluating them as one BGP is a cartesian product, its
+/// later components looked up once per row of the earlier ones and their
+/// own conjuncts checked only after the product. Instead each component
+/// becomes its own BGP (with the conjuncts it binds pushed inside) and
+/// runs once; components an `?x = ?y` conjunct links hash-join on the
+/// equality's value classes with the smaller one as build side, and
+/// every cross-component conjunct — the linking equalities included —
+/// stays in a `Filter` above, so the join only has to nominate a
+/// superset. Components no equality reaches join with an empty key: the
+/// same product, built once.
 ///
-/// `None` when there is nothing to link (one component, or no equality
-/// between two of them); the caller then plans the single BGP.
+/// `None` when the patterns are one component; the caller then plans the
+/// single BGP.
 fn join_components(
     patterns: &[ResolvedPattern],
     filters: &[Expr],
@@ -855,9 +859,6 @@ fn join_components(
                 above.push(c.clone());
             }
         }
-    }
-    if links.is_empty() {
-        return None;
     }
     // The conjuncts above the joins read their variables too.
     let observed = observed.map(|vars| {
@@ -922,8 +923,7 @@ fn join_components(
         .map(|g| g.algebra)
         .reduce(|acc, g| Algebra::Join(Box::new(acc), Box::new(g), EqPairs::new(), None))
         .expect("at least two components");
-    let above = Expr::fold_and(above).expect("the linking equalities");
-    Some(Algebra::Filter(above, Box::new(joined)))
+    Some(with_filter(above, joined))
 }
 
 /// Partitions pattern indices into the connected components of the graph
@@ -1562,14 +1562,25 @@ mod tests {
         assert_eq!(bgp_of(&left).0.len(), 1);
         let (patterns, inline) = bgp_of(&right);
         assert_eq!((patterns.len(), inline.len()), (2, 1));
-        // Without pushing — or without a linking equality — one BGP.
+        // Without pushing, one BGP.
         let (algebra, _) = optimized(query, &OptimizerConfig::default());
         assert_eq!(bgp_of(&algebra).0.len(), 3);
+        // Without a linking equality, a keyless join under the filter.
         let (algebra, _) = optimized(
             "SELECT ?a ?b WHERE { ?a <http://x/common> ?x . ?b <http://x/rare> ?y FILTER (?x != ?y) }",
             &OptimizerConfig::full(),
         );
-        assert_eq!(bgp_of(&algebra).0.len(), 2);
+        let Algebra::Project(_, inner) = algebra else {
+            panic!()
+        };
+        let Algebra::Filter(_, joined) = *inner else {
+            panic!("{inner:?}")
+        };
+        let Algebra::Join(left, right, eq, _) = *joined else {
+            panic!("{joined:?}")
+        };
+        assert!(eq.is_empty());
+        assert_eq!((bgp_of(&left).0.len(), bgp_of(&right).0.len()), (1, 1));
     }
 
     #[test]

@@ -292,16 +292,22 @@ impl Exchange<'_> {
         self.workers = Some(handed);
     }
 
-    /// Stops the workers, if there are any: closes the sink flag, the job
-    /// queue and every morsel channel (waking workers blocked on a job or
-    /// on `send`) and joins every worker thread. Idempotent; runs on
-    /// stream exhaustion, cancellation, and drop. Returns what the first
-    /// worker that panicked, if any, panicked with.
+    /// Stops the workers, if there are any: closes the sink flag and the
+    /// job queue, drains every morsel channel until its sender is gone
+    /// (waking workers blocked on `send`; the batches discarded leave the
+    /// in-flight gauge like received ones) and joins every worker thread.
+    /// Idempotent; runs on stream exhaustion, cancellation, and drop.
+    /// Returns what the first worker that panicked, if any, panicked with.
     fn shutdown(&mut self) -> Option<Box<dyn Any + Send>> {
         let workers = self.workers.as_mut()?;
         workers.sink_open.store(false, Ordering::Relaxed);
         workers.jobs = None;
-        workers.out.clear();
+        // In morsel order: a morsel whose job is still queued has every
+        // later one queued behind it, so no worker it waits for is blocked
+        // on a channel not yet drained.
+        for rx in workers.out.drain(..) {
+            rx.iter().for_each(|_| diag::note_recv());
+        }
         let joined: Vec<_> = workers.handles.drain(..).map(JoinHandle::join).collect();
         joined.into_iter().find_map(Result::err)
     }

@@ -13,7 +13,8 @@
 //!   every morsel outgrows its channel;
 //! * **no thread leak** — dropping a `Solutions` stream early (before or
 //!   just after the hand-off), cancelling or exhausting it joins every
-//!   detached worker thread;
+//!   detached worker thread, and the batches it leaves unread leave the
+//!   in-flight gauge;
 //! * **a dying worker fails the query** — a worker that panics mid-scan
 //!   surfaces as that panic in the consumer, not as a hang and not as a
 //!   shorter answer.
@@ -240,6 +241,27 @@ fn dropping_a_stream_early_joins_every_worker() {
             0,
             "dropping Solutions after {rows} rows must terminate and join every worker"
         );
+    }
+}
+
+/// A stream dropped while the workers' channels still hold batches
+/// leaves the in-flight gauge where it found it: the batches discarded at
+/// shutdown are accounted like received ones, however often it happens.
+#[test]
+fn dropping_a_stream_early_returns_the_in_flight_gauge_to_zero() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _zero = ZeroBudget::set();
+    let engine = engine(4);
+    let prepared = engine.prepare(FULL_SCAN).unwrap();
+    diag::reset_channel_stats();
+    for round in 1..=3 {
+        let mut stream = engine.solutions(&prepared);
+        for _ in 0..800 {
+            stream.next().expect("rows left").unwrap();
+        }
+        drop(stream);
+        assert_eq!(diag::in_flight_batches(), 0, "after drop {round}");
+        assert_eq!(diag::live_workers(), 0, "after drop {round}");
     }
 }
 

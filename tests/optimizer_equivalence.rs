@@ -19,7 +19,9 @@ use sp2bench::rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2bench::sparql::algebra::{translate, Algebra};
 use sp2bench::sparql::optimizer::optimize;
 use sp2bench::sparql::plan::{bind, operators, Operator, Plan};
-use sp2bench::sparql::{parse, OptimizerConfig, QueryEngine, QueryOptions, QueryResult};
+use sp2bench::sparql::{
+    parse, OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters,
+};
 use sp2bench::store::{MemStore, NativeStore, SharedStore, TripleStore};
 
 /// Graphs per property.
@@ -56,6 +58,9 @@ const QUERY_POOL: &[&str] = &[
     "SELECT ?a WHERE { ?a ?p ?v FILTER (?p = <http://t/p2>) }",
     // Substitution must NOT fire (var projected).
     "SELECT ?p WHERE { ?a ?p ?v FILTER (?p = <http://t/p2>) }",
+    // Two BGP parts no equality links: a keyless join of the parts, each
+    // filtering on its own, the cross conjunct above.
+    "SELECT ?a ?x WHERE { ?a <http://t/p0> ?b . ?x <http://t/p1> ?y FILTER (?y != <http://t/o1> && ?b != ?y) }",
     // Filter distribution into join branches.
     "SELECT ?a ?x WHERE { { ?a <http://t/p0> ?b } { ?x <http://t/p1> ?y } FILTER (?y != <http://t/o1>) }",
     // Left join with condition (OPTIONAL-FILTER).
@@ -177,7 +182,16 @@ fn seeds() -> Vec<u64> {
 /// `query`'s result as a sorted multiset of stringified rows.
 fn run_sorted(seed: u64, store: &SharedStore, query: &str, cfg: OptimizerConfig) -> Vec<String> {
     let options = QueryOptions::new().optimizer(cfg).parallelism(1);
-    let engine = QueryEngine::with_options(store.clone(), options);
+    sorted_rows(
+        seed,
+        &QueryEngine::with_options(store.clone(), options),
+        query,
+    )
+}
+
+/// What `engine` answers to `query`, as a sorted multiset of stringified
+/// rows.
+fn sorted_rows(seed: u64, engine: &QueryEngine, query: &str) -> Vec<String> {
     let prepared = engine.prepare(query).expect("pool query parses");
     let result = engine.execute(&prepared);
     let Ok(QueryResult::Solutions { rows, .. }) = result else {
@@ -316,4 +330,38 @@ fn q4_dedupes_its_build_side_only_under_distinct() {
     }));
     let optimized = optimize(over_slice, &*store, &full, &t.projection);
     assert!(distinct_build_sides(&bind(&optimized, &*store, &full)).is_empty());
+}
+
+/// Two BGP parts that no equality links are joined, not chained: each
+/// runs once with its own filter inside, and a keyless join pairs them.
+/// As one chain the second part was looked up once per row of the first
+/// and filtered after the product — 9 000 000 pattern rows here.
+#[test]
+fn unlinked_components_run_once_each() {
+    const TRIPLES: i64 = 3_000;
+    let mut g = Graph::new();
+    for i in 0..TRIPLES {
+        g.add(
+            Subject::iri(format!("http://x/s{i}")),
+            Iri::new("http://x/p"),
+            Term::Literal(Literal::integer(i)),
+        );
+    }
+    let store = NativeStore::from_graph(&g).into_shared();
+    let query =
+        "SELECT ?s ?v ?w WHERE { ?s <http://x/p> ?v . ?t <http://x/p> ?w FILTER (?w < 12) }";
+    let counters = std::sync::Arc::new(ScanCounters::default());
+    let options = QueryOptions::new().parallelism(1);
+    let engine = QueryEngine::with_options(store.clone(), options).scan_counters(counters.clone());
+    let rows = sorted_rows(0, &engine, query);
+    assert_eq!(rows.len(), 12 * TRIPLES as usize);
+    assert_eq!(
+        rows,
+        run_sorted(0, &store, query, OptimizerConfig::default())
+    );
+    let scanned = counters.total_rows();
+    assert!(
+        scanned <= 2 * TRIPLES as u64,
+        "{scanned} pattern rows for two parts of {TRIPLES}"
+    );
 }
