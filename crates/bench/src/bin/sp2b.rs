@@ -12,9 +12,11 @@
 //!   save` (open is O(header + dictionary + block index); scans pull
 //!   fixed-size blocks through a shared LRU whose byte budget
 //!   `--cache-bytes` pins, default a quarter of the run payload);
-//!   otherwise `--data FILE` is parsed or `--triples N --seed S`
-//!   generated, and loaded under `--engine` into one store or `--shards
-//!   N` hash partitions.
+//!   otherwise the N-Triples of `--data FILE`, or of a document generated
+//!   by `--triples N --seed S` (untimed), stream along the store's one
+//!   load route under `--engine` into one store or `--shards N` hash
+//!   partitions. The load line's time is that route: parse, intern,
+//!   build.
 //! * `query LABEL` is `run` with a benchmark query's text ([`cmd_query`]
 //!   serves both): the first `--limit` rows print and the rest are only
 //!   counted, or `--format json|csv|tsv` streams the whole result
@@ -28,7 +30,7 @@
 //!   than the fan-out budget) — except on `serve`, where it sizes the
 //!   HTTP worker pool and `--parallelism` is per query.
 
-use std::io::Write as _;
+use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,8 +41,7 @@ use sp2b_bench::Args;
 use sp2b_core::report;
 use sp2b_core::runner::{run_benchmark, run_workload_on, RunnerConfig, WorkloadTarget};
 use sp2b_core::{measure, BenchQuery, Endpoint, Engine, EngineKind, ExtQuery, StoreLayout};
-use sp2b_datagen::{generate_graph, generate_to_path, Config};
-use sp2b_rdf::Graph;
+use sp2b_datagen::{generate_document, generate_to_path, Config};
 use sp2b_server::ServerConfig;
 use sp2b_sparql::results::{self, Format, WriteError};
 use sp2b_sparql::{query_trace, Error as SparqlError, Prepared, QueryEngine, ScanCounters};
@@ -166,17 +167,23 @@ fn generator_config(args: &Args, default_triples: u64) -> Result<Config, String>
     })
 }
 
-/// The document: parsed from `--data FILE`, or generated.
-fn document(args: &Args, default_triples: u64) -> Result<Graph, String> {
-    match args.get("data") {
+/// The document as N-Triples, and what to call it in an error: the
+/// `--data FILE` stream, or a document generated in memory.
+fn document(args: &Args, default_triples: u64) -> Result<(Box<dyn BufRead>, String), String> {
+    Ok(match args.get("data") {
         Some(path) => {
             let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
             let reader = std::io::BufReader::with_capacity(1 << 16, file);
-            let graph: Result<Graph, _> = sp2b_rdf::ntriples::Parser::new(reader).collect();
-            graph.map_err(|e| format!("{path}: {e}"))
+            (Box::new(reader), path.to_owned())
         }
-        None => Ok(generate_graph(generator_config(args, default_triples)?).0),
-    }
+        None => {
+            let (doc, _) = generate_document(generator_config(args, default_triples)?);
+            (
+                Box::new(std::io::Cursor::new(doc)),
+                "generated document".to_owned(),
+            )
+        }
+    })
 }
 
 /// The one place flags become an [`Engine`], and the one printer of its
@@ -208,15 +215,17 @@ fn open_engine(args: &Args, default_triples: u64) -> Result<Engine, String> {
         }
         None => {
             let layout = store_layout(args)?;
-            let graph = document(args, default_triples)?;
-            let source = format!("loaded {} triples", graph.len());
-            (Engine::load_with(kind, &graph, &layout), source)
+            let (doc, name) = document(args, default_triples)?;
+            let engine = Engine::load(kind, doc, &layout).map_err(|e| format!("{name}: {e}"))?;
+            let source = format!("loaded {} triples", engine.store().len());
+            (engine, source)
         }
     };
     if !args.has("quiet") {
         eprintln!("{source} into {kind} ({})", engine.load_summary());
+        let shards = engine.shards();
         let facts = [
-            engine.shards().map(|info| info.summary()),
+            (shards.count() > 1).then(|| shards.summary()),
             Some(engine.stats_summary()),
             engine.cache_summary(),
         ];
@@ -252,7 +261,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
 }
 
 /// `sp2b save --out DIR`: writes the document (generated from
-/// `--triples`/`--seed` or parsed from `--data FILE`) as a directory of
+/// `--triples`/`--seed` or streamed from `--data FILE`) as a directory of
 /// immutable checksummed segments — shared dictionary plus per-shard
 /// sorted runs — that `--store disk:DIR` reopens in
 /// O(header + dictionary) with no reparse and no index rebuild.
@@ -284,25 +293,10 @@ fn cmd_save(args: &Args) -> Result<(), String> {
         }
     }
     let layout = store_layout(args)?;
-    let (saved, m) = match args.get("data") {
-        Some(path) => measure(|| {
-            sp2b_store::save_segments_from_path(
-                std::path::Path::new(path),
-                dir,
-                layout.shards,
-                layout.shard_by,
-            )
-            .map_err(|e| e.to_string())
-        }),
-        None => {
-            let (graph, _) = generate_graph(generator_config(args, 50_000)?);
-            measure(|| {
-                sp2b_store::save_graph(dir, &graph, layout.shards, layout.shard_by)
-                    .map_err(|e| e.to_string())
-            })
-        }
-    };
-    let stats = saved?;
+    let (doc, _) = document(args, 50_000)?;
+    let (saved, m) =
+        measure(|| sp2b_store::save_segments_from_reader(doc, dir, layout.shards, layout.shard_by));
+    let stats = saved.map_err(|e| e.to_string())?;
     eprintln!(
         "saved {} triples ({} terms, {} shard(s) by {}, {} bytes) to {out} in {}",
         stats.triples,
@@ -370,7 +364,7 @@ fn cmd_smoke(args: &Args) -> Result<(), String> {
         "smoke: {} triples, threads = {}, shards = {}",
         engine.store().len(),
         t.map_or("default".to_owned(), |t| t.to_string()),
-        engine.shards().map_or(1, |i| i.count())
+        engine.shards().count()
     );
     for (label, text) in bench.chain(ext) {
         let prepared = qe.prepare(text).map_err(|e| format!("{label}: {e}"))?;

@@ -9,10 +9,10 @@ use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
 use sp2b_core::workload::resolve_template;
 use sp2b_core::{Arrival, BenchQuery, WeightedMix};
 use sp2b_datagen::{
-    generate_graph, params, Config, Generator, GeneratorStats, NtriplesSink, NullSink,
+    generate_document, params, Config, Generator, GeneratorStats, NtriplesSink, NullSink,
 };
 use sp2b_sparql::{query_trace, OptimizerConfig, QueryEngine, ScanCounters};
-use sp2b_store::{IndexSelection, NativeStore, SharedStore, TripleStore};
+use sp2b_store::{store_from_reader, IndexSelection, ShardBackend, SharedStore, TripleStore};
 
 /// What a `--queries` list may name, for usage errors.
 pub const QUERY_LABELS: &str = "q1,q3a,…  (Q1…Q12c; `multiuser` also takes A1…A5)";
@@ -186,9 +186,7 @@ pub fn table5(sizes: &[u64], timeout: Duration) -> String {
     }
     out.push('\n');
     for &n in sizes {
-        let (graph, _) = generate_graph(Config::triples(n));
-        let engine =
-            QueryEngine::new(NativeStore::from_graph(&graph).into_shared()).timeout(timeout);
+        let engine = QueryEngine::new(native_store(n)).timeout(timeout);
         out.push_str(&format!("{:<9}", sp2b_core::report::scale_label(n)));
         for q in BenchQuery::ALL {
             // The streaming count path: no term ever decodes.
@@ -269,7 +267,7 @@ pub fn ablation(triples: u64, timeout: Duration) -> String {
         BenchQuery::Q11,
     ];
 
-    let (graph, _) = generate_graph(Config::triples(triples));
+    let (doc, _) = generate_document(Config::triples(triples));
     let mut out = format!(
         "ABLATION — optimizer techniques and index layout ({} triples, timeout {:?})\n\n",
         triples, timeout
@@ -282,7 +280,10 @@ pub fn ablation(triples: u64, timeout: Duration) -> String {
 
     for cfg in &configs {
         let start = Instant::now();
-        let store = NativeStore::with_indexes(&graph, cfg.indexes).into_shared();
+        let store = store_from_reader(&doc[..], ShardBackend::Native(cfg.indexes));
+        let store = store
+            .expect("the generator writes valid N-Triples")
+            .into_shared();
         let load = start.elapsed().as_secs_f64();
         out.push_str(&format!("{:<12}", cfg.label));
         for q in queries {
@@ -291,6 +292,16 @@ pub fn ablation(triples: u64, timeout: Duration) -> String {
         out.push_str(&format!("{load:>10.3}\n"));
     }
     out
+}
+
+/// A generated document of `triples` triples, loaded into one native
+/// store.
+fn native_store(triples: u64) -> SharedStore {
+    let (doc, _) = generate_document(Config::triples(triples));
+    let store = store_from_reader(&doc[..], ShardBackend::Native(IndexSelection::all()));
+    store
+        .expect("the generator writes valid N-Triples")
+        .into_shared()
 }
 
 fn run_cell(
@@ -330,8 +341,7 @@ pub fn thread_scaling(
     timeout: Duration,
     queries: &[BenchQuery],
 ) -> String {
-    let (graph, _) = generate_graph(Config::triples(triples));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = native_store(triples);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = format!(
         "THREAD SCALING — morsel-driven parallel execution \

@@ -7,18 +7,23 @@
 //! | Sesame-DB  | `native-base` | four sorted runs    | none |
 //! | Virtuoso   | `native-opt`  | four sorted runs    | reorder + push + substitute |
 //!
-//! As in the paper, in-memory engines pay their document load on every
-//! query evaluation ("in-memory engines always must load the document"),
-//! while native engines load once — with index build time — and are
-//! measured separately (`LOADING TIME` metric).
+//! Every configuration loads along the store's one route
+//! ([`sp2b_store::load`]): the N-Triples document is parsed, interned and
+//! built into a [`ShardedStore`], one shard unless `--shards` says more.
+//! Loading time is that whole route, as the paper defines it. As in the
+//! paper, in-memory engines pay their document load on every query
+//! evaluation ("in-memory engines always must load the document"), while
+//! native engines load once — with index build time — and are measured
+//! separately (`LOADING TIME` metric).
 
+use std::io::BufRead;
 use std::path::Path;
 use std::time::Duration;
 
-use sp2b_rdf::Graph;
+use sp2b_rdf::ntriples::Error as ParseError;
 use sp2b_sparql::{Error as SparqlError, OptimizerConfig, QueryEngine, QueryResult};
 use sp2b_store::{
-    IndexSelection, MemStore, NativeStore, ShardBackend, ShardBy, ShardedStore, SharedStore,
+    sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, ShardedStore, SharedStore,
     TripleStore,
 };
 
@@ -93,12 +98,12 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// How an engine's store is laid out: one monolithic store (the
+/// How an engine's store is laid out: one unsharded store (the
 /// default), or N hash-partitioned shards behind a shared dictionary
 /// (`sp2b … --shards N [--shard-by subject|pso]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreLayout {
-    /// Shard count; `1` means the classic unsharded store.
+    /// Shard count; `1` means the unsharded store.
     pub shards: usize,
     /// The partition key (only meaningful when `shards > 1`).
     pub shard_by: ShardBy,
@@ -119,15 +124,10 @@ impl StoreLayout {
     pub fn sharded(shards: usize, shard_by: ShardBy) -> Self {
         StoreLayout { shards, shard_by }
     }
-
-    /// True when this layout actually shards (> 1 shard).
-    pub fn is_sharded(&self) -> bool {
-        self.shards > 1
-    }
 }
 
-/// Per-shard loading facts of a sharded engine: triple counts and build
-/// wall times in shard order, for the loading report.
+/// Per-shard loading facts of an engine's store: triple counts and
+/// build wall times in shard order, for the loading report.
 #[derive(Debug, Clone)]
 pub struct ShardInfo {
     /// The partition key.
@@ -148,7 +148,8 @@ impl ShardInfo {
     }
 
     /// One human line: shard count, key, per-shard triples and build
-    /// times — the "per-shard load" note in runner progress and reports.
+    /// times — the "per-shard load" note in runner progress and reports,
+    /// printed only when there is more than one shard.
     pub fn summary(&self) -> String {
         let lens = self
             .lens
@@ -173,18 +174,18 @@ impl ShardInfo {
     }
 }
 
-/// A loaded engine: a shared store handle plus its optimizer settings.
-/// The store lives behind an `Arc`, so one `Engine` can back any number
-/// of concurrent [`QueryEngine`]s and multi-user client threads.
+/// A loaded engine: a shared handle to its [`ShardedStore`] plus its
+/// optimizer settings. The store lives behind an `Arc`, so one `Engine`
+/// can back any number of concurrent [`QueryEngine`]s and multi-user
+/// client threads.
 pub struct Engine {
     kind: EngineKind,
     store: SharedStore,
-    /// Loading measurement (dictionary encode + index build). For
+    /// Loading measurement (parse + dictionary encode + index build). For
     /// in-memory engines this is also re-charged per query.
     pub loading: Measurement,
-    /// Sharding facts when the store is sharded (`None` for the classic
-    /// monolithic layout).
-    shards: Option<ShardInfo>,
+    /// The store's shards: one for the unsharded layout.
+    shards: ShardInfo,
 }
 
 /// Outcome of one query execution.
@@ -224,19 +225,14 @@ impl Outcome {
 }
 
 impl Engine {
-    /// Loads a document (as a parsed graph) into this engine
-    /// configuration as one monolithic store, timing the load.
-    pub fn load(kind: EngineKind, graph: &Graph) -> Engine {
-        Self::load_with(kind, graph, &StoreLayout::default())
-    }
-
-    /// Like [`Engine::load`] with an explicit [`StoreLayout`]: with
-    /// `shards > 1` the document loads into a [`ShardedStore`] —
-    /// per-shard index builds run in parallel, and scans/point lookups
-    /// parallelize/route across shards. Everything downstream
-    /// ([`QueryEngine`], exchange, server, multi-user driver) is
-    /// unchanged: the sharded store is just another `TripleStore` behind
-    /// the same `Arc`.
+    /// Streams an N-Triples document into this engine configuration
+    /// along the store's one load route, timing the whole of it (parse,
+    /// intern, build): one store, or with `layout.shards > 1` a
+    /// [`ShardedStore`] whose per-shard index builds run in parallel and
+    /// whose scans and point lookups parallelize and route across shards.
+    /// Everything downstream ([`QueryEngine`], exchange, server,
+    /// multi-user driver) sees just another `TripleStore` behind the same
+    /// `Arc`.
     ///
     /// A configuration whose planner reorders patterns also gathers the
     /// store's statistics here, as part of the timed load, and every
@@ -245,52 +241,45 @@ impl Engine {
     /// first use; left to that, the first query pays for a pass over the
     /// whole document — an `ASK` that answers in microseconds (Q12a, whose
     /// `?name = ?name2` reads value keys) then reads as slow as the build.
-    pub fn load_with(kind: EngineKind, graph: &Graph, layout: &StoreLayout) -> Engine {
-        let warmed = |store: SharedStore| {
-            if kind.optimizer().reorder_patterns {
-                store.stats();
-            }
-            store.dictionary().rank_values();
-            store
-        };
-        if !layout.is_sharded() {
-            let (store, loading) = measure(|| -> SharedStore {
-                warmed(match kind {
-                    EngineKind::MemNaive | EngineKind::MemOpt => {
-                        MemStore::from_graph(graph).into_shared()
-                    }
-                    EngineKind::NativeBase | EngineKind::NativeOpt => {
-                        NativeStore::with_indexes(graph, IndexSelection::all()).into_shared()
-                    }
-                })
-            });
-            return Engine {
-                kind,
-                store,
-                loading,
-                shards: None,
-            };
-        }
+    pub fn load(
+        kind: EngineKind,
+        reader: impl BufRead,
+        layout: &StoreLayout,
+    ) -> Result<Engine, ParseError> {
         let backend = if kind.is_native() {
             ShardBackend::Native(IndexSelection::all())
         } else {
             ShardBackend::Mem
         };
-        let ((store, info), loading) = measure(|| {
-            let sharded = ShardedStore::from_graph(graph, layout.shards, layout.shard_by, backend);
-            let info = ShardInfo {
-                shard_by: sharded.shard_by(),
-                backend: backend.label(),
-                lens: sharded.shard_lens(),
-                build_times: sharded.shard_build_times().to_vec(),
-            };
-            (warmed(sharded.into_shared()), info)
+        let (loaded, loading) = measure(|| {
+            let store = sharded_store_from_reader(reader, layout.shards, layout.shard_by, backend)?;
+            if kind.optimizer().reorder_patterns {
+                store.stats();
+            }
+            store.dictionary().rank_values();
+            Ok::<_, ParseError>(store)
         });
+        Ok(Engine::new(kind, loaded?, backend.label(), loading))
+    }
+
+    /// The engine over a built or opened `store`.
+    fn new(
+        kind: EngineKind,
+        store: ShardedStore,
+        backend: &'static str,
+        loading: Measurement,
+    ) -> Engine {
+        let shards = ShardInfo {
+            shard_by: store.shard_by(),
+            backend,
+            lens: store.shard_lens(),
+            build_times: store.shard_build_times().to_vec(),
+        };
         Engine {
             kind,
-            store,
+            store: store.into_shared(),
             loading,
-            shards: Some(info),
+            shards,
         }
     }
 
@@ -316,18 +305,7 @@ impl Engine {
             Ok::<_, sp2b_store::SegmentError>(store)
         });
         let store = opened.map_err(|e| e.to_string())?;
-        let info = ShardInfo {
-            shard_by: store.shard_by(),
-            backend: "disk",
-            lens: store.shard_lens(),
-            build_times: store.shard_build_times().to_vec(),
-        };
-        Ok(Engine {
-            kind,
-            store: store.into_shared(),
-            loading,
-            shards: Some(info),
-        })
+        Ok(Engine::new(kind, store, "disk", loading))
     }
 
     /// The configuration.
@@ -335,9 +313,9 @@ impl Engine {
         self.kind
     }
 
-    /// Sharding facts (`None` for a monolithic store).
-    pub fn shards(&self) -> Option<&ShardInfo> {
-        self.shards.as_ref()
+    /// The store's shards.
+    pub fn shards(&self) -> &ShardInfo {
+        &self.shards
     }
 
     /// The underlying store.
@@ -472,18 +450,22 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_datagen::{generate_graph, Config};
+    use sp2b_datagen::{generate_document, Config};
 
-    fn tiny_graph() -> Graph {
-        generate_graph(Config::triples(4_000)).0
+    fn tiny_doc() -> Vec<u8> {
+        generate_document(Config::triples(4_000)).0
+    }
+
+    fn load(kind: EngineKind, doc: &[u8]) -> Engine {
+        Engine::load(kind, doc, &StoreLayout::default()).expect("generated N-Triples parse")
     }
 
     #[test]
     fn all_engines_answer_q1_identically() {
-        let g = tiny_graph();
+        let g = tiny_doc();
         let mut counts = Vec::new();
         for kind in EngineKind::ALL {
-            let engine = Engine::load(kind, &g);
+            let engine = load(kind, &g);
             let (outcome, _) = engine.run(BenchQuery::Q1, None);
             counts.push(outcome.count().unwrap_or_else(|| panic!("{kind} failed")));
         }
@@ -493,8 +475,8 @@ mod tests {
 
     #[test]
     fn ask_queries_return_single_answer() {
-        let g = tiny_graph();
-        let engine = Engine::load(EngineKind::NativeOpt, &g);
+        let g = tiny_doc();
+        let engine = load(EngineKind::NativeOpt, &g);
         let (outcome, _) = engine.run_text(crate::queries::Q12C, None, true);
         let Outcome::Success {
             result: Some(r), ..
@@ -507,8 +489,8 @@ mod tests {
 
     #[test]
     fn timeout_reports_as_timeout() {
-        let g = tiny_graph();
-        let engine = Engine::load(EngineKind::MemNaive, &g);
+        let g = tiny_doc();
+        let engine = load(EngineKind::MemNaive, &g);
         // Q4 with a zero timeout cannot finish.
         let (outcome, _) = engine.run(BenchQuery::Q4, Some(Duration::ZERO));
         assert!(matches!(outcome, Outcome::Timeout), "{outcome:?}");
@@ -525,15 +507,15 @@ mod tests {
 
     #[test]
     fn sharded_engines_answer_like_monolithic_ones() {
-        let g = tiny_graph();
+        let g = tiny_doc();
         for kind in [EngineKind::NativeOpt, EngineKind::MemOpt] {
-            let flat = Engine::load(kind, &g);
-            assert!(flat.shards().is_none());
+            let flat = load(kind, &g);
+            assert_eq!(flat.shards().count(), 1);
             let layout = StoreLayout::sharded(3, ShardBy::Subject);
-            let sharded = Engine::load_with(kind, &g, &layout);
-            let info = sharded.shards().expect("sharded engine reports shards");
+            let sharded = Engine::load(kind, &g[..], &layout).unwrap();
+            let info = sharded.shards();
             assert_eq!(info.count(), 3);
-            assert_eq!(info.lens.iter().sum::<usize>(), g.len());
+            assert_eq!(info.lens.iter().sum::<usize>(), flat.store().len());
             assert_eq!(info.build_times.len(), 3);
             assert!(info.summary().contains("3 shard(s) by subject"));
             for q in [BenchQuery::Q1, BenchQuery::Q5a, BenchQuery::Q9] {
@@ -546,14 +528,14 @@ mod tests {
 
     #[test]
     fn disk_engine_opens_saved_segments_and_agrees() {
-        let g = tiny_graph();
+        let g = tiny_doc();
         let dir = std::env::temp_dir().join(format!("sp2b-core-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        sp2b_store::save_graph(&dir, &g, 2, ShardBy::Subject).expect("save");
-        let flat = Engine::load(EngineKind::NativeOpt, &g);
+        sp2b_store::save_segments_from_reader(&g[..], &dir, 2, ShardBy::Subject).expect("save");
+        let flat = load(EngineKind::NativeOpt, &g);
         let disk = Engine::open_disk(EngineKind::NativeOpt, &dir, None).expect("open");
-        let info = disk.shards().expect("disk engines report shards");
+        let info = disk.shards();
         assert_eq!(info.count(), 2);
         assert!(info.summary().contains("2 shard(s) by subject [disk]"));
         for q in [BenchQuery::Q1, BenchQuery::Q5a, BenchQuery::Q9] {
@@ -584,9 +566,20 @@ mod tests {
     }
 
     #[test]
+    fn malformed_documents_fail_to_load_with_their_line() {
+        let doc = b"<http://x/s> <http://x/p> <http://x/o> .\n<http://x/s> oops .\n";
+        for kind in [EngineKind::MemNaive, EngineKind::NativeOpt] {
+            let err = Engine::load(kind, &doc[..], &StoreLayout::default())
+                .err()
+                .unwrap();
+            assert!(err.to_string().contains("line 2"), "{err}");
+        }
+    }
+
+    #[test]
     fn mem_engines_charge_loading_into_queries() {
-        let g = tiny_graph();
-        let mem = Engine::load(EngineKind::MemNaive, &g);
+        let g = tiny_doc();
+        let mem = load(EngineKind::MemNaive, &g);
         let (_, m) = mem.run(BenchQuery::Q1, None);
         assert!(
             m.tme >= mem.loading.tme,

@@ -103,13 +103,14 @@ WHERE { ?doc dc:creator ?author }"#;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{Engine, EngineKind, Outcome};
-    use sp2b_datagen::{generate_graph, Config};
+    use crate::engines::{Engine, EngineKind, Outcome, StoreLayout};
+    use sp2b_datagen::{generate_document, Config};
     use sp2b_sparql::QueryResult;
 
     fn run(q: ExtQuery) -> (Vec<String>, Vec<Vec<Option<sp2b_rdf::Term>>>) {
-        let (graph, _) = generate_graph(Config::triples(20_000));
-        let engine = Engine::load(EngineKind::NativeOpt, &graph);
+        let (doc, _) = generate_document(Config::triples(20_000));
+        let engine =
+            Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default()).unwrap();
         let (outcome, _) = engine.run_text(q.text(), None, true);
         match outcome {
             Outcome::Success {
@@ -136,8 +137,9 @@ mod tests {
 
     #[test]
     fn a1_matches_generator_statistics() {
-        let (graph, stats) = generate_graph(Config::triples(20_000));
-        let engine = Engine::load(EngineKind::NativeOpt, &graph);
+        let (doc, stats) = generate_document(Config::triples(20_000));
+        let engine =
+            Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default()).unwrap();
         let (outcome, _) = engine.run_text(ExtQuery::A1.text(), None, true);
         let Outcome::Success {
             result: Some(QueryResult::Solutions { rows, .. }),
@@ -214,8 +216,9 @@ mod tests {
 
     #[test]
     fn a5_matches_generator_statistics() {
-        let (graph, stats) = generate_graph(Config::triples(20_000));
-        let engine = Engine::load(EngineKind::NativeOpt, &graph);
+        let (doc, stats) = generate_document(Config::triples(20_000));
+        let engine =
+            Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default()).unwrap();
         let (outcome, _) = engine.run_text(ExtQuery::A5.text(), None, true);
         let Outcome::Success {
             result: Some(QueryResult::Solutions { rows, .. }),

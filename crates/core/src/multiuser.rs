@@ -290,8 +290,14 @@ impl WorkSession for InProcessSession {
 mod tests {
     use super::*;
     use crate::workload::{run_workload, WorkloadReport};
-    use sp2b_datagen::{generate_graph, Config};
-    use sp2b_store::{NativeStore, TripleStore};
+    use sp2b_datagen::{generate_document, Config};
+    use sp2b_store::{store_from_reader, IndexSelection, ShardBackend, TripleStore};
+
+    fn native(triples: u64) -> SharedStore {
+        let (doc, _) = generate_document(Config::triples(triples));
+        let backend = ShardBackend::Native(IndexSelection::all());
+        store_from_reader(&doc[..], backend).unwrap().into_shared()
+    }
 
     fn run(store: &SharedStore, cfg: &MultiuserConfig) -> WorkloadReport {
         run_workload(&InProcessTransport::new(store.clone(), cfg), cfg)
@@ -299,8 +305,7 @@ mod tests {
 
     #[test]
     fn rounds_mode_is_deterministic_and_consistent() {
-        let (graph, _) = generate_graph(Config::triples(2_000));
-        let store = NativeStore::from_graph(&graph).into_shared();
+        let store = native(2_000);
         let mut cfg = MultiuserConfig::new(3, StopCondition::Rounds(2));
         cfg.mix = vec![
             WorkItem::bench(BenchQuery::Q1),
@@ -327,8 +332,7 @@ mod tests {
 
     #[test]
     fn checksums_are_stable_and_identical_across_clients() {
-        let (graph, _) = generate_graph(Config::triples(2_000));
-        let store = NativeStore::from_graph(&graph).into_shared();
+        let store = native(2_000);
         let mut cfg = MultiuserConfig::new(3, StopCondition::Rounds(2));
         cfg.checksums = true;
         cfg.mix = vec![
@@ -360,8 +364,7 @@ mod tests {
 
     #[test]
     fn duration_mode_stops() {
-        let (graph, _) = generate_graph(Config::triples(1_000));
-        let store = NativeStore::from_graph(&graph).into_shared();
+        let store = native(1_000);
         let mut cfg = MultiuserConfig::new(2, StopCondition::Duration(Duration::from_millis(200)));
         cfg.mix = vec![WorkItem::bench(BenchQuery::Q1)];
         let report = run(&store, &cfg);

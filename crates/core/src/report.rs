@@ -432,8 +432,8 @@ pub fn mixed_workload_report(report: &MixedWorkloadReport) -> String {
                 engine.label(),
                 load.summary()
             );
-            if let Some(info) = shards {
-                header.push_str(&format!("{}\n", info.summary()));
+            if shards.count() > 1 {
+                header.push_str(&format!("{}\n", shards.summary()));
             }
             header
         }
@@ -638,12 +638,12 @@ mod tests {
                     tme: Duration::from_millis(7),
                     ..Default::default()
                 },
-                shards: Some(crate::engines::ShardInfo {
+                shards: crate::engines::ShardInfo {
                     shard_by: sp2b_store::ShardBy::Subject,
                     backend: "native",
                     lens: vec![5_100, 4_900],
                     build_times: vec![Duration::from_millis(3), Duration::from_millis(4)],
-                }),
+                },
             },
             workload: closed_report(),
         };

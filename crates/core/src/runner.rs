@@ -1,8 +1,9 @@
 //! The benchmark runner: Section VI-B's protocol.
 //!
-//! For every document scale the runner generates the document once
-//! (deterministic, so results are reproducible), loads it into each
-//! engine configuration (timed — the LOADING TIME metric), executes every
+//! For every document scale the runner generates the N-Triples document
+//! once, untimed (deterministic, so results are reproducible), loads its
+//! bytes into each engine configuration (timed — the LOADING TIME metric:
+//! parse, intern and build, the store's one load route), executes every
 //! selected query `runs` times under a timeout, and records status,
 //! wall/CPU time, memory watermark and result count. The report type
 //! feeds the Table IV/V/VI/VII and Figure 5–8 formatters in
@@ -10,11 +11,10 @@
 
 use std::time::Duration;
 
-use sp2b_datagen::{generate_graph, Config};
-use sp2b_rdf::Graph;
+use sp2b_datagen::{generate_document, Config};
 
 use crate::endpoint::{Endpoint, HttpTransport};
-use crate::engines::{Engine, EngineKind, Outcome, ShardInfo};
+use crate::engines::{Engine, EngineKind, Outcome, ShardInfo, StoreLayout};
 use crate::metrics::{Measurement, PENALTY_SECONDS};
 use crate::multiuser::{InProcessTransport, MultiuserConfig, WorkTransport};
 use crate::queries::BenchQuery;
@@ -194,9 +194,9 @@ pub enum TargetFacts {
         engine: EngineKind,
         /// Loading measurement of the shared store.
         load: Measurement,
-        /// Sharding facts when the store was sharded (shard count,
-        /// per-shard triple counts and build times).
-        shards: Option<ShardInfo>,
+        /// The store's shards (count, per-shard triple counts and build
+        /// times).
+        shards: ShardInfo,
     },
     /// A live endpoint, by URL.
     Endpoint(String),
@@ -229,7 +229,7 @@ pub fn run_workload_on(
                 scale: engine.store().len() as u64,
                 engine: engine.kind(),
                 load: engine.loading,
-                shards: engine.shards().cloned(),
+                shards: engine.shards().clone(),
             },
             format!("per-query parallelism {}", cfg.parallelism),
             Box::new(InProcessTransport::new(engine.shared_store(), cfg)),
@@ -272,9 +272,9 @@ pub fn run_benchmark(cfg: &RunnerConfig, mut progress: impl FnMut(&str)) -> Benc
 
     for &scale in &cfg.scales {
         progress(&format!("generating {scale} triples…"));
-        let (graph, _) = generate_graph(Config::triples(scale).with_seed(cfg.seed));
+        let (doc, _) = generate_document(Config::triples(scale).with_seed(cfg.seed));
         for &kind in &cfg.engines {
-            run_engine(cfg, &graph, scale, kind, &mut report, &mut progress);
+            run_engine(cfg, &doc, scale, kind, &mut report, &mut progress);
         }
     }
     report
@@ -282,13 +282,14 @@ pub fn run_benchmark(cfg: &RunnerConfig, mut progress: impl FnMut(&str)) -> Benc
 
 fn run_engine(
     cfg: &RunnerConfig,
-    graph: &Graph,
+    doc: &[u8],
     scale: u64,
     kind: EngineKind,
     report: &mut BenchmarkReport,
     progress: &mut impl FnMut(&str),
 ) {
-    let engine = Engine::load(kind, graph);
+    let engine = Engine::load(kind, doc, &StoreLayout::default())
+        .expect("the generator writes valid N-Triples");
     report.loads.push(LoadRecord {
         scale,
         engine: kind,
@@ -410,8 +411,9 @@ mod tests {
             WorkItem::bench(BenchQuery::Q1),
             WorkItem::bench(BenchQuery::Q3c),
         ];
-        let (graph, _) = generate_graph(Config::triples(2_000));
-        let engine = Engine::load(EngineKind::NativeOpt, &graph);
+        let (doc, _) = generate_document(Config::triples(2_000));
+        let engine =
+            Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default()).unwrap();
         let mut lines = Vec::new();
         let report = run_workload_on(WorkloadTarget::Engine(&engine), &cfg, |l| {
             lines.push(l.to_owned())

@@ -913,13 +913,21 @@ impl Generator {
 // Conveniences
 // ---------------------------------------------------------------------------
 
-/// Generates into memory; for tests, examples and direct store loading.
+/// Generates into a [`Graph`]; for tests of the generator itself.
 pub fn generate_graph(cfg: Config) -> (Graph, GeneratorStats) {
     let mut sink = GraphSink::new();
     let stats = Generator::new(cfg)
         .run(&mut sink)
         .expect("in-memory sink cannot fail");
     (sink.graph, stats)
+}
+
+/// Generates the N-Triples document in memory: the bytes a store loads
+/// (`sp2b_store::load`), so a generated document is parsed like a file.
+pub fn generate_document(cfg: Config) -> (Vec<u8>, GeneratorStats) {
+    let mut doc = Vec::new();
+    let stats = generate_to_writer(cfg, &mut doc).expect("writing to a Vec cannot fail");
+    (doc, stats)
 }
 
 /// Generates N-Triples into any writer.

@@ -29,7 +29,8 @@ pub mod sink;
 pub mod stats;
 
 pub use generator::{
-    generate_graph, generate_to_path, generate_to_writer, Config, Generator, Limit,
+    generate_document, generate_graph, generate_to_path, generate_to_writer, Config, Generator,
+    Limit,
 };
 pub use params::{Attribute, DocClass};
 pub use rng::{Rng, SplitMix64};

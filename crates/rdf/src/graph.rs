@@ -1,9 +1,9 @@
 //! A minimal in-memory RDF graph: an ordered multiset of triples.
 //!
-//! [`Graph`] is the hand-off type between the parser and the stores. The
-//! stores build their own indexed representations; `Graph` deliberately
-//! stays a thin `Vec` wrapper with convenience accessors used by tests and
-//! examples.
+//! Stores never load from a [`Graph`]: they stream N-Triples. `Graph`
+//! stays a thin `Vec` wrapper with convenience accessors for the
+//! generator's in-memory sink, tests and examples, and
+//! [`Graph::to_ntriples`] turns one into a document a store can load.
 
 use std::slice;
 
@@ -62,6 +62,13 @@ impl Graph {
     /// Consumes the graph, returning its triples.
     pub fn into_triples(self) -> Vec<Triple> {
         self.triples
+    }
+
+    /// The graph as an N-Triples document, in insertion order.
+    pub fn to_ntriples(&self) -> Vec<u8> {
+        let mut doc = Vec::new();
+        crate::ntriples::write_document(&mut doc, self).expect("writing to a Vec cannot fail");
+        doc
     }
 
     /// All triples with the given predicate (linear scan; test helper).

@@ -396,12 +396,13 @@ pub fn parse_line(line: &str, line_no: u64) -> Result<Option<Triple>, ParseError
 
 /// Streaming N-Triples parser over any [`BufRead`].
 ///
-/// Reuses a single line buffer (see the perf-book guidance on
-/// `BufRead::read_line` vs `lines()`), so parsing allocates only for the
-/// term strings themselves.
+/// Reuses a single line buffer (`BufRead::read_until` rather than
+/// `lines()`, after the perf-book guidance), so parsing allocates only for the
+/// term strings themselves. A line that is not UTF-8 is a [`ParseError`]
+/// naming it, like any other malformed line.
 pub struct Parser<R> {
     input: R,
-    buf: String,
+    buf: Vec<u8>,
     line_no: u64,
 }
 
@@ -410,7 +411,7 @@ impl<R: BufRead> Parser<R> {
     pub fn new(input: R) -> Self {
         Parser {
             input,
-            buf: String::with_capacity(256),
+            buf: Vec::with_capacity(256),
             line_no: 0,
         }
     }
@@ -420,13 +421,16 @@ impl<R: BufRead> Parser<R> {
     pub fn next_triple(&mut self) -> Result<Option<Triple>, Error> {
         loop {
             self.buf.clear();
-            let n = self.input.read_line(&mut self.buf)?;
+            let n = self.input.read_until(b'\n', &mut self.buf)?;
             if n == 0 {
                 return Ok(None);
             }
             self.line_no += 1;
-            let line = self.buf.trim_end_matches(['\n', '\r']);
-            if let Some(t) = parse_line(line, self.line_no)? {
+            let line = std::str::from_utf8(&self.buf).map_err(|_| ParseError {
+                line: self.line_no,
+                message: "line is not valid UTF-8".to_owned(),
+            })?;
+            if let Some(t) = parse_line(line.trim_end_matches(['\n', '\r']), self.line_no)? {
                 return Ok(Some(t));
             }
         }

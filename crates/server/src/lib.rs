@@ -31,10 +31,10 @@
 //!
 //! ```no_run
 //! use sp2b_sparql::QueryEngine;
-//! use sp2b_store::{MemStore, TripleStore};
+//! use sp2b_store::{store_from_reader, ShardBackend, TripleStore};
 //! use sp2b_server::{spawn, ServerConfig};
 //!
-//! let store = MemStore::from_graph(&sp2b_rdf::Graph::new()).into_shared();
+//! let store = store_from_reader(std::io::empty(), ShardBackend::Mem).unwrap().into_shared();
 //! let handle = spawn(QueryEngine::new(store), &ServerConfig::default()).unwrap();
 //! println!("serving on {}", handle.endpoint_url());
 //! // … drive traffic …

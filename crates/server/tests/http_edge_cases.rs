@@ -5,6 +5,10 @@
 //! keep-alive reuse, per-request timeouts (`408`), and graceful
 //! shutdown with the final stats snapshot.
 
+mod common;
+
+use common::{load, NATIVE};
+use sp2b_store::TripleStore;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -12,7 +16,6 @@ use std::time::Duration;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_server::{spawn, ServerConfig, ServerHandle};
 use sp2b_sparql::{QueryEngine, QueryOptions};
-use sp2b_store::{NativeStore, TripleStore};
 
 fn engine(rows: i64) -> QueryEngine {
     let mut g = Graph::new();
@@ -24,7 +27,7 @@ fn engine(rows: i64) -> QueryEngine {
         );
     }
     QueryEngine::with_options(
-        NativeStore::from_graph(&g).into_shared(),
+        load(&g, NATIVE).into_shared(),
         QueryOptions::new().parallelism(1),
     )
 }

@@ -10,6 +10,10 @@
 //! one mutex — two servers alive at once would race over who owns the
 //! gauges.
 
+mod common;
+
+use common::{load, NATIVE};
+use sp2b_store::TripleStore;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -21,7 +25,6 @@ use sp2b_obs::OpKind;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_server::{spawn, ServerConfig, ServerHandle, SlowLog};
 use sp2b_sparql::{query_trace, QueryEngine, QueryOptions, ScanCounters};
-use sp2b_store::{NativeStore, TripleStore};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -39,7 +42,7 @@ fn engine(rows: i64) -> QueryEngine {
         );
     }
     QueryEngine::with_options(
-        NativeStore::from_graph(&g).into_shared(),
+        load(&g, NATIVE).into_shared(),
         QueryOptions::new().parallelism(1),
     )
 }
@@ -299,7 +302,7 @@ fn tiny_slow_threshold_logs_exactly_one_line_per_query() {
 fn slow_log_op_rows_are_the_rows_the_pattern_steps_scanned() {
     let _guard = serialize();
     let (graph, _) = generate_graph(Config::triples(5_000));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let engine = QueryEngine::with_options(store, QueryOptions::new().parallelism(1));
     let q2 = BenchQuery::Q2.text();
 

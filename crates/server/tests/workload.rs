@@ -4,6 +4,10 @@
 //! for every request — per template too, in the rows the `sp2b
 //! multiuser` table and `--report json` render.
 
+mod common;
+
+use common::{load, NATIVE};
+use sp2b_store::TripleStore;
 use std::time::Duration;
 
 use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
@@ -12,13 +16,12 @@ use sp2b_core::{run_workload_on, Arrival, Endpoint, TargetFacts, WeightedMix, Wo
 use sp2b_datagen::{generate_graph, Config};
 use sp2b_server::{spawn, ServerConfig};
 use sp2b_sparql::{QueryEngine, QueryOptions};
-use sp2b_store::{NativeStore, TripleStore};
 
 #[test]
 fn open_loop_endpoint_run_reports_per_template_latency() {
     let (graph, _) = generate_graph(Config::triples(3_000));
     let engine = QueryEngine::with_options(
-        NativeStore::from_graph(&graph).into_shared(),
+        load(&graph, NATIVE).into_shared(),
         QueryOptions::new().parallelism(1),
     );
     let handle = spawn(engine, &ServerConfig::default()).expect("bind ephemeral port");

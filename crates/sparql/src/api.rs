@@ -168,13 +168,11 @@ impl QueryOptions {
 /// client threads as the workload needs; they all query the one store.
 ///
 /// ```
-/// use sp2b_rdf::{Graph, Iri, Subject, Term};
-/// use sp2b_store::{MemStore, TripleStore};
+/// use sp2b_store::{store_from_reader, ShardBackend, TripleStore};
 /// use sp2b_sparql::QueryEngine;
 ///
-/// let mut g = Graph::new();
-/// g.add(Subject::iri("http://x/s"), Iri::new("http://x/p"), Term::iri("http://x/o"));
-/// let store = MemStore::from_graph(&g);
+/// let doc = "<http://x/s> <http://x/p> <http://x/o> .\n";
+/// let store = store_from_reader(doc.as_bytes(), ShardBackend::Mem).unwrap();
 ///
 /// let engine = QueryEngine::new(store.into_shared());
 /// let prepared = engine.prepare("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap();
@@ -762,10 +760,11 @@ impl Solution<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::load;
     use sp2b_rdf::{Graph, Iri, Literal, Subject};
-    use sp2b_store::MemStore;
+    use sp2b_store::{ShardBackend, ShardedStore};
 
-    fn store() -> MemStore {
+    fn store() -> ShardedStore {
         let mut g = Graph::new();
         for i in 0..10 {
             g.add(
@@ -774,7 +773,7 @@ mod tests {
                 Term::Literal(Literal::integer(i)),
             );
         }
-        MemStore::from_graph(&g)
+        load(&g, ShardBackend::Mem)
     }
 
     #[test]

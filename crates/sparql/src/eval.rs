@@ -1496,8 +1496,9 @@ mod tests {
     use crate::optimizer::OptimizerConfig;
     use crate::parser::parse;
     use crate::plan::bind;
+    use crate::testing::{load, NATIVE};
     use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
-    use sp2b_store::{MemStore, NativeStore};
+    use sp2b_store::ShardBackend;
 
     fn graph() -> Graph {
         let mut g = Graph::new();
@@ -1518,7 +1519,7 @@ mod tests {
     }
 
     fn run(query: &str) -> Vec<Vec<Option<String>>> {
-        run_on(&MemStore::from_graph(&graph()), query)
+        run_on(&load(&graph(), ShardBackend::Mem), query)
     }
 
     fn run_on(store: &dyn TripleStore, query: &str) -> Vec<Vec<Option<String>>> {
@@ -1693,7 +1694,7 @@ mod tests {
             Term::Literal(Literal::string("Wonderland")),
         );
         g.add(p("bob"), i("likes"), Term::Literal(Literal::string("Math")));
-        let store = MemStore::from_graph(&g);
+        let store = load(&g, ShardBackend::Mem);
         let mut rows = run_on(
             &store,
             "SELECT ?p ?c WHERE {
@@ -1720,7 +1721,7 @@ mod tests {
     fn witness_evaluation_finds_the_same_rows_in_another_order() {
         // One-row consumers run inner joins symmetrically; drained, that
         // must still be every row of the ordinary join, each once.
-        let store = MemStore::from_graph(&graph());
+        let store = load(&graph(), ShardBackend::Mem);
         for q in [
             "SELECT * WHERE { { ?p <http://x/knows> ?o } { ?p <http://x/age> ?a } }",
             "SELECT * WHERE { { ?a <http://x/age> ?x } { ?b <http://x/knows> ?y } }",
@@ -1767,7 +1768,7 @@ mod tests {
                 Term::Literal(Literal::integer(i)),
             );
         }
-        let store: SharedStore = NativeStore::from_graph(&g).into_shared();
+        let store: SharedStore = load(&g, NATIVE).into_shared();
         let t = translate(&parse("SELECT ?s ?v WHERE { ?s <http://x/p> ?v }").unwrap());
         let plan = bind(&t.algebra, &*store, &OptimizerConfig::default());
         let Plan::Project(vars, inner) = plan else {
@@ -1805,7 +1806,7 @@ mod tests {
                 Term::Literal(Literal::integer(i)),
             );
         }
-        let store: SharedStore = NativeStore::from_graph(&g).into_shared();
+        let store: SharedStore = load(&g, NATIVE).into_shared();
         let t = translate(&parse("SELECT ?s WHERE { ?s <http://x/p> ?v }").unwrap());
         let Plan::Project(_, inner) = bind(&t.algebra, &*store, &OptimizerConfig::default()) else {
             panic!()
@@ -1878,17 +1879,17 @@ mod tests {
         // prefix it is — all four get used below; the sharded store
         // concatenates or routes; the memory store walks posting lists.
         let stores: [(&str, Box<dyn TripleStore>); 3] = [
-            ("native", Box::new(NativeStore::from_graph(&g))),
+            ("native", Box::new(load(&g, NATIVE))),
             (
                 "sharded",
-                Box::new(sp2b_store::ShardedStore::from_graph(
+                Box::new(crate::testing::sharded(
                     &g,
                     2,
                     sp2b_store::ShardBy::Subject,
-                    sp2b_store::ShardBackend::Native(sp2b_store::IndexSelection::all()),
+                    NATIVE,
                 )),
             ),
-            ("mem", Box::new(MemStore::from_graph(&g))),
+            ("mem", Box::new(load(&g, ShardBackend::Mem))),
         ];
         for (name, store) in &stores {
             let store: &dyn TripleStore = store.as_ref();
@@ -1963,7 +1964,7 @@ mod tests {
                 Term::Literal(Literal::integer(i as i64)),
             );
         }
-        let store = NativeStore::from_graph(&g);
+        let store = load(&g, NATIVE);
         let p = store.resolve(&Term::iri("http://x/p")).unwrap();
         let s7 = store.resolve(&Term::iri("http://x/s7")).unwrap();
         let slots = [PlanSlot::Var(0), PlanSlot::Const(Some(p)), PlanSlot::Var(1)];
@@ -1992,8 +1993,8 @@ mod tests {
     #[test]
     fn native_store_agrees_with_mem_store() {
         let g = graph();
-        let mem = MemStore::from_graph(&g);
-        let native = NativeStore::from_graph(&g);
+        let mem = load(&g, ShardBackend::Mem);
+        let native = load(&g, NATIVE);
         for q in [
             "SELECT ?s ?o WHERE { ?s <http://x/knows> ?o }",
             "SELECT ?p WHERE { ?p <http://x/age> ?a FILTER (?a > 35) }",
@@ -2010,7 +2011,7 @@ mod tests {
 
     #[test]
     fn cancellation_stops_evaluation() {
-        let store = MemStore::from_graph(&graph());
+        let store = load(&graph(), ShardBackend::Mem);
         let t = translate(&parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s2 ?p2 ?o2 }").unwrap());
         let plan = bind(&t.algebra, &store, &OptimizerConfig::default());
         let cancel = Cancellation::none();

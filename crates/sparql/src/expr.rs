@@ -325,11 +325,12 @@ fn effective_boolean_value(t: TermRef<'_>) -> ExprResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::load;
     use sp2b_rdf::vocab::xsd;
     use sp2b_rdf::{Graph, Iri, Literal};
-    use sp2b_store::MemStore;
+    use sp2b_store::{ShardBackend, ShardedStore};
 
-    fn store_with(terms: &[Term]) -> MemStore {
+    fn store_with(terms: &[Term]) -> ShardedStore {
         // Materialize terms by inserting dummy triples mentioning them.
         let mut g = Graph::new();
         for (i, t) in terms.iter().enumerate() {
@@ -339,10 +340,10 @@ mod tests {
                 t.clone(),
             );
         }
-        MemStore::from_graph(&g)
+        load(&g, ShardBackend::Mem)
     }
 
-    fn bindings_for(store: &MemStore, values: &[Option<&Term>]) -> Bindings {
+    fn bindings_for(store: &ShardedStore, values: &[Option<&Term>]) -> Bindings {
         Bindings::new(
             values
                 .iter()

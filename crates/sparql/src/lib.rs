@@ -29,13 +29,12 @@
 //! across client threads — the long-lived-server shape.
 //!
 //! ```
-//! use sp2b_rdf::{Graph, Iri, Subject, Term};
-//! use sp2b_store::{MemStore, TripleStore};
+//! use sp2b_rdf::Term;
+//! use sp2b_store::{store_from_reader, ShardBackend, TripleStore};
 //! use sp2b_sparql::QueryEngine;
 //!
-//! let mut g = Graph::new();
-//! g.add(Subject::iri("http://x/s"), Iri::new("http://x/p"), Term::iri("http://x/o"));
-//! let store = MemStore::from_graph(&g);
+//! let doc = "<http://x/s> <http://x/p> <http://x/o> .\n";
+//! let store = store_from_reader(doc.as_bytes(), ShardBackend::Mem).unwrap();
 //!
 //! let engine = QueryEngine::new(store.into_shared());
 //! let prepared = engine.prepare("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap();
@@ -68,3 +67,26 @@ pub use ast::Query;
 pub use eval::{Bindings, Cancellation, EvalContext, ScanCounters, StepState};
 pub use optimizer::OptimizerConfig;
 pub use parser::{parse, ParseError};
+
+/// Test stores, loaded from a graph's N-Triples along the store's one
+/// load route.
+#[cfg(test)]
+pub(crate) mod testing {
+    use sp2b_rdf::Graph;
+    use sp2b_store::{
+        sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, ShardedStore,
+    };
+
+    pub const NATIVE: ShardBackend = ShardBackend::Native(IndexSelection::all());
+
+    /// `g` as one unsharded store of `backend`.
+    pub fn load(g: &Graph, backend: ShardBackend) -> ShardedStore {
+        sharded(g, 1, ShardBy::Subject, backend)
+    }
+
+    /// `g` as `shards` shards of `backend`, partitioned by `by`.
+    pub fn sharded(g: &Graph, shards: usize, by: ShardBy, backend: ShardBackend) -> ShardedStore {
+        sharded_store_from_reader(&g.to_ntriples()[..], shards, by, backend)
+            .expect("valid N-Triples")
+    }
+}

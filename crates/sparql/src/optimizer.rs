@@ -1369,10 +1369,11 @@ mod tests {
     use super::*;
     use crate::algebra::translate;
     use crate::parser::parse;
+    use crate::testing::{load, NATIVE};
     use sp2b_rdf::{Graph, Iri, Subject};
-    use sp2b_store::NativeStore;
+    use sp2b_store::ShardedStore;
 
-    fn store() -> NativeStore {
+    fn store() -> ShardedStore {
         let mut g = Graph::new();
         // 100 "common" triples, 2 "rare" ones.
         for i in 0..100 {
@@ -1389,7 +1390,7 @@ mod tests {
                 Term::iri(format!("http://x/val{i}")),
             );
         }
-        NativeStore::from_graph(&g)
+        load(&g, NATIVE)
     }
 
     fn bgp_of(alg: &Algebra) -> (&Vec<ResolvedPattern>, &Vec<(usize, Expr)>) {
@@ -1622,7 +1623,7 @@ mod tests {
     /// 40 subjects, each with one `p1` name of its own and one `p2`
     /// attribute, spread over two `p0` groups: two stars that meet at the
     /// group pair every subject with half the others.
-    fn grouped_store() -> NativeStore {
+    fn grouped_store() -> ShardedStore {
         let mut g = Graph::new();
         for i in 0..40 {
             let s = Subject::iri(format!("http://x/s{i}"));
@@ -1638,7 +1639,7 @@ mod tests {
                 );
             }
         }
-        NativeStore::from_graph(&g)
+        load(&g, NATIVE)
     }
 
     #[test]

@@ -733,8 +733,9 @@ mod tests {
     use super::*;
     use crate::algebra::translate;
     use crate::parser::parse;
+    use crate::testing::load;
     use sp2b_rdf::{Graph, Iri, Subject, Term};
-    use sp2b_store::MemStore;
+    use sp2b_store::{ShardBackend, ShardedStore};
 
     /// Lookup-only plans: what these tests are about does not depend on
     /// fetch rules.
@@ -742,14 +743,14 @@ mod tests {
         super::bind(algebra, store, &OptimizerConfig::default())
     }
 
-    fn store() -> MemStore {
+    fn store() -> ShardedStore {
         let mut g = Graph::new();
         g.add(
             Subject::iri("http://x/s"),
             Iri::new("http://x/p"),
             Term::iri("http://x/o"),
         );
-        MemStore::from_graph(&g)
+        load(&g, ShardBackend::Mem)
     }
 
     #[test]

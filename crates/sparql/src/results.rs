@@ -424,8 +424,9 @@ fn write_json_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::api::{QueryEngine, QueryOptions};
+    use crate::testing::load;
     use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
-    use sp2b_store::{MemStore, TripleStore};
+    use sp2b_store::{ShardBackend, TripleStore};
 
     fn engine() -> QueryEngine {
         let mut g = Graph::new();
@@ -445,7 +446,7 @@ mod tests {
             Term::iri("http://x/o"),
         );
         QueryEngine::with_options(
-            MemStore::from_graph(&g).into_shared(),
+            load(&g, ShardBackend::Mem).into_shared(),
             QueryOptions::new().parallelism(1),
         )
     }

@@ -3,11 +3,14 @@
 //! document class counts and distributions facilitates the design of
 //! challenging aggregate queries."
 
+mod common;
+
+use common::load;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::{Error, QueryEngine, QueryResult};
-use sp2b_store::{MemStore, TripleStore};
+use sp2b_store::{ShardBackend, ShardedStore, TripleStore};
 
-fn store() -> MemStore {
+fn store() -> ShardedStore {
     let mut g = Graph::new();
     // Three classes with 3, 2, 1 instances; persons with names.
     for (i, class) in [(0, "A"), (1, "A"), (2, "A"), (3, "B"), (4, "B"), (5, "C")] {
@@ -30,7 +33,7 @@ fn store() -> MemStore {
         Iri::new("http://x/age"),
         Term::Literal(Literal::integer(30)),
     );
-    MemStore::from_graph(&g)
+    load(&g, ShardBackend::Mem)
 }
 
 fn rows(query: &str) -> (Vec<String>, Vec<Vec<Option<Term>>>) {
@@ -196,7 +199,7 @@ fn counts_order_as_numbers() {
             );
         }
     }
-    let engine = QueryEngine::new(MemStore::from_graph(&g).into_shared());
+    let engine = QueryEngine::new(load(&g, ShardBackend::Mem).into_shared());
     for (order, expected) in [("?n", [9, 10]), ("DESC(?n)", [10, 9])] {
         let q = format!(
             "SELECT ?s (COUNT(*) AS ?n) WHERE {{ ?s <http://x/p> ?v }} GROUP BY ?s ORDER BY {order}"

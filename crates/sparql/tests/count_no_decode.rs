@@ -10,13 +10,16 @@
 
 #![cfg(debug_assertions)]
 
+mod common;
+
+use common::{load, NATIVE};
 use sp2b_datagen::{generate_graph, Config};
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::QueryEngine;
-use sp2b_store::{dictionary::DECODE_CALLS, NativeStore, TripleStore};
+use sp2b_store::{dictionary::DECODE_CALLS, ShardedStore, TripleStore};
 use std::sync::atomic::Ordering;
 
-fn store() -> NativeStore {
+fn store() -> ShardedStore {
     let mut g = Graph::new();
     for i in 0..50 {
         let s = Subject::iri(format!("http://x/doc{i}"));
@@ -38,7 +41,7 @@ fn store() -> NativeStore {
             );
         }
     }
-    NativeStore::from_graph(&g)
+    load(&g, NATIVE)
 }
 
 #[test]
@@ -85,7 +88,7 @@ fn count_never_decodes_terms() {
     // probe) and Q5a (`?name = ?name2` as a hash join's value keys) on
     // a generated document.
     let (graph, _) = generate_graph(Config::triples(5_000));
-    let generated = QueryEngine::new(NativeStore::from_graph(&graph).into_shared());
+    let generated = QueryEngine::new(load(&graph, NATIVE).into_shared());
     for q in [
         "SELECT DISTINCT ?name1 ?name2 WHERE {
             ?article1 rdf:type bench:Article . ?article2 rdf:type bench:Article .

@@ -1,10 +1,13 @@
 //! Evaluator edge cases beyond the benchmark queries' shapes.
 
+mod common;
+
+use common::{load, NATIVE};
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::{OptimizerConfig, QueryEngine, QueryResult};
-use sp2b_store::{MemStore, NativeStore, TripleStore};
+use sp2b_store::{ShardBackend, ShardedStore, TripleStore};
 
-fn store() -> MemStore {
+fn store() -> ShardedStore {
     let mut g = Graph::new();
     g.add(
         Subject::iri("http://x/a"),
@@ -26,7 +29,7 @@ fn store() -> MemStore {
         Iri::new("http://x/q"),
         Term::Literal(Literal::integer(2)),
     );
-    MemStore::from_graph(&g)
+    load(&g, ShardBackend::Mem)
 }
 
 fn rows(q: &str) -> Vec<Vec<Option<Term>>> {
@@ -130,7 +133,7 @@ fn duplicate_triples_produce_duplicate_solutions() {
             Term::iri("http://x/o"),
         );
     }
-    let engine = QueryEngine::new(MemStore::from_graph(&g).into_shared())
+    let engine = QueryEngine::new(load(&g, ShardBackend::Mem).into_shared())
         .optimizer(OptimizerConfig::default());
     let r = engine
         .run("SELECT ?s WHERE { ?s <http://x/p> ?o }")
@@ -182,11 +185,11 @@ fn stores_agree_on_variable_predicate_queries() {
         Term::iri("http://x/o"),
     );
     let q = "SELECT DISTINCT ?p WHERE { <http://x/s> ?p <http://x/o> }";
-    let a = QueryEngine::new(MemStore::from_graph(&g).into_shared())
+    let a = QueryEngine::new(load(&g, ShardBackend::Mem).into_shared())
         .run(q)
         .unwrap()
         .len();
-    let b = QueryEngine::new(NativeStore::from_graph(&g).into_shared())
+    let b = QueryEngine::new(load(&g, NATIVE).into_shared())
         .run(q)
         .unwrap()
         .len();

@@ -5,11 +5,14 @@
 //! plain literal vs its `xsd:string` twin — so bucketing by dictionary id
 //! would lose matches.
 
+mod common;
+
+use common::{load, NATIVE};
 use sp2b_rdf::vocab::xsd;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::plan::Plan;
 use sp2b_sparql::{OptimizerConfig, Prepared, QueryEngine, QueryResult};
-use sp2b_store::{NativeStore, SharedStore, TripleStore};
+use sp2b_store::{SharedStore, TripleStore};
 
 fn store() -> SharedStore {
     let mut g = Graph::new();
@@ -39,7 +42,7 @@ fn store() -> SharedStore {
     add("i3", "label", Term::Literal(Literal::plain("c")));
     // Same text, different term kind: never equal.
     add("i3", "label", Term::iri("http://x/a"));
-    NativeStore::from_graph(&g).into_shared()
+    load(&g, NATIVE).into_shared()
 }
 
 fn sorted_rows(engine: &QueryEngine, prepared: &Prepared) -> Vec<String> {

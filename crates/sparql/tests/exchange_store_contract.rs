@@ -4,6 +4,9 @@
 //! must then *fail* — in release builds too, where it used to end early
 //! and return the rows it had as the answer.
 
+mod common;
+
+use common::{load, NATIVE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
@@ -12,13 +15,13 @@ use std::time::Duration;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::{diag, FAN_OUT_AFTER};
 use sp2b_sparql::{QueryEngine, QueryOptions};
-use sp2b_store::{Dictionary, IdTriple, NativeStore, Pattern, ScanChunk, StoreStats, TripleStore};
+use sp2b_store::{Dictionary, IdTriple, Pattern, ScanChunk, ShardedStore, StoreStats, TripleStore};
 
 /// A native store whose every other `scan_chunks` answer has half the
 /// chunks asked for. Each call also takes as long as the fan-out budget,
 /// so an exchange over it hands off after morsel 0 in any build.
 struct Fickle {
-    inner: NativeStore,
+    inner: ShardedStore,
     calls: AtomicUsize,
 }
 
@@ -59,7 +62,7 @@ fn a_store_with_unstable_chunks_fails_the_query_instead_of_truncating_it() {
     }
     for degree in [2, 4] {
         let store = Fickle {
-            inner: NativeStore::from_graph(&g),
+            inner: load(&g, NATIVE),
             calls: AtomicUsize::new(0),
         };
         let options = QueryOptions::new().parallelism(degree);

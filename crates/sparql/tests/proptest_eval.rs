@@ -8,13 +8,16 @@
 //! the pattern steps emit may not depend on the degree. Each graph comes
 //! from a fixed seed, printed in every assertion message.
 
+mod common;
+
+use common::{load, NATIVE};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use sp2b_datagen::rng::SplitMix64;
 use sp2b_rdf::{Graph, Iri, Subject, Term};
 use sp2b_sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters};
-use sp2b_store::{NativeStore, SharedStore, TripleStore};
+use sp2b_store::{SharedStore, TripleStore};
 
 /// Graphs per property.
 const CASES: u64 = 96;
@@ -40,7 +43,7 @@ fn for_each_graph(property: impl Fn(u64, &SharedStore)) {
     #[cfg(debug_assertions)]
     sp2b_sparql::par::diag::fan_out_at_once(true);
     for seed in 0..CASES {
-        let store = NativeStore::from_graph(&random_graph(seed)).into_shared();
+        let store = load(&random_graph(seed), NATIVE).into_shared();
         property(seed, &store);
     }
 }

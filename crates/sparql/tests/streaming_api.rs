@@ -2,11 +2,14 @@
 //! rows, row limits, cancellation mid-stream, ASK streaming, and the
 //! aggregation operator's agreement across the three consumption modes.
 
+mod common;
+
+use common::{load, NATIVE};
 use std::time::{Duration, Instant};
 
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::{Cancellation, Error, QueryEngine, QueryOptions, QueryResult};
-use sp2b_store::{MemStore, NativeStore, TripleStore};
+use sp2b_store::{ShardBackend, TripleStore};
 
 fn graph() -> Graph {
     let mut g = Graph::new();
@@ -43,8 +46,8 @@ fn streaming_equals_execute_on_both_stores() {
         "SELECT ?c (COUNT(*) AS ?n) WHERE { ?d <http://x/type> ?c } GROUP BY ?c ORDER BY DESC(?n)",
     ];
     let stores: [sp2b_store::SharedStore; 2] = [
-        MemStore::from_graph(&g).into_shared(),
-        NativeStore::from_graph(&g).into_shared(),
+        load(&g, ShardBackend::Mem).into_shared(),
+        load(&g, NATIVE).into_shared(),
     ];
     for store in stores {
         let engine = QueryEngine::new(store);
@@ -65,7 +68,7 @@ fn streaming_equals_execute_on_both_stores() {
 
 #[test]
 fn ask_streams_zero_or_one_empty_solution() {
-    let engine = QueryEngine::new(MemStore::from_graph(&graph()).into_shared());
+    let engine = QueryEngine::new(load(&graph(), ShardBackend::Mem).into_shared());
     let yes = engine
         .prepare("ASK { ?d <http://x/type> <http://x/c1> }")
         .unwrap();
@@ -80,7 +83,7 @@ fn ask_streams_zero_or_one_empty_solution() {
 
 #[test]
 fn cancellation_mid_stream_surfaces_once() {
-    let engine = QueryEngine::new(MemStore::from_graph(&graph()).into_shared());
+    let engine = QueryEngine::new(load(&graph(), ShardBackend::Mem).into_shared());
     let p = engine
         .prepare("SELECT ?a ?b WHERE { ?a <http://x/type> ?x . ?b <http://x/type> ?y }")
         .unwrap();
@@ -94,7 +97,7 @@ fn cancellation_mid_stream_surfaces_once() {
 
 #[test]
 fn deadline_cancels_a_stream() {
-    let engine = QueryEngine::new(MemStore::from_graph(&graph()).into_shared());
+    let engine = QueryEngine::new(load(&graph(), ShardBackend::Mem).into_shared());
     let p = engine
         .prepare("SELECT ?a ?b WHERE { ?a <http://x/type> ?x . ?b <http://x/type> ?y }")
         .unwrap();
@@ -120,7 +123,7 @@ fn a_passing_deadline_stops_a_nested_loop_join_promptly() {
         );
     }
     let engine = QueryEngine::with_options(
-        NativeStore::from_graph(&g).into_shared(),
+        load(&g, NATIVE).into_shared(),
         QueryOptions::new()
             .parallelism(1)
             .timeout(Duration::from_millis(50)),
@@ -136,7 +139,7 @@ fn a_passing_deadline_stops_a_nested_loop_join_promptly() {
 
 #[test]
 fn aggregate_streams_lazily_too() {
-    let engine = QueryEngine::new(NativeStore::from_graph(&graph()).into_shared());
+    let engine = QueryEngine::new(load(&graph(), NATIVE).into_shared());
     let p = engine
         .prepare(
             "SELECT ?c (COUNT(?d) AS ?n) WHERE { ?d <http://x/type> ?c } \
@@ -158,7 +161,7 @@ fn aggregate_streams_lazily_too() {
 
 #[test]
 fn prepared_exposes_columns() {
-    let engine = QueryEngine::new(MemStore::from_graph(&graph()).into_shared());
+    let engine = QueryEngine::new(load(&graph(), ShardBackend::Mem).into_shared());
     let p = engine
         .prepare("SELECT ?c (COUNT(*) AS ?n) WHERE { ?d <http://x/type> ?c } GROUP BY ?c")
         .unwrap();

@@ -24,13 +24,16 @@
 
 #![cfg(debug_assertions)]
 
+mod common;
+
+use common::{load, NATIVE};
 use std::sync::{Arc, Mutex};
 
 use sp2b_obs::{ExchangeRun, QueryTrace};
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::diag;
 use sp2b_sparql::{query_trace, Cancellation, Error, QueryEngine, QueryOptions, ScanCounters};
-use sp2b_store::{NativeStore, SharedStore, TripleStore};
+use sp2b_store::{SharedStore, TripleStore};
 
 /// Counter serialization: one exchange under observation at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -46,7 +49,7 @@ fn big_store() -> SharedStore {
             Term::Literal(Literal::integer(i)),
         );
     }
-    NativeStore::from_graph(&g).into_shared()
+    load(&g, NATIVE).into_shared()
 }
 
 fn engine(parallelism: usize) -> QueryEngine {
@@ -125,7 +128,7 @@ fn a_short_query_runs_every_morsel_inline_and_spawns_nothing() {
     }
     let counters = Arc::new(ScanCounters::default());
     let options = QueryOptions::new().parallelism(4);
-    let engine = QueryEngine::with_options(NativeStore::from_graph(&g).into_shared(), options)
+    let engine = QueryEngine::with_options(load(&g, NATIVE).into_shared(), options)
         .scan_counters(counters.clone());
     let prepared = engine.prepare(short).unwrap();
     assert!(sp2b_sparql::plan::has_exchange(prepared.plan()));
@@ -355,7 +358,7 @@ fn morsels_larger_than_their_channel_block_their_worker_and_keep_order() {
             );
         }
     }
-    let store = NativeStore::from_graph(&g).into_shared();
+    let store = load(&g, NATIVE).into_shared();
     let engine = |parallelism| {
         let options = QueryOptions::new().parallelism(parallelism);
         QueryEngine::with_options(store.clone(), options)
@@ -452,7 +455,7 @@ fn a_failing_morsel_panics_the_consumer_instead_of_hanging_or_truncating() {
     let _guard = FailGuard;
     let _zero = ZeroBudget::set();
     let (graph, _) = sp2b_datagen::generate_graph(sp2b_datagen::Config::triples(10_000));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     for degree in [2, 4] {
         let options = QueryOptions::new().parallelism(degree);
         let engine = QueryEngine::with_options(store.clone(), options);

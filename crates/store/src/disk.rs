@@ -26,6 +26,7 @@
 //! borrowed slices — so an eviction can never invalidate a worker's
 //! chunk.
 
+use std::convert::Infallible;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,13 +37,13 @@ use sp2b_rdf::Graph;
 
 use crate::dictionary::{Dictionary, IdTriple};
 use crate::hash::FxHashMap;
+use crate::load::route_buckets;
 use crate::run::{RunPlan, RUN_ORDERS};
 use crate::segment::{
-    self, read_block_index, read_header, read_stats, shard_file_name, write_segments_with,
-    BlockIndex, Checksum, SegmentError, SegmentStats, ShardMeta, DEFAULT_BLOCK_TRIPLES,
-    TRIPLE_BYTES,
+    self, read_block_index, read_header, read_stats, shard_file_name, write_segments, BlockIndex,
+    Checksum, SegmentError, SegmentStats, ShardMeta, TRIPLE_BYTES,
 };
-use crate::shard::{route_graph, ShardBy, ShardedStore};
+use crate::shard::{ShardBy, ShardedStore};
 use crate::stats::StoreStats;
 use crate::traits::{matches, CacheStats, Pattern, ScanChunk, TripleStore};
 
@@ -59,30 +60,19 @@ pub const MIN_CACHE_BYTES: u64 = 1 << 20;
 /// block's decoded payload bytes.
 const SLOT_OVERHEAD: u64 = 64;
 
-/// Saves a graph as a segment directory: terms are interned in document
-/// order (ids identical to an in-memory load of the same document),
-/// triples are routed by `shard_by` into `shards` buckets, and
-/// [`write_segments_with`] lays the block-cut runs out on disk.
+/// Saves an in-memory graph as a segment directory, the one [`Graph`]
+/// adapter of the load route: [`crate::load`]'s intern-and-route loop
+/// fills the buckets (ids identical to a load of the same document) and
+/// [`write_segments`] lays the block-cut runs out on disk.
 pub fn save_graph(
     dir: &Path,
     graph: &Graph,
     shards: usize,
     shard_by: ShardBy,
 ) -> Result<SegmentStats, SegmentError> {
-    save_graph_with(dir, graph, shards, shard_by, DEFAULT_BLOCK_TRIPLES)
-}
-
-/// [`save_graph`] with an explicit block size (tests use tiny blocks to
-/// exercise boundary handling; real saves keep the default).
-pub fn save_graph_with(
-    dir: &Path,
-    graph: &Graph,
-    shards: usize,
-    shard_by: ShardBy,
-    block_triples: u32,
-) -> Result<SegmentStats, SegmentError> {
-    let (dict, buckets) = route_graph(graph, shards, shard_by);
-    write_segments_with(dir, &dict, shard_by, buckets, block_triples)
+    let routed = route_buckets(graph.iter().map(Ok::<_, Infallible>), shards, shard_by);
+    let (dict, buckets) = routed.unwrap_or_else(|e| match e {});
+    write_segments(dir, &dict, shard_by, buckets)
 }
 
 /// Opens a segment directory as a [`ShardedStore`] of block-windowed
@@ -574,10 +564,18 @@ impl TripleStore for DiskShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::{IndexSelection, NativeStore};
+    use crate::load::tests::{load, NATIVE};
     use crate::segment::tests::TempDir;
-    use crate::shard::ShardBackend;
+    use crate::segment::write_segments_with;
     use sp2b_rdf::{Iri, Subject, Term};
+
+    /// [`save_graph`] with `block_triples`-triple blocks: tiny blocks
+    /// exercise boundary handling.
+    fn save_blocks(dir: &Path, g: &Graph, shards: usize, block_triples: u32) -> SegmentStats {
+        let by = ShardBy::Subject;
+        let (dict, buckets) = route_buckets(g.iter().map(Ok::<_, ()>), shards, by).unwrap();
+        write_segments_with(dir, &dict, by, buckets, block_triples).expect("save")
+    }
 
     fn graph(n: usize) -> Graph {
         let mut g = Graph::new();
@@ -619,12 +617,12 @@ mod tests {
     #[test]
     fn saved_store_reopens_and_agrees_with_native_at_all_shard_counts() {
         let g = graph(400);
-        let flat = NativeStore::from_graph(&g);
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
         for shards in [1usize, 2, 4] {
             let tmp = TempDir::new("open-agree");
             // Tiny blocks: every run spans many blocks, so boundary
             // handling is exercised at every pattern shape.
-            let stats = save_graph_with(tmp.path(), &g, shards, ShardBy::Subject, 7).expect("save");
+            let stats = save_blocks(tmp.path(), &g, shards, 7);
             assert_eq!(stats.triples as usize, g.len());
             let opened = open_store(tmp.path()).expect("open");
             assert_eq!(opened.len(), flat.len());
@@ -703,11 +701,11 @@ mod tests {
         let tmp = TempDir::new("window");
         // 7-triple blocks: a subject-bound scan covers a small slice of
         // the many SPO blocks.
-        save_graph_with(tmp.path(), &g, 1, ShardBy::Subject, 7).expect("save");
+        save_blocks(tmp.path(), &g, 1, 7);
         let shard = open_shard0(tmp.path(), 1 << 20);
         let total_blocks = shard.index.blocks() as u64;
         assert!(total_blocks > 10, "test premise: many blocks per run");
-        let flat = NativeStore::from_graph(&g);
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
         let s1 = flat.resolve(&Term::iri("http://x/s1"));
         shard.scan([s1, None, None]).count();
         let read = shard.blocks_read(0);
@@ -784,7 +782,7 @@ mod tests {
     fn scan_chunks_cover_like_the_other_stores() {
         let g = graph(300);
         let tmp = TempDir::new("chunks");
-        save_graph_with(tmp.path(), &g, 2, ShardBy::Subject, 7).expect("save");
+        save_blocks(tmp.path(), &g, 2, 7);
         let opened = open_store(tmp.path()).expect("open");
         let p1 = opened.resolve(&Term::iri("http://x/p1"));
         let s1 = opened.resolve(&Term::iri("http://x/s1"));
@@ -808,14 +806,9 @@ mod tests {
         let budget = 4 * (7 * TRIPLE_BYTES + SLOT_OVERHEAD);
         for shards in [1usize, 2, 4] {
             let tmp = TempDir::new("differential");
-            save_graph_with(tmp.path(), &g, shards, ShardBy::Subject, 7).expect("save");
+            save_blocks(tmp.path(), &g, shards, 7);
             let disk = open_store_with(tmp.path(), Some(budget)).expect("open");
-            let resident = ShardedStore::from_graph(
-                &g,
-                shards,
-                ShardBy::Subject,
-                ShardBackend::Native(IndexSelection::all()),
-            );
+            let resident = load(&g, shards, ShardBy::Subject, NATIVE);
             // Triple 30 of the document is (s7, p2, o4): every mask hits.
             let s = disk.resolve(&Term::iri("http://x/s7"));
             let p = disk.resolve(&Term::iri("http://x/p2"));
@@ -847,7 +840,7 @@ mod tests {
     fn lru_cache_evicts_cold_blocks_within_its_budget() {
         let g = graph(400);
         let tmp = TempDir::new("lru");
-        save_graph_with(tmp.path(), &g, 1, ShardBy::Subject, 16).expect("save");
+        save_blocks(tmp.path(), &g, 1, 16);
         // Room for a handful of 16-triple (192 B + overhead) blocks,
         // far fewer than one run holds.
         let budget = 4 * (16 * TRIPLE_BYTES + SLOT_OVERHEAD);
@@ -882,7 +875,7 @@ mod tests {
         // Budget smaller than any single block: nothing is ever cached,
         // but scans still answer correctly.
         let shard = open_shard0(tmp.path(), 16);
-        let flat = NativeStore::from_graph(&g);
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
         assert_eq!(
             decoded(&shard, [None, None, None]),
             decoded(&flat, [None, None, None])
@@ -977,7 +970,7 @@ mod tests {
         save_graph(tmp.path(), &g, 4, ShardBy::PredicateSubject).expect("save");
         let opened = open_store(tmp.path()).expect("open");
         assert_eq!(opened.shard_by(), ShardBy::PredicateSubject);
-        let flat = NativeStore::with_indexes(&g, IndexSelection::all());
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
         assert_eq!(
             decoded(&opened, [None, None, None]),
             decoded(&flat, [None, None, None])

@@ -11,11 +11,24 @@
 //!   class: Sesame-DB, Virtuoso).
 //!
 //! Both implement [`TripleStore`], which the SPARQL engine evaluates
-//! against; [`Dictionary`] provides the term↔id mapping. For large
-//! documents, [`ShardedStore`] composes N of either store into one
-//! hash-partitioned logical store behind a shared dictionary, so
-//! loading, index build and scans parallelize across shards (see
-//! [`shard`]). A store can also be **saved** as a directory of
+//! against; [`Dictionary`] provides the term↔id mapping.
+//! [`ShardedStore`] composes N of either store into one hash-partitioned
+//! logical store behind a shared dictionary, so loading, index build and
+//! scans parallelize across shards (see [`shard`]); one shard is the
+//! unsharded layout.
+//!
+//! ## One load route
+//!
+//! Every resident store streams in from N-Triples along one route
+//! ([`load`]): parse → intern into the shared dictionary in document
+//! order → route by [`ShardBy`] → per-shard builder threads →
+//! [`ShardedStore`] ([`sharded_store_from_reader`], or
+//! [`store_from_reader`] for one shard). The segment savers run the same
+//! intern-and-route loop and write its buckets instead of building them;
+//! [`save_graph`] is the one adapter from an in-memory graph. Loading
+//! time is therefore always parse + intern + build.
+//!
+//! A store can also be **saved** as a directory of
 //! checksummed binary segments ([`segment`]) and reopened out-of-core
 //! ([`disk`]): open reads only the header, the dictionary and the
 //! per-shard block indexes, and scans pull fixed-size blocks of the
@@ -60,11 +73,9 @@ pub mod stats;
 pub mod traits;
 
 pub use dictionary::{Dictionary, Id, IdTriple, ValueClass, ValueKey};
-pub use disk::{
-    open_store, open_store_with, save_graph, save_graph_with, BlockCache, DiskShardStore,
-};
+pub use disk::{open_store, open_store_with, save_graph, BlockCache, DiskShardStore};
 pub use load::{
-    save_segments_from_path, save_segments_from_reader, sharded_store_from_reader, SaveError,
+    save_segments_from_reader, sharded_store_from_reader, store_from_reader, SaveError,
 };
 pub use mem::MemStore;
 pub use native::{IndexSelection, NativeStore};

@@ -1,19 +1,30 @@
-//! Streaming N-Triples loaders: the parallel sharded loader (one
-//! parser/interner thread routing encoded triples through bounded
-//! channels to per-shard builder threads) and the segment saver.
+//! The one ingest route: every store streams in from N-Triples.
+//!
+//! parse → intern into the shared dictionary in document order → route
+//! each encoded triple by [`ShardBy`] → per-shard [`build_shard`]
+//! threads → [`ShardedStore`]. One shard is the unsharded layout (its
+//! scans forward straight to the shard), so this is how every resident
+//! store is loaded: the engines, the CLI's `--data` and `--triples`,
+//! the runner and the experiments. [`route`] is the intern-and-route
+//! loop, written once: the loader hands its batches to builder threads,
+//! the segment savers collect them into whole buckets for
+//! [`write_segments`], and `save_graph` is the one adapter from an
+//! in-memory [`sp2b_rdf::Graph`].
+//!
+//! Loading time, as the paper defines it (Section VI-B), is this whole
+//! route: from the document's bytes to a store that can be queried.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::borrow::Borrow;
+use std::io::BufRead;
 use std::path::Path;
 use std::sync::mpsc::sync_channel;
-use std::time::Duration;
 
 use sp2b_rdf::ntriples::{Error, Parser};
+use sp2b_rdf::Triple;
 
 use crate::dictionary::{Dictionary, IdTriple};
 use crate::segment::{write_segments, SegmentError, SegmentStats};
-use crate::shard::{build_shard, route, ShardBackend, ShardBy, ShardedStore};
-use crate::traits::TripleStore;
+use crate::shard::{build_shard, ShardBackend, ShardBy, ShardedStore};
 
 /// Why a `sp2b save` failed: the N-Triples source did not parse, or the
 /// segment files could not be written.
@@ -56,11 +67,58 @@ const ROUTE_BATCH: usize = 4096;
 /// In-flight batches per shard channel (the backpressure bound).
 const ROUTE_CHANNEL_DEPTH: usize = 4;
 
-/// Streams an N-Triples source into a [`ShardedStore`] with **parallel
-/// load**: this thread parses and interns terms into the shared
-/// dictionary (ids in document order, identical to an unsharded load)
-/// and routes each encoded triple by its partition hash through a
-/// bounded channel to one of `shards` builder threads. Mem-backed
+/// The intern-and-route loop: interns each triple of `triples` into a
+/// fresh dictionary in document order (ids identical whatever the shard
+/// count) and routes it by `shard_by` to one of `shards` buffers. A
+/// buffer that reaches `batch` triples goes to `emit(shard, buffer)`,
+/// and every non-empty one does once the source ends, so each shard's
+/// triples arrive in document order. `emit` returns `false` to stop
+/// early (its consumer is gone). The first source error aborts the loop
+/// and is returned; nothing more is emitted then.
+pub(crate) fn route<T: Borrow<Triple>, E>(
+    triples: impl IntoIterator<Item = Result<T, E>>,
+    shards: usize,
+    shard_by: ShardBy,
+    batch: usize,
+    mut emit: impl FnMut(usize, Vec<IdTriple>) -> bool,
+) -> Result<Dictionary, E> {
+    let n = shards.max(1);
+    let mut dict = Dictionary::new();
+    let mut bufs: Vec<Vec<IdTriple>> = vec![Vec::new(); n];
+    for t in triples {
+        let enc = dict.encode_triple(t?.borrow());
+        let shard = shard_by.shard_of(&enc, n);
+        bufs[shard].push(enc);
+        if bufs[shard].len() >= batch && !emit(shard, std::mem::take(&mut bufs[shard])) {
+            return Ok(dict);
+        }
+    }
+    for (shard, buf) in bufs.into_iter().enumerate() {
+        if !buf.is_empty() && !emit(shard, buf) {
+            break;
+        }
+    }
+    Ok(dict)
+}
+
+/// [`route`] into one whole bucket per shard: what a segment save
+/// writes.
+pub(crate) fn route_buckets<T: Borrow<Triple>, E>(
+    triples: impl IntoIterator<Item = Result<T, E>>,
+    shards: usize,
+    shard_by: ShardBy,
+) -> Result<(Dictionary, Vec<Vec<IdTriple>>), E> {
+    let mut buckets = vec![Vec::new(); shards.max(1)];
+    let dict = route(triples, shards, shard_by, usize::MAX, |shard, bucket| {
+        buckets[shard] = bucket;
+        true
+    })?;
+    Ok((dict, buckets))
+}
+
+/// Streams an N-Triples source into a [`ShardedStore`] of `shards`
+/// shards: this thread parses and [`route`]s, and each shard's batches
+/// go through a bounded channel to its own builder thread. Mem-backed
 /// shards insert as batches arrive; native-backed shards accumulate and
 /// then sort their runs — the index build runs concurrently across
 /// shards and overlaps the tail of parsing.
@@ -73,96 +131,76 @@ pub fn sharded_store_from_reader<R: BufRead>(
     shard_by: ShardBy,
     backend: ShardBackend,
 ) -> Result<ShardedStore, Error> {
-    let n = shards.max(1);
-    let mut dict = Dictionary::new();
-    let (built, parse_error) = std::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = sync_channel::<Vec<IdTriple>>(ROUTE_CHANNEL_DEPTH);
-            txs.push(tx);
-            handles.push(scope.spawn(move || build_shard(backend, rx.into_iter())));
-        }
-        let mut bufs: Vec<Vec<IdTriple>> =
-            (0..n).map(|_| Vec::with_capacity(ROUTE_BATCH)).collect();
-        let mut parse_error = None;
-        for triple in Parser::new(reader) {
-            match triple {
-                Ok(t) => {
-                    let enc = dict.encode_triple(&t);
-                    let shard = shard_by.shard_of(&enc, n);
-                    bufs[shard].push(enc);
-                    if bufs[shard].len() >= ROUTE_BATCH
-                        && txs[shard].send(std::mem::take(&mut bufs[shard])).is_err()
-                    {
-                        break; // builder gone (it panicked); join reports it
-                    }
-                }
-                Err(e) => {
-                    parse_error = Some(e);
-                    break;
-                }
-            }
-        }
-        if parse_error.is_none() {
-            for (tx, buf) in txs.iter().zip(bufs) {
-                if !buf.is_empty() {
-                    let _ = tx.send(buf);
-                }
-            }
-        }
+    std::thread::scope(|scope| {
+        let (txs, builders): (Vec<_>, Vec<_>) = (0..shards.max(1))
+            .map(|_| {
+                let (tx, rx) = sync_channel::<Vec<IdTriple>>(ROUTE_CHANNEL_DEPTH);
+                (
+                    tx,
+                    scope.spawn(move || build_shard(backend, rx.into_iter())),
+                )
+            })
+            .unzip();
+        // A failed send means the builder panicked; its join reports it.
+        let routed = route(
+            Parser::new(reader),
+            shards,
+            shard_by,
+            ROUTE_BATCH,
+            |shard, batch| txs[shard].send(batch).is_ok(),
+        );
         drop(txs); // closes the channels: builders finish and exit
-        let built: Vec<(Box<dyn TripleStore>, Duration)> = handles
+        let built = builders
             .into_iter()
             .map(|h| h.join().expect("shard builder thread panicked"))
             .collect();
-        (built, parse_error)
-    });
-    match parse_error {
-        Some(e) => Err(e),
-        None => Ok(ShardedStore::assemble(dict, shard_by, built)),
-    }
+        Ok(ShardedStore::assemble(routed?, shard_by, built))
+    })
+}
+
+/// [`sharded_store_from_reader`] at one shard: the unsharded layout.
+pub fn store_from_reader<R: BufRead>(
+    reader: R,
+    backend: ShardBackend,
+) -> Result<ShardedStore, Error> {
+    sharded_store_from_reader(reader, 1, ShardBy::Subject, backend)
 }
 
 /// Streams an N-Triples source into a segment directory (see
-/// [`crate::segment`] for the on-disk format): terms are interned in
-/// document order, triples are routed into `shards` buckets, and each
-/// bucket's sorted runs are written as fixed-size checksummed blocks
-/// under a per-run first-key index. The saved directory reopens via
-/// [`crate::disk::open_store`] without reparsing, and serves scans
-/// through a byte-budgeted block cache.
+/// [`crate::segment`] for the on-disk format): the [`route`] collects
+/// each shard's bucket, and each bucket's sorted runs are written as
+/// fixed-size checksummed blocks under a per-run first-key index. The
+/// saved directory reopens via [`crate::disk::open_store`] without
+/// reparsing, and serves scans through a byte-budgeted block cache.
 pub fn save_segments_from_reader<R: BufRead>(
     reader: R,
     dir: &Path,
     shards: usize,
     shard_by: ShardBy,
 ) -> Result<SegmentStats, SaveError> {
-    let (dict, buckets) = route(Parser::new(reader), shards, shard_by)?;
+    let (dict, buckets) = route_buckets(Parser::new(reader), shards, shard_by)?;
     Ok(write_segments(dir, &dict, shard_by, buckets)?)
 }
 
-/// Saves an N-Triples file as a segment directory (see
-/// [`save_segments_from_reader`]).
-pub fn save_segments_from_path(
-    path: &Path,
-    dir: &Path,
-    shards: usize,
-    shard_by: ShardBy,
-) -> Result<SegmentStats, SaveError> {
-    let file = File::open(path).map_err(Error::from)?;
-    save_segments_from_reader(
-        BufReader::with_capacity(1 << 16, file),
-        dir,
-        shards,
-        shard_by,
-    )
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::native::{IndexSelection, NativeStore};
+    use crate::native::IndexSelection;
+    use crate::traits::TripleStore;
     use sp2b_rdf::Graph;
+
+    pub(crate) const NATIVE: ShardBackend = ShardBackend::Native(IndexSelection::all());
+
+    /// A test graph through the route, as `shards` shards of `backend`.
+    pub(crate) fn load(
+        g: &Graph,
+        shards: usize,
+        by: ShardBy,
+        backend: ShardBackend,
+    ) -> ShardedStore {
+        sharded_store_from_reader(&g.to_ntriples()[..], shards, by, backend)
+            .expect("valid N-Triples")
+    }
 
     const DOC: &str = "\
 <http://x/s1> <http://x/p> <http://x/o1> .
@@ -173,13 +211,13 @@ _:b1 <http://x/p> <http://x/o1> .
     #[test]
     fn parse_errors_propagate() {
         let bad = "<unterminated\n";
-        assert!(sharded_store_from_reader(
-            bad.as_bytes(),
-            2,
-            ShardBy::Subject,
-            ShardBackend::Native(IndexSelection::all())
-        )
-        .is_err());
+        for backend in [NATIVE, ShardBackend::Mem] {
+            for shards in [1, 2] {
+                let err =
+                    sharded_store_from_reader(bad.as_bytes(), shards, ShardBy::Subject, backend);
+                assert!(err.err().unwrap().to_string().contains("line 1"));
+            }
+        }
     }
 
     #[test]
@@ -195,18 +233,12 @@ _:b1 <http://x/p> <http://x/o1> .
                 i % 53
             ));
         }
-        let graph: Graph = Parser::new(doc.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let flat = NativeStore::from_graph(&graph);
-        for shards in [1, 2, 5] {
-            let sharded = sharded_store_from_reader(
-                doc.as_bytes(),
-                shards,
-                ShardBy::Subject,
-                ShardBackend::Native(IndexSelection::all()),
-            )
-            .unwrap();
+        let flat = store_from_reader(doc.as_bytes(), NATIVE).unwrap();
+        assert_eq!(flat.shard_count(), 1);
+        for shards in [2, 5] {
+            let sharded =
+                sharded_store_from_reader(doc.as_bytes(), shards, ShardBy::Subject, NATIVE)
+                    .unwrap();
             assert_eq!(sharded.len(), flat.len(), "{shards} shards");
             assert_eq!(sharded.shard_count(), shards);
             // The shared dictionary interns in document order: ids agree
@@ -235,5 +267,20 @@ _:b1 <http://x/p> <http://x/o1> .
         assert_eq!(sharded.len(), 3);
         let p = sharded.resolve(&sp2b_rdf::Term::iri("http://x/p")).unwrap();
         assert_eq!(sharded.scan([None, Some(p), None]).count(), 3);
+    }
+
+    #[test]
+    fn buckets_hold_each_shard_in_document_order() {
+        let g: Graph = sp2b_rdf::ntriples::parse_document(DOC)
+            .unwrap()
+            .into_iter()
+            .collect();
+        let (dict, buckets) =
+            route_buckets(g.iter().map(Ok::<_, ()>), 2, ShardBy::Subject).unwrap();
+        assert_eq!(dict.len(), 6);
+        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 3);
+        for bucket in &buckets {
+            assert!(bucket.windows(2).all(|w| w[0][0] <= w[1][0]), "{bucket:?}");
+        }
     }
 }

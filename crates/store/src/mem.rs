@@ -10,8 +10,6 @@
 //! list heuristics, which is precisely the gap the `native-opt`
 //! configuration's cost-based reordering exploits.
 
-use sp2b_rdf::{Graph, Triple};
-
 use std::sync::OnceLock;
 
 use crate::dictionary::{Dictionary, Id, IdTriple};
@@ -57,22 +55,9 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Loads every triple of a graph.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let mut store = MemStore::new();
-        store.extend(graph.iter());
-        store
-    }
-
-    /// Inserts one triple.
-    pub fn insert(&mut self, triple: &Triple) {
-        let t = self.dict.encode_triple(triple);
-        self.insert_encoded(t);
-    }
-
     /// Inserts an already-encoded triple without touching this store's
-    /// dictionary — the shard-build path, where ids live in the shared
-    /// dictionary owned by the [`crate::ShardedStore`].
+    /// dictionary: the load route's shard build ([`crate::load`]), where
+    /// ids live in the shared dictionary the [`crate::ShardedStore`] owns.
     pub fn insert_encoded(&mut self, t: IdTriple) {
         self.stats = OnceLock::new(); // summary is stale once data changes
         let row = u32::try_from(self.triples.len()).expect("mem store row overflow");
@@ -80,13 +65,6 @@ impl MemStore {
         self.by_predicate.push(t[1], row);
         self.by_object.push(t[2], row);
         self.triples.push(t);
-    }
-
-    /// Inserts many triples.
-    pub fn extend<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) {
-        for t in triples {
-            self.insert(t);
-        }
     }
 
     /// The candidate range of `pattern`: the shortest posting list of a
@@ -160,9 +138,11 @@ impl TripleStore for MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::{Iri, Literal, Subject, Term};
+    use crate::load::tests::load;
+    use crate::shard::{ShardBackend, ShardBy, ShardedStore};
+    use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 
-    fn store() -> MemStore {
+    fn store() -> ShardedStore {
         let mut g = Graph::new();
         g.add(
             Subject::iri("http://x/s1"),
@@ -179,7 +159,7 @@ mod tests {
             Iri::new("http://x/p1"),
             Term::iri("http://x/o1"),
         );
-        MemStore::from_graph(&g)
+        load(&g, 1, ShardBy::Subject, ShardBackend::Mem)
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::sync::OnceLock;
 
-use sp2b_rdf::Graph;
-
 use crate::dictionary::{Dictionary, IdTriple};
 use crate::run::{sort_runs, RunPlan, RUN_ORDERS};
 use crate::stats::StoreStats;
@@ -28,7 +26,7 @@ pub struct IndexSelection(usize);
 
 impl IndexSelection {
     /// Every run of the table.
-    pub fn all() -> Self {
+    pub const fn all() -> Self {
         IndexSelection(RUN_ORDERS.len())
     }
 
@@ -47,19 +45,8 @@ pub struct NativeStore {
 }
 
 impl NativeStore {
-    /// Builds a store with every run from a graph.
-    pub fn from_graph(graph: &Graph) -> Self {
-        Self::with_indexes(graph, IndexSelection::all())
-    }
-
-    /// Builds a store with a chosen run subset.
-    pub fn with_indexes(graph: &Graph, selection: IndexSelection) -> Self {
-        let mut dict = Dictionary::new();
-        let triples: Vec<IdTriple> = graph.iter().map(|t| dict.encode_triple(t)).collect();
-        Self::from_encoded(dict, triples, selection)
-    }
-
-    /// Builds from already-encoded triples (bulk-load path).
+    /// Builds from already-encoded triples: a shard of the load route
+    /// ([`crate::load`]), whose ids live in the store's shared dictionary.
     pub fn from_encoded(
         dict: Dictionary,
         triples: Vec<IdTriple>,
@@ -120,7 +107,13 @@ impl TripleStore for NativeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::{Iri, Literal, Subject, Term};
+    use crate::load::tests::{load, NATIVE};
+    use crate::shard::{ShardBackend, ShardBy, ShardedStore};
+    use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
+
+    fn native(g: &Graph) -> ShardedStore {
+        load(g, 1, ShardBy::Subject, NATIVE)
+    }
 
     fn graph() -> Graph {
         let mut g = Graph::new();
@@ -141,8 +134,8 @@ mod tests {
 
     fn agree_with_memstore(pattern_terms: [Option<&str>; 3]) {
         let g = graph();
-        let native = NativeStore::from_graph(&g);
-        let mem = crate::mem::MemStore::from_graph(&g);
+        let native = native(&g);
+        let mem = load(&g, 1, ShardBy::Subject, ShardBackend::Mem);
         let npat: Pattern = [
             pattern_terms[0].and_then(|t| native.resolve(&Term::iri(t))),
             pattern_terms[1].and_then(|t| native.resolve(&Term::iri(t))),
@@ -200,7 +193,7 @@ mod tests {
     #[test]
     fn estimates_are_exact_with_all_indexes() {
         let g = graph();
-        let s = NativeStore::from_graph(&g);
+        let s = native(&g);
         for pattern in [
             [None, None, None],
             [s.resolve(&Term::iri("http://x/s1")), None, None],
@@ -215,9 +208,14 @@ mod tests {
     #[test]
     fn spo_only_still_answers_everything() {
         let g = graph();
-        let s = NativeStore::with_indexes(&g, IndexSelection::spo_only());
+        let s = load(
+            &g,
+            1,
+            ShardBy::Subject,
+            ShardBackend::Native(IndexSelection::spo_only()),
+        );
         let p0 = s.resolve(&Term::iri("http://x/p0")).unwrap();
-        let full = NativeStore::from_graph(&g);
+        let full = native(&g);
         let p0f = full.resolve(&Term::iri("http://x/p0")).unwrap();
         assert_eq!(
             s.scan([None, Some(p0), None]).count(),
@@ -231,7 +229,7 @@ mod tests {
     #[test]
     fn point_lookup_finds_single_triple() {
         let g = graph();
-        let s = NativeStore::from_graph(&g);
+        let s = native(&g);
         let sp = s.resolve(&Term::iri("http://x/special")).unwrap();
         let p0 = s.resolve(&Term::iri("http://x/p0")).unwrap();
         let v = s.resolve(&Term::Literal(Literal::integer(42))).unwrap();
@@ -243,7 +241,7 @@ mod tests {
     #[test]
     fn scan_chunks_concatenate_to_scan_order() {
         let g = graph();
-        let s = NativeStore::from_graph(&g);
+        let s = native(&g);
         let p1 = s.resolve(&Term::iri("http://x/p1"));
         let o2 = s.resolve(&Term::iri("http://x/o2"));
         for pattern in [
@@ -265,7 +263,7 @@ mod tests {
     #[test]
     fn scan_chunks_of_empty_range_are_empty() {
         let g = graph();
-        let s = NativeStore::from_graph(&g);
+        let s = native(&g);
         // An id that exists only as an object never matches as predicate:
         // the range is empty, so there is nothing to partition.
         let o1 = s.resolve(&Term::iri("http://x/o1"));
@@ -274,7 +272,7 @@ mod tests {
 
     #[test]
     fn empty_store_behaves() {
-        let s = NativeStore::from_graph(&Graph::new());
+        let s = native(&Graph::new());
         assert!(s.is_empty());
         assert_eq!(s.scan([None, None, None]).count(), 0);
         assert_eq!(s.estimate([None, None, None]), 0);

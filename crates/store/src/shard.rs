@@ -9,15 +9,18 @@
 //! independent shard stores, so
 //!
 //! * **loading and index build fan out** — each shard sorts its own
-//!   runs on its own thread (see
-//!   [`ShardedStore::from_graph`] and the streaming channel loader in
-//!   [`crate::load::sharded_store_from_reader`]);
+//!   runs on its own thread, fed by the one load route
+//!   ([`crate::load`]);
 //! * **scans parallelize across shards** — [`TripleStore::scan_chunks`]
 //!   returns the concatenation of per-shard chunk lists, so the
 //!   morsel-driven exchange upstream spreads workers over shards with
 //!   zero evaluator changes;
 //! * **point lookups route** — a pattern that binds the partition key
 //!   touches exactly one shard ([`ShardedStore::route`]).
+//!
+//! One shard is the unsharded layout, which is how every resident store
+//! is loaded: with one shard, `route` names it for every pattern, so a
+//! scan, an estimate or a chunk split forwards straight to the shard.
 //!
 //! ## Dictionary: shared, not per-shard
 //!
@@ -41,12 +44,8 @@
 //! `scan_chunks` concatenates to exactly this order — the contract the
 //! exchange merge relies on.
 
-use std::borrow::Borrow;
-use std::convert::Infallible;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-use sp2b_rdf::{Graph, Triple};
 
 use crate::dictionary::{Dictionary, Id, IdTriple};
 use crate::mem::MemStore;
@@ -156,30 +155,6 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Builds a sharded store from a graph: terms are interned into the
-    /// shared dictionary in document order (ids identical to an
-    /// unsharded load), triples are routed to per-shard buckets, and the
-    /// shard stores build **in parallel** on scoped threads.
-    pub fn from_graph(
-        graph: &Graph,
-        shards: usize,
-        shard_by: ShardBy,
-        backend: ShardBackend,
-    ) -> ShardedStore {
-        let (dict, buckets) = route_graph(graph, shards, shard_by);
-        let built: Vec<(Box<dyn TripleStore>, Duration)> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| s.spawn(move || build_shard(backend, std::iter::once(bucket))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build thread panicked"))
-                .collect()
-        });
-        Self::assemble(dict, shard_by, built)
-    }
-
     /// Assembles the logical store from built shards.
     pub(crate) fn assemble(
         dict: Dictionary,
@@ -218,10 +193,14 @@ impl ShardedStore {
         &self.build_times
     }
 
-    /// The single shard a pattern resolves to, when it binds the whole
-    /// partition key — `None` means the scan must visit every shard.
+    /// The single shard a pattern resolves to: the only one, or the
+    /// owner of the partition key the pattern binds — `None` means the
+    /// scan must visit every shard.
     fn route(&self, pattern: &Pattern) -> Option<usize> {
         let n = self.shards.len();
+        if n == 1 {
+            return Some(0);
+        }
         match self.shard_by {
             ShardBy::Subject => {
                 pattern[0].map(|s| (self.shard_by.key_hash(s, 0) % n as u64) as usize)
@@ -232,35 +211,6 @@ impl ShardedStore {
             },
         }
     }
-}
-
-/// Interns `triples` into a fresh dictionary in document order (ids
-/// identical to an unsharded load) and routes each encoded triple by
-/// `shard_by` into one of `shards` buckets. The first source error
-/// aborts the routing.
-pub(crate) fn route<T: Borrow<Triple>, E>(
-    triples: impl IntoIterator<Item = Result<T, E>>,
-    shards: usize,
-    shard_by: ShardBy,
-) -> Result<(Dictionary, Vec<Vec<IdTriple>>), E> {
-    let n = shards.max(1);
-    let mut dict = Dictionary::new();
-    let mut buckets = vec![Vec::new(); n];
-    for t in triples {
-        let enc = dict.encode_triple(t?.borrow());
-        buckets[shard_by.shard_of(&enc, n)].push(enc);
-    }
-    Ok((dict, buckets))
-}
-
-/// [`route`] over an in-memory graph, which cannot fail.
-pub(crate) fn route_graph(
-    graph: &Graph,
-    shards: usize,
-    shard_by: ShardBy,
-) -> (Dictionary, Vec<Vec<IdTriple>>) {
-    let routed = route(graph.iter().map(Ok::<_, Infallible>), shards, shard_by);
-    routed.unwrap_or_else(|e| match e {})
 }
 
 /// Builds one shard store from the batches of its bucket, as they
@@ -403,7 +353,8 @@ fn apportion(n: usize, ests: &[u64], total: u128) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::{Iri, Subject, Term};
+    use crate::load::tests::{load, NATIVE};
+    use sp2b_rdf::{Graph, Iri, Subject, Term};
 
     fn graph(n: usize) -> Graph {
         let mut g = Graph::new();
@@ -436,10 +387,10 @@ mod tests {
     #[test]
     fn sharded_scans_agree_with_unsharded_for_all_access_patterns() {
         let g = graph(200);
-        let flat = NativeStore::from_graph(&g);
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
         for shard_by in [ShardBy::Subject, ShardBy::PredicateSubject] {
             for shards in [1, 2, 3, 8] {
-                let sharded = ShardedStore::from_graph(
+                let sharded = load(
                     &g,
                     shards,
                     shard_by,
@@ -473,8 +424,8 @@ mod tests {
     #[test]
     fn mem_backend_agrees_too() {
         let g = graph(120);
-        let flat = MemStore::from_graph(&g);
-        let sharded = ShardedStore::from_graph(&g, 4, ShardBy::Subject, ShardBackend::Mem);
+        let flat = load(&g, 1, ShardBy::Subject, ShardBackend::Mem);
+        let sharded = load(&g, 4, ShardBy::Subject, ShardBackend::Mem);
         assert_eq!(sharded.len(), flat.len());
         let p0 = sharded.resolve(&Term::iri("http://x/p0"));
         for pattern in [[None, None, None], [None, p0, None]] {
@@ -485,7 +436,7 @@ mod tests {
     #[test]
     fn scan_chunks_concatenate_to_scan_order() {
         let g = graph(300);
-        let s = ShardedStore::from_graph(
+        let s = load(
             &g,
             4,
             ShardBy::Subject,
@@ -510,7 +461,7 @@ mod tests {
     #[test]
     fn scan_chunks_are_deterministic() {
         let g = graph(300);
-        let s = ShardedStore::from_graph(
+        let s = load(
             &g,
             3,
             ShardBy::Subject,
@@ -532,7 +483,7 @@ mod tests {
     #[test]
     fn bound_key_patterns_route_to_one_shard() {
         let g = graph(200);
-        let s = ShardedStore::from_graph(
+        let s = load(
             &g,
             4,
             ShardBy::Subject,
@@ -552,7 +503,7 @@ mod tests {
             }
         }
         // PSO sharding routes only fully-bound keys.
-        let pso = ShardedStore::from_graph(
+        let pso = load(
             &g,
             4,
             ShardBy::PredicateSubject,
@@ -566,8 +517,8 @@ mod tests {
     #[test]
     fn estimates_sum_across_shards_and_stay_exact() {
         let g = graph(250);
-        let flat = NativeStore::from_graph(&g);
-        let s = ShardedStore::from_graph(
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
+        let s = load(
             &g,
             4,
             ShardBy::Subject,
@@ -586,8 +537,8 @@ mod tests {
         // the shard count, so ids — and with them bound plans — transfer
         // between sharded and unsharded stores of the same document.
         let g = graph(100);
-        let flat = NativeStore::from_graph(&g);
-        let sharded = ShardedStore::from_graph(
+        let flat = load(&g, 1, ShardBy::Subject, NATIVE);
+        let sharded = load(
             &g,
             8,
             ShardBy::Subject,
@@ -606,7 +557,7 @@ mod tests {
     #[test]
     fn shard_metadata_is_reported() {
         let g = graph(200);
-        let s = ShardedStore::from_graph(
+        let s = load(
             &g,
             4,
             ShardBy::Subject,
@@ -620,7 +571,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_shard_behave() {
-        let s = ShardedStore::from_graph(
+        let s = load(
             &Graph::new(),
             4,
             ShardBy::Subject,
@@ -629,7 +580,7 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.scan_chunks([None, None, None], 8).is_empty());
         let g = graph(50);
-        let one = ShardedStore::from_graph(&g, 1, ShardBy::Subject, ShardBackend::Mem);
+        let one = load(&g, 1, ShardBy::Subject, ShardBackend::Mem);
         assert_eq!(one.shard_count(), 1);
         assert_eq!(one.len(), g.len());
     }

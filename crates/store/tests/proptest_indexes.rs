@@ -12,10 +12,37 @@ use std::path::{Path, PathBuf};
 
 use sp2b_datagen::rng::SplitMix64;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
+use sp2b_store::segment::write_segments_with;
 use sp2b_store::{
-    open_store, save_graph_with, IdTriple, IndexSelection, MemStore, NativeStore, Pattern,
+    open_store, sharded_store_from_reader, Dictionary, IdTriple, IndexSelection, Pattern,
     ScanChunk, ShardBackend, ShardBy, ShardedStore, TripleStore,
 };
+
+const NATIVE: ShardBackend = ShardBackend::Native(IndexSelection::all());
+
+/// `g` through the load route, as `shards` shards of `backend`.
+fn load(g: &Graph, shards: usize, by: ShardBy, backend: ShardBackend) -> ShardedStore {
+    sharded_store_from_reader(&g.to_ntriples()[..], shards, by, backend).expect("valid N-Triples")
+}
+
+/// `g` as one unsharded store of `backend`.
+fn one(g: &Graph, backend: ShardBackend) -> ShardedStore {
+    load(g, 1, ShardBy::Subject, backend)
+}
+
+/// Saves `g` by subject in 7-triple blocks: a run spans several blocks
+/// even at this size, so chunks split block ranges and boundary blocks
+/// are narrowed.
+fn save_in_small_blocks(dir: &Path, g: &Graph, shards: usize) {
+    let by = ShardBy::Subject;
+    let mut dict = Dictionary::new();
+    let mut buckets = vec![Vec::new(); shards];
+    for t in g {
+        let enc = dict.encode_triple(t);
+        buckets[by.shard_of(&enc, shards)].push(enc);
+    }
+    write_segments_with(dir, &dict, by, buckets, 7).expect("save");
+}
 
 /// Graphs per property.
 const CASES: u64 = 64;
@@ -103,8 +130,8 @@ fn decode_sorted(store: &dyn TripleStore, pattern: Pattern) -> Vec<String> {
 #[test]
 fn native_agrees_with_mem_on_all_patterns() {
     for case in cases() {
-        let mem = MemStore::from_graph(&case.graph);
-        let native = NativeStore::from_graph(&case.graph);
+        let mem = one(&case.graph, ShardBackend::Mem);
+        let native = one(&case.graph, NATIVE);
         // Patterns are resolved per store but bind the same terms.
         for (mp, np) in case.patterns(&mem).into_iter().zip(case.patterns(&native)) {
             assert_eq!(
@@ -120,7 +147,7 @@ fn native_agrees_with_mem_on_all_patterns() {
 #[test]
 fn native_estimates_are_exact() {
     for case in cases() {
-        let native = NativeStore::from_graph(&case.graph);
+        let native = one(&case.graph, NATIVE);
         for pattern in case.patterns(&native) {
             let exact = native.scan(pattern).count() as u64;
             assert_eq!(
@@ -136,8 +163,11 @@ fn native_estimates_are_exact() {
 #[test]
 fn spo_only_store_agrees_with_full_store() {
     for case in cases() {
-        let full = NativeStore::from_graph(&case.graph);
-        let spo = NativeStore::with_indexes(&case.graph, IndexSelection::spo_only());
+        let full = one(&case.graph, NATIVE);
+        let spo = one(
+            &case.graph,
+            ShardBackend::Native(IndexSelection::spo_only()),
+        );
         for (fp, sp) in case.patterns(&full).into_iter().zip(case.patterns(&spo)) {
             assert_eq!(
                 decode_sorted(&full, fp),
@@ -152,7 +182,7 @@ fn spo_only_store_agrees_with_full_store() {
 #[test]
 fn mem_estimates_are_upper_bounds() {
     for case in cases() {
-        let mem = MemStore::from_graph(&case.graph);
+        let mem = one(&case.graph, ShardBackend::Mem);
         for pattern in case.patterns(&mem) {
             let exact = mem.scan(pattern).count() as u64;
             assert!(
@@ -168,7 +198,7 @@ fn mem_estimates_are_upper_bounds() {
 #[test]
 fn dictionary_roundtrips_random_graphs() {
     for case in cases() {
-        let native = NativeStore::from_graph(&case.graph);
+        let native = one(&case.graph, NATIVE);
         let dict = native.dictionary();
         for (id, term) in dict.iter() {
             assert_eq!(dict.lookup(term), Some(id), "seed {}: {term}", case.seed);
@@ -229,23 +259,18 @@ fn assert_chunks_cover(
 
 #[test]
 fn chunks_concatenate_to_the_scan_on_every_store() {
-    let sharded = |g: &Graph, by| -> Box<dyn TripleStore> {
-        let backend = ShardBackend::Native(IndexSelection::all());
-        Box::new(ShardedStore::from_graph(g, 3, by, backend))
-    };
+    let sharded = |g: &Graph, by| -> Box<dyn TripleStore> { Box::new(load(g, 3, by, NATIVE)) };
     for case in cases() {
         let g = &case.graph;
-        // 7-triple blocks: a run spans several blocks even at this size,
-        // so chunks split block ranges and boundary blocks are narrowed.
         let dir = TempDir::new(case.seed);
-        save_graph_with(dir.path(), g, 2, ShardBy::Subject, 7).expect("save");
+        save_in_small_blocks(dir.path(), g, 2);
         // (tag, store, extra chunks allowed: one per shard of a sharded store)
         let stores: Vec<(&str, Box<dyn TripleStore>, usize)> = vec![
-            ("mem", Box::new(MemStore::from_graph(g)), 0),
-            ("native", Box::new(NativeStore::from_graph(g)), 0),
+            ("mem", Box::new(one(g, ShardBackend::Mem)), 0),
+            ("native", Box::new(one(g, NATIVE)), 0),
             (
                 "spo-only native",
-                Box::new(NativeStore::with_indexes(g, IndexSelection::spo_only())),
+                Box::new(one(g, ShardBackend::Native(IndexSelection::spo_only()))),
                 0,
             ),
             ("3 shards by subject", sharded(g, ShardBy::Subject), 3),

@@ -9,9 +9,9 @@
 //! cargo run --release --example bibliometrics
 //! ```
 
-use sp2bench::datagen::{generate_graph, params, Config, DocClass, Generator, NullSink};
+use sp2bench::datagen::{generate_document, params, Config, DocClass, Generator, NullSink};
 use sp2bench::sparql::QueryEngine;
-use sp2bench::store::{NativeStore, TripleStore};
+use sp2bench::store::{store_from_reader, IndexSelection, ShardBackend, TripleStore};
 
 fn main() {
     // Simulate through 1985 with detailed statistics.
@@ -102,8 +102,9 @@ fn main() {
     // The same growth curve straight from the document: articles per year
     // as a GROUP BY/COUNT aggregation, streamed through the QueryEngine
     // facade (the aggregation runs as a plan operator, not a post-pass).
-    let (graph, _) = generate_graph(Config::up_to_year(1965));
-    let qe = QueryEngine::new(NativeStore::from_graph(&graph).into_shared());
+    let (doc, _) = generate_document(Config::up_to_year(1965));
+    let store = store_from_reader(&doc[..], ShardBackend::Native(IndexSelection::all()));
+    let qe = QueryEngine::new(store.expect("generated N-Triples parse").into_shared());
     let per_year = qe
         .prepare(
             "SELECT ?yr (COUNT(*) AS ?articles) \

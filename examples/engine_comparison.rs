@@ -6,8 +6,8 @@
 //! cargo run --release --example engine_comparison
 //! ```
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind};
-use sp2bench::datagen::{generate_graph, Config};
+use sp2bench::core::{BenchQuery, Engine, EngineKind, StoreLayout};
+use sp2bench::datagen::{generate_document, Config};
 use std::time::Duration;
 
 fn main() {
@@ -23,14 +23,15 @@ fn main() {
 
     for scale in [10_000u64, 40_000] {
         println!("\n=== {scale} triples ===");
-        let (graph, _) = generate_graph(Config::triples(scale));
+        let (doc, _) = generate_document(Config::triples(scale));
         print!("{:<12}", "engine");
         for q in queries {
             print!("{:>12}", q.label());
         }
         println!();
         for kind in EngineKind::ALL {
-            let engine = Engine::load(kind, &graph);
+            let engine = Engine::load(kind, &doc[..], &StoreLayout::default())
+                .expect("generated N-Triples parse");
             print!("{:<12}", kind.label());
             for q in queries {
                 let (outcome, m) = engine.run(q, timeout);
@@ -44,7 +45,8 @@ fn main() {
 
         // Reference cardinalities via the streaming facade: one engine,
         // each query prepared once and counted without decoding a term.
-        let reference = Engine::load(EngineKind::NativeOpt, &graph);
+        let reference = Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default())
+            .expect("generated N-Triples parse");
         let qe = reference.query_engine(timeout);
         print!("{:<12}", "#results");
         for q in queries {

@@ -11,14 +11,15 @@
 //! cargo run --release --example erdos_network
 //! ```
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind};
-use sp2bench::datagen::{generate_graph, Config};
+use sp2bench::core::{BenchQuery, Engine, EngineKind, StoreLayout};
+use sp2bench::datagen::{generate_document, Config};
 use sp2bench::rdf::Term;
 use sp2bench::sparql::QueryEngine;
 
 fn main() {
-    let (graph, _) = generate_graph(Config::triples(100_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let (doc, _) = generate_document(Config::triples(100_000));
+    let engine = Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default())
+        .expect("generated N-Triples parse");
     let qe = QueryEngine::new(engine.shared_store());
 
     // Q8: names of authors with Erdős number 1 or 2.

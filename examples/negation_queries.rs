@@ -12,13 +12,14 @@
 //! cargo run --release --example negation_queries
 //! ```
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind};
-use sp2bench::datagen::{generate_graph, Config};
+use sp2bench::core::{BenchQuery, Engine, EngineKind, StoreLayout};
+use sp2bench::datagen::{generate_document, Config};
 use std::time::Duration;
 
 fn main() {
-    let (graph, _) = generate_graph(Config::triples(60_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let (doc, _) = generate_document(Config::triples(60_000));
+    let engine = Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default())
+        .expect("generated N-Triples parse");
     let timeout = Some(Duration::from_secs(120));
 
     // Q6: publications whose authors had no earlier publication. Every

@@ -6,8 +6,9 @@
 //! * [`datagen`] — the deterministic DBLP-like RDF data generator with the
 //!   paper's fitted distributions (Sections III/IV);
 //! * [`rdf`] — the RDF data model and N-Triples I/O;
-//! * [`store`] — two storage engines: a hash-indexed in-memory store and a
-//!   four-run (SPO/PSO/POS/OSP) native store;
+//! * [`store`] — two storage engines, a hash-indexed in-memory store and a
+//!   four-run (SPO/PSO/POS/OSP) native store, loaded along one streaming
+//!   route from N-Triples, optionally in hash-partitioned shards;
 //! * [`sparql`] — a SPARQL engine: parser, algebra (spec-faithful
 //!   `OPTIONAL`/`FILTER` translation), optimizer, streaming evaluator and
 //!   the [`QueryEngine`] facade with lazy result rows;
@@ -21,15 +22,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use sp2bench::datagen::{generate_graph, Config};
-//! use sp2bench::core::{BenchQuery, Engine, EngineKind};
+//! use sp2bench::datagen::{generate_document, Config};
+//! use sp2bench::core::{BenchQuery, Engine, EngineKind, StoreLayout};
 //!
-//! // 1. Generate a DBLP-like document of exactly 10k triples.
-//! let (graph, stats) = generate_graph(Config::triples(10_000));
+//! // 1. Generate a DBLP-like N-Triples document of exactly 10k triples.
+//! let (doc, stats) = generate_document(Config::triples(10_000));
 //! assert_eq!(stats.triples, 10_000);
 //!
-//! // 2. Load it into the optimized native engine.
-//! let engine = Engine::load(EngineKind::NativeOpt, &graph);
+//! // 2. Load it into the optimized native engine: parse, intern, build.
+//! let engine = Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default()).unwrap();
 //!
 //! // 3. Run benchmark query Q1 — exactly one solution, per the paper.
 //! let (outcome, measurement) = engine.run(BenchQuery::Q1, None);
@@ -60,7 +61,7 @@ pub use sp2b_sparql as sparql;
 pub use sp2b_store as store;
 
 // Convenience re-exports of the most common entry points.
-pub use sp2b_core::{BenchQuery, Engine, EngineKind, RunnerConfig};
-pub use sp2b_datagen::{generate_graph, generate_to_path, Config};
+pub use sp2b_core::{BenchQuery, Engine, EngineKind, RunnerConfig, StoreLayout};
+pub use sp2b_datagen::{generate_document, generate_graph, generate_to_path, Config};
 pub use sp2b_sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult};
 pub use sp2b_store::{MemStore, NativeStore, TripleStore};

@@ -4,11 +4,14 @@
 //! path must agree exactly — and all three must report cancellation when a
 //! pre-triggered `Cancellation` is supplied.
 
+mod common;
+
+use common::{load, NATIVE};
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::rdf::Term;
 use sp2bench::sparql::{Cancellation, Error, QueryEngine, QueryResult};
-use sp2bench::store::{NativeStore, TripleStore};
+use sp2bench::store::TripleStore;
 
 const TRIPLES: u64 = 10_000;
 
@@ -24,7 +27,7 @@ fn all_query_texts() -> Vec<(&'static str, &'static str)> {
 #[test]
 fn streaming_materialized_and_count_agree_on_all_queries() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let engine = QueryEngine::new(NativeStore::from_graph(&graph).into_shared());
+    let engine = QueryEngine::new(load(&graph, NATIVE).into_shared());
 
     for (label, text) in all_query_texts() {
         let prepared = engine
@@ -71,7 +74,7 @@ fn streaming_materialized_and_count_agree_on_all_queries() {
 #[test]
 fn pre_triggered_cancellation_fails_every_path() {
     let (graph, _) = generate_graph(Config::triples(4_000));
-    let engine = QueryEngine::new(NativeStore::from_graph(&graph).into_shared());
+    let engine = QueryEngine::new(load(&graph, NATIVE).into_shared());
 
     for (label, text) in all_query_texts() {
         let prepared = engine

@@ -4,8 +4,8 @@
 
 use std::time::Duration;
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome};
-use sp2bench::datagen::{generate_graph, Config};
+use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome, StoreLayout};
+use sp2bench::datagen::{generate_document, Config};
 use sp2bench::rdf::Term;
 use sp2bench::sparql::QueryResult;
 
@@ -13,8 +13,12 @@ const TRIPLES: u64 = 12_000;
 const TIMEOUT: Duration = Duration::from_secs(120);
 
 fn engine() -> Engine {
-    let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    Engine::load(EngineKind::NativeOpt, &graph)
+    native_opt(Config::triples(TRIPLES))
+}
+
+fn native_opt(cfg: Config) -> Engine {
+    let (doc, _) = generate_document(cfg);
+    Engine::load(EngineKind::NativeOpt, &doc[..], &StoreLayout::default()).expect("valid N-Triples")
 }
 
 fn count(engine: &Engine, q: BenchQuery) -> u64 {
@@ -232,8 +236,7 @@ fn invariants_hold_for_other_seeds() {
     // The invariants are properties of the generator model, not of one
     // seed.
     for seed in [7u64, 99, 123456] {
-        let (graph, _) = generate_graph(Config::triples(8_000).with_seed(seed));
-        let e = Engine::load(EngineKind::NativeOpt, &graph);
+        let e = native_opt(Config::triples(8_000).with_seed(seed));
         assert_eq!(count_on(&e, BenchQuery::Q1), 1, "seed {seed}");
         assert_eq!(count_on(&e, BenchQuery::Q3c), 0, "seed {seed}");
         assert_eq!(count_on(&e, BenchQuery::Q9), 4, "seed {seed}");

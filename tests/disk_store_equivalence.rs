@@ -9,14 +9,15 @@
 //! source is deleted, and keeps answering them identically when the
 //! block cache's byte budget is smaller than any single sorted run.
 
+mod common;
+
+use common::{load, NATIVE};
 use std::path::{Path, PathBuf};
 
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{QueryEngine, QueryOptions, QueryResult};
-use sp2bench::store::{
-    open_store, open_store_with, save_graph, NativeStore, ShardBy, SharedStore, TripleStore,
-};
+use sp2bench::store::{open_store, open_store_with, save_graph, ShardBy, SharedStore, TripleStore};
 
 const TRIPLES: u64 = 6_000;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -100,7 +101,7 @@ fn run_all(store: &SharedStore, parallelism: usize) -> Vec<(String, Vec<String>,
 #[test]
 fn reopened_disk_store_agrees_with_memory_on_all_queries() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let flat = NativeStore::from_graph(&graph).into_shared();
+    let flat = load(&graph, NATIVE).into_shared();
     let reference = run_all(&flat, 1);
 
     for shards in SHARD_COUNTS {
@@ -147,7 +148,7 @@ fn reopened_disk_store_agrees_with_memory_on_all_queries() {
 fn tiny_cache_budget_streams_blocks_without_changing_results() {
     const BUDGET: u64 = 32 * 1024;
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let flat = NativeStore::from_graph(&graph).into_shared();
+    let flat = load(&graph, NATIVE).into_shared();
     let reference = run_all(&flat, 1);
 
     let dir = TempDir::new("tiny-cache");
@@ -198,7 +199,7 @@ fn tiny_cache_budget_streams_blocks_without_changing_results() {
 #[test]
 fn pso_partitioned_segments_agree_on_a_subset() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let flat = NativeStore::from_graph(&graph).into_shared();
+    let flat = load(&graph, NATIVE).into_shared();
     let dir = TempDir::new("pso");
     save_graph(dir.path(), &graph, 4, ShardBy::PredicateSubject).expect("save");
     let disk = open_store(dir.path()).expect("open").into_shared();
@@ -236,7 +237,8 @@ fn reopen_answers_q1_without_the_ntriples_source() {
     }
     let segs = dir.path().join("segs");
     std::fs::create_dir(&segs).unwrap();
-    let stats = sp2bench::store::save_segments_from_path(&doc, &segs, 2, ShardBy::Subject)
+    let source = std::io::BufReader::new(std::fs::File::open(&doc).unwrap());
+    let stats = sp2bench::store::save_segments_from_reader(source, &segs, 2, ShardBy::Subject)
         .expect("save from file");
     assert_eq!(stats.triples, graph.len() as u64);
 

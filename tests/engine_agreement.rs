@@ -2,6 +2,9 @@
 //! the optimizations and storage layouts are performance choices, never
 //! semantic ones.
 
+mod common;
+
+use common::{loaded, loaded_with};
 use std::time::Duration;
 
 use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome, StoreLayout};
@@ -17,10 +20,7 @@ const TIMEOUT: Duration = Duration::from_secs(300);
 #[test]
 fn all_engines_agree_on_all_17_queries() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let engines: Vec<Engine> = EngineKind::ALL
-        .iter()
-        .map(|&k| Engine::load(k, &graph))
-        .collect();
+    let engines: Vec<Engine> = EngineKind::ALL.iter().map(|&k| loaded(k, &graph)).collect();
 
     for query in BenchQuery::ALL {
         let counts: Vec<(EngineKind, u64)> = engines
@@ -49,13 +49,13 @@ fn materialized_results_agree_not_just_counts() {
     // reordering, no pushing, and for Q5a/Q6/Q12a the nested loop the
     // optimized engines replace with a value-equality hash join.
     let (graph, _) = generate_graph(Config::triples(6_000));
-    let reference = Engine::load(EngineKind::MemNaive, &graph);
+    let reference = loaded(EngineKind::MemNaive, &graph);
     let others = [
         EngineKind::MemOpt,
         EngineKind::NativeBase,
         EngineKind::NativeOpt,
     ]
-    .map(|kind| Engine::load(kind, &graph));
+    .map(|kind| loaded(kind, &graph));
 
     for query in [
         BenchQuery::Q1,
@@ -114,7 +114,7 @@ fn ordered_results_keep_order_across_engines() {
     let (graph, _) = generate_graph(Config::triples(6_000));
     let mut sequences: Vec<Vec<String>> = Vec::new();
     for kind in EngineKind::ALL {
-        let e = Engine::load(kind, &graph);
+        let e = loaded(kind, &graph);
         let (outcome, _) = e.run_text(BenchQuery::Q11.text(), Some(TIMEOUT), true);
         let sp2bench::core::Outcome::Success {
             result: Some(sp2bench::sparql::QueryResult::Solutions { rows, .. }),
@@ -147,9 +147,9 @@ fn order_by_mixed_literals_sorts_on_every_engine() {
     }
     let query = include_str!("data/mixed_literals.rq");
     let engines = [
-        Engine::load(EngineKind::MemNaive, &graph),
-        Engine::load(EngineKind::NativeOpt, &graph),
-        Engine::load_with(
+        loaded(EngineKind::MemNaive, &graph),
+        loaded(EngineKind::NativeOpt, &graph),
+        loaded_with(
             EngineKind::NativeOpt,
             &graph,
             &StoreLayout::sharded(3, ShardBy::Subject),
@@ -187,13 +187,13 @@ fn order_by_mixed_literals_sorts_on_every_engine() {
 #[test]
 fn filters_of_pattern_free_groups_decide_on_every_engine() {
     let (graph, _) = generate_graph(Config::triples(1_000));
-    let reference = Engine::load(EngineKind::MemNaive, &graph);
+    let reference = loaded(EngineKind::MemNaive, &graph);
     let others = [
         EngineKind::MemOpt,
         EngineKind::NativeBase,
         EngineKind::NativeOpt,
     ]
-    .map(|kind| Engine::load(kind, &graph));
+    .map(|kind| loaded(kind, &graph));
     let cases: [(&str, u64); 5] = [
         ("SELECT * WHERE { FILTER (1 = 2) }", 0),
         ("ASK { FILTER (1 = 2) }", 0),

@@ -17,6 +17,9 @@
 //! in a debug build — so they check Q4 at 6k, where its steps pass their
 //! break-even just the same.
 
+mod common;
+
+use common::{load, loaded, NATIVE};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -29,7 +32,7 @@ use sp2bench::sparql::{
     parse, query_trace, Cancellation, EvalContext, OptimizerConfig, QueryEngine, QueryOptions,
     ScanCounters,
 };
-use sp2bench::store::{save_graph, Id, NativeStore, ShardBy, SharedStore, TripleStore};
+use sp2bench::store::{save_graph, Id, ShardBy, SharedStore, TripleStore};
 
 const TRIPLES: u64 = 50_000;
 
@@ -70,7 +73,7 @@ fn lookup_only_rows(store: &SharedStore, query: BenchQuery) -> Vec<Vec<Option<Id
 #[test]
 fn rows_and_their_order_are_those_of_pure_lookups_at_any_parallelism() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     for query in QUERIES {
         let expected = lookup_only_rows(&store, query);
         assert!(!expected.is_empty(), "{query}");
@@ -138,7 +141,7 @@ fn assert_same_multisets(triples: u64, queries: &[BenchQuery], kinds: &[EngineKi
     let mut engines: Vec<(String, QueryEngine)> = kinds
         .iter()
         .map(|&kind| {
-            let engine = Engine::load(kind, &graph).query_engine_with(None, Some(1));
+            let engine = loaded(kind, &graph).query_engine_with(None, Some(1));
             (kind.to_string(), engine)
         })
         .collect();

@@ -3,6 +3,9 @@
 //! observes — concurrency is a throughput feature, never a semantic one
 //! (the paper's Section VII multi-user scenario).
 
+mod common;
+
+use common::loaded;
 use sp2bench::core::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkItem};
 use sp2bench::core::WorkloadReport;
 use sp2bench::core::{report, run_workload, BenchQuery, Engine, EngineKind, ExtQuery};
@@ -32,7 +35,7 @@ fn mix() -> Vec<WorkItem> {
 #[test]
 fn every_client_matches_the_single_client_run() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
 
     // Reference: one client, one pass over the mix.
     let mut reference_cfg = MultiuserConfig::new(1, StopCondition::Rounds(1));
@@ -82,7 +85,7 @@ fn every_client_matches_the_single_client_run() {
 #[test]
 fn report_carries_latency_and_throughput() {
     let (graph, _) = generate_graph(Config::triples(2_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     let mut cfg = MultiuserConfig::new(2, StopCondition::Rounds(2));
     cfg.mix = vec![
         WorkItem::bench(BenchQuery::Q1),

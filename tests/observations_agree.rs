@@ -8,14 +8,16 @@
 //! shape runs on a resident native store, over 3 shards and from saved
 //! segments, at parallelism 1, 2 and 4.
 
+mod common;
+
+use common::{load, sharded, NATIVE};
 use std::path::PathBuf;
 
 use sp2bench::core::ExtQuery;
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{QueryEngine, QueryOptions};
 use sp2bench::store::{
-    open_store, save_graph, IndexSelection, NativeStore, ShardBackend, ShardBy, ShardedStore,
-    SharedStore, TripleStore,
+    open_store, save_graph, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
 };
 
 const TRIPLES: u64 = 5_000;
@@ -84,14 +86,14 @@ fn stores(tag: &str) -> (TempDir, Vec<(&'static str, SharedStore)>) {
     let _ = std::fs::remove_dir_all(&dir.0);
     std::fs::create_dir(&dir.0).expect("create scratch dir");
     save_graph(&dir.0, &graph, 2, ShardBy::Subject).expect("save");
-    let sharded = ShardedStore::from_graph(
+    let sharded = sharded(
         &graph,
         3,
         ShardBy::Subject,
         ShardBackend::Native(IndexSelection::all()),
     );
     let stores = vec![
-        ("resident", NativeStore::from_graph(&graph).into_shared()),
+        ("resident", load(&graph, NATIVE).into_shared()),
         ("3 shards", sharded.into_shared()),
         ("disk", open_store(&dir.0).expect("open").into_shared()),
     ];

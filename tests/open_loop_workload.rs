@@ -5,6 +5,9 @@
 //! rows partition the total, result counts stay stable under open-loop
 //! concurrency, and the JSON report is balanced and self-consistent.
 
+mod common;
+
+use common::loaded;
 use std::time::Duration;
 
 use sp2bench::core::multiuser::{InProcessTransport, MultiuserConfig, StopCondition, WorkItem};
@@ -31,7 +34,7 @@ fn open_cfg(arrival: Arrival, rounds: u32) -> MultiuserConfig {
 #[test]
 fn open_loop_accounts_for_every_scheduled_request() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     let cfg = open_cfg(Arrival::Poisson { rate: 400.0 }, 8);
     let report = run(&engine, &cfg);
 
@@ -99,7 +102,7 @@ fn open_loop_accounts_for_every_scheduled_request() {
 #[test]
 fn seeded_open_loop_replays_are_deterministic_in_shape() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     let cfg = open_cfg(Arrival::Constant { rate: 500.0 }, 6);
     let a = run(&engine, &cfg);
     let b = run(&engine, &cfg);
@@ -118,7 +121,7 @@ fn seeded_open_loop_replays_are_deterministic_in_shape() {
 #[test]
 fn closed_loop_warmup_is_excluded_from_histograms() {
     let (graph, _) = generate_graph(Config::triples(2_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     let mut cfg = MultiuserConfig::new(2, StopCondition::Duration(Duration::from_millis(400)));
     cfg.mix = vec![WorkItem::bench(BenchQuery::Q1)];
     // A warmup longer than the run: everything lands before the cutoff.

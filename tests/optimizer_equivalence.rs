@@ -12,6 +12,9 @@
 //! in every assertion message; `SP2B_SEED=<n> cargo test --test
 //! optimizer_equivalence` replays that one graph.
 
+mod common;
+
+use common::{load, NATIVE};
 use sp2bench::core::BenchQuery;
 use sp2bench::datagen::rng::SplitMix64;
 use sp2bench::datagen::{generate_graph, Config};
@@ -22,7 +25,7 @@ use sp2bench::sparql::plan::{bind, operators, Operator, Plan};
 use sp2bench::sparql::{
     parse, OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters,
 };
-use sp2bench::store::{MemStore, NativeStore, SharedStore, TripleStore};
+use sp2bench::store::{ShardBackend, SharedStore, TripleStore};
 
 /// Graphs per property.
 const CASES: u64 = 64;
@@ -233,20 +236,20 @@ fn assert_configs_agree(build: impl Fn(&Graph) -> SharedStore) {
 
 #[test]
 fn optimized_equals_naive_on_mem_store() {
-    assert_configs_agree(|g| MemStore::from_graph(g).into_shared());
+    assert_configs_agree(|g| load(g, ShardBackend::Mem).into_shared());
 }
 
 #[test]
 fn optimized_equals_naive_on_native_store() {
-    assert_configs_agree(|g| NativeStore::from_graph(g).into_shared());
+    assert_configs_agree(|g| load(g, NATIVE).into_shared());
 }
 
 #[test]
 fn stores_agree_under_full_optimization() {
     for seed in seeds() {
         let g = random_graph(seed);
-        let mem = MemStore::from_graph(&g).into_shared();
-        let native = NativeStore::from_graph(&g).into_shared();
+        let mem = load(&g, ShardBackend::Mem).into_shared();
+        let native = load(&g, NATIVE).into_shared();
         for query in QUERY_POOL {
             let cfg = OptimizerConfig::full();
             assert_eq!(
@@ -287,7 +290,7 @@ fn full_plan(store: &SharedStore, query: &str) -> Plan {
 fn random_graphs_exercise_build_side_dedupe() {
     let mut deduped = [0; 4];
     for seed in seeds() {
-        let store = NativeStore::from_graph(&random_graph(seed)).into_shared();
+        let store = load(&random_graph(seed), NATIVE).into_shared();
         for (n, query) in QUERY_POOL[SPLITS].iter().enumerate() {
             deduped[n] += distinct_build_sides(&full_plan(&store, query)).len();
         }
@@ -306,7 +309,7 @@ fn random_graphs_exercise_build_side_dedupe() {
 #[test]
 fn q4_dedupes_its_build_side_only_under_distinct() {
     let (graph, _) = generate_graph(Config::triples(10_000));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let q4 = BenchQuery::Q4.text();
     let keep = [distinct_build_sides(&full_plan(&store, q4))];
     assert_eq!(keep[0].len(), 1, "{keep:?}");
@@ -347,7 +350,7 @@ fn unlinked_components_run_once_each() {
             Term::Literal(Literal::integer(i)),
         );
     }
-    let store = NativeStore::from_graph(&g).into_shared();
+    let store = load(&g, NATIVE).into_shared();
     let query =
         "SELECT ?s ?v ?w WHERE { ?s <http://x/p> ?v . ?t <http://x/p> ?w FILTER (?w < 12) }";
     let counters = std::sync::Arc::new(ScanCounters::default());

@@ -11,6 +11,9 @@
 //! consumer's thread (the default budget, on documents this small) or
 //! hands off after its first morsel (the budget forced to zero).
 
+mod common;
+
+use common::{load, loaded, loaded_with, NATIVE};
 use std::sync::Arc;
 
 use sp2bench::core::{BenchQuery, Engine, EngineKind, ExtQuery, StoreLayout};
@@ -18,7 +21,7 @@ use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{
     query_trace, Cancellation, Error, QueryEngine, QueryOptions, QueryResult, ScanCounters,
 };
-use sp2bench::store::{save_graph, MemStore, NativeStore, ShardBy, SharedStore, TripleStore};
+use sp2bench::store::{save_graph, ShardBackend, ShardBy, SharedStore, TripleStore};
 
 const TRIPLES: u64 = 8_000;
 const PARALLEL_DEGREES: [usize; 3] = [2, 4, 8];
@@ -63,7 +66,7 @@ fn multiset(result: &QueryResult) -> Vec<String> {
 #[test]
 fn parallel_and_sequential_agree_on_all_queries() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let sequential = engine(&store, 1);
 
     for (label, text) in all_query_texts() {
@@ -115,7 +118,7 @@ fn mem_store_agrees_too() {
     // The memory store partitions posting lists instead of index ranges;
     // a representative subset keeps the runtime modest.
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = MemStore::from_graph(&graph).into_shared();
+    let store = load(&graph, ShardBackend::Mem).into_shared();
     let sequential = engine(&store, 1);
     for q in [
         BenchQuery::Q2,
@@ -140,7 +143,7 @@ fn mem_store_agrees_too() {
 #[test]
 fn pre_triggered_cancellation_cancels_parallel_execution() {
     let (graph, _) = generate_graph(Config::triples(4_000));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     for degree in [2, 4] {
         let parallel = engine(&store, degree);
         for (label, text) in all_query_texts() {
@@ -179,7 +182,7 @@ fn queries_with_limit_modifiers_agree_in_order() {
     // parallel and sequential rows must match *in order*, not just as
     // multisets (Q11 is ORDER BY + LIMIT + OFFSET).
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let sequential = engine(&store, 1);
     let prepared = sequential.prepare(BenchQuery::Q11.text()).unwrap();
     let QueryResult::Solutions {
@@ -222,9 +225,9 @@ fn row_sequences_do_not_depend_on_parallelism_or_the_fan_out_budget() {
 
     let mut engines: Vec<(String, Engine)> = Vec::new();
     for kind in EngineKind::ALL {
-        engines.push((kind.to_string(), Engine::load(kind, &graph)));
+        engines.push((kind.to_string(), loaded(kind, &graph)));
         let layout = StoreLayout::sharded(3, ShardBy::Subject);
-        let sharded = Engine::load_with(kind, &graph, &layout);
+        let sharded = loaded_with(kind, &graph, &layout);
         engines.push((format!("{kind} × 3 shards"), sharded));
         if kind.is_native() {
             let disk = Engine::open_disk(kind, &dir, Some(64 * 1024)).expect("open");
@@ -279,7 +282,7 @@ fn early_stream_drop_matches_sequential_prefix() {
     // worker is joined when the `Solutions` iterator drops, so a fresh
     // run over the same store behaves identically.
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let sequential = engine(&store, 1);
     for q in [BenchQuery::Q2, BenchQuery::Q3a, BenchQuery::Q5b] {
         let prepared = sequential.prepare(q.text()).unwrap();
@@ -389,12 +392,12 @@ fn wide_rows_and_keys_agree_with_the_naive_engine_row_for_row() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir(&dir).expect("create scratch dir");
     save_graph(&dir, &graph, 2, ShardBy::Subject).expect("save");
-    let naive = Engine::load(EngineKind::MemNaive, &graph);
+    let naive = loaded(EngineKind::MemNaive, &graph);
     let engines = [
-        ("native-opt", Engine::load(EngineKind::NativeOpt, &graph)),
+        ("native-opt", loaded(EngineKind::NativeOpt, &graph)),
         (
             "native-opt × 3 shards",
-            Engine::load_with(
+            loaded_with(
                 EngineKind::NativeOpt,
                 &graph,
                 &StoreLayout::sharded(3, ShardBy::Subject),

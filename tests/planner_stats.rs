@@ -16,6 +16,9 @@
 //!   step that does not get that far never fetches, and what each
 //!   operator emits is what it emitted when every step looked up.
 
+mod common;
+
+use common::{load, sharded, NATIVE};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -32,8 +35,7 @@ use sp2bench::sparql::{
     QueryResult, ScanCounters,
 };
 use sp2bench::store::{
-    open_store, save_graph, IndexSelection, MemStore, NativeStore, ShardBackend, ShardBy,
-    ShardedStore, SharedStore, TripleStore,
+    open_store, save_graph, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
 };
 
 const TRIPLES: u64 = 6_000;
@@ -131,19 +133,19 @@ fn assert_planner_equivalence(tag: &str, store: SharedStore) {
 #[test]
 fn stats_planner_matches_heuristic_on_mem_store() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    assert_planner_equivalence("mem", MemStore::from_graph(&graph).into_shared());
+    assert_planner_equivalence("mem", load(&graph, ShardBackend::Mem).into_shared());
 }
 
 #[test]
 fn stats_planner_matches_heuristic_on_native_store() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    assert_planner_equivalence("native", NativeStore::from_graph(&graph).into_shared());
+    assert_planner_equivalence("native", load(&graph, NATIVE).into_shared());
 }
 
 #[test]
 fn stats_planner_matches_heuristic_on_sharded_store() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = ShardedStore::from_graph(
+    let store = sharded(
         &graph,
         3,
         ShardBy::Subject,
@@ -182,7 +184,7 @@ fn emitted_rows(store: &SharedStore, text: &str, cfg: OptimizerConfig) -> u64 {
 #[test]
 fn stats_order_emits_fewer_rows_than_syntactic_order() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let syntactic = OptimizerConfig {
         reorder_patterns: false,
         push_filters: true,
@@ -215,7 +217,7 @@ fn stats_order_emits_fewer_rows_than_syntactic_order() {
 #[test]
 fn repeated_patterns_keep_their_own_tallies() {
     let (graph, _) = generate_graph(Config::triples(5_000));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let counters = Arc::new(ScanCounters::default());
     let qe = QueryEngine::with_options(store, QueryOptions::new().parallelism(1))
         .scan_counters(counters.clone());
@@ -258,7 +260,7 @@ fn repeated_patterns_keep_their_own_tallies() {
 #[test]
 fn operator_rows_do_not_depend_on_parallelism() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     for label in ["Q2", "Q4", "Q5a", "Q6"] {
         let query = BenchQuery::from_label(label).expect("known label");
         let rows_at = |degree: usize| {
@@ -315,7 +317,7 @@ fn joins_and_build_steps(prepared: &Prepared) -> (Vec<usize>, Vec<usize>) {
 #[test]
 fn build_sides_are_built_once_per_execution_and_never_kept() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     for label in ["Q2", "Q5a"] {
         let query = BenchQuery::from_label(label).expect("known label");
         let mut sequential = None;
@@ -354,7 +356,7 @@ fn build_sides_are_built_once_per_execution_and_never_kept() {
 #[test]
 fn pre_triggered_cancellation_scans_no_build_input() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     for label in ["Q2", "Q5a"] {
         let query = BenchQuery::from_label(label).expect("known label");
         let (engine, counters) = counting_engine(&store, 4);
@@ -392,7 +394,7 @@ fn pre_triggered_cancellation_scans_no_build_input() {
 #[test]
 fn ask_scans_a_prefix_of_what_its_select_enumerates() {
     let (graph, _) = generate_graph(Config::triples(50_000));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let run = |query: BenchQuery, degree: usize| {
         let counters = Arc::new(ScanCounters::default());
         fan_out_at_once();
@@ -448,7 +450,7 @@ fn ask_scans_a_prefix_of_what_its_select_enumerates() {
 #[test]
 fn scan_counters_record_emitted_rows() {
     let (graph, _) = generate_graph(Config::triples(500));
-    let store = NativeStore::from_graph(&graph).into_shared();
+    let store = load(&graph, NATIVE).into_shared();
     let counters = Arc::new(ScanCounters::default());
     let qe = QueryEngine::with_options(store.clone(), QueryOptions::new().parallelism(1))
         .scan_counters(counters.clone());
@@ -471,7 +473,7 @@ fn store_50k() -> SharedStore {
     STORE
         .get_or_init(|| {
             let (graph, _) = generate_graph(Config::triples(50_000));
-            NativeStore::from_graph(&graph).into_shared()
+            load(&graph, NATIVE).into_shared()
         })
         .clone()
 }
@@ -864,7 +866,7 @@ fn two_per_subject(subjects: u64) -> SharedStore {
             );
         }
     }
-    NativeStore::from_graph(&g).into_shared()
+    load(&g, NATIVE).into_shared()
 }
 
 /// The cap on what a step may fetch is on the pattern, not on the input:

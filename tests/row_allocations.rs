@@ -10,11 +10,14 @@
 //! A counting global allocator tallies the allocations made on the test's
 //! own thread; parallelism 1 keeps every operator there.
 
+mod common;
+
+use common::loaded;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind};
+use sp2bench::core::{BenchQuery, EngineKind};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{query_trace, ScanCounters};
 
@@ -61,7 +64,7 @@ fn allocations<T>(work: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn counting_allocates_far_less_than_once_per_row() {
     let (graph, _) = generate_graph(Config::triples(5_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     for q in [BenchQuery::Q4, BenchQuery::Q5a, BenchQuery::Q6] {
         let counters = Arc::new(ScanCounters::default());
         let qe = engine

@@ -5,13 +5,16 @@
 //! connection mid-stream must have its query cancelled without leaking
 //! an exchange worker thread (checked via the `par::diag` gauges).
 
+mod common;
+
+use common::loaded;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use sp2bench::core::endpoint::{count_result_rows, query_once, Endpoint};
-use sp2bench::core::{BenchQuery, Engine, EngineKind, ExtQuery};
+use sp2bench::core::{BenchQuery, EngineKind, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::server::{spawn, ServerConfig, ServerHandle};
 use sp2bench::sparql::QueryEngine;
@@ -23,7 +26,7 @@ const TRIPLES: u64 = 6_000;
 
 fn boot(parallelism: usize, triples: u64) -> (ServerHandle, QueryEngine) {
     let (graph, _) = generate_graph(Config::triples(triples));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     let qe = engine.query_engine_with(None, Some(parallelism));
     let cfg = ServerConfig {
         timeout: Some(Duration::from_secs(120)),

@@ -8,12 +8,14 @@
 //! independent of the shard count. Subject hashing must also keep the
 //! shards balanced on SP²Bench data.
 
+mod common;
+
+use common::{load, sharded, NATIVE};
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{QueryEngine, QueryOptions, QueryResult};
 use sp2bench::store::{
-    sharded_store_from_reader, IndexSelection, NativeStore, ShardBackend, ShardBy, ShardedStore,
-    SharedStore, TripleStore,
+    sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
 };
 
 const TRIPLES: u64 = 8_000;
@@ -72,11 +74,11 @@ fn run_all(store: &SharedStore, parallelism: usize) -> Vec<(String, Vec<String>,
 #[test]
 fn sharded_and_unsharded_agree_on_all_queries() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let flat = NativeStore::from_graph(&graph).into_shared();
+    let flat = load(&graph, NATIVE).into_shared();
     let reference = run_all(&flat, 1);
 
     for shards in SHARD_COUNTS {
-        let sharded = ShardedStore::from_graph(
+        let sharded = sharded(
             &graph,
             shards,
             ShardBy::Subject,
@@ -101,7 +103,7 @@ fn parallel_execution_over_shards_agrees_too() {
     // The morsel exchange fans out over the concatenated per-shard
     // chunk lists; results must not depend on the worker count.
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let sharded = ShardedStore::from_graph(
+    let sharded = sharded(
         &graph,
         4,
         ShardBy::Subject,
@@ -121,8 +123,8 @@ fn parallel_execution_over_shards_agrees_too() {
 #[test]
 fn pso_sharding_agrees_on_a_subset() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let flat = NativeStore::from_graph(&graph).into_shared();
-    let sharded = ShardedStore::from_graph(
+    let flat = load(&graph, NATIVE).into_shared();
+    let sharded = sharded(
         &graph,
         4,
         ShardBy::PredicateSubject,
@@ -201,9 +203,8 @@ fn channel_loader_is_deterministic_across_shard_counts_and_balanced() {
 #[test]
 fn mem_backed_shards_agree_on_a_subset() {
     let (graph, _) = generate_graph(Config::triples(TRIPLES));
-    let flat = sp2bench::store::MemStore::from_graph(&graph).into_shared();
-    let sharded =
-        ShardedStore::from_graph(&graph, 4, ShardBy::Subject, ShardBackend::Mem).into_shared();
+    let flat = load(&graph, ShardBackend::Mem).into_shared();
+    let sharded = sharded(&graph, 4, ShardBy::Subject, ShardBackend::Mem).into_shared();
     let flat_engine = engine(&flat, 1);
     let sharded_engine = engine(&sharded, 1);
     for q in [

@@ -2,9 +2,12 @@
 //! ("engines should break as soon a solution has been found") and the
 //! cooperative timeout machinery backing the SUCCESS RATE metric.
 
+mod common;
+
+use common::loaded;
 use std::time::{Duration, Instant};
 
-use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome};
+use sp2bench::core::{BenchQuery, EngineKind, Outcome};
 use sp2bench::datagen::{generate_graph, Config};
 
 #[test]
@@ -12,7 +15,7 @@ fn ask_terminates_early_on_large_documents() {
     // Q12a's witness lives in the first 10k triples of any document
     // (incremental generation); ASK must not enumerate all solutions.
     let (graph, _) = generate_graph(Config::triples(150_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
 
     let start = Instant::now();
     let (outcome, _) = engine.run(BenchQuery::Q12a, Some(Duration::from_secs(60)));
@@ -38,7 +41,7 @@ fn negative_ask_is_constant_time_on_native_stores() {
     let (small, _) = generate_graph(Config::triples(10_000));
     let (large, _) = generate_graph(Config::triples(120_000));
     let time_q12c = |graph| {
-        let engine = Engine::load(EngineKind::NativeOpt, graph);
+        let engine = loaded(EngineKind::NativeOpt, graph);
         let start = Instant::now();
         let (outcome, _) = engine.run(BenchQuery::Q12c, None);
         assert_eq!(outcome.count(), Some(0));
@@ -57,7 +60,7 @@ fn negative_ask_is_constant_time_on_native_stores() {
 #[test]
 fn timeouts_fire_and_report_as_timeout() {
     let (graph, _) = generate_graph(Config::triples(60_000));
-    let engine = Engine::load(EngineKind::MemNaive, &graph);
+    let engine = loaded(EngineKind::MemNaive, &graph);
     let start = Instant::now();
     let (outcome, _) = engine.run(BenchQuery::Q4, Some(Duration::from_millis(200)));
     let elapsed = start.elapsed();
@@ -72,7 +75,7 @@ fn timeouts_fire_and_report_as_timeout() {
 #[test]
 fn successful_queries_are_unaffected_by_generous_timeouts() {
     let (graph, _) = generate_graph(Config::triples(10_000));
-    let engine = Engine::load(EngineKind::NativeOpt, &graph);
+    let engine = loaded(EngineKind::NativeOpt, &graph);
     let (with_timeout, _) = engine.run(BenchQuery::Q2, Some(Duration::from_secs(600)));
     let (without, _) = engine.run(BenchQuery::Q2, None);
     assert_eq!(with_timeout.count(), without.count());
@@ -81,7 +84,7 @@ fn successful_queries_are_unaffected_by_generous_timeouts() {
 #[test]
 fn per_engine_timeout_letters_match_table_iv_conventions() {
     let (graph, _) = generate_graph(Config::triples(40_000));
-    let engine = Engine::load(EngineKind::MemNaive, &graph);
+    let engine = loaded(EngineKind::MemNaive, &graph);
     let (ok, _) = engine.run(BenchQuery::Q1, Some(Duration::from_secs(30)));
     assert_eq!(ok.status_letter(), '+');
     let (timeout, _) = engine.run(BenchQuery::Q4, Some(Duration::ZERO));
