@@ -45,7 +45,7 @@ use sp2b_datagen::{generate_document, generate_to_path, Config};
 use sp2b_server::ServerConfig;
 use sp2b_sparql::results::{self, Format, WriteError};
 use sp2b_sparql::{query_trace, Error as SparqlError, Prepared, QueryEngine, ScanCounters};
-use sp2b_store::ShardBy;
+use sp2b_store::{SaveError, ShardBy};
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
@@ -293,10 +293,13 @@ fn cmd_save(args: &Args) -> Result<(), String> {
         }
     }
     let layout = store_layout(args)?;
-    let (doc, _) = document(args, 50_000)?;
+    let (doc, name) = document(args, 50_000)?;
     let (saved, m) =
         measure(|| sp2b_store::save_segments_from_reader(doc, dir, layout.shards, layout.shard_by));
-    let stats = saved.map_err(|e| e.to_string())?;
+    let stats = saved.map_err(|e| match e {
+        SaveError::Parse(e) => format!("{name}: {e}"),
+        e => e.to_string(),
+    })?;
     eprintln!(
         "saved {} triples ({} terms, {} shard(s) by {}, {} bytes) to {out} in {}",
         stats.triples,

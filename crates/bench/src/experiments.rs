@@ -12,7 +12,9 @@ use sp2b_datagen::{
     generate_document, params, Config, Generator, GeneratorStats, NtriplesSink, NullSink,
 };
 use sp2b_sparql::{query_trace, OptimizerConfig, QueryEngine, ScanCounters};
-use sp2b_store::{store_from_reader, IndexSelection, ShardBackend, SharedStore, TripleStore};
+use sp2b_store::{
+    sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
+};
 
 /// What a `--queries` list may name, for usage errors.
 pub const QUERY_LABELS: &str = "q1,q3a,…  (Q1…Q12c; `multiuser` also takes A1…A5)";
@@ -108,7 +110,7 @@ pub fn fig2a(triples: u64) -> String {
 
 /// Figure 2b: document-class instances per year vs. the logistic fits.
 pub fn fig2b(year_limit: i32) -> String {
-    let (_, stats) = generate_graph_with_years(year_limit);
+    let stats = year_stats(year_limit);
     let mut out =
         String::from("FIGURE 2b — DOCUMENT CLASS INSTANCES PER YEAR (observed | logistic fit)\n\n");
     out.push_str(&format!(
@@ -136,7 +138,7 @@ pub fn fig2b(year_limit: i32) -> String {
 /// Figure 2c: number of authors with exactly x publications, for selected
 /// years, against the `f_awp` power law.
 pub fn fig2c(year_limit: i32, years: &[i32]) -> String {
-    let (_, stats) = generate_graph_with_years(year_limit);
+    let stats = year_stats(year_limit);
     let mut out =
         String::from("FIGURE 2c — AUTHORS WITH PUBLICATION COUNT x (observed | power-law fit)\n");
     for &yr in years {
@@ -165,11 +167,12 @@ pub fn fig2c(year_limit: i32, years: &[i32]) -> String {
     out
 }
 
-fn generate_graph_with_years(year_limit: i32) -> ((), GeneratorStats) {
-    let stats = Generator::new(Config::up_to_year(year_limit).with_detailed_stats())
+/// Per-year statistics of a document generated up to `year_limit`,
+/// whose triples are discarded.
+fn year_stats(year_limit: i32) -> GeneratorStats {
+    Generator::new(Config::up_to_year(year_limit).with_detailed_stats())
         .run(&mut NullSink)
-        .expect("null sink cannot fail");
-    ((), stats)
+        .expect("null sink cannot fail")
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ pub fn table5(sizes: &[u64], timeout: Duration) -> String {
     }
     out.push('\n');
     for &n in sizes {
-        let engine = QueryEngine::new(native_store(n)).timeout(timeout);
+        let engine = QueryEngine::new(native_store_of(n)).timeout(timeout);
         out.push_str(&format!("{:<9}", sp2b_core::report::scale_label(n)));
         for q in BenchQuery::ALL {
             // The streaming count path: no term ever decodes.
@@ -280,10 +283,7 @@ pub fn ablation(triples: u64, timeout: Duration) -> String {
 
     for cfg in &configs {
         let start = Instant::now();
-        let store = store_from_reader(&doc[..], ShardBackend::Native(cfg.indexes));
-        let store = store
-            .expect("the generator writes valid N-Triples")
-            .into_shared();
+        let store = native_store(&doc, cfg.indexes);
         let load = start.elapsed().as_secs_f64();
         out.push_str(&format!("{:<12}", cfg.label));
         for q in queries {
@@ -295,10 +295,15 @@ pub fn ablation(triples: u64, timeout: Duration) -> String {
 }
 
 /// A generated document of `triples` triples, loaded into one native
-/// store.
-fn native_store(triples: u64) -> SharedStore {
+/// store with every run.
+fn native_store_of(triples: u64) -> SharedStore {
     let (doc, _) = generate_document(Config::triples(triples));
-    let store = store_from_reader(&doc[..], ShardBackend::Native(IndexSelection::all()));
+    native_store(&doc, IndexSelection::all())
+}
+
+/// `doc` loaded into one native store with the `indexes` runs.
+fn native_store(doc: &[u8], indexes: IndexSelection) -> SharedStore {
+    let store = sharded_store_from_reader(doc, 1, ShardBy::Subject, ShardBackend::Native(indexes));
     store
         .expect("the generator writes valid N-Triples")
         .into_shared()
@@ -341,7 +346,7 @@ pub fn thread_scaling(
     timeout: Duration,
     queries: &[BenchQuery],
 ) -> String {
-    let store = native_store(triples);
+    let store = native_store_of(triples);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = format!(
         "THREAD SCALING — morsel-driven parallel execution \

@@ -291,12 +291,15 @@ mod tests {
     use super::*;
     use crate::workload::{run_workload, WorkloadReport};
     use sp2b_datagen::{generate_document, Config};
-    use sp2b_store::{store_from_reader, IndexSelection, ShardBackend, TripleStore};
+    use sp2b_store::{
+        sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, TripleStore,
+    };
 
     fn native(triples: u64) -> SharedStore {
         let (doc, _) = generate_document(Config::triples(triples));
         let backend = ShardBackend::Native(IndexSelection::all());
-        store_from_reader(&doc[..], backend).unwrap().into_shared()
+        let store = sharded_store_from_reader(&doc[..], 1, ShardBy::Subject, backend).unwrap();
+        store.into_shared()
     }
 
     fn run(store: &SharedStore, cfg: &MultiuserConfig) -> WorkloadReport {

@@ -128,7 +128,7 @@ pub fn means_table(report: &BenchmarkReport) -> String {
 /// Loading times (Figure 5, bottom-left; LOADING TIME metric).
 pub fn loading_table(report: &BenchmarkReport) -> String {
     let mut out = String::new();
-    out.push_str("LOADING TIMES (dictionary encoding + index build)\n\n");
+    out.push_str("LOADING TIMES (N-Triples parse + dictionary encoding + index build)\n\n");
     out.push_str(&format!(
         "{:<9} {:<12} {:>12} {:>12} {:>12}\n",
         "scale", "engine", "tme[s]", "usr[s]", "sys[s]"

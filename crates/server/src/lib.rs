@@ -31,10 +31,12 @@
 //!
 //! ```no_run
 //! use sp2b_sparql::QueryEngine;
-//! use sp2b_store::{store_from_reader, ShardBackend, TripleStore};
+//! use sp2b_store::{sharded_store_from_reader, ShardBackend, ShardBy, TripleStore};
 //! use sp2b_server::{spawn, ServerConfig};
 //!
-//! let store = store_from_reader(std::io::empty(), ShardBackend::Mem).unwrap().into_shared();
+//! let empty = std::io::empty();
+//! let store = sharded_store_from_reader(empty, 1, ShardBy::Subject, ShardBackend::Mem).unwrap();
+//! let store = store.into_shared();
 //! let handle = spawn(QueryEngine::new(store), &ServerConfig::default()).unwrap();
 //! println!("serving on {}", handle.endpoint_url());
 //! // … drive traffic …

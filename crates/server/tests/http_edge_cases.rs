@@ -5,10 +5,6 @@
 //! keep-alive reuse, per-request timeouts (`408`), and graceful
 //! shutdown with the final stats snapshot.
 
-mod common;
-
-use common::{load, NATIVE};
-use sp2b_store::TripleStore;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -16,6 +12,10 @@ use std::time::Duration;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_server::{spawn, ServerConfig, ServerHandle};
 use sp2b_sparql::{QueryEngine, QueryOptions};
+use sp2b_store::TripleStore;
+
+mod common;
+use common::{load, NATIVE};
 
 fn engine(rows: i64) -> QueryEngine {
     let mut g = Graph::new();

@@ -10,10 +10,6 @@
 //! one mutex — two servers alive at once would race over who owns the
 //! gauges.
 
-mod common;
-
-use common::{load, NATIVE};
-use sp2b_store::TripleStore;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -25,6 +21,10 @@ use sp2b_obs::OpKind;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_server::{spawn, ServerConfig, ServerHandle, SlowLog};
 use sp2b_sparql::{query_trace, QueryEngine, QueryOptions, ScanCounters};
+use sp2b_store::TripleStore;
+
+mod common;
+use common::{load, NATIVE};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 

@@ -4,10 +4,6 @@
 //! for every request — per template too, in the rows the `sp2b
 //! multiuser` table and `--report json` render.
 
-mod common;
-
-use common::{load, NATIVE};
-use sp2b_store::TripleStore;
 use std::time::Duration;
 
 use sp2b_core::multiuser::{MultiuserConfig, StopCondition};
@@ -16,6 +12,10 @@ use sp2b_core::{run_workload_on, Arrival, Endpoint, TargetFacts, WeightedMix, Wo
 use sp2b_datagen::{generate_graph, Config};
 use sp2b_server::{spawn, ServerConfig};
 use sp2b_sparql::{QueryEngine, QueryOptions};
+use sp2b_store::TripleStore;
+
+mod common;
+use common::{load, NATIVE};
 
 #[test]
 fn open_loop_endpoint_run_reports_per_template_latency() {

@@ -168,11 +168,12 @@ impl QueryOptions {
 /// client threads as the workload needs; they all query the one store.
 ///
 /// ```
-/// use sp2b_store::{store_from_reader, ShardBackend, TripleStore};
+/// use sp2b_store::{sharded_store_from_reader, ShardBackend, ShardBy, TripleStore};
 /// use sp2b_sparql::QueryEngine;
 ///
 /// let doc = "<http://x/s> <http://x/p> <http://x/o> .\n";
-/// let store = store_from_reader(doc.as_bytes(), ShardBackend::Mem).unwrap();
+/// let store = sharded_store_from_reader(doc.as_bytes(), 1, ShardBy::Subject, ShardBackend::Mem);
+/// let store = store.unwrap();
 ///
 /// let engine = QueryEngine::new(store.into_shared());
 /// let prepared = engine.prepare("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap();

@@ -1133,34 +1133,52 @@ impl BuildSide {
         }
     }
 
-    /// Candidate rows for a probe row: its bucket, then the flat list.
+    /// Starts probing with `row`: its candidates are its bucket, then
+    /// the flat list.
     #[inline]
-    fn lookup<'m>(
-        &'m self,
-        dict: &Dictionary,
-        probe: &Bindings,
-    ) -> impl Iterator<Item = &'m Bindings> {
-        let mut at = self
-            .key_of(dict, probe, |pair| pair.0)
+    fn probe(&self, dict: &Dictionary, row: Bindings) -> Probe {
+        let at = self
+            .key_of(dict, &row, |pair| pair.0)
             .and_then(|k| self.map.get(&k))
             .map_or(CHAIN_END, |&(first, _)| first);
-        let bucket = std::iter::from_fn(move || {
-            let row = self.rows.get(at as usize)?;
-            at = self.next[at as usize];
-            Some(row)
-        });
-        bucket.chain(self.flat.iter())
+        Probe {
+            row,
+            at,
+            flat: 0,
+            matched: false,
+        }
+    }
+
+    /// The next candidate of `probe`, advancing it.
+    #[inline]
+    fn next_candidate(&self, probe: &mut Probe) -> Option<&Bindings> {
+        if probe.at != CHAIN_END {
+            let row = &self.rows[probe.at as usize];
+            probe.at = self.next[probe.at as usize];
+            return Some(row);
+        }
+        let row = self.flat.get(probe.flat)?;
+        probe.flat += 1;
+        Some(row)
     }
 }
 
-/// Rows a probe found and not yet delivered. One buffer serves every
-/// probe row of a join instance, so probing allocates only while the
-/// buffer grows to the largest match count.
-type Matches = std::collections::VecDeque<Bindings>;
+/// One probe row's walk over its candidates: a cursor into its bucket
+/// chain, then into the flat list, so a probe copies out one match at a
+/// time and a consumer that stops early never pays for the rest.
+struct Probe {
+    row: Bindings,
+    /// The next row of the bucket ([`CHAIN_END`] once it is done).
+    at: u32,
+    /// The next row of the flat list, once the bucket is done.
+    flat: usize,
+    /// Whether a candidate has matched.
+    matched: bool,
+}
 
-/// The probe half of a hash join: streams `input`, probing `build` per
-/// row ([`probe`]), and books rows out and probe time against the join's
-/// `ordinal`.
+/// The probe half of a hash join: streams `input`, probing `build` with
+/// each row ([`next_match`]), and books rows out and probe time against
+/// the join's `ordinal`.
 fn join_rows<'a>(
     ctx: EvalContext<'a>,
     mut input: RowIter<'a>,
@@ -1171,19 +1189,25 @@ fn join_rows<'a>(
 ) -> RowIter<'a> {
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut scratch = Bindings::empty(ctx.width);
-    let mut out = Matches::new();
+    let mut probe = None;
     Box::new(std::iter::from_fn(move || loop {
-        if let Some(row) = out.pop_front() {
-            return Some(row);
-        }
-        if ctx.cancel.should_stop() {
-            return None;
-        }
-        let l = input.next()?;
-        tally.record(|| {
-            let rows = probe(&ctx, &build, kind, condition, l, &mut scratch, &mut out);
-            ((), rows)
+        // Pulling the next input row is the upstream operators' time.
+        let next = match probe {
+            Some(_) => None,
+            None if ctx.cancel.should_stop() => return None,
+            None => Some(input.next()?),
+        };
+        let row = tally.record(|| {
+            if let Some(l) = next {
+                probe = Some(build.probe(ctx.store.dictionary(), l));
+            }
+            let row = next_match(&ctx, &build, kind, condition, &mut probe, &mut scratch);
+            let rows = u64::from(row.is_some());
+            (row, rows)
         });
+        if row.is_some() {
+            return row;
+        }
     }))
 }
 
@@ -1191,7 +1215,7 @@ fn join_rows<'a>(
 /// other: rows are pulled from the two inputs in turn, each probes the
 /// table of the opposite input's rows seen so far and is then filed in its
 /// own, so every matching pair is emitted exactly once — when the later of
-/// its two rows arrives. Same tables, same probe ([`probe`]) and
+/// its two rows arrives. Same tables, same probe ([`next_match`]) and
 /// same tally as [`join_rows`]; what differs is that the first output row
 /// costs only the input prefixes up to it, which is what a
 /// [`Observe::Witness`] walk wants.
@@ -1215,84 +1239,90 @@ fn symmetric_join_rows<'a>(
     let mut turn = 0;
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut scratch = Bindings::empty(ctx.width);
-    let mut out = Matches::new();
+    // The running probe and the side whose table it walks. That table
+    // gains no row until the probe is done: only the other input files
+    // into it, and it is not pulled meanwhile.
+    let (mut probe, mut probed) = (None, 0);
     Box::new(std::iter::from_fn(move || loop {
-        if let Some(row) = out.pop_front() {
-            return Some(row);
-        }
-        if ctx.cancel.should_stop() {
-            return None;
-        }
-        let [a, b] = &mut sides;
-        let ((input, seen), (other_input, other_seen)) = if turn == 0 { (a, b) } else { (b, a) };
-        turn ^= 1;
-        let Some(row) = input.as_mut().and_then(Iterator::next) else {
-            *input = None;
-            if other_input.is_none() {
+        if probe.is_none() {
+            if ctx.cancel.should_stop() {
                 return None;
             }
-            continue;
-        };
-        // A merge is the same row whichever side it starts from.
-        tally.record(|| {
-            let l = row.clone();
-            let rows = probe(
+            let [a, b] = &mut sides;
+            let ((input, seen), (other_input, other_seen)) =
+                if turn == 0 { (a, b) } else { (b, a) };
+            let Some(row) = input.as_mut().and_then(Iterator::next) else {
+                *input = None;
+                turn ^= 1;
+                if other_input.is_none() {
+                    return None;
+                }
+                continue;
+            };
+            // A merge is the same row whichever side it starts from.
+            probe = Some(other_seen.probe(ctx.store.dictionary(), row.clone()));
+            // Nothing will probe this table once the other input has ended.
+            if other_input.is_some() {
+                seen.insert(ctx.store.dictionary(), row);
+            }
+            (probed, turn) = (turn ^ 1, turn ^ 1);
+        }
+        let table = &sides[probed].1;
+        let row = tally.record(|| {
+            let row = next_match(
                 &ctx,
-                other_seen,
+                table,
                 JoinKind::Inner,
                 condition,
-                l,
+                &mut probe,
                 &mut scratch,
-                &mut out,
             );
-            ((), rows)
+            let rows = u64::from(row.is_some());
+            (row, rows)
         });
-        // Nothing will probe this table once the other input has ended.
-        if other_input.is_some() {
-            seen.insert(ctx.store.dictionary(), row);
+        if row.is_some() {
+            return row;
         }
     }))
 }
 
-/// Probes `build` with one row `l`, appending what it emits to `out` and
-/// returning how many rows that is: each candidate is merged into
+/// The next row the running `probe` emits, ending the probe (`None`
+/// left behind) when it has no more: each candidate is merged into
 /// `scratch` ([`Bindings::merge_into`], which checks every shared
 /// position, possibly-bound ones included) and `condition` is evaluated
 /// there, so only a match — a merge that passes — is ever copied into a
 /// row of its own. An inner join emits its matches; an OPTIONAL its
-/// matches or, with none, `l`; an anti-join `l` when there is no match
-/// and nothing otherwise, stopping at the first. Cancellation is checked
-/// per candidate, not per probe row: a keyless join's candidates are the
-/// whole build side, and the deadline is only read every `CLOCK_STRIDE`
-/// checks.
-fn probe(
+/// matches or, with none, the probe row; an anti-join the probe row when
+/// there is no match and nothing otherwise, stopping at the first.
+/// Cancellation is checked per candidate, not per probe row: a keyless
+/// join's candidates are the whole build side, and the deadline is only
+/// read every `CLOCK_STRIDE` checks.
+fn next_match(
     ctx: &EvalContext<'_>,
     build: &BuildSide,
     kind: JoinKind,
     condition: Option<&BoundExpr>,
-    l: Bindings,
+    probe: &mut Option<Probe>,
     scratch: &mut Bindings,
-    out: &mut Matches,
-) -> u64 {
-    let before = out.len();
-    for r in build.lookup(ctx.store.dictionary(), &l) {
+) -> Option<Bindings> {
+    let p = probe.as_mut()?;
+    while let Some(r) = build.next_candidate(p) {
         if ctx.cancel.should_stop() {
             break;
         }
-        if !l.merge_into(r, scratch)
+        if !p.row.merge_into(r, scratch)
             || condition.is_some_and(|c| c.evaluate(scratch, ctx.store) != Ok(true))
         {
             continue;
         }
+        p.matched = true;
         if kind == JoinKind::Anti {
-            return 0;
+            break;
         }
-        out.push_back(scratch.clone());
+        return Some(scratch.clone());
     }
-    if out.len() == before && kind != JoinKind::Inner {
-        out.push_back(l);
-    }
-    (out.len() - before) as u64
+    let done = probe.take()?;
+    (!done.matched && kind != JoinKind::Inner).then_some(done.row)
 }
 
 /// One pattern step ([`Plan::Step`]): extends every input row by the triples
@@ -1982,6 +2012,43 @@ mod tests {
             rows.len(),
             3 * store.scan([Some(s7), Some(p), None]).count()
         );
+    }
+
+    #[test]
+    fn a_join_stops_probing_when_its_consumer_stops() {
+        // Every `?t` row matches the first `?s` row: copying a probe row's
+        // matches out ahead of the consumer emitted all 12 000 of them.
+        let mut g = Graph::new();
+        for i in 0..12_000 {
+            g.add(
+                Subject::iri(format!("http://x/s{i}")),
+                Iri::new("http://x/p"),
+                Term::Literal(Literal::integer(i)),
+            );
+        }
+        let store = load(&g, NATIVE).into_shared();
+        for q in [
+            "SELECT ?s ?t WHERE { ?s <http://x/p> ?v . ?t <http://x/p> ?w } LIMIT 1",
+            "SELECT ?s ?t WHERE { ?s <http://x/p> ?v OPTIONAL { ?t <http://x/p> ?w } } LIMIT 1",
+        ] {
+            let counters = Arc::new(ScanCounters::default());
+            let options = crate::QueryOptions::new().parallelism(1);
+            let engine = crate::QueryEngine::with_options(store.clone(), options)
+                .scan_counters(counters.clone());
+            let prepared = engine.prepare(q).unwrap();
+            assert_eq!(engine.solutions(&prepared).count(), 1, "{q}");
+            let tallies = lock(&counters.tallies);
+            let joins: Vec<_> = tallies
+                .values()
+                .filter(|t| t.kind == OpKind::Join)
+                .collect();
+            assert_eq!(joins.len(), 1, "{q}");
+            assert!(
+                joins[0].rows <= 2,
+                "{q}: the join emitted {} rows",
+                joins[0].rows
+            );
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 
 #![cfg(debug_assertions)]
 
-mod common;
-
-use common::{load, NATIVE};
 use sp2b_datagen::{generate_graph, Config};
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::QueryEngine;
 use sp2b_store::{dictionary::DECODE_CALLS, ShardedStore, TripleStore};
 use std::sync::atomic::Ordering;
+
+mod common;
+use common::{load, NATIVE};
 
 fn store() -> ShardedStore {
     let mut g = Graph::new();

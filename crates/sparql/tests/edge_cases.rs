@@ -1,11 +1,11 @@
 //! Evaluator edge cases beyond the benchmark queries' shapes.
 
-mod common;
-
-use common::{load, NATIVE};
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::{OptimizerConfig, QueryEngine, QueryResult};
 use sp2b_store::{ShardBackend, ShardedStore, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 fn store() -> ShardedStore {
     let mut g = Graph::new();

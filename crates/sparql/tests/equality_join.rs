@@ -5,14 +5,14 @@
 //! plain literal vs its `xsd:string` twin — so bucketing by dictionary id
 //! would lose matches.
 
-mod common;
-
-use common::{load, NATIVE};
 use sp2b_rdf::vocab::xsd;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::plan::Plan;
 use sp2b_sparql::{OptimizerConfig, Prepared, QueryEngine, QueryResult};
 use sp2b_store::{SharedStore, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 fn store() -> SharedStore {
     let mut g = Graph::new();

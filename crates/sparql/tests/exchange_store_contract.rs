@@ -4,9 +4,6 @@
 //! must then *fail* — in release builds too, where it used to end early
 //! and return the rows it had as the answer.
 
-mod common;
-
-use common::{load, NATIVE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
@@ -16,6 +13,9 @@ use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::{diag, FAN_OUT_AFTER};
 use sp2b_sparql::{QueryEngine, QueryOptions};
 use sp2b_store::{Dictionary, IdTriple, Pattern, ScanChunk, ShardedStore, StoreStats, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 /// A native store whose every other `scan_chunks` answer has half the
 /// chunks asked for. Each call also takes as long as the fan-out budget,

@@ -8,9 +8,6 @@
 //! the pattern steps emit may not depend on the degree. Each graph comes
 //! from a fixed seed, printed in every assertion message.
 
-mod common;
-
-use common::{load, NATIVE};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -18,6 +15,9 @@ use sp2b_datagen::rng::SplitMix64;
 use sp2b_rdf::{Graph, Iri, Subject, Term};
 use sp2b_sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters};
 use sp2b_store::{SharedStore, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 /// Graphs per property.
 const CASES: u64 = 96;

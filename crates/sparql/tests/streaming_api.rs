@@ -2,14 +2,14 @@
 //! rows, row limits, cancellation mid-stream, ASK streaming, and the
 //! aggregation operator's agreement across the three consumption modes.
 
-mod common;
-
-use common::{load, NATIVE};
 use std::time::{Duration, Instant};
 
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::{Cancellation, Error, QueryEngine, QueryOptions, QueryResult};
 use sp2b_store::{ShardBackend, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 fn graph() -> Graph {
     let mut g = Graph::new();

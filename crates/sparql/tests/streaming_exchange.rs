@@ -24,9 +24,6 @@
 
 #![cfg(debug_assertions)]
 
-mod common;
-
-use common::{load, NATIVE};
 use std::sync::{Arc, Mutex};
 
 use sp2b_obs::{ExchangeRun, QueryTrace};
@@ -34,6 +31,9 @@ use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::par::diag;
 use sp2b_sparql::{query_trace, Cancellation, Error, QueryEngine, QueryOptions, ScanCounters};
 use sp2b_store::{SharedStore, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 /// Counter serialization: one exchange under observation at a time.
 static SERIAL: Mutex<()> = Mutex::new(());

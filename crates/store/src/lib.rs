@@ -20,13 +20,12 @@
 //! ## One load route
 //!
 //! Every resident store streams in from N-Triples along one route
-//! ([`load`]): parse → intern into the shared dictionary in document
-//! order → route by [`ShardBy`] → per-shard builder threads →
-//! [`ShardedStore`] ([`sharded_store_from_reader`], or
-//! [`store_from_reader`] for one shard). The segment savers run the same
-//! intern-and-route loop and write its buckets instead of building them;
-//! [`save_graph`] is the one adapter from an in-memory graph. Loading
-//! time is therefore always parse + intern + build.
+//! ([`load`], [`sharded_store_from_reader`]): parse → intern into the
+//! shared dictionary in document order → route by [`ShardBy`] →
+//! per-shard builder threads → [`ShardedStore`]. The segment savers run
+//! the same intern-and-route loop and write its buckets instead of
+//! building them; [`save_graph`] is the one adapter from an in-memory
+//! graph. Loading time is therefore always parse + intern + build.
 //!
 //! A store can also be **saved** as a directory of
 //! checksummed binary segments ([`segment`]) and reopened out-of-core
@@ -74,9 +73,7 @@ pub mod traits;
 
 pub use dictionary::{Dictionary, Id, IdTriple, ValueClass, ValueKey};
 pub use disk::{open_store, open_store_with, save_graph, BlockCache, DiskShardStore};
-pub use load::{
-    save_segments_from_reader, sharded_store_from_reader, store_from_reader, SaveError,
-};
+pub use load::{save_segments_from_reader, sharded_store_from_reader, SaveError};
 pub use mem::MemStore;
 pub use native::{IndexSelection, NativeStore};
 pub use run::IndexOrder;

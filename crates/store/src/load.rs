@@ -158,14 +158,6 @@ pub fn sharded_store_from_reader<R: BufRead>(
     })
 }
 
-/// [`sharded_store_from_reader`] at one shard: the unsharded layout.
-pub fn store_from_reader<R: BufRead>(
-    reader: R,
-    backend: ShardBackend,
-) -> Result<ShardedStore, Error> {
-    sharded_store_from_reader(reader, 1, ShardBy::Subject, backend)
-}
-
 /// Streams an N-Triples source into a segment directory (see
 /// [`crate::segment`] for the on-disk format): the [`route`] collects
 /// each shard's bucket, and each bucket's sorted runs are written as
@@ -233,7 +225,7 @@ _:b1 <http://x/p> <http://x/o1> .
                 i % 53
             ));
         }
-        let flat = store_from_reader(doc.as_bytes(), NATIVE).unwrap();
+        let flat = sharded_store_from_reader(doc.as_bytes(), 1, ShardBy::Subject, NATIVE).unwrap();
         assert_eq!(flat.shard_count(), 1);
         for shards in [2, 5] {
             let sharded =

@@ -303,8 +303,12 @@ impl TripleStore for ShardedStore {
 
     /// Per-shard summaries merged once, lazily — stats sum across shards
     /// exactly like estimates do (see [`StoreStats::merge`] for which
-    /// merged counts stay exact under which partition key).
+    /// merged counts stay exact under which partition key). One shard's
+    /// are its own.
     fn stats(&self) -> &StoreStats {
+        if let [shard] = &self.shards[..] {
+            return shard.stats();
+        }
         self.stats.get_or_init(|| {
             let mut merged = StoreStats::default();
             for shard in &self.shards {

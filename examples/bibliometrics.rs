@@ -11,7 +11,9 @@
 
 use sp2bench::datagen::{generate_document, params, Config, DocClass, Generator, NullSink};
 use sp2bench::sparql::QueryEngine;
-use sp2bench::store::{store_from_reader, IndexSelection, ShardBackend, TripleStore};
+use sp2bench::store::{
+    sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, TripleStore,
+};
 
 fn main() {
     // Simulate through 1985 with detailed statistics.
@@ -103,7 +105,8 @@ fn main() {
     // as a GROUP BY/COUNT aggregation, streamed through the QueryEngine
     // facade (the aggregation runs as a plan operator, not a post-pass).
     let (doc, _) = generate_document(Config::up_to_year(1965));
-    let store = store_from_reader(&doc[..], ShardBackend::Native(IndexSelection::all()));
+    let native = ShardBackend::Native(IndexSelection::all());
+    let store = sharded_store_from_reader(&doc[..], 1, ShardBy::Subject, native);
     let qe = QueryEngine::new(store.expect("generated N-Triples parse").into_shared());
     let per_year = qe
         .prepare(

@@ -4,14 +4,14 @@
 //! path must agree exactly — and all three must report cancellation when a
 //! pre-triggered `Cancellation` is supplied.
 
-mod common;
-
-use common::{load, NATIVE};
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::rdf::Term;
 use sp2bench::sparql::{Cancellation, Error, QueryEngine, QueryResult};
 use sp2bench::store::TripleStore;
+
+mod common;
+use common::{load, NATIVE};
 
 const TRIPLES: u64 = 10_000;
 

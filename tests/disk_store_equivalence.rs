@@ -9,15 +9,15 @@
 //! source is deleted, and keeps answering them identically when the
 //! block cache's byte budget is smaller than any single sorted run.
 
-mod common;
-
-use common::{load, NATIVE};
 use std::path::{Path, PathBuf};
 
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{QueryEngine, QueryOptions, QueryResult};
 use sp2bench::store::{open_store, open_store_with, save_graph, ShardBy, SharedStore, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 const TRIPLES: u64 = 6_000;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];

@@ -2,9 +2,6 @@
 //! the optimizations and storage layouts are performance choices, never
 //! semantic ones.
 
-mod common;
-
-use common::{loaded, loaded_with};
 use std::time::Duration;
 
 use sp2bench::core::{BenchQuery, Engine, EngineKind, Outcome, StoreLayout};
@@ -13,6 +10,9 @@ use sp2bench::rdf::ntriples::parse_document;
 use sp2bench::rdf::{Graph, Term};
 use sp2bench::sparql::QueryResult;
 use sp2bench::store::ShardBy;
+
+mod common;
+use common::{loaded, loaded_with};
 
 const TRIPLES: u64 = 6_000;
 const TIMEOUT: Duration = Duration::from_secs(300);

@@ -17,9 +17,6 @@
 //! in a debug build — so they check Q4 at 6k, where its steps pass their
 //! break-even just the same.
 
-mod common;
-
-use common::{load, loaded, NATIVE};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -33,6 +30,9 @@ use sp2bench::sparql::{
     ScanCounters,
 };
 use sp2bench::store::{save_graph, Id, ShardBy, SharedStore, TripleStore};
+
+mod common;
+use common::{load, loaded, NATIVE};
 
 const TRIPLES: u64 = 50_000;
 

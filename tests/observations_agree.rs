@@ -8,9 +8,6 @@
 //! shape runs on a resident native store, over 3 shards and from saved
 //! segments, at parallelism 1, 2 and 4.
 
-mod common;
-
-use common::{load, sharded, NATIVE};
 use std::path::PathBuf;
 
 use sp2bench::core::ExtQuery;
@@ -19,6 +16,9 @@ use sp2bench::sparql::{QueryEngine, QueryOptions};
 use sp2bench::store::{
     open_store, save_graph, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
 };
+
+mod common;
+use common::{load, sharded, NATIVE};
 
 const TRIPLES: u64 = 5_000;
 

@@ -12,9 +12,6 @@
 //! in every assertion message; `SP2B_SEED=<n> cargo test --test
 //! optimizer_equivalence` replays that one graph.
 
-mod common;
-
-use common::{load, NATIVE};
 use sp2bench::core::BenchQuery;
 use sp2bench::datagen::rng::SplitMix64;
 use sp2bench::datagen::{generate_graph, Config};
@@ -26,6 +23,9 @@ use sp2bench::sparql::{
     parse, OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters,
 };
 use sp2bench::store::{ShardBackend, SharedStore, TripleStore};
+
+mod common;
+use common::{load, NATIVE};
 
 /// Graphs per property.
 const CASES: u64 = 64;

@@ -11,9 +11,6 @@
 //! consumer's thread (the default budget, on documents this small) or
 //! hands off after its first morsel (the budget forced to zero).
 
-mod common;
-
-use common::{load, loaded, loaded_with, NATIVE};
 use std::sync::Arc;
 
 use sp2bench::core::{BenchQuery, Engine, EngineKind, ExtQuery, StoreLayout};
@@ -22,6 +19,9 @@ use sp2bench::sparql::{
     query_trace, Cancellation, Error, QueryEngine, QueryOptions, QueryResult, ScanCounters,
 };
 use sp2bench::store::{save_graph, ShardBackend, ShardBy, SharedStore, TripleStore};
+
+mod common;
+use common::{load, loaded, loaded_with, NATIVE};
 
 const TRIPLES: u64 = 8_000;
 const PARALLEL_DEGREES: [usize; 3] = [2, 4, 8];

@@ -16,9 +16,6 @@
 //!   step that does not get that far never fetches, and what each
 //!   operator emits is what it emitted when every step looked up.
 
-mod common;
-
-use common::{load, sharded, NATIVE};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -37,6 +34,9 @@ use sp2bench::sparql::{
 use sp2bench::store::{
     open_store, save_graph, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
 };
+
+mod common;
+use common::{load, sharded, NATIVE};
 
 const TRIPLES: u64 = 6_000;
 

@@ -8,15 +8,15 @@
 //! independent of the shard count. Subject hashing must also keep the
 //! shards balanced on SP²Bench data.
 
-mod common;
-
-use common::{load, sharded, NATIVE};
 use sp2bench::core::{BenchQuery, ExtQuery};
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::sparql::{QueryEngine, QueryOptions, QueryResult};
 use sp2bench::store::{
     sharded_store_from_reader, IndexSelection, ShardBackend, ShardBy, SharedStore, TripleStore,
 };
+
+mod common;
+use common::{load, sharded, NATIVE};
 
 const TRIPLES: u64 = 8_000;
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
