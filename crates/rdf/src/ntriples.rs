@@ -397,9 +397,9 @@ pub fn parse_line(line: &str, line_no: u64) -> Result<Option<Triple>, ParseError
 /// Streaming N-Triples parser over any [`BufRead`].
 ///
 /// Reuses a single line buffer (`BufRead::read_until` rather than
-/// `lines()`, after the perf-book guidance), so parsing allocates only for the
-/// term strings themselves. A line that is not UTF-8 is a [`ParseError`]
-/// naming it, like any other malformed line.
+/// `lines()`, after the perf-book guidance), so parsing allocates only
+/// for the term strings themselves. A line that is not UTF-8 is a
+/// [`ParseError`] naming it, like any other malformed line.
 pub struct Parser<R> {
     input: R,
     buf: Vec<u8>,

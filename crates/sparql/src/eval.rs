@@ -1239,10 +1239,10 @@ fn symmetric_join_rows<'a>(
     let mut turn = 0;
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut scratch = Bindings::empty(ctx.width);
-    // The running probe and the side whose table it walks. That table
-    // gains no row until the probe is done: only the other input files
-    // into it, and it is not pulled meanwhile.
-    let (mut probe, mut probed) = (None, 0);
+    // The running probe walks the table of the side whose turn is next.
+    // That table gains no row until the probe is done: only its own input
+    // files into it, and that input is not pulled meanwhile.
+    let mut probe = None;
     Box::new(std::iter::from_fn(move || loop {
         if probe.is_none() {
             if ctx.cancel.should_stop() {
@@ -1251,9 +1251,9 @@ fn symmetric_join_rows<'a>(
             let [a, b] = &mut sides;
             let ((input, seen), (other_input, other_seen)) =
                 if turn == 0 { (a, b) } else { (b, a) };
+            turn ^= 1;
             let Some(row) = input.as_mut().and_then(Iterator::next) else {
                 *input = None;
-                turn ^= 1;
                 if other_input.is_none() {
                     return None;
                 }
@@ -1265,9 +1265,8 @@ fn symmetric_join_rows<'a>(
             if other_input.is_some() {
                 seen.insert(ctx.store.dictionary(), row);
             }
-            (probed, turn) = (turn ^ 1, turn ^ 1);
         }
-        let table = &sides[probed].1;
+        let table = &sides[turn].1;
         let row = tally.record(|| {
             let row = next_match(
                 &ctx,
