@@ -517,6 +517,12 @@ impl LocalTally {
         out
     }
 
+    /// Books one row the operator handed on, outside any timed step.
+    #[inline]
+    fn emitted(&mut self) {
+        self.local.rows += 1;
+    }
+
     /// Runs one step of the operator, booking the rows it reports and —
     /// with counters attached — the time it took.
     fn record<T>(&mut self, step: impl FnOnce() -> (T, u64)) -> T {
@@ -1164,8 +1170,8 @@ impl BuildSide {
 }
 
 /// One probe row's walk over its candidates: a cursor into its bucket
-/// chain, then into the flat list, so a probe copies out one match at a
-/// time and a consumer that stops early never pays for the rest.
+/// chain, then into the flat list, so probing can stop after any match
+/// and resume where it left off.
 struct Probe {
     row: Bindings,
     /// The next row of the bucket ([`CHAIN_END`] once it is done).
@@ -1176,8 +1182,19 @@ struct Probe {
     matched: bool,
 }
 
+/// Matches a probe copies out per pass over its candidates. A consumer
+/// that stops early pays for at most this many rows it never reads. One
+/// match per pass costs Q4's join at 50k about a quarter more time than
+/// a probe row's whole bucket at once: each pass re-enters the walk and
+/// interleaves it with the consumer's work.
+const PROBE_BATCH: usize = 64;
+
+/// Rows a probe found and not yet delivered: at most [`PROBE_BATCH`].
+/// One buffer serves every probe row of a join instance.
+type Matches = std::collections::VecDeque<Bindings>;
+
 /// The probe half of a hash join: streams `input`, probing `build` with
-/// each row ([`next_match`]), and books rows out and probe time against
+/// each row ([`probe_into`]), and books rows out and probe time against
 /// the join's `ordinal`.
 fn join_rows<'a>(
     ctx: EvalContext<'a>,
@@ -1189,25 +1206,33 @@ fn join_rows<'a>(
 ) -> RowIter<'a> {
     let mut tally = LocalTally::new(&ctx, ordinal, OpKind::Join);
     let mut scratch = Bindings::empty(ctx.width);
-    let mut probe = None;
+    let (mut probe, mut out) = (None, Matches::new());
     Box::new(std::iter::from_fn(move || loop {
+        if let Some(row) = out.pop_front() {
+            tally.emitted();
+            return Some(row);
+        }
         // Pulling the next input row is the upstream operators' time.
         let next = match probe {
             Some(_) => None,
             None if ctx.cancel.should_stop() => return None,
             None => Some(input.next()?),
         };
-        let row = tally.record(|| {
+        tally.record(|| {
             if let Some(l) = next {
                 probe = Some(build.probe(ctx.store.dictionary(), l));
             }
-            let row = next_match(&ctx, &build, kind, condition, &mut probe, &mut scratch);
-            let rows = u64::from(row.is_some());
-            (row, rows)
+            probe_into(
+                &ctx,
+                &build,
+                kind,
+                condition,
+                &mut probe,
+                &mut scratch,
+                &mut out,
+            );
+            ((), 0)
         });
-        if row.is_some() {
-            return row;
-        }
     }))
 }
 
@@ -1215,7 +1240,7 @@ fn join_rows<'a>(
 /// other: rows are pulled from the two inputs in turn, each probes the
 /// table of the opposite input's rows seen so far and is then filed in its
 /// own, so every matching pair is emitted exactly once — when the later of
-/// its two rows arrives. Same tables, same probe ([`next_match`]) and
+/// its two rows arrives. Same tables, same probe ([`probe_into`]) and
 /// same tally as [`join_rows`]; what differs is that the first output row
 /// costs only the input prefixes up to it, which is what a
 /// [`Observe::Witness`] walk wants.
@@ -1242,8 +1267,12 @@ fn symmetric_join_rows<'a>(
     // The running probe walks the table of the side whose turn is next.
     // That table gains no row until the probe is done: only its own input
     // files into it, and that input is not pulled meanwhile.
-    let mut probe = None;
+    let (mut probe, mut out) = (None, Matches::new());
     Box::new(std::iter::from_fn(move || loop {
+        if let Some(row) = out.pop_front() {
+            tally.emitted();
+            return Some(row);
+        }
         if probe.is_none() {
             if ctx.cancel.should_stop() {
                 return None;
@@ -1267,44 +1296,46 @@ fn symmetric_join_rows<'a>(
             }
         }
         let table = &sides[turn].1;
-        let row = tally.record(|| {
-            let row = next_match(
+        tally.record(|| {
+            let inner = JoinKind::Inner;
+            probe_into(
                 &ctx,
                 table,
-                JoinKind::Inner,
+                inner,
                 condition,
                 &mut probe,
                 &mut scratch,
+                &mut out,
             );
-            let rows = u64::from(row.is_some());
-            (row, rows)
+            ((), 0)
         });
-        if row.is_some() {
-            return row;
-        }
     }))
 }
 
-/// The next row the running `probe` emits, ending the probe (`None`
-/// left behind) when it has no more: each candidate is merged into
-/// `scratch` ([`Bindings::merge_into`], which checks every shared
-/// position, possibly-bound ones included) and `condition` is evaluated
-/// there, so only a match — a merge that passes — is ever copied into a
-/// row of its own. An inner join emits its matches; an OPTIONAL its
-/// matches or, with none, the probe row; an anti-join the probe row when
-/// there is no match and nothing otherwise, stopping at the first.
-/// Cancellation is checked per candidate, not per probe row: a keyless
-/// join's candidates are the whole build side, and the deadline is only
-/// read every `CLOCK_STRIDE` checks.
-fn next_match(
+/// Walks the running `probe`'s candidates, appending what it emits to
+/// `out`, until [`PROBE_BATCH`] matches are out (the probe stays, to
+/// resume) or the candidates run out (the probe ends, `None` left
+/// behind). Each candidate is merged into `scratch`
+/// ([`Bindings::merge_into`], which checks every shared position,
+/// possibly-bound ones included) and `condition` is evaluated there, so
+/// only a match — a merge that passes — is ever copied into a row of its
+/// own. An inner join emits its matches; an OPTIONAL its matches or, with
+/// none, the probe row; an anti-join the probe row when there is no match
+/// and nothing otherwise, stopping at the first. Cancellation is checked
+/// per candidate, not per probe row: a keyless join's candidates are the
+/// whole build side, and the deadline is only read every `CLOCK_STRIDE`
+/// checks.
+fn probe_into(
     ctx: &EvalContext<'_>,
     build: &BuildSide,
     kind: JoinKind,
     condition: Option<&BoundExpr>,
     probe: &mut Option<Probe>,
     scratch: &mut Bindings,
-) -> Option<Bindings> {
-    let p = probe.as_mut()?;
+    out: &mut Matches,
+) {
+    let Some(p) = probe.as_mut() else { return };
+    let mut copied = 0;
     while let Some(r) = build.next_candidate(p) {
         if ctx.cancel.should_stop() {
             break;
@@ -1318,10 +1349,16 @@ fn next_match(
         if kind == JoinKind::Anti {
             break;
         }
-        return Some(scratch.clone());
+        out.push_back(scratch.clone());
+        copied += 1;
+        if copied == PROBE_BATCH {
+            return;
+        }
     }
-    let done = probe.take()?;
-    (!done.matched && kind != JoinKind::Inner).then_some(done.row)
+    let done = probe
+        .take()
+        .filter(|done| !done.matched && kind != JoinKind::Inner);
+    out.extend(done.map(|done| done.row));
 }
 
 /// One pattern step ([`Plan::Step`]): extends every input row by the triples
