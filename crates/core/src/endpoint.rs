@@ -304,7 +304,7 @@ pub fn query_once(
 /// changes it. This is what lets `sp2b multiuser --endpoint` assert
 /// *correctness* (same rows), not just cardinality, against in-process
 /// runs: both sides fold the same TSV serialization
-/// ([`sp2b_sparql::results::write_tsv`]) — the server on the wire, the
+/// ([`sp2b_sparql::results::write_solutions`]) — the server on the wire, the
 /// in-process transport through [`ChecksumWriter`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResultChecksum {

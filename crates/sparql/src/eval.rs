@@ -4,7 +4,8 @@
 //! Solutions stream lazily wherever the algebra allows: a group's pattern
 //! steps ([`PatternBind`]) extend rows one at a time, hash joins
 //! materialize only their build side, and sorting, grouping and duplicate
-//! elimination materialize by nature. A group ([`Plan::Group`]) is an
+//! elimination materialize by nature — a sort under `LIMIT`/`OFFSET` only
+//! the offset + limit rows it can deliver (`SortBuffer`). A group ([`Plan::Group`]) is an
 //! ordinary row: its key ids in their lanes, each count, as a number, in
 //! the lane of its alias — so the groups are sorted, projected, sliced
 //! and counted by the same arms as any other rows.
@@ -16,7 +17,7 @@
 //! - `Rows` (result delivery) takes none.
 //! - `Count` ([`crate::QueryEngine::count`]) passes through the solution
 //!   modifiers only. `ORDER BY` is skipped — sorting cannot change how
-//!   many rows there are, and its comparisons decode terms — and so is a
+//!   many rows there are, and its keys decode terms — and so is a
 //!   projection, whose cleared lanes nobody reads. `Distinct(Project(vars,
 //!   x))` counts the survivors of `x` keyed on `vars`, unprojected, and a
 //!   slice is skip/take over its input.
@@ -98,6 +99,7 @@
 //! benchmark runner enforces the paper's 30-minute query timeout without
 //! detaching runaway threads.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -105,6 +107,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use sp2b_obs::{ExchangeRun, OpKind, StepAccess};
+use sp2b_rdf::TermRef;
 use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, TripleStore};
 
 use crate::algebra::{CountSpec, EqPairs};
@@ -791,34 +794,34 @@ impl<'a> EvalContext<'a> {
                 let input = self.eval(inner);
                 project_rows(input, vars, width)
             }
-            Plan::OrderBy(keys, inner) => {
-                let this = self.clone();
-                let mut rows: Vec<Bindings> = Vec::new();
-                for row in self.eval(inner) {
-                    if this.cancel.should_stop() {
-                        break;
-                    }
-                    rows.push(row);
-                }
-                // A cancelled execution's rows go unsorted: the sort
-                // decodes terms.
-                if this.cancel.was_triggered() {
-                    rows.clear();
-                }
-                rows.sort_by(|a, b| this.compare_rows(keys, a, b));
-                Box::new(rows.into_iter())
-            }
+            Plan::OrderBy(keys, inner) => self.sorted(keys, inner, usize::MAX),
             Plan::Slice {
                 offset,
                 limit,
                 input,
             } => {
-                let it = self
-                    .eval_over(input, None, past_modifiers)
-                    .skip(*offset as usize);
-                match limit {
-                    Some(n) => Box::new(it.take(*n as usize)),
-                    None => Box::new(it),
+                let skip = usize::try_from(*offset).unwrap_or(usize::MAX);
+                let take = limit.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+                // A sort under a limited slice, `[Project] OrderBy`, keeps
+                // only the rows the slice can deliver.
+                let (projection, below) = match input.as_ref() {
+                    Plan::Project(vars, below) => (Some(vars), below.as_ref()),
+                    other => (None, other),
+                };
+                let it = match (take, below) {
+                    (Some(n), Plan::OrderBy(keys, inner)) if past_modifiers == Observe::Rows => {
+                        let width = self.width;
+                        let rows = self.sorted(keys, inner, skip.saturating_add(n));
+                        match projection {
+                            Some(vars) => project_rows(rows, vars, width),
+                            None => rows,
+                        }
+                    }
+                    _ => self.eval_over(input, None, past_modifiers),
+                };
+                match take {
+                    Some(n) => Box::new(it.skip(skip).take(n)),
+                    None => Box::new(it.skip(skip)),
                 }
             }
             Plan::Group {
@@ -915,48 +918,174 @@ impl<'a> EvalContext<'a> {
 
     // -- ordering ------------------------------------------------------
 
-    fn compare_rows(
-        &self,
-        keys: &[PlanOrderKey],
-        a: &Bindings,
-        b: &Bindings,
-    ) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        for k in keys {
-            let (ord, desc) = match k {
-                PlanOrderKey::Var { var, descending } => {
-                    let ta = a.get(*var);
-                    let tb = b.get(*var);
-                    let ord = match (ta, tb) {
-                        (None, None) => Ordering::Equal,
-                        (None, Some(_)) => Ordering::Less, // unbound first
-                        (Some(_), None) => Ordering::Greater,
-                        (Some(x), Some(y)) => {
-                            if x == y {
-                                Ordering::Equal
-                            } else {
-                                let dict = self.store.dictionary();
-                                dict.decode(x).cmp(&dict.decode(y))
-                            }
-                        }
-                    };
-                    (ord, *descending)
+    /// `input`'s rows in `keys` order, ties in arrival order (a stable
+    /// sort's), of which only the first `keep` are kept ([`SortBuffer`]).
+    /// Cancellation is checked per row, and a cancelled sort yields no
+    /// rows.
+    fn sorted(self, keys: &'a [PlanOrderKey], input: &'a Plan, keep: usize) -> RowIter<'a> {
+        let mut buffer = SortBuffer::new(keys, self.store, keep);
+        for row in self.clone().eval(input) {
+            if self.cancel.should_stop() {
+                break;
+            }
+            buffer.offer(row);
+        }
+        if self.cancel.was_triggered() {
+            return Box::new(std::iter::empty());
+        }
+        Box::new(buffer.into_rows())
+    }
+}
+
+/// One row's value of one ORDER BY key, computed when the row arrives so
+/// that comparing two rows decodes nothing: a term (its id, which settles
+/// equal terms, and its text), a count, or an expression's boolean. An
+/// unbound term sorts first.
+#[derive(Clone, Copy)]
+enum SortKey<'s> {
+    Term(Option<(Id, TermRef<'s>)>),
+    Count(Option<Id>),
+    Bool(bool),
+}
+
+impl SortKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (SortKey::Term(Some((x, a))), SortKey::Term(Some((y, b)))) if x != y => a.cmp(b),
+            (SortKey::Term(a), SortKey::Term(b)) => a.is_some().cmp(&b.is_some()),
+            (SortKey::Count(a), SortKey::Count(b)) => a.cmp(b),
+            (SortKey::Bool(a), SortKey::Bool(b)) => a.cmp(b),
+            _ => unreachable!("one ORDER BY key has one kind of value"),
+        }
+    }
+}
+
+/// The one ORDER BY buffer. Each row is filed in a slot with its keys
+/// ([`SortKey`], one per ORDER BY key) and its arrival number, and rows
+/// order by (keys, arrival). At most `keep` slots are filled: once they
+/// are, they form a max-heap, and a row gets in only by displacing the
+/// largest — a top-k that holds offset + limit rows under a slice, and a
+/// plain sort of every row when `keep` is `usize::MAX`. Slots are pushed
+/// as rows arrive, so a huge `keep` reserves nothing.
+struct SortBuffer<'s> {
+    keys: &'s [PlanOrderKey],
+    store: &'s dyn TripleStore,
+    keep: usize,
+    /// `keys.len()` values per slot.
+    values: Vec<SortKey<'s>>,
+    rows: Vec<Bindings>,
+    arrivals: Vec<u64>,
+    /// Slot numbers as a max-heap; empty until every slot is filled.
+    heap: Vec<usize>,
+    arrived: u64,
+}
+
+impl<'s> SortBuffer<'s> {
+    fn new(keys: &'s [PlanOrderKey], store: &'s dyn TripleStore, keep: usize) -> Self {
+        SortBuffer {
+            keys,
+            store,
+            keep,
+            values: Vec::new(),
+            rows: Vec::new(),
+            arrivals: Vec::new(),
+            heap: Vec::new(),
+            arrived: 0,
+        }
+    }
+
+    /// Files `row` if it is among the `keep` first in order so far.
+    fn offer(&mut self, row: Bindings) {
+        let arrival = self.arrived;
+        self.arrived += 1;
+        if self.keep == 0 {
+            return;
+        }
+        let dict = self.store.dictionary();
+        for key in self.keys {
+            self.values.push(match key {
+                PlanOrderKey::Var { var, .. } => {
+                    SortKey::Term(row.get(*var).map(|id| (id, dict.decode(id))))
                 }
-                PlanOrderKey::Count { lane, descending } => {
-                    (a.get(*lane).cmp(&b.get(*lane)), *descending)
+                PlanOrderKey::Count { lane, .. } => SortKey::Count(row.get(*lane)),
+                PlanOrderKey::Expr { expr, .. } => {
+                    SortKey::Bool(expr.evaluate(&row, self.store).unwrap_or(false))
                 }
-                PlanOrderKey::Expr { expr, descending } => {
-                    let va = expr.evaluate(a, self.store).unwrap_or(false);
-                    let vb = expr.evaluate(b, self.store).unwrap_or(false);
-                    (va.cmp(&vb), *descending)
+            });
+        }
+        self.rows.push(row);
+        self.arrivals.push(arrival);
+        let slot = self.rows.len() - 1;
+        if slot < self.keep {
+            if slot + 1 == self.keep {
+                self.heap = (0..self.keep).collect();
+                for i in (0..self.keep / 2).rev() {
+                    self.sift_down(i);
                 }
-            };
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
+            }
+            return;
+        }
+        // Full: the newcomer sits in a spare slot past the heap. It
+        // arrived last, so a tie keeps it out.
+        let top = self.heap[0];
+        if self.cmp(slot, top) == Ordering::Less {
+            let n = self.keys.len();
+            self.values.copy_within(slot * n..(slot + 1) * n, top * n);
+            self.rows.swap(top, slot);
+            self.arrivals[top] = arrival;
+            self.sift_down(0);
+        }
+        self.values.truncate(slot * self.keys.len());
+        self.rows.truncate(slot);
+        self.arrivals.truncate(slot);
+    }
+
+    /// Slot `a` against slot `b`: keys in their directions, then arrival.
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        let n = self.keys.len();
+        let (va, vb) = (
+            &self.values[a * n..(a + 1) * n],
+            &self.values[b * n..(b + 1) * n],
+        );
+        for ((key, x), y) in self.keys.iter().zip(va).zip(vb) {
+            let (PlanOrderKey::Var { descending, .. }
+            | PlanOrderKey::Count { descending, .. }
+            | PlanOrderKey::Expr { descending, .. }) = key;
+            let ord = if *descending { y.cmp(x) } else { x.cmp(y) };
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        self.arrivals[a].cmp(&self.arrivals[b])
+    }
+
+    /// Restores the max-heap below heap position `i`.
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let mut largest = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < self.heap.len()
+                    && self.cmp(self.heap[child], self.heap[largest]) == Ordering::Greater
+                {
+                    largest = child;
+                }
+            }
+            if largest == i {
+                return;
+            }
+            self.heap.swap(i, largest);
+            i = largest;
+        }
+    }
+
+    /// The kept rows, in order.
+    fn into_rows(mut self) -> impl Iterator<Item = Bindings> + 's {
+        let mut order: Vec<usize> = (0..self.rows.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.cmp(a, b));
+        let mut rows = std::mem::take(&mut self.rows);
+        order
+            .into_iter()
+            .map(move |slot| std::mem::replace(&mut rows[slot], Bindings::empty(0)))
     }
 }
 
@@ -2129,6 +2258,33 @@ mod tests {
         };
         assert_eq!(ctx.eval(&plan).count(), 0);
         assert!(cancel.was_triggered());
+    }
+
+    #[test]
+    fn a_cancelled_sort_yields_no_rows_sliced_or_not() {
+        let store = load(&graph(), NATIVE);
+        for query in [
+            "SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s)",
+            "SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) LIMIT 2 OFFSET 1",
+        ] {
+            let t = translate(&parse(query).unwrap());
+            let plan = bind(&t.algebra, &store, &OptimizerConfig::full());
+            let ctx = |cancel: &Cancellation| EvalContext {
+                store: &store,
+                shared: None,
+                cancel: cancel.clone(),
+                width: t.vars.len(),
+                counters: None,
+                steps: Arc::default(),
+            };
+            assert!(
+                ctx(&Cancellation::none()).eval(&plan).count() > 0,
+                "{query}"
+            );
+            let cancel = Cancellation::none();
+            cancel.cancel();
+            assert_eq!(ctx(&cancel).eval(&plan).count(), 0, "{query}");
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub enum Token {
     BlankNode(String),
     /// String literal (unescaped lexical form).
     String(String),
-    /// Integer literal.
-    Integer(i64),
+    /// Integer literal: wide enough for any `LIMIT`/`OFFSET` count and
+    /// any `xsd:integer` term; the parser checks which it is.
+    Integer(i128),
     /// `^^` datatype marker.
     DatatypeMarker,
     /// `@lang` tag.
@@ -250,7 +251,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 if end == start || (end == start + 1 && !bytes[start].is_ascii_digit()) {
                     return Err(err(i, "malformed numeric literal"));
                 }
-                let value: i64 = input[start..end]
+                let value: i128 = input[start..end]
                     .parse()
                     .map_err(|_| err(i, "integer out of range"))?;
                 tokens.push(Token::Integer(value));

@@ -338,20 +338,23 @@ impl Parser {
         let mut offset = None;
         loop {
             if self.eat_keyword("LIMIT") {
-                match self.bump() {
-                    Some(Token::Integer(n)) if n >= 0 => limit = Some(n as u64),
-                    other => return Err(self.err(format!("expected LIMIT count, got {other:?}"))),
-                }
+                limit = Some(self.count("LIMIT")?);
             } else if self.eat_keyword("OFFSET") {
-                match self.bump() {
-                    Some(Token::Integer(n)) if n >= 0 => offset = Some(n as u64),
-                    other => return Err(self.err(format!("expected OFFSET count, got {other:?}"))),
-                }
+                offset = Some(self.count("OFFSET")?);
             } else {
                 break;
             }
         }
         Ok((order_by, limit, offset))
+    }
+
+    /// The count after `LIMIT` or `OFFSET`: an integer in `u64`'s range.
+    fn count(&mut self, clause: &str) -> Result<u64, ParseError> {
+        match self.bump() {
+            Some(Token::Integer(n)) => u64::try_from(n)
+                .map_err(|_| self.err(format!("{clause} count {n} is out of range"))),
+            other => Err(self.err(format!("expected {clause} count, got {other:?}"))),
+        }
     }
 
     // -- graph patterns -----------------------------------------------------
@@ -469,9 +472,15 @@ impl Parser {
             )))),
             Some(Token::BlankNode(label)) => Ok(TermOrVar::Term(Term::blank(label))),
             Some(Token::String(s)) => Ok(TermOrVar::Term(self.literal_rest(s)?)),
-            Some(Token::Integer(n)) => Ok(TermOrVar::Term(Term::Literal(Literal::integer(n)))),
+            Some(Token::Integer(n)) => Ok(TermOrVar::Term(self.integer(n)?)),
             other => Err(self.err(format!("expected term or variable, got {other:?}"))),
         }
+    }
+
+    /// An `xsd:integer` term: one that fits an `i64`.
+    fn integer(&self, n: i128) -> Result<Term, ParseError> {
+        let n = i64::try_from(n).map_err(|_| self.err("integer out of range"))?;
+        Ok(Term::Literal(Literal::integer(n)))
     }
 
     /// After a string token: optional `^^dt` or `@lang`.
@@ -594,7 +603,7 @@ impl Parser {
             }
             Some(Token::Integer(n)) => {
                 self.pos += 1;
-                Ok(Expression::Constant(Term::Literal(Literal::integer(n))))
+                Ok(Expression::Constant(self.integer(n)?))
             }
             Some(Token::String(s)) => {
                 self.pos += 1;
@@ -659,6 +668,22 @@ mod tests {
             GroupElement::Union(branches) => assert_eq!(branches.len(), 2),
             other => panic!("expected union, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn slice_counts_span_u64_and_terms_stay_i64() {
+        let max = u64::MAX;
+        let q = parse(&format!(
+            "SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {max} OFFSET {max}"
+        ))
+        .unwrap();
+        assert_eq!((q.limit, q.offset), (Some(max), Some(max)));
+        let past = u128::from(max) + 1;
+        assert!(parse(&format!("SELECT ?s WHERE {{ ?s ?p ?o }} LIMIT {past}")).is_err());
+        assert!(parse("SELECT ?s WHERE { ?s ?p ?o } LIMIT -1").is_err());
+        let err = parse(&format!("SELECT ?s WHERE {{ ?s ?p {max} }}")).unwrap_err();
+        assert!(err.message.contains("integer out of range"), "{err:?}");
+        assert!(parse("SELECT ?s WHERE { ?s ?p -9223372036854775808 }").is_ok());
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! SPARQL 1.1 Protocol, shared by the HTTP endpoint (`sp2b_server`) and
 //! the CLI's `sp2b query --format …` output.
 //!
-//! All three writers ([`write_json`], [`write_csv`], [`write_tsv`] —
-//! dispatched by [`write_solutions`]) consume a [`Solutions`] stream row
-//! by row and emit directly into an [`io::Write`], so a SELECT result is
-//! **never materialized** on the serializing side: memory stays bounded
-//! by one row regardless of cardinality, and the first bytes hit the
-//! wire before the last row was computed.
+//! [`write_solutions`] consumes a [`Solutions`] stream row by row and
+//! composes every format in one buffer that drains to an [`io::Write`]
+//! every [`FLUSH_BYTES`], so a SELECT result is **never materialized** on
+//! the serializing side: memory stays bounded by a few KiB and one row
+//! regardless of cardinality, and the first bytes hit the wire before the
+//! last row was computed. A row is composed with plain byte appends — a
+//! JSON row's `"var":` keys are rendered once per stream, and a string
+//! with nothing to escape is copied in one piece.
 //!
 //! Formats:
 //!
@@ -32,7 +34,7 @@ use std::io::{self, Write};
 
 use sp2b_rdf::TermRef;
 
-use crate::api::{Error, Solution, Solutions};
+use crate::api::{Error, Solutions};
 
 /// A SELECT/ASK result wire format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +119,9 @@ impl From<io::Error> for WriteError {
     }
 }
 
+/// Bytes a result body composes before it goes to the writer.
+pub const FLUSH_BYTES: usize = 8 * 1024;
+
 /// Serializes a whole solution stream in `format`, returning the number
 /// of result rows written (ASK: 1 for `true`, 0 for `false` — the value
 /// that agrees with `QueryEngine::count`).
@@ -124,132 +129,159 @@ impl From<io::Error> for WriteError {
 /// `ask` must be the prepared query's ASK-ness: an ASK stream yields
 /// zero or one *empty* solution, which the writers turn into the
 /// boolean forms described on [`Format`].
+///
+/// Every format composes its rows in one buffer, which goes
+/// to `out` whenever it holds [`FLUSH_BYTES`], at the end, and before a
+/// query error is returned: what reaches `out` before an error is every
+/// row delivered until then, as if each had been written at once.
 pub fn write_solutions(
     out: &mut dyn Write,
     format: Format,
     solutions: &mut Solutions<'_>,
     ask: bool,
 ) -> Result<u64, WriteError> {
-    match format {
-        Format::Json => write_json(out, solutions, ask),
-        Format::Csv => write_csv(out, solutions, ask),
-        Format::Tsv => write_tsv(out, solutions, ask),
+    let mut body = Body {
+        out,
+        buf: Vec::with_capacity(2 * FLUSH_BYTES),
+    };
+    let written = if ask {
+        body.ask(format, solutions)
+    } else {
+        body.select(format, solutions)
+    };
+    match written {
+        Err(WriteError::Io(e)) => Err(WriteError::Io(e)),
+        written => {
+            body.flush()?;
+            written
+        }
     }
 }
 
-/// Streams SPARQL 1.1 JSON results. See [`write_solutions`].
-pub fn write_json(
-    out: &mut dyn Write,
-    solutions: &mut Solutions<'_>,
-    ask: bool,
-) -> Result<u64, WriteError> {
-    if ask {
-        let yes = next_ask(solutions)?;
-        write!(out, "{{\"head\":{{}},\"boolean\":{yes}}}")?;
-        return Ok(u64::from(yes));
+/// A result body being composed: the buffer, and the writer it drains to.
+struct Body<'w> {
+    out: &'w mut dyn Write,
+    buf: Vec<u8>,
+}
+
+impl Body<'_> {
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
     }
-    let variables: Vec<String> = solutions.variables().to_vec();
-    out.write_all(b"{\"head\":{\"vars\":[")?;
-    for (i, v) in variables.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
+
+    /// The boolean forms: one (empty) solution means `true`.
+    fn ask(&mut self, format: Format, solutions: &mut Solutions<'_>) -> Result<u64, WriteError> {
+        let yes = match solutions.next() {
+            None => false,
+            Some(Ok(_)) => true,
+            Some(Err(e)) => return Err(WriteError::Query(e)),
+        };
+        let text: &[u8] = if yes { b"true" } else { b"false" };
+        match format {
+            Format::Json => {
+                self.buf.extend_from_slice(b"{\"head\":{},\"boolean\":");
+                self.buf.extend_from_slice(text);
+                self.buf.push(b'}');
+            }
+            Format::Csv | Format::Tsv => {
+                self.buf.extend_from_slice(text);
+                self.buf.push(b'\n');
+            }
         }
-        write_json_string(out, v)?;
+        Ok(u64::from(yes))
     }
-    out.write_all(b"]},\"results\":{\"bindings\":[")?;
-    let mut rows = 0u64;
-    for solution in solutions.by_ref() {
-        let solution = solution.map_err(WriteError::Query)?;
-        if rows > 0 {
-            out.write_all(b",")?;
-        }
-        out.write_all(b"{")?;
-        let mut first = true;
-        for (i, var) in variables.iter().enumerate() {
-            // Unbound: omitted from the binding object.
-            let written = solution.with_term(i, |term| {
-                if !first {
-                    out.write_all(b",")?;
+
+    /// A SELECT result: the header, one row per solution, the trailer.
+    fn select(&mut self, format: Format, solutions: &mut Solutions<'_>) -> Result<u64, WriteError> {
+        let variables = solutions.variables();
+        let buf = &mut self.buf;
+        // JSON's `"var":` binding keys, rendered once for the stream.
+        let mut keys = Vec::new();
+        match format {
+            Format::Json => {
+                buf.extend_from_slice(b"{\"head\":{\"vars\":[");
+                for (i, v) in variables.iter().enumerate() {
+                    if i > 0 {
+                        buf.push(b',');
+                    }
+                    json_string(buf, v);
+                    let mut key = Vec::new();
+                    json_string(&mut key, v);
+                    key.push(b':');
+                    keys.push(key);
                 }
-                write_json_string(out, var)?;
-                out.write_all(b":")?;
-                write_json_term(out, term)
-            });
-            if let Some(written) = written {
-                written?;
-                first = false;
+                buf.extend_from_slice(b"]},\"results\":{\"bindings\":[");
+            }
+            Format::Csv => {
+                for (i, v) in variables.iter().enumerate() {
+                    if i > 0 {
+                        buf.push(b',');
+                    }
+                    csv_field(buf, "", v);
+                }
+                buf.extend_from_slice(b"\r\n");
+            }
+            Format::Tsv => {
+                for (i, v) in variables.iter().enumerate() {
+                    if i > 0 {
+                        buf.push(b'\t');
+                    }
+                    buf.push(b'?');
+                    buf.extend_from_slice(v.as_bytes());
+                }
+                buf.push(b'\n');
             }
         }
-        out.write_all(b"}")?;
-        rows += 1;
-    }
-    out.write_all(b"]}}")?;
-    Ok(rows)
-}
-
-/// Streams SPARQL 1.1 CSV results. See [`write_solutions`].
-pub fn write_csv(
-    out: &mut dyn Write,
-    solutions: &mut Solutions<'_>,
-    ask: bool,
-) -> Result<u64, WriteError> {
-    if ask {
-        let yes = next_ask(solutions)?;
-        writeln!(out, "{yes}")?;
-        return Ok(u64::from(yes));
-    }
-    let width = solutions.variables().len();
-    for (i, v) in solutions.variables().iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        write_csv_field(out, v)?;
-    }
-    out.write_all(b"\r\n")?;
-    stream_rows(solutions, |solution| {
-        for i in 0..width {
-            if i > 0 {
-                out.write_all(b",")?;
+        let mut rows = 0u64;
+        for solution in solutions.by_ref() {
+            let solution = solution.map_err(WriteError::Query)?;
+            let buf = &mut self.buf;
+            match format {
+                Format::Json => {
+                    buf.extend_from_slice(if rows > 0 { b",{" } else { b"{" });
+                    let mut first = true;
+                    for (i, key) in keys.iter().enumerate() {
+                        // Unbound: omitted from the binding object.
+                        solution.with_term(i, |term| {
+                            if !first {
+                                buf.push(b',');
+                            }
+                            first = false;
+                            buf.extend_from_slice(key);
+                            json_term(buf, term);
+                        });
+                    }
+                    buf.push(b'}');
+                }
+                Format::Csv | Format::Tsv => {
+                    let (separator, end): (u8, &[u8]) = match format {
+                        Format::Csv => (b',', b"\r\n"),
+                        _ => (b'\t', b"\n"),
+                    };
+                    for i in 0..variables.len() {
+                        if i > 0 {
+                            buf.push(separator);
+                        }
+                        solution.with_term(i, |term| match format {
+                            Format::Csv => csv_term(buf, term),
+                            _ => tsv_term(buf, term),
+                        });
+                    }
+                    buf.extend_from_slice(end);
+                }
             }
-            solution
-                .with_term(i, |term| write_csv_term(out, term))
-                .transpose()?;
-        }
-        out.write_all(b"\r\n")?;
-        Ok(())
-    })
-}
-
-/// Streams SPARQL 1.1 TSV results. See [`write_solutions`].
-pub fn write_tsv(
-    out: &mut dyn Write,
-    solutions: &mut Solutions<'_>,
-    ask: bool,
-) -> Result<u64, WriteError> {
-    if ask {
-        let yes = next_ask(solutions)?;
-        writeln!(out, "{yes}")?;
-        return Ok(u64::from(yes));
-    }
-    let width = solutions.variables().len();
-    let header: Vec<String> = solutions
-        .variables()
-        .iter()
-        .map(|v| format!("?{v}"))
-        .collect();
-    writeln!(out, "{}", header.join("\t"))?;
-    stream_rows(solutions, |solution| {
-        for i in 0..width {
-            if i > 0 {
-                out.write_all(b"\t")?;
+            rows += 1;
+            if self.buf.len() >= FLUSH_BYTES {
+                self.flush()?;
             }
-            solution
-                .with_term(i, |term| write_tsv_term(out, term))
-                .transpose()?;
         }
-        out.write_all(b"\n")?;
-        Ok(())
-    })
+        if format == Format::Json {
+            self.buf.extend_from_slice(b"]}}");
+        }
+        Ok(rows)
+    }
 }
 
 /// The CLI's human-readable preview (the fourth "format"): a
@@ -284,140 +316,164 @@ pub fn write_table_preview(
     Ok((total, shown))
 }
 
-/// Drains the stream through `row`, counting rows and converting stream
-/// errors.
-fn stream_rows(
-    solutions: &mut Solutions<'_>,
-    mut row: impl FnMut(&Solution<'_>) -> io::Result<()>,
-) -> Result<u64, WriteError> {
-    let mut rows = 0u64;
-    for solution in solutions {
-        let solution = solution.map_err(WriteError::Query)?;
-        row(&solution)?;
-        rows += 1;
+/// Appends `bytes` to `buf` with each byte `escape` maps to a sequence
+/// replaced by it. Only a quote, a backslash or a control byte can be
+/// escaped (every format's escapes are among these), so the runs between
+/// them are found eight bytes at a time and copied in one piece each — a
+/// string with none is one `extend_from_slice`. Only ASCII bytes are ever
+/// escaped, so scanning bytes is safe on UTF-8.
+fn escaped(buf: &mut Vec<u8>, mut bytes: &[u8], escape: impl Fn(u8) -> Option<&'static [u8]>) {
+    loop {
+        let plain = plain_prefix(bytes);
+        buf.extend_from_slice(&bytes[..plain]);
+        let Some(&b) = bytes.get(plain) else {
+            return;
+        };
+        match escape(b) {
+            Some(seq) => buf.extend_from_slice(seq),
+            None => buf.push(b),
+        }
+        bytes = &bytes[plain + 1..];
     }
-    Ok(rows)
 }
 
-/// Resolves an ASK stream: one (empty) solution means `true`.
-fn next_ask(solutions: &mut Solutions<'_>) -> Result<bool, WriteError> {
-    match solutions.next() {
-        None => Ok(false),
-        Some(Ok(_)) => Ok(true),
-        Some(Err(e)) => Err(WriteError::Query(e)),
+/// How many leading bytes of `bytes` are neither a quote, a backslash nor
+/// a control byte: whole 8-byte words tested at once, then the rest.
+fn plain_prefix(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // Sets a byte's high bit for some zero byte of `v` when there is one.
+    let zero = |v: u64| v.wrapping_sub(ONES) & !v & HIGH;
+    let mut words = bytes.chunks_exact(8);
+    let mut i = 0;
+    for word in words.by_ref() {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let control = w.wrapping_sub(ONES * 0x20) & !w & HIGH;
+        if control | zero(w ^ (ONES * u64::from(b'"'))) | zero(w ^ (ONES * u64::from(b'\\'))) != 0 {
+            break;
+        }
+        i += 8;
     }
+    i + bytes[i..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .unwrap_or(bytes.len() - i)
 }
 
 /// The CSV lexical form: IRIs bare, blanks `_:label`, literals their
 /// lexical value (datatype/language dropped, per the CSV results spec).
-fn write_csv_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
+fn csv_term(buf: &mut Vec<u8>, term: TermRef<'_>) {
     match term {
-        TermRef::Iri(iri) => write_csv_field(out, iri),
-        TermRef::Blank(label) => write_csv_field(out, &format!("_:{label}")),
-        TermRef::Literal(l) => write_csv_field(out, l.lexical),
+        TermRef::Iri(iri) => csv_field(buf, "", iri),
+        TermRef::Blank(label) => csv_field(buf, "_:", label),
+        TermRef::Literal(l) => csv_field(buf, "", l.lexical),
     }
 }
 
-fn write_csv_field(out: &mut dyn Write, s: &str) -> io::Result<()> {
-    if s.contains(['"', ',', '\n', '\r']) {
-        out.write_all(b"\"")?;
-        out.write_all(s.replace('"', "\"\"").as_bytes())?;
-        out.write_all(b"\"")
-    } else {
-        out.write_all(s.as_bytes())
+/// `prefix` then `s` as one RFC 4180 field, quoted (quotes doubled) when
+/// `s` holds a quote, comma or line break.
+fn csv_field(buf: &mut Vec<u8>, prefix: &str, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b'"' | b',' | b'\n' | b'\r')) {
+        buf.extend_from_slice(prefix.as_bytes());
+        buf.extend_from_slice(s.as_bytes());
+        return;
     }
+    buf.push(b'"');
+    buf.extend_from_slice(prefix.as_bytes());
+    escaped(buf, s.as_bytes(), |b| (b == b'"').then_some(b"\"\""));
+    buf.push(b'"');
 }
 
 /// TSV term encoding: Turtle-ish forms with the tab/newline-sensitive
 /// characters escaped so one row is always one line.
-fn write_tsv_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
+fn tsv_term(buf: &mut Vec<u8>, term: TermRef<'_>) {
     match term {
-        TermRef::Iri(iri) => write!(out, "<{iri}>"),
-        TermRef::Blank(label) => write!(out, "_:{label}"),
+        TermRef::Iri(iri) => {
+            buf.push(b'<');
+            buf.extend_from_slice(iri.as_bytes());
+            buf.push(b'>');
+        }
+        TermRef::Blank(label) => {
+            buf.extend_from_slice(b"_:");
+            buf.extend_from_slice(label.as_bytes());
+        }
         TermRef::Literal(l) => {
-            write!(out, "\"{}\"", escape_tsv(l.lexical))?;
+            buf.push(b'"');
+            escaped(buf, l.lexical.as_bytes(), |b| match b {
+                b'\\' => Some(b"\\\\"),
+                b'"' => Some(b"\\\""),
+                b'\t' => Some(b"\\t"),
+                b'\n' => Some(b"\\n"),
+                b'\r' => Some(b"\\r"),
+                _ => None,
+            });
+            buf.push(b'"');
             if let Some(lang) = l.language {
-                write!(out, "@{lang}")
+                buf.push(b'@');
+                buf.extend_from_slice(lang.as_bytes());
             } else if let Some(dt) = l.datatype {
-                write!(out, "^^<{dt}>")
-            } else {
-                Ok(())
+                buf.extend_from_slice(b"^^<");
+                buf.extend_from_slice(dt.as_bytes());
+                buf.push(b'>');
             }
         }
     }
 }
 
-fn escape_tsv(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
+/// The `\u00XX` escapes of the JSON control characters, by byte.
+const JSON_CONTROL: [[u8; 6]; 32] = {
+    let hex = b"0123456789abcdef";
+    let mut table = [*b"\\u0000"; 32];
+    let mut b = 0;
+    while b < 32 {
+        table[b][4] = hex[b >> 4];
+        table[b][5] = hex[b & 15];
+        b += 1;
     }
-    out
-}
+    table
+};
 
-/// JSON string literal with the mandatory escapes. This is the hottest
-/// loop of the HTTP serving path (every variable name, IRI and literal
-/// of every JSON row passes through), so contiguous runs of unescaped
-/// bytes are written as single slices rather than per-character — the
-/// only bytes needing escapes are ASCII, so byte-wise scanning is safe
-/// on UTF-8 input.
-fn write_json_string(out: &mut dyn Write, s: &str) -> io::Result<()> {
-    out.write_all(b"\"")?;
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let escape: &[u8] = match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0x00..=0x1f => b"",
-            _ => continue,
-        };
-        out.write_all(&bytes[start..i])?;
-        if escape.is_empty() {
-            write!(out, "\\u{b:04x}")?;
-        } else {
-            out.write_all(escape)?;
-        }
-        start = i + 1;
-    }
-    out.write_all(&bytes[start..])?;
-    out.write_all(b"\"")
+/// JSON string literal with the mandatory escapes: the hottest loop of
+/// the HTTP serving path (every IRI and literal of every JSON row passes
+/// through it).
+fn json_string(buf: &mut Vec<u8>, s: &str) {
+    buf.push(b'"');
+    escaped(buf, s.as_bytes(), |b| match b {
+        b'"' => Some(b"\\\""),
+        b'\\' => Some(b"\\\\"),
+        b'\n' => Some(b"\\n"),
+        b'\r' => Some(b"\\r"),
+        b'\t' => Some(b"\\t"),
+        0x00..=0x1f => Some(&JSON_CONTROL[b as usize]),
+        _ => None,
+    });
+    buf.push(b'"');
 }
 
 /// One SPARQL-JSON term object.
-fn write_json_term(out: &mut dyn Write, term: TermRef<'_>) -> io::Result<()> {
+fn json_term(buf: &mut Vec<u8>, term: TermRef<'_>) {
     match term {
         TermRef::Iri(iri) => {
-            out.write_all(b"{\"type\":\"uri\",\"value\":")?;
-            write_json_string(out, iri)?;
+            buf.extend_from_slice(b"{\"type\":\"uri\",\"value\":");
+            json_string(buf, iri);
         }
         TermRef::Blank(label) => {
-            out.write_all(b"{\"type\":\"bnode\",\"value\":")?;
-            write_json_string(out, label)?;
+            buf.extend_from_slice(b"{\"type\":\"bnode\",\"value\":");
+            json_string(buf, label);
         }
         TermRef::Literal(l) => {
-            out.write_all(b"{\"type\":\"literal\",\"value\":")?;
-            write_json_string(out, l.lexical)?;
+            buf.extend_from_slice(b"{\"type\":\"literal\",\"value\":");
+            json_string(buf, l.lexical);
             if let Some(lang) = l.language {
-                out.write_all(b",\"xml:lang\":")?;
-                write_json_string(out, lang)?;
+                buf.extend_from_slice(b",\"xml:lang\":");
+                json_string(buf, lang);
             } else if let Some(dt) = l.datatype {
-                out.write_all(b",\"datatype\":")?;
-                write_json_string(out, dt)?;
+                buf.extend_from_slice(b",\"datatype\":");
+                json_string(buf, dt);
             }
         }
     }
-    out.write_all(b"}")
+    buf.push(b'}');
 }
 
 #[cfg(test)]
@@ -425,8 +481,13 @@ mod tests {
     use super::*;
     use crate::api::{QueryEngine, QueryOptions};
     use crate::testing::load;
+    use crate::Cancellation;
     use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
-    use sp2b_store::{ShardBackend, TripleStore};
+    use sp2b_store::{
+        sharded_store_from_reader, Dictionary, IdTriple, Pattern, ScanChunk, ShardBackend, ShardBy,
+        ShardedStore, StoreStats, TripleStore,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     fn engine() -> QueryEngine {
         let mut g = Graph::new();
@@ -570,6 +631,289 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 2, "header + 1 row: {text:?}");
         assert!(text.starts_with("  s\tv\n"), "{text:?}");
+    }
+
+    /// Every kind of cell the writers render: quotes, backslash, tab,
+    /// newline, carriage return and a control character in one literal,
+    /// non-ASCII under a language tag, typed literals, a blank node, and
+    /// `?w` unbound for three of the five rows.
+    const CELLS: &str = r#"<http://x/s1> <http://x/p> "q\"b\\s\tt\nn\rr\u0001c" .
+<http://x/s2> <http://x/p> "héllo ✓"@en .
+_:node1 <http://x/p> <http://x/o> .
+<http://x/s3> <http://x/p> "7"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://x/s4> <http://x/p> "a,b"^^<http://x/dt> .
+<http://x/s1> <http://x/q> <http://x/w> .
+_:node1 <http://x/q> "plain" .
+"#;
+
+    fn engine_over(ntriples: &str) -> QueryEngine {
+        let store =
+            sharded_store_from_reader(ntriples.as_bytes(), 1, ShardBy::Subject, ShardBackend::Mem)
+                .expect("valid N-Triples");
+        QueryEngine::with_options(store.into_shared(), QueryOptions::new().parallelism(1))
+    }
+
+    fn bytes_of(engine: &QueryEngine, format: Format, query: &str) -> String {
+        let prepared = engine.prepare(query).unwrap();
+        let mut out = Vec::new();
+        let mut solutions = engine.solutions(&prepared);
+        write_solutions(&mut out, format, &mut solutions, prepared.is_ask()).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn every_format_writes_exactly_these_bytes() {
+        let engine = engine_over(CELLS);
+        let rows = "SELECT ?s ?v ?w WHERE { ?s <http://x/p> ?v \
+                    OPTIONAL { ?s <http://x/q> ?w } } ORDER BY ?s";
+        let int = "http://www.w3.org/2001/XMLSchema#integer";
+        let json = [
+            r#"{"head":{"vars":["s","v","w"]},"results":{"bindings":["#,
+            r#"{"s":{"type":"bnode","value":"node1"},"v":{"type":"uri","value":"http://x/o"},"#,
+            r#""w":{"type":"literal","value":"plain"}},"#,
+            r#"{"s":{"type":"uri","value":"http://x/s1"},"#,
+            r#""v":{"type":"literal","value":"q\"b\\s\tt\nn\rr\u0001c"},"#,
+            r#""w":{"type":"uri","value":"http://x/w"}},"#,
+            r#"{"s":{"type":"uri","value":"http://x/s2"},"#,
+            r#""v":{"type":"literal","value":"héllo ✓","xml:lang":"en"}},"#,
+            r#"{"s":{"type":"uri","value":"http://x/s3"},"#,
+            &format!(r#""v":{{"type":"literal","value":"7","datatype":"{int}"}}}},"#),
+            r#"{"s":{"type":"uri","value":"http://x/s4"},"#,
+            r#""v":{"type":"literal","value":"a,b","datatype":"http://x/dt"}}]}}"#,
+        ]
+        .concat();
+        assert_eq!(bytes_of(&engine, Format::Json, rows), json);
+        let csv = "s,v,w\r\n\
+                   _:node1,http://x/o,plain\r\n\
+                   http://x/s1,\"q\"\"b\\s\tt\nn\rr\u{1}c\",http://x/w\r\n\
+                   http://x/s2,héllo ✓,\r\n\
+                   http://x/s3,7,\r\n\
+                   http://x/s4,\"a,b\",\r\n";
+        assert_eq!(bytes_of(&engine, Format::Csv, rows), csv);
+        let tsv = format!(
+            "?s\t?v\t?w\n\
+             _:node1\t<http://x/o>\t\"plain\"\n\
+             <http://x/s1>\t\"q\\\"b\\\\s\\tt\\nn\\rr\u{1}c\"\t<http://x/w>\n\
+             <http://x/s2>\t\"héllo ✓\"@en\t\n\
+             <http://x/s3>\t\"7\"^^<{int}>\t\n\
+             <http://x/s4>\t\"a,b\"^^<http://x/dt>\t\n"
+        );
+        assert_eq!(bytes_of(&engine, Format::Tsv, rows), tsv);
+
+        // Count columns render as xsd:integer literals.
+        let counts = "SELECT ?s (COUNT(?v) AS ?n) WHERE { ?s ?p ?v } GROUP BY ?s ORDER BY DESC(?n)";
+        let count = |n: u32| format!(r#"{{"type":"literal","value":"{n}","datatype":"{int}"}}"#);
+        let json = format!(
+            r#"{{"head":{{"vars":["s","n"]}},"results":{{"bindings":[{{"s":{{"type":"bnode","value":"node1"}},"n":{}}},{{"s":{{"type":"uri","value":"http://x/s1"}},"n":{}}},{{"s":{{"type":"uri","value":"http://x/s2"}},"n":{}}},{{"s":{{"type":"uri","value":"http://x/s3"}},"n":{}}},{{"s":{{"type":"uri","value":"http://x/s4"}},"n":{}}}]}}}}"#,
+            count(2),
+            count(2),
+            count(1),
+            count(1),
+            count(1)
+        );
+        assert_eq!(bytes_of(&engine, Format::Json, counts), json);
+        let csv = "s,n\r\n_:node1,2\r\nhttp://x/s1,2\r\nhttp://x/s2,1\r\nhttp://x/s3,1\r\nhttp://x/s4,1\r\n";
+        assert_eq!(bytes_of(&engine, Format::Csv, counts), csv);
+        let tsv = format!(
+            "?s\t?n\n_:node1\t\"2\"^^<{int}>\n<http://x/s1>\t\"2\"^^<{int}>\n\
+             <http://x/s2>\t\"1\"^^<{int}>\n<http://x/s3>\t\"1\"^^<{int}>\n<http://x/s4>\t\"1\"^^<{int}>\n"
+        );
+        assert_eq!(bytes_of(&engine, Format::Tsv, counts), tsv);
+
+        for (format, yes, no) in [
+            (
+                Format::Json,
+                r#"{"head":{},"boolean":true}"#,
+                r#"{"head":{},"boolean":false}"#,
+            ),
+            (Format::Csv, "true\n", "false\n"),
+            (Format::Tsv, "true\n", "false\n"),
+        ] {
+            assert_eq!(bytes_of(&engine, format, "ASK { ?s <http://x/p> 7 }"), yes);
+            assert_eq!(bytes_of(&engine, format, "ASK { ?s <http://x/p> 8 }"), no);
+        }
+    }
+
+    #[test]
+    fn the_word_scan_stops_at_every_special_byte_at_every_offset() {
+        // A reference escape, one byte at a time.
+        let naive = |s: &str| {
+            let mut out = Vec::new();
+            for b in s.bytes() {
+                match b {
+                    b'"' => out.extend_from_slice(b"\\\""),
+                    b'\\' => out.extend_from_slice(b"\\\\"),
+                    b'\n' => out.extend_from_slice(b"\\n"),
+                    b'\r' => out.extend_from_slice(b"\\r"),
+                    b'\t' => out.extend_from_slice(b"\\t"),
+                    0..=0x1f => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
+                    _ => out.push(b),
+                }
+            }
+            out
+        };
+        for special in [
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "é", "\u{7f}", " ", "!", "]",
+        ] {
+            for at in 0..20 {
+                for len in [at, at + 1, at + 9, 24] {
+                    let mut s = "x".repeat(at);
+                    s.push_str(special);
+                    s.push_str(&"y".repeat(len - at));
+                    let mut out = Vec::new();
+                    json_string(&mut out, &s);
+                    assert_eq!(out[1..out.len() - 1], naive(&s), "{s:?}");
+                }
+            }
+        }
+    }
+
+    /// A sink that cancels the query once it holds `at` bytes.
+    struct CancelAt {
+        out: Vec<u8>,
+        at: usize,
+        cancel: Cancellation,
+    }
+
+    impl Write for CancelAt {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.out.extend_from_slice(bytes);
+            if self.out.len() >= self.at {
+                self.cancel.cancel();
+            }
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A store that reports a fault from its `after + 1`-th check on. A
+    /// stream checks once per row it pulls, so it delivers `after` rows
+    /// and then the error.
+    struct FaultAfter {
+        inner: ShardedStore,
+        checks: AtomicUsize,
+        after: usize,
+    }
+
+    impl TripleStore for FaultAfter {
+        fn dictionary(&self) -> &Dictionary {
+            self.inner.dictionary()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
+            self.inner.scan(pattern)
+        }
+        fn scan_chunks(&self, pattern: Pattern, n: usize) -> Vec<ScanChunk<'_>> {
+            self.inner.scan_chunks(pattern, n)
+        }
+        fn estimate(&self, pattern: Pattern) -> u64 {
+            self.inner.estimate(pattern)
+        }
+        fn stats(&self) -> &StoreStats {
+            self.inner.stats()
+        }
+        fn fault(&self) -> Option<&str> {
+            let check = self.checks.fetch_add(1, AtomicOrdering::SeqCst);
+            (check >= self.after).then_some("block checksum mismatch")
+        }
+    }
+
+    /// Where the header of a serialized result ends, then where each of
+    /// its rows does (the rows' values hold no `}`).
+    fn boundaries(format: Format, body: &[u8]) -> Vec<usize> {
+        let (header_end, row_end): (&[u8], &[u8]) = match format {
+            Format::Json => (b"\"bindings\":[", b"}}"),
+            Format::Csv => (b"\r\n", b"\r\n"),
+            Format::Tsv => (b"\n", b"\n"),
+        };
+        let ends = |pattern: &'static [u8]| {
+            (0..body.len())
+                .filter(move |&i| body[i..].starts_with(pattern))
+                .map(move |i| i + pattern.len())
+        };
+        let header = ends(header_end).next().expect("a header");
+        std::iter::once(header)
+            .chain(ends(row_end).filter(|&end| end > header))
+            .collect()
+    }
+
+    #[test]
+    fn a_query_failing_after_k_rows_leaves_exactly_those_rows_in_out() {
+        let query = "SELECT ?s ?v WHERE { ?s <http://x/p> ?v } ORDER BY ?s";
+        let document = |value: &str| -> String {
+            (0..5)
+                .map(|i| format!("<http://x/s{i}> <http://x/p> \"{value}\" .\n"))
+                .collect()
+        };
+        // Rows that outgrow the buffer go to `out` one by one, so a sink
+        // that cancels once row k has arrived stops the stream there.
+        let big = document(&"a".repeat(FLUSH_BYTES + 100));
+        let engine = engine_over(&big);
+        let prepared = engine.prepare(query).unwrap();
+        for format in [Format::Json, Format::Csv, Format::Tsv] {
+            let full = bytes_of(&engine, format, query).into_bytes();
+            let bounds = boundaries(format, &full);
+            for k in 1..=3 {
+                let cancel = engine.cancellation();
+                let mut sink = CancelAt {
+                    out: Vec::new(),
+                    at: bounds[k],
+                    cancel: cancel.clone(),
+                };
+                let mut solutions = engine.solutions_with(&prepared, &cancel);
+                let written = write_solutions(&mut sink, format, &mut solutions, false);
+                assert!(
+                    matches!(written, Err(WriteError::Query(Error::Cancelled))),
+                    "{format:?} after {k} rows: {written:?}"
+                );
+                assert!(
+                    sink.out == full[..bounds[k]],
+                    "{format:?}: out holds the header and {k} rows, nothing else"
+                );
+            }
+        }
+        // Small rows wait in the buffer: an error after row k still
+        // leaves the header and k rows in `out`.
+        let small = document("b");
+        for format in [Format::Json, Format::Csv, Format::Tsv] {
+            let full = bytes_of(&engine_over(&small), format, query).into_bytes();
+            let bounds = boundaries(format, &full);
+            for k in 0..=3 {
+                let inner = sharded_store_from_reader(
+                    small.as_bytes(),
+                    1,
+                    ShardBy::Subject,
+                    ShardBackend::Mem,
+                )
+                .expect("valid N-Triples");
+                let store = FaultAfter {
+                    inner,
+                    checks: AtomicUsize::new(0),
+                    after: k,
+                };
+                let engine = QueryEngine::with_options(
+                    store.into_shared(),
+                    QueryOptions::new().parallelism(1),
+                );
+                let prepared = engine.prepare(query).unwrap();
+                let mut out = Vec::new();
+                let mut solutions = engine.solutions(&prepared);
+                let written = write_solutions(&mut out, format, &mut solutions, false);
+                assert!(
+                    matches!(written, Err(WriteError::Query(Error::Store(_)))),
+                    "{format:?} after {k} rows: {written:?}"
+                );
+                assert!(
+                    out == full[..bounds[k]],
+                    "{format:?}: out holds the header and {k} rows, nothing else"
+                );
+            }
+        }
     }
 
     #[test]

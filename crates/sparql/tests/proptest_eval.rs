@@ -5,16 +5,17 @@
 //! random little graphs. Every case runs at parallelism 1 and 2 (its
 //! exchange handing off after the first morsel — debug builds), with
 //! counters attached and detached: the rows may not change, and the rows
-//! the pattern steps emit may not depend on the degree. Each graph comes
-//! from a fixed seed, printed in every assertion message.
+//! the pattern steps emit may not depend on the degree. An ORDER BY under
+//! LIMIT/OFFSET must deliver the full sort's sequence, sliced. Each graph
+//! comes from a fixed seed, printed in every assertion message.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use sp2b_datagen::rng::SplitMix64;
-use sp2b_rdf::{Graph, Iri, Subject, Term};
+use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2b_sparql::{OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters};
-use sp2b_store::{SharedStore, TripleStore};
+use sp2b_store::{ShardBackend, SharedStore, TripleStore};
 
 mod common;
 use common::{load, NATIVE};
@@ -233,4 +234,125 @@ fn slice_windows_ordered_results() {
             .collect();
         assert_eq!(rows(seed, store, &q), expected, "seed {seed}: {q}");
     });
+}
+
+/// Up to 30 triples whose subjects are IRIs and blank nodes and whose
+/// objects mix IRIs, blank nodes, integers and strings, few enough
+/// distinct values that ORDER BY keys tie. `p1` is missing for some
+/// subjects, so an OPTIONAL over it leaves values unbound.
+fn mixed_graph(seed: u64) -> Graph {
+    let mut rng = SplitMix64::new(seed);
+    let mut g = Graph::new();
+    let subject = |n: u64| match n % 3 {
+        0 => Subject::blank(format!("b{n}")),
+        _ => Subject::iri(format!("http://t/s{n}")),
+    };
+    let object = |n: u64| match n % 4 {
+        0 => Term::iri(format!("http://t/o{n}")),
+        1 => Term::blank(format!("c{n}")),
+        2 => Term::Literal(Literal::integer(n as i64 - 3)),
+        _ => Term::Literal(Literal::string(format!("v{}", n % 5))),
+    };
+    for _ in 0..rng.next_u64() % 30 {
+        let (s, p, o) = (rng.next_u64() % 6, rng.next_u64() % 3, rng.next_u64() % 8);
+        g.add(subject(s), Iri::new(format!("http://t/p{p}")), object(o));
+    }
+    g
+}
+
+/// An OFFSET or LIMIT for a result of `len` rows: 0, inside it, or past
+/// its end.
+fn slice_bound(rng: &mut SplitMix64, len: usize) -> usize {
+    match rng.next_u64() % 3 {
+        0 => 0,
+        1 => (rng.next_u64() % (len as u64 + 1)) as usize,
+        _ => len + 1 + (rng.next_u64() % 5) as usize,
+    }
+}
+
+/// 1–3 ORDER BY keys, ASC or DESC, over variables and expressions — or,
+/// for a GROUP BY query, over the group key and the count.
+fn order_keys(rng: &mut SplitMix64, grouped: bool) -> String {
+    const ROW_KEYS: [&str; 10] = [
+        "?s",
+        "?o",
+        "?v",
+        "DESC(?s)",
+        "DESC(?o)",
+        "ASC(?v)",
+        "DESC(?v)",
+        "ASC(bound(?v))",
+        "DESC(bound(?v))",
+        "DESC(?o = ?v)",
+    ];
+    const GROUP_KEYS: [&str; 4] = ["?o", "DESC(?o)", "?n", "DESC(?n)"];
+    let pool: &[&str] = if grouped { &GROUP_KEYS } else { &ROW_KEYS };
+    let n = 1 + rng.next_u64() % 3;
+    (0..n)
+        .map(|_| pool[(rng.next_u64() % pool.len() as u64) as usize])
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// An ORDER BY under LIMIT/OFFSET keeps a bounded heap of offset + limit
+/// rows; its sequence must be the full sort's, sliced, ties in arrival
+/// order — on a native store with the optimizer and a memory store
+/// without, at parallelism 1 and 4.
+#[test]
+fn a_sliced_sort_is_the_full_sort_sliced() {
+    #[cfg(debug_assertions)]
+    sp2b_sparql::par::diag::fan_out_at_once(true);
+    for seed in 0..CASES {
+        let graph = mixed_graph(seed);
+        let mut rng = SplitMix64::new(seed ^ 0x70C4);
+        let grouped = rng.next_u64().is_multiple_of(3);
+        let body = if grouped {
+            "SELECT ?o (COUNT(?s) AS ?n) WHERE { ?s <http://t/p0> ?o } GROUP BY ?o"
+        } else {
+            "SELECT ?s ?o ?v WHERE { ?s <http://t/p0> ?o OPTIONAL { ?s <http://t/p1> ?v } }"
+        };
+        let full = format!("{body} ORDER BY {}", order_keys(&mut rng, grouped));
+        for (backend, optimizer) in [
+            (NATIVE, OptimizerConfig::full()),
+            (ShardBackend::Mem, OptimizerConfig::default()),
+        ] {
+            let store = load(&graph, backend).into_shared();
+            let run = |query: &str, degree: usize| {
+                let options = QueryOptions::new().optimizer(optimizer).parallelism(degree);
+                let engine = QueryEngine::with_options(store.clone(), options);
+                let prepared = engine.prepare(query).expect("query parses");
+                let Ok(QueryResult::Solutions { rows, .. }) = engine.execute(&prepared) else {
+                    panic!("seed {seed}: {query} fails")
+                };
+                rows
+            };
+            let all = run(&full, 1);
+            let mut slices = SplitMix64::new(seed);
+            for _ in 0..3 {
+                let offset = slice_bound(&mut slices, all.len());
+                let limit = slice_bound(&mut slices, all.len());
+                let sliced = format!("{full} LIMIT {limit} OFFSET {offset}");
+                let want: Vec<_> = all.iter().skip(offset).take(limit).cloned().collect();
+                for degree in [1, 4] {
+                    assert_eq!(run(&full, degree), all, "seed {seed}: {full} at {degree}");
+                    assert_eq!(
+                        run(&sliced, degree),
+                        want,
+                        "seed {seed}: {sliced} at {degree}"
+                    );
+                }
+            }
+            // A cancelled sliced sort yields no rows, only the error.
+            let engine = QueryEngine::with_options(store.clone(), QueryOptions::new());
+            let prepared = engine.prepare(&format!("{full} LIMIT 3")).expect("parses");
+            let cancel = engine.cancellation();
+            cancel.cancel();
+            let items: Vec<_> = engine.solutions_with(&prepared, &cancel).collect();
+            assert!(
+                matches!(&items[..], [Err(sp2b_sparql::Error::Cancelled)]),
+                "seed {seed}: a cancelled sort delivered {} items",
+                items.len()
+            );
+        }
+    }
 }

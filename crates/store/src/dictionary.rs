@@ -2,8 +2,9 @@
 //!
 //! Both stores map every distinct term to a `u32` id at load time and
 //! evaluate queries entirely over ids; terms are read again only when
-//! rendering results, sorting them (ORDER BY), or comparing a literal
-//! the value ranks below do not cover. This is the standard RDF storage
+//! rendering results, sorting them (ORDER BY decodes each row's keys
+//! once, when the row arrives, never per comparison), or comparing a
+//! literal the value ranks below do not cover. This is the standard RDF storage
 //! technique the paper's "native engines" rely on, and the ablation
 //! benchmark (`DESIGN.md` §7.4) quantifies what it buys.
 //!

@@ -6,9 +6,9 @@
 //!   position, answering a pattern from its shortest applicable list
 //!   (the "in-memory engine" class: ARQ, Sesame-Memory);
 //! * [`NativeStore`] — dictionary-encoded triples sorted into the four
-//!   runs of the [`run`] table (SPO/PSO/POS/OSP) with binary-searched
-//!   range scans and exact cardinality estimates (the "native engine"
-//!   class: Sesame-DB, Virtuoso).
+//!   runs of the [`run`] table (SPO/PSO/POS/OSP), each with a major-key
+//!   directory, giving range scans and exact cardinality estimates (the
+//!   "native engine" class: Sesame-DB, Virtuoso).
 //!
 //! Both implement [`TripleStore`], which the SPARQL engine evaluates
 //! against; [`Dictionary`] provides the term↔id mapping.

@@ -5,16 +5,18 @@
 //! into the **four runs** of [`RUN_ORDERS`] (SPO, PSO, POS, OSP — the
 //! subset of the Hexastore six, the paper's reference 13, that any
 //! pattern ever selects), so *every* triple pattern, whatever its bound
-//! positions, resolves to one contiguous binary-searched range (see
-//! [`crate::run`]). Loading therefore costs sort time — mirroring the
-//! paper's separate loading-time metric — and pattern scans plus
-//! cardinality estimates are exact and cheap, which is what enables the
-//! `native-opt` configuration's cost-based join reordering.
+//! positions, resolves to one contiguous range (see [`crate::run`]).
+//! Each run keeps a directory of where each major key's group starts,
+//! built by the run sort itself, so a lookup reads its group's bounds and
+//! binary-searches only inside it. Loading therefore costs sort time —
+//! mirroring the paper's separate loading-time metric — and pattern scans
+//! plus cardinality estimates are exact and cheap, which is what enables
+//! the `native-opt` configuration's cost-based join reordering.
 
 use std::sync::OnceLock;
 
 use crate::dictionary::{Dictionary, IdTriple};
-use crate::run::{sort_runs, RunPlan, RUN_ORDERS};
+use crate::run::{sort_runs, RunPlan, SortedRun, RUN_ORDERS};
 use crate::stats::StoreStats;
 use crate::traits::{Pattern, ScanChunk, TripleStore};
 
@@ -40,7 +42,7 @@ impl IndexSelection {
 /// `runs.len()` of [`RUN_ORDERS`] (never empty: SPO is always built).
 pub struct NativeStore {
     dict: Dictionary,
-    runs: Vec<Vec<IdTriple>>,
+    runs: Vec<SortedRun>,
     stats: OnceLock<StoreStats>,
 }
 
@@ -59,14 +61,15 @@ impl NativeStore {
         }
     }
 
-    /// The candidate range of `pattern`: the binary-searched key range
-    /// of the run [`RunPlan::for_pattern`] picks, tested against the
-    /// pattern only where it binds positions outside the run's prefix.
+    /// The candidate range of `pattern`: the key range of the run
+    /// [`RunPlan::for_pattern`] picks, read from its directory
+    /// ([`SortedRun::range`]), tested against the pattern only where it
+    /// binds positions outside the run's prefix.
     pub(crate) fn range(&self, pattern: Pattern) -> ScanChunk<'_> {
         let plan = RunPlan::for_pattern(&pattern, self.runs.len());
         let run = &self.runs[plan.run];
         ScanChunk::Triples {
-            triples: &run[plan.range_in(run)],
+            triples: &run.triples[run.range(&plan)],
             residual: plan.residual,
         }
     }
@@ -78,7 +81,7 @@ impl TripleStore for NativeStore {
     }
 
     fn len(&self) -> usize {
-        self.runs[0].len()
+        self.runs[0].triples.len()
     }
 
     fn scan<'a>(&'a self, pattern: Pattern) -> Box<dyn Iterator<Item = IdTriple> + 'a> {
@@ -100,7 +103,7 @@ impl TripleStore for NativeStore {
     /// Lazily computed from the SPO run and cached.
     fn stats(&self) -> &StoreStats {
         self.stats
-            .get_or_init(|| StoreStats::from_triples(&self.runs[0]))
+            .get_or_init(|| StoreStats::from_triples(&self.runs[0].triples))
     }
 }
 

@@ -14,11 +14,12 @@
 //! first longest prefix for any mask, and no benchmark query selected
 //! them while they existed.) [`RunPlan::for_pattern`] is the one place
 //! that choice and the inclusive key bounds are derived; the two
-//! *sources* of sorted triples — a resident `Vec`
-//! ([`crate::NativeStore`]) and block-cut runs behind a cache
+//! *sources* of sorted triples — a resident run with its major-key
+//! directory ([`crate::NativeStore`]) and block-cut runs behind a cache
 //! ([`crate::DiskShardStore`]) — both narrow with
-//! [`RunPlan::range_in`], the former over a whole run, the latter
-//! inside each candidate block its first-key index selects.
+//! [`RunPlan::range_in`], the former inside the major key's group its
+//! directory gives, the latter inside each candidate block its first-key
+//! index selects.
 
 use crate::dictionary::{Id, IdTriple};
 use crate::traits::Pattern;
@@ -69,27 +70,88 @@ impl IndexOrder {
     }
 }
 
-/// Sorts `bucket` into each of the first `built` [`RUN_ORDERS`], one
-/// scoped thread per order. Every thread sorts its own clone by the full
-/// (major, mid, minor) key — a total order under which byte-identical
-/// duplicates are interchangeable — so the output is deterministic.
-pub(crate) fn sort_runs(bucket: &[IdTriple], built: usize) -> Vec<Vec<IdTriple>> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = RUN_ORDERS[..built]
-            .iter()
-            .map(|&order| {
-                s.spawn(move || {
-                    let mut run = bucket.to_vec();
-                    run.sort_unstable_by_key(|t| order.key(t));
-                    run
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run sort thread panicked"))
-            .collect()
-    })
+/// One sorted run and its major-key directory: `starts[k]..starts[k + 1]`
+/// is the group of triples whose major key is id `k`, so a pattern
+/// binding the major key finds its group in two loads and binary-searches
+/// only inside it, and only when it binds a second position. An id past
+/// the directory's end is the major key of no triple.
+pub(crate) struct SortedRun {
+    /// The triples, in this run's key order.
+    pub(crate) triples: Vec<IdTriple>,
+    /// Group starts by major key, plus the run's end: one entry more
+    /// than the largest major key present (just `[0]` when empty).
+    starts: Vec<u32>,
+}
+
+impl SortedRun {
+    /// Sorts `bucket` by `order`: a counting sort on the major key, whose
+    /// bucket offsets become the directory, then each group sorted by its
+    /// (mid, minor) key. The result is the full-key order.
+    fn sort(bucket: &[IdTriple], order: IndexOrder) -> SortedRun {
+        let major = |t: &IdTriple| order.key(t)[0] as usize;
+        assert!(
+            u32::try_from(bucket.len()).is_ok(),
+            "a run holds fewer than 2^32 triples"
+        );
+        let groups = bucket.iter().map(|t| major(t) + 1).max().unwrap_or(0);
+        // Counts land one slot up, so their prefix sums are group starts;
+        // scattering then advances each start to its group's end, which is
+        // the next group's start: shifting back by one restores them.
+        let mut starts = vec![0u32; groups + 1];
+        for t in bucket {
+            starts[major(t) + 1] += 1;
+        }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let mut triples = vec![[0; 3]; bucket.len()];
+        for t in bucket {
+            let slot = &mut starts[major(t)];
+            triples[*slot as usize] = *t;
+            *slot += 1;
+        }
+        starts.copy_within(..groups, 1);
+        starts[0] = 0;
+        for group in starts.windows(2) {
+            triples[group[0] as usize..group[1] as usize].sort_unstable_by_key(|t| order.key(t));
+        }
+        SortedRun { triples, starts }
+    }
+
+    /// The span of [`Self::triples`] whose keys lie in `plan`'s bounds —
+    /// what [`RunPlan::range_in`] finds over the whole run, read from the
+    /// directory.
+    pub(crate) fn range(&self, plan: &RunPlan) -> std::ops::Range<usize> {
+        if plan.prefix_len == 0 {
+            return 0..self.triples.len();
+        }
+        let major = plan.lo[0] as usize;
+        let Some(&[start, end]) = self.starts.get(major..major + 2) else {
+            return self.triples.len()..self.triples.len();
+        };
+        let group = start as usize..end as usize;
+        if plan.prefix_len == 1 {
+            return group;
+        }
+        let inner = plan.range_in(&self.triples[group.clone()]);
+        group.start + inner.start..group.start + inner.end
+    }
+}
+
+/// Sorts `bucket` into each of the first `built` [`RUN_ORDERS`]
+/// ([`SortedRun::sort`]). The full (major, mid, minor) key is a total
+/// order under which byte-identical duplicates are interchangeable, so
+/// the output is deterministic. The orders are sorted one after another
+/// on the calling thread: the counting sort is bound by memory more than
+/// by a core, the shards of a load already sort side by side, and runs
+/// allocated on four threads per shard kept a repeated 250k ingest's peak
+/// RSS 11–15 % higher on a 2-core host, in the allocator's per-thread
+/// arenas.
+pub(crate) fn sort_runs(bucket: &[IdTriple], built: usize) -> Vec<SortedRun> {
+    RUN_ORDERS[..built]
+        .iter()
+        .map(|&order| SortedRun::sort(bucket, order))
+        .collect()
 }
 
 /// A pattern resolved against the run table: which run serves it and
@@ -196,7 +258,7 @@ mod tests {
         let runs = sort_runs(&bucket, RUN_ORDERS.len());
         for pattern in masks() {
             let plan = RunPlan::for_pattern(&pattern, RUN_ORDERS.len());
-            let run = &runs[plan.run];
+            let run = &runs[plan.run].triples;
             let range = plan.range_in(run);
             for (i, t) in run.iter().enumerate() {
                 assert_eq!(
@@ -215,5 +277,33 @@ mod tests {
                 .collect();
             assert_eq!(hits, want, "{pattern:?}");
         }
+    }
+
+    #[test]
+    fn the_directory_finds_what_the_binary_search_finds() {
+        let bucket: Vec<IdTriple> = (0..90).map(|i| [i % 7 * 2, i % 3 + 1, i % 11]).collect();
+        let runs = sort_runs(&bucket, RUN_ORDERS.len());
+        for (run, order) in runs.iter().zip(RUN_ORDERS) {
+            let mut want = bucket.clone();
+            want.sort_by_key(|t| order.key(t));
+            assert_eq!(run.triples, want, "{order:?} is the full-key order");
+        }
+        // Probe ids inside, between and past every major key.
+        for probe in [0, 1, 2, 5, 12, 13, 40] {
+            for mask in 0..8 {
+                let pattern: Pattern =
+                    std::array::from_fn(|i| (mask & 1 << i != 0).then_some(probe));
+                for built in [1, RUN_ORDERS.len()] {
+                    let runs = &runs[..built];
+                    let plan = RunPlan::for_pattern(&pattern, built);
+                    let run = &runs[plan.run];
+                    assert_eq!(run.range(&plan), plan.range_in(&run.triples), "{pattern:?}");
+                }
+            }
+        }
+        let empty = sort_runs(&[], RUN_ORDERS.len());
+        let plan = RunPlan::for_pattern(&[Some(3), None, None], RUN_ORDERS.len());
+        assert_eq!(empty[plan.run].range(&plan), 0..0);
+        assert_eq!(empty[0].starts, [0]);
     }
 }

@@ -481,7 +481,7 @@ pub fn write_segments_with(
         let mut index =
             Vec::with_capacity(index_bytes(bucket.len() as u64, block_triples) as usize);
         for (run, order) in sorted.iter().zip(RUN_ORDERS) {
-            for block in run.chunks(block_triples as usize) {
+            for block in run.triples.chunks(block_triples as usize) {
                 buf.clear();
                 for id in block.iter().flatten() {
                     buf.extend_from_slice(&id.to_le_bytes());

@@ -1,8 +1,9 @@
 //! Seeded model test of the stores: the native store's sorted runs
 //! agree with the memory store's posting lists on every access pattern,
 //! the native store's estimates are exact and the memory store's are
-//! upper bounds, the dictionary round-trips, and on every store the
-//! chunks of `scan_chunks` concatenate to `scan`.
+//! upper bounds, the dictionary round-trips, on every store the chunks
+//! of `scan_chunks` concatenate to `scan`, and a range read from the
+//! native runs' major-key directories is the binary-searched one.
 //!
 //! Each graph comes from a seed printed in every assertion message;
 //! `SP2B_SEED=<n> cargo test -p sp2b-store --test proptest_indexes`
@@ -12,10 +13,11 @@ use std::path::{Path, PathBuf};
 
 use sp2b_datagen::rng::SplitMix64;
 use sp2b_rdf::{Graph, Iri, Literal, Subject, Term};
+use sp2b_store::run::{RunPlan, RUN_ORDERS};
 use sp2b_store::segment::write_segments_with;
 use sp2b_store::{
-    open_store, sharded_store_from_reader, Dictionary, IdTriple, IndexSelection, Pattern,
-    ScanChunk, ShardBackend, ShardBy, ShardedStore, TripleStore,
+    open_store, sharded_store_from_reader, Dictionary, Id, IdTriple, IndexSelection, NativeStore,
+    Pattern, ScanChunk, ShardBackend, ShardBy, ShardedStore, TripleStore,
 };
 
 const NATIVE: ShardBackend = ShardBackend::Native(IndexSelection::all());
@@ -284,6 +286,82 @@ fn chunks_concatenate_to_the_scan_on_every_store() {
         for (tag, store, extra) in &stores {
             let patterns = case.patterns(store.as_ref());
             assert_chunks_cover(case.seed, tag, *extra, store.as_ref(), &patterns);
+        }
+    }
+}
+
+/// The native store reads a pattern's range from its runs' major-key
+/// directories; the range must be the one a binary search over the
+/// whole planned run finds — same triples, same residual — for every
+/// mask over ids that occur, ids past every major key and random ones,
+/// on a full and an SPO-only run table, unsharded and over 3 shards,
+/// and on an empty store.
+#[test]
+fn the_directory_range_is_the_binary_search_range() {
+    let empty = Case {
+        seed: u64::MAX,
+        graph: Graph::new(),
+        probe: [
+            Term::iri("http://x/s0"),
+            Term::iri("http://x/p0"),
+            object(1),
+        ],
+    };
+    for case in cases().chain([empty]) {
+        let seed = case.seed;
+        let mut dict = Dictionary::new();
+        let triples: Vec<IdTriple> = case.graph.iter().map(|t| dict.encode_triple(t)).collect();
+        let past = dict.len() as Id + 3;
+        let probe = case
+            .probe
+            .each_ref()
+            .map(|t| dict.lookup(t).unwrap_or(past));
+        let mut rng = SplitMix64::new(seed);
+        let random = std::array::from_fn(|_| (rng.next_u64() % (u64::from(past) + 2)) as Id);
+        for shards in [1, 3] {
+            let mut buckets = vec![Vec::new(); shards];
+            for t in &triples {
+                buckets[ShardBy::Subject.shard_of(t, shards)].push(*t);
+            }
+            for selection in [IndexSelection::all(), IndexSelection::spo_only()] {
+                let built = if selection == IndexSelection::all() {
+                    RUN_ORDERS.len()
+                } else {
+                    1
+                };
+                for bucket in &buckets {
+                    let store =
+                        NativeStore::from_encoded(Dictionary::new(), bucket.clone(), selection);
+                    for ids in [probe, [past; 3], random] {
+                        for mask in 0..8 {
+                            let pattern: Pattern =
+                                std::array::from_fn(|i| (mask & (1 << i) != 0).then_some(ids[i]));
+                            let plan = RunPlan::for_pattern(&pattern, built);
+                            let mut run = bucket.clone();
+                            run.sort_by_key(|t| RUN_ORDERS[plan.run].key(t));
+                            let want = &run[plan.range_in(&run)];
+                            let got: Vec<IdTriple> = store
+                                .scan_chunks(pattern, 1)
+                                .into_iter()
+                                .flat_map(|chunk| match chunk {
+                                    ScanChunk::Triples { triples, residual } => {
+                                        assert_eq!(residual, plan.residual, "seed {seed}");
+                                        triples.to_vec()
+                                    }
+                                    _ => panic!("a native store answers with triples"),
+                                })
+                                .collect();
+                            assert_eq!(
+                                got, want,
+                                "seed {seed}: {shards} shard(s), {built} run(s), {pattern:?}"
+                            );
+                            if plan.residual.is_none() {
+                                assert_eq!(store.estimate(pattern), want.len() as u64);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
