@@ -20,11 +20,12 @@
 //!   compact document registry needed for citations and re-selection.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 
-use sp2b_rdf::vocab::{bench, dc, dcterms, foaf, person, rdf, rdfs, swrc};
-use sp2b_rdf::{Graph, Iri, Literal, Subject, Term, Triple};
+use sp2b_rdf::vocab::{bench, dc, dcterms, foaf, person, rdf, rdfs, swrc, xsd};
+use sp2b_rdf::{Graph, LiteralRef, TermRef, TripleRef};
 
 use crate::authors::{AuthorPool, PersonId, YearRoster, ERDOES};
 use crate::names;
@@ -119,15 +120,19 @@ impl DocRef {
     fn seq(self) -> u64 {
         self.0 & ((1 << 56) - 1)
     }
-
-    fn uri(self) -> String {
-        document_uri(self.class(), self.seq())
-    }
 }
 
-/// The instance-URI scheme. Kept in one place so citations can reconstruct
-/// URIs from compact registry entries.
-fn document_uri(class: DocClass, seq: u64) -> String {
+/// Replaces `buf`'s text with `args`: once the buffer has grown to the
+/// longest text it holds, formatting into it allocates nothing.
+fn set(buf: &mut String, args: fmt::Arguments<'_>) {
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+}
+
+/// The instance-URI scheme, written into `buf`. Kept in one place so
+/// citations can reconstruct URIs from compact registry entries.
+fn document_uri(buf: &mut String, class: DocClass, seq: u64) {
     let (path, name) = match class {
         DocClass::Article => ("articles", "Article"),
         DocClass::Inproceedings => ("inprocs", "Inproceeding"),
@@ -138,12 +143,18 @@ fn document_uri(class: DocClass, seq: u64) -> String {
         DocClass::MastersThesis => ("masters", "Mastersthesis"),
         DocClass::Www => ("wwws", "Www"),
     };
-    format!("http://localhost/publications/{path}/{name}{seq}")
+    set(
+        buf,
+        format_args!("http://localhost/publications/{path}/{name}{seq}"),
+    );
 }
 
-/// URI of journal `i` of `year`.
-fn journal_uri(i: u64, year: i32) -> String {
-    format!("http://localhost/publications/journals/Journal{i}/{year}")
+/// URI of journal `i` of `year`, written into `buf`.
+fn journal_uri(buf: &mut String, i: u64, year: i32) {
+    set(
+        buf,
+        format_args!("http://localhost/publications/journals/Journal{i}/{year}"),
+    );
 }
 
 /// The `bench:` class IRI of a document class.
@@ -160,9 +171,87 @@ fn class_iri(class: DocClass) -> &'static str {
     }
 }
 
+/// An IRI term.
+fn iri(iri: &str) -> TermRef<'_> {
+    TermRef::Iri(iri)
+}
+
+/// An `xsd:string` literal — the form of every textual attribute value.
+fn string(lexical: &str) -> TermRef<'_> {
+    TermRef::Literal(LiteralRef {
+        lexical,
+        datatype: Some(xsd::STRING),
+        language: None,
+    })
+}
+
+/// An `xsd:integer` literal — years, months, volumes…
+fn integer(lexical: &str) -> TermRef<'_> {
+    TermRef::Literal(LiteralRef {
+        lexical,
+        datatype: Some(xsd::INTEGER),
+        language: None,
+    })
+}
+
+/// A person's term: Erdős by his IRI, everyone else a blank node named
+/// by label.
+fn person_term(pool: &AuthorPool, id: PersonId) -> TermRef<'_> {
+    if id == ERDOES {
+        iri(person::PAUL_ERDOES)
+    } else {
+        TermRef::Blank(&pool.person(id).label)
+    }
+}
+
+/// Displays a string as `str::to_lowercase` returns it, without
+/// building the lowered copy.
+struct Lowercase<'a>(&'a str);
+
+impl fmt::Display for Lowercase<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0
+            .chars()
+            .flat_map(char::to_lowercase)
+            .try_for_each(|c| f.write_char(c))
+    }
+}
+
+/// The sink of a run and the triple count it stops at.
+struct Out<'s, S> {
+    sink: &'s mut S,
+    /// Triples emitted so far.
+    triples: u64,
+    /// The triple limit; `u64::MAX` under a year limit.
+    max: u64,
+}
+
+impl<S: TripleSink> Out<'_, S> {
+    /// Pushes one borrowed triple into the sink. Signals the triple limit
+    /// *after* writing the triple that reaches it.
+    fn emit(&mut self, subject: TermRef<'_>, predicate: &str, object: TermRef<'_>) -> GenResult {
+        self.sink.triple(TripleRef {
+            subject,
+            predicate,
+            object,
+        })?;
+        self.triples += 1;
+        if self.triples >= self.max {
+            return Err(Stop::Limit);
+        }
+        Ok(())
+    }
+}
+
 /// The streaming generator. Create with [`Generator::new`], drive with
 /// [`Generator::run`], or use the [`generate_graph`] /
 /// [`generate_to_writer`] / [`generate_to_path`] conveniences.
+///
+/// Triples go out borrowed ([`TripleRef`]): vocabulary IRIs are
+/// constants, person terms are the author pool's own strings, and every
+/// other text — the current document's IRI, a title, a formatted number
+/// — is written into one of a few buffers the generator reuses, so
+/// emitting a triple allocates nothing.
 pub struct Generator {
     cfg: Config,
     rng: Rng,
@@ -178,7 +267,7 @@ pub struct Generator {
     /// Global counter for reference-bag blank nodes.
     bag_seq: u64,
     /// Venues of the current year.
-    year_journals: Vec<(u64, String)>, // (journal number, title)
+    year_journals: Vec<u64>, // journal numbers
     year_procs: Vec<(u64, String)>, // (proceedings seq, conference title)
     year_books: Vec<u64>,           // book seqs
     /// Erdős activity counters for the current year.
@@ -187,6 +276,15 @@ pub struct Generator {
     /// Detailed per-year collection (when enabled).
     year_author_counts: HashMap<PersonId, u32>,
     year_record: YearRecord,
+    /// The IRI of the document being emitted.
+    doc: String,
+    /// The text of the object being emitted: an IRI or a literal's
+    /// lexical form.
+    text: String,
+    /// The label of the current reference bag.
+    bag: String,
+    /// The `rdf:_n` predicate of the current bag member.
+    member: String,
 }
 
 impl Generator {
@@ -208,17 +306,31 @@ impl Generator {
             erdoes_edits_left: 0,
             year_author_counts: HashMap::new(),
             year_record: YearRecord::default(),
+            doc: String::new(),
+            text: String::new(),
+            bag: String::new(),
+            member: String::new(),
         }
     }
 
     /// Runs the simulation, pushing every triple into `sink`. Returns the
     /// run's statistics (Table VIII data).
     pub fn run<S: TripleSink>(mut self, sink: &mut S) -> io::Result<GeneratorStats> {
-        let result = self.generate(sink);
+        let max = match self.cfg.limit {
+            Limit::Triples(n) => n,
+            Limit::Year(_) => u64::MAX,
+        };
+        let mut out = Out {
+            sink,
+            triples: 0,
+            max,
+        };
+        let result = self.generate(&mut out);
+        self.stats.triples = out.triples;
         match result {
             Ok(()) | Err(Stop::Limit) => {
-                sink.finish()?;
-                self.stats.bytes = sink.bytes_written();
+                out.sink.finish()?;
+                self.stats.bytes = out.sink.bytes_written();
                 self.stats.distinct_authors = self.pool.distinct_authors();
                 Ok(self.stats)
             }
@@ -228,8 +340,8 @@ impl Generator {
 
     // -- driver ------------------------------------------------------------
 
-    fn generate<S: TripleSink>(&mut self, sink: &mut S) -> GenResult {
-        self.emit_schema(sink)?;
+    fn generate<S: TripleSink>(&mut self, out: &mut Out<'_, S>) -> GenResult {
+        Self::emit_schema(out)?;
         let mut year = params::FIRST_YEAR;
         loop {
             if let Limit::Year(last) = self.cfg.limit {
@@ -237,7 +349,7 @@ impl Generator {
                     return Ok(());
                 }
             }
-            self.generate_year(sink, year)?;
+            self.generate_year(out, year)?;
             year += 1;
             // Safety net: a triple limit is always reached long before
             // this; a runaway year limit is a caller bug.
@@ -250,23 +362,15 @@ impl Generator {
     /// The RDF schema layer: every document class is a subclass of
     /// `foaf:Document` (queried by Q6/Q7's `?class rdfs:subClassOf
     /// foaf:Document` patterns).
-    fn emit_schema<S: TripleSink>(&mut self, sink: &mut S) -> GenResult {
-        let mut classes: Vec<&str> = vec![bench::JOURNAL];
-        classes.extend(DocClass::ALL.iter().map(|&c| class_iri(c)));
-        for class in classes {
-            self.emit(
-                sink,
-                Triple::new(
-                    Subject::iri(class),
-                    Iri::new(rdfs::SUB_CLASS_OF),
-                    Term::iri(foaf::DOCUMENT),
-                ),
-            )?;
+    fn emit_schema<S: TripleSink>(out: &mut Out<'_, S>) -> GenResult {
+        let classes = DocClass::ALL.iter().map(|&c| class_iri(c));
+        for class in std::iter::once(bench::JOURNAL).chain(classes) {
+            out.emit(iri(class), rdfs::SUB_CLASS_OF, iri(foaf::DOCUMENT))?;
         }
         Ok(())
     }
 
-    fn generate_year<S: TripleSink>(&mut self, sink: &mut S, year: i32) -> GenResult {
+    fn generate_year<S: TripleSink>(&mut self, out: &mut Out<'_, S>, year: i32) -> GenResult {
         self.stats.end_year = year;
         self.year_journals.clear();
         self.year_procs.clear();
@@ -361,31 +465,31 @@ impl Generator {
 
         // Venues first (consistency), then publications.
         for i in 1..=n_journal {
-            self.emit_journal(sink, i, year)?;
+            self.emit_journal(out, i, year)?;
         }
         for _ in 0..n_proc {
-            self.emit_document(sink, DocClass::Proceedings, year, &mut roster)?;
+            self.emit_document(out, DocClass::Proceedings, year, &mut roster)?;
         }
         for _ in 0..n_book {
-            self.emit_document(sink, DocClass::Book, year, &mut roster)?;
+            self.emit_document(out, DocClass::Book, year, &mut roster)?;
         }
         for _ in 0..n_article {
-            self.emit_document(sink, DocClass::Article, year, &mut roster)?;
+            self.emit_document(out, DocClass::Article, year, &mut roster)?;
         }
         for _ in 0..n_inproc {
-            self.emit_document(sink, DocClass::Inproceedings, year, &mut roster)?;
+            self.emit_document(out, DocClass::Inproceedings, year, &mut roster)?;
         }
         for _ in 0..n_incoll {
-            self.emit_document(sink, DocClass::Incollection, year, &mut roster)?;
+            self.emit_document(out, DocClass::Incollection, year, &mut roster)?;
         }
         for _ in 0..n_phd {
-            self.emit_document(sink, DocClass::PhdThesis, year, &mut roster)?;
+            self.emit_document(out, DocClass::PhdThesis, year, &mut roster)?;
         }
         for _ in 0..n_masters {
-            self.emit_document(sink, DocClass::MastersThesis, year, &mut roster)?;
+            self.emit_document(out, DocClass::MastersThesis, year, &mut roster)?;
         }
         for _ in 0..n_www {
-            self.emit_document(sink, DocClass::Www, year, &mut roster)?;
+            self.emit_document(out, DocClass::Www, year, &mut roster)?;
         }
 
         if self.cfg.detailed_stats {
@@ -401,90 +505,43 @@ impl Generator {
 
     // -- emission ----------------------------------------------------------
 
-    fn emit<S: TripleSink>(&mut self, sink: &mut S, t: Triple) -> GenResult {
-        sink.triple(&t)?;
-        self.stats.triples += 1;
-        if let Limit::Triples(max) = self.cfg.limit {
-            if self.stats.triples >= max {
-                return Err(Stop::Limit);
-            }
-        }
-        Ok(())
-    }
-
-    fn emit_journal<S: TripleSink>(&mut self, sink: &mut S, number: u64, year: i32) -> GenResult {
-        let uri = journal_uri(number, year);
-        let title = format!("Journal {number} ({year})");
+    fn emit_journal<S: TripleSink>(
+        &mut self,
+        out: &mut Out<'_, S>,
+        number: u64,
+        year: i32,
+    ) -> GenResult {
         self.stats.journals += 1;
         if self.cfg.detailed_stats {
             self.year_record.journals += 1;
         }
         // Record before emitting: a partial journal at the triple limit is
         // still a counted journal.
-        self.year_journals.push((number, title.clone()));
-        let s = Subject::iri(uri);
-        self.emit(
-            sink,
-            Triple::new(s.clone(), Iri::new(rdf::TYPE), Term::iri(bench::JOURNAL)),
-        )?;
-        self.emit(
-            sink,
-            Triple::new(
-                s.clone(),
-                Iri::new(dc::TITLE),
-                Term::Literal(Literal::string(title)),
-            ),
-        )?;
-        self.emit(
-            sink,
-            Triple::new(
-                s,
-                Iri::new(dcterms::ISSUED),
-                Term::Literal(Literal::integer(year as i64)),
-            ),
-        )?;
-        Ok(())
+        self.year_journals.push(number);
+        journal_uri(&mut self.doc, number, year);
+        let s = iri(&self.doc);
+        out.emit(s, rdf::TYPE, iri(bench::JOURNAL))?;
+        set(&mut self.text, format_args!("Journal {number} ({year})"));
+        out.emit(s, dc::TITLE, string(&self.text))?;
+        set(&mut self.text, format_args!("{year}"));
+        out.emit(s, dcterms::ISSUED, integer(&self.text))
     }
 
     /// Ensures a person's introduction triples exist before any reference.
-    fn ensure_person<S: TripleSink>(&mut self, sink: &mut S, id: PersonId) -> GenResult {
+    fn ensure_person<S: TripleSink>(&mut self, out: &mut Out<'_, S>, id: PersonId) -> GenResult {
         if self.pool.person(id).written {
             return Ok(());
         }
         self.pool.person_mut(id).written = true;
-        let (subject, name) = self.person_subject_and_name(id);
-        self.emit(
-            sink,
-            Triple::new(
-                subject.clone(),
-                Iri::new(rdf::TYPE),
-                Term::iri(foaf::PERSON),
-            ),
-        )?;
-        self.emit(
-            sink,
-            Triple::new(
-                subject,
-                Iri::new(foaf::NAME),
-                Term::Literal(Literal::string(name)),
-            ),
-        )?;
-        Ok(())
-    }
-
-    fn person_subject_and_name(&self, id: PersonId) -> (Subject, String) {
-        let p = self.pool.person(id);
-        if id == ERDOES {
-            (Subject::iri(person::PAUL_ERDOES), p.name.clone())
-        } else {
-            (Subject::blank(p.label.clone()), p.name.clone())
-        }
+        let subject = person_term(&self.pool, id);
+        out.emit(subject, rdf::TYPE, iri(foaf::PERSON))?;
+        out.emit(subject, foaf::NAME, string(&self.pool.person(id).name))
     }
 
     /// Emits one complete document of `class` for `year`.
     fn emit_document<S: TripleSink>(
         &mut self,
-        sink: &mut S,
+        out: &mut Out<'_, S>,
         class: DocClass,
         year: i32,
         roster: &mut Option<YearRoster>,
@@ -495,15 +552,16 @@ impl Generator {
         if self.cfg.detailed_stats {
             self.year_record.class_counts[class.index()] += 1;
         }
-        let uri = document_uri(class, seq);
-        let subject = Subject::iri(uri);
+        document_uri(&mut self.doc, class, seq);
 
-        // Venue bookkeeping for later documents of this year.
-        let conference: Option<(u64, String)> = match class {
+        // Venue bookkeeping for later documents of this year: a
+        // proceedings document is its own conference (an index into
+        // `year_procs`).
+        let conference = match class {
             DocClass::Proceedings => {
                 let title = format!("Conference {} ({year})", self.year_procs.len() as u64 + 1);
-                self.year_procs.push((seq, title.clone()));
-                Some((seq, title))
+                self.year_procs.push((seq, title));
+                Some(self.year_procs.len() - 1)
             }
             DocClass::Book => {
                 self.year_books.push(seq);
@@ -512,40 +570,22 @@ impl Generator {
             _ => None,
         };
 
-        self.emit(
-            sink,
-            Triple::new(
-                subject.clone(),
-                Iri::new(rdf::TYPE),
-                Term::iri(class_iri(class)),
-            ),
-        )?;
+        out.emit(iri(&self.doc), rdf::TYPE, iri(class_iri(class)))?;
 
         // Pre-draw per-document venue assignment so booktitle and crossref
         // agree (an inproceedings' booktitle is its conference).
-        let assigned_proc: Option<(u64, String)> =
-            if class == DocClass::Inproceedings && !self.year_procs.is_empty() {
-                let pick = self.rng.below(self.year_procs.len() as u64) as usize;
-                Some(self.year_procs[pick].clone())
-            } else {
-                None
-            };
+        let assigned_proc = if class == DocClass::Inproceedings && !self.year_procs.is_empty() {
+            Some(self.rng.below(self.year_procs.len() as u64) as usize)
+        } else {
+            None
+        };
 
         for attr in Attribute::ALL {
             let p = params::attribute_probability(class, attr);
             if p <= 0.0 || !self.rng.chance(p) {
                 continue;
             }
-            self.emit_attribute(
-                sink,
-                &subject,
-                class,
-                attr,
-                year,
-                roster,
-                &conference,
-                &assigned_proc,
-            )?;
+            self.emit_attribute(out, class, attr, year, roster, conference, assigned_proc)?;
         }
 
         // The optional abstract enrichment (Section IV).
@@ -555,15 +595,8 @@ impl Generator {
             let words = params::ABSTRACT_WORDS
                 .sample_count(&mut self.rng, 1, 400)
                 .clamp(30, 400);
-            let text = self.random_words(words as usize);
-            self.emit(
-                sink,
-                Triple::new(
-                    subject.clone(),
-                    Iri::new(bench::ABSTRACT),
-                    Term::Literal(Literal::string(text)),
-                ),
-            )?;
+            self.random_words(words as usize);
+            self.emit_text(out, bench::ABSTRACT)?;
         }
 
         // Register cite-able documents after full emission (no self-cites,
@@ -577,175 +610,149 @@ impl Generator {
         Ok(())
     }
 
+    /// Emits one attribute of the current document. `conference` and
+    /// `assigned_proc` index `year_procs`: the document's own conference
+    /// (a proceedings) and the one it appeared at (an inproceedings).
     #[allow(clippy::too_many_arguments)]
     fn emit_attribute<S: TripleSink>(
         &mut self,
-        sink: &mut S,
-        subject: &Subject,
+        out: &mut Out<'_, S>,
         class: DocClass,
         attr: Attribute,
         year: i32,
         roster: &mut Option<YearRoster>,
-        conference: &Option<(u64, String)>,
-        assigned_proc: &Option<(u64, String)>,
+        conference: Option<usize>,
+        assigned_proc: Option<usize>,
     ) -> GenResult {
+        let seq = self.class_seq[class.index()];
         match attr {
-            Attribute::Title => {
-                let title = match (class, conference) {
-                    (DocClass::Proceedings, Some((_, t))) => t.clone(),
-                    _ => self.title_words(),
-                };
-                self.emit_string(sink, subject, dc::TITLE, title)
-            }
-            Attribute::Year => self.emit(
-                sink,
-                Triple::new(
-                    subject.clone(),
-                    Iri::new(dcterms::ISSUED),
-                    Term::Literal(Literal::integer(year as i64)),
-                ),
-            ),
-            Attribute::Author => self.emit_authors(sink, subject, year, roster),
-            Attribute::Editor => self.emit_editors(sink, subject, year),
-            Attribute::Cite => self.emit_citations(sink, subject),
-            Attribute::Crossref => self.emit_crossref(sink, subject, class, assigned_proc),
+            Attribute::Title => match (class, conference) {
+                (DocClass::Proceedings, Some(c)) => {
+                    out.emit(iri(&self.doc), dc::TITLE, string(&self.year_procs[c].1))
+                }
+                _ => {
+                    self.title_words();
+                    self.emit_text(out, dc::TITLE)
+                }
+            },
+            Attribute::Year => self.emit_int(out, dcterms::ISSUED, year as i64),
+            Attribute::Author => self.emit_authors(out, year, roster),
+            Attribute::Editor => self.emit_editors(out, year),
+            Attribute::Cite => self.emit_citations(out),
+            Attribute::Crossref => self.emit_crossref(out, class, assigned_proc),
             Attribute::Journal => {
                 if class == DocClass::Article && !self.year_journals.is_empty() {
-                    let (number, _) = self.year_journals
+                    let number = self.year_journals
                         [self.rng.below(self.year_journals.len() as u64) as usize];
-                    self.emit(
-                        sink,
-                        Triple::new(
-                            subject.clone(),
-                            Iri::new(swrc::JOURNAL),
-                            Term::iri(journal_uri(number, year)),
-                        ),
-                    )
+                    journal_uri(&mut self.text, number, year);
+                    out.emit(iri(&self.doc), swrc::JOURNAL, iri(&self.text))
                 } else {
                     Ok(())
                 }
             }
-            Attribute::Booktitle => {
-                let title = match (class, assigned_proc, conference) {
-                    (DocClass::Inproceedings, Some((_, t)), _) => t.clone(),
-                    (DocClass::Proceedings, _, Some((_, t))) => t.clone(),
-                    _ => self.title_words(),
-                };
-                self.emit_string(sink, subject, bench::BOOKTITLE, title)
-            }
+            Attribute::Booktitle => match (class, assigned_proc, conference) {
+                (DocClass::Inproceedings, Some(c), _) | (DocClass::Proceedings, _, Some(c)) => {
+                    let title = &self.year_procs[c].1;
+                    out.emit(iri(&self.doc), bench::BOOKTITLE, string(title))
+                }
+                _ => {
+                    self.title_words();
+                    self.emit_text(out, bench::BOOKTITLE)
+                }
+            },
             Attribute::Pages => {
                 let from = 1 + self.rng.below(400);
                 let to = from + 1 + self.rng.below(40);
-                self.emit_string(sink, subject, swrc::PAGES, format!("{from}-{to}"))
+                set(&mut self.text, format_args!("{from}-{to}"));
+                self.emit_text(out, swrc::PAGES)
             }
             Attribute::Ee => {
                 let word = *self.rng.pick(names::WORDS);
-                let value = format!(
-                    "http://www.{word}.org/rec/{}{}",
-                    class.label(),
-                    self.class_seq[class.index()]
+                let label = class.label();
+                set(
+                    &mut self.text,
+                    format_args!("http://www.{word}.org/rec/{label}{seq}"),
                 );
-                self.emit_string(sink, subject, rdfs::SEE_ALSO, value)
+                self.emit_text(out, rdfs::SEE_ALSO)
             }
             Attribute::Url => {
                 let word = *self.rng.pick(names::WORDS);
-                let value = format!(
-                    "http://www.{word}.com/{}{}.html",
-                    class.label().to_lowercase(),
-                    self.class_seq[class.index()]
+                let label = Lowercase(class.label());
+                set(
+                    &mut self.text,
+                    format_args!("http://www.{word}.com/{label}{seq}.html"),
                 );
-                self.emit_string(sink, subject, foaf::HOMEPAGE, value)
+                self.emit_text(out, foaf::HOMEPAGE)
             }
             Attribute::Isbn => {
                 let a = self.rng.below(10);
                 let b = self.rng.below(100_000);
                 let c = self.rng.below(1_000);
                 let d = self.rng.below(10);
-                self.emit_string(sink, subject, swrc::ISBN, format!("{a}-{b:05}-{c:03}-{d}"))
+                set(&mut self.text, format_args!("{a}-{b:05}-{c:03}-{d}"));
+                self.emit_text(out, swrc::ISBN)
             }
             Attribute::Month => {
                 let m = self.rng.range_inclusive(1, 12) as i64;
-                self.emit_int(sink, subject, swrc::MONTH, m)
+                self.emit_int(out, swrc::MONTH, m)
             }
             Attribute::Number => {
                 let n = self.rng.range_inclusive(1, 500) as i64;
-                self.emit_int(sink, subject, swrc::NUMBER, n)
+                self.emit_int(out, swrc::NUMBER, n)
             }
             Attribute::Volume => {
                 let v = self.rng.range_inclusive(1, 120) as i64;
-                self.emit_int(sink, subject, swrc::VOLUME, v)
+                self.emit_int(out, swrc::VOLUME, v)
             }
             Attribute::Chapter => {
                 let c = self.rng.range_inclusive(1, 25) as i64;
-                self.emit_int(sink, subject, swrc::CHAPTER, c)
+                self.emit_int(out, swrc::CHAPTER, c)
             }
             Attribute::Series => {
                 let s = self.rng.range_inclusive(1, 80) as i64;
-                self.emit_int(sink, subject, swrc::SERIES, s)
+                self.emit_int(out, swrc::SERIES, s)
             }
             Attribute::Publisher | Attribute::School => {
                 let p = *self.rng.pick(names::PUBLISHERS);
-                self.emit_string(sink, subject, dc::PUBLISHER, p.to_owned())
+                out.emit(iri(&self.doc), dc::PUBLISHER, string(p))
             }
             Attribute::Address => {
                 let w = *self.rng.pick(names::WORDS);
-                self.emit_string(sink, subject, swrc::ADDRESS, w.to_owned())
+                out.emit(iri(&self.doc), swrc::ADDRESS, string(w))
             }
             Attribute::Note => {
                 let n = 1 + self.rng.below(4) as usize;
-                let text = self.random_words(n);
-                self.emit_string(sink, subject, bench::NOTE, text)
+                self.random_words(n);
+                self.emit_text(out, bench::NOTE)
             }
             Attribute::Cdrom => {
                 let w = *self.rng.pick(names::WORDS);
-                self.emit_string(
-                    sink,
-                    subject,
-                    bench::CDROM,
-                    format!("CDROM/{w}{}", self.class_seq[class.index()]),
-                )
+                set(&mut self.text, format_args!("CDROM/{w}{seq}"));
+                self.emit_text(out, bench::CDROM)
             }
         }
     }
 
-    fn emit_string<S: TripleSink>(
-        &mut self,
-        sink: &mut S,
-        subject: &Subject,
-        predicate: &str,
-        value: String,
-    ) -> GenResult {
-        self.emit(
-            sink,
-            Triple::new(
-                subject.clone(),
-                Iri::new(predicate),
-                Term::Literal(Literal::string(value)),
-            ),
-        )
+    /// Emits `(document, predicate, text)` with the text an `xsd:string`.
+    fn emit_text<S: TripleSink>(&self, out: &mut Out<'_, S>, predicate: &str) -> GenResult {
+        out.emit(iri(&self.doc), predicate, string(&self.text))
     }
 
+    /// Emits `(document, predicate, value)` with the value an
+    /// `xsd:integer`.
     fn emit_int<S: TripleSink>(
         &mut self,
-        sink: &mut S,
-        subject: &Subject,
+        out: &mut Out<'_, S>,
         predicate: &str,
         value: i64,
     ) -> GenResult {
-        self.emit(
-            sink,
-            Triple::new(
-                subject.clone(),
-                Iri::new(predicate),
-                Term::Literal(Literal::integer(value)),
-            ),
-        )
+        set(&mut self.text, format_args!("{value}"));
+        out.emit(iri(&self.doc), predicate, integer(&self.text))
     }
 
     fn emit_authors<S: TripleSink>(
         &mut self,
-        sink: &mut S,
-        subject: &Subject,
+        out: &mut Out<'_, S>,
         year: i32,
         roster: &mut Option<YearRoster>,
     ) -> GenResult {
@@ -762,8 +769,7 @@ impl Generator {
             authors.push(ERDOES);
         }
         for id in authors {
-            self.ensure_person(sink, id)?;
-            let (s, _) = self.person_subject_and_name(id);
+            self.ensure_person(out, id)?;
             // Book-keep before emitting: `emit` signals the triple limit
             // *after* writing the triple, so a truncated document must
             // still count this creator attribute.
@@ -773,20 +779,12 @@ impl Generator {
                 self.year_record.total_authors += 1;
                 *self.year_author_counts.entry(id).or_insert(0) += 1;
             }
-            self.emit(
-                sink,
-                Triple::new(subject.clone(), Iri::new(dc::CREATOR), s.to_term()),
-            )?;
+            out.emit(iri(&self.doc), dc::CREATOR, person_term(&self.pool, id))?;
         }
         Ok(())
     }
 
-    fn emit_editors<S: TripleSink>(
-        &mut self,
-        sink: &mut S,
-        subject: &Subject,
-        year: i32,
-    ) -> GenResult {
+    fn emit_editors<S: TripleSink>(&mut self, out: &mut Out<'_, S>, year: i32) -> GenResult {
         let k =
             params::D_EDITOR.sample_count(&mut self.rng, 1, params::MAX_EDITORS_PER_DOC) as usize;
         let mut editors = self.pool.select_editors(&mut self.rng, k, year);
@@ -795,17 +793,13 @@ impl Generator {
             editors.push(ERDOES);
         }
         for id in editors {
-            self.ensure_person(sink, id)?;
-            let (s, _) = self.person_subject_and_name(id);
-            self.emit(
-                sink,
-                Triple::new(subject.clone(), Iri::new(swrc::EDITOR), s.to_term()),
-            )?;
+            self.ensure_person(out, id)?;
+            out.emit(iri(&self.doc), swrc::EDITOR, person_term(&self.pool, id))?;
         }
         Ok(())
     }
 
-    fn emit_citations<S: TripleSink>(&mut self, sink: &mut S, subject: &Subject) -> GenResult {
+    fn emit_citations<S: TripleSink>(&mut self, out: &mut Out<'_, S>) -> GenResult {
         let planned = params::D_CITE.sample_count(&mut self.rng, 1, params::MAX_OUTGOING_CITATIONS);
         self.stats.citations_planned += planned;
         *self
@@ -815,19 +809,10 @@ impl Generator {
             .or_insert(0) += 1;
 
         self.bag_seq += 1;
-        let bag = Subject::blank(format!("references{}", self.bag_seq));
-        self.emit(
-            sink,
-            Triple::new(
-                subject.clone(),
-                Iri::new(dcterms::REFERENCES),
-                bag.to_term(),
-            ),
-        )?;
-        self.emit(
-            sink,
-            Triple::new(bag.clone(), Iri::new(rdf::TYPE), Term::iri(rdf::BAG)),
-        )?;
+        set(&mut self.bag, format_args!("references{}", self.bag_seq));
+        let bag = TermRef::Blank(&self.bag);
+        out.emit(iri(&self.doc), dcterms::REFERENCES, bag)?;
+        out.emit(bag, rdf::TYPE, iri(rdf::BAG))?;
 
         let mut member = 0usize;
         for _ in 0..planned {
@@ -849,63 +834,57 @@ impl Generator {
             member += 1;
             // Count before emitting (see emit_authors on limit semantics).
             self.stats.citations_targeted += 1;
-            self.emit(
-                sink,
-                Triple::new(
-                    bag.clone(),
-                    Iri::new(rdf::member(member)),
-                    Term::iri(target.uri()),
-                ),
-            )?;
+            // `rdf:_n`, as `rdf::member` spells it.
+            set(&mut self.member, format_args!("{}_{member}", rdf::NS));
+            document_uri(&mut self.text, target.class(), target.seq());
+            out.emit(bag, &self.member, iri(&self.text))?;
         }
         Ok(())
     }
 
     fn emit_crossref<S: TripleSink>(
         &mut self,
-        sink: &mut S,
-        subject: &Subject,
+        out: &mut Out<'_, S>,
         class: DocClass,
-        assigned_proc: &Option<(u64, String)>,
+        assigned_proc: Option<usize>,
     ) -> GenResult {
         let target = match class {
-            DocClass::Inproceedings => assigned_proc
-                .as_ref()
-                .map(|(seq, _)| document_uri(DocClass::Proceedings, *seq)),
+            DocClass::Inproceedings => {
+                assigned_proc.map(|c| (DocClass::Proceedings, self.year_procs[c].0))
+            }
             DocClass::Incollection if !self.year_books.is_empty() => {
                 let seq = self.year_books[self.rng.below(self.year_books.len() as u64) as usize];
-                Some(document_uri(DocClass::Book, seq))
+                Some((DocClass::Book, seq))
             }
             // Other classes have no natural container in our scheme; their
             // Table IX crossref probabilities are ≤ 0.0016.
             _ => None,
         };
-        if let Some(uri) = target {
-            self.emit(
-                sink,
-                Triple::new(subject.clone(), Iri::new(dcterms::PART_OF), Term::iri(uri)),
-            )?;
+        if let Some((class, seq)) = target {
+            document_uri(&mut self.text, class, seq);
+            out.emit(iri(&self.doc), dcterms::PART_OF, iri(&self.text))?;
         }
         Ok(())
     }
 
     // -- text synthesis ----------------------------------------------------
 
-    fn title_words(&mut self) -> String {
+    /// A title of two to seven random words, into `text`.
+    fn title_words(&mut self) {
         let n = 2 + self.rng.below(6) as usize;
         self.random_words(n)
     }
 
-    fn random_words(&mut self, n: usize) -> String {
-        let mut s = String::with_capacity(n * 8);
+    /// `n` random words, space-separated, into `text`.
+    fn random_words(&mut self, n: usize) {
+        self.text.clear();
         for i in 0..n {
             if i > 0 {
-                s.push(' ');
+                self.text.push(' ');
             }
             let word = *self.rng.pick(names::WORDS);
-            s.push_str(word);
+            self.text.push_str(word);
         }
-        s
     }
 }
 
@@ -945,7 +924,7 @@ pub fn generate_to_path(cfg: Config, path: &Path) -> io::Result<GeneratorStats> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::vocab::xsd;
+    use sp2b_rdf::Term;
     use std::collections::HashSet;
 
     #[test]

@@ -2,19 +2,23 @@
 //!
 //! The generator pushes each triple into a [`TripleSink`] as soon as it is
 //! produced, which is what keeps memory consumption constant in document
-//! size (requirement (3), scalability). Sinks exist for N-Triples files
-//! (the normal case), in-memory collection (tests, examples, loading
-//! straight into a store) and pure counting (Table III timing runs).
+//! size (requirement (3), scalability). A triple arrives borrowed — a
+//! [`TripleRef`] over the vocabulary's constants and the generator's own
+//! reused buffers — and lives for the call only, so emitting one
+//! allocates nothing. Sinks exist for N-Triples files (the normal case,
+//! one line written per triple), in-memory collection (tests and
+//! examples; [`GraphSink`] is the one sink that makes owned triples) and
+//! pure counting (Table III timing runs).
 
 use std::io::{self, Write};
 
 use sp2b_rdf::ntriples;
-use sp2b_rdf::{Graph, Triple};
+use sp2b_rdf::{Graph, TripleRef};
 
 /// Receives generated triples one at a time.
 pub trait TripleSink {
-    /// Consumes one triple.
-    fn triple(&mut self, t: &Triple) -> io::Result<()>;
+    /// Consumes one triple, borrowed for the call.
+    fn triple(&mut self, t: TripleRef<'_>) -> io::Result<()>;
 
     /// Flushes buffered output; called once after generation completes.
     fn finish(&mut self) -> io::Result<()> {
@@ -33,6 +37,8 @@ pub trait TripleSink {
 /// Wrap files in this sink directly — it buffers internally.
 pub struct NtriplesSink<W: Write> {
     out: io::BufWriter<CountingWriter<W>>,
+    /// The line being written, reused from triple to triple.
+    line: Vec<u8>,
 }
 
 impl<W: Write> NtriplesSink<W> {
@@ -46,6 +52,7 @@ impl<W: Write> NtriplesSink<W> {
                     bytes: 0,
                 },
             ),
+            line: Vec::new(),
         }
     }
 
@@ -59,8 +66,8 @@ impl<W: Write> NtriplesSink<W> {
 }
 
 impl<W: Write> TripleSink for NtriplesSink<W> {
-    fn triple(&mut self, t: &Triple) -> io::Result<()> {
-        ntriples::write_triple(&mut self.out, t)
+    fn triple(&mut self, t: TripleRef<'_>) -> io::Result<()> {
+        ntriples::write_triple_ref(&mut self.out, &mut self.line, t)
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -108,8 +115,8 @@ impl GraphSink {
 }
 
 impl TripleSink for GraphSink {
-    fn triple(&mut self, t: &Triple) -> io::Result<()> {
-        self.graph.insert(t.clone());
+    fn triple(&mut self, t: TripleRef<'_>) -> io::Result<()> {
+        self.graph.insert(t.to_triple());
         Ok(())
     }
 }
@@ -120,7 +127,7 @@ impl TripleSink for GraphSink {
 pub struct NullSink;
 
 impl TripleSink for NullSink {
-    fn triple(&mut self, _t: &Triple) -> io::Result<()> {
+    fn triple(&mut self, _t: TripleRef<'_>) -> io::Result<()> {
         Ok(())
     }
 }
@@ -134,7 +141,7 @@ pub struct TeeSink<'a, A: TripleSink, B: TripleSink> {
 }
 
 impl<A: TripleSink, B: TripleSink> TripleSink for TeeSink<'_, A, B> {
-    fn triple(&mut self, t: &Triple) -> io::Result<()> {
+    fn triple(&mut self, t: TripleRef<'_>) -> io::Result<()> {
         self.a.triple(t)?;
         self.b.triple(t)
     }
@@ -152,7 +159,7 @@ impl<A: TripleSink, B: TripleSink> TripleSink for TeeSink<'_, A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2b_rdf::{Iri, Subject, Term};
+    use sp2b_rdf::{Iri, Subject, Term, Triple};
 
     fn t(n: u32) -> Triple {
         Triple::new(
@@ -165,8 +172,8 @@ mod tests {
     #[test]
     fn ntriples_sink_counts_bytes() {
         let mut sink = NtriplesSink::new(Vec::new());
-        sink.triple(&t(1)).unwrap();
-        sink.triple(&t(2)).unwrap();
+        sink.triple(t(1).as_ref()).unwrap();
+        sink.triple(t(2).as_ref()).unwrap();
         let bytes = sink.bytes_written().unwrap();
         sink.finish().unwrap();
         let buf = sink.into_inner().unwrap();
@@ -177,8 +184,8 @@ mod tests {
     #[test]
     fn graph_sink_collects() {
         let mut sink = GraphSink::new();
-        sink.triple(&t(1)).unwrap();
-        sink.triple(&t(2)).unwrap();
+        sink.triple(t(1).as_ref()).unwrap();
+        sink.triple(t(2).as_ref()).unwrap();
         assert_eq!(sink.graph.len(), 2);
     }
 
@@ -191,7 +198,7 @@ mod tests {
                 a: &mut a,
                 b: &mut b,
             };
-            tee.triple(&t(1)).unwrap();
+            tee.triple(t(1).as_ref()).unwrap();
             tee.finish().unwrap();
         }
         assert_eq!(a.graph.len(), 1);

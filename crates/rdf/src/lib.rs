@@ -2,7 +2,7 @@
 //!
 //! The foundation layer of the SP²Bench reproduction: RDF terms
 //! ([`Term`], [`Iri`], [`BlankNode`], [`Literal`], and the borrowed views
-//! [`TermRef`]/[`LiteralRef`] a store decodes ids to), triples ([`Triple`]),
+//! [`TermRef`]/[`LiteralRef`] a store decodes ids to), triples ([`Triple`] and the borrowed [`TripleRef`]),
 //! the vocabularies used by the DBLP scenario ([`vocab`]) and a fast
 //! N-Triples serializer/parser ([`ntriples`]).
 //!
@@ -21,4 +21,4 @@ pub mod vocab;
 
 pub use graph::Graph;
 pub use term::{BlankNode, Iri, LitValue, Literal, LiteralRef, Subject, Term, TermRef};
-pub use triple::Triple;
+pub use triple::{Triple, TripleRef};

@@ -1,95 +1,111 @@
-//! N-Triples serialization and parsing.
+//! N-Triples serialization and parsing, over borrowed triples.
 //!
-//! The generator streams N-Triples through [`write_triple`] (one syscall-
-//! buffered line per triple, constant memory), and the stores bulk-load
-//! through [`Parser`], a hand-rolled byte-level parser that avoids
-//! per-token allocations where possible. Both ends implement the subset of
-//! N-Triples the benchmark data uses — IRIs, blank nodes, plain/typed/
-//! language-tagged literals, `.` terminators, `#` comments — plus the
-//! standard string escapes, so foreign N-Triples documents load too.
+//! **Writing.** [`write_triple_ref`] composes one line per [`TripleRef`]
+//! in a buffer its caller reuses and hands it to the writer in one
+//! `write_all`; [`write_triple`] and [`write_document`] are its
+//! owned-triple wrappers. The generator streams its documents through
+//! it.
+//!
+//! **Parsing.** [`Parser::next_ref`] reads a line into a reused buffer,
+//! checks it is UTF-8 once, and lends a [`TripleRef`] out of it: IRIs,
+//! blank-node labels and literals without escapes are slices of the
+//! line, and only a literal with escapes is unescaped, into one reused
+//! `String`. The delimiters an IRI or a literal ends at (`>`, `"`, `\`)
+//! are found eight bytes at a time. The owned forms — the `Iterator` of
+//! [`Triple`]s and [`parse_line`] — are `next_ref` plus
+//! [`TripleRef::to_triple`]; the store's load route interns the borrowed
+//! strings, so it allocates per new term, not per line.
+//!
+//! Both ends implement the subset of N-Triples the benchmark data uses —
+//! IRIs, blank nodes, plain/typed/language-tagged literals, `.`
+//! terminators, `#` comments — plus the standard string escapes, so
+//! foreign N-Triples documents load too.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use crate::term::{BlankNode, Iri, Literal, Subject, Term};
-use crate::triple::Triple;
+use crate::term::{LiteralRef, TermRef};
+use crate::triple::{Triple, TripleRef};
 
 // ---------------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------------
 
-/// Writes a string literal's lexical form with N-Triples escaping.
-fn write_escaped(out: &mut impl Write, s: &str) -> io::Result<()> {
-    // Fast path: write unbroken runs of safe characters in one call.
+/// Appends a string literal's lexical form with N-Triples escaping.
+fn push_escaped(line: &mut Vec<u8>, s: &str) {
+    // Unbroken runs of safe characters are copied in one call.
     let bytes = s.as_bytes();
     let mut start = 0;
     for (i, &b) in bytes.iter().enumerate() {
-        let esc: Option<&[u8]> = match b {
-            b'"' => Some(b"\\\""),
-            b'\\' => Some(b"\\\\"),
-            b'\n' => Some(b"\\n"),
-            b'\r' => Some(b"\\r"),
-            b'\t' => Some(b"\\t"),
-            _ => None,
+        let esc: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            _ => continue,
         };
-        if let Some(esc) = esc {
-            out.write_all(&bytes[start..i])?;
-            out.write_all(esc)?;
-            start = i + 1;
-        }
+        line.extend_from_slice(&bytes[start..i]);
+        line.extend_from_slice(esc);
+        start = i + 1;
     }
-    out.write_all(&bytes[start..])
+    line.extend_from_slice(&bytes[start..]);
 }
 
-/// Writes one term in N-Triples syntax (no trailing space).
-pub fn write_term(out: &mut impl Write, term: &Term) -> io::Result<()> {
+/// Appends `<iri>`.
+fn push_iri(line: &mut Vec<u8>, iri: &str) {
+    line.push(b'<');
+    line.extend_from_slice(iri.as_bytes());
+    line.push(b'>');
+}
+
+/// Appends one term in N-Triples syntax.
+fn push_term(line: &mut Vec<u8>, term: TermRef<'_>) {
     match term {
-        Term::Iri(i) => {
-            out.write_all(b"<")?;
-            out.write_all(i.as_str().as_bytes())?;
-            out.write_all(b">")
+        TermRef::Iri(iri) => push_iri(line, iri),
+        TermRef::Blank(label) => {
+            line.extend_from_slice(b"_:");
+            line.extend_from_slice(label.as_bytes());
         }
-        Term::Blank(b) => {
-            out.write_all(b"_:")?;
-            out.write_all(b.as_str().as_bytes())
-        }
-        Term::Literal(l) => {
-            out.write_all(b"\"")?;
-            write_escaped(out, &l.lexical)?;
-            out.write_all(b"\"")?;
-            if let Some(lang) = &l.language {
-                out.write_all(b"@")?;
-                out.write_all(lang.as_bytes())
-            } else if let Some(dt) = &l.datatype {
-                out.write_all(b"^^<")?;
-                out.write_all(dt.as_str().as_bytes())?;
-                out.write_all(b">")
-            } else {
-                Ok(())
+        TermRef::Literal(l) => {
+            line.push(b'"');
+            push_escaped(line, l.lexical);
+            line.push(b'"');
+            if let Some(lang) = l.language {
+                line.push(b'@');
+                line.extend_from_slice(lang.as_bytes());
+            } else if let Some(dt) = l.datatype {
+                line.extend_from_slice(b"^^");
+                push_iri(line, dt);
             }
         }
     }
 }
 
-/// Writes one triple as a complete N-Triples line (including `" .\n"`).
+/// Writes one triple as a complete N-Triples line (including `" .\n"`)
+/// with one `write_all`: the line is composed in `line`, a buffer the
+/// caller keeps from line to line (it is cleared first), so writing a
+/// document allocates nothing per line. The one N-Triples writer; the
+/// owned forms wrap it.
+pub fn write_triple_ref(
+    out: &mut impl Write,
+    line: &mut Vec<u8>,
+    t: TripleRef<'_>,
+) -> io::Result<()> {
+    line.clear();
+    push_term(line, t.subject);
+    line.push(b' ');
+    push_iri(line, t.predicate);
+    line.push(b' ');
+    push_term(line, t.object);
+    line.extend_from_slice(b" .\n");
+    out.write_all(line)
+}
+
+/// Writes one owned triple ([`write_triple_ref`] with a line buffer of
+/// its own; a document goes through [`write_document`]).
 pub fn write_triple(out: &mut impl Write, triple: &Triple) -> io::Result<()> {
-    match &triple.subject {
-        Subject::Iri(i) => {
-            out.write_all(b"<")?;
-            out.write_all(i.as_str().as_bytes())?;
-            out.write_all(b"> ")?;
-        }
-        Subject::Blank(b) => {
-            out.write_all(b"_:")?;
-            out.write_all(b.as_str().as_bytes())?;
-            out.write_all(b" ")?;
-        }
-    }
-    out.write_all(b"<")?;
-    out.write_all(triple.predicate.as_str().as_bytes())?;
-    out.write_all(b"> ")?;
-    write_term(out, &triple.object)?;
-    out.write_all(b" .\n")
+    write_triple_ref(out, &mut Vec::new(), triple.as_ref())
 }
 
 /// Serializes a whole iterator of triples.
@@ -97,9 +113,10 @@ pub fn write_document<'a>(
     out: &mut impl Write,
     triples: impl IntoIterator<Item = &'a Triple>,
 ) -> io::Result<usize> {
+    let mut line = Vec::new();
     let mut n = 0;
     for t in triples {
-        write_triple(out, t)?;
+        write_triple_ref(out, &mut line, t.as_ref())?;
         n += 1;
     }
     Ok(n)
@@ -169,23 +186,69 @@ impl From<ParseError> for Error {
     }
 }
 
-/// Byte cursor over a single line.
+/// The index of the first byte of `bytes` that is `a` or `b`, read
+/// eight bytes at a time: a byte equal to the one sought is a zero byte
+/// of the word XOR the sought byte in every lane, and the classic
+/// zero-byte test flags the lowest such lane exactly.
+fn find2(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let zero_lanes = |word: u64| word.wrapping_sub(LOW) & !word & HIGH;
+    let (fill_a, fill_b) = (LOW * a as u64, LOW * b as u64);
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hits = zero_lanes(word ^ fill_a) | zero_lanes(word ^ fill_b);
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = chunks.remainder().iter().position(|&x| x == a || x == b);
+    tail.map(|i| at + i)
+}
+
+/// True if a line (without its line break) holds no triple: nothing but
+/// spaces and tabs, or a `#` comment after them.
+fn is_blank(line: &[u8]) -> bool {
+    match line.iter().find(|&&b| b != b' ' && b != b'\t') {
+        None => true,
+        Some(&b) => b == b'#',
+    }
+}
+
+/// Byte cursor over a single line that is known to be UTF-8. Every
+/// delimiter it cuts at is ASCII, so each cut is a character boundary.
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    line: &'a str,
     pos: usize,
-    line: u64,
+    line_no: u64,
 }
 
 impl<'a> Cursor<'a> {
+    fn new(line: &'a str, line_no: u64) -> Self {
+        Cursor {
+            line,
+            pos: 0,
+            line_no,
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError {
-            line: self.line,
+            line: self.line_no,
             message: message.into(),
         }
     }
 
+    /// The bytes from the cursor on.
+    fn rest(&self) -> &'a [u8] {
+        &self.line.as_bytes()[self.pos..]
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -212,76 +275,45 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parses `<IRI>`.
-    fn iri(&mut self) -> Result<Iri, ParseError> {
+    fn iri(&mut self) -> Result<&'a str, ParseError> {
         self.expect(b'<')?;
         let start = self.pos;
-        loop {
-            match self.bump() {
-                Some(b'>') => {
-                    let s = &self.bytes[start..self.pos - 1];
-                    let s =
-                        std::str::from_utf8(s).map_err(|_| self.err("IRI is not valid UTF-8"))?;
-                    return Ok(Iri::new(s));
-                }
-                Some(_) => {}
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
+        let len = find2(self.rest(), b'>', b'>').ok_or_else(|| self.err("unterminated IRI"))?;
+        self.pos += len + 1;
+        Ok(&self.line[start..start + len])
     }
 
     /// Parses `_:label`.
-    fn blank(&mut self) -> Result<BlankNode, ParseError> {
+    fn blank(&mut self) -> Result<&'a str, ParseError> {
         self.expect(b'_')?;
         self.expect(b':')?;
         let start = self.pos;
-        while matches!(self.peek(), Some(b) if !b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
+        let rest = self.rest();
+        let len = rest.iter().position(u8::is_ascii_whitespace);
+        self.pos += len.unwrap_or(rest.len());
         if self.pos == start {
             return Err(self.err("empty blank node label"));
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("blank node label is not valid UTF-8"))?;
-        Ok(BlankNode::new(s))
+        Ok(&self.line[start..self.pos])
     }
 
     /// Parses a quoted literal with optional `@lang` / `^^<dt>` suffix.
-    fn literal(&mut self) -> Result<Literal, ParseError> {
+    /// The lexical form is a slice of the line unless it has escapes;
+    /// then it is unescaped into `unescaped`.
+    fn literal(&mut self, unescaped: &'a mut String) -> Result<LiteralRef<'a>, ParseError> {
         self.expect(b'"')?;
-        let mut lexical = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => lexical.push('"'),
-                    Some(b'\\') => lexical.push('\\'),
-                    Some(b'n') => lexical.push('\n'),
-                    Some(b'r') => lexical.push('\r'),
-                    Some(b't') => lexical.push('\t'),
-                    Some(b'u') => lexical.push(self.unicode_escape(4)?),
-                    Some(b'U') => lexical.push(self.unicode_escape(8)?),
-                    other => {
-                        return Err(
-                            self.err(format!("invalid escape \\{:?}", other.map(|c| c as char)))
-                        )
-                    }
-                },
-                Some(b) if b < 0x80 => lexical.push(b as char),
-                Some(b) => {
-                    // Re-assemble a multi-byte UTF-8 sequence.
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8 in literal"))?;
-                    let start = self.pos - 1;
-                    for _ in 1..len {
-                        self.bump()
-                            .ok_or_else(|| self.err("truncated UTF-8 in literal"))?;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in literal"))?;
-                    lexical.push_str(s);
-                }
-                None => return Err(self.err("unterminated literal")),
+        let start = self.pos;
+        let lexical = match find2(self.rest(), b'"', b'\\') {
+            None => return Err(self.err("unterminated literal")),
+            Some(len) if self.rest()[len] == b'"' => {
+                self.pos += len + 1;
+                &self.line[start..start + len]
             }
-        }
+            Some(_) => {
+                self.unescape(unescaped)?;
+                &unescaped[..]
+            }
+        };
         match self.peek() {
             Some(b'@') => {
                 self.pos += 1;
@@ -292,30 +324,56 @@ impl<'a> Cursor<'a> {
                 if self.pos == start {
                     return Err(self.err("empty language tag"));
                 }
-                let lang = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("ASCII checked")
-                    .to_owned();
-                Ok(Literal {
+                Ok(LiteralRef {
                     lexical,
                     datatype: None,
-                    language: Some(lang),
+                    language: Some(&self.line[start..self.pos]),
                 })
             }
             Some(b'^') => {
                 self.pos += 1;
                 self.expect(b'^')?;
-                let dt = self.iri()?;
-                Ok(Literal {
+                Ok(LiteralRef {
                     lexical,
-                    datatype: Some(dt),
+                    datatype: Some(self.iri()?),
                     language: None,
                 })
             }
-            _ => Ok(Literal {
+            _ => Ok(LiteralRef {
                 lexical,
                 datatype: None,
                 language: None,
             }),
+        }
+    }
+
+    /// Unescapes a lexical form from the cursor (just behind its opening
+    /// quote) into `out`, and leaves the cursor behind its closing quote.
+    /// Runs between escapes are copied whole.
+    fn unescape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        out.clear();
+        loop {
+            let Some(len) = find2(self.rest(), b'"', b'\\') else {
+                return Err(self.err("unterminated literal"));
+            };
+            out.push_str(&self.line[self.pos..self.pos + len]);
+            self.pos += len;
+            if self.bump() == Some(b'"') {
+                return Ok(());
+            }
+            let c = match self.bump() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => self.unicode_escape(4)?,
+                Some(b'U') => self.unicode_escape(8)?,
+                other => {
+                    return Err(self.err(format!("invalid escape \\{:?}", other.map(|c| c as char))))
+                }
+            };
+            out.push(c);
         }
     }
 
@@ -333,77 +391,73 @@ impl<'a> Cursor<'a> {
         char::from_u32(v).ok_or_else(|| self.err("invalid code point in \\u escape"))
     }
 
-    fn term(&mut self) -> Result<Term, ParseError> {
+    fn term(&mut self, unescaped: &'a mut String) -> Result<TermRef<'a>, ParseError> {
         match self.peek() {
-            Some(b'<') => Ok(Term::Iri(self.iri()?)),
-            Some(b'_') => Ok(Term::Blank(self.blank()?)),
-            Some(b'"') => Ok(Term::Literal(self.literal()?)),
+            Some(b'<') => Ok(TermRef::Iri(self.iri()?)),
+            Some(b'_') => Ok(TermRef::Blank(self.blank()?)),
+            Some(b'"') => Ok(TermRef::Literal(self.literal(unescaped)?)),
             other => Err(self.err(format!(
                 "expected term, found {:?}",
                 other.map(|c| c as char)
             ))),
         }
     }
-}
 
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0xC0..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF7 => Some(4),
-        _ => None,
-    }
-}
-
-/// Parses one N-Triples line. Returns `Ok(None)` for blank/comment lines.
-pub fn parse_line(line: &str, line_no: u64) -> Result<Option<Triple>, ParseError> {
-    let mut c = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-        line: line_no,
-    };
-    c.skip_ws();
-    match c.peek() {
-        None | Some(b'#') => return Ok(None),
-        _ => {}
-    }
-    let subject = match c.peek() {
-        Some(b'<') => Subject::Iri(c.iri()?),
-        Some(b'_') => Subject::Blank(c.blank()?),
-        other => {
-            return Err(c.err(format!(
-                "expected subject, found {:?}",
-                other.map(|x| x as char)
-            )))
+    /// Parses the line as one triple: the one parse routine.
+    fn triple(mut self, unescaped: &'a mut String) -> Result<TripleRef<'a>, ParseError> {
+        self.skip_ws();
+        let subject = match self.peek() {
+            Some(b'<') => TermRef::Iri(self.iri()?),
+            Some(b'_') => TermRef::Blank(self.blank()?),
+            other => {
+                return Err(self.err(format!(
+                    "expected subject, found {:?}",
+                    other.map(|x| x as char)
+                )))
+            }
+        };
+        self.skip_ws();
+        let predicate = self.iri()?;
+        self.skip_ws();
+        let object = self.term(unescaped)?;
+        self.skip_ws();
+        self.expect(b'.')?;
+        self.skip_ws();
+        if self.peek().is_some() {
+            return Err(self.err("trailing content after '.'"));
         }
-    };
-    c.skip_ws();
-    let predicate = c.iri()?;
-    c.skip_ws();
-    let object = c.term()?;
-    c.skip_ws();
-    c.expect(b'.')?;
-    c.skip_ws();
-    if c.peek().is_some() {
-        return Err(c.err("trailing content after '.'"));
+        Ok(TripleRef {
+            subject,
+            predicate,
+            object,
+        })
     }
-    Ok(Some(Triple {
-        subject,
-        predicate,
-        object,
-    }))
+}
+
+/// Parses one N-Triples line (without its line break). Returns
+/// `Ok(None)` for blank/comment lines.
+pub fn parse_line(line: &str, line_no: u64) -> Result<Option<Triple>, ParseError> {
+    if is_blank(line.as_bytes()) {
+        return Ok(None);
+    }
+    let mut unescaped = String::new();
+    let t = Cursor::new(line, line_no).triple(&mut unescaped)?;
+    Ok(Some(t.to_triple()))
 }
 
 /// Streaming N-Triples parser over any [`BufRead`].
 ///
-/// Reuses a single line buffer (`BufRead::read_until` rather than
-/// `lines()`, after the perf-book guidance), so parsing allocates only
-/// for the term strings themselves. A line that is not UTF-8 is a
-/// [`ParseError`] naming it, like any other malformed line.
+/// [`Parser::next_ref`] lends each triple out of one reused line buffer
+/// (`BufRead::read_until`, after the perf-book guidance); the
+/// `Iterator` of owned [`Triple`]s copies each one out. A line that is
+/// not UTF-8 is a [`ParseError`] naming it, like any other malformed
+/// line.
 pub struct Parser<R> {
     input: R,
-    buf: Vec<u8>,
+    line: Vec<u8>,
     line_no: u64,
+    /// The lexical form of the last literal that had escapes.
+    unescaped: String,
 }
 
 impl<R: BufRead> Parser<R> {
@@ -411,37 +465,54 @@ impl<R: BufRead> Parser<R> {
     pub fn new(input: R) -> Self {
         Parser {
             input,
-            buf: Vec::with_capacity(256),
+            line: Vec::with_capacity(256),
             line_no: 0,
+            unescaped: String::new(),
         }
     }
 
-    /// Reads the next triple, skipping comments and blank lines.
+    /// Reads the next triple, skipping comments and blank lines, and
+    /// lends it out of the parser's buffers until the next call.
     /// Returns `Ok(None)` at end of input.
-    pub fn next_triple(&mut self) -> Result<Option<Triple>, Error> {
-        loop {
-            self.buf.clear();
-            let n = self.input.read_until(b'\n', &mut self.buf)?;
-            if n == 0 {
+    pub fn next_ref(&mut self) -> Result<Option<TripleRef<'_>>, Error> {
+        let line = loop {
+            self.line.clear();
+            if self.input.read_until(b'\n', &mut self.line)? == 0 {
                 return Ok(None);
             }
             self.line_no += 1;
-            let line = std::str::from_utf8(&self.buf).map_err(|_| ParseError {
-                line: self.line_no,
-                message: "line is not valid UTF-8".to_owned(),
-            })?;
-            if let Some(t) = parse_line(line.trim_end_matches(['\n', '\r']), self.line_no)? {
-                return Ok(Some(t));
+            // The line break, and every `\r` before it, is not content.
+            let end = self
+                .line
+                .iter()
+                .rposition(|&b| b != b'\n' && b != b'\r')
+                .map_or(0, |i| i + 1);
+            // Each line is checked once, comments and blank lines too;
+            // only a line holding a triple is lent on.
+            if !is_blank(&self.line[..end]) {
+                break &utf8(&self.line, self.line_no)?[..end];
             }
-        }
+            utf8(&self.line, self.line_no)?;
+        };
+        let t = Cursor::new(line, self.line_no).triple(&mut self.unescaped)?;
+        Ok(Some(t))
     }
+}
+
+/// A read line as text, or the error naming it.
+fn utf8(line: &[u8], line_no: u64) -> Result<&str, ParseError> {
+    std::str::from_utf8(line).map_err(|_| ParseError {
+        line: line_no,
+        message: "line is not valid UTF-8".to_owned(),
+    })
 }
 
 impl<R: BufRead> Iterator for Parser<R> {
     type Item = Result<Triple, Error>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.next_triple().transpose()
+        let t = self.next_ref().map(|t| t.map(|t| t.to_triple()));
+        t.transpose()
     }
 }
 
@@ -453,6 +524,7 @@ pub fn parse_document(doc: &str) -> Result<Vec<Triple>, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{Iri, Literal, Subject, Term};
     use crate::vocab::xsd;
 
     fn roundtrip(t: &Triple) -> Triple {
@@ -550,6 +622,32 @@ mod tests {
     fn rejects_literal_subject() {
         let line = r#""lit" <http://a/p> <http://a/o> ."#;
         assert!(parse_line(line, 1).is_err());
+    }
+
+    #[test]
+    fn the_word_scan_finds_the_first_delimiter_at_every_offset() {
+        // Fillers next to the sought bytes in value (`=` `?` `!` `#`),
+        // with the high bit set, and zero.
+        for filler in [b'a', b'=', b'?', b'!', b'#', 0x00, 0x80, 0xBE, 0xFF] {
+            for len in 0..26 {
+                let mut bytes = vec![filler; len];
+                assert_eq!(find2(&bytes, b'"', b'\\'), None, "{filler:#x} × {len}");
+                for at in 0..len {
+                    for (a, b) in [(b'>', b'>'), (b'"', b'\\')] {
+                        for sought in [a, b] {
+                            bytes.fill(filler);
+                            bytes[at] = sought;
+                            // A later hit must not win.
+                            if at + 3 < len {
+                                bytes[at + 3] = a;
+                            }
+                            let shown = format!("{filler:#x} × {len}, {sought} at {at}");
+                            assert_eq!(find2(&bytes, a, b), Some(at), "{shown}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::term::{Iri, Subject, Term};
+use crate::term::{Iri, Subject, Term, TermRef};
 
 /// A single RDF statement `(subject, predicate, object)`.
 ///
@@ -30,6 +30,53 @@ impl Triple {
             predicate: predicate.into(),
             object: object.into(),
         }
+    }
+
+    /// The borrowed view of this triple.
+    pub fn as_ref(&self) -> TripleRef<'_> {
+        TripleRef {
+            subject: (&self.subject).into(),
+            predicate: self.predicate.as_str(),
+            object: self.object.as_ref(),
+        }
+    }
+}
+
+/// A [`Triple`] whose strings are borrowed: what the N-Triples parser
+/// lends out of its line buffer, what the generator emits from its own
+/// buffers and what a store interns. `Copy`, and building one allocates
+/// nothing. The subject is a [`TermRef`] like the object, but only an
+/// IRI or a blank node makes a triple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TripleRef<'a> {
+    /// Subject: an IRI or a blank node.
+    pub subject: TermRef<'a>,
+    /// Predicate IRI.
+    pub predicate: &'a str,
+    /// Object: any term.
+    pub object: TermRef<'a>,
+}
+
+impl TripleRef<'_> {
+    /// An owned copy. Panics on a literal subject, which no parser or
+    /// generator produces.
+    pub fn to_triple(&self) -> Triple {
+        let subject = match self.subject {
+            TermRef::Iri(iri) => Subject::iri(iri),
+            TermRef::Blank(label) => Subject::blank(label),
+            TermRef::Literal(l) => panic!("a literal cannot be a subject: {l}"),
+        };
+        Triple {
+            subject,
+            predicate: Iri::new(self.predicate),
+            object: self.object.to_term(),
+        }
+    }
+}
+
+impl<'a> From<&'a Triple> for TripleRef<'a> {
+    fn from(t: &'a Triple) -> Self {
+        t.as_ref()
     }
 }
 
@@ -65,5 +112,15 @@ mod tests {
         );
         assert!(t.subject.to_term().is_blank());
         assert!(t.object.as_literal().is_some());
+    }
+
+    #[test]
+    fn borrowed_view_round_trips() {
+        let t = Triple::new(
+            Subject::blank("Paul_Erdoes"),
+            Iri::new(dc::TITLE),
+            Term::Literal(Literal::integer(1940)),
+        );
+        assert_eq!(t.as_ref().to_triple(), t);
     }
 }

@@ -214,3 +214,255 @@ fn term_ordering_is_total() {
         }
     });
 }
+
+/// What a document parses to: its triples, or the first error's line
+/// and message.
+type Parsed = Result<Vec<Triple>, (u64, String)>;
+
+fn parse(doc: &[u8]) -> Parsed {
+    Parser::new(doc)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| match e {
+            sp2b_rdf::ntriples::Error::Parse(e) => (e.line, e.message),
+            sp2b_rdf::ntriples::Error::Io(e) => panic!("reading a slice failed: {e}"),
+        })
+}
+
+fn iri(s: &str) -> Term {
+    Term::iri(s)
+}
+
+fn lit(lexical: &str, datatype: Option<&str>, language: Option<&str>) -> Term {
+    Term::Literal(Literal {
+        lexical: lexical.to_owned(),
+        datatype: datatype.map(Iri::new),
+        language: language.map(str::to_owned),
+    })
+}
+
+fn triple(s: Subject, p: &str, o: Term) -> Triple {
+    Triple::new(s, Iri::new(p), o)
+}
+
+fn fails(line: u64, message: &str) -> Parsed {
+    Err((line, message.to_owned()))
+}
+
+/// The parser's behaviour, case by case: the exact triples of a
+/// well-formed document, or the exact message and line of the first
+/// error of a malformed one. Every one-line case is also checked
+/// through `parse_line`.
+#[test]
+fn parser_cases_are_pinned() {
+    let s = || Subject::iri("http://a/s");
+    let p = "http://a/p";
+    let one = |o: Term| Ok(vec![triple(s(), p, o)]);
+    let cases: Vec<(&[u8], Parsed)> = vec![
+        // Every term kind.
+        (
+            b"<http://a/s> <http://a/p> <http://a/o> .\n",
+            one(iri("http://a/o")),
+        ),
+        (
+            b"_:b1 <http://a/p> _:b2 .\n",
+            Ok(vec![triple(Subject::blank("b1"), p, Term::blank("b2"))]),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"plain\" .\n",
+            one(lit("plain", None, None)),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"\" .\n",
+            one(lit("", None, None)),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"chat\"@fr-BE .\n",
+            one(lit("chat", None, Some("fr-BE"))),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+            one(lit("42", Some(xsd::INTEGER), None)),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"x\"^^<> .\n",
+            one(lit("x", Some(""), None)),
+        ),
+        // Escapes, in a plain and a typed literal.
+        (
+            b"<http://a/s> <http://a/p> \"q\\\" b\\\\ n\\n r\\r t\\t\" .\n",
+            one(lit("q\" b\\ n\n r\r t\t", None, None)),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"\\u00E9\\u00e9\\U0001F600!\"^^<http://x/dt> .\n",
+            one(lit("\u{e9}\u{e9}\u{1F600}!", Some("http://x/dt"), None)),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"a long run before the escape\\tand after it\"@en .\n",
+            one(lit(
+                "a long run before the escape\tand after it",
+                None,
+                Some("en"),
+            )),
+        ),
+        // Multi-byte UTF-8 in IRIs, labels and literals.
+        (
+            "<http://a/Erdős> <http://a/p> <http://a/数学> .\n".as_bytes(),
+            Ok(vec![triple(
+                Subject::iri("http://a/Erdős"),
+                p,
+                iri("http://a/数学"),
+            )]),
+        ),
+        (
+            "_:Pál <http://a/p> \"Erdős Pál — 数学 🎉\" .\n".as_bytes(),
+            Ok(vec![triple(
+                Subject::blank("Pál"),
+                p,
+                lit("Erdős Pál — 数学 🎉", None, None),
+            )]),
+        ),
+        // Comments, blank lines, CRLF, leading and trailing whitespace.
+        (
+            b"# header\n\n   \n\t# indented\r\n<http://a/s> <http://a/p> <http://a/o> . # not a comment\n",
+            fails(5, "trailing content after '.'"),
+        ),
+        (
+            b"# header\n\n \t \r\n<http://a/s> <http://a/p> <http://a/o> .\r\n# done",
+            one(iri("http://a/o")),
+        ),
+        (
+            b" \t<http://a/s>\t <http://a/p>  <http://a/o>. \t\r\r\n",
+            one(iri("http://a/o")),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"no newline at the end\" .",
+            one(lit("no newline at the end", None, None)),
+        ),
+        (
+            b"<http://a/s> <http://a/p> <http://a/o> .\r <http://a/s> .\n",
+            fails(1, "trailing content after '.'"),
+        ),
+        (b"", Ok(vec![])),
+        (b"\n\n# only comments\n", Ok(vec![])),
+        // Unterminated terms.
+        (
+            b"<http://a/s> <http://a/p> <http://a/o .\n",
+            fails(1, "unterminated IRI"),
+        ),
+        (
+            b"<http://a/s <http://a/p> <http://a/o> .\n",
+            fails(1, "expected term, found Some('.')"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"open .\n",
+            fails(1, "unterminated literal"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"open \\\" .\n",
+            fails(1, "unterminated literal"),
+        ),
+        // Bad escapes.
+        (
+            b"<http://a/s> <http://a/p> \"a\\qb\" .\n",
+            fails(1, "invalid escape \\Some('q')"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"a\\",
+            fails(1, "invalid escape \\None"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"\\u00\" .\n",
+            fails(1, "non-hex digit in \\u escape"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"\\U0001F6",
+            fails(1, "truncated \\u escape"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"\\uD800\" .\n",
+            fails(1, "invalid code point in \\u escape"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"\\U00110000\" .\n",
+            fails(1, "invalid code point in \\u escape"),
+        ),
+        // Lines that are not UTF-8, a comment among them.
+        (
+            b"<http://a/s> <http://a/p> <http://a/o> .\n<http://a/s> <http://a/p> \"\xff\" .\n",
+            fails(2, "line is not valid UTF-8"),
+        ),
+        (b"# \xc3\n", fails(1, "line is not valid UTF-8")),
+        // Trailing garbage and other malformed lines.
+        (
+            b"<http://a/s> <http://a/p> <http://a/o> . extra\n",
+            fails(1, "trailing content after '.'"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> <http://a/o> .. \n",
+            fails(1, "trailing content after '.'"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> <http://a/o>\n",
+            fails(1, "expected '.', found None"),
+        ),
+        (
+            b"\"lit\" <http://a/p> <http://a/o> .\n",
+            fails(1, "expected subject, found Some('\"')"),
+        ),
+        (
+            "é <http://a/p> <http://a/o> .\n".as_bytes(),
+            fails(1, "expected subject, found Some('Ã')"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> 42 .\n",
+            fails(1, "expected term, found Some('4')"),
+        ),
+        (
+            b"<http://a/s> _:p <http://a/o> .\n",
+            fails(1, "expected '<', found Some('_')"),
+        ),
+        (
+            b"_x <http://a/p> <http://a/o> .\n",
+            fails(1, "expected ':', found Some('x')"),
+        ),
+        (
+            b"_: <http://a/p> <http://a/o> .\n",
+            fails(1, "empty blank node label"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"a\"@ .\n",
+            fails(1, "empty language tag"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"a\"^<http://x/dt> .\n",
+            fails(1, "expected '^', found Some('<')"),
+        ),
+        (
+            b"<http://a/s> <http://a/p> \"a\"^^<http://x/dt .\n",
+            fails(1, "unterminated IRI"),
+        ),
+        (
+            b"<http://a/s>",
+            fails(1, "expected '<', found None"),
+        ),
+        // The first error stops the document, on its own line number.
+        (
+            b"# one\n<http://a/s> <http://a/p> <http://a/o> .\n\n<oops\n<http://a/s> <http://a/p> x .\n",
+            fails(4, "unterminated IRI"),
+        ),
+    ];
+    for (doc, want) in &cases {
+        let shown = String::from_utf8_lossy(doc);
+        assert_eq!(&parse(doc), want, "{shown:?}");
+        let line = doc.strip_suffix(b"\n").unwrap_or(doc);
+        let Ok(line) = std::str::from_utf8(line) else {
+            continue;
+        };
+        if !line.is_empty() && !line.contains('\n') {
+            let one = parse_line(line.trim_end_matches('\r'), 1)
+                .map(|t| t.into_iter().collect::<Vec<_>>())
+                .map_err(|e| (e.line, e.message));
+            assert_eq!(&one, want, "parse_line {shown:?}");
+        }
+    }
+}

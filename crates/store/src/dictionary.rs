@@ -37,7 +37,7 @@
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
-use sp2b_rdf::{LitValue, LiteralRef, TermRef, Triple};
+use sp2b_rdf::{LitValue, LiteralRef, TermRef, TripleRef};
 
 use crate::hash::FxHasher;
 
@@ -210,6 +210,9 @@ pub struct Dictionary {
     shift: u32,
     /// Each id's [`ValueKey`], built on first use.
     keys: OnceLock<Box<[Option<ValueKey>]>>,
+    /// The subject and the predicate id of the last triple encoded
+    /// ([`Dictionary::encode_triple`]).
+    recent: [Option<Id>; 2],
 }
 
 impl Dictionary {
@@ -268,21 +271,42 @@ impl Dictionary {
         &mut self,
         term: impl Into<TermRef<'t>>,
     ) -> Result<Id, DictionaryFull> {
-        let fields = Fields::of(term.into());
+        self.intern(&Fields::of(term.into()))
+    }
+
+    /// The id of the term with these fields, interned if it is new.
+    fn intern(&mut self, fields: &Fields<'_>) -> Result<Id, DictionaryFull> {
         let tag = fields.tag();
-        match self.find(tag, &fields) {
+        match self.find(tag, fields) {
             Some(id) => Ok(id),
-            None => self.push(tag, &fields),
+            None => self.push(tag, fields),
         }
     }
 
-    /// Encodes a whole triple.
-    pub fn encode_triple(&mut self, t: &Triple) -> IdTriple {
+    /// Encodes a whole triple: a [`TripleRef`], or a `&Triple`. A
+    /// subject or predicate equal to the previous triple's takes that
+    /// triple's id after one comparison with the arena, without hashing
+    /// — N-Triples documents group by subject. Panics when the
+    /// dictionary is full, as [`Dictionary::encode`] does.
+    pub fn encode_triple<'t>(&mut self, t: impl Into<TripleRef<'t>>) -> IdTriple {
+        let t = t.into();
         [
-            self.encode(&t.subject),
-            self.encode(&t.predicate),
-            self.encode(&t.object),
+            self.encode_recent(0, t.subject),
+            self.encode_recent(1, TermRef::Iri(t.predicate)),
+            self.encode(t.object),
         ]
+    }
+
+    /// Interns the term at `position` (0 subject, 1 predicate) of a
+    /// triple, trying the previous triple's term there first.
+    fn encode_recent(&mut self, position: usize, term: TermRef<'_>) -> Id {
+        let fields = Fields::of(term);
+        if let Some(id) = self.recent[position].filter(|&id| self.holds(id, &fields)) {
+            return id;
+        }
+        let id = self.intern(&fields).unwrap_or_else(|full| panic!("{full}"));
+        self.recent[position] = Some(id);
+        id
     }
 
     /// Looks up a term's id without interning.
@@ -519,7 +543,7 @@ impl Dictionary {
 mod tests {
     use super::*;
     use sp2b_rdf::vocab::xsd;
-    use sp2b_rdf::{Iri, Literal, Subject, Term};
+    use sp2b_rdf::{Iri, Literal, Subject, Term, Triple};
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -575,6 +599,38 @@ mod tests {
         let [s, p, o] = d.encode_triple(&t);
         assert_eq!(s, o, "same term must get the same id in any position");
         assert_ne!(s, p);
+    }
+
+    #[test]
+    fn a_repeated_subject_or_predicate_gets_the_id_a_lookup_gives() {
+        // Subjects and predicates repeat, reappear after others, turn up
+        // in other positions, and differ from the previous only in kind.
+        let lines = [
+            ("http://a/s", "http://a/p", Term::iri("http://a/o")),
+            (
+                "http://a/s",
+                "http://a/p",
+                Term::Literal(Literal::plain("x")),
+            ),
+            ("http://a/s", "http://a/q", Term::iri("http://a/s")),
+            ("http://a/o", "http://a/q", Term::iri("http://a/p")),
+            ("http://a/s", "http://a/p", Term::blank("http://a/s")),
+            ("http://a/p", "http://a/s", Term::iri("http://a/q")),
+        ];
+        let mut d = Dictionary::new();
+        for (s, p, o) in lines {
+            let blank = Triple::new(Subject::blank(s), Iri::new(p), o.clone());
+            for t in [Triple::new(Subject::iri(s), Iri::new(p), o), blank] {
+                let ids = d.encode_triple(&t);
+                let want = [
+                    d.lookup(&t.subject),
+                    d.lookup(&t.predicate),
+                    d.lookup(&t.object),
+                ];
+                assert_eq!(want, ids.map(Some), "{t}");
+            }
+        }
+        assert_eq!(d.len(), 8);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! borrowed slices — so an eviction can never invalidate a worker's
 //! chunk.
 
-use std::convert::Infallible;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +69,8 @@ pub fn save_graph(
     shards: usize,
     shard_by: ShardBy,
 ) -> Result<SegmentStats, SegmentError> {
-    let routed = route_buckets(graph.iter().map(Ok::<_, Infallible>), shards, shard_by);
-    let (dict, buckets) = routed.unwrap_or_else(|e| match e {});
+    let (dict, buckets) =
+        route_buckets(graph.iter(), shards, shard_by).unwrap_or_else(|e| match e {});
     write_segments(dir, &dict, shard_by, buckets)
 }
 
@@ -573,7 +572,7 @@ mod tests {
     /// exercise boundary handling.
     fn save_blocks(dir: &Path, g: &Graph, shards: usize, block_triples: u32) -> SegmentStats {
         let by = ShardBy::Subject;
-        let (dict, buckets) = route_buckets(g.iter().map(Ok::<_, ()>), shards, by).unwrap();
+        let (dict, buckets) = route_buckets(g.iter(), shards, by).unwrap();
         write_segments_with(dir, &dict, by, buckets, block_triples).expect("save")
     }
 

@@ -11,16 +11,23 @@
 //! [`write_segments`], and `save_graph` is the one adapter from an
 //! in-memory [`sp2b_rdf::Graph`].
 //!
+//! No owned triple travels the route. Its source lends one
+//! [`TripleRef`] at a time ([`TripleSource`]): the parser out of its
+//! line buffer, a graph out of its triples. The dictionary hashes the
+//! borrowed strings and copies a term's bytes only the first time it
+//! sees the term, so the loop allocates per batch and per new term,
+//! never per triple.
+//!
 //! Loading time, as the paper defines it (Section VI-B), is this whole
 //! route: from the document's bytes to a store that can be queried.
 
-use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::mpsc::sync_channel;
 
 use sp2b_rdf::ntriples::{Error, Parser};
-use sp2b_rdf::Triple;
+use sp2b_rdf::{Triple, TripleRef};
 
 use crate::dictionary::{Dictionary, IdTriple};
 use crate::segment::{write_segments, SegmentError, SegmentStats};
@@ -67,7 +74,34 @@ const ROUTE_BATCH: usize = 4096;
 /// In-flight batches per shard channel (the backpressure bound).
 const ROUTE_CHANNEL_DEPTH: usize = 4;
 
-/// The intern-and-route loop: interns each triple of `triples` into a
+/// What the intern-and-route loop reads: one borrowed triple at a time,
+/// lent until the next call, then `None` at the end or the first error.
+pub(crate) trait TripleSource {
+    /// Why the source stopped early.
+    type Error;
+
+    /// The next triple, if any.
+    fn next_ref(&mut self) -> Result<Option<TripleRef<'_>>, Self::Error>;
+}
+
+impl<R: BufRead> TripleSource for Parser<R> {
+    type Error = Error;
+
+    fn next_ref(&mut self) -> Result<Option<TripleRef<'_>>, Error> {
+        Parser::next_ref(self)
+    }
+}
+
+/// A graph's triples, in order (`save_graph`).
+impl TripleSource for std::slice::Iter<'_, Triple> {
+    type Error = Infallible;
+
+    fn next_ref(&mut self) -> Result<Option<TripleRef<'_>>, Infallible> {
+        Ok(self.next().map(Triple::as_ref))
+    }
+}
+
+/// The intern-and-route loop: interns each triple of `source` into a
 /// fresh dictionary in document order (ids identical whatever the shard
 /// count) and routes it by `shard_by` to one of `shards` buffers. A
 /// buffer that reaches `batch` triples goes to `emit(shard, buffer)`,
@@ -75,22 +109,25 @@ const ROUTE_CHANNEL_DEPTH: usize = 4;
 /// triples arrive in document order. `emit` returns `false` to stop
 /// early (its consumer is gone). The first source error aborts the loop
 /// and is returned; nothing more is emitted then.
-pub(crate) fn route<T: Borrow<Triple>, E>(
-    triples: impl IntoIterator<Item = Result<T, E>>,
+pub(crate) fn route<S: TripleSource>(
+    mut source: S,
     shards: usize,
     shard_by: ShardBy,
     batch: usize,
     mut emit: impl FnMut(usize, Vec<IdTriple>) -> bool,
-) -> Result<Dictionary, E> {
+) -> Result<Dictionary, S::Error> {
     let n = shards.max(1);
     let mut dict = Dictionary::new();
     let mut bufs: Vec<Vec<IdTriple>> = vec![Vec::new(); n];
-    for t in triples {
-        let enc = dict.encode_triple(t?.borrow());
+    while let Some(t) = source.next_ref()? {
+        let enc = dict.encode_triple(t);
         let shard = shard_by.shard_of(&enc, n);
         bufs[shard].push(enc);
-        if bufs[shard].len() >= batch && !emit(shard, std::mem::take(&mut bufs[shard])) {
-            return Ok(dict);
+        if bufs[shard].len() >= batch {
+            let full = std::mem::replace(&mut bufs[shard], Vec::with_capacity(batch));
+            if !emit(shard, full) {
+                return Ok(dict);
+            }
         }
     }
     for (shard, buf) in bufs.into_iter().enumerate() {
@@ -103,13 +140,13 @@ pub(crate) fn route<T: Borrow<Triple>, E>(
 
 /// [`route`] into one whole bucket per shard: what a segment save
 /// writes.
-pub(crate) fn route_buckets<T: Borrow<Triple>, E>(
-    triples: impl IntoIterator<Item = Result<T, E>>,
+pub(crate) fn route_buckets<S: TripleSource>(
+    source: S,
     shards: usize,
     shard_by: ShardBy,
-) -> Result<(Dictionary, Vec<Vec<IdTriple>>), E> {
+) -> Result<(Dictionary, Vec<Vec<IdTriple>>), S::Error> {
     let mut buckets = vec![Vec::new(); shards.max(1)];
-    let dict = route(triples, shards, shard_by, usize::MAX, |shard, bucket| {
+    let dict = route(source, shards, shard_by, usize::MAX, |shard, bucket| {
         buckets[shard] = bucket;
         true
     })?;
@@ -267,8 +304,7 @@ _:b1 <http://x/p> <http://x/o1> .
             .unwrap()
             .into_iter()
             .collect();
-        let (dict, buckets) =
-            route_buckets(g.iter().map(Ok::<_, ()>), 2, ShardBy::Subject).unwrap();
+        let (dict, buckets) = route_buckets(g.iter(), 2, ShardBy::Subject).unwrap();
         assert_eq!(dict.len(), 6);
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 3);
         for bucket in &buckets {

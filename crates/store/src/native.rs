@@ -100,10 +100,16 @@ impl TripleStore for NativeStore {
         self.range(pattern).len() as u64
     }
 
-    /// Lazily computed from the SPO run and cached.
+    /// Lazily read off the runs ([`StoreStats::from_runs`]) and cached;
+    /// a store keeping only SPO sorts the others for it.
     fn stats(&self) -> &StoreStats {
-        self.stats
-            .get_or_init(|| StoreStats::from_triples(&self.runs[0].triples))
+        self.stats.get_or_init(|| {
+            if self.runs.len() == RUN_ORDERS.len() {
+                StoreStats::from_runs(&self.runs)
+            } else {
+                StoreStats::from_triples(&self.runs[0].triples)
+            }
+        })
     }
 }
 

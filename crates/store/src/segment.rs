@@ -415,8 +415,9 @@ pub fn write_segments(
 /// a partially written directory never opens.
 ///
 /// Each bucket is sorted by [`sort_runs`], the builder a resident
-/// [`NativeStore`](crate::NativeStore) uses — one copy of the bucket per
-/// run is held while its file is being written.
+/// [`NativeStore`](crate::NativeStore) uses, and its statistics are read
+/// off those runs ([`StoreStats::from_runs`]) — one copy of the bucket
+/// per run is held while its file is being written.
 pub fn write_segments_with(
     dir: &Path,
     dict: &Dictionary,
@@ -455,31 +456,26 @@ pub fn write_segments_with(
     let dict_checksum = dict_checksum.finish();
     dict_file.sync_all()?;
 
-    // The statistics section: one summary per shard, length-prefixed in
-    // shard order. Collected here, at save time, so a reopened store
-    // plans with full statistics for the cost of reading this file.
+    // Each bucket's sorted runs make its shard file and its summary for
+    // the statistics section, so a reopened store plans with full
+    // statistics for the cost of reading that file. The runs of one
+    // bucket at a time are held; the bucket itself goes once sorted.
     let mut stats_bytes = Vec::new();
-    for bucket in &buckets {
-        let blob = StoreStats::from_triples(bucket).encode();
+    let mut metas = Vec::with_capacity(buckets.len());
+    let mut total_bytes = dict_bytes;
+    for (i, bucket) in buckets.into_iter().enumerate() {
+        let sorted = sort_runs(&bucket, RUN_ORDERS.len());
+        let triples = bucket.len() as u64;
+        drop(bucket);
+        let blob = StoreStats::from_runs(&sorted).encode();
         stats_bytes.extend_from_slice(&(blob.len() as u32).to_le_bytes());
         stats_bytes.extend_from_slice(&blob);
-    }
-    let stats_checksum = Checksum::of(&stats_bytes);
-    let mut stats_file = File::create(dir.join(STATS_FILE))?;
-    stats_file.write_all(&stats_bytes)?;
-    stats_file.sync_all()?;
-
-    let mut metas = Vec::with_capacity(buckets.len());
-    let mut total_bytes = dict_bytes + stats_bytes.len() as u64;
-    for (i, bucket) in buckets.iter().enumerate() {
-        let sorted = sort_runs(bucket, RUN_ORDERS.len());
         let mut file = File::create(dir.join(shard_file_name(i)))?;
         // Payload first (every run, block-cut), index entries
         // accumulated on the side and appended after. A block is
         // encoded into the reused buffer, checksummed and written, each
         // once.
-        let mut index =
-            Vec::with_capacity(index_bytes(bucket.len() as u64, block_triples) as usize);
+        let mut index = Vec::with_capacity(index_bytes(triples, block_triples) as usize);
         for (run, order) in sorted.iter().zip(RUN_ORDERS) {
             for block in run.triples.chunks(block_triples as usize) {
                 buf.clear();
@@ -497,12 +493,17 @@ pub fn write_segments_with(
         file.write_all(&index)?;
         file.sync_all()?;
         let meta = ShardMeta {
-            triples: bucket.len() as u64,
+            triples,
             index_checksum,
         };
         total_bytes += meta.file_bytes(block_triples);
         metas.push(meta);
     }
+    let stats_checksum = Checksum::of(&stats_bytes);
+    let mut stats_file = File::create(dir.join(STATS_FILE))?;
+    stats_file.write_all(&stats_bytes)?;
+    stats_file.sync_all()?;
+    total_bytes += stats_bytes.len() as u64;
 
     let triples: u64 = metas.iter().map(|m| m.triples).sum();
     let mut root = Vec::with_capacity(64 + metas.len() * 32);

@@ -1,9 +1,12 @@
 //! Load-time store statistics driving cost-based query planning.
 //!
-//! A [`StoreStats`] summary is collected once per shard while a store is
-//! built (or decoded in O(bytes) from the segment's stats section) and
-//! answers the planner's cardinality questions without touching triple
-//! data:
+//! A [`StoreStats`] summary is read once per shard off the shard's sorted
+//! runs ([`StoreStats::from_runs`]: one pass over each of SPO, PSO, POS
+//! and OSP, which already hold every order a count needs, so nothing is
+//! copied or sorted) — by a resident store on first use and by a segment
+//! save, which writes it to the stats section a reopened store decodes
+//! in O(bytes). It answers the planner's cardinality questions without
+//! touching triple data:
 //!
 //! * per-predicate triple counts plus distinct-subject / distinct-object
 //!   counts — the classic distinct-count ratios behind bound-variable
@@ -22,6 +25,7 @@
 
 use crate::dictionary::{Id, IdTriple};
 use crate::hash::FxHashMap;
+use crate::run::{sort_runs, SortedRun, RUN_ORDERS};
 use crate::segment::{invalid, Cursor, SegmentError};
 use crate::traits::Pattern;
 
@@ -76,40 +80,44 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Collects the summary from a slice of encoded triples. Three sorts
-    /// of one scratch copy — O(n log n), run once at load time.
+    /// Collects the summary from a slice of encoded triples: sorts them
+    /// into the runs a store keeps and reads the summary off those
+    /// ([`StoreStats::from_runs`]), O(n log n) once at load time.
     pub fn from_triples(triples: &[IdTriple]) -> StoreStats {
-        let mut stats = StoreStats {
-            triples: triples.len() as u64,
-            ..StoreStats::default()
-        };
-        if triples.is_empty() {
-            return stats;
-        }
-        let mut scratch: Vec<IdTriple> = triples.to_vec();
+        StoreStats::from_runs(&sort_runs(triples, RUN_ORDERS.len()))
+    }
 
-        // Pass 1 — (s, p): distinct subjects and characteristic sets.
-        scratch.sort_unstable_by_key(|t| (t[0], t[1]));
+    /// Reads the summary off a bucket's sorted runs — all of
+    /// [`RUN_ORDERS`], in that order — each of which already holds a
+    /// count's order: subjects and their characteristic sets come from
+    /// SPO, per-predicate triples and subjects from PSO, per-predicate
+    /// objects from POS and the distinct objects from OSP. One pass over
+    /// each run; nothing is copied or sorted. The one counting routine:
+    /// a resident store, a segment save and [`StoreStats::from_triples`]
+    /// all end here.
+    pub(crate) fn from_runs(runs: &[SortedRun]) -> StoreStats {
+        assert_eq!(runs.len(), RUN_ORDERS.len(), "statistics read every run");
+        let [spo, pso, pos, osp] = [0, 1, 2, 3].map(|i| &runs[i].triples[..]);
+        let same = |at: usize| move |a: &IdTriple, b: &IdTriple| a[at] == b[at];
+        let (s, p, o) = (0, 1, 2);
+
+        // Characteristic sets: each subject's predicates and their
+        // triple counts, a subject's triples adjacent and sorted by
+        // predicate. The scratch set is reused; a new set copies it.
         let mut sets: FxHashMap<Vec<Id>, (u64, Vec<u64>)> = FxHashMap::default();
         let mut overflowed = false;
-        let mut i = 0;
-        while i < scratch.len() {
-            let subject = scratch[i][0];
-            let mut preds: Vec<Id> = Vec::new();
-            let mut counts: Vec<u64> = Vec::new();
-            while i < scratch.len() && scratch[i][0] == subject {
-                let p = scratch[i][1];
-                if preds.last() == Some(&p) {
-                    *counts.last_mut().expect("parallel to preds") += 1;
-                } else {
-                    preds.push(p);
-                    counts.push(1);
-                }
-                i += 1;
-            }
-            stats.distinct_subjects += 1;
+        let (mut preds, mut counts) = (Vec::new(), Vec::new());
+        let mut distinct_subjects = 0;
+        for subject in spo.chunk_by(same(s)) {
+            distinct_subjects += 1;
             if overflowed {
                 continue;
+            }
+            preds.clear();
+            counts.clear();
+            for run in subject.chunk_by(same(p)) {
+                preds.push(run[0][p]);
+                counts.push(run.len() as u64);
             }
             if let Some((subjects, totals)) = sets.get_mut(&preds) {
                 *subjects += 1;
@@ -120,7 +128,7 @@ impl StoreStats {
                 overflowed = true;
                 sets.clear();
             } else {
-                sets.insert(preds, (1, counts));
+                sets.insert(preds.clone(), (1, counts.clone()));
             }
         }
         let mut characteristic_sets: Vec<CharacteristicSet> = sets
@@ -132,58 +140,29 @@ impl StoreStats {
             })
             .collect();
         characteristic_sets.sort_unstable_by(|a, b| a.predicates.cmp(&b.predicates));
-        stats.characteristic_sets = characteristic_sets;
 
-        // Pass 2 — (p, s): per-predicate triple and distinct-subject
-        // counts.
-        scratch.sort_unstable_by_key(|t| (t[1], t[0]));
-        let mut i = 0;
-        while i < scratch.len() {
-            let predicate = scratch[i][1];
-            let mut count = 0u64;
-            let mut subjects = 0u64;
-            let mut last_subject = None;
-            while i < scratch.len() && scratch[i][1] == predicate {
-                count += 1;
-                if last_subject != Some(scratch[i][0]) {
-                    subjects += 1;
-                    last_subject = Some(scratch[i][0]);
+        // Per predicate: its PSO group counts triples and subjects, its
+        // POS group (the same predicates, in the same order) objects.
+        let predicates = pso
+            .chunk_by(same(p))
+            .zip(pos.chunk_by(same(p)))
+            .map(|(by_subject, by_object)| {
+                debug_assert_eq!(by_subject[0][p], by_object[0][p]);
+                PredicateStats {
+                    predicate: by_subject[0][p],
+                    triples: by_subject.len() as u64,
+                    distinct_subjects: by_subject.chunk_by(same(s)).count() as u64,
+                    distinct_objects: by_object.chunk_by(same(o)).count() as u64,
                 }
-                i += 1;
-            }
-            stats.predicates.push(PredicateStats {
-                predicate,
-                triples: count,
-                distinct_subjects: subjects,
-                distinct_objects: 0, // filled by pass 3
-            });
+            })
+            .collect();
+        StoreStats {
+            triples: spo.len() as u64,
+            distinct_subjects,
+            distinct_objects: osp.chunk_by(same(o)).count() as u64,
+            predicates,
+            characteristic_sets,
         }
-
-        // Pass 3 — (p, o): per-predicate distinct objects; global
-        // distinct objects from a dedicated object sort.
-        scratch.sort_unstable_by_key(|t| (t[1], t[2]));
-        let mut i = 0;
-        let mut pred_idx = 0;
-        while i < scratch.len() {
-            let predicate = scratch[i][1];
-            let mut objects = 0u64;
-            let mut last_object = None;
-            while i < scratch.len() && scratch[i][1] == predicate {
-                if last_object != Some(scratch[i][2]) {
-                    objects += 1;
-                    last_object = Some(scratch[i][2]);
-                }
-                i += 1;
-            }
-            debug_assert_eq!(stats.predicates[pred_idx].predicate, predicate);
-            stats.predicates[pred_idx].distinct_objects = objects;
-            pred_idx += 1;
-        }
-        let mut objects: Vec<Id> = triples.iter().map(|t| t[2]).collect();
-        objects.sort_unstable();
-        objects.dedup();
-        stats.distinct_objects = objects.len() as u64;
-        stats
     }
 
     /// Folds another summary (typically of a sibling shard) into this
@@ -549,6 +528,149 @@ mod tests {
         for cut in [0, 8, bytes.len() - 1] {
             let mut cur = Cursor::new(&bytes[..cut], "stats");
             assert!(StoreStats::decode(&mut cur).is_err(), "cut {cut}");
+        }
+    }
+
+    /// The summary as three sorts of one scratch copy computed it before
+    /// the runs were read instead: the oracle `from_runs` must match.
+    fn three_sorts(triples: &[IdTriple]) -> StoreStats {
+        let mut stats = StoreStats {
+            triples: triples.len() as u64,
+            ..StoreStats::default()
+        };
+        if triples.is_empty() {
+            return stats;
+        }
+        let mut scratch: Vec<IdTriple> = triples.to_vec();
+        scratch.sort_unstable_by_key(|t| (t[0], t[1]));
+        let mut sets: FxHashMap<Vec<Id>, (u64, Vec<u64>)> = FxHashMap::default();
+        let mut overflowed = false;
+        let mut i = 0;
+        while i < scratch.len() {
+            let subject = scratch[i][0];
+            let mut preds: Vec<Id> = Vec::new();
+            let mut counts: Vec<u64> = Vec::new();
+            while i < scratch.len() && scratch[i][0] == subject {
+                let p = scratch[i][1];
+                if preds.last() == Some(&p) {
+                    *counts.last_mut().expect("parallel to preds") += 1;
+                } else {
+                    preds.push(p);
+                    counts.push(1);
+                }
+                i += 1;
+            }
+            stats.distinct_subjects += 1;
+            if overflowed {
+                continue;
+            }
+            if let Some((subjects, totals)) = sets.get_mut(&preds) {
+                *subjects += 1;
+                for (t, c) in totals.iter_mut().zip(&counts) {
+                    *t += c;
+                }
+            } else if sets.len() >= MAX_CHARACTERISTIC_SETS {
+                overflowed = true;
+                sets.clear();
+            } else {
+                sets.insert(preds, (1, counts));
+            }
+        }
+        let mut characteristic_sets: Vec<CharacteristicSet> = sets
+            .into_iter()
+            .map(|(predicates, (subjects, pred_triples))| CharacteristicSet {
+                predicates,
+                subjects,
+                pred_triples,
+            })
+            .collect();
+        characteristic_sets.sort_unstable_by(|a, b| a.predicates.cmp(&b.predicates));
+        stats.characteristic_sets = characteristic_sets;
+        scratch.sort_unstable_by_key(|t| (t[1], t[0]));
+        let mut i = 0;
+        while i < scratch.len() {
+            let predicate = scratch[i][1];
+            let (mut count, mut subjects, mut last_subject) = (0u64, 0u64, None);
+            while i < scratch.len() && scratch[i][1] == predicate {
+                count += 1;
+                if last_subject != Some(scratch[i][0]) {
+                    subjects += 1;
+                    last_subject = Some(scratch[i][0]);
+                }
+                i += 1;
+            }
+            stats.predicates.push(PredicateStats {
+                predicate,
+                triples: count,
+                distinct_subjects: subjects,
+                distinct_objects: 0,
+            });
+        }
+        scratch.sort_unstable_by_key(|t| (t[1], t[2]));
+        let (mut i, mut pred_idx) = (0, 0);
+        while i < scratch.len() {
+            let predicate = scratch[i][1];
+            let (mut objects, mut last_object) = (0u64, None);
+            while i < scratch.len() && scratch[i][1] == predicate {
+                if last_object != Some(scratch[i][2]) {
+                    objects += 1;
+                    last_object = Some(scratch[i][2]);
+                }
+                i += 1;
+            }
+            stats.predicates[pred_idx].distinct_objects = objects;
+            pred_idx += 1;
+        }
+        let mut objects: Vec<Id> = triples.iter().map(|t| t[2]).collect();
+        objects.sort_unstable();
+        objects.dedup();
+        stats.distinct_objects = objects.len() as u64;
+        stats
+    }
+
+    /// `from_runs` over `bucket`'s runs is the three-sort summary, to the
+    /// byte of its encoding.
+    fn assert_runs_agree(what: &str, bucket: &[IdTriple]) {
+        let from_runs = StoreStats::from_runs(&sort_runs(bucket, RUN_ORDERS.len()));
+        let oracle = three_sorts(bucket);
+        assert_eq!(from_runs, oracle, "{what}");
+        assert_eq!(from_runs.encode(), oracle.encode(), "{what}");
+    }
+
+    #[test]
+    fn runs_give_the_summary_three_sorts_give() {
+        use crate::load::route_buckets;
+        use crate::shard::ShardBy;
+        use sp2b_datagen::rng::SplitMix64;
+        use sp2b_datagen::{generate_document, Config};
+        use sp2b_rdf::ntriples::Parser;
+
+        assert_runs_agree("empty", &[]);
+        assert_runs_agree("one triple", &[[3, 1, 4]]);
+        assert_runs_agree("one triple, repeated", &[[2, 2, 2]; 50]);
+        // Random buckets over id spaces from one id (every triple the
+        // same) to sparse ids far apart; small spaces are duplicate-heavy.
+        for seed in 0..256 {
+            let mut rng = SplitMix64::new(seed);
+            let ids = [1, 2, 5, 40, 1 << 20][(seed % 5) as usize];
+            let len = rng.next_u64() % 400;
+            let bucket: Vec<IdTriple> = (0..len)
+                .map(|_| [(); 3].map(|_| (rng.next_u64() % ids) as Id))
+                .collect();
+            assert_runs_agree(&format!("seed {seed}"), &bucket);
+        }
+        // More distinct predicate sets than the cap.
+        let wide: Vec<IdTriple> = (0..(MAX_CHARACTERISTIC_SETS as u32 + 8))
+            .flat_map(|i| [[i, 2 * i, 1], [i, 2 * i + 1, 1]])
+            .collect();
+        assert_runs_agree("over the cap", &wide);
+        // The buckets a generated document routes to at 3 shards.
+        let (doc, _) = generate_document(Config::triples(5_000));
+        for by in [ShardBy::Subject, ShardBy::PredicateSubject] {
+            let (_, buckets) = route_buckets(Parser::new(&doc[..]), 3, by).expect("parses");
+            for (i, bucket) in buckets.iter().enumerate() {
+                assert_runs_agree(&format!("{} shard {i}", by.label()), bucket);
+            }
         }
     }
 
