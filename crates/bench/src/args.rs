@@ -33,7 +33,7 @@ pub const COMMANDS: &[Command] = &[
     (
         "gen",
         "[--triples 10k] [--seed N] [--out sp2bench.nt]",
-        "generate a document as N-Triples",
+        "generate a document as N-Triples (--out -: to stdout)",
     ),
     (
         "save",

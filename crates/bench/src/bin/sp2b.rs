@@ -41,7 +41,7 @@ use sp2b_bench::Args;
 use sp2b_core::report;
 use sp2b_core::runner::{run_benchmark, run_workload_on, RunnerConfig, WorkloadTarget};
 use sp2b_core::{measure, BenchQuery, Endpoint, Engine, EngineKind, ExtQuery, StoreLayout};
-use sp2b_datagen::{generate_document, generate_to_path, Config};
+use sp2b_datagen::{generate_document, generate_to_path, generate_to_writer, Config};
 use sp2b_server::ServerConfig;
 use sp2b_sparql::results::{self, Format, WriteError};
 use sp2b_sparql::{query_trace, Error as SparqlError, Prepared, QueryEngine, ScanCounters};
@@ -250,7 +250,13 @@ fn output_format(args: &Args) -> Result<Option<Format>, String> {
 fn cmd_gen(args: &Args) -> Result<(), String> {
     let out = args.get("out").unwrap_or("sp2bench.nt");
     let cfg = generator_config(args, 10_000)?;
-    let stats = generate_to_path(cfg, std::path::Path::new(out)).map_err(|e| e.to_string())?;
+    // `-` is stdout: the document goes down a pipe, the summary below
+    // stays on stderr.
+    let (stats, out) = match out {
+        "-" => (generate_to_writer(cfg, std::io::stdout().lock()), "stdout"),
+        path => (generate_to_path(cfg, std::path::Path::new(path)), path),
+    };
+    let stats = stats.map_err(|e| e.to_string())?;
     eprintln!(
         "wrote {} triples ({} bytes) up to year {} to {out}",
         stats.triples,

@@ -53,7 +53,7 @@ impl std::fmt::Display for StepAccess {
 pub struct ExchangeRun {
     /// The planned degree: how many workers a hand-off may start.
     pub degree: usize,
-    /// Morsels the driving scan was split into; 0: not split (the
+    /// Morsels the driving source was split into; 0: not split (the
     /// execution never opened the exchange, e.g. a union branch its
     /// consumer hung up before).
     pub morsels: usize,
@@ -84,7 +84,12 @@ pub struct OpSpan {
     /// [`StepAccess`]). `None` for joins and for a driving scan an
     /// exchange split into morsels.
     pub access: Option<StepAccess>,
-    /// For the driving step of a planned exchange: where its morsels ran.
+    /// For a join whose probe side reads the join's own build rows
+    /// instead of deriving them again: which probe variable reads which
+    /// build variable (`?3←?5 ?6←?6`).
+    pub reads_build: Option<String>,
+    /// For the driving step of a planned exchange, or the join whose
+    /// build rows it splits: where its morsels ran.
     pub exchange: Option<ExchangeRun>,
 }
 
@@ -118,7 +123,8 @@ impl QueryTrace {
         self.exchanges().any(|(_, run)| run.workers > 0)
     }
 
-    /// Every planned exchange with the step number of its driving scan.
+    /// Every planned exchange with the step number of its driving step, or
+    /// of the join whose build rows it splits.
     pub fn exchanges(&self) -> impl Iterator<Item = (usize, ExchangeRun)> + '_ {
         let runs = self.operators.iter().enumerate();
         runs.filter_map(|(i, op)| Some((i + 1, op.exchange?)))
@@ -128,8 +134,9 @@ impl QueryTrace {
         self.operators.iter().filter(|o| o.kind == OpKind::Scan)
     }
 
-    /// The report `--explain` prints: a line per operator and per planned
-    /// exchange, the pattern steps' totals, the phases.
+    /// The report `--explain` prints: a line per operator, per join whose
+    /// probe side reads its build rows and per planned exchange, the
+    /// pattern steps' totals, the phases.
     pub fn render(&self) -> String {
         let mut out = String::from("join order (estimated cardinality vs actual rows emitted):");
         for (i, op) in self.operators.iter().enumerate() {
@@ -143,6 +150,15 @@ impl QueryTrace {
                 let _ = write!(out, ", {access}");
             }
         }
+        for (i, op) in self.operators.iter().enumerate() {
+            if let Some(lanes) = &op.reads_build {
+                let step = i + 1;
+                let _ = write!(
+                    out,
+                    "\n  step {step}'s probe side reads its build rows: {lanes}"
+                );
+            }
+        }
         for (step, run) in self.exchanges() {
             let (n, inline) = (run.morsels, run.inline);
             let ran = match run.workers {
@@ -154,7 +170,11 @@ impl QueryTrace {
                     n - 1
                 ),
             };
-            let _ = write!(out, "\n  exchange ×{} over step {step}: {ran}", run.degree);
+            let over = match self.operators[step - 1].kind {
+                OpKind::Scan => format!("step {step}"),
+                OpKind::Join => format!("step {step}'s build rows"),
+            };
+            let _ = write!(out, "\n  exchange ×{} over {over}: {ran}", run.degree);
         }
         let est = self
             .scans()
@@ -216,6 +236,7 @@ mod tests {
             rows,
             time: Duration::from_millis(millis),
             access: None,
+            reads_build: None,
             exchange: None,
         }
     }

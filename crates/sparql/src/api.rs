@@ -46,7 +46,7 @@ use crate::ast::Query;
 use crate::eval::{Bindings, Cancellation, EvalContext, Observe, RowIter, ScanCounters, StepState};
 use crate::optimizer::{optimize, OptimizerConfig};
 use crate::parser::{parse, ParseError};
-use crate::plan::{bind, operators, parallelize, Plan};
+use crate::plan::{bind, operators, parallelize, reuse_build_rows, Plan};
 
 /// Everything that can go wrong preparing or running a query.
 #[derive(Debug)]
@@ -147,7 +147,7 @@ impl QueryOptions {
 
     /// Sets the degree of intra-query parallelism: the number of worker
     /// threads a query that outlives [`crate::par::FAN_OUT_AFTER`] hands
-    /// the rest of its driving scan to (see [`crate::par`]); a shorter
+    /// the rest of its driving source to (see [`crate::par`]); a shorter
     /// one runs on its consumer's thread whatever the degree. `1` plans
     /// no exchange at all; `0` is treated as `1`. The default is the
     /// number of available cores.
@@ -270,10 +270,12 @@ impl QueryEngine {
 
     /// Parses and prepares a query. Preparation resolves constants against
     /// the store, applies the optimizer, binds the physical plan and —
-    /// when the configured [`QueryOptions::parallelism`] exceeds 1 and
-    /// the query is no ASK — inserts a morsel-driven [`Plan::Exchange`]
-    /// above every driving scan. The result is reusable across
-    /// executions.
+    /// unless the query is an ASK — lets a join's probe side read the
+    /// join's build rows where it repeats them
+    /// ([`crate::plan::reuse_build_rows`]) and, when the configured
+    /// [`QueryOptions::parallelism`] exceeds 1, inserts a morsel-driven
+    /// [`Plan::Exchange`] above every driving source. The result is
+    /// reusable across executions.
     pub fn prepare(&self, text: &str) -> Result<Prepared, Error> {
         let query = parse(text)?;
         self.prepare_query(&query)
@@ -291,10 +293,12 @@ impl QueryEngine {
         );
         let plan = bind(&algebra, self.store(), &self.options.optimizer);
         // An ASK hangs up at its first row, long before an exchange would
-        // have earned its workers: it plans none.
+        // have earned its workers: it plans none. Nor does it plan reuse:
+        // its inner joins run symmetrically and fill no build side first.
         let plan = if translated.ask {
             plan
         } else {
+            let plan = reuse_build_rows(plan, &self.options.optimizer);
             parallelize(plan, self.options.parallelism)
         };
         Ok(Prepared {
@@ -490,11 +494,13 @@ fn interrupted(store: &dyn TripleStore, cancel: &Cancellation) -> Result<(), Err
 /// ?3≍?8 + residual`, `nested-loop-left-join`; `+ residual` when it
 /// checks a condition; `, build distinct ?5 ?6` when its build side is
 /// deduplicated on those variables) and `est_rows` is the plan's
-/// [`crate::plan::Plan::Join`] estimate.
+/// [`crate::plan::Plan::Join`] estimate; a join whose probe side reads
+/// its build rows says which variable reads which (`?3←?5 ?6←?6`).
 /// Rows, time (a join's is its probe time) and access are
 /// the tallies per operator *occurrence*; each planned exchange's driving
-/// step carries where its morsels ran (`morsels: 0`: not split). Phases
-/// are the caller's to add.
+/// step — or the join whose build rows it splits — carries where its
+/// morsels ran (`morsels: 0`: not split). Phases are the caller's to
+/// add.
 pub fn query_trace(
     prepared: &Prepared,
     store: &dyn TripleStore,
@@ -517,6 +523,7 @@ pub fn query_trace(
             rows: tally.rows,
             time: Duration::from_nanos(tally.nanos),
             access: Some(tally.access).filter(|a| *a != StepAccess::default()),
+            reads_build: None,
             exchange: None,
         }
     };
@@ -536,6 +543,7 @@ pub fn query_trace(
             Operator::Join {
                 kind,
                 build,
+                reuse,
                 key,
                 eq,
                 residual,
@@ -569,19 +577,24 @@ pub fn query_trace(
                         }
                     }
                 }
-                span(OpKind::Join, label, est_rows, ordinal)
+                let mut join = span(OpKind::Join, label, est_rows, ordinal);
+                join.reads_build = reuse.map(|lanes| {
+                    let pairs = lanes.iter().map(|(to, from)| format!("?{to}←?{from}"));
+                    pairs.collect::<Vec<_>>().join(" ")
+                });
+                join
             }
         })
         .collect();
     // Ordinals number the operators in this order.
     let ran = crate::eval::lock(&counters.exchanges);
-    for (degree, driving) in exchanges(prepared.plan()) {
+    for (degree, ordinal) in exchanges(prepared.plan()) {
         let not_split = ExchangeRun {
             degree,
             ..ExchangeRun::default()
         };
-        let run = ran.get(&driving.ordinal).copied().unwrap_or(not_split);
-        trace.operators[driving.ordinal].exchange = Some(run);
+        let run = ran.get(&ordinal).copied().unwrap_or(not_split);
+        trace.operators[ordinal].exchange = Some(run);
     }
     trace
 }

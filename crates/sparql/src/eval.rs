@@ -113,8 +113,8 @@ use sp2b_store::{Dictionary, Id, IdTriple, Pattern, ScanChunk, SharedStore, Trip
 use crate::algebra::{CountSpec, EqPairs};
 use crate::expr::{eq_class, BoundExpr};
 use crate::plan::{
-    const_pattern, driving_scan, output_estimate, FetchRule, JoinKind, Plan, PlanOrderKey,
-    PlanPattern, PlanSlot, FETCH_CAP,
+    const_pattern, driving, output_estimate, FetchRule, JoinKind, Plan, PlanOrderKey, PlanPattern,
+    PlanSlot, FETCH_CAP,
 };
 
 use sp2b_store::hash::{FxHashMap, FxHashSet};
@@ -656,12 +656,23 @@ pub struct EvalContext<'a> {
     /// ([`PlanPattern::ordinal`]; see [`StepState`]). An operator without
     /// an entry — an empty slice is a valid value — keeps nothing: a
     /// pattern step only ever looks up, a join builds its table every
-    /// time it is evaluated.
+    /// time it is evaluated. A plan with a [`Plan::Reuse`] leaf needs its
+    /// join's entry: that is where the leaf finds the rows.
     pub steps: Arc<[StepState]>,
 }
 
 /// A stream of solutions.
 pub type RowIter<'a> = Box<dyn Iterator<Item = Bindings> + 'a>;
+
+/// One morsel of a pipeline's driving source ([`crate::plan::driving`]),
+/// which an exchange hands to [`EvalContext::eval_over`] in its place.
+#[derive(Clone)]
+pub(crate) enum Drive<'a> {
+    /// A chunk of the driving step's scan.
+    Scan(ScanChunk<'a>),
+    /// A range of the build rows a [`Plan::Reuse`] leaf reads.
+    Rows(std::ops::Range<usize>),
+}
 
 /// What the consumer of a walk reads of its rows — the liberties the
 /// walk may take (see the module docs).
@@ -701,21 +712,21 @@ impl<'a> EvalContext<'a> {
     }
 
     /// The one walk: `plan`'s rows as `observe` reads them, with the
-    /// plan's driving scan ([`driving_scan`]) reading `drive` instead of
-    /// the store when there is one — how an exchange ([`crate::par`])
-    /// runs the plan on one morsel, on the consumer's thread or a
-    /// worker's. Only the step over [`Plan::Unit`] reads `drive`; steps,
-    /// filters and join probe sides hand it down, and build sides, like
-    /// every other operator, never see it.
+    /// plan's driving source ([`driving`]) reading only the morsel
+    /// `drive` when there is one — how an exchange ([`crate::par`]) runs
+    /// the plan on one morsel, on the consumer's thread or a worker's.
+    /// Only the step over [`Plan::Unit`] and a [`Plan::Reuse`] leaf read
+    /// `drive`; steps, filters and join probe sides hand it down, and
+    /// build sides, like every other operator, never see it.
     pub(crate) fn eval_over(
         self,
         plan: &'a Plan,
-        drive: Option<ScanChunk<'a>>,
+        drive: Option<Drive<'a>>,
         observe: Observe,
     ) -> RowIter<'a> {
         debug_assert!(
-            drive.is_none() || driving_scan(plan).is_some_and(|p| !p.is_unsatisfiable()),
-            "a chunk needs a driving scan to stand in for"
+            drive.is_none() || driving(plan).is_some(),
+            "a morsel needs a driving source to stand in for"
         );
         // How an operator reads its input: a witness passes through
         // filters, unions and inner joins, a count through the solution
@@ -730,7 +741,7 @@ impl<'a> EvalContext<'a> {
             Plan::Step { input, pattern } => match drive {
                 // The chunk is the driving step's scan of the one empty
                 // row: same row extension, cancellation checks and tallies.
-                Some(chunk) if matches!(**input, Plan::Unit) => {
+                Some(Drive::Scan(chunk)) if matches!(**input, Plan::Unit) => {
                     let (none, empty) = (Box::new(std::iter::empty()), Bindings::empty(self.width));
                     Box::new(PatternBind::start(self, pattern, none, empty, chunk.iter()))
                 }
@@ -758,6 +769,29 @@ impl<'a> EvalContext<'a> {
                 let build = self.build_side(right, key, eq, ordinal);
                 let probe = self.clone().eval_over(left, drive, Observe::Rows);
                 join_rows(self, probe, build, *kind, condition, ordinal)
+            }
+            // The join above has filled its build side before it
+            // evaluates its probe side, which this leaf is the bottom of.
+            Plan::Reuse { join, lanes, .. } => {
+                let build = self.reused_build(*join);
+                let rows = match drive {
+                    Some(Drive::Rows(rows)) => rows,
+                    _ => 0..build.rows().len(),
+                };
+                let (cancel, width) = (self.cancel, self.width);
+                Box::new(rows.map_while(move |i| {
+                    if cancel.should_stop() {
+                        return None;
+                    }
+                    let from = &build.rows()[i];
+                    let mut row = Bindings::empty(width);
+                    for &(to, read) in lanes {
+                        if let Some(id) = from.get(read) {
+                            row.set(to, id);
+                        }
+                    }
+                    Some(row)
+                }))
             }
             Plan::Exchange { degree, input } => crate::par::eval_exchange(self, *degree, input),
             // The right side is not opened until the left is drained.
@@ -913,6 +947,33 @@ impl<'a> EvalContext<'a> {
         match self.steps.get(ordinal) {
             Some(state) => Arc::clone(state.build.get_or_init(materialize)),
             None => materialize(),
+        }
+    }
+
+    /// The build side the join numbered `join` has filled, for a
+    /// [`Plan::Reuse`] leaf of its probe side to read.
+    fn reused_build(&self, join: usize) -> Arc<BuildSide> {
+        let state = self.steps.get(join).and_then(|state| state.build.get());
+        Arc::clone(state.expect("a join fills its build side before its probe side reads it"))
+    }
+
+    /// Fills the build side a [`Plan::Reuse`] leaf reads — that of the
+    /// join numbered `join` on `plan`'s probe spine — if no one has yet,
+    /// and says how many rows it holds: what an exchange driven by the
+    /// leaf splits into morsels.
+    pub(crate) fn fill_reused_build(&self, plan: &'a Plan, join: usize) -> usize {
+        match plan {
+            Plan::Join {
+                right,
+                key,
+                eq,
+                ordinal,
+                ..
+            } if *ordinal == join => self.build_side(right, key, eq, join).rows().len(),
+            Plan::Step { input, .. } | Plan::Filter(_, input) | Plan::Join { left: input, .. } => {
+                self.fill_reused_build(input, join)
+            }
+            _ => unreachable!("a reuse leaf sits on its join's probe spine"),
         }
     }
 
@@ -1093,14 +1154,16 @@ impl<'s> SortBuffer<'s> {
 /// projection right below it keeps — evaluated without that projection,
 /// which only the survivors then go through (the `Distinct` arm of
 /// [`EvalContext::eval_over`]) — or on every variable when nothing
-/// projects there. The key is the
-/// variables' lanes ([`UNBOUND`] for an unbound one): up to four packed
-/// into one `u128`, so checking a row allocates and clones nothing; a
-/// wider key is a boxed slice of the lanes. The set is sized up front for the rows the planner expects
-/// below it ([`output_estimate`]), up to [`SEEN_RESERVE_CAP`], so a
-/// `DISTINCT` over tens of thousands of rows does not rehash its way up
-/// from empty.
+/// projects there. The key is the variables' lanes ([`UNBOUND`] for an
+/// unbound one), packed into one integer as far as they fit — up to two
+/// into a `u64` (Q4's `(?name1, ?name2)`), up to four into a `u128` — so
+/// checking a row allocates and clones nothing; a wider key is a boxed
+/// slice of the lanes. The set is sized up front for the rows the
+/// planner expects below it ([`output_estimate`]), up to
+/// [`SEEN_RESERVE_CAP`], so a `DISTINCT` over tens of thousands of rows
+/// does not rehash its way up from empty.
 enum Seen {
+    Narrow(Vec<usize>, FxHashSet<u64>),
     Packed(Vec<usize>, FxHashSet<u128>),
     Wide(Vec<usize>, FxHashSet<Box<[Id]>>),
 }
@@ -1108,10 +1171,10 @@ enum Seen {
 /// The most keys a `DISTINCT` set reserves room for before its first row:
 /// an estimate can be off by orders of magnitude, and room beyond this is
 /// bought by growing, when rows actually come. The table rounds 2^17 keys
-/// at its 7/8 load up to 2^18 buckets of 16 bytes (a `u128` key, or a
-/// boxed slice's pointer and length) plus a control byte each — about
-/// 4.25 MiB per set, and a query holds one per `DISTINCT` it runs (Q4
-/// two: its build side's and its own).
+/// at its 7/8 load up to 2^18 buckets of at most 16 bytes (a `u128` key,
+/// or a boxed slice's pointer and length; a `u64` key half that) plus a
+/// control byte each — at most about 4.25 MiB per set, and a query holds
+/// one per `DISTINCT` it runs (Q4 two: its build side's and its own).
 pub const SEEN_RESERVE_CAP: usize = 1 << 17;
 
 impl Seen {
@@ -1124,14 +1187,20 @@ impl Seen {
         };
         let room = usize::try_from(output_estimate(inner))
             .map_or(SEEN_RESERVE_CAP, |n| n.min(SEEN_RESERVE_CAP));
+        (Seen::keyed_on(vars, room), below)
+    }
+
+    /// The set keyed on the lanes of `vars`, with room for `room` keys:
+    /// the narrowest form their number of lanes fits.
+    fn keyed_on(vars: Vec<usize>, room: usize) -> Self {
         fn reserved<K>(room: usize) -> FxHashSet<K> {
             FxHashSet::with_capacity_and_hasher(room, Default::default())
         }
-        let seen = match vars.len() {
-            0..=4 => Seen::Packed(vars, reserved(room)),
+        match vars.len() {
+            0..=2 => Seen::Narrow(vars, reserved(room)),
+            3..=4 => Seen::Packed(vars, reserved(room)),
             _ => Seen::Wide(vars, reserved(room)),
-        };
-        (seen, below)
+        }
     }
 
     /// Whether `row`'s key is new (and from now on seen).
@@ -1139,6 +1208,10 @@ impl Seen {
     fn insert(&mut self, row: &Bindings) -> bool {
         let lane = |v: usize| row.get(v).unwrap_or(UNBOUND);
         match self {
+            Seen::Narrow(vars, seen) => seen.insert(
+                vars.iter()
+                    .fold(0, |key, &v| key << 32 | u64::from(lane(v))),
+            ),
             Seen::Packed(vars, seen) => seen.insert(
                 vars.iter()
                     .fold(0, |key, &v| key << 32 | u128::from(lane(v))),
@@ -1172,19 +1245,23 @@ fn project_rows<'a>(input: RowIter<'a>, vars: &'a [usize], width: usize) -> RowI
 /// match is lost: a bucket only narrows the candidates, and
 /// [`Bindings::merge_into`] plus the join's condition decide.
 ///
-/// The buckets share one row vector, each a chain through `next` in
-/// arrival order, so filing a row allocates nothing of its own.
+/// The buckets and the flat list share one row vector, which holds every
+/// row in arrival order — the order a probe side that reads the rows back
+/// ([`Plan::Reuse`]) gets them in — each bucket a chain through `next`,
+/// so filing a row allocates nothing of its own.
 #[derive(Debug)]
 pub(crate) struct BuildSide {
     key: Vec<usize>,
     eq: EqPairs,
     /// Key → first and last row of its bucket, as indices into `rows`.
     map: FxHashMap<JoinKey, (u32, u32)>,
+    /// Every row, in arrival order.
     rows: Vec<Bindings>,
     /// Per row of `rows`, the next row of its bucket ([`CHAIN_END`] for
-    /// the last).
+    /// the last, and for a row without a key).
     next: Vec<u32>,
-    flat: Vec<Bindings>,
+    /// The rows without a key, as indices into `rows`.
+    flat: Vec<u32>,
 }
 
 /// The `next` of a bucket's last row.
@@ -1249,13 +1326,14 @@ impl BuildSide {
     /// Files one build-side row. Rows arrive in evaluation order, which
     /// is bucket order — and with it probe output order.
     fn insert(&mut self, dict: &Dictionary, row: Bindings) {
-        let Some(key) = self.key_of(dict, &row, |pair| pair.1) else {
-            self.flat.push(row);
-            return;
-        };
         let at = u32::try_from(self.rows.len()).expect("a build side holds under 2^32 rows");
+        let key = self.key_of(dict, &row, |pair| pair.1);
         self.rows.push(row);
         self.next.push(CHAIN_END);
+        let Some(key) = key else {
+            self.flat.push(at);
+            return;
+        };
         match self.map.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut bucket) => {
                 let (_, last) = bucket.get_mut();
@@ -1292,9 +1370,14 @@ impl BuildSide {
             probe.at = self.next[probe.at as usize];
             return Some(row);
         }
-        let row = self.flat.get(probe.flat)?;
+        let &at = self.flat.get(probe.flat)?;
         probe.flat += 1;
-        Some(row)
+        Some(&self.rows[at as usize])
+    }
+
+    /// Every row, in the order it was filed.
+    pub(crate) fn rows(&self) -> &[Bindings] {
+        &self.rows
     }
 }
 
@@ -2295,5 +2378,46 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows[0][1].is_none());
         assert!(rows[1][1].is_some());
+    }
+
+    /// A `DISTINCT` key packs its lanes into the narrowest integer their
+    /// number fits — a `u64` for up to two, a `u128` for up to four — and
+    /// must still tell exactly the rows apart that the lanes themselves
+    /// do: over seeded rows of small ids and unbound lanes (which pack as
+    /// [`UNBOUND`], the largest id), `insert` answers as a set of the
+    /// lanes' values does.
+    #[test]
+    fn packed_distinct_keys_answer_as_a_set_of_lanes() {
+        use std::collections::BTreeSet;
+        let mut rng = sp2b_datagen::rng::SplitMix64::new(41);
+        for lanes in 1..=4usize {
+            let width = lanes + 2;
+            // The key lanes, scattered over a wider row.
+            let vars: Vec<usize> = (0..lanes).map(|i| (i * 3 + 1) % width).collect();
+            let mut seen = Seen::keyed_on(vars.clone(), 16);
+            let form = (
+                matches!(seen, Seen::Narrow(..)),
+                matches!(seen, Seen::Packed(..)),
+            );
+            assert_eq!(form, (lanes <= 2, lanes > 2), "{lanes} lanes");
+            let mut oracle: BTreeSet<Vec<Option<Id>>> = BTreeSet::new();
+            for _ in 0..4_000 {
+                let values: Vec<Option<Id>> = (0..width)
+                    .map(|_| match rng.next_u64() % 6 {
+                        0 => None,
+                        // Ids at both ends of the range, so a lane that
+                        // spilled into its neighbour would show.
+                        1 => Some(UNBOUND - 1 - (rng.next_u64() % 2) as Id),
+                        _ => Some((rng.next_u64() % 5) as Id),
+                    })
+                    .collect();
+                let key = vars.iter().map(|&v| values[v]).collect();
+                let row = Bindings::new(values);
+                assert_eq!(seen.insert(&row), oracle.insert(key), "{lanes} lanes");
+            }
+            // Both answers came up, many times over.
+            let keys = oracle.len();
+            assert!((8..3_000).contains(&keys), "{lanes} lanes: {keys} keys");
+        }
     }
 }

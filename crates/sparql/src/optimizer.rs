@@ -39,7 +39,7 @@
 //!    The paper's Q4 is the case — two `article–creator–name–type` stars
 //!    meeting at `?journal`, which has 93 values at 50k triples: each
 //!    star runs once and the join pairs them (34k pattern rows instead of
-//!    804k). A star never splits: its suffix standalone starts from a
+//!    804k; 17k once the probe side reads the build rows, below). A star never splits: its suffix standalone starts from a
 //!    full scan, which costs more than extending the rows the prefix
 //!    already holds.
 //!
@@ -55,9 +55,21 @@
 //!    DISTINCT drops it. A LIMIT/OFFSET, an ORDER BY or a COUNT between
 //!    them observes how many rows there are or in which order equal ones
 //!    come, and stops it (`assemble`). Q4's build side keeps `(?name2,
-//!    ?journal)`; its join emits 88 602 rows instead of 106 738. The
-//!    probe side is left alone: an exchange splits it, and deduping it
-//!    would make the rows each operator emits depend on the degree.
+//!    ?journal)`, 3 681 of its 4 431 rows.
+//!
+//!    The probe side is deduplicated only where it *is* the build side:
+//!    Q4's two stars are one under a renaming, so once the plan is bound
+//!    the probe side reads the build side's rows instead of deriving its
+//!    star again ([`crate::plan::reuse_build_rows`]). Under the same
+//!    DISTINCT condition, and when every probe variable read above maps
+//!    to a kept build variable, it reads the deduplicated rows: a probe
+//!    row that repeats an earlier one on everything read of it only adds
+//!    rows that repeat earlier ones, so the DISTINCT's output sequence is
+//!    unchanged. That dedupe is global — done once, before any morsel
+//!    runs — so the rows each operator emits do not depend on the degree,
+//!    even with an exchange splitting the probe side. Q4's star runs
+//!    once, and its join emits 76 258 rows instead of 88 602 (106 738
+//!    with neither side deduplicated).
 //! 2. **Filter pushing**: conjuncts of a group filter move into the BGP
 //!    and run as soon as their variables are bound, shrinking
 //!    intermediate results; filters over a join/left-join distribute into

@@ -1,18 +1,20 @@
 //! Morsel-driven evaluation of [`Plan::Exchange`]: the same plan,
-//! evaluated once per chunk of its driving scan — on the consumer's
+//! evaluated once per morsel of its driving source — on the consumer's
 //! thread until the query has shown it is long, on **detached,
 //! streaming** worker threads from then on.
 //!
-//! The driving scan (the step over [`Plan::Unit`] at the bottom of the
-//! leftmost chain under the exchange) is partitioned into disjoint
-//! chunks via [`sp2b_store::TripleStore::scan_chunks`] — more chunks
-//! than workers, so fast workers keep taking morsels off a shared job
-//! queue while slow ones finish (the classic morsel-driven
-//! load-balancing of Leis et al.). A morsel is not a second executor:
-//! it is
+//! The driving source at the bottom of the leftmost chain under the
+//! exchange ([`crate::plan::driving`]) is partitioned into disjoint
+//! morsels — a step over [`Plan::Unit`] into chunks of its scan via
+//! [`sp2b_store::TripleStore::scan_chunks`], a [`Plan::Reuse`] leaf into
+//! ranges of the build rows it reads, which the exchange has its join
+//! fill first — more morsels than workers, so fast workers keep taking
+//! morsels off a shared job queue while slow ones finish (the classic
+//! morsel-driven load-balancing of Leis et al.). A morsel is not a
+//! second executor: it is
 //! [`EvalContext::eval_over`] on the exchange's input — the plan the
 //! sequential evaluator walks, shared through an [`Arc`] — with the
-//! morsel's chunk standing in for the driving scan. Everything the
+//! morsel standing in for the driving source. Everything the
 //! execution materializes — hash-join build sides, fetched pattern
 //! tables, lookup counts — lives in the execution's one set of
 //! [`crate::eval::StepState`]s, so every morsel on every thread probes
@@ -61,6 +63,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -68,10 +71,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sp2b_obs::ExchangeRun;
-use sp2b_store::{Pattern, ScanChunk, SharedStore, TripleStore};
+use sp2b_store::{Pattern, SharedStore, TripleStore};
 
-use crate::eval::{lock, Bindings, Cancellation, EvalContext, Observe, RowIter};
-use crate::plan::{const_pattern, driving_scan, Plan, PlanPattern};
+use crate::eval::{lock, Bindings, Cancellation, Drive, EvalContext, Observe, RowIter};
+use crate::plan::{const_pattern, driving, Driving, Plan};
 
 /// Morsels per worker: enough over-partitioning that an unlucky skewed
 /// morsel cannot serialize the whole query.
@@ -119,7 +122,7 @@ pub const MAX_MERGE_AHEAD: usize = 4;
 /// thread, then — if the query outlives [`FAN_OUT_AFTER`] — the rest on
 /// detached workers, read back in morsel order. Evaluates the input as it
 /// stands when there is nothing to split (degree ≤ 1, no owning store
-/// handle in the context, or an input without a driving scan) —
+/// handle in the context, or an input without a driving source) —
 /// [`Plan::Exchange`] is a performance hint, never a semantic
 /// obligation.
 pub(crate) fn eval_exchange<'a>(
@@ -129,34 +132,75 @@ pub(crate) fn eval_exchange<'a>(
 ) -> RowIter<'a> {
     // Detached workers need to *own* the store; a borrow-only context
     // evaluates sequentially instead.
-    let (true, Some(driving), 2..) = (ctx.shared.is_some(), driving_scan(input), degree) else {
+    let (true, Some(origin), 2..) = (ctx.shared.is_some(), driving(input), degree) else {
         return ctx.eval(input);
     };
-    if driving.is_unsatisfiable() {
-        return Box::new(std::iter::empty());
-    }
     let started = Instant::now();
-    let chunks = ctx
-        .store
-        .scan_chunks(const_pattern(driving), degree * MORSELS_PER_WORKER);
-    if chunks.is_empty() {
-        // The driving scan matches nothing, so neither does the input.
+    let target = degree * MORSELS_PER_WORKER;
+    let (morsels, source): (Vec<Drive<'a>>, Source) = match origin {
+        Driving::Scan(step) if step.is_unsatisfiable() => return Box::new(std::iter::empty()),
+        Driving::Scan(step) => {
+            let pattern = const_pattern(step);
+            let chunks = ctx.store.scan_chunks(pattern, target);
+            let source = Source::Scan {
+                pattern,
+                target,
+                morsels: chunks.len(),
+            };
+            (chunks.into_iter().map(Drive::Scan).collect(), source)
+        }
+        // (A pre-triggered handle fills no build side either.)
+        Driving::Rows { .. } if ctx.cancel.should_stop() => return Box::new(std::iter::empty()),
+        Driving::Rows { join } => {
+            let ranges = row_ranges(ctx.fill_reused_build(input, join), target);
+            (
+                ranges.iter().cloned().map(Drive::Rows).collect(),
+                Source::Rows(ranges),
+            )
+        }
+    };
+    if morsels.is_empty() {
+        // The driving source holds nothing, so neither does the input.
         return Box::new(std::iter::empty());
     }
     let exchange = Exchange {
         ctx,
         degree,
         input,
-        driving,
-        chunks,
+        ordinal: origin.ordinal(),
+        source,
+        morsels,
         started,
         current: Box::new(std::iter::empty()),
         front: 0,
         rows: 0,
         workers: None,
     };
-    exchange.record(exchange.chunks.len(), 0);
+    exchange.record(exchange.morsels.len(), 0);
     Box::new(exchange)
+}
+
+/// `rows` build rows as at most `target` contiguous ranges, in order.
+fn row_ranges(rows: usize, target: usize) -> Vec<Range<usize>> {
+    let size = rows.div_ceil(target).max(1);
+    (0..rows)
+        .step_by(size)
+        .map(|start| start..rows.min(start + size))
+        .collect()
+}
+
+/// What a worker needs to find the morsels it is handed: the driving
+/// step's scan, which it splits again from its own store handle, or the
+/// ranges of build rows, which it reads in the shared
+/// [`crate::eval::StepState`].
+#[derive(Clone)]
+enum Source {
+    Scan {
+        pattern: Pattern,
+        target: usize,
+        morsels: usize,
+    },
+    Rows(Vec<Range<usize>>),
 }
 
 /// A running exchange: a pull-based iterator over its morsels' rows, in
@@ -170,10 +214,12 @@ struct Exchange<'a> {
     ctx: EvalContext<'a>,
     degree: usize,
     input: &'a Arc<Plan>,
-    /// The step whose scan `chunks` splits.
-    driving: &'a PlanPattern,
-    /// The morsels, in scan order.
-    chunks: Vec<ScanChunk<'a>>,
+    /// The driving source's operator ([`Driving::ordinal`]).
+    ordinal: usize,
+    /// Where workers find the morsels.
+    source: Source,
+    /// The morsels, in order.
+    morsels: Vec<Drive<'a>>,
     /// When the exchange began renting the consumer's thread.
     started: Instant,
     /// The rows being delivered: the pipeline of a morsel evaluated on
@@ -228,11 +274,11 @@ impl Exchange<'_> {
         if let Some(counters) = &self.ctx.counters {
             let run = ExchangeRun {
                 degree: self.degree,
-                morsels: self.chunks.len(),
+                morsels: self.morsels.len(),
                 inline,
                 workers,
             };
-            lock(&counters.exchanges).insert(self.driving.ordinal, run);
+            lock(&counters.exchanges).insert(self.ordinal, run);
         }
     }
 
@@ -244,7 +290,7 @@ impl Exchange<'_> {
     /// workers start on the ones after it. Spawns no more workers than
     /// morsels can be out at once.
     fn fan_out_if_due(&mut self) {
-        let left = self.chunks.len() - self.front;
+        let left = self.morsels.len() - self.front;
         let settled = self.workers.is_some() || self.front == 0 || left < 2;
         if settled || self.started.elapsed() < diag::fan_out_after() {
             return;
@@ -266,9 +312,7 @@ impl Exchange<'_> {
                 cancel: self.ctx.cancel.clone(),
                 sink_open: Arc::clone(&sink_open),
                 jobs: Arc::clone(&queue),
-                scan_pattern: const_pattern(self.driving),
-                chunk_target: self.degree * MORSELS_PER_WORKER,
-                n_morsels: self.chunks.len(),
+                source: self.source.clone(),
                 width: self.ctx.width,
                 counters: self.ctx.counters.clone(),
                 steps: Arc::clone(&self.ctx.steps),
@@ -287,7 +331,7 @@ impl Exchange<'_> {
             sink_open,
         };
         for _ in 0..window {
-            handed.hand_out(self.front, self.chunks.len());
+            handed.hand_out(self.front, self.morsels.len());
         }
         self.workers = Some(handed);
     }
@@ -341,15 +385,15 @@ impl Iterator for Exchange<'_> {
             self.current = Box::new(std::iter::empty());
             // (A pre-triggered handle stops here, before morsel 0: nothing
             // evaluated, nothing spawned.)
-            if self.ctx.cancel.should_stop() || self.front >= self.chunks.len() {
+            if self.ctx.cancel.should_stop() || self.front >= self.morsels.len() {
                 return self.finish();
             }
             self.fan_out_if_due();
             let Some(workers) = &mut self.workers else {
                 #[cfg(debug_assertions)]
                 diag::inject_faults(self.front);
-                let (ctx, chunk) = (self.ctx.clone(), Some(self.chunks[self.front]));
-                self.current = ctx.eval_over(self.input, chunk, Observe::Rows);
+                let (ctx, morsel) = (self.ctx.clone(), self.morsels[self.front].clone());
+                self.current = ctx.eval_over(self.input, Some(morsel), Observe::Rows);
                 self.front += 1;
                 continue;
             };
@@ -362,7 +406,7 @@ impl Iterator for Exchange<'_> {
             if msg.last {
                 workers.out.pop_front();
                 self.front += 1;
-                workers.hand_out(self.front, self.chunks.len());
+                workers.hand_out(self.front, self.morsels.len());
             }
             self.current = Box::new(msg.rows.into_iter());
         }
@@ -393,8 +437,9 @@ struct Msg {
 }
 
 /// A detached exchange worker: owns a store handle and a share of the
-/// plan, re-derives the (deterministic) chunk list, and takes the morsels
-/// the consumer hands out until the job queue closes or the query stops.
+/// plan, re-derives the (deterministic) morsel list, and takes the
+/// morsels the consumer hands out until the job queue closes or the query
+/// stops.
 struct Worker {
     store: SharedStore,
     /// The exchange's input: what `eval_over` runs on each morsel.
@@ -403,9 +448,7 @@ struct Worker {
     sink_open: Arc<AtomicBool>,
     /// The job queue, shared by the workers.
     jobs: Arc<Mutex<Receiver<Job>>>,
-    scan_pattern: Pattern,
-    chunk_target: usize,
-    n_morsels: usize,
+    source: Source,
     width: usize,
     counters: Option<Arc<crate::eval::ScanCounters>>,
     /// The execution's operator states: build sides, fetched tables and
@@ -419,7 +462,7 @@ impl Worker {
         let store: &dyn TripleStore = &*self.store;
         let ctx = EvalContext {
             store,
-            // The input has a driving scan, so no exchange nests in what
+            // The input has a driving source, so no exchange nests in what
             // a morsel evaluates: workers need no owning handle of their
             // own.
             shared: None,
@@ -428,17 +471,27 @@ impl Worker {
             counters: self.counters.clone(),
             steps: Arc::clone(&self.steps),
         };
-        let chunks = store.scan_chunks(self.scan_pattern, self.chunk_target);
-        // Not a debug assertion: morsel indices mean nothing across two
-        // different chunk lists, and a worker that bowed out quietly
-        // would let the consumer read its disconnect as a stop — a prefix
-        // returned as the answer. The panic fails the query on the
-        // consumer's thread.
-        assert_eq!(
-            chunks.len(),
-            self.n_morsels,
-            "scan_chunks must be deterministic (see TripleStore::scan_chunks)"
-        );
+        let morsels: Vec<Drive<'_>> = match &self.source {
+            Source::Scan {
+                pattern,
+                target,
+                morsels,
+            } => {
+                let chunks = store.scan_chunks(*pattern, *target);
+                // Not a debug assertion: morsel indices mean nothing across
+                // two different chunk lists, and a worker that bowed out
+                // quietly would let the consumer read its disconnect as a
+                // stop — a prefix returned as the answer. The panic fails
+                // the query on the consumer's thread.
+                assert_eq!(
+                    chunks.len(),
+                    *morsels,
+                    "scan_chunks must be deterministic (see TripleStore::scan_chunks)"
+                );
+                chunks.into_iter().map(Drive::Scan).collect()
+            }
+            Source::Rows(ranges) => ranges.iter().cloned().map(Drive::Rows).collect(),
+        };
         loop {
             // Waits for a morsel to be handed out: the lock is released
             // once one is, and the worker exits when the queue closes.
@@ -451,8 +504,8 @@ impl Worker {
             #[cfg(debug_assertions)]
             diag::inject_faults(morsel);
             let mut batch: Vec<Bindings> = Vec::new();
-            let chunk = Some(chunks[morsel]);
-            for row in ctx.clone().eval_over(&self.input, chunk, Observe::Rows) {
+            let morsel = Some(morsels[morsel].clone());
+            for row in ctx.clone().eval_over(&self.input, morsel, Observe::Rows) {
                 if self.stopped() {
                     // No completion marker: dropping `tx` disconnects the
                     // morsel's channel, which is how the consumer learns

@@ -31,9 +31,14 @@
 //! lookups that cost as much as reading the whole pattern once. The
 //! evaluator counts against it at run time ([`crate::eval`]).
 //!
+//! [`reuse_build_rows`] is the pass after binding that lets a join's
+//! probe side read the join's own build rows where its chain would only
+//! derive them again (Q4's two stars, Q6's negated star): the chain
+//! becomes a [`Plan::Reuse`] leaf, and the star runs once.
+//!
 //! [`parallelize`] is the physical pass behind
 //! [`crate::QueryOptions::parallelism`]: it inserts [`Plan::Exchange`]
-//! above every pipeline whose driving scan can be split into morsels.
+//! above every pipeline whose driving source can be split into morsels.
 //! Whether an execution actually fans out is the exchange's decision,
 //! made while it runs (see [`crate::par`]).
 
@@ -182,6 +187,21 @@ pub enum Plan {
     /// The one empty row: what a group's first step extends, and what the
     /// filters of a group without patterns test.
     Unit,
+    /// The build rows of the join numbered `join`, read back at the bottom
+    /// of that join's probe chain in place of the steps that would derive
+    /// them again ([`reuse_build_rows`]): each row, in the order it was
+    /// filed, with its lanes renamed. The join fills its build side
+    /// before it evaluates its probe side, so the rows are there.
+    Reuse {
+        /// The join's ordinal (see [`PlanPattern::ordinal`]): whose
+        /// [`crate::eval::StepState`] holds the rows.
+        join: usize,
+        /// `(probe variable, build variable)`: the lanes the leaf fills,
+        /// each from the build row's lane of the same star position.
+        lanes: Vec<(usize, usize)>,
+        /// The rows the replaced chain was estimated to emit.
+        est_rows: u64,
+    },
     /// One pattern step, an index nested loop: each row of `input`
     /// extended by the triples matching `pattern` under it. A step
     /// carrying a [`FetchRule`] may turn into a hash probe of its fetched
@@ -263,11 +283,12 @@ pub enum Plan {
         input: Box<Plan>,
     },
     /// Morsel-driven execution (inserted by [`parallelize`]): the driving
-    /// scan of `input` — the step over [`Plan::Unit`] at the bottom of
-    /// the leftmost chain, reached through steps, join probe sides and
-    /// filters — is split into disjoint chunks via
-    /// [`sp2b_store::TripleStore::scan_chunks`] and `input` is
-    /// evaluated once per chunk: on the consumer's thread at first, on
+    /// source of `input` ([`driving`]) — at the bottom of the leftmost
+    /// chain, reached through steps, join probe sides and filters — is
+    /// split into disjoint morsels, chunks of a step's scan via
+    /// [`sp2b_store::TripleStore::scan_chunks`] or ranges of the build
+    /// rows a [`Plan::Reuse`] leaf reads, and `input` is
+    /// evaluated once per morsel: on the consumer's thread at first, on
     /// `degree` worker threads once the execution has proved long, all
     /// sharing its build sides and fetched tables. Per-morsel results
     /// come out in morsel order, so the output order equals sequential
@@ -448,10 +469,11 @@ impl Binder<'_> {
     ) -> Plan {
         let left = self.plan(a);
         let right = self.plan(b);
-        let est_rows = match (kind, est_rows) {
-            (JoinKind::Inner, Some(rows)) => rows,
-            (JoinKind::Inner, None) => driving_scan(&right).map_or(0, |p| p.est_rows),
-            (JoinKind::Optional | JoinKind::Anti, _) => output_estimate(&left),
+        let est_rows = match (kind, est_rows, driving(&right)) {
+            (JoinKind::Inner, Some(rows), _) => rows,
+            (JoinKind::Inner, None, Some(Driving::Scan(p))) => p.est_rows,
+            (JoinKind::Inner, None, _) => 0,
+            (JoinKind::Optional | JoinKind::Anti, ..) => output_estimate(&left),
         };
         Plan::Join {
             left: Box::new(left),
@@ -495,6 +517,7 @@ fn negation_rest(e: &Expr, a: &Algebra, b: &Algebra) -> Option<Vec<Expr>> {
 pub(crate) fn output_estimate(plan: &Plan) -> u64 {
     match plan {
         Plan::Unit => 1,
+        Plan::Reuse { est_rows, .. } => *est_rows,
         Plan::Step { pattern, .. } => pattern.est_rows,
         Plan::Join { est_rows, .. } => *est_rows,
         Plan::Union(a, b) => output_estimate(a).saturating_add(output_estimate(b)),
@@ -519,13 +542,352 @@ fn join_key(a: &Algebra, b: &Algebra) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
+// Reuse (a join's probe side reads the join's build rows)
+// ---------------------------------------------------------------------------
+
+/// Lets a join's probe side read the join's own build rows where the
+/// bottom of its chain would only derive them again. The paper's two
+/// heaviest queries repeat a star on both sides of a join: Q4 pairs two
+/// `article–creator–name–journal` stars on `?journal`, and Q6's negation
+/// probes with the `subClassOf–type–issued–creator` star it anti-joins
+/// against. The bottom of the probe chain becomes a [`Plan::Reuse`] leaf,
+/// so the star runs once — as the build side the join fills before it
+/// probes anyway — and the operators are numbered again. Planning it is
+/// linear in the steps.
+///
+/// A join qualifies when its build side is a chain of steps and filters
+/// over [`Plan::Unit`], possibly deduplicated (below), and the bottom of
+/// its probe chain equals that chain under a bijection of variables:
+/// step for step the same constants, a variable repeated where the other
+/// repeats one, the same fetch rule, the same filters. The join must pair
+/// the star with itself: a key variable the star binds maps to itself,
+/// and an eq pair's probe variable to the pair's build variable (Q4's
+/// `?journal`; Q6's `?author` and `?author2`). Reading the rows back is
+/// exact: a chain over the one empty row derives its rows from its
+/// patterns alone, so the build rows, renamed, are the rows the probe
+/// chain would have derived, in its order.
+///
+/// A build side the optimizer deduplicated under a DISTINCT —
+/// `Distinct(Project(keep, chain))`, see [`crate::optimizer`] — holds one
+/// row per value of `keep`. The probe reads those rows only when the same
+/// argument holds of it: a DISTINCT sits above with nothing but
+/// projections, filters, joins and unions between, and every probe
+/// variable something above the leaf reads maps into `keep`. A probe row
+/// that repeats an earlier one on everything read of it then only adds
+/// rows that repeat earlier ones, which the DISTINCT drops, so its output
+/// sequence is unchanged; and the rows are deduplicated once, globally,
+/// so what each operator emits does not depend on the degree. Otherwise
+/// the join keeps its chain.
+///
+/// Only configurations that reorder patterns plan reuse — the naive ones
+/// are the oracle — and an ASK plans none (its symmetric inner join fills
+/// no build side first): [`crate::QueryEngine::prepare`] leaves the pass
+/// out for it.
+pub fn reuse_build_rows(mut plan: Plan, cfg: &OptimizerConfig) -> Plan {
+    if cfg.reorder_patterns {
+        reuse(&mut plan, &[], false);
+        number(&mut plan, &mut 0);
+    }
+    plan
+}
+
+/// `vars` and `more`, each once.
+fn union(vars: &[usize], more: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut out = vars.to_vec();
+    for v in more {
+        if !out.contains(&v) {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// The variables a pattern names.
+fn pattern_vars(pattern: &PlanPattern) -> impl Iterator<Item = usize> + '_ {
+    pattern.slots.iter().filter_map(|slot| match slot {
+        PlanSlot::Var(v) => Some(*v),
+        PlanSlot::Const(_) => None,
+    })
+}
+
+/// The variables `plan`'s rows may bind.
+fn vars_of(plan: &Plan) -> Vec<usize> {
+    match plan {
+        Plan::Unit => Vec::new(),
+        Plan::Reuse { lanes, .. } => lanes.iter().map(|&(to, _)| to).collect(),
+        Plan::Step { input, pattern } => union(&vars_of(input), pattern_vars(pattern)),
+        Plan::Join { left, right, .. } | Plan::Union(left, right) => {
+            union(&vars_of(left), vars_of(right))
+        }
+        Plan::Project(vars, _) => vars.clone(),
+        Plan::Group { keys, counts, .. } => union(keys, counts.iter().map(|c| c.lane)),
+        Plan::Filter(_, inner) | Plan::Distinct(inner) | Plan::OrderBy(_, inner) => vars_of(inner),
+        Plan::Slice { input, .. } => vars_of(input),
+        Plan::Exchange { input, .. } => vars_of(input),
+    }
+}
+
+/// [`reuse_build_rows`] below an operator that reads the variables
+/// `observed` of `plan`'s rows — with `distinct`, one under a DISTINCT
+/// that only projections, filters, joins and unions separate from it.
+fn reuse(plan: &mut Plan, observed: &[usize], distinct: bool) {
+    match plan {
+        Plan::Unit | Plan::Reuse { .. } | Plan::Exchange { .. } => {}
+        Plan::Step { input, pattern } => {
+            reuse(input, &union(observed, pattern_vars(pattern)), distinct)
+        }
+        Plan::Filter(e, inner) => reuse(inner, &union(observed, e.variables()), distinct),
+        Plan::Distinct(inner) => {
+            let keyed = union(observed, vars_of(inner));
+            reuse(inner, &keyed, true)
+        }
+        Plan::Project(vars, inner) => reuse(inner, vars, distinct),
+        // A sort, a slice and a count each observe how many rows there
+        // are, or in which order equal ones come.
+        Plan::OrderBy(keys, inner) => {
+            let read = keys.iter().flat_map(|k| match k {
+                PlanOrderKey::Var { var, .. } => vec![*var],
+                PlanOrderKey::Count { lane, .. } => vec![*lane],
+                PlanOrderKey::Expr { expr, .. } => expr.variables(),
+            });
+            reuse(inner, &union(observed, read), false)
+        }
+        Plan::Slice { input, .. } => reuse(input, observed, false),
+        Plan::Group {
+            keys,
+            counts,
+            input,
+        } => reuse(
+            input,
+            &union(keys, counts.iter().filter_map(|c| c.target)),
+            false,
+        ),
+        Plan::Union(a, b) => {
+            reuse(a, observed, distinct);
+            reuse(b, observed, distinct);
+        }
+        Plan::Join {
+            left,
+            right,
+            key,
+            eq,
+            condition,
+            ..
+        } => {
+            // A join reads its key and condition, and its merge compares
+            // every lane the other side binds.
+            let cond = condition.as_ref().map(BoundExpr::variables);
+            let at_join = union(
+                &union(observed, key.iter().copied()),
+                cond.into_iter().flatten(),
+            );
+            let probe_reads = union(&at_join, eq.iter().map(|&(l, _)| l).chain(vars_of(right)));
+            let build_reads = union(&at_join, eq.iter().map(|&(_, r)| r).chain(vars_of(left)));
+            if let Some((depth, leaf)) = reused_chain(left, right, key, eq, &probe_reads, distinct)
+            {
+                *chain_link(left, depth) = leaf;
+            }
+            reuse(left, &probe_reads, distinct);
+            reuse(right, &build_reads, distinct);
+        }
+    }
+}
+
+/// The links — steps and filters — of the chain `plan` tops, first link
+/// first; `None` unless it bottoms out in [`Plan::Unit`].
+fn chain_links(plan: &Plan) -> Option<Vec<&Plan>> {
+    let mut links = Vec::new();
+    let mut at = plan;
+    loop {
+        match at {
+            Plan::Step { input, .. } | Plan::Filter(_, input) => {
+                links.push(at);
+                at = input;
+            }
+            Plan::Unit => break,
+            _ => return None,
+        }
+    }
+    links.reverse();
+    Some(links)
+}
+
+/// The link `depth` links below the top of the chain `plan` tops, or its
+/// bottom if the chain is shorter.
+fn chain_link(plan: &mut Plan, depth: usize) -> &mut Plan {
+    if depth == 0 {
+        return plan;
+    }
+    match plan {
+        Plan::Step { input, .. } | Plan::Filter(_, input) => chain_link(input, depth - 1),
+        other => other,
+    }
+}
+
+/// A bijection between the variables of two chains, grown link by link.
+#[derive(Default)]
+struct Renaming(Vec<(usize, usize)>);
+
+impl Renaming {
+    /// Pairs probe variable `a` with build variable `b`: false when either
+    /// is already paired with another.
+    fn pair(&mut self, a: usize, b: usize) -> bool {
+        match self.0.iter().find(|&&(x, y)| x == a || y == b) {
+            Some(&pair) => pair == (a, b),
+            None => {
+                self.0.push((a, b));
+                true
+            }
+        }
+    }
+
+    /// The build variable `a` is paired with.
+    fn of(&self, a: usize) -> Option<usize> {
+        self.0.iter().find(|&&(x, _)| x == a).map(|&(_, y)| y)
+    }
+
+    /// Whether links `a` (probe side) and `b` (build side) are the same
+    /// under the renaming, extended as they require.
+    fn same_link(&mut self, a: &Plan, b: &Plan) -> bool {
+        match (a, b) {
+            (Plan::Step { pattern: p, .. }, Plan::Step { pattern: q, .. }) => {
+                p.fetch == q.fetch
+                    && p.slots.iter().zip(&q.slots).all(|pair| match pair {
+                        (PlanSlot::Var(x), PlanSlot::Var(y)) => self.pair(*x, *y),
+                        (x, y) => x == y,
+                    })
+            }
+            (Plan::Filter(e, _), Plan::Filter(f, _)) => self.same_expr(e, f),
+            _ => false,
+        }
+    }
+
+    fn same_expr(&mut self, a: &BoundExpr, b: &BoundExpr) -> bool {
+        use BoundExpr::{And, Bound, Compare, Const, Not, Or, Var};
+        match (a, b) {
+            (Var(x), Var(y)) | (Bound(x), Bound(y)) => self.pair(*x, *y),
+            (Const(i, s), Const(j, t)) => i == j && s == t,
+            (Not(x), Not(y)) => self.same_expr(x, y),
+            (And(a1, a2), And(b1, b2)) | (Or(a1, a2), Or(b1, b2)) => {
+                self.same_expr(a1, b1) && self.same_expr(a2, b2)
+            }
+            (Compare(o, a1, a2), Compare(p, b1, b2)) => {
+                o == p && self.same_expr(a1, b1) && self.same_expr(a2, b2)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Whether `probe`, a join's probe side, may read the join's build rows
+/// (see [`reuse_build_rows`]): how many links above its chain's bottom
+/// the leaf goes, and the leaf — numbered later. `read` is what the
+/// operators above the probe side read of its rows.
+fn reused_chain(
+    probe: &Plan,
+    build: &Plan,
+    key: &[usize],
+    eq: &EqPairs,
+    read: &[usize],
+    distinct: bool,
+) -> Option<(usize, Plan)> {
+    let (build, keep) = match build {
+        Plan::Distinct(inner) => match inner.as_ref() {
+            Plan::Project(keep, chain) => (chain.as_ref(), Some(keep)),
+            _ => return None,
+        },
+        chain => (chain, None),
+    };
+    let (links, star) = (chain_links(probe)?, chain_links(build)?);
+    let depth = links.len().checked_sub(star.len())?;
+    if !star.iter().any(|link| matches!(link, Plan::Step { .. })) {
+        return None;
+    }
+    let mut names = Renaming::default();
+    if !links.iter().zip(&star).all(|(a, b)| names.same_link(a, b)) {
+        return None;
+    }
+    let pairs_itself = key.iter().all(|&k| names.of(k).is_none_or(|b| b == k))
+        && eq.iter().all(|&(l, r)| names.of(l).is_none_or(|b| b == r));
+    if !pairs_itself {
+        return None;
+    }
+    let lanes: Vec<(usize, usize)> = match keep {
+        None => names.0,
+        Some(keep) => {
+            // What the links above the leaf read is read of it too.
+            let above = links[star.len()..].iter().flat_map(|link| match link {
+                Plan::Step { pattern, .. } => pattern_vars(pattern).collect(),
+                Plan::Filter(e, _) => e.variables(),
+                _ => Vec::new(),
+            });
+            let read = union(read, above);
+            let kept = |&(_, b): &(usize, usize)| keep.contains(&b);
+            let unread = |&(a, _): &(usize, usize)| !read.contains(&a);
+            if !distinct || !names.0.iter().all(|pair| kept(pair) || unread(pair)) {
+                return None;
+            }
+            names.0.into_iter().filter(kept).collect()
+        }
+    };
+    let est_rows = output_estimate(links[star.len() - 1]);
+    Some((
+        depth,
+        Plan::Reuse {
+            join: usize::MAX,
+            lanes,
+            est_rows,
+        },
+    ))
+}
+
+/// Numbers the operators of `plan` from `next` on, in [`operators`]
+/// order, and points each [`Plan::Reuse`] leaf at its join's number.
+fn number(plan: &mut Plan, next: &mut usize) {
+    fn take(next: &mut usize) -> usize {
+        *next += 1;
+        *next - 1
+    }
+    match plan {
+        Plan::Unit | Plan::Reuse { .. } => {}
+        Plan::Step { input, pattern } => {
+            number(input, next);
+            pattern.ordinal = take(next);
+        }
+        Plan::Join {
+            left,
+            right,
+            ordinal,
+            ..
+        } => {
+            number(left, next);
+            number(right, next);
+            *ordinal = take(next);
+            if let Plan::Reuse { join, .. } = chain_link(left, usize::MAX) {
+                *join = *ordinal;
+            }
+        }
+        Plan::Union(a, b) => {
+            number(a, next);
+            number(b, next);
+        }
+        Plan::Filter(_, inner)
+        | Plan::Distinct(inner)
+        | Plan::Project(_, inner)
+        | Plan::OrderBy(_, inner) => number(inner, next),
+        Plan::Slice { input, .. } | Plan::Group { input, .. } => number(input, next),
+        Plan::Exchange { input, .. } => number(Arc::make_mut(input), next),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Parallelization (the physical pass behind QueryOptions::parallelism)
 // ---------------------------------------------------------------------------
 
 /// Inserts [`Plan::Exchange`] operators for a target `degree` of
 /// parallelism. The pass descends through merge-side operators (project,
 /// sort, distinct, grouping, union branches) and wraps each pipeline
-/// segment — a chain of steps, joins and filters — with a driving scan.
+/// segment — a chain of steps, joins and filters — with a driving source.
 /// Nothing is estimated here: an exchange runs on its consumer's thread
 /// until the execution has earned its workers ([`crate::par`]), so one
 /// above a short pipeline costs nothing. With `degree <= 1` the plan is
@@ -569,10 +931,10 @@ pub fn parallelize(plan: Plan, degree: usize) -> Plan {
             input: sub(input),
         },
         Plan::Union(a, b) => Plan::Union(sub(a), sub(b)),
-        // What an exchange can run per morsel is what has a driving scan:
-        // a chain that bottoms out in a step over `Unit`.
-        // (An exchange has none: the pass is idempotent.)
-        other => match driving_scan(&other) {
+        // What an exchange can run per morsel is what has a driving
+        // source: a chain that bottoms out in a step over `Unit` or in a
+        // reuse leaf. (An exchange has none: the pass is idempotent.)
+        other => match driving(&other) {
             Some(_) => Plan::Exchange {
                 degree,
                 input: Arc::new(other),
@@ -600,16 +962,16 @@ pub fn has_exchange(plan: &Plan) -> bool {
 }
 
 /// Every [`Plan::Exchange`] of the plan, in plan order, as its degree and
-/// its driving step.
-pub fn exchanges(plan: &Plan) -> Vec<(usize, &PlanPattern)> {
-    fn walk<'p>(plan: &'p Plan, out: &mut Vec<(usize, &'p PlanPattern)>) {
+/// the ordinal of the operator its morsels come from ([`Driving::ordinal`]).
+pub fn exchanges(plan: &Plan) -> Vec<(usize, usize)> {
+    fn walk(plan: &Plan, out: &mut Vec<(usize, usize)>) {
         match plan {
-            // `parallelize` only wraps what has a driving scan, and never
-            // nests exchanges.
+            // `parallelize` only wraps what has a driving source, and
+            // never nests exchanges.
             Plan::Exchange { degree, input } => {
-                out.extend(driving_scan(input).map(|step| (*degree, step)));
+                out.extend(driving(input).map(|source| (*degree, source.ordinal())));
             }
-            Plan::Unit | Plan::Step { .. } => {}
+            Plan::Unit | Plan::Reuse { .. } | Plan::Step { .. } => {}
             Plan::Join { left, right, .. } | Plan::Union(left, right) => {
                 walk(left, out);
                 walk(right, out);
@@ -637,6 +999,9 @@ pub enum Operator<'p> {
         kind: JoinKind,
         /// The materialized side.
         build: &'p Plan,
+        /// The lanes of the [`Plan::Reuse`] leaf its probe side reads its
+        /// build rows through, if it does.
+        reuse: Option<&'p [(usize, usize)]>,
         /// The node's `key`.
         key: &'p [usize],
         /// The node's `eq`.
@@ -657,7 +1022,7 @@ pub enum Operator<'p> {
 pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
     fn walk<'p>(plan: &'p Plan, out: &mut Vec<Operator<'p>>) {
         match plan {
-            Plan::Unit => {}
+            Plan::Unit | Plan::Reuse { .. } => {}
             Plan::Step { input, pattern } => {
                 walk(input, out);
                 out.push(Operator::Scan(pattern));
@@ -677,6 +1042,10 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
                 out.push(Operator::Join {
                     kind: *kind,
                     build: right,
+                    reuse: match chain_bottom(left) {
+                        Plan::Reuse { lanes, .. } => Some(lanes),
+                        _ => None,
+                    },
                     key,
                     eq,
                     residual: condition.is_some(),
@@ -701,17 +1070,54 @@ pub fn operators(plan: &Plan) -> Vec<Operator<'_>> {
     out
 }
 
-/// The driving scan of a pipeline: the step over [`Plan::Unit`] at the
-/// bottom of the leftmost chain, reached through earlier steps, join
-/// probe (streamed) sides and filters. `None` when the pipeline has no
-/// partitionable driving scan (e.g. a union, or a group without
-/// patterns).
-pub(crate) fn driving_scan(plan: &Plan) -> Option<&PlanPattern> {
+/// Where a pipeline's rows start, which an exchange splits into morsels
+/// (see [`driving`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Driving<'p> {
+    /// The step over [`Plan::Unit`]: its scan is split into chunks.
+    Scan(&'p PlanPattern),
+    /// A [`Plan::Reuse`] leaf: the build rows of the join it names are
+    /// split into ranges.
+    Rows {
+        /// The join's ordinal.
+        join: usize,
+    },
+}
+
+impl Driving<'_> {
+    /// The operator whose span records where the morsels ran: the
+    /// driving step, or the join whose build rows are split.
+    pub fn ordinal(&self) -> usize {
+        match self {
+            Driving::Scan(step) => step.ordinal,
+            Driving::Rows { join } => *join,
+        }
+    }
+}
+
+/// The driving source of a pipeline: what sits at the bottom of the
+/// leftmost chain, reached through earlier steps, join probe (streamed)
+/// sides and filters — a step over [`Plan::Unit`] or a [`Plan::Reuse`]
+/// leaf. `None` when the pipeline has none to partition (e.g. a union,
+/// or a group without patterns).
+pub fn driving(plan: &Plan) -> Option<Driving<'_>> {
     match plan {
-        Plan::Step { input, pattern } if matches!(**input, Plan::Unit) => Some(pattern),
-        Plan::Step { input, .. } | Plan::Filter(_, input) => driving_scan(input),
-        Plan::Join { left, .. } => driving_scan(left),
+        Plan::Step { input, pattern } if matches!(**input, Plan::Unit) => {
+            Some(Driving::Scan(pattern))
+        }
+        Plan::Reuse { join, .. } => Some(Driving::Rows { join: *join }),
+        Plan::Step { input, .. } | Plan::Filter(_, input) => driving(input),
+        Plan::Join { left, .. } => driving(left),
         _ => None,
+    }
+}
+
+/// The bottom of the chain of steps and filters `plan` tops: [`Plan::Unit`]
+/// for a group's chain, or what else ends it.
+fn chain_bottom(plan: &Plan) -> &Plan {
+    match plan {
+        Plan::Step { input, .. } | Plan::Filter(_, input) => chain_bottom(input),
+        other => other,
     }
 }
 

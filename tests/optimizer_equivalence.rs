@@ -17,15 +17,16 @@ use sp2bench::datagen::rng::SplitMix64;
 use sp2bench::datagen::{generate_graph, Config};
 use sp2bench::rdf::{Graph, Iri, Literal, Subject, Term};
 use sp2bench::sparql::algebra::{translate, Algebra};
+use sp2bench::sparql::eval::{Cancellation, EvalContext, StepState};
 use sp2bench::sparql::optimizer::optimize;
 use sp2bench::sparql::plan::{bind, operators, Operator, Plan};
 use sp2bench::sparql::{
     parse, OptimizerConfig, QueryEngine, QueryOptions, QueryResult, ScanCounters,
 };
-use sp2bench::store::{ShardBackend, SharedStore, TripleStore};
+use sp2bench::store::{open_store, save_graph, ShardBackend, ShardBy, SharedStore, TripleStore};
 
 mod common;
-use common::{load, NATIVE};
+use common::{load, sharded, NATIVE};
 
 /// Graphs per property.
 const CASES: u64 = 64;
@@ -367,4 +368,309 @@ fn unlinked_components_run_once_each() {
         scanned <= 2 * TRIPLES as u64,
         "{scanned} pattern rows for two parts of {TRIPLES}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// A join whose probe side reads its build rows (a star repeated up to a
+// renaming of its variables)
+// ---------------------------------------------------------------------------
+
+/// A seeded star on `?{subject}`: two or three patterns with distinct
+/// predicates; the first meets the other star at the shared `?j`, the
+/// second's object is a variable (what the `<` residuals compare), the
+/// third's a variable or a constant. Its variables are `?{prefix}1`,
+/// `?{prefix}2`.
+#[derive(Clone)]
+struct Star(Vec<(u64, Option<u64>)>);
+
+impl Star {
+    fn draw(rng: &mut SplitMix64) -> Star {
+        let first = rng.next_u64() % 4;
+        let mut preds = (0..4).filter(|&p| p != first).collect::<Vec<u64>>();
+        let second = preds.remove((rng.next_u64() % 3) as usize);
+        let mut star = vec![(first, None), (second, None)];
+        if rng.next_u64().is_multiple_of(2) {
+            let third = preds[(rng.next_u64() % 2) as usize];
+            let object = rng.next_u64().is_multiple_of(2).then(|| rng.next_u64() % 4);
+            star.push((third, object));
+        }
+        Star(star)
+    }
+
+    /// The star's patterns, with the join variable `?{join}` (Q4's
+    /// `?journal`) or a variable of its own.
+    fn text(&self, subject: &str, prefix: &str, join: Option<&str>) -> String {
+        let object = |i: usize, o: Option<u64>| match (i, o, join) {
+            (0, _, Some(j)) => format!("?{j}"),
+            (_, Some(o), _) => format!("<http://t/o{o}>"),
+            (_, None, _) => format!("?{prefix}{i}"),
+        };
+        let patterns = self.0.iter().enumerate();
+        patterns
+            .map(|(i, &(p, o))| format!("?{subject} <http://t/p{p}> {} .", object(i, o)))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+}
+
+/// A graph of many-valued stars: 40 subjects with up to one object for
+/// each of p0..p3, few enough distinct objects that stars meet, so that
+/// the full planner splits a BGP of two stars at the one they share.
+fn star_graph(seed: u64) -> Graph {
+    let mut rng = SplitMix64::new(seed);
+    let mut g = Graph::new();
+    for s in 0..40 {
+        for p in 0..4 {
+            if rng.next_u64().is_multiple_of(5) {
+                continue;
+            }
+            let o = rng.next_u64() % 10;
+            let object: Term = match o {
+                0..=3 => Term::iri(format!("http://t/o{o}")),
+                _ => Term::Literal(Literal::integer(o as i64)),
+            };
+            g.add(
+                Subject::iri(format!("http://t/s{s}")),
+                Iri::new(format!("http://t/p{p}")),
+                object,
+            );
+        }
+    }
+    g
+}
+
+/// The shapes a repeated star is asked in, from `star`: whether the
+/// full configuration may plan reuse for each, and its text.
+fn repeated_star_shapes(star: &Star) -> Vec<(&'static str, bool, String)> {
+    let (a, b) = (
+        star.text("a", "n", Some("j")),
+        star.text("b", "m", Some("j")),
+    );
+    // As written in Q4 — one BGP, which the planner splits at `?j` only
+    // where its estimates favour it — and as two groups, always a join.
+    let (flat, pair) = (format!("{a} {b}"), format!("{{ {a} }} {{ {b} }}"));
+    // Q6's two stars share no variable: the OPTIONAL's condition pairs
+    // them (an eq pair and a residual).
+    let (a0, b0) = (star.text("a", "n", None), star.text("b", "m", None));
+    let negation = |extra: &str| {
+        format!(
+            "SELECT ?a ?n1 WHERE {{ {a0} {extra} OPTIONAL {{ {b0} FILTER (?n0 = ?m0 && ?m1 < ?n1) }} \
+             FILTER (!bound(?b)) }}"
+        )
+    };
+    // Near misses: the copy differs in one constant, or repeats a
+    // variable the original does not.
+    let mut other = star.clone();
+    let last = other.0.len() - 1;
+    other.0[last].1 = Some(other.0[last].1.map_or(0, |o| (o + 1) % 4));
+    let other = other.text("b", "m", Some("j"));
+    let repeats = b.replacen("?m1 .", "?b .", 1);
+    vec![
+        (
+            "q4",
+            true,
+            format!("SELECT DISTINCT ?n1 ?m1 WHERE {{ {flat} FILTER (?n1 < ?m1) }}"),
+        ),
+        (
+            "q4 groups",
+            true,
+            format!("SELECT DISTINCT ?n1 ?m1 WHERE {{ {pair} FILTER (?n1 < ?m1) }}"),
+        ),
+        ("q6", true, negation("")),
+        ("q6+step", true, negation("?n1 <http://t/p3> ?z .")),
+        (
+            "limit",
+            true,
+            format!("SELECT ?a ?n1 ?m1 WHERE {{ {pair} FILTER (?n1 < ?m1) }} LIMIT 5"),
+        ),
+        (
+            "order",
+            true,
+            format!("SELECT ?n1 ?m1 ?b WHERE {{ {pair} }} ORDER BY DESC(?n1) ?m1"),
+        ),
+        (
+            "count",
+            true,
+            format!("SELECT (COUNT(*) AS ?c) WHERE {{ {pair} FILTER (?n1 < ?m1) }}"),
+        ),
+        ("ask", false, format!("ASK {{ {pair} FILTER (?n1 < ?m1) }}")),
+        (
+            "other constant",
+            false,
+            format!("SELECT DISTINCT ?n1 ?m1 WHERE {{ {{ {a} }} {{ {other} }} }}"),
+        ),
+        // Under DISTINCT the build side keeps ?m1 and ?j; the probe side's
+        // ?a, projected, reads ?b, which it drops.
+        (
+            "unkept variable",
+            false,
+            format!("SELECT DISTINCT ?a ?m1 WHERE {{ {flat} FILTER (?n1 < ?m1) }}"),
+        ),
+        (
+            "repeated variable",
+            false,
+            format!("SELECT DISTINCT ?n1 ?a WHERE {{ {{ {a} }} {{ {repeats} }} }}"),
+        ),
+    ]
+}
+
+/// `query`'s answer from `engine`, row by row in order (an ASK's as one
+/// row).
+fn rows_in_order(seed: u64, engine: &QueryEngine, query: &str) -> Vec<String> {
+    let prepared = engine.prepare(query).expect("shape parses");
+    match engine.execute(&prepared) {
+        Ok(QueryResult::Solutions { rows, .. }) => rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|t| t.as_ref().map_or("-".to_owned(), ToString::to_string))
+                    .collect::<Vec<_>>()
+                    .join("|")
+            })
+            .collect(),
+        Ok(QueryResult::Boolean(yes)) => vec![yes.to_string()],
+        Err(e) => panic!("seed {seed}: {query}: {e}"),
+    }
+}
+
+/// Whether some join of `plan` has its probe side read its build rows.
+fn reuses(plan: &Plan) -> bool {
+    operators(plan)
+        .iter()
+        .any(|op| matches!(op, Operator::Join { reuse: Some(_), .. }))
+}
+
+/// `query`'s rows, as ids in order, from `plan` on `store` at degree 1.
+fn plan_rows(store: &SharedStore, query: &str, plan: &Plan) -> Vec<Vec<Option<u32>>> {
+    let t = translate(&parse(query).expect("shape parses"));
+    let ctx = EvalContext {
+        store: &**store,
+        shared: None,
+        cancel: Cancellation::none(),
+        width: t.vars.len(),
+        counters: None,
+        steps: (0..operators(plan).len())
+            .map(|_| StepState::default())
+            .collect(),
+    };
+    ctx.eval(plan)
+        .map(|row| t.projection.iter().map(|&v| row.get(v)).collect())
+        .collect()
+}
+
+/// A star repeated up to a renaming runs once where the full planner
+/// may serve the join's probe side from its build rows — Q4's shape
+/// (DISTINCT, a `<` residual, the build side deduplicated), Q6's
+/// (OPTIONAL with `!bound`), and the same under LIMIT, ORDER BY and
+/// COUNT, where nothing is deduplicated — and never in an ASK or where
+/// the stars differ in one constant or one repeated variable. Every shape
+/// answers as the naive configuration does; the full plan's rows come in
+/// exactly the order of the same plan without the reuse, and exactly the
+/// same sequence at parallelism 1, 2 and 4, over three shards and from
+/// saved segments.
+#[test]
+fn repeated_stars_read_the_build_rows_and_answer_the_same() {
+    #[cfg(debug_assertions)]
+    sp2bench::sparql::par::diag::fan_out_at_once(true);
+    let mut reused: std::collections::BTreeMap<&str, u64> = Default::default();
+    for seed in seeds() {
+        let graph = star_graph(seed);
+        let star = Star::draw(&mut SplitMix64::new(seed ^ 0x5eed));
+        let native = load(&graph, NATIVE).into_shared();
+        let shards = sharded(&graph, 3, ShardBy::Subject, NATIVE).into_shared();
+        let dir =
+            std::env::temp_dir().join(format!("sp2b-equivalence-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir(&dir).expect("create scratch dir");
+        save_graph(&dir, &graph, 2, ShardBy::Subject).expect("save");
+        let disk = open_store(&dir).expect("open").into_shared();
+        for (shape, may_reuse, query) in repeated_star_shapes(&star) {
+            let at = |store: &SharedStore, degree: usize| {
+                let options = QueryOptions::new().parallelism(degree);
+                let engine = QueryEngine::with_options(store.clone(), options);
+                rows_in_order(seed, &engine, &query)
+            };
+            let naive = QueryOptions::new()
+                .optimizer(OptimizerConfig::default())
+                .parallelism(1);
+            // Which rows a LIMIT keeps depends on the order they come in:
+            // the naive answer is the query's without it, and the
+            // limited one must be as many of those as the limit allows.
+            let (unlimited, limit) = match query.strip_suffix(" LIMIT 5") {
+                Some(unlimited) => (unlimited, 5),
+                None => (query.as_str(), usize::MAX),
+            };
+            let mut expected = rows_in_order(
+                seed,
+                &QueryEngine::with_options(native.clone(), naive),
+                unlimited,
+            );
+            expected.sort();
+            // A sharded store scans shard by shard, so each store has its
+            // own sequence; the degree must not change it.
+            for (store, label) in [(&native, "native"), (&shards, "3 shards"), (&disk, "disk")] {
+                let sequence = at(store, 1);
+                let mut got = sequence.clone();
+                got.sort();
+                let mut left = expected.clone();
+                got.retain(|row| match left.iter().position(|r| r == row) {
+                    Some(at) => {
+                        left.remove(at);
+                        true
+                    }
+                    None => false,
+                });
+                assert_eq!(
+                    (got.len(), sequence.len()),
+                    (expected.len().min(limit), expected.len().min(limit)),
+                    "seed {seed}: {shape} {label} vs naive: {query}"
+                );
+                for degree in [2, 4] {
+                    assert_eq!(
+                        at(store, degree),
+                        sequence,
+                        "seed {seed}: {shape} {label} at {degree}: {query}"
+                    );
+                }
+            }
+            let plan = full_plan(&native, &query);
+            if !may_reuse {
+                assert!(!reuses(&plan), "seed {seed}: {shape} reuses: {query}");
+                continue;
+            }
+            if reuses(&plan) {
+                *reused.entry(shape).or_default() += 1;
+                if !distinct_build_sides(&plan).is_empty() {
+                    *reused.entry("deduplicated").or_default() += 1;
+                }
+                let full = OptimizerConfig::full();
+                let t = translate(&parse(&query).expect("shape parses"));
+                let algebra = optimize(t.algebra, &*native, &full, &t.projection);
+                let without = bind(&algebra, &*native, &full);
+                assert_eq!(
+                    plan_rows(&native, &query, &plan),
+                    plan_rows(&native, &query, &without),
+                    "seed {seed}: {shape} in another order than without reuse: {query}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    if std::env::var("SP2B_SEED").is_err() {
+        let shapes = [
+            "q4",
+            "q4 groups",
+            "q6",
+            "q6+step",
+            "limit",
+            "order",
+            "count",
+        ];
+        for shape in shapes.into_iter().chain(["deduplicated"]) {
+            assert!(
+                reused.get(shape).is_some_and(|&n| n > 0),
+                "{shape}: {reused:?}"
+            );
+        }
+    }
 }

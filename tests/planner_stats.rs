@@ -526,17 +526,16 @@ fn fetched_steps(spans: &[OpSpan]) -> Vec<usize> {
 
 /// What each operator of Q4, Q5b and Q8 emitted on `native-opt` at 50k
 /// when every step was a lookup (joins last, as `--explain` lists them).
-/// Q4's two stars each run once, 4 431 rows apiece, and the join pairs
-/// them by journal: its build side keeps one row per distinct `(?name2,
-/// ?journal)`, and of the pairs the 88 602 it emits pass `?name1 <
-/// ?name2`, checked inside the probe (106 738 when the build side kept
-/// every row). Q8's two union branches each open at the one-row
-/// `?erdoes` pattern.
+/// Q4's star runs once, 4 431 rows, as the build side of the join that
+/// pairs it with itself by journal: the build side keeps one row per
+/// distinct `(?name2, ?journal)`, 3 681 of them, and the probe side reads
+/// those rows back instead of deriving the star again. Of the pairs, the
+/// 76 258 it emits pass `?name1 < ?name2`, checked inside the probe
+/// (88 602 when the probe side ran its own star, 106 738 when the build
+/// side kept every row as well). Q8's two union branches each open at the
+/// one-row `?erdoes` pattern.
 const ROWS_BEFORE_FETCHING: [(&str, &[u64]); 3] = [
-    (
-        "Q4",
-        &[2338, 5874, 4437, 4431, 2338, 5874, 4437, 4431, 88602],
-    ),
+    ("Q4", &[2338, 5874, 4437, 4431, 76258]),
     ("Q5b", &[1128, 1380, 1380, 9050, 5874]),
     (
         "Q8",
@@ -573,6 +572,7 @@ fn bgps(plan: &Plan) -> Vec<Vec<&PlanPattern>> {
         | Plan::OrderBy(_, inner) => bgps(inner),
         Plan::Slice { input, .. } | Plan::Group { input, .. } => bgps(input),
         Plan::Exchange { input, .. } => bgps(input),
+        Plan::Reuse { .. } => Vec::new(),
     }
 }
 
@@ -649,10 +649,12 @@ fn q8_branches_start_from_erdoes() {
 /// Q4 is two `article–creator–name–type` stars meeting at `?journal`:
 /// planned as one chain, the second star is re-derived for each of the
 /// first's 172k `(article, journal)` extensions — 804 220 pattern rows at
-/// 50k. Split at the cut, each star runs once and a hash join on the
-/// journal pairs them. The naive configuration keeps the chain — it is
-/// the oracle — and a star (Q2) never splits: its suffix on its own
-/// would start from a full scan.
+/// 50k. Split at the cut, a hash join on the journal pairs them; and the
+/// two stars are one under a renaming, so the join's probe side reads the
+/// star's build rows instead of deriving them again: one 4-step star,
+/// whose 17 080 pattern rows appear once, at any degree. The naive
+/// configuration keeps the chain — it is the oracle — and a star (Q2)
+/// never splits: its suffix on its own would start from a full scan.
 #[test]
 fn q4_splits_at_journal() {
     let store = store_50k();
@@ -665,23 +667,32 @@ fn q4_splits_at_journal() {
         let [&[cut]] = keys.as_slice() else {
             panic!("Q4@{degree}: one join on one variable, not {keys:?}")
         };
-        let halves = bgps(prepared.plan());
-        assert_eq!(halves.len(), 2, "Q4@{degree}");
-        for steps in halves {
-            assert_eq!(steps.len(), 4, "Q4@{degree}: {steps:?}");
-            let meets = |p: &PlanPattern| p.slots[1..] == [journal, PlanSlot::Var(cut)];
-            assert!(
-                steps.into_iter().any(meets),
-                "Q4@{degree} joins on ?journal"
-            );
-        }
+        let stars = bgps(prepared.plan());
+        let [star] = stars.as_slice() else {
+            panic!("Q4@{degree}: one star, not {stars:?}")
+        };
+        assert_eq!(star.len(), 4, "Q4@{degree}: {star:?}");
+        let meets = |p: &&PlanPattern| p.slots[1..] == [journal, PlanSlot::Var(cut)];
+        assert!(star.iter().any(meets), "Q4@{degree} joins on ?journal");
+        // The probe side reads the build side's ?name2 as its ?name1 and
+        // the journal as itself.
+        let reads: Vec<_> = operators(prepared.plan())
+            .into_iter()
+            .filter_map(|op| match op {
+                Operator::Join { reuse, .. } => reuse,
+                Operator::Scan(_) => None,
+            })
+            .collect();
+        assert_eq!(reads, [&[(3, 5), (6, 6)]], "Q4@{degree}");
         // Under its DISTINCT the build side keeps what is observed of
         // it: ?name2 (projected, and in the filter) and ?journal (the cut).
         let deduped = distinct_build_sides(prepared.plan());
         assert_eq!(deduped, [&[5, 6]], "Q4@{degree}");
         assert_eq!(engine.count(&prepared).expect("evaluates"), 71_317);
-        let rows = counters.total_rows();
-        assert!(rows <= 40_000, "Q4@{degree} scanned {rows} rows");
+        let trace = query_trace(&prepared, engine.store(), &counters);
+        let scans = trace.operators.iter().filter(|s| s.kind == OpKind::Scan);
+        let pattern_rows: u64 = scans.map(|s| s.rows).sum();
+        assert_eq!(pattern_rows, 17_080, "Q4@{degree}: the star runs once");
     }
     let naive = QueryEngine::with_options(
         store.clone(),
@@ -738,6 +749,16 @@ fn negation_is_an_anti_join() {
         let join = trace.operators.last().expect("Q6 has operators");
         assert_eq!(join.kind, OpKind::Join, "Q6@{degree}: {}", join.label);
         assert_eq!(join.rows, answers, "Q6@{degree}: {}", join.label);
+        // The anti-join's probe side reads the `subClassOf–type–issued–
+        // creator` star it negates from the build side, and adds only its
+        // `name` step: the star runs once, 15 429 pattern rows, where
+        // deriving it on both sides took 36 731 in all.
+        let steps: Vec<usize> = bgps(q6.plan()).iter().map(|b| b.len()).collect();
+        assert_eq!(steps, [1, 4], "Q6@{degree}");
+        assert!(join.reads_build.is_some(), "Q6@{degree}: {}", join.label);
+        let scans = trace.operators.iter().filter(|s| s.kind == OpKind::Scan);
+        let pattern_rows: u64 = scans.map(|s| s.rows).sum();
+        assert_eq!(pattern_rows, 21_302, "Q6@{degree}: the star runs once");
         let q7 = engine.prepare(BenchQuery::Q7.text()).expect("parses");
         let anti = join_kinds(q7.plan())
             .into_iter()
@@ -826,10 +847,10 @@ fn no_step_issues_more_lookups_than_a_fetch_costs() {
                 );
             }
             if label == "Q4" {
-                // In each star the type and journal steps are fed 5 874
+                // In the star the type and journal steps are fed 5 874
                 // and 4 437 rows against 3.5k-triple patterns; the creator
                 // step is fed 2 338 against 5 874.
-                assert_eq!(fetched_steps(&spans), [3, 4, 7, 8], "{label}@{degree}");
+                assert_eq!(fetched_steps(&spans), [3, 4], "{label}@{degree}");
             }
         }
     }
