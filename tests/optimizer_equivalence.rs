@@ -378,8 +378,8 @@ fn unlinked_components_run_once_each() {
 /// A seeded star on `?{subject}`: two or three patterns with distinct
 /// predicates; the first meets the other star at the shared `?j`, the
 /// second's object is a variable (what the `<` residuals compare), the
-/// third's a variable or a constant. Its variables are `?{prefix}1`,
-/// `?{prefix}2`.
+/// third's a variable or a constant. Pattern N's object variable is
+/// `?{prefix}N`.
 #[derive(Clone)]
 struct Star(Vec<(u64, Option<u64>)>);
 
@@ -458,7 +458,8 @@ fn repeated_star_shapes(star: &Star) -> Vec<(&'static str, bool, String)> {
              FILTER (!bound(?b)) }}"
         )
     };
-    // Near misses: the copy differs in one constant, or repeats a
+    // Near misses: the copy's last object is another constant (or a
+    // constant where the original has a variable), or the copy repeats a
     // variable the original does not.
     let mut other = star.clone();
     let last = other.0.len() - 1;
